@@ -1595,7 +1595,7 @@ impl<'a> Builder<'a> {
             let id = instantiate_atom_into(self.universe, a, total, &mut self.scratch_args);
             self.scratch_neg.push(id);
         }
-        let head = rule.instantiate_head(self.universe, total);
+        let head = rule.instantiate_head_into(self.universe, total, &mut self.scratch_args);
 
         self.scratch_missing.clear();
         for i in 0..self.scratch_pos.len() {

@@ -4,12 +4,10 @@
 //! identifies a ground atom by its `AtomId`, so set membership, truth values
 //! and indexes are all flat arrays.
 
-use crate::fxhash::FxHashMap;
+use crate::idtable::{hash_words, IdTable};
 use crate::schema::PredId;
-use crate::term::TermId;
-use std::borrow::Borrow;
+use crate::term::{ArgPool, TermId};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// An interned ground atom.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,70 +33,26 @@ impl fmt::Debug for AtomId {
     }
 }
 
-/// Structure of a ground atom: a predicate applied to ground terms.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct AtomNode {
+/// Structure of a ground atom: a predicate applied to ground terms. A
+/// borrowed view into the store's pools.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AtomNode<'a> {
     /// The predicate symbol.
     pub pred: PredId,
     /// Ground arguments, of length equal to the predicate's arity.
-    pub args: Box<[TermId]>,
+    pub args: &'a [TermId],
 }
-
-/// Borrowed view of an atom key, so the interning table can be probed with
-/// `(PredId, &[TermId])` without building an owned [`AtomNode`] (and its
-/// `Box`) per probe. The `Borrow<dyn AtomKey>` bridge is the stable-Rust
-/// equivalent of a raw-entry lookup.
-trait AtomKey {
-    fn key(&self) -> (PredId, &[TermId]);
-}
-
-impl AtomKey for AtomNode {
-    #[inline]
-    fn key(&self) -> (PredId, &[TermId]) {
-        (self.pred, &self.args)
-    }
-}
-
-struct BorrowedAtom<'a>(PredId, &'a [TermId]);
-
-impl AtomKey for BorrowedAtom<'_> {
-    #[inline]
-    fn key(&self) -> (PredId, &[TermId]) {
-        (self.0, self.1)
-    }
-}
-
-impl<'a> Borrow<dyn AtomKey + 'a> for AtomNode {
-    #[inline]
-    fn borrow(&self) -> &(dyn AtomKey + 'a) {
-        self
-    }
-}
-
-// Must agree with `#[derive(Hash)]` on `AtomNode` (field order: pred, then
-// args, where `Box<[TermId]>` hashes like the underlying slice), otherwise
-// borrowed probes would miss entries inserted under owned keys.
-impl Hash for dyn AtomKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let (pred, args) = self.key();
-        pred.hash(state);
-        args.hash(state);
-    }
-}
-
-impl PartialEq for dyn AtomKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn AtomKey + '_ {}
 
 /// Hash-consing store for ground atoms.
+///
+/// Layout: one predicate and one argument row per atom, in flat pools, and
+/// an id table over them — interning allocates nothing per atom, a clone is
+/// four `memcpy`s.
 #[derive(Clone, Debug, Default)]
 pub struct AtomStore {
-    nodes: Vec<AtomNode>,
-    map: FxHashMap<AtomNode, AtomId>,
+    preds: Vec<PredId>,
+    args: ArgPool,
+    table: IdTable,
 }
 
 impl AtomStore {
@@ -107,76 +61,80 @@ impl AtomStore {
         Self::default()
     }
 
-    /// Interns the atom `pred(args…)`.
-    ///
-    /// Arity agreement with the predicate declaration is the caller's
-    /// responsibility; [`crate::universe::Universe::atom`] performs the check.
-    pub fn intern(&mut self, pred: PredId, args: impl Into<Box<[TermId]>>) -> AtomId {
-        let args = args.into();
-        if let Some(id) = self.lookup(pred, &args) {
-            return id;
-        }
-        self.insert_new(AtomNode { pred, args })
+    #[inline]
+    fn find(&self, pred: PredId, args: &[TermId]) -> (u32, Option<AtomId>) {
+        let hash = hash_words(pred.raw(), args.iter().map(|t| t.raw()));
+        let hit = self.table.find(hash, |id| {
+            self.preds[id as usize] == pred && self.args.row(id as usize) == args
+        });
+        (hash, hit.map(AtomId))
     }
 
     /// Interns `pred(args…)` from a borrowed argument slice: the hit path —
     /// the overwhelmingly common case during chase saturation, where the
     /// same ground side atoms are re-instantiated per rule match — performs
-    /// **zero** allocations; only a genuinely new atom copies `args`.
+    /// **zero** allocations; a genuinely new atom appends to the pools.
+    ///
+    /// Arity agreement with the predicate declaration is the caller's
+    /// responsibility; [`crate::universe::Universe::atom`] performs the check.
     pub fn intern_ref(&mut self, pred: PredId, args: &[TermId]) -> AtomId {
-        if let Some(id) = self.lookup(pred, args) {
+        let (hash, hit) = self.find(pred, args);
+        if let Some(id) = hit {
             return id;
         }
-        self.insert_new(AtomNode {
-            pred,
-            args: args.into(),
-        })
-    }
-
-    fn insert_new(&mut self, node: AtomNode) -> AtomId {
-        let id = AtomId(crate::dense_u32(self.nodes.len(), "atom store"));
-        self.nodes.push(node.clone());
-        self.map.insert(node, id);
-        id
+        let id = crate::dense_u32(self.preds.len(), "atom store");
+        self.preds.push(pred);
+        self.args.push(args);
+        self.table.insert_new(hash, id);
+        AtomId(id)
     }
 
     /// Looks up an atom without interning it. Allocation-free.
     pub fn lookup(&self, pred: PredId, args: &[TermId]) -> Option<AtomId> {
-        let probe = BorrowedAtom(pred, args);
-        self.map.get(&probe as &dyn AtomKey).copied()
+        self.find(pred, args).1
     }
 
     /// The structure of an interned atom.
     #[inline]
-    pub fn node(&self, id: AtomId) -> &AtomNode {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: AtomId) -> AtomNode<'_> {
+        AtomNode {
+            pred: self.pred(id),
+            args: self.args(id),
+        }
     }
 
     /// The predicate of an interned atom.
     #[inline]
     pub fn pred(&self, id: AtomId) -> PredId {
-        self.nodes[id.index()].pred
+        self.preds[id.index()]
     }
 
     /// The arguments of an interned atom.
     #[inline]
     pub fn args(&self, id: AtomId) -> &[TermId] {
-        &self.nodes[id.index()].args
+        self.args.row(id.index())
     }
 
     /// Number of interned atoms.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.preds.len()
     }
 
     /// True iff the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.preds.is_empty()
     }
 
     /// Iterates over all interned atom ids in allocation order.
     pub fn ids(&self) -> impl Iterator<Item = AtomId> {
-        (0..self.nodes.len() as u32).map(AtomId)
+        (0..self.preds.len() as u32).map(AtomId)
+    }
+
+    /// Heap bytes held by the store: O(1), a sum of capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.preds.capacity() * std::mem::size_of::<PredId>()
+            + self.args.heap_bytes()
+            + self.table.heap_bytes()
     }
 }
 
@@ -192,10 +150,10 @@ mod tests {
         let q = PredId::from_index(1);
         let t0 = TermId::from_index(0);
         let t1 = TermId::from_index(1);
-        let a1 = store.intern(p, vec![t0, t1]);
-        let a2 = store.intern(p, vec![t0, t1]);
-        let a3 = store.intern(p, vec![t1, t0]);
-        let a4 = store.intern(q, vec![t0, t1]);
+        let a1 = store.intern_ref(p, &[t0, t1]);
+        let a2 = store.intern_ref(p, &[t0, t1]);
+        let a3 = store.intern_ref(p, &[t1, t0]);
+        let a4 = store.intern_ref(q, &[t0, t1]);
         assert_eq!(a1, a2);
         assert_ne!(a1, a3);
         assert_ne!(a1, a4);
@@ -208,7 +166,7 @@ mod tests {
         let p = PredId::from_index(0);
         let t0 = TermId::from_index(0);
         assert_eq!(store.lookup(p, &[t0]), None);
-        let id = store.intern(p, vec![t0]);
+        let id = store.intern_ref(p, &[t0]);
         assert_eq!(store.lookup(p, &[t0]), Some(id));
         assert_eq!(store.len(), 1);
     }
@@ -218,7 +176,7 @@ mod tests {
         let mut store = AtomStore::new();
         let p = PredId::from_index(3);
         let t0 = TermId::from_index(7);
-        let id = store.intern(p, vec![t0]);
+        let id = store.intern_ref(p, &[t0]);
         assert_eq!(store.pred(id), p);
         assert_eq!(store.args(id), &[t0]);
     }

@@ -46,6 +46,14 @@ pub enum CoreError {
         /// Human-readable atom rendering.
         atom: String,
     },
+    /// An atom id that the universe never issued — the mark of a
+    /// [`crate::FactBatch`] built against a different universe.
+    UnknownAtom {
+        /// The offending id's dense index.
+        index: usize,
+        /// How many atoms the universe has interned.
+        interned: usize,
+    },
     /// Too many variables in a single rule for the engine's bitset width.
     TooManyVariables {
         /// Number of variables used.
@@ -89,6 +97,11 @@ impl fmt::Display for CoreError {
             CoreError::NonGroundFact { atom } => {
                 write!(f, "database facts must be ground and null-free: {atom}")
             }
+            CoreError::UnknownAtom { index, interned } => write!(
+                f,
+                "atom #{index} is not of this universe ({interned} atoms interned): \
+                 was the batch built against another one?"
+            ),
             CoreError::TooManyVariables { used, max } => {
                 write!(f, "rule uses {used} variables, more than the supported {max}")
             }

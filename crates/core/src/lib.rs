@@ -27,6 +27,7 @@ pub mod budget;
 pub mod error;
 pub mod factbatch;
 pub mod fxhash;
+pub mod idtable;
 pub mod interp;
 pub mod normalize;
 pub mod program;
@@ -34,6 +35,8 @@ pub mod rule;
 pub mod schema;
 pub mod skolem;
 pub mod snapshot;
+#[cfg(test)]
+mod store_model;
 pub mod subst;
 pub mod symbol;
 pub mod term;
@@ -46,6 +49,7 @@ pub use budget::{CancelToken, SolveBudget, SolveOutcome, TruncationReason};
 pub use error::{CoreError, Result};
 pub use factbatch::{FactBatch, RelationWriter};
 pub use fxhash::{FxHashMap, FxHashSet};
+pub use idtable::IdTable;
 pub use interp::Interp;
 pub use program::Program;
 pub use rule::{Constraint, RTerm, RuleAtom, Span, Tgd, Var};

@@ -19,6 +19,11 @@ impl PredId {
     pub fn from_index(i: usize) -> Self {
         PredId(crate::dense_u32(i, "pred id"))
     }
+
+    #[inline]
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
 }
 
 impl fmt::Debug for PredId {

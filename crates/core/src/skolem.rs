@@ -193,29 +193,49 @@ impl SkolemRule {
 
     /// Instantiates the head under a total binding of the rule's variables,
     /// interning any Skolem terms it produces.
-    // Skolem arities are fixed when the rule is skolemized, so the
-    // interning call cannot see an arity mismatch.
-    #[allow(clippy::expect_used)]
     pub fn instantiate_head(
         &self,
         universe: &mut Universe,
         binding: &[TermId],
     ) -> crate::atom::AtomId {
-        let args: Vec<TermId> = self
-            .head_args
-            .iter()
-            .map(|t| match t {
+        let mut scratch = Vec::with_capacity(self.head_args.len());
+        self.instantiate_head_into(universe, binding, &mut scratch)
+    }
+
+    /// Allocation-free [`SkolemRule::instantiate_head`] (the head's twin of
+    /// [`crate::subst::instantiate_atom_into`]): the head arguments are
+    /// staged in `scratch` (cleared first), each Skolem term's arguments
+    /// transiently behind them, and everything is interned from borrowed
+    /// slices — Skolem terms in head-argument order, then the atom, the
+    /// same interning order as ever. Callers keep one scratch buffer alive
+    /// across a matching loop.
+    // Skolem arities are fixed when the rule is skolemized, so the
+    // interning call cannot see an arity mismatch.
+    #[allow(clippy::expect_used)]
+    pub fn instantiate_head_into(
+        &self,
+        universe: &mut Universe,
+        binding: &[TermId],
+        scratch: &mut Vec<TermId>,
+    ) -> crate::atom::AtomId {
+        scratch.clear();
+        for t in self.head_args.iter() {
+            let term = match t {
                 HeadTerm::Const(c) => *c,
                 HeadTerm::Var(v) => binding[v.index()],
                 HeadTerm::Skolem(f, vars) => {
-                    let sk_args: Vec<TermId> = vars.iter().map(|v| binding[v.index()]).collect();
-                    universe
-                        .skolem_term(*f, sk_args)
-                        .expect("skolem arity fixed at construction")
+                    let staged = scratch.len();
+                    scratch.extend(vars.iter().map(|v| binding[v.index()]));
+                    let term = universe
+                        .skolem_term_ref(*f, &scratch[staged..])
+                        .expect("skolem arity fixed at construction");
+                    scratch.truncate(staged);
+                    term
                 }
-            })
-            .collect();
-        universe.atoms.intern(self.head_pred, args)
+            };
+            scratch.push(term);
+        }
+        universe.atoms.intern_ref(self.head_pred, scratch)
     }
 }
 

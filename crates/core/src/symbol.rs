@@ -5,8 +5,10 @@
 //! ids. All hot-path structures (terms, atoms, rules) store symbols, never
 //! strings.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHasher;
+use crate::idtable::{fold, IdTable};
 use std::fmt;
+use std::hash::Hasher;
 
 /// An interned string.
 ///
@@ -22,6 +24,16 @@ impl Symbol {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    #[inline]
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
+
+    #[inline]
+    pub(crate) fn from_raw(raw: u32) -> Self {
+        Symbol(raw)
+    }
 }
 
 impl fmt::Debug for Symbol {
@@ -31,10 +43,36 @@ impl fmt::Debug for Symbol {
 }
 
 /// Bidirectional string ↔ [`Symbol`] map.
-#[derive(Clone, Debug, Default)]
+///
+/// Every name lives once, back to back, in one byte pool; symbol `i` is
+/// `bytes[off[i]..off[i + 1]]`, and the id table finds it by hash. No
+/// per-name allocation, and a clone is three `memcpy`s.
+#[derive(Clone, Debug)]
 pub struct SymbolTable {
-    map: FxHashMap<Box<str>, Symbol>,
-    names: Vec<Box<str>>,
+    bytes: String,
+    /// `len() + 1` offsets into `bytes`, starting at 0.
+    off: Vec<u32>,
+    table: IdTable,
+}
+
+impl Default for SymbolTable {
+    fn default() -> Self {
+        SymbolTable {
+            bytes: String::new(),
+            off: vec![0],
+            table: IdTable::default(),
+        }
+    }
+}
+
+/// Fx over the bytes (eight a word, the tail zero-padded), then the
+/// length, so that a name and its zero-padded extension differ.
+#[inline]
+fn hash_str(name: &str) -> u32 {
+    let mut hasher = FxHasher::default();
+    hasher.write(name.as_bytes());
+    hasher.write_usize(name.len());
+    fold(hasher.finish())
 }
 
 impl SymbolTable {
@@ -43,36 +81,58 @@ impl SymbolTable {
         Self::default()
     }
 
+    #[inline]
+    fn find(&self, name: &str) -> (u32, Option<Symbol>) {
+        let hash = hash_str(name);
+        let hit = self.table.find(hash, |id| self.get(id as usize) == name);
+        (hash, hit.map(Symbol))
+    }
+
     /// Interns `name`, returning its symbol (stable across repeated calls).
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(name) {
+        let (hash, hit) = self.find(name);
+        if let Some(sym) = hit {
             return sym;
         }
-        let sym = Symbol(crate::dense_u32(self.names.len(), "symbol table"));
-        self.names.push(name.into());
-        self.map.insert(name.into(), sym);
-        sym
+        let id = crate::dense_u32(self.len(), "symbol table");
+        self.bytes.push_str(name);
+        self.off
+            .push(crate::dense_u32(self.bytes.len(), "symbol byte pool"));
+        self.table.insert_new(hash, id);
+        Symbol(id)
     }
 
     /// Looks up an already-interned name without inserting.
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
-        self.map.get(name).copied()
+        self.find(name).1
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &str {
+        &self.bytes[self.off[i] as usize..self.off[i + 1] as usize]
     }
 
     /// Resolves a symbol back to its string.
     #[inline]
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
+        self.get(sym.index())
     }
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.off.len() - 1
     }
 
     /// True iff nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.len() == 0
+    }
+
+    /// Heap bytes held by the table: O(1), a sum of capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.capacity()
+            + self.off.capacity() * std::mem::size_of::<u32>()
+            + self.table.heap_bytes()
     }
 }
 

@@ -8,7 +8,7 @@
 //! therefore hash-cons ground terms: equality of values is equality of
 //! [`TermId`]s.
 
-use crate::fxhash::FxHashMap;
+use crate::idtable::{hash_words, IdTable};
 use crate::symbol::Symbol;
 use std::fmt;
 
@@ -27,6 +27,11 @@ impl TermId {
     #[inline]
     pub fn from_index(i: usize) -> Self {
         TermId(crate::dense_u32(i, "term id"))
+    }
+
+    #[inline]
+    pub(crate) fn raw(self) -> u32 {
+        self.0
     }
 }
 
@@ -58,9 +63,9 @@ impl fmt::Debug for SkolemId {
     }
 }
 
-/// Structure of a ground term.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum TermNode {
+/// Structure of a ground term: a borrowed view into the store's pools.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TermNode<'a> {
     /// A data constant from `∆`, identified by its interned name.
     Const(Symbol),
     /// A labelled null from `∆_N`: a Skolem function applied to ground terms.
@@ -68,20 +73,65 @@ pub enum TermNode {
         /// The Skolem function symbol.
         f: SkolemId,
         /// Its ground arguments.
-        args: Box<[TermId]>,
+        args: &'a [TermId],
     },
 }
+
+/// Variable-length `TermId` rows stored back to back: row `i` is
+/// `pool[off[i]..off[i + 1]]`. Shared by the term and atom stores.
+#[derive(Clone, Debug)]
+pub(crate) struct ArgPool {
+    /// `len() + 1` offsets into `pool`, starting at 0.
+    off: Vec<u32>,
+    pool: Vec<TermId>,
+}
+
+impl Default for ArgPool {
+    fn default() -> Self {
+        ArgPool {
+            off: vec![0],
+            pool: Vec::new(),
+        }
+    }
+}
+
+impl ArgPool {
+    #[inline]
+    pub(crate) fn push(&mut self, row: &[TermId]) {
+        self.pool.extend_from_slice(row);
+        self.off
+            .push(crate::dense_u32(self.pool.len(), "argument pool"));
+    }
+
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[TermId] {
+        &self.pool[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.off.capacity() * std::mem::size_of::<u32>()
+            + self.pool.capacity() * std::mem::size_of::<TermId>()
+    }
+}
+
+/// Set in a term's head word iff the term is a Skolem term; the other 31
+/// bits are the function index (set) or the constant's symbol index (clear).
+const SKOLEM_BIT: u32 = 1 << 31;
 
 /// Hash-consing store for ground terms.
 ///
 /// Guarantees: one `TermId` per structurally distinct term; term ids are
 /// dense and allocation-ordered, so sub-terms always have smaller ids than
 /// the terms containing them.
+///
+/// Layout: one head word, one depth and one (possibly empty) argument row
+/// per term, all in flat pools — interning allocates nothing per term.
 #[derive(Clone, Debug, Default)]
 pub struct TermStore {
-    nodes: Vec<TermNode>,
+    heads: Vec<u32>,
+    args: ArgPool,
     depth: Vec<u32>,
-    map: FxHashMap<TermNode, TermId>,
+    table: IdTable,
 }
 
 impl TermStore {
@@ -90,59 +140,89 @@ impl TermStore {
         Self::default()
     }
 
+    /// Head word of a constant (`tag` clear) or a Skolem term (`tag` set),
+    /// asserting that the index leaves the tag bit free.
+    #[inline]
+    fn head_word(index: u32, tag: u32) -> u32 {
+        assert!(
+            index & SKOLEM_BIT == 0,
+            "term store overflow: index {index} runs into the term tag bit"
+        );
+        index | tag
+    }
+
     /// Interns a constant.
     pub fn constant(&mut self, name: Symbol) -> TermId {
-        self.intern(TermNode::Const(name))
+        let head = Self::head_word(name.raw(), 0);
+        self.intern(head, &[])
     }
 
-    /// Interns a Skolem term. All `args` must already belong to this store.
-    pub fn skolem(&mut self, f: SkolemId, args: impl Into<Box<[TermId]>>) -> TermId {
-        self.intern(TermNode::Skolem {
-            f,
-            args: args.into(),
-        })
+    /// Interns the Skolem term `f(args…)` from a borrowed argument slice;
+    /// a hit allocates nothing. All `args` must already belong to this
+    /// store.
+    pub fn skolem_ref(&mut self, f: SkolemId, args: &[TermId]) -> TermId {
+        let head = Self::head_word(f.0, SKOLEM_BIT);
+        self.intern(head, args)
     }
 
-    fn intern(&mut self, node: TermNode) -> TermId {
-        if let Some(&id) = self.map.get(&node) {
+    #[inline]
+    fn find(&self, head: u32, args: &[TermId]) -> (u32, Option<TermId>) {
+        let hash = hash_words(head, args.iter().map(|t| t.raw()));
+        let hit = self.table.find(hash, |id| {
+            self.heads[id as usize] == head && self.args.row(id as usize) == args
+        });
+        (hash, hit.map(TermId))
+    }
+
+    fn intern(&mut self, head: u32, args: &[TermId]) -> TermId {
+        let (hash, hit) = self.find(head, args);
+        if let Some(id) = hit {
             return id;
         }
-        let depth = match &node {
-            TermNode::Const(_) => 0,
-            TermNode::Skolem { args, .. } => {
-                1 + args
-                    .iter()
-                    .map(|a| self.depth[a.index()])
-                    .max()
-                    .unwrap_or(0)
-            }
+        let depth = if head & SKOLEM_BIT == 0 {
+            0
+        } else {
+            1 + args
+                .iter()
+                .map(|a| self.depth[a.index()])
+                .max()
+                .unwrap_or(0)
         };
-        let id = TermId(crate::dense_u32(self.nodes.len(), "term store"));
-        self.nodes.push(node.clone());
+        let id = crate::dense_u32(self.heads.len(), "term store");
+        self.heads.push(head);
+        self.args.push(args);
         self.depth.push(depth);
-        self.map.insert(node, id);
-        id
+        self.table.insert_new(hash, id);
+        TermId(id)
     }
 
     /// Looks up the constant with the given name without interning it.
     pub fn lookup_const(&self, name: Symbol) -> Option<TermId> {
-        self.map.get(&TermNode::Const(name)).copied()
+        // A symbol that runs into the tag bit was never interned as a
+        // constant (`constant` asserts), so it is simply absent.
+        if name.raw() & SKOLEM_BIT != 0 {
+            return None;
+        }
+        self.find(name.raw(), &[]).1
     }
 
-    /// Looks up a Skolem term without interning it.
+    /// Looks up a Skolem term without interning it. Allocation-free.
     pub fn lookup_skolem(&self, f: SkolemId, args: &[TermId]) -> Option<TermId> {
-        self.map
-            .get(&TermNode::Skolem {
-                f,
-                args: args.into(),
-            })
-            .copied()
+        self.find(f.0 | SKOLEM_BIT, args).1
     }
 
     /// The structure of a term.
     #[inline]
-    pub fn node(&self, id: TermId) -> &TermNode {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: TermId) -> TermNode<'_> {
+        let head = self.heads[id.index()];
+        if head & SKOLEM_BIT == 0 {
+            TermNode::Const(Symbol::from_raw(head))
+        } else {
+            TermNode::Skolem {
+                f: SkolemId(head & !SKOLEM_BIT),
+                args: self.args.row(id.index()),
+            }
+        }
     }
 
     /// Nesting depth of Skolem applications (constants have depth 0).
@@ -154,7 +234,7 @@ impl TermStore {
     /// True iff the term is a data constant (an element of `∆`).
     #[inline]
     pub fn is_constant(&self, id: TermId) -> bool {
-        matches!(self.nodes[id.index()], TermNode::Const(_))
+        self.heads[id.index()] & SKOLEM_BIT == 0
     }
 
     /// True iff the term is a labelled null (an element of `∆_N`).
@@ -165,17 +245,24 @@ impl TermStore {
 
     /// Number of interned terms.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.heads.len()
     }
 
     /// True iff the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.heads.is_empty()
     }
 
     /// Iterates over all interned term ids in allocation order.
     pub fn ids(&self) -> impl Iterator<Item = TermId> {
-        (0..self.nodes.len() as u32).map(TermId)
+        (0..self.heads.len() as u32).map(TermId)
+    }
+
+    /// Heap bytes held by the store: O(1), a sum of capacities.
+    pub fn heap_bytes(&self) -> usize {
+        (self.heads.capacity() + self.depth.capacity()) * std::mem::size_of::<u32>()
+            + self.args.heap_bytes()
+            + self.table.heap_bytes()
     }
 }
 
@@ -210,9 +297,9 @@ mod tests {
         let f = SkolemId::from_index(0);
         let g = SkolemId::from_index(1);
         let ca = store.constant(a);
-        let fa1 = store.skolem(f, vec![ca]);
-        let fa2 = store.skolem(f, vec![ca]);
-        let ga = store.skolem(g, vec![ca]);
+        let fa1 = store.skolem_ref(f, &[ca]);
+        let fa2 = store.skolem_ref(f, &[ca]);
+        let ga = store.skolem_ref(g, &[ca]);
         assert_eq!(fa1, fa2);
         // UNA: f(a) and g(a) are distinct values.
         assert_ne!(fa1, ga);
@@ -225,8 +312,8 @@ mod tests {
         let mut store = TermStore::new();
         let f = SkolemId::from_index(0);
         let ca = store.constant(a);
-        let fa = store.skolem(f, vec![ca]);
-        let ffa = store.skolem(f, vec![fa]);
+        let fa = store.skolem_ref(f, &[ca]);
+        let ffa = store.skolem_ref(f, &[fa]);
         assert_eq!(store.depth(ca), 0);
         assert_eq!(store.depth(fa), 1);
         assert_eq!(store.depth(ffa), 2);
@@ -240,7 +327,7 @@ mod tests {
         let mut store = TermStore::new();
         let f = SkolemId::from_index(0);
         let ca = store.constant(a);
-        let fa = store.skolem(f, vec![ca]);
+        let fa = store.skolem_ref(f, &[ca]);
         assert!(ca.index() < fa.index());
     }
 }

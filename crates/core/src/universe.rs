@@ -197,8 +197,13 @@ impl Universe {
     }
 
     /// Interns the Skolem term `f(args…)`, checking arity.
-    pub fn skolem_term(&mut self, f: SkolemId, args: impl Into<Box<[TermId]>>) -> Result<TermId> {
-        let args = args.into();
+    pub fn skolem_term(&mut self, f: SkolemId, args: impl AsRef<[TermId]>) -> Result<TermId> {
+        self.skolem_term_ref(f, args.as_ref())
+    }
+
+    /// [`Universe::skolem_term`] on a borrowed slice (not generic, so hot
+    /// loops share one copy of it); a hit allocates nothing.
+    pub fn skolem_term_ref(&mut self, f: SkolemId, args: &[TermId]) -> Result<TermId> {
         let declared = self.skolems[f.index()].arity;
         if args.len() != declared {
             return Err(CoreError::SkolemArityMismatch {
@@ -207,14 +212,14 @@ impl Universe {
                 used: args.len(),
             });
         }
-        Ok(self.terms.skolem(f, args))
+        Ok(self.terms.skolem_ref(f, args))
     }
 
     // ----- atoms -------------------------------------------------------
 
     /// Interns the ground atom `pred(args…)`, checking arity.
-    pub fn atom(&mut self, pred: PredId, args: impl Into<Box<[TermId]>>) -> Result<AtomId> {
-        let args = args.into();
+    pub fn atom(&mut self, pred: PredId, args: impl AsRef<[TermId]>) -> Result<AtomId> {
+        let args = args.as_ref();
         let declared = self.preds[pred.index()].arity;
         if args.len() != declared {
             return Err(CoreError::ArityMismatch {
@@ -223,7 +228,7 @@ impl Universe {
                 used: args.len(),
             });
         }
-        Ok(self.atoms.intern(pred, args))
+        Ok(self.atoms.intern_ref(pred, args))
     }
 
     /// True iff every argument of `atom` is a data constant.
@@ -242,6 +247,22 @@ impl Universe {
             .map(|&t| self.terms.depth(t))
             .max()
             .unwrap_or(0)
+    }
+
+    // ----- memory ------------------------------------------------------
+
+    /// Heap bytes held by the universe: O(1), a sum of the capacities of
+    /// the stores' flat pools and tables. (The two by-name maps of the
+    /// declarations are counted by their entries; they are schema-sized.)
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.symbols.heap_bytes()
+            + self.terms.heap_bytes()
+            + self.atoms.heap_bytes()
+            + self.preds.capacity() * size_of::<PredInfo>()
+            + self.skolems.capacity() * size_of::<SkolemInfo>()
+            + self.pred_by_name.capacity() * size_of::<(Symbol, PredId)>()
+            + self.skolem_by_name.capacity() * size_of::<(Symbol, SkolemId)>()
     }
 
     // ----- display -----------------------------------------------------
@@ -271,9 +292,9 @@ impl fmt::Display for DisplayTerm<'_> {
 
 fn write_term(u: &Universe, id: TermId, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     match u.terms.node(id) {
-        TermNode::Const(sym) => f.write_str(u.symbols.resolve(*sym)),
+        TermNode::Const(sym) => f.write_str(u.symbols.resolve(sym)),
         TermNode::Skolem { f: func, args } => {
-            f.write_str(u.skolem_name(*func))?;
+            f.write_str(u.skolem_name(func))?;
             f.write_str("(")?;
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {

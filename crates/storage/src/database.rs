@@ -17,16 +17,34 @@ impl Database {
         Self::default()
     }
 
-    /// Inserts a fact, validating that it is constant-only.
-    ///
-    /// Returns `Ok(true)` if the fact is new, `Ok(false)` if it was already
-    /// present, and an error if any argument is a labelled null.
-    pub fn insert(&mut self, universe: &Universe, atom: AtomId) -> Result<bool> {
+    /// Checks that `atom` may enter a database over `universe`: an id the
+    /// universe issued ([`CoreError::UnknownAtom`] otherwise — the atom
+    /// came from another universe), with constant arguments only
+    /// ([`CoreError::NonGroundFact`]). Callers that must apply a batch all
+    /// or nothing check every fact before inserting any.
+    pub fn check_fact(universe: &Universe, atom: AtomId) -> Result<()> {
+        let interned = universe.atoms.len();
+        if atom.index() >= interned {
+            return Err(CoreError::UnknownAtom {
+                index: atom.index(),
+                interned,
+            });
+        }
         if !universe.atom_is_constant_free_of_nulls(atom) {
             return Err(CoreError::NonGroundFact {
                 atom: universe.display_atom(atom).to_string(),
             });
         }
+        Ok(())
+    }
+
+    /// Inserts a fact, validating it with [`Database::check_fact`].
+    ///
+    /// Returns `Ok(true)` if the fact is new, `Ok(false)` if it was already
+    /// present, and an error if the atom is not of this universe or any
+    /// argument is a labelled null.
+    pub fn insert(&mut self, universe: &Universe, atom: AtomId) -> Result<bool> {
+        Self::check_fact(universe, atom)?;
         Ok(self.insert_unchecked(universe, atom))
     }
 
@@ -125,6 +143,24 @@ mod tests {
             db.insert(&u, a),
             Err(CoreError::NonGroundFact { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_atoms_of_another_universe() {
+        let mut u = Universe::new();
+        let p = u.pred("p", 1).unwrap();
+        let c = u.constant("c");
+        u.atom(p, [c]).unwrap();
+        let mut db = Database::new();
+        // An id past everything `u` interned: an error, not a panic.
+        assert_eq!(
+            db.insert(&u, AtomId::from_index(7)),
+            Err(CoreError::UnknownAtom {
+                index: 7,
+                interned: 1
+            })
+        );
+        assert!(db.is_empty());
     }
 
     #[test]

@@ -1,51 +1,170 @@
 //! Secondary indexes over sets of ground atoms, used by the query engine's
 //! homomorphism search.
 
-use wfdl_core::{AtomId, FxHashMap, PredId, TermId, Universe};
+use wfdl_core::idtable::hash_words;
+use wfdl_core::{AtomId, IdTable, PredId, TermId, Universe};
 
 /// An index over a collection of ground atoms supporting
 /// lookup-by-predicate and lookup-by-(predicate, argument position, term).
+///
+/// Built once, read many times: both lookups are CSR arrays (one row per
+/// predicate; one row per distinct `(pred, pos, term)` key, found through
+/// an [`IdTable`] over the key array), so an index is a handful of flat
+/// allocations however many atoms it covers. Every row lists its atoms in
+/// the order [`AtomIndex::build`] received them.
 #[derive(Clone, Debug, Default)]
 pub struct AtomIndex {
-    by_pred: FxHashMap<PredId, Vec<AtomId>>,
-    by_pred_pos_term: FxHashMap<(PredId, u32, TermId), Vec<AtomId>>,
-    len: usize,
+    /// Row of predicate `p` is `pred_atoms[pred_end[p]..pred_end[p + 1]]`
+    /// (`pred_end[0] = 0`); predicates past the end — declared after the
+    /// build — have no row.
+    pred_end: Vec<u32>,
+    pred_atoms: Vec<AtomId>,
+    /// The distinct keys in discovery order behind a leading sentinel:
+    /// key `k` is `keys[k + 1]`, its row `key_atoms[keys[k].end..keys[k + 1].end]`.
+    keys: Vec<KeyRow>,
+    key_atoms: Vec<AtomId>,
+    table: IdTable,
+}
+
+/// A `(pred, pos, term)` key and where its row of `key_atoms` ends; the
+/// row starts where the previous key's ends, so a lookup reads two
+/// neighbouring records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct KeyRow {
+    pred: PredId,
+    pos: u32,
+    term: TermId,
+    end: u32,
+}
+
+impl KeyRow {
+    #[inline]
+    fn is(&self, pred: PredId, pos: u32, term: TermId) -> bool {
+        self.pred == pred && self.pos == pos && self.term == term
+    }
+}
+
+#[inline]
+fn hash_key(pred: PredId, pos: u32, term: TermId) -> u32 {
+    // Ids are `u32`s inside: the casts are exact.
+    hash_words(pred.index() as u32, [pos, term.index() as u32])
 }
 
 impl AtomIndex {
     /// Builds an index over `atoms`.
+    ///
+    /// Two passes, a stable counting sort: the first counts each row (and
+    /// discovers the keys), a running sum turns the counts into row
+    /// starts, and the second pass drops every atom at its row's cursor —
+    /// which leaves each cursor at its row's end, the form lookups read.
     pub fn build(universe: &Universe, atoms: impl IntoIterator<Item = AtomId>) -> Self {
-        let mut idx = AtomIndex::default();
-        for atom in atoms {
-            idx.insert(universe, atom);
-        }
-        idx
-    }
+        let store = &universe.atoms;
+        let atoms: Vec<AtomId> = atoms.into_iter().collect();
 
-    /// Adds an atom to the index.
-    pub fn insert(&mut self, universe: &Universe, atom: AtomId) {
-        let node = universe.atoms.node(atom);
-        self.by_pred.entry(node.pred).or_default().push(atom);
-        for (i, &t) in node.args.iter().enumerate() {
-            self.by_pred_pos_term
-                .entry((node.pred, i as u32, t))
-                .or_default()
-                .push(atom);
+        // Row sizes per predicate, and how many arguments there are: every
+        // array below but the key table is then allocated once. Offsets
+        // are `u32`; the two totals checked here bound every one of them.
+        let _ = wfdl_core::dense_u32(atoms.len(), "atom index");
+        let mut pred_end = vec![0u32; universe.num_preds() + 1];
+        let mut num_args = 0usize;
+        for &atom in &atoms {
+            let pred = store.pred(atom).index();
+            if pred + 1 >= pred_end.len() {
+                pred_end.resize(pred + 2, 0);
+            }
+            pred_end[pred + 1] += 1;
+            num_args += store.args(atom).len();
         }
-        self.len += 1;
+        let _ = wfdl_core::dense_u32(num_args, "atom index arguments");
+
+        // Row sizes per key, discovering the keys; each argument's key is
+        // remembered so that the fill below hashes nothing.
+        let sentinel = KeyRow {
+            pred: PredId::from_index(0),
+            pos: 0,
+            term: TermId::from_index(0),
+            end: 0,
+        };
+        let mut keys = Vec::with_capacity(num_args + 1);
+        keys.push(sentinel);
+        let mut table = IdTable::with_capacity(atoms.len());
+        let mut key_of_arg: Vec<u32> = Vec::with_capacity(num_args);
+        for &atom in &atoms {
+            let pred = store.pred(atom);
+            for (pos, &term) in store.args(atom).iter().enumerate() {
+                let pos = pos as u32;
+                let hash = hash_key(pred, pos, term);
+                let found = table.find(hash, |k| keys[k as usize + 1].is(pred, pos, term));
+                let k = found.unwrap_or_else(|| {
+                    let k = (keys.len() - 1) as u32;
+                    keys.push(KeyRow {
+                        pred,
+                        pos,
+                        term,
+                        end: 0,
+                    });
+                    table.insert_new(hash, k);
+                    k
+                });
+                keys[k as usize + 1].end += 1;
+                key_of_arg.push(k);
+            }
+        }
+        keys.shrink_to_fit();
+
+        let mut start = 0u32;
+        for end in &mut pred_end[1..] {
+            start += std::mem::replace(end, start);
+        }
+        let mut start = 0u32;
+        for key in &mut keys[1..] {
+            start += std::mem::replace(&mut key.end, start);
+        }
+
+        let filler = AtomId::from_index(0);
+        let mut pred_atoms = vec![filler; atoms.len()];
+        let mut key_atoms = vec![filler; key_of_arg.len()];
+        let mut arg_keys = key_of_arg.iter();
+        for &atom in &atoms {
+            let cursor = &mut pred_end[store.pred(atom).index() + 1];
+            pred_atoms[*cursor as usize] = atom;
+            *cursor += 1;
+            for &k in arg_keys.by_ref().take(store.args(atom).len()) {
+                let cursor = &mut keys[k as usize + 1].end;
+                key_atoms[*cursor as usize] = atom;
+                *cursor += 1;
+            }
+        }
+
+        AtomIndex {
+            pred_end,
+            pred_atoms,
+            keys,
+            key_atoms,
+            table,
+        }
     }
 
     /// Atoms with the given predicate.
     pub fn with_pred(&self, pred: PredId) -> &[AtomId] {
-        self.by_pred.get(&pred).map(Vec::as_slice).unwrap_or(&[])
+        match self.pred_end.get(pred.index()..pred.index() + 2) {
+            Some(&[start, end]) => &self.pred_atoms[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// Atoms with the given predicate whose `pos`-th argument is `term`.
     pub fn with_pred_pos_term(&self, pred: PredId, pos: u32, term: TermId) -> &[AtomId] {
-        self.by_pred_pos_term
-            .get(&(pred, pos, term))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let found = self.table.find(hash_key(pred, pos, term), |k| {
+            self.keys[k as usize + 1].is(pred, pos, term)
+        });
+        match found {
+            Some(k) => {
+                let k = k as usize;
+                &self.key_atoms[self.keys[k].end as usize..self.keys[k + 1].end as usize]
+            }
+            None => &[],
+        }
     }
 
     /// The most selective candidate list for a predicate given optional
@@ -68,18 +187,163 @@ impl AtomIndex {
 
     /// Number of indexed atoms.
     pub fn len(&self) -> usize {
-        self.len
+        self.pred_atoms.len()
     }
 
     /// True iff no atoms are indexed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pred_atoms.is_empty()
+    }
+
+    /// Heap bytes held by the index: O(1), a sum of capacities.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.pred_end.capacity() * size_of::<u32>()
+            + (self.pred_atoms.capacity() + self.key_atoms.capacity()) * size_of::<AtomId>()
+            + self.keys.capacity() * size_of::<KeyRow>()
+            + self.table.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The map-of-`Vec`s index the CSR layout replaced, kept as the
+    /// reference the differential test compares against.
+    #[derive(Default)]
+    struct MapIndex {
+        by_pred: HashMap<PredId, Vec<AtomId>>,
+        by_pred_pos_term: HashMap<(PredId, u32, TermId), Vec<AtomId>>,
+    }
+
+    impl MapIndex {
+        fn build(universe: &Universe, atoms: impl IntoIterator<Item = AtomId>) -> Self {
+            let mut idx = MapIndex::default();
+            for atom in atoms {
+                let node = universe.atoms.node(atom);
+                idx.by_pred.entry(node.pred).or_default().push(atom);
+                for (i, &t) in node.args.iter().enumerate() {
+                    idx.by_pred_pos_term
+                        .entry((node.pred, i as u32, t))
+                        .or_default()
+                        .push(atom);
+                }
+            }
+            idx
+        }
+
+        fn with_pred(&self, pred: PredId) -> &[AtomId] {
+            self.by_pred.get(&pred).map(Vec::as_slice).unwrap_or(&[])
+        }
+
+        fn with_pred_pos_term(&self, pred: PredId, pos: u32, term: TermId) -> &[AtomId] {
+            self.by_pred_pos_term
+                .get(&(pred, pos, term))
+                .map(Vec::as_slice)
+                .unwrap_or(&[])
+        }
+    }
+
+    /// Compares the two indexes on every key there is to ask about:
+    /// every predicate × every position up to one past the widest arity ×
+    /// every term, present or absent.
+    fn assert_same_answers(universe: &Universe, csr: &AtomIndex, map: &MapIndex) {
+        let positions = universe.schema_stats().max_arity as u32 + 1;
+        for pred in universe.pred_ids() {
+            assert_eq!(csr.with_pred(pred), map.with_pred(pred), "{pred:?}");
+            for pos in 0..positions {
+                for term in universe.terms.ids() {
+                    assert_eq!(
+                        csr.with_pred_pos_term(pred, pos, term),
+                        map.with_pred_pos_term(pred, pos, term),
+                        "{pred:?} {pos} {term:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    const ARITIES: [usize; 4] = [0, 1, 2, 3];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Identical slices in identical order, for random atom lists (with
+        /// repeats, nullary atoms, and atoms of the universe left out).
+        #[test]
+        fn csr_index_matches_the_map_of_vecs(
+            interned in proptest::collection::vec((0usize..4, 0usize..216), 0..120),
+            picked in proptest::collection::vec(0usize..120, 0..200),
+        ) {
+            let mut u = Universe::new();
+            let preds: Vec<PredId> = ARITIES
+                .iter()
+                .map(|&arity| u.pred(&format!("p{arity}"), arity).unwrap())
+                .collect();
+            let consts: Vec<TermId> = (0..6).map(|i| u.constant(&format!("c{i}"))).collect();
+            let atoms: Vec<AtomId> = interned
+                .iter()
+                .map(|&(p, digits)| {
+                    let args: Vec<TermId> = (0..ARITIES[p])
+                        .map(|pos| consts[digits / 6usize.pow(pos as u32) % 6])
+                        .collect();
+                    u.atom(preds[p], args).unwrap()
+                })
+                .collect();
+            let input: Vec<AtomId> = if atoms.is_empty() {
+                Vec::new()
+            } else {
+                picked.iter().map(|&i| atoms[i % atoms.len()]).collect()
+            };
+
+            let csr = AtomIndex::build(&u, input.iter().copied());
+            let map = MapIndex::build(&u, input.iter().copied());
+            prop_assert_eq!(csr.len(), input.len());
+            prop_assert_eq!(csr.is_empty(), input.is_empty());
+            assert_same_answers(&u, &csr, &map);
+
+            // Names the index has never heard of: a predicate and a term
+            // declared after it was built.
+            let late_pred = u.pred("late", 1).unwrap();
+            let late_term = u.constant("late");
+            prop_assert!(csr.with_pred(late_pred).is_empty());
+            prop_assert!(csr.with_pred_pos_term(late_pred, 0, consts[0]).is_empty());
+            prop_assert!(csr.with_pred_pos_term(preds[1], 0, late_term).is_empty());
+        }
+    }
+
+    #[test]
+    fn the_empty_index_answers_everything_with_nothing() {
+        let mut u = Universe::new();
+        let p = u.pred("p", 1).unwrap();
+        let c = u.constant("c");
+        for idx in [AtomIndex::default(), AtomIndex::build(&u, [])] {
+            assert!(idx.is_empty());
+            assert_eq!(idx.len(), 0);
+            assert!(idx.with_pred(p).is_empty());
+            assert!(idx.with_pred_pos_term(p, 0, c).is_empty());
+            assert!(idx.candidates(p, [(0, c)].into_iter()).is_empty());
+        }
+        assert_eq!(AtomIndex::default().heap_bytes(), 0);
+    }
+
+    #[test]
+    fn nullary_atoms_are_listed_under_their_predicate_only() {
+        let mut u = Universe::new();
+        let flag = u.pred("flag", 0).unwrap();
+        let p = u.pred("p", 1).unwrap();
+        let c = u.constant("c");
+        let flag_atom = u.atom(flag, []).unwrap();
+        let pc = u.atom(p, [c]).unwrap();
+        let idx = AtomIndex::build(&u, [flag_atom, pc]);
+        assert_eq!(idx.with_pred(flag), &[flag_atom]);
+        assert!(idx.with_pred_pos_term(flag, 0, c).is_empty());
+        assert_eq!(idx.with_pred_pos_term(p, 0, c), &[pc]);
+        assert!(idx.heap_bytes() > 0);
+    }
 
     #[test]
     fn lookup_by_pred_and_position() {

@@ -774,6 +774,11 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
         );
         outln!("% truth: {t} true, {f} false, {u} unknown");
         outln!("% outcome: {}", model.outcome());
+        outln!(
+            "% memory: universe_bytes={}, index_bytes={}",
+            universe.heap_bytes(),
+            model.index_bytes()
+        );
         let ss = model.solve_stats();
         outln!(
             "% solve: incremental={}, components_reused={}",

@@ -275,10 +275,15 @@ impl From<std::io::Error> for Error {
 /// verdict reuse), while retractions or rule changes force a full
 /// recompute.
 pub struct KnowledgeBase {
-    /// Copy-on-write interning context: shared with every `SolvedModel`
-    /// snapshot, cloned lazily (`Arc::make_mut`) on the first mutation
-    /// after a solve — so freezing a snapshot is O(1) and re-solves never
-    /// pay for a universe copy.
+    /// Copy-on-write interning context, shared with every `SolvedModel`
+    /// snapshot: freezing a snapshot is an O(1) refcount bump. While any
+    /// published snapshot is alive — a served model, a caller's `Arc`, the
+    /// `last` cache below — the first mutation after it (`universe_mut`,
+    /// `add_source`, an ingest, the chase of the next solve) copies the
+    /// whole universe (`Arc::make_mut`); later mutations before the next
+    /// publication find it unshared and copy nothing. The stores are flat
+    /// pools, so that copy is a handful of `memcpy`s (under a millisecond
+    /// per 200k atoms), not a walk over every atom.
     universe: Arc<Universe>,
     database: Database,
     sigma: SkolemProgram,
@@ -456,10 +461,18 @@ impl KnowledgeBase {
     /// The batch must have been built against **this** knowledge base's
     /// universe ([`KnowledgeBase::universe_mut`]). An insert-only delta
     /// keeps the next [`KnowledgeBase::solve`] on the incremental path.
+    ///
+    /// All or nothing: the whole batch is validated first
+    /// ([`Database::check_fact`]: every id one this universe issued, every
+    /// fact null-free), so a rejected batch leaves the knowledge base, and
+    /// every cache keyed on its generation, untouched.
     pub fn insert(&mut self, batch: FactBatch) -> Result<usize, Error> {
+        for &atom in batch.atoms() {
+            Database::check_fact(&self.universe, atom)?;
+        }
         let mut added = 0usize;
         for &atom in batch.atoms() {
-            if self.database.insert(&self.universe, atom)? {
+            if self.database.insert_unchecked(&self.universe, atom) {
                 self.delta.push(atom);
                 added += 1;
             }
@@ -1310,6 +1323,14 @@ impl SolvedModel {
         self.model.render_true(&self.universe)
     }
 
+    /// Heap bytes of the model's atom indexes: the certain-atom index
+    /// built at solve time plus, once a three-valued query has asked for
+    /// it, the lazily built possible-atom index. O(1). The universe's
+    /// share is [`Universe::heap_bytes`] on [`SolvedModel::universe`].
+    pub fn index_bytes(&self) -> usize {
+        self.certain_index.heap_bytes() + self.possible_index.get().map_or(0, AtomIndex::heap_bytes)
+    }
+
     fn possible_index(&self) -> &AtomIndex {
         self.possible_index.get_or_init(|| {
             AtomIndex::build(&self.universe, TruthSource::possible_atoms(&*self.model))
@@ -1611,6 +1632,81 @@ mod tests {
         scratch.insert(all).unwrap();
         let reference = scratch.solve();
         assert_eq!(reference.render_true(), second.render_true());
+    }
+
+    #[test]
+    fn rejected_batch_is_not_applied_halfway() {
+        let mut kb = KnowledgeBase::from_source("p(X) -> q(X, Y). p(a).").unwrap();
+        // Intern `p(b)` without inserting it: an id the database lacks.
+        let mut stray = FactBatch::new();
+        let pb = stray
+            .relation(kb.universe_mut(), "p", 1)
+            .unwrap()
+            .push(&["b"])
+            .unwrap();
+        let full = kb.solve();
+        let sliced = kb.solve_for("?- p(b).").unwrap();
+        assert!(!full.ask("?- p(b).").unwrap() && !sliced.ask("?- p(b).").unwrap());
+        let with_null = kb
+            .universe()
+            .atoms
+            .ids()
+            .find(|&a| !kb.universe().atom_is_constant_free_of_nulls(a))
+            .expect("the chase interned q(a, null)");
+        assert!(pb < with_null);
+
+        // A batch built against ANOTHER universe: its ids 0..=with_null are
+        // null-free facts over there; over here they run from database
+        // facts through `p(b)` (new) to an atom with a null (rejected).
+        let mut other = Universe::new();
+        let mut foreign = FactBatch::new();
+        {
+            let mut rows = foreign.relation(&mut other, "r", 1).unwrap();
+            for i in 0..=with_null.index() {
+                rows.push(&[&format!("c{i}")]).unwrap();
+            }
+        }
+        assert!(foreign.atoms().contains(&pb) && foreign.atoms().contains(&with_null));
+        let facts_before = kb.database().len();
+        let err = kb.insert(foreign).unwrap_err();
+        assert!(
+            matches!(err, Error::Core(wfdl_core::CoreError::NonGroundFact { .. })),
+            "{err}"
+        );
+        // Nothing of it was applied, so every cache is still right.
+        assert_eq!(kb.database().len(), facts_before);
+        assert!(!kb.database().contains(pb));
+        let full_after = kb.solve();
+        let sliced_after = kb.solve_for("?- p(b).").unwrap();
+        assert!(Arc::ptr_eq(&full, &full_after), "nothing changed: cached");
+        assert_eq!(
+            sliced_after.ask("?- p(b).").unwrap(),
+            full_after.ask("?- p(b).").unwrap(),
+            "solve_for and solve disagree after a rejected batch"
+        );
+
+        // An id this universe never issued is an error, not a panic.
+        let beyond = kb.universe().atoms.len() + 3;
+        let mut rows = FactBatch::new();
+        {
+            let mut writer = rows.relation(&mut other, "r", 1).unwrap();
+            for i in 0..=beyond {
+                writer.push(&[&format!("c{i}")]).unwrap();
+            }
+        }
+        let mut out_of_range = FactBatch::new();
+        out_of_range
+            .push_atom(&other, AtomId::from_index(beyond))
+            .unwrap();
+        let err = kb.insert(out_of_range).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Core(wfdl_core::CoreError::UnknownAtom { index, .. }) if index == beyond
+            ),
+            "{err}"
+        );
+        assert!(Arc::ptr_eq(&full, &kb.solve()));
     }
 
     #[test]

@@ -323,9 +323,11 @@ impl WfdlApp {
         ));
         out.push_str(&format!(
             ",\"model\":{{\"atoms\":{},\"rules\":{},\"true\":{t},\"false\":{f},\"unknown\":{u},\
-             \"exact\":{},\"outcome\":",
+             \"universe_bytes\":{},\"index_bytes\":{},\"exact\":{},\"outcome\":",
             model.model().segment.atoms().len(),
             model.model().ground.num_rules(),
+            model.universe().heap_bytes(),
+            model.index_bytes(),
             model.exact(),
         ));
         push_json_str(&mut out, &model.outcome().to_string());

@@ -1,0 +1,189 @@
+//! Allocation budgets for the interning stores and the atom index.
+//!
+//! The stores keep every key in a few flat pools, so that cloning a
+//! universe (the façade's copy-on-write before each mutation, and
+//! `solve_for`'s private copy) is a handful of `memcpy`s, re-deriving
+//! something already interned allocates nothing, and an index is a
+//! handful of arrays. A timing cannot pin that on a shared host; a count
+//! of allocator calls can, exactly.
+
+// Test/example code: panicking on a broken invariant IS the failure
+// signal (see clippy.toml; helper fns here are outside #[test] scope).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use wfdatalog::core::{HeadTerm, RTerm, RuleAtom, SkolemRule, TermId, Universe, Var};
+use wfdatalog::storage::AtomIndex;
+
+thread_local! {
+    // Per thread, so that tests running beside each other (and the test
+    // harness itself) do not count into one another. `const` and without a
+    // destructor: reading it from the allocator never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every call that obtains memory.
+struct Counting;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// thread-local `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls `f` makes on this thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const ATOMS: usize = 10_000;
+
+const CONSTANTS: usize = 2_500;
+
+/// The `i`-th of `ATOMS` distinct pairs of constants.
+fn pair(i: usize) -> (usize, usize) {
+    (i % CONSTANTS, i / 4)
+}
+
+/// A universe of `ATOMS` distinct atoms `edge(n_a, f(n_a, n_b))` over
+/// `CONSTANTS` constants and `ATOMS` nulls: every store is populated.
+fn populated() -> Universe {
+    let mut u = Universe::new();
+    let edge = u.pred("edge", 2).unwrap();
+    let f = u.skolem_fn("f", 2).unwrap();
+    for i in 0..ATOMS {
+        let a = u.constant(&format!("n{}", pair(i).0));
+        let b = u.constant(&format!("n{}", pair(i).1));
+        let null = u.skolem_term_ref(f, &[a, b]).unwrap();
+        u.atom(edge, [a, null]).unwrap();
+    }
+    assert_eq!(u.atoms.len(), ATOMS);
+    u
+}
+
+#[test]
+fn cloning_a_universe_is_a_handful_of_allocations() {
+    let u = populated();
+    let (copy, allocations) = allocations_in(|| u.clone());
+    assert_eq!(copy.atoms.len(), u.atoms.len());
+    assert!(
+        allocations <= 32,
+        "cloning a universe of {} atoms, {} terms and {} symbols took {allocations} allocations",
+        u.atoms.len(),
+        u.terms.len(),
+        u.symbols.len()
+    );
+}
+
+#[test]
+fn re_interning_allocates_nothing() {
+    let mut u = populated();
+    let edge = u.lookup_pred("edge").unwrap();
+    let f = u.lookup_skolem("f").unwrap();
+    let names: Vec<String> = (0..CONSTANTS).map(|i| format!("n{i}")).collect();
+    let atoms_before = u.atoms.len();
+
+    let ((), allocations) = allocations_in(|| {
+        for i in 0..ATOMS {
+            let a = u.constant(&names[pair(i).0]);
+            let b = u.constant(&names[pair(i).1]);
+            let null = u.skolem_term_ref(f, &[a, b]).unwrap();
+            assert_eq!(u.terms.lookup_skolem(f, &[a, b]), Some(null));
+            let atom = u.atoms.intern_ref(edge, &[a, null]);
+            assert_eq!(u.atoms.lookup(edge, &[a, null]), Some(atom));
+        }
+    });
+    assert_eq!(
+        u.atoms.len(),
+        atoms_before,
+        "everything was interned before"
+    );
+    assert_eq!(allocations, 0, "re-interning existing keys allocated");
+
+    // The chase's head instantiation, Skolem terms included, through its
+    // scratch-buffer entry point: a re-derivation allocates nothing.
+    let x = Var::new(0);
+    let y = Var::new(1);
+    let rule = SkolemRule::new(
+        &u,
+        vec![RuleAtom::new(edge, vec![RTerm::Var(x), RTerm::Var(y)])],
+        vec![],
+        edge,
+        vec![HeadTerm::Var(x), HeadTerm::Skolem(f, vec![x, y].into())],
+    )
+    .unwrap();
+    let bindings: Vec<[TermId; 2]> = (0..100)
+        .map(|i| [u.constant(&names[i]), u.constant(&names[i + 1])])
+        .collect();
+    let mut scratch = Vec::with_capacity(8);
+    let first: Vec<_> = bindings
+        .iter()
+        .map(|b| rule.instantiate_head_into(&mut u, b, &mut scratch))
+        .collect();
+    let (again, allocations) = allocations_in(|| {
+        let mut same = true;
+        for (b, &head) in bindings.iter().zip(&first) {
+            same &= rule.instantiate_head_into(&mut u, b, &mut scratch) == head;
+        }
+        same
+    });
+    assert!(again, "re-derived heads are the same atoms");
+    assert_eq!(allocations, 0, "re-deriving existing heads allocated");
+}
+
+#[test]
+fn building_an_index_is_a_handful_of_allocations() {
+    let u = populated();
+    let atoms: Vec<_> = u.atoms.ids().collect();
+    let (index, allocations) = allocations_in(|| AtomIndex::build(&u, atoms.iter().copied()));
+    assert_eq!(index.len(), atoms.len());
+    assert!(
+        allocations <= 32,
+        "indexing {} atoms took {allocations} allocations",
+        atoms.len()
+    );
+    // And from an iterator that cannot say how long it is, as the façade's
+    // truth-value filters are.
+    let (index, allocations) = allocations_in(|| {
+        AtomIndex::build(&u, atoms.iter().copied().filter(|a| a.index() % 2 == 0))
+    });
+    assert_eq!(index.len(), atoms.len() / 2);
+    assert!(
+        allocations <= 32,
+        "indexing {} filtered atoms took {allocations} allocations",
+        index.len()
+    );
+}

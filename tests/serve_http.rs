@@ -243,10 +243,21 @@ fn query_errors_report_real_positions() {
         "\"query_errors\":",
         "\"lint\":",
         "\"model\":",
+        "\"universe_bytes\":",
+        "\"index_bytes\":",
         "\"solve\":",
         "\"chase\":",
     ] {
         assert!(body.contains(key), "stats body missing {key}: {body}");
+    }
+    // The byte counts are real: a solved model's stores and index hold
+    // something.
+    for key in ["\"universe_bytes\":", "\"index_bytes\":"] {
+        let digits: String = body[body.find(key).expect("checked above") + key.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        assert!(digits.parse::<u64>().expect("a number") > 0, "{key} {body}");
     }
 
     server.shutdown();
