@@ -319,6 +319,15 @@ fn main() {
         employed_fraction: 0.5,
         seed: 2013,
     });
+    // The same ontology at a size where a cost proportional to the atom
+    // universe *per recursive component* shows: 4,096 unemployed persons
+    // are 4,096 four-atom components recursive through negation, over
+    // ~53k atoms. (At 384 persons such a cost hides inside a millisecond.)
+    let employment_large = employment_ontology(&EmploymentConfig {
+        num_persons: 8192,
+        employed_fraction: 0.5,
+        seed: 2013,
+    });
 
     let outcomes = vec![
         collect("chain", samples, || {
@@ -329,6 +338,9 @@ fn main() {
         }),
         collect("employment", samples, || {
             run_ontology_sample(&employment, ChaseBudget::depth(6))
+        }),
+        collect("employment8192", samples, || {
+            run_ontology_sample(&employment_large, ChaseBudget::depth(6))
         }),
     ];
 

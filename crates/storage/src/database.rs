@@ -67,19 +67,27 @@ impl Database {
     /// Order of the surviving facts is preserved. One linear pass over the
     /// database per batch — retraction invalidates every derived
     /// consequence anyway, so it is never on a hot path.
+    ///
+    /// Ids that are not stored facts are skipped **before** the universe is
+    /// consulted: an atom that is not in the universe (a batch built
+    /// against another one) cannot be a stored fact, and looking up its
+    /// predicate would index out of range.
     pub fn retract_batch(&mut self, universe: &Universe, atoms: &[AtomId]) -> usize {
-        let mut removed = 0usize;
+        let mut preds: Vec<PredId> = Vec::new();
         for &a in atoms {
             if self.set.remove(&a) {
-                removed += 1;
+                preds.push(universe.atoms.pred(a));
             }
         }
+        let removed = preds.len();
         if removed == 0 {
             return 0;
         }
         self.facts.retain(|f| self.set.contains(f));
-        for &a in atoms {
-            if let Some(row) = self.by_pred.get_mut(&universe.atoms.pred(a)) {
+        preds.sort_unstable();
+        preds.dedup();
+        for p in preds {
+            if let Some(row) = self.by_pred.get_mut(&p) {
                 row.retain(|f| self.set.contains(f));
             }
         }
@@ -183,6 +191,25 @@ mod tests {
         assert!(db.facts_with_pred(q).is_empty());
         assert!(!db.contains(pc));
         assert_eq!(db.retract_batch(&u, &[pc]), 0, "already gone");
+    }
+
+    #[test]
+    fn retract_batch_skips_atoms_of_another_universe() {
+        let mut u = Universe::new();
+        let p = u.pred("p", 1).unwrap();
+        let c = u.constant("c");
+        let d = u.constant("d");
+        let pc = u.atom(p, vec![c]).unwrap();
+        let pd = u.atom(p, vec![d]).unwrap();
+        let mut db = Database::new();
+        db.insert(&u, pc).unwrap();
+        db.insert(&u, pd).unwrap();
+        // An id past everything `u` interned rides along with a stored
+        // fact: exactly the stored one goes, and nothing panics.
+        let foreign = AtomId::from_index(u.atoms.len() + 5);
+        assert_eq!(db.retract_batch(&u, &[foreign, pc]), 1);
+        assert_eq!(db.facts(), &[pd]);
+        assert_eq!(db.facts_with_pred(p), &[pd]);
     }
 
     #[test]

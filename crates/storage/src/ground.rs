@@ -192,9 +192,11 @@ impl GroundProgram {
     /// Indexes a program over an explicitly-given atom universe. `atoms`
     /// must contain every atom mentioned by `rules` and `facts` (it may
     /// contain more — extra atoms simply head no rules, so the engines
-    /// treat them as unsupported). Used by `wfdl-wfs` to assemble
-    /// per-component subprograms whose universe includes atoms whose rules
-    /// were all eliminated by substitution.
+    /// treat them as unsupported). `wfdl-wfs` used to assemble one
+    /// sub-program per recursive component this way (the universe then
+    /// includes atoms whose rules were all eliminated by substitution); it
+    /// evaluates components in place now, and this constructor is kept as
+    /// the reference construction of `tests/component_oracle.rs`.
     pub fn build_with_atom_universe(
         rules: Vec<GroundRule>,
         facts: Vec<AtomId>,
@@ -205,8 +207,9 @@ impl GroundProgram {
 
     /// Indexes a program whose atom set is already collected. Cost scales
     /// with the program itself (`O(size · log n)`), never with the size of
-    /// the surrounding atom universe — the modular engine builds one
-    /// throwaway subprogram per recursive component.
+    /// the surrounding atom universe. (The modular engine no longer builds
+    /// a throw-away sub-program per recursive component; small programs
+    /// indexed in bulk are a test-oracle pattern now.)
     fn from_parts(rules: Vec<GroundRule>, facts: Vec<AtomId>, mut atoms: Vec<AtomId>) -> Self {
         atoms.sort_unstable();
         atoms.dedup();

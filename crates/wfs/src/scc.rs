@@ -16,9 +16,19 @@
 //!      verdict in reach is **definite**: one flat semi-naive pass derives
 //!      its true atoms and everything else in it is false — no unfounded-set
 //!      computation at all;
-//!    * otherwise the component is **recursive**: the `W_P` machinery runs
-//!      on the (usually tiny) subprogram of the component's own rules, with
-//!      undefined lower atoms carried as *assumed-unknown* inputs.
+//!    * otherwise the component is **recursive**: the alternating
+//!      `T_P`-closure / greatest-unfounded-set rounds of `W_P` run until
+//!      nothing changes, with undefined lower atoms carried as
+//!      *assumed-unknown* inputs (a rule that mentions one can keep its
+//!      head possibly-founded but can never fire).
+//!
+//! Both kinds go through **one in-place evaluator** (`eval_component`): it
+//! reads the parent program's CSR arrays restricted to the component's own
+//! rules, keeps every verdict in the shared per-atom slots and every
+//! countdown in the per-worker scratch buffers, and allocates nothing. A
+//! definite component is round one of the same loop with an early exit. So a
+//! component costs `rounds × its own rules` — never anything proportional
+//! to the program or the atom universe around it.
 //!
 //! On stratified-heavy workloads almost every component is definite, so the
 //! whole model is computed in a single linear sweep — the measured speedups
@@ -50,19 +60,28 @@
 //! for stage-faithful traces.
 
 use crate::result::EngineResult;
-use crate::wp::{StepMode, WpEngine};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use wfdl_core::budget::FaultSite;
 use wfdl_core::fxhash::mix64 as mix;
 use wfdl_core::{BitSet, Interp, SolveBudget, TruncationReason, Truth};
-use wfdl_storage::{GroundProgram, GroundRule};
+use wfdl_storage::GroundProgram;
 
 /// Below this much total work (`num_atoms + num_rules`), the automatic
 /// thread count ([`ModularEngine::with_threads`] with `0`) stays serial: a
 /// small program solves in well under a millisecond, less than the cost of
 /// spawning workers.
 const AUTO_PARALLEL_MIN_WORK: usize = 16_384;
+
+/// At or below this many hardware threads the automatic thread count stays
+/// serial as well. The parallel run's planning pass (`comp_graph` +
+/// `plan_chunks`) scans every rule body once more, which is about what the
+/// serial sweep itself costs now that no component allocates — so two
+/// workers can at best reach plan + sweep/2, and measured they lose on all
+/// four claims-benchmark workloads (see `README.md` § "When `threads = 1`
+/// wins"). What the rule should be with three or more hardware threads has
+/// not been measured; an explicit thread count is never second-guessed.
+const AUTO_PARALLEL_MIN_HW_THREADS: usize = 3;
 
 /// Hard ceiling on the worker count, whatever the caller requested: wide
 /// condensations can have tens of thousands of components, and an
@@ -77,12 +96,22 @@ pub struct ModularStats {
     pub components: usize,
     /// Components evaluated by the flat semi-naive pass.
     pub definite_components: usize,
-    /// Components handed to the `W_P` subsolver.
+    /// Components that ran the full alternating `W_P` rounds (internal
+    /// negation, or an undefined lower input).
     pub recursive_components: usize,
     /// Atoms in the largest component.
     pub largest_component: usize,
     /// Atoms evaluated inside recursive components.
     pub atoms_in_recursive: usize,
+    /// Rules heading an atom of a recursive component.
+    pub rules_in_recursive: usize,
+    /// Alternating `T_P`-closure / unfounded-set rounds, summed over the
+    /// recursive components this run evaluated (memo-reused ones run none).
+    /// A recursive component costs `rounds × its rules`, which is why one
+    /// large component is dearer than many small ones. Like every counter
+    /// above, a function of the condensation alone — identical at every
+    /// thread count.
+    pub recursive_rounds: usize,
     /// Atoms left undefined by the run.
     pub unknown_atoms: usize,
     /// Components whose verdicts were copied from a previous solve
@@ -183,26 +212,59 @@ fn decode(v: u8) -> Truth {
     }
 }
 
+/// How a rule of the component under evaluation stands against the
+/// already-decided verdicts of lower components. Ordered so that the
+/// verdict over a whole body is the minimum over its external literals.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum RuleKind {
+    /// An external positive literal is false or an external negative one
+    /// is true: the rule is out for good.
+    Dead,
+    /// Some external literal is undefined: the rule can keep its head
+    /// possibly-founded but can never fire.
+    Maybe,
+    /// Every external literal is satisfied.
+    Live,
+}
+
+/// Countdown value of a rule that takes no part in the current closure.
+const BLOCKED: u32 = u32::MAX;
+
 /// Per-worker scratch buffers, reused across components (most components
-/// are singletons, so per-component allocation would dominate).
+/// are singletons, so per-component allocation would dominate). Everything
+/// here is sized once per worker; evaluating a component allocates nothing.
 struct Scratch {
-    /// rule id → slot in `missing` while a component is evaluated;
+    /// rule id → index into `rules` while a component is evaluated;
     /// `u32::MAX` elsewhere (reset after each component).
     rule_slot: Vec<u32>,
+    /// The rules heading an atom of the component, collected by
+    /// `classify_rules`.
     rules: Vec<u32>,
+    /// `kind[i]` classifies `rules[i]` (fixed for the whole component).
+    kind: Vec<RuleKind>,
+    /// `missing[i]` = Dowling–Gallier countdown of `rules[i]` for the
+    /// closure in progress, or [`BLOCKED`].
     missing: Vec<u32>,
     queue: Vec<u32>,
     sorted_comp: Vec<u32>,
+    /// Possibly-founded marks over local atom ids: `founded[a] == epoch`
+    /// means "marked in the current unfounded-set pass". Bumping `epoch`
+    /// clears every mark at once, so the array is never reset.
+    founded: Vec<u32>,
+    epoch: u32,
 }
 
 impl Scratch {
-    fn new(num_rules: usize) -> Self {
+    fn new(prog: &GroundProgram) -> Self {
         Scratch {
-            rule_slot: vec![u32::MAX; num_rules],
+            rule_slot: vec![u32::MAX; prog.num_rules()],
             rules: Vec::new(),
+            kind: Vec::new(),
             missing: Vec::new(),
             queue: Vec::new(),
             sorted_comp: Vec::new(),
+            founded: vec![0; prog.num_atoms()],
+            epoch: 0,
         }
     }
 }
@@ -244,6 +306,10 @@ struct EvalCtx<'a> {
 struct CompOutcome {
     definite: bool,
     reused: bool,
+    /// Rules heading an atom of the component.
+    rules: usize,
+    /// Alternating rounds the evaluator ran (`0` when reused).
+    rounds: u32,
 }
 
 /// The SCC-modular WFS engine.
@@ -281,8 +347,10 @@ impl<'a> ModularEngine<'a> {
 
     /// Selects the worker count for [`ModularEngine::solve`]: `1` forces
     /// the serial path, `0` picks automatically
-    /// (`std::thread::available_parallelism` for large programs, serial
-    /// for small ones where spawn cost would dominate), any other `n`
+    /// (`std::thread::available_parallelism` for large programs on hosts
+    /// with at least three hardware threads; serial for small programs,
+    /// where spawn cost would dominate, and on one- or two-thread hosts,
+    /// where the planning pass costs what two workers save), any other `n`
     /// spawns `n` workers (capped at the component count and a hard
     /// ceiling of 256 — thread counts are a performance knob, not a
     /// resource grant). The computed model is bit-identical for every
@@ -303,10 +371,13 @@ impl<'a> ModularEngine<'a> {
         }
         let requested = match self.threads {
             0 => {
-                if self.prog.num_atoms() + self.prog.num_rules() < AUTO_PARALLEL_MIN_WORK {
+                let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+                if self.prog.num_atoms() + self.prog.num_rules() < AUTO_PARALLEL_MIN_WORK
+                    || hw < AUTO_PARALLEL_MIN_HW_THREADS
+                {
                     1
                 } else {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                    hw
                 }
             }
             n => n,
@@ -394,7 +465,7 @@ impl<'a> ModularEngine<'a> {
             // plain sweep needs no scheduling state at all. An unbudgeted
             // run pays one branch per component; a budgeted one polls the
             // clock every `BUDGET_POLL_STRIDE` components.
-            let mut scratch = Scratch::new(prog.num_rules());
+            let mut scratch = Scratch::new(prog);
             let budgeted = !self.budget.is_unlimited();
             for ord in 0..num_components as u32 {
                 if budgeted {
@@ -484,43 +555,35 @@ fn merge_outcome(stats: &mut ModularStats, out: &CompOutcome, comp_len: usize) {
     } else {
         stats.recursive_components += 1;
         stats.atoms_in_recursive += comp_len;
+        stats.rules_in_recursive += out.rules;
+        stats.recursive_rounds += out.rounds as usize;
     }
 }
 
+/// Adds a worker's counters to a total: the per-component ones
+/// [`merge_outcome`] maintains, plus the chunks the worker chained inline.
+fn absorb(total: &mut ModularStats, worker: &ModularStats) {
+    total.definite_components += worker.definite_components;
+    total.recursive_components += worker.recursive_components;
+    total.atoms_in_recursive += worker.atoms_in_recursive;
+    total.rules_in_recursive += worker.rules_in_recursive;
+    total.recursive_rounds += worker.recursive_rounds;
+    total.components_reused += worker.components_reused;
+    total.inline_chunks += worker.inline_chunks;
+}
+
 /// Evaluates one component whose dependencies are all decided: classify,
-/// fingerprint, try memo reuse, then run the definite or recursive
-/// evaluator. Publishes verdicts into `ctx.truth` and the fingerprint into
-/// the component's slot. Free of `&mut` engine state — safe to call from
-/// any worker as long as the scheduler ordered it after its dependencies.
+/// fingerprint, try memo reuse, then run the evaluator. Publishes verdicts
+/// into `ctx.truth` and the fingerprint into the component's slot. Free of
+/// `&mut` engine state — safe to call from any worker as long as the
+/// scheduler ordered it after its dependencies.
 fn process_component(ctx: &EvalCtx<'_>, ord: u32, scratch: &mut Scratch) -> CompOutcome {
     let prog = ctx.prog;
     let comp_of = &ctx.cond.comp_of;
     let comp = ctx.cond.component(ord as usize);
     let truth = ctx.truth;
 
-    // Collect the component's rules and classify the component. Tarjan
-    // assigned component ordinals in emission order, so `comp_of[b] == ord`
-    // tests membership in this component.
-    scratch.rules.clear();
-    let mut definite = true;
-    for &a in comp {
-        for &rid in prog.rules_with_head_local(a) {
-            let r = rid.index();
-            scratch.rules.push(r as u32);
-            for &b in prog.neg_local(r) {
-                if comp_of[b as usize] == ord {
-                    definite = false; // internal negation
-                } else if truth.get(b as usize) == Truth::Unknown {
-                    definite = false; // undefined lower input
-                }
-            }
-            for &b in prog.pos_local(r) {
-                if comp_of[b as usize] != ord && truth.get(b as usize) == Truth::Unknown {
-                    definite = false; // undefined lower input
-                }
-            }
-        }
-    }
+    let definite = classify_rules(prog, comp, ord, comp_of, truth, scratch);
 
     // Fingerprint this component's inputs; try to reuse the previous
     // solve's verdicts before evaluating anything.
@@ -534,94 +597,281 @@ fn process_component(ctx: &EvalCtx<'_>, ord: u32, scratch: &mut Scratch) -> Comp
         &mut scratch.sorted_comp,
     );
     ctx.fingerprints[ord as usize].store(fp, Ordering::Relaxed);
+    let rules = scratch.rules.len();
     if let Some(prev) = &ctx.prev {
         if try_reuse(prog, comp, fp, prev, truth) {
             return CompOutcome {
                 definite,
                 reused: true,
+                rules,
+                rounds: 0,
             };
         }
     }
 
-    if definite {
-        eval_definite(prog, comp, ord, comp_of, ctx.is_fact, truth, scratch);
-    } else {
-        eval_recursive(prog, comp, ord, comp_of, ctx.is_fact, truth, &scratch.rules);
-    }
+    let rounds = eval_component(
+        prog,
+        comp,
+        ord,
+        comp_of,
+        ctx.is_fact,
+        truth,
+        definite,
+        scratch,
+    );
     CompOutcome {
         definite,
         reused: false,
+        rules,
+        rounds,
     }
 }
 
-/// Flat semi-naive evaluation of a negation-free (after substitution)
-/// component: derivable atoms are true, the rest are false.
-fn eval_definite(
+/// Collects the rules heading an atom of the component into
+/// `scratch.rules` and classifies each **once** against the decided lower
+/// verdicts: `scratch.kind[i]` (fixed for the component's whole
+/// evaluation — external literals are never looked at again) and
+/// `scratch.missing[i]`, the countdown of the first `T_P` closure. Returns
+/// whether the component is **definite**: no internal negation and no
+/// undefined lower input anywhere, dead rules included.
+///
+/// Tarjan assigned component ordinals in emission order, so
+/// `comp_of[b] == ordinal` tests membership in this component.
+fn classify_rules(
+    prog: &GroundProgram,
+    comp: &[u32],
+    ordinal: u32,
+    comp_of: &[u32],
+    truth: &TruthSlots,
+    scratch: &mut Scratch,
+) -> bool {
+    let Scratch {
+        rules,
+        kind,
+        missing,
+        ..
+    } = scratch;
+    rules.clear();
+    kind.clear();
+    missing.clear();
+    let mut internal_negation = false;
+    let mut undefined_input = false;
+    // What an external literal makes of its rule; `satisfied` is the
+    // verdict of its atom that satisfies it.
+    let mut external = |b: u32, satisfied: Truth| match truth.get(b as usize) {
+        t if t == satisfied => RuleKind::Live,
+        Truth::Unknown => {
+            undefined_input = true;
+            RuleKind::Maybe
+        }
+        _ => RuleKind::Dead,
+    };
+    for &a in comp {
+        for &rid in prog.rules_with_head_local(a) {
+            let r = rid.index();
+            let mut k = RuleKind::Live;
+            let mut internal_pos = 0u32;
+            let mut internal_neg = false;
+            for &b in prog.pos_local(r) {
+                if comp_of[b as usize] == ordinal {
+                    internal_pos += 1;
+                } else {
+                    k = k.min(external(b, Truth::True));
+                }
+            }
+            for &b in prog.neg_local(r) {
+                if comp_of[b as usize] == ordinal {
+                    internal_neg = true;
+                } else {
+                    k = k.min(external(b, Truth::False));
+                }
+            }
+            internal_negation |= internal_neg;
+            rules.push(r as u32);
+            kind.push(k);
+            // Every internal atom is still undecided: all internal positive
+            // literals are missing, and an internal negative literal cannot
+            // be false yet.
+            missing.push(if k == RuleKind::Live && !internal_neg {
+                internal_pos
+            } else {
+                BLOCKED
+            });
+        }
+    }
+    !internal_negation && !undefined_input
+}
+
+/// Evaluates one component **in place**: the alternating `T_P`-closure /
+/// greatest-unfounded-set rounds of `W_P`, restricted to the component's
+/// rules (`scratch.rules`), reading the parent program's CSR arrays and
+/// writing verdicts straight into `truth`. Returns the number of rounds.
+///
+/// `classify_rules` has judged every rule against the decided lower
+/// verdicts ([`RuleKind`]) and taken the first countdowns; external
+/// literals are never looked at again. Then, until a round falsifies
+/// nothing:
+///
+/// 1. **`T_P` closure** — a [`RuleKind::Live`] rule whose internal negative
+///    literals are all false fires once its internal positive literals are
+///    all true (Dowling–Gallier countdowns); facts of the component are
+///    true.
+/// 2. **Unfounded set** — a non-dead rule with no internal positive literal
+///    false and no internal negative literal true supports its head once
+///    its internal positive literals are founded (true atoms are: each was
+///    derived by such a rule); every component atom that is neither founded
+///    nor decided becomes false.
+///
+/// Atoms still undecided at the fixpoint stay [`Truth::Unknown`]. A
+/// `definite` component (no internal negation, no undefined input) stops
+/// after its first closure: there the derivable atoms are exactly the
+/// founded ones, so everything not derived is false.
+///
+/// Relies on the [`wfdl_storage::GroundRule`] normal form — an atom occurs
+/// at most once per body — so one decrement per newly marked atom keeps a
+/// countdown exact.
+#[allow(clippy::too_many_arguments)]
+fn eval_component(
     prog: &GroundProgram,
     comp: &[u32],
     ordinal: u32,
     comp_of: &[u32],
     is_fact: &BitSet,
     truth: &TruthSlots,
+    definite: bool,
     scratch: &mut Scratch,
-) {
-    // missing[i] = internal positive atoms of rules[i] not yet true;
-    // u32::MAX marks a dead rule (an external literal is unsatisfied).
+) -> u32 {
     let Scratch {
         rule_slot,
         rules,
+        kind,
         missing,
         queue,
+        founded,
+        epoch,
         ..
     } = scratch;
-    missing.clear();
     queue.clear();
+    for (i, &r) in rules.iter().enumerate() {
+        rule_slot[r as usize] = i as u32;
+    }
+    debug_assert!(!definite || !kind.contains(&RuleKind::Maybe));
 
     let derive = |a: u32, queue: &mut Vec<u32>| {
         if truth.get(a as usize) != Truth::True {
+            debug_assert!(truth.get(a as usize) != Truth::False, "atom {a} flips");
             truth.set(a as usize, Truth::True);
             queue.push(a);
         }
     };
-
-    // Phase 1: count every rule's missing internal atoms BEFORE any
-    // derivation. Internal atoms are all undecided at this point, so
-    // the counts are consistent; firing while counting would let a
-    // later rule see an already-derived atom and then receive a queue
-    // decrement for the same atom — deriving unfounded atoms.
-    for (i, &r) in rules.iter().enumerate() {
-        rule_slot[r as usize] = i as u32;
-        let r = r as usize;
-        let mut m = 0u32;
-        let mut dead = false;
-        for &b in prog.pos_local(r) {
-            if comp_of[b as usize] == ordinal {
-                m += 1; // internal: wait for derivation
-            } else if truth.get(b as usize) != Truth::True {
-                dead = true; // external and not true ⇒ false here
-            }
-        }
-        // All negative atoms are external (definite components have no
-        // internal negation) and decided: true kills the rule.
-        if prog
-            .neg_local(r)
-            .iter()
-            .any(|&b| truth.get(b as usize) == Truth::True)
-        {
-            dead = true;
-        }
-        missing.push(if dead { u32::MAX } else { m });
-    }
-    // Phase 2: fire rules with no internal prerequisites, seed facts,
-    // then propagate.
-    for (i, &r) in rules.iter().enumerate() {
-        if missing[i] == 0 {
-            derive(prog.head_local(r as usize), queue);
-        }
-    }
+    // Countdowns are always taken before a closure derives anything (the
+    // first ones by `classify_rules`, from the undecided state), so a fact
+    // counted as missing is credited exactly once, when it leaves the queue.
     for &a in comp {
         if is_fact.contains(a as usize) {
             derive(a, queue);
+        }
+    }
+
+    // The countdown of rule `r` for one closure: its internal positive
+    // literals that are not yet true, or `BLOCKED` if an internal literal
+    // rules it out. To fire (`firing`), an internal negative literal must
+    // be false; to support a possibly-founded head, it must not be true.
+    let countdown = |r: u32, firing: bool| -> u32 {
+        let r = r as usize;
+        let mut m = 0u32;
+        for &b in prog.pos_local(r) {
+            if comp_of[b as usize] == ordinal {
+                match truth.get(b as usize) {
+                    Truth::True => {}
+                    Truth::Unknown => m += 1,
+                    Truth::False => return BLOCKED,
+                }
+            }
+        }
+        for &b in prog.neg_local(r) {
+            if comp_of[b as usize] == ordinal {
+                let t = truth.get(b as usize);
+                if t == Truth::True || (firing && t == Truth::Unknown) {
+                    return BLOCKED;
+                }
+            }
+        }
+        m
+    };
+
+    let mut rounds = 0u32;
+    loop {
+        rounds += 1;
+        close(prog, rules, rule_slot, missing, queue, derive);
+        if definite {
+            for &a in comp {
+                if truth.get(a as usize) != Truth::True {
+                    truth.set(a as usize, Truth::False);
+                }
+            }
+            break;
+        }
+
+        *epoch = epoch.wrapping_add(1);
+        if *epoch == 0 {
+            founded.fill(0);
+            *epoch = 1;
+        }
+        let stamp = *epoch;
+        for (i, &r) in rules.iter().enumerate() {
+            missing[i] = match kind[i] {
+                RuleKind::Dead => BLOCKED,
+                _ => countdown(r, false),
+            };
+        }
+        close(prog, rules, rule_slot, missing, queue, |a, queue| {
+            if truth.get(a as usize) != Truth::True && founded[a as usize] != stamp {
+                founded[a as usize] = stamp;
+                queue.push(a);
+            }
+        });
+        let mut falsified = false;
+        for &a in comp {
+            if truth.get(a as usize) == Truth::Unknown && founded[a as usize] != stamp {
+                truth.set(a as usize, Truth::False);
+                falsified = true;
+            }
+        }
+        // `T_P` is saturated for the current false set; only a new false
+        // atom can let another rule fire.
+        if !falsified {
+            break;
+        }
+        for (i, &r) in rules.iter().enumerate() {
+            missing[i] = match kind[i] {
+                RuleKind::Live => countdown(r, true),
+                _ => BLOCKED,
+            };
+        }
+    }
+    for &r in rules.iter() {
+        rule_slot[r as usize] = u32::MAX;
+    }
+    rounds
+}
+
+/// One Dowling–Gallier closure over the component's rules: marks the head
+/// of every rule whose countdown is already zero, then propagates — each
+/// atom leaving the queue credits the rules it occurs positively in, and a
+/// countdown reaching zero marks that rule's head. `mark` records an atom
+/// and queues it unless it is marked already.
+fn close(
+    prog: &GroundProgram,
+    rules: &[u32],
+    rule_slot: &[u32],
+    missing: &mut [u32],
+    queue: &mut Vec<u32>,
+    mut mark: impl FnMut(u32, &mut Vec<u32>),
+) {
+    for (i, &r) in rules.iter().enumerate() {
+        if missing[i] == 0 {
+            mark(prog.head_local(r as usize), queue);
         }
     }
     while let Some(a) = queue.pop() {
@@ -631,107 +881,16 @@ fn eval_definite(
                 continue; // rule belongs to a different component
             }
             let m = &mut missing[slot as usize];
-            if *m == u32::MAX || *m == 0 {
+            // A zero countdown already marked its head, and none of its
+            // literals was unmarked when it was taken.
+            if *m == BLOCKED || *m == 0 {
                 continue;
             }
-            // An atom may occur only once per body (GroundRule dedups).
             *m -= 1;
             if *m == 0 {
-                derive(prog.head_local(rid.index()), queue);
+                mark(prog.head_local(rid.index()), queue);
             }
         }
-    }
-    for &a in comp {
-        if truth.get(a as usize) != Truth::True {
-            truth.set(a as usize, Truth::False);
-        }
-    }
-    for &r in rules.iter() {
-        rule_slot[r as usize] = u32::MAX;
-    }
-}
-
-/// Full `W_P` evaluation of a component whose verdicts may be mutually
-/// recursive through negation (or depend on undefined lower atoms).
-fn eval_recursive(
-    prog: &GroundProgram,
-    comp: &[u32],
-    ordinal: u32,
-    comp_of: &[u32],
-    is_fact: &BitSet,
-    truth: &TruthSlots,
-    rules: &[u32],
-) {
-    // Subprogram atoms: the component plus every undefined external
-    // atom its rules mention (carried as assumed-unknown inputs).
-    // Local ids are sorted, so sorting them sorts the atom ids too.
-    let mut sub_atoms: Vec<u32> = comp.to_vec();
-    for &r in rules {
-        let r = r as usize;
-        for &b in prog.pos_local(r).iter().chain(prog.neg_local(r)) {
-            if comp_of[b as usize] != ordinal && truth.get(b as usize) == Truth::Unknown {
-                sub_atoms.push(b);
-            }
-        }
-    }
-    sub_atoms.sort_unstable();
-    sub_atoms.dedup();
-
-    // Partially evaluate the component's rules against the decided
-    // lower verdicts, building a standalone sub-GroundProgram whose
-    // atom universe is `sub_atoms` (local ids are ascending, so the
-    // sub program's local numbering is the position in `sub_atoms`).
-    let atom_id = |b: u32| prog.atom_of_local(b);
-    let mut sub_rules: Vec<GroundRule> = Vec::with_capacity(rules.len());
-    'rules: for &r in rules {
-        let r = r as usize;
-        let mut pos = Vec::new();
-        for &b in prog.pos_local(r) {
-            if comp_of[b as usize] == ordinal {
-                pos.push(atom_id(b));
-            } else {
-                match truth.get(b as usize) {
-                    Truth::True => {}                       // satisfied: drop
-                    Truth::False => continue 'rules,        // dead rule
-                    Truth::Unknown => pos.push(atom_id(b)), // assumed input
-                }
-            }
-        }
-        let mut neg = Vec::new();
-        for &b in prog.neg_local(r) {
-            if comp_of[b as usize] == ordinal {
-                neg.push(atom_id(b));
-            } else {
-                match truth.get(b as usize) {
-                    Truth::False => {}                      // satisfied: drop
-                    Truth::True => continue 'rules,         // dead rule
-                    Truth::Unknown => neg.push(atom_id(b)), // assumed input
-                }
-            }
-        }
-        sub_rules.push(GroundRule::new(atom_id(prog.head_local(r)), pos, neg));
-    }
-
-    let fact_ids: Vec<_> = comp
-        .iter()
-        .filter(|&&a| is_fact.contains(a as usize))
-        .map(|&a| atom_id(a))
-        .collect();
-    let assumed: Vec<u32> = sub_atoms
-        .iter()
-        .enumerate()
-        .filter(|&(_, &b)| comp_of[b as usize] != ordinal)
-        .map(|(i, _)| i as u32)
-        .collect();
-
-    let atom_ids: Vec<_> = sub_atoms.iter().map(|&b| atom_id(b)).collect();
-    let sub = GroundProgram::build_with_atom_universe(sub_rules, fact_ids, atom_ids);
-    let result = WpEngine::new(&sub)
-        .with_assumed_unknown(assumed)
-        .solve(StepMode::Accelerated);
-
-    for &a in comp {
-        truth.set(a as usize, result.value(prog.atom_of_local(a)));
     }
 }
 
@@ -1201,16 +1360,6 @@ impl Drop for AbortOnPanic<'_, '_> {
     }
 }
 
-/// Worker-side partial stats, merged under a mutex once per worker.
-#[derive(Default)]
-struct PartialStats {
-    definite: usize,
-    recursive: usize,
-    atoms_in_recursive: usize,
-    reused: usize,
-    inline_run: usize,
-}
-
 /// Evaluates all components with `threads` scoped workers over a
 /// dependency-counting topological wavefront queue of **chunks** (see
 /// [`ChunkPlan`]). A worker that claims a chunk evaluates its components
@@ -1245,14 +1394,16 @@ fn solve_parallel(
         .collect();
     sched.push_batch(&roots);
 
-    let totals: Mutex<PartialStats> = Mutex::new(PartialStats::default());
+    // Workers count into a private `ModularStats` (the per-component
+    // counters plus `inline_chunks`) and add it here once, on exit.
+    let totals: Mutex<ModularStats> = Mutex::new(ModularStats::default());
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
                     let _abort_guard = AbortOnPanic(&sched);
-                    let mut scratch = Scratch::new(ctx.prog.num_rules());
-                    let mut local = PartialStats::default();
+                    let mut scratch = Scratch::new(ctx.prog);
+                    let mut local = ModularStats::default();
                     // Chunks this worker may run without touching the shared
                     // queue: one chained dependent per finished chunk plus
                     // the fair share `pop_batch` handed over.
@@ -1295,15 +1446,8 @@ fn solve_parallel(
                                 }
                             }
                             let out = process_component(ctx, ord, &mut scratch);
-                            if out.reused {
-                                local.reused += 1;
-                            }
-                            if out.definite {
-                                local.definite += 1;
-                            } else {
-                                local.recursive += 1;
-                                local.atoms_in_recursive += ctx.cond.component(ord as usize).len();
-                            }
+                            let comp_len = ctx.cond.component(ord as usize).len();
+                            merge_outcome(&mut local, &out, comp_len);
                         }
                         if !completed {
                             break;
@@ -1320,7 +1464,7 @@ fn solve_parallel(
                                 } else {
                                     chained = true;
                                     backlog.push(succ);
-                                    local.inline_run += 1;
+                                    local.inline_chunks += 1;
                                 }
                             }
                         }
@@ -1333,11 +1477,7 @@ fn solve_parallel(
                         }
                     }
                     let mut t = totals.lock().unwrap_or_else(PoisonError::into_inner);
-                    t.definite += local.definite;
-                    t.recursive += local.recursive;
-                    t.atoms_in_recursive += local.atoms_in_recursive;
-                    t.reused += local.reused;
-                    t.inline_run += local.inline_run;
+                    absorb(&mut t, &local);
                 })
             })
             .collect();
@@ -1354,14 +1494,11 @@ fn solve_parallel(
             std::panic::resume_unwind(payload);
         }
     });
-
-    let totals = totals.into_inner().unwrap_or_else(PoisonError::into_inner);
-    stats.definite_components = totals.definite;
-    stats.recursive_components = totals.recursive;
-    stats.atoms_in_recursive = totals.atoms_in_recursive;
-    stats.components_reused = totals.reused;
+    absorb(
+        stats,
+        &totals.into_inner().unwrap_or_else(PoisonError::into_inner),
+    );
     stats.chunks = nchunks;
-    stats.inline_chunks = totals.inline_run;
     stats.queued_chunks = sched.queued.load(Ordering::Relaxed);
     stats.wavefronts = graph.levels;
     stats.max_wavefront = graph.max_width;
@@ -1553,6 +1690,8 @@ mod tests {
             assert_eq!(ps.components, ss.components);
             assert_eq!(ps.definite_components, ss.definite_components);
             assert_eq!(ps.recursive_components, ss.recursive_components);
+            assert_eq!(ps.rules_in_recursive, ss.rules_in_recursive);
+            assert_eq!(ps.recursive_rounds, ss.recursive_rounds);
             assert_eq!(ps.unknown_atoms, ss.unknown_atoms);
             assert_eq!(ps.components_reused, ss.components_reused);
             let pm = par.memo.as_ref().unwrap();
@@ -1737,6 +1876,42 @@ mod tests {
         assert_eq!(res.value(a(0)), Truth::True);
         assert_eq!(res.value(a(1)), Truth::False);
         agree_with_global(&b);
+    }
+
+    #[test]
+    fn recursive_counters_sum_rules_and_rounds() {
+        // A draw (two rules, settled in one round) next to a component that
+        // needs two: the positive loop a2/a3 is falsified in round one,
+        // which lets `a4 ← ¬a2` fire in round two (the dead rule through
+        // the underivable a5 ties a4 into the component). The definite
+        // chain a6 ← a7 counts nowhere.
+        let mut b = GroundProgramBuilder::new();
+        b.add_rule(GroundRule::new(a(0), vec![], vec![a(1)]));
+        b.add_rule(GroundRule::new(a(1), vec![], vec![a(0)]));
+        b.add_rule(GroundRule::new(a(2), vec![a(3)], vec![]));
+        b.add_rule(GroundRule::new(a(3), vec![a(2)], vec![]));
+        b.add_rule(GroundRule::new(a(4), vec![], vec![a(2)]));
+        b.add_rule(GroundRule::new(a(2), vec![a(4), a(5)], vec![]));
+        b.add_fact(a(7));
+        b.add_rule(GroundRule::new(a(6), vec![a(7)], vec![]));
+        let p = b.clone().finish();
+        let res = ModularEngine::new(&p).solve();
+        assert_eq!(res.value(a(2)), Truth::False);
+        assert_eq!(res.value(a(4)), Truth::True);
+        let stats = res.stats.unwrap();
+        assert_eq!(stats.recursive_components, 2, "{stats:?}");
+        assert_eq!(stats.atoms_in_recursive, 5, "{stats:?}");
+        assert_eq!(stats.rules_in_recursive, 6, "{stats:?}");
+        assert_eq!(stats.recursive_rounds, 1 + 2, "{stats:?}");
+        agree_with_global(&b);
+
+        // A memo-reused component is counted by what it is, but runs no
+        // round.
+        let again = ModularEngine::new(&p).solve_incremental(Some((&p, &res)));
+        let reused = again.stats.unwrap();
+        assert_eq!(reused.components_reused, reused.components);
+        assert_eq!(reused.rules_in_recursive, 6);
+        assert_eq!(reused.recursive_rounds, 0);
     }
 
     #[test]

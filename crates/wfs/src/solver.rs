@@ -41,7 +41,9 @@ pub struct WfsOptions {
     /// Worker threads for the chase match phase and for
     /// [`EngineKind::Modular`]: `0` (the default) decides automatically —
     /// `std::thread::available_parallelism` for large workloads, serial
-    /// for small ones; `1` forces the serial path; any other `n` spawns
+    /// for small ones (the engine also stays serial on hosts with one or
+    /// two hardware threads, where its planning pass costs what two
+    /// workers save); `1` forces the serial path; any other `n` spawns
     /// exactly `n` workers. The model is bit-identical for every setting
     /// (see [`crate::scc`] and the chase crate's "Sharded saturation"
     /// docs); the global engines ignore this field for evaluation but the

@@ -15,6 +15,12 @@
 //! `Γ_I(X) = {a | ∃r: H(r) = a, ∀b ∈ B⁺(r): ¬b ∉ I ∧ b ∈ X, ∀b ∈ B⁻(r): b ∉ I}`
 //! — the standard van Gelder characterization — using Dowling–Gallier
 //! counters.
+//!
+//! This engine is an **oracle**, not a production path: the default
+//! SCC-modular engine ([`crate::scc`]) runs the same alternating rounds in
+//! place, component by component, and no longer builds sub-programs for
+//! this one to solve. [`WpEngine::with_assumed_unknown`] is kept as the
+//! reference `tests/component_oracle.rs` checks that evaluator against.
 
 use crate::result::EngineResult;
 use wfdl_core::BitSet;
@@ -42,9 +48,10 @@ pub struct WpEngine<'a> {
     /// denote equal values, so non-derivation of a null-atom cannot justify
     /// its falsity).
     frozen: BitSet,
-    /// Atoms assumed **undefined** by an outer evaluation (the SCC-modular
-    /// engine substitutes lower-component unknowns this way): they are
-    /// never declared false *and* they seed the possibly-founded set, so a
+    /// Atoms assumed **undefined** by an outer evaluation (how the
+    /// SCC-modular engine's per-component sub-programs used to carry
+    /// lower-component unknowns; today its differential oracle does): they
+    /// are never declared false *and* they seed the possibly-founded set, so a
     /// head depending positively on one stays undefined instead of
     /// collapsing to false. The caller guarantees they head no rule and
     /// are not facts, so they can never become true either.
@@ -74,7 +81,9 @@ impl<'a> WpEngine<'a> {
     }
 
     /// Marks local atom ids as externally-undefined (never false, and
-    /// seeding the possibly-founded set). Used by the SCC-modular engine.
+    /// seeding the possibly-founded set). The contract the SCC-modular
+    /// engine's in-place evaluator implements for undefined lower inputs;
+    /// kept as that evaluator's reference in `tests/component_oracle.rs`.
     ///
     /// An assumed atom must have no derivation in this program — heading a
     /// rule or being a fact would let `T_P` prove it true while the

@@ -794,12 +794,15 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
         if let Some(s) = model.model().component_stats() {
             outln!(
                 "% condensation: {} components ({} definite, {} recursive), \
-                 largest {}, {} atoms solved recursively",
+                 largest {}, {} atoms solved recursively, \
+                 {} rules in recursive components, {} recursive rounds",
                 s.components,
                 s.definite_components,
                 s.recursive_components,
                 s.largest_component,
-                s.atoms_in_recursive
+                s.atoms_in_recursive,
+                s.rules_in_recursive,
+                s.recursive_rounds
             );
             if s.threads > 1 {
                 outln!(

@@ -1728,6 +1728,37 @@ mod tests {
     }
 
     #[test]
+    fn retracting_a_foreign_batch_removes_only_stored_facts() {
+        let mut kb = KnowledgeBase::from_source("p(a). p(b). p(X) -> q(X).").unwrap();
+        kb.solve();
+        let pa = kb.database().facts()[0];
+        // A batch built against ANOTHER universe: its first id coincides
+        // with the stored fact `p(a)`, its last is one this universe never
+        // issued.
+        let beyond = kb.universe().atoms.len() + 3;
+        let mut other = Universe::new();
+        {
+            let mut rows = FactBatch::new();
+            let mut writer = rows.relation(&mut other, "r", 1).unwrap();
+            for i in 0..=beyond {
+                writer.push(&[&format!("c{i}")]).unwrap();
+            }
+        }
+        let mut foreign = FactBatch::new();
+        foreign.push_atom(&other, pa).unwrap();
+        foreign
+            .push_atom(&other, AtomId::from_index(beyond))
+            .unwrap();
+        // Exactly the stored fact goes, and nothing panics.
+        assert_eq!(kb.retract(foreign), 1);
+        assert_eq!(kb.database().len(), 1);
+        assert!(!kb.database().contains(pa));
+        let model = kb.solve();
+        assert!(!model.solve_stats().incremental, "retraction → full");
+        assert!(!model.ask("?- q(a).").unwrap() && model.ask("?- q(b).").unwrap());
+    }
+
+    #[test]
     fn rule_changes_fall_back_to_full_recompute() {
         let mut kb = KnowledgeBase::from_source("p(a).").unwrap();
         kb.solve();

@@ -342,7 +342,8 @@ impl WfdlApp {
             // memo-reuse counter everywhere.
             out.push_str(&format!(
                 ",\"modular\":{{\"components\":{},\"definite\":{},\"recursive\":{},\
-                 \"largest\":{},\"components_reused\":{},\"threads\":{},\"chunks\":{}}}",
+                 \"largest\":{},\"components_reused\":{},\"threads\":{},\"chunks\":{},\
+                 \"rules_in_recursive\":{},\"recursive_rounds\":{}}}",
                 ms.components,
                 ms.definite_components,
                 ms.recursive_components,
@@ -350,6 +351,8 @@ impl WfdlApp {
                 ms.components_reused,
                 ms.threads,
                 ms.chunks,
+                ms.rules_in_recursive,
+                ms.recursive_rounds,
             ));
         }
         out.push_str(&format!(

@@ -1,11 +1,13 @@
-//! Allocation budgets for the interning stores and the atom index.
+//! Allocation budgets for the interning stores, the atom index and the
+//! modular engine.
 //!
 //! The stores keep every key in a few flat pools, so that cloning a
 //! universe (the façade's copy-on-write before each mutation, and
 //! `solve_for`'s private copy) is a handful of `memcpy`s, re-deriving
 //! something already interned allocates nothing, and an index is a
-//! handful of arrays. A timing cannot pin that on a shared host; a count
-//! of allocator calls can, exactly.
+//! handful of arrays. The engine evaluates every component in place, in
+//! buffers sized once per solve. A timing cannot pin that on a shared
+//! host; a count of allocator calls can, exactly.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -13,8 +15,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use wfdatalog::core::AtomId;
 use wfdatalog::core::{HeadTerm, RTerm, RuleAtom, SkolemRule, TermId, Universe, Var};
-use wfdatalog::storage::AtomIndex;
+use wfdatalog::storage::{AtomIndex, GroundProgram, GroundProgramBuilder, GroundRule};
+use wfdatalog::wfs::ModularEngine;
 
 thread_local! {
     // Per thread, so that tests running beside each other (and the test
@@ -186,4 +190,42 @@ fn building_an_index_is_a_handful_of_allocations() {
         "indexing {} filtered atoms took {allocations} allocations",
         index.len()
     );
+}
+
+/// `k` independent draws `a ← not b. b ← not a.` — `k` two-atom components
+/// recursive through negation — over atom ids from `first` upwards.
+fn negative_cycles(k: usize, first: usize) -> GroundProgram {
+    let mut b = GroundProgramBuilder::new();
+    for i in 0..k {
+        let x = AtomId::from_index(first + 2 * i);
+        let y = AtomId::from_index(first + 2 * i + 1);
+        b.add_rule(GroundRule::new(x, vec![], vec![y]));
+        b.add_rule(GroundRule::new(y, vec![], vec![x]));
+    }
+    b.finish()
+}
+
+#[test]
+fn recursive_components_allocate_nothing() {
+    // Allocator calls of one serial solve over `k` draws whose atoms start
+    // at universe id `first`.
+    let solve = |k: usize, first: usize| -> usize {
+        let program = negative_cycles(k, first);
+        let (result, allocations) = allocations_in(|| ModularEngine::new(&program).solve());
+        let stats = result.stats.unwrap();
+        assert_eq!(stats.recursive_components, k);
+        assert_eq!(stats.unknown_atoms, 2 * k);
+        allocations
+    };
+    // 64 times the components: the same arrays, only longer (a `Vec` that
+    // grows by doubling accounts for the slack).
+    let (small, large) = (solve(64, 0), solve(4_096, 0));
+    assert!(
+        large <= small + 64,
+        "64 recursive components took {small} allocations, 4,096 took {large}"
+    );
+    // And a component costs what the component costs, not what the atom
+    // universe around it does: 100,000 unrelated atoms interned first
+    // change nothing.
+    assert_eq!(solve(4_096, 100_000), large);
 }

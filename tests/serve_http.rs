@@ -246,10 +246,15 @@ fn query_errors_report_real_positions() {
         "\"universe_bytes\":",
         "\"index_bytes\":",
         "\"solve\":",
+        "\"modular\":",
         "\"chase\":",
     ] {
         assert!(body.contains(key), "stats body missing {key}: {body}");
     }
+    // The two-move chain is stratified: no component recursive through
+    // negation, so no rules in one and no alternating rounds.
+    assert!(body.contains("\"rules_in_recursive\":0,"), "{body}");
+    assert!(body.contains("\"recursive_rounds\":0}"), "{body}");
     // The byte counts are real: a solved model's stores and index hold
     // something.
     for key in ["\"universe_bytes\":", "\"index_bytes\":"] {
@@ -259,6 +264,15 @@ fn query_errors_report_real_positions() {
             .collect();
         assert!(digits.parse::<u64>().expect("a number") > 0, "{key} {body}");
     }
+
+    // A draw (p ⇄ q) is one: two rules, settled — as undefined — in the
+    // first round.
+    let (status, body) = post(addr, "/ingest", "edge,p,q\nedge,q,p\n");
+    assert_eq!(status, 200, "{body}");
+    let (_, body) = get(addr, "/stats");
+    assert!(body.contains("\"recursive\":1,"), "{body}");
+    assert!(body.contains("\"rules_in_recursive\":2,"), "{body}");
+    assert!(body.contains("\"recursive_rounds\":1}"), "{body}");
 
     server.shutdown();
 }
