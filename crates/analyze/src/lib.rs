@@ -36,7 +36,8 @@ pub use report::{Code, Diagnostic, Severity};
 pub use slice::ProgramSlice;
 pub use stratify::{ComponentClass, ComponentInfo, StratReport};
 
-use report::{diagnostic_json, json_escape};
+use report::diagnostic_json;
+use wfdl_core::json::push_json_str;
 use wfdl_core::{PredId, SkolemProgram, Span, Universe};
 
 /// Everything the analyzer needs about a compiled program.
@@ -124,9 +125,9 @@ impl AnalysisReport {
     /// Renders the machine-readable JSON report (single line, stable field
     /// order; the shape is part of the CLI contract).
     pub fn to_json(&self, file: &str) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"file\":\"{}\",", json_escape(file)));
-        s.push_str(&format!("\"class\":\"{}\",", self.class.as_str()));
+        let mut s = String::from("{\"file\":");
+        push_json_str(&mut s, file);
+        s.push_str(&format!(",\"class\":\"{}\",", self.class.as_str()));
         s.push_str(&format!(
             "\"stratified\":{},\"weakly_acyclic\":{},\"rules\":{},",
             self.strata.stratified, self.weakly_acyclic, self.num_rules
@@ -142,15 +143,14 @@ impl AnalysisReport {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!(
-                "{{\"class\":\"{}\",\"preds\":[{}]}}",
-                c.class.as_str(),
-                c.preds
-                    .iter()
-                    .map(|p| format!("\"{}\"", json_escape(p)))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
+            s.push_str(&format!("{{\"class\":\"{}\",\"preds\":[", c.class.as_str()));
+            for (j, p) in c.preds.iter().enumerate() {
+                if j > 0 {
+                    s.push(',');
+                }
+                push_json_str(&mut s, p);
+            }
+            s.push_str("]}");
         }
         s.push_str("],\"diagnostics\":[");
         for (i, d) in self.diagnostics.iter().enumerate() {

@@ -5,6 +5,7 @@
 //! by CI, so treat field names as a public contract.
 
 use std::fmt;
+use wfdl_core::json::push_json_str;
 use wfdl_core::Span;
 
 /// Stable diagnostic codes. `E…` codes are errors (the program is rejected
@@ -165,23 +166,6 @@ impl Diagnostic {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes one diagnostic as a JSON object.
 pub fn diagnostic_json(d: &Diagnostic) -> String {
     let mut s = String::from("{");
@@ -194,12 +178,15 @@ pub fn diagnostic_json(d: &Diagnostic) -> String {
         s.push_str(&format!(",\"line\":{},\"col\":{}", sp.line, sp.col));
     }
     if let Some(p) = &d.pred {
-        s.push_str(&format!(",\"pred\":\"{}\"", json_escape(p)));
+        s.push_str(",\"pred\":");
+        push_json_str(&mut s, p);
     }
     if let Some(r) = &d.rule {
-        s.push_str(&format!(",\"rule\":\"{}\"", json_escape(r)));
+        s.push_str(",\"rule\":");
+        push_json_str(&mut s, r);
     }
-    s.push_str(&format!(",\"message\":\"{}\"", json_escape(&d.message)));
+    s.push_str(",\"message\":");
+    push_json_str(&mut s, &d.message);
     s.push('}');
     s
 }
@@ -224,11 +211,6 @@ mod tests {
             line,
             "game.dl:3:7: warning[W001]: recursion through negation [pred: win]"
         );
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_and_newlines() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use wfdl_core::{CancelToken, SkolemProgram, SolveBudget, Universe};
 use wfdl_gen::{chain_database, example4_sigma, fanout_database, fanout_sigma, FanoutConfig};
 use wfdl_storage::Database;
-use wfdl_wfs::{solve, solve_budgeted, WfsOptions};
+use wfdl_wfs::{solve, solve_request, SolveInput, SolveRequest, WellFoundedModel, WfsOptions};
 
 fn sample_count() -> usize {
     std::env::var("WFDL_BENCH_SAMPLES")
@@ -58,6 +58,26 @@ fn ample_budget() -> SolveBudget {
         .with_mem_limit(1 << 42)
 }
 
+/// `solve` under a runtime budget.
+fn solve_budgeted(
+    universe: &mut Universe,
+    db: &Database,
+    program: &SkolemProgram,
+    options: WfsOptions,
+    budget: &SolveBudget,
+) -> WellFoundedModel {
+    let request = SolveRequest {
+        program,
+        options,
+        violations: &[],
+        budget,
+        input: SolveInput::Full { db },
+    };
+    solve_request(universe, request)
+        .expect("a from-scratch solve resumes nothing")
+        .model
+}
+
 struct Workload {
     name: &'static str,
     setup: fn(&mut Universe) -> (Database, SkolemProgram),
@@ -87,10 +107,7 @@ fn run_workload(w: &Workload, samples: usize) -> Outcome {
         // chain256 is depth-truncated by design; what must NOT happen is a
         // budget trip.
         assert!(
-            !model
-                .outcome
-                .truncation()
-                .is_some_and(|r| r.is_budget_trip()),
+            !model.outcome.is_budget_trip(),
             "{}: the ample budget tripped ({:?})",
             w.name,
             model.outcome

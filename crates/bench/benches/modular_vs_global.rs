@@ -1,7 +1,10 @@
 //! Modular (SCC-condensation) evaluation vs the global fixpoint engines —
 //! the headline measurement for the dense-CSR + modular-evaluation
-//! refactor. Engine time is isolated by extracting the ground program once
-//! and timing only the fixpoint computation.
+//! refactor, and experiment E7's engine ablation: the same well-founded
+//! model computed by the production engine, the definitional `W_P` engine
+//! (accelerated and literal stepping), Van Gelder's alternating fixpoint,
+//! and the forward-proof `Ŵ_P` engine. Engine time is isolated by chasing
+//! and grounding once and timing only the fixpoint computation.
 //!
 //! Workloads:
 //! * `stratified` — a random stratified guarded program (negation across
@@ -20,10 +23,14 @@ use wfdl_gen::{
     random_database, random_stratified_program, winmove_database, winmove_sigma, RandomConfig,
     RandomDbConfig, WinMoveConfig,
 };
-use wfdl_storage::GroundProgram;
-use wfdl_wfs::{solve, AlternatingEngine, ModularEngine, StepMode, WfsOptions, WpEngine};
+use wfdl_wfs::{
+    solve, AlternatingEngine, ForwardEngine, ModularEngine, StepMode, WellFoundedModel, WfsOptions,
+    WpEngine,
+};
 
-fn stratified_ground() -> GroundProgram {
+/// The solved workload: its `ground` program feeds the ground-level
+/// engines, its `segment` the forward engine.
+fn stratified() -> WellFoundedModel {
     let mut u = Universe::new();
     let w = random_stratified_program(
         &mut u,
@@ -46,10 +53,10 @@ fn stratified_ground() -> GroundProgram {
             seed: 9,
         },
     );
-    solve(&mut u, &db, &w.sigma, WfsOptions::unbounded()).ground
+    solve(&mut u, &db, &w.sigma, WfsOptions::unbounded())
 }
 
-fn winmove_ground(nodes: usize, forward_bias: f64) -> GroundProgram {
+fn winmove(nodes: usize, forward_bias: f64) -> WellFoundedModel {
     let mut u = Universe::new();
     let sigma = winmove_sigma(&mut u);
     let db = winmove_database(
@@ -61,31 +68,35 @@ fn winmove_ground(nodes: usize, forward_bias: f64) -> GroundProgram {
             seed: 3,
         },
     );
-    solve(&mut u, &db, &sigma, WfsOptions::unbounded()).ground
+    solve(&mut u, &db, &sigma, WfsOptions::unbounded())
 }
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("modular_vs_global");
     group.sample_size(30);
 
-    for (workload, ground) in [
-        ("stratified", stratified_ground()),
-        ("winmove_dag", winmove_ground(2048, 1.0)),
-        ("winmove512", winmove_ground(512, 0.5)),
+    for (workload, model) in [
+        ("stratified", stratified()),
+        ("winmove_dag", winmove(2048, 1.0)),
+        ("winmove512", winmove(512, 0.5)),
     ] {
-        group.bench_with_input(BenchmarkId::new(workload, "modular"), &ground, |b, g| {
+        let ground = &model.ground;
+        group.bench_with_input(BenchmarkId::new(workload, "modular"), ground, |b, g| {
             b.iter(|| ModularEngine::new(g).solve());
         });
-        group.bench_with_input(BenchmarkId::new(workload, "wp"), &ground, |b, g| {
+        group.bench_with_input(BenchmarkId::new(workload, "wp"), ground, |b, g| {
             b.iter(|| WpEngine::new(g).solve(StepMode::Accelerated));
         });
-        group.bench_with_input(
-            BenchmarkId::new(workload, "alternating"),
-            &ground,
-            |b, g| {
-                b.iter(|| AlternatingEngine::new(g).solve());
-            },
-        );
+        group.bench_with_input(BenchmarkId::new(workload, "wp_literal"), ground, |b, g| {
+            b.iter(|| WpEngine::new(g).solve(StepMode::Literal));
+        });
+        group.bench_with_input(BenchmarkId::new(workload, "alternating"), ground, |b, g| {
+            b.iter(|| AlternatingEngine::new(g).solve());
+        });
+        let segment = &model.segment;
+        group.bench_with_input(BenchmarkId::new(workload, "forward"), segment, |b, s| {
+            b.iter(|| ForwardEngine::new(s).solve());
+        });
     }
     group.finish();
 }

@@ -11,7 +11,7 @@
 //!
 //! Legs, per sample (fresh state each time — no warm caches):
 //!
-//! * **engine**: `wfdl_wfs::solve_budgeted` vs
+//! * **engine**: `wfdl_wfs::solve` vs
 //!   `solve_sliced_packaged_budgeted` on a typed fanout universe;
 //! * **façade**: `KnowledgeBase::solve` vs `KnowledgeBase::solve_for`
 //!   (includes slice computation, query parsing, snapshot repackaging);
@@ -139,7 +139,7 @@ fn run_engine_leg(samples: usize) -> EngineLeg {
         sliced_ns.push(start.elapsed().as_nanos() as u64);
 
         let start = Instant::now();
-        let full = wfdatalog::wfs::solve_budgeted(&mut u, &db, &sigma, options, &budget);
+        let full = wfdatalog::wfs::solve(&mut u, &db, &sigma, options);
         full_ns.push(start.elapsed().as_nanos() as u64);
 
         if sample == 0 {

@@ -12,9 +12,39 @@ use wfdl_gen::{
 use wfdl_ontology::translate;
 use wfdl_query::{holds3, Nbcq, QTerm, QVar, QueryAtom};
 use wfdl_wfs::{
-    perfect_model, solve, solver::solve_no_una, stratify, wcheck, EngineKind, ForwardEngine,
-    WfsOptions,
+    perfect_model, solve, solver::solve_no_una, stratify, wcheck, AlternatingEngine, EngineResult,
+    ForwardEngine, StepMode, WfsOptions, WpEngine,
 };
+
+/// The global fixpoint engines: oracles for the production (modular)
+/// engine, run here for their stage arithmetic and for the E7 ablation.
+#[derive(Clone, Copy, Debug)]
+enum Oracle {
+    Wp,
+    WpLiteral,
+    Alternating,
+    Forward,
+}
+
+/// What `solve` does, with an oracle in the engine's place: chase, ground,
+/// run the fixpoint.
+fn solve_with_oracle(
+    u: &mut Universe,
+    db: &wfdl_storage::Database,
+    sigma: &wfdl_core::SkolemProgram,
+    budget: ChaseBudget,
+    oracle: Oracle,
+) -> (ChaseSegment, EngineResult) {
+    let segment = ChaseSegment::build(u, db, sigma, budget);
+    let ground = segment.to_ground_program();
+    let result = match oracle {
+        Oracle::Wp => WpEngine::new(&ground).solve(StepMode::Accelerated),
+        Oracle::WpLiteral => WpEngine::new(&ground).solve(StepMode::Literal),
+        Oracle::Alternating => AlternatingEngine::new(&ground).solve(),
+        Oracle::Forward => ForwardEngine::new(&segment).solve(),
+    };
+    (segment, result)
+}
 
 /// E1 — the Example 6 figure: `F⁺(P)` up to depth 3.
 pub fn e1_chase_forest_figure() {
@@ -354,19 +384,27 @@ pub fn e7_engine_ablation() {
     for (name, mk) in &workloads {
         let mut row = format!("{name:>20}");
         let mut verdicts = Vec::new();
-        for engine in [
-            EngineKind::Wp,
-            EngineKind::WpLiteral,
-            EngineKind::Alternating,
-            EngineKind::Forward,
+        for oracle in [
+            Oracle::Wp,
+            Oracle::WpLiteral,
+            Oracle::Alternating,
+            Oracle::Forward,
         ] {
             let t = median_time(3, || {
                 let (mut u, db, sigma, opts) = mk();
-                solve(&mut u, &db, &sigma, opts.with_engine(engine))
+                solve_with_oracle(&mut u, &db, &sigma, opts.budget, oracle)
             });
             let (mut u, db, sigma, opts) = mk();
-            let model = solve(&mut u, &db, &sigma, opts.with_engine(engine));
-            verdicts.push(model.counts());
+            let (segment, result) = solve_with_oracle(&mut u, &db, &sigma, opts.budget, oracle);
+            let count = |v: Truth| {
+                let atoms = segment.atoms().iter();
+                atoms.filter(|sa| result.value(sa.atom) == v).count()
+            };
+            verdicts.push((
+                count(Truth::True),
+                count(Truth::False),
+                count(Truth::Unknown),
+            ));
             row.push_str(&format!(" {:>13.2?}", t));
         }
         println!("{row}");
@@ -453,17 +491,18 @@ pub fn e9_winmove_scaling() {
             },
         );
         // Pinned to W_P: the "stages" column is the paper's fixpoint stage
-        // count, which the (default) modular engine does not report — it
-        // counts dependency components instead.
-        let opts = WfsOptions::unbounded().with_engine(EngineKind::Wp);
-        let model = solve(&mut u, &db, &sigma, opts); // warm-up
-        let t = median_time(3, || solve(&mut u, &db, &sigma, opts));
+        // count, which the production engine does not report — it counts
+        // dependency components instead.
+        let mut run =
+            || solve_with_oracle(&mut u, &db, &sigma, ChaseBudget::unbounded(), Oracle::Wp);
+        let (segment, result) = run(); // warm-up
+        let t = median_time(3, &mut run);
         let win = u.lookup_pred("win").unwrap();
         let mut won = 0usize;
         let mut drawn = 0usize;
-        for sa in model.segment.atoms() {
+        for sa in segment.atoms() {
             if u.atoms.pred(sa.atom) == win {
-                match model.value(sa.atom) {
+                match result.value(sa.atom) {
                     Truth::True => won += 1,
                     Truth::Unknown => drawn += 1,
                     Truth::False => {}
@@ -473,12 +512,7 @@ pub fn e9_winmove_scaling() {
         let lost = nodes - won - drawn;
         println!(
             "{:>8} {:>8} {:>8} {:>8} {:>8} {:>11.2?}",
-            nodes,
-            won,
-            lost,
-            drawn,
-            model.stages(),
-            t
+            nodes, won, lost, drawn, result.stages, t
         );
         series.push(nodes as f64, t.as_secs_f64());
     }

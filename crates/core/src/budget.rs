@@ -98,6 +98,13 @@ impl SolveOutcome {
             SolveOutcome::Truncated(r) => Some(r),
         }
     }
+
+    /// True iff a runtime budget (deadline / cancellation / memory) stopped
+    /// the solve — see [`TruncationReason::is_budget_trip`].
+    pub fn is_budget_trip(self) -> bool {
+        self.truncation()
+            .is_some_and(TruncationReason::is_budget_trip)
+    }
 }
 
 impl fmt::Display for SolveOutcome {

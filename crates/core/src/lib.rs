@@ -29,6 +29,7 @@ pub mod factbatch;
 pub mod fxhash;
 pub mod idtable;
 pub mod interp;
+pub mod json;
 pub mod normalize;
 pub mod program;
 pub mod rule;

@@ -120,7 +120,7 @@ pub fn winmove_cycle(universe: &mut Universe, length: usize) -> Database {
 mod tests {
     use super::*;
     use wfdl_core::Truth;
-    use wfdl_wfs::{solve, EngineKind, WfsOptions};
+    use wfdl_wfs::{solve, AlternatingEngine, ForwardEngine, WfsOptions};
 
     fn win_value(u: &Universe, model: &wfdl_wfs::WellFoundedModel, i: usize) -> Truth {
         let win = u.lookup_pred("win").unwrap();
@@ -181,22 +181,12 @@ mod tests {
         let mut u = Universe::new();
         let sigma = winmove_sigma(&mut u);
         let db = winmove_database(&mut u, &cfg);
-        let wp = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
-        let alt = solve(
-            &mut u,
-            &db,
-            &sigma,
-            WfsOptions::unbounded().with_engine(EngineKind::Alternating),
-        );
-        let fwd = solve(
-            &mut u,
-            &db,
-            &sigma,
-            WfsOptions::unbounded().with_engine(EngineKind::Forward),
-        );
-        for sa in wp.segment.atoms() {
-            assert_eq!(wp.value(sa.atom), alt.value(sa.atom));
-            assert_eq!(wp.value(sa.atom), fwd.value(sa.atom));
+        let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let alt = AlternatingEngine::new(&model.ground).solve();
+        let fwd = ForwardEngine::new(&model.segment).solve();
+        for sa in model.segment.atoms() {
+            assert_eq!(model.value(sa.atom), alt.value(sa.atom));
+            assert_eq!(model.value(sa.atom), fwd.value(sa.atom));
         }
     }
 

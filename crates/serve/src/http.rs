@@ -287,27 +287,6 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (quotes included). The
-/// serving tier has no serde; this is the one escaping primitive every
-/// JSON-emitting endpoint shares.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,12 +361,5 @@ mod tests {
         };
         assert_eq!(req.body, b"m,a\n");
         assert_eq!(interim, b"HTTP/1.1 100 Continue\r\n\r\n");
-    }
-
-    #[test]
-    fn json_escaping_covers_the_control_set() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
     }
 }

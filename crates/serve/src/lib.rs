@@ -24,7 +24,7 @@ mod server;
 mod signal;
 mod slot;
 
-pub use http::{push_json_str, HttpError, Limits, Method, Request, Response};
+pub use http::{HttpError, Limits, Method, Request, Response};
 pub use server::{App, Server, ServerConfig, ServerHandle, Stopper};
 pub use signal::{
     install_shutdown_signals, request_shutdown, shutdown_requested, wait_for_shutdown,

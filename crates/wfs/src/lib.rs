@@ -1,27 +1,37 @@
-//! # `wfdl-wfs` — well-founded semantics engines
+//! # `wfdl-wfs` — well-founded semantics
 //!
 //! The paper's primary contribution, made executable (see `README.md` in
-//! this directory for the full engine-architecture overview):
+//! this directory for the full engine-architecture overview).
 //!
-//! * [`scc::ModularEngine`] — SCC-condensation modular evaluation (the
-//!   default): Tarjan's algorithm over the atom dependency graph,
-//!   negation-free components by a flat semi-naive pass, the `W_P`
-//!   machinery only on components with internal negation, lower-component
-//!   verdicts substituted in as they resolve;
+//! **Production** — what a solve runs:
+//!
+//! * [`solver`] — the one solve path: [`solve_request`] over a
+//!   [`SolveRequest`] (chase from scratch, resumed, or slice-restricted →
+//!   ground → engine → constraint verdicts), with exactness reporting;
+//! * [`scc::ModularEngine`] — the engine: Tarjan's algorithm over the atom
+//!   dependency graph, negation-free components by a flat semi-naive pass,
+//!   the `W_P` unfounded-set iteration in place only on components with
+//!   internal negation, lower-component verdicts substituted in as they
+//!   resolve;
+//! * [`result`] — the engine output every consumer reads;
+//! * [`wcheck`] — demand-driven single-atom membership (Section 4's WCHECK,
+//!   deterministically realized) with extractable, independently verifiable
+//!   certificates.
+//!
+//! **Oracles** — independent definitions of the same model, proved equal
+//! by the paper and compared against the production engine by the test
+//! suites; build them directly on a solved model's `ground` / `segment`:
+//!
 //! * [`wp::WpEngine`] — the definitional `W_P = T_P ∪ ¬.U_P` least fixpoint
 //!   with greatest-unfounded-set computation (Section 2.6), in both a
-//!   stage-faithful and an accelerated regime; also the modular engine's
-//!   subsolver for recursive components;
-//! * [`alternating::AlternatingEngine`] — Van Gelder's alternating fixpoint,
-//!   an independent engine used for cross-validation and ablation;
+//!   stage-faithful and an accelerated regime;
+//! * [`alternating::AlternatingEngine`] — Van Gelder's alternating fixpoint;
 //! * [`forward::ForwardEngine`] — the forward-proof operator `Ŵ_P`
 //!   evaluated on chase segments (Definitions 5/7, Theorem 8);
 //! * [`stratified`] — stratification test and perfect-model baseline \[1\];
-//! * [`wcheck`] — demand-driven single-atom membership (Section 4's WCHECK,
-//!   deterministically realized) with extractable, independently verifiable
-//!   certificates;
-//! * [`solver`] — the top-level `WFS(D, Σ)` API combining chase and engines
-//!   with exactness reporting and a deepening heuristic.
+//! * [`stable`] — stable models of small ground programs (the WFS
+//!   approximates their intersection);
+//! * [`trace`] — stage traces in the paper's Example 9 style.
 //!
 //! All engines read the storage layer's dense data layout directly: the
 //! [`wfdl_storage::GroundProgram`] local atom ids and CSR occurrence
@@ -47,11 +57,9 @@ pub use forward::ForwardEngine;
 pub use result::EngineResult;
 pub use scc::{condensation, Condensation, ModularEngine, ModularMemo, ModularStats};
 pub use solver::{
-    constraint_status, constraint_status_sliced, lower_with_constraints, solve, solve_budgeted,
-    solve_packaged, solve_packaged_budgeted, solve_packaged_resumed,
-    solve_packaged_resumed_budgeted, solve_resumed, solve_resumed_budgeted,
-    solve_sliced_packaged_budgeted, solve_stable, EngineKind, SolveOutput, SolveStats,
-    StabilityReport, WellFoundedModel, WfsOptions,
+    constraint_status, lower_with_constraints, solve, solve_request, solve_resumed,
+    solve_sliced_packaged_budgeted, SolveInput, SolveOutput, SolveRequest, SolveStats,
+    WellFoundedModel, WfsOptions,
 };
 pub use stable::stable_models;
 pub use stratified::{perfect_model, stratify, Stratification};

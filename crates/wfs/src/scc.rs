@@ -56,8 +56,9 @@
 //! The per-atom decision *stage* reported by this engine is the 1-based
 //! ordinal of the component that decided it, which preserves the invariant
 //! that stages are monotone along derivations but is **not** comparable to
-//! the `W_P` stage arithmetic of Example 9 — use `EngineKind::WpLiteral`
-//! for stage-faithful traces.
+//! the `W_P` stage arithmetic of Example 9 — run
+//! [`WpEngine`](crate::wp::WpEngine) with `StepMode::Literal` on the same
+//! ground program for stage-faithful traces.
 
 use crate::result::EngineResult;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};

@@ -1,8 +1,15 @@
-//! The top-level solver: chase a segment, run a WFS engine, answer truth
-//! queries — `WFS(D, Σ)` of Definition 3, with honest exactness reporting.
+//! The top-level solver: chase a segment, run the modular engine, answer
+//! truth queries — `WFS(D, Σ)` of Definition 3, with honest exactness
+//! reporting.
+//!
+//! There is one solve path: [`solve_request`] over a [`SolveRequest`].
+//! [`solve`], [`solve_resumed`] and [`solve_sliced_packaged_budgeted`] are
+//! that function under fixed request shapes. The global fixpoint engines
+//! ([`crate::wp`], [`crate::alternating`], [`crate::forward`]) compute the
+//! same model (Theorem 8) and are kept as oracles: build one directly on a
+//! solved model's [`WellFoundedModel::ground`] /
+//! [`WellFoundedModel::segment`] to cross-check it.
 
-use crate::alternating::AlternatingEngine;
-use crate::forward::ForwardEngine;
 use crate::result::EngineResult;
 use crate::scc::{ModularEngine, ModularStats};
 use crate::wp::{StepMode, WpEngine};
@@ -13,41 +20,20 @@ use wfdl_core::{
 };
 use wfdl_storage::{Database, GroundProgram};
 
-/// Which fixpoint engine computes the model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineKind {
-    /// SCC-condensation modular evaluation (default): negation-free
-    /// components by a flat semi-naive pass, `W_P` only on components with
-    /// internal negation. See [`crate::scc`].
-    #[default]
-    Modular,
-    /// `W_P` with `T_P`-closure acceleration on the whole program.
-    Wp,
-    /// `W_P` stepped literally per the definition (stage-faithful, slower).
-    WpLiteral,
-    /// Van Gelder's alternating fixpoint.
-    Alternating,
-    /// The forward-proof operator `Ŵ_P` on the chase segment (Theorem 8).
-    Forward,
-}
-
 /// Solver configuration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WfsOptions {
     /// Chase materialization limits.
     pub budget: ChaseBudget,
-    /// Engine selection.
-    pub engine: EngineKind,
-    /// Worker threads for the chase match phase and for
-    /// [`EngineKind::Modular`]: `0` (the default) decides automatically —
+    /// Worker threads for the chase match phase and for the modular
+    /// engine: `0` (the default) decides automatically —
     /// `std::thread::available_parallelism` for large workloads, serial
     /// for small ones (the engine also stays serial on hosts with one or
     /// two hardware threads, where its planning pass costs what two
     /// workers save); `1` forces the serial path; any other `n` spawns
     /// exactly `n` workers. The model is bit-identical for every setting
     /// (see [`crate::scc`] and the chase crate's "Sharded saturation"
-    /// docs); the global engines ignore this field for evaluation but the
-    /// chase still shards.
+    /// docs).
     pub threads: usize,
 }
 
@@ -66,12 +52,6 @@ impl WfsOptions {
             budget: ChaseBudget::unbounded(),
             ..Default::default()
         }
-    }
-
-    /// Replaces the engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Replaces the worker-thread count (`0` = auto, `1` = serial).
@@ -97,8 +77,6 @@ pub struct WellFoundedModel {
     pub result: EngineResult,
     /// True iff the chase quiesced within budget, making the model exact.
     pub exact: bool,
-    /// The engine that produced the result.
-    pub engine: EngineKind,
     /// `Complete` iff both the chase and the engine ran to their natural
     /// fixpoints; otherwise the first truncation on the pipeline (chase
     /// before engine). Note the depth budget counts as a truncation here
@@ -144,14 +122,15 @@ impl WellFoundedModel {
         self.value(atom).is_false()
     }
 
-    /// Number of engine stages to the fixpoint. For [`EngineKind::Modular`]
-    /// this is the number of dependency components processed.
+    /// Number of engine stages to the fixpoint: for the modular engine,
+    /// the number of dependency components processed.
     pub fn stages(&self) -> u32 {
         self.result.stages
     }
 
     /// Per-component statistics, when the modular engine produced the
-    /// result (`None` for the global engines).
+    /// result (`None` for [`solve_no_una`] and for a chase stopped by a
+    /// budget trip, where no engine ran).
     pub fn component_stats(&self) -> Option<ModularStats> {
         self.result.stats
     }
@@ -222,16 +201,15 @@ impl wfdl_query::TruthSource for WellFoundedModel {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// True iff the chase was resumed from a previous model's segment
-    /// instead of rebuilt from scratch.
+    /// instead of rebuilt from scratch ([`SolveInput::Resume`]).
     pub incremental: bool,
     /// Dependency components whose verdicts were copied from the previous
-    /// solve (only [`EngineKind::Modular`] reuses verdicts).
+    /// solve.
     pub components_reused: usize,
-    /// Worker threads the engine ran with (`1` = serial; always `1` for
-    /// the global engines, which have no parallel path).
+    /// Worker threads the engine ran with (`1` = serial).
     pub threads: usize,
     /// True iff the solve was restricted to a query-relevant program
-    /// slice ([`solve_sliced_packaged_budgeted`]).
+    /// slice ([`SolveInput::Sliced`]).
     pub sliced: bool,
     /// Predicate-level dependency components intersecting the slice.
     /// `0` for unsliced solves; filled in by the caller that computed the
@@ -242,103 +220,262 @@ pub struct SolveStats {
     pub total_components: usize,
 }
 
-/// Reads the observable solve statistics out of a finished model.
-fn stats_of(model: &WellFoundedModel, incremental: bool) -> SolveStats {
-    SolveStats {
-        incremental,
+/// What a solve starts from.
+#[derive(Clone, Copy, Debug)]
+pub enum SolveInput<'a> {
+    /// Chase `db` from scratch.
+    Full {
+        /// The database `D`.
+        db: &'a Database,
+    },
+    /// Computes `WFS(D ∪ Δ, Σf)` by **resuming** `prev`'s chase segment
+    /// with the new facts `Δ` instead of re-chasing from scratch: the
+    /// ground program is extended with the delta's atoms, facts and
+    /// instances, and every dependency component whose inputs did not
+    /// change reuses `prev`'s verdicts.
+    ///
+    /// Preconditions (the façade's `KnowledgeBase` enforces them): `prev`
+    /// was solved over the same universe with the same program and the
+    /// same options, and the delta is insert-only (`new_facts` are ground,
+    /// null-free and were not database facts before). The only input
+    /// [`solve_request`] can refuse: a cap-truncated segment does not
+    /// resume (continuation would not equal a from-scratch chase), and the
+    /// caller falls back to [`SolveInput::Full`].
+    Resume {
+        /// The model whose segment, ground program and memo are reused.
+        prev: &'a WellFoundedModel,
+        /// The insert-only delta `Δ`.
+        new_facts: &'a [AtomId],
+    },
+    /// Goal-directed: chase `db` restricted to a **relevance-closed**
+    /// predicate slice (`pred_mask`, indexed by [`PredId`]), as computed by
+    /// `wfdl-analyze`'s `ProgramSlice` from a query's goal predicates.
+    ///
+    /// The chase seeds only in-slice facts and fires only rules with
+    /// in-slice heads; the engine then runs on the restricted ground
+    /// program. Because the mask is relevance-closed (it follows both
+    /// positive and negative dependency edges), every in-slice atom gets
+    /// the **same verdict the full solve would assign** — with the same
+    /// chase budget, derivation depths coincide, so even depth-truncation
+    /// semantics match bit-for-bit.
+    ///
+    /// Two sliced-model caveats the caller must enforce (the façade's
+    /// `SolvedModel` slice guard does):
+    ///
+    /// * atoms over **out-of-slice** predicates were never chased — the
+    ///   model's `value()` reads them `False`, which is only meaningful
+    ///   for in-slice atoms. Queries must be checked against the mask.
+    /// * constraints are not goal-directed: a violation predicate outside
+    ///   the slice reports [`Truth::Unknown`] (its rules never fired, so
+    ///   neither verdict would be sound).
+    Sliced {
+        /// The database `D`.
+        db: &'a Database,
+        /// The relevance-closed slice.
+        pred_mask: &'a [bool],
+        /// An earlier solve over the same universe (typically the last
+        /// full one) to compose with: components of the sliced ground
+        /// program whose input fingerprints and atom sets coincide with
+        /// one of its components reuse the verdicts instead of re-solving.
+        /// The fingerprint check rejects components whose inputs differ,
+        /// so a stale memo is less effective, never unsound.
+        memo: Option<&'a WellFoundedModel>,
+    },
+}
+
+/// One solve, fully described: the argument of [`solve_request`].
+#[derive(Clone, Copy, Debug)]
+pub struct SolveRequest<'a> {
+    /// The skolemized program `Σf` (constraints already lowered).
+    pub program: &'a SkolemProgram,
+    /// Chase limits and worker threads.
+    pub options: WfsOptions,
+    /// Violation predicates of the lowered constraints
+    /// ([`lower_with_constraints`]); their truth is reported in
+    /// [`SolveOutput::constraint_status`].
+    pub violations: &'a [PredId],
+    /// Runtime resource limits: the chase checks them at round boundaries
+    /// and the engine at component/chunk boundaries. On a trip the model
+    /// reports a truncated [`WellFoundedModel::outcome`] and degrades
+    /// soundly (see [`WellFoundedModel::value`]).
+    pub budget: &'a SolveBudget,
+    /// Where the chase starts from.
+    pub input: SolveInput<'a>,
+}
+
+/// Everything one solve produces, packaged for the serve stage: the model
+/// plus the truth of each lowered constraint's violation marker, computed
+/// while the universe is still mutable (the markers are nullary atoms that
+/// may need interning). After this returns, nothing on the serving path
+/// needs `&mut Universe` again.
+#[derive(Debug)]
+pub struct SolveOutput {
+    /// The well-founded model.
+    pub model: WellFoundedModel,
+    /// Truth of each constraint's violation marker, in `violations` order.
+    pub constraint_status: Vec<Truth>,
+    /// How the model was produced. `sliced` is set for
+    /// [`SolveInput::Sliced`]; the slice's component counts are left `0`
+    /// for the slice-computing caller to fill.
+    pub stats: SolveStats,
+}
+
+/// The solve stage of the compile → solve → serve lifecycle: chase (from
+/// scratch, resumed, or slice-restricted), ground, run the modular engine,
+/// evaluate the constraints.
+///
+/// # Errors
+///
+/// Returns [`ResumeError`] when [`SolveInput::Resume`]'s segment refuses
+/// to resume. The other inputs cannot fail.
+pub fn solve_request(
+    universe: &mut Universe,
+    request: SolveRequest<'_>,
+) -> Result<SolveOutput, ResumeError> {
+    let (program, budget) = (request.program, request.budget);
+    // The thread knob rides into the chase on the budget; saturation is
+    // bit-identical for every value, so options equality (and therefore
+    // the façade's cache/resume decisions) stays on the user's fields.
+    let threads = request.options.threads;
+    let chase_budget = request.options.budget.with_threads(threads);
+    // A previous model plays two roles: incremental *grounding* is only
+    // valid when the segment resumed that model's chase, per-component
+    // *verdict reuse* for any previous solve over the same universe.
+    let (segment, ground_prev, memo_prev, pred_mask) = match request.input {
+        SolveInput::Full { db } => (
+            ChaseSegment::build_budgeted(universe, db, program, chase_budget, budget),
+            None,
+            None,
+            None,
+        ),
+        SolveInput::Resume { prev, new_facts } => (
+            prev.segment
+                .resume_budgeted(universe, program, new_facts, budget)?,
+            Some(prev),
+            Some(prev),
+            None,
+        ),
+        SolveInput::Sliced {
+            db,
+            pred_mask,
+            memo,
+        } => (
+            ChaseSegment::build_restricted_budgeted(
+                universe,
+                db,
+                program,
+                chase_budget,
+                budget,
+                pred_mask,
+            ),
+            None,
+            memo,
+            Some(pred_mask),
+        ),
+    };
+    let model = finish_model(segment, threads, ground_prev, memo_prev, budget);
+    let constraint_status = constraint_status(universe, &model, request.violations, pred_mask);
+    let stats = SolveStats {
+        incremental: ground_prev.is_some(),
         components_reused: model.result.stats.map_or(0, |s| s.components_reused),
         threads: model.result.stats.map_or(1, |s| s.threads.max(1)),
+        sliced: pred_mask.is_some(),
         ..SolveStats::default()
+    };
+    Ok(SolveOutput {
+        model,
+        constraint_status,
+        stats,
+    })
+}
+
+/// Only [`SolveInput::Resume`] can be refused.
+fn not_a_resume(output: Result<SolveOutput, ResumeError>) -> SolveOutput {
+    match output {
+        Ok(output) => output,
+        Err(e) => unreachable!("no segment was resumed: {e}"),
     }
 }
 
-/// Computes `WFS(D, Σf)` on a budgeted chase segment.
+/// Computes `WFS(D, Σf)` on a budgeted chase segment: [`solve_request`]
+/// from scratch, without constraints or runtime limits.
 pub fn solve(
     universe: &mut Universe,
     db: &Database,
     program: &SkolemProgram,
     options: WfsOptions,
 ) -> WellFoundedModel {
-    solve_budgeted(universe, db, program, options, &SolveBudget::unlimited())
-}
-
-/// [`solve`] under a [`SolveBudget`]: the chase checks the budget at round
-/// boundaries and the modular engine at component/chunk boundaries. On a
-/// trip the returned model reports a truncated [`WellFoundedModel::outcome`]
-/// and degrades soundly (see [`WellFoundedModel::value`]).
-pub fn solve_budgeted(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-    solve_budget: &SolveBudget,
-) -> WellFoundedModel {
-    // The thread knob rides into the chase on the budget; saturation is
-    // bit-identical for every value, so options equality (and therefore
-    // the façade's cache/resume decisions) stays on the user's fields.
-    let budget = options.budget.with_threads(options.threads);
-    let segment = ChaseSegment::build_budgeted(universe, db, program, budget, solve_budget);
-    finish_model(segment, options, None, solve_budget)
-}
-
-/// Computes `WFS(D ∪ Δ, Σf)` by **resuming** a previous model's chase
-/// segment with the new facts `Δ` instead of re-chasing from scratch, and
-/// (for [`EngineKind::Modular`]) reusing the previous solve's verdicts for
-/// every dependency component whose inputs did not change.
-///
-/// Preconditions (the façade's `KnowledgeBase` enforces them): `prev` was
-/// solved over the same universe with the same `program` and the same
-/// options, and the delta is insert-only (`new_facts` are ground, null-free
-/// and were not database facts before).
-///
-/// # Errors
-///
-/// Returns [`ResumeError`] when `prev`'s segment refuses to resume
-/// (cap-truncated: continuation would not equal a from-scratch chase).
-/// Callers fall back to a full re-chase.
-pub fn solve_resumed(
-    universe: &mut Universe,
-    prev: &WellFoundedModel,
-    program: &SkolemProgram,
-    new_facts: &[wfdl_core::AtomId],
-    options: WfsOptions,
-) -> Result<(WellFoundedModel, SolveStats), ResumeError> {
-    solve_resumed_budgeted(
+    not_a_resume(solve_request(
         universe,
-        prev,
-        program,
-        new_facts,
-        options,
-        &SolveBudget::unlimited(),
-    )
+        SolveRequest {
+            program,
+            options,
+            violations: &[],
+            budget: &SolveBudget::unlimited(),
+            input: SolveInput::Full { db },
+        },
+    ))
+    .model
 }
 
-/// [`solve_resumed`] under a [`SolveBudget`].
+/// [`solve_request`] over [`SolveInput::Resume`], without constraints or
+/// runtime limits.
 ///
 /// # Errors
 ///
 /// Returns [`ResumeError`] when `prev`'s segment refuses to resume.
-pub fn solve_resumed_budgeted(
+pub fn solve_resumed(
     universe: &mut Universe,
     prev: &WellFoundedModel,
     program: &SkolemProgram,
-    new_facts: &[wfdl_core::AtomId],
+    new_facts: &[AtomId],
     options: WfsOptions,
-    solve_budget: &SolveBudget,
 ) -> Result<(WellFoundedModel, SolveStats), ResumeError> {
-    let segment = prev
-        .segment
-        .resume_budgeted(universe, program, new_facts, solve_budget)?;
-    let model = finish_model(segment, options, Some(prev), solve_budget);
-    let stats = stats_of(&model, true);
-    Ok((model, stats))
+    let output = solve_request(
+        universe,
+        SolveRequest {
+            program,
+            options,
+            violations: &[],
+            budget: &SolveBudget::unlimited(),
+            input: SolveInput::Resume { prev, new_facts },
+        },
+    )?;
+    Ok((output.model, output.stats))
 }
 
-/// Shared tail of [`solve`] and [`solve_resumed`]: ground the segment and
-/// run the selected engine (with verdict reuse when a previous modular
-/// solve is available).
+/// [`solve_request`] over [`SolveInput::Sliced`].
+#[allow(clippy::too_many_arguments)]
+pub fn solve_sliced_packaged_budgeted(
+    universe: &mut Universe,
+    db: &Database,
+    program: &SkolemProgram,
+    options: WfsOptions,
+    violations: &[PredId],
+    solve_budget: &SolveBudget,
+    pred_mask: &[bool],
+    memo_prev: Option<&WellFoundedModel>,
+) -> SolveOutput {
+    not_a_resume(solve_request(
+        universe,
+        SolveRequest {
+            program,
+            options,
+            violations,
+            budget: solve_budget,
+            input: SolveInput::Sliced {
+                db,
+                pred_mask,
+                memo: memo_prev,
+            },
+        },
+    ))
+}
+
+/// Shared tail of every solve: ground the segment and run the modular
+/// engine.
 ///
-/// A chase stopped by a *budget trip* never sees the full engine: over an
+/// A chase stopped by a *budget trip* never sees the engine: over an
 /// arbitrarily interrupted segment, "no deriving instance" proves nothing
 /// (the missing derivations may simply not have been chased yet), so the
 /// well-founded negation-as-failure step would be unsound in both
@@ -349,24 +486,7 @@ pub fn solve_resumed_budgeted(
 /// semantics (full engine run, `exact == false`).
 fn finish_model(
     segment: ChaseSegment,
-    options: WfsOptions,
-    prev: Option<&WellFoundedModel>,
-    solve_budget: &SolveBudget,
-) -> WellFoundedModel {
-    finish_model_with(segment, options, prev, prev, solve_budget)
-}
-
-/// [`finish_model`] with the two roles of a previous model split:
-/// `ground_prev` drives *incremental grounding* (only valid when
-/// `segment` resumed that model's chase), `memo_prev` drives
-/// *per-component verdict reuse* in the modular engine (valid for any
-/// previous modular solve over the same universe — the fingerprint check
-/// rejects components whose inputs differ). The sliced solve path
-/// grounds its restricted segment from scratch but still composes with
-/// the full solve's memo.
-fn finish_model_with(
-    segment: ChaseSegment,
-    options: WfsOptions,
+    threads: usize,
     ground_prev: Option<&WellFoundedModel>,
     memo_prev: Option<&WellFoundedModel>,
     solve_budget: &SolveBudget,
@@ -382,26 +502,10 @@ fn finish_model_with(
     let result = if chase_trunc.is_some_and(TruncationReason::is_budget_trip) {
         positive_closure_result(&ground)
     } else {
-        match options.engine {
-            EngineKind::Modular => ModularEngine::new(&ground)
-                .with_threads(options.threads)
-                .with_budget(solve_budget.clone())
-                .solve_incremental(memo_prev.map(|p| (&p.ground, &p.result))),
-            // The global engines have no internal trip points: under a
-            // budget they either start (and run to completion) or refuse at
-            // the door.
-            EngineKind::Wp | EngineKind::WpLiteral | EngineKind::Alternating
-                if solve_budget.check(0).is_some() =>
-            {
-                let mut r = positive_closure_result(&ground);
-                r.truncation = solve_budget.check(0);
-                r
-            }
-            EngineKind::Wp => WpEngine::new(&ground).solve(StepMode::Accelerated),
-            EngineKind::WpLiteral => WpEngine::new(&ground).solve(StepMode::Literal),
-            EngineKind::Alternating => AlternatingEngine::new(&ground).solve(),
-            EngineKind::Forward => ForwardEngine::new(&segment).solve(),
-        }
+        ModularEngine::new(&ground)
+            .with_threads(threads)
+            .with_budget(solve_budget.clone())
+            .solve_incremental(memo_prev.map(|p| (&p.ground, &p.result)))
     };
     let exact = segment.complete;
     let outcome = match chase_trunc
@@ -422,7 +526,6 @@ fn finish_model_with(
         ground,
         result,
         exact,
-        engine: options.engine,
         outcome,
     }
 }
@@ -500,172 +603,6 @@ fn positive_closure_result(ground: &GroundProgram) -> EngineResult {
     }
 }
 
-/// Everything one solve produces, packaged for the serve stage: the model
-/// plus the truth of each lowered constraint's violation marker, computed
-/// while the universe is still mutable (the markers are nullary atoms that
-/// may need interning). After this returns, nothing on the serving path
-/// needs `&mut Universe` again.
-#[derive(Debug)]
-pub struct SolveOutput {
-    /// The well-founded model.
-    pub model: WellFoundedModel,
-    /// Truth of each constraint's violation marker, in `violations` order.
-    pub constraint_status: Vec<Truth>,
-    /// How the model was produced (full vs incremental).
-    pub stats: SolveStats,
-}
-
-/// [`solve`] plus constraint-status evaluation in one call — the solve
-/// stage of the compile → solve → serve lifecycle.
-pub fn solve_packaged(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-    violations: &[PredId],
-) -> SolveOutput {
-    solve_packaged_budgeted(
-        universe,
-        db,
-        program,
-        options,
-        violations,
-        &SolveBudget::unlimited(),
-    )
-}
-
-/// [`solve_packaged`] under a [`SolveBudget`].
-pub fn solve_packaged_budgeted(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-    violations: &[PredId],
-    solve_budget: &SolveBudget,
-) -> SolveOutput {
-    let model = solve_budgeted(universe, db, program, options, solve_budget);
-    let constraint_status = constraint_status(universe, &model, violations);
-    let stats = stats_of(&model, false);
-    SolveOutput {
-        model,
-        constraint_status,
-        stats,
-    }
-}
-
-/// Goal-directed solve: [`solve_packaged_budgeted`] restricted to a
-/// **relevance-closed** predicate slice (`pred_mask`, indexed by
-/// [`PredId`]), as computed by `wfdl-analyze`'s `ProgramSlice` from a
-/// query's goal predicates.
-///
-/// The chase seeds only in-slice facts and fires only rules with
-/// in-slice heads; the modular engine then runs on the restricted ground
-/// program. Because the mask is relevance-closed (it follows both
-/// positive and negative dependency edges), every in-slice atom gets the
-/// **same verdict the full solve would assign** — with the same
-/// `options.budget`, derivation depths coincide, so even
-/// depth-truncation semantics match bit-for-bit.
-///
-/// `memo_prev` optionally composes with an earlier **modular** solve
-/// over the same universe (typically the last full solve): components of
-/// the sliced ground program whose input fingerprints and atom sets
-/// coincide with a previous component reuse its verdicts instead of
-/// re-solving.
-///
-/// Two sliced-model caveats the caller must enforce (the façade's
-/// `SolvedModel` slice guard does):
-///
-/// * atoms over **out-of-slice** predicates were never chased — the
-///   model's `value()` reads them `False`, which is only meaningful for
-///   in-slice atoms. Queries must be checked against the mask.
-/// * constraints are not goal-directed: a violation predicate outside
-///   the slice reports [`Truth::Unknown`] (its rules never fired, so
-///   neither verdict would be sound).
-///
-/// `stats.sliced` is set; the component-count fields are left `0` for
-/// the slice-computing caller to fill.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_sliced_packaged_budgeted(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-    violations: &[PredId],
-    solve_budget: &SolveBudget,
-    pred_mask: &[bool],
-    memo_prev: Option<&WellFoundedModel>,
-) -> SolveOutput {
-    let budget = options.budget.with_threads(options.threads);
-    let segment = ChaseSegment::build_restricted_budgeted(
-        universe,
-        db,
-        program,
-        budget,
-        solve_budget,
-        pred_mask,
-    );
-    let model = finish_model_with(segment, options, None, memo_prev, solve_budget);
-    let constraint_status = constraint_status_sliced(universe, &model, violations, pred_mask);
-    let mut stats = stats_of(&model, false);
-    stats.sliced = true;
-    SolveOutput {
-        model,
-        constraint_status,
-        stats,
-    }
-}
-
-/// [`solve_resumed`] plus constraint-status evaluation in one call — the
-/// incremental solve stage after an insert-only delta.
-///
-/// # Errors
-///
-/// Returns [`ResumeError`] when `prev`'s segment refuses to resume; the
-/// caller falls back to a full [`solve_packaged`].
-pub fn solve_packaged_resumed(
-    universe: &mut Universe,
-    prev: &WellFoundedModel,
-    program: &SkolemProgram,
-    new_facts: &[wfdl_core::AtomId],
-    options: WfsOptions,
-    violations: &[PredId],
-) -> Result<SolveOutput, ResumeError> {
-    solve_packaged_resumed_budgeted(
-        universe,
-        prev,
-        program,
-        new_facts,
-        options,
-        violations,
-        &SolveBudget::unlimited(),
-    )
-}
-
-/// [`solve_packaged_resumed`] under a [`SolveBudget`].
-///
-/// # Errors
-///
-/// Returns [`ResumeError`] when `prev`'s segment refuses to resume.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_packaged_resumed_budgeted(
-    universe: &mut Universe,
-    prev: &WellFoundedModel,
-    program: &SkolemProgram,
-    new_facts: &[wfdl_core::AtomId],
-    options: WfsOptions,
-    violations: &[PredId],
-    solve_budget: &SolveBudget,
-) -> Result<SolveOutput, ResumeError> {
-    let (model, stats) =
-        solve_resumed_budgeted(universe, prev, program, new_facts, options, solve_budget)?;
-    let constraint_status = constraint_status(universe, &model, violations);
-    Ok(SolveOutput {
-        model,
-        constraint_status,
-        stats,
-    })
-}
-
 /// Computes the **conservative no-UNA approximation** used in the paper's
 /// Example 2 discussion: labelled nulls might denote equal values, so a
 /// null-containing atom that merely fails to be derived cannot be declared
@@ -701,7 +638,6 @@ pub fn solve_no_una(
         ground,
         result,
         exact,
-        engine: EngineKind::Wp,
         outcome,
     }
 }
@@ -742,39 +678,24 @@ pub fn lower_with_constraints(
 
 /// Truth of each lowered constraint's violation atom in a model:
 /// `True` = surely violated, `Unknown` = possibly violated, `False` = safe.
+///
+/// `pred_mask` is the slice of a slice-restricted model (`None` for a full
+/// one): a constraint whose violation predicate is **outside** the slice
+/// was not solved — its rules never fired — so it reports
+/// [`Truth::Unknown`] (reading the model would yield a spurious `False`).
+/// Violation predicates are nullary markers no rule body reads, so in
+/// practice every constraint is `Unknown` under a sliced solve unless its
+/// marker was named a goal.
 pub fn constraint_status(
     universe: &mut Universe,
     model: &WellFoundedModel,
     violation_preds: &[PredId],
+    pred_mask: Option<&[bool]>,
 ) -> Vec<Truth> {
     violation_preds
         .iter()
         .map(|&p| {
-            // Constraint lowering registers every violation pred as
-            // nullary, so the empty-args interning cannot fail.
-            #[allow(clippy::expect_used)]
-            let atom = universe.atom(p, Vec::new()).expect("nullary");
-            model.value(atom)
-        })
-        .collect()
-}
-
-/// [`constraint_status`] for a slice-restricted model: a constraint
-/// whose violation predicate is **outside** the slice was not solved —
-/// its rules never fired — so it reports [`Truth::Unknown`] (reading the
-/// model would yield a spurious `False`). Violation predicates are
-/// nullary markers no rule body reads, so in practice every constraint
-/// is `Unknown` under a sliced solve unless its marker was named a goal.
-pub fn constraint_status_sliced(
-    universe: &mut Universe,
-    model: &WellFoundedModel,
-    violation_preds: &[PredId],
-    pred_mask: &[bool],
-) -> Vec<Truth> {
-    violation_preds
-        .iter()
-        .map(|&p| {
-            if !pred_mask.get(p.index()).copied().unwrap_or(false) {
+            if pred_mask.is_some_and(|mask| !mask.get(p.index()).copied().unwrap_or(false)) {
                 return Truth::Unknown;
             }
             // Constraint lowering registers every violation pred as
@@ -786,77 +707,6 @@ pub fn constraint_status_sliced(
         .collect()
 }
 
-/// Outcome of [`solve_stable`].
-#[derive(Clone, Debug)]
-pub struct StabilityReport {
-    /// Depths at which models were computed.
-    pub depths: Vec<u32>,
-    /// Whether the final rounds were stable (or the chase completed).
-    pub stable: bool,
-}
-
-/// Deepening heuristic: solves at increasing depths until either the chase
-/// completes (exact) or the truth values of all previously-materialized
-/// atoms are unchanged across `required_stable_rounds` consecutive
-/// deepenings. Not a proof of exactness for truncated chases — the paper's
-/// guarantee needs depth `n·δ` — but exact whenever `exact` is reported and
-/// validated against ground truth on the paper's examples.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_stable(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    start_depth: u32,
-    step: u32,
-    max_depth: u32,
-    required_stable_rounds: u32,
-    engine: EngineKind,
-) -> (WellFoundedModel, StabilityReport) {
-    assert!(step > 0, "deepening step must be positive");
-    let mut depth = start_depth;
-    let mut report = StabilityReport {
-        depths: vec![depth],
-        stable: false,
-    };
-    let mut model = solve(
-        universe,
-        db,
-        program,
-        WfsOptions {
-            budget: ChaseBudget::depth(depth),
-            engine,
-            ..Default::default()
-        },
-    );
-    let mut stable_rounds = 0u32;
-    while !model.exact && depth < max_depth {
-        depth = (depth + step).min(max_depth);
-        report.depths.push(depth);
-        let next = solve(
-            universe,
-            db,
-            program,
-            WfsOptions {
-                budget: ChaseBudget::depth(depth),
-                engine,
-                ..Default::default()
-            },
-        );
-        let agree = model
-            .segment
-            .atoms()
-            .iter()
-            .all(|sa| model.result.value(sa.atom) == next.value(sa.atom));
-        stable_rounds = if agree { stable_rounds + 1 } else { 0 };
-        model = next;
-        if model.exact || stable_rounds >= required_stable_rounds {
-            break;
-        }
-    }
-    report.stable = model.exact || stable_rounds >= required_stable_rounds;
-    (model, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,26 +714,31 @@ mod tests {
 
     #[test]
     fn all_engines_agree_on_example4() {
+        use crate::{AlternatingEngine, ForwardEngine};
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let engines = [
-            EngineKind::Modular,
-            EngineKind::Wp,
-            EngineKind::WpLiteral,
-            EngineKind::Alternating,
-            EngineKind::Forward,
+        let reference = solve(&mut u, &db, &prog, WfsOptions::depth(6));
+        let oracles = [
+            (
+                "wp",
+                WpEngine::new(&reference.ground).solve(StepMode::Accelerated),
+            ),
+            (
+                "wp-literal",
+                WpEngine::new(&reference.ground).solve(StepMode::Literal),
+            ),
+            (
+                "alternating",
+                AlternatingEngine::new(&reference.ground).solve(),
+            ),
+            ("forward", ForwardEngine::new(&reference.segment).solve()),
         ];
-        let models: Vec<WellFoundedModel> = engines
-            .iter()
-            .map(|&e| solve(&mut u, &db, &prog, WfsOptions::depth(6).with_engine(e)))
-            .collect();
-        let reference = &models[0];
-        for (m, e) in models.iter().zip(&engines).skip(1) {
+        for (name, oracle) in &oracles {
             for sa in reference.segment.atoms() {
                 assert_eq!(
                     reference.value(sa.atom),
-                    m.value(sa.atom),
-                    "engine {e:?} disagrees on {}",
+                    oracle.value(sa.atom),
+                    "engine {name} disagrees on {}",
                     u.display_atom(sa.atom)
                 );
             }
@@ -907,19 +762,6 @@ mod tests {
         let q0 = u.atom(q, vec![zero]).unwrap();
         assert!(model.is_false(q0));
         assert!(!model.exact, "Example 4 chase is infinite");
-    }
-
-    #[test]
-    fn stability_deepening_on_example4() {
-        let mut u = Universe::new();
-        let (db, prog) = example4(&mut u);
-        let (model, report) = solve_stable(&mut u, &db, &prog, 2, 2, 12, 2, EngineKind::Wp);
-        assert!(report.stable, "depths tried: {:?}", report.depths);
-        assert!(report.depths.len() >= 2);
-        let t = u.lookup_pred("T").unwrap();
-        let zero = u.lookup_constant("0").unwrap();
-        let t0 = u.atom(t, vec![zero]).unwrap();
-        assert!(model.is_true(t0));
     }
 
     #[test]
@@ -963,7 +805,7 @@ mod tests {
         let pc = u.atom(p, vec![c]).unwrap();
         db.insert(&u, pc).unwrap();
         let model = solve(&mut u, &db, &sk, WfsOptions::unbounded());
-        let status = constraint_status(&mut u, &model, &viols);
+        let status = constraint_status(&mut u, &model, &viols, None);
         assert_eq!(status, vec![Truth::True, Truth::False]);
     }
 

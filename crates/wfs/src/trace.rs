@@ -117,25 +117,31 @@ impl StageTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, EngineKind, WfsOptions};
+    use crate::solver::{solve, WellFoundedModel, WfsOptions};
+    use crate::{ForwardEngine, StepMode, WpEngine};
     use wfdl_chase::paper::example4;
     use wfdl_core::Universe;
 
-    fn trace_example4(engine: EngineKind) -> (Universe, StageTrace) {
+    /// Traces a stage-faithful oracle engine (the production engine's
+    /// stages are component ordinals) on Example 4's depth-5 segment.
+    fn trace_example4(oracle: fn(&WellFoundedModel) -> EngineResult) -> (Universe, StageTrace) {
         let mut u = Universe::new();
         let (db, sigma) = example4(&mut u);
-        let model = solve(
-            &mut u,
-            &db,
-            &sigma,
-            WfsOptions::depth(5).with_engine(engine),
-        );
-        (u, StageTrace::from_result(&model.result))
+        let model = solve(&mut u, &db, &sigma, WfsOptions::depth(5));
+        (u, StageTrace::from_result(&oracle(&model)))
+    }
+
+    fn forward(model: &WellFoundedModel) -> EngineResult {
+        ForwardEngine::new(&model.segment).solve()
+    }
+
+    fn wp_literal(model: &WellFoundedModel) -> EngineResult {
+        WpEngine::new(&model.ground).solve(StepMode::Literal)
     }
 
     #[test]
     fn trace_is_stage_sorted_and_complete() {
-        let (_u, trace) = trace_example4(EngineKind::Forward);
+        let (_u, trace) = trace_example4(forward);
         assert!(!trace.entries().is_empty());
         assert!(trace.entries().windows(2).all(|w| w[0].stage <= w[1].stage));
         assert_eq!(trace.settled_stage(), trace.stages);
@@ -143,14 +149,14 @@ mod tests {
 
     #[test]
     fn histogram_sums_to_entry_count() {
-        let (_u, trace) = trace_example4(EngineKind::WpLiteral);
+        let (_u, trace) = trace_example4(wp_literal);
         let total: usize = trace.histogram().iter().map(|(_, t, f)| t + f).sum();
         assert_eq!(total, trace.entries().len());
     }
 
     #[test]
     fn render_shows_example9_stage1() {
-        let (u, trace) = trace_example4(EngineKind::Forward);
+        let (u, trace) = trace_example4(forward);
         let text = trace.render(&u, 100);
         // Stage 1 contains the R-chain and P(0,0) (Example 9's Ŵ_{P,1}).
         let stage1: Vec<String> = trace
@@ -166,7 +172,7 @@ mod tests {
 
     #[test]
     fn render_caps_per_stage() {
-        let (u, trace) = trace_example4(EngineKind::Forward);
+        let (u, trace) = trace_example4(forward);
         let text = trace.render(&u, 1);
         assert!(text.contains("more"), "{text}");
     }

@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! wfdl run program.dl   [--facts data.tsv …] [--depth N] [--threads N]
-//!                       [--engine modular|wp|wp-literal|alternating|forward]
 //!                       [--deadline-ms N] [--mem-budget BYTES]
 //!                       [--model] [--hidden] [--forest N] [--stats]
 //! wfdl query program.dl --q '?- win(a).' [--q '?(X) win(X).' …]
-//!                       [--facts data.tsv …] [--depth N] [--threads N] [--engine …]
+//!                       [--facts data.tsv …] [--depth N] [--threads N]
 //!                       [--deadline-ms N] [--mem-budget BYTES] [--sliced] [--stats]
 //! wfdl check program.dl            # parse + validate only
 //! wfdl lint  program.dl [--facts data.tsv …] [--format text|json] [--deny warn]
 //! wfdl serve program.dl [--addr HOST:PORT] [--workers N]
-//!                       [--facts data.tsv …] [--depth N] [--threads N] [--engine …]
+//!                       [--facts data.tsv …] [--depth N] [--threads N]
 //!                       [--deadline-ms N]
 //! ```
 //!
@@ -74,7 +73,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 use wfdatalog::chase::ExplicitForest;
-use wfdatalog::{EngineKind, KnowledgeBase, SolveBudget, SolvedModel, Truth, WfsOptions};
+use wfdatalog::{KnowledgeBase, SolveBudget, SolvedModel, Truth};
 
 /// Writes to stdout, treating a closed pipe as a normal end of output:
 /// `wfdl run … | head` must exit 0, not panic (the classic Rust `println!`
@@ -102,11 +101,11 @@ macro_rules! outp {
     ($($arg:tt)*) => { write_out(format_args!($($arg)*)) };
 }
 
+#[derive(Default)]
 struct Options {
     command: String,
     file: String,
     depth: Option<u32>,
-    engine: EngineKind,
     /// Worker threads for the chase match and the modular engine
     /// (`0` = auto, `1` = serial).
     threads: Option<usize>,
@@ -138,16 +137,15 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: wfdl run <file>   [--facts data.tsv …] [--depth N] [--threads N]\n\
-         \x20                     [--engine modular|wp|wp-literal|alternating|forward]\n\
          \x20                     [--deadline-ms N] [--mem-budget BYTES]\n\
          \x20                     [--model] [--hidden] [--forest N] [--stats]\n\
          \x20      wfdl query <file> --q '?- ….' [--q '?(X) … .' …]\n\
-         \x20                     [--facts data.tsv …] [--depth N] [--threads N] [--engine …]\n\
+         \x20                     [--facts data.tsv …] [--depth N] [--threads N]\n\
          \x20                     [--deadline-ms N] [--mem-budget BYTES] [--sliced] [--stats]\n\
          \x20      wfdl check <file>\n\
          \x20      wfdl lint <file>  [--facts data.tsv …] [--format text|json] [--deny warn]\n\
          \x20      wfdl serve <file> [--addr HOST:PORT] [--workers N]\n\
-         \x20                     [--facts data.tsv …] [--depth N] [--threads N] [--engine …]\n\
+         \x20                     [--facts data.tsv …] [--depth N] [--threads N]\n\
          \x20                     [--deadline-ms N]\n\
          \x20      (--threads: 0 = auto, 1 = serial, N = N workers;\n\
          \x20       --sliced: goal-directed solve per query — identical answers,\n\
@@ -159,84 +157,40 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// The value of a flag that takes one, or the usage error.
+fn value(args: &mut impl Iterator<Item = String>) -> String {
+    args.next().unwrap_or_else(|| usage())
+}
+
+/// [`value`], parsed as a number.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    value(args).parse().unwrap_or_else(|_| usage())
+}
+
 fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
-    let command = args.next().unwrap_or_else(|| usage());
-    let file = args.next().unwrap_or_else(|| usage());
     let mut opts = Options {
-        command,
-        file,
-        depth: None,
-        engine: EngineKind::Modular,
-        threads: None,
-        show_model: false,
-        show_hidden: false,
-        forest_depth: None,
-        stats: false,
-        adhoc_queries: Vec::new(),
-        fact_files: Vec::new(),
-        deadline_ms: None,
-        mem_budget: None,
-        addr: None,
-        workers: None,
-        format: None,
-        deny_warn: false,
-        sliced: false,
+        command: value(&mut args),
+        file: value(&mut args),
+        ..Options::default()
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--depth" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.depth = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.threads = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--engine" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.engine = match v.as_str() {
-                    "modular" => EngineKind::Modular,
-                    "wp" => EngineKind::Wp,
-                    "wp-literal" => EngineKind::WpLiteral,
-                    "alternating" => EngineKind::Alternating,
-                    "forward" => EngineKind::Forward,
-                    _ => usage(),
-                };
-            }
+            "--depth" => opts.depth = Some(number(&mut args)),
+            "--threads" => opts.threads = Some(number(&mut args)),
             "--model" => opts.show_model = true,
             "--hidden" => opts.show_hidden = true,
             "--stats" => opts.stats = true,
             "--sliced" => opts.sliced = true,
-            "--forest" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.forest_depth = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--q" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.adhoc_queries.push(v);
-            }
-            "--facts" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.fact_files.push(v);
-            }
-            "--deadline-ms" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.deadline_ms = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--mem-budget" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.mem_budget = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--addr" => {
-                opts.addr = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--workers" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.workers = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
+            "--forest" => opts.forest_depth = Some(number(&mut args)),
+            "--q" => opts.adhoc_queries.push(value(&mut args)),
+            "--facts" => opts.fact_files.push(value(&mut args)),
+            "--deadline-ms" => opts.deadline_ms = Some(number(&mut args)),
+            "--mem-budget" => opts.mem_budget = Some(number(&mut args)),
+            "--addr" => opts.addr = Some(value(&mut args)),
+            "--workers" => opts.workers = Some(number(&mut args)),
             "--format" => {
-                let v = args.next().unwrap_or_else(|| usage());
+                let v = value(&mut args);
                 if v != "text" && v != "json" {
                     eprintln!("wfdl: --format takes `text` or `json`, got `{v}`");
                     usage()
@@ -244,7 +198,7 @@ fn parse_args() -> Options {
                 opts.format = Some(v);
             }
             "--deny" => {
-                let v = args.next().unwrap_or_else(|| usage());
+                let v = value(&mut args);
                 if v != "warn" {
                     eprintln!("wfdl: --deny takes `warn`, got `{v}`");
                     usage()
@@ -281,6 +235,16 @@ fn main() -> ExitCode {
         );
         usage()
     }
+    // What only the solving subcommands take.
+    let solve_flags = opts.depth.is_some()
+        || opts.threads.is_some()
+        || opts.show_model
+        || opts.show_hidden
+        || opts.stats
+        || opts.forest_depth.is_some()
+        || !opts.adhoc_queries.is_empty()
+        || opts.deadline_ms.is_some()
+        || opts.mem_budget.is_some();
     match opts.command.as_str() {
         "query" => {
             if opts.show_model || opts.show_hidden || opts.forest_depth.is_some() {
@@ -305,34 +269,13 @@ fn main() -> ExitCode {
             }
         }
         "lint" => {
-            if opts.depth.is_some()
-                || opts.threads.is_some()
-                || opts.engine != EngineKind::Modular
-                || opts.show_model
-                || opts.show_hidden
-                || opts.stats
-                || opts.forest_depth.is_some()
-                || !opts.adhoc_queries.is_empty()
-                || opts.deadline_ms.is_some()
-                || opts.mem_budget.is_some()
-            {
+            if solve_flags {
                 eprintln!("wfdl lint: takes only --facts, --format and --deny (it never solves)");
                 usage()
             }
         }
         "check" => {
-            if opts.depth.is_some()
-                || opts.threads.is_some()
-                || opts.engine != EngineKind::Modular
-                || opts.show_model
-                || opts.show_hidden
-                || opts.stats
-                || opts.forest_depth.is_some()
-                || !opts.adhoc_queries.is_empty()
-                || !opts.fact_files.is_empty()
-                || opts.deadline_ms.is_some()
-                || opts.mem_budget.is_some()
-            {
+            if solve_flags || !opts.fact_files.is_empty() {
                 eprintln!("wfdl check: takes no flags (it parses and validates only)");
                 usage()
             }
@@ -382,6 +325,7 @@ fn main() -> ExitCode {
         }
     }
 
+    let kb = with_solve_flags(&opts, kb);
     match opts.command.as_str() {
         "check" => {
             outln!(
@@ -420,16 +364,18 @@ fn classify_error(message: &str) -> wfdatalog::analysis::Code {
 /// [`wfdatalog::AnalysisReport::to_json`]'s field order with
 /// `"class":"unknown"` — the analyzer never saw a lowered program.
 fn render_error_report(file: &str, d: &wfdatalog::Diagnostic, json: bool) -> String {
-    use wfdatalog::analysis::report::{diagnostic_json, json_escape};
+    use wfdatalog::analysis::report::diagnostic_json;
     if json {
-        format!(
-            "{{\"file\":\"{}\",\"class\":\"unknown\",\"stratified\":false,\
+        let mut out = String::from("{\"file\":");
+        wfdatalog::core::json::push_json_str(&mut out, file);
+        out.push_str(&format!(
+            ",\"class\":\"unknown\",\"stratified\":false,\
              \"weakly_acyclic\":false,\"rules\":0,\
              \"summary\":{{\"errors\":1,\"warnings\":0,\"infos\":0}},\
              \"components\":[],\"diagnostics\":[{}]}}\n",
-            json_escape(file),
             diagnostic_json(d)
-        )
+        ));
+        out
     } else {
         format!(
             "{}\n{file}: class=unknown · 1 error(s), 0 warning(s), 0 info(s)\n",
@@ -506,16 +452,6 @@ fn lint(opts: &Options, source: &str) -> ExitCode {
 
 /// `wfdl serve <file>`: solve once, serve HTTP until SIGINT/SIGTERM.
 fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
-    // Persist the CLI solve options on the knowledge base so every
-    // ingest-triggered re-solve uses them, not just the initial solve.
-    let mut wfs_options = match opts.depth {
-        Some(d) => WfsOptions::depth(d).with_engine(opts.engine),
-        None => kb.effective_options().with_engine(opts.engine),
-    };
-    if let Some(t) = opts.threads {
-        wfs_options = wfs_options.with_threads(t);
-    }
-    let kb = kb.with_options(wfs_options);
     let workers = opts.workers.unwrap_or(4).max(1);
     let serve_options = wfdatalog::serve::ServeOptions {
         addr: opts
@@ -557,28 +493,33 @@ fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Solves the knowledge base with the CLI's depth/engine options.
-fn solve(opts: &Options, mut kb: KnowledgeBase) -> std::sync::Arc<SolvedModel> {
-    let mut wfs_options = match opts.depth {
-        Some(d) => WfsOptions::depth(d).with_engine(opts.engine),
-        // Auto: unbounded when the program has no existentials, else
-        // depth 12 (the KnowledgeBase default).
-        None => kb.effective_options().with_engine(opts.engine),
-    };
+/// Applies the solve flags to the knowledge base, so every solve it runs
+/// uses them — the initial one, each ingest-triggered re-solve of `serve`,
+/// each per-query solve of `query --sliced`. Without `--depth` the chase
+/// budget stays automatic (unbounded when the program has no existentials,
+/// else depth 12), without `--threads` so does the worker count.
+/// `--deadline-ms` is an absolute instant counted from here (`serve`
+/// re-arms it per solve).
+fn with_solve_flags(opts: &Options, mut kb: KnowledgeBase) -> KnowledgeBase {
+    if let Some(d) = opts.depth {
+        kb = kb.with_depth(d);
+    }
     if let Some(t) = opts.threads {
-        wfs_options = wfs_options.with_threads(t);
+        kb = kb.with_threads(t);
     }
-    if opts.deadline_ms.is_some() || opts.mem_budget.is_some() {
-        let mut budget = SolveBudget::unlimited();
-        if let Some(ms) = opts.deadline_ms {
-            budget = budget.with_deadline_in(std::time::Duration::from_millis(ms));
-        }
-        if let Some(bytes) = opts.mem_budget {
-            budget = budget.with_mem_limit(bytes);
-        }
-        kb.set_solve_budget(budget);
+    let mut budget = SolveBudget::unlimited();
+    if let Some(ms) = opts.deadline_ms {
+        budget = budget.with_deadline_in(std::time::Duration::from_millis(ms));
     }
-    let model = match kb.try_solve_with(wfs_options) {
+    if let Some(bytes) = opts.mem_budget {
+        budget = budget.with_mem_limit(bytes);
+    }
+    kb.with_solve_budget(budget)
+}
+
+/// Solves the knowledge base, reporting a truncation on stderr.
+fn solve(mut kb: KnowledgeBase) -> std::sync::Arc<SolvedModel> {
+    let model = match kb.try_solve() {
         Ok(model) => model,
         Err(e) => {
             eprintln!("wfdl: {e}");
@@ -640,7 +581,7 @@ fn query(opts: Options, kb: KnowledgeBase) -> ExitCode {
     if opts.sliced {
         return query_sliced(opts, kb);
     }
-    let model = solve(&opts, kb);
+    let model = solve(kb);
     // Prepare everything first so malformed queries fail before output.
     let mut prepared = Vec::with_capacity(opts.adhoc_queries.len());
     for src in &opts.adhoc_queries {
@@ -672,26 +613,6 @@ fn query(opts: Options, kb: KnowledgeBase) -> ExitCode {
 /// Answers are bit-identical to the full solve's; `--stats` reports the
 /// slice shape per query as a `% slice:` line.
 fn query_sliced(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
-    // Mirror `solve`'s option handling, persisted on the knowledge base
-    // so every per-query sliced solve uses it.
-    let mut wfs_options = match opts.depth {
-        Some(d) => WfsOptions::depth(d).with_engine(opts.engine),
-        None => kb.effective_options().with_engine(opts.engine),
-    };
-    if let Some(t) = opts.threads {
-        wfs_options = wfs_options.with_threads(t);
-    }
-    kb = kb.with_options(wfs_options);
-    if opts.deadline_ms.is_some() || opts.mem_budget.is_some() {
-        let mut budget = SolveBudget::unlimited();
-        if let Some(ms) = opts.deadline_ms {
-            budget = budget.with_deadline_in(std::time::Duration::from_millis(ms));
-        }
-        if let Some(bytes) = opts.mem_budget {
-            budget = budget.with_mem_limit(bytes);
-        }
-        kb.set_solve_budget(budget);
-    }
     for (i, src) in opts.adhoc_queries.iter().enumerate() {
         let model = match kb.solve_for(src) {
             Ok(m) => m,
@@ -748,7 +669,7 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
             outln!("% lint: {}", d.render_text(&opts.file));
         }
     }
-    let model = solve(&opts, kb);
+    let model = solve(kb);
     let universe = model.universe();
 
     if opts.stats {

@@ -124,8 +124,9 @@
 //!   both interning (compile) and frozen (serve) query lowering;
 //! * [`wfdl_chase`] — the guarded chase forest (condensed segments,
 //!   the explicit Example 6 forest, the paper's depth bound `δ`);
-//! * [`wfdl_wfs`] — the WFS engines (see below), the stratified
-//!   baseline, WCHECK-style membership with certificates;
+//! * [`wfdl_wfs`] — the solve path and its modular engine (see below),
+//!   the oracle engines and baselines the tests compare it with,
+//!   WCHECK-style membership with certificates;
 //! * [`wfdl_query`] — NBCQ evaluation with certain-answer semantics and
 //!   [`PreparedQuery`];
 //! * [`wfdl_ontology`] — DL-Lite_{R,⊓,not} translation.
@@ -134,32 +135,26 @@
 //!
 //! The ground program extracted from a chase segment renumbers its atoms
 //! into dense local ids and keeps every occurrence index in flat CSR
-//! arrays. On top of that sits a two-level evaluation scheme, selected by
-//! [`EngineKind`] in [`WfsOptions`]:
+//! arrays. One engine evaluates it, [`wfdl_wfs::ModularEngine`]: it
+//! condenses the atom dependency graph with Tarjan's SCC algorithm and
+//! evaluates components bottom-up — one flat semi-naive pass for a
+//! component without internal negation, the `W_P` unfounded-set iteration,
+//! in place, only for components that are genuinely recursive through
+//! negation (e.g. win–move draw cycles). Components on the same
+//! topological wavefront are independent and run **in parallel** when
+//! asked ([`KnowledgeBase::with_threads`] / [`WfsOptions::threads`], `wfdl
+//! run --threads N`): `0` (the default) picks automatically, `1` forces
+//! the serial path, and the model is bit-identical for every setting.
+//! Per-component counters come back as [`ModularStats`]
+//! ([`WellFoundedModel::component_stats`](wfdl_wfs::WellFoundedModel::component_stats),
+//! `wfdl run --stats`).
 //!
-//! * [`EngineKind::Modular`] *(default)* condenses the atom dependency
-//!   graph with Tarjan's SCC algorithm and evaluates components bottom-up:
-//!   components without internal negation get one flat semi-naive pass,
-//!   and only components that are genuinely recursive through negation
-//!   (e.g. win–move draw cycles) invoke the `W_P` unfounded-set machinery
-//!   on their own (usually tiny) subprogram. Components on the same
-//!   topological wavefront are independent, and the engine evaluates them
-//!   **in parallel** when asked: set the worker count with
-//!   [`KnowledgeBase::with_threads`] / [`WfsOptions::threads`] (`wfdl run
-//!   --threads N` on the CLI) — `0` (the default) picks automatically,
-//!   `1` forces the serial path, and the computed model is bit-identical
-//!   for every setting. Per-component counters are returned as
-//!   [`ModularStats`] via
-//!   [`WellFoundedModel::component_stats`](wfdl_wfs::WellFoundedModel::component_stats)
-//!   and printed by `wfdl run --stats`.
-//! * [`EngineKind::Wp`], [`EngineKind::WpLiteral`],
-//!   [`EngineKind::Alternating`] and [`EngineKind::Forward`] run a single
-//!   global fixpoint; they remain available for cross-validation,
-//!   stage-faithful traces and the chase-level `Ŵ_P` semantics.
-//!
-//! All engines compute the same three-valued model (enforced by the
-//! cross-engine agreement test suite); they differ only in how much work
-//! they do to get there.
+//! The paper's other definitions of the same model — the global `W_P`
+//! fixpoint ([`wfdl_wfs::WpEngine`]), Van Gelder's alternating fixpoint
+//! ([`wfdl_wfs::AlternatingEngine`]), the chase-level `Ŵ_P` of Theorem 8
+//! ([`wfdl_wfs::ForwardEngine`]) — are not selectable: they are
+//! **oracles**, built directly on a solved model's `ground` / `segment`
+//! by the cross-engine agreement suites and for stage-faithful traces.
 //!
 //! The repo-level `ARCHITECTURE.md` is the full handbook: crate graph,
 //! data flow of one solve, determinism/parallelism invariants, and the
@@ -184,7 +179,7 @@ pub use wfdl_core::{
 };
 pub use wfdl_query::{AnswerSet, Nbcq, PreparedQuery, TruthSource};
 pub use wfdl_storage::Database;
-pub use wfdl_wfs::{EngineKind, ModularStats, SolveStats, WellFoundedModel, WfsOptions};
+pub use wfdl_wfs::{ModularStats, SolveStats, WellFoundedModel, WfsOptions};
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -203,9 +198,10 @@ pub enum Error {
     /// or binding the serving tier's listener ([`serve`]).
     Io(std::io::Error),
     /// A worker panicked inside the solve pipeline. The panic was caught at
-    /// the engine boundary ([`KnowledgeBase::try_solve`]); the knowledge
-    /// base remains fully usable and the next solve recomputes from
-    /// scratch — no poisoned state.
+    /// the engine boundary ([`KnowledgeBase::try_solve`],
+    /// [`KnowledgeBase::solve_for`]); the knowledge base remains fully
+    /// usable and the next full solve recomputes from scratch — no
+    /// poisoned state.
     EnginePanic(String),
     /// A query against a goal-directed (sliced) model mentions predicates
     /// outside the slice ([`KnowledgeBase::solve_for`],
@@ -292,8 +288,6 @@ pub struct KnowledgeBase {
     /// Configured chase budget; `None` = decide from the program at
     /// solve time (so it tracks later `add_source` calls).
     budget: Option<ChaseBudget>,
-    /// Configured engine; `None` = the default engine.
-    engine: Option<EngineKind>,
     /// Configured worker-thread count; `None` = auto (see
     /// [`WfsOptions::threads`]).
     threads: Option<usize>,
@@ -302,47 +296,104 @@ pub struct KnowledgeBase {
     /// key: a budget bounds how much work a solve may do, it does not
     /// change what the complete model is.
     solve_budget: SolveBudget,
-    /// Artifact of the most recent solve: the cached fast path when
-    /// nothing changed, and the resume basis when only facts were added.
-    last: Option<(WfsOptions, Arc<SolvedModel>)>,
-    /// Facts inserted since `last` was computed (the insert-only delta).
+    /// What the mutators have done so far. The three caches below each
+    /// remember the revision they were computed at; comparing stamps is
+    /// the only invalidation there is.
+    revision: Revision,
+    /// Artifact of the most recent full solve: served again while nothing
+    /// but queries changed, and the resume basis (and the sliced solves'
+    /// memo) when only facts were added. `None` before the first solve and
+    /// after a solve panicked.
+    last: Option<Cached>,
+    /// Facts inserted since `last` was computed — the insert-only delta a
+    /// resumed chase is fed. The revision says *that* facts changed; this
+    /// log says *which*.
     delta: Vec<AtomId>,
-    /// Rules changed or facts retracted since `last`: resuming would be
-    /// unsound, so the next solve recomputes from scratch.
-    needs_full: bool,
-    /// Queries appeared since `last`: the cached model must be
-    /// re-packaged (its `source_queries` are stale) even with no delta.
-    queries_dirty: bool,
     /// Epoch of the most recently *computed* model (see
-    /// [`SolvedModel::epoch`]): bumped once per solve that actually ran
-    /// the engine (full or incremental). Cache hits and queries-only
-    /// repackagings keep the epoch — the model content is unchanged.
+    /// [`SolvedModel::epoch`]): bumped once per full solve that actually
+    /// ran the engine (from scratch or resumed). Cache hits and
+    /// queries-only repackagings keep the epoch — the model content is
+    /// unchanged.
     epoch: u64,
-    /// Cached static-analysis report (see [`KnowledgeBase::analyze`]),
-    /// invalidated by any mutation that can change its inputs: new rules
-    /// or queries, and fact churn (the EDB predicate set feeds the
-    /// dead-code pass).
-    analysis: Option<Arc<AnalysisReport>>,
-    /// Monotone mutation counter: bumped by every operation that can
-    /// change the model (fact insert/retract, new rules). The sliced-solve
-    /// cache keys on it — comparing generations is the only staleness
-    /// check [`KnowledgeBase::solve_for`] needs, independent of how the
-    /// full-solve cache consumed `delta`/`needs_full` in between.
-    generation: u64,
-    /// Artifact of the most recent [`KnowledgeBase::solve_for`]: served
-    /// again while options, goal set and generation all match.
-    sliced_last: Option<SlicedCache>,
+    /// Artifact of the most recent [`KnowledgeBase::solve_for`] and the
+    /// goal predicates it was sliced for.
+    sliced_last: Option<(Vec<wfdl_core::PredId>, Cached)>,
+    /// The static-analysis report (see [`KnowledgeBase::analyze`]) and the
+    /// revision it describes: rules and queries are its program, and the
+    /// fact set feeds the dead-code pass.
+    analysis: Option<(Revision, Arc<AnalysisReport>)>,
 }
 
-/// Cache entry for [`KnowledgeBase::solve_for`].
-struct SlicedCache {
+/// Monotone mutation stamp of a [`KnowledgeBase`]: one counter per kind of
+/// change, bumped by the mutators and never reset.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Revision {
+    /// The fact set changed (insert, retract, facts in `add_source`).
+    facts: u64,
+    /// Rules were added or facts retracted: derived consequences are
+    /// invalid wholesale, so a chase resumed across this would be unsound.
+    rebuild: u64,
+    /// Queries were added: every model stays right, but a packaged
+    /// model's prepared `source_queries` are stale.
+    queries: u64,
+}
+
+impl Revision {
+    /// True iff a model computed at `self` is still the model at `now`:
+    /// at most queries were added in between.
+    fn same_model(self, now: Revision) -> bool {
+        self.facts == now.facts && self.rebuild == now.rebuild
+    }
+}
+
+/// A solved model with what it was solved under.
+struct Cached {
     options: WfsOptions,
-    goals: Vec<wfdl_core::PredId>,
-    generation: u64,
+    at: Revision,
     model: Arc<SolvedModel>,
 }
 
+impl Cached {
+    /// True iff the cached model is still the answer to a solve under
+    /// `options` at revision `now`.
+    ///
+    /// A budget-truncated model never is: re-solving may get further (the
+    /// deadline moved, the token was replaced, the limit was raised), and
+    /// a resumed solve continues its chase from the stopping round even
+    /// with an empty delta. Depth/cap truncations are deterministic
+    /// properties of the program + options, so re-solving those would
+    /// change nothing and they stay cacheable.
+    fn serves(&self, options: WfsOptions, now: Revision) -> bool {
+        self.options == options && self.at.same_model(now) && !self.model.outcome().is_budget_trip()
+    }
+}
+
 impl KnowledgeBase {
+    fn new(
+        universe: Universe,
+        database: Database,
+        sigma: SkolemProgram,
+        violations: Vec<wfdl_core::PredId>,
+        queries: Vec<Nbcq>,
+    ) -> Self {
+        KnowledgeBase {
+            universe: Arc::new(universe),
+            database,
+            sigma,
+            violations,
+            queries,
+            budget: None,
+            threads: None,
+            solve_budget: SolveBudget::unlimited(),
+            revision: Revision::default(),
+            last: None,
+            delta: Vec::new(),
+            epoch: 0,
+            sliced_last: None,
+            analysis: None,
+        }
+    }
+
     /// Compiles a program text (facts, rules, constraints, queries).
     pub fn from_source(src: &str) -> Result<Self, Error> {
         let mut universe = Universe::new();
@@ -350,25 +401,13 @@ impl KnowledgeBase {
         let (mut sigma, violations) =
             wfdl_wfs::lower_with_constraints(&mut universe, &lowered.program)?;
         sigma.rules.extend(lowered.functional.iter().cloned());
-        Ok(KnowledgeBase {
-            universe: Arc::new(universe),
-            database: lowered.database,
+        Ok(Self::new(
+            universe,
+            lowered.database,
             sigma,
             violations,
-            queries: lowered.queries,
-            budget: None,
-            engine: None,
-            threads: None,
-            solve_budget: SolveBudget::unlimited(),
-            last: None,
-            delta: Vec::new(),
-            needs_full: false,
-            queries_dirty: false,
-            epoch: 0,
-            analysis: None,
-            generation: 0,
-            sliced_last: None,
-        })
+            lowered.queries,
+        ))
     }
 
     /// Compiles a DL-Lite ontology (Examples 1 and 2 of the paper).
@@ -377,25 +416,13 @@ impl KnowledgeBase {
         let translated = wfdl_ontology::translate(&mut universe, onto)?;
         let (sigma, violations) =
             wfdl_wfs::lower_with_constraints(&mut universe, &translated.program)?;
-        Ok(KnowledgeBase {
-            universe: Arc::new(universe),
-            database: translated.database,
+        Ok(Self::new(
+            universe,
+            translated.database,
             sigma,
             violations,
-            queries: Vec::new(),
-            budget: None,
-            engine: None,
-            threads: None,
-            solve_budget: SolveBudget::unlimited(),
-            last: None,
-            delta: Vec::new(),
-            needs_full: false,
-            queries_dirty: false,
-            epoch: 0,
-            analysis: None,
-            generation: 0,
-            sliced_last: None,
-        })
+            Vec::new(),
+        ))
     }
 
     /// Adds more source text (facts/rules/constraints/queries).
@@ -407,7 +434,6 @@ impl KnowledgeBase {
     pub fn add_source(&mut self, src: &str) -> Result<(), Error> {
         let universe = Arc::make_mut(&mut self.universe);
         let lowered = wfdl_syntax::load(universe, src)?;
-        self.analysis = None;
         let has_rules = !lowered.program.tgds.is_empty()
             || !lowered.program.constraints.is_empty()
             || !lowered.functional.is_empty();
@@ -416,18 +442,17 @@ impl KnowledgeBase {
             self.sigma.rules.extend(sigma.rules);
             self.sigma.rules.extend(lowered.functional.iter().cloned());
             self.violations.extend(violations);
-            self.needs_full = true;
-            self.generation += 1;
+            self.revision.rebuild += 1;
         }
         for &f in lowered.database.facts() {
             if self.database.insert_unchecked(&self.universe, f) {
                 self.delta.push(f);
-                self.generation += 1;
+                self.revision.facts += 1;
             }
         }
         if !lowered.queries.is_empty() {
             self.queries.extend(lowered.queries);
-            self.queries_dirty = true;
+            self.revision.queries += 1;
         }
         Ok(())
     }
@@ -465,7 +490,7 @@ impl KnowledgeBase {
     /// All or nothing: the whole batch is validated first
     /// ([`Database::check_fact`]: every id one this universe issued, every
     /// fact null-free), so a rejected batch leaves the knowledge base, and
-    /// every cache keyed on its generation, untouched.
+    /// every cache keyed on its revision, untouched.
     pub fn insert(&mut self, batch: FactBatch) -> Result<usize, Error> {
         for &atom in batch.atoms() {
             Database::check_fact(&self.universe, atom)?;
@@ -478,8 +503,7 @@ impl KnowledgeBase {
             }
         }
         if added > 0 {
-            self.analysis = None;
-            self.generation += 1;
+            self.revision.facts += 1;
         }
         Ok(added)
     }
@@ -490,9 +514,8 @@ impl KnowledgeBase {
     pub fn retract(&mut self, batch: FactBatch) -> usize {
         let removed = self.database.retract_batch(&self.universe, batch.atoms());
         if removed > 0 {
-            self.needs_full = true;
-            self.analysis = None;
-            self.generation += 1;
+            self.revision.facts += 1;
+            self.revision.rebuild += 1;
             // Inserted-this-epoch facts that were retracted again must not
             // linger in the delta (hygiene; the full solve ignores it).
             self.delta.retain(|a| self.database.contains(*a));
@@ -527,25 +550,18 @@ impl KnowledgeBase {
     /// (builder style).
     pub fn with_options(mut self, options: WfsOptions) -> Self {
         self.budget = Some(options.budget);
-        self.engine = Some(options.engine);
         self.threads = Some(options.threads);
         self
     }
 
-    /// Sets the chase depth, keeping the configured engine.
+    /// Sets the chase depth, keeping the configured thread count.
     pub fn with_depth(mut self, depth: u32) -> Self {
         self.budget = Some(ChaseBudget::depth(depth));
         self
     }
 
-    /// Sets the evaluation engine, keeping the configured budget.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Sets the solver's worker-thread count (`0` = auto, `1` = serial,
-    /// `n` = exactly `n` workers), keeping budget and engine. The model is
+    /// `n` = exactly `n` workers), keeping the chase budget. The model is
     /// bit-identical for every setting — threads only change how fast the
     /// solve gets there.
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -579,14 +595,13 @@ impl KnowledgeBase {
     }
 
     /// The options [`KnowledgeBase::solve`] will use: the configured
-    /// budget and engine, with unset parts decided **at call time** — the
+    /// budget and threads, with unset parts decided **at call time** — the
     /// automatic budget (unbounded chase for programs without
     /// existentials, depth 12 otherwise) tracks rules added after the
     /// builder calls.
     pub fn effective_options(&self) -> WfsOptions {
         WfsOptions {
             budget: self.budget.unwrap_or_else(|| self.auto_budget()),
-            engine: self.engine.unwrap_or_default(),
             threads: self.threads.unwrap_or(0),
         }
     }
@@ -652,133 +667,108 @@ impl KnowledgeBase {
     ///
     /// [`Error::EnginePanic`] if a solver worker panicked.
     pub fn try_solve_with(&mut self, options: WfsOptions) -> Result<Arc<SolvedModel>, Error> {
-        // A budget-truncated cached model is never served from cache:
-        // re-solving may get further (the deadline moved, the token was
-        // replaced, the limit was raised), and the resume path below
-        // continues its chase from the stopping round even with an empty
-        // delta. Depth/cap truncations are deterministic properties of the
-        // program + options, so re-solving those would change nothing and
-        // they stay cacheable.
-        let cache_servable = |m: &SolvedModel| {
-            !m.model()
-                .outcome
-                .truncation()
-                .is_some_and(|r| r.is_budget_trip())
-        };
-        if let Some((cached_options, model)) = &self.last {
-            if *cached_options == options
-                && !self.needs_full
-                && self.delta.is_empty()
-                && !self.queries_dirty
-                && cache_servable(model)
-            {
-                return Ok(Arc::clone(model));
-            }
-        }
-        // Queries-only change (no delta, no rule change, same options):
-        // the model is provably identical — share it and its indexes, and
-        // only re-prepare the source queries against a fresh snapshot.
-        if let Some((cached_options, m)) = &self.last {
-            if *cached_options == options
-                && !self.needs_full
-                && self.delta.is_empty()
-                && cache_servable(m)
-            {
-                let source_queries = self
-                    .queries
-                    .iter()
-                    .cloned()
-                    .map(PreparedQuery::from_query)
-                    .collect();
-                let model = Arc::new(SolvedModel {
-                    // Current universe: query text may have interned new
-                    // names during `add_source`.
-                    universe: UniverseSnapshot::from_arc(Arc::clone(&self.universe)),
-                    model: Arc::clone(&m.model),
-                    constraint_status: m.constraint_status.clone(),
-                    source_queries,
-                    certain_index: Arc::clone(&m.certain_index),
-                    possible_index: Arc::clone(&m.possible_index),
-                    solve_stats: m.solve_stats,
-                    // Same underlying model → same epoch: the epoch tags
-                    // model *content*, not packaging.
-                    epoch: m.epoch,
-                    slice: None,
-                });
-                self.last = Some((options, Arc::clone(&model)));
-                self.queries_dirty = false;
-                return Ok(model);
-            }
-        }
-        // Insert-only delta with unchanged options: resume the previous
-        // solve instead of recomputing (requires a resumable segment —
-        // cap-truncated chases are discovery-order dependent).
-        let resume_from = match &self.last {
-            Some((last_options, model))
-                if *last_options == options
-                    && !self.needs_full
-                    && model.model().segment.can_resume() =>
-            {
-                Some(Arc::clone(model))
-            }
-            _ => None,
-        };
-        // Get sole ownership of the universe before the chase interns its
-        // nulls (a no-op clone unless a previous snapshot still shares it
-        // and nothing was ingested since — ingestion already unshared it).
-        let universe = Arc::make_mut(&mut self.universe);
-        // The delta is moved out before the catch_unwind boundary so a
-        // panicking solve cannot leave it half-consumed; it is restored on
-        // the error path purely for hygiene (the full recompute the next
-        // solve takes reads the database, which already contains it).
-        let delta = std::mem::take(&mut self.delta);
-        let solve_budget = self.solve_budget.clone();
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<wfdl_wfs::SolveOutput, ResumeError> {
-                match &resume_from {
-                    Some(prev) => wfdl_wfs::solve_packaged_resumed_budgeted(
-                        universe,
-                        prev.model(),
-                        &self.sigma,
-                        &delta,
-                        options,
-                        &self.violations,
-                        &solve_budget,
-                    ),
-                    None => Ok(wfdl_wfs::solve_packaged_budgeted(
-                        universe,
-                        &self.database,
-                        &self.sigma,
-                        options,
-                        &self.violations,
-                        &solve_budget,
-                    )),
-                }
-            },
-        ));
-        let output = match attempt {
-            Ok(Ok(output)) => output,
-            // A cap-truncated previous segment refused to resume: fall back
-            // to a full re-chase (same options, same budget). The database
-            // already holds the delta facts.
-            Ok(Err(_refused)) => wfdl_wfs::solve_packaged_budgeted(
-                universe,
-                &self.database,
-                &self.sigma,
-                options,
-                &self.violations,
-                &solve_budget,
+        let current = self.last.as_ref();
+        let model = match current.filter(|c| c.serves(options, self.revision)) {
+            Some(c) if c.at == self.revision => return Ok(Arc::clone(&c.model)),
+            // Queries-only change: the model is provably identical — share
+            // it and its indexes, and only re-prepare the source queries
+            // against the current universe (query text may have interned
+            // new names during `add_source`).
+            Some(c) => self.package(
+                Arc::clone(&self.universe),
+                Arc::clone(&c.model.solved),
+                None,
             ),
+            None => {
+                let model = self.run_solve(options, None)?;
+                self.delta.clear();
+                model
+            }
+        };
+        self.last = Some(Cached {
+            options,
+            at: self.revision,
+            model: Arc::clone(&model),
+        });
+        Ok(model)
+    }
+
+    /// The one place a solve runs, full (`slice == None`) or goal-directed:
+    /// picks the input, contains panics, packages the output. Touches no
+    /// cache except to drop `last` when a full solve panicked.
+    fn run_solve(
+        &mut self,
+        options: WfsOptions,
+        slice: Option<ProgramSlice>,
+    ) -> Result<Arc<SolvedModel>, Error> {
+        use wfdl_wfs::{SolveInput, SolveRequest};
+        // The last full solve under the same options: the resume basis of
+        // a full solve, the memo a sliced one composes with.
+        let prev = self.last.as_ref().filter(|c| c.options == options);
+        let prev = prev.map(|c| (c.at, Arc::clone(&c.model)));
+        // A sliced chase interns its nulls into a scratch copy, so the
+        // knowledge base's own state (delta, resume segment, cached full
+        // model) stays untouched. A full solve takes sole ownership of the
+        // universe instead (a no-op unless a previous snapshot still
+        // shares it and nothing was ingested since — ingestion already
+        // unshared it).
+        let mut scratch = slice.as_ref().map(|_| (*self.universe).clone());
+        let universe = match &mut scratch {
+            Some(scratch) => scratch,
+            None => Arc::make_mut(&mut self.universe),
+        };
+        let from_scratch = SolveInput::Full { db: &self.database };
+        let input = match (&slice, &prev) {
+            (Some(slice), _) => SolveInput::Sliced {
+                db: &self.database,
+                pred_mask: &slice.pred_mask,
+                memo: prev.as_ref().map(|(_, m)| m.model()),
+            },
+            // Only facts were added since `prev`: resume its chase with
+            // them.
+            (None, Some((at, m))) if at.rebuild == self.revision.rebuild => SolveInput::Resume {
+                prev: m.model(),
+                new_facts: &self.delta,
+            },
+            (None, _) => from_scratch,
+        };
+        let request = SolveRequest {
+            program: &self.sigma,
+            options,
+            violations: &self.violations,
+            budget: &self.solve_budget,
+            input,
+        };
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            wfdl_wfs::solve_request(universe, request).unwrap_or_else(|_refused| {
+                // A cap-truncated segment does not resume (such chases are
+                // discovery-order dependent): fall back to a full re-chase
+                // (same options, same budget). The database already holds
+                // the delta facts.
+                let request = SolveRequest {
+                    input: from_scratch,
+                    ..request
+                };
+                match wfdl_wfs::solve_request(universe, request) {
+                    Ok(output) => output,
+                    Err(e) => unreachable!("a from-scratch solve resumes nothing: {e}"),
+                }
+            })
+        }));
+        let mut output = match attempt {
+            Ok(output) => output,
             Err(panic) => {
-                // Leave the knowledge base coherent: drop the cached model,
-                // restore the delta, and force the next solve to recompute
-                // from scratch. The universe keeps any nulls the partial
-                // chase interned; interning is deterministic, so a re-run
-                // re-derives the same ids and any extras are unreachable
-                // garbage at worst.
-                self.delta = delta;
-                self.last = None;
-                self.needs_full = true;
+                // A sliced solve ran on the scratch copy: there is nothing
+                // to clean up. A full solve leaves the knowledge base
+                // coherent by dropping the cached model, which forces the
+                // next solve to recompute from scratch (the database holds
+                // every delta fact). The universe keeps any nulls the
+                // partial chase interned; interning is deterministic, so a
+                // re-run re-derives the same ids and any extras are
+                // unreachable garbage at worst.
+                if slice.is_none() {
+                    self.last = None;
+                }
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_owned())
@@ -787,34 +777,43 @@ impl KnowledgeBase {
                 return Err(Error::EnginePanic(msg));
             }
         };
-        // Freeze the universe *after* the chase interned its nulls: the
-        // snapshot sees every atom the model mentions. Sharing the Arc is
-        // O(1); the next mutation will copy-on-write.
-        let snapshot = UniverseSnapshot::from_arc(Arc::clone(&self.universe));
-        let certain_index = AtomIndex::build(&snapshot, TruthSource::certain_atoms(&output.model));
-        let source_queries = self
-            .queries
-            .iter()
-            .cloned()
-            .map(PreparedQuery::from_query)
-            .collect();
-        self.epoch += 1;
-        let model = Arc::new(SolvedModel {
-            universe: snapshot,
-            model: Arc::new(output.model),
-            constraint_status: output.constraint_status,
+        // A full solve that ran is a new epoch; sliced models are views of
+        // the data that epoch sees and never advance it.
+        match &slice {
+            Some(slice) => {
+                output.stats.slice_components = slice.components_in_slice;
+                output.stats.total_components = slice.components_total;
+            }
+            None => self.epoch += 1,
+        }
+        let universe = scratch.map_or_else(|| Arc::clone(&self.universe), Arc::new);
+        let solved = Solved::new(&universe, output, self.epoch);
+        Ok(self.package(universe, solved, slice.map(|s| s.pred_mask)))
+    }
+
+    /// The one place a [`SolvedModel`] is put together: a solve's shared
+    /// part, a frozen universe that sees every atom it mentions (freeze
+    /// *after* the chase interned its nulls; sharing the `Arc` is O(1), the
+    /// next mutation will copy-on-write), and — for full models — the
+    /// source queries prepared against that universe.
+    fn package(
+        &self,
+        universe: Arc<Universe>,
+        solved: Arc<Solved>,
+        slice: Option<Vec<bool>>,
+    ) -> Arc<SolvedModel> {
+        let source_queries = match slice {
+            Some(_) => Vec::new(),
+            None => (self.queries.iter().cloned())
+                .map(PreparedQuery::from_query)
+                .collect(),
+        };
+        Arc::new(SolvedModel {
+            universe: UniverseSnapshot::from_arc(universe),
+            solved,
             source_queries,
-            certain_index: Arc::new(certain_index),
-            possible_index: Arc::new(OnceLock::new()),
-            solve_stats: output.stats,
-            epoch: self.epoch,
-            slice: None,
-        });
-        self.last = Some((options, Arc::clone(&model)));
-        self.delta.clear();
-        self.needs_full = false;
-        self.queries_dirty = false;
-        Ok(model)
+            slice,
+        })
     }
 
     /// Goal-directed solve: computes the query-relevant **program slice**
@@ -860,82 +859,31 @@ impl KnowledgeBase {
     ///
     /// # Errors
     ///
-    /// [`Error::Syntax`] if `query_src` is not a valid query.
+    /// [`Error::Syntax`] if `query_src` is not a valid query;
+    /// [`Error::EnginePanic`] if a solver worker panicked — the sliced
+    /// solve ran on a scratch universe, so the knowledge base (its cached
+    /// full model and pending delta included) is exactly as it was.
     pub fn solve_for(&mut self, query_src: &str) -> Result<Arc<SolvedModel>, Error> {
         let options = self.effective_options();
         // Resolve the query against the current universe (read-only:
         // query preparation looks names up, never interns).
-        let prepared = wfdl_syntax::prepare_query(&self.universe, query_src)?;
-        let goals = prepared.goal_preds();
-        if let Some(c) = &self.sliced_last {
-            let cache_servable = !c
-                .model
-                .model()
-                .outcome
-                .truncation()
-                .is_some_and(|r| r.is_budget_trip());
-            if c.options == options
-                && c.generation == self.generation
-                && c.goals == goals
-                && cache_servable
-            {
+        let goals = wfdl_syntax::prepare_query(&self.universe, query_src)?.goal_preds();
+        if let Some((cached_goals, c)) = &self.sliced_last {
+            if *cached_goals == goals && c.serves(options, self.revision) {
                 return Ok(Arc::clone(&c.model));
             }
         }
         let slice = ProgramSlice::compute(self.universe.num_preds(), &self.sigma, &goals);
-        // Memo compose: offer the last full solve's per-component verdicts
-        // under the same options. The engine's fingerprint + atom-set
-        // check rejects stale components on its own, so a pending delta
-        // only makes the memo less effective, never unsound.
-        let memo_prev = match &self.last {
-            Some((last_options, model)) if *last_options == options => Some(model.model()),
-            _ => None,
-        };
-        // The sliced chase interns its nulls into a *clone* of the
-        // universe: the knowledge base's own state (delta, resume segment,
-        // cached full model) stays untouched.
-        let mut universe = (*self.universe).clone();
-        let mut output = wfdl_wfs::solve_sliced_packaged_budgeted(
-            &mut universe,
-            &self.database,
-            &self.sigma,
-            options,
-            &self.violations,
-            &self.solve_budget,
-            &slice.pred_mask,
-            memo_prev,
-        );
-        output.stats.slice_components = slice.components_in_slice;
-        output.stats.total_components = slice.components_total;
-        let truncated = output
-            .model
-            .outcome
-            .truncation()
-            .is_some_and(|r| r.is_budget_trip());
-        let snapshot = UniverseSnapshot::from_arc(Arc::new(universe));
-        let certain_index = AtomIndex::build(&snapshot, TruthSource::certain_atoms(&output.model));
-        let model = Arc::new(SolvedModel {
-            universe: snapshot,
-            model: Arc::new(output.model),
-            constraint_status: output.constraint_status,
-            source_queries: Vec::new(),
-            certain_index: Arc::new(certain_index),
-            possible_index: Arc::new(OnceLock::new()),
-            solve_stats: output.stats,
-            // Sliced models are views of the same data the last full-solve
-            // epoch would see; they never advance the epoch counter.
-            epoch: self.epoch,
-            slice: Some(slice.pred_mask),
-        });
+        let model = self.run_solve(options, Some(slice))?;
         // A budget-truncated sliced model is served once but never cached:
         // re-solving under a moved deadline may get further.
-        if !truncated {
-            self.sliced_last = Some(SlicedCache {
+        if !model.outcome().is_budget_trip() {
+            let cached = Cached {
                 options,
-                goals,
-                generation: self.generation,
+                at: self.revision,
                 model: Arc::clone(&model),
-            });
+            };
+            self.sliced_last = Some((goals, cached));
         }
         Ok(model)
     }
@@ -971,13 +919,15 @@ impl KnowledgeBase {
     /// Runs the static analyzer over the compiled program (stratification,
     /// fragment classification, chase-termination risk, dead-code lints —
     /// see [`wfdl_analyze`]) and caches the report alongside the solve
-    /// cache. The cache is invalidated by [`KnowledgeBase::add_source`],
-    /// [`KnowledgeBase::insert`] and [`KnowledgeBase::retract`]: rule and
-    /// query changes alter the analyzed program, and fact churn alters the
-    /// EDB predicate set feeding the dead-code pass.
+    /// cache, until [`KnowledgeBase::add_source`], [`KnowledgeBase::insert`]
+    /// or [`KnowledgeBase::retract`] change something: rule and query
+    /// changes alter the analyzed program, and fact churn alters the EDB
+    /// predicate set feeding the dead-code pass.
     pub fn analyze(&mut self) -> Arc<AnalysisReport> {
-        if let Some(report) = &self.analysis {
-            return Arc::clone(report);
+        if let Some((at, report)) = &self.analysis {
+            if *at == self.revision {
+                return Arc::clone(report);
+            }
         }
         let mut edb_seen = vec![false; self.universe.num_preds()];
         let mut edb_preds = Vec::new();
@@ -1009,7 +959,7 @@ impl KnowledgeBase {
             edb_preds: &edb_preds,
             queried_preds: &queried,
         }));
-        self.analysis = Some(Arc::clone(&report));
+        self.analysis = Some((self.revision, Arc::clone(&report)));
         report
     }
 }
@@ -1031,18 +981,38 @@ pub struct SolvedModel {
     universe: UniverseSnapshot,
     /// Shared with sibling packagings of the same solve: a queries-only
     /// change re-wraps the identical model instead of re-solving.
-    model: Arc<WellFoundedModel>,
-    constraint_status: Vec<Truth>,
+    solved: Arc<Solved>,
     source_queries: Vec<PreparedQuery>,
-    certain_index: Arc<AtomIndex>,
-    possible_index: Arc<OnceLock<AtomIndex>>,
-    solve_stats: SolveStats,
-    epoch: u64,
     /// `Some(pred_mask)` for goal-directed models
     /// ([`KnowledgeBase::solve_for`]): the relevance-closed predicate
     /// slice this model was solved under. Queries are checked against it
     /// at preparation time — see [`SolvedModel::prepare_sliced`].
     slice: Option<Vec<bool>>,
+}
+
+/// What one solve computed, independent of how it is packaged.
+#[derive(Debug)]
+struct Solved {
+    model: WellFoundedModel,
+    constraint_status: Vec<Truth>,
+    certain_index: AtomIndex,
+    possible_index: OnceLock<AtomIndex>,
+    solve_stats: SolveStats,
+    epoch: u64,
+}
+
+impl Solved {
+    /// Indexes a solve's output; `universe` must see every atom of it.
+    fn new(universe: &Universe, output: wfdl_wfs::SolveOutput, epoch: u64) -> Arc<Solved> {
+        Arc::new(Solved {
+            certain_index: AtomIndex::build(universe, TruthSource::certain_atoms(&output.model)),
+            possible_index: OnceLock::new(),
+            model: output.model,
+            constraint_status: output.constraint_status,
+            solve_stats: output.stats,
+            epoch,
+        })
+    }
 }
 
 impl SolvedModel {
@@ -1191,22 +1161,30 @@ impl SolvedModel {
 
     /// Evaluates a prepared Boolean query (certain-answer semantics).
     pub fn ask_prepared(&self, query: &PreparedQuery) -> bool {
-        query.holds_with(&self.universe, &*self.model, &self.certain_index)
+        query.holds_with(
+            &self.universe,
+            &self.solved.model,
+            &self.solved.certain_index,
+        )
     }
 
     /// Three-valued evaluation of a prepared query.
     pub fn ask3_prepared(&self, query: &PreparedQuery) -> Truth {
         query.holds3_with(
             &self.universe,
-            &*self.model,
-            &self.certain_index,
+            &self.solved.model,
+            &self.solved.certain_index,
             self.possible_index(),
         )
     }
 
     /// Certain answers of a prepared query.
     pub fn answers_prepared(&self, query: &PreparedQuery) -> AnswerSet {
-        query.answers_with(&self.universe, &*self.model, &self.certain_index)
+        query.answers_with(
+            &self.universe,
+            &self.solved.model,
+            &self.solved.certain_index,
+        )
     }
 
     /// Evaluates a batch of prepared queries, returning one answer set per
@@ -1236,23 +1214,23 @@ impl SolvedModel {
     /// The underlying well-founded model (segment, ground program, engine
     /// result).
     pub fn model(&self) -> &WellFoundedModel {
-        &self.model
+        &self.solved.model
     }
 
     /// Truth value of a ground atom under `WFS(D, Σ)`.
     pub fn value(&self, atom: AtomId) -> Truth {
-        self.model.value(atom)
+        self.solved.model.value(atom)
     }
 
     /// True iff the chase quiesced within budget, making the model exact.
     pub fn exact(&self) -> bool {
-        self.model.exact
+        self.solved.model.exact
     }
 
     /// Whether the solve ran to its fixpoint or was truncated (and why):
     /// depth/cap bounds, a deadline, a cancellation, or a memory budget.
     pub fn outcome(&self) -> SolveOutcome {
-        self.model.outcome
+        self.solved.model.outcome
     }
 
     /// True iff query answers from this model are **under-approximate**:
@@ -1260,13 +1238,13 @@ impl SolvedModel {
     /// answers the complete model would return may be missing (they read
     /// `Unknown` here).
     pub fn under_approximate(&self) -> bool {
-        !self.model.outcome.is_complete()
+        !self.solved.model.outcome.is_complete()
     }
 
     /// How this model was produced: whether the solve was incremental and
     /// how many dependency components reused their previous verdicts.
     pub fn solve_stats(&self) -> SolveStats {
-        self.solve_stats
+        self.solved.solve_stats
     }
 
     /// The model's epoch: a monotonically increasing counter over the
@@ -1278,14 +1256,14 @@ impl SolvedModel {
     /// hot-swap visibility: a request that pinned epoch `e` answers
     /// exactly as the direct API against the epoch-`e` model.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.solved.epoch
     }
 
     /// Truth of each constraint's violation marker, in source order:
     /// `True` = surely violated, `Unknown` = possibly violated,
     /// `False` = safe.
     pub fn constraint_status(&self) -> &[Truth] {
-        &self.constraint_status
+        &self.solved.constraint_status
     }
 
     /// Looks up a ground atom `pred(constants…)` by names.
@@ -1320,7 +1298,7 @@ impl SolvedModel {
     /// Renders the true atoms (non-auxiliary predicates) sorted, one per
     /// line.
     pub fn render_true(&self) -> String {
-        self.model.render_true(&self.universe)
+        self.solved.model.render_true(&self.universe)
     }
 
     /// Heap bytes of the model's atom indexes: the certain-atom index
@@ -1328,12 +1306,16 @@ impl SolvedModel {
     /// it, the lazily built possible-atom index. O(1). The universe's
     /// share is [`Universe::heap_bytes`] on [`SolvedModel::universe`].
     pub fn index_bytes(&self) -> usize {
-        self.certain_index.heap_bytes() + self.possible_index.get().map_or(0, AtomIndex::heap_bytes)
+        let possible = self.solved.possible_index.get();
+        self.solved.certain_index.heap_bytes() + possible.map_or(0, AtomIndex::heap_bytes)
     }
 
     fn possible_index(&self) -> &AtomIndex {
-        self.possible_index.get_or_init(|| {
-            AtomIndex::build(&self.universe, TruthSource::possible_atoms(&*self.model))
+        self.solved.possible_index.get_or_init(|| {
+            AtomIndex::build(
+                &self.universe,
+                TruthSource::possible_atoms(&self.solved.model),
+            )
         })
     }
 }
@@ -1470,17 +1452,15 @@ mod tests {
 
     #[test]
     fn auto_budget_tracks_sources_added_after_builder_calls() {
-        // `with_engine` must not freeze the automatic budget decision:
+        // `with_threads` must not freeze the automatic budget decision:
         // existential rules added later still trigger the depth-12 safety
         // default (an unbounded chase would not terminate here).
-        let mut kb = KnowledgeBase::from_source("p(a).")
-            .unwrap()
-            .with_engine(EngineKind::Wp);
+        let mut kb = KnowledgeBase::from_source("p(a).").unwrap().with_threads(2);
         assert_eq!(kb.effective_options().budget, ChaseBudget::unbounded());
         kb.add_source("p(X) -> q(X, Y). q(X, Y) -> p(Y).").unwrap();
         let options = kb.effective_options();
         assert_eq!(options.budget, ChaseBudget::depth(12));
-        assert_eq!(options.engine, EngineKind::Wp);
+        assert_eq!(options.threads, 2);
         let model = kb.solve();
         assert!(model.ask("?- q(a, Y).").unwrap());
     }

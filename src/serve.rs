@@ -61,9 +61,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wfdl_serve::{
-    push_json_str, App, EpochSlot, Method, Request, Response, Server, ServerConfig, Stopper,
-};
+use wfdl_core::json::push_json_str;
+use wfdl_serve::{App, EpochSlot, Method, Request, Response, Server, ServerConfig, Stopper};
 
 use crate::{Error, KnowledgeBase, SolveBudget, SolvedModel};
 
@@ -411,22 +410,26 @@ pub fn query_response_body(model: &SolvedModel, queries: &[&str]) -> Result<Stri
 /// serving tier's writer thread (it needs `&mut KnowledgeBase`); public
 /// for the same bit-for-bit test contract as [`query_response_body`].
 ///
-/// `Ok` is the 200 body; `Err` is the 400 body for the first query that
-/// fails to parse or solve, in [`query_response_body`]'s error shape.
+/// `Ok` is the 200 body; `Err` is the status and body of the failure: 400
+/// for the first query that fails to parse or prepare, in
+/// [`query_response_body`]'s error shape, or 500 when a sliced solve
+/// panicked ([`Error::EnginePanic`]), in `/ingest`'s — the knowledge base
+/// is untouched by that, and the next request is served normally.
 pub fn sliced_query_response_body(
     kb: &mut KnowledgeBase,
     queries: &[&str],
-) -> Result<String, String> {
+) -> Result<String, (u16, String)> {
     // Solve + prepare everything first: a batch with any malformed query
     // answers 400 as a whole, exactly like the full-model path.
     let mut solved = Vec::with_capacity(queries.len());
     for (i, src) in queries.iter().enumerate() {
-        let model = kb
-            .solve_for(src)
-            .map_err(|e| prepare_error_body(i, src, &e))?;
+        let model = kb.solve_for(src).map_err(|e| match e {
+            Error::EnginePanic(_) => (500, error_body(&e.to_string(), None)),
+            e => (400, prepare_error_body(i, src, &e)),
+        })?;
         let q = model
             .prepare_sliced(src)
-            .map_err(|e| prepare_error_body(i, src, &e))?;
+            .map_err(|e| (400, prepare_error_body(i, src, &e)))?;
         solved.push((model, q));
     }
     let epoch = solved.first().map_or(0, |(m, _)| m.epoch());
@@ -450,9 +453,9 @@ pub fn sliced_query_response_body(
     Ok(out)
 }
 
-/// The 400 error body for a query that failed to prepare (or, sliced, to
-/// solve): 1-based index, source text, message and — for syntax errors —
-/// the real line/column within the query string.
+/// The 400 error body for a query that failed to prepare: 1-based index,
+/// source text, message and — for syntax errors — the real line/column
+/// within the query string.
 fn prepare_error_body(index: usize, src: &str, e: &Error) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -551,7 +554,7 @@ fn writer_loop(
                 let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
                 let response = match sliced_query_response_body(&mut kb, &refs) {
                     Ok(body) => Response::json(200, body),
-                    Err(body) => Response::json(400, body),
+                    Err((status, body)) => Response::json(status, body),
                 };
                 let _ = reply.send(response);
             }

@@ -1,6 +1,7 @@
-//! Property tests: the three WFS engines implement one semantics, and that
-//! semantics degenerates correctly on the positive and stratified
-//! fragments.
+//! Property tests: the WFS engines — the production modular engine and the
+//! global oracles, built directly on its ground program / chase segment —
+//! implement one semantics, and that semantics degenerates correctly on
+//! the positive and stratified fragments.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -9,14 +10,26 @@
 use proptest::prelude::*;
 use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
 use wfdatalog::wfs::{
-    perfect_model, solve, stratify, AlternatingEngine, EngineKind, ModularEngine, StepMode,
-    WfsOptions, WpEngine,
+    perfect_model, solve, stratify, AlternatingEngine, EngineResult, ForwardEngine, ModularEngine,
+    StepMode, WellFoundedModel, WfsOptions, WpEngine,
 };
 use wfdatalog::{AtomId, Truth, Universe};
 use wfdl_gen::{
     random_database, random_program, random_stratified_program, winmove_database, winmove_sigma,
     RandomConfig, RandomDbConfig, WinMoveConfig,
 };
+
+/// The four global oracle engines, run on a solved model's ground program
+/// (and, for the forward engine, its chase segment).
+fn oracles(model: &WellFoundedModel) -> [(&'static str, EngineResult); 4] {
+    let ground = &model.ground;
+    [
+        ("wp", WpEngine::new(ground).solve(StepMode::Accelerated)),
+        ("wp-literal", WpEngine::new(ground).solve(StepMode::Literal)),
+        ("alternating", AlternatingEngine::new(ground).solve()),
+        ("forward", ForwardEngine::new(&model.segment).solve()),
+    ]
+}
 
 /// Strategy: a random ground normal program over `n` atoms.
 fn ground_program(max_atoms: usize, max_rules: usize) -> impl Strategy<Value = GroundProgram> {
@@ -134,20 +147,20 @@ fn engines_agree_on_random_guarded_workloads() {
                 ..Default::default()
             },
         );
-        let opts = WfsOptions::depth(5).with_engine(EngineKind::Wp);
-        let reference = solve(&mut u, &db, &w.sigma, opts);
-        for engine in [
-            EngineKind::Modular,
-            EngineKind::WpLiteral,
-            EngineKind::Alternating,
-            EngineKind::Forward,
-        ] {
-            let other = solve(&mut u, &db, &w.sigma, opts.with_engine(engine));
-            for sa in reference.segment.atoms() {
+        let modular = solve(&mut u, &db, &w.sigma, WfsOptions::depth(5));
+        let [(_, reference), others @ ..] = oracles(&modular);
+        for sa in modular.segment.atoms() {
+            assert_eq!(
+                reference.value(sa.atom),
+                modular.value(sa.atom),
+                "seed {seed}, engine modular, atom {}",
+                u.display_atom(sa.atom)
+            );
+            for (engine, other) in &others {
                 assert_eq!(
                     reference.value(sa.atom),
                     other.value(sa.atom),
-                    "seed {seed}, engine {engine:?}, atom {}",
+                    "seed {seed}, engine {engine}, atom {}",
                     u.display_atom(sa.atom)
                 );
             }
@@ -212,20 +225,18 @@ fn modular_agrees_on_winmove_graphs_with_unknowns() {
                 seed,
             },
         );
-        let opts = WfsOptions::unbounded();
-        let modular = solve(&mut u, &db, &sigma, opts.with_engine(EngineKind::Modular));
+        let modular = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
         assert!(modular.exact);
         let stats = modular.component_stats().expect("modular stats");
         saw_recursive |= stats.recursive_components > 0;
-        for engine in [EngineKind::Wp, EngineKind::Alternating, EngineKind::Forward] {
-            let other = solve(&mut u, &db, &sigma, opts.with_engine(engine));
+        for (engine, other) in &oracles(&modular) {
             for sa in modular.segment.atoms() {
                 let v = modular.value(sa.atom);
                 saw_unknowns |= v.is_unknown();
                 assert_eq!(
                     v,
                     other.value(sa.atom),
-                    "seed {seed}, engine {engine:?}, atom {}",
+                    "seed {seed}, engine {engine}, atom {}",
                     u.display_atom(sa.atom)
                 );
             }

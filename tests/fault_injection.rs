@@ -13,10 +13,16 @@
 //!   boundary — no poisoned state escapes;
 //! * in both cases the `KnowledgeBase` stays reusable: clearing the budget
 //!   and re-solving is **bit-identical** to a fresh, uninterrupted solve.
+//!
+//! The same matrix runs through the goal-directed path (`solve_for`), which
+//! additionally must leave the full-solve state — cached model, pending
+//! delta — exactly as it found it.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::sync::Arc;
 
 use wfdatalog::{KnowledgeBase, SolveBudget, SolvedModel, TruncationReason, WfsOptions};
 use wfdl_core::budget::{FaultKind, FaultPlan, FaultSite};
@@ -240,6 +246,135 @@ fn resume_boundary_faults_leave_incremental_state_clean() {
         let recovered = kb.try_solve_with(options(threads)).unwrap();
         assert!(recovered.outcome().is_complete(), "{label}");
         assert_eq!(observe(&recovered), union_obs, "{label}");
+    }
+}
+
+/// The goal `solve_for` is driven with: its slice (`safe`, `reach`, `win`
+/// and their inputs) keeps the multi-round chase and the recursive core,
+/// so every site of [`sites`] lies on the sliced path too.
+const SLICED_QUERY: &str = "?(X) safe(X).";
+
+/// [`observe`] for a sliced model, which carries no source queries: the
+/// goal query's answers stand in for them.
+fn observe_sliced(model: &SolvedModel) -> (String, String, Vec<String>) {
+    assert!(model.is_sliced());
+    let (certain, unknown, _) = observe(model);
+    let q = model.prepare_sliced(SLICED_QUERY).unwrap();
+    let mut answers: Vec<String> = model
+        .answers_prepared(&q)
+        .tuples()
+        .iter()
+        .map(|t| model.universe().display_term(t[0]).to_string())
+        .collect();
+    answers.sort();
+    (certain, unknown, answers)
+}
+
+/// The uninterrupted sliced reference for a given fact set.
+fn sliced_reference(with_delta: bool, threads: usize) -> (String, String, Vec<String>) {
+    let mut kb = kb(with_delta).with_options(options(threads));
+    let model = kb.solve_for(SLICED_QUERY).unwrap();
+    assert!(model.outcome().is_complete(), "reference must be complete");
+    observe_sliced(&model)
+}
+
+/// Panic kind through `solve_for`: `Error::EnginePanic` at the boundary,
+/// and — the sliced solve ran on a scratch universe — nothing about the
+/// knowledge base changed: the cached full model is still served, the
+/// pending delta still resumes, and the next `solve_for` and the next
+/// `solve` are bit-identical to the unfaulted references.
+#[test]
+fn solve_for_contains_every_panic_and_leaves_the_knowledge_base_untouched() {
+    for threads in THREAD_COUNTS {
+        let union_obs = reference(true, threads);
+        let sliced_obs = sliced_reference(true, threads);
+        for site in sites() {
+            let label = format!("solve_for/{site:?}/Panic/threads={threads}");
+            let mut kb = kb(false).with_options(options(threads));
+            let full = kb.try_solve().unwrap();
+            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+                site,
+                kind: FaultKind::Panic,
+            }));
+            match kb.solve_for(SLICED_QUERY) {
+                Err(wfdatalog::Error::EnginePanic(msg)) => {
+                    assert!(msg.contains("injected fault"), "{label}: {msg}");
+                }
+                Err(other) => panic!("{label}: wrong error: {other}"),
+                Ok(_) => panic!("{label}: panic must not produce a model"),
+            }
+            kb.set_solve_budget(SolveBudget::unlimited());
+            assert!(
+                Arc::ptr_eq(&full, &kb.try_solve().unwrap()),
+                "{label}: the cached full model must survive"
+            );
+            // Same again with a delta pending: it must still be resumed,
+            // not recomputed from scratch.
+            kb.insert_tsv(DELTA).unwrap();
+            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+                site,
+                kind: FaultKind::Panic,
+            }));
+            assert!(
+                matches!(
+                    kb.solve_for(SLICED_QUERY),
+                    Err(wfdatalog::Error::EnginePanic(_))
+                ),
+                "{label}: with a pending delta"
+            );
+            kb.set_solve_budget(SolveBudget::unlimited());
+            let sliced = kb.solve_for(SLICED_QUERY).unwrap();
+            assert!(sliced.outcome().is_complete(), "{label}");
+            assert_eq!(
+                observe_sliced(&sliced),
+                sliced_obs,
+                "{label}: next solve_for"
+            );
+            let resumed = kb.try_solve().unwrap();
+            assert!(
+                resumed.solve_stats().incremental,
+                "{label}: no forced full recompute"
+            );
+            assert_eq!(observe(&resumed), union_obs, "{label}: next solve");
+        }
+    }
+}
+
+/// Trip kinds through `solve_for`: a truncated, sound, *uncached* sliced
+/// model; with the budget cleared the next `solve_for` re-solves and is
+/// bit-identical to the unfaulted reference.
+#[test]
+fn solve_for_trips_degrade_soundly_and_are_never_cached() {
+    for threads in THREAD_COUNTS {
+        let reference_true: std::collections::BTreeSet<String> =
+            (reference(false, threads).0.lines().map(|l| l.to_string())).collect();
+        let sliced_obs = sliced_reference(false, threads);
+        for site in sites() {
+            for (kind, reason) in TRIP_KINDS {
+                let label = format!("solve_for/{site:?}/{kind:?}/threads={threads}");
+                let mut kb = kb(false).with_options(options(threads));
+                kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
+                let truncated = kb
+                    .solve_for(SLICED_QUERY)
+                    .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
+                assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
+                assert!(
+                    truncated.is_sliced() && truncated.under_approximate(),
+                    "{label}"
+                );
+                for line in true_lines(&truncated) {
+                    assert!(
+                        reference_true.contains(&line),
+                        "{label}: {line} is certain only under truncation"
+                    );
+                }
+                kb.set_solve_budget(SolveBudget::unlimited());
+                let recovered = kb.solve_for(SLICED_QUERY).unwrap();
+                assert!(!Arc::ptr_eq(&truncated, &recovered), "{label}: cached");
+                assert!(recovered.outcome().is_complete(), "{label}");
+                assert_eq!(observe_sliced(&recovered), sliced_obs, "{label}");
+            }
+        }
     }
 }
 

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use wfdatalog::analysis::{analyze, AnalysisInput, AnalysisReport, Code};
 use wfdatalog::core::{SkolemProgram, Universe};
 use wfdatalog::storage::Database;
-use wfdatalog::wfs::{solve, EngineKind, WfsOptions};
+use wfdatalog::wfs::{solve, WfsOptions};
 use wfdl_gen::{
     chain_database, example4_sigma, random_database, random_program, random_stratified_program,
     RandomConfig, RandomDbConfig,
@@ -75,12 +75,7 @@ proptest! {
             // for this case (the vendored proptest has no prop_assume).
             return Ok(());
         }
-        let model = solve(
-            &mut u,
-            &db,
-            &w.sigma,
-            WfsOptions::unbounded().with_engine(EngineKind::Modular),
-        );
+        let model = solve(&mut u, &db, &w.sigma, WfsOptions::unbounded());
         let stats = model.component_stats().expect("modular engine ran");
         prop_assert_eq!(
             stats.recursive_components, 0,
@@ -142,12 +137,7 @@ proptest! {
         let report = analyze_workload(&u, &w.sigma, &db);
         prop_assert!(report.weakly_acyclic, "no existentials, no special edges");
         prop_assert!(!report.diagnostics.iter().any(|d| d.code == Code::W002));
-        let model = solve(
-            &mut u,
-            &db,
-            &w.sigma,
-            WfsOptions::unbounded().with_engine(EngineKind::Modular),
-        );
+        let model = solve(&mut u, &db, &w.sigma, WfsOptions::unbounded());
         prop_assert!(model.exact, "datalog saturates without hitting any cap");
     }
 }
@@ -164,7 +154,7 @@ fn termination_flagged_chain_family_hits_the_caps() {
         let report = analyze_workload(&u, &sigma, &db);
         assert!(!report.weakly_acyclic, "chain family must be flagged");
         assert!(report.diagnostics.iter().any(|d| d.code == Code::W002));
-        let mut options = WfsOptions::depth(64).with_engine(EngineKind::Modular);
+        let mut options = WfsOptions::depth(64);
         options.budget = options.budget.with_max_atoms(200);
         let model = solve(&mut u, &db, &sigma, options);
         assert!(

@@ -6,7 +6,9 @@
 
 use wfdatalog::chase::{paper, ChaseBudget, ChaseSegment, ExplicitForest};
 use wfdatalog::ontology::{example1, example2_abox, example2_tbox, Ontology};
-use wfdatalog::wfs::{solve, solver::solve_no_una, EngineKind, WfsOptions};
+use wfdatalog::wfs::{
+    solve, solver::solve_no_una, AlternatingEngine, ForwardEngine, StepMode, WfsOptions, WpEngine,
+};
 use wfdatalog::{KnowledgeBase, Truth, Universe};
 
 /// Example 1: the literature ontology and its BCQ.
@@ -63,40 +65,47 @@ fn example2_unique_name_assumption_matters() {
 fn example4_model_verdicts() {
     let mut u = Universe::new();
     let (db, sigma) = paper::example4(&mut u);
-    for engine in [
-        EngineKind::Wp,
-        EngineKind::WpLiteral,
-        EngineKind::Alternating,
-        EngineKind::Forward,
+    let model = solve(&mut u, &db, &sigma, WfsOptions::depth(7));
+    let atom = |p: &str, args: &[wfdatalog::core::TermId]| {
+        let pid = u.lookup_pred(p).unwrap();
+        u.atoms.lookup(pid, args)
+    };
+    let zero = u.lookup_constant("0").unwrap();
+    let one = u.lookup_constant("1").unwrap();
+    let f = u.lookup_skolem("sk_r1_0").unwrap();
+    let a = u.terms.lookup_skolem(f, &[zero, zero, one]).unwrap();
+    let r01a = atom("R", &[zero, one, a]).unwrap();
+    let p01 = atom("P", &[zero, one]).unwrap();
+    let q1 = atom("Q", &[one]).unwrap();
+    let s0 = atom("S", &[zero]).unwrap();
+    let t0 = atom("T", &[zero]).unwrap();
+    // The production engine's result, then every oracle engine on the
+    // same ground program / segment.
+    for (engine, result) in [
+        ("modular", &model.result),
+        (
+            "wp",
+            &WpEngine::new(&model.ground).solve(StepMode::Accelerated),
+        ),
+        (
+            "wp-literal",
+            &WpEngine::new(&model.ground).solve(StepMode::Literal),
+        ),
+        (
+            "alternating",
+            &AlternatingEngine::new(&model.ground).solve(),
+        ),
+        ("forward", &ForwardEngine::new(&model.segment).solve()),
     ] {
-        let model = solve(
-            &mut u,
-            &db,
-            &sigma,
-            WfsOptions::depth(7).with_engine(engine),
-        );
-        let atom = |p: &str, args: &[wfdatalog::core::TermId]| {
-            let pid = u.lookup_pred(p).unwrap();
-            u.atoms.lookup(pid, args)
-        };
-        let zero = u.lookup_constant("0").unwrap();
-        let one = u.lookup_constant("1").unwrap();
         // R(0,1,f(0,0,1)) ∈ WFS (the paper's first observation).
-        let f = u.lookup_skolem("sk_r1_0").unwrap();
-        let a = u.terms.lookup_skolem(f, &[zero, zero, one]).unwrap();
-        let r01a = atom("R", &[zero, one, a]).unwrap();
-        assert!(model.is_true(r01a), "{engine:?}");
+        assert!(result.value(r01a).is_true(), "{engine}");
         // P(0,1) ∈ WFS (the paper's second observation).
-        let p01 = atom("P", &[zero, one]).unwrap();
-        assert!(model.is_true(p01), "{engine:?}");
+        assert!(result.value(p01).is_true(), "{engine}");
         // ¬Q(1) ∈ WFS.
-        let q1 = atom("Q", &[one]).unwrap();
-        assert!(model.is_false(q1), "{engine:?}");
+        assert!(result.value(q1).is_false(), "{engine}");
         // Example 9's limit verdicts: ¬S(0), T(0).
-        let s0 = atom("S", &[zero]).unwrap();
-        let t0 = atom("T", &[zero]).unwrap();
-        assert!(model.is_false(s0), "{engine:?}");
-        assert!(model.is_true(t0), "{engine:?}");
+        assert!(result.value(s0).is_false(), "{engine}");
+        assert!(result.value(t0).is_true(), "{engine}");
     }
 }
 

@@ -23,7 +23,7 @@
 
 use proptest::prelude::*;
 use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
-use wfdatalog::wfs::{solve, solve_resumed, EngineKind, ModularEngine, WfsOptions};
+use wfdatalog::wfs::{solve, solve_resumed, ModularEngine, StepMode, WfsOptions, WpEngine};
 use wfdatalog::{AtomId, Truth, Universe};
 use wfdl_gen::{
     chain_database, example4_sigma, fanout_database, fanout_sigma, random_database, random_program,
@@ -362,27 +362,21 @@ fn parallel_incremental_resolve_matches_serial_scratch() {
     }
 }
 
-/// `WfsOptions::threads` only applies to the modular engine; the global
-/// engines stay serial and still agree with it.
+/// `WfsOptions::threads` only applies to the modular engine (and the
+/// chase); the global engines have no thread knob, run serially on the
+/// 4-shard chase's ground program, and still agree with it.
 #[test]
 fn global_engines_ignore_threads_and_agree() {
     let mut u = Universe::new();
     let sigma = winmove_sigma(&mut u);
     let db = winmove_database(&mut u, &WinMoveConfig::default());
     let modular = solve(&mut u, &db, &sigma, WfsOptions::unbounded().with_threads(4));
-    let wp = solve(
-        &mut u,
-        &db,
-        &sigma,
-        WfsOptions::unbounded()
-            .with_engine(EngineKind::Wp)
-            .with_threads(4),
-    );
+    let wp = WpEngine::new(&modular.ground).solve(StepMode::Accelerated);
     for sa in modular.segment.atoms() {
         assert_eq!(modular.value(sa.atom), wp.value(sa.atom));
     }
     assert_eq!(modular.result.stats.unwrap().threads, 4);
-    assert!(wp.result.stats.is_none(), "global engines report no stats");
+    assert!(wp.stats.is_none(), "global engines report no stats");
 }
 
 /// Truth sanity on a known workload at every thread count.

@@ -7,19 +7,24 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use wfdatalog::syntax::{print_database, print_skolem_program};
-use wfdatalog::wfs::{solve, EngineKind, WfsOptions};
+use wfdatalog::wfs::{solve, AlternatingEngine, WfsOptions};
 use wfdatalog::{KnowledgeBase, Universe};
 use wfdl_gen::{random_database, random_program, RandomConfig, RandomDbConfig};
 
-/// Renders a model as sorted `atom=truth` lines (aux predicates excluded).
-fn fingerprint(u: &Universe, model: &wfdatalog::WellFoundedModel) -> Vec<String> {
+/// Renders an engine's verdicts over a model's segment as sorted
+/// `atom=truth` lines (aux predicates excluded).
+fn fingerprint(
+    u: &Universe,
+    model: &wfdatalog::WellFoundedModel,
+    result: &wfdatalog::wfs::EngineResult,
+) -> Vec<String> {
     let mut lines: Vec<String> = model
         .segment
         .atoms()
         .iter()
         .map(|sa| sa.atom)
         .filter(|&a| !u.pred_info(u.atoms.pred(a)).auxiliary)
-        .map(|a| format!("{}={}", u.display_atom(a), model.value(a)))
+        .map(|a| format!("{}={}", u.display_atom(a), result.value(a)))
         .collect();
     lines.sort();
     lines
@@ -49,7 +54,7 @@ fn printed_programs_solve_identically() {
             },
         );
         let direct = solve(&mut u, &db, &w.sigma, WfsOptions::depth(4));
-        let direct_fp = fingerprint(&u, &direct);
+        let direct_fp = fingerprint(&u, &direct, &direct.result);
 
         // Text round trip: print Σf + D, re-parse, re-solve.
         let mut text = print_skolem_program(&u, &w.sigma);
@@ -57,7 +62,8 @@ fn printed_programs_solve_identically() {
         let mut kb = KnowledgeBase::from_source(&text)
             .unwrap_or_else(|e| panic!("seed {seed}: printed program must parse: {e}\n{text}"));
         let reparsed = kb.solve_with(WfsOptions::depth(4));
-        let reparsed_fp = fingerprint(reparsed.universe(), reparsed.model());
+        let model = reparsed.model();
+        let reparsed_fp = fingerprint(reparsed.universe(), model, &model.result);
 
         assert_eq!(
             direct_fp, reparsed_fp,
@@ -65,10 +71,10 @@ fn printed_programs_solve_identically() {
         );
 
         // And the alternating engine agrees on the re-parsed program.
-        let alt = kb.solve_with(WfsOptions::depth(4).with_engine(EngineKind::Alternating));
+        let alt = AlternatingEngine::new(&model.ground).solve();
         assert_eq!(
             reparsed_fp,
-            fingerprint(alt.universe(), alt.model()),
+            fingerprint(reparsed.universe(), model, &alt),
             "seed {seed}"
         );
     }

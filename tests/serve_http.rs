@@ -404,3 +404,40 @@ fn sliced_query_mode_matches_direct_api_and_tracks_ingests() {
 
     server.shutdown();
 }
+
+/// A panic inside a sliced solve is a 500 in `/ingest`'s error shape, not a
+/// 400 "malformed query" — and not an unwind that would take the writer
+/// thread (which runs exactly this function) down with it: the same
+/// knowledge base serves the next request as if nothing had happened.
+#[test]
+fn sliced_query_engine_panic_is_a_500_and_the_knowledge_base_survives() {
+    use wfdatalog::core::budget::{FaultKind, FaultPlan, FaultSite};
+    use wfdatalog::SolveBudget;
+
+    let queries = ["?- win(b).", "?(X) win(X)."];
+    let mut kb = KnowledgeBase::from_source(TWO_CONE_PROGRAM).expect("program");
+    kb.solve();
+    kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+        site: FaultSite::ChaseRound(0),
+        kind: FaultKind::Panic,
+    }));
+    let (status, body) =
+        sliced_query_response_body(&mut kb, &queries).expect_err("the sliced solve panics");
+    assert_eq!(status, 500);
+    assert_eq!(
+        body,
+        "{\"error\":{\"message\":\"solve worker panicked: \
+         injected fault: panic at ChaseRound(0)\"}}"
+    );
+    // A malformed query is still the caller's fault.
+    let (status, _) = sliced_query_response_body(&mut kb, &["?- win(."]).expect_err("parse error");
+    assert_eq!(status, 400);
+
+    kb.set_solve_budget(SolveBudget::unlimited());
+    let mut replica = KnowledgeBase::from_source(TWO_CONE_PROGRAM).expect("replica");
+    replica.solve();
+    assert_eq!(
+        sliced_query_response_body(&mut kb, &queries).expect("served after the panic"),
+        sliced_query_response_body(&mut replica, &queries).expect("replica render"),
+    );
+}

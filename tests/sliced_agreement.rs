@@ -62,7 +62,7 @@ fn assert_slices_agree(
 ) {
     let budget = SolveBudget::unlimited();
     let mut u_full = universe.clone();
-    let full = wfdatalog::wfs::solve_budgeted(&mut u_full, db, sigma, options, &budget);
+    let full = wfdatalog::wfs::solve(&mut u_full, db, sigma, options);
     for goals in goal_sets {
         let slice = ProgramSlice::compute(universe.num_preds(), sigma, goals);
         let mut u_sliced = universe.clone();
