@@ -21,8 +21,8 @@ use wfdl_analyze::{analyze, AnalysisInput};
 use wfdl_chase::{ChaseBudget, ChaseSegment};
 use wfdl_core::Universe;
 use wfdl_gen::{
-    employment_ontology, fanout_database, fanout_sigma, random_ontology, EmploymentConfig,
-    FanoutConfig, OntologyConfig,
+    employment_ontology, fanout_database, fanout_sigma, random_ontology, winmove_database,
+    EmploymentConfig, FanoutConfig, OntologyConfig, WinMoveConfig,
 };
 use wfdl_ontology::Ontology;
 use wfdl_wfs::ModularEngine;
@@ -98,6 +98,26 @@ fn chain_source(num_seeds: usize) -> String {
          r(X, Y, Z), not p(X, Z) -> s(X).\n\
          p(X, Y), not s(X) -> t(X).\n",
     );
+    src
+}
+
+/// A win–move game of `positions` positions (≈ 2 moves each, in the
+/// generator's random order) as surface syntax. At 20k facts the text
+/// frontend is a third of the sample, which is what this leg is for:
+/// `chain` enters 384 facts, and a per-fact frontend cost hides there.
+fn winmove_source(positions: usize) -> String {
+    let mut u = Universe::new();
+    let cfg = WinMoveConfig {
+        nodes: positions,
+        seed: 2013,
+        ..WinMoveConfig::default()
+    };
+    let db = winmove_database(&mut u, &cfg);
+    let mut src = String::new();
+    for &fact in db.facts() {
+        writeln!(src, "{}.", u.display_atom(fact)).unwrap();
+    }
+    src.push_str("move(X, Y), not win(Y) -> win(X).\n");
     src
 }
 
@@ -301,6 +321,7 @@ fn main() {
     let samples = sample_count();
 
     let chain_src = chain_source(192);
+    let winmove_src = winmove_source(10_000);
     let ontogen_cfg = OntologyConfig {
         num_concepts: 14,
         num_roles: 7,
@@ -332,6 +353,9 @@ fn main() {
     let outcomes = vec![
         collect("chain", samples, || {
             run_source_sample(&chain_src, ChaseBudget::depth(8))
+        }),
+        collect("winmove", samples, || {
+            run_source_sample(&winmove_src, ChaseBudget::unbounded())
         }),
         collect("ontogen", samples, || {
             run_ontology_sample(&ontogen, ChaseBudget::depth(4))

@@ -45,46 +45,53 @@ impl std::error::Error for OntologyParseError {}
 /// Parses an ontology text.
 pub fn parse_ontology(src: &str) -> Result<Ontology, OntologyParseError> {
     let mut onto = Ontology::default();
-    for (stmt, line) in statements(src) {
-        parse_statement(&stmt, line, &mut onto)?;
-    }
+    for_each_statement(src, |stmt, line| parse_statement(stmt, line, &mut onto))?;
     Ok(onto)
 }
 
-/// Splits the source into `.`-terminated statements with their start lines,
-/// dropping comments.
-fn statements(src: &str) -> Vec<(String, u32)> {
-    let mut cleaned = String::new();
-    for line in src.lines() {
-        let line = match line.find(['#', '%']) {
-            Some(i) => &line[..i],
-            None => line,
+/// Calls `each` with every `.`-terminated statement of the source —
+/// trimmed, comments dropped — and the line its first character is on.
+///
+/// A statement that sits on one line (every ABox assertion does) is handed
+/// out as a slice of `src`; only one that runs over several lines is
+/// assembled, without the comments between its parts, in a buffer. Text
+/// after the last `.` is not a statement.
+fn for_each_statement<E>(
+    src: &str,
+    mut each: impl FnMut(&str, u32) -> Result<(), E>,
+) -> Result<(), E> {
+    // The beginning of a statement that started on an earlier line: empty,
+    // or text with a non-blank character in it, from line `start_line` on.
+    let mut pending = String::new();
+    let mut start_line = 0u32;
+    for (line, text) in (1u32..).zip(src.lines()) {
+        let mut rest = match text.find(['#', '%']) {
+            Some(comment) => &text[..comment],
+            None => text,
         };
-        cleaned.push_str(line);
-        cleaned.push('\n');
-    }
-    let mut out = Vec::new();
-    let mut start_line = 1u32;
-    let mut line = 1u32;
-    let mut cur = String::new();
-    for c in cleaned.chars() {
-        if c == '\n' {
-            line += 1;
-        }
-        if c == '.' {
-            if !cur.trim().is_empty() {
-                out.push((cur.trim().to_string(), start_line));
+        while let Some(dot) = rest.find('.') {
+            let part = &rest[..dot];
+            rest = &rest[dot + 1..];
+            if pending.is_empty() {
+                if !part.trim().is_empty() {
+                    each(part.trim(), line)?;
+                }
+            } else {
+                pending.push_str(part);
+                each(pending.trim(), start_line)?;
+                pending.clear();
             }
-            cur.clear();
+        }
+        if pending.is_empty() {
+            if rest.trim().is_empty() {
+                continue;
+            }
             start_line = line;
-        } else {
-            if cur.trim().is_empty() {
-                start_line = line;
-            }
-            cur.push(c);
         }
+        pending.push_str(rest);
+        pending.push('\n');
     }
-    out
+    Ok(())
 }
 
 fn err(line: u32, message: impl Into<String>) -> OntologyParseError {
@@ -103,19 +110,20 @@ fn parse_statement(stmt: &str, line: u32, onto: &mut Ontology) -> Result<(), Ont
     let open = stmt
         .find('(')
         .ok_or_else(|| err(line, format!("cannot parse statement `{stmt}`")))?;
-    let close = stmt
+    let close = stmt[open..]
         .rfind(')')
+        .map(|i| open + i)
         .ok_or_else(|| err(line, "missing `)` in assertion"))?;
     let name = stmt[..open].trim();
-    let args: Vec<&str> = stmt[open + 1..close]
+    let mut args = stmt[open + 1..close]
         .split(',')
         .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    match args.len() {
-        1 => onto.abox.concept(name, args[0]),
-        2 => onto.abox.role(name, args[0], args[1]),
-        n => {
+        .filter(|s| !s.is_empty());
+    let n = args.clone().count();
+    match (n, args.next(), args.next()) {
+        (1, Some(a), _) => onto.abox.concept(name, a),
+        (2, Some(a), Some(b)) => onto.abox.role(name, a, b),
+        _ => {
             return Err(err(
                 line,
                 format!("assertions take 1 or 2 arguments, got {n}"),
@@ -288,6 +296,75 @@ mod tests {
     fn reports_line_numbers() {
         let e = parse_ontology("Person < Agent .\n\nnot X < Y .").unwrap_err();
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn unbalanced_parentheses_are_an_error() {
+        let e = parse_ontology(")(.").unwrap_err();
+        assert!(e.message.contains("missing `)`"), "{e}");
+    }
+
+    /// The statement splitter this module had before it stopped copying:
+    /// the whole source into a comment-free `cleaned`, then every statement
+    /// into a `String` of its own. Kept as the reference.
+    fn statements_by_copying(src: &str) -> Vec<(String, u32)> {
+        let mut cleaned = String::new();
+        for line in src.lines() {
+            let line = match line.find(['#', '%']) {
+                Some(i) => &line[..i],
+                None => line,
+            };
+            cleaned.push_str(line);
+            cleaned.push('\n');
+        }
+        let mut out = Vec::new();
+        let mut start_line = 1u32;
+        let mut line = 1u32;
+        let mut cur = String::new();
+        for c in cleaned.chars() {
+            if c == '\n' {
+                line += 1;
+            }
+            if c == '.' {
+                if !cur.trim().is_empty() {
+                    out.push((cur.trim().to_string(), start_line));
+                }
+                cur.clear();
+                start_line = line;
+            } else {
+                if cur.trim().is_empty() {
+                    start_line = line;
+                }
+                cur.push(c);
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Same statements, same start lines — across comments, blank
+        /// lines, statements spanning lines, every line ending.
+        #[test]
+        fn statements_are_the_ones_copying_found(parts in proptest::collection::vec(
+            proptest::prop_oneof![
+                proptest::strategy::Just("A"), proptest::strategy::Just("r(a, b)"),
+                proptest::strategy::Just(" < "), proptest::strategy::Just("."),
+                proptest::strategy::Just(" "), proptest::strategy::Just("\n"),
+                proptest::strategy::Just("\r\n"), proptest::strategy::Just("\r"),
+                proptest::strategy::Just("# c."), proptest::strategy::Just("% c"),
+                proptest::strategy::Just("é"), proptest::strategy::Just("\u{2028}"),
+            ],
+            0..40,
+        )) {
+            let src = parts.concat();
+            let mut found = Vec::new();
+            let walked: Result<(), ()> = for_each_statement(&src, |stmt, line| {
+                found.push((stmt.to_string(), line));
+                Ok(())
+            });
+            proptest::prop_assert!(walked.is_ok());
+            proptest::prop_assert_eq!(found, statements_by_copying(&src), "source {:?}", src);
+        }
     }
 
     #[test]

@@ -7,16 +7,24 @@
 //! * `%` and `//` start line comments;
 //! * `->` separates body and head, `?-` starts a Boolean query, `not` or
 //!   `!` negates, `false` is the constraint head, `.` ends a statement.
+//!
+//! The [`Lexer`] is a cursor over the source's bytes: it yields one token
+//! per call, names and variables are slices of the source (a quoted string
+//! has no escapes, so it is a slice too), and nothing is allocated. Bytes
+//! below `0x80` are their own `char`; anything else is decoded, so the
+//! `char` predicates that define the language (`is_alphanumeric`,
+//! `is_whitespace`, `is_uppercase`) see exactly the characters of the
+//! text, and every [`Pos`] counts columns in characters, not bytes.
 
 use crate::error::{Pos, Result, SyntaxError};
 
-/// A lexical token.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token; names borrow the source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tok<'src> {
     /// Lowercase identifier, number, or quoted string (predicate/constant).
-    Name(String),
+    Name(&'src str),
     /// Uppercase/underscore identifier (variable).
-    Var(String),
+    Var(&'src str),
     /// `(`.
     LParen,
     /// `)`.
@@ -40,158 +48,179 @@ pub enum Tok {
 }
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'src> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// Where it starts.
     pub pos: Pos,
 }
 
-/// Tokenizes `src` completely.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
-    let mut out = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut col = 1u32;
+/// True iff `name`, written bare, lexes back as the single token
+/// `Tok::Name(name)` — what the printer asks before writing a constant
+/// (anything else — spaces, a capital first letter, a keyword — is
+/// written as a quoted string).
+pub fn is_bare_name(name: &str) -> bool {
+    let mut lexer = Lexer::new(name);
+    lexer.next_token().map(|t| t.tok) == Ok(Tok::Name(name)) && lexer.at == name.len()
+}
 
-    macro_rules! push {
-        ($tok:expr, $pos:expr) => {
-            out.push(Token {
-                tok: $tok,
-                pos: $pos,
-            })
-        };
-    }
+/// A cursor over the source that yields one [`Token`] per call.
+#[derive(Clone, Debug)]
+pub struct Lexer<'src> {
+    src: &'src str,
+    /// Byte offset of the next unread character.
+    at: usize,
+    line: u32,
+    /// Byte offset of the current line's start, plus the UTF-8
+    /// continuation bytes read on the line so far: the next character's
+    /// column, in characters, is `at - col_base + 1`.
+    col_base: usize,
+}
 
-    while i < bytes.len() {
-        let c = bytes[i];
-        let pos = Pos { line, col };
-        match c {
-            '\n' => {
-                line += 1;
-                col = 1;
-                i += 1;
-            }
-            c if c.is_whitespace() => {
-                col += 1;
-                i += 1;
-            }
-            '%' => {
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '/' => {
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '(' => {
-                push!(Tok::LParen, pos);
-                i += 1;
-                col += 1;
-            }
-            ')' => {
-                push!(Tok::RParen, pos);
-                i += 1;
-                col += 1;
-            }
-            ',' => {
-                push!(Tok::Comma, pos);
-                i += 1;
-                col += 1;
-            }
-            '.' => {
-                push!(Tok::Period, pos);
-                i += 1;
-                col += 1;
-            }
-            '!' => {
-                push!(Tok::Not, pos);
-                i += 1;
-                col += 1;
-            }
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == '>' => {
-                push!(Tok::Arrow, pos);
-                i += 2;
-                col += 2;
-            }
-            '?' if i + 1 < bytes.len() && bytes[i + 1] == '-' => {
-                push!(Tok::QueryArrow, pos);
-                i += 2;
-                col += 2;
-            }
-            '?' => {
-                push!(Tok::Question, pos);
-                i += 1;
-                col += 1;
-            }
-            '"' => {
-                let mut s = String::new();
-                i += 1;
-                col += 1;
-                loop {
-                    if i >= bytes.len() {
-                        return Err(SyntaxError::new("unterminated string literal", pos));
-                    }
-                    let c = bytes[i];
-                    if c == '"' {
-                        i += 1;
-                        col += 1;
-                        break;
-                    }
-                    if c == '\n' {
-                        return Err(SyntaxError::new("newline inside string literal", pos));
-                    }
-                    s.push(c);
-                    i += 1;
-                    col += 1;
-                }
-                push!(Tok::Name(s), pos);
-            }
-            c if c.is_alphanumeric() || c == '_' => {
-                let mut s = String::new();
-                while i < bytes.len()
-                    && (bytes[i].is_alphanumeric() || bytes[i] == '_' || bytes[i] == '\'')
-                {
-                    s.push(bytes[i]);
-                    i += 1;
-                    col += 1;
-                }
-                let tok = if s == "not" {
-                    Tok::Not
-                } else if s == "false" {
-                    Tok::False
-                } else if c.is_uppercase() || c == '_' {
-                    Tok::Var(s)
-                } else {
-                    Tok::Name(s)
-                };
-                push!(tok, pos);
-            }
-            other => {
-                return Err(SyntaxError::new(
-                    format!("unexpected character `{other}`"),
-                    pos,
-                ));
-            }
+impl<'src> Lexer<'src> {
+    /// Starts at the beginning of `src`.
+    pub fn new(src: &'src str) -> Self {
+        Lexer {
+            src,
+            at: 0,
+            line: 1,
+            col_base: 0,
         }
     }
-    out.push(Token {
-        tok: Tok::Eof,
-        pos: Pos { line, col },
-    });
-    Ok(out)
+
+    fn pos(&self) -> Pos {
+        Pos {
+            line: self.line,
+            col: (self.at - self.col_base + 1) as u32,
+        }
+    }
+
+    /// The character at the cursor and its length in bytes.
+    #[inline]
+    fn peek_char(&self) -> Option<(char, usize)> {
+        let b = *self.src.as_bytes().get(self.at)?;
+        if b < 0x80 {
+            return Some((b as char, 1));
+        }
+        // `at` only ever moves by whole characters, so it is a boundary.
+        let c = self.src[self.at..].chars().next()?;
+        Some((c, c.len_utf8()))
+    }
+
+    /// Moves over one character of `len` bytes.
+    #[inline]
+    fn advance(&mut self, len: usize) {
+        self.at += len;
+        self.col_base += len - 1;
+    }
+
+    /// Moves to `end` (a character boundary on the current line), keeping
+    /// the column count in characters.
+    fn skip_to(&mut self, end: usize) {
+        let skipped = &self.src.as_bytes()[self.at..end];
+        self.col_base += skipped.iter().filter(|&&b| b & 0xC0 == 0x80).count();
+        self.at = end;
+    }
+
+    /// The next token; at the end of the input, [`Tok::Eof`] (again and
+    /// again). After an error the cursor is not moved on.
+    pub fn next_token(&mut self) -> Result<Token<'src>> {
+        let bytes = self.src.as_bytes();
+        loop {
+            let pos = self.pos();
+            let Some((c, len)) = self.peek_char() else {
+                return Ok(Token { tok: Tok::Eof, pos });
+            };
+            let next = bytes.get(self.at + 1).copied();
+            let (tok, len) = match c {
+                '\n' => {
+                    self.at += 1;
+                    self.line += 1;
+                    self.col_base = self.at;
+                    continue;
+                }
+                c if c.is_whitespace() => {
+                    self.advance(len);
+                    continue;
+                }
+                '%' | '/' if c == '%' || next == Some(b'/') => {
+                    // A comment runs to the end of the line.
+                    let rest = &bytes[self.at..];
+                    let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+                    self.skip_to(self.at + len);
+                    continue;
+                }
+                '(' => (Tok::LParen, 1),
+                ')' => (Tok::RParen, 1),
+                ',' => (Tok::Comma, 1),
+                '.' => (Tok::Period, 1),
+                '!' => (Tok::Not, 1),
+                '-' if next == Some(b'>') => (Tok::Arrow, 2),
+                '?' if next == Some(b'-') => (Tok::QueryArrow, 2),
+                '?' => (Tok::Question, 1),
+                '"' => {
+                    // Both terminators are ASCII, so a byte scan cannot
+                    // stop inside a character.
+                    let body = &bytes[self.at + 1..];
+                    let end = match body.iter().position(|&b| b == b'"' || b == b'\n') {
+                        None => return Err(SyntaxError::new("unterminated string literal", pos)),
+                        Some(i) if body[i] == b'\n' => {
+                            return Err(SyntaxError::new("newline inside string literal", pos))
+                        }
+                        Some(i) => self.at + 1 + i,
+                    };
+                    let text = &self.src[self.at + 1..end];
+                    self.skip_to(end + 1);
+                    return Ok(Token {
+                        tok: Tok::Name(text),
+                        pos,
+                    });
+                }
+                c if c.is_alphanumeric() || c == '_' => {
+                    let start = self.at;
+                    while let Some((c, len)) = self.peek_char() {
+                        if !(c.is_alphanumeric() || c == '_' || c == '\'') {
+                            break;
+                        }
+                        self.advance(len);
+                    }
+                    let text = &self.src[start..self.at];
+                    let tok = match text {
+                        "not" => Tok::Not,
+                        "false" => Tok::False,
+                        _ if c.is_uppercase() || c == '_' => Tok::Var(text),
+                        _ => Tok::Name(text),
+                    };
+                    return Ok(Token { tok, pos });
+                }
+                other => {
+                    return Err(SyntaxError::new(
+                        format!("unexpected character `{other}`"),
+                        pos,
+                    ));
+                }
+            };
+            self.at += len;
+            return Ok(Token { tok, pos });
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+    fn toks(src: &str) -> Vec<Tok<'_>> {
+        let mut lexer = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            let t = lexer.next_token().unwrap();
+            out.push(t.tok);
+            if t.tok == Tok::Eof {
+                return out;
+            }
+        }
     }
 
     #[test]
@@ -200,14 +229,14 @@ mod tests {
         assert_eq!(
             ts,
             vec![
-                Tok::Name("p".into()),
+                Tok::Name("p"),
                 Tok::LParen,
-                Tok::Var("X".into()),
+                Tok::Var("X"),
                 Tok::RParen,
                 Tok::Arrow,
-                Tok::Name("q".into()),
+                Tok::Name("q"),
                 Tok::LParen,
-                Tok::Var("X".into()),
+                Tok::Var("X"),
                 Tok::RParen,
                 Tok::Period,
                 Tok::Eof
@@ -239,23 +268,67 @@ mod tests {
     #[test]
     fn strings_and_numbers() {
         let ts = toks(r#"p("Hello World", 42)"#);
-        assert_eq!(ts[2], Tok::Name("Hello World".into()));
-        assert_eq!(ts[4], Tok::Name("42".into()));
+        assert_eq!(ts[2], Tok::Name("Hello World"));
+        assert_eq!(ts[4], Tok::Name("42"));
     }
 
     #[test]
     fn positions_reported() {
-        let toks = lex("p(a).\nq(").unwrap();
-        let q = toks
-            .iter()
-            .find(|t| t.tok == Tok::Name("q".into()))
-            .unwrap();
+        let mut lexer = Lexer::new("p(a).\nq(");
+        let q = loop {
+            let t = lexer.next_token().unwrap();
+            if t.tok == Tok::Name("q") {
+                break t;
+            }
+        };
         assert_eq!((q.pos.line, q.pos.col), (2, 1));
     }
 
     #[test]
+    fn columns_count_characters_through_comments_and_strings() {
+        // The end of input after a comment is where the comment ends.
+        let mut lexer = Lexer::new("p(a) % cé");
+        let eof = loop {
+            let t = lexer.next_token().unwrap();
+            if t.tok == Tok::Eof {
+                break t;
+            }
+        };
+        assert_eq!((eof.pos.line, eof.pos.col), (1, 10));
+        let mut lexer = Lexer::new("\"é→\" x");
+        lexer.next_token().unwrap();
+        assert_eq!(lexer.next_token().unwrap().pos, Pos { line: 1, col: 6 });
+    }
+
+    #[test]
     fn bad_character_errors() {
-        let err = lex("p(a) & q(b)").unwrap_err();
+        let mut lexer = Lexer::new("p(a) & q(b)");
+        let err = loop {
+            if let Err(e) = lexer.next_token() {
+                break e;
+            }
+        };
         assert!(err.message.contains('&'));
+        assert_eq!(err.pos, Pos { line: 1, col: 6 });
+    }
+
+    #[test]
+    fn bare_names() {
+        for bare in ["a", "k1", "42", "x'", "été", "isAuthorOf"] {
+            assert!(is_bare_name(bare), "{bare}");
+        }
+        for quoted in [
+            "",
+            "Hello World",
+            "X1",
+            "_x",
+            "not",
+            "false",
+            "a b",
+            "a.b",
+            "É",
+        ] {
+            assert!(!is_bare_name(quoted), "{quoted}");
+        }
     }
 }

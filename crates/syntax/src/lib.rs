@@ -5,6 +5,12 @@
 //! `Σf` with explicit Skolem terms (as in Example 4), negative constraints
 //! (`-> false`), and NBCQs (`?- …` Boolean, `?(X) …` with answers).
 //!
+//! The frontend is one streaming pass: [`load`] pulls one statement at a
+//! time from a [`Parser`] whose tokens and AST borrow the source, lowers
+//! it into the universe and drops it — no token vector, no owned AST, no
+//! allocation per fact. Grammar, lifetimes, guarantees and the cost model
+//! are in this crate's `src/README.md`.
+//!
 //! ```
 //! use wfdl_core::Universe;
 //! let mut universe = Universe::new();
@@ -27,8 +33,8 @@ pub mod parser;
 pub mod printer;
 
 pub use error::{Pos, SyntaxError};
-pub use lower::{load, lower, lower_query, lower_query_frozen, prepare_query, Lowered};
-pub use parser::{parse, parse_single_query};
+pub use lower::{load, lower_query, lower_query_frozen, prepare_query, FactInterner, Lowered};
+pub use parser::{parse, parse_single_query, Parser};
 pub use printer::{
     print_database, print_program, print_query, print_skolem_program, print_skolem_rule, print_tgd,
 };

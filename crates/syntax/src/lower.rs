@@ -8,9 +8,10 @@
 
 use crate::ast::*;
 use crate::error::{Result, SyntaxError};
+use crate::parser::Parser;
 use wfdl_core::{
-    Constraint, HeadTerm, Program, RTerm, RuleAtom, SkolemProgram, SkolemRule, Span, Tgd, Universe,
-    Var,
+    AtomId, Constraint, HeadTerm, PredId, Program, RTerm, RuleAtom, SkolemProgram, SkolemRule,
+    Span, TermId, Tgd, Universe, Var,
 };
 use wfdl_query::{
     Nbcq, PreparedQuery, QTerm, QVar, QueryAtom, QueryError, QueryShape, ShapeAtom, ShapeTerm,
@@ -41,76 +42,140 @@ impl Lowered {
     }
 }
 
-/// Parses and lowers a source file in one step.
+/// Parses and lowers a source file in one streaming pass: each statement
+/// is lowered as the parser produces it, in source order — so ids are
+/// assigned in the order names first appear in the text, and of several
+/// errors the first in source order is the one reported. A fact costs no
+/// allocation: its names are slices of `src` until they are interned.
+///
+/// On `Err` nothing but interning has happened to `universe` (names,
+/// terms and atoms of the statements before the error), which never
+/// changes a model; the partial [`Lowered`] is dropped.
 pub fn load(universe: &mut Universe, src: &str) -> Result<Lowered> {
-    let ast = crate::parser::parse(src)?;
-    lower(universe, &ast)
-}
-
-/// Lowers a parsed program.
-pub fn lower(universe: &mut Universe, ast: &AstProgram) -> Result<Lowered> {
+    let mut parser = Parser::new(src);
     let mut out = Lowered::default();
-    for stmt in &ast.statements {
+    let mut facts = FactInterner::default();
+    while let Some(stmt) = parser.next_statement()? {
         match stmt {
             Statement::Fact(atom) => {
-                let ground = lower_fact(universe, atom)?;
+                let ground = lower_fact(universe, &mut facts, &atom)?;
                 out.database
                     .insert(universe, ground)
                     .map_err(|e| SyntaxError::new(e.to_string(), atom.pos))?;
+                parser.recycle(atom);
             }
-            Statement::Rule(rule) => lower_rule(universe, rule, &mut out)?,
-            Statement::Query(q) => out.queries.push(lower_query(universe, q)?),
+            Statement::Rule(rule) => lower_rule(universe, &rule, &mut out)?,
+            Statement::Query(q) => out.queries.push(lower_query(universe, &q)?),
         }
     }
     Ok(out)
 }
 
-fn lower_fact(universe: &mut Universe, atom: &AstAtom) -> Result<wfdl_core::AtomId> {
-    let pred = universe
-        .pred(&atom.pred, atom.args.len())
-        .map_err(|e| SyntaxError::new(e.to_string(), atom.pos))?;
-    let mut args = Vec::with_capacity(atom.args.len());
-    for t in &atom.args {
-        match t {
-            AstTerm::Const(c) => args.push(universe.constant(c)),
-            AstTerm::Var(v) => {
-                return Err(SyntaxError::new(
-                    format!("facts must be ground, found variable `{v}`"),
-                    atom.pos,
-                ))
-            }
-            AstTerm::Fn(f, _) => {
-                return Err(SyntaxError::new(
-                    format!("facts must be null-free, found function term `{f}(…)`"),
-                    atom.pos,
-                ))
-            }
-        }
-    }
-    universe
-        .atom(pred, args)
-        .map_err(|e| SyntaxError::new(e.to_string(), atom.pos))
+/// Interns ground facts given as text — a predicate name and constant
+/// names — without allocating per fact: the argument buffer is reused and
+/// the last predicate is remembered (fact texts are typically grouped by
+/// relation), so a row costs its constants' interning and one atom probe.
+/// Shared by the `.dl` frontend and the tab/comma-separated bulk loader.
+#[derive(Debug, Default)]
+pub struct FactInterner {
+    last: Option<PredId>,
+    args: Vec<TermId>,
 }
 
-/// Per-rule variable table.
+impl FactInterner {
+    /// Declares (or re-finds) the predicate `name` at `arity`; an arity
+    /// mismatch with an earlier declaration is an error.
+    pub fn pred(
+        &mut self,
+        universe: &mut Universe,
+        name: &str,
+        arity: usize,
+    ) -> wfdl_core::Result<PredId> {
+        if let Some(p) = self.last {
+            if universe.pred_arity(p) == arity && universe.pred_name(p) == name {
+                return Ok(p);
+            }
+        }
+        let p = universe.pred(name, arity)?;
+        self.last = Some(p);
+        Ok(p)
+    }
+
+    /// Interns the ground atom `pred(constants…)`, interning each constant
+    /// on first sight.
+    pub fn atom<'a>(
+        &mut self,
+        universe: &mut Universe,
+        pred: PredId,
+        constants: impl Iterator<Item = &'a str>,
+    ) -> wfdl_core::Result<AtomId> {
+        self.args.clear();
+        self.args.extend(constants.map(|c| universe.constant(c)));
+        universe.atom(pred, &self.args)
+    }
+}
+
+fn lower_fact(
+    universe: &mut Universe,
+    facts: &mut FactInterner,
+    atom: &AstAtom<'_>,
+) -> Result<AtomId> {
+    let at = |e: wfdl_core::CoreError| SyntaxError::new(e.to_string(), atom.pos);
+    let pred = facts
+        .pred(universe, atom.pred, atom.args.len())
+        .map_err(at)?;
+    let not_ground = atom.args.iter().find_map(|t| match t {
+        AstTerm::Const(_) => None,
+        AstTerm::Var(v) => Some(format!("facts must be ground, found variable `{v}`")),
+        AstTerm::Fn(f, _) => Some(format!(
+            "facts must be null-free, found function term `{f}(…)`"
+        )),
+    });
+    if let Some(message) = not_ground {
+        return Err(SyntaxError::new(message, atom.pos));
+    }
+    // Every argument is a constant (checked above; `atom` checks the
+    // count against the arity once more).
+    let constants = atom.args.iter().filter_map(|t| match t {
+        AstTerm::Const(c) => Some(*c),
+        _ => None,
+    });
+    facts.atom(universe, pred, constants).map_err(at)
+}
+
+/// Per-statement variable table: a variable's number is the index of its
+/// first occurrence.
 #[derive(Default)]
-struct VarTable {
-    names: Vec<String>,
+struct VarTable<'src> {
+    names: Vec<&'src str>,
 }
 
-impl VarTable {
-    fn var(&mut self, name: &str) -> Var {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return Var::new(i as u32);
-        }
-        self.names.push(name.to_owned());
-        Var::new((self.names.len() - 1) as u32)
+impl<'src> VarTable<'src> {
+    fn index(&mut self, name: &'src str) -> u32 {
+        let i = self.names.iter().position(|n| *n == name);
+        let i = i.unwrap_or_else(|| {
+            self.names.push(name);
+            self.names.len() - 1
+        });
+        i as u32
+    }
+
+    fn var(&mut self, name: &'src str) -> Var {
+        Var::new(self.index(name))
+    }
+
+    fn qvar(&mut self, name: &'src str) -> QVar {
+        QVar::new(self.index(name))
     }
 }
 
-fn lower_body_atom(universe: &mut Universe, vt: &mut VarTable, atom: &AstAtom) -> Result<RuleAtom> {
+fn lower_body_atom<'src>(
+    universe: &mut Universe,
+    vt: &mut VarTable<'src>,
+    atom: &AstAtom<'src>,
+) -> Result<RuleAtom> {
     let pred = universe
-        .pred(&atom.pred, atom.args.len())
+        .pred(atom.pred, atom.args.len())
         .map_err(|e| SyntaxError::new(e.to_string(), atom.pos))?;
     let mut args = Vec::with_capacity(atom.args.len());
     for t in &atom.args {
@@ -128,12 +193,12 @@ fn lower_body_atom(universe: &mut Universe, vt: &mut VarTable, atom: &AstAtom) -
     Ok(RuleAtom::new(pred, args))
 }
 
-fn head_has_functions(head: &[AstAtom]) -> bool {
+fn head_has_functions(head: &[AstAtom<'_>]) -> bool {
     head.iter()
         .any(|a| a.args.iter().any(|t| matches!(t, AstTerm::Fn(..))))
 }
 
-fn lower_rule(universe: &mut Universe, rule: &AstRule, out: &mut Lowered) -> Result<()> {
+fn lower_rule(universe: &mut Universe, rule: &AstRule<'_>, out: &mut Lowered) -> Result<()> {
     let span = Span {
         line: rule.pos.line,
         col: rule.pos.col,
@@ -179,16 +244,16 @@ fn lower_rule(universe: &mut Universe, rule: &AstRule, out: &mut Lowered) -> Res
     Ok(())
 }
 
-fn lower_functional_head(
+fn lower_functional_head<'src>(
     universe: &mut Universe,
-    vt: &mut VarTable,
-    rule: &AstRule,
+    vt: &mut VarTable<'src>,
+    rule: &AstRule<'src>,
     body_pos: Vec<RuleAtom>,
     body_neg: Vec<RuleAtom>,
 ) -> Result<SkolemRule> {
     let head_ast = &rule.head[0];
     let head_pred = universe
-        .pred(&head_ast.pred, head_ast.args.len())
+        .pred(head_ast.pred, head_ast.args.len())
         .map_err(|e| SyntaxError::new(e.to_string(), head_ast.pos))?;
     // Variables seen in the body (function arguments must come from there).
     let body_var_count = vt.names.len();
@@ -245,27 +310,19 @@ fn lower_functional_head(
 /// Lowers a parsed query, interning predicates and constants on first use
 /// (the compile-stage path; for the serving path see
 /// [`lower_query_frozen`]).
-pub fn lower_query(universe: &mut Universe, q: &AstQuery) -> Result<Nbcq> {
-    let mut names: Vec<String> = Vec::new();
-    let qvar = |name: &str, names: &mut Vec<String>| -> QVar {
-        if let Some(i) = names.iter().position(|n| n == name) {
-            QVar::new(i as u32)
-        } else {
-            names.push(name.to_owned());
-            QVar::new((names.len() - 1) as u32)
-        }
-    };
+pub fn lower_query(universe: &mut Universe, q: &AstQuery<'_>) -> Result<Nbcq> {
+    let mut vt = VarTable::default();
     let mut pos = Vec::new();
     let mut neg = Vec::new();
     for lit in &q.body {
         let atom = &lit.atom;
         let pred = universe
-            .pred(&atom.pred, atom.args.len())
+            .pred(atom.pred, atom.args.len())
             .map_err(|e| SyntaxError::new(e.to_string(), atom.pos))?;
         let mut args = Vec::with_capacity(atom.args.len());
         for t in &atom.args {
             match t {
-                AstTerm::Var(v) => args.push(QTerm::Var(qvar(v, &mut names))),
+                AstTerm::Var(v) => args.push(QTerm::Var(vt.qvar(v))),
                 AstTerm::Const(c) => args.push(QTerm::Const(universe.constant(c))),
                 AstTerm::Fn(..) => {
                     return Err(SyntaxError::new(
@@ -282,7 +339,7 @@ pub fn lower_query(universe: &mut Universe, q: &AstQuery) -> Result<Nbcq> {
             pos.push(qa);
         }
     }
-    let answer_vars: Vec<QVar> = q.answer_vars.iter().map(|v| qvar(v, &mut names)).collect();
+    let answer_vars: Vec<QVar> = q.answer_vars.iter().map(|v| vt.qvar(v)).collect();
     Nbcq::new(universe, pos, neg, answer_vars).map_err(|e| SyntaxError::new(e.to_string(), q.pos))
 }
 
@@ -300,16 +357,8 @@ pub fn lower_query(universe: &mut Universe, q: &AstQuery) -> Result<Nbcq> {
 /// universe grows — without re-parsing. Malformed queries (non-range-
 /// restricted, arity mismatches against known predicates, function terms)
 /// still error, with the same messages as the interning path.
-pub fn lower_query_frozen(universe: &Universe, q: &AstQuery) -> Result<PreparedQuery> {
-    let mut names: Vec<String> = Vec::new();
-    let qvar = |name: &str, names: &mut Vec<String>| -> QVar {
-        if let Some(i) = names.iter().position(|n| n == name) {
-            QVar::new(i as u32)
-        } else {
-            names.push(name.to_owned());
-            QVar::new((names.len() - 1) as u32)
-        }
-    };
+pub fn lower_query_frozen(universe: &Universe, q: &AstQuery<'_>) -> Result<PreparedQuery> {
+    let mut vt = VarTable::default();
 
     // Per-literal variable lists, for validating the query *as written*.
     let mut atom_vars: Vec<(bool, Vec<QVar>)> = Vec::new();
@@ -318,11 +367,11 @@ pub fn lower_query_frozen(universe: &Universe, q: &AstQuery) -> Result<PreparedQ
         let atom = &lit.atom;
         // Arity against *known* predicates is a genuine error, reported at
         // the atom's own position.
-        if let Some(p) = universe.lookup_pred(&atom.pred) {
+        if let Some(p) = universe.lookup_pred(atom.pred) {
             if universe.pred_arity(p) != atom.args.len() {
                 return Err(SyntaxError::new(
                     QueryError::ArityMismatch {
-                        predicate: atom.pred.clone(),
+                        predicate: atom.pred.to_owned(),
                     }
                     .to_string(),
                     atom.pos,
@@ -334,11 +383,11 @@ pub fn lower_query_frozen(universe: &Universe, q: &AstQuery) -> Result<PreparedQ
         for t in &atom.args {
             match t {
                 AstTerm::Var(v) => {
-                    let var = qvar(v, &mut names);
+                    let var = vt.qvar(v);
                     vars.push(var);
                     args.push(ShapeTerm::Var(var));
                 }
-                AstTerm::Const(c) => args.push(ShapeTerm::Const(c.clone())),
+                AstTerm::Const(c) => args.push(ShapeTerm::Const((*c).to_owned())),
                 AstTerm::Fn(..) => {
                     return Err(SyntaxError::new(
                         "queries cannot mention nulls (function terms)",
@@ -350,11 +399,11 @@ pub fn lower_query_frozen(universe: &Universe, q: &AstQuery) -> Result<PreparedQ
         atom_vars.push((lit.negated, vars));
         shape_atoms.push(ShapeAtom {
             negated: lit.negated,
-            pred: atom.pred.clone(),
+            pred: atom.pred.to_owned(),
             args,
         });
     }
-    let answer_vars: Vec<QVar> = q.answer_vars.iter().map(|v| qvar(v, &mut names)).collect();
+    let answer_vars: Vec<QVar> = q.answer_vars.iter().map(|v| vt.qvar(v)).collect();
 
     // Validate the query *as written* (resolved or not), mirroring the
     // checks `Nbcq::new` performs on the interning path.
@@ -398,7 +447,8 @@ pub fn lower_query_frozen(universe: &Universe, q: &AstQuery) -> Result<PreparedQ
 }
 
 /// Parses and lowers a single query against a frozen universe in one step:
-/// the text entry point of the serving path.
+/// the text entry point of the serving path. The parsed query borrows
+/// `src`; only the prepared query's own name-level shape is copied out.
 pub fn prepare_query(universe: &Universe, src: &str) -> Result<PreparedQuery> {
     let ast = crate::parser::parse_single_query(src)?;
     lower_query_frozen(universe, &ast)

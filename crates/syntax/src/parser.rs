@@ -1,4 +1,6 @@
-//! Recursive-descent parser for the Datalog± surface syntax.
+//! Recursive-descent parser for the Datalog± surface syntax: pulls tokens
+//! from the [`Lexer`] with one token of lookahead and hands out one
+//! [`Statement`] at a time.
 //!
 //! Grammar (statements end with `.`):
 //!
@@ -16,27 +18,19 @@
 //! ```
 
 use crate::ast::*;
-use crate::error::{Result, SyntaxError};
-use crate::lexer::{lex, Tok, Token};
+use crate::error::{Pos, Result, SyntaxError};
+use crate::lexer::{Lexer, Tok, Token};
 
-/// Parses a complete source file.
-pub fn parse(src: &str) -> Result<AstProgram> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, i: 0 };
+/// Parses a complete source file: every statement of a [`Parser`],
+/// collected (for tools and tests; [`crate::load`] lowers each statement
+/// as it is produced and keeps none).
+pub fn parse(src: &str) -> Result<AstProgram<'_>> {
+    let mut parser = Parser::new(src);
     let mut statements = Vec::new();
-    while !p.at(Tok::Eof) {
-        statements.push(p.statement()?);
+    while let Some(stmt) = parser.next_statement()? {
+        statements.push(stmt);
     }
     Ok(AstProgram { statements })
-}
-
-/// Source position of a statement.
-fn statement_pos(stmt: &Statement) -> crate::error::Pos {
-    match stmt {
-        Statement::Fact(a) => a.pos,
-        Statement::Rule(r) => r.pos,
-        Statement::Query(q) => q.pos,
-    }
 }
 
 /// Parses a source expected to contain a query statement
@@ -44,152 +38,181 @@ fn statement_pos(stmt: &Statement) -> crate::error::Pos {
 ///
 /// Non-query statements are tolerated but at least one query must be
 /// present; the "expected a query" error points at the first offending
-/// statement's real source position (not a hardcoded 1:1).
-pub fn parse_single_query(src: &str) -> Result<AstQuery> {
-    let ast = parse(src)?;
-    if let Some(q) = ast.queries().next() {
-        return Ok(q.clone());
-    }
-    let pos = ast
-        .statements
-        .first()
-        .map(statement_pos)
-        .unwrap_or(crate::error::Pos { line: 1, col: 1 });
-    Err(SyntaxError::new(
-        "expected a query (`?- ….` or `?(X) …  .`)",
-        pos,
-    ))
-}
-
-struct Parser {
-    tokens: Vec<Token>,
-    i: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.i]
-    }
-
-    fn at(&self, tok: Tok) -> bool {
-        self.peek().tok == tok
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.i].clone();
-        if self.i + 1 < self.tokens.len() {
-            self.i += 1;
+/// statement's real source position (not a hardcoded 1:1). The whole
+/// source must parse: a syntax error after the first query is still an
+/// error.
+pub fn parse_single_query(src: &str) -> Result<AstQuery<'_>> {
+    let mut parser = Parser::new(src);
+    let mut query = None;
+    let mut first_pos = None;
+    while let Some(stmt) = parser.next_statement()? {
+        first_pos.get_or_insert(stmt.pos());
+        if let (None, Statement::Query(q)) = (&query, stmt) {
+            query = Some(q);
         }
-        t
     }
+    query.ok_or_else(|| {
+        SyntaxError::new(
+            "expected a query (`?- ….` or `?(X) …  .`)",
+            first_pos.unwrap_or(Pos { line: 1, col: 1 }),
+        )
+    })
+}
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<Token> {
-        if self.peek().tok == tok {
-            Ok(self.bump())
-        } else {
-            Err(SyntaxError::new(
-                format!("expected {what}, found {:?}", self.peek().tok),
-                self.peek().pos,
-            ))
+/// A streaming parser: [`Parser::next_statement`] reads just far enough
+/// into the source to return one statement.
+#[derive(Debug)]
+pub struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The one token of lookahead, lexed on demand — so that an error in
+    /// the text *after* a statement is reported after that statement has
+    /// been handed out, not before.
+    ahead: Option<Token<'src>>,
+    /// An argument buffer handed back by [`Parser::recycle`].
+    spare_args: Vec<AstTerm<'src>>,
+}
+
+impl<'src> Parser<'src> {
+    /// Starts at the beginning of `src`.
+    pub fn new(src: &'src str) -> Self {
+        Parser {
+            lexer: Lexer::new(src),
+            ahead: None,
+            spare_args: Vec::new(),
         }
     }
 
-    fn statement(&mut self) -> Result<Statement> {
-        let pos = self.peek().pos;
-        match &self.peek().tok {
-            Tok::QueryArrow => {
-                self.bump();
-                let body = self.literals()?;
-                self.expect(Tok::Period, "`.`")?;
-                Ok(Statement::Query(AstQuery {
-                    answer_vars: Vec::new(),
-                    body,
-                    pos,
-                }))
-            }
-            Tok::Question => {
-                self.bump();
-                self.expect(Tok::LParen, "`(` after `?`")?;
+    /// Parses the next statement; `None` at the end of the input. After an
+    /// error the parser must not be used further.
+    pub fn next_statement(&mut self) -> Result<Option<Statement<'src>>> {
+        let Token { tok, pos } = self.peek()?;
+        let stmt = match tok {
+            Tok::Eof => return Ok(None),
+            Tok::QueryArrow | Tok::Question => {
+                self.bump()?;
                 let mut answer_vars = Vec::new();
-                loop {
-                    match self.bump() {
-                        Token {
-                            tok: Tok::Var(v), ..
-                        } => answer_vars.push(v),
-                        t => return Err(SyntaxError::new("expected an answer variable", t.pos)),
+                if tok == Tok::Question {
+                    self.expect(Tok::LParen, "`(` after `?`")?;
+                    loop {
+                        match self.bump()? {
+                            Token {
+                                tok: Tok::Var(v), ..
+                            } => answer_vars.push(v),
+                            t => {
+                                return Err(SyntaxError::new("expected an answer variable", t.pos))
+                            }
+                        }
+                        if !self.eat(Tok::Comma)? {
+                            break;
+                        }
                     }
-                    if self.at(Tok::Comma) {
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                    self.expect(Tok::RParen, "`)`")?;
                 }
-                self.expect(Tok::RParen, "`)`")?;
                 let body = self.literals()?;
                 self.expect(Tok::Period, "`.`")?;
-                Ok(Statement::Query(AstQuery {
+                Statement::Query(AstQuery {
                     answer_vars,
                     body,
                     pos,
-                }))
+                })
             }
             _ => {
-                let body = self.literals()?;
-                if self.at(Tok::Arrow) {
-                    self.bump();
-                    let head = if self.at(Tok::False) {
-                        self.bump();
-                        Vec::new()
-                    } else {
-                        let mut head = vec![self.atom()?];
-                        while self.at(Tok::Comma) {
-                            self.bump();
-                            head.push(self.atom()?);
-                        }
-                        head
-                    };
-                    self.expect(Tok::Period, "`.`")?;
-                    Ok(Statement::Rule(AstRule { body, head, pos }))
-                } else {
+                let first = self.literal()?;
+                // A fact — one positive literal, then `.` — is by far the
+                // most common statement: no literal list is built for it.
+                if !first.negated && self.eat(Tok::Period)? {
+                    return Ok(Some(Statement::Fact(first.atom)));
+                }
+                let body = self.more_literals(first)?;
+                if !self.eat(Tok::Arrow)? {
                     self.expect(Tok::Period, "`.` or `->`")?;
-                    // A fact: exactly one positive ground-looking literal.
-                    let mut literals = body.into_iter();
-                    match (literals.next(), literals.next()) {
-                        (Some(only), None) if !only.negated => Ok(Statement::Fact(only.atom)),
-                        _ => Err(SyntaxError::new(
-                            "a fact must be a single positive atom",
-                            pos,
-                        )),
+                    return Err(SyntaxError::new(
+                        "a fact must be a single positive atom",
+                        pos,
+                    ));
+                }
+                let mut head = Vec::new();
+                if !self.eat(Tok::False)? {
+                    head.push(self.atom()?);
+                    while self.eat(Tok::Comma)? {
+                        head.push(self.atom()?);
                     }
                 }
+                self.expect(Tok::Period, "`.`")?;
+                Statement::Rule(AstRule { body, head, pos })
+            }
+        };
+        Ok(Some(stmt))
+    }
+
+    /// Takes back a fact the caller is done with, so that the next atom
+    /// reuses its argument buffer: a consumer that recycles every fact
+    /// makes the parser allocate nothing per fact.
+    pub fn recycle(&mut self, fact: AstAtom<'src>) {
+        self.spare_args = fact.args;
+    }
+
+    fn peek(&mut self) -> Result<Token<'src>> {
+        match self.ahead {
+            Some(t) => Ok(t),
+            None => {
+                let t = self.lexer.next_token()?;
+                self.ahead = Some(t);
+                Ok(t)
             }
         }
     }
 
-    fn literals(&mut self) -> Result<Vec<AstLiteral>> {
-        let mut out = vec![self.literal()?];
-        while self.at(Tok::Comma) {
-            self.bump();
+    fn bump(&mut self) -> Result<Token<'src>> {
+        let t = self.peek()?;
+        self.ahead = None;
+        Ok(t)
+    }
+
+    /// Consumes the next token iff it is `tok`.
+    fn eat(&mut self, tok: Tok<'_>) -> Result<bool> {
+        let found = self.peek()?.tok == tok;
+        if found {
+            self.ahead = None;
+        }
+        Ok(found)
+    }
+
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<()> {
+        if self.eat(tok)? {
+            return Ok(());
+        }
+        let found = self.peek()?;
+        Err(SyntaxError::new(
+            format!("expected {what}, found {:?}", found.tok),
+            found.pos,
+        ))
+    }
+
+    fn literals(&mut self) -> Result<Vec<AstLiteral<'src>>> {
+        let first = self.literal()?;
+        self.more_literals(first)
+    }
+
+    /// The rest of a comma-separated literal list that starts with `first`.
+    fn more_literals(&mut self, first: AstLiteral<'src>) -> Result<Vec<AstLiteral<'src>>> {
+        let mut out = vec![first];
+        while self.eat(Tok::Comma)? {
             out.push(self.literal()?);
         }
         Ok(out)
     }
 
-    fn literal(&mut self) -> Result<AstLiteral> {
-        let negated = if self.at(Tok::Not) {
-            self.bump();
-            true
-        } else {
-            false
-        };
+    fn literal(&mut self) -> Result<AstLiteral<'src>> {
+        let negated = self.eat(Tok::Not)?;
         Ok(AstLiteral {
             atom: self.atom()?,
             negated,
         })
     }
 
-    fn atom(&mut self) -> Result<AstAtom> {
-        let t = self.bump();
+    fn atom(&mut self) -> Result<AstAtom<'src>> {
+        let t = self.bump()?;
         // Predicate position is unambiguous, so capitalized names (the
         // description-logic convention: `Article`, `ValidID`, …) are
         // accepted here even though they lex as variables.
@@ -202,18 +225,10 @@ impl Parser {
                 ));
             }
         };
-        let mut args = Vec::new();
-        if self.at(Tok::LParen) {
-            self.bump();
-            loop {
-                args.push(self.term()?);
-                if self.at(Tok::Comma) {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            self.expect(Tok::RParen, "`)`")?;
+        let mut args = std::mem::take(&mut self.spare_args);
+        args.clear();
+        if self.eat(Tok::LParen)? {
+            self.terms_into(&mut args)?;
         }
         Ok(AstAtom {
             pred,
@@ -222,23 +237,25 @@ impl Parser {
         })
     }
 
-    fn term(&mut self) -> Result<AstTerm> {
-        let t = self.bump();
+    /// `term (',' term)* ')'`, after the opening parenthesis.
+    fn terms_into(&mut self, args: &mut Vec<AstTerm<'src>>) -> Result<()> {
+        loop {
+            args.push(self.term()?);
+            if !self.eat(Tok::Comma)? {
+                break;
+            }
+        }
+        self.expect(Tok::RParen, "`)`")
+    }
+
+    fn term(&mut self) -> Result<AstTerm<'src>> {
+        let t = self.bump()?;
         match t.tok {
             Tok::Var(v) => Ok(AstTerm::Var(v)),
             Tok::Name(n) => {
-                if self.at(Tok::LParen) {
-                    self.bump();
+                if self.eat(Tok::LParen)? {
                     let mut args = Vec::new();
-                    loop {
-                        args.push(self.term()?);
-                        if self.at(Tok::Comma) {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    self.expect(Tok::RParen, "`)`")?;
+                    self.terms_into(&mut args)?;
                     Ok(AstTerm::Fn(n, args))
                 } else {
                     Ok(AstTerm::Const(n))
@@ -285,9 +302,7 @@ mod tests {
         let src = "r(X,Y,Z) -> r(X,Z,f(X,Y,Z)).";
         let prog = parse(src).unwrap();
         let rule = prog.rules().next().unwrap();
-        assert!(
-            matches!(&rule.head[0].args[2], AstTerm::Fn(n, args) if n == "f" && args.len() == 3)
-        );
+        assert!(matches!(&rule.head[0].args[2], AstTerm::Fn("f", args) if args.len() == 3));
     }
 
     #[test]
@@ -295,7 +310,7 @@ mod tests {
         let src = "?(X, Y) p(X, Y), not q(Y).";
         let prog = parse(src).unwrap();
         let q = prog.queries().next().unwrap();
-        assert_eq!(q.answer_vars, vec!["X".to_string(), "Y".to_string()]);
+        assert_eq!(q.answer_vars, vec!["X", "Y"]);
         assert_eq!(q.body.len(), 2);
     }
 

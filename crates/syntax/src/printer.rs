@@ -1,8 +1,10 @@
 //! Pretty-printer: core structures → surface syntax (round-trips through
 //! the parser).
 
+use crate::lexer::is_bare_name;
 use wfdl_core::{
-    HeadTerm, Program, RTerm, RuleAtom, SkolemProgram, SkolemRule, Tgd, Universe, Var,
+    HeadTerm, Program, RTerm, RuleAtom, SkolemProgram, SkolemRule, TermId, TermNode, Tgd, Universe,
+    Var,
 };
 use wfdl_query::{Nbcq, QTerm, QueryAtom};
 use wfdl_storage::Database;
@@ -11,25 +13,59 @@ fn var_name(v: Var) -> String {
     format!("V{}", v.index())
 }
 
+/// Writes a constant so that it lexes back as the same name: bare when
+/// that works, otherwise — spaces, a capital or `_` first, a keyword, the
+/// empty name — as a quoted string. (Strings have no escapes: a name
+/// containing `"` or a newline has no spelling in the surface syntax.)
+fn push_const(universe: &Universe, c: TermId, out: &mut String) {
+    match universe.terms.node(c) {
+        TermNode::Const(name) => {
+            let name = universe.symbols.resolve(name);
+            if is_bare_name(name) {
+                out.push_str(name);
+            } else {
+                out.push('"');
+                out.push_str(name);
+                out.push('"');
+            }
+        }
+        TermNode::Skolem { .. } => out.push_str(&universe.display_term(c).to_string()),
+    }
+}
+
 fn push_rterm(universe: &Universe, t: &RTerm, out: &mut String) {
     match t {
-        RTerm::Const(c) => out.push_str(&universe.display_term(*c).to_string()),
+        RTerm::Const(c) => push_const(universe, *c, out),
         RTerm::Var(v) => out.push_str(&var_name(*v)),
     }
 }
 
-fn push_rule_atom(universe: &Universe, a: &RuleAtom, out: &mut String) {
-    out.push_str(universe.pred_name(a.pred));
-    if !a.args.is_empty() {
-        out.push('(');
-        for (i, t) in a.args.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_rterm(universe, t, out);
-        }
-        out.push(')');
+/// `name(arg, arg, …)` with `sep` between the arguments, or just `name`.
+fn push_atom<T>(
+    out: &mut String,
+    name: &str,
+    args: &[T],
+    sep: &str,
+    mut push_arg: impl FnMut(&T, &mut String),
+) {
+    out.push_str(name);
+    if args.is_empty() {
+        return;
     }
+    out.push('(');
+    for (i, t) in args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        push_arg(t, out);
+    }
+    out.push(')');
+}
+
+fn push_rule_atom(universe: &Universe, a: &RuleAtom, out: &mut String) {
+    push_atom(out, universe.pred_name(a.pred), &a.args, ", ", |t, out| {
+        push_rterm(universe, t, out)
+    });
 }
 
 fn push_body(universe: &Universe, pos: &[RuleAtom], neg: &[RuleAtom], out: &mut String) {
@@ -79,7 +115,7 @@ pub fn print_skolem_rule(universe: &Universe, rule: &SkolemRule) -> String {
                 out.push_str(", ");
             }
             match t {
-                HeadTerm::Const(c) => out.push_str(&universe.display_term(*c).to_string()),
+                HeadTerm::Const(c) => push_const(universe, *c, &mut out),
                 HeadTerm::Var(v) => out.push_str(&var_name(*v)),
                 HeadTerm::Skolem(f, vars) => {
                     out.push_str(universe.skolem_name(*f));
@@ -129,7 +165,15 @@ pub fn print_database(universe: &Universe, db: &Database) -> String {
     let mut lines: Vec<String> = db
         .facts()
         .iter()
-        .map(|&a| format!("{}.", universe.display_atom(a)))
+        .map(|&a| {
+            let mut line = String::new();
+            let pred = universe.pred_name(universe.atoms.pred(a));
+            push_atom(&mut line, pred, universe.atoms.args(a), ",", |&c, out| {
+                push_const(universe, c, out)
+            });
+            line.push('.');
+            line
+        })
         .collect();
     lines.sort();
     let mut out = lines.join("\n");
@@ -140,20 +184,16 @@ pub fn print_database(universe: &Universe, db: &Database) -> String {
 }
 
 fn push_query_atom(universe: &Universe, a: &QueryAtom, out: &mut String) {
-    out.push_str(universe.pred_name(a.pred));
-    if !a.args.is_empty() {
-        out.push('(');
-        for (i, t) in a.args.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            match t {
-                QTerm::Const(c) => out.push_str(&universe.display_term(*c).to_string()),
-                QTerm::Var(v) => out.push_str(&format!("V{}", v.index())),
-            }
-        }
-        out.push(')');
-    }
+    push_atom(
+        out,
+        universe.pred_name(a.pred),
+        &a.args,
+        ", ",
+        |t, out| match t {
+            QTerm::Const(c) => push_const(universe, *c, out),
+            QTerm::Var(v) => out.push_str(&format!("V{}", v.index())),
+        },
+    );
 }
 
 /// Renders an NBCQ in surface syntax (`?- …` or `?(…) …`).
@@ -266,6 +306,28 @@ mod tests {
             ?(X) person(X), not seeker(X).
             "#,
         );
+    }
+
+    #[test]
+    fn constants_that_do_not_lex_as_names_are_quoted() {
+        let src = r#"p("Hello World", "X1", 42). q("not"). r("", "_", "false").
+            p(X, "Y", Z) -> s(X, "a b").
+            ?(X) p(X, "X1", "not")."#;
+        let mut u = Universe::new();
+        let l = load(&mut u, src).unwrap();
+        assert_eq!(
+            print_database(&u, &l.database),
+            "p(\"Hello World\",\"X1\",42).\nq(\"not\").\nr(\"\",\"_\",\"false\").\n"
+        );
+        assert_eq!(
+            print_program(&u, &l.program),
+            "p(V0, \"Y\", V1) -> s(V0, \"a b\").\n"
+        );
+        assert_eq!(
+            print_query(&u, &l.queries[0]),
+            "?(V0) p(V0, \"X1\", \"not\")."
+        );
+        roundtrip(src);
     }
 
     #[test]

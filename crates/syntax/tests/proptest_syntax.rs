@@ -43,9 +43,30 @@ proptest! {
     }
 }
 
+/// Constants as they are spelled in source text: bare names, and quoted
+/// strings that would *not* lex back as a name if printed bare — a space
+/// inside, a capital or `_` first (a variable), a keyword, the empty name
+/// — beside digit-leading and non-ASCII names that need no quotes.
+const CONSTANTS: [&str; 12] = [
+    "k0",
+    "k1",
+    "42",
+    "7up",
+    "été",
+    "中文",
+    "\"Hello World\"",
+    "\"X1\"",
+    "\"_u\"",
+    "\"not\"",
+    "\"false\"",
+    "\"\"",
+];
+
 /// A small generator of valid guarded programs in surface syntax.
 fn program_strategy() -> impl Strategy<Value = String> {
-    let fact = (0usize..4, 0usize..4).prop_map(|(p, c)| format!("p{p}(k{c}, k{}).\n", (c + 1) % 4));
+    let constant = || (0..CONSTANTS.len()).prop_map(|i| CONSTANTS[i]);
+    let fact =
+        (0usize..4, constant(), constant()).prop_map(|(p, c, d)| format!("p{p}({c}, {d}).\n"));
     let plain_rule = (0usize..4, 0usize..4, any::<bool>()).prop_map(|(p, q, neg)| {
         if neg {
             format!("p{p}(X, Y), not p{q}(Y, X) -> p{}(X, Y).\n", (p + q) % 4)
@@ -53,18 +74,27 @@ fn program_strategy() -> impl Strategy<Value = String> {
             format!("p{p}(X, Y) -> p{q}(Y, X).\n")
         }
     });
+    let constant_rule = (0usize..4, 0usize..4, constant())
+        .prop_map(|(p, q, c)| format!("p{p}(X, {c}) -> p{q}({c}, X).\n"));
     let existential_rule =
         (0usize..4, 0usize..4).prop_map(|(p, q)| format!("p{p}(X, Y) -> p{q}(Y, Z).\n"));
     let constraint = (0usize..4usize,).prop_map(|(p,)| format!("p{p}(X, X) -> false.\n"));
-    let query = (0usize..4, any::<bool>()).prop_map(|(p, ans)| {
+    let query = (0usize..4, any::<bool>(), constant()).prop_map(|(p, ans, c)| {
         if ans {
-            format!("?(X) p{p}(X, Y).\n")
+            format!("?(X) p{p}(X, {c}).\n")
         } else {
             format!("?- p{p}(X, Y).\n")
         }
     });
     proptest::collection::vec(
-        prop_oneof![fact, plain_rule, existential_rule, constraint, query],
+        prop_oneof![
+            fact,
+            plain_rule,
+            constant_rule,
+            existential_rule,
+            constraint,
+            query
+        ],
         1..12,
     )
     .prop_map(|stmts| stmts.concat())
@@ -94,6 +124,11 @@ proptest! {
     fn generated_programs_roundtrip(src in program_strategy()) {
         let once = render_all(&src).expect("generated programs are valid");
         let twice = render_all(&once).expect("printed programs re-load");
-        prop_assert_eq!(once, twice);
+        prop_assert_eq!(&once, &twice);
+        // And the print kept every constant's name: each one the source
+        // spells is spelled the same way in the print.
+        for c in CONSTANTS {
+            prop_assert_eq!(src.contains(c), once.contains(c), "constant {} in {}", c, once);
+        }
     }
 }

@@ -1355,12 +1355,12 @@ pub fn fact_batch_from_reader(
     mut reader: impl std::io::BufRead,
 ) -> Result<FactBatch, Error> {
     let mut batch = FactBatch::new();
-    let mut args: Vec<wfdl_core::TermId> = Vec::new();
+    // Fact files are typically grouped by relation; the interner remembers
+    // the last resolved predicate and reuses one argument buffer, so the
+    // per-row work is constant interning — the same per-fact path the
+    // `.dl` frontend takes, and the `RelationWriter` resolved-once contract.
+    let mut facts = wfdl_syntax::FactInterner::default();
     let mut raw = String::new();
-    // Fact files are typically grouped by relation; remembering the last
-    // resolved predicate keeps the per-row work to constant interning,
-    // matching the `RelationWriter` resolved-once contract.
-    let mut current: Option<(String, wfdl_core::PredId, usize)> = None;
     let mut line_no: u32 = 0;
     loop {
         raw.clear();
@@ -1382,25 +1382,16 @@ pub fn fact_batch_from_reader(
             continue;
         }
         let sep = if line.contains('\t') { '\t' } else { ',' };
-        let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
-        let pred = fields[0];
-        if pred.is_empty() || fields.iter().any(|f| f.is_empty()) {
+        let mut fields = line.split(sep).map(str::trim);
+        if fields.clone().any(str::is_empty) {
             return Err(positioned(format!("empty field in fact line `{line}`")));
         }
-        let arity = fields.len() - 1;
-        let pred_id = match &current {
-            Some((name, id, ar)) if name == pred && *ar == arity => *id,
-            _ => {
-                let id = universe
-                    .pred(pred, arity)
-                    .map_err(|e| positioned(e.to_string()))?;
-                current = Some((pred.to_owned(), id, arity));
-                id
-            }
-        };
-        args.clear();
-        args.extend(fields[1..].iter().map(|c| universe.constant(c)));
-        let atom = universe.atoms.intern_ref(pred_id, &args);
+        let arity = fields.clone().count() - 1;
+        let pred = fields.next().unwrap_or_default();
+        let atom = facts
+            .pred(universe, pred, arity)
+            .and_then(|pred| facts.atom(universe, pred, fields))
+            .map_err(|e| positioned(e.to_string()))?;
         batch
             .push_atom(universe, atom)
             .map_err(|e| positioned(e.to_string()))?;

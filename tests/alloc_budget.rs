@@ -1,13 +1,14 @@
-//! Allocation budgets for the interning stores, the atom index and the
-//! modular engine.
+//! Allocation budgets for the interning stores, the atom index, the
+//! modular engine and the text frontend.
 //!
 //! The stores keep every key in a few flat pools, so that cloning a
 //! universe (the façade's copy-on-write before each mutation, and
 //! `solve_for`'s private copy) is a handful of `memcpy`s, re-deriving
 //! something already interned allocates nothing, and an index is a
 //! handful of arrays. The engine evaluates every component in place, in
-//! buffers sized once per solve. A timing cannot pin that on a shared
-//! host; a count of allocator calls can, exactly.
+//! buffers sized once per solve. The frontend reads a fact as slices of
+//! the source text and interns them in place. A timing cannot pin that on
+//! a shared host; a count of allocator calls can, exactly.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -228,4 +229,53 @@ fn recursive_components_allocate_nothing() {
     // universe around it does: 100,000 unrelated atoms interned first
     // change nothing.
     assert_eq!(solve(4_096, 100_000), large);
+}
+
+/// `k` fact statements `edge(n_a, n_b).` over the fixed pool of
+/// `CONSTANTS` names, every fact distinct.
+fn fact_text(k: usize) -> String {
+    use std::fmt::Write as _;
+    let mut text = String::new();
+    for i in 0..k {
+        writeln!(text, "edge(n{}, n{}).", i % CONSTANTS, i / CONSTANTS).unwrap();
+    }
+    text
+}
+
+#[test]
+fn loading_facts_allocates_nothing_per_fact() {
+    // Allocator calls of one `load` of `k` facts into a fresh universe.
+    let load = |k: usize| -> usize {
+        let text = fact_text(k);
+        let mut u = Universe::new();
+        let (lowered, allocations) =
+            allocations_in(|| wfdatalog::syntax::load(&mut u, &text).unwrap());
+        assert_eq!(lowered.database.len(), k);
+        allocations
+    };
+    // The text is scanned in place and its names are interned straight
+    // from it: no token, no AST node and no argument vector per fact. What
+    // is left grows with the *logarithm* of the fact count — the stores'
+    // pools and tables and the database's vectors, doubling.
+    let counts: Vec<usize> = [5_000, 10_000, 20_000, 40_000].map(load).to_vec();
+    for pair in counts.windows(2) {
+        assert!(
+            pair[1] <= pair[0] + 32,
+            "twice the facts took {} allocations, up from {} (all: {counts:?})",
+            pair[1],
+            pair[0]
+        );
+    }
+
+    // The serving path's text entry point: a point ask is parsed from
+    // slices of its text; only the prepared query's own shape is built.
+    let mut u = Universe::new();
+    wfdatalog::syntax::load(&mut u, &fact_text(1_000)).unwrap();
+    let (query, allocations) =
+        allocations_in(|| wfdatalog::syntax::prepare_query(&u, "?- edge(n1, n0).").unwrap());
+    assert!(query.is_boolean());
+    assert!(
+        allocations <= 24,
+        "preparing a point ask took {allocations} allocations"
+    );
 }
