@@ -1,5 +1,6 @@
 //! Delta-aware re-solve: full recompute vs incremental solve after a 1%
-//! fact delta on the Example 4 chain workload.
+//! fact delta on the Example 4 chain workload, and after a 0.5% delta at
+//! the claims benchmark's scale.
 //!
 //! The scenario the redesign targets: a knowledge base with a stable rule
 //! set and a large, growing extensional database. Per sample we
@@ -8,13 +9,21 @@
 //! 2. insert a ~1% delta of fresh seeds through the **typed** path
 //!    ([`wfdatalog::FactBatch`] / `RelationWriter` — no parser);
 //! 3. time the **incremental** re-solve (`solve_resumed`: chase resumed
-//!    from the previous frontier + per-component verdict reuse) against a
-//!    **full** recompute over the union database.
+//!    from the previous frontier, previous model carried over, the delta's
+//!    forward cone re-evaluated) against a **full** recompute over the
+//!    union database.
 //!
 //! Both the engine-level comparison (`wfdl_wfs::solve_resumed` vs
 //! `wfdl_wfs::solve`) and the end-to-end façade comparison
 //! (`KnowledgeBase::solve`, which additionally re-packages the snapshot
-//! and indexes) are reported. Output mirrors the other benches:
+//! and indexes) are reported. A third, **claims-scale** leg runs the
+//! façade comparison on the claims benchmark's `mixed` program (the chain
+//! plus the wide-fanout rules, ≈ 180k atoms), one 173-fact delta after
+//! another into the same knowledge base, and reports the resumed solve's
+//! four phases from its own [`wfdatalog::SolveStats`]
+//! — chase, ground, engine, index — so that an O(program) step creeping
+//! back into the resume path moves a gated number. Output mirrors the
+//! other benches:
 //! human-readable medians on stdout, machine-readable
 //! `BENCH_incremental.json` (override with `WFDL_BENCH_JSON`, sample
 //! count with `WFDL_BENCH_SAMPLES`).
@@ -36,6 +45,23 @@ const RULES: &str = r#"
     R(X,Y,Z), not P(X,Z) -> S(X).
     P(X,Y), not S(X) -> T(X).
 "#;
+
+/// The wide-fanout rules the claims benchmark's `mixed` program adds to
+/// [`RULES`].
+const FANOUT_RULES: &str = r#"
+    src(X), not excl(X) -> mid(X).
+    mid(X) -> out(X).
+    pick(X), not flop(X) -> flip(X).
+    pick(X), not flip(X) -> flop(X).
+"#;
+
+/// Claims scale: 2,048 chain seeds + 32,768 fanout groups (a quarter with
+/// the `flip ⇄ flop` draw) ≈ 180k atoms; the delta is 10 seeds + 122 groups
+/// = 173 facts ≈ 0.5 %.
+const CLAIMS_SEEDS: usize = 2_048;
+const CLAIMS_GROUPS: usize = 32_768;
+const CLAIMS_DELTA_SEEDS: usize = 10;
+const CLAIMS_DELTA_GROUPS: usize = 122;
 
 fn delta_count() -> usize {
     (SEEDS / 100).max(1)
@@ -81,6 +107,24 @@ fn seed_batch(universe: &mut Universe, range: std::ops::Range<usize>) -> FactBat
         for i in range {
             let c = format!("c{i}");
             p.push(&[c.as_str(), c.as_str()]).expect("row");
+        }
+    }
+    batch
+}
+
+/// Fanout facts `src(gᵢ)` for `range`, plus `pick(gᵢ)` for every fourth.
+fn group_batch(universe: &mut Universe, range: std::ops::Range<usize>) -> FactBatch {
+    let mut batch = FactBatch::new();
+    {
+        let mut src = batch.relation(universe, "src", 1).expect("src/1");
+        for i in range.clone() {
+            src.push(&[format!("g{i}").as_str()]).expect("row");
+        }
+    }
+    {
+        let mut pick = batch.relation(universe, "pick", 1).expect("pick/1");
+        for i in range.filter(|i| i % 4 == 0) {
+            pick.push(&[format!("g{i}").as_str()]).expect("row");
         }
     }
     batch
@@ -186,12 +230,120 @@ fn run_facade_leg(samples: usize) -> (Vec<u64>, Vec<u64>) {
     (full_ns, inc_ns)
 }
 
+/// Medians of the claims-scale leg: the two solves and, for the resumed
+/// one, where its own `SolveStats` says the time went and how much of the
+/// program it touched.
+struct ClaimsLeg {
+    atoms: usize,
+    delta_facts: usize,
+    full_ns: u64,
+    inc_ns: u64,
+    phases_ns: [u64; 4],
+    cone_atoms: usize,
+    components_evaluated: usize,
+    components: usize,
+}
+
+/// Untimed rounds at the head of the claims-scale chain: the first resumed
+/// solves of a process pay the allocator's page faults for every large
+/// array they copy (≈ 35 → 15 ms over the first four rounds on the
+/// recording host); a served knowledge base is past them.
+const CLAIMS_WARMUP_ROUNDS: usize = 4;
+
+/// The façade comparison at claims scale, **chained** as a served knowledge
+/// base is: one knowledge base takes a fresh 173-fact delta per round, so
+/// every timed solve resumes a model that was itself resumed. The full
+/// solve it is compared with runs on fresh knowledge bases over the final
+/// union (a third as many samples: each loads 180k atoms).
+fn run_claims_leg(samples: usize) -> ClaimsLeg {
+    let rules = format!("{RULES}{FANOUT_RULES}");
+    // Inserts chain seeds `seeds` and fanout groups `groups`; returns the
+    // number of facts added.
+    let insert =
+        |kb: &mut KnowledgeBase, seeds: std::ops::Range<usize>, groups: std::ops::Range<usize>| {
+            let chain = seed_batch(kb.universe_mut(), seeds);
+            let added = kb.insert(chain).expect("chain loads");
+            let fanout = group_batch(kb.universe_mut(), groups);
+            added + kb.insert(fanout).expect("fanout loads")
+        };
+    let fresh = || {
+        KnowledgeBase::from_source(&rules)
+            .expect("rules compile")
+            .with_depth(DEPTH)
+    };
+    let mut kb = fresh();
+    insert(&mut kb, 0..CLAIMS_SEEDS, 0..CLAIMS_GROUPS);
+    let mut model = kb.solve();
+    let (mut seeds, mut groups) = (CLAIMS_SEEDS, CLAIMS_GROUPS);
+    let mut inc_ns = Vec::with_capacity(samples);
+    let mut phases: [Vec<u64>; 4] = Default::default();
+    let mut delta_facts = 0;
+    for round in 0..CLAIMS_WARMUP_ROUNDS + samples {
+        delta_facts = insert(
+            &mut kb,
+            seeds..seeds + CLAIMS_DELTA_SEEDS,
+            groups..groups + CLAIMS_DELTA_GROUPS,
+        );
+        seeds += CLAIMS_DELTA_SEEDS;
+        groups += CLAIMS_DELTA_GROUPS;
+        let start = Instant::now();
+        let next = kb.solve();
+        let elapsed = start.elapsed().as_nanos() as u64;
+        let stats = next.solve_stats();
+        assert!(stats.incremental);
+        // The previous model goes when the new one is published.
+        model = next;
+        if round < CLAIMS_WARMUP_ROUNDS {
+            continue;
+        }
+        inc_ns.push(elapsed);
+        let spent = [
+            stats.chase_ns,
+            stats.ground_ns,
+            stats.engine_ns,
+            stats.index_ns,
+        ];
+        for (phase, ns) in phases.iter_mut().zip(spent) {
+            phase.push(ns);
+        }
+    }
+    let stats = model.solve_stats();
+    let modular = model.model().component_stats().expect("modular engine");
+
+    let mut full_ns = Vec::new();
+    for sample in 0..samples.div_ceil(3) {
+        let mut kb_full = fresh();
+        insert(&mut kb_full, 0..seeds, 0..groups);
+        let start = Instant::now();
+        let reference = kb_full.solve();
+        full_ns.push(start.elapsed().as_nanos() as u64);
+        if sample == 0 {
+            assert_eq!(
+                reference.model().counts(),
+                model.model().counts(),
+                "claims-scale incremental model must agree with scratch"
+            );
+        }
+    }
+    ClaimsLeg {
+        atoms: model.model().ground.num_atoms(),
+        delta_facts,
+        full_ns: median(full_ns),
+        inc_ns: median(inc_ns),
+        phases_ns: phases.map(median),
+        cone_atoms: stats.cone_atoms,
+        components_evaluated: stats.components_evaluated,
+        components: modular.components,
+    }
+}
+
 fn main() {
     let samples = sample_count();
     let delta_n = delta_count();
 
     let engine = run_engine_leg(samples);
     let (facade_full, facade_inc) = run_facade_leg(samples);
+    let claims = run_claims_leg(samples);
 
     let full_m = median(engine.full_ns);
     let inc_m = median(engine.inc_ns);
@@ -219,6 +371,26 @@ fn main() {
         fmt_ns(f_inc_m)
     );
 
+    let claims_speedup = claims.full_ns as f64 / claims.inc_ns as f64;
+    let [chase_ns, ground_ns, engine_ns, index_ns] = claims.phases_ns;
+    println!(
+        "incremental_update/claims_scale/full: median {} — {} atoms",
+        fmt_ns(claims.full_ns),
+        claims.atoms
+    );
+    println!(
+        "incremental_update/claims_scale/incremental: median {} — {claims_speedup:.1}x vs full \
+         (chase {}, ground {}, engine {}, index {}; cone {} atoms, {} of {} components evaluated)",
+        fmt_ns(claims.inc_ns),
+        fmt_ns(chase_ns),
+        fmt_ns(ground_ns),
+        fmt_ns(engine_ns),
+        fmt_ns(index_ns),
+        claims.cone_atoms,
+        claims.components_evaluated,
+        claims.components
+    );
+
     let mut json = String::from("{\n");
     writeln!(json, "  \"samples\": {samples},").unwrap();
     writeln!(json, "  \"workload\": \"chain{SEEDS}_depth{DEPTH}\",").unwrap();
@@ -236,8 +408,31 @@ fn main() {
     .unwrap();
     writeln!(json, "  \"facade_full_ns\": {f_full_m},").unwrap();
     writeln!(json, "  \"facade_incremental_ns\": {f_inc_m},").unwrap();
-    writeln!(json, "  \"facade_speedup\": {f_speedup:.2}").unwrap();
-    json.push_str("}\n");
+    writeln!(json, "  \"facade_speedup\": {f_speedup:.2},").unwrap();
+    writeln!(json, "  \"claims_scale\": {{").unwrap();
+    writeln!(
+        json,
+        "    \"workload\": \"mixed_chain{CLAIMS_SEEDS}_fanout{CLAIMS_GROUPS}_depth{DEPTH}\","
+    )
+    .unwrap();
+    writeln!(json, "    \"atoms\": {},", claims.atoms).unwrap();
+    writeln!(json, "    \"delta_facts\": {},", claims.delta_facts).unwrap();
+    writeln!(json, "    \"full_solve_ns\": {},", claims.full_ns).unwrap();
+    writeln!(json, "    \"incremental_solve_ns\": {},", claims.inc_ns).unwrap();
+    writeln!(json, "    \"incremental_speedup\": {claims_speedup:.2},").unwrap();
+    writeln!(json, "    \"chase_ns\": {chase_ns},").unwrap();
+    writeln!(json, "    \"ground_ns\": {ground_ns},").unwrap();
+    writeln!(json, "    \"engine_ns\": {engine_ns},").unwrap();
+    writeln!(json, "    \"index_ns\": {index_ns},").unwrap();
+    writeln!(json, "    \"cone_atoms\": {},", claims.cone_atoms).unwrap();
+    writeln!(
+        json,
+        "    \"components_evaluated\": {},",
+        claims.components_evaluated
+    )
+    .unwrap();
+    writeln!(json, "    \"components_total\": {}", claims.components).unwrap();
+    json.push_str("  }\n}\n");
 
     wfdl_bench::write_bench_json("BENCH_incremental.json", &json);
 }

@@ -14,9 +14,7 @@
 //! * **engine**: `wfdl_wfs::solve` vs
 //!   `solve_sliced_packaged_budgeted` on a typed fanout universe;
 //! * **façade**: `KnowledgeBase::solve` vs `KnowledgeBase::solve_for`
-//!   (includes slice computation, query parsing, snapshot repackaging);
-//! * **façade warm**: `solve_for` after a prior full solve, measuring
-//!   how the slice composes with the per-component fingerprint memo.
+//!   (includes slice computation, query parsing, snapshot repackaging).
 //!
 //! Output mirrors the other benches: human-readable medians on stdout,
 //! machine-readable `BENCH_sliced.json` (path override `WFDL_BENCH_JSON`,
@@ -170,21 +168,12 @@ fn run_engine_leg(samples: usize) -> EngineLeg {
     }
 }
 
-struct FacadeLeg {
-    full_ns: Vec<u64>,
-    sliced_ns: Vec<u64>,
-    warm_ns: Vec<u64>,
-    warm_reused: usize,
-}
-
 /// End-to-end façade comparison: `solve` vs `solve_for` on a fresh
-/// knowledge base, plus `solve_for` after a prior full solve (warm memo).
-fn run_facade_leg(samples: usize) -> FacadeLeg {
+/// knowledge base; returns the full and the sliced samples.
+fn run_facade_leg(samples: usize) -> (Vec<u64>, Vec<u64>) {
     let cfg = config();
     let mut full_ns = Vec::with_capacity(samples);
     let mut sliced_ns = Vec::with_capacity(samples);
-    let mut warm_ns = Vec::with_capacity(samples);
-    let mut warm_reused = 0;
     for sample in 0..samples {
         let mut kb = KnowledgeBase::from_source(RULES).expect("rules compile");
         let batch = facade_batch(kb.universe_mut(), &cfg);
@@ -204,41 +193,21 @@ fn run_facade_leg(samples: usize) -> FacadeLeg {
             let ps = sliced.prepare_sliced(QUERY).expect("prepare sliced");
             assert_eq!(full.ask3_prepared(&pf), sliced.ask3_prepared(&ps));
         }
-
-        // Warm leg on a separate knowledge base (`kb`'s sliced-model
-        // cache would answer instantly and measure nothing): a full
-        // solve fills the component memo, then the first `solve_for`
-        // reuses fingerprint-matched slice components.
-        let mut kb_warm = KnowledgeBase::from_source(RULES).expect("rules compile");
-        let batch = facade_batch(kb_warm.universe_mut(), &cfg);
-        kb_warm.insert(batch).expect("facts load");
-        kb_warm.solve();
-        let start = Instant::now();
-        let warm = kb_warm.solve_for(QUERY).expect("warm sliced solve");
-        warm_ns.push(start.elapsed().as_nanos() as u64);
-        warm_reused = warm.solve_stats().components_reused;
-        assert!(warm_reused > 0, "warm slice must reuse memoized components");
     }
-    FacadeLeg {
-        full_ns,
-        sliced_ns,
-        warm_ns,
-        warm_reused,
-    }
+    (full_ns, sliced_ns)
 }
 
 fn main() {
     let samples = sample_count();
     let engine = run_engine_leg(samples);
-    let facade = run_facade_leg(samples);
+    let (facade_full, facade_sliced) = run_facade_leg(samples);
 
     let e_full = median(engine.full_ns);
     let e_sliced = median(engine.sliced_ns);
     let e_speedup = e_full as f64 / e_sliced as f64;
-    let f_full = median(facade.full_ns);
-    let f_sliced = median(facade.sliced_ns);
+    let f_full = median(facade_full);
+    let f_sliced = median(facade_sliced);
     let f_speedup = f_full as f64 / f_sliced as f64;
-    let f_warm = median(facade.warm_ns);
 
     println!(
         "sliced_query/fanout{GROUPS}/engine_full: median {} ({samples} samples)",
@@ -258,11 +227,6 @@ fn main() {
         "sliced_query/fanout{GROUPS}/facade_sliced: median {} — {f_speedup:.1}x vs full (solve_for, cold)",
         fmt_ns(f_sliced)
     );
-    println!(
-        "sliced_query/fanout{GROUPS}/facade_sliced_warm: median {} — after a full solve ({} components reused)",
-        fmt_ns(f_warm),
-        facade.warm_reused
-    );
 
     let mut json = String::from("{\n");
     writeln!(json, "  \"samples\": {samples},").unwrap();
@@ -281,8 +245,7 @@ fn main() {
     writeln!(json, "  \"engine_speedup\": {e_speedup:.2},").unwrap();
     writeln!(json, "  \"facade_full_ns\": {f_full},").unwrap();
     writeln!(json, "  \"facade_sliced_ns\": {f_sliced},").unwrap();
-    writeln!(json, "  \"facade_speedup\": {f_speedup:.2},").unwrap();
-    writeln!(json, "  \"facade_sliced_warm_ns\": {f_warm}").unwrap();
+    writeln!(json, "  \"facade_speedup\": {f_speedup:.2}").unwrap();
     json.push_str("}\n");
 
     wfdl_bench::write_bench_json("BENCH_sliced.json", &json);

@@ -59,6 +59,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
 use wfdl_core::budget::FaultSite;
+use wfdl_core::csr::{self, RowEdits};
 use wfdl_core::{
     match_atom, subst::instantiate_atom_into, AtomId, Binding, BitSet, SkolemProgram, SolveBudget,
     TermId, TruncationReason, Universe,
@@ -189,6 +190,12 @@ pub struct ChaseSegment {
 #[derive(Clone, Debug)]
 struct ResumeState {
     expanded: Vec<bool>,
+    /// Segment ids of the facts (`fact_seg` as a set).
+    fact_set: BitSet,
+    /// Atoms the depth budget keeps from expanding (see
+    /// `Builder::depth_blocked`): carried so a resume re-counts only the
+    /// atoms it added or relaxed.
+    depth_blocked: usize,
     pending: Vec<Pending>,
     pend_pos: Vec<AtomId>,
     pend_neg: Vec<AtomId>,
@@ -861,6 +868,10 @@ struct Builder<'a> {
 
     expand_queue: VecDeque<u32>,
     relax_queue: VecDeque<u32>,
+    /// Inherited atoms whose depth improved during a resume — the only
+    /// ones whose depth gate can have changed (with repeats; unused by
+    /// fresh builds).
+    relaxed: Vec<u32>,
 
     /// Resolved match-phase worker count (from `budget.threads`).
     threads: usize,
@@ -1006,6 +1017,7 @@ impl<'a> Builder<'a> {
             pend_neg: Vec::new(),
             expand_queue: VecDeque::new(),
             relax_queue: VecDeque::new(),
+            relaxed: Vec::new(),
             threads: resolve_chase_threads(budget.threads),
             frontier: Vec::new(),
             shards: Vec::new(),
@@ -1034,9 +1046,6 @@ impl<'a> Builder<'a> {
         b.atoms = old.atoms.clone();
         b.seg_of = old.seg_of.clone();
         b.fact_seg = old.fact_seg.clone();
-        for &fs in &b.fact_seg {
-            b.fact_set.insert(fs.index());
-        }
         b.inst_src_rule = old.inst_src_rule.clone();
         b.inst_guard = old.inst_guard.clone();
         b.inst_head = old.inst_head.clone();
@@ -1045,6 +1054,7 @@ impl<'a> Builder<'a> {
         b.neg_off = old.neg_off.clone();
         b.neg_atoms = old.neg_atoms.clone();
         let r = &old.resume;
+        b.fact_set = r.fact_set.clone();
         b.expanded = r.expanded.clone();
         b.pending = r.pending.clone();
         b.pend_pos = r.pend_pos.clone();
@@ -1099,9 +1109,7 @@ impl<'a> Builder<'a> {
             self.add_fact(fact);
         }
         self.drain();
-        let pending_at_end = self.pending.iter().filter(|p| p.missing > 0).count();
-        let complete = self.truncation.is_none() && !self.blocked_by_depth();
-        self.finish(pending_at_end, complete)
+        self.finish()
     }
 
     /// Continues a resumed build with the delta facts.
@@ -1116,28 +1124,59 @@ impl<'a> Builder<'a> {
             self.add_fact(fact);
         }
         self.drain();
-        let pending_at_end = self.pending.iter().filter(|p| p.missing > 0).count();
-        let complete = self.truncation.is_none() && !self.blocked_by_depth();
-        self.finish(pending_at_end, complete)
+        self.finish()
     }
 
-    /// True iff some atom with applicable rules sits at the depth budget
-    /// unexpanded — it could have children beyond the budgeted depth, so
-    /// the segment is a truncation. Computed from the final depth minima
-    /// (not a sticky in-run flag) so a resume that relaxes a previously
-    /// gated atom below the budget reports completeness exactly.
-    fn blocked_by_depth(&self) -> bool {
+    /// True iff an atom with applicable rules, at `depth`, unexpanded, sits
+    /// at the depth budget: it could have children beyond the budgeted
+    /// depth.
+    fn gated(&self, atom: AtomId, depth: u32, expanded: bool) -> bool {
+        !expanded
+            && depth >= self.budget.max_depth
+            && self
+                .rules_by_guard_pred
+                .get(self.universe.atoms.pred(atom).index())
+                .is_some_and(|r| !r.is_empty())
+    }
+
+    /// How many atoms the depth budget keeps from expanding; the segment is
+    /// a truncation iff there is one. Read off the final depth minima (not
+    /// a sticky in-run flag), so a resume that relaxes a previously gated
+    /// atom below the budget reports completeness exactly. A fresh build
+    /// looks at every atom; a resume starts from the inherited count and
+    /// looks only at the atoms it added or relaxed — nothing else can have
+    /// changed depth or expansion state.
+    fn depth_blocked(&mut self) -> usize {
         if self.budget.max_depth == u32::MAX {
-            return false;
+            return 0;
         }
-        self.atoms.iter().enumerate().any(|(i, sa)| {
-            !self.expanded[i]
-                && sa.depth >= self.budget.max_depth
-                && self
-                    .rules_by_guard_pred
-                    .get(self.universe.atoms.pred(sa.atom).index())
-                    .is_some_and(|r| !r.is_empty())
-        })
+        let now = |b: &Self, i: usize| b.gated(b.atoms[i].atom, b.atoms[i].depth, b.expanded[i]);
+        let Some(old) = self.old else {
+            return (0..self.atoms.len()).filter(|&i| now(self, i)).count();
+        };
+        let mut relaxed = std::mem::take(&mut self.relaxed);
+        relaxed.sort_unstable();
+        relaxed.dedup();
+        let mut blocked = old.resume.depth_blocked;
+        for &ai in &relaxed {
+            let i = ai as usize;
+            if i < old.atoms.len() {
+                let before = old.atoms[i];
+                blocked -= self.gated(before.atom, before.depth, old.resume.expanded[i]) as usize;
+                blocked += now(self, i) as usize;
+            }
+        }
+        blocked += (old.atoms.len()..self.atoms.len())
+            .filter(|&i| now(self, i))
+            .count();
+        // `drain` relaxes to fixpoint before it stops, so every inherited
+        // atom whose depth moved is in `relaxed`.
+        debug_assert!(self.relax_queue.is_empty());
+        debug_assert_eq!(
+            blocked,
+            (0..self.atoms.len()).filter(|&i| now(self, i)).count()
+        );
+        blocked
     }
 
     /// The saturation work loop: rounds of *relax to fixpoint → collect
@@ -1390,69 +1429,123 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Finalizes the occurrence CSRs (counting sort over the instance
-    /// arrays) and assembles the segment.
-    fn finish(mut self, pending_at_end: usize, complete: bool) -> ChaseSegment {
-        let n = self.atoms.len();
-        let num_inst = self.inst_src_rule.len();
-
-        let mut guard_counts = vec![0u32; n];
-        let mut head_counts = vec![0u32; n];
-        let mut body_counts = vec![0u32; n];
-        let mut pos_distinct = vec![0u32; num_inst];
-        for i in 0..num_inst {
-            guard_counts[self.inst_guard[i].index()] += 1;
-            head_counts[self.inst_head[i].index()] += 1;
+    /// Calls `f(instance, segment atom)` once per distinct positive body
+    /// atom of each instance in `range` (bodies are short; a linear
+    /// prior-occurrence scan beats any set).
+    fn for_each_body_atom(
+        &self,
+        range: std::ops::Range<usize>,
+        mut f: impl FnMut(usize, SegAtomId),
+    ) {
+        for i in range {
             let span = self.pos_off[i] as usize..self.pos_off[i + 1] as usize;
             for k in span.clone() {
                 let s = self.pos_seg[k];
-                // Count each distinct body atom once per instance (bodies
-                // are short; a linear prior-occurrence scan beats any set).
-                if self.pos_seg[span.start..k].contains(&s) {
-                    continue;
+                if !self.pos_seg[span.start..k].contains(&s) {
+                    f(i, s);
                 }
-                body_counts[s.index()] += 1;
-                pos_distinct[i] += 1;
             }
         }
-        let prefix_sum = |counts: &[u32]| -> Vec<u32> {
-            let mut off = Vec::with_capacity(counts.len() + 1);
+    }
+
+    /// The occurrence CSRs of a fresh build — guard, head and distinct
+    /// positive body, each `(offsets, instances)` — and `pos_distinct`: one
+    /// counting sort over the instance arrays.
+    #[allow(clippy::type_complexity)]
+    fn count_occurrences(&self) -> ([(Vec<u32>, Vec<InstanceId>); 3], Vec<u32>) {
+        let n = self.atoms.len();
+        let num_inst = self.inst_src_rule.len();
+        let mut counts = [vec![0u32; n], vec![0u32; n], vec![0u32; n]];
+        let mut pos_distinct = vec![0u32; num_inst];
+        for i in 0..num_inst {
+            counts[0][self.inst_guard[i].index()] += 1;
+            counts[1][self.inst_head[i].index()] += 1;
+        }
+        self.for_each_body_atom(0..num_inst, |i, s| {
+            counts[2][s.index()] += 1;
+            pos_distinct[i] += 1;
+        });
+        let zero = InstanceId::from_index(0);
+        let [mut guard, mut head, mut body] = counts.map(|counts| {
+            let mut off = Vec::with_capacity(n + 1);
             let mut acc = 0u32;
             off.push(0);
-            for &c in counts {
+            for &c in &counts {
                 acc += c;
                 off.push(acc);
             }
-            off
+            // `counts` becomes the fill cursor of each row.
+            let mut fill = counts;
+            fill.copy_from_slice(&off[..n]);
+            (off, vec![zero; acc as usize], fill)
+        });
+        let drop_at = |csr: &mut (Vec<u32>, Vec<InstanceId>, Vec<u32>), row: usize, i: usize| {
+            csr.1[csr.2[row] as usize] = InstanceId::from_index(i);
+            csr.2[row] += 1;
         };
-        let guard_occ_off = prefix_sum(&guard_counts);
-        let head_occ_off = prefix_sum(&head_counts);
-        let body_occ_off = prefix_sum(&body_counts);
-        let zero = InstanceId::from_index(0);
-        let mut guard_occ = vec![zero; guard_occ_off[n] as usize];
-        let mut head_occ = vec![zero; head_occ_off[n] as usize];
-        let mut body_occ = vec![zero; body_occ_off[n] as usize];
-        let mut guard_fill: Vec<u32> = guard_occ_off[..n].to_vec();
-        let mut head_fill: Vec<u32> = head_occ_off[..n].to_vec();
-        let mut body_fill: Vec<u32> = body_occ_off[..n].to_vec();
         for i in 0..num_inst {
-            let id = InstanceId::from_index(i);
-            let g = self.inst_guard[i].index();
-            guard_occ[guard_fill[g] as usize] = id;
-            guard_fill[g] += 1;
-            let h = self.inst_head[i].index();
-            head_occ[head_fill[h] as usize] = id;
-            head_fill[h] += 1;
-            let span = self.pos_off[i] as usize..self.pos_off[i + 1] as usize;
-            for k in span.clone() {
-                let s = self.pos_seg[k];
-                if self.pos_seg[span.start..k].contains(&s) {
-                    continue;
-                }
-                body_occ[body_fill[s.index()] as usize] = id;
-                body_fill[s.index()] += 1;
-            }
+            drop_at(&mut guard, self.inst_guard[i].index(), i);
+            drop_at(&mut head, self.inst_head[i].index(), i);
         }
+        self.for_each_body_atom(0..num_inst, |i, s| drop_at(&mut body, s.index(), i));
+        (
+            [guard, head, body].map(|(off, occ, _)| (off, occ)),
+            pos_distinct,
+        )
+    }
+
+    /// The same four arrays for a resumed build, **spliced** from `old`'s:
+    /// inherited rows are copied, the resume's atoms append empty rows, and
+    /// only the resume's instances are looked at (their ids exceed every
+    /// inherited one, so each lands at the end of its row).
+    #[allow(clippy::type_complexity)]
+    fn splice_occurrences(
+        &self,
+        old: &ChaseSegment,
+    ) -> ([(Vec<u32>, Vec<InstanceId>); 3], Vec<u32>) {
+        let fresh = old.num_instances()..self.inst_src_rule.len();
+        let row = |s: SegAtomId| s.index() as u32;
+        let mut added: [Vec<(u32, InstanceId)>; 3] = Default::default();
+        let mut pos_distinct = old.pos_distinct.clone();
+        pos_distinct.resize(fresh.end, 0);
+        for i in fresh.clone() {
+            let id = InstanceId::from_index(i);
+            added[0].push((row(self.inst_guard[i]), id));
+            added[1].push((row(self.inst_head[i]), id));
+        }
+        self.for_each_body_atom(fresh, |i, s| {
+            added[2].push((row(s), InstanceId::from_index(i)));
+            pos_distinct[i] += 1;
+        });
+        let inserted: Vec<u32> = (old.atoms.len() as u32..self.atoms.len() as u32).collect();
+        let olds = [
+            (&old.guard_occ_off, &old.guard_occ),
+            (&old.head_occ_off, &old.head_occ),
+            (&old.body_occ_off, &old.body_occ),
+        ];
+        let csrs = std::array::from_fn(|k| {
+            added[k].sort_unstable();
+            let edits = RowEdits {
+                inserted: &inserted,
+                added: &added[k],
+                ..RowEdits::default()
+            };
+            csr::splice(olds[k].0, olds[k].1, &edits)
+        });
+        (csrs, pos_distinct)
+    }
+
+    /// Finalizes the occurrence CSRs and assembles the segment.
+    fn finish(mut self) -> ChaseSegment {
+        let pending_at_end = self.pending.iter().filter(|p| p.missing > 0).count();
+        let depth_blocked = self.depth_blocked();
+        let complete = self.truncation.is_none() && depth_blocked == 0;
+        let (occurrences, pos_distinct) = match self.old {
+            Some(old) => self.splice_occurrences(old),
+            None => self.count_occurrences(),
+        };
+        let [(guard_occ_off, guard_occ), (head_occ_off, head_occ), (body_occ_off, body_occ)] =
+            occurrences;
 
         self.atoms.shrink_to_fit();
         self.seg_of.shrink_to_fit();
@@ -1489,6 +1582,8 @@ impl<'a> Builder<'a> {
             stats: self.stats,
             resume: ResumeState {
                 expanded: self.expanded,
+                fact_set: self.fact_set,
+                depth_blocked,
                 pending: self.pending,
                 pend_pos: self.pend_pos,
                 pend_neg: self.pend_neg,
@@ -1701,6 +1796,9 @@ impl<'a> Builder<'a> {
     /// Propagates a depth/level improvement of `atoms[ai]` to the heads of
     /// every instance whose body mentions it, and re-checks the depth gate.
     fn relax(&mut self, ai: u32) {
+        if self.old.is_some() {
+            self.relaxed.push(ai);
+        }
         let depth = self.atoms[ai as usize].depth;
         // The atom may now be allowed to expand where it previously hit the
         // depth gate.
@@ -2069,6 +2167,34 @@ mod tests {
         assert_eq!(ka.2, kb.2, "instance multisets differ");
         assert_eq!(ka.3, kb.3, "completeness differs");
         let _ = u;
+        assert_occurrences_recount(a);
+        assert_occurrences_recount(b);
+    }
+
+    /// The occurrence rows a segment stores — counted by a fresh build,
+    /// spliced by a resumed one — against a naive recount from its instance
+    /// arrays: per segment atom, the instances it guards, heads and occurs
+    /// in (once per instance), ascending.
+    fn assert_occurrences_recount(seg: &ChaseSegment) {
+        let n = seg.atoms().len();
+        let mut rows = vec![(Vec::new(), Vec::new(), Vec::new()); n];
+        for i in seg.instance_ids() {
+            rows[seg.guard_seg(i).index()].0.push(i);
+            rows[seg.head_seg(i).index()].1.push(i);
+            let mut body = seg.pos_seg(i).to_vec();
+            body.sort_unstable();
+            body.dedup();
+            assert_eq!(seg.num_distinct_pos(i) as usize, body.len(), "{i:?}");
+            for s in body {
+                rows[s.index()].2.push(i);
+            }
+        }
+        for (a, (guard, head, body)) in rows.into_iter().enumerate() {
+            let s = SegAtomId::from_index(a);
+            assert_eq!(seg.instances_with_guard_seg(s), guard, "guard row {a}");
+            assert_eq!(seg.instances_with_head_seg(s), head, "head row {a}");
+            assert_eq!(seg.instances_with_body_seg(s), body, "body row {a}");
+        }
     }
 
     #[test]
@@ -2099,6 +2225,17 @@ mod tests {
         let fresh = ChaseSegment::build(&mut u, &union_db, &prog, budget);
         assert_segments_equivalent(&u, &fresh, &resumed);
         assert!(resumed.num_instances() > base.num_instances());
+
+        // A resumed segment resumes again: its spliced rows are spliced.
+        let e = u.constant("e9");
+        let ree = u.atom(r, vec![e, e, c]).unwrap();
+        let again = resumed
+            .resume_with(&mut u, &prog, &[ree])
+            .expect("resumable");
+        union_db.insert(&u, ree).unwrap();
+        let fresh = ChaseSegment::build(&mut u, &union_db, &prog, budget);
+        assert_segments_equivalent(&u, &fresh, &again);
+        assert!(again.num_instances() > resumed.num_instances());
     }
 
     #[test]
@@ -2238,24 +2375,44 @@ mod tests {
 
     #[test]
     fn incremental_grounding_equals_from_scratch() {
-        let mut u = Universe::new();
-        let (db, prog) = example4(&mut u);
-        let budget = ChaseBudget::depth(4);
-        let base = ChaseSegment::build(&mut u, &db, &prog, budget);
-        let base_ground = base.to_ground_program();
+        // `early`: the delta's facts are interned before the base chase, so
+        // their ids sit below the base's nulls and extending the ground
+        // program has to remap every inherited local id; otherwise they
+        // come last and the inherited arrays are copied as they are.
+        for early in [false, true] {
+            let mut u = Universe::new();
+            let (db, prog) = example4(&mut u);
+            let budget = ChaseBudget::depth(4);
+            let r = u.lookup_pred("R").unwrap();
+            let p = u.lookup_pred("P").unwrap();
+            let delta = |u: &mut Universe, (c, d): (&str, &str)| {
+                let (c, d) = (u.constant(c), u.constant(d));
+                [
+                    u.atom(r, vec![c, c, d]).unwrap(),
+                    u.atom(p, vec![c, c]).unwrap(),
+                ]
+            };
+            let seeds = [("c9", "d9"), ("d9", "c9")];
+            let interned_early = early.then(|| seeds.map(|seed| delta(&mut u, seed)));
+            let base = ChaseSegment::build(&mut u, &db, &prog, budget);
 
-        let r = u.lookup_pred("R").unwrap();
-        let p = u.lookup_pred("P").unwrap();
-        let c = u.constant("c9");
-        let d = u.constant("d9");
-        let rcd = u.atom(r, vec![c, c, d]).unwrap();
-        let pcc = u.atom(p, vec![c, c]).unwrap();
-        let resumed = base
-            .resume_with(&mut u, &prog, &[rcd, pcc])
-            .expect("resumable");
+            // Two deltas in a row: the second extends an extended program.
+            let (mut seg, mut ground) = (base.clone(), base.to_ground_program());
+            for (k, seed) in seeds.into_iter().enumerate() {
+                let facts = interned_early.map_or_else(|| delta(&mut u, seed), |all| all[k]);
+                seg = seg.resume_with(&mut u, &prog, &facts).expect("resumable");
+                let extended = seg.to_ground_program_from(&ground);
+                assert_ground_programs_identical(&seg.to_ground_program(), &extended);
+                assert!(extended.num_rules() > ground.num_rules());
+                let appended = extended.atoms()[..ground.num_atoms()] == *ground.atoms();
+                assert_eq!(appended, !early, "the case this leg is for");
+                ground = extended;
+            }
+        }
+    }
 
-        let scratch = resumed.to_ground_program();
-        let extended = resumed.to_ground_program_from(&base_ground);
+    /// Every array two ground programs expose, occurrence rows included.
+    fn assert_ground_programs_identical(scratch: &GroundProgram, extended: &GroundProgram) {
         assert_eq!(scratch.atoms(), extended.atoms());
         assert_eq!(scratch.facts(), extended.facts());
         assert_eq!(scratch.facts_local(), extended.facts_local());

@@ -70,6 +70,20 @@ impl Interp {
     }
 
     fn set(&mut self, atom: AtomId, value: Truth) -> bool {
+        debug_assert!(
+            self.value(atom).is_unknown() || self.value(atom) == value,
+            "inconsistent refinement of atom {atom:?}: {} -> {value}",
+            self.value(atom)
+        );
+        self.revise(atom, value)
+    }
+
+    /// Replaces the value of `atom` — in any direction, `Unknown` included.
+    /// Returns `true` if it changed. A fixpoint engine only ever refines
+    /// `Unknown` ([`Interp::set_true`] / [`Interp::set_false`]); this is for
+    /// carrying an interpretation over to a changed program, where an old
+    /// verdict may be withdrawn or reversed.
+    pub fn revise(&mut self, atom: AtomId, value: Truth) -> bool {
         let i = atom.index();
         if i >= self.vals.len() {
             self.vals.resize(i + 1, Truth::Unknown);
@@ -78,10 +92,6 @@ impl Interp {
         if old == value {
             return false;
         }
-        debug_assert!(
-            old.is_unknown(),
-            "inconsistent refinement of atom {atom:?}: {old} -> {value}"
-        );
         match old {
             Truth::True => self.n_true -= 1,
             Truth::False => self.n_false -= 1,

@@ -24,6 +24,7 @@
 pub mod atom;
 pub mod bitset;
 pub mod budget;
+pub mod csr;
 pub mod error;
 pub mod factbatch;
 pub mod fxhash;

@@ -190,3 +190,94 @@ proptest! {
         prop_assert_eq!(u.terms.depth(nested), 2);
     }
 }
+
+/// One CSR from explicit rows: the recount `csr::splice` must agree with.
+fn csr_of(rows: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32];
+    let mut items = Vec::new();
+    for row in rows {
+        items.extend_from_slice(row);
+        off.push(items.len() as u32);
+    }
+    (off, items)
+}
+
+/// A row of the edited CSR: its final content and what the edit says about
+/// it.
+struct EditedRow {
+    is_new: bool,
+    content: Vec<u32>,
+    gone: Vec<u32>,
+    new: Vec<u32>,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `csr::splice` equals rebuilding the CSR from the edited rows, over
+    /// random rows, dropped rows, inserted rows (items kept as given),
+    /// removals and merged additions — rows that empty out included.
+    #[test]
+    fn csr_splice_equals_recount(
+        old in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..6), 0..10),
+        plan in proptest::collection::vec(
+            (0u8..5, 0u8..=255, proptest::collection::vec(0u32..40, 0..4)),
+            10,
+        ),
+        fresh in proptest::collection::vec(
+            (0usize..16, proptest::collection::vec(0u32..40, 0..4)),
+            0..5,
+        ),
+    ) {
+        use wfdl_core::csr::{splice, RowEdits};
+        let old: Vec<Vec<u32>> = old
+            .into_iter()
+            .map(|mut row| {
+                row.sort_unstable();
+                row.dedup();
+                row
+            })
+            .collect();
+        // Surviving rows with what leaves and enters them.
+        let mut dropped = Vec::new();
+        let mut rows: Vec<EditedRow> = Vec::new();
+        for (i, (row, (kind, mask, extra))) in old.iter().zip(&plan).enumerate() {
+            if *kind == 0 {
+                dropped.push(i as u32);
+                continue;
+            }
+            let gone: Vec<u32> = (row.iter().enumerate())
+                .filter(|(k, _)| mask >> (k % 8) & 1 == 1)
+                .map(|(_, &x)| x)
+                .collect();
+            let mut new: Vec<u32> = extra.iter().copied().filter(|x| !row.contains(x)).collect();
+            new.sort_unstable();
+            new.dedup();
+            let mut content: Vec<u32> =
+                row.iter().copied().filter(|x| !gone.contains(x)).chain(new.iter().copied()).collect();
+            content.sort_unstable();
+            rows.push(EditedRow { is_new: false, content, gone, new });
+        }
+        for (at, items) in fresh {
+            let at = at.min(rows.len());
+            rows.insert(at, EditedRow { is_new: true, content: items.clone(), gone: Vec::new(), new: items });
+        }
+        let (mut inserted, mut removed, mut added) = (Vec::new(), Vec::new(), Vec::new());
+        for (r, row) in rows.iter().enumerate() {
+            if row.is_new {
+                inserted.push(r as u32);
+            }
+            removed.extend(row.gone.iter().map(|&x| (r as u32, x)));
+            added.extend(row.new.iter().map(|&x| (r as u32, x)));
+        }
+        let (old_off, old_items) = csr_of(&old);
+        let edits = RowEdits {
+            dropped: &dropped,
+            inserted: &inserted,
+            removed: &removed,
+            added: &added,
+        };
+        let want: Vec<Vec<u32>> = rows.into_iter().map(|row| row.content).collect();
+        prop_assert_eq!(splice(&old_off, &old_items, &edits), csr_of(&want));
+    }
+}

@@ -18,6 +18,7 @@
 //! remain for callers that work with universe ids; the `*_local` twins are
 //! the hot-path API used by `wfdl-wfs`.
 
+use wfdl_core::csr::{self, RowEdits};
 use wfdl_core::{AtomId, BitSet, FxHashMap};
 
 /// Index of a rule within a [`GroundProgram`].
@@ -309,11 +310,17 @@ impl GroundProgram {
     /// Duplicate candidates (of existing rules or of each other) are
     /// dropped, preserving the first-occurrence semantics of a from-scratch
     /// build — the result is **identical** to re-grounding the grown
-    /// segment from scratch.
+    /// segment from scratch, with this program's atoms a subset of its
+    /// atoms and this program's rules and facts a prefix of its rules and
+    /// facts.
     ///
-    /// Cost: one merge pass over the atom list, one remap pass over the
-    /// existing rule arrays (plain array adds — no sorting, no hashing, no
-    /// per-rule boxing), and per-candidate work for the new rules only.
+    /// Cost: **copy + O(delta)**. Every inherited array is copied once —
+    /// a plain `memcpy` when every new atom id exceeds the old maximum (the
+    /// common case: a resumed chase interns its atoms after the old ones),
+    /// one monotone remap pass otherwise — and the three occurrence CSRs
+    /// are [spliced](wfdl_core::csr::splice) from this program's with the
+    /// new rules only. Nothing is recounted, sorted or hashed outside the
+    /// delta.
     pub fn extend_with(
         &self,
         new_atoms: &[AtomId],
@@ -324,11 +331,19 @@ impl GroundProgram {
         debug_assert!(new_atoms.iter().all(|a| !self.mentions(*a)));
         let old_n = self.atoms.len();
 
-        // Merge the sorted atom lists; `shift[l]` counts the new atoms
-        // inserted before old local `l`, so remapping is one add.
+        // Merge the sorted atom lists. `inserted` are the new atoms' local
+        // ids; an old local `l` moves up by the number of new atoms before
+        // it — by nothing at all when the new atoms all come last.
+        let appended = new_atoms.first() > self.atoms.last();
         let mut atoms = Vec::with_capacity(old_n + new_atoms.len());
-        let mut shift = Vec::with_capacity(old_n);
-        {
+        let mut inserted: Vec<u32> = Vec::with_capacity(new_atoms.len());
+        let mut shift: Vec<u32> = Vec::new();
+        if appended || new_atoms.is_empty() {
+            atoms.extend_from_slice(&self.atoms);
+            atoms.extend_from_slice(new_atoms);
+            inserted.extend(old_n as u32..atoms.len() as u32);
+        } else {
+            shift.reserve(old_n);
             let (mut i, mut j) = (0usize, 0usize);
             while i < old_n || j < new_atoms.len() {
                 if j >= new_atoms.len() || (i < old_n && self.atoms[i] < new_atoms[j]) {
@@ -336,28 +351,43 @@ impl GroundProgram {
                     atoms.push(self.atoms[i]);
                     i += 1;
                 } else {
+                    inserted.push(atoms.len() as u32);
                     atoms.push(new_atoms[j]);
                     j += 1;
                 }
             }
         }
-        let remap = |l: u32| l + shift[l as usize];
+        let remap = |l: u32| shift.get(l as usize).map_or(l, |s| l + s);
+        // An inherited local-id array with room for `extra` more entries.
+        let remapped = |locals: &[u32], extra: usize| -> Vec<u32> {
+            let mut out = Vec::with_capacity(locals.len() + extra);
+            if shift.is_empty() {
+                out.extend_from_slice(locals);
+            } else {
+                out.extend(locals.iter().map(|&l| remap(l)));
+            }
+            out
+        };
         // `atoms` was just rebuilt as the union of old and delta atom
         // sets, so every mentioned atom is present.
         #[allow(clippy::expect_used)]
         let local =
             |a: AtomId| -> u32 { atoms.binary_search(&a).expect("atom is mentioned") as u32 };
 
-        // Existing rule arrays, remapped in place-order (offsets and rule
-        // order unchanged; bodies stay sorted because the remap is
-        // monotone).
+        // Existing rule arrays (offsets and rule order unchanged; bodies
+        // stay sorted because the remap is monotone).
         let num_old_rules = self.head_local.len();
-        let mut head_local: Vec<u32> = self.head_local.iter().map(|&l| remap(l)).collect();
-        let mut pos_off = self.pos_off.clone();
-        let mut neg_off = self.neg_off.clone();
-        let mut pos_local: Vec<u32> = self.pos_local.iter().map(|&l| remap(l)).collect();
-        let mut neg_local: Vec<u32> = self.neg_local.iter().map(|&l| remap(l)).collect();
-        head_local.reserve(new_rules.len());
+        let extra = new_rules.len();
+        let body_lits = |body: fn(&GroundRule) -> &[AtomId]| -> usize {
+            new_rules.iter().map(|r| body(r).len()).sum()
+        };
+        let mut head_local = remapped(&self.head_local, extra);
+        let mut pos_off = Vec::with_capacity(self.pos_off.len() + extra);
+        pos_off.extend_from_slice(&self.pos_off);
+        let mut neg_off = Vec::with_capacity(self.neg_off.len() + extra);
+        neg_off.extend_from_slice(&self.neg_off);
+        let mut pos_local = remapped(&self.pos_local, body_lits(|r| &r.pos));
+        let mut neg_local = remapped(&self.neg_local, body_lits(|r| &r.neg));
 
         // Append the new rules, dropping duplicates. A candidate can only
         // duplicate a rule with the same head, so the existing per-head
@@ -365,6 +395,8 @@ impl GroundProgram {
         // kept rules with that head bounds the comparison work.
         let mut scratch_pos: Vec<u32> = Vec::new();
         let mut scratch_neg: Vec<u32> = Vec::new();
+        // `(local atom, rule)` per occurrence of a kept rule.
+        let mut occurs: [Vec<(u32, GroundRuleId)>; 3] = Default::default();
         'candidates: for rule in new_rules {
             let h = local(rule.head);
             scratch_pos.clear();
@@ -376,10 +408,7 @@ impl GroundProgram {
             if let Some(old_h) = self.atoms.binary_search(&rule.head).ok().map(|l| l as u32) {
                 for &rid in self.rules_with_head_local(old_h) {
                     let r = rid.index();
-                    let pos =
-                        &self.pos_local[self.pos_off[r] as usize..self.pos_off[r + 1] as usize];
-                    let neg =
-                        &self.neg_local[self.neg_off[r] as usize..self.neg_off[r + 1] as usize];
+                    let (pos, neg) = (self.pos_local(r), self.neg_local(r));
                     if pos.len() == scratch_pos.len()
                         && neg.len() == scratch_neg.len()
                         && pos.iter().zip(&scratch_pos).all(|(&l, &n)| remap(l) == n)
@@ -400,6 +429,10 @@ impl GroundProgram {
                     continue 'candidates;
                 }
             }
+            let id = GroundRuleId::from_index(head_local.len());
+            occurs[0].push((h, id));
+            occurs[1].extend(scratch_pos.iter().map(|&b| (b, id)));
+            occurs[2].extend(scratch_neg.iter().map(|&b| (b, id)));
             head_local.push(h);
             pos_local.extend_from_slice(&scratch_pos);
             pos_off.push(pos_local.len() as u32);
@@ -407,12 +440,30 @@ impl GroundProgram {
             neg_off.push(neg_local.len() as u32);
         }
 
-        let mut facts = self.facts.clone();
+        let mut facts = Vec::with_capacity(self.facts.len() + new_facts.len());
+        facts.extend_from_slice(&self.facts);
         facts.extend_from_slice(new_facts);
-        let mut facts_local: Vec<u32> = self.facts_local.iter().map(|&l| remap(l)).collect();
+        let mut facts_local = remapped(&self.facts_local, new_facts.len());
         facts_local.extend(new_facts.iter().map(|&f| local(f)));
 
-        GroundProgram::finish_with_locals(
+        // Occurrence rows: the old ones with the new atoms' rows slotted in
+        // and the kept rules appended (their ids exceed every old one).
+        let olds = [
+            (&self.head_occ_off, &self.head_occ),
+            (&self.pos_occ_off, &self.pos_occ),
+            (&self.neg_occ_off, &self.neg_occ),
+        ];
+        let [(head_occ_off, head_occ), (pos_occ_off, pos_occ), (neg_occ_off, neg_occ)] =
+            std::array::from_fn(|k| {
+                occurs[k].sort_unstable();
+                let edits = RowEdits {
+                    inserted: &inserted,
+                    added: &occurs[k],
+                    ..RowEdits::default()
+                };
+                csr::splice(olds[k].0, olds[k].1, &edits)
+            });
+        GroundProgram {
             facts,
             atoms,
             facts_local,
@@ -421,7 +472,13 @@ impl GroundProgram {
             pos_local,
             neg_off,
             neg_local,
-        )
+            head_occ_off,
+            head_occ,
+            pos_occ_off,
+            pos_occ,
+            neg_occ_off,
+            neg_occ,
+        }
     }
 
     /// Shared tail of all constructors: builds the occurrence CSRs from
@@ -672,6 +729,7 @@ impl GroundProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn a(i: usize) -> AtomId {
         AtomId::from_index(i)
@@ -771,6 +829,99 @@ mod tests {
         assert_eq!(p.rules_with_neg(a(1)), &[r0, r1]);
         assert_eq!(p.rules_with_pos(a(2)), &[r1]);
         assert!(p.rules_with_neg(a(3)).is_empty());
+    }
+
+    /// Every array two programs expose, row by row.
+    fn assert_identical(got: &GroundProgram, want: &GroundProgram) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.atoms(), want.atoms());
+        prop_assert_eq!(got.facts(), want.facts());
+        prop_assert_eq!(got.facts_local(), want.facts_local());
+        prop_assert_eq!(got.num_rules(), want.num_rules());
+        for r in 0..want.num_rules() {
+            prop_assert_eq!(got.head_local(r), want.head_local(r), "rule {}", r);
+            prop_assert_eq!(got.pos_local(r), want.pos_local(r), "rule {}", r);
+            prop_assert_eq!(got.neg_local(r), want.neg_local(r), "rule {}", r);
+        }
+        for l in 0..want.num_atoms() as u32 {
+            prop_assert_eq!(got.rules_with_head_local(l), want.rules_with_head_local(l));
+            prop_assert_eq!(got.rules_with_pos_local(l), want.rules_with_pos_local(l));
+            prop_assert_eq!(got.rules_with_neg_local(l), want.rules_with_neg_local(l));
+        }
+        Ok(())
+    }
+
+    /// One step of a growing program: candidate rules `(head, pos, neg)` and
+    /// facts, as atom indices.
+    type Step = (Vec<(usize, Vec<usize>, Vec<usize>)>, Vec<usize>);
+
+    fn step(atoms: std::ops::Range<usize>) -> impl Strategy<Value = Step> {
+        let body = || proptest::collection::vec(atoms.clone(), 0..3);
+        (
+            proptest::collection::vec((atoms.clone(), body(), body()), 0..8),
+            proptest::collection::vec(atoms.clone(), 0..3),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A chain of `extend_with` calls equals one from-scratch build of
+        /// everything added so far — atoms, rule arrays and every occurrence
+        /// row — after each step. Later steps draw atoms from a wider range
+        /// and the ids are spread so that new atoms land between, before and
+        /// after the old ones (both the remap and the append-only path);
+        /// candidates repeat old rules and each other.
+        #[test]
+        fn extend_with_equals_a_from_scratch_build(
+            base in step(0..12),
+            deltas in proptest::collection::vec(step(0..24), 1..4),
+            spread in any::<bool>(),
+        ) {
+            // Odd-numbered atoms of the wide range get small ids when
+            // `spread`, so a delta's new atoms interleave with the old ones.
+            let atom = |i: usize| match (spread, i % 2) {
+                (true, 1) => a(i / 2),
+                (true, _) => a(100 + i),
+                (false, _) => a(i),
+            };
+            let rule = |(h, pos, neg): &(usize, Vec<usize>, Vec<usize>)| {
+                let of = |body: &[usize]| body.iter().map(|&i| atom(i)).collect();
+                GroundRule::new(atom(*h), of(pos), of(neg))
+            };
+            let mut scratch = GroundProgramBuilder::new();
+            for &f in &base.1 {
+                scratch.add_fact(atom(f));
+            }
+            for r in &base.0 {
+                scratch.add_rule(rule(r));
+            }
+            let mut extended = scratch.clone().finish();
+            for (rules, facts) in &deltas {
+                let rules: Vec<GroundRule> = rules.iter().map(rule).collect();
+                let mut new_facts: Vec<AtomId> = Vec::new();
+                for &f in facts {
+                    if !extended.facts().contains(&atom(f)) && !new_facts.contains(&atom(f)) {
+                        new_facts.push(atom(f));
+                    }
+                }
+                let mentioned = rules.iter().flat_map(|r| {
+                    std::iter::once(r.head).chain(r.pos.iter().copied()).chain(r.neg.iter().copied())
+                });
+                let mut new_atoms: Vec<AtomId> = (mentioned.chain(new_facts.iter().copied()))
+                    .filter(|&x| !extended.mentions(x))
+                    .collect();
+                new_atoms.sort_unstable();
+                new_atoms.dedup();
+                extended = extended.extend_with(&new_atoms, &new_facts, &rules);
+                for &f in &new_facts {
+                    scratch.add_fact(f);
+                }
+                for r in rules {
+                    scratch.add_rule(r);
+                }
+                assert_identical(&extended, &scratch.clone().finish())?;
+            }
+        }
     }
 
     #[test]

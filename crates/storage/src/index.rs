@@ -1,6 +1,7 @@
 //! Secondary indexes over sets of ground atoms, used by the query engine's
 //! homomorphism search.
 
+use wfdl_core::csr::{self, RowEdits};
 use wfdl_core::idtable::hash_words;
 use wfdl_core::{AtomId, IdTable, PredId, TermId, Universe};
 
@@ -38,6 +39,16 @@ struct KeyRow {
 }
 
 impl KeyRow {
+    /// The record in front of the first key: where row 0 starts.
+    fn sentinel() -> KeyRow {
+        KeyRow {
+            pred: PredId::from_index(0),
+            pos: 0,
+            term: TermId::from_index(0),
+            end: 0,
+        }
+    }
+
     #[inline]
     fn is(&self, pred: PredId, pos: u32, term: TermId) -> bool {
         self.pred == pred && self.pos == pos && self.term == term
@@ -79,14 +90,8 @@ impl AtomIndex {
 
         // Row sizes per key, discovering the keys; each argument's key is
         // remembered so that the fill below hashes nothing.
-        let sentinel = KeyRow {
-            pred: PredId::from_index(0),
-            pos: 0,
-            term: TermId::from_index(0),
-            end: 0,
-        };
         let mut keys = Vec::with_capacity(num_args + 1);
-        keys.push(sentinel);
+        keys.push(KeyRow::sentinel());
         let mut table = IdTable::with_capacity(atoms.len());
         let mut key_of_arg: Vec<u32> = Vec::with_capacity(num_args);
         for &atom in &atoms {
@@ -135,6 +140,124 @@ impl AtomIndex {
                 *cursor += 1;
             }
         }
+
+        AtomIndex {
+            pred_end,
+            pred_atoms,
+            keys,
+            key_atoms,
+            table,
+        }
+    }
+
+    /// The index over the same atoms minus `removed` plus `added`, derived
+    /// from this one instead of rebuilt: keys and table are copied, keys
+    /// that appear are appended, and the predicate and key rows of exactly
+    /// the atoms named are [spliced](csr::splice) — cost one copy of the
+    /// index plus work proportional to the two lists, where
+    /// [`AtomIndex::build`] hashes every argument of every atom.
+    ///
+    /// This index must have been built over atoms in ascending id order
+    /// (as the model indexes are); `removed` must be indexed atoms and
+    /// `added` unindexed ones, both ascending. Every lookup then returns
+    /// the slice a fresh `build` over the edited ascending list would. (A
+    /// key whose row empties out stays behind with an empty row.)
+    pub fn patched(&self, universe: &Universe, removed: &[AtomId], added: &[AtomId]) -> Self {
+        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(added.windows(2).all(|w| w[0] < w[1]));
+        let store = &universe.atoms;
+        // `(row, atom)` per row each of `atoms` sits in, grouped by row.
+        fn by_row(
+            atoms: &[AtomId],
+            mut rows_of: impl FnMut(AtomId, &mut Vec<(u32, AtomId)>),
+        ) -> Vec<(u32, AtomId)> {
+            let mut pairs = Vec::new();
+            for &atom in atoms {
+                rows_of(atom, &mut pairs);
+            }
+            // Ascending atoms, so a stable sort by row keeps rows ascending.
+            pairs.sort_by_key(|&(row, _)| row);
+            pairs
+        }
+
+        // Predicate rows; predicates declared since the build get rows.
+        let old_preds = self.pred_end.len().saturating_sub(1);
+        let mut num_preds = old_preds.max(universe.num_preds());
+        let mut pred_row = |atom: AtomId, out: &mut Vec<(u32, AtomId)>| {
+            let pred = store.pred(atom).index();
+            num_preds = num_preds.max(pred + 1);
+            out.push((pred as u32, atom));
+        };
+        let (gone, new) = (by_row(removed, &mut pred_row), by_row(added, &mut pred_row));
+        let inserted: Vec<u32> = (old_preds as u32..num_preds as u32).collect();
+        let old_end: &[u32] = if self.pred_end.is_empty() {
+            &[0]
+        } else {
+            &self.pred_end
+        };
+        let (pred_end, pred_atoms) = csr::splice(
+            old_end,
+            &self.pred_atoms,
+            &RowEdits {
+                inserted: &inserted,
+                removed: &gone,
+                added: &new,
+                ..RowEdits::default()
+            },
+        );
+
+        // Key rows; keys seen for the first time are appended (at most one
+        // per argument of an added atom: room for them up front, so the
+        // copy is the only time the key array moves).
+        let new_args: usize = added.iter().map(|&atom| store.args(atom).len()).sum();
+        let mut keys = Vec::with_capacity(self.keys.len().max(1) + new_args);
+        keys.extend_from_slice(&self.keys);
+        if keys.is_empty() {
+            keys.push(KeyRow::sentinel());
+        }
+        let old_keys = keys.len() - 1;
+        let mut table = self.table.clone();
+        let mut key_rows = |atom: AtomId, out: &mut Vec<(u32, AtomId)>| {
+            let pred = store.pred(atom);
+            for (pos, &term) in store.args(atom).iter().enumerate() {
+                let pos = pos as u32;
+                let hash = hash_key(pred, pos, term);
+                let found = table.find(hash, |k| keys[k as usize + 1].is(pred, pos, term));
+                let k = found.unwrap_or_else(|| {
+                    let k = (keys.len() - 1) as u32;
+                    keys.push(KeyRow {
+                        pred,
+                        pos,
+                        term,
+                        end: 0,
+                    });
+                    table.insert_new(hash, k);
+                    k
+                });
+                out.push((k, atom));
+            }
+        };
+        let (gone, new) = (by_row(removed, &mut key_rows), by_row(added, &mut key_rows));
+        let inserted: Vec<u32> = (old_keys as u32..(keys.len() - 1) as u32).collect();
+        // The offsets live in the key records: read the old ones there and
+        // write the new ones into the copy.
+        let mut next = 1;
+        let key_atoms = csr::splice_with(
+            old_keys,
+            |k| self.keys[k].end,
+            &self.key_atoms,
+            &RowEdits {
+                inserted: &inserted,
+                removed: &gone,
+                added: &new,
+                ..RowEdits::default()
+            },
+            |end| {
+                keys[next].end = end;
+                next += 1;
+            },
+        );
+        debug_assert_eq!(next, keys.len());
 
         AtomIndex {
             pred_end,
@@ -312,6 +435,85 @@ mod tests {
             prop_assert!(csr.with_pred(late_pred).is_empty());
             prop_assert!(csr.with_pred_pos_term(late_pred, 0, consts[0]).is_empty());
             prop_assert!(csr.with_pred_pos_term(preds[1], 0, late_term).is_empty());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `patched` answers every lookup with the slice a fresh `build`
+        /// over the edited (ascending) atom list returns: random flips in
+        /// and out, rows that empty out, keys and a predicate that appear
+        /// only after the first build, and patches of patches.
+        #[test]
+        fn patched_index_matches_a_fresh_build(
+            interned in proptest::collection::vec((0usize..4, 0usize..216), 1..60),
+            member in proptest::collection::vec(any::<bool>(), 60),
+            late in proptest::collection::vec(0usize..6, 0..4),
+            flips in proptest::collection::vec(proptest::collection::vec(0usize..64, 0..12), 1..4),
+        ) {
+            let mut u = Universe::new();
+            let preds: Vec<PredId> = ARITIES
+                .iter()
+                .map(|&arity| u.pred(&format!("p{arity}"), arity).unwrap())
+                .collect();
+            let consts: Vec<TermId> = (0..6).map(|i| u.constant(&format!("c{i}"))).collect();
+            let mut atoms: Vec<AtomId> = interned
+                .iter()
+                .map(|&(p, digits)| {
+                    let args: Vec<TermId> = (0..ARITIES[p])
+                        .map(|pos| consts[digits / 6usize.pow(pos as u32) % 6])
+                        .collect();
+                    u.atom(preds[p], args).unwrap()
+                })
+                .collect();
+            atoms.sort_unstable();
+            atoms.dedup();
+            let mut inside: Vec<bool> = (0..atoms.len()).map(|i| member[i]).collect();
+            let listed = |inside: &[bool], atoms: &[AtomId]| -> Vec<AtomId> {
+                atoms.iter().zip(inside).filter(|(_, &m)| m).map(|(&a, _)| a).collect()
+            };
+            let mut index = AtomIndex::build(&u, listed(&inside, &atoms));
+
+            // A predicate, a constant and atoms the first build never saw.
+            let late_pred = u.pred("late", 1).unwrap();
+            let late_term = u.constant("late");
+            for &c in &late {
+                atoms.push(u.atom(late_pred, [consts[c]]).unwrap());
+                atoms.push(u.atom(preds[2], [late_term, consts[c]]).unwrap());
+            }
+            atoms.sort_unstable();
+            atoms.dedup();
+            inside.resize(atoms.len(), false);
+            // `inside` was positional over the old list; late atoms have the
+            // largest ids, so the old positions did not move.
+
+            for round in &flips {
+                let mut flipped: Vec<usize> = round.iter().map(|&i| i % atoms.len()).collect();
+                flipped.sort_unstable();
+                flipped.dedup();
+                let (mut removed, mut added) = (Vec::new(), Vec::new());
+                for &i in &flipped {
+                    if inside[i] { removed.push(atoms[i]) } else { added.push(atoms[i]) }
+                    inside[i] = !inside[i];
+                }
+                index = index.patched(&u, &removed, &added);
+                let fresh = AtomIndex::build(&u, listed(&inside, &atoms));
+                prop_assert_eq!(index.len(), fresh.len());
+                let positions = u.schema_stats().max_arity as u32 + 1;
+                for pred in u.pred_ids() {
+                    prop_assert_eq!(index.with_pred(pred), fresh.with_pred(pred), "{:?}", pred);
+                    for pos in 0..positions {
+                        for term in u.terms.ids() {
+                            prop_assert_eq!(
+                                index.with_pred_pos_term(pred, pos, term),
+                                fresh.with_pred_pos_term(pred, pos, term),
+                                "{:?} {} {:?}", pred, pos, term
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

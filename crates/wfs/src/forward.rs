@@ -165,6 +165,7 @@ impl<'a> ForwardEngine<'a> {
             stats: None,
             memo: None,
             truncation: None,
+            cone: None,
         }
     }
 

@@ -33,6 +33,22 @@ impl StageMap {
         self.stages[i] = stage;
     }
 
+    /// Forgets the decision stage of an atom.
+    pub(crate) fn clear(&mut self, atom: AtomId) {
+        if let Some(stage) = self.stages.get_mut(atom.index()) {
+            *stage = Self::UNDECIDED;
+        }
+    }
+
+    /// Replaces every recorded stage `s` by `f(s)`.
+    pub(crate) fn map_stages(&mut self, f: impl Fn(u32) -> u32) {
+        for stage in &mut self.stages {
+            if *stage != Self::UNDECIDED {
+                *stage = f(*stage);
+            }
+        }
+    }
+
     /// Decision stage of an atom, if decided.
     #[inline]
     pub fn get(&self, atom: AtomId) -> Option<u32> {
@@ -64,9 +80,9 @@ pub struct EngineResult {
     pub stages: u32,
     /// Per-component statistics (populated by the SCC-modular engine).
     pub stats: Option<ModularStats>,
-    /// Condensation + per-component input fingerprints (populated by the
-    /// SCC-modular engine), the basis for verdict reuse on the next
-    /// incremental solve.
+    /// The condensation and how each component was evaluated (populated by
+    /// a complete run of the SCC-modular engine): what the next incremental
+    /// solve carries over.
     pub memo: Option<ModularMemo>,
     /// `Some` iff the evaluation was stopped early by a [`SolveBudget`]
     /// trip. The model is then a sound under-approximation: every decided
@@ -76,6 +92,13 @@ pub struct EngineResult {
     ///
     /// [`SolveBudget`]: wfdl_core::SolveBudget
     pub truncation: Option<TruncationReason>,
+    /// `Some` iff the result was carried over from a previous solve and
+    /// patched ([`ModularEngine::solve_incremental`]): the atoms of the
+    /// delta's forward cone, outside which every verdict is the previous
+    /// solve's.
+    ///
+    /// [`ModularEngine::solve_incremental`]: crate::ModularEngine::solve_incremental
+    pub cone: Option<Vec<AtomId>>,
 }
 
 impl EngineResult {
@@ -105,6 +128,7 @@ impl EngineResult {
             stats: None,
             memo: None,
             truncation: None,
+            cone: None,
         }
     }
 

@@ -53,6 +53,29 @@
 //! **bit-identical to the serial engine regardless of thread count or
 //! completion order** — pinned by `tests/parallel_agreement.rs`.
 //!
+//! ## Incremental solves: carry, cone, change-driven evaluation
+//!
+//! A program that **extends** a solved one (old atoms ⊆ atoms, old rules a
+//! prefix — what [`GroundProgram::extend_with`] produces after a resumed
+//! chase) is not solved again: [`ModularEngine::solve_incremental`] carries
+//! the previous result over and re-does only the delta's **forward cone**
+//! — the seeds (heads of new rules, new facts, new atoms) closed under
+//! "heads a rule whose body mentions". Two facts make that sound:
+//!
+//! * *the complement of the cone is relevance-closed* — a rule heading one
+//!   of its atoms mentions no cone atom (its head would be in the cone) and
+//!   is not new (its head would be a seed), so the complement is, rule for
+//!   rule, a relevance-closed part of the previous program, and splitting
+//!   gives it the previous verdicts, stages and components;
+//! * *a new cycle passes through a seed* — it uses a new rule, whose head
+//!   is a seed and whose dependants are all in the cone, so every component
+//!   that changed lies inside the cone and Tarjan runs on the subgraph the
+//!   cone induces.
+//!
+//! Inside the cone, components are visited dependencies-first and evaluated
+//! only if they contain a seed or an external body atom whose verdict
+//! changed in this run; the others keep their carried verdicts.
+//!
 //! The per-atom decision *stage* reported by this engine is the 1-based
 //! ordinal of the component that decided it, which preserves the invariant
 //! that stages are monotone along derivations but is **not** comparable to
@@ -61,11 +84,11 @@
 //! ground program for stage-faithful traces.
 
 use crate::result::EngineResult;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use wfdl_core::budget::FaultSite;
-use wfdl_core::fxhash::mix64 as mix;
-use wfdl_core::{BitSet, Interp, SolveBudget, TruncationReason, Truth};
+use wfdl_core::csr::{self, RowEdits};
+use wfdl_core::{AtomId, BitSet, Interp, SolveBudget, TruncationReason, Truth};
 use wfdl_storage::GroundProgram;
 
 /// Below this much total work (`num_atoms + num_rules`), the automatic
@@ -107,7 +130,7 @@ pub struct ModularStats {
     /// Rules heading an atom of a recursive component.
     pub rules_in_recursive: usize,
     /// Alternating `T_P`-closure / unfounded-set rounds, summed over the
-    /// recursive components this run evaluated (memo-reused ones run none).
+    /// recursive components this run evaluated (carried ones run none).
     /// A recursive component costs `rounds × its rules`, which is why one
     /// large component is dearer than many small ones. Like every counter
     /// above, a function of the condensation alone — identical at every
@@ -115,10 +138,17 @@ pub struct ModularStats {
     pub recursive_rounds: usize,
     /// Atoms left undefined by the run.
     pub unknown_atoms: usize,
-    /// Components whose verdicts were copied from a previous solve
-    /// (incremental runs only; see [`ModularMemo`]).
+    /// Components this run did not evaluate: their verdicts were carried
+    /// over from the previous solve
+    /// ([`ModularEngine::solve_incremental`]). `0` for a full solve.
     pub components_reused: usize,
-    /// Worker threads the solve ran with (`1` = the serial path).
+    /// Components this run evaluated: `components - components_reused`.
+    pub components_evaluated: usize,
+    /// Atoms Tarjan's algorithm ran over: every atom for a full solve, the
+    /// delta's forward cone for an incremental one.
+    pub cone_atoms: usize,
+    /// Worker threads the solve ran with (`1` = the serial path, which an
+    /// incremental solve always takes).
     pub threads: usize,
     /// Topological wavefronts (levels) of the component DAG — the
     /// critical-path length in components. Computed on parallel runs only
@@ -138,29 +168,23 @@ pub struct ModularStats {
     pub queued_chunks: usize,
     /// Chunks executed directly by the worker that made them ready,
     /// without a queue round-trip (parallel runs). Chains of
-    /// single-dependent chunks — including ones full of memo-reused
-    /// components — run back-to-back this way.
+    /// single-dependent chunks run back-to-back this way.
     pub inline_chunks: usize,
 }
 
-/// The condensation and per-component **input fingerprints** of one
-/// modular solve, retained inside [`EngineResult::memo`] so the *next*
-/// solve over a grown program can recognize unchanged components and copy
-/// their verdicts instead of re-evaluating them.
-///
-/// A component's fingerprint digests everything its verdicts depend on:
-/// its atom set (as universe [`wfdl_core::AtomId`]s, which are stable
-/// across solves), fact membership, every rule heading one of its atoms
-/// (bodies in atom-id space), and — for body atoms outside the component —
-/// their already-decided truth values. Verdict reuse additionally requires
-/// the exact atom sets to coincide, so a 64-bit collision can only confuse
-/// two states of the *same* component's rules or inputs.
+/// What one complete modular solve leaves behind for the **next** solve
+/// over the program extended by a delta
+/// ([`ModularEngine::solve_incremental`]): the condensation it ran over
+/// and how each component was evaluated. Together with the verdicts and
+/// the statistics of the same [`EngineResult`] that is everything the
+/// carry-and-patch path copies.
 #[derive(Clone, Debug)]
 pub struct ModularMemo {
     /// The condensation the solve ran over.
     pub condensation: Condensation,
-    /// Per-component input fingerprint, indexed by emission ordinal.
-    pub fingerprints: Vec<u64>,
+    /// Per component, by emission ordinal: was it recursive (internal
+    /// negation or an undefined lower input) rather than definite.
+    recursive: Vec<bool>,
 }
 
 /// Shared per-atom verdict slots. Each component's verdicts are written by
@@ -247,7 +271,6 @@ struct Scratch {
     /// closure in progress, or [`BLOCKED`].
     missing: Vec<u32>,
     queue: Vec<u32>,
-    sorted_comp: Vec<u32>,
     /// Possibly-founded marks over local atom ids: `founded[a] == epoch`
     /// means "marked in the current unfounded-set pass". Bumping `epoch`
     /// clears every mark at once, so the array is never reset.
@@ -263,33 +286,22 @@ impl Scratch {
             kind: Vec::new(),
             missing: Vec::new(),
             queue: Vec::new(),
-            sorted_comp: Vec::new(),
             founded: vec![0; prog.num_atoms()],
             epoch: 0,
         }
     }
 }
 
-/// The previous solve's artifacts, prepared for constant-time reuse
-/// probes.
-struct PrevSolve<'a> {
-    result: &'a EngineResult,
-    memo: &'a ModularMemo,
-    /// Dense AtomId → previous-local-id map (`u32::MAX` = absent), built
-    /// once so reuse probes are single array reads.
-    local: Vec<u32>,
-}
-
 /// Everything a worker needs to evaluate components, all borrowed and
 /// `Sync`: the program and condensation are read-only, verdicts go through
-/// [`TruthSlots`], and each component owns its own fingerprint slot.
+/// [`TruthSlots`], and each component owns its own `recursive` slot.
 struct EvalCtx<'a> {
     prog: &'a GroundProgram,
     cond: &'a Condensation,
     is_fact: &'a BitSet,
     truth: &'a TruthSlots,
-    fingerprints: &'a [AtomicU64],
-    prev: Option<PrevSolve<'a>>,
+    /// Per component: did it turn out recursive ([`ModularMemo`]).
+    recursive: &'a [AtomicBool],
     /// Resource budget of the run. Component-ordinal fault-injection sites
     /// ([`FaultSite::WfsComponent`]) fire here, so scheduler tests can prove
     /// a panic inside a chunk propagates out of `solve` instead of
@@ -297,8 +309,7 @@ struct EvalCtx<'a> {
     /// component boundary.
     budget: &'a SolveBudget,
     /// Fixed estimate of the run's working-set bytes (truth slots,
-    /// fingerprints, condensation arrays), charged against
-    /// [`SolveBudget::mem_limit`].
+    /// condensation arrays), charged against [`SolveBudget::mem_limit`].
     mem_estimate: usize,
 }
 
@@ -306,10 +317,10 @@ struct EvalCtx<'a> {
 /// [`ModularStats`] by the caller.
 struct CompOutcome {
     definite: bool,
-    reused: bool,
     /// Rules heading an atom of the component.
     rules: usize,
-    /// Alternating rounds the evaluator ran (`0` when reused).
+    /// Alternating rounds the evaluator ran (`0` when its verdicts were
+    /// carried over).
     rounds: u32,
 }
 
@@ -386,76 +397,82 @@ impl<'a> ModularEngine<'a> {
         requested.clamp(1, num_components).min(MAX_THREADS)
     }
 
-    /// Computes the well-founded model, reusing verdicts from a previous
-    /// solve where possible.
+    /// Computes the well-founded model of a program that **extends** a
+    /// previously solved one, by carry-and-patch.
     ///
     /// `prev` is the ground program and engine result of the previous
-    /// solve over the **same universe** (so atom ids align); it must carry
-    /// a [`ModularMemo`] (i.e. come from this engine) for any reuse to
-    /// happen. A component of the current program whose input fingerprint
-    /// and atom set match a previous component has, by the modularity
-    /// (splitting) property of the well-founded semantics, the same
-    /// verdicts — they are copied and the component's evaluation skipped
-    /// entirely. Everything else (new components, components with new
-    /// rules or facts, components whose lower inputs changed) is evaluated
-    /// normally. The number of reused components is reported in
-    /// [`ModularStats::components_reused`].
+    /// solve; this engine's program must be that program plus a delta —
+    /// the previous atoms a subset of its atoms, the previous rules and
+    /// facts a prefix of its rules and facts, which is what
+    /// [`GroundProgram::extend_with`] produces. Then:
     ///
-    /// Verdict reuse composes with parallel evaluation: dirty components
-    /// fan out across the workers while reused ones are a copy in the
-    /// worker that reaches them (typically inline, without a queue
-    /// round-trip).
+    /// 1. the **seeds** are the heads of the new rules, the new facts and
+    ///    the new atoms, and the **cone** is their forward closure over
+    ///    the occurrence rows (every head of a rule whose body mentions a
+    ///    cone atom). The complement of the cone is relevance-closed — no
+    ///    rule heading one of its atoms mentions a cone atom — and rule for
+    ///    rule the previous program's, so by the modularity (splitting)
+    ///    property of the well-founded semantics its verdicts, stages and
+    ///    components are the previous solve's: they are *copied*;
+    /// 2. a dependency cycle that did not exist before runs through a new
+    ///    rule, hence through that rule's head — a seed, whose dependants
+    ///    are all in the cone. So the cone is a union of previous
+    ///    components and new atoms, and Tarjan's algorithm runs on the
+    ///    subgraph it induces only; the components found there get fresh
+    ///    ordinals above the carried ones (the carried ones are renumbered
+    ///    densely), which keeps emission order dependencies-first and
+    ///    stages monotone along derivations;
+    /// 3. cone components are visited in that order, and **evaluated only
+    ///    where something changed**: a component containing no seed, none
+    ///    of whose external body atoms changed verdict in this run, is a
+    ///    previous component with its previous rules and inputs, and keeps
+    ///    its previous verdicts. Every other one is evaluated by the same
+    ///    in-place evaluator a full solve uses.
+    ///
+    /// Every cone atom reads `Unknown` until its component has been
+    /// visited, so a budget trip mid-cone degrades exactly like a full
+    /// solve's: decided atoms carry their final values, the rest are
+    /// `Unknown`, and no memo is published. The model-describing counters
+    /// of [`ModularStats`] are the previous run's, adjusted by the
+    /// dissolved and the new components — equal to a full solve's.
+    ///
+    /// This phase is serial whatever [`ModularEngine::with_threads`] says:
+    /// the cone is small by construction. Without a usable `prev` — none
+    /// given, a truncated run (no memo), a program this one does not
+    /// extend — the program is solved in full.
     pub fn solve_incremental(&self, prev: Option<(&GroundProgram, &EngineResult)>) -> EngineResult {
+        prev.and_then(|(prev_prog, prev)| self.solve_cone(prev_prog, prev))
+            .unwrap_or_else(|| self.solve_all())
+    }
+
+    /// The full solve: condense the whole program, sweep every component.
+    fn solve_all(&self) -> EngineResult {
         let prog = self.prog;
         let n = prog.num_atoms();
         let cond = condensation(prog);
         let num_components = cond.num_components();
 
-        const ABSENT: u32 = u32::MAX;
-        let prev = prev.and_then(|(pg, pr)| {
-            let memo = pr.memo.as_ref()?;
-            let size = pg.atoms().last().map_or(0, |a| a.index() + 1);
-            let mut local = vec![ABSENT; size];
-            for (i, &a) in pg.atoms().iter().enumerate() {
-                local[a.index()] = i as u32;
-            }
-            Some(PrevSolve {
-                result: pr,
-                memo,
-                local,
-            })
-        });
-
         let truth = TruthSlots::new(n);
-        let mut is_fact = BitSet::with_capacity(n);
-        for &f in prog.facts_local() {
-            is_fact.insert(f as usize);
-        }
-        let fingerprints: Vec<AtomicU64> = (0..num_components).map(|_| AtomicU64::new(0)).collect();
-
-        // Working-set estimate for the memory budget: one verdict byte per
-        // atom, one fingerprint word per component, and the condensation's
-        // three u32 arrays. Fixed for the whole run, so it is computed once.
-        let mem_estimate = n
-            + num_components * std::mem::size_of::<u64>()
-            + (cond.comp_of.len() + cond.comp_atoms.len() + cond.comp_off.len())
-                * std::mem::size_of::<u32>();
+        let is_fact = fact_set(prog);
+        let recursive: Vec<AtomicBool> = (0..num_components)
+            .map(|_| AtomicBool::new(false))
+            .collect();
 
         let ctx = EvalCtx {
             prog,
             cond: &cond,
             is_fact: &is_fact,
             truth: &truth,
-            fingerprints: &fingerprints,
-            prev,
+            recursive: &recursive,
             budget: &self.budget,
-            mem_estimate,
+            mem_estimate: mem_estimate(&cond),
         };
 
         let threads = self.resolve_threads(num_components);
         let mut stats = ModularStats {
             components: num_components,
-            largest_component: cond.iter().map(<[u32]>::len).max().unwrap_or(0),
+            largest_component: cond.largest(),
+            cone_atoms: n,
             threads,
             ..Default::default()
         };
@@ -470,7 +487,7 @@ impl<'a> ModularEngine<'a> {
             let budgeted = !self.budget.is_unlimited();
             for ord in 0..num_components as u32 {
                 if budgeted {
-                    if let Some(r) = trip_at_component(&ctx, ord) {
+                    if let Some(r) = trip_at_component(ctx.budget, ctx.mem_estimate, ord) {
                         truncation = Some(r);
                         break;
                     }
@@ -481,6 +498,7 @@ impl<'a> ModularEngine<'a> {
         } else {
             truncation = solve_parallel(&ctx, threads, &mut stats);
         }
+        stats.components_evaluated = stats.definite_components + stats.recursive_components;
 
         // Assemble the EngineResult over original atom ids. The decision
         // stage of a decided atom is its component's 1-based emission
@@ -503,20 +521,12 @@ impl<'a> ModularEngine<'a> {
                 Truth::Unknown => stats.unknown_atoms += 1,
             }
         }
-        // A truncated run publishes no memo: its fingerprints describe only
-        // the components that actually ran, and letting a later incremental
-        // solve copy verdicts from a partial sweep would be unsound.
-        let memo = if truncation.is_some() {
-            None
-        } else {
-            Some(ModularMemo {
-                condensation: cond,
-                fingerprints: fingerprints
-                    .into_iter()
-                    .map(AtomicU64::into_inner)
-                    .collect(),
-            })
-        };
+        // A truncated run publishes no memo: letting a later incremental
+        // solve carry verdicts over from a partial sweep would be unsound.
+        let memo = truncation.is_none().then(|| ModularMemo {
+            condensation: cond,
+            recursive: recursive.into_iter().map(AtomicBool::into_inner).collect(),
+        });
         EngineResult {
             interp,
             decided_stage,
@@ -524,8 +534,348 @@ impl<'a> ModularEngine<'a> {
             stats: Some(stats),
             memo,
             truncation,
+            cone: None,
         }
     }
+
+    /// The carry-and-patch solve ([`ModularEngine::solve_incremental`]);
+    /// `None` when `prev` cannot be carried over.
+    fn solve_cone(&self, prev_prog: &GroundProgram, prev: &EngineResult) -> Option<EngineResult> {
+        let prog = self.prog;
+        let (memo, prev_stats) = (prev.memo.as_ref()?, prev.stats?);
+        let old = &memo.condensation;
+        let carry = Carry::of(prev_prog, prog)?;
+        let n = prog.num_atoms();
+
+        // 1. Seeds and their forward cone. `slot[a]` is a cone atom's
+        // position in `cone`.
+        let mut cone: Vec<u32> = Vec::new();
+        let mut slot = vec![NONE; n];
+        let mut enter = |a: u32, cone: &mut Vec<u32>| {
+            if slot[a as usize] == NONE {
+                slot[a as usize] = cone.len() as u32;
+                cone.push(a);
+            }
+        };
+        for r in prev_prog.num_rules()..prog.num_rules() {
+            enter(prog.head_local(r), &mut cone);
+        }
+        for &f in &prog.facts_local()[prev_prog.facts().len()..] {
+            enter(f, &mut cone);
+        }
+        carry.for_each_new_atom(prog, |a| enter(a, &mut cone));
+        let seeds = cone.len();
+        let mut next = 0;
+        while let Some(&a) = cone.get(next) {
+            next += 1;
+            for &rid in (prog.rules_with_pos_local(a).iter()).chain(prog.rules_with_neg_local(a)) {
+                enter(prog.head_local(rid.index()), &mut cone);
+            }
+        }
+
+        // 2. Components of the cone, the previous components it dissolves,
+        // and the condensation patched with both.
+        let found = tarjan(
+            prog,
+            cone.len(),
+            |node| cone[node as usize],
+            |a| slot[a as usize],
+        );
+        let mut dissolved: Vec<u32> = (cone.iter())
+            .filter_map(|&a| carry.old_local(a))
+            .map(|l| old.comp_of[l as usize])
+            .collect();
+        dissolved.sort_unstable();
+        dissolved.dedup();
+        let carried = old.num_components() - dissolved.len();
+        let first_new = wfdl_core::dense_u32(carried, "component ordinal");
+        let _ = wfdl_core::dense_u32(carried + found.num_components(), "component ordinal");
+        // Old ordinal → new ordinal of a carried component (a dissolved
+        // one's entry is never used).
+        let renumber: Vec<u32> = if dissolved.is_empty() {
+            Vec::new()
+        } else {
+            let mut gone = dissolved.iter().peekable();
+            let mut dropped = 0u32;
+            (0..old.num_components() as u32)
+                .map(|c| {
+                    dropped += gone.next_if_eq(&&c).is_some() as u32;
+                    c.saturating_sub(dropped)
+                })
+                .collect()
+        };
+        let renumbered = |c: u32| renumber.get(c as usize).copied().unwrap_or(c);
+        let mut comp_of: Vec<u32> = (0..n as u32)
+            .map(|a| match carry.old_local(a) {
+                Some(l) => renumbered(old.comp_of[l as usize]),
+                None => NONE,
+            })
+            .collect();
+        let inserted: Vec<u32> = (first_new..first_new + found.num_components() as u32).collect();
+        let mut added: Vec<(u32, u32)> = Vec::with_capacity(cone.len());
+        for (c, comp) in found.iter().enumerate() {
+            for &node in comp {
+                let a = cone[node as usize];
+                comp_of[a as usize] = first_new + c as u32;
+                added.push((first_new + c as u32, a));
+            }
+        }
+        let (comp_off, mut comp_atoms) = csr::splice(
+            &old.comp_off,
+            &old.comp_atoms,
+            &RowEdits {
+                dropped: &dissolved,
+                inserted: &inserted,
+                added: &added,
+                ..RowEdits::default()
+            },
+        );
+        let kept = comp_atoms.len() - cone.len();
+        carry.relocate(&mut comp_atoms[..kept]);
+        let cond = Condensation {
+            comp_of,
+            comp_atoms,
+            comp_off,
+        };
+
+        // 3. Carried verdicts everywhere but in the cone, which starts out
+        // undecided.
+        let truth = TruthSlots::new(n);
+        for (a, &atom) in prog.atoms().iter().enumerate() {
+            if slot[a] == NONE {
+                truth.set(a, prev.value(atom));
+            }
+        }
+        let is_fact = fact_set(prog);
+        let mut changed = BitSet::with_capacity(n);
+        let mut recursive: Vec<bool> = Vec::with_capacity(cond.num_components());
+        let mut gone = dissolved.iter().peekable();
+        for (c, &was) in memo.recursive.iter().enumerate() {
+            if gone.next_if_eq(&&(c as u32)).is_none() {
+                recursive.push(was);
+            }
+        }
+
+        // Counters: the previous run's, less what the dissolved components
+        // contributed; the cone's components are added as they are visited.
+        let mut stats = ModularStats {
+            components: cond.num_components(),
+            cone_atoms: cone.len(),
+            threads: 1,
+            recursive_rounds: 0,
+            components_reused: 0,
+            components_evaluated: 0,
+            wavefronts: 0,
+            max_wavefront: 0,
+            chunks: 0,
+            queued_chunks: 0,
+            inline_chunks: 0,
+            ..prev_stats
+        };
+        for &c in &dissolved {
+            let comp = old.component(c as usize);
+            if memo.recursive[c as usize] {
+                stats.recursive_components -= 1;
+                stats.atoms_in_recursive -= comp.len();
+                stats.rules_in_recursive -= (comp.iter())
+                    .map(|&a| prev_prog.rules_with_head_local(a).len())
+                    .sum::<usize>();
+            } else {
+                stats.definite_components -= 1;
+            }
+        }
+        for &a in &cone {
+            let before = carry
+                .old_local(a)
+                .map(|_| prev.value(prog.atom_of_local(a)));
+            stats.unknown_atoms -= (before == Some(Truth::Unknown)) as usize;
+        }
+
+        // 4. Visit the cone's components, dependencies first.
+        let mem_estimate = mem_estimate(&cond);
+        let budgeted = !self.budget.is_unlimited();
+        let mut scratch = Scratch::new(prog);
+        let mut truncation = None;
+        for ord in first_new..first_new + found.num_components() as u32 {
+            if budgeted {
+                if let Some(r) = trip_at_component(&self.budget, mem_estimate, ord) {
+                    truncation = Some(r);
+                    break;
+                }
+            }
+            let comp = cond.component(ord as usize);
+            let definite = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
+            let before = |a: u32| prev.value(prog.atom_of_local(a));
+            let touched = comp.iter().any(|&a| slot[a as usize] < seeds as u32)
+                || scratch.rules.iter().any(|&r| {
+                    let body = prog
+                        .pos_local(r as usize)
+                        .iter()
+                        .chain(prog.neg_local(r as usize));
+                    body.into_iter().any(|&b| changed.contains(b as usize))
+                });
+            let mut out = CompOutcome {
+                definite,
+                rules: scratch.rules.len(),
+                rounds: 0,
+            };
+            if touched {
+                out.rounds = eval_component(
+                    prog,
+                    comp,
+                    ord,
+                    &cond.comp_of,
+                    &is_fact,
+                    &truth,
+                    definite,
+                    &mut scratch,
+                );
+                stats.components_evaluated += 1;
+                for &a in comp {
+                    if carry.old_local(a).is_none() || truth.get(a as usize) != before(a) {
+                        changed.insert(a as usize);
+                    }
+                }
+            } else {
+                for &a in comp {
+                    truth.set(a as usize, before(a));
+                }
+            }
+            merge_outcome(&mut stats, &out, comp.len());
+            recursive.push(!definite);
+        }
+        stats.components_reused = stats.components - stats.components_evaluated;
+        stats.largest_component = cond.largest();
+
+        // 5. The previous result, patched over the cone.
+        let mut interp = prev.interp.clone();
+        let mut decided_stage = prev.decided_stage.clone();
+        if !renumber.is_empty() {
+            decided_stage.map_stages(|stage| renumber[stage as usize - 1] + 1);
+        }
+        let mut reevaluated: Vec<AtomId> = Vec::with_capacity(cone.len());
+        for &a in &cone {
+            let atom = prog.atom_of_local(a);
+            let value = truth.get(a as usize);
+            interp.revise(atom, value);
+            match value {
+                Truth::Unknown => {
+                    decided_stage.clear(atom);
+                    stats.unknown_atoms += 1;
+                }
+                _ => decided_stage.insert(atom, cond.comp_of[a as usize] + 1),
+            }
+            reevaluated.push(atom);
+        }
+        let stages = cond.num_components() as u32;
+        let memo = truncation.is_none().then_some(ModularMemo {
+            condensation: cond,
+            recursive,
+        });
+        Some(EngineResult {
+            interp,
+            decided_stage,
+            stages,
+            stats: Some(stats),
+            memo,
+            truncation,
+            cone: Some(reevaluated),
+        })
+    }
+}
+
+/// Sentinel for "no entry" in the flat index arrays.
+const NONE: u32 = u32::MAX;
+
+/// How the atoms of a program sit in the program that extends it: local
+/// ids are positions in the sorted atom lists, so they agree when every
+/// new atom sorts after the old ones (the common case — a resumed chase
+/// interns its atoms last) and shift by the number of new atoms in front
+/// otherwise.
+struct Carry {
+    /// Atoms of the previous program.
+    old_n: usize,
+    /// `(new_of_old, old_of_new)` when the local ids moved; `NONE` in
+    /// `old_of_new` marks a new atom.
+    moved: Option<(Vec<u32>, Vec<u32>)>,
+}
+
+impl Carry {
+    /// `None` unless every atom of `prev` is an atom of `prog` (and `prog`
+    /// has at least `prev`'s rules and facts).
+    fn of(prev: &GroundProgram, prog: &GroundProgram) -> Option<Carry> {
+        let (old, new) = (prev.atoms(), prog.atoms());
+        if old.len() > new.len()
+            || prev.num_rules() > prog.num_rules()
+            || prev.facts().len() > prog.facts().len()
+        {
+            return None;
+        }
+        let old_n = old.len();
+        if new[..old_n] == *old {
+            return Some(Carry { old_n, moved: None });
+        }
+        let mut new_of_old = Vec::with_capacity(old_n);
+        let mut old_of_new = vec![NONE; new.len()];
+        let mut l = 0;
+        for &atom in old {
+            while *new.get(l)? < atom {
+                l += 1;
+            }
+            if new[l] != atom {
+                return None;
+            }
+            old_of_new[l] = new_of_old.len() as u32;
+            new_of_old.push(l as u32);
+        }
+        Some(Carry {
+            old_n,
+            moved: Some((new_of_old, old_of_new)),
+        })
+    }
+
+    /// The previous local id of `prog`'s atom `a`, unless it is new.
+    #[inline]
+    fn old_local(&self, a: u32) -> Option<u32> {
+        match &self.moved {
+            None => ((a as usize) < self.old_n).then_some(a),
+            Some((_, old_of_new)) => Some(old_of_new[a as usize]).filter(|&l| l != NONE),
+        }
+    }
+
+    /// Calls `f` with each new atom.
+    fn for_each_new_atom(&self, prog: &GroundProgram, mut f: impl FnMut(u32)) {
+        (0..prog.num_atoms() as u32)
+            .skip(if self.moved.is_none() { self.old_n } else { 0 })
+            .filter(|&a| self.old_local(a).is_none())
+            .for_each(&mut f);
+    }
+
+    /// Rewrites previous local ids as current ones, in place.
+    fn relocate(&self, locals: &mut [u32]) {
+        if let Some((new_of_old, _)) = &self.moved {
+            for l in locals {
+                *l = new_of_old[*l as usize];
+            }
+        }
+    }
+}
+
+/// The program's facts as a set of local ids.
+fn fact_set(prog: &GroundProgram) -> BitSet {
+    let mut is_fact = BitSet::with_capacity(prog.num_atoms());
+    for &f in prog.facts_local() {
+        is_fact.insert(f as usize);
+    }
+    is_fact
+}
+
+/// Working-set estimate for the memory budget: one verdict byte per atom
+/// and the condensation's three `u32` arrays. Fixed for the whole run.
+fn mem_estimate(cond: &Condensation) -> usize {
+    cond.comp_of.len()
+        + (cond.comp_of.len() + cond.comp_atoms.len() + cond.comp_off.len())
+            * std::mem::size_of::<u32>()
 }
 
 /// How often the serial sweep polls the wall clock and memory budget, in
@@ -537,20 +887,21 @@ const BUDGET_POLL_STRIDE: u32 = 64;
 /// Serial-path budget check at the boundary before component `ord`:
 /// fault-injection sites fire first (every ordinal), then the real budget
 /// is polled every [`BUDGET_POLL_STRIDE`] components.
-fn trip_at_component(ctx: &EvalCtx<'_>, ord: u32) -> Option<TruncationReason> {
-    if let Some(r) = ctx.budget.fire_fault(FaultSite::WfsComponent(ord)) {
+fn trip_at_component(
+    budget: &SolveBudget,
+    mem_estimate: usize,
+    ord: u32,
+) -> Option<TruncationReason> {
+    if let Some(r) = budget.fire_fault(FaultSite::WfsComponent(ord)) {
         return Some(r);
     }
     if ord % BUDGET_POLL_STRIDE == 0 {
-        return ctx.budget.check(ctx.mem_estimate);
+        return budget.check(mem_estimate);
     }
     None
 }
 
 fn merge_outcome(stats: &mut ModularStats, out: &CompOutcome, comp_len: usize) {
-    if out.reused {
-        stats.components_reused += 1;
-    }
     if out.definite {
         stats.definite_components += 1;
     } else {
@@ -569,15 +920,14 @@ fn absorb(total: &mut ModularStats, worker: &ModularStats) {
     total.atoms_in_recursive += worker.atoms_in_recursive;
     total.rules_in_recursive += worker.rules_in_recursive;
     total.recursive_rounds += worker.recursive_rounds;
-    total.components_reused += worker.components_reused;
     total.inline_chunks += worker.inline_chunks;
 }
 
 /// Evaluates one component whose dependencies are all decided: classify,
-/// fingerprint, try memo reuse, then run the evaluator. Publishes verdicts
-/// into `ctx.truth` and the fingerprint into the component's slot. Free of
-/// `&mut` engine state — safe to call from any worker as long as the
-/// scheduler ordered it after its dependencies.
+/// then run the evaluator. Publishes verdicts into `ctx.truth` and how the
+/// component was evaluated into its `recursive` slot. Free of `&mut` engine
+/// state — safe to call from any worker as long as the scheduler ordered it
+/// after its dependencies.
 fn process_component(ctx: &EvalCtx<'_>, ord: u32, scratch: &mut Scratch) -> CompOutcome {
     let prog = ctx.prog;
     let comp_of = &ctx.cond.comp_of;
@@ -585,31 +935,8 @@ fn process_component(ctx: &EvalCtx<'_>, ord: u32, scratch: &mut Scratch) -> Comp
     let truth = ctx.truth;
 
     let definite = classify_rules(prog, comp, ord, comp_of, truth, scratch);
-
-    // Fingerprint this component's inputs; try to reuse the previous
-    // solve's verdicts before evaluating anything.
-    let fp = fingerprint_component(
-        prog,
-        comp,
-        ord,
-        comp_of,
-        truth,
-        ctx.is_fact,
-        &mut scratch.sorted_comp,
-    );
-    ctx.fingerprints[ord as usize].store(fp, Ordering::Relaxed);
+    ctx.recursive[ord as usize].store(!definite, Ordering::Relaxed);
     let rules = scratch.rules.len();
-    if let Some(prev) = &ctx.prev {
-        if try_reuse(prog, comp, fp, prev, truth) {
-            return CompOutcome {
-                definite,
-                reused: true,
-                rules,
-                rounds: 0,
-            };
-        }
-    }
-
     let rounds = eval_component(
         prog,
         comp,
@@ -622,7 +949,6 @@ fn process_component(ctx: &EvalCtx<'_>, ord: u32, scratch: &mut Scratch) -> Comp
     );
     CompOutcome {
         definite,
-        reused: false,
         rules,
         rounds,
     }
@@ -893,97 +1219,6 @@ fn close(
             }
         }
     }
-}
-
-/// Digests a component's inputs into a 64-bit fingerprint: atom ids and
-/// fact bits in ascending-id order, every rule heading a component atom
-/// (bodies in atom-id space), and the decided truth of each external body
-/// atom. Deterministic across solves because universe atom ids are stable
-/// and ground-rule bodies are stored sorted.
-fn fingerprint_component(
-    prog: &GroundProgram,
-    comp: &[u32],
-    ord: u32,
-    comp_of: &[u32],
-    truth: &TruthSlots,
-    is_fact: &BitSet,
-    sorted_comp: &mut Vec<u32>,
-) -> u64 {
-    sorted_comp.clear();
-    sorted_comp.extend_from_slice(comp);
-    // Local ids increase with atom ids, so this visits atoms in a
-    // solve-independent order even though Tarjan's emission order within
-    // the component is not.
-    sorted_comp.sort_unstable();
-    let mut h = mix(0, comp.len() as u64);
-    let body = |mut h: u64, atoms: &[u32]| {
-        h = mix(h, atoms.len() as u64);
-        for &b in atoms {
-            h = mix(h, prog.atom_of_local(b).index() as u64);
-            let tag = if comp_of[b as usize] == ord {
-                3 // internal: undecided by construction
-            } else {
-                match truth.get(b as usize) {
-                    Truth::False => 0,
-                    Truth::Unknown => 1,
-                    Truth::True => 2,
-                }
-            };
-            h = mix(h, tag);
-        }
-        h
-    };
-    for &a in sorted_comp.iter() {
-        h = mix(h, prog.atom_of_local(a).index() as u64);
-        h = mix(h, is_fact.contains(a as usize) as u64);
-        let heading = prog.rules_with_head_local(a);
-        h = mix(h, heading.len() as u64);
-        for &rid in heading {
-            let r = rid.index();
-            h = body(h, prog.pos_local(r));
-            h = body(h, prog.neg_local(r));
-        }
-    }
-    h
-}
-
-/// Copies the previous solve's verdicts for `comp` if it is provably the
-/// same component with the same inputs: every atom must map into one
-/// previous component of identical size, and the input fingerprints must
-/// agree. Returns whether the reuse happened.
-fn try_reuse(
-    prog: &GroundProgram,
-    comp: &[u32],
-    fp: u64,
-    prev: &PrevSolve<'_>,
-    truth: &TruthSlots,
-) -> bool {
-    const ABSENT: u32 = u32::MAX;
-    let memo = prev.memo;
-    let lookup = |local: u32| -> Option<u32> {
-        match prev.local.get(prog.atom_of_local(local).index()) {
-            Some(&l) if l != ABSENT => Some(l),
-            _ => None,
-        }
-    };
-    let Some(first_old) = lookup(comp[0]) else {
-        return false; // atom is new: the component cannot be a reuse
-    };
-    let old_ord = memo.condensation.comp_of[first_old as usize] as usize;
-    if memo.fingerprints[old_ord] != fp || memo.condensation.component(old_ord).len() != comp.len()
-    {
-        return false;
-    }
-    for &a in comp {
-        match lookup(a) {
-            Some(l) if memo.condensation.comp_of[l as usize] as usize == old_ord => {}
-            _ => return false,
-        }
-    }
-    for &a in comp {
-        truth.set(a as usize, prev.result.value(prog.atom_of_local(a)));
-    }
-    true
 }
 
 // ======================================================================
@@ -1537,42 +1772,43 @@ impl Condensation {
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
         (0..self.num_components()).map(|c| self.component(c))
     }
+
+    /// Atoms in the largest component.
+    fn largest(&self) -> usize {
+        (self.comp_off.windows(2).map(|w| w[1] - w[0]).max()).unwrap_or(0) as usize
+    }
 }
 
 /// Computes the [`Condensation`] of a ground program's dependency graph.
 pub fn condensation(prog: &GroundProgram) -> Condensation {
-    let n = prog.num_atoms();
+    tarjan(prog, prog.num_atoms(), |node| node, |atom| atom)
+}
 
-    // Flat adjacency CSR: successors of an atom are the body atoms of the
-    // rules it heads.
-    let mut counts = vec![0u32; n];
-    for a in 0..n as u32 {
-        let deg: usize = prog
-            .rules_with_head_local(a)
-            .iter()
-            .map(|rid| prog.pos_local(rid.index()).len() + prog.neg_local(rid.index()).len())
-            .sum();
-        counts[a as usize] = deg as u32;
-    }
+/// Tarjan's algorithm over the subgraph of the dependency graph induced by
+/// `nodes` atoms: node `v` is the atom `atom_of(v)`, and `node_of` is the
+/// inverse, [`NONE`] for an atom outside the subgraph. The result is in
+/// node ids.
+fn tarjan(
+    prog: &GroundProgram,
+    nodes: usize,
+    atom_of: impl Fn(u32) -> u32,
+    node_of: impl Fn(u32) -> u32,
+) -> Condensation {
+    let n = nodes;
+    // Flat adjacency CSR, filled in one pass: the successors of a node are
+    // the body atoms, inside the subgraph, of the rules its atom heads. The
+    // whole program's graph has one edge per body literal.
+    let whole = n == prog.num_atoms();
     let mut adj_off = Vec::with_capacity(n + 1);
-    let mut acc = 0u32;
+    let mut adj: Vec<u32> = Vec::with_capacity(if whole { prog.num_body_literals() } else { 0 });
     adj_off.push(0);
-    for &c in &counts {
-        acc += c;
-        adj_off.push(acc);
-    }
-    let mut adj = vec![0u32; acc as usize];
-    {
-        let mut fill: Vec<u32> = adj_off[..n].to_vec();
-        for a in 0..n as u32 {
-            for &rid in prog.rules_with_head_local(a) {
-                let r = rid.index();
-                for &b in prog.pos_local(r).iter().chain(prog.neg_local(r)) {
-                    adj[fill[a as usize] as usize] = b;
-                    fill[a as usize] += 1;
-                }
-            }
+    for v in 0..n as u32 {
+        for rid in prog.rules_with_head_local(atom_of(v)) {
+            let r = rid.index();
+            let body = prog.pos_local(r).iter().chain(prog.neg_local(r));
+            adj.extend(body.map(|&b| node_of(b)).filter(|&w| w != NONE));
         }
+        adj_off.push(wfdl_core::dense_u32(adj.len(), "dependency edges"));
     }
 
     const UNVISITED: u32 = u32::MAX;
@@ -1697,7 +1933,7 @@ mod tests {
             assert_eq!(ps.components_reused, ss.components_reused);
             let pm = par.memo.as_ref().unwrap();
             let sm = serial.memo.as_ref().unwrap();
-            assert_eq!(pm.fingerprints, sm.fingerprints, "{threads} threads");
+            assert_eq!(pm.recursive, sm.recursive, "{threads} threads");
         }
     }
 
@@ -1906,13 +2142,21 @@ mod tests {
         assert_eq!(stats.recursive_rounds, 1 + 2, "{stats:?}");
         agree_with_global(&b);
 
-        // A memo-reused component is counted by what it is, but runs no
-        // round.
+        // A carried component is counted by what it is, but runs no round.
         let again = ModularEngine::new(&p).solve_incremental(Some((&p, &res)));
         let reused = again.stats.unwrap();
         assert_eq!(reused.components_reused, reused.components);
-        assert_eq!(reused.rules_in_recursive, 6);
-        assert_eq!(reused.recursive_rounds, 0);
+        assert_eq!(reused.cone_atoms, 0);
+        assert_eq!(
+            ModularStats {
+                recursive_rounds: 0,
+                components_reused: stats.components,
+                components_evaluated: 0,
+                cone_atoms: 0,
+                ..stats
+            },
+            reused
+        );
     }
 
     #[test]
@@ -1944,9 +2188,8 @@ mod tests {
         assert_eq!(inc.value(a(2)), Truth::Unknown, "reused unknown survives");
         assert_eq!(inc.value(a(5)), Truth::False, "new rule evaluated fresh");
 
-        // The incremental path composes with parallel evaluation:
-        // memo-reused components skip evaluation on every worker count and
-        // the result stays bit-identical.
+        // The incremental path is serial whatever worker count is asked
+        // for, and bit-identical at each.
         for threads in [2usize, 4, 8] {
             let par = ModularEngine::new(&grown)
                 .with_threads(threads)
@@ -1955,15 +2198,38 @@ mod tests {
                 assert_eq!(par.value(atom), inc.value(atom), "on {atom:?}");
                 assert_eq!(par.stage_of(atom), inc.stage_of(atom), "on {atom:?}");
             }
-            assert_eq!(par.stats.unwrap().components_reused, 3);
+            assert_eq!(par.stats, inc.stats);
+        }
+        // What describes the model equals what a full solve reports, and
+        // stages stay monotone along every rule.
+        let (is, fs) = (stats, fresh.stats.unwrap());
+        assert_eq!(
+            ModularStats {
+                recursive_rounds: fs.recursive_rounds,
+                components_reused: 0,
+                components_evaluated: fs.components,
+                cone_atoms: fs.cone_atoms,
+                ..is
+            },
+            fs
+        );
+        assert_eq!(is.cone_atoms, 2, "a4 and a5");
+        assert_eq!(is.components_evaluated, 2);
+        for r in 0..grown.num_rules() {
+            let stage = |l: u32| inc.stage_of(grown.atom_of_local(l));
+            for &b in grown.pos_local(r).iter().chain(grown.neg_local(r)) {
+                if let (Some(head), Some(body)) = (stage(grown.head_local(r)), stage(b)) {
+                    assert!(body <= head, "rule {r}");
+                }
+            }
         }
     }
 
     #[test]
     fn incremental_reuse_rejects_components_with_changed_inputs() {
         // Base (no facts): a(1) ← a(0) ← a(2), everything false. Growing
-        // the program with the fact a(0) changes a(0)'s own fingerprint
-        // (fact bit) and a(1)'s external input — neither may be reused.
+        // the program with the fact a(0) makes a(0) a seed and changes
+        // a(1)'s external input — neither may keep its verdict.
         let mut b = GroundProgramBuilder::new();
         b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![]));
         b.add_rule(GroundRule::new(a(0), vec![a(2)], vec![]));
@@ -1976,8 +2242,86 @@ mod tests {
         let inc = ModularEngine::new(&grown).solve_incremental(Some((&base, &base_res)));
         assert_eq!(inc.value(a(0)), Truth::True);
         assert_eq!(inc.value(a(1)), Truth::True, "stale False must not leak");
-        // Only {a2} (no rules, no facts, unchanged) can be reused.
+        // Only {a2} (no rules, no facts, outside the cone) is carried.
         assert_eq!(inc.stats.unwrap().components_reused, 1);
+    }
+
+    #[test]
+    fn incremental_keeps_cone_components_whose_inputs_did_not_move() {
+        // a1 ← a0(fact); a2 ← a1; a3 ← ¬a2. Adding a second rule for a1
+        // puts a1, a2, a3 in the cone, but a1 stays true: only a1 is
+        // evaluated again, a2 and a3 keep their verdicts.
+        let mut b = GroundProgramBuilder::new();
+        b.add_fact(a(0));
+        b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![]));
+        b.add_rule(GroundRule::new(a(2), vec![a(1)], vec![]));
+        b.add_rule(GroundRule::new(a(3), vec![], vec![a(2)]));
+        let base = b.clone().finish();
+        let base_res = ModularEngine::new(&base).solve();
+        b.add_rule(GroundRule::new(a(1), vec![], vec![a(4)]));
+        let grown = b.finish();
+        let inc = ModularEngine::new(&grown).solve_incremental(Some((&base, &base_res)));
+        let fresh = ModularEngine::new(&grown).solve();
+        for &atom in grown.atoms() {
+            assert_eq!(inc.value(atom), fresh.value(atom), "on {atom:?}");
+        }
+        let stats = inc.stats.unwrap();
+        assert_eq!(stats.cone_atoms, 4, "a4 (new), a1, a2, a3: {stats:?}");
+        assert_eq!(stats.components_evaluated, 2, "a4 and a1: {stats:?}");
+        assert_eq!(stats.components_reused, 3, "{stats:?}");
+    }
+
+    #[test]
+    fn incremental_merges_old_components_into_a_new_cycle() {
+        // Two old singletons, a0 ← ¬a1 and a1 (no rule): closing the cycle
+        // with a1 ← ¬a0 merges them into one recursive component, away
+        // from any new atom; a2 ← a0 above follows.
+        let mut b = GroundProgramBuilder::new();
+        b.add_rule(GroundRule::new(a(0), vec![], vec![a(1)]));
+        b.add_rule(GroundRule::new(a(2), vec![a(0)], vec![]));
+        b.add_fact(a(3));
+        let base = b.clone().finish();
+        let base_res = ModularEngine::new(&base).solve();
+        assert_eq!(base_res.value(a(2)), Truth::True);
+        b.add_rule(GroundRule::new(a(1), vec![], vec![a(0)]));
+        let grown = b.finish();
+        let inc = ModularEngine::new(&grown).solve_incremental(Some((&base, &base_res)));
+        let fresh = ModularEngine::new(&grown).solve();
+        for &atom in grown.atoms() {
+            assert_eq!(inc.value(atom), fresh.value(atom), "on {atom:?}");
+        }
+        assert_eq!(inc.value(a(2)), Truth::Unknown);
+        assert_eq!(inc.stage_of(a(2)), None, "an undecided atom has no stage");
+        let (is, fs) = (inc.stats.unwrap(), fresh.stats.unwrap());
+        assert_eq!(is.components, fs.components);
+        assert_eq!(is.largest_component, 2);
+        assert_eq!(is.recursive_components, fs.recursive_components);
+        assert_eq!(is.atoms_in_recursive, fs.atoms_in_recursive);
+        assert_eq!(is.rules_in_recursive, fs.rules_in_recursive);
+        assert_eq!(is.unknown_atoms, fs.unknown_atoms);
+        assert_eq!(is.components_reused, 1, "the fact a3");
+        // The patched condensation is a condensation of the grown program.
+        let cond = &inc.memo.as_ref().unwrap().condensation;
+        assert_eq!(cond.num_components(), fs.components);
+        for c in 0..cond.num_components() {
+            for &atom in cond.component(c) {
+                assert_eq!(cond.comp_of[atom as usize] as usize, c);
+            }
+        }
+        // And it carries on: a second delta on top of the patched result.
+        let mut b2 = GroundProgramBuilder::new();
+        for r in grown.rules() {
+            b2.add_rule(r);
+        }
+        b2.add_fact(a(3));
+        b2.add_fact(a(1));
+        let again = b2.finish();
+        let inc2 = ModularEngine::new(&again).solve_incremental(Some((&grown, &inc)));
+        let fresh2 = ModularEngine::new(&again).solve();
+        for &atom in again.atoms() {
+            assert_eq!(inc2.value(atom), fresh2.value(atom), "on {atom:?}");
+        }
+        assert_eq!(inc2.value(a(0)), Truth::False);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::result::EngineResult;
 use crate::scc::{ModularEngine, ModularStats};
 use crate::wp::{StepMode, WpEngine};
+use std::time::Instant;
 use wfdl_chase::{ChaseBudget, ChaseSegment, ResumeError};
 use wfdl_core::{
     AtomId, CoreError, Interp, PredId, Program, RuleAtom, SkolemProgram, SolveBudget, SolveOutcome,
@@ -186,12 +187,11 @@ impl wfdl_query::TruthSource for WellFoundedModel {
         self.true_atoms().collect()
     }
 
+    /// In ascending id order, like [`WellFoundedModel::true_atoms`]: the
+    /// ground program's sorted atom list covers the segment.
     fn possible_atoms(&self) -> Vec<AtomId> {
-        self.segment
-            .atoms()
-            .iter()
-            .map(|sa| sa.atom)
-            .filter(|&a| !self.result.value(a).is_false())
+        (self.ground.atoms().iter().copied())
+            .filter(|&a| self.segment.contains(a) && !self.result.value(a).is_false())
             .collect()
     }
 }
@@ -203,11 +203,26 @@ pub struct SolveStats {
     /// True iff the chase was resumed from a previous model's segment
     /// instead of rebuilt from scratch ([`SolveInput::Resume`]).
     pub incremental: bool,
-    /// Dependency components whose verdicts were copied from the previous
-    /// solve.
+    /// Dependency components whose verdicts were carried over from the
+    /// previous solve instead of evaluated.
     pub components_reused: usize,
-    /// Worker threads the engine ran with (`1` = serial).
+    /// Dependency components the engine evaluated.
+    pub components_evaluated: usize,
+    /// Atoms the engine condensed: all of them for a full solve, the
+    /// delta's forward cone for a resumed one.
+    pub cone_atoms: usize,
+    /// Worker threads the engine ran with (`1` = serial; a resumed solve's
+    /// engine phase always is).
     pub threads: usize,
+    /// Nanoseconds in the chase (from scratch, resumed or restricted).
+    pub chase_ns: u64,
+    /// Nanoseconds extracting (or extending) the ground program.
+    pub ground_ns: u64,
+    /// Nanoseconds in the modular engine.
+    pub engine_ns: u64,
+    /// Nanoseconds building (or patching) the model's atom indexes; filled
+    /// in by the façade, which owns them.
+    pub index_ns: u64,
     /// True iff the solve was restricted to a query-relevant program
     /// slice ([`SolveInput::Sliced`]).
     pub sliced: bool,
@@ -231,8 +246,9 @@ pub enum SolveInput<'a> {
     /// Computes `WFS(D ∪ Δ, Σf)` by **resuming** `prev`'s chase segment
     /// with the new facts `Δ` instead of re-chasing from scratch: the
     /// ground program is extended with the delta's atoms, facts and
-    /// instances, and every dependency component whose inputs did not
-    /// change reuses `prev`'s verdicts.
+    /// instances, `prev`'s verdicts are carried over, and only the delta's
+    /// forward cone is condensed and evaluated again
+    /// ([`ModularEngine::solve_incremental`]).
     ///
     /// Preconditions (the façade's `KnowledgeBase` enforces them): `prev`
     /// was solved over the same universe with the same program and the
@@ -242,7 +258,8 @@ pub enum SolveInput<'a> {
     /// resume (continuation would not equal a from-scratch chase), and the
     /// caller falls back to [`SolveInput::Full`].
     Resume {
-        /// The model whose segment, ground program and memo are reused.
+        /// The model whose segment, ground program and verdicts are
+        /// carried over.
         prev: &'a WellFoundedModel,
         /// The insert-only delta `Δ`.
         new_facts: &'a [AtomId],
@@ -273,13 +290,6 @@ pub enum SolveInput<'a> {
         db: &'a Database,
         /// The relevance-closed slice.
         pred_mask: &'a [bool],
-        /// An earlier solve over the same universe (typically the last
-        /// full one) to compose with: components of the sliced ground
-        /// program whose input fingerprints and atom sets coincide with
-        /// one of its components reuse the verdicts instead of re-solving.
-        /// The fingerprint check rejects components whose inputs differ,
-        /// so a stale memo is less effective, never unsound.
-        memo: Option<&'a WellFoundedModel>,
     },
 }
 
@@ -338,13 +348,10 @@ pub fn solve_request(
     // the façade's cache/resume decisions) stays on the user's fields.
     let threads = request.options.threads;
     let chase_budget = request.options.budget.with_threads(threads);
-    // A previous model plays two roles: incremental *grounding* is only
-    // valid when the segment resumed that model's chase, per-component
-    // *verdict reuse* for any previous solve over the same universe.
-    let (segment, ground_prev, memo_prev, pred_mask) = match request.input {
+    let chase_start = Instant::now();
+    let (segment, prev, pred_mask) = match request.input {
         SolveInput::Full { db } => (
             ChaseSegment::build_budgeted(universe, db, program, chase_budget, budget),
-            None,
             None,
             None,
         ),
@@ -352,14 +359,9 @@ pub fn solve_request(
             prev.segment
                 .resume_budgeted(universe, program, new_facts, budget)?,
             Some(prev),
-            Some(prev),
             None,
         ),
-        SolveInput::Sliced {
-            db,
-            pred_mask,
-            memo,
-        } => (
+        SolveInput::Sliced { db, pred_mask } => (
             ChaseSegment::build_restricted_budgeted(
                 universe,
                 db,
@@ -369,17 +371,23 @@ pub fn solve_request(
                 pred_mask,
             ),
             None,
-            memo,
             Some(pred_mask),
         ),
     };
-    let model = finish_model(segment, threads, ground_prev, memo_prev, budget);
+    let chase_ns = chase_start.elapsed().as_nanos() as u64;
+    let (model, ground_ns, engine_ns) = finish_model(segment, threads, prev, budget);
     let constraint_status = constraint_status(universe, &model, request.violations, pred_mask);
+    let modular = model.result.stats.unwrap_or_default();
     let stats = SolveStats {
-        incremental: ground_prev.is_some(),
-        components_reused: model.result.stats.map_or(0, |s| s.components_reused),
-        threads: model.result.stats.map_or(1, |s| s.threads.max(1)),
+        incremental: prev.is_some(),
+        components_reused: modular.components_reused,
+        components_evaluated: modular.components_evaluated,
+        cone_atoms: modular.cone_atoms,
+        threads: modular.threads.max(1),
         sliced: pred_mask.is_some(),
+        chase_ns,
+        ground_ns,
+        engine_ns,
         ..SolveStats::default()
     };
     Ok(SolveOutput {
@@ -445,6 +453,11 @@ pub fn solve_resumed(
 }
 
 /// [`solve_request`] over [`SolveInput::Sliced`].
+///
+/// The last argument is accepted and unused: a sliced solve once composed
+/// with a previous model's per-component memo, which lost to solving the
+/// slice cold. The claims benchmark calls this signature; the parameter
+/// goes when a benchmark issue drops it there.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_sliced_packaged_budgeted(
     universe: &mut Universe,
@@ -454,7 +467,7 @@ pub fn solve_sliced_packaged_budgeted(
     violations: &[PredId],
     solve_budget: &SolveBudget,
     pred_mask: &[bool],
-    memo_prev: Option<&WellFoundedModel>,
+    _unused: Option<&WellFoundedModel>,
 ) -> SolveOutput {
     not_a_resume(solve_request(
         universe,
@@ -463,17 +476,17 @@ pub fn solve_sliced_packaged_budgeted(
             options,
             violations,
             budget: solve_budget,
-            input: SolveInput::Sliced {
-                db,
-                pred_mask,
-                memo: memo_prev,
-            },
+            input: SolveInput::Sliced { db, pred_mask },
         },
     ))
 }
 
 /// Shared tail of every solve: ground the segment and run the modular
-/// engine.
+/// engine; returns the model with the nanoseconds each of the two took.
+///
+/// `prev` is the model whose segment this one resumed, if any: its ground
+/// program is extended with the delta instead of re-translating the
+/// inherited bulk, and its verdicts are carried over.
 ///
 /// A chase stopped by a *budget trip* never sees the engine: over an
 /// arbitrarily interrupted segment, "no deriving instance" proves nothing
@@ -487,17 +500,15 @@ pub fn solve_sliced_packaged_budgeted(
 fn finish_model(
     segment: ChaseSegment,
     threads: usize,
-    ground_prev: Option<&WellFoundedModel>,
-    memo_prev: Option<&WellFoundedModel>,
+    prev: Option<&WellFoundedModel>,
     solve_budget: &SolveBudget,
-) -> WellFoundedModel {
-    // Resumed solves ground incrementally: the previous program is
-    // extended with the delta's atoms/facts/instances instead of
-    // re-translating the inherited bulk.
-    let ground = match ground_prev {
+) -> (WellFoundedModel, u64, u64) {
+    let ground_start = Instant::now();
+    let ground = match prev {
         Some(p) => segment.to_ground_program_from(&p.ground),
         None => segment.to_ground_program(),
     };
+    let engine_start = Instant::now();
     let chase_trunc = segment.truncation();
     let result = if chase_trunc.is_some_and(TruncationReason::is_budget_trip) {
         positive_closure_result(&ground)
@@ -505,8 +516,9 @@ fn finish_model(
         ModularEngine::new(&ground)
             .with_threads(threads)
             .with_budget(solve_budget.clone())
-            .solve_incremental(memo_prev.map(|p| (&p.ground, &p.result)))
+            .solve_incremental(prev.map(|p| (&p.ground, &p.result)))
     };
+    let done = Instant::now();
     let exact = segment.complete;
     let outcome = match chase_trunc
         .filter(|r| r.is_budget_trip())
@@ -521,13 +533,18 @@ fn finish_model(
             }
         }
     };
-    WellFoundedModel {
+    let model = WellFoundedModel {
         segment,
         ground,
         result,
         exact,
         outcome,
-    }
+    };
+    (
+        model,
+        (engine_start - ground_start).as_nanos() as u64,
+        (done - engine_start).as_nanos() as u64,
+    )
 }
 
 /// Least fixpoint of the **negation-free** ground instances from the facts:
@@ -600,6 +617,7 @@ fn positive_closure_result(ground: &GroundProgram) -> EngineResult {
         stats: None,
         memo: None,
         truncation: None,
+        cone: None,
     }
 }
 

@@ -13,7 +13,7 @@
 //! * [`atom_type`] — the type of an atom in a solved segment;
 //! * [`CanonicalType`] — an `X`-isomorphism-invariant canonical form
 //!   (`X` = the data constants, which every isomorphism must fix);
-//! * [`subtree_signature`] — a canonical fingerprint of the truth values in
+//! * [`subtree_signature`] — a canonical digest of the truth values in
 //!   the `k`-step derivation cone below an atom;
 //! * [`TypeCensus`] — counts distinct canonical types across a segment:
 //!   the count plateaus as segments deepen while the atom count grows,
@@ -148,10 +148,10 @@ pub fn canonicalize(universe: &Universe, ty: &AtomType) -> CanonicalType {
     }
 }
 
-/// A canonical fingerprint of the truth values in the derivation cone up
+/// A canonical digest of the truth values in the derivation cone up
 /// to `k` instance-steps below `atom` (the subtree `T` of Lemma 10,
 /// condensed). New terms encountered below are canonicalized in discovery
-/// order, so fingerprints of isomorphic subtrees coincide.
+/// order, so digests of isomorphic subtrees coincide.
 pub fn subtree_signature(
     universe: &Universe,
     seg: &ChaseSegment,

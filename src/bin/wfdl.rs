@@ -706,6 +706,17 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
             ss.incremental,
             ss.components_reused
         );
+        let ms = |ns: u64| ns as f64 / 1e6;
+        outln!(
+            "% solve phases: chase {:.3}ms, ground {:.3}ms, engine {:.3}ms, index {:.3}ms; \
+             cone_atoms={}, components_evaluated={}",
+            ms(ss.chase_ns),
+            ms(ss.ground_ns),
+            ms(ss.engine_ns),
+            ms(ss.index_ns),
+            ss.cone_atoms,
+            ss.components_evaluated
+        );
         outln!(
             "% chase threads: {} requested, {} effective, {} small-frontier serial rounds",
             cs.threads,

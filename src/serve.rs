@@ -12,6 +12,7 @@
 //! | `GET /healthz`  | liveness + the currently published model epoch |
 //! | `POST /query`   | one query per body line → prepared evaluation against **one** pinned snapshot; malformed queries answer 400 with their real source positions. `POST /query?mode=sliced` solves goal-directedly instead (below) |
 //! | `POST /ingest`  | TSV/CSV fact batch (the `--facts` format) → typed insert + incremental re-solve on the writer thread → atomic hot-swap |
+//! | `POST /retract` | the same body format → retraction of the listed facts + re-solve **from scratch** on the writer thread → atomic hot-swap; reply `{"removed", "epoch", "incremental": false, …, "outcome"}` — `/ingest`'s reply with `removed` for `added`; 400 on a malformed body, nothing applied |
 //! | `GET /lint`     | the static-analysis report for the served program (`wfdatalog::analysis` JSON), recomputed with the model on every ingest — EDB changes flip the data-dependent lints |
 //! | `GET /stats`    | solve/modular/chase statistics, model shape, epoch, request counters |
 //!
@@ -24,10 +25,12 @@
 //! dedicated **writer thread** owning the `KnowledgeBase`: `/ingest`
 //! requests queue typed fact batches to it (bounded channel =
 //! backpressure), the writer inserts, re-solves (incrementally — the
-//! façade resumes the chase and reuses component verdicts), publishes the
-//! new model with its bumped [`SolvedModel::epoch`], and only then
-//! acknowledges the request. Readers never block on the writer; a solve
-//! in progress steals no lock the readers need.
+//! façade resumes the chase, carries the previous model over and evaluates
+//! only the delta's forward cone), publishes the new model with its bumped
+//! [`SolvedModel::epoch`], and only then acknowledges the request.
+//! `/retract` takes the same path with [`KnowledgeBase::retract`], after
+//! which the solve recomputes in full. Readers never block on the writer;
+//! a solve in progress steals no lock the readers need.
 //!
 //! Per-re-solve deadlines reuse the solve-budget machinery
 //! ([`SolveBudget`]): a deadline-tripped re-solve still publishes — as a
@@ -112,18 +115,30 @@ struct Counters {
     query_errors: AtomicU64,
     ingest: AtomicU64,
     ingest_errors: AtomicU64,
+    retract: AtomicU64,
+    retract_errors: AtomicU64,
     lint: AtomicU64,
     stats: AtomicU64,
     other: AtomicU64,
 }
 
+/// What a fact-batch body does to the database.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FactOp {
+    /// `POST /ingest`: insert the facts.
+    Insert,
+    /// `POST /retract`: remove them.
+    Retract,
+}
+
 /// One unit of work for the writer thread, which owns the
-/// [`KnowledgeBase`]: a fact ingestion, or a goal-directed query batch
-/// (`POST /query?mode=sliced` — sliced solves need `&mut KnowledgeBase`,
-/// so they serialize with ingests instead of racing them).
+/// [`KnowledgeBase`]: a fact ingestion or retraction, or a goal-directed
+/// query batch (`POST /query?mode=sliced` — sliced solves need `&mut
+/// KnowledgeBase`, so they serialize with ingests instead of racing them).
 enum WriterJob {
     /// Raw fact-batch body; acknowledged once the new model is published.
-    Ingest {
+    Facts {
+        op: FactOp,
         body: Vec<u8>,
         reply: SyncSender<Response>,
     },
@@ -179,9 +194,17 @@ impl App for WfdlApp {
             }
             (Method::Post, "/ingest") => {
                 self.counters.ingest.fetch_add(1, Ordering::Relaxed);
-                let resp = self.ingest(&req.body);
+                let resp = self.apply_facts(FactOp::Insert, &req.body);
                 if resp.status != 200 {
                     self.counters.ingest_errors.fetch_add(1, Ordering::Relaxed);
+                }
+                resp
+            }
+            (Method::Post, "/retract") => {
+                self.counters.retract.fetch_add(1, Ordering::Relaxed);
+                let resp = self.apply_facts(FactOp::Retract, &req.body);
+                if resp.status != 200 {
+                    self.counters.retract_errors.fetch_add(1, Ordering::Relaxed);
                 }
                 resp
             }
@@ -194,7 +217,7 @@ impl App for WfdlApp {
                 self.counters.stats.fetch_add(1, Ordering::Relaxed);
                 Response::json(200, self.stats_body())
             }
-            (_, "/healthz" | "/query" | "/ingest" | "/lint" | "/stats") => {
+            (_, "/healthz" | "/query" | "/ingest" | "/retract" | "/lint" | "/stats") => {
                 self.counters.other.fetch_add(1, Ordering::Relaxed);
                 Response::text(405, "method not allowed for this route\n")
             }
@@ -202,7 +225,7 @@ impl App for WfdlApp {
                 self.counters.other.fetch_add(1, Ordering::Relaxed);
                 Response::text(
                     404,
-                    "no such route (have: /healthz /query /ingest /lint /stats)\n",
+                    "no such route (have: /healthz /query /ingest /retract /lint /stats)\n",
                 )
             }
         }
@@ -271,11 +294,11 @@ impl WfdlApp {
         self.dispatch_to_writer(|reply| WriterJob::SlicedQuery { queries, reply })
     }
 
-    /// `POST /ingest`: hand the batch to the writer thread and relay its
-    /// acknowledgement.
-    fn ingest(&self, body: &[u8]) -> Response {
+    /// `POST /ingest` / `POST /retract`: hand the batch to the writer
+    /// thread and relay its acknowledgement.
+    fn apply_facts(&self, op: FactOp, body: &[u8]) -> Response {
         let body = body.to_vec();
-        self.dispatch_to_writer(|reply| WriterJob::Ingest { body, reply })
+        self.dispatch_to_writer(|reply| WriterJob::Facts { op, body, reply })
     }
 
     /// Queues one job on the writer thread and relays its reply; answers
@@ -308,14 +331,16 @@ impl WfdlApp {
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
             "{{\"epoch\":{epoch},\"uptime_ms\":{},\"requests\":{{\"healthz\":{},\"query\":{},\
-             \"query_errors\":{},\"ingest\":{},\"ingest_errors\":{},\"lint\":{},\"stats\":{},\
-             \"other\":{}}}",
+             \"query_errors\":{},\"ingest\":{},\"ingest_errors\":{},\"retract\":{},\
+             \"retract_errors\":{},\"lint\":{},\"stats\":{},\"other\":{}}}",
             self.started.elapsed().as_millis(),
             self.counters.healthz.load(Ordering::Relaxed),
             self.counters.query.load(Ordering::Relaxed),
             self.counters.query_errors.load(Ordering::Relaxed),
             self.counters.ingest.load(Ordering::Relaxed),
             self.counters.ingest_errors.load(Ordering::Relaxed),
+            self.counters.retract.load(Ordering::Relaxed),
+            self.counters.retract_errors.load(Ordering::Relaxed),
             self.counters.lint.load(Ordering::Relaxed),
             self.counters.stats.load(Ordering::Relaxed),
             self.counters.other.load(Ordering::Relaxed),
@@ -330,15 +355,16 @@ impl WfdlApp {
             model.exact(),
         ));
         push_json_str(&mut out, &model.outcome().to_string());
+        out.push_str("},\"solve\":{");
+        push_solve_stats(&mut out, &ss);
         out.push_str(&format!(
-            "}},\"solve\":{{\"incremental\":{},\"components_reused\":{},\"threads\":{},\
-             \"sliced\":{}}}",
-            ss.incremental, ss.components_reused, ss.threads, ss.sliced,
+            ",\"threads\":{},\"sliced\":{}}}",
+            ss.threads, ss.sliced
         ));
         if let Some(ms) = model.model().component_stats() {
             // `components_reused` deliberately matches the `solve` object's
             // key (and the CLI's `% solve:` line): one name for the
-            // memo-reuse counter everywhere.
+            // carried-over counter everywhere.
             out.push_str(&format!(
                 ",\"modular\":{{\"components\":{},\"definite\":{},\"recursive\":{},\
                  \"largest\":{},\"components_reused\":{},\"threads\":{},\"chunks\":{},\
@@ -516,6 +542,25 @@ fn push_query_result(out: &mut String, model: &SolvedModel, src: &str, q: &crate
     }
 }
 
+/// Renders how a solve went — resumed or not, how much of the previous
+/// model it carried over, and where its time went — as JSON object fields
+/// (no braces): the part of [`SolveStats`](crate::SolveStats) that `/stats`
+/// and the `/ingest` reply share.
+fn push_solve_stats(out: &mut String, ss: &crate::SolveStats) {
+    out.push_str(&format!(
+        "\"incremental\":{},\"components_reused\":{},\"components_evaluated\":{},\
+         \"cone_atoms\":{},\"chase_ns\":{},\"ground_ns\":{},\"engine_ns\":{},\"index_ns\":{}",
+        ss.incremental,
+        ss.components_reused,
+        ss.components_evaluated,
+        ss.cone_atoms,
+        ss.chase_ns,
+        ss.ground_ns,
+        ss.engine_ns,
+        ss.index_ns,
+    ));
+}
+
 /// A `{"error":{...}}` body with an optional source line number.
 fn error_body(message: &str, line: Option<u32>) -> String {
     let mut out = String::from("{\"error\":{\"message\":");
@@ -539,8 +584,9 @@ fn writer_loop(
 ) {
     while let Ok(job) = rx.recv() {
         match job {
-            WriterJob::Ingest { body, reply } => {
-                let response = apply_ingest(&mut kb, &slot, &body, resolve_deadline, &program_name);
+            WriterJob::Facts { op, body, reply } => {
+                let response =
+                    apply_facts(&mut kb, &slot, op, &body, resolve_deadline, &program_name);
                 // A dropped reply just means the requesting worker gave up;
                 // the ingest itself is already committed and published.
                 let _ = reply.send(response);
@@ -562,10 +608,13 @@ fn writer_loop(
     }
 }
 
-/// One ingest: parse → typed insert → (incremental) re-solve → publish.
-fn apply_ingest(
+/// One ingest or retraction: parse → typed insert / retract → re-solve
+/// (resumed after an insert, from scratch after a retraction) → publish.
+/// A body that does not parse changes nothing.
+fn apply_facts(
     kb: &mut KnowledgeBase,
     app: &WfdlApp,
+    op: FactOp,
     body: &[u8],
     resolve_deadline: Option<Duration>,
     program_name: &str,
@@ -580,9 +629,12 @@ fn apply_ingest(
             return Response::json(400, error_body(&e.to_string(), line));
         }
     };
-    let added = match kb.insert(batch) {
-        Ok(n) => n,
-        Err(e) => return Response::json(400, error_body(&e.to_string(), None)),
+    let (what, changed) = match op {
+        FactOp::Insert => match kb.insert(batch) {
+            Ok(n) => ("added", n),
+            Err(e) => return Response::json(400, error_body(&e.to_string(), None)),
+        },
+        FactOp::Retract => ("removed", kb.retract(batch)),
     };
     // The deadline is an absolute instant: arm it freshly for each
     // re-solve so every ingest gets the full window.
@@ -600,12 +652,11 @@ fn apply_ingest(
             let ss = model.solve_stats();
             let mut out = String::new();
             out.push_str(&format!(
-                "{{\"added\":{added},\"epoch\":{},\"incremental\":{},\
-                 \"components_reused\":{},\"outcome\":",
-                model.epoch(),
-                ss.incremental,
-                ss.components_reused,
+                "{{\"{what}\":{changed},\"epoch\":{},",
+                model.epoch()
             ));
+            push_solve_stats(&mut out, &ss);
+            out.push_str(",\"outcome\":");
             push_json_str(&mut out, &model.outcome().to_string());
             out.push('}');
             Response::json(200, out)

@@ -1,5 +1,5 @@
 //! Allocation budgets for the interning stores, the atom index, the
-//! modular engine and the text frontend.
+//! modular engine, the text frontend and a resumed solve.
 //!
 //! The stores keep every key in a few flat pools, so that cloning a
 //! universe (the façade's copy-on-write before each mutation, and
@@ -7,8 +7,10 @@
 //! something already interned allocates nothing, and an index is a
 //! handful of arrays. The engine evaluates every component in place, in
 //! buffers sized once per solve. The frontend reads a fact as slices of
-//! the source text and interns them in place. A timing cannot pin that on
-//! a shared host; a count of allocator calls can, exactly.
+//! the source text and interns them in place. A solve resumed after a small
+//! insert copies the previous model's flat arrays and works on the delta's
+//! forward cone only. A timing cannot pin that on a shared host; a count of
+//! allocator calls — and of components evaluated — can, exactly.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -20,6 +22,7 @@ use wfdatalog::core::AtomId;
 use wfdatalog::core::{HeadTerm, RTerm, RuleAtom, SkolemRule, TermId, Universe, Var};
 use wfdatalog::storage::{AtomIndex, GroundProgram, GroundProgramBuilder, GroundRule};
 use wfdatalog::wfs::ModularEngine;
+use wfdatalog::KnowledgeBase;
 
 thread_local! {
     // Per thread, so that tests running beside each other (and the test
@@ -277,5 +280,79 @@ fn loading_facts_allocates_nothing_per_fact() {
     assert!(
         allocations <= 24,
         "preparing a point ask took {allocations} allocations"
+    );
+}
+
+/// Example 4's existential chain over `seeds` seeds plus the wide-fanout
+/// rules over `groups` groups, a quarter of them with the `flip ⇄ flop`
+/// draw: independent cones, so a small insert reaches a small part.
+fn chain_and_fanout(seeds: usize, groups: usize) -> String {
+    use std::fmt::Write as _;
+    let mut text = String::from(
+        "r(X, Y, Z) -> r(X, Z, f(X, Y, Z)).
+         r(X, Y, Z), p(X, Y), not q(Z) -> p(X, Z).
+         r(X, Y, Z), not p(X, Y) -> q(Z).
+         r(X, Y, Z), not p(X, Z) -> s(X).
+         p(X, Y), not s(X) -> t(X).
+         src(X), not excl(X) -> mid(X).
+         mid(X) -> out(X).
+         pick(X), not flop(X) -> flip(X).
+         pick(X), not flip(X) -> flop(X).\n",
+    );
+    for i in 0..seeds {
+        writeln!(text, "r(c{i}, c{i}, d{i}).\np(c{i}, c{i}).").unwrap();
+    }
+    for i in 0..groups {
+        writeln!(text, "src(g{i}).").unwrap();
+        if i % 4 == 0 {
+            writeln!(text, "pick(g{i}).").unwrap();
+        }
+    }
+    text
+}
+
+#[test]
+fn a_small_insert_costs_what_it_touches() {
+    // Ten facts — two chain seeds, four fanout groups, two of them picked —
+    // into a solved knowledge base of `seeds` + `groups`; returns the
+    // resumed solve's allocator calls with its atom and component counts.
+    let resume = |seeds: usize, groups: usize| {
+        let text = chain_and_fanout(seeds, groups);
+        let mut kb = (KnowledgeBase::from_source(&text).unwrap())
+            .with_depth(8)
+            .with_threads(1);
+        // The first three-valued read builds the possible-atom index, so
+        // the resume below patches both indexes.
+        assert!(kb.solve().ask3("?- flip(g0).").unwrap().is_unknown());
+        let delta = "r\tx0\tx0\ty0\np\tx0\tx0\nr\tx1\tx1\ty1\np\tx1\tx1\n\
+                     src\th0\nsrc\th1\nsrc\th2\nsrc\th3\npick\th0\npick\th1\n";
+        assert_eq!(kb.insert_tsv(delta).unwrap(), 10);
+        let (model, allocations) = allocations_in(|| kb.solve());
+        let stats = model.solve_stats();
+        assert!(stats.incremental && model.outcome().truncation().is_some());
+        assert!(model.ask("?- t(x1).").unwrap() && model.ask("?- out(h3).").unwrap());
+        assert!(model.ask3("?- flop(h1).").unwrap().is_unknown());
+        let atoms = model.model().ground.num_atoms();
+        let components = stats.components_reused + stats.components_evaluated;
+        (allocations, atoms, components, stats)
+    };
+    let (small, atoms, components, stats) = resume(512, 10_240);
+    assert!(atoms >= 50_000, "{atoms} atoms");
+    // The engine condensed and evaluated the delta's cone, not the program.
+    assert!(stats.cone_atoms * 100 < atoms, "{stats:?} of {atoms} atoms");
+    assert!(
+        stats.components_evaluated * 100 < components,
+        "{stats:?} of {components} components"
+    );
+    // Twice the knowledge base, the same delta: the same cone, and the same
+    // flat arrays copied — only longer. Nothing is allocated per carried
+    // atom, per inherited rule or per component.
+    let (large, twice, _, stats_twice) = resume(1_024, 20_480);
+    assert!(twice >= 100_000, "{twice} atoms");
+    assert_eq!(stats_twice.cone_atoms, stats.cone_atoms);
+    assert_eq!(stats_twice.components_evaluated, stats.components_evaluated);
+    assert_eq!(
+        large, small,
+        "a 10-fact insert into {atoms} atoms took {small} allocations, into {twice} atoms {large}"
     );
 }

@@ -198,7 +198,7 @@ fn every_panic_site_is_contained_and_recoverable() {
 }
 
 /// Resume-boundary sites: cancel (or panic) in the middle of an
-/// incremental re-solve must leave memo and fingerprints uncorrupted —
+/// incremental re-solve must leave the carried-over state uncorrupted —
 /// the recovered solve is bit-identical to a fresh KB over the union.
 #[test]
 fn resume_boundary_faults_leave_incremental_state_clean() {
@@ -246,6 +246,83 @@ fn resume_boundary_faults_leave_incremental_state_clean() {
         let recovered = kb.try_solve_with(options(threads)).unwrap();
         assert!(recovered.outcome().is_complete(), "{label}");
         assert_eq!(observe(&recovered), union_obs, "{label}");
+    }
+}
+
+/// A trip **inside the cone** of a resumed solve. The base is a win–move
+/// chain; the delta gives its bottom position a move, which reverses every
+/// verdict up the chain, one singleton component per position. Stopping at
+/// any component of the cone must leave the positions above it `Unknown` —
+/// the carried-over verdict of each is exactly the wrong one — and the next
+/// solve must recover the complete model.
+#[test]
+fn a_trip_inside_a_resumed_cone_leaves_unknown_never_a_stale_verdict() {
+    const LEN: usize = 24;
+    let mut chain = String::from("move(X,Y), not win(Y) -> win(X).\n");
+    for i in 0..LEN {
+        chain.push_str(&format!("move(p{},p{i}).\n", i + 1));
+    }
+    let delta = "move\tp0\tescape\n";
+    for threads in THREAD_COUNTS {
+        let resumed_kb = || {
+            let mut kb = KnowledgeBase::from_source(&chain).unwrap();
+            let base = kb.try_solve_with(options(threads)).unwrap();
+            kb.insert_tsv(delta).unwrap();
+            (kb, base)
+        };
+        // The unfaulted resume: where the cone's components sit.
+        let (mut kb, base) = resumed_kb();
+        let complete = kb.try_solve_with(options(threads)).unwrap();
+        assert!(complete.solve_stats().incremental && complete.outcome().is_complete());
+        let stats = complete.model().component_stats().unwrap();
+        assert_eq!(stats.largest_component, 1, "one component per cone atom");
+        let first_cone_ordinal = stats.components - stats.cone_atoms;
+        // The engine's own verdicts (an atom that is only ever a negative
+        // hypothesis sits outside the segment and reads false regardless).
+        let verdict = |m: &SolvedModel, a| m.model().result.value(a);
+        let flipped: Vec<_> = (base.model().ground.atoms().iter().copied())
+            .filter(|&a| verdict(&base, a) != verdict(&complete, a))
+            .collect();
+        assert!(flipped.len() > LEN, "the delta reverses the whole chain");
+
+        for into_cone in [0, 1, stats.cone_atoms / 2, stats.cone_atoms - 1] {
+            for (kind, reason) in TRIP_KINDS {
+                let label = format!("cone+{into_cone}/{kind:?}/threads={threads}");
+                let (mut kb, base) = resumed_kb();
+                let site = FaultSite::WfsComponent((first_cone_ordinal + into_cone) as u32);
+                kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
+                let truncated = kb.try_solve_with(options(threads)).unwrap();
+                assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
+                assert!(truncated.solve_stats().incremental, "{label}");
+                // Same universe, same ids: atom by atom, a verdict is the
+                // final one or none at all.
+                let mut undecided = 0;
+                for &atom in truncated.model().ground.atoms() {
+                    let got = verdict(&truncated, atom);
+                    undecided += usize::from(got.is_unknown());
+                    assert!(
+                        got.is_unknown() || got == verdict(&complete, atom),
+                        "{label}: {} reads {got}, finally {}, before the delta {}",
+                        truncated.universe().display_atom(atom),
+                        verdict(&complete, atom),
+                        verdict(&base, atom)
+                    );
+                }
+                assert_eq!(
+                    undecided,
+                    stats.cone_atoms - into_cone,
+                    "{label}: the components from the trip on, and only they, are undecided"
+                );
+                assert!(
+                    flipped.iter().any(|&a| verdict(&truncated, a).is_unknown()),
+                    "{label}: the trip fell inside the cone"
+                );
+                kb.set_solve_budget(SolveBudget::unlimited());
+                let recovered = kb.try_solve_with(options(threads)).unwrap();
+                assert!(recovered.outcome().is_complete(), "{label}");
+                assert_eq!(observe(&recovered), observe(&complete), "{label}");
+            }
+        }
     }
 }
 

@@ -7,14 +7,23 @@
 //! stratified layer and two constraints whose statuses range over all
 //! three truth values. Random edge deltas routinely create new SCCs
 //! (closing draw cycles) and touch components recursive through negation —
-//! exactly the cases where verdict reuse must *not* fire stale.
+//! exactly the cases where a carried verdict must *not* survive stale.
+//!
+//! A resumed solve carries the previous model over and re-evaluates the
+//! delta's forward cone only, so the **chained** cases matter most: every
+//! step patches a model that was itself patched. Each step is held against
+//! three references — a from-scratch knowledge base over the union, the
+//! global `W_P` engine (`component_oracle.rs`'s reference) on the resumed
+//! ground program, and a full modular solve of that program for the
+//! counters that describe the model.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use wfdatalog::{FactBatch, KnowledgeBase, SolvedModel, Truth};
+use wfdatalog::wfs::{ModularEngine, StepMode, WpEngine};
+use wfdatalog::{FactBatch, KnowledgeBase, ModularStats, SolvedModel, Truth};
 
 const RULES: &str = r#"
     move(X,Y), not win(Y) -> win(X).
@@ -119,8 +128,123 @@ fn check_agreement(edges: &[(usize, usize)], split: usize) -> Result<(), TestCas
     Ok(())
 }
 
+/// The counters of [`ModularStats`] that describe the model rather than
+/// the run that computed it.
+fn model_counters(s: ModularStats) -> [usize; 7] {
+    [
+        s.components,
+        s.definite_components,
+        s.recursive_components,
+        s.largest_component,
+        s.atoms_in_recursive,
+        s.rules_in_recursive,
+        s.unknown_atoms,
+    ]
+}
+
+/// Inserts `steps` one after the other, solving after each, and holds every
+/// resumed model against the three references of the module docs. Returns
+/// the `(cone_atoms, components_evaluated)` of each resumed solve.
+fn check_chain(
+    rules: &str,
+    steps: &[Vec<(usize, usize)>],
+) -> Result<Vec<(usize, usize)>, TestCaseError> {
+    let mut chained = KnowledgeBase::from_source(rules).unwrap();
+    chained.solve();
+    let mut union: Vec<(usize, usize)> = Vec::new();
+    let mut cones = Vec::new();
+    for (k, step) in steps.iter().enumerate() {
+        let added = insert_edges(&mut chained, step);
+        union.extend_from_slice(step);
+        let model = chained.solve();
+        let stats = model.solve_stats();
+        // A step of duplicates is a cache hit: the previous model again.
+        let resumed = added > 0;
+        prop_assert!(stats.incremental || !resumed, "step {}", k);
+        prop_assert!(model.exact(), "step {}", k);
+
+        // 1. A from-scratch knowledge base over the union.
+        let mut scratch = KnowledgeBase::from_source(rules).unwrap();
+        insert_edges(&mut scratch, &union);
+        let reference = scratch.solve();
+        let (got, want) = (observe(&model), observe(&reference));
+        prop_assert_eq!(&got.0, &want.0, "step {}: true atoms differ", k);
+        prop_assert_eq!(&got.1, &want.1, "step {}: unknown atoms differ", k);
+        prop_assert_eq!(&got.2, &want.2, "step {}: constraint statuses differ", k);
+        prop_assert_eq!(&got.3, &want.3, "step {}: prepared-query answers differ", k);
+        let carried = model.model().component_stats().unwrap();
+        let from_scratch = reference.model().component_stats().unwrap();
+        prop_assert_eq!(
+            model_counters(carried),
+            model_counters(from_scratch),
+            "step {}",
+            k
+        );
+
+        // 2. The global engine on the very program the resume extended.
+        let wfm = model.model();
+        let global = WpEngine::new(&wfm.ground).solve(StepMode::Accelerated);
+        for &atom in wfm.ground.atoms() {
+            prop_assert_eq!(
+                wfm.result.value(atom),
+                global.value(atom),
+                "step {}: {:?}",
+                k,
+                atom
+            );
+        }
+
+        // 3. A full modular solve of it: same counters, and what the run
+        // did adds up.
+        let full = ModularEngine::new(&wfm.ground).solve().stats.unwrap();
+        prop_assert_eq!(model_counters(carried), model_counters(full), "step {}", k);
+        prop_assert_eq!(
+            carried.components_reused + carried.components_evaluated,
+            carried.components,
+            "step {}",
+            k
+        );
+        prop_assert_eq!(stats.components_evaluated, carried.components_evaluated);
+        if resumed {
+            prop_assert!(carried.cone_atoms <= wfm.ground.num_atoms());
+            cones.push((carried.cone_atoms, carried.components_evaluated));
+        }
+
+        // The extended ground program is the grown segment's, row for row.
+        let regrounded = wfm.segment.to_ground_program();
+        prop_assert_eq!(regrounded.atoms(), wfm.ground.atoms(), "step {}", k);
+        prop_assert_eq!(regrounded.num_rules(), wfm.ground.num_rules(), "step {}", k);
+        for l in 0..regrounded.num_atoms() as u32 {
+            prop_assert_eq!(
+                regrounded.rules_with_head_local(l),
+                wfm.ground.rules_with_head_local(l)
+            );
+            prop_assert_eq!(
+                regrounded.rules_with_pos_local(l),
+                wfm.ground.rules_with_pos_local(l)
+            );
+            prop_assert_eq!(
+                regrounded.rules_with_neg_local(l),
+                wfm.ground.rules_with_neg_local(l)
+            );
+        }
+    }
+    Ok(cones)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random win–move graphs inserted in six successive deltas: from the
+    /// second on, every resumed solve patches a patched model.
+    #[test]
+    fn chained_deltas_agree_at_every_step(
+        edges in proptest::collection::vec((0..10usize, 0..10usize), 6..36),
+    ) {
+        let per_step = edges.len().div_ceil(6);
+        let steps: Vec<Vec<(usize, usize)>> = edges.chunks(per_step).map(<[_]>::to_vec).collect();
+        check_chain(RULES, &steps)?;
+    }
 
     /// 64 random win–move graphs with random base/delta splits.
     #[test]
@@ -162,4 +286,108 @@ fn delta_from_empty_base() {
 fn empty_delta_is_a_cache_hit() {
     let edges = [(0, 1), (1, 0), (2, 1)];
     check_agreement(&edges, edges.len()).unwrap();
+}
+
+/// A delta that closes a cycle among **old** atoms: `win(0..=3)` are four
+/// singleton components; the move 3 → 0 merges them into one recursive
+/// component although the only new atom, the move itself, sits below the
+/// cycle. Nodes 4 and 5 hang above it and follow. Later deltas break the
+/// draw again and re-close a wider one.
+#[test]
+fn chained_deltas_merging_old_components_into_a_cycle() {
+    let cones = check_chain(
+        RULES,
+        &[
+            vec![(0, 1), (1, 2), (2, 3), (4, 0), (5, 4), (7, 8)],
+            // win(0) ← ¬win(1) ← ¬win(2) ← ¬win(3) ← ¬win(0): a draw.
+            vec![(3, 0)],
+            // An escape out of the cycle decides it.
+            vec![(2, 6)],
+            // A second cycle through the same old atoms.
+            vec![(6, 1)],
+            vec![(9, 5)],
+            vec![(6, 9), (8, 7)],
+        ],
+    )
+    .unwrap();
+    assert_eq!(cones.len(), 6);
+}
+
+/// A delta at the bottom of a long win–move chain flips every verdict
+/// above it, arbitrarily far from the new fact — and the next one flips
+/// them all back.
+#[test]
+fn chained_deltas_flipping_verdicts_all_the_way_up_a_chain() {
+    const LEN: usize = 120;
+    let chain: Vec<(usize, usize)> = (0..LEN).map(|i| (i + 1, i)).collect();
+    let cones = check_chain(
+        RULES,
+        &[
+            chain,
+            // n0 can move now: won, so n1 is lost, n2 won, …
+            vec![(0, LEN + 1)],
+            // … until its target can move too.
+            vec![(LEN + 1, LEN + 2)],
+            vec![(LEN + 2, LEN + 3)],
+            // Off to the side: nothing on the chain moves.
+            vec![(LEN + 10, LEN + 11)],
+            vec![(LEN + 3, LEN + 4)],
+        ],
+    )
+    .unwrap();
+    // The flips re-evaluate the whole chain (win, losing and both
+    // constraints ride on it); the side delta a handful of atoms.
+    assert!(cones[1].1 > LEN && cones[2].1 > LEN, "{cones:?}");
+    assert!(cones[4].0 < 12 && cones[4].1 < 12, "{cones:?}");
+}
+
+/// Example 4's existential chain under a depth budget, one seed at a time:
+/// the chase resume (nulls, depth gates) feeds the same carry-and-patch.
+#[test]
+fn chained_deltas_over_an_existential_chain() {
+    const CHAIN: &str = r#"
+        r(X,Y,Z) -> r(X,Z,W).
+        r(X,Y,Z), p(X,Y), not q(Z) -> p(X,Z).
+        r(X,Y,Z), not p(X,Y) -> q(Z).
+        p(X,Y), not q(Y) -> s(X).
+    "#;
+    let mut chained = KnowledgeBase::from_source(CHAIN).unwrap().with_depth(5);
+    let mut text = String::new();
+    for k in 0..6 {
+        let delta = format!(
+            "r(a{k},a{k},b{k}).\np(a{k},a{k}).\nr(a{k},b{k},a{}).\n",
+            k / 2
+        );
+        chained.add_source(&delta).unwrap();
+        text.push_str(&delta);
+        let model = chained.solve();
+        assert_eq!(model.solve_stats().incremental, k > 0, "step {k}");
+
+        let mut scratch = KnowledgeBase::from_source(CHAIN).unwrap().with_depth(5);
+        scratch.add_source(&text).unwrap();
+        let reference = scratch.solve();
+        assert_eq!(model.render_true(), reference.render_true(), "step {k}");
+        let unknown = |m: &SolvedModel| {
+            let mut names: Vec<String> = (m.model().unknown_atoms())
+                .map(|a| m.universe().display_atom(a).to_string())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(unknown(&model), unknown(&reference), "step {k}");
+        assert_eq!(
+            model_counters(model.model().component_stats().unwrap()),
+            model_counters(reference.model().component_stats().unwrap()),
+            "step {k}"
+        );
+        let wfm = model.model();
+        let global = WpEngine::new(&wfm.ground).solve(StepMode::Accelerated);
+        for &atom in wfm.ground.atoms() {
+            assert_eq!(
+                wfm.result.value(atom),
+                global.value(atom),
+                "step {k}: {atom:?}"
+            );
+        }
+    }
 }

@@ -316,6 +316,71 @@ fn lint_route_serves_the_analysis_and_tracks_ingests() {
     server.shutdown();
 }
 
+/// `POST /retract` is `/ingest` in reverse: the same body format through
+/// the same writer thread, a from-scratch re-solve, a later epoch — and the
+/// verdict the ingest flipped is back.
+#[test]
+fn retract_route_undoes_an_ingest_at_a_later_epoch() {
+    let kb = KnowledgeBase::from_source(PROGRAM).expect("program");
+    let server = start(kb, ServeOptions::default()).expect("server starts");
+    let addr = server.addr();
+    let win_c = |addr| {
+        let (status, body) = post(addr, "/query", "?- win(c).\n");
+        assert_eq!(status, 200, "{body}");
+        (body_epoch(&body), body.contains("\"truth\":\"true\""))
+    };
+
+    // a → b → c: c cannot move, so it is lost.
+    let (before, won) = win_c(addr);
+    assert!(!won);
+
+    // A move out of c into a dead end wins c; the re-solve is resumed.
+    let (status, body) = post(addr, "/ingest", "edge,c,d\n");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"added\":1,"), "{body}");
+    assert!(body.contains("\"incremental\":true,"), "{body}");
+    for key in [
+        "\"cone_atoms\":",
+        "\"components_evaluated\":",
+        "\"engine_ns\":",
+    ] {
+        assert!(body.contains(key), "ingest reply missing {key}: {body}");
+    }
+    let (ingested, won) = win_c(addr);
+    assert!(won && ingested > before);
+
+    // A malformed body is a 400 and applies nothing — not even its
+    // well-formed first line.
+    let (status, body) = post(addr, "/retract", "edge,c,d\nedge,,z\n");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"line\":2"), "{body}");
+    assert_eq!(win_c(addr), (ingested, true));
+
+    // Retracting the move (a fact that was never there is ignored)
+    // recomputes from scratch and publishes the old verdict.
+    let (status, body) = post(addr, "/retract", "edge,c,d\nedge,x,y\n");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"removed\":1,"), "{body}");
+    assert!(body.contains("\"incremental\":false,"), "{body}");
+    assert!(body.contains("\"outcome\":\"complete\""), "{body}");
+    assert!(
+        body.contains(&format!("\"epoch\":{},", ingested + 1)),
+        "{body}"
+    );
+    assert_eq!(win_c(addr), (ingested + 1, false));
+
+    // The route counts its requests and refuses other methods.
+    let (_, stats) = get(addr, "/stats");
+    assert!(
+        stats.contains("\"retract\":2,\"retract_errors\":1,"),
+        "{stats}"
+    );
+    let (status, _) = get(addr, "/retract");
+    assert_eq!(status, 405);
+
+    server.shutdown();
+}
+
 #[test]
 fn short_circuited_queries_carry_warnings_naming_the_unknown_symbol() {
     let kb = KnowledgeBase::from_source(PROGRAM).expect("program");
