@@ -9,8 +9,7 @@
 //! cross-bench guesswork.
 //!
 //! Output:
-//! * human-readable per-phase medians on stdout (same shape as the
-//!   criterion stub's reports);
+//! * human-readable per-phase medians on stdout;
 //! * machine-readable medians in `BENCH_pipeline.json` (override the path
 //!   with `WFDL_BENCH_JSON`, the sample count with `WFDL_BENCH_SAMPLES`),
 //!   so future PRs have a perf trajectory to compare against.

@@ -1,5 +1,5 @@
 //! Regenerates every table and figure of the paper's evaluation
-//! (experiment index E1–E10 in DESIGN.md).
+//! (experiments E1–E11).
 //!
 //! ```text
 //! cargo run --release -p wfdl-bench --bin experiments -- --all

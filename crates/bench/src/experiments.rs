@@ -1,4 +1,4 @@
-//! The experiment implementations (E1–E10 of DESIGN.md): each prints the
+//! The experiment implementations (E1–E11): each prints the
 //! regenerated table/figure next to the paper's expected shape.
 
 use crate::timing::{median_time, Series};
@@ -11,40 +11,11 @@ use wfdl_gen::{
 };
 use wfdl_ontology::translate;
 use wfdl_query::{holds3, Nbcq, QTerm, QVar, QueryAtom};
-use wfdl_wfs::{
-    perfect_model, solve, solver::solve_no_una, stratify, wcheck, AlternatingEngine, EngineResult,
-    ForwardEngine, StepMode, WfsOptions, WpEngine,
+use wfdl_reference::{
+    paper_delta, perfect_model, solve_no_una, stratify, AlternatingEngine, ForwardEngine, StepMode,
+    WpEngine,
 };
-
-/// The global fixpoint engines: oracles for the production (modular)
-/// engine, run here for their stage arithmetic and for the E7 ablation.
-#[derive(Clone, Copy, Debug)]
-enum Oracle {
-    Wp,
-    WpLiteral,
-    Alternating,
-    Forward,
-}
-
-/// What `solve` does, with an oracle in the engine's place: chase, ground,
-/// run the fixpoint.
-fn solve_with_oracle(
-    u: &mut Universe,
-    db: &wfdl_storage::Database,
-    sigma: &wfdl_core::SkolemProgram,
-    budget: ChaseBudget,
-    oracle: Oracle,
-) -> (ChaseSegment, EngineResult) {
-    let segment = ChaseSegment::build(u, db, sigma, budget);
-    let ground = segment.to_ground_program();
-    let result = match oracle {
-        Oracle::Wp => WpEngine::new(&ground).solve(StepMode::Accelerated),
-        Oracle::WpLiteral => WpEngine::new(&ground).solve(StepMode::Literal),
-        Oracle::Alternating => AlternatingEngine::new(&ground).solve(),
-        Oracle::Forward => ForwardEngine::new(&segment).solve(),
-    };
-    (segment, result)
-}
+use wfdl_wfs::{solve, wcheck, EngineResult, ModularEngine, WellFoundedModel, WfsOptions};
 
 /// E1 — the Example 6 figure: `F⁺(P)` up to depth 3.
 pub fn e1_chase_forest_figure() {
@@ -184,7 +155,7 @@ pub fn e4_combined_complexity() {
         db.insert(&u, seed).unwrap();
         let model = solve(&mut u, &db, &sigma, WfsOptions::depth(4)); // warm-up
         let t = median_time(3, || solve(&mut u, &db, &sigma, WfsOptions::depth(4)));
-        let delta = wfdl_chase::paper_delta(wfdl_core::SchemaStats {
+        let delta = paper_delta(wfdl_core::SchemaStats {
             num_preds: 3,
             max_arity: w,
         });
@@ -329,73 +300,84 @@ pub fn e6_dllite_employment() {
     );
 }
 
-/// E7 — engine ablation: one semantics, three engines (Theorem 8 made
-/// executable).
+/// E7 — engine ablation: one semantics, five engines (Theorem 8 made
+/// executable). Each workload is chased and grounded once; only the
+/// fixpoint computation is timed — the production engine on the solved
+/// model's ground program, the oracles on the same program (the forward
+/// engine on its chase segment).
 pub fn e7_engine_ablation() {
-    println!("== E7: engine ablation (Wp / Wp-literal / alternating / forward) ==");
-    type WorkloadFn = Box<
-        dyn Fn() -> (
-            Universe,
-            wfdl_storage::Database,
-            wfdl_core::SkolemProgram,
-            WfsOptions,
-        ),
-    >;
-    let workloads: Vec<(String, WorkloadFn)> = vec![
-        (
-            "example4 depth 8".into(),
-            Box::new(|| {
-                let mut u = Universe::new();
-                let (db, sigma) = paper::example4(&mut u);
-                (u, db, sigma, WfsOptions::depth(8))
-            }),
-        ),
-        (
-            "chains 64 depth 6".into(),
-            Box::new(|| {
-                let mut u = Universe::new();
-                let sigma = example4_sigma(&mut u);
-                let db = chain_database(&mut u, 64);
-                (u, db, sigma, WfsOptions::depth(6))
-            }),
-        ),
-        (
-            "win-move 512".into(),
-            Box::new(|| {
-                let mut u = Universe::new();
-                let sigma = winmove_sigma(&mut u);
-                let db = winmove_database(
-                    &mut u,
-                    &WinMoveConfig {
-                        nodes: 512,
-                        out_degree: 2.0,
-                        forward_bias: 0.5,
-                        seed: 3,
-                    },
-                );
-                (u, db, sigma, WfsOptions::unbounded())
-            }),
-        ),
+    println!("== E7: engine ablation (modular / Wp / Wp-literal / alternating / forward) ==");
+    let winmove = |nodes: usize, forward_bias: f64| {
+        let mut u = Universe::new();
+        let sigma = winmove_sigma(&mut u);
+        let db = winmove_database(
+            &mut u,
+            &WinMoveConfig {
+                nodes,
+                out_degree: 2.0,
+                forward_bias,
+                seed: 3,
+            },
+        );
+        solve(&mut u, &db, &sigma, WfsOptions::unbounded())
+    };
+    let workloads: Vec<(&str, WellFoundedModel)> = vec![
+        ("example4 depth 8", {
+            let mut u = Universe::new();
+            let (db, sigma) = paper::example4(&mut u);
+            solve(&mut u, &db, &sigma, WfsOptions::depth(8))
+        }),
+        ("chains 64 depth 6", {
+            let mut u = Universe::new();
+            let sigma = example4_sigma(&mut u);
+            let db = chain_database(&mut u, 64);
+            solve(&mut u, &db, &sigma, WfsOptions::depth(6))
+        }),
+        // Every component definite: one linear sweep for the modular
+        // engine, staged unfounded-set rounds for the global ones.
+        ("stratified 2048", {
+            let mut u = Universe::new();
+            let config = RandomConfig {
+                seed: 2,
+                num_rules: 32,
+                num_preds: 12,
+                negation_prob: 0.6,
+                existential_prob: 0.0,
+                ..Default::default()
+            };
+            let w = random_stratified_program(&mut u, &config, 4);
+            let db_config = RandomDbConfig {
+                num_constants: 48,
+                num_facts: 2048,
+                seed: 9,
+            };
+            let db = random_database(&mut u, &w, &db_config);
+            solve(&mut u, &db, &w.sigma, WfsOptions::unbounded())
+        }),
+        // Acyclic game graph: the global engines' stage count grows with
+        // the longest path, the condensation stays all-definite.
+        ("win-move dag 2048", winmove(2048, 1.0)),
+        // Draw cycles: recursive components exist but stay tiny.
+        ("win-move 512", winmove(512, 0.5)),
     ];
     println!(
-        "{:>20} {:>14} {:>14} {:>14} {:>14}",
-        "workload", "Wp", "Wp-literal", "alternating", "forward"
+        "{:>20} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "workload", "modular", "Wp", "Wp-literal", "alternating", "forward"
     );
-    for (name, mk) in &workloads {
+    for (name, model) in &workloads {
+        let (ground, segment) = (&model.ground, &model.segment);
+        let engines: [&dyn Fn() -> EngineResult; 5] = [
+            &|| ModularEngine::new(ground).solve(),
+            &|| WpEngine::new(ground).solve(StepMode::Accelerated),
+            &|| WpEngine::new(ground).solve(StepMode::Literal),
+            &|| AlternatingEngine::new(ground).solve(),
+            &|| ForwardEngine::new(segment).solve(),
+        ];
         let mut row = format!("{name:>20}");
         let mut verdicts = Vec::new();
-        for oracle in [
-            Oracle::Wp,
-            Oracle::WpLiteral,
-            Oracle::Alternating,
-            Oracle::Forward,
-        ] {
-            let t = median_time(3, || {
-                let (mut u, db, sigma, opts) = mk();
-                solve_with_oracle(&mut u, &db, &sigma, opts.budget, oracle)
-            });
-            let (mut u, db, sigma, opts) = mk();
-            let (segment, result) = solve_with_oracle(&mut u, &db, &sigma, opts.budget, oracle);
+        for run in engines {
+            let t = median_time(3, run);
+            let result = run();
             let count = |v: Truth| {
                 let atoms = segment.atoms().iter();
                 atoms.filter(|sa| result.value(sa.atom) == v).count()
@@ -405,7 +387,7 @@ pub fn e7_engine_ablation() {
                 count(Truth::False),
                 count(Truth::Unknown),
             ));
-            row.push_str(&format!(" {:>13.2?}", t));
+            row.push_str(&format!(" {:>12.2?}", t));
         }
         println!("{row}");
         assert!(
@@ -493,8 +475,12 @@ pub fn e9_winmove_scaling() {
         // Pinned to W_P: the "stages" column is the paper's fixpoint stage
         // count, which the production engine does not report — it counts
         // dependency components instead.
-        let mut run =
-            || solve_with_oracle(&mut u, &db, &sigma, ChaseBudget::unbounded(), Oracle::Wp);
+        let mut run = || {
+            let segment = ChaseSegment::build(&mut u, &db, &sigma, ChaseBudget::unbounded());
+            let ground = segment.to_ground_program();
+            let result = WpEngine::new(&ground).solve(StepMode::Accelerated);
+            (segment, result)
+        };
         let (segment, result) = run(); // warm-up
         let t = median_time(3, &mut run);
         let win = u.lookup_pred("win").unwrap();

@@ -2,13 +2,13 @@
 //!
 //! The paper is a theory paper: its "evaluation" is a set of complexity
 //! theorems, worked examples and one figure. This crate regenerates each of
-//! them (experiment index E1–E10 in `DESIGN.md`):
+//! them (experiments E1–E11):
 //!
 //! * an `experiments` binary that prints the measured tables/series next to
 //!   the paper's expected shapes (`cargo run -p wfdl-bench --bin
 //!   experiments -- --all`), and
-//! * Criterion benches (`cargo bench`) timing the kernels behind each
-//!   experiment.
+//! * the JSON-emitting benches (`cargo bench`) behind the `BENCH_*.json`
+//!   artifacts and the CI regression gate (see `README.md`).
 
 pub mod experiments;
 pub mod output;

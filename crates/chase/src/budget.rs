@@ -4,9 +4,10 @@
 /// [`crate::condensed::ChaseSegment`] materializes.
 ///
 /// The paper's Proposition 12 guarantees exact query answers at depth
-/// `n·δ` (see [`crate::delta`]); that bound exists to prove decidability and
-/// is astronomically large, so practical use picks a budget and checks the
-/// segment's [`crate::condensed::ChaseSegment::complete`] flag (or uses the
+/// `n·δ` (`wfdl-reference` computes `δ`); that bound exists to prove
+/// decidability and is astronomically large, so practical use picks a
+/// budget and checks the segment's
+/// [`crate::condensed::ChaseSegment::complete`] flag (or uses the
 /// stabilization strategy in `wfdl-wfs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaseBudget {
@@ -17,8 +18,9 @@ pub struct ChaseBudget {
     /// Hard cap on the number of distinct rule instances in the segment.
     pub max_instances: usize,
     /// Worker threads for the saturation match phase: `1` = serial,
-    /// `0` = auto (`available_parallelism`, with small frontiers staying
-    /// serial). The produced segment is bit-identical for every value —
+    /// `0` = auto ([`wfdl_core::resolve_threads`]: one per hardware
+    /// thread, serial below three; small frontiers stay serial either
+    /// way). The produced segment is bit-identical for every value —
     /// see the "Sharded saturation" section of `crates/chase/src/README.md`.
     pub threads: usize,
 }

@@ -918,17 +918,11 @@ impl MatchShard {
     }
 }
 
-/// Resolves a requested thread count: `0` = auto (one worker per
-/// available core), anything else taken literally, clamped to the cap.
+/// Resolves a requested thread count: `0` = auto
+/// ([`wfdl_core::resolve_threads`]: one worker per hardware thread, serial
+/// below three), anything else taken literally, clamped to the cap.
 fn resolve_chase_threads(requested: usize) -> usize {
-    let t = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    };
-    t.clamp(1, MAX_CHASE_THREADS)
+    wfdl_core::resolve_threads(requested).clamp(1, MAX_CHASE_THREADS)
 }
 
 /// Matches every rule guarded by each chunk atom's predicate against the

@@ -9,20 +9,17 @@
 //! * [`explicit::ExplicitForest`] — the definitional node-per-occurrence
 //!   forest, reproducing the paper's Example 6 figure and validating the
 //!   condensed form;
-//! * [`delta`] — the paper's depth bound `δ` from Proposition 12;
 //! * [`budget::ChaseBudget`] — practical resource limits.
 
 #![warn(missing_docs)]
 
 pub mod budget;
 pub mod condensed;
-pub mod delta;
 pub mod explicit;
 pub mod instance;
 pub mod paper;
 
 pub use budget::ChaseBudget;
 pub use condensed::{ChaseSegment, ChaseStats, ResumeError, SegmentAtom};
-pub use delta::{paper_delta, query_depth_bound};
 pub use explicit::{ExplicitForest, ForestNode};
 pub use instance::{InstanceId, RuleInstance, SegAtomId};

@@ -201,6 +201,34 @@ impl FaultPlan {
     }
 }
 
+/// Below this many hardware threads, `threads = 0` (auto) means serial in
+/// every layer. Both parallel phases pay a fixed price per solve — the
+/// chase a spawn and a serial merge per round, the engine a planning pass
+/// that scans every rule body once more — which two workers do not earn
+/// back: on a 2-thread host every recorded 2-worker leg ran at 0.37–0.72×
+/// of serial (`BENCH_parallel.json`). What the rule should be with three
+/// or more has not been measured.
+const AUTO_PARALLEL_MIN_HW_THREADS: usize = 3;
+
+/// Resolves a requested worker count against the host, the
+/// hardware-thread half of the `threads = 0` rule shared by the chase and
+/// the engine: `0` (auto) is `std::thread::available_parallelism`, or `1`
+/// on a host reporting fewer than three hardware threads; an explicit
+/// count is never second-guessed. Each layer applies its own work
+/// threshold and cap on top.
+pub fn resolve_threads(requested: usize) -> usize {
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    resolve_threads_on(requested, hw)
+}
+
+fn resolve_threads_on(requested: usize, hw_threads: usize) -> usize {
+    match requested {
+        0 if hw_threads < AUTO_PARALLEL_MIN_HW_THREADS => 1,
+        0 => hw_threads,
+        n => n,
+    }
+}
+
 /// Runtime resource limits for one solve: an optional wall-clock deadline,
 /// an optional shared [`CancelToken`], and an optional memory budget in
 /// bytes (accounted against the chase builder pools and the WFS engine's
@@ -313,6 +341,18 @@ impl SolveBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn auto_threads_are_serial_below_three_hardware_threads() {
+        assert_eq!(resolve_threads_on(0, 1), 1);
+        assert_eq!(resolve_threads_on(0, 2), 1);
+        assert_eq!(resolve_threads_on(0, 3), 3);
+        assert_eq!(resolve_threads_on(0, 16), 16);
+        // An explicit count is taken literally, whatever the host.
+        assert_eq!(resolve_threads_on(1, 16), 1);
+        assert_eq!(resolve_threads_on(2, 1), 2);
+        assert_eq!(resolve_threads_on(8, 2), 8);
+    }
 
     #[test]
     fn unlimited_budget_never_trips() {

@@ -167,7 +167,7 @@ mod tests {
                 &sigma,
                 wfdl_wfs::WfsOptions::depth(3),
             );
-            let b = wfdl_wfs::AlternatingEngine::new(&a.ground).solve();
+            let b = wfdl_reference::AlternatingEngine::new(&a.ground).solve();
             for sa in a.segment.atoms() {
                 assert_eq!(a.value(sa.atom), b.value(sa.atom), "seed {seed}");
             }

@@ -237,7 +237,7 @@ pub fn random_database(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfdl_wfs::stratify;
+    use wfdl_reference::stratify;
 
     #[test]
     fn generated_programs_are_well_formed() {

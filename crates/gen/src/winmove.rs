@@ -120,7 +120,8 @@ pub fn winmove_cycle(universe: &mut Universe, length: usize) -> Database {
 mod tests {
     use super::*;
     use wfdl_core::Truth;
-    use wfdl_wfs::{solve, AlternatingEngine, ForwardEngine, WfsOptions};
+    use wfdl_reference::{AlternatingEngine, ForwardEngine};
+    use wfdl_wfs::{solve, WfsOptions};
 
     fn win_value(u: &Universe, model: &wfdl_wfs::WellFoundedModel, i: usize) -> Truth {
         let win = u.lookup_pred("win").unwrap();

@@ -13,9 +13,9 @@
 //! assert that agreement on every program they touch, including thousands of
 //! random ones.
 
-use crate::result::EngineResult;
 use wfdl_core::BitSet;
 use wfdl_storage::GroundProgram;
+use wfdl_wfs::result::EngineResult;
 
 /// The alternating-fixpoint engine. Borrows the ground program's dense
 /// local ids and CSR indexes directly.
@@ -74,7 +74,7 @@ impl<'a> AlternatingEngine<'a> {
                 truth_false.insert(a);
             }
         }
-        EngineResult::from_ground(d, &i_set, &truth_false, &stage_of, stage)
+        crate::result_from_ground(d, &i_set, &truth_false, &stage_of, stage)
     }
 
     /// `S(J)`: least model of the GL-reduct w.r.t. the assumed-true set `J`.

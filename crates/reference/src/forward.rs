@@ -34,9 +34,9 @@
 //! interpretation covers the segment's atoms; the solver layer maps absent
 //! atoms to `False`.
 
-use crate::result::EngineResult;
 use wfdl_chase::{ChaseSegment, InstanceId, SegAtomId};
 use wfdl_core::{AtomId, BitSet, Interp};
+use wfdl_wfs::result::EngineResult;
 
 /// The `Ŵ_P` engine over a chase segment.
 ///
@@ -137,7 +137,7 @@ impl<'a> ForwardEngine<'a> {
     /// Iterates `Ŵ_P` from `∅` to its least fixpoint, counting stages.
     pub fn solve(&self) -> EngineResult {
         let mut interp = Interp::new();
-        let mut decided_stage = crate::result::StageMap::default();
+        let mut decided_stage = wfdl_wfs::result::StageMap::default();
         let mut stage = 0u32;
         loop {
             stage += 1;

@@ -5,8 +5,8 @@
 //! The paper's Example 9 is exactly such a trace (`Ŵ_{P,1}`, `Ŵ_{P,2}`, …
 //! up to `Ŵ_{P,ω+2}`); [`StageTrace::render`] prints models in that style.
 
-use crate::result::EngineResult;
 use wfdl_core::{AtomId, Truth, Universe};
+use wfdl_wfs::result::EngineResult;
 
 /// One literal's entry into the fixpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,10 +117,10 @@ impl StageTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, WellFoundedModel, WfsOptions};
     use crate::{ForwardEngine, StepMode, WpEngine};
     use wfdl_chase::paper::example4;
     use wfdl_core::Universe;
+    use wfdl_wfs::solver::{solve, WellFoundedModel, WfsOptions};
 
     /// Traces a stage-faithful oracle engine (the production engine's
     /// stages are component ordinals) on Example 4's depth-5 segment.

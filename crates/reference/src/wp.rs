@@ -17,14 +17,14 @@
 //! counters.
 //!
 //! This engine is an **oracle**, not a production path: the default
-//! SCC-modular engine ([`crate::scc`]) runs the same alternating rounds in
+//! SCC-modular engine ([`wfdl_wfs::scc`]) runs the same alternating rounds in
 //! place, component by component, and no longer builds sub-programs for
 //! this one to solve. [`WpEngine::with_assumed_unknown`] is kept as the
 //! reference `tests/component_oracle.rs` checks that evaluator against.
 
-use crate::result::EngineResult;
 use wfdl_core::BitSet;
 use wfdl_storage::GroundProgram;
+use wfdl_wfs::result::EngineResult;
 
 /// How `W_P` is iterated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -343,7 +343,7 @@ impl State {
     }
 
     fn into_result(self, prog: &GroundProgram, stages: u32) -> EngineResult {
-        EngineResult::from_ground(
+        crate::result_from_ground(
             prog,
             &self.truth_true,
             &self.truth_false,

@@ -13,47 +13,36 @@
 //!   the `W_P` unfounded-set iteration in place only on components with
 //!   internal negation, lower-component verdicts substituted in as they
 //!   resolve;
-//! * [`result`] — the engine output every consumer reads;
+//! * [`result`] — the engine output every consumer reads.
+//!
+//! **Beside the solve path** — library surface no solve, CLI command or
+//! serve route calls (tests, `experiments` E10/E11 and API users do):
+//!
 //! * [`wcheck`] — demand-driven single-atom membership (Section 4's WCHECK,
-//!   deterministically realized) with extractable, independently verifiable
-//!   certificates.
+//!   deterministically realized: the atom's dependency cone, evaluated by
+//!   the same [`scc::ModularEngine`]) with extractable, independently
+//!   verifiable certificates;
+//! * [`types`] — the atom types of Section 3 (locality).
 //!
-//! **Oracles** — independent definitions of the same model, proved equal
-//! by the paper and compared against the production engine by the test
-//! suites; build them directly on a solved model's `ground` / `segment`:
+//! The paper's other definitions of the same model — the global `W_P`
+//! fixpoint, Van Gelder's alternating fixpoint, the forward operator `Ŵ_P`
+//! of Theorem 8, the perfect model, stable models — are **oracles** and
+//! live in the test-only `wfdl-reference` crate, which depends on this one;
+//! no production crate can name them.
 //!
-//! * [`wp::WpEngine`] — the definitional `W_P = T_P ∪ ¬.U_P` least fixpoint
-//!   with greatest-unfounded-set computation (Section 2.6), in both a
-//!   stage-faithful and an accelerated regime;
-//! * [`alternating::AlternatingEngine`] — Van Gelder's alternating fixpoint;
-//! * [`forward::ForwardEngine`] — the forward-proof operator `Ŵ_P`
-//!   evaluated on chase segments (Definitions 5/7, Theorem 8);
-//! * [`stratified`] — stratification test and perfect-model baseline \[1\];
-//! * [`stable`] — stable models of small ground programs (the WFS
-//!   approximates their intersection);
-//! * [`trace`] — stage traces in the paper's Example 9 style.
-//!
-//! All engines read the storage layer's dense data layout directly: the
+//! The engine reads the storage layer's dense data layout directly: the
 //! [`wfdl_storage::GroundProgram`] local atom ids and CSR occurrence
 //! indexes, so the hot loops are flat array walks with Dowling–Gallier
-//! counters — no hashing, and no per-engine copies of the program.
+//! counters — no hashing, and no copy of the program.
 
 #![warn(missing_docs)]
 
-pub mod alternating;
-pub mod forward;
 pub mod result;
 pub mod scc;
 pub mod solver;
-pub mod stable;
-pub mod stratified;
-pub mod trace;
 pub mod types;
 pub mod wcheck;
-pub mod wp;
 
-pub use alternating::AlternatingEngine;
-pub use forward::ForwardEngine;
 pub use result::EngineResult;
 pub use scc::{condensation, Condensation, ModularEngine, ModularMemo, ModularStats};
 pub use solver::{
@@ -61,11 +50,7 @@ pub use solver::{
     solve_sliced_packaged_budgeted, SolveInput, SolveOutput, SolveRequest, SolveStats,
     WellFoundedModel, WfsOptions,
 };
-pub use stable::stable_models;
-pub use stratified::{perfect_model, stratify, Stratification};
-pub use trace::{StageTrace, TraceEntry};
 pub use types::{
     atom_type, canonical_type_of, canonicalize, subtree_signature, type_census, AtomType,
     CanonTerm, CanonicalType, TypeCensus,
 };
-pub use wp::{StepMode, WpEngine};

@@ -1,8 +1,7 @@
 //! Common output type of the fixpoint engines.
 
 use crate::scc::{ModularMemo, ModularStats};
-use wfdl_core::{AtomId, BitSet, Interp, TruncationReason, Truth};
-use wfdl_storage::GroundProgram;
+use wfdl_core::{AtomId, Interp, TruncationReason, Truth};
 
 /// Per-atom decision stages as a flat array indexed by [`AtomId`]
 /// (universe atom ids are dense, so this beats a hash map by an order of
@@ -102,36 +101,6 @@ pub struct EngineResult {
 }
 
 impl EngineResult {
-    pub(crate) fn from_ground(
-        prog: &GroundProgram,
-        truth_true: &BitSet,
-        truth_false: &BitSet,
-        stage_of: &[u32],
-        stages: u32,
-    ) -> Self {
-        let mut interp = Interp::with_capacity(prog.num_atoms());
-        let cap = prog.atoms().last().map_or(0, |a| a.index() + 1);
-        let mut decided_stage = StageMap::with_capacity(cap);
-        for (i, &atom) in prog.atoms().iter().enumerate() {
-            if truth_true.contains(i) {
-                interp.set_true(atom);
-                decided_stage.insert(atom, stage_of[i]);
-            } else if truth_false.contains(i) {
-                interp.set_false(atom);
-                decided_stage.insert(atom, stage_of[i]);
-            }
-        }
-        EngineResult {
-            interp,
-            decided_stage,
-            stages,
-            stats: None,
-            memo: None,
-            truncation: None,
-            cone: None,
-        }
-    }
-
     /// Truth value of an atom (`Unknown` for undecided or unmentioned).
     #[inline]
     pub fn value(&self, atom: AtomId) -> Truth {

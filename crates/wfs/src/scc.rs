@@ -1,9 +1,10 @@
 //! SCC-modular well-founded evaluation, serial and parallel.
 //!
-//! The global fixpoint engines ([`crate::wp`], [`crate::alternating`])
-//! re-solve the entire ground program every stage, even when negation is
-//! confined to a tiny subcomponent. This module exploits the classical
-//! modularity (splitting) property of the well-founded semantics instead:
+//! The global fixpoint engines (the `W_P` and alternating-fixpoint oracles
+//! of `wfdl-reference`) re-solve the entire ground program every stage,
+//! even when negation is confined to a tiny subcomponent. This module
+//! exploits the classical modularity (splitting) property of the
+//! well-founded semantics instead:
 //!
 //! 1. build the **atom dependency graph** (an edge `head → body atom` for
 //!    every rule, positive and negative alike) over the program's dense
@@ -79,9 +80,9 @@
 //! The per-atom decision *stage* reported by this engine is the 1-based
 //! ordinal of the component that decided it, which preserves the invariant
 //! that stages are monotone along derivations but is **not** comparable to
-//! the `W_P` stage arithmetic of Example 9 — run
-//! [`WpEngine`](crate::wp::WpEngine) with `StepMode::Literal` on the same
-//! ground program for stage-faithful traces.
+//! the `W_P` stage arithmetic of Example 9 — run `wfdl-reference`'s
+//! `WpEngine` with `StepMode::Literal` on the same ground program for
+//! stage-faithful traces.
 
 use crate::result::EngineResult;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -96,16 +97,6 @@ use wfdl_storage::GroundProgram;
 /// small program solves in well under a millisecond, less than the cost of
 /// spawning workers.
 const AUTO_PARALLEL_MIN_WORK: usize = 16_384;
-
-/// At or below this many hardware threads the automatic thread count stays
-/// serial as well. The parallel run's planning pass (`comp_graph` +
-/// `plan_chunks`) scans every rule body once more, which is about what the
-/// serial sweep itself costs now that no component allocates — so two
-/// workers can at best reach plan + sweep/2, and measured they lose on all
-/// four claims-benchmark workloads (see `README.md` § "When `threads = 1`
-/// wins"). What the rule should be with three or more hardware threads has
-/// not been measured; an explicit thread count is never second-guessed.
-const AUTO_PARALLEL_MIN_HW_THREADS: usize = 3;
 
 /// Hard ceiling on the worker count, whatever the caller requested: wide
 /// condensations can have tens of thousands of components, and an
@@ -358,11 +349,13 @@ impl<'a> ModularEngine<'a> {
     }
 
     /// Selects the worker count for [`ModularEngine::solve`]: `1` forces
-    /// the serial path, `0` picks automatically
-    /// (`std::thread::available_parallelism` for large programs on hosts
-    /// with at least three hardware threads; serial for small programs,
-    /// where spawn cost would dominate, and on one- or two-thread hosts,
-    /// where the planning pass costs what two workers save), any other `n`
+    /// the serial path, `0` picks automatically (serial for small
+    /// programs, where spawn cost would dominate; otherwise
+    /// [`wfdl_core::resolve_threads`], the rule shared with the chase:
+    /// `std::thread::available_parallelism`, or serial on one- and
+    /// two-thread hosts, where the planning pass — `comp_graph` +
+    /// `plan_chunks` scan every rule body once more — costs what two
+    /// workers save), any other `n`
     /// spawns `n` workers (capped at the component count and a hard
     /// ceiling of 256 — thread counts are a performance knob, not a
     /// resource grant). The computed model is bit-identical for every
@@ -381,18 +374,11 @@ impl<'a> ModularEngine<'a> {
         if num_components == 0 {
             return 1;
         }
-        let requested = match self.threads {
-            0 => {
-                let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-                if self.prog.num_atoms() + self.prog.num_rules() < AUTO_PARALLEL_MIN_WORK
-                    || hw < AUTO_PARALLEL_MIN_HW_THREADS
-                {
-                    1
-                } else {
-                    hw
-                }
-            }
-            n => n,
+        let small = self.prog.num_atoms() + self.prog.num_rules() < AUTO_PARALLEL_MIN_WORK;
+        let requested = if self.threads == 0 && small {
+            1
+        } else {
+            wfdl_core::resolve_threads(self.threads)
         };
         requested.clamp(1, num_components).min(MAX_THREADS)
     }
@@ -1883,9 +1869,11 @@ fn tarjan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alternating::AlternatingEngine;
-    use crate::wp::{StepMode, WpEngine};
+    // Oracles from the dev-dependency: they link a second, non-test build
+    // of this crate, so results are compared through `wfdl-core` types
+    // (`Truth`, `AtomId`) only.
     use wfdl_core::AtomId;
+    use wfdl_reference::{AlternatingEngine, StepMode, WpEngine};
     use wfdl_storage::{GroundProgramBuilder, GroundRule};
 
     fn a(i: usize) -> AtomId {

@@ -5,14 +5,13 @@
 //! There is one solve path: [`solve_request`] over a [`SolveRequest`].
 //! [`solve`], [`solve_resumed`] and [`solve_sliced_packaged_budgeted`] are
 //! that function under fixed request shapes. The global fixpoint engines
-//! ([`crate::wp`], [`crate::alternating`], [`crate::forward`]) compute the
-//! same model (Theorem 8) and are kept as oracles: build one directly on a
-//! solved model's [`WellFoundedModel::ground`] /
-//! [`WellFoundedModel::segment`] to cross-check it.
+//! compute the same model (Theorem 8) and live in the test-only
+//! `wfdl-reference` crate: build one directly on a solved model's
+//! [`WellFoundedModel::ground`] / [`WellFoundedModel::segment`] to
+//! cross-check it.
 
 use crate::result::EngineResult;
 use crate::scc::{ModularEngine, ModularStats};
-use crate::wp::{StepMode, WpEngine};
 use std::time::Instant;
 use wfdl_chase::{ChaseBudget, ChaseSegment, ResumeError};
 use wfdl_core::{
@@ -27,12 +26,13 @@ pub struct WfsOptions {
     /// Chase materialization limits.
     pub budget: ChaseBudget,
     /// Worker threads for the chase match phase and for the modular
-    /// engine: `0` (the default) decides automatically —
-    /// `std::thread::available_parallelism` for large workloads, serial
-    /// for small ones (the engine also stays serial on hosts with one or
-    /// two hardware threads, where its planning pass costs what two
-    /// workers save); `1` forces the serial path; any other `n` spawns
-    /// exactly `n` workers. The model is bit-identical for every setting
+    /// engine: `0` (the default) decides automatically, by one rule for
+    /// both ([`wfdl_core::resolve_threads`]) —
+    /// `std::thread::available_parallelism` on hosts with at least three
+    /// hardware threads, serial below that, where neither phase's fixed
+    /// cost is earned back — and each phase stays serial on small work;
+    /// `1` forces the serial path; any other `n` spawns exactly `n`
+    /// workers. The model is bit-identical for every setting
     /// (see [`crate::scc`] and the chase crate's "Sharded saturation"
     /// docs).
     pub threads: usize,
@@ -130,8 +130,8 @@ impl WellFoundedModel {
     }
 
     /// Per-component statistics, when the modular engine produced the
-    /// result (`None` for [`solve_no_una`] and for a chase stopped by a
-    /// budget trip, where no engine ran).
+    /// result (`None` for a chase stopped by a budget trip, where no
+    /// engine ran).
     pub fn component_stats(&self) -> Option<ModularStats> {
         self.result.stats
     }
@@ -621,45 +621,6 @@ fn positive_closure_result(ground: &GroundProgram) -> EngineResult {
     }
 }
 
-/// Computes the **conservative no-UNA approximation** used in the paper's
-/// Example 2 discussion: labelled nulls might denote equal values, so a
-/// null-containing atom that merely fails to be derived cannot be declared
-/// false, and rules negating such atoms never fire. The equality-friendly
-/// WFS of \[4\] is a different (and co-NP-hard) semantics; this
-/// approximation suffices to reproduce the qualitative separation the paper
-/// draws (`ValidID(f(a))` is derived under UNA, withheld without it).
-pub fn solve_no_una(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    budget: ChaseBudget,
-) -> WellFoundedModel {
-    let segment = ChaseSegment::build(universe, db, program, budget);
-    let ground = segment.to_ground_program();
-    let frozen: Vec<AtomId> = ground
-        .atoms()
-        .iter()
-        .copied()
-        .filter(|&a| !universe.atom_is_constant_free_of_nulls(a))
-        .collect();
-    let result = WpEngine::new(&ground)
-        .with_frozen(frozen)
-        .solve(StepMode::Accelerated);
-    let exact = segment.complete;
-    let outcome = if exact {
-        SolveOutcome::Complete
-    } else {
-        SolveOutcome::Truncated(segment.truncation().unwrap_or(TruncationReason::DepthCap))
-    };
-    WellFoundedModel {
-        segment,
-        ground,
-        result,
-        exact,
-        outcome,
-    }
-}
-
 /// Lowers a [`Program`]'s negative constraints into rules deriving fresh
 /// nullary violation predicates, returning the skolemized program together
 /// with the violation predicate of each constraint (in order).
@@ -732,7 +693,7 @@ mod tests {
 
     #[test]
     fn all_engines_agree_on_example4() {
-        use crate::{AlternatingEngine, ForwardEngine};
+        use wfdl_reference::{AlternatingEngine, ForwardEngine, StepMode, WpEngine};
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
         let reference = solve(&mut u, &db, &prog, WfsOptions::depth(6));

@@ -252,8 +252,8 @@ pub fn type_census(universe: &mut Universe, seg: &ChaseSegment, interp: &Interp)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::ForwardEngine;
     use wfdl_chase::{paper::example4, ChaseBudget, ChaseSegment};
+    use wfdl_reference::ForwardEngine;
 
     fn solved(depth: u32) -> (Universe, ChaseSegment, Interp) {
         let mut u = Universe::new();

@@ -8,8 +8,9 @@
 //! same decision by (1) restricting attention to the atom's *dependency
 //! cone* — the instances reachable from it through bodies, which is exactly
 //! the part of the program WCHECK's subcomputations may touch — and
-//! (2) running a fixpoint engine on that cone (the splitting property of
-//! the WFS guarantees the cone-local model agrees with the global one).
+//! (2) running the modular engine on that cone (the cone is
+//! relevance-closed, so by the splitting property of the WFS its model
+//! agrees with the global one — whichever correct engine evaluates it).
 //! The existential path-guessing reappears here as *certificate
 //! extraction*: for a true atom we return the guard path `a₀ → a₁ → … → a`
 //! plus per-rule side-literal justifications, which is precisely the
@@ -73,8 +74,7 @@ pub fn decide(ground: &GroundProgram, atom: AtomId) -> Truth {
         return Truth::False; // no forward proof at all
     }
     let cone = dependency_cone(ground, &[atom]);
-    let res = crate::wp::WpEngine::new(&cone).solve(crate::wp::StepMode::Accelerated);
-    res.value(atom)
+    crate::scc::ModularEngine::new(&cone).solve().value(atom)
 }
 
 /// A derivation certificate for a **true** atom: the witness structure

@@ -36,17 +36,13 @@ fn main() -> Result<(), wfdatalog::Error> {
     // --- conservative no-UNA approximation ------------------------------
     // Labelled nulls might denote equal values, so null-atoms are never
     // declared false and negation over them cannot fire. The no-UNA solver
-    // is a research-grade entry point below the lifecycle API, so this part
-    // drives the layers directly.
+    // is a different semantics and lives with the oracles in the test-only
+    // `wfdl-reference` crate, so this part drives the layers directly.
     let mut u = Universe::new();
     let translated = wfdatalog::ontology::translate(&mut u, &onto)?;
     let (sigma, _violations) = wfdatalog::wfs::lower_with_constraints(&mut u, &translated.program)?;
-    let no_una = wfdatalog::wfs::solver::solve_no_una(
-        &mut u,
-        &translated.database,
-        &sigma,
-        ChaseBudget::depth(6),
-    );
+    let no_una =
+        wfdl_reference::solve_no_una(&mut u, &translated.database, &sigma, ChaseBudget::depth(6));
     let ast = wfdatalog::syntax::parse_single_query("?- ValidID(X).")?;
     let q = wfdatalog::syntax::lower_query(&mut u, &ast)?;
     let verdict = wfdatalog::query::holds3(&u, &no_una, &q);

@@ -12,8 +12,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use wfdatalog::chase::{paper::example4, ChaseBudget, ChaseSegment, ExplicitForest};
-use wfdatalog::wfs::{wcheck, ForwardEngine};
+use wfdatalog::wfs::wcheck;
 use wfdatalog::Universe;
+use wfdl_reference::{ForwardEngine, StageTrace};
 
 fn main() {
     let mut universe = Universe::new();
@@ -34,7 +35,7 @@ fn main() {
     let result = engine.solve();
     println!("\n=== Example 9: Ŵ_P stages (segment depth 8) ===");
     println!("fixpoint after {} stages", result.stages);
-    let trace = wfdatalog::wfs::StageTrace::from_result(&result);
+    let trace = StageTrace::from_result(&result);
     print!("{}", trace.render(&universe, 4));
 
     // ---- Verdicts --------------------------------------------------------

@@ -16,9 +16,9 @@
 //!
 //! `--threads N` sets the worker count for both parallel phases — the
 //! sharded chase match and the modular engine's chunked component
-//! scheduler (`0` = auto-detect from the machine, `1` = serial; the
-//! default is auto). The computed model is bit-identical for every
-//! setting.
+//! scheduler (`0` = auto: one worker per hardware thread, serial on hosts
+//! with fewer than three; `1` = serial; the default is auto). The computed
+//! model is bit-identical for every setting.
 //!
 //! `--deadline-ms N` bounds the solve's wall-clock time and `--mem-budget
 //! BYTES` its working memory. A tripped solve stops at a clean round /

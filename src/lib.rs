@@ -124,9 +124,8 @@
 //! * [`wfdl_syntax`] — parser and printer for the surface language, with
 //!   both interning (compile) and frozen (serve) query lowering;
 //! * [`wfdl_chase`] — the guarded chase forest (condensed segments,
-//!   the explicit Example 6 forest, the paper's depth bound `δ`);
+//!   the explicit Example 6 forest);
 //! * [`wfdl_wfs`] — the solve path and its modular engine (see below),
-//!   the oracle engines and baselines the tests compare it with,
 //!   WCHECK-style membership with certificates;
 //! * [`wfdl_query`] — NBCQ evaluation with certain-answer semantics and
 //!   [`PreparedQuery`];
@@ -151,11 +150,12 @@
 //! `wfdl run --stats`).
 //!
 //! The paper's other definitions of the same model — the global `W_P`
-//! fixpoint ([`wfdl_wfs::WpEngine`]), Van Gelder's alternating fixpoint
-//! ([`wfdl_wfs::AlternatingEngine`]), the chase-level `Ŵ_P` of Theorem 8
-//! ([`wfdl_wfs::ForwardEngine`]) — are not selectable: they are
-//! **oracles**, built directly on a solved model's `ground` / `segment`
-//! by the cross-engine agreement suites and for stage-faithful traces.
+//! fixpoint, Van Gelder's alternating fixpoint, the chase-level `Ŵ_P` of
+//! Theorem 8 — are not selectable, and not in this package's dependency
+//! graph: they are **oracles** in the test-only `wfdl-reference` crate
+//! (a dev-dependency here), built directly on a solved model's `ground` /
+//! `segment` by the cross-engine agreement suites and for stage-faithful
+//! traces.
 //!
 //! The repo-level `ARCHITECTURE.md` is the full handbook: crate graph,
 //! data flow of one solve, determinism/parallelism invariants, and the

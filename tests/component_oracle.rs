@@ -18,8 +18,9 @@
 
 use proptest::prelude::*;
 use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
-use wfdatalog::wfs::{condensation, Condensation, EngineResult, ModularEngine, StepMode, WpEngine};
+use wfdatalog::wfs::{condensation, Condensation, EngineResult, ModularEngine};
 use wfdatalog::{AtomId, Truth};
+use wfdl_reference::{StepMode, WpEngine};
 
 fn a(i: usize) -> AtomId {
     AtomId::from_index(i)

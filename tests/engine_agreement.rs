@@ -9,14 +9,14 @@
 
 use proptest::prelude::*;
 use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
-use wfdatalog::wfs::{
-    perfect_model, solve, stratify, AlternatingEngine, EngineResult, ForwardEngine, ModularEngine,
-    StepMode, WellFoundedModel, WfsOptions, WpEngine,
-};
+use wfdatalog::wfs::{solve, EngineResult, ModularEngine, WellFoundedModel, WfsOptions};
 use wfdatalog::{AtomId, Truth, Universe};
 use wfdl_gen::{
     random_database, random_program, random_stratified_program, winmove_database, winmove_sigma,
     RandomConfig, RandomDbConfig, WinMoveConfig,
+};
+use wfdl_reference::{
+    perfect_model, stratify, AlternatingEngine, ForwardEngine, StepMode, WpEngine,
 };
 
 /// The four global oracle engines, run on a solved model's ground program

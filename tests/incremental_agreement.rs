@@ -22,8 +22,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use wfdatalog::wfs::{ModularEngine, StepMode, WpEngine};
+use wfdatalog::wfs::ModularEngine;
 use wfdatalog::{FactBatch, KnowledgeBase, ModularStats, SolvedModel, Truth};
+use wfdl_reference::{StepMode, WpEngine};
 
 const RULES: &str = r#"
     move(X,Y), not win(Y) -> win(X).

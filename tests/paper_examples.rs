@@ -6,10 +6,9 @@
 
 use wfdatalog::chase::{paper, ChaseBudget, ChaseSegment, ExplicitForest};
 use wfdatalog::ontology::{example1, example2_abox, example2_tbox, Ontology};
-use wfdatalog::wfs::{
-    solve, solver::solve_no_una, AlternatingEngine, ForwardEngine, StepMode, WfsOptions, WpEngine,
-};
+use wfdatalog::wfs::{solve, WfsOptions};
 use wfdatalog::{KnowledgeBase, Truth, Universe};
+use wfdl_reference::{solve_no_una, AlternatingEngine, ForwardEngine, StepMode, WpEngine};
 
 /// Example 1: the literature ontology and its BCQ.
 #[test]
@@ -138,7 +137,7 @@ fn example9_stage_growth() {
         let mut u = Universe::new();
         let (db, sigma) = paper::example4(&mut u);
         let seg = ChaseSegment::build(&mut u, &db, &sigma, ChaseBudget::depth(depth));
-        let engine = wfdatalog::wfs::ForwardEngine::new(&seg);
+        let engine = ForwardEngine::new(&seg);
         let res = engine.solve();
         let t = u.lookup_pred("T").unwrap();
         let zero = u.lookup_constant("0").unwrap();
@@ -180,7 +179,7 @@ fn example4_via_surface_syntax() {
 /// it.
 #[test]
 fn delta_bound_reporting() {
-    use wfdatalog::chase::{paper_delta, query_depth_bound};
+    use wfdl_reference::{paper_delta, query_depth_bound};
     let tiny = wfdatalog::core::SchemaStats {
         num_preds: 1,
         max_arity: 1,

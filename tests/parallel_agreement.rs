@@ -23,12 +23,13 @@
 
 use proptest::prelude::*;
 use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
-use wfdatalog::wfs::{solve, solve_resumed, ModularEngine, StepMode, WfsOptions, WpEngine};
+use wfdatalog::wfs::{solve, solve_resumed, ModularEngine, WfsOptions};
 use wfdatalog::{AtomId, Truth, Universe};
 use wfdl_gen::{
     chain_database, example4_sigma, fanout_database, fanout_sigma, random_database, random_program,
     winmove_database, winmove_sigma, FanoutConfig, RandomConfig, RandomDbConfig, WinMoveConfig,
 };
+use wfdl_reference::{StepMode, WpEngine};
 
 const THREADS: [usize; 3] = [2, 4, 8];
 

@@ -7,9 +7,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use wfdatalog::syntax::{print_database, print_skolem_program};
-use wfdatalog::wfs::{solve, AlternatingEngine, WfsOptions};
+use wfdatalog::wfs::{solve, WfsOptions};
 use wfdatalog::{KnowledgeBase, Universe};
 use wfdl_gen::{random_database, random_program, RandomConfig, RandomDbConfig};
+use wfdl_reference::AlternatingEngine;
 
 /// Renders an engine's verdicts over a model's segment as sorted
 /// `atom=truth` lines (aux predicates excluded).

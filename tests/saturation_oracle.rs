@@ -14,9 +14,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use wfdatalog::chase::{ChaseBudget, ChaseSegment};
-use wfdatalog::wfs::{StepMode, WpEngine};
 use wfdatalog::Universe;
 use wfdl_gen::{random_database, random_program, RandomConfig, RandomDbConfig};
+use wfdl_reference::{StepMode, WpEngine};
 
 const NUM_SEEDS: u64 = 32;
 

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
-use wfdatalog::wfs::{stable_models, StepMode, WpEngine};
 use wfdatalog::{AtomId, Truth};
+use wfdl_reference::{stable_models, StepMode, WpEngine};
 
 fn ground_program(max_atoms: usize, max_rules: usize) -> impl Strategy<Value = GroundProgram> {
     let rule = (

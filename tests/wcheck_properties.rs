@@ -1,13 +1,76 @@
 //! WCHECK properties: demand-driven membership agrees with the global
-//! fixpoint, and certificates verify (and only genuine ones do).
+//! fixpoint — and with the definitional `W_P` oracle run on the atom's
+//! dependency cone — and certificates verify (and only genuine ones do).
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use wfdatalog::wfs::{solve, wcheck, WfsOptions};
-use wfdatalog::Universe;
-use wfdl_gen::{random_database, random_program, RandomConfig, RandomDbConfig};
+use wfdatalog::wfs::{solve, wcheck, WellFoundedModel, WfsOptions};
+use wfdatalog::{Truth, Universe};
+use wfdl_gen::{
+    random_database, random_program, winmove_cycle, winmove_database, winmove_sigma, RandomConfig,
+    RandomDbConfig, WinMoveConfig,
+};
+use wfdl_reference::{StepMode, WpEngine};
+
+/// `wcheck::decide` on every segment atom against two references: the full
+/// model (splitting: the cone's model is the global one restricted to it),
+/// and the `W_P` oracle on the atom's dependency cone (a different engine
+/// on the same relevance-closed subprogram).
+fn assert_decide_matches_model_and_cone_oracle(u: &Universe, model: &WellFoundedModel, ctx: &str) {
+    for sa in model.segment.atoms() {
+        let decided = wcheck::decide(&model.ground, sa.atom);
+        let shown = u.display_atom(sa.atom);
+        assert_eq!(decided, model.value(sa.atom), "{ctx}, atom {shown}");
+        let cone = wcheck::dependency_cone(&model.ground, &[sa.atom]);
+        let oracle = WpEngine::new(&cone).solve(StepMode::Accelerated);
+        assert_eq!(decided, oracle.value(sa.atom), "{ctx}, cone of {shown}");
+    }
+}
+
+#[test]
+fn decide_agrees_with_model_and_cone_oracle_on_example4() {
+    for depth in [3u32, 5, 7] {
+        let mut u = Universe::new();
+        let (db, sigma) = wfdatalog::chase::paper::example4(&mut u);
+        let model = solve(&mut u, &db, &sigma, WfsOptions::depth(depth));
+        assert_decide_matches_model_and_cone_oracle(&u, &model, &format!("depth {depth}"));
+        // An atom no rule or fact mentions has no forward proof at all.
+        let q = u.lookup_pred("Q").unwrap();
+        let zero = u.lookup_constant("0").unwrap();
+        let q0 = u.atom(q, vec![zero]).unwrap();
+        assert_eq!(wcheck::decide(&model.ground, q0), Truth::False);
+    }
+}
+
+#[test]
+fn decide_agrees_with_model_and_cone_oracle_on_winmove_draw_cycles() {
+    // An odd cycle: every position drawn, every cone the whole program.
+    let mut u = Universe::new();
+    let sigma = winmove_sigma(&mut u);
+    let db = winmove_cycle(&mut u, 5);
+    let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+    assert_eq!(model.counts().2, 5, "five drawn positions");
+    assert_decide_matches_model_and_cone_oracle(&u, &model, "5-cycle");
+
+    let mut saw_unknowns = false;
+    for seed in 0..6u64 {
+        let mut u = Universe::new();
+        let sigma = winmove_sigma(&mut u);
+        let config = WinMoveConfig {
+            nodes: 48,
+            out_degree: 2.0,
+            forward_bias: 0.5,
+            seed,
+        };
+        let db = winmove_database(&mut u, &config);
+        let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+        saw_unknowns |= model.counts().2 > 0;
+        assert_decide_matches_model_and_cone_oracle(&u, &model, &format!("winmove seed {seed}"));
+    }
+    assert!(saw_unknowns, "the seeds must include draw cycles");
+}
 
 #[test]
 fn decide_agrees_with_global_solve_on_random_workloads() {
@@ -32,14 +95,7 @@ fn decide_agrees_with_global_solve_on_random_workloads() {
             },
         );
         let model = solve(&mut u, &db, &w.sigma, WfsOptions::depth(4));
-        for sa in model.segment.atoms() {
-            assert_eq!(
-                wcheck::decide(&model.ground, sa.atom),
-                model.value(sa.atom),
-                "seed {seed}, atom {}",
-                u.display_atom(sa.atom)
-            );
-        }
+        assert_decide_matches_model_and_cone_oracle(&u, &model, &format!("seed {seed}"));
     }
 }
 

