@@ -8,7 +8,7 @@
 //!
 //! * **prepared vs parse-per-ask** — evaluating the batch through
 //!   [`SolvedModel::ask3_prepared`]/[`answers_prepared`] (parse/lower once,
-//!   certain-atom index built once at solve time) against the deprecated
+//!   the model's atom index built once at solve time) against the deprecated
 //!   `Reasoner::ask`-style loop (re-parse, re-intern and re-index on every
 //!   single ask);
 //! * **thread scaling** — N threads sharing one `Arc<SolvedModel>`, each
@@ -161,9 +161,8 @@ fn run_prepared(samples: usize, queries: &[String]) -> PreparedOutcome {
         prepare_ns.push(start.elapsed().as_nanos() as u64);
     }
 
-    // Untimed warm-up pass: builds the lazy possible-atom index (the
-    // first ask3 pays it once per model) and warms caches, mirroring the
-    // discarded cold pass of the parse-per-ask side.
+    // Untimed warm-up pass: warms caches, mirroring the discarded cold
+    // pass of the parse-per-ask side.
     let mut fingerprint = 0usize;
     for q in prepared.iter() {
         fingerprint += eval_prepared(&model, q);

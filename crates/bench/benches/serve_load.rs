@@ -156,7 +156,7 @@ fn main() {
     let server = start_server();
     let addr = server.addr();
 
-    // Warm-up: first contact pays the lazy possible-atom index.
+    // Warm-up: first contact faults the model's pages in.
     let (_, warm_fp) = run_batch(addr);
 
     // Connection-scaling legs on a quiet server (no ingests in flight).

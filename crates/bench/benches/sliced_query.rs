@@ -14,7 +14,9 @@
 //! * **engine**: `wfdl_wfs::solve` vs
 //!   `solve_sliced_packaged_budgeted` on a typed fanout universe;
 //! * **façade**: `KnowledgeBase::solve` vs `KnowledgeBase::solve_for`
-//!   (includes slice computation, query parsing, snapshot repackaging).
+//!   (includes slice computation, query parsing, snapshot repackaging),
+//!   and `solve_for` again once that full model exists — which solves
+//!   nothing and answers from it (`facade_sliced_after_full_ns`).
 //!
 //! Output mirrors the other benches: human-readable medians on stdout,
 //! machine-readable `BENCH_sliced.json` (path override `WFDL_BENCH_JSON`,
@@ -169,11 +171,13 @@ fn run_engine_leg(samples: usize) -> EngineLeg {
 }
 
 /// End-to-end façade comparison: `solve` vs `solve_for` on a fresh
-/// knowledge base; returns the full and the sliced samples.
-fn run_facade_leg(samples: usize) -> (Vec<u64>, Vec<u64>) {
+/// knowledge base, then `solve_for` on the solved one; returns the full,
+/// the cold sliced and the after-full samples.
+fn run_facade_leg(samples: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
     let cfg = config();
     let mut full_ns = Vec::with_capacity(samples);
     let mut sliced_ns = Vec::with_capacity(samples);
+    let mut after_full_ns = Vec::with_capacity(samples);
     for sample in 0..samples {
         let mut kb = KnowledgeBase::from_source(RULES).expect("rules compile");
         let batch = facade_batch(kb.universe_mut(), &cfg);
@@ -188,19 +192,26 @@ fn run_facade_leg(samples: usize) -> (Vec<u64>, Vec<u64>) {
         let full = kb.solve();
         full_ns.push(start.elapsed().as_nanos() as u64);
 
+        let start = Instant::now();
+        let view = kb.solve_for(QUERY).expect("view of the full model");
+        after_full_ns.push(start.elapsed().as_nanos() as u64);
+        assert!(view.is_sliced() && !view.solve_stats().sliced);
+
         if sample == 0 {
             let pf = full.prepare(QUERY).expect("prepare");
-            let ps = sliced.prepare_sliced(QUERY).expect("prepare sliced");
-            assert_eq!(full.ask3_prepared(&pf), sliced.ask3_prepared(&ps));
+            for goal_directed in [&sliced, &view] {
+                let ps = goal_directed.prepare_sliced(QUERY).expect("prepare sliced");
+                assert_eq!(full.ask3_prepared(&pf), goal_directed.ask3_prepared(&ps));
+            }
         }
     }
-    (full_ns, sliced_ns)
+    (full_ns, sliced_ns, after_full_ns)
 }
 
 fn main() {
     let samples = sample_count();
     let engine = run_engine_leg(samples);
-    let (facade_full, facade_sliced) = run_facade_leg(samples);
+    let (facade_full, facade_sliced, facade_after_full) = run_facade_leg(samples);
 
     let e_full = median(engine.full_ns);
     let e_sliced = median(engine.sliced_ns);
@@ -208,6 +219,7 @@ fn main() {
     let f_full = median(facade_full);
     let f_sliced = median(facade_sliced);
     let f_speedup = f_full as f64 / f_sliced as f64;
+    let f_after_full = median(facade_after_full);
 
     println!(
         "sliced_query/fanout{GROUPS}/engine_full: median {} ({samples} samples)",
@@ -227,6 +239,10 @@ fn main() {
         "sliced_query/fanout{GROUPS}/facade_sliced: median {} — {f_speedup:.1}x vs full (solve_for, cold)",
         fmt_ns(f_sliced)
     );
+    println!(
+        "sliced_query/fanout{GROUPS}/facade_sliced_after_full: median {} — solve_for on the solved knowledge base",
+        fmt_ns(f_after_full)
+    );
 
     let mut json = String::from("{\n");
     writeln!(json, "  \"samples\": {samples},").unwrap();
@@ -245,7 +261,8 @@ fn main() {
     writeln!(json, "  \"engine_speedup\": {e_speedup:.2},").unwrap();
     writeln!(json, "  \"facade_full_ns\": {f_full},").unwrap();
     writeln!(json, "  \"facade_sliced_ns\": {f_sliced},").unwrap();
-    writeln!(json, "  \"facade_speedup\": {f_speedup:.2}").unwrap();
+    writeln!(json, "  \"facade_speedup\": {f_speedup:.2},").unwrap();
+    writeln!(json, "  \"facade_sliced_after_full_ns\": {f_after_full}").unwrap();
     json.push_str("}\n");
 
     wfdl_bench::write_bench_json("BENCH_sliced.json", &json);

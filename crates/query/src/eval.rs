@@ -59,11 +59,18 @@ pub fn answers<S: TruthSource>(universe: &Universe, model: &S, query: &Nbcq) -> 
     answers_indexed(universe, model, &index, query)
 }
 
-/// [`answers`] over a prebuilt index of the model's certainly-true atoms.
+/// [`answers`] over a prebuilt index.
+///
+/// The index contract: `index` covers **at least** the model's
+/// certainly-true atoms, and every candidate it yields is filtered by the
+/// model's verdict (one [`TruthSource::value`] read). So the one index a
+/// model keeps — over its not-false atoms, which [`holds3_indexed`] needs
+/// — serves certain answers too, and an index over the true atoms alone
+/// stays a valid argument (the filter is then a no-op).
 pub fn answers_indexed<S: TruthSource>(
     universe: &Universe,
     model: &S,
-    certain: &AtomIndex,
+    index: &AtomIndex,
     query: &Nbcq,
 ) -> AnswerSet {
     let mut out = AnswerSet::default();
@@ -71,7 +78,7 @@ pub fn answers_indexed<S: TruthSource>(
     search(
         universe,
         model,
-        certain,
+        index,
         query,
         &mut binding,
         &mut vec![false; query.pos.len()],
@@ -91,24 +98,42 @@ pub fn holds<S: TruthSource>(universe: &Universe, model: &S, query: &Nbcq) -> bo
 /// homomorphism exists using undefined atoms (positives not false,
 /// negatives not true) but no certain one, `False` otherwise.
 pub fn holds3<S: TruthSource>(universe: &Universe, model: &S, query: &Nbcq) -> Truth {
-    if holds(universe, model, query) {
+    let index = AtomIndex::build(universe, model.possible_atoms());
+    holds3_indexed(universe, model, &index, query)
+}
+
+/// [`holds3`] over a prebuilt index of the model's not-certainly-false
+/// atoms (see [`answers_indexed`] for the contract).
+///
+/// On a source whose absent atoms are undecided
+/// ([`TruthSource::unseen`] is `Unknown`) no index can refute a query — a
+/// witness may consist of atoms the source never saw — so the verdict is
+/// `True` or `Unknown`, never `False`.
+pub fn holds3_indexed<S: TruthSource>(
+    universe: &Universe,
+    model: &S,
+    index: &AtomIndex,
+    query: &Nbcq,
+) -> Truth {
+    if !answers_indexed(universe, model, index, query).is_empty() {
         return Truth::True;
     }
-    let index = AtomIndex::build(universe, model.possible_atoms());
-    if possible_witness_indexed(universe, model, &index, query) {
-        Truth::Unknown
-    } else {
+    let refutable = model.unseen().is_false();
+    if refutable && !possible_witness_indexed(universe, model, index, query) {
         Truth::False
+    } else {
+        Truth::Unknown
     }
 }
 
 /// True iff a satisfying homomorphism exists in "possible" mode (positives
-/// not false, negatives not true), over a prebuilt index of the model's
-/// not-certainly-false atoms. The `Unknown` leg of [`holds3`].
+/// not false, negatives not true), over a prebuilt index covering at least
+/// the model's not-certainly-false atoms. The `Unknown` leg of
+/// [`holds3_indexed`].
 pub fn possible_witness_indexed<S: TruthSource>(
     universe: &Universe,
     model: &S,
-    possible: &AtomIndex,
+    index: &AtomIndex,
     query: &Nbcq,
 ) -> bool {
     let mut out = AnswerSet::default();
@@ -116,7 +141,7 @@ pub fn possible_witness_indexed<S: TruthSource>(
     search(
         universe,
         model,
-        possible,
+        index,
         query,
         &mut binding,
         &mut vec![false; query.pos.len()],
@@ -132,6 +157,24 @@ enum Mode {
     Certain,
     /// Positives not false, negatives not true.
     Possible,
+}
+
+impl Mode {
+    /// May a positive query atom map to an atom of this verdict?
+    fn admits(self, value: Truth) -> bool {
+        match self {
+            Mode::Certain => value.is_true(),
+            Mode::Possible => !value.is_false(),
+        }
+    }
+
+    /// Is a negated query atom satisfied by an atom of this verdict?
+    fn admits_negated(self, value: Truth) -> bool {
+        match self {
+            Mode::Certain => value.is_false(),
+            Mode::Possible => !value.is_true(),
+        }
+    }
 }
 
 /// Chooses the next unmatched positive atom with the smallest candidate
@@ -222,13 +265,9 @@ fn search<S: TruthSource>(
                 .collect();
             let value = match universe.atoms.lookup(n.pred, &args) {
                 Some(a) => model.value(a),
-                None => Truth::False, // atom never materialized: no proof
+                None => model.unseen(), // atom never materialized
             };
-            let ok = match mode {
-                Mode::Certain => value.is_false(),
-                Mode::Possible => !value.is_true(),
-            };
-            if !ok {
+            if !mode.admits_negated(value) {
                 return;
             }
         }
@@ -248,9 +287,12 @@ fn search<S: TruthSource>(
     };
 
     used[qi] = true;
-    // `cands` borrows the index; materialize to keep borrows simple.
-    let cands: Vec<AtomId> = cands.to_vec();
-    for ground in cands {
+    for &ground in cands {
+        // The index may cover more than this mode may match (see
+        // `answers_indexed`): the verdict decides.
+        if !mode.admits(model.value(ground)) {
+            continue;
+        }
         let mut trail = Vec::new();
         if match_query_atom(universe, &query.pos[qi], ground, binding, &mut trail) {
             search(universe, model, index, query, binding, used, out, mode);

@@ -18,7 +18,9 @@ pub mod nbcq;
 pub mod prepared;
 pub mod source;
 
-pub use eval::{answers, answers_indexed, holds, holds3, possible_witness_indexed, AnswerSet};
+pub use eval::{
+    answers, answers_indexed, holds, holds3, holds3_indexed, possible_witness_indexed, AnswerSet,
+};
 pub use nbcq::{Nbcq, QTerm, QVar, QueryAtom, QueryError};
 pub use prepared::{PreparedQuery, QueryShape, ShapeAtom, ShapeTerm};
 pub use source::{InterpSource, TruthSource};

@@ -14,11 +14,17 @@
 //!   (the atom has no forward proof, hence is false under WFS), so the
 //!   literal is dropped during preparation.
 //!
-//! Evaluation borrows everything (`&Universe`, `&impl TruthSource`,
-//! prebuilt [`AtomIndex`]es), so a prepared query can be re-evaluated from
+//! Both verdicts read "an atom nobody has seen is false", which is what a
+//! complete model says. Evaluation asks the model
+//! ([`TruthSource::unseen`]): against one cut off before its fixpoint a
+//! short-circuited query is `Unknown`, and one with a dropped negated
+//! literal has no *certain* answers.
+//!
+//! Evaluation borrows everything (`&Universe`, `&impl TruthSource`, a
+//! prebuilt [`AtomIndex`]), so a prepared query can be re-evaluated from
 //! many threads without any synchronization.
 
-use crate::eval::{answers_indexed, possible_witness_indexed, AnswerSet};
+use crate::eval::{answers_indexed, holds3_indexed, AnswerSet};
 use crate::nbcq::{Nbcq, QTerm, QueryAtom, QueryError};
 use crate::source::TruthSource;
 use std::sync::Arc;
@@ -272,16 +278,24 @@ impl PreparedQuery {
         self.answer_arity
     }
 
-    /// Certain answers, reusing a prebuilt index over the model's
-    /// certainly-true atoms.
+    /// The lowered query, if evaluating it against `model` yields this
+    /// query's certain answers: not when preparation short-circuited it
+    /// empty, and not when a negated literal was dropped as satisfied by an
+    /// atom nobody has seen while `model` reads such atoms `Unknown`.
+    fn certain<S: TruthSource>(&self, model: &S) -> Option<&Nbcq> {
+        (self.query.as_ref()).filter(|_| self.shape.is_none() || model.unseen().is_false())
+    }
+
+    /// Certain answers, reusing a prebuilt index that covers at least the
+    /// model's certainly-true atoms (see [`answers_indexed`]).
     pub fn answers_with<S: TruthSource>(
         &self,
         universe: &Universe,
         model: &S,
-        certain: &AtomIndex,
+        index: &AtomIndex,
     ) -> AnswerSet {
-        match &self.query {
-            Some(q) => answers_indexed(universe, model, certain, q),
+        match self.certain(model) {
+            Some(q) => answers_indexed(universe, model, index, q),
             None => AnswerSet::default(),
         }
     }
@@ -291,30 +305,22 @@ impl PreparedQuery {
         &self,
         universe: &Universe,
         model: &S,
-        certain: &AtomIndex,
+        index: &AtomIndex,
     ) -> bool {
-        !self.answers_with(universe, model, certain).is_empty()
+        !self.answers_with(universe, model, index).is_empty()
     }
 
-    /// Three-valued satisfaction; `possible` must index the model's
-    /// not-certainly-false atoms.
+    /// Three-valued satisfaction; `index` must cover at least the model's
+    /// not-certainly-false atoms (see [`holds3_indexed`]).
     pub fn holds3_with<S: TruthSource>(
         &self,
         universe: &Universe,
         model: &S,
-        certain: &AtomIndex,
-        possible: &AtomIndex,
+        index: &AtomIndex,
     ) -> Truth {
-        let Some(q) = &self.query else {
-            return Truth::False;
-        };
-        if !answers_indexed(universe, model, certain, q).is_empty() {
-            return Truth::True;
-        }
-        if possible_witness_indexed(universe, model, possible, q) {
-            Truth::Unknown
-        } else {
-            Truth::False
+        match self.certain(model) {
+            Some(q) => holds3_indexed(universe, model, index, q),
+            None => model.unseen(),
         }
     }
 }
@@ -337,7 +343,6 @@ mod tests {
         let atoms = vec![pc];
         let src = InterpSource::new(&i, &atoms);
         let certain = AtomIndex::build(&u, [pc]);
-        let possible = AtomIndex::build(&u, [pc]);
 
         let q = PreparedQuery::definitely_empty(1);
         assert!(q.is_definitely_empty());
@@ -345,7 +350,7 @@ mod tests {
         assert_eq!(q.answer_arity(), 1);
         assert!(q.answers_with(&u, &src, &certain).is_empty());
         assert!(!q.holds_with(&u, &src, &certain));
-        assert_eq!(q.holds3_with(&u, &src, &certain, &possible), Truth::False);
+        assert_eq!(q.holds3_with(&u, &src, &certain), Truth::False);
     }
 
     #[test]
@@ -514,17 +519,91 @@ mod tests {
         assert!(prepared.is_boolean() == nbcq.is_boolean());
         assert_eq!(prepared.answers_with(&u, &src, &certain), direct);
         assert!(prepared.holds_with(&u, &src, &certain));
+        // The wider index is filtered by verdict: same certain answers.
+        assert_eq!(prepared.answers_with(&u, &src, &possible), direct);
 
         // holds3: p(d) is only possible, not certain.
         let qd = Nbcq::boolean(&u, vec![QueryAtom::new(p, vec![QTerm::Const(d)])], vec![]).unwrap();
         let prepared_d = PreparedQuery::from_query(qd.clone());
         assert_eq!(
-            prepared_d.holds3_with(&u, &src, &certain, &possible),
+            prepared_d.holds3_with(&u, &src, &possible),
             crate::eval::holds3(&u, &src, &qd)
         );
+        assert_eq!(prepared_d.holds3_with(&u, &src, &possible), Truth::Unknown);
+    }
+
+    /// A source cut off before its fixpoint: what it has is right, what it
+    /// lacks is undecided.
+    struct CutOff<'a>(InterpSource<'a>);
+
+    impl TruthSource for CutOff<'_> {
+        fn value(&self, atom: wfdl_core::AtomId) -> Truth {
+            self.0.value(atom)
+        }
+        fn certain_atoms(&self) -> Vec<wfdl_core::AtomId> {
+            self.0.certain_atoms()
+        }
+        fn possible_atoms(&self) -> Vec<wfdl_core::AtomId> {
+            self.0.possible_atoms()
+        }
+        fn unseen(&self) -> Truth {
+            Truth::Unknown
+        }
+    }
+
+    #[test]
+    fn short_circuits_are_undecided_on_a_cut_off_source() {
+        let mut u = Universe::new();
+        let p = u.pred("p", 1).unwrap();
+        u.pred("q", 1).unwrap();
+        let c = u.constant("c");
+        let pc = u.atom(p, vec![c]).unwrap();
+        let mut i = Interp::new();
+        i.set_true(pc);
+        let atoms = vec![pc];
+        let complete = InterpSource::new(&i, &atoms);
+        let cut_off = CutOff(complete.clone());
+        let index = AtomIndex::build(&u, [pc]);
+        let literal = |negated, pred: &str, arg| ShapeAtom {
+            negated,
+            pred: pred.into(),
+            args: vec![arg],
+        };
+        let resolve = |atoms| {
+            let answer_vars = vec![];
+            PreparedQuery::resolve(&u, Arc::new(QueryShape { atoms, answer_vars })).unwrap()
+        };
+        let x = || ShapeTerm::Var(QVar::new(0));
+        // ?- p(d). — `d` unknown: no answers either way, but only the
+        // complete source refutes it.
+        let unknown_name = resolve(vec![literal(false, "p", ShapeTerm::Const("d".into()))]);
         assert_eq!(
-            prepared_d.holds3_with(&u, &src, &certain, &possible),
+            unknown_name.holds3_with(&u, &complete, &index),
+            Truth::False
+        );
+        assert_eq!(
+            unknown_name.holds3_with(&u, &cut_off, &index),
             Truth::Unknown
         );
+        assert!(!unknown_name.holds_with(&u, &cut_off, &index));
+        // ?- p(X), not ghost(X). — the dropped literal is satisfied only
+        // where an unseen atom is false.
+        let dropped = resolve(vec![literal(false, "p", x()), literal(true, "ghost", x())]);
+        assert!(dropped.holds_with(&u, &complete, &index));
+        assert!(!dropped.holds_with(&u, &cut_off, &index));
+        assert_eq!(dropped.holds3_with(&u, &cut_off, &index), Truth::Unknown);
+        // ?- p(X), not q(X). — q(c) was never interned: the same reading at
+        // the evaluation leaf.
+        let never_interned = resolve(vec![literal(false, "p", x()), literal(true, "q", x())]);
+        assert!(!never_interned.needs_rebind());
+        assert!(never_interned.holds_with(&u, &complete, &index));
+        assert!(!never_interned.holds_with(&u, &cut_off, &index));
+        assert_eq!(
+            never_interned.holds3_with(&u, &cut_off, &index),
+            Truth::Unknown
+        );
+        // What the cut-off source has is still certain.
+        let seen = resolve(vec![literal(false, "p", x())]);
+        assert_eq!(seen.holds3_with(&u, &cut_off, &index), Truth::True);
     }
 }

@@ -8,9 +8,18 @@ use wfdl_core::{AtomId, Interp, Truth};
 
 /// A three-valued model that queries can be evaluated against.
 pub trait TruthSource {
-    /// Truth value of a ground atom. Atoms the source has never seen are
-    /// `False` under the WFS reading (no forward proof).
+    /// Truth value of a ground atom. Atoms the source has never seen read
+    /// [`TruthSource::unseen`].
     fn value(&self, atom: AtomId) -> Truth;
+
+    /// The verdict of every atom the source has never seen — one that was
+    /// never interned, or names a constant or predicate the universe does
+    /// not know. `False` under the WFS reading of a complete model (no
+    /// forward proof); a source cut off before its fixpoint, where absence
+    /// proves nothing, answers `Unknown`.
+    fn unseen(&self) -> Truth {
+        Truth::False
+    }
 
     /// All certainly-true atoms (drives the positive-atom index).
     fn certain_atoms(&self) -> Vec<AtomId>;

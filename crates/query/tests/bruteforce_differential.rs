@@ -1,6 +1,8 @@
 //! Differential testing of the query evaluator: the indexed backtracking
 //! search must agree with a naive brute-force evaluator that enumerates
-//! every assignment over the active domain.
+//! every assignment over the active domain, and evaluating over the one
+//! index a model keeps (its not-false atoms, candidates filtered by
+//! verdict) must agree with evaluating over one index per mode.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -8,21 +10,27 @@
 
 use proptest::prelude::*;
 use wfdl_core::{AtomId, Interp, TermId, Truth, Universe};
-use wfdl_query::{answers, holds, InterpSource, Nbcq, QTerm, QVar, QueryAtom, TruthSource};
+use wfdl_query::{
+    answers, answers_indexed, holds, possible_witness_indexed, InterpSource, Nbcq, PreparedQuery,
+    QTerm, QVar, QueryAtom, TruthSource,
+};
+use wfdl_storage::AtomIndex;
 
 /// A random model over p0/1, p1/2, p2/2 and constants k0..k4.
 #[derive(Clone, Debug)]
 struct ModelSpec {
-    /// (pred index, args, truth) triples.
-    atoms: Vec<(usize, Vec<usize>, bool)>,
+    /// (pred index, args, verdict) triples; see [`VERDICTS`].
+    atoms: Vec<(usize, Vec<usize>, usize)>,
 }
+
+const VERDICTS: [Truth; 3] = [Truth::True, Truth::False, Truth::Unknown];
 
 fn model_spec() -> impl Strategy<Value = ModelSpec> {
     proptest::collection::vec(
         (
             0usize..3,
             proptest::collection::vec(0usize..5, 2),
-            any::<bool>(),
+            0..VERDICTS.len(),
         ),
         0..25,
     )
@@ -88,11 +96,11 @@ fn build(spec: &ModelSpec, qspec: &QuerySpec) -> Option<Built> {
         let atom = u.atom(preds[*p], terms).unwrap();
         if !atoms.contains(&atom) {
             atoms.push(atom);
-            if *truth {
-                interp.set_true(atom);
-            } else {
-                interp.set_false(atom);
-            }
+            let _changed = match VERDICTS[*truth] {
+                Truth::True => interp.set_true(atom),
+                Truth::False => interp.set_false(atom),
+                Truth::Unknown => false,
+            };
         }
     }
     let mk_atom = |(p, args): &(usize, Vec<i8>)| {
@@ -121,9 +129,15 @@ fn build(spec: &ModelSpec, qspec: &QuerySpec) -> Option<Built> {
     })
 }
 
-/// Naive evaluation: enumerate every assignment of the query's variables
-/// over the constant domain.
+/// Naive certain satisfaction: positives true, negatives false.
 fn brute_force_holds(b: &Built) -> bool {
+    brute_force(b, Truth::is_true, Truth::is_false)
+}
+
+/// Naive evaluation: enumerate every assignment of the query's variables
+/// over the constant domain, until one maps every positive atom to a
+/// verdict `pos_ok` admits and every negated atom to one `neg_ok` admits.
+fn brute_force(b: &Built, pos_ok: fn(Truth) -> bool, neg_ok: fn(Truth) -> bool) -> bool {
     let src = InterpSource::new(&b.interp, &b.atoms);
     let nvars = b.query.num_vars() as usize;
     let domain = &b.consts;
@@ -144,8 +158,8 @@ fn brute_force_holds(b: &Built) -> bool {
                 None => Truth::False,
             }
         };
-        let ok = b.query.pos.iter().all(|a| lookup(a).is_true())
-            && b.query.neg.iter().all(|a| lookup(a).is_false());
+        let ok = b.query.pos.iter().all(|a| pos_ok(lookup(a)))
+            && b.query.neg.iter().all(|a| neg_ok(lookup(a)));
         if ok {
             return true;
         }
@@ -162,6 +176,61 @@ fn brute_force_holds(b: &Built) -> bool {
             assignment[i] = 0;
             i += 1;
         }
+    }
+}
+
+/// The query with its first positive variable (if any) as the answer
+/// variable.
+fn with_first_var_as_answer(b: &Built) -> Option<(QVar, Nbcq)> {
+    let mut terms = b.query.pos.iter().flat_map(|a| a.args.iter());
+    let var = terms.find_map(|t| match t {
+        QTerm::Var(v) => Some(*v),
+        QTerm::Const(_) => None,
+    })?;
+    let (pos, neg) = (b.query.pos.clone(), b.query.neg.clone());
+    Some((var, Nbcq::new(&b.universe, pos, neg, vec![var]).unwrap()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// One index over the not-false atoms, candidates filtered by verdict,
+    /// answers what one index per mode answers — a true-atoms index for
+    /// certain answers, a not-false index for the possible witness — and
+    /// what brute force does.
+    #[test]
+    fn one_index_serves_certain_and_three_valued_reads(
+        spec in model_spec(),
+        qspec in query_spec(),
+    ) {
+        let Some(built) = build(&spec, &qspec) else { return Ok(()); };
+        let u = &built.universe;
+        let src = InterpSource::new(&built.interp, &built.atoms);
+        let certain = AtomIndex::build(u, src.certain_atoms());
+        let one = AtomIndex::build(u, src.possible_atoms());
+
+        let query = with_first_var_as_answer(&built).map_or(built.query.clone(), |(_, q)| q);
+        let per_mode = answers_indexed(u, &src, &certain, &query);
+        prop_assert_eq!(&answers_indexed(u, &src, &one, &query), &per_mode, "{:?}", query);
+
+        let expected = if !per_mode.is_empty() {
+            Truth::True
+        } else if possible_witness_indexed(u, &src, &one, &query) {
+            Truth::Unknown
+        } else {
+            Truth::False
+        };
+        let prepared = PreparedQuery::from_query(query.clone());
+        prop_assert_eq!(prepared.answers_with(u, &src, &one), per_mode);
+        prop_assert_eq!(prepared.holds3_with(u, &src, &one), expected, "{:?}", query);
+        let brute = if brute_force_holds(&built) {
+            Truth::True
+        } else if brute_force(&built, |v| !v.is_false(), |v| !v.is_true()) {
+            Truth::Unknown
+        } else {
+            Truth::False
+        };
+        prop_assert_eq!(expected, brute, "{:?}", query);
     }
 }
 
@@ -185,23 +254,8 @@ proptest! {
     fn answers_are_sound(spec in model_spec(), qspec in query_spec()) {
         let Some(mut built) = build(&spec, &qspec) else { return Ok(()); };
         // Turn the first positive var (if any) into an answer variable.
-        let first_var = built
-            .query
-            .pos
-            .iter()
-            .flat_map(|a| a.args.iter())
-            .find_map(|t| match t {
-                QTerm::Var(v) => Some(*v),
-                _ => None,
-            });
-        let Some(var) = first_var else { return Ok(()); };
-        built.query = Nbcq::new(
-            &built.universe,
-            built.query.pos.clone(),
-            built.query.neg.clone(),
-            vec![var],
-        )
-        .unwrap();
+        let Some((var, query)) = with_first_var_as_answer(&built) else { return Ok(()); };
+        built.query = query;
         let src = InterpSource::new(&built.interp, &built.atoms);
         let ans = answers(&built.universe, &src, &built.query);
         for tuple in ans.tuples() {

@@ -106,7 +106,16 @@ impl WellFoundedModel {
     pub fn value(&self, atom: AtomId) -> Truth {
         if self.segment.contains(atom) {
             self.result.value(atom)
-        } else if self.chase_budget_tripped() {
+        } else {
+            self.unseen()
+        }
+    }
+
+    /// The verdict of every atom outside the segment, never-interned ones
+    /// included: `False`, or `Unknown` when a budget trip stopped the chase
+    /// (see [`WellFoundedModel::value`]).
+    pub fn unseen(&self) -> Truth {
+        if self.chase_budget_tripped() {
             Truth::Unknown
         } else {
             Truth::False
@@ -183,6 +192,10 @@ impl wfdl_query::TruthSource for WellFoundedModel {
         WellFoundedModel::value(self, atom)
     }
 
+    fn unseen(&self) -> Truth {
+        WellFoundedModel::unseen(self)
+    }
+
     fn certain_atoms(&self) -> Vec<AtomId> {
         self.true_atoms().collect()
     }
@@ -220,19 +233,12 @@ pub struct SolveStats {
     pub ground_ns: u64,
     /// Nanoseconds in the modular engine.
     pub engine_ns: u64,
-    /// Nanoseconds building (or patching) the model's atom indexes; filled
-    /// in by the façade, which owns them.
+    /// Nanoseconds building (or patching) the model's atom index; filled
+    /// in by the façade, which owns it.
     pub index_ns: u64,
     /// True iff the solve was restricted to a query-relevant program
     /// slice ([`SolveInput::Sliced`]).
     pub sliced: bool,
-    /// Predicate-level dependency components intersecting the slice.
-    /// `0` for unsliced solves; filled in by the caller that computed the
-    /// slice (the façade's `solve_for`).
-    pub slice_components: usize,
-    /// Total predicate-level dependency components of the full program,
-    /// on the same basis. `0` for unsliced solves.
-    pub total_components: usize,
 }
 
 /// What a solve starts from.

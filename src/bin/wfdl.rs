@@ -611,7 +611,7 @@ fn query(opts: Options, kb: KnowledgeBase) -> ExitCode {
 /// `wfdl query --sliced`: each query gets its own goal-directed solve
 /// over the query-relevant program slice ([`KnowledgeBase::solve_for`]).
 /// Answers are bit-identical to the full solve's; `--stats` reports the
-/// slice shape per query as a `% slice:` line.
+/// slice shape and what answered per query as a `% slice:` line.
 fn query_sliced(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
     for (i, src) in opts.adhoc_queries.iter().enumerate() {
         let model = match kb.solve_for(src) {
@@ -631,13 +631,17 @@ fn query_sliced(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if opts.stats {
-            let s = model.solve_stats();
+        if let (true, Some(slice)) = (opts.stats, model.slice()) {
+            // Read off the model, not assumed: this command never solves
+            // the whole program, so nothing but a sliced solve can answer.
+            let (reused, answered_by) = match model.solve_stats().sliced {
+                true => (0, "a sliced solve"),
+                false => (slice.components_in_slice, "the full model"),
+            };
             outln!(
-                "% slice: {}/{} components, components_reused={}",
-                s.slice_components,
-                s.total_components,
-                s.components_reused
+                "% slice: {}/{} components, components_reused={reused}, answered by {answered_by}",
+                slice.components_in_slice,
+                slice.components_total,
             );
         }
         warn_unresolved(&model, i, &q);

@@ -67,7 +67,7 @@
 //! Inserting facts and solving again does **not** recompute from scratch:
 //! the chase resumes from the previous segment's frontier
 //! ([`ChaseSegment::resume_with`]), the previous model — ground program,
-//! verdicts, condensation, atom indexes — is carried over as flat-array
+//! verdicts, condensation, atom index — is carried over as flat-array
 //! copies, and the SCC-modular engine condenses and evaluates only the
 //! delta's forward cone (the atoms the new facts can reach), and within it
 //! only the components whose inputs actually changed.
@@ -104,6 +104,10 @@
 //! assert!(!model.ask("?- p(brand_new_constant).").unwrap());
 //! ```
 //!
+//! (Definite on a model that ran to its fixpoint. Where a runtime budget
+//! stopped the chase, an atom it never reached is undecided, not false:
+//! [`SolvedModel::ask3`] then answers `True` or `Unknown`, never `False`.)
+//!
 //! ## Goal-directed solving
 //!
 //! When a query touches only a small cone of a wide program,
@@ -111,9 +115,11 @@
 //! slice** (backward predicate reachability over the dependency graph,
 //! positive and negative edges alike) instead of the whole program —
 //! same answers, bit-identical verdicts over in-slice predicates, a
-//! fraction of the work. The resulting model guards its boundary
-//! ([`SolvedModel::prepare_sliced`], [`Error::OutOfSlice`]). On the CLI: `wfdl query --sliced`; over
-//! HTTP: `POST /query?mode=sliced`.
+//! fraction of the work — and solves nothing at all when the whole
+//! program's model is already there to answer from. Either way the
+//! resulting model guards its boundary ([`SolvedModel::prepare_sliced`],
+//! [`Error::OutOfSlice`]). On the CLI: `wfdl query --sliced`; over HTTP:
+//! `POST /query?mode=sliced`.
 //!
 //! ## Crate map
 //!
@@ -183,7 +189,7 @@ pub use wfdl_storage::Database;
 pub use wfdl_wfs::{ModularStats, SolveStats, WellFoundedModel, WfsOptions};
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use wfdl_storage::AtomIndex;
 
 /// Unified error type for the high-level API.
@@ -206,8 +212,10 @@ pub enum Error {
     EnginePanic(String),
     /// A query against a goal-directed (sliced) model mentions predicates
     /// outside the slice ([`KnowledgeBase::solve_for`],
-    /// [`SolvedModel::prepare_sliced`]). The sliced model never chased
-    /// those predicates, so it has no sound verdict for them; re-run
+    /// [`SolvedModel::prepare_sliced`]). A solved slice never chased
+    /// those predicates, so it has no sound verdict for them (and a view
+    /// of a full model keeps the same boundary, so that what a query may
+    /// read does not depend on which of the two answered); re-run
     /// `solve_for` with the new query, or query a full [`SolvedModel`].
     /// The payload names the offending predicates.
     OutOfSlice(String),
@@ -315,8 +323,8 @@ pub struct KnowledgeBase {
     /// queries-only repackagings keep the epoch — the model content is
     /// unchanged.
     epoch: u64,
-    /// Artifact of the most recent [`KnowledgeBase::solve_for`] and the
-    /// goal predicates it was sliced for.
+    /// Artifact of the most recent [`KnowledgeBase::solve_for`] that
+    /// solved its slice, and the goal predicates it was sliced for.
     sliced_last: Option<(Vec<wfdl_core::PredId>, Cached)>,
     /// The static-analysis report (see [`KnowledgeBase::analyze`]) and the
     /// revision it describes: rules and queries are its program, and the
@@ -365,6 +373,18 @@ impl Cached {
     /// change nothing and they stay cacheable.
     fn serves(&self, options: WfsOptions, now: Revision) -> bool {
         self.options == options && self.at.same_model(now) && !self.model.outcome().is_budget_trip()
+    }
+
+    /// True iff the cached **full** model is also the answer to every
+    /// goal-directed solve under `options` at revision `now`: it
+    /// [serves](Cached::serves) them and ran to its fixpoint, or stopped at
+    /// the depth bound only — a per-atom property a slice's chase meets at
+    /// exactly the same atoms. The atom and instance caps count the whole
+    /// segment, so a slice, having fewer atoms, may get further than a
+    /// capped full solve did.
+    fn serves_slices(&self, options: WfsOptions, now: Revision) -> bool {
+        let outcome = self.model.outcome().truncation();
+        self.serves(options, now) && matches!(outcome, None | Some(TruncationReason::DepthCap))
     }
 }
 
@@ -760,7 +780,7 @@ impl KnowledgeBase {
                 }
             })
         }));
-        let mut output = match attempt {
+        let output = match attempt {
             Ok(output) => output,
             Err(panic) => {
                 // A sliced solve ran on the scratch copy: there is nothing
@@ -782,31 +802,29 @@ impl KnowledgeBase {
                 return Err(Error::EnginePanic(msg));
             }
         };
-        // A full solve that ran is a new epoch; sliced models are views of
-        // the data that epoch sees and never advance it.
-        match &slice {
-            Some(slice) => {
-                output.stats.slice_components = slice.components_in_slice;
-                output.stats.total_components = slice.components_total;
-            }
-            None => self.epoch += 1,
+        // A full solve that ran is a new epoch; a solved slice sees the
+        // data of the epoch it ran in and never advances it.
+        if slice.is_none() {
+            self.epoch += 1;
         }
         let universe = scratch.map_or_else(|| Arc::clone(&self.universe), Arc::new);
         let prev = prev.as_ref().map(|m| &*m.solved);
         let solved = Solved::new(&universe, output, self.epoch, prev);
-        Ok(self.package(universe, solved, slice.map(|s| s.pred_mask)))
+        Ok(self.package(universe, solved, slice))
     }
 
     /// The one place a [`SolvedModel`] is put together: a solve's shared
     /// part, a frozen universe that sees every atom it mentions (freeze
     /// *after* the chase interned its nulls; sharing the `Arc` is O(1), the
     /// next mutation will copy-on-write), and — for full models — the
-    /// source queries prepared against that universe.
+    /// source queries prepared against that universe. With a `slice` the
+    /// model is goal-directed: `solved` is that slice's solve, or a full
+    /// solve that covers it.
     fn package(
         &self,
         universe: Arc<Universe>,
         solved: Arc<Solved>,
-        slice: Option<Vec<bool>>,
+        slice: Option<ProgramSlice>,
     ) -> Arc<SolvedModel> {
         let source_queries = match slice {
             Some(_) => Vec::new(),
@@ -825,27 +843,37 @@ impl KnowledgeBase {
     /// Goal-directed solve: computes the query-relevant **program slice**
     /// (the relevance closure of the query's predicates over the
     /// dependency graph, following positive *and* negative edges) and
-    /// solves only that subprogram — chase, grounding and engine all
-    /// restricted to the slice.
+    /// returns a model of that subprogram only.
     ///
     /// The returned model answers any query whose predicates lie inside
     /// the slice **bit-identically** to a full [`KnowledgeBase::solve`]
     /// (same options, same budget semantics); queries that stray outside
     /// the slice are rejected with [`Error::OutOfSlice`] by the model's
     /// [`SolvedModel::prepare`]/[`SolvedModel::prepare_sliced`] guard
-    /// rather than silently answered `false`. Constraints are *not*
-    /// goal-directed: a constraint whose violation predicate falls outside
-    /// the slice reports [`Truth::Unknown`].
+    /// rather than silently answered `false`. [`SolvedModel::slice`]
+    /// reports the slice's shape.
     ///
-    /// A sliced solve starts from nothing: it evaluates every component of
-    /// its own, smaller ground program and carries no verdict over from a
-    /// cached full model (composing the two was measured to cost more than
-    /// solving the slice cold). Slice shape is reported in
-    /// [`SolveStats::slice_components`] / [`SolveStats::total_components`].
-    /// The knowledge base's own solve state (cached model, pending delta,
-    /// resume segment) is left untouched — the sliced solve runs on a
-    /// cloned universe — and the sliced artifact is itself cached until
-    /// the options, the goal set, or the data change.
+    /// **Nothing is solved when the answer already is.** A relevance-closed
+    /// subprogram has the verdicts of the whole program, so a full model
+    /// answers every slice of itself: if the last [`KnowledgeBase::solve`]
+    /// is still current — same options, no fact or rule changed since — and
+    /// ran to its fixpoint or to the depth bound only, `solve_for` returns a
+    /// **view** of it: that model behind this query's slice guard, at that
+    /// model's [epoch](SolvedModel::epoch), for the cost of computing the
+    /// slice. [`SolveStats::sliced`] is `false` on a view (no sliced solve
+    /// ran), and its [`SolvedModel::constraint_status`] is the full model's.
+    ///
+    /// **Otherwise the slice is solved** — chase, grounding and engine all
+    /// restricted to it, from nothing: no full model yet, facts or rules
+    /// changed since it was solved, other options, or a full model cut
+    /// short by a runtime budget or by the atom / instance caps (which a
+    /// smaller slice may well fit under). `solve_for` never triggers a full
+    /// solve. A solved slice reports a constraint whose violation predicate
+    /// falls outside it as [`Truth::Unknown`] (constraints are *not*
+    /// goal-directed), leaves the knowledge base's own solve state (cached
+    /// model, pending delta, resume segment) untouched — it runs on a
+    /// cloned universe — and is itself cached until the options, the goal
+    /// set or the data change.
     ///
     /// ```
     /// use wfdatalog::{Error, KnowledgeBase};
@@ -855,12 +883,22 @@ impl KnowledgeBase {
     ///     pick(X), not flip(X) -> flop(X).
     /// "#).unwrap();
     /// let model = kb.solve_for("?- out(a).").unwrap();
-    /// let stats = model.solve_stats();
-    /// assert!(stats.sliced && stats.slice_components < stats.total_components);
+    /// let slice = model.slice().unwrap();
+    /// assert!(slice.components_in_slice < slice.components_total);
+    /// assert!(model.solve_stats().sliced, "no full model yet: the slice was solved");
     /// assert!(model.ask("?- out(a).").unwrap());
     /// // The flip/flop cone was never solved; querying it is an error,
     /// // not a silent `false`:
     /// assert!(matches!(model.prepare("?- flip(b)."), Err(Error::OutOfSlice(_))));
+    ///
+    /// // After a full solve the same call solves nothing, and guards the
+    /// // same boundary:
+    /// let full = kb.solve();
+    /// let view = kb.solve_for("?- out(a).").unwrap();
+    /// assert!(view.is_sliced() && !view.solve_stats().sliced);
+    /// assert_eq!(view.epoch(), full.epoch());
+    /// assert!(view.ask("?- out(a).").unwrap());
+    /// assert!(matches!(view.prepare("?- flip(b)."), Err(Error::OutOfSlice(_))));
     /// ```
     ///
     /// # Errors
@@ -874,6 +912,12 @@ impl KnowledgeBase {
         // Resolve the query against the current universe (read-only:
         // query preparation looks names up, never interns).
         let goals = wfdl_syntax::prepare_query(&self.universe, query_src)?.goal_preds();
+        let full = self.last.as_ref();
+        if let Some(full) = full.filter(|c| c.serves_slices(options, self.revision)) {
+            let slice = ProgramSlice::compute(self.universe.num_preds(), &self.sigma, &goals);
+            let solved = Arc::clone(&full.model.solved);
+            return Ok(self.package(Arc::clone(&self.universe), solved, Some(slice)));
+        }
         if let Some((cached_goals, c)) = &self.sliced_last {
             if *cached_goals == goals && c.serves(options, self.revision) {
                 return Ok(Arc::clone(&c.model));
@@ -979,21 +1023,22 @@ impl KnowledgeBase {
 ///
 /// `SolvedModel` is `Send + Sync` and every method takes `&self`, so one
 /// model behind an [`Arc`] can serve queries from any number of threads.
-/// The index over certainly-true atoms is built once at solve time; the
-/// index for three-valued [`SolvedModel::ask3`] is built lazily on first
-/// use and shared afterwards.
+/// Its one atom index — over the not-false atoms, serving certain and
+/// three-valued reads alike — is built (or patched from the previous
+/// model's) at solve time; nothing is left to the first read.
 #[derive(Debug)]
 pub struct SolvedModel {
     universe: UniverseSnapshot,
     /// Shared with sibling packagings of the same solve: a queries-only
-    /// change re-wraps the identical model instead of re-solving.
+    /// change re-wraps the identical model instead of re-solving, and a
+    /// goal-directed view of a full model is that model behind a guard.
     solved: Arc<Solved>,
     source_queries: Vec<PreparedQuery>,
-    /// `Some(pred_mask)` for goal-directed models
-    /// ([`KnowledgeBase::solve_for`]): the relevance-closed predicate
-    /// slice this model was solved under. Queries are checked against it
-    /// at preparation time — see [`SolvedModel::prepare_sliced`].
-    slice: Option<Vec<bool>>,
+    /// `Some` for goal-directed models ([`KnowledgeBase::solve_for`]): the
+    /// relevance-closed predicate slice this model answers for. Queries
+    /// are checked against it at preparation time — see
+    /// [`SolvedModel::prepare_sliced`].
+    slice: Option<ProgramSlice>,
 }
 
 /// What one solve computed, independent of how it is packaged.
@@ -1001,8 +1046,9 @@ pub struct SolvedModel {
 struct Solved {
     model: WellFoundedModel,
     constraint_status: Vec<Truth>,
-    certain_index: AtomIndex,
-    possible_index: OnceLock<AtomIndex>,
+    /// Over the segment's not-false atoms, ascending; the query evaluator
+    /// filters candidates by verdict, so it serves every read.
+    index: AtomIndex,
     solve_stats: SolveStats,
     epoch: u64,
 }
@@ -1012,11 +1058,9 @@ impl Solved {
     ///
     /// `prev` is the solve this one resumed, if any. When the engine carried
     /// that model over ([`wfdl_wfs::EngineResult::cone`]), verdicts differ
-    /// inside the cone only, so `prev`'s indexes are
-    /// [patched](AtomIndex::patched) with the atoms that moved in or out —
-    /// the possible-atom index too if `prev` had built it, which spares the
-    /// first three-valued read after an ingest the rebuild. Otherwise the
-    /// certain-atom index is built and the possible-atom one stays lazy.
+    /// inside the cone only, so `prev`'s index is
+    /// [patched](AtomIndex::patched) with the atoms that moved in or out.
+    /// Otherwise the index is built.
     fn new(
         universe: &Universe,
         mut output: wfdl_wfs::SolveOutput,
@@ -1025,46 +1069,30 @@ impl Solved {
     ) -> Arc<Solved> {
         let start = std::time::Instant::now();
         let model = &output.model;
-        let certain = |m: &WellFoundedModel, a: AtomId| m.result.value(a).is_true();
-        let possible = |m: &WellFoundedModel, a: AtomId| {
+        let indexed = |m: &WellFoundedModel, a: AtomId| {
             m.segment.contains(a) && !m.result.value(a).is_false()
         };
-        let (certain_index, possible_index) = match (prev, &model.result.cone) {
+        let index = match (prev, &model.result.cone) {
             (Some(prev), Some(cone)) => {
                 let mut cone = cone.clone();
                 cone.sort_unstable();
-                let patched =
-                    |index: &AtomIndex, holds: &dyn Fn(&WellFoundedModel, AtomId) -> bool| {
-                        let moved = |from: &WellFoundedModel,
-                                     to: &WellFoundedModel|
-                         -> Vec<AtomId> {
-                            let moved = cone.iter().filter(|&&a| holds(from, a) && !holds(to, a));
-                            moved.copied().collect()
-                        };
-                        index.patched(
-                            universe,
-                            &moved(&prev.model, model),
-                            &moved(model, &prev.model),
-                        )
-                    };
-                let possible_index = prev
-                    .possible_index
-                    .get()
-                    .map(|index| patched(index, &possible));
-                (
-                    patched(&prev.certain_index, &certain),
-                    possible_index.map_or_else(OnceLock::new, OnceLock::from),
+                let moved = |from: &WellFoundedModel, to: &WellFoundedModel| -> Vec<AtomId> {
+                    let moved = cone
+                        .iter()
+                        .filter(|&&a| indexed(from, a) && !indexed(to, a));
+                    moved.copied().collect()
+                };
+                prev.index.patched(
+                    universe,
+                    &moved(&prev.model, model),
+                    &moved(model, &prev.model),
                 )
             }
-            _ => (
-                AtomIndex::build(universe, TruthSource::certain_atoms(model)),
-                OnceLock::new(),
-            ),
+            _ => AtomIndex::build(universe, TruthSource::possible_atoms(model)),
         };
         output.stats.index_ns = start.elapsed().as_nanos() as u64;
         Arc::new(Solved {
-            certain_index,
-            possible_index,
+            index,
             model: output.model,
             constraint_status: output.constraint_status,
             solve_stats: output.stats,
@@ -1134,23 +1162,30 @@ impl SolvedModel {
         self.prepare(query_src)
     }
 
-    /// True iff this model was produced by a goal-directed solve
-    /// ([`KnowledgeBase::solve_for`]) and therefore only answers queries
-    /// within its slice.
+    /// True iff this model came from [`KnowledgeBase::solve_for`] — a
+    /// solved slice, or a view of a full model — and therefore only answers
+    /// queries within its slice.
     pub fn is_sliced(&self) -> bool {
         self.slice.is_some()
+    }
+
+    /// The program slice a goal-directed model answers for (`None` on a
+    /// full model): its predicate mask and how many of the program's
+    /// dependency components it spans.
+    pub fn slice(&self) -> Option<&ProgramSlice> {
+        self.slice.as_ref()
     }
 
     /// Rejects queries that read predicates outside a sliced model's
     /// relevance closure. No-op on full models and on short-circuited
     /// queries (their verdict is already definite and slice-independent).
     fn check_slice(&self, query: &PreparedQuery) -> Result<(), Error> {
-        let (Some(mask), Some(q)) = (&self.slice, query.query()) else {
+        let (Some(slice), Some(q)) = (&self.slice, query.query()) else {
             return Ok(());
         };
         let mut missing: Vec<&str> = Vec::new();
         for atom in q.pos.iter().chain(q.neg.iter()) {
-            if !mask.get(atom.pred.index()).copied().unwrap_or(false) {
+            if !slice.contains(atom.pred) {
                 let name = self.universe.pred_name(atom.pred);
                 if !missing.contains(&name) {
                     missing.push(name);
@@ -1219,30 +1254,20 @@ impl SolvedModel {
 
     /// Evaluates a prepared Boolean query (certain-answer semantics).
     pub fn ask_prepared(&self, query: &PreparedQuery) -> bool {
-        query.holds_with(
-            &self.universe,
-            &self.solved.model,
-            &self.solved.certain_index,
-        )
+        query.holds_with(&self.universe, &self.solved.model, &self.solved.index)
     }
 
-    /// Three-valued evaluation of a prepared query.
+    /// Three-valued evaluation of a prepared query. On a model whose chase
+    /// a runtime budget cut short ([`SolvedModel::outcome`]) the verdict is
+    /// `True` or `Unknown`, never `False`: atoms the chase had not reached
+    /// are undecided, not refuted.
     pub fn ask3_prepared(&self, query: &PreparedQuery) -> Truth {
-        query.holds3_with(
-            &self.universe,
-            &self.solved.model,
-            &self.solved.certain_index,
-            self.possible_index(),
-        )
+        query.holds3_with(&self.universe, &self.solved.model, &self.solved.index)
     }
 
     /// Certain answers of a prepared query.
     pub fn answers_prepared(&self, query: &PreparedQuery) -> AnswerSet {
-        query.answers_with(
-            &self.universe,
-            &self.solved.model,
-            &self.solved.certain_index,
-        )
+        query.answers_with(&self.universe, &self.solved.model, &self.solved.index)
     }
 
     /// Evaluates a batch of prepared queries, returning one answer set per
@@ -1359,22 +1384,12 @@ impl SolvedModel {
         self.solved.model.render_true(&self.universe)
     }
 
-    /// Heap bytes of the model's atom indexes: the certain-atom index
-    /// built at solve time plus, once a three-valued query has asked for
-    /// it, the lazily built possible-atom index. O(1). The universe's
-    /// share is [`Universe::heap_bytes`] on [`SolvedModel::universe`].
+    /// Heap bytes of the model's atom index (one, over its not-false
+    /// atoms). O(1). A goal-directed view reports the index of the full
+    /// model it shares. The universe's share is [`Universe::heap_bytes`] on
+    /// [`SolvedModel::universe`].
     pub fn index_bytes(&self) -> usize {
-        let possible = self.solved.possible_index.get();
-        self.solved.certain_index.heap_bytes() + possible.map_or(0, AtomIndex::heap_bytes)
-    }
-
-    fn possible_index(&self) -> &AtomIndex {
-        self.solved.possible_index.get_or_init(|| {
-            AtomIndex::build(
-                &self.universe,
-                TruthSource::possible_atoms(&self.solved.model),
-            )
-        })
+        self.solved.index.heap_bytes()
     }
 }
 

@@ -10,7 +10,7 @@
 //! | Route           | Meaning |
 //! |-----------------|---------|
 //! | `GET /healthz`  | liveness + the currently published model epoch |
-//! | `POST /query`   | one query per body line → prepared evaluation against **one** pinned snapshot; malformed queries answer 400 with their real source positions. `POST /query?mode=sliced` solves goal-directedly instead (below) |
+//! | `POST /query`   | one query per body line → prepared evaluation against **one** pinned snapshot; malformed queries answer 400 with their real source positions. `POST /query?mode=sliced` answers goal-directedly instead (below) |
 //! | `POST /ingest`  | TSV/CSV fact batch (the `--facts` format) → typed insert + incremental re-solve on the writer thread → atomic hot-swap |
 //! | `POST /retract` | the same body format → retraction of the listed facts + re-solve **from scratch** on the writer thread → atomic hot-swap; reply `{"removed", "epoch", "incremental": false, …, "outcome"}` — `/ingest`'s reply with `removed` for `added`; 400 on a malformed body, nothing applied |
 //! | `GET /lint`     | the static-analysis report for the served program (`wfdatalog::analysis` JSON), recomputed with the model on every ingest — EDB changes flip the data-dependent lints |
@@ -40,17 +40,24 @@
 //!
 //! ## `mode=sliced`
 //!
-//! `POST /query?mode=sliced` answers each body line from a goal-directed
-//! solve over the query-relevant program slice
-//! ([`KnowledgeBase::solve_for`]) instead of the published full model —
-//! bit-identical answers, a fraction of the work for narrow queries
-//! against a large program. Sliced solves need the `KnowledgeBase`, so
-//! they run on the **writer thread**, serialized behind any queued
-//! ingests (per-query results are cached there; a repeated sliced query
-//! with unchanged data is answered from that cache). The response shape
-//! is identical to the plain `/query` response, with the answering solve's
-//! slice stats appended per result. Plain `/query` traffic is unaffected —
-//! it never touches the writer.
+//! `POST /query?mode=sliced` answers each body line through
+//! [`KnowledgeBase::solve_for`] — the model of the query-relevant program
+//! slice, guarded at the slice's boundary — instead of the published full
+//! model: bit-identical answers. It needs the `KnowledgeBase`, so it runs
+//! on the **writer thread**, serialized behind any queued ingests. The
+//! writer full-solves at start and after every ingest or retraction, so
+//! the model it holds is normally current and complete, and `solve_for`
+//! then **solves nothing**: the line costs a prepare, a slice computation
+//! and an evaluation against that model (`components_reused` =
+//! `slice_components` in the result's `"slice"` object, `sliced_from_model`
+//! in `/stats`). Only when that model was cut short — a re-solve deadline
+//! tripped, the chase hit an atom or instance cap — is the slice solved,
+//! from nothing, under the same fresh deadline window (`components_reused`
+//! = 0, `sliced_solved`; a repeated query with unchanged data is answered
+//! from that solve's cache): a slice can be small enough to finish where
+//! the whole program was not. The response shape is the plain `/query`
+//! response with the `"slice"` object appended per result. Plain `/query`
+//! traffic is unaffected — it never touches the writer.
 //!
 //! ## `/stats` schema
 //!
@@ -65,6 +72,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wfdl_core::json::push_json_str;
+use wfdl_core::TermNode;
 use wfdl_serve::{App, EpochSlot, Method, Request, Response, Server, ServerConfig, Stopper};
 
 use crate::{Error, KnowledgeBase, SolveBudget, SolvedModel};
@@ -113,6 +121,11 @@ struct Counters {
     healthz: AtomicU64,
     query: AtomicU64,
     query_errors: AtomicU64,
+    /// Query lines of `mode=sliced` batches answered by a solved slice
+    /// (just solved, or that solve's cached model)…
+    sliced_solved: AtomicU64,
+    /// …and by a view of the full model, with nothing solved.
+    sliced_from_model: AtomicU64,
     ingest: AtomicU64,
     ingest_errors: AtomicU64,
     retract: AtomicU64,
@@ -331,12 +344,15 @@ impl WfdlApp {
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
             "{{\"epoch\":{epoch},\"uptime_ms\":{},\"requests\":{{\"healthz\":{},\"query\":{},\
-             \"query_errors\":{},\"ingest\":{},\"ingest_errors\":{},\"retract\":{},\
-             \"retract_errors\":{},\"lint\":{},\"stats\":{},\"other\":{}}}",
+             \"query_errors\":{},\"sliced_solved\":{},\"sliced_from_model\":{},\"ingest\":{},\
+             \"ingest_errors\":{},\"retract\":{},\"retract_errors\":{},\"lint\":{},\
+             \"stats\":{},\"other\":{}}}",
             self.started.elapsed().as_millis(),
             self.counters.healthz.load(Ordering::Relaxed),
             self.counters.query.load(Ordering::Relaxed),
             self.counters.query_errors.load(Ordering::Relaxed),
+            self.counters.sliced_solved.load(Ordering::Relaxed),
+            self.counters.sliced_from_model.load(Ordering::Relaxed),
             self.counters.ingest.load(Ordering::Relaxed),
             self.counters.ingest_errors.load(Ordering::Relaxed),
             self.counters.retract.load(Ordering::Relaxed),
@@ -429,12 +445,15 @@ pub fn query_response_body(model: &SolvedModel, queries: &[&str]) -> Result<Stri
     Ok(out)
 }
 
-/// Goal-directed twin of [`query_response_body`]: answers each query from
-/// its own sliced solve ([`KnowledgeBase::solve_for`]) instead of a
-/// published full model. Same response shape, plus a per-result
-/// `"slice"` object with the answering solve's slice stats. Runs on the
-/// serving tier's writer thread (it needs `&mut KnowledgeBase`); public
-/// for the same bit-for-bit test contract as [`query_response_body`].
+/// Goal-directed twin of [`query_response_body`]: answers each query
+/// through [`KnowledgeBase::solve_for`] instead of a published full model.
+/// Same response shape, plus a per-result `"slice"` object: the slice's
+/// `slice_components` of the program's `total_components`, and how many of
+/// them were answered without solving (`components_reused`: all of them
+/// when `solve_for` returned a view of the current full model, `0` when it
+/// solved the slice). Runs on the serving tier's writer thread (it needs
+/// `&mut KnowledgeBase`); public for the same bit-for-bit test contract as
+/// [`query_response_body`].
 ///
 /// `Ok` is the 200 body; `Err` is the status and body of the failure: 400
 /// for the first query that fails to parse or prepare, in
@@ -445,6 +464,17 @@ pub fn sliced_query_response_body(
     kb: &mut KnowledgeBase,
     queries: &[&str],
 ) -> Result<String, (u16, String)> {
+    answer_sliced(kb, queries, &Counters::default())
+}
+
+/// [`sliced_query_response_body`], counting each query line into
+/// `counters.sliced_solved` / `counters.sliced_from_model` as it is
+/// answered.
+fn answer_sliced(
+    kb: &mut KnowledgeBase,
+    queries: &[&str],
+    counters: &Counters,
+) -> Result<String, (u16, String)> {
     // Solve + prepare everything first: a batch with any malformed query
     // answers 400 as a whole, exactly like the full-model path.
     let mut solved = Vec::with_capacity(queries.len());
@@ -453,6 +483,11 @@ pub fn sliced_query_response_body(
             Error::EnginePanic(_) => (500, error_body(&e.to_string(), None)),
             e => (400, prepare_error_body(i, src, &e)),
         })?;
+        let answered_by = match model.solve_stats().sliced {
+            true => &counters.sliced_solved,
+            false => &counters.sliced_from_model,
+        };
+        answered_by.fetch_add(1, Ordering::Relaxed);
         let q = model
             .prepare_sliced(src)
             .map_err(|e| (400, prepare_error_body(i, src, &e)))?;
@@ -467,11 +502,17 @@ pub fn sliced_query_response_body(
         }
         out.push('{');
         push_query_result(&mut out, model, src, q);
-        let s = model.solve_stats();
+        let (in_slice, total) = model
+            .slice()
+            .map_or((0, 0), |s| (s.components_in_slice, s.components_total));
+        let reused = if model.solve_stats().sliced {
+            0
+        } else {
+            in_slice
+        };
         out.push_str(&format!(
-            ",\"slice\":{{\"slice_components\":{},\"total_components\":{},\
-             \"components_reused\":{}}}",
-            s.slice_components, s.total_components, s.components_reused
+            ",\"slice\":{{\"slice_components\":{in_slice},\"total_components\":{total},\
+             \"components_reused\":{reused}}}"
         ));
         out.push('}');
     }
@@ -509,6 +550,7 @@ fn push_query_result(out: &mut String, model: &SolvedModel, src: &str, q: &crate
         push_json_str(out, &model.ask3_prepared(q).to_string());
     } else {
         out.push_str(",\"answers\":[");
+        let universe = model.universe();
         let answers = model.answers_prepared(q);
         for (j, tuple) in answers.tuples().iter().enumerate() {
             if j > 0 {
@@ -519,7 +561,14 @@ fn push_query_result(out: &mut String, model: &SolvedModel, src: &str, q: &crate
                 if k > 0 {
                     out.push(',');
                 }
-                push_json_str(out, &model.universe().display_term(term).to_string());
+                // A constant's name goes from the interner straight into
+                // the body; only a null needs rendering first.
+                match universe.terms.node(term) {
+                    TermNode::Const(name) => push_json_str(out, universe.symbols.resolve(name)),
+                    TermNode::Skolem { .. } => {
+                        push_json_str(out, &universe.display_term(term).to_string());
+                    }
+                }
             }
             out.push(']');
         }
@@ -592,13 +641,13 @@ fn writer_loop(
                 let _ = reply.send(response);
             }
             WriterJob::SlicedQuery { queries, reply } => {
-                // Each sliced solve gets the same fresh deadline window an
-                // ingest-triggered re-solve would.
+                // A slice that has to be solved gets the same fresh deadline
+                // window an ingest-triggered re-solve would.
                 if let Some(d) = resolve_deadline {
                     kb.set_solve_budget(SolveBudget::unlimited().with_deadline_in(d));
                 }
                 let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-                let response = match sliced_query_response_body(&mut kb, &refs) {
+                let response = match answer_sliced(&mut kb, &refs, &slot.counters) {
                     Ok(body) => Response::json(200, body),
                     Err((status, body)) => Response::json(status, body),
                 };

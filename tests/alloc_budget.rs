@@ -9,8 +9,9 @@
 //! buffers sized once per solve. The frontend reads a fact as slices of
 //! the source text and interns them in place. A solve resumed after a small
 //! insert copies the previous model's flat arrays and works on the delta's
-//! forward cone only. A timing cannot pin that on a shared host; a count of
-//! allocator calls — and of components evaluated — can, exactly.
+//! forward cone only, and a goal-directed read of a model that is already
+//! solved touches none of it. A timing cannot pin that on a shared host; a
+//! count of allocator calls — and of components evaluated — can, exactly.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -321,8 +322,6 @@ fn a_small_insert_costs_what_it_touches() {
         let mut kb = (KnowledgeBase::from_source(&text).unwrap())
             .with_depth(8)
             .with_threads(1);
-        // The first three-valued read builds the possible-atom index, so
-        // the resume below patches both indexes.
         assert!(kb.solve().ask3("?- flip(g0).").unwrap().is_unknown());
         let delta = "r\tx0\tx0\ty0\np\tx0\tx0\nr\tx1\tx1\ty1\np\tx1\tx1\n\
                      src\th0\nsrc\th1\nsrc\th2\nsrc\th3\npick\th0\npick\th1\n";
@@ -355,4 +354,34 @@ fn a_small_insert_costs_what_it_touches() {
         large, small,
         "a 10-fact insert into {atoms} atoms took {small} allocations, into {twice} atoms {large}"
     );
+}
+
+/// `solve_for` on a knowledge base whose full model is current solves
+/// nothing: it prepares the query, computes the slice and wraps that model
+/// — the same few allocations whatever the model's size.
+#[test]
+fn solve_for_on_a_solved_kb_costs_the_same_at_any_size() {
+    let view = |seeds: usize, groups: usize| {
+        let text = chain_and_fanout(seeds, groups);
+        let mut kb = (KnowledgeBase::from_source(&text).unwrap())
+            .with_depth(8)
+            .with_threads(1);
+        let full = kb.solve();
+        let (view, allocations) = allocations_in(|| kb.solve_for("?- flip(g0).").unwrap());
+        assert!(view.is_sliced() && !view.solve_stats().sliced);
+        assert!(std::ptr::eq(view.model(), full.model()));
+        assert!(view.ask3("?- flip(g0).").unwrap().is_unknown());
+        (allocations, full.model().ground.num_atoms())
+    };
+    let (small, atoms) = view(512, 10_240);
+    let (large, twice) = view(1_024, 20_480);
+    assert!(
+        atoms >= 50_000 && twice >= 2 * atoms - 100,
+        "{atoms}, {twice} atoms"
+    );
+    assert_eq!(
+        large, small,
+        "solve_for over {atoms} solved atoms took {small} allocations, over {twice} atoms {large}"
+    );
+    assert!(small <= 64, "a view took {small} allocations");
 }

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 use std::time::Duration;
-use wfdatalog::{CancelToken, KnowledgeBase, SolveBudget, SolvedModel, TruncationReason};
+use wfdatalog::{CancelToken, KnowledgeBase, SolveBudget, SolvedModel, TruncationReason, Truth};
 
 const PROGRAMS: [&str; 3] = [
     "programs/employment.dl",
@@ -73,6 +73,84 @@ fn pre_expired_deadline_truncates_cleanly_everywhere() {
         SolveBudget::unlimited().with_deadline_in(Duration::ZERO),
         TruncationReason::Deadline,
     );
+}
+
+/// Query-level soundness of a truncated model: atoms an interrupted chase
+/// never reached are undecided, so no query is refuted — least of all one
+/// the complete model satisfies.
+#[test]
+fn pre_expired_deadline_refutes_no_query() {
+    let expired = SolveBudget::unlimited().with_deadline_in(Duration::ZERO);
+    let mut satisfied = 0;
+    for path in PROGRAMS {
+        let reference = kb(path).try_solve().unwrap();
+        let mut kb = kb(path);
+        kb.set_solve_budget(expired.clone());
+        let model = kb.try_solve().unwrap();
+        assert!(model.outcome().is_budget_trip(), "{path}");
+        for (q, rq) in model
+            .source_queries()
+            .iter()
+            .zip(reference.source_queries())
+        {
+            let complete = reference.ask3_prepared(rq);
+            match model.ask3_prepared(q) {
+                Truth::True => assert_eq!(complete, Truth::True, "{path}: {q:?}"),
+                Truth::Unknown => satisfied += usize::from(complete.is_true()),
+                Truth::False => panic!("{path}: a truncated model refuted {q:?}"),
+            }
+            // Same text, same interning order: constants share their ids.
+            let complete = reference.answers_prepared(rq);
+            for tuple in model.answers_prepared(q).tuples() {
+                assert!(
+                    complete.contains(tuple),
+                    "{path}: {tuple:?} answers {q:?} only under the budget"
+                );
+            }
+        }
+    }
+    assert!(satisfied > 0, "no satisfied query was cut off");
+
+    // ROADMAP's witness: `win(c)` is won, and the chase never got to it.
+    let mut kb = kb("programs/win_move.dl");
+    kb.set_solve_budget(expired);
+    let model = kb.try_solve().unwrap();
+    assert_eq!(model.ask3("?- win(c).").unwrap(), Truth::Unknown);
+    assert!(!model.ask("?- win(c).").unwrap());
+    assert_eq!(model.ask3("?- win(nobody).").unwrap(), Truth::Unknown);
+    kb.set_solve_budget(SolveBudget::unlimited());
+    assert_eq!(kb.solve().ask3("?- win(c).").unwrap(), Truth::True);
+    assert_eq!(kb.solve().ask3("?- win(nobody).").unwrap(), Truth::False);
+}
+
+/// The negative half: `q(a)` holds in the complete model, but the
+/// interrupted chase never interned it — which must not read as `false`
+/// and make `p(a), not q(a)` certainly true.
+#[test]
+fn a_never_interned_negated_atom_is_not_certainly_false_when_truncated() {
+    const QUERIES: [&str; 3] = [
+        "?- p(a), not q(a).",
+        "?- p(X), not q(X).",
+        "?- p(a), not q(never_seen).",
+    ];
+    let mut kb = KnowledgeBase::from_source("p(a). r(a). r(X) -> q(X).").unwrap();
+    kb.set_solve_budget(SolveBudget::unlimited().with_deadline_in(Duration::ZERO));
+    let model = kb.try_solve().unwrap();
+    assert_eq!(
+        model.outcome().truncation(),
+        Some(TruncationReason::Deadline)
+    );
+    assert!(model.ask("?- p(a).").unwrap(), "the facts are certain");
+    assert!(model.lookup_atom("q", &["a"]).unwrap().is_none());
+    for q in QUERIES {
+        assert!(!model.ask(q).unwrap(), "{q} certain only under the budget");
+        assert!(model.answers(q).unwrap().is_empty(), "{q}");
+        assert_eq!(model.ask3(q).unwrap(), Truth::Unknown, "{q}");
+    }
+    kb.set_solve_budget(SolveBudget::unlimited());
+    let complete = kb.solve();
+    let verdicts = QUERIES.map(|q| complete.ask3(q).unwrap());
+    assert_eq!(verdicts, [Truth::False, Truth::False, Truth::True]);
 }
 
 #[test]

@@ -359,20 +359,23 @@ fn sliced_reference(with_delta: bool, threads: usize) -> (String, String, Vec<St
 /// and — the sliced solve ran on a scratch universe — nothing about the
 /// knowledge base changed: the cached full model is still served, the
 /// pending delta still resumes, and the next `solve_for` and the next
-/// `solve` are bit-identical to the unfaulted references.
+/// `solve` are bit-identical to the unfaulted references. While that full
+/// model is current `solve_for` runs no solve at all, so there the fault
+/// has nothing to fire in.
 #[test]
 fn solve_for_contains_every_panic_and_leaves_the_knowledge_base_untouched() {
     for threads in THREAD_COUNTS {
         let union_obs = reference(true, threads);
         let sliced_obs = sliced_reference(true, threads);
+        let (_, _, base_answers) = sliced_reference(false, threads);
         for site in sites() {
             let label = format!("solve_for/{site:?}/Panic/threads={threads}");
-            let mut kb = kb(false).with_options(options(threads));
-            let full = kb.try_solve().unwrap();
-            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+            let panic = SolveBudget::unlimited().with_fault(FaultPlan {
                 site,
                 kind: FaultKind::Panic,
-            }));
+            });
+            let mut kb = kb(false).with_options(options(threads));
+            kb.set_solve_budget(panic.clone());
             match kb.solve_for(SLICED_QUERY) {
                 Err(wfdatalog::Error::EnginePanic(msg)) => {
                     assert!(msg.contains("injected fault"), "{label}: {msg}");
@@ -380,6 +383,17 @@ fn solve_for_contains_every_panic_and_leaves_the_knowledge_base_untouched() {
                 Err(other) => panic!("{label}: wrong error: {other}"),
                 Ok(_) => panic!("{label}: panic must not produce a model"),
             }
+            kb.set_solve_budget(SolveBudget::unlimited());
+            let full = kb.try_solve().unwrap();
+            assert!(!full.solve_stats().incremental, "{label}: first full solve");
+            kb.set_solve_budget(panic);
+            let view = kb.solve_for(SLICED_QUERY).unwrap();
+            assert!(!view.solve_stats().sliced, "{label}: nothing to solve");
+            assert_eq!(
+                observe_sliced(&view).2,
+                base_answers,
+                "{label}: answers from the full model"
+            );
             kb.set_solve_budget(SolveBudget::unlimited());
             assert!(
                 Arc::ptr_eq(&full, &kb.try_solve().unwrap()),

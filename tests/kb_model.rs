@@ -12,13 +12,15 @@
 //! * every step: the stored facts and `analyze().to_json`;
 //! * every step that returns a model: rendered true and unknown atoms,
 //!   `constraint_status`, the source queries' answers, outcome — or, for a
-//!   budget-truncated model, soundness (its certain atoms are certain in
-//!   the oracle's model);
+//!   budget-truncated model, soundness at the atom level (its certain atoms
+//!   are certain in the oracle's model) and at the query level (what it
+//!   answers or refutes, the oracle's model answers or refutes);
 //! * the cache contract: the epoch moves by exactly one per solve that ran
 //!   and stays put on cache hits and queries-only repackagings (which share
 //!   the underlying model), `solve_stats().incremental` only when a resume
 //!   was legal, a budget-truncated model is never handed out twice, and
-//!   `solve_for` never disturbs any of it.
+//!   `solve_for` never disturbs any of it — it solves its slice exactly
+//!   when no current, untruncated full model is there to answer from.
 
 // Test code: panicking on a broken invariant IS the failure signal.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -232,6 +234,36 @@ fn certain_atoms_are_sound(
     Ok(())
 }
 
+/// Query-level soundness of a budget-truncated model: every answer it
+/// gives is an answer, and a verdict it commits to is the verdict.
+fn query_is_sound(
+    truncated: &SolvedModel,
+    complete: &SolvedModel,
+    query: &str,
+) -> Result<(), TestCaseError> {
+    let q = truncated.prepare(query).unwrap();
+    let cq = complete.prepare(query).unwrap();
+    let answers = answer_lines(complete, &cq);
+    let answers: BTreeSet<&str> = answers.split(';').collect();
+    if !q.is_boolean() {
+        for tuple in answer_lines(truncated, &q)
+            .split(';')
+            .filter(|t| !t.is_empty())
+        {
+            prop_assert!(
+                answers.contains(tuple),
+                "{tuple} answers {query} only when truncated"
+            );
+        }
+    }
+    let verdict = truncated.ask3_prepared(&q);
+    prop_assert!(
+        verdict.is_unknown() || verdict == complete.ask3_prepared(&cq),
+        "{query} is {verdict} only when truncated"
+    );
+    Ok(())
+}
+
 fn rendered_facts(kb: &KnowledgeBase) -> BTreeSet<String> {
     kb.database()
         .facts()
@@ -416,6 +448,9 @@ impl Harness {
         let tripped = budget_tripped(model);
         if tripped {
             certain_atoms_are_sound(model, &reference)?;
+            for query in QUERIES {
+                query_is_sound(model, &reference, query)?;
+            }
         } else {
             prop_assert_eq!(observe(model), observe(&reference));
         }
@@ -448,7 +483,20 @@ impl Harness {
         for t in &self.truncated {
             prop_assert!(!Arc::ptr_eq(t, model), "truncated model served again");
         }
-        prop_assert!(model.is_sliced() && model.solve_stats().sliced);
+        prop_assert!(model.is_sliced());
+        // A current full model that ran to its fixpoint (or its depth
+        // bound) answers every slice of itself: nothing is solved, the
+        // result is that model behind the slice guard. Anything else —
+        // never solved, mutated since, truncated, other options — and the
+        // slice is solved.
+        let options = self.kb.effective_options();
+        let last = self.last.as_ref();
+        let answers_from = last.filter(|(o, _)| *o == options && !self.model_dirty);
+        prop_assert_eq!(model.solve_stats().sliced, answers_from.is_none());
+        if let Some((_, full)) = answers_from {
+            prop_assert!(std::ptr::eq(model.model(), full.model()));
+            prop_assert_eq!(model.epoch(), self.epoch);
+        }
         // A sliced model carries the epoch it was computed at (a cached one
         // may predate a re-solve of the same data) and never moves it: the
         // next full solve's epoch check would catch a bump.
@@ -458,7 +506,8 @@ impl Harness {
         let rq = reference.prepare(query).unwrap();
         if budget_tripped(model) {
             self.truncated.push(Arc::clone(model));
-            return certain_atoms_are_sound(model, &reference);
+            certain_atoms_are_sound(model, &reference)?;
+            return query_is_sound(model, &reference, query);
         }
         prop_assert_eq!(model.ask3_prepared(&q), reference.ask3_prepared(&rq));
         prop_assert_eq!(answer_lines(model, &q), answer_lines(&reference, &rq));

@@ -438,9 +438,22 @@ fn sliced_query_mode_matches_direct_api_and_tracks_ingests() {
     let expected = sliced_query_response_body(&mut replica, &["?- win(b).", "?(X) win(X)."])
         .expect("replica render");
     assert_eq!(body, expected);
-    // Every sliced result carries its slice stats, and the slice is a
-    // proper subset of the program (the flip/flop cone stayed out).
-    assert!(body.contains("\"slice\":{\"slice_components\":"), "{body}");
+    // Every sliced result carries its slice stats: a proper subset of the
+    // program (the flip/flop cone stayed out), answered from the model the
+    // server solved at start — nothing was solved for it.
+    assert!(
+        body.contains(
+            "\"slice\":{\"slice_components\":2,\"total_components\":4,\"components_reused\":2}"
+        ),
+        "{body}"
+    );
+    let (_, stats) = get(addr, "/stats");
+    assert!(
+        stats.contains(
+            "\"query_errors\":0,\"sliced_solved\":0,\"sliced_from_model\":2,\"ingest\":0"
+        ),
+        "{stats}"
+    );
 
     // The verdicts themselves agree with full mode for in-slice queries.
     let (status, full_body) = post(addr, "/query?mode=full", sliced_queries);
@@ -480,8 +493,8 @@ fn sliced_query_engine_panic_is_a_500_and_the_knowledge_base_survives() {
     use wfdatalog::SolveBudget;
 
     let queries = ["?- win(b).", "?(X) win(X)."];
+    // No full model to answer from, so the slice has to be solved.
     let mut kb = KnowledgeBase::from_source(TWO_CONE_PROGRAM).expect("program");
-    kb.solve();
     kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
         site: FaultSite::ChaseRound(0),
         kind: FaultKind::Panic,
@@ -500,7 +513,6 @@ fn sliced_query_engine_panic_is_a_500_and_the_knowledge_base_survives() {
 
     kb.set_solve_budget(SolveBudget::unlimited());
     let mut replica = KnowledgeBase::from_source(TWO_CONE_PROGRAM).expect("replica");
-    replica.solve();
     assert_eq!(
         sliced_query_response_body(&mut kb, &queries).expect("served after the panic"),
         sliced_query_response_body(&mut replica, &queries).expect("replica render"),

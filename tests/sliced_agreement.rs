@@ -5,9 +5,11 @@
 //! dependency graph, following positive **and** negative edges) assigns
 //! every in-slice atom exactly the verdict the full solve assigns — same
 //! atoms, same truth values, bit-for-bit — on every workload generator,
-//! including under a depth budget. The façade tests add the caching,
-//! memo-composition and out-of-slice-guard behaviour of
-//! `KnowledgeBase::solve_for` / `SolvedModel::prepare_sliced`.
+//! including under a depth budget. The façade tests add the caching and
+//! out-of-slice-guard behaviour of `KnowledgeBase::solve_for` /
+//! `SolvedModel::prepare_sliced`, and the other direction of the same
+//! splitting argument: a current, complete full model answers every slice
+//! of itself, so `solve_for` then solves nothing.
 
 // Test code: panicking on a broken invariant IS the failure signal.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -15,11 +17,12 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use wfdatalog::core::budget::{FaultKind, FaultPlan, FaultSite};
 use wfdatalog::storage::Database;
 use wfdatalog::wfs::WellFoundedModel;
 use wfdatalog::{
-    Error, FactBatch, KnowledgeBase, ProgramSlice, SkolemProgram, SolveBudget, Truth, Universe,
-    WfsOptions,
+    Error, FactBatch, KnowledgeBase, ProgramSlice, SkolemProgram, SolveBudget, SolvedModel,
+    TruncationReason, Truth, Universe, WfsOptions,
 };
 use wfdl_gen::{
     chain_database, example4_sigma, fanout_database, fanout_sigma, random_database, random_program,
@@ -304,9 +307,18 @@ fn solve_for_matches_full_solve_answers() {
     ];
     for q in &queries {
         let mut kb = KnowledgeBase::from_source(FACADE_RULES).unwrap();
-        let full = kb.solve();
+        // No full model yet: the slice is solved, from nothing.
         let sliced = kb.solve_for(q).unwrap();
-        assert!(sliced.solve_stats().sliced);
+        let stats = sliced.solve_stats();
+        assert!(stats.sliced && !stats.incremental);
+        assert_eq!(stats.components_reused, 0, "{stats:?}");
+        let full = kb.solve();
+        assert!(
+            0 < stats.components_evaluated
+                && stats.components_evaluated < full.solve_stats().components_evaluated,
+            "{stats:?} vs {:?}",
+            full.solve_stats()
+        );
         let pf = full.prepare(q).unwrap();
         let ps = sliced.prepare_sliced(q).unwrap();
         assert_eq!(
@@ -322,22 +334,199 @@ fn solve_for_matches_full_solve_answers() {
     }
 }
 
-#[test]
-fn solve_for_after_a_full_solve_evaluates_its_slice_and_nothing_else() {
-    let mut kb = KnowledgeBase::from_source(FACADE_RULES).unwrap();
-    // A sliced solve carries nothing over from the cached full model: it
-    // evaluates every component of its (smaller) ground program.
-    let full = kb.solve().solve_stats();
-    let sliced = kb.solve_for("?(X) covered(X).").unwrap();
-    let stats = sliced.solve_stats();
-    assert!(stats.sliced && !stats.incremental);
-    assert_eq!(stats.components_reused, 0, "{stats:?}");
-    assert!(
-        0 < stats.components_evaluated && stats.components_evaluated < full.components_evaluated,
-        "{stats:?} vs {full:?}"
+/// The fanout workload as text: a stratified `src → mid → out` cone over
+/// every group, a `pick/flip/flop` cone, recursive through negation, over
+/// the first few.
+fn fanout_source() -> String {
+    let mut src = String::from(
+        "src(X), not excl(X) -> mid(X). mid(X) -> out(X).
+         pick(X), not flop(X) -> flip(X). pick(X), not flip(X) -> flop(X).
+         excl(c1).\n",
     );
-    assert!(stats.slice_components > 0);
-    assert!(stats.slice_components < stats.total_components, "{stats:?}");
+    for i in 0..12 {
+        src.push_str(&format!("src(c{i}). "));
+    }
+    for i in 0..4 {
+        src.push_str(&format!("pick(c{i}). "));
+    }
+    src
+}
+
+/// Programs (with the chase depth they need) the view tests sweep: both
+/// cones of `FACADE_RULES` and of the fanout, an existential chain cut at
+/// a depth bound, and a game with won, lost and drawn positions.
+fn view_workloads() -> Vec<(String, Option<u32>)> {
+    vec![
+        (FACADE_RULES.to_owned(), None),
+        (fanout_source(), None),
+        (include_str!("../programs/example4.dl").to_owned(), Some(5)),
+        (include_str!("../programs/win_move.dl").to_owned(), None),
+    ]
+}
+
+fn knowledge_base(src: &str, depth: Option<u32>) -> KnowledgeBase {
+    let kb = KnowledgeBase::from_source(src).unwrap();
+    match depth {
+        Some(depth) => kb.with_depth(depth),
+        None => kb,
+    }
+}
+
+/// `?(X0,…) p(X0,…).` for every head predicate `p` of the program.
+fn head_queries(kb: &KnowledgeBase) -> Vec<String> {
+    let u = kb.universe();
+    (head_goal_sets(kb.sigma()).iter().map(|goal| goal[0]))
+        .filter(|&p| !u.pred_info(p).auxiliary)
+        .map(|p| {
+            let vars: Vec<String> = (0..u.pred_arity(p)).map(|i| format!("X{i}")).collect();
+            format!("?({0}) {1}({0}).", vars.join(","), u.pred_name(p))
+        })
+        .collect()
+}
+
+/// A query's three-valued verdict and its answer tuples, rendered — so
+/// models over different universes compare.
+fn read(model: &SolvedModel, query: &str) -> (Truth, Vec<String>) {
+    let q = model.prepare_sliced(query).unwrap();
+    let mut tuples: Vec<String> = (model.answers_prepared(&q).tuples().iter())
+        .map(|t| {
+            let terms = t
+                .iter()
+                .map(|&x| model.universe().display_term(x).to_string());
+            terms.collect::<Vec<_>>().join(",")
+        })
+        .collect();
+    tuples.sort();
+    (model.ask3_prepared(&q), tuples)
+}
+
+#[test]
+fn solve_for_after_a_full_solve_solves_nothing() {
+    let mut proper_slices = 0;
+    for (src, depth) in view_workloads() {
+        let mut kb = knowledge_base(&src, depth);
+        let full = kb.solve();
+        let queries = head_queries(&kb);
+        assert!(!queries.is_empty());
+        for query in &queries {
+            let view = kb.solve_for(query).unwrap();
+            // The full model behind the slice guard: nothing ran.
+            assert!(view.is_sliced() && !view.solve_stats().sliced, "{query}");
+            assert_eq!(view.epoch(), full.epoch(), "{query}");
+            assert!(std::ptr::eq(view.model(), full.model()), "{query}");
+            assert_eq!(view.solve_stats(), full.solve_stats(), "{query}");
+            // It reads what the slice, solved cold on a knowledge base that
+            // has no full model, reads — and guards the same boundary.
+            let cold = knowledge_base(&src, depth).solve_for(query).unwrap();
+            assert!(cold.solve_stats().sliced, "{query}");
+            assert_eq!(read(&view, query), read(&cold, query), "{query}");
+            let (slice, cold_slice) = (view.slice().unwrap(), cold.slice().unwrap());
+            assert_eq!(slice.pred_mask, cold_slice.pred_mask, "{query}");
+            assert_eq!(
+                (slice.components_in_slice, slice.components_total),
+                (cold_slice.components_in_slice, cold_slice.components_total),
+                "{query}"
+            );
+            for outside in queries.iter().filter(|q| cold.prepare(q).is_err()) {
+                proper_slices += 1;
+                assert!(slice.components_in_slice < slice.components_total);
+                let foreign = full.prepare(outside).unwrap();
+                for guarded in [
+                    view.prepare(outside),
+                    view.prepare_sliced(outside),
+                    view.rebind(&foreign),
+                ] {
+                    assert!(
+                        matches!(guarded, Err(Error::OutOfSlice(_))),
+                        "{outside} through the view for {query}: {guarded:?}"
+                    );
+                }
+            }
+        }
+        // Still the knowledge base's full model, and a second look is
+        // another view of it.
+        assert!(Arc::ptr_eq(&full, &kb.solve()));
+        let again = kb.solve_for(&queries[0]).unwrap();
+        assert!(!again.solve_stats().sliced && again.epoch() == full.epoch());
+    }
+    assert!(proper_slices > 0, "no workload had a cone outside a slice");
+}
+
+/// Everything that makes the cached full model the wrong thing to answer
+/// from: `solve_for` must then solve the slice, and agree with a full solve
+/// of the knowledge base as it now stands.
+#[test]
+fn solve_for_still_solves_when_no_current_complete_model_covers_the_slice() {
+    const QUERY: &str = "?(X) covered(X).";
+    let edge = |kb: &mut KnowledgeBase, from: &str, to: &str| {
+        let mut batch = FactBatch::new();
+        let mut edges = batch.relation(kb.universe_mut(), "edge", 2).unwrap();
+        edges.push(&[from, to]).unwrap();
+        batch
+    };
+    let solved = |kb: &mut KnowledgeBase, what: &str| {
+        let sliced = kb.solve_for(QUERY).unwrap();
+        assert!(sliced.is_sliced() && sliced.solve_stats().sliced, "{what}");
+        assert!(sliced.outcome().is_complete(), "{what}");
+        sliced
+    };
+    let fresh = || {
+        let mut kb = KnowledgeBase::from_source(FACADE_RULES).unwrap();
+        let full = kb.solve();
+        assert!(!kb.solve_for(QUERY).unwrap().solve_stats().sliced);
+        (kb, full)
+    };
+
+    let (mut kb, _) = fresh();
+    let batch = edge(&mut kb, "c", "d");
+    kb.insert(batch).unwrap();
+    let sliced = solved(&mut kb, "after insert");
+    assert_eq!(read(&sliced, QUERY), read(&kb.solve(), QUERY));
+    assert!(read(&sliced, QUERY).1.contains(&"d".to_owned()));
+
+    let (mut kb, _) = fresh();
+    let batch = edge(&mut kb, "b", "c");
+    assert_eq!(kb.retract(batch), 1);
+    let sliced = solved(&mut kb, "after retract");
+    assert_eq!(read(&sliced, QUERY), read(&kb.solve(), QUERY));
+    assert_eq!(read(&sliced, QUERY).1, ["b"]);
+
+    let (mut kb, _) = fresh();
+    kb.add_source("node(X) -> covered(X).").unwrap();
+    let sliced = solved(&mut kb, "after add_source with a rule");
+    assert_eq!(read(&sliced, QUERY), read(&kb.solve(), QUERY));
+    assert_eq!(read(&sliced, QUERY).1, ["a", "b", "c", "d"]);
+
+    // `last` is a model under other options: not this solve_for's answer.
+    let (mut kb, full) = fresh();
+    kb.solve_with(WfsOptions::depth(3));
+    let sliced = solved(&mut kb, "after solve_with under other options");
+    assert_eq!(read(&sliced, QUERY), read(&full, QUERY));
+
+    // A budget-tripped full model is an under-approximation, never a view.
+    let mut kb = KnowledgeBase::from_source(FACADE_RULES).unwrap();
+    kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+        site: FaultSite::ChaseRound(0),
+        kind: FaultKind::TripDeadline,
+    }));
+    let tripped = kb.solve();
+    assert!(tripped.outcome().is_budget_trip());
+    kb.set_solve_budget(SolveBudget::unlimited());
+    let sliced = solved(&mut kb, "after a tripped full solve");
+    assert_eq!(read(&sliced, QUERY), read(&fresh().1, QUERY));
+
+    // So is one the atom cap cut short: the cap counts the whole segment,
+    // and the flip/flop slice fits under a cap the program does not.
+    let mut capped = WfsOptions::unbounded();
+    capped.budget = capped.budget.with_max_atoms(8);
+    let mut kb = KnowledgeBase::from_source(FACADE_RULES)
+        .unwrap()
+        .with_options(capped);
+    let full = kb.solve();
+    assert_eq!(full.outcome().truncation(), Some(TruncationReason::AtomCap));
+    let sliced = kb.solve_for("?- flip(z).").unwrap();
+    assert!(sliced.solve_stats().sliced && sliced.outcome().is_complete());
+    assert_eq!(sliced.ask3("?- flip(z).").unwrap(), Truth::Unknown);
 }
 
 #[test]
@@ -385,9 +574,9 @@ fn sliced_cache_serves_and_invalidates_on_generation() {
     let same_goals = kb.solve_for("?(Y) covered(Y).").unwrap();
     assert!(Arc::ptr_eq(&first, &same_goals));
 
-    // Mutation invalidates — even with an intervening *full* solve that
-    // consumes the delta (the generation counter, not the delta, is the
-    // staleness key).
+    // Mutation invalidates — and so does a full solve that consumes the
+    // delta: from then on the full model answers (the revision, not the
+    // delta, is the staleness key).
     let mut batch = FactBatch::new();
     batch
         .relation(kb.universe_mut(), "edge", 2)
@@ -395,17 +584,20 @@ fn sliced_cache_serves_and_invalidates_on_generation() {
         .push(&["c", "d"])
         .unwrap();
     kb.insert(batch).unwrap();
-    kb.solve();
-    let after = kb.solve_for("?(X) covered(X).").unwrap();
+    let resolved = kb.solve_for("?(X) covered(X).").unwrap();
     assert!(
-        !Arc::ptr_eq(&first, &after),
+        !Arc::ptr_eq(&first, &resolved) && resolved.solve_stats().sliced,
         "insert must invalidate the sliced cache"
     );
+    assert!(resolved.ask("?- covered(d).").unwrap());
+    kb.solve();
+    let after = kb.solve_for("?(X) covered(X).").unwrap();
+    assert!(!Arc::ptr_eq(&first, &after) && !Arc::ptr_eq(&resolved, &after));
     assert!(after.ask("?- covered(d).").unwrap());
-    // The fresh sliced model agrees with the full model on the grown data.
+    // Solved slice and view of the full model agree on the grown data.
     assert_eq!(
-        kb.solve().answers("?(X) covered(X).").unwrap(),
-        after.answers("?(X) covered(X).").unwrap()
+        read(&resolved, "?(X) covered(X)."),
+        read(&after, "?(X) covered(X).")
     );
 }
 
@@ -417,17 +609,22 @@ fn constraints_outside_the_slice_read_unknown() {
          r(X) -> s(X).",
     )
     .unwrap();
-    // Full solve: the constraint is violated.
-    assert_eq!(kb.solve().constraint_status(), &[Truth::True]);
-    // Sliced on the unrelated r/s cone: the violation rule never fired,
+    // Solved on the unrelated r/s cone: the violation rule never fired,
     // so its status is honestly Unknown, not a false all-clear.
     let sliced = kb.solve_for("?(X) s(X).").unwrap();
+    assert!(sliced.solve_stats().sliced);
     assert_eq!(sliced.constraint_status(), &[Truth::Unknown]);
-    // Sliced on a goal that pulls the constraint's inputs in: the lowered
+    // Solved on a goal that pulls the constraint's inputs in: the lowered
     // violation predicate depends on p and q, so slicing on it reproduces
     // the full verdict.
     let model = kb.solve_for("?- p(a), q(a).").unwrap();
     assert!(model.ask("?- p(a), q(a).").unwrap());
+    // Full solve: the constraint is violated — and a view of that model
+    // knows it, whatever its slice.
+    assert_eq!(kb.solve().constraint_status(), &[Truth::True]);
+    let view = kb.solve_for("?(X) s(X).").unwrap();
+    assert!(!view.solve_stats().sliced);
+    assert_eq!(view.constraint_status(), &[Truth::True]);
 }
 
 #[test]
