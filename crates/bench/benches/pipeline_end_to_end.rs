@@ -320,6 +320,10 @@ fn main() {
     let samples = sample_count();
 
     let chain_src = chain_source(192);
+    // The claims benchmark's `chain_cold` size (115k atoms, 164k instances):
+    // per-instance costs in the chase merge and in grounding that hide
+    // inside a millisecond at 192 seeds are most of a cold solve here.
+    let claims_src = chain_source(4096);
     let winmove_src = winmove_source(10_000);
     let ontogen_cfg = OntologyConfig {
         num_concepts: 14,
@@ -352,6 +356,9 @@ fn main() {
     let outcomes = vec![
         collect("chain", samples, || {
             run_source_sample(&chain_src, ChaseBudget::depth(8))
+        }),
+        collect("claims_scale", samples, || {
+            run_source_sample(&claims_src, ChaseBudget::depth(8))
         }),
         collect("winmove", samples, || {
             run_source_sample(&winmove_src, ChaseBudget::unbounded())

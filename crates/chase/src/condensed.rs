@@ -44,12 +44,14 @@
 //!   addressed by CSR offsets — zero per-instance boxes;
 //! * the Dowling–Gallier watch lists and the depth/level relaxation index
 //!   (`instances-with-atom-in-body`) are intrusive linked lists over flat
-//!   entry pools with per-atom head/tail cursors;
+//!   entry pools with per-atom head/tail cursors — the relaxation index is
+//!   built by the first relaxation, which most builds never run;
 //! * the "did this (rule, atom) pair instantiate already?" set collapses to
 //!   one bit per segment atom, because expansion always attempts every rule
 //!   guarded by the atom's predicate in one sweep;
-//! * guard/head/body occurrence indexes are finalized into CSR arrays
-//!   (counting sort) mirroring [`GroundProgram`]'s layout, and
+//! * guard/head/body occurrence indexes are CSR arrays (counting sort)
+//!   mirroring [`GroundProgram`]'s layout, counted by the first accessor
+//!   that reads one — saturation, grounding and the engine never do — and
 //!   [`ChaseSegment::to_ground_program`] hands the segment off as a
 //!   straight array translation — no per-atom hash lookups.
 
@@ -57,9 +59,9 @@ use crate::budget::ChaseBudget;
 use crate::instance::{InstanceId, RuleInstance, SegAtomId};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 use wfdl_core::budget::FaultSite;
-use wfdl_core::csr::{self, RowEdits};
 use wfdl_core::{
     match_atom, subst::instantiate_atom_into, AtomId, Binding, BitSet, SkolemProgram, SolveBudget,
     TermId, TruncationReason, Universe,
@@ -103,6 +105,10 @@ pub struct ChaseStats {
     pub shards: u64,
     /// Total atoms expanded through the frontier.
     pub frontier_atoms: u64,
+    /// Depth/level relaxations run: atoms whose minima improved after they
+    /// were first derived and were propagated to their consequences. `0`
+    /// means the relaxation index was never built.
+    pub relaxations: u64,
     /// Nanoseconds spent in the match phase (wall clock, all rounds).
     pub match_ns: u64,
     /// Nanoseconds spent in the serial merge phase (all rounds).
@@ -145,23 +151,14 @@ pub struct ChaseSegment {
     /// instances.
     pos_off: Vec<u32>,
     pos_seg: Vec<SegAtomId>,
-    /// Distinct positive-body size per instance (bodies may repeat an atom
-    /// after instantiation).
-    pos_distinct: Vec<u32>,
     /// Negative bodies (rule order), pooled; CSR over instances. Kept as
     /// universe ids because hypotheses need not occur in the segment.
     neg_off: Vec<u32>,
     neg_atoms: Vec<AtomId>,
-    /// Instances guarded by each segment atom; CSR over [`SegAtomId`].
-    guard_occ_off: Vec<u32>,
-    guard_occ: Vec<InstanceId>,
-    /// Instances deriving each segment atom; CSR over [`SegAtomId`].
-    head_occ_off: Vec<u32>,
-    head_occ: Vec<InstanceId>,
-    /// Instances with each segment atom in their positive body
-    /// (deduplicated per instance); CSR over [`SegAtomId`].
-    body_occ_off: Vec<u32>,
-    body_occ: Vec<InstanceId>,
+    /// The occurrence indexes, counted from the instance arrays above by
+    /// the first accessor that reads one (no solve does; see
+    /// [`Occurrences`]).
+    occurrences: OnceLock<Occurrences>,
     /// True iff saturation quiesced with no budget limit hit: the segment
     /// *is* the full chase (always the case for non-existential programs).
     pub complete: bool,
@@ -179,6 +176,40 @@ pub struct ChaseSegment {
     stats: ChaseStats,
     /// Saturation state retained for [`ChaseSegment::resume_with`].
     resume: ResumeState,
+}
+
+/// One occurrence index: the instances of each segment atom's row, ascending;
+/// CSR over [`SegAtomId`].
+#[derive(Clone, Debug)]
+struct OccurrenceRows {
+    off: Vec<u32>,
+    instances: Vec<InstanceId>,
+}
+
+impl OccurrenceRows {
+    #[inline]
+    fn row(&self, id: SegAtomId) -> &[InstanceId] {
+        let a = id.index();
+        &self.instances[self.off[a] as usize..self.off[a + 1] as usize]
+    }
+}
+
+/// What [`ChaseSegment::instances_with_guard_seg`] & co. read. Saturation,
+/// grounding and the engine never do — the readers are the explicit forest,
+/// the type computation, WCHECK, the reference engines and a resume that
+/// relaxes an inherited atom — so a segment is built without it.
+#[derive(Clone, Debug)]
+struct Occurrences {
+    /// Instances guarded by each segment atom.
+    guard: OccurrenceRows,
+    /// Instances deriving each segment atom.
+    head: OccurrenceRows,
+    /// Instances with each segment atom in their positive body, once per
+    /// instance.
+    body: OccurrenceRows,
+    /// Distinct positive-body size per instance (bodies may repeat an atom
+    /// after instantiation).
+    pos_distinct: Vec<u32>,
 }
 
 /// Saturation state that `finish` would otherwise discard, retained so
@@ -339,10 +370,11 @@ impl ChaseSegment {
     /// resumed segment contains exactly what a fresh
     /// [`ChaseSegment::build`] over the grown database would — the same
     /// atoms, instances, minimal depths and minimal levels — while doing
-    /// saturation work proportional to the *new* derivations only (plus
-    /// one linear pass to re-finalize the occurrence CSRs). A fact that
+    /// saturation work proportional to the *new* derivations only (the
+    /// inherited arrays are copied, nothing is recounted). A fact that
     /// was previously derived at positive depth is relaxed to depth and
-    /// level 0 and the improvement propagated to its consequences.
+    /// level 0 and the improvement propagated to its consequences — the
+    /// one case in which a resume reads this segment's occurrence rows.
     ///
     /// # Errors
     ///
@@ -466,7 +498,7 @@ impl ChaseSegment {
     /// Number of **distinct** atoms in an instance's positive body.
     #[inline]
     pub fn num_distinct_pos(&self, id: InstanceId) -> u32 {
-        self.pos_distinct[id.index()]
+        self.occurrences().pos_distinct[id.index()]
     }
 
     /// Negative body of an instance (rule order), as universe ids —
@@ -492,26 +524,88 @@ impl ChaseSegment {
     /// Instances whose guard matched the segment atom `id`.
     #[inline]
     pub fn instances_with_guard_seg(&self, id: SegAtomId) -> &[InstanceId] {
-        debug_assert!(id.index() < self.atoms.len(), "segment id out of range");
-        let a = id.index();
-        &self.guard_occ[self.guard_occ_off[a] as usize..self.guard_occ_off[a + 1] as usize]
+        self.occurrences().guard.row(id)
     }
 
     /// Instances deriving the segment atom `id`.
     #[inline]
     pub fn instances_with_head_seg(&self, id: SegAtomId) -> &[InstanceId] {
-        debug_assert!(id.index() < self.atoms.len(), "segment id out of range");
-        let a = id.index();
-        &self.head_occ[self.head_occ_off[a] as usize..self.head_occ_off[a + 1] as usize]
+        self.occurrences().head.row(id)
     }
 
     /// Instances with the segment atom `id` in their positive body
     /// (deduplicated per instance).
     #[inline]
     pub fn instances_with_body_seg(&self, id: SegAtomId) -> &[InstanceId] {
-        debug_assert!(id.index() < self.atoms.len(), "segment id out of range");
-        let a = id.index();
-        &self.body_occ[self.body_occ_off[a] as usize..self.body_occ_off[a + 1] as usize]
+        self.occurrences().body.row(id)
+    }
+
+    /// The occurrence indexes, counted on the first call.
+    fn occurrences(&self) -> &Occurrences {
+        self.occurrences.get_or_init(|| self.count_occurrences())
+    }
+
+    /// Calls `f(instance, segment atom)` once per distinct positive body
+    /// atom of every instance (bodies are short; a linear prior-occurrence
+    /// scan beats any set).
+    fn for_each_body_atom(&self, mut f: impl FnMut(usize, SegAtomId)) {
+        for i in 0..self.num_instances() {
+            let span = self.pos_off[i] as usize..self.pos_off[i + 1] as usize;
+            for k in span.clone() {
+                let s = self.pos_seg[k];
+                if !self.pos_seg[span.start..k].contains(&s) {
+                    f(i, s);
+                }
+            }
+        }
+    }
+
+    /// One counting sort over the instance arrays: the guard, head and
+    /// distinct-positive-body rows of every segment atom, and each
+    /// instance's distinct body size.
+    fn count_occurrences(&self) -> Occurrences {
+        let n = self.atoms.len();
+        let num_inst = self.num_instances();
+        let mut counts = [vec![0u32; n], vec![0u32; n], vec![0u32; n]];
+        let mut pos_distinct = vec![0u32; num_inst];
+        for i in 0..num_inst {
+            counts[0][self.inst_guard[i].index()] += 1;
+            counts[1][self.inst_head[i].index()] += 1;
+        }
+        self.for_each_body_atom(|i, s| {
+            counts[2][s.index()] += 1;
+            pos_distinct[i] += 1;
+        });
+        let zero = InstanceId::from_index(0);
+        let [mut guard, mut head, mut body] = counts.map(|counts| {
+            let mut off = Vec::with_capacity(n + 1);
+            let mut acc = 0u32;
+            off.push(0);
+            for &c in &counts {
+                acc += c;
+                off.push(acc);
+            }
+            // `counts` becomes the fill cursor of each row.
+            let mut fill = counts;
+            fill.copy_from_slice(&off[..n]);
+            let instances = vec![zero; acc as usize];
+            (OccurrenceRows { off, instances }, fill)
+        });
+        let drop_at = |(rows, fill): &mut (OccurrenceRows, Vec<u32>), row: usize, i: usize| {
+            rows.instances[fill[row] as usize] = InstanceId::from_index(i);
+            fill[row] += 1;
+        };
+        for i in 0..num_inst {
+            drop_at(&mut guard, self.inst_guard[i].index(), i);
+            drop_at(&mut head, self.inst_head[i].index(), i);
+        }
+        self.for_each_body_atom(|i, s| drop_at(&mut body, s.index(), i));
+        Occurrences {
+            guard: guard.0,
+            head: head.0,
+            body: body.0,
+            pos_distinct,
+        }
     }
 
     /// Instances whose guard matched `atom`. Atoms outside the segment
@@ -560,24 +654,22 @@ impl ChaseSegment {
     /// atom ids are assigned by scanning a bitmap of mentioned universe ids
     /// in increasing order (universe ids are dense, so the scan yields the
     /// sorted atom list directly), every body atom is mapped through flat
-    /// arrays, and duplicate rules are removed by a sort of rule indexes —
-    /// no hash probe and no binary search per atom anywhere on this path.
+    /// arrays, and [`GroundProgram::from_dense_parts`] drops the instances
+    /// that repeat an earlier ground rule while it indexes the heads — no
+    /// hash probe and no binary search per atom anywhere on this path.
     pub fn to_ground_program(&self) -> GroundProgram {
         let num_inst = self.num_instances();
 
-        // 1. Mentioned universe atoms: facts ∪ instance heads/bodies.
+        // 1. Mentioned universe atoms: facts ∪ instance heads/bodies. An
+        // atom enters the segment as a fact or as the head of a recorded
+        // instance and positive bodies hold segment atoms only, so that is
+        // every segment atom plus the hypotheses.
         let mut mentioned = BitSet::new();
-        for &fs in &self.fact_seg {
-            mentioned.insert(self.atoms[fs.index()].atom.index());
+        for sa in &self.atoms {
+            mentioned.insert(sa.atom.index());
         }
-        for i in 0..num_inst {
-            mentioned.insert(self.atoms[self.inst_head[i].index()].atom.index());
-            for k in self.pos_off[i]..self.pos_off[i + 1] {
-                mentioned.insert(self.atoms[self.pos_seg[k as usize].index()].atom.index());
-            }
-            for k in self.neg_off[i]..self.neg_off[i + 1] {
-                mentioned.insert(self.neg_atoms[k as usize].index());
-            }
+        for a in &self.neg_atoms {
+            mentioned.insert(a.index());
         }
 
         // 2. Sorted atom list + flat universe-id → local-id map. Iterating
@@ -622,96 +714,9 @@ impl ChaseSegment {
             neg_off.push(neg_local.len() as u32);
         }
 
-        // 4. Drop duplicate rules, keeping first occurrences in discovery
-        // order (the historical builder semantics). Equal rules have equal
-        // 64-bit digests, so hash first: when every digest is distinct —
-        // the overwhelmingly common case — there is nothing to drop and
-        // the expensive slice-comparison sort is skipped entirely; only
-        // colliding digests fall back to sorting (u64 keys, ties broken by
-        // index so the first occurrence survives) plus full-key checks.
-        let rule_key = |r: usize| {
-            (
-                head_local[r],
-                &pos_local[pos_off[r] as usize..pos_off[r + 1] as usize],
-                &neg_local[neg_off[r] as usize..neg_off[r + 1] as usize],
-            )
-        };
-        let mix = wfdl_core::fxhash::mix64;
-        let digest = |r: usize| {
-            let (head, pos, neg) = rule_key(r);
-            let mut h = mix(0, head as u64);
-            h = mix(h, pos.len() as u64);
-            for &b in pos {
-                h = mix(h, b as u64);
-            }
-            for &b in neg {
-                h = mix(h, b as u64);
-            }
-            h
-        };
-        let digests: Vec<u64> = (0..num_inst).map(digest).collect();
-        let mut sorted_digests = digests.clone();
-        sorted_digests.sort_unstable();
-        let any_collision = sorted_digests.windows(2).any(|w| w[0] == w[1]);
-        let mut keep = vec![true; num_inst];
-        let mut dups = 0usize;
-        if any_collision {
-            let mut order: Vec<u32> = (0..num_inst as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                digests[a as usize]
-                    .cmp(&digests[b as usize])
-                    .then(a.cmp(&b))
-            });
-            // Within each equal-digest run (indexes ascending, so the
-            // first occurrence wins), drop every rule equal to an earlier
-            // kept one. A run of k copies of one rule costs O(k); only
-            // genuine digest collisions between distinct rules cost more.
-            let mut i = 0usize;
-            while i < order.len() {
-                let mut j = i + 1;
-                while j < order.len() && digests[order[j] as usize] == digests[order[i] as usize] {
-                    j += 1;
-                }
-                for x in i..j {
-                    let rx = order[x] as usize;
-                    if !keep[rx] {
-                        continue;
-                    }
-                    for &oy in &order[x + 1..j] {
-                        let ry = oy as usize;
-                        if keep[ry] && rule_key(rx) == rule_key(ry) {
-                            keep[ry] = false;
-                            dups += 1;
-                        }
-                    }
-                }
-                i = j;
-            }
-        }
-        if dups > 0 {
-            let mut h = Vec::with_capacity(num_inst - dups);
-            let mut po = vec![0u32];
-            let mut pl = Vec::new();
-            let mut no = vec![0u32];
-            let mut nl = Vec::new();
-            for r in 0..num_inst {
-                if !keep[r] {
-                    continue;
-                }
-                h.push(head_local[r]);
-                pl.extend_from_slice(&pos_local[pos_off[r] as usize..pos_off[r + 1] as usize]);
-                po.push(pl.len() as u32);
-                nl.extend_from_slice(&neg_local[neg_off[r] as usize..neg_off[r + 1] as usize]);
-                no.push(nl.len() as u32);
-            }
-            head_local = h;
-            pos_off = po;
-            pos_local = pl;
-            neg_off = no;
-            neg_local = nl;
-        }
-
-        // 5. Facts (unique by construction) and handoff.
+        // 4. Facts (unique by construction) and handoff. Instances that
+        // ground to the same rule — through different guards or source
+        // rules — are dropped there, first occurrence kept.
         let facts: Vec<AtomId> = self
             .fact_seg
             .iter()
@@ -810,6 +815,33 @@ struct Pending {
     missing: u32,
 }
 
+/// Intrusive per-segment-atom lists of the instances whose positive body
+/// mentions the atom, one entry per occurrence, in instance order — what
+/// depth/level relaxation walks. `head`/`tail` are cursors per atom into
+/// the entry pool `next`/`inst`; entries are appended, never freed.
+struct BodyLists {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    next: Vec<u32>,
+    inst: Vec<u32>,
+}
+
+impl BodyLists {
+    /// Appends an entry for segment atom `s` → instance.
+    fn link(&mut self, s: SegAtomId, inst: u32) {
+        let e = self.next.len() as u32;
+        self.next.push(NONE);
+        self.inst.push(inst);
+        let tail = self.tail[s.index()];
+        if tail == NONE {
+            self.head[s.index()] = e;
+        } else {
+            self.next[tail as usize] = e;
+        }
+        self.tail[s.index()] = e;
+    }
+}
+
 struct Builder<'a> {
     universe: &'a mut Universe,
     program: &'a SkolemProgram,
@@ -826,8 +858,8 @@ struct Builder<'a> {
     restrict: Option<&'a [bool]>,
 
     /// The segment being resumed, if any: depth/level relaxation over its
-    /// instances walks the finalized body-occurrence CSR instead of the
-    /// (empty for old instances) intrusive lists.
+    /// instances walks its body-occurrence rows (`body_lists` only covers
+    /// the instances fired by this run).
     old: Option<&'a ChaseSegment>,
 
     // --- final segment state, built in place ---
@@ -848,13 +880,10 @@ struct Builder<'a> {
     /// every rule of the guard predicate in one sweep, so pair granularity
     /// is never needed.
     expanded: Vec<bool>,
-    /// Intrusive per-segment-atom lists of instances whose positive body
-    /// mentions the atom (drives depth/level relaxation). `body_head`/
-    /// `body_tail` are cursors per atom; entries are appended, never freed.
-    body_head: Vec<u32>,
-    body_tail: Vec<u32>,
-    body_next: Vec<u32>,
-    body_inst: Vec<u32>,
+    /// The relaxation index over this run's instances. `None` until the
+    /// first [`Builder::relax`] — most builds never relax — which seeds it
+    /// from `pos_seg`; from then on `fire` appends to it.
+    body_lists: Option<BodyLists>,
     /// Intrusive watch lists per **universe** atom id (missing side atoms
     /// are not yet segment atoms), same entry-pool shape.
     watch_head: Vec<u32>,
@@ -885,6 +914,9 @@ struct Builder<'a> {
     // --- reusable scratch buffers (zero steady-state allocation) ---
     scratch_args: Vec<TermId>,
     scratch_pos: Vec<AtomId>,
+    /// Segment ids of `scratch_pos` (`NONE` = not in the segment yet): what
+    /// `fire` records.
+    scratch_seg: Vec<u32>,
     scratch_neg: Vec<AtomId>,
     scratch_missing: Vec<AtomId>,
 
@@ -998,10 +1030,7 @@ impl<'a> Builder<'a> {
             neg_off: vec![0],
             neg_atoms: Vec::new(),
             expanded: Vec::new(),
-            body_head: Vec::new(),
-            body_tail: Vec::new(),
-            body_next: Vec::new(),
-            body_inst: Vec::new(),
+            body_lists: None,
             watch_head: Vec::new(),
             watch_tail: Vec::new(),
             watch_next: Vec::new(),
@@ -1022,6 +1051,7 @@ impl<'a> Builder<'a> {
             },
             scratch_args: Vec::new(),
             scratch_pos: Vec::new(),
+            scratch_seg: Vec::new(),
             scratch_neg: Vec::new(),
             scratch_missing: Vec::new(),
             truncation: None,
@@ -1065,13 +1095,17 @@ impl<'a> Builder<'a> {
         // polls its own budget. Cap truncation never reaches this point
         // (`resume_budgeted` refuses those segments).
         b.truncation = None;
-        // Intrusive body lists start empty for old atoms: relaxation over
-        // old instances walks `old`'s finalized CSR; only instances fired
-        // during the resume append entries here.
-        b.body_head = vec![NONE; old.atoms.len()];
-        b.body_tail = vec![NONE; old.atoms.len()];
         b.old = Some(old);
         b
+    }
+
+    /// The relaxation index built before this run fires its first instance
+    /// and appended to by every `fire` — the reference the lazily seeded
+    /// index is tested against.
+    #[cfg(test)]
+    fn with_body_lists(mut self) -> Self {
+        self.body_lists = Some(self.seed_body_lists());
+        self
     }
 
     /// Restricts this (fresh) builder to the predicates of `mask`:
@@ -1281,12 +1315,16 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Estimate of the builder's pool footprint in bytes — capacities of
-    /// the major flat arrays, O(1) to compute. This is what the memory
-    /// budget is accounted against.
+    /// The builder's pool footprint in bytes — the capacity of every array
+    /// that grows with the segment, O(1) in the segment's size. This is
+    /// what the memory budget is accounted against.
     fn mem_bytes(&self) -> usize {
         use std::mem::size_of;
+        let lists = self.body_lists.as_ref().map_or(0, |l| {
+            l.head.capacity() + l.tail.capacity() + l.next.capacity() + l.inst.capacity()
+        });
         let u32s = self.seg_of.capacity()
+            + self.fact_seg.capacity()
             + self.inst_src_rule.capacity()
             + self.inst_guard.capacity()
             + self.inst_head.capacity()
@@ -1300,14 +1338,25 @@ impl<'a> Builder<'a> {
             + self.watch_tail.capacity()
             + self.watch_next.capacity()
             + self.watch_pend.capacity()
-            + self.body_head.capacity()
-            + self.body_tail.capacity()
-            + self.body_next.capacity()
-            + self.body_inst.capacity();
+            + lists
+            + self.expand_queue.capacity()
+            + self.relax_queue.capacity()
+            + self.relaxed.capacity()
+            + self.frontier.capacity();
+        let shards: usize = self
+            .shards
+            .iter()
+            .map(|s| {
+                s.results.capacity() * size_of::<(u32, u32, u32, u32)>()
+                    + s.totals.capacity() * size_of::<TermId>()
+            })
+            .sum();
         self.atoms.capacity() * size_of::<SegmentAtom>()
             + self.pending.capacity() * size_of::<Pending>()
             + u32s * size_of::<u32>()
             + self.expanded.capacity()
+            + self.fact_set.heap_bytes()
+            + shards
     }
 
     /// Drains the expand queue through the expansion gates into
@@ -1423,124 +1472,11 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Calls `f(instance, segment atom)` once per distinct positive body
-    /// atom of each instance in `range` (bodies are short; a linear
-    /// prior-occurrence scan beats any set).
-    fn for_each_body_atom(
-        &self,
-        range: std::ops::Range<usize>,
-        mut f: impl FnMut(usize, SegAtomId),
-    ) {
-        for i in range {
-            let span = self.pos_off[i] as usize..self.pos_off[i + 1] as usize;
-            for k in span.clone() {
-                let s = self.pos_seg[k];
-                if !self.pos_seg[span.start..k].contains(&s) {
-                    f(i, s);
-                }
-            }
-        }
-    }
-
-    /// The occurrence CSRs of a fresh build — guard, head and distinct
-    /// positive body, each `(offsets, instances)` — and `pos_distinct`: one
-    /// counting sort over the instance arrays.
-    #[allow(clippy::type_complexity)]
-    fn count_occurrences(&self) -> ([(Vec<u32>, Vec<InstanceId>); 3], Vec<u32>) {
-        let n = self.atoms.len();
-        let num_inst = self.inst_src_rule.len();
-        let mut counts = [vec![0u32; n], vec![0u32; n], vec![0u32; n]];
-        let mut pos_distinct = vec![0u32; num_inst];
-        for i in 0..num_inst {
-            counts[0][self.inst_guard[i].index()] += 1;
-            counts[1][self.inst_head[i].index()] += 1;
-        }
-        self.for_each_body_atom(0..num_inst, |i, s| {
-            counts[2][s.index()] += 1;
-            pos_distinct[i] += 1;
-        });
-        let zero = InstanceId::from_index(0);
-        let [mut guard, mut head, mut body] = counts.map(|counts| {
-            let mut off = Vec::with_capacity(n + 1);
-            let mut acc = 0u32;
-            off.push(0);
-            for &c in &counts {
-                acc += c;
-                off.push(acc);
-            }
-            // `counts` becomes the fill cursor of each row.
-            let mut fill = counts;
-            fill.copy_from_slice(&off[..n]);
-            (off, vec![zero; acc as usize], fill)
-        });
-        let drop_at = |csr: &mut (Vec<u32>, Vec<InstanceId>, Vec<u32>), row: usize, i: usize| {
-            csr.1[csr.2[row] as usize] = InstanceId::from_index(i);
-            csr.2[row] += 1;
-        };
-        for i in 0..num_inst {
-            drop_at(&mut guard, self.inst_guard[i].index(), i);
-            drop_at(&mut head, self.inst_head[i].index(), i);
-        }
-        self.for_each_body_atom(0..num_inst, |i, s| drop_at(&mut body, s.index(), i));
-        (
-            [guard, head, body].map(|(off, occ, _)| (off, occ)),
-            pos_distinct,
-        )
-    }
-
-    /// The same four arrays for a resumed build, **spliced** from `old`'s:
-    /// inherited rows are copied, the resume's atoms append empty rows, and
-    /// only the resume's instances are looked at (their ids exceed every
-    /// inherited one, so each lands at the end of its row).
-    #[allow(clippy::type_complexity)]
-    fn splice_occurrences(
-        &self,
-        old: &ChaseSegment,
-    ) -> ([(Vec<u32>, Vec<InstanceId>); 3], Vec<u32>) {
-        let fresh = old.num_instances()..self.inst_src_rule.len();
-        let row = |s: SegAtomId| s.index() as u32;
-        let mut added: [Vec<(u32, InstanceId)>; 3] = Default::default();
-        let mut pos_distinct = old.pos_distinct.clone();
-        pos_distinct.resize(fresh.end, 0);
-        for i in fresh.clone() {
-            let id = InstanceId::from_index(i);
-            added[0].push((row(self.inst_guard[i]), id));
-            added[1].push((row(self.inst_head[i]), id));
-        }
-        self.for_each_body_atom(fresh, |i, s| {
-            added[2].push((row(s), InstanceId::from_index(i)));
-            pos_distinct[i] += 1;
-        });
-        let inserted: Vec<u32> = (old.atoms.len() as u32..self.atoms.len() as u32).collect();
-        let olds = [
-            (&old.guard_occ_off, &old.guard_occ),
-            (&old.head_occ_off, &old.head_occ),
-            (&old.body_occ_off, &old.body_occ),
-        ];
-        let csrs = std::array::from_fn(|k| {
-            added[k].sort_unstable();
-            let edits = RowEdits {
-                inserted: &inserted,
-                added: &added[k],
-                ..RowEdits::default()
-            };
-            csr::splice(olds[k].0, olds[k].1, &edits)
-        });
-        (csrs, pos_distinct)
-    }
-
-    /// Finalizes the occurrence CSRs and assembles the segment.
+    /// Assembles the segment.
     fn finish(mut self) -> ChaseSegment {
         let pending_at_end = self.pending.iter().filter(|p| p.missing > 0).count();
         let depth_blocked = self.depth_blocked();
         let complete = self.truncation.is_none() && depth_blocked == 0;
-        let (occurrences, pos_distinct) = match self.old {
-            Some(old) => self.splice_occurrences(old),
-            None => self.count_occurrences(),
-        };
-        let [(guard_occ_off, guard_occ), (head_occ_off, head_occ), (body_occ_off, body_occ)] =
-            occurrences;
-
         self.atoms.shrink_to_fit();
         self.seg_of.shrink_to_fit();
         self.inst_src_rule.shrink_to_fit();
@@ -1560,15 +1496,9 @@ impl<'a> Builder<'a> {
             inst_head: self.inst_head,
             pos_off: self.pos_off,
             pos_seg: self.pos_seg,
-            pos_distinct,
             neg_off: self.neg_off,
             neg_atoms: self.neg_atoms,
-            guard_occ_off,
-            guard_occ,
-            head_occ_off,
-            head_occ,
-            body_occ_off,
-            body_occ,
+            occurrences: OnceLock::new(),
             complete,
             pending_at_end,
             budget: self.budget,
@@ -1612,8 +1542,10 @@ impl<'a> Builder<'a> {
         self.atoms.push(SegmentAtom { atom, depth, level });
         self.seg_of[uid] = idx;
         self.expanded.push(false);
-        self.body_head.push(NONE);
-        self.body_tail.push(NONE);
+        if let Some(lists) = &mut self.body_lists {
+            lists.head.push(NONE);
+            lists.tail.push(NONE);
+        }
         self.expand_queue.push_back(idx);
         // Wake pending instances watching this atom. Detach the list first;
         // entries are append-only, so traversal stays valid while nested
@@ -1652,32 +1584,38 @@ impl<'a> Builder<'a> {
         self.watch_tail[uid] = e;
     }
 
-    /// Appends a body-occurrence entry for segment atom `s` → instance.
-    fn body_link(&mut self, s: u32, inst: u32) {
-        let e = self.body_next.len() as u32;
-        self.body_next.push(NONE);
-        self.body_inst.push(inst);
-        let tail = self.body_tail[s as usize];
-        if tail == NONE {
-            self.body_head[s as usize] = e;
-        } else {
-            self.body_next[tail as usize] = e;
-        }
-        self.body_tail[s as usize] = e;
-    }
-
     /// Applies one guard match from the staging shards: instantiates rule
     /// `ri`'s body and head under the total substitution, then fires the
     /// instance or parks it on its missing side atoms. This is the serial
     /// half of expansion — it interns new atoms and skolem terms, which
     /// is exactly why it must run in canonical (frontier) order.
+    ///
+    /// The guard is the frontier atom `ai` the match came from, so it is
+    /// neither instantiated nor looked up again; every other positive body
+    /// atom's segment id is resolved here, once, for the missing check and
+    /// for `fire`.
     fn apply_match(&mut self, ai: u32, ri: u32, total: &[TermId]) {
         let program = self.program;
         let rule = &program.rules[ri as usize];
+        let guard_atom = self.atoms[ai as usize].atom;
         self.scratch_pos.clear();
-        for a in &rule.body_pos {
-            let id = instantiate_atom_into(self.universe, a, total, &mut self.scratch_args);
+        self.scratch_seg.clear();
+        let mut any_missing = false;
+        for (k, a) in rule.body_pos.iter().enumerate() {
+            let (id, seg) = if k == rule.guard() {
+                debug_assert_eq!(
+                    instantiate_atom_into(self.universe, a, total, &mut self.scratch_args),
+                    guard_atom,
+                    "a match instantiates its guard to the matched atom"
+                );
+                (guard_atom, ai)
+            } else {
+                let id = instantiate_atom_into(self.universe, a, total, &mut self.scratch_args);
+                (id, self.lookup_seg(id).unwrap_or(NONE))
+            };
+            any_missing |= seg == NONE;
             self.scratch_pos.push(id);
+            self.scratch_seg.push(seg);
         }
         self.scratch_neg.clear();
         for a in &rule.body_neg {
@@ -1686,47 +1624,47 @@ impl<'a> Builder<'a> {
         }
         let head = rule.instantiate_head_into(self.universe, total, &mut self.scratch_args);
 
+        if !any_missing {
+            self.fire(ri, ai, head);
+            return;
+        }
         self.scratch_missing.clear();
-        for i in 0..self.scratch_pos.len() {
-            let a = self.scratch_pos[i];
-            if self.lookup_seg(a).is_none() {
+        for (&a, &seg) in self.scratch_pos.iter().zip(&self.scratch_seg) {
+            if seg == NONE {
                 self.scratch_missing.push(a);
             }
         }
         self.scratch_missing.sort_unstable();
         self.scratch_missing.dedup();
-        if self.scratch_missing.is_empty() {
-            self.fire(ri, ai, head);
-        } else {
-            let pidx = self.pending.len() as u32;
-            let pend = Pending {
-                src_rule: ri,
-                guard: ai,
-                head,
-                pos_off: self.pend_pos.len() as u32,
-                pos_len: self.scratch_pos.len() as u32,
-                neg_off: self.pend_neg.len() as u32,
-                neg_len: self.scratch_neg.len() as u32,
-                missing: self.scratch_missing.len() as u32,
-            };
-            self.pend_pos.extend_from_slice(&self.scratch_pos);
-            self.pend_neg.extend_from_slice(&self.scratch_neg);
-            self.pending.push(pend);
-            for i in 0..self.scratch_missing.len() {
-                let m = self.scratch_missing[i];
-                self.watch_push(m.index(), pidx);
-            }
+        let pidx = self.pending.len() as u32;
+        let pend = Pending {
+            src_rule: ri,
+            guard: ai,
+            head,
+            pos_off: self.pend_pos.len() as u32,
+            pos_len: self.scratch_pos.len() as u32,
+            neg_off: self.pend_neg.len() as u32,
+            neg_len: self.scratch_neg.len() as u32,
+            missing: self.scratch_missing.len() as u32,
+        };
+        self.pend_pos.extend_from_slice(&self.scratch_pos);
+        self.pend_neg.extend_from_slice(&self.scratch_neg);
+        self.pending.push(pend);
+        for i in 0..self.scratch_missing.len() {
+            let m = self.scratch_missing[i];
+            self.watch_push(m.index(), pidx);
         }
     }
 
     /// Fires a parked instance whose last missing side atom just appeared:
-    /// stages its body spans back into the scratch buffers and records it.
+    /// stages its body (every atom a segment atom by now) back into the
+    /// scratch buffers and records it.
     fn fire_pending(&mut self, p: usize) {
         let pd = self.pending[p];
-        self.scratch_pos.clear();
-        self.scratch_pos.extend_from_slice(
-            &self.pend_pos[pd.pos_off as usize..(pd.pos_off + pd.pos_len) as usize],
-        );
+        self.scratch_seg.clear();
+        for &a in &self.pend_pos[pd.pos_off as usize..(pd.pos_off + pd.pos_len) as usize] {
+            self.scratch_seg.push(self.seg_of[a.index()]);
+        }
         self.scratch_neg.clear();
         self.scratch_neg.extend_from_slice(
             &self.pend_neg[pd.neg_off as usize..(pd.neg_off + pd.neg_len) as usize],
@@ -1734,7 +1672,7 @@ impl<'a> Builder<'a> {
         self.fire(pd.src_rule, pd.guard, pd.head);
     }
 
-    /// Records a fired instance (positive body in `scratch_pos`, negative
+    /// Records a fired instance (positive body in `scratch_seg`, negative
     /// in `scratch_neg`, all positive atoms present) and derives its head.
     /// The scratch buffers are fully consumed before the head derivation
     /// can recurse into nested fires.
@@ -1751,25 +1689,23 @@ impl<'a> Builder<'a> {
             return;
         }
 
-        let child_depth = self.atoms[guard as usize].depth + 1;
-        let mut child_level = 0u32;
-        for i in 0..self.scratch_pos.len() {
-            let s = self.seg_of[self.scratch_pos[i].index()];
-            debug_assert_ne!(s, NONE, "fired instance has a missing body atom");
-            child_level = child_level.max(self.atoms[s as usize].level);
-        }
-        let child_level = child_level + 1;
-
         let iid = self.inst_src_rule.len() as u32;
         self.inst_src_rule.push(src_rule);
         self.inst_guard.push(SegAtomId::from_index(guard as usize));
         let hseg = head_seg.unwrap_or(self.atoms.len() as u32);
         self.inst_head.push(SegAtomId::from_index(hseg as usize));
-        for i in 0..self.scratch_pos.len() {
-            let s = self.seg_of[self.scratch_pos[i].index()];
-            self.pos_seg.push(SegAtomId::from_index(s as usize));
-            self.body_link(s, iid);
+        let child_depth = self.atoms[guard as usize].depth + 1;
+        let mut child_level = 0u32;
+        for &s in &self.scratch_seg {
+            debug_assert_ne!(s, NONE, "fired instance has a missing body atom");
+            child_level = child_level.max(self.atoms[s as usize].level);
+            let s = SegAtomId::from_index(s as usize);
+            self.pos_seg.push(s);
+            if let Some(lists) = &mut self.body_lists {
+                lists.link(s, iid);
+            }
         }
+        let child_level = child_level + 1;
         self.pos_off.push(self.pos_seg.len() as u32);
         self.neg_atoms.extend_from_slice(&self.scratch_neg);
         self.neg_off.push(self.neg_atoms.len() as u32);
@@ -1787,9 +1723,29 @@ impl<'a> Builder<'a> {
         }
     }
 
+    /// Builds the relaxation index over the instances this run has fired so
+    /// far — entry for entry what `fire` would have appended had the index
+    /// existed from the start, so relaxation visits instances in the same
+    /// order either way.
+    fn seed_body_lists(&self) -> BodyLists {
+        let mut lists = BodyLists {
+            head: vec![NONE; self.atoms.len()],
+            tail: vec![NONE; self.atoms.len()],
+            next: Vec::new(),
+            inst: Vec::new(),
+        };
+        for i in self.old.map_or(0, |o| o.num_instances())..self.inst_src_rule.len() {
+            for k in self.pos_off[i] as usize..self.pos_off[i + 1] as usize {
+                lists.link(self.pos_seg[k], i as u32);
+            }
+        }
+        lists
+    }
+
     /// Propagates a depth/level improvement of `atoms[ai]` to the heads of
     /// every instance whose body mentions it, and re-checks the depth gate.
     fn relax(&mut self, ai: u32) {
+        self.stats.relaxations += 1;
         if self.old.is_some() {
             self.relaxed.push(ai);
         }
@@ -1800,8 +1756,8 @@ impl<'a> Builder<'a> {
             self.expand_queue.push_back(ai);
         }
         // Instances inherited from a resumed segment: their body
-        // occurrences live in the old segment's finalized CSR (the
-        // intrusive lists below only cover instances fired this run).
+        // occurrences are the old segment's rows (the lists below only
+        // cover instances fired this run).
         if let Some(old) = self.old {
             if (ai as usize) < old.atoms.len() {
                 for &iid in old.instances_with_body_seg(SegAtomId::from_index(ai as usize)) {
@@ -1809,12 +1765,19 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        let mut e = self.body_head[ai as usize];
+        // `relax_instance` touches minima and the relax queue only, so the
+        // index can sit outside `self` for the walk.
+        let lists = match self.body_lists.take() {
+            Some(lists) => lists,
+            None => self.seed_body_lists(),
+        };
+        let mut e = lists.head[ai as usize];
         while e != NONE {
-            let iid = self.body_inst[e as usize] as usize;
-            e = self.body_next[e as usize];
+            let iid = lists.inst[e as usize] as usize;
+            e = lists.next[e as usize];
             self.relax_instance(iid);
         }
+        self.body_lists = Some(lists);
     }
 
     /// Re-derives instance `iid`'s head depth/level from its current body
@@ -2165,10 +2128,11 @@ mod tests {
         assert_occurrences_recount(b);
     }
 
-    /// The occurrence rows a segment stores — counted by a fresh build,
-    /// spliced by a resumed one — against a naive recount from its instance
-    /// arrays: per segment atom, the instances it guards, heads and occurs
-    /// in (once per instance), ascending.
+    /// The occurrence rows a segment answers with — counted on this first
+    /// read, whether the segment was built fresh or resumed — against a
+    /// naive recount from its instance arrays: per segment atom, the
+    /// instances it guards, heads and occurs in (once per instance),
+    /// ascending.
     fn assert_occurrences_recount(seg: &ChaseSegment) {
         let n = seg.atoms().len();
         let mut rows = vec![(Vec::new(), Vec::new(), Vec::new()); n];
@@ -2219,8 +2183,14 @@ mod tests {
         let fresh = ChaseSegment::build(&mut u, &union_db, &prog, budget);
         assert_segments_equivalent(&u, &fresh, &resumed);
         assert!(resumed.num_instances() > base.num_instances());
+        // Nothing was relaxed, so neither run built its relaxation index
+        // and the resume never read the base's occurrence rows (only the
+        // recount above read the resumed segment's).
+        assert_eq!(base.stats().relaxations, 0);
+        assert_eq!(resumed.stats().relaxations, 0);
+        assert!(base.occurrences.get().is_none());
 
-        // A resumed segment resumes again: its spliced rows are spliced.
+        // A resumed segment resumes again.
         let e = u.constant("e9");
         let ree = u.atom(r, vec![e, e, c]).unwrap();
         let again = resumed
@@ -2228,6 +2198,7 @@ mod tests {
             .expect("resumable");
         union_db.insert(&u, ree).unwrap();
         let fresh = ChaseSegment::build(&mut u, &union_db, &prog, budget);
+        assert!(again.occurrences.get().is_none());
         assert_segments_equivalent(&u, &fresh, &again);
         assert!(again.num_instances() > resumed.num_instances());
     }
@@ -2271,7 +2242,12 @@ mod tests {
         assert_eq!(base.meta(qc).unwrap().depth, 1);
         assert_eq!(base.meta(rc).unwrap().depth, 2);
 
+        assert!(base.occurrences.get().is_none());
         let resumed = base.resume_with(&mut u, &sk, &[qc]).expect("resumable");
+        // Relaxing the inherited q(c) walked the *base's* body rows.
+        assert!(resumed.stats().relaxations > 0);
+        assert!(base.occurrences.get().is_some());
+        assert!(resumed.occurrences.get().is_none());
         assert_eq!(resumed.meta(qc).unwrap().depth, 0);
         assert_eq!(resumed.meta(qc).unwrap().level, 0);
         assert_eq!(resumed.meta(rc).unwrap().depth, 1);
@@ -2576,6 +2552,7 @@ mod tests {
         let (db, prog) = example4(&mut u);
         let seg = ChaseSegment::build(&mut u, &db, &prog, ChaseBudget::depth(4));
         assert!(seg.num_instances() > 0);
+        assert!(seg.occurrences.get().is_none(), "counted on first read");
         for iid in seg.instance_ids() {
             let inst = seg.instance(iid);
             // Dense accessors agree with the materialized view.
@@ -2607,5 +2584,208 @@ mod tests {
             assert_eq!(sid.index(), i);
             assert_eq!(seg.atom_of(sid), sa.atom);
         }
+    }
+
+    /// Rules `b1(X), …, bn(X) -> h(X)` over unary predicates, in order; the
+    /// first body atom is the guard.
+    fn unary_program(u: &mut Universe, rules: &[(&[&str], &str)]) -> SkolemProgram {
+        let mut prog = Program::new();
+        for (body, head) in rules {
+            let atom = |u: &mut Universe, p: &str| RuleAtom::new(u.pred(p, 1).unwrap(), vec![v(0)]);
+            let body = body.iter().map(|p| atom(u, p)).collect();
+            let head = vec![atom(u, head)];
+            prog.push(Tgd::new(u, body, vec![], head).unwrap());
+        }
+        prog.skolemize(u).unwrap()
+    }
+
+    fn unary_atom(u: &mut Universe, pred: &str, constant: &str) -> AtomId {
+        let (p, c) = (u.pred(pred, 1).unwrap(), u.constant(constant));
+        u.atom(p, vec![c]).unwrap()
+    }
+
+    /// A parked instance that fires late lowers its head's level, and an
+    /// instance already fired with that head in its body follows.
+    const LATE_FIRE_LOWERS_A_LEVEL: &[(&[&str], &str)] = &[
+        (&["a"], "b"),      // b(c): level 1
+        (&["a", "b"], "c"), // c(c): level 2
+        (&["a", "c"], "h"), // h(c): level 3 …
+        (&["a", "h"], "k"), // … and k(c): level 4, all while a(c) expands
+        (&["g", "r"], "h"), // parked on r(c); fires at level 2
+        (&["s"], "r"),      // r(c): level 1, once s(c) expands
+        (&["n", "h"], "k2"),
+    ];
+
+    /// `x(c)` is first derived at the depth budget (3) and passed over; a
+    /// parked instance guarded by the fact `g(c)` re-derives it at depth 1 a
+    /// round later, which must put it back in the expansion queue. Its
+    /// consequence `y(c)` is in turn re-derived shallower once `w(c)` shows
+    /// up, through an instance fired after the index was seeded.
+    const REDERIVED_SHALLOWER_REOPENS_A_GATE: &[(&[&str], &str)] = &[
+        (&["a"], "b"),
+        (&["b"], "b2"),
+        (&["b2"], "x"), // x(c): depth 3, gated
+        (&["x"], "y"),
+        (&["b2", "x"], "z"),
+        (&["g", "b2"], "m"), // parked; m(c): depth 1, in round 2
+        (&["m"], "m2"),
+        (&["m2"], "late"),     // late(c): round 4
+        (&["g", "late"], "x"), // parked; x(c): depth 1
+        (&["y"], "w"),
+        (&["g", "w"], "y"), // parked; y(c): depth 2 → 1, so w(c): 3 → 2
+    ];
+
+    /// Builds `rules` over the facts `preds(c)` twice, each in a universe of
+    /// its own — the relaxation index seeded on the first relaxation, and
+    /// kept from the first instance on — and checks the two agree in every
+    /// id, minimum and ground rule. Returns the first.
+    fn build_both_ways(
+        rules: &[(&[&str], &str)],
+        facts: &[&str],
+        budget: ChaseBudget,
+    ) -> (Universe, ChaseSegment) {
+        let build = |eager: bool| {
+            let mut u = Universe::new();
+            let sk = unary_program(&mut u, rules);
+            let mut db = Database::new();
+            for p in facts {
+                let f = unary_atom(&mut u, p, "c");
+                db.insert(&u, f).unwrap();
+            }
+            let b = Builder::new(&mut u, &sk, budget, SolveBudget::unlimited());
+            let seg = if eager { b.with_body_lists() } else { b }.run(&db);
+            (u, seg)
+        };
+        let (u, seg) = build(false);
+        let (eager_u, eager) = build(true);
+        assert_eq!(ordered_digest(&u, &seg), ordered_digest(&eager_u, &eager));
+        assert_ground_programs_identical(&eager.to_ground_program(), &seg.to_ground_program());
+        assert_eq!(seg.stats().relaxations, eager.stats().relaxations);
+        assert_occurrences_recount(&seg);
+        (u, seg)
+    }
+
+    #[test]
+    fn late_fire_inside_a_fresh_build_relaxes_through_the_seeded_index() {
+        let (mut u, seg) = build_both_ways(
+            LATE_FIRE_LOWERS_A_LEVEL,
+            &["a", "g", "s"],
+            ChaseBudget::unbounded(),
+        );
+        assert!(seg.stats().relaxations > 0);
+        let level = |u: &mut Universe, p: &str| seg.meta(unary_atom(u, p, "c")).unwrap().level;
+        assert_eq!(
+            level(&mut u, "h"),
+            2,
+            "lowered from 3 by the parked instance"
+        );
+        assert_eq!(level(&mut u, "k"), 3, "followed through the seeded index");
+    }
+
+    #[test]
+    fn rederivation_inside_a_fresh_build_reopens_a_depth_gate() {
+        let (mut u, seg) = build_both_ways(
+            REDERIVED_SHALLOWER_REOPENS_A_GATE,
+            &["a", "g"],
+            ChaseBudget::depth(3),
+        );
+        assert!(seg.stats().relaxations >= 2);
+        let depth = |u: &mut Universe, p: &str| seg.meta(unary_atom(u, p, "c")).unwrap().depth;
+        assert_eq!(depth(&mut u, "x"), 1);
+        assert_eq!(depth(&mut u, "y"), 1, "x(c) expanded after all");
+        assert_eq!(
+            depth(&mut u, "w"),
+            2,
+            "relaxed through an instance fired after seeding"
+        );
+        assert!(seg.complete);
+    }
+
+    #[test]
+    fn resume_relaxes_through_old_rows_and_the_seeded_index() {
+        // The delta's n(c) fires `n, h -> k2` before its s(c) lets the parked
+        // instance lower h(c): relaxing h(c) must reach the inherited
+        // `a, h -> k` (the base's rows) and the resume's own `n, h -> k2`
+        // (the index, seeded at that point from the resume's instances).
+        let resume = |eager: bool| {
+            let mut u = Universe::new();
+            let sk = unary_program(&mut u, LATE_FIRE_LOWERS_A_LEVEL);
+            let mut db = Database::new();
+            for p in ["a", "g"] {
+                let f = unary_atom(&mut u, p, "c");
+                db.insert(&u, f).unwrap();
+            }
+            let base = ChaseSegment::build(&mut u, &db, &sk, ChaseBudget::unbounded());
+            assert_eq!(base.stats().relaxations, 0);
+            let delta = [unary_atom(&mut u, "n", "c"), unary_atom(&mut u, "s", "c")];
+            let b = Builder::from_segment(&mut u, &sk, &base, SolveBudget::unlimited());
+            let resumed = if eager { b.with_body_lists() } else { b }.run_delta(&delta);
+            assert!(base.occurrences.get().is_some());
+            for f in delta {
+                db.insert(&u, f).unwrap();
+            }
+            let fresh = ChaseSegment::build(&mut u, &db, &sk, ChaseBudget::unbounded());
+            assert_segments_equivalent(&u, &fresh, &resumed);
+            (u, resumed)
+        };
+        let (mut u, resumed) = resume(false);
+        let (eager_u, eager) = resume(true);
+        assert_eq!(
+            ordered_digest(&u, &resumed),
+            ordered_digest(&eager_u, &eager)
+        );
+        assert_ground_programs_identical(&eager.to_ground_program(), &resumed.to_ground_program());
+        assert!(resumed.stats().relaxations > 0);
+        assert_eq!(resumed.stats().relaxations, eager.stats().relaxations);
+        let level = |u: &mut Universe, p: &str| resumed.meta(unary_atom(u, p, "c")).unwrap().level;
+        assert_eq!(level(&mut u, "h"), 2);
+        assert_eq!(level(&mut u, "k"), 3, "an inherited instance");
+        assert_eq!(level(&mut u, "k2"), 3, "an instance of the resume");
+    }
+
+    #[test]
+    fn mem_bytes_counts_every_growable_pool() {
+        use std::mem::size_of;
+        // Parked instances, a relaxation (so the index exists) and two
+        // match shards: every pool below is in use.
+        let mut u = Universe::new();
+        let sk = unary_program(&mut u, LATE_FIRE_LOWERS_A_LEVEL);
+        let facts: Vec<AtomId> = (0..200)
+            .flat_map(|i| ["a", "g", "s"].map(|p| (p, i)))
+            .map(|(p, i)| unary_atom(&mut u, p, &format!("c{i}")))
+            .collect();
+        let budget = ChaseBudget::unbounded().with_threads(2);
+        let mut b = Builder::new(&mut u, &sk, budget, SolveBudget::unlimited());
+        let before = b.mem_bytes();
+        for &f in &facts {
+            b.add_fact(f);
+        }
+        b.drain();
+        assert!(b.stats.relaxations > 0 && b.stats.parallel_rounds > 0);
+        assert!(!b.pending.is_empty());
+        let lists = b.body_lists.as_ref().expect("seeded by the relaxation");
+        let by_hand = b.atoms.capacity() * size_of::<SegmentAtom>()
+            + b.seg_of.capacity() * 4
+            + b.fact_seg.capacity() * 4
+            + b.fact_set.heap_bytes()
+            + (b.inst_src_rule.capacity() + b.inst_guard.capacity() + b.inst_head.capacity()) * 4
+            + (b.pos_off.capacity() + b.pos_seg.capacity()) * 4
+            + (b.neg_off.capacity() + b.neg_atoms.capacity()) * 4
+            + b.expanded.capacity()
+            + (lists.head.capacity() + lists.tail.capacity()) * 4
+            + (lists.next.capacity() + lists.inst.capacity()) * 4
+            + (b.watch_head.capacity() + b.watch_tail.capacity()) * 4
+            + (b.watch_next.capacity() + b.watch_pend.capacity()) * 4
+            + b.pending.capacity() * size_of::<Pending>()
+            + (b.pend_pos.capacity() + b.pend_neg.capacity()) * 4
+            + (b.expand_queue.capacity() + b.relax_queue.capacity()) * 4
+            + b.relaxed.capacity() * 4
+            + b.frontier.capacity() * 4
+            + b.shards.iter().fold(0, |n, s| {
+                n + s.results.capacity() * 16 + s.totals.capacity() * size_of::<TermId>()
+            });
+        assert_eq!(b.mem_bytes(), by_hand);
+        assert!(b.shards.iter().all(|s| s.results.capacity() > 0));
+        assert!(by_hand > before + facts.len() * size_of::<SegmentAtom>());
     }
 }

@@ -29,6 +29,11 @@ impl BitSet {
         }
     }
 
+    /// Bytes of heap the backing store holds (its capacity), O(1).
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Number of set bits.
     #[inline]
     pub fn len(&self) -> usize {

@@ -1,15 +1,16 @@
 //! Patching compressed-sparse-row arrays instead of recounting them.
 //!
-//! Every occurrence index in the workspace — the chase segment's
-//! guard/head/body rows, the ground program's head/positive/negative rows,
-//! the atom index's predicate and key rows, the condensation's component
-//! rows — is one `offsets` array (`rows + 1` entries) over one flat `items`
-//! array. A resumed solve changes a few rows of each; [`splice`] derives the
-//! new pair from the old one by copying the untouched runs between the
-//! touched rows (`memcpy` for the items, one constant shift per run for the
-//! offsets) and rewriting only the touched rows. No per-item scatter, no
-//! counting pass, no hashing: the cost is one sequential copy plus work
-//! proportional to the edit.
+//! Every occurrence index a solve reads — the ground program's
+//! head/positive/negative rows, the atom index's predicate and key rows,
+//! the condensation's component rows — is one `offsets` array (`rows + 1`
+//! entries) over one flat `items` array. (So are the chase segment's
+//! guard/head/body rows, but no solve reads those: a segment counts them
+//! when first asked.) A resumed solve changes a few rows of each; [`splice`]
+//! derives the new pair from the old one by copying the untouched runs
+//! between the touched rows (`memcpy` for the items, one constant shift per
+//! run for the offsets) and rewriting only the touched rows. No per-item
+//! scatter, no counting pass, no hashing: the cost is one sequential copy
+//! plus work proportional to the edit.
 
 use crate::dense_u32;
 

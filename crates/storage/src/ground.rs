@@ -239,6 +239,7 @@ impl GroundProgram {
             neg_off.push(neg_local.len() as u32);
         }
 
+        let rows = head_rows(atoms.len(), &head_local);
         GroundProgram::finish_with_locals(
             facts,
             atoms,
@@ -248,6 +249,7 @@ impl GroundProgram {
             pos_local,
             neg_off,
             neg_local,
+            rows,
         )
     }
 
@@ -256,6 +258,14 @@ impl GroundProgram {
     /// segment: the caller already knows every atom's local id, so indexing
     /// is pure counting-sort array work — no hash probe and no binary
     /// search per atom occurrence anywhere on this path.
+    ///
+    /// The rules are **candidates**: a rule equal to an earlier one is
+    /// dropped, so the program keeps first occurrences in the order given
+    /// (what [`GroundProgramBuilder`] does with a hash set). Two equal
+    /// rules share a head, so the search stays inside the rows of the head
+    /// index this constructor builds anyway; heads with one rule — nearly
+    /// all of them — cost nothing, and the index is built a second time
+    /// only when a duplicate was found.
     ///
     /// Contract (checked by `debug_assert`s): `atoms` is sorted and
     /// deduplicated; every local id is `< atoms.len()`; `pos_off`/`neg_off`
@@ -266,11 +276,11 @@ impl GroundProgram {
         atoms: Vec<AtomId>,
         facts: Vec<AtomId>,
         facts_local: Vec<u32>,
-        head_local: Vec<u32>,
-        pos_off: Vec<u32>,
-        pos_local: Vec<u32>,
-        neg_off: Vec<u32>,
-        neg_local: Vec<u32>,
+        mut head_local: Vec<u32>,
+        mut pos_off: Vec<u32>,
+        mut pos_local: Vec<u32>,
+        mut neg_off: Vec<u32>,
+        mut neg_local: Vec<u32>,
     ) -> Self {
         debug_assert!(atoms.windows(2).all(|w| w[0] < w[1]), "atoms sorted+dedup");
         debug_assert_eq!(pos_off.len(), head_local.len() + 1);
@@ -285,6 +295,52 @@ impl GroundProgram {
             debug_assert!(pos_slice.windows(2).all(|w| w[0] < w[1]));
             debug_assert!(neg_slice.windows(2).all(|w| w[0] < w[1]));
         }
+        let (mut head_occ_off, mut head_occ) = head_rows(atoms.len(), &head_local);
+
+        let body = |r: GroundRuleId| {
+            let r = r.index();
+            (
+                &pos_local[pos_off[r] as usize..pos_off[r + 1] as usize],
+                &neg_local[neg_off[r] as usize..neg_off[r + 1] as usize],
+            )
+        };
+        let mut dropped = BitSet::new();
+        let mut row: Vec<GroundRuleId> = Vec::new();
+        for a in 0..atoms.len() {
+            let (start, end) = (head_occ_off[a] as usize, head_occ_off[a + 1] as usize);
+            if end - start < 2 {
+                continue;
+            }
+            // Order the head's rules by body, ties by index: equal rules
+            // end up adjacent, the first occurrence in front.
+            row.clear();
+            row.extend_from_slice(&head_occ[start..end]);
+            row.sort_unstable_by(|&x, &y| body(x).cmp(&body(y)).then(x.cmp(&y)));
+            for w in row.windows(2) {
+                if body(w[0]) == body(w[1]) {
+                    dropped.insert(w[1].index());
+                }
+            }
+        }
+        if !dropped.is_empty() {
+            let kept = head_local.len() - dropped.len();
+            let mut h = Vec::with_capacity(kept);
+            let mut po = Vec::with_capacity(kept + 1);
+            let mut pl = Vec::new();
+            let mut no = Vec::with_capacity(kept + 1);
+            let mut nl = Vec::new();
+            po.push(0u32);
+            no.push(0u32);
+            for r in (0..head_local.len()).filter(|&r| !dropped.contains(r)) {
+                h.push(head_local[r]);
+                pl.extend_from_slice(&pos_local[pos_off[r] as usize..pos_off[r + 1] as usize]);
+                po.push(pl.len() as u32);
+                nl.extend_from_slice(&neg_local[neg_off[r] as usize..neg_off[r + 1] as usize]);
+                no.push(nl.len() as u32);
+            }
+            (head_local, pos_off, pos_local, neg_off, neg_local) = (h, po, pl, no, nl);
+            (head_occ_off, head_occ) = head_rows(atoms.len(), &head_local);
+        }
         GroundProgram::finish_with_locals(
             facts,
             atoms,
@@ -294,6 +350,7 @@ impl GroundProgram {
             pos_local,
             neg_off,
             neg_local,
+            (head_occ_off, head_occ),
         )
     }
 
@@ -481,8 +538,9 @@ impl GroundProgram {
         }
     }
 
-    /// Shared tail of all constructors: builds the occurrence CSRs from
-    /// ready-made local-id rule arrays by counting sort.
+    /// Shared tail of all constructors: given ready-made local-id rule
+    /// arrays and their head index ([`head_rows`]), builds the two body
+    /// occurrence CSRs by counting sort.
     #[allow(clippy::too_many_arguments)]
     fn finish_with_locals(
         facts: Vec<AtomId>,
@@ -493,49 +551,30 @@ impl GroundProgram {
         pos_local: Vec<u32>,
         neg_off: Vec<u32>,
         neg_local: Vec<u32>,
+        (head_occ_off, head_occ): (Vec<u32>, Vec<GroundRuleId>),
     ) -> Self {
         let n = atoms.len();
         let num_rules = head_local.len();
 
         // Occurrence indexes (CSR over local atom ids): count, prefix-sum,
         // fill. The fill preserves rule order within each atom's row.
-        let mut head_counts = vec![0u32; n];
         let mut pos_counts = vec![0u32; n];
         let mut neg_counts = vec![0u32; n];
-        for r in 0..num_rules {
-            head_counts[head_local[r] as usize] += 1;
-            for &b in &pos_local[pos_off[r] as usize..pos_off[r + 1] as usize] {
-                pos_counts[b as usize] += 1;
-            }
-            for &b in &neg_local[neg_off[r] as usize..neg_off[r + 1] as usize] {
-                neg_counts[b as usize] += 1;
-            }
+        for &b in &pos_local {
+            pos_counts[b as usize] += 1;
         }
-        let prefix_sum = |counts: &[u32]| -> Vec<u32> {
-            let mut off = Vec::with_capacity(counts.len() + 1);
-            let mut acc = 0u32;
-            off.push(0);
-            for &c in counts {
-                acc += c;
-                off.push(acc);
-            }
-            off
-        };
-        let head_occ_off = prefix_sum(&head_counts);
+        for &b in &neg_local {
+            neg_counts[b as usize] += 1;
+        }
         let pos_occ_off = prefix_sum(&pos_counts);
         let neg_occ_off = prefix_sum(&neg_counts);
         let zero = GroundRuleId::from_index(0);
-        let mut head_occ = vec![zero; head_occ_off[n] as usize];
         let mut pos_occ = vec![zero; pos_occ_off[n] as usize];
         let mut neg_occ = vec![zero; neg_occ_off[n] as usize];
-        let mut head_fill: Vec<u32> = head_occ_off[..n].to_vec();
         let mut pos_fill: Vec<u32> = pos_occ_off[..n].to_vec();
         let mut neg_fill: Vec<u32> = neg_occ_off[..n].to_vec();
         for r in 0..num_rules {
             let id = GroundRuleId::from_index(r);
-            let h = head_local[r] as usize;
-            head_occ[head_fill[h] as usize] = id;
-            head_fill[h] += 1;
             for &b in &pos_local[pos_off[r] as usize..pos_off[r + 1] as usize] {
                 pos_occ[pos_fill[b as usize] as usize] = id;
                 pos_fill[b as usize] += 1;
@@ -724,6 +763,37 @@ impl GroundProgram {
     pub fn num_body_literals(&self) -> usize {
         self.pos_local.len() + self.neg_local.len()
     }
+}
+
+/// CSR offsets of rows with the given sizes.
+fn prefix_sum(counts: &[u32]) -> Vec<u32> {
+    let mut off = Vec::with_capacity(counts.len() + 1);
+    let mut acc = 0u32;
+    off.push(0);
+    for &c in counts {
+        acc += c;
+        off.push(acc);
+    }
+    off
+}
+
+/// The head index of rules with heads `head_local` over `n` local atoms —
+/// `(offsets, rules)`, each atom's rules in rule order — by counting sort.
+fn head_rows(n: usize, head_local: &[u32]) -> (Vec<u32>, Vec<GroundRuleId>) {
+    let mut counts = vec![0u32; n];
+    for &h in head_local {
+        counts[h as usize] += 1;
+    }
+    let off = prefix_sum(&counts);
+    let mut rules = vec![GroundRuleId::from_index(0); head_local.len()];
+    // `counts` becomes the fill cursor of each row.
+    let mut fill = counts;
+    fill.copy_from_slice(&off[..n]);
+    for (r, &h) in head_local.iter().enumerate() {
+        rules[fill[h as usize] as usize] = GroundRuleId::from_index(r);
+        fill[h as usize] += 1;
+    }
+    (off, rules)
 }
 
 #[cfg(test)]
@@ -921,6 +991,59 @@ mod tests {
                 }
                 assert_identical(&extended, &scratch.clone().finish())?;
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `from_dense_parts` over candidate rules that repeat each other —
+        /// few atoms, so heads collect many rules and many repeats — keeps
+        /// what the hash-deduplicating builder keeps, in its order.
+        #[test]
+        fn from_dense_parts_drops_repeats_like_the_builder(
+            candidates in step(0..6),
+            copies in 1usize..4,
+        ) {
+            let (rules, facts) = candidates;
+            let rules: Vec<GroundRule> = std::iter::repeat(&rules)
+                .take(copies)
+                .flatten()
+                .map(|(h, pos, neg)| {
+                    let of = |body: &[usize]| body.iter().map(|&i| a(i)).collect();
+                    GroundRule::new(a(*h), of(pos), of(neg))
+                })
+                .collect();
+            let mut builder = GroundProgramBuilder::new();
+            for &f in &facts {
+                builder.add_fact(a(f));
+            }
+            for r in &rules {
+                builder.add_rule(r.clone());
+            }
+            let want = builder.finish();
+
+            let atoms = want.atoms().to_vec();
+            let local = |x: &AtomId| atoms.binary_search(x).unwrap() as u32;
+            let (mut pos_off, mut neg_off) = (vec![0u32], vec![0u32]);
+            let (mut pos_local, mut neg_local) = (Vec::new(), Vec::new());
+            for r in &rules {
+                pos_local.extend(r.pos.iter().map(local));
+                pos_off.push(pos_local.len() as u32);
+                neg_local.extend(r.neg.iter().map(local));
+                neg_off.push(neg_local.len() as u32);
+            }
+            let got = GroundProgram::from_dense_parts(
+                atoms.clone(),
+                want.facts().to_vec(),
+                want.facts_local().to_vec(),
+                rules.iter().map(|r| local(&r.head)).collect(),
+                pos_off,
+                pos_local,
+                neg_off,
+                neg_local,
+            );
+            assert_identical(&got, &want)?;
         }
     }
 

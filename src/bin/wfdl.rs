@@ -688,12 +688,13 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
         let cs = model.model().segment.stats();
         outln!(
             "% chase: {} threads, {} rounds ({} sharded, {} shards total), \
-             {} frontier atoms, match {:.1}ms, merge {:.1}ms",
+             {} frontier atoms, {} relaxations, match {:.1}ms, merge {:.1}ms",
             cs.threads,
             cs.rounds,
             cs.parallel_rounds,
             cs.shards,
             cs.frontier_atoms,
+            cs.relaxations,
             cs.match_ns as f64 / 1e6,
             cs.merge_ns as f64 / 1e6
         );
