@@ -9,7 +9,7 @@
 //!   many rounds, and thousands of singleton components in the engine
 //!   (the shape the 64-ordinal poll stride exists for);
 //! * `fanout8192` — 8192 independent shallow groups: wide frontiers and
-//!   huge wavefronts.
+//!   thousands of components per dependency level.
 //!
 //! Before timing, the budgeted model is asserted bit-identical to the
 //! unbudgeted one. Output: human-readable medians with the overhead

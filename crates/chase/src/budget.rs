@@ -17,12 +17,6 @@ pub struct ChaseBudget {
     pub max_atoms: usize,
     /// Hard cap on the number of distinct rule instances in the segment.
     pub max_instances: usize,
-    /// Worker threads for the saturation match phase: `1` = serial,
-    /// `0` = auto ([`wfdl_core::resolve_threads`]: one per hardware
-    /// thread, serial below three; small frontiers stay serial either
-    /// way). The produced segment is bit-identical for every value —
-    /// see the "Sharded saturation" section of `crates/chase/src/README.md`.
-    pub threads: usize,
 }
 
 impl ChaseBudget {
@@ -32,7 +26,6 @@ impl ChaseBudget {
             max_depth,
             max_atoms: usize::MAX,
             max_instances: usize::MAX,
-            threads: 1,
         }
     }
 
@@ -43,7 +36,6 @@ impl ChaseBudget {
             max_depth: u32::MAX,
             max_atoms: usize::MAX,
             max_instances: usize::MAX,
-            threads: 1,
         }
     }
 
@@ -59,10 +51,10 @@ impl ChaseBudget {
         self
     }
 
-    /// Returns a copy with a different match-phase thread count
-    /// (`0` = auto). Saturation output is bit-identical for every value.
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n;
+    /// Accepted and ignored for the frozen benchmark; removed by the
+    /// benchmark issue that drops `cold_solve_auto_s`.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -75,7 +67,6 @@ impl Default for ChaseBudget {
             max_depth: 16,
             max_atoms: 1_000_000,
             max_instances: 4_000_000,
-            threads: 1,
         }
     }
 }
@@ -93,11 +84,8 @@ mod tests {
         assert_eq!(u.max_depth, u32::MAX);
         let c = ChaseBudget::default()
             .with_max_atoms(10)
-            .with_max_instances(20)
-            .with_threads(4);
+            .with_max_instances(20);
         assert_eq!(c.max_atoms, 10);
         assert_eq!(c.max_instances, 20);
-        assert_eq!(c.threads, 4);
-        assert_eq!(b.threads, 1, "constructors default to serial");
     }
 }

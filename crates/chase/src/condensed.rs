@@ -71,47 +71,29 @@ use wfdl_storage::{Database, GroundProgram, GroundRule};
 /// Sentinel for "no entry" in the flat index arrays.
 const NONE: u32 = u32::MAX;
 
-/// Smallest frontier shard worth handing to a worker thread: below this the
-/// guard-match work cannot amortize a spawn, so the round runs serial.
-const MIN_SHARD_ATOMS: usize = 64;
-
-/// Upper bound on match-phase workers (matches the WFS scheduler's cap).
-const MAX_CHASE_THREADS: usize = 256;
-
-/// Per-build counters for the sharded saturation loop, exposed as
+/// Per-build counters for the saturation loop, exposed as
 /// [`ChaseSegment::stats`] and printed by `wfdl run --stats`.
 ///
-/// Timings cover the two halves of each round: the (possibly parallel)
-/// read-only match phase and the serial interning merge. The produced
-/// segment is bit-identical for every `threads` value, so these counters
-/// are diagnostics only — nothing downstream may depend on them.
+/// Timings cover the two halves of each round: the read-only match phase
+/// and the interning merge. These counters are diagnostics only — nothing
+/// downstream may depend on them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaseStats {
-    /// Resolved match-phase workers (`1` = fully serial build).
-    pub threads: usize,
-    /// Peak shards actually used in any single round — the *effective*
-    /// thread count. Stays `1` when every frontier was below the sharding
-    /// threshold, however many workers were budgeted.
+    /// Always `1`. Accepted and ignored for the frozen benchmark; removed
+    /// by the benchmark issue that drops `cold_solve_auto_s`.
+    #[doc(hidden)]
     pub effective_threads: usize,
     /// Saturation rounds (frontier batches) executed.
     pub rounds: u64,
-    /// Rounds whose frontier was large enough to shard across workers.
-    pub parallel_rounds: u64,
-    /// Rounds that ran serial *despite* a multi-worker budget because the
-    /// frontier was below the sharding threshold (the small-frontier
-    /// serial fallback). Always `0` for a serial budget.
-    pub small_frontier_serial_rounds: u64,
-    /// Total match shards dispatched across all rounds.
-    pub shards: u64,
     /// Total atoms expanded through the frontier.
     pub frontier_atoms: u64,
     /// Depth/level relaxations run: atoms whose minima improved after they
     /// were first derived and were propagated to their consequences. `0`
     /// means the relaxation index was never built.
     pub relaxations: u64,
-    /// Nanoseconds spent in the match phase (wall clock, all rounds).
+    /// Nanoseconds spent in the match phase (all rounds).
     pub match_ns: u64,
-    /// Nanoseconds spent in the serial merge phase (all rounds).
+    /// Nanoseconds spent in the merge phase (all rounds).
     pub merge_ns: u64,
 }
 
@@ -902,13 +884,11 @@ struct Builder<'a> {
     /// fresh builds).
     relaxed: Vec<u32>,
 
-    /// Resolved match-phase worker count (from `budget.threads`).
-    threads: usize,
     /// Current round's expansion frontier, in expand-queue (= discovery)
     /// order; reused across rounds.
     frontier: Vec<u32>,
-    /// Per-worker match staging areas, reused across rounds.
-    shards: Vec<MatchShard>,
+    /// The current round's guard matches, reused across rounds.
+    staged: MatchStaging,
     stats: ChaseStats,
 
     // --- reusable scratch buffers (zero steady-state allocation) ---
@@ -924,72 +904,27 @@ struct Builder<'a> {
     truncation: Option<TruncationReason>,
 }
 
-/// Per-worker staging area for the match phase: every guard match found in
-/// the worker's frontier shard, with the total substitution it bound,
-/// appended in shard-local frontier order. Matching is read-only on the
-/// universe, so shards fill concurrently; concatenated in shard index
-/// order they reproduce the serial match sequence exactly, which is what
-/// makes the merge — and therefore all interning — order-canonical.
-struct MatchShard {
+/// Staging area between the two phases of a round: every guard match
+/// found in the frontier, with the total substitution it bound, in
+/// frontier order. Matching reads the universe and interns nothing; the
+/// merge then applies the staged matches in that order, which is what
+/// makes all interning order-canonical.
+struct MatchStaging {
     /// `(frontier atom, rule, offset, len)`; the span indexes `totals`.
     results: Vec<(u32, u32, u32, u32)>,
-    /// Pooled total substitutions for this shard's matches.
+    /// Pooled total substitutions of the staged matches.
     totals: Vec<TermId>,
     binding: Binding,
     scratch_total: Vec<TermId>,
 }
 
-impl MatchShard {
+impl MatchStaging {
     fn new() -> Self {
-        MatchShard {
+        MatchStaging {
             results: Vec::new(),
             totals: Vec::new(),
             binding: Binding::new(0),
             scratch_total: Vec::new(),
-        }
-    }
-}
-
-/// Resolves a requested thread count: `0` = auto
-/// ([`wfdl_core::resolve_threads`]: one worker per hardware thread, serial
-/// below three), anything else taken literally, clamped to the cap.
-fn resolve_chase_threads(requested: usize) -> usize {
-    wfdl_core::resolve_threads(requested).clamp(1, MAX_CHASE_THREADS)
-}
-
-/// Matches every rule guarded by each chunk atom's predicate against the
-/// atom, staging results into `shard`. Pure with respect to `universe`
-/// (guard matching binds variables against an already-interned atom and
-/// interns nothing), so any partition of the frontier yields the same
-/// concatenated result sequence.
-fn match_chunk(
-    universe: &Universe,
-    program: &SkolemProgram,
-    rules_by_guard_pred: &[Vec<u32>],
-    atoms: &[SegmentAtom],
-    chunk: &[u32],
-    shard: &mut MatchShard,
-) {
-    shard.results.clear();
-    shard.totals.clear();
-    for &ai in chunk {
-        let atom = atoms[ai as usize].atom;
-        let pred = universe.atoms.pred(atom).index();
-        // The frontier gate only admits atoms with at least one rule.
-        for &ri in &rules_by_guard_pred[pred] {
-            let rule = &program.rules[ri as usize];
-            shard.binding.reset(rule.num_vars());
-            if !match_atom(universe, rule.guard_atom(), atom, &mut shard.binding) {
-                continue;
-            }
-            let off = shard.totals.len() as u32;
-            shard
-                .binding
-                .write_total(rule.num_vars(), &mut shard.scratch_total);
-            shard.totals.extend_from_slice(&shard.scratch_total);
-            shard
-                .results
-                .push((ai, ri, off, shard.scratch_total.len() as u32));
         }
     }
 }
@@ -1041,11 +976,9 @@ impl<'a> Builder<'a> {
             expand_queue: VecDeque::new(),
             relax_queue: VecDeque::new(),
             relaxed: Vec::new(),
-            threads: resolve_chase_threads(budget.threads),
             frontier: Vec::new(),
-            shards: Vec::new(),
+            staged: MatchStaging::new(),
             stats: ChaseStats {
-                threads: resolve_chase_threads(budget.threads),
                 effective_threads: 1,
                 ..ChaseStats::default()
             },
@@ -1208,14 +1141,12 @@ impl<'a> Builder<'a> {
     }
 
     /// The saturation work loop: rounds of *relax to fixpoint → collect
-    /// the expansion frontier → match (sharded) → merge (serial)*.
+    /// the expansion frontier → match → merge*.
     ///
-    /// The frontier is consumed in expand-queue order; sharding only
-    /// partitions that order contiguously and matching is read-only, so
-    /// the merge applies the exact result sequence a serial sweep would
-    /// produce — `SegAtomId` assignment, depth/level minima, instance
-    /// order, cap behavior and even universe interning order are
-    /// bit-identical for every thread count.
+    /// The frontier is consumed in expand-queue order and matching is
+    /// read-only, so `SegAtomId` assignment, depth/level minima, instance
+    /// order, cap behavior and universe interning order are a function of
+    /// the input alone.
     fn drain(&mut self) {
         let budgeted = !self.solve.is_unlimited();
         loop {
@@ -1240,26 +1171,17 @@ impl<'a> Builder<'a> {
             self.stats.frontier_atoms += self.frontier.len() as u64;
 
             let match_start = Instant::now();
-            let shards_used = self.match_frontier();
+            self.match_frontier();
             self.stats.match_ns += match_start.elapsed().as_nanos() as u64;
-            self.stats.shards += shards_used as u64;
-            self.stats.effective_threads = self.stats.effective_threads.max(shards_used);
-            if shards_used > 1 {
-                self.stats.parallel_rounds += 1;
-            } else if self.threads > 1 {
-                self.stats.small_frontier_serial_rounds += 1;
-            }
 
             let merge_start = Instant::now();
-            for k in 0..shards_used {
-                let results = std::mem::take(&mut self.shards[k].results);
-                let totals = std::mem::take(&mut self.shards[k].totals);
-                for &(ai, ri, off, len) in &results {
-                    self.apply_match(ai, ri, &totals[off as usize..(off + len) as usize]);
-                }
-                self.shards[k].results = results;
-                self.shards[k].totals = totals;
+            let results = std::mem::take(&mut self.staged.results);
+            let totals = std::mem::take(&mut self.staged.totals);
+            for &(ai, ri, off, len) in &results {
+                self.apply_match(ai, ri, &totals[off as usize..(off + len) as usize]);
             }
+            self.staged.results = results;
+            self.staged.totals = totals;
             self.stats.merge_ns += merge_start.elapsed().as_nanos() as u64;
 
             // Merge-phase fault injection (after the round's merge has been
@@ -1343,20 +1265,14 @@ impl<'a> Builder<'a> {
             + self.relax_queue.capacity()
             + self.relaxed.capacity()
             + self.frontier.capacity();
-        let shards: usize = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.results.capacity() * size_of::<(u32, u32, u32, u32)>()
-                    + s.totals.capacity() * size_of::<TermId>()
-            })
-            .sum();
+        let staged = self.staged.results.capacity() * size_of::<(u32, u32, u32, u32)>()
+            + self.staged.totals.capacity() * size_of::<TermId>();
         self.atoms.capacity() * size_of::<SegmentAtom>()
             + self.pending.capacity() * size_of::<Pending>()
             + u32s * size_of::<u32>()
             + self.expanded.capacity()
             + self.fact_set.heap_bytes()
-            + shards
+            + staged
     }
 
     /// Drains the expand queue through the expansion gates into
@@ -1389,59 +1305,35 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Runs the match phase over the current frontier — sharded across
-    /// worker threads when the frontier is large enough to amortize the
-    /// spawns — and returns the number of shards filled. Shards cover
-    /// contiguous frontier chunks in index order.
-    fn match_frontier(&mut self) -> usize {
-        let n = self.frontier.len();
-        let want = if self.threads > 1 && n >= 2 * MIN_SHARD_ATOMS {
-            self.threads.min(n / MIN_SHARD_ATOMS)
-        } else {
-            1
-        };
-        if self.shards.len() < want {
-            self.shards.resize_with(want, MatchShard::new);
-        }
+    /// The match phase: matches every rule guarded by each frontier atom's
+    /// predicate against the atom, staging the matches in frontier order.
+    /// Reads the universe only — guard matching binds variables against an
+    /// already-interned atom and interns nothing.
+    fn match_frontier(&mut self) {
         let universe: &Universe = self.universe;
-        let program = self.program;
-        let rules_by_guard_pred = &self.rules_by_guard_pred;
-        let atoms = &self.atoms;
-        if want == 1 {
-            match_chunk(
-                universe,
-                program,
-                rules_by_guard_pred,
-                atoms,
-                &self.frontier,
-                &mut self.shards[0],
-            );
-            return 1;
-        }
-        let chunk_size = n.div_ceil(want);
-        let chunks: Vec<&[u32]> = self.frontier.chunks(chunk_size).collect();
-        let used = chunks.len();
-        std::thread::scope(|s| {
-            let mut pairs = self.shards[..used].iter_mut().zip(chunks);
-            let Some((first_shard, first_chunk)) = pairs.next() else {
-                return; // unreachable: an empty frontier took the early exit
-            };
-            for (shard, chunk) in pairs {
-                s.spawn(move || {
-                    match_chunk(universe, program, rules_by_guard_pred, atoms, chunk, shard)
-                });
+        let staged = &mut self.staged;
+        staged.results.clear();
+        staged.totals.clear();
+        for &ai in &self.frontier {
+            let atom = self.atoms[ai as usize].atom;
+            let pred = universe.atoms.pred(atom).index();
+            // The frontier gate only admits atoms with at least one rule.
+            for &ri in &self.rules_by_guard_pred[pred] {
+                let rule = &self.program.rules[ri as usize];
+                staged.binding.reset(rule.num_vars());
+                if !match_atom(universe, rule.guard_atom(), atom, &mut staged.binding) {
+                    continue;
+                }
+                let off = staged.totals.len() as u32;
+                staged
+                    .binding
+                    .write_total(rule.num_vars(), &mut staged.scratch_total);
+                staged.totals.extend_from_slice(&staged.scratch_total);
+                staged
+                    .results
+                    .push((ai, ri, off, staged.scratch_total.len() as u32));
             }
-            // The spawning thread takes the first shard itself.
-            match_chunk(
-                universe,
-                program,
-                rules_by_guard_pred,
-                atoms,
-                first_chunk,
-                first_shard,
-            );
-        });
-        used
+        }
     }
 
     /// Registers a database fact: a brand-new atom enters at depth and
@@ -1584,7 +1476,7 @@ impl<'a> Builder<'a> {
         self.watch_tail[uid] = e;
     }
 
-    /// Applies one guard match from the staging shards: instantiates rule
+    /// Applies one staged guard match: instantiates rule
     /// `ri`'s body and head under the total substitution, then fires the
     /// instance or parks it on its missing side atoms. This is the serial
     /// half of expansion — it interns new atoms and skolem terms, which
@@ -2026,44 +1918,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_segment_identity() {
-        // Fresh universe per thread count (interning order is part of the
-        // claim), compared through a discovery-order-sensitive digest.
-        let serial = {
-            let mut u = Universe::new();
-            let (db, prog) = example4(&mut u);
-            let seg = ChaseSegment::build(&mut u, &db, &prog, ChaseBudget::depth(4));
-            ordered_digest(&u, &seg)
-        };
-        for threads in [2usize, 4, 8] {
-            let mut u = Universe::new();
-            let (db, prog) = example4(&mut u);
-            let budget = ChaseBudget::depth(4).with_threads(threads);
-            let seg = ChaseSegment::build(&mut u, &db, &prog, budget);
-            assert_eq!(seg.stats().threads, threads);
-            assert_eq!(
-                ordered_digest(&u, &seg),
-                serial,
-                "sharded saturation diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn stats_count_rounds_and_frontier() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
         let seg = ChaseSegment::build(&mut u, &db, &prog, ChaseBudget::depth(3));
         let s = seg.stats();
-        assert_eq!(s.threads, 1);
-        assert_eq!(s.effective_threads, 1);
-        assert_eq!(
-            s.small_frontier_serial_rounds, 0,
-            "a serial budget is not a fallback"
-        );
         assert!(s.rounds > 0);
-        assert_eq!(s.parallel_rounds, 0, "serial build never shards");
-        assert_eq!(s.shards, s.rounds, "one shard per serial round");
         // Every expanded atom crossed the frontier exactly once.
         assert!(s.frontier_atoms as usize <= seg.atoms().len());
         assert!(s.frontier_atoms > 0);
@@ -2746,22 +2606,22 @@ mod tests {
     #[test]
     fn mem_bytes_counts_every_growable_pool() {
         use std::mem::size_of;
-        // Parked instances, a relaxation (so the index exists) and two
-        // match shards: every pool below is in use.
+        // Parked instances, a relaxation (so the index exists) and staged
+        // matches: every pool below is in use.
         let mut u = Universe::new();
         let sk = unary_program(&mut u, LATE_FIRE_LOWERS_A_LEVEL);
         let facts: Vec<AtomId> = (0..200)
             .flat_map(|i| ["a", "g", "s"].map(|p| (p, i)))
             .map(|(p, i)| unary_atom(&mut u, p, &format!("c{i}")))
             .collect();
-        let budget = ChaseBudget::unbounded().with_threads(2);
+        let budget = ChaseBudget::unbounded();
         let mut b = Builder::new(&mut u, &sk, budget, SolveBudget::unlimited());
         let before = b.mem_bytes();
         for &f in &facts {
             b.add_fact(f);
         }
         b.drain();
-        assert!(b.stats.relaxations > 0 && b.stats.parallel_rounds > 0);
+        assert!(b.stats.relaxations > 0);
         assert!(!b.pending.is_empty());
         let lists = b.body_lists.as_ref().expect("seeded by the relaxation");
         let by_hand = b.atoms.capacity() * size_of::<SegmentAtom>()
@@ -2781,11 +2641,10 @@ mod tests {
             + (b.expand_queue.capacity() + b.relax_queue.capacity()) * 4
             + b.relaxed.capacity() * 4
             + b.frontier.capacity() * 4
-            + b.shards.iter().fold(0, |n, s| {
-                n + s.results.capacity() * 16 + s.totals.capacity() * size_of::<TermId>()
-            });
+            + b.staged.results.capacity() * 16
+            + b.staged.totals.capacity() * size_of::<TermId>();
         assert_eq!(b.mem_bytes(), by_hand);
-        assert!(b.shards.iter().all(|s| s.results.capacity() > 0));
+        assert!(b.staged.results.capacity() > 0);
         assert!(by_hand > before + facts.len() * size_of::<SegmentAtom>());
     }
 }

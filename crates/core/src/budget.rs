@@ -4,8 +4,8 @@
 //! A [`SolveBudget`] travels alongside (not inside) the solver options —
 //! options are a pure-value cache key, while a budget carries runtime
 //! state (an absolute [`Instant`], a shared [`CancelToken`]). The chase
-//! checks it at **round boundaries** and the WFS scheduler at **chunk /
-//! component boundaries**, so a trip always stops at a point where every
+//! checks it at **round boundaries** and the WFS engine at **component
+//! boundaries**, so a trip always stops at a point where every
 //! invariant holds: a tripped chase segment is resumable, and a tripped
 //! WFS model is a sound under-approximation (decided atoms carry their
 //! final well-founded values; everything else degrades to `Unknown`).
@@ -41,21 +41,6 @@ impl TruncationReason {
             self,
             TruncationReason::Deadline | TruncationReason::Cancelled | TruncationReason::MemBudget
         )
-    }
-
-    /// Decodes a reason from its 1-based discriminant (`reason as u32 + 1`;
-    /// `0` = none), the encoding schedulers use to publish a trip through
-    /// one atomic word.
-    pub fn from_index(idx: u32) -> Option<TruncationReason> {
-        match idx {
-            1 => Some(TruncationReason::Deadline),
-            2 => Some(TruncationReason::Cancelled),
-            3 => Some(TruncationReason::MemBudget),
-            4 => Some(TruncationReason::AtomCap),
-            5 => Some(TruncationReason::InstanceCap),
-            6 => Some(TruncationReason::DepthCap),
-            _ => None,
-        }
     }
 }
 
@@ -147,7 +132,7 @@ impl CancelToken {
 pub enum FaultSite {
     /// The chase round boundary after `N` completed rounds.
     ChaseRound(u64),
-    /// The serial merge phase of chase round `N` (1-based; fires once the
+    /// The merge phase of chase round `N` (1-based; fires once the
     /// round's merge has been applied, so segment state stays coherent for
     /// trip kinds).
     ChaseMerge(u64),
@@ -198,34 +183,6 @@ impl FaultPlan {
             FaultKind::TripMem => Some(TruncationReason::MemBudget),
             FaultKind::TripCancel => Some(TruncationReason::Cancelled),
         }
-    }
-}
-
-/// Below this many hardware threads, `threads = 0` (auto) means serial in
-/// every layer. Both parallel phases pay a fixed price per solve — the
-/// chase a spawn and a serial merge per round, the engine a planning pass
-/// that scans every rule body once more — which two workers do not earn
-/// back: on a 2-thread host every recorded 2-worker leg ran at 0.37–0.72×
-/// of serial (`BENCH_parallel.json`). What the rule should be with three
-/// or more has not been measured.
-const AUTO_PARALLEL_MIN_HW_THREADS: usize = 3;
-
-/// Resolves a requested worker count against the host, the
-/// hardware-thread half of the `threads = 0` rule shared by the chase and
-/// the engine: `0` (auto) is `std::thread::available_parallelism`, or `1`
-/// on a host reporting fewer than three hardware threads; an explicit
-/// count is never second-guessed. Each layer applies its own work
-/// threshold and cap on top.
-pub fn resolve_threads(requested: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    resolve_threads_on(requested, hw)
-}
-
-fn resolve_threads_on(requested: usize, hw_threads: usize) -> usize {
-    match requested {
-        0 if hw_threads < AUTO_PARALLEL_MIN_HW_THREADS => 1,
-        0 => hw_threads,
-        n => n,
     }
 }
 
@@ -343,18 +300,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_threads_are_serial_below_three_hardware_threads() {
-        assert_eq!(resolve_threads_on(0, 1), 1);
-        assert_eq!(resolve_threads_on(0, 2), 1);
-        assert_eq!(resolve_threads_on(0, 3), 3);
-        assert_eq!(resolve_threads_on(0, 16), 16);
-        // An explicit count is taken literally, whatever the host.
-        assert_eq!(resolve_threads_on(1, 16), 1);
-        assert_eq!(resolve_threads_on(2, 1), 2);
-        assert_eq!(resolve_threads_on(8, 2), 8);
-    }
-
-    #[test]
     fn unlimited_budget_never_trips() {
         let b = SolveBudget::unlimited();
         assert!(b.is_unlimited());
@@ -417,22 +362,6 @@ mod tests {
             kind: FaultKind::Panic,
         });
         b.fire_fault(FaultSite::ResumeBoundary);
-    }
-
-    #[test]
-    fn reason_index_round_trips() {
-        for r in [
-            TruncationReason::Deadline,
-            TruncationReason::Cancelled,
-            TruncationReason::MemBudget,
-            TruncationReason::AtomCap,
-            TruncationReason::InstanceCap,
-            TruncationReason::DepthCap,
-        ] {
-            assert_eq!(TruncationReason::from_index(r as u32 + 1), Some(r));
-        }
-        assert_eq!(TruncationReason::from_index(0), None);
-        assert_eq!(TruncationReason::from_index(7), None);
     }
 
     #[test]

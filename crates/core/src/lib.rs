@@ -47,7 +47,7 @@ pub mod universe;
 
 pub use atom::{AtomId, AtomNode, AtomStore};
 pub use bitset::BitSet;
-pub use budget::{resolve_threads, CancelToken, SolveBudget, SolveOutcome, TruncationReason};
+pub use budget::{CancelToken, SolveBudget, SolveOutcome, TruncationReason};
 pub use error::{CoreError, Result};
 pub use factbatch::{FactBatch, RelationWriter};
 pub use fxhash::{FxHashMap, FxHashSet};

@@ -8,11 +8,11 @@
 //! cycle `flip(cᵢ) ⇄ flop(cᵢ)` seeded by a `pick(cᵢ)` fact (both come out
 //! undefined). No rule connects two groups, so the condensation is
 //! thousands of singleton (plus some two-atom recursive) components spread
-//! over just a handful of topological wavefronts.
+//! over just a handful of topological levels.
 //!
-//! This is the adversarial shape for a parallel component scheduler: the
-//! per-component work is tiny, so any queue or hand-off overhead shows up
-//! directly. `benches/parallel_scaling.rs` uses it for exactly that.
+//! The per-component work is tiny, so any per-component overhead in the
+//! engine shows up directly; and since no rule connects two groups, a
+//! goal's slice is a small part of the program (`benches/sliced_query.rs`).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -25,16 +25,9 @@ use wfdl_storage::{Database, GroundProgram};
 pub struct WfsOptions {
     /// Chase materialization limits.
     pub budget: ChaseBudget,
-    /// Worker threads for the chase match phase and for the modular
-    /// engine: `0` (the default) decides automatically, by one rule for
-    /// both ([`wfdl_core::resolve_threads`]) —
-    /// `std::thread::available_parallelism` on hosts with at least three
-    /// hardware threads, serial below that, where neither phase's fixed
-    /// cost is earned back — and each phase stays serial on small work;
-    /// `1` forces the serial path; any other `n` spawns exactly `n`
-    /// workers. The model is bit-identical for every setting
-    /// (see [`crate::scc`] and the chase crate's "Sharded saturation"
-    /// docs).
+    /// Accepted and ignored for the frozen benchmark; removed by the
+    /// benchmark issue that drops `cold_solve_auto_s`.
+    #[doc(hidden)]
     pub threads: usize,
 }
 
@@ -53,12 +46,6 @@ impl WfsOptions {
             budget: ChaseBudget::unbounded(),
             ..Default::default()
         }
-    }
-
-    /// Replaces the worker-thread count (`0` = auto, `1` = serial).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -224,8 +211,9 @@ pub struct SolveStats {
     /// Atoms the engine condensed: all of them for a full solve, the
     /// delta's forward cone for a resumed one.
     pub cone_atoms: usize,
-    /// Worker threads the engine ran with (`1` = serial; a resumed solve's
-    /// engine phase always is).
+    /// Always `1`. Accepted and ignored for the frozen benchmark; removed
+    /// by the benchmark issue that drops `cold_solve_auto_s`.
+    #[doc(hidden)]
     pub threads: usize,
     /// Nanoseconds in the chase (from scratch, resumed or restricted).
     pub chase_ns: u64,
@@ -304,14 +292,14 @@ pub enum SolveInput<'a> {
 pub struct SolveRequest<'a> {
     /// The skolemized program `Σf` (constraints already lowered).
     pub program: &'a SkolemProgram,
-    /// Chase limits and worker threads.
+    /// Chase limits.
     pub options: WfsOptions,
     /// Violation predicates of the lowered constraints
     /// ([`lower_with_constraints`]); their truth is reported in
     /// [`SolveOutput::constraint_status`].
     pub violations: &'a [PredId],
     /// Runtime resource limits: the chase checks them at round boundaries
-    /// and the engine at component/chunk boundaries. On a trip the model
+    /// and the engine at component boundaries. On a trip the model
     /// reports a truncated [`WellFoundedModel::outcome`] and degrades
     /// soundly (see [`WellFoundedModel::value`]).
     pub budget: &'a SolveBudget,
@@ -349,11 +337,7 @@ pub fn solve_request(
     request: SolveRequest<'_>,
 ) -> Result<SolveOutput, ResumeError> {
     let (program, budget) = (request.program, request.budget);
-    // The thread knob rides into the chase on the budget; saturation is
-    // bit-identical for every value, so options equality (and therefore
-    // the façade's cache/resume decisions) stays on the user's fields.
-    let threads = request.options.threads;
-    let chase_budget = request.options.budget.with_threads(threads);
+    let chase_budget = request.options.budget;
     let chase_start = Instant::now();
     let (segment, prev, pred_mask) = match request.input {
         SolveInput::Full { db } => (
@@ -381,7 +365,7 @@ pub fn solve_request(
         ),
     };
     let chase_ns = chase_start.elapsed().as_nanos() as u64;
-    let (model, ground_ns, engine_ns) = finish_model(segment, threads, prev, budget);
+    let (model, ground_ns, engine_ns) = finish_model(segment, prev, budget);
     let constraint_status = constraint_status(universe, &model, request.violations, pred_mask);
     let modular = model.result.stats.unwrap_or_default();
     let stats = SolveStats {
@@ -389,7 +373,7 @@ pub fn solve_request(
         components_reused: modular.components_reused,
         components_evaluated: modular.components_evaluated,
         cone_atoms: modular.cone_atoms,
-        threads: modular.threads.max(1),
+        threads: 1,
         sliced: pred_mask.is_some(),
         chase_ns,
         ground_ns,
@@ -505,7 +489,6 @@ pub fn solve_sliced_packaged_budgeted(
 /// semantics (full engine run, `exact == false`).
 fn finish_model(
     segment: ChaseSegment,
-    threads: usize,
     prev: Option<&WellFoundedModel>,
     solve_budget: &SolveBudget,
 ) -> (WellFoundedModel, u64, u64) {
@@ -520,7 +503,6 @@ fn finish_model(
         positive_closure_result(&ground)
     } else {
         ModularEngine::new(&ground)
-            .with_threads(threads)
             .with_budget(solve_budget.clone())
             .solve_incremental(prev.map(|p| (&p.ground, &p.result)))
     };

@@ -1,24 +1,18 @@
 //! `wfdl` — command-line well-founded reasoner for guarded normal Datalog±.
 //!
 //! ```text
-//! wfdl run program.dl   [--facts data.tsv …] [--depth N] [--threads N]
+//! wfdl run program.dl   [--facts data.tsv …] [--depth N]
 //!                       [--deadline-ms N] [--mem-budget BYTES]
 //!                       [--model] [--hidden] [--forest N] [--stats]
 //! wfdl query program.dl --q '?- win(a).' [--q '?(X) win(X).' …]
-//!                       [--facts data.tsv …] [--depth N] [--threads N]
+//!                       [--facts data.tsv …] [--depth N]
 //!                       [--deadline-ms N] [--mem-budget BYTES] [--sliced] [--stats]
 //! wfdl check program.dl            # parse + validate only
 //! wfdl lint  program.dl [--facts data.tsv …] [--format text|json] [--deny warn]
 //! wfdl serve program.dl [--addr HOST:PORT] [--workers N]
-//!                       [--facts data.tsv …] [--depth N] [--threads N]
+//!                       [--facts data.tsv …] [--depth N]
 //!                       [--deadline-ms N]
 //! ```
-//!
-//! `--threads N` sets the worker count for both parallel phases — the
-//! sharded chase match and the modular engine's chunked component
-//! scheduler (`0` = auto: one worker per hardware thread, serial on hosts
-//! with fewer than three; `1` = serial; the default is auto). The computed
-//! model is bit-identical for every setting.
 //!
 //! `--deadline-ms N` bounds the solve's wall-clock time and `--mem-budget
 //! BYTES` its working memory. A tripped solve stops at a clean round /
@@ -106,9 +100,6 @@ struct Options {
     command: String,
     file: String,
     depth: Option<u32>,
-    /// Worker threads for the chase match and the modular engine
-    /// (`0` = auto, `1` = serial).
-    threads: Option<usize>,
     show_model: bool,
     show_hidden: bool,
     forest_depth: Option<u32>,
@@ -136,19 +127,18 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: wfdl run <file>   [--facts data.tsv …] [--depth N] [--threads N]\n\
+        "usage: wfdl run <file>   [--facts data.tsv …] [--depth N]\n\
          \x20                     [--deadline-ms N] [--mem-budget BYTES]\n\
          \x20                     [--model] [--hidden] [--forest N] [--stats]\n\
          \x20      wfdl query <file> --q '?- ….' [--q '?(X) … .' …]\n\
-         \x20                     [--facts data.tsv …] [--depth N] [--threads N]\n\
+         \x20                     [--facts data.tsv …] [--depth N]\n\
          \x20                     [--deadline-ms N] [--mem-budget BYTES] [--sliced] [--stats]\n\
          \x20      wfdl check <file>\n\
          \x20      wfdl lint <file>  [--facts data.tsv …] [--format text|json] [--deny warn]\n\
          \x20      wfdl serve <file> [--addr HOST:PORT] [--workers N]\n\
-         \x20                     [--facts data.tsv …] [--depth N] [--threads N]\n\
+         \x20                     [--facts data.tsv …] [--depth N]\n\
          \x20                     [--deadline-ms N]\n\
-         \x20      (--threads: 0 = auto, 1 = serial, N = N workers;\n\
-         \x20       --sliced: goal-directed solve per query — identical answers,\n\
+         \x20      (--sliced: goal-directed solve per query — identical answers,\n\
          \x20       only the query-relevant program slice is solved;\n\
          \x20       a deadline/memory-tripped run reports its truncation on\n\
          \x20       stderr and answers as a sound under-approximation;\n\
@@ -177,7 +167,6 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--depth" => opts.depth = Some(number(&mut args)),
-            "--threads" => opts.threads = Some(number(&mut args)),
             "--model" => opts.show_model = true,
             "--hidden" => opts.show_hidden = true,
             "--stats" => opts.stats = true,
@@ -237,7 +226,6 @@ fn main() -> ExitCode {
     }
     // What only the solving subcommands take.
     let solve_flags = opts.depth.is_some()
-        || opts.threads.is_some()
         || opts.show_model
         || opts.show_hidden
         || opts.stats
@@ -497,15 +485,12 @@ fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
 /// uses them — the initial one, each ingest-triggered re-solve of `serve`,
 /// each per-query solve of `query --sliced`. Without `--depth` the chase
 /// budget stays automatic (unbounded when the program has no existentials,
-/// else depth 12), without `--threads` so does the worker count.
+/// else depth 12).
 /// `--deadline-ms` is an absolute instant counted from here (`serve`
 /// re-arms it per solve).
 fn with_solve_flags(opts: &Options, mut kb: KnowledgeBase) -> KnowledgeBase {
     if let Some(d) = opts.depth {
         kb = kb.with_depth(d);
-    }
-    if let Some(t) = opts.threads {
-        kb = kb.with_threads(t);
     }
     let mut budget = SolveBudget::unlimited();
     if let Some(ms) = opts.deadline_ms {
@@ -528,7 +513,7 @@ fn solve(mut kb: KnowledgeBase) -> std::sync::Arc<SolvedModel> {
     };
     if let Some(reason) = model.outcome().truncation() {
         // Degradation notice goes to stderr: plain stdout stays
-        // byte-identical across runs for the CI thread sweep.
+        // byte-identical across runs.
         eprintln!("wfdl: solve truncated ({reason}); answers are a sound under-approximation");
     }
     model
@@ -556,8 +541,8 @@ fn answer_query(model: &SolvedModel, label: &str, q: &wfdatalog::PreparedQuery) 
 /// A query mentioning a name the reasoning session never interned is
 /// answered by short-circuit (see `wfdatalog::query::prepared`). That
 /// verdict is correct but easy to misread as "solved and empty", so name
-/// the unresolved symbols on stderr — stdout stays byte-identical for the
-/// CI thread sweep.
+/// the unresolved symbols on stderr — stdout stays byte-identical across
+/// runs.
 fn warn_unresolved(model: &SolvedModel, index: usize, q: &wfdatalog::PreparedQuery) {
     let missing = q.unresolved_symbols(model.universe());
     if !missing.is_empty() {
@@ -652,8 +637,8 @@ fn query_sliced(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
 
 fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
     if opts.stats {
-        // Pre-solve lint summary (`%`-prefixed: exempt from the CI
-        // thread-sweep byte comparison, like every other stats line).
+        // Pre-solve lint summary (`%`-prefixed, like every other stats
+        // line).
         let report = kb.analyze();
         outln!(
             "% lint: class={} stratified={} weakly_acyclic={} · \
@@ -687,12 +672,9 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
         );
         let cs = model.model().segment.stats();
         outln!(
-            "% chase: {} threads, {} rounds ({} sharded, {} shards total), \
-             {} frontier atoms, {} relaxations, match {:.1}ms, merge {:.1}ms",
-            cs.threads,
+            "% chase: {} rounds, {} frontier atoms, {} relaxations, \
+             match {:.1}ms, merge {:.1}ms",
             cs.rounds,
-            cs.parallel_rounds,
-            cs.shards,
             cs.frontier_atoms,
             cs.relaxations,
             cs.match_ns as f64 / 1e6,
@@ -722,12 +704,6 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
             ss.cone_atoms,
             ss.components_evaluated
         );
-        outln!(
-            "% chase threads: {} requested, {} effective, {} small-frontier serial rounds",
-            cs.threads,
-            cs.effective_threads,
-            cs.small_frontier_serial_rounds
-        );
         if let Some(s) = model.model().component_stats() {
             outln!(
                 "% condensation: {} components ({} definite, {} recursive), \
@@ -741,18 +717,6 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
                 s.rules_in_recursive,
                 s.recursive_rounds
             );
-            if s.threads > 1 {
-                outln!(
-                    "% parallel: {} threads, {} wavefronts (widest {}), \
-                     {} chunks ({} queued, {} chained inline)",
-                    s.threads,
-                    s.wavefronts,
-                    s.max_wavefront,
-                    s.chunks,
-                    s.queued_chunks,
-                    s.inline_chunks
-                );
-            }
         }
     }
 

@@ -373,39 +373,28 @@ impl WfdlApp {
         push_json_str(&mut out, &model.outcome().to_string());
         out.push_str("},\"solve\":{");
         push_solve_stats(&mut out, &ss);
-        out.push_str(&format!(
-            ",\"threads\":{},\"sliced\":{}}}",
-            ss.threads, ss.sliced
-        ));
+        out.push_str(&format!(",\"sliced\":{}}}", ss.sliced));
         if let Some(ms) = model.model().component_stats() {
             // `components_reused` deliberately matches the `solve` object's
             // key (and the CLI's `% solve:` line): one name for the
             // carried-over counter everywhere.
             out.push_str(&format!(
                 ",\"modular\":{{\"components\":{},\"definite\":{},\"recursive\":{},\
-                 \"largest\":{},\"components_reused\":{},\"threads\":{},\"chunks\":{},\
+                 \"largest\":{},\"components_reused\":{},\
                  \"rules_in_recursive\":{},\"recursive_rounds\":{}}}",
                 ms.components,
                 ms.definite_components,
                 ms.recursive_components,
                 ms.largest_component,
                 ms.components_reused,
-                ms.threads,
-                ms.chunks,
                 ms.rules_in_recursive,
                 ms.recursive_rounds,
             ));
         }
         out.push_str(&format!(
-            ",\"chase\":{{\"threads\":{},\"rounds\":{},\"parallel_rounds\":{},\"shards\":{},\
-             \"frontier_atoms\":{},\"match_ns\":{},\"merge_ns\":{}}}}}",
-            cs.threads,
-            cs.rounds,
-            cs.parallel_rounds,
-            cs.shards,
-            cs.frontier_atoms,
-            cs.match_ns,
-            cs.merge_ns,
+            ",\"chase\":{{\"rounds\":{},\"frontier_atoms\":{},\"relaxations\":{},\
+             \"match_ns\":{},\"merge_ns\":{}}}}}",
+            cs.rounds, cs.frontier_atoms, cs.relaxations, cs.match_ns, cs.merge_ns,
         ));
         out
     }

@@ -319,9 +319,7 @@ fn a_small_insert_costs_what_it_touches() {
     // resumed solve's allocator calls with its atom and component counts.
     let resume = |seeds: usize, groups: usize| {
         let text = chain_and_fanout(seeds, groups);
-        let mut kb = (KnowledgeBase::from_source(&text).unwrap())
-            .with_depth(8)
-            .with_threads(1);
+        let mut kb = KnowledgeBase::from_source(&text).unwrap().with_depth(8);
         assert!(kb.solve().ask3("?- flip(g0).").unwrap().is_unknown());
         let delta = "r\tx0\tx0\ty0\np\tx0\tx0\nr\tx1\tx1\ty1\np\tx1\tx1\n\
                      src\th0\nsrc\th1\nsrc\th2\nsrc\th3\npick\th0\npick\th1\n";
@@ -363,9 +361,7 @@ fn a_small_insert_costs_what_it_touches() {
 fn solve_for_on_a_solved_kb_costs_the_same_at_any_size() {
     let view = |seeds: usize, groups: usize| {
         let text = chain_and_fanout(seeds, groups);
-        let mut kb = (KnowledgeBase::from_source(&text).unwrap())
-            .with_depth(8)
-            .with_threads(1);
+        let mut kb = KnowledgeBase::from_source(&text).unwrap().with_depth(8);
         let full = kb.solve();
         let (view, allocations) = allocations_in(|| kb.solve_for("?- flip(g0).").unwrap());
         assert!(view.is_sliced() && !view.solve_stats().sliced);

@@ -1,7 +1,8 @@
 //! The Cargo graph keeps the oracles out of production: `wfdl-reference`
 //! may be a normal dependency of `wfdl-bench` only (everyone else names it
-//! under `[dev-dependencies]`, which no dependent ever builds), and the
-//! vendored `criterion` stand-in is gone for good.
+//! under `[dev-dependencies]`, which no dependent ever builds), the
+//! vendored `criterion` stand-in is gone for good, and the solve path
+//! spawns no thread.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -109,4 +110,65 @@ fn criterion_is_gone() {
     let lock = fs::read_to_string(root().join("Cargo.lock")).unwrap();
     assert!(!lock.contains("criterion"), "Cargo.lock lists criterion");
     assert!(!root().join("crates/vendor/criterion").exists());
+}
+
+/// Every `.rs` file under `dir` (relative to the root), recursively.
+fn rust_sources(dir: &str, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(root().join(dir)).unwrap() {
+        let path = entry.unwrap().path();
+        let rel = path.strip_prefix(root()).unwrap().to_path_buf();
+        if path.is_dir() {
+            rust_sources(rel.to_str().unwrap(), out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(rel);
+        }
+    }
+}
+
+/// The solve is single-threaded, so its output is a function of its input
+/// by construction: the crates on the solve path spawn no thread and wait
+/// on nothing. And the inert names the frozen `benchmark/` still compiles
+/// against — `with_threads` on `ChaseBudget` / `ModularEngine` /
+/// `KnowledgeBase`, `WfsOptions::threads`, `ChaseStats::effective_threads`,
+/// `ModularStats::threads`, `SolveStats::threads` — are called and read by
+/// nothing else, so they can go the day the benchmark drops them.
+#[test]
+fn solve_path_is_single_threaded() {
+    let mut solve_path = Vec::new();
+    for krate in ["core", "storage", "chase", "wfs", "query", "analyze"] {
+        rust_sources(&format!("crates/{krate}/src"), &mut solve_path);
+    }
+    assert!(solve_path.len() > 40, "the scan sees the solve path");
+    for path in &solve_path {
+        let text = fs::read_to_string(root().join(path)).unwrap();
+        for banned in ["thread::scope", "thread::spawn", "Condvar"] {
+            assert!(
+                !text.contains(banned),
+                "{}: `{banned}` on the solve path",
+                path.display()
+            );
+        }
+    }
+
+    let mut everything = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "tools"] {
+        rust_sources(dir, &mut everything);
+    }
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    for path in everything {
+        if path.starts_with("crates/vendor") || path.ends_with("crate_graph.rs") {
+            continue;
+        }
+        let text = fs::read_to_string(root().join(&path)).unwrap();
+        for name in [".with_threads", ".effective_threads", ".threads"] {
+            for (at, _) in text.match_indices(name) {
+                let after = text[at + name.len()..].chars().next();
+                assert!(
+                    after.is_some_and(ident),
+                    "{}: `{name}` is kept for benchmark/ only — nothing else may use it",
+                    path.display()
+                );
+            }
+        }
+    }
 }

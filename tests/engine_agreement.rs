@@ -12,8 +12,8 @@ use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
 use wfdatalog::wfs::{solve, EngineResult, ModularEngine, WellFoundedModel, WfsOptions};
 use wfdatalog::{AtomId, Truth, Universe};
 use wfdl_gen::{
-    random_database, random_program, random_stratified_program, winmove_database, winmove_sigma,
-    RandomConfig, RandomDbConfig, WinMoveConfig,
+    random_database, random_program, random_stratified_program, winmove_database, winmove_path,
+    winmove_sigma, RandomConfig, RandomDbConfig, WinMoveConfig,
 };
 use wfdl_reference::{
     perfect_model, stratify, AlternatingEngine, ForwardEngine, StepMode, WpEngine,
@@ -247,6 +247,29 @@ fn modular_agrees_on_winmove_graphs_with_unknowns() {
         saw_recursive,
         "modular engine never took its recursive path"
     );
+}
+
+/// Truth sanity on a workload whose answer is known: along the path
+/// n0 → … → n4 the last position has no move and is lost, and wins
+/// alternate from there.
+#[test]
+fn path_win_values_are_exact() {
+    let mut u = Universe::new();
+    let sigma = winmove_sigma(&mut u);
+    let db = winmove_path(&mut u, 5);
+    let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+    let win = u.lookup_pred("win").unwrap();
+    let value = |i: usize| {
+        let n = u.lookup_constant(&format!("n{i}")).unwrap();
+        u.atoms
+            .lookup(win, &[n])
+            .map_or(Truth::False, |a| model.value(a))
+    };
+    assert_eq!(value(4), Truth::False);
+    assert_eq!(value(3), Truth::True);
+    assert_eq!(value(2), Truth::False);
+    assert_eq!(value(1), Truth::True);
+    assert_eq!(value(0), Truth::False);
 }
 
 /// Monotonicity of deepening on the paper's example: values decided at

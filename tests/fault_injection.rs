@@ -3,7 +3,7 @@
 //! Every injection point (chase round boundary, chase merge phase, WFS
 //! component ordinal, incremental resume boundary) is driven with every
 //! fault kind (simulated deadline / memory / cancellation trips, and a
-//! hard panic) at 1/2/4/8 worker threads. The contract under test:
+//! hard panic). The contract under test:
 //!
 //! * a **trip** yields a usable truncated model — `SolveOutcome` reports
 //!   the exact reason, queries still answer, and every verdict is a sound
@@ -45,8 +45,6 @@ const SRC: &str = r#"
 /// Delta used by the resume-boundary sites.
 const DELTA: &str = "e\tn4\tn5\nmove\tn4\tn5\n";
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 const TRIP_KINDS: [(FaultKind, TruncationReason); 3] = [
     (FaultKind::TripDeadline, TruncationReason::Deadline),
     (FaultKind::TripMem, TruncationReason::MemBudget),
@@ -63,8 +61,8 @@ fn sites() -> Vec<FaultSite> {
     ]
 }
 
-fn options(threads: usize) -> WfsOptions {
-    WfsOptions::unbounded().with_threads(threads)
+fn options() -> WfsOptions {
+    WfsOptions::unbounded()
 }
 
 fn kb(with_delta: bool) -> KnowledgeBase {
@@ -110,8 +108,8 @@ fn true_lines(model: &SolvedModel) -> std::collections::BTreeSet<String> {
 }
 
 /// The uninterrupted reference for a given fact set.
-fn reference(with_delta: bool, threads: usize) -> (String, String, Vec<String>) {
-    let model = kb(with_delta).try_solve_with(options(threads)).unwrap();
+fn reference(with_delta: bool) -> (String, String, Vec<String>) {
+    let model = kb(with_delta).try_solve_with(options()).unwrap();
     assert!(model.outcome().is_complete(), "reference must be complete");
     observe(&model)
 }
@@ -119,73 +117,38 @@ fn reference(with_delta: bool, threads: usize) -> (String, String, Vec<String>) 
 /// Trip kinds: truncated-but-usable model, then bit-identical recovery.
 #[test]
 fn every_trip_site_degrades_soundly_and_recovers() {
-    for threads in THREAD_COUNTS {
-        let reference_obs = reference(false, threads);
-        let reference_true: std::collections::BTreeSet<String> =
-            reference_obs.0.lines().map(|l| l.to_string()).collect();
-        for site in sites() {
-            for (kind, reason) in TRIP_KINDS {
-                let label = format!("{site:?}/{kind:?}/threads={threads}");
-                let mut kb = kb(false);
-                kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
-                let truncated = kb
-                    .try_solve_with(options(threads))
-                    .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
-                assert_eq!(
-                    truncated.outcome().truncation(),
-                    Some(reason),
-                    "{label}: outcome must carry the injected reason"
-                );
-                assert!(truncated.under_approximate(), "{label}");
-                // Soundness: every certain atom of the truncated model is
-                // certain in the uninterrupted model.
-                for line in true_lines(&truncated) {
-                    assert!(
-                        reference_true.contains(&line),
-                        "{label}: {line} is certain only under truncation"
-                    );
-                }
-                // Queries still answer (and stay sound).
-                let q = truncated.prepare("?(X) win(X).").unwrap();
-                let _ = truncated.answers_prepared(&q);
-                // Recovery: clearing the budget re-solves bit-identically.
-                kb.set_solve_budget(SolveBudget::unlimited());
-                let recovered = kb
-                    .try_solve_with(options(threads))
-                    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
-                assert!(recovered.outcome().is_complete(), "{label}");
-                assert_eq!(
-                    observe(&recovered),
-                    reference_obs,
-                    "{label}: recovery must be bit-identical to a fresh solve"
-                );
-            }
-        }
-    }
-}
-
-/// Panic kind: `Error::EnginePanic` at the boundary, KB stays reusable.
-#[test]
-fn every_panic_site_is_contained_and_recoverable() {
-    for threads in THREAD_COUNTS {
-        let reference_obs = reference(false, threads);
-        for site in sites() {
-            let label = format!("{site:?}/Panic/threads={threads}");
+    let reference_obs = reference(false);
+    let reference_true: std::collections::BTreeSet<String> =
+        reference_obs.0.lines().map(|l| l.to_string()).collect();
+    for site in sites() {
+        for (kind, reason) in TRIP_KINDS {
+            let label = format!("{site:?}/{kind:?}");
             let mut kb = kb(false);
-            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
-                site,
-                kind: FaultKind::Panic,
-            }));
-            match kb.try_solve_with(options(threads)) {
-                Err(wfdatalog::Error::EnginePanic(msg)) => {
-                    assert!(msg.contains("injected fault"), "{label}: {msg}");
-                }
-                Err(other) => panic!("{label}: wrong error: {other}"),
-                Ok(_) => panic!("{label}: panic must not produce a model"),
+            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
+            let truncated = kb
+                .try_solve_with(options())
+                .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
+            assert_eq!(
+                truncated.outcome().truncation(),
+                Some(reason),
+                "{label}: outcome must carry the injected reason"
+            );
+            assert!(truncated.under_approximate(), "{label}");
+            // Soundness: every certain atom of the truncated model is
+            // certain in the uninterrupted model.
+            for line in true_lines(&truncated) {
+                assert!(
+                    reference_true.contains(&line),
+                    "{label}: {line} is certain only under truncation"
+                );
             }
+            // Queries still answer (and stay sound).
+            let q = truncated.prepare("?(X) win(X).").unwrap();
+            let _ = truncated.answers_prepared(&q);
+            // Recovery: clearing the budget re-solves bit-identically.
             kb.set_solve_budget(SolveBudget::unlimited());
             let recovered = kb
-                .try_solve_with(options(threads))
+                .try_solve_with(options())
                 .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
             assert!(recovered.outcome().is_complete(), "{label}");
             assert_eq!(
@@ -197,56 +160,85 @@ fn every_panic_site_is_contained_and_recoverable() {
     }
 }
 
+/// Panic kind: `Error::EnginePanic` at the boundary, KB stays reusable.
+#[test]
+fn every_panic_site_is_contained_and_recoverable() {
+    let reference_obs = reference(false);
+    for site in sites() {
+        let label = format!("{site:?}/Panic");
+        let mut kb = kb(false);
+        kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+            site,
+            kind: FaultKind::Panic,
+        }));
+        match kb.try_solve_with(options()) {
+            Err(wfdatalog::Error::EnginePanic(msg)) => {
+                assert!(msg.contains("injected fault"), "{label}: {msg}");
+            }
+            Err(other) => panic!("{label}: wrong error: {other}"),
+            Ok(_) => panic!("{label}: panic must not produce a model"),
+        }
+        kb.set_solve_budget(SolveBudget::unlimited());
+        let recovered = kb
+            .try_solve_with(options())
+            .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+        assert!(recovered.outcome().is_complete(), "{label}");
+        assert_eq!(
+            observe(&recovered),
+            reference_obs,
+            "{label}: recovery must be bit-identical to a fresh solve"
+        );
+    }
+}
+
 /// Resume-boundary sites: cancel (or panic) in the middle of an
 /// incremental re-solve must leave the carried-over state uncorrupted —
 /// the recovered solve is bit-identical to a fresh KB over the union.
 #[test]
 fn resume_boundary_faults_leave_incremental_state_clean() {
-    for threads in THREAD_COUNTS {
-        let union_obs = reference(true, threads);
-        for (kind, reason) in TRIP_KINDS {
-            let label = format!("ResumeBoundary/{kind:?}/threads={threads}");
-            let mut kb = kb(false);
-            let base = kb.try_solve_with(options(threads)).unwrap();
-            assert!(base.outcome().is_complete());
-            kb.insert_tsv(DELTA).unwrap();
-            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
-                site: FaultSite::ResumeBoundary,
-                kind,
-            }));
-            let truncated = kb
-                .try_solve_with(options(threads))
-                .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
-            assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
-            kb.set_solve_budget(SolveBudget::unlimited());
-            let recovered = kb.try_solve_with(options(threads)).unwrap();
-            assert!(recovered.outcome().is_complete(), "{label}");
-            assert_eq!(
-                observe(&recovered),
-                union_obs,
-                "{label}: post-trip incremental state must not be corrupted"
-            );
-        }
-        // Panic during the resume: delta is restored, next solve re-chases
-        // from scratch and still lands on the union model bit-for-bit.
-        let label = format!("ResumeBoundary/Panic/threads={threads}");
+    let union_obs = reference(true);
+    for (kind, reason) in TRIP_KINDS {
+        let label = format!("ResumeBoundary/{kind:?}");
         let mut kb = kb(false);
-        kb.try_solve_with(options(threads)).unwrap();
+        let base = kb.try_solve_with(options()).unwrap();
+        assert!(base.outcome().is_complete());
         kb.insert_tsv(DELTA).unwrap();
         kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
             site: FaultSite::ResumeBoundary,
-            kind: FaultKind::Panic,
+            kind,
         }));
-        match kb.try_solve_with(options(threads)) {
-            Err(wfdatalog::Error::EnginePanic(_)) => {}
-            Err(other) => panic!("{label}: wrong error: {other}"),
-            Ok(_) => panic!("{label}: panic must not produce a model"),
-        }
+        let truncated = kb
+            .try_solve_with(options())
+            .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
+        assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
         kb.set_solve_budget(SolveBudget::unlimited());
-        let recovered = kb.try_solve_with(options(threads)).unwrap();
+        let recovered = kb.try_solve_with(options()).unwrap();
         assert!(recovered.outcome().is_complete(), "{label}");
-        assert_eq!(observe(&recovered), union_obs, "{label}");
+        assert_eq!(
+            observe(&recovered),
+            union_obs,
+            "{label}: post-trip incremental state must not be corrupted"
+        );
     }
+    // Panic during the resume: delta is restored, next solve re-chases
+    // from scratch and still lands on the union model bit-for-bit.
+    let label = "ResumeBoundary/Panic";
+    let mut kb = kb(false);
+    kb.try_solve_with(options()).unwrap();
+    kb.insert_tsv(DELTA).unwrap();
+    kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+        site: FaultSite::ResumeBoundary,
+        kind: FaultKind::Panic,
+    }));
+    match kb.try_solve_with(options()) {
+        Err(wfdatalog::Error::EnginePanic(_)) => {}
+        Err(other) => panic!("{label}: wrong error: {other}"),
+        Ok(_) => panic!("{label}: panic must not produce a model"),
+    }
+    kb.set_solve_budget(SolveBudget::unlimited());
+    let recovered = kb.try_solve_with(options()).unwrap();
+    assert!(recovered.outcome().is_complete(), "{label}");
+    assert_eq!(observe(&recovered), union_obs, "{label}");
 }
 
 /// A trip **inside the cone** of a resumed solve. The base is a win–move
@@ -263,65 +255,63 @@ fn a_trip_inside_a_resumed_cone_leaves_unknown_never_a_stale_verdict() {
         chain.push_str(&format!("move(p{},p{i}).\n", i + 1));
     }
     let delta = "move\tp0\tescape\n";
-    for threads in THREAD_COUNTS {
-        let resumed_kb = || {
-            let mut kb = KnowledgeBase::from_source(&chain).unwrap();
-            let base = kb.try_solve_with(options(threads)).unwrap();
-            kb.insert_tsv(delta).unwrap();
-            (kb, base)
-        };
-        // The unfaulted resume: where the cone's components sit.
-        let (mut kb, base) = resumed_kb();
-        let complete = kb.try_solve_with(options(threads)).unwrap();
-        assert!(complete.solve_stats().incremental && complete.outcome().is_complete());
-        let stats = complete.model().component_stats().unwrap();
-        assert_eq!(stats.largest_component, 1, "one component per cone atom");
-        let first_cone_ordinal = stats.components - stats.cone_atoms;
-        // The engine's own verdicts (an atom that is only ever a negative
-        // hypothesis sits outside the segment and reads false regardless).
-        let verdict = |m: &SolvedModel, a| m.model().result.value(a);
-        let flipped: Vec<_> = (base.model().ground.atoms().iter().copied())
-            .filter(|&a| verdict(&base, a) != verdict(&complete, a))
-            .collect();
-        assert!(flipped.len() > LEN, "the delta reverses the whole chain");
+    let resumed_kb = || {
+        let mut kb = KnowledgeBase::from_source(&chain).unwrap();
+        let base = kb.try_solve_with(options()).unwrap();
+        kb.insert_tsv(delta).unwrap();
+        (kb, base)
+    };
+    // The unfaulted resume: where the cone's components sit.
+    let (mut kb, base) = resumed_kb();
+    let complete = kb.try_solve_with(options()).unwrap();
+    assert!(complete.solve_stats().incremental && complete.outcome().is_complete());
+    let stats = complete.model().component_stats().unwrap();
+    assert_eq!(stats.largest_component, 1, "one component per cone atom");
+    let first_cone_ordinal = stats.components - stats.cone_atoms;
+    // The engine's own verdicts (an atom that is only ever a negative
+    // hypothesis sits outside the segment and reads false regardless).
+    let verdict = |m: &SolvedModel, a| m.model().result.value(a);
+    let flipped: Vec<_> = (base.model().ground.atoms().iter().copied())
+        .filter(|&a| verdict(&base, a) != verdict(&complete, a))
+        .collect();
+    assert!(flipped.len() > LEN, "the delta reverses the whole chain");
 
-        for into_cone in [0, 1, stats.cone_atoms / 2, stats.cone_atoms - 1] {
-            for (kind, reason) in TRIP_KINDS {
-                let label = format!("cone+{into_cone}/{kind:?}/threads={threads}");
-                let (mut kb, base) = resumed_kb();
-                let site = FaultSite::WfsComponent((first_cone_ordinal + into_cone) as u32);
-                kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
-                let truncated = kb.try_solve_with(options(threads)).unwrap();
-                assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
-                assert!(truncated.solve_stats().incremental, "{label}");
-                // Same universe, same ids: atom by atom, a verdict is the
-                // final one or none at all.
-                let mut undecided = 0;
-                for &atom in truncated.model().ground.atoms() {
-                    let got = verdict(&truncated, atom);
-                    undecided += usize::from(got.is_unknown());
-                    assert!(
-                        got.is_unknown() || got == verdict(&complete, atom),
-                        "{label}: {} reads {got}, finally {}, before the delta {}",
-                        truncated.universe().display_atom(atom),
-                        verdict(&complete, atom),
-                        verdict(&base, atom)
-                    );
-                }
-                assert_eq!(
-                    undecided,
-                    stats.cone_atoms - into_cone,
-                    "{label}: the components from the trip on, and only they, are undecided"
-                );
+    for into_cone in [0, 1, stats.cone_atoms / 2, stats.cone_atoms - 1] {
+        for (kind, reason) in TRIP_KINDS {
+            let label = format!("cone+{into_cone}/{kind:?}");
+            let (mut kb, base) = resumed_kb();
+            let site = FaultSite::WfsComponent((first_cone_ordinal + into_cone) as u32);
+            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
+            let truncated = kb.try_solve_with(options()).unwrap();
+            assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
+            assert!(truncated.solve_stats().incremental, "{label}");
+            // Same universe, same ids: atom by atom, a verdict is the
+            // final one or none at all.
+            let mut undecided = 0;
+            for &atom in truncated.model().ground.atoms() {
+                let got = verdict(&truncated, atom);
+                undecided += usize::from(got.is_unknown());
                 assert!(
-                    flipped.iter().any(|&a| verdict(&truncated, a).is_unknown()),
-                    "{label}: the trip fell inside the cone"
+                    got.is_unknown() || got == verdict(&complete, atom),
+                    "{label}: {} reads {got}, finally {}, before the delta {}",
+                    truncated.universe().display_atom(atom),
+                    verdict(&complete, atom),
+                    verdict(&base, atom)
                 );
-                kb.set_solve_budget(SolveBudget::unlimited());
-                let recovered = kb.try_solve_with(options(threads)).unwrap();
-                assert!(recovered.outcome().is_complete(), "{label}");
-                assert_eq!(observe(&recovered), observe(&complete), "{label}");
             }
+            assert_eq!(
+                undecided,
+                stats.cone_atoms - into_cone,
+                "{label}: the components from the trip on, and only they, are undecided"
+            );
+            assert!(
+                flipped.iter().any(|&a| verdict(&truncated, a).is_unknown()),
+                "{label}: the trip fell inside the cone"
+            );
+            kb.set_solve_budget(SolveBudget::unlimited());
+            let recovered = kb.try_solve_with(options()).unwrap();
+            assert!(recovered.outcome().is_complete(), "{label}");
+            assert_eq!(observe(&recovered), observe(&complete), "{label}");
         }
     }
 }
@@ -348,8 +338,8 @@ fn observe_sliced(model: &SolvedModel) -> (String, String, Vec<String>) {
 }
 
 /// The uninterrupted sliced reference for a given fact set.
-fn sliced_reference(with_delta: bool, threads: usize) -> (String, String, Vec<String>) {
-    let mut kb = kb(with_delta).with_options(options(threads));
+fn sliced_reference(with_delta: bool) -> (String, String, Vec<String>) {
+    let mut kb = kb(with_delta).with_options(options());
     let model = kb.solve_for(SLICED_QUERY).unwrap();
     assert!(model.outcome().is_complete(), "reference must be complete");
     observe_sliced(&model)
@@ -364,70 +354,68 @@ fn sliced_reference(with_delta: bool, threads: usize) -> (String, String, Vec<St
 /// has nothing to fire in.
 #[test]
 fn solve_for_contains_every_panic_and_leaves_the_knowledge_base_untouched() {
-    for threads in THREAD_COUNTS {
-        let union_obs = reference(true, threads);
-        let sliced_obs = sliced_reference(true, threads);
-        let (_, _, base_answers) = sliced_reference(false, threads);
-        for site in sites() {
-            let label = format!("solve_for/{site:?}/Panic/threads={threads}");
-            let panic = SolveBudget::unlimited().with_fault(FaultPlan {
-                site,
-                kind: FaultKind::Panic,
-            });
-            let mut kb = kb(false).with_options(options(threads));
-            kb.set_solve_budget(panic.clone());
-            match kb.solve_for(SLICED_QUERY) {
-                Err(wfdatalog::Error::EnginePanic(msg)) => {
-                    assert!(msg.contains("injected fault"), "{label}: {msg}");
-                }
-                Err(other) => panic!("{label}: wrong error: {other}"),
-                Ok(_) => panic!("{label}: panic must not produce a model"),
+    let union_obs = reference(true);
+    let sliced_obs = sliced_reference(true);
+    let (_, _, base_answers) = sliced_reference(false);
+    for site in sites() {
+        let label = format!("solve_for/{site:?}/Panic");
+        let panic = SolveBudget::unlimited().with_fault(FaultPlan {
+            site,
+            kind: FaultKind::Panic,
+        });
+        let mut kb = kb(false).with_options(options());
+        kb.set_solve_budget(panic.clone());
+        match kb.solve_for(SLICED_QUERY) {
+            Err(wfdatalog::Error::EnginePanic(msg)) => {
+                assert!(msg.contains("injected fault"), "{label}: {msg}");
             }
-            kb.set_solve_budget(SolveBudget::unlimited());
-            let full = kb.try_solve().unwrap();
-            assert!(!full.solve_stats().incremental, "{label}: first full solve");
-            kb.set_solve_budget(panic);
-            let view = kb.solve_for(SLICED_QUERY).unwrap();
-            assert!(!view.solve_stats().sliced, "{label}: nothing to solve");
-            assert_eq!(
-                observe_sliced(&view).2,
-                base_answers,
-                "{label}: answers from the full model"
-            );
-            kb.set_solve_budget(SolveBudget::unlimited());
-            assert!(
-                Arc::ptr_eq(&full, &kb.try_solve().unwrap()),
-                "{label}: the cached full model must survive"
-            );
-            // Same again with a delta pending: it must still be resumed,
-            // not recomputed from scratch.
-            kb.insert_tsv(DELTA).unwrap();
-            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
-                site,
-                kind: FaultKind::Panic,
-            }));
-            assert!(
-                matches!(
-                    kb.solve_for(SLICED_QUERY),
-                    Err(wfdatalog::Error::EnginePanic(_))
-                ),
-                "{label}: with a pending delta"
-            );
-            kb.set_solve_budget(SolveBudget::unlimited());
-            let sliced = kb.solve_for(SLICED_QUERY).unwrap();
-            assert!(sliced.outcome().is_complete(), "{label}");
-            assert_eq!(
-                observe_sliced(&sliced),
-                sliced_obs,
-                "{label}: next solve_for"
-            );
-            let resumed = kb.try_solve().unwrap();
-            assert!(
-                resumed.solve_stats().incremental,
-                "{label}: no forced full recompute"
-            );
-            assert_eq!(observe(&resumed), union_obs, "{label}: next solve");
+            Err(other) => panic!("{label}: wrong error: {other}"),
+            Ok(_) => panic!("{label}: panic must not produce a model"),
         }
+        kb.set_solve_budget(SolveBudget::unlimited());
+        let full = kb.try_solve().unwrap();
+        assert!(!full.solve_stats().incremental, "{label}: first full solve");
+        kb.set_solve_budget(panic);
+        let view = kb.solve_for(SLICED_QUERY).unwrap();
+        assert!(!view.solve_stats().sliced, "{label}: nothing to solve");
+        assert_eq!(
+            observe_sliced(&view).2,
+            base_answers,
+            "{label}: answers from the full model"
+        );
+        kb.set_solve_budget(SolveBudget::unlimited());
+        assert!(
+            Arc::ptr_eq(&full, &kb.try_solve().unwrap()),
+            "{label}: the cached full model must survive"
+        );
+        // Same again with a delta pending: it must still be resumed,
+        // not recomputed from scratch.
+        kb.insert_tsv(DELTA).unwrap();
+        kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+            site,
+            kind: FaultKind::Panic,
+        }));
+        assert!(
+            matches!(
+                kb.solve_for(SLICED_QUERY),
+                Err(wfdatalog::Error::EnginePanic(_))
+            ),
+            "{label}: with a pending delta"
+        );
+        kb.set_solve_budget(SolveBudget::unlimited());
+        let sliced = kb.solve_for(SLICED_QUERY).unwrap();
+        assert!(sliced.outcome().is_complete(), "{label}");
+        assert_eq!(
+            observe_sliced(&sliced),
+            sliced_obs,
+            "{label}: next solve_for"
+        );
+        let resumed = kb.try_solve().unwrap();
+        assert!(
+            resumed.solve_stats().incremental,
+            "{label}: no forced full recompute"
+        );
+        assert_eq!(observe(&resumed), union_obs, "{label}: next solve");
     }
 }
 
@@ -436,35 +424,33 @@ fn solve_for_contains_every_panic_and_leaves_the_knowledge_base_untouched() {
 /// bit-identical to the unfaulted reference.
 #[test]
 fn solve_for_trips_degrade_soundly_and_are_never_cached() {
-    for threads in THREAD_COUNTS {
-        let reference_true: std::collections::BTreeSet<String> =
-            (reference(false, threads).0.lines().map(|l| l.to_string())).collect();
-        let sliced_obs = sliced_reference(false, threads);
-        for site in sites() {
-            for (kind, reason) in TRIP_KINDS {
-                let label = format!("solve_for/{site:?}/{kind:?}/threads={threads}");
-                let mut kb = kb(false).with_options(options(threads));
-                kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
-                let truncated = kb
-                    .solve_for(SLICED_QUERY)
-                    .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
-                assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
+    let reference_true: std::collections::BTreeSet<String> =
+        (reference(false).0.lines().map(|l| l.to_string())).collect();
+    let sliced_obs = sliced_reference(false);
+    for site in sites() {
+        for (kind, reason) in TRIP_KINDS {
+            let label = format!("solve_for/{site:?}/{kind:?}");
+            let mut kb = kb(false).with_options(options());
+            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
+            let truncated = kb
+                .solve_for(SLICED_QUERY)
+                .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
+            assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
+            assert!(
+                truncated.is_sliced() && truncated.under_approximate(),
+                "{label}"
+            );
+            for line in true_lines(&truncated) {
                 assert!(
-                    truncated.is_sliced() && truncated.under_approximate(),
-                    "{label}"
+                    reference_true.contains(&line),
+                    "{label}: {line} is certain only under truncation"
                 );
-                for line in true_lines(&truncated) {
-                    assert!(
-                        reference_true.contains(&line),
-                        "{label}: {line} is certain only under truncation"
-                    );
-                }
-                kb.set_solve_budget(SolveBudget::unlimited());
-                let recovered = kb.solve_for(SLICED_QUERY).unwrap();
-                assert!(!Arc::ptr_eq(&truncated, &recovered), "{label}: cached");
-                assert!(recovered.outcome().is_complete(), "{label}");
-                assert_eq!(observe_sliced(&recovered), sliced_obs, "{label}");
             }
+            kb.set_solve_budget(SolveBudget::unlimited());
+            let recovered = kb.solve_for(SLICED_QUERY).unwrap();
+            assert!(!Arc::ptr_eq(&truncated, &recovered), "{label}: cached");
+            assert!(recovered.outcome().is_complete(), "{label}");
+            assert_eq!(observe_sliced(&recovered), sliced_obs, "{label}");
         }
     }
 }
@@ -476,7 +462,7 @@ fn solve_for_trips_degrade_soundly_and_are_never_cached() {
 fn cap_truncated_segment_falls_back_to_full_rechase() {
     let mut kb = kb(false);
     // Tiny atom cap: the chase peters out mid-way with `AtomCap`.
-    let opts = WfsOptions::unbounded().with_threads(1);
+    let opts = options();
     let mut capped = opts;
     capped.budget = capped.budget.with_max_atoms(4);
     let first = kb.try_solve_with(capped).unwrap();
@@ -494,5 +480,5 @@ fn cap_truncated_segment_falls_back_to_full_rechase() {
     // And with the cap lifted the same KB reaches the uncapped union model.
     let full = kb.try_solve_with(opts).unwrap();
     assert!(full.outcome().is_complete());
-    assert_eq!(observe(&full), reference(true, 1));
+    assert_eq!(observe(&full), reference(true));
 }

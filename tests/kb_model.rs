@@ -2,7 +2,7 @@
 //!
 //! Random sequences of mutations (`insert`, `retract`, `add_source` with
 //! facts only / rules / queries only), solves (`solve`, `solve_with` under
-//! a changed depth or thread count, `solve_for`), injected budget trips and
+//! a changed depth, `solve_for`), injected budget trips and
 //! panics on both solve paths, and `analyze` calls. After **every** step the
 //! knowledge base is compared with a from-scratch one that replays only the
 //! *net* program — the rule and query sources in order, the surviving facts
@@ -124,8 +124,8 @@ enum Op {
     AddRule(usize),
     AddQuery(usize),
     Solve,
-    /// `solve_with` under an explicit depth and thread count.
-    SolveWith(u32, usize),
+    /// `solve_with` under an explicit depth.
+    SolveWith(u32),
     SolveFor(usize),
     /// `try_solve` with a fault planted (`SITES` × `KINDS`).
     FaultedSolve(usize, usize),
@@ -148,11 +148,7 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Solve),
         Just(Op::Solve),
         Just(Op::Solve),
-        (
-            prop_oneof![Just(2u32), Just(4), Just(12)],
-            prop_oneof![Just(1usize), Just(2)]
-        )
-            .prop_map(|(d, t)| Op::SolveWith(d, t)),
+        prop_oneof![Just(2u32), Just(4), Just(12)].prop_map(Op::SolveWith),
         (0..QUERIES.len()).prop_map(Op::SolveFor),
         (0..QUERIES.len()).prop_map(Op::SolveFor),
         fault().prop_map(|(s, k)| Op::FaultedSolve(s, k)),
@@ -379,8 +375,8 @@ impl Harness {
                 let model = self.kb.solve();
                 self.check_full(options, &model)?;
             }
-            Op::SolveWith(depth, threads) => {
-                let options = WfsOptions::depth(*depth).with_threads(*threads);
+            Op::SolveWith(depth) => {
+                let options = WfsOptions::depth(*depth);
                 let model = self.kb.solve_with(options);
                 self.check_full(options, &model)?;
             }

@@ -35,13 +35,6 @@ fn fnv1a(s: &str) -> u64 {
 /// discovery-order changes cannot sneak through while semantic changes
 /// cannot hide.
 fn canonical_record(seed: u64) -> String {
-    canonical_record_at(seed, 1)
-}
-
-/// Same workload, saturated with `threads` match workers. The sharded
-/// saturation loop is specified to be bit-identical for every thread
-/// count, so every record must equal the serial one.
-fn canonical_record_at(seed: u64, threads: usize) -> String {
     let mut u = Universe::new();
     let w = random_program(
         &mut u,
@@ -63,12 +56,7 @@ fn canonical_record_at(seed: u64, threads: usize) -> String {
             seed: seed.wrapping_mul(7919).wrapping_add(13),
         },
     );
-    let seg = ChaseSegment::build(
-        &mut u,
-        &db,
-        &w.sigma,
-        ChaseBudget::depth(4).with_threads(threads),
-    );
+    let seg = ChaseSegment::build(&mut u, &db, &w.sigma, ChaseBudget::depth(4));
 
     let mut atoms: Vec<String> = seg
         .atoms()
@@ -165,20 +153,4 @@ fn saturation_matches_pre_refactor_oracle() {
         expected.lines().count(),
         "fixture line count changed"
     );
-}
-
-/// The sharded match phase must not change anything the oracle pins:
-/// every seed's canonical record is byte-identical at 1/2/4/8 threads.
-#[test]
-fn saturation_oracle_is_thread_count_invariant() {
-    for seed in 0..NUM_SEEDS {
-        let serial = canonical_record_at(seed, 1);
-        for threads in [2usize, 4, 8] {
-            let parallel = canonical_record_at(seed, threads);
-            assert_eq!(
-                parallel, serial,
-                "seed {seed} diverged at {threads} threads"
-            );
-        }
-    }
 }

@@ -248,6 +248,7 @@ fn query_errors_report_real_positions() {
         "\"solve\":",
         "\"modular\":",
         "\"chase\":",
+        "\"relaxations\":",
     ] {
         assert!(body.contains(key), "stats body missing {key}: {body}");
     }

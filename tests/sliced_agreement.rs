@@ -229,30 +229,6 @@ fn random_stratified_slices_agree() {
     }
 }
 
-#[test]
-fn sliced_agreement_is_thread_count_invariant() {
-    let mut u = Universe::new();
-    let sigma = fanout_sigma(&mut u);
-    let db = fanout_database(
-        &mut u,
-        &FanoutConfig {
-            groups: 128,
-            recursive_fraction: 0.5,
-            seed: 3,
-        },
-    );
-    let out = u.lookup_pred("out").unwrap();
-    for threads in [1, 2, 4] {
-        assert_slices_agree(
-            &u,
-            &db,
-            &sigma,
-            WfsOptions::unbounded().with_threads(threads),
-            &[vec![out]],
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

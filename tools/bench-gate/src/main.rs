@@ -1,26 +1,17 @@
 //! `bench-gate` — the CI bench-regression gate.
 //!
-//! Two modes:
-//!
-//! * `bench-gate compare --baseline <dir> --current <dir>` walks every
-//!   `BENCH_*.json` in the baseline directory, pairs it with the same
-//!   filename under the current directory, and compares every
-//!   **time-valued** metric (any dotted path with a segment ending in
-//!   `_ns`; lower is better). A metric that got more than `--tolerance`
-//!   (default 25%) slower *and* lost more than `--min-abs-ns` (default
-//!   100µs, to ignore micro-jitter) fails the gate with a per-metric
-//!   report. Ratio metrics (speedups, scaling) and multi-thread legs
-//!   (`threadsN`, `N != 1`) are ignored here — they are machine-shape
-//!   dependent, so comparing them across hosts either fails spuriously
-//!   or silently masks regressions.
-//! * `bench-gate assert-scaling --file <json> [--min 1.0]` asserts that
-//!   the file's best `scaling` value exceeds the floor — the CI-side
-//!   check that thread scaling is real on the multicore runner. When the
-//!   file records fewer than three hardware threads
-//!   (`available_parallelism < 3`) the assertion is skipped with a
-//!   warning: that is where the solver's own `threads = 0` rule
-//!   (`wfdl_core::resolve_threads`) declines to parallelise, so there is
-//!   no scaling to assert.
+//! `bench-gate compare --baseline <dir> --current <dir>` walks every
+//! `BENCH_*.json` in the baseline directory, pairs it with the same
+//! filename under the current directory, and compares every
+//! **time-valued** metric (any dotted path with a segment ending in
+//! `_ns`; lower is better). A metric that got more than `--tolerance`
+//! (default 25%) slower *and* lost more than `--min-abs-ns` (default
+//! 100µs, to ignore micro-jitter) fails the gate with a per-metric
+//! report. Ratio metrics (speedups, scaling) and multi-thread legs
+//! (`threadsN`, `N != 1`: the reader and connection legs of
+//! `query_throughput` and `serve_load`) are ignored — they are
+//! machine-shape dependent, so comparing them across hosts either fails
+//! spuriously or silently masks regressions.
 //!
 //! The JSON "parser" below covers exactly the dialect our benches emit
 //! (objects, arrays, strings without exotic escapes, f64 numbers, bools,
@@ -284,9 +275,7 @@ fn is_time_metric(path: &str) -> bool {
 /// dependent — on a host with more cores than the baseline machine they
 /// drop far below the snapshot, which would let real parallel regressions
 /// hide under the headroom, and on a host with fewer they fail spuriously.
-/// The gate therefore only compares serial medians; parallel health is
-/// asserted separately via `assert-scaling` on the same run's own serial
-/// leg.
+/// The gate therefore only compares single-thread medians.
 fn is_machine_shape_dependent(path: &str) -> bool {
     path.split(['.', '[', ']']).any(|seg| {
         seg.strip_prefix("threads")
@@ -300,7 +289,7 @@ fn lookup_num(m: &BTreeMap<String, f64>, key: &str) -> Option<f64> {
 }
 
 // ======================================================================
-// Modes
+// Comparison
 // ======================================================================
 
 fn load_metrics(path: &Path) -> Result<BTreeMap<String, f64>, String> {
@@ -406,7 +395,7 @@ fn compare(baseline_dir: &Path, current_dir: &Path, tolerance: f64, min_abs_ns: 
     );
     println!(
         "bench-gate: skipped {skipped_shape} machine-shape-dependent metric(s) \
-         (threadsN legs, N != 1 — asserted via assert-scaling instead)"
+         (threadsN legs, N != 1)"
     );
     if regressions > 0 {
         eprintln!(
@@ -421,61 +410,6 @@ fn compare(baseline_dir: &Path, current_dir: &Path, tolerance: f64, min_abs_ns: 
     }
 }
 
-/// Hosts that recorded fewer hardware threads than this are not asked to
-/// scale: it is where the solver's own `threads = 0` rule
-/// (`wfdl_core::resolve_threads`) runs serial, and the gate must not demand
-/// a speedup the engine itself declines to attempt.
-const MIN_HW_THREADS_TO_ASSERT_SCALING: f64 = 3.0;
-
-/// The hardware threads an artifact recorded (`1` when it recorded none),
-/// and whether that is enough for `assert-scaling` to assert anything.
-fn recorded_cores(m: &BTreeMap<String, f64>) -> (f64, bool) {
-    let cores = lookup_num(m, "available_parallelism").unwrap_or(1.0);
-    (cores, cores >= MIN_HW_THREADS_TO_ASSERT_SCALING)
-}
-
-fn assert_scaling(file: &Path, min: f64) -> ExitCode {
-    let m = match load_metrics(file) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench-gate: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (cores, asserted) = recorded_cores(&m);
-    if !asserted {
-        eprintln!(
-            "bench-gate: {}: {cores:.0} hardware thread(s) recorded — scaling assertion skipped \
-             (below {MIN_HW_THREADS_TO_ASSERT_SCALING:.0} the solver's own auto rule runs \
-             serial, so there is no scaling to assert)",
-            file.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let best = m
-        .iter()
-        .filter(|(p, _)| p.ends_with("scaling") || p.ends_with(".scaling"))
-        .map(|(_, &v)| v)
-        .fold(f64::NEG_INFINITY, f64::max);
-    if best == f64::NEG_INFINITY {
-        eprintln!("bench-gate: {}: no `scaling` metric found", file.display());
-        return ExitCode::from(2);
-    }
-    println!(
-        "bench-gate: {}: best scaling {best:.2}x on {cores:.0} cores (floor {min:.2}x)",
-        file.display()
-    );
-    if best > min {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "bench-gate: FAILED — best scaling {best:.2}x did not exceed {min:.2}x on a \
-             {cores:.0}-core host"
-        );
-        ExitCode::FAILURE
-    }
-}
-
 // ======================================================================
 // CLI
 // ======================================================================
@@ -483,8 +417,7 @@ fn assert_scaling(file: &Path, min: f64) -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: bench-gate compare --baseline <dir> --current <dir> \
-         [--tolerance 0.25] [--min-abs-ns 100000]\n\
-         \x20      bench-gate assert-scaling --file <BENCH_*.json> [--min 1.0]"
+         [--tolerance 0.25] [--min-abs-ns 100000]"
     );
     ExitCode::from(2)
 }
@@ -524,15 +457,6 @@ fn main() -> ExitCode {
                 return usage();
             };
             compare(Path::new(baseline), Path::new(current), tolerance, min_abs)
-        }
-        "assert-scaling" => {
-            let Some(file) = flags.get("file") else {
-                return usage();
-            };
-            let Some(min) = num(&flags, "min", 1.0) else {
-                return usage();
-            };
-            assert_scaling(Path::new(file), min)
         }
         _ => usage(),
     }
@@ -582,21 +506,6 @@ mod tests {
         assert!(!is_machine_shape_dependent(
             "workloads[threadsafe].median_ns.total"
         ));
-    }
-
-    #[test]
-    fn scaling_is_not_asserted_below_three_hardware_threads() {
-        let recorded = |src: &str| recorded_cores(&metrics(&parse_json(src).unwrap()));
-        // The committed BENCH_parallel.json: a 2-thread host, on which every
-        // parallel leg loses and the best `scaling` is the serial 1.00.
-        assert_eq!(
-            recorded(r#"{"available_parallelism": 2, "best_scaling": 1.00}"#),
-            (2.0, false)
-        );
-        assert_eq!(recorded(r#"{"available_parallelism": 1}"#), (1.0, false));
-        assert_eq!(recorded(r#"{"available_parallelism": 3}"#), (3.0, true));
-        // A file that records nothing is treated as single-core.
-        assert_eq!(recorded(r#"{"legs": [{"scaling": 0.5}]}"#), (1.0, false));
     }
 
     #[test]
