@@ -94,6 +94,22 @@ impl AtomStore {
         self.find(pred, args).1
     }
 
+    /// [`AtomStore::lookup`] of arguments that are computed rather than
+    /// stored — a query atom under a binding — so that the caller needs no
+    /// buffer to put them in.
+    pub fn lookup_iter(
+        &self,
+        pred: PredId,
+        args: impl Iterator<Item = TermId> + Clone,
+    ) -> Option<AtomId> {
+        let hash = hash_words(pred.raw(), args.clone().map(|t| t.raw()));
+        let hit = self.table.find(hash, |id| {
+            self.preds[id as usize] == pred
+                && self.args.row(id as usize).iter().copied().eq(args.clone())
+        });
+        hit.map(AtomId)
+    }
+
     /// The structure of an interned atom.
     #[inline]
     pub fn node(&self, id: AtomId) -> AtomNode<'_> {
@@ -169,6 +185,25 @@ mod tests {
         let id = store.intern_ref(p, &[t0]);
         assert_eq!(store.lookup(p, &[t0]), Some(id));
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn lookup_iter_agrees_with_lookup() {
+        let mut store = AtomStore::new();
+        let (p, q) = (PredId::from_index(0), PredId::from_index(1));
+        let t: Vec<TermId> = (0..3).map(TermId::from_index).collect();
+        let p01 = store.intern_ref(p, &t[..2]);
+        let q0 = store.intern_ref(q, &t[..1]);
+        let p_nullary = store.intern_ref(p, &[]);
+        for pred in [p, q] {
+            for args in [&t[..0], &t[..1], &t[..2], &t[..3], &t[1..]] {
+                let found = store.lookup_iter(pred, args.iter().copied());
+                assert_eq!(found, store.lookup(pred, args), "{pred:?} {args:?}");
+            }
+        }
+        assert_eq!(store.lookup_iter(p, t[..2].iter().copied()), Some(p01));
+        assert_eq!(store.lookup_iter(q, t[..1].iter().copied()), Some(q0));
+        assert_eq!(store.lookup_iter(p, [].into_iter()), Some(p_nullary));
     }
 
     #[test]

@@ -8,12 +8,26 @@
 /// A dynamically sized bitset indexed by `usize`.
 ///
 /// All out-of-range reads answer `false`; writes grow the backing store.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Two bitsets are equal iff they hold the same bits, however far either
+/// backing store has grown.
+#[derive(Clone, Debug, Default)]
 pub struct BitSet {
     words: Vec<u64>,
     /// Number of set bits, maintained incrementally.
     len: usize,
 }
+
+impl PartialEq for BitSet {
+    fn eq(&self, other: &BitSet) -> bool {
+        let shared = self.words.len().min(other.words.len());
+        self.len == other.len
+            && self.words[..shared] == other.words[..shared]
+            && self.words[shared..].iter().all(|&w| w == 0)
+            && other.words[shared..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for BitSet {}
 
 impl BitSet {
     /// Creates an empty bitset.
@@ -175,6 +189,25 @@ mod tests {
         assert!(s.remove(100));
         assert!(!s.remove(100));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn equality_is_over_set_bits_not_capacity() {
+        let mut grown = BitSet::new();
+        grown.insert(100);
+        grown.remove(100);
+        assert_eq!(grown, BitSet::new());
+        assert_eq!(BitSet::new(), grown);
+        grown.insert(3);
+        let small: BitSet = [3usize].into_iter().collect();
+        assert_eq!(grown, small);
+        assert_ne!(grown, BitSet::new());
+        // Same count, same leading words, different tail.
+        let mut far = small.clone();
+        far.remove(3);
+        far.insert(100);
+        assert_ne!(far, small);
+        assert_ne!(small, far);
     }
 
     #[test]

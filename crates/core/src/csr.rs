@@ -162,8 +162,8 @@ pub fn splice_with<T: Copy + Ord>(
     items
 }
 
-/// Splits the leading pairs of `row` off `list`.
-fn take_row<'a, T>(list: &mut &'a [(u32, T)], row: u32) -> &'a [(u32, T)] {
+/// Splits the leading pairs of `row` off `list` (grouped by row).
+pub fn take_row<'a, T>(list: &mut &'a [(u32, T)], row: u32) -> &'a [(u32, T)] {
     let n = list.iter().take_while(|&&(at, _)| at == row).count();
     let (mine, rest) = list.split_at(n);
     *list = rest;

@@ -42,6 +42,40 @@ impl fmt::Debug for Symbol {
     }
 }
 
+/// A `Symbol → dense id` side array: what a name *is* (a constant, a
+/// predicate, a Skolem function) is read at the symbol's index — symbols
+/// are dense ids already, so nothing is hashed a second time. A clone is
+/// one `memcpy`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SymbolMap {
+    /// `id + 1` at the symbol's index; `0` (and past the end): no entry.
+    slots: Vec<u32>,
+}
+
+impl SymbolMap {
+    /// The id recorded for `sym`, if any.
+    #[inline]
+    pub(crate) fn get(&self, sym: Symbol) -> Option<usize> {
+        match self.slots.get(sym.index()) {
+            Some(&slot) if slot != 0 => Some(slot as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// Records `id` for `sym`, which has no entry yet.
+    pub(crate) fn insert(&mut self, sym: Symbol, id: usize) {
+        if sym.index() >= self.slots.len() {
+            self.slots.resize(sym.index() + 1, 0);
+        }
+        debug_assert_eq!(self.slots[sym.index()], 0);
+        self.slots[sym.index()] = crate::dense_u32(id + 1, "symbol side array");
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
 /// Bidirectional string ↔ [`Symbol`] map.
 ///
 /// Every name lives once, back to back, in one byte pool; symbol `i` is

@@ -9,7 +9,7 @@
 //! [`TermId`]s.
 
 use crate::idtable::{hash_words, IdTable};
-use crate::symbol::Symbol;
+use crate::symbol::{Symbol, SymbolMap};
 use std::fmt;
 
 /// An interned ground term (constant or Skolem term).
@@ -125,12 +125,18 @@ const SKOLEM_BIT: u32 = 1 << 31;
 /// the terms containing them.
 ///
 /// Layout: one head word, one depth and one (possibly empty) argument row
-/// per term, all in flat pools — interning allocates nothing per term.
+/// per term, all in flat pools — interning allocates nothing per term. A
+/// constant is found through a side array at its [`Symbol`] (a dense id
+/// already: its name was hashed once, by the symbol table); only Skolem
+/// terms are in the hash table.
 #[derive(Clone, Debug, Default)]
 pub struct TermStore {
     heads: Vec<u32>,
     args: ArgPool,
     depth: Vec<u32>,
+    /// `Symbol → TermId` of the constants.
+    constants: SymbolMap,
+    /// The Skolem terms, by head word and argument row.
     table: IdTable,
 }
 
@@ -153,8 +159,12 @@ impl TermStore {
 
     /// Interns a constant.
     pub fn constant(&mut self, name: Symbol) -> TermId {
-        let head = Self::head_word(name.raw(), 0);
-        self.intern(head, &[])
+        if let Some(id) = self.lookup_const(name) {
+            return id;
+        }
+        let id = self.push(Self::head_word(name.raw(), 0), &[], 0);
+        self.constants.insert(name, id.index());
+        id
     }
 
     /// Interns the Skolem term `f(args…)` from a borrowed argument slice;
@@ -162,11 +172,22 @@ impl TermStore {
     /// store.
     pub fn skolem_ref(&mut self, f: SkolemId, args: &[TermId]) -> TermId {
         let head = Self::head_word(f.0, SKOLEM_BIT);
-        self.intern(head, args)
+        let (hash, hit) = self.find_skolem(head, args);
+        if let Some(id) = hit {
+            return id;
+        }
+        let depth = 1 + args
+            .iter()
+            .map(|a| self.depth[a.index()])
+            .max()
+            .unwrap_or(0);
+        let id = self.push(head, args, depth);
+        self.table.insert_new(hash, id.0);
+        id
     }
 
     #[inline]
-    fn find(&self, head: u32, args: &[TermId]) -> (u32, Option<TermId>) {
+    fn find_skolem(&self, head: u32, args: &[TermId]) -> (u32, Option<TermId>) {
         let hash = hash_words(head, args.iter().map(|t| t.raw()));
         let hit = self.table.find(hash, |id| {
             self.heads[id as usize] == head && self.args.row(id as usize) == args
@@ -174,41 +195,24 @@ impl TermStore {
         (hash, hit.map(TermId))
     }
 
-    fn intern(&mut self, head: u32, args: &[TermId]) -> TermId {
-        let (hash, hit) = self.find(head, args);
-        if let Some(id) = hit {
-            return id;
-        }
-        let depth = if head & SKOLEM_BIT == 0 {
-            0
-        } else {
-            1 + args
-                .iter()
-                .map(|a| self.depth[a.index()])
-                .max()
-                .unwrap_or(0)
-        };
+    /// Appends a term the caller has established is new.
+    fn push(&mut self, head: u32, args: &[TermId], depth: u32) -> TermId {
         let id = crate::dense_u32(self.heads.len(), "term store");
         self.heads.push(head);
         self.args.push(args);
         self.depth.push(depth);
-        self.table.insert_new(hash, id);
         TermId(id)
     }
 
     /// Looks up the constant with the given name without interning it.
+    #[inline]
     pub fn lookup_const(&self, name: Symbol) -> Option<TermId> {
-        // A symbol that runs into the tag bit was never interned as a
-        // constant (`constant` asserts), so it is simply absent.
-        if name.raw() & SKOLEM_BIT != 0 {
-            return None;
-        }
-        self.find(name.raw(), &[]).1
+        self.constants.get(name).map(TermId::from_index)
     }
 
     /// Looks up a Skolem term without interning it. Allocation-free.
     pub fn lookup_skolem(&self, f: SkolemId, args: &[TermId]) -> Option<TermId> {
-        self.find(f.0 | SKOLEM_BIT, args).1
+        self.find_skolem(f.0 | SKOLEM_BIT, args).1
     }
 
     /// The structure of a term.
@@ -262,6 +266,7 @@ impl TermStore {
     pub fn heap_bytes(&self) -> usize {
         (self.heads.capacity() + self.depth.capacity()) * std::mem::size_of::<u32>()
             + self.args.heap_bytes()
+            + self.constants.heap_bytes()
             + self.table.heap_bytes()
     }
 }

@@ -7,9 +7,8 @@
 
 use crate::atom::{AtomId, AtomStore};
 use crate::error::{CoreError, Result};
-use crate::fxhash::FxHashMap;
 use crate::schema::{PredId, PredInfo, SchemaStats};
-use crate::symbol::{Symbol, SymbolTable};
+use crate::symbol::{Symbol, SymbolMap, SymbolTable};
 use crate::term::{SkolemId, TermId, TermNode, TermStore};
 use std::fmt;
 
@@ -23,14 +22,17 @@ pub struct SkolemInfo {
 }
 
 /// Interning context: symbols, predicates, Skolem functions, terms, atoms.
+///
+/// Every field is a flat pool, an id table or a side array over dense
+/// ids, so a clone is a fixed number of `memcpy`s.
 #[derive(Clone, Debug, Default)]
 pub struct Universe {
     /// String interner.
     pub symbols: SymbolTable,
     preds: Vec<PredInfo>,
-    pred_by_name: FxHashMap<Symbol, PredId>,
+    pred_by_name: SymbolMap,
     skolems: Vec<SkolemInfo>,
-    skolem_by_name: FxHashMap<Symbol, SkolemId>,
+    skolem_by_name: SymbolMap,
     /// Ground term store.
     pub terms: TermStore,
     /// Ground atom store.
@@ -51,8 +53,8 @@ impl Universe {
     /// arity.
     pub fn pred(&mut self, name: &str, arity: usize) -> Result<PredId> {
         let sym = self.symbols.intern(name);
-        if let Some(&id) = self.pred_by_name.get(&sym) {
-            let declared = self.preds[id.index()].arity;
+        if let Some(id) = self.pred_by_name.get(sym) {
+            let declared = self.preds[id].arity;
             if declared != arity {
                 return Err(CoreError::ArityMismatch {
                     predicate: name.to_owned(),
@@ -60,16 +62,21 @@ impl Universe {
                     used: arity,
                 });
             }
-            return Ok(id);
+            return Ok(PredId::from_index(id));
         }
+        Ok(self.declare_pred(sym, arity, false))
+    }
+
+    /// Appends a predicate whose name has no declaration yet.
+    fn declare_pred(&mut self, name: Symbol, arity: usize, auxiliary: bool) -> PredId {
         let id = PredId::from_index(self.preds.len());
         self.preds.push(PredInfo {
-            name: sym,
+            name,
             arity,
-            auxiliary: false,
+            auxiliary,
         });
-        self.pred_by_name.insert(sym, id);
-        Ok(id)
+        self.pred_by_name.insert(name, id.index());
+        id
     }
 
     /// Declares an auxiliary predicate (hidden from default model printing).
@@ -79,15 +86,8 @@ impl Universe {
         let mut n = 0usize;
         loop {
             let sym = self.symbols.intern(&name);
-            if !self.pred_by_name.contains_key(&sym) {
-                let id = PredId::from_index(self.preds.len());
-                self.preds.push(PredInfo {
-                    name: sym,
-                    arity,
-                    auxiliary: true,
-                });
-                self.pred_by_name.insert(sym, id);
-                return id;
+            if self.pred_by_name.get(sym).is_none() {
+                return self.declare_pred(sym, arity, true);
             }
             n += 1;
             name = format!("{base_name}#{n}");
@@ -98,7 +98,8 @@ impl Universe {
     pub fn lookup_pred(&self, name: &str) -> Option<PredId> {
         self.symbols
             .lookup(name)
-            .and_then(|s| self.pred_by_name.get(&s).copied())
+            .and_then(|s| self.pred_by_name.get(s))
+            .map(PredId::from_index)
     }
 
     /// Predicate metadata.
@@ -141,8 +142,8 @@ impl Universe {
     /// Declares (or re-finds) a Skolem function with the given name/arity.
     pub fn skolem_fn(&mut self, name: &str, arity: usize) -> Result<SkolemId> {
         let sym = self.symbols.intern(name);
-        if let Some(&id) = self.skolem_by_name.get(&sym) {
-            let declared = self.skolems[id.index()].arity;
+        if let Some(id) = self.skolem_by_name.get(sym) {
+            let declared = self.skolems[id].arity;
             if declared != arity {
                 return Err(CoreError::SkolemArityMismatch {
                     function: name.to_owned(),
@@ -150,11 +151,11 @@ impl Universe {
                     used: arity,
                 });
             }
-            return Ok(id);
+            return Ok(SkolemId::from_index(id));
         }
         let id = SkolemId::from_index(self.skolems.len());
         self.skolems.push(SkolemInfo { name: sym, arity });
-        self.skolem_by_name.insert(sym, id);
+        self.skolem_by_name.insert(sym, id.index());
         Ok(id)
     }
 
@@ -162,7 +163,8 @@ impl Universe {
     pub fn lookup_skolem(&self, name: &str) -> Option<SkolemId> {
         self.symbols
             .lookup(name)
-            .and_then(|s| self.skolem_by_name.get(&s).copied())
+            .and_then(|s| self.skolem_by_name.get(s))
+            .map(SkolemId::from_index)
     }
 
     /// Skolem function metadata.
@@ -252,8 +254,7 @@ impl Universe {
     // ----- memory ------------------------------------------------------
 
     /// Heap bytes held by the universe: O(1), a sum of the capacities of
-    /// the stores' flat pools and tables. (The two by-name maps of the
-    /// declarations are counted by their entries; they are schema-sized.)
+    /// the stores' flat pools, tables and side arrays.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.symbols.heap_bytes()
@@ -261,8 +262,8 @@ impl Universe {
             + self.atoms.heap_bytes()
             + self.preds.capacity() * size_of::<PredInfo>()
             + self.skolems.capacity() * size_of::<SkolemInfo>()
-            + self.pred_by_name.capacity() * size_of::<(Symbol, PredId)>()
-            + self.skolem_by_name.capacity() * size_of::<(Symbol, SkolemId)>()
+            + self.pred_by_name.heap_bytes()
+            + self.skolem_by_name.heap_bytes()
     }
 
     // ----- display -----------------------------------------------------

@@ -62,30 +62,43 @@ pub fn answers<S: TruthSource>(universe: &Universe, model: &S, query: &Nbcq) -> 
 /// [`answers`] over a prebuilt index.
 ///
 /// The index contract: `index` covers **at least** the model's
-/// certainly-true atoms, and every candidate it yields is filtered by the
-/// model's verdict (one [`TruthSource::value`] read). So the one index a
-/// model keeps — over its not-false atoms, which [`holds3_indexed`] needs
-/// — serves certain answers too, and an index over the true atoms alone
-/// stays a valid argument (the filter is then a no-op).
+/// certainly-true atoms, and every candidate — one it yields, or the one
+/// atom a fully bound query atom names, found through the universe's atom
+/// table without reading the index — is filtered by the model's verdict
+/// (one [`TruthSource::value`] read). So the one index a model keeps —
+/// over its not-false atoms, which [`holds3_indexed`] needs — serves
+/// certain answers too, and an index over the true atoms alone stays a
+/// valid argument (the filter is then a no-op).
 pub fn answers_indexed<S: TruthSource>(
     universe: &Universe,
     model: &S,
     index: &AtomIndex,
     query: &Nbcq,
 ) -> AnswerSet {
+    let mut out = run_search(universe, model, index, query, Mode::Certain);
+    out.normalize();
+    out
+}
+
+/// Every homomorphism `mode` admits, as (unnormalized) answer tuples.
+fn run_search<S: TruthSource>(
+    universe: &Universe,
+    model: &S,
+    index: &AtomIndex,
+    query: &Nbcq,
+    mode: Mode,
+) -> AnswerSet {
     let mut out = AnswerSet::default();
-    let mut binding: Vec<Option<TermId>> = vec![None; query.num_vars() as usize];
     search(
         universe,
         model,
         index,
         query,
-        &mut binding,
+        &mut vec![None; query.num_vars() as usize],
         &mut vec![false; query.pos.len()],
         &mut out,
-        Mode::Certain,
+        mode,
     );
-    out.normalize();
     out
 }
 
@@ -136,19 +149,7 @@ pub fn possible_witness_indexed<S: TruthSource>(
     index: &AtomIndex,
     query: &Nbcq,
 ) -> bool {
-    let mut out = AnswerSet::default();
-    let mut binding: Vec<Option<TermId>> = vec![None; query.num_vars() as usize];
-    search(
-        universe,
-        model,
-        index,
-        query,
-        &mut binding,
-        &mut vec![false; query.pos.len()],
-        &mut out,
-        Mode::Possible,
-    );
-    !out.is_empty()
+    !run_search(universe, model, index, query, Mode::Possible).is_empty()
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -177,26 +178,77 @@ impl Mode {
     }
 }
 
+/// The atoms a positive query atom may map to under the current binding.
+enum Candidates<'a> {
+    /// Every argument is bound: the one ground atom the query atom names,
+    /// if the universe has it. Found by the hash the atom table already
+    /// keeps; no index is read.
+    Ground(Option<AtomId>),
+    /// The shortest row the index has for what is bound.
+    Row(&'a [AtomId]),
+}
+
+impl Candidates<'_> {
+    fn as_slice(&self) -> &[AtomId] {
+        match self {
+            Candidates::Ground(atom) => atom.as_slice(),
+            Candidates::Row(row) => row,
+        }
+    }
+}
+
+/// The value of a query term under the binding, if it has one yet.
+#[inline]
+fn bound(term: &QTerm, binding: &[Option<TermId>]) -> Option<TermId> {
+    match term {
+        QTerm::Const(c) => Some(*c),
+        QTerm::Var(v) => binding[v.index()],
+    }
+}
+
+/// The ground atom `atom` names under the binding, looked up in the
+/// universe's atom table (the inner `Option`: it may never have been
+/// interned); `None` if an argument is still unbound. The arguments are
+/// read off the binding as they are hashed and compared, so no buffer —
+/// and no allocation — stands between a ground ask and its answer.
+#[allow(clippy::expect_used)] // every argument is checked first
+fn ground_atom(
+    universe: &Universe,
+    atom: &QueryAtom,
+    binding: &[Option<TermId>],
+) -> Option<Option<AtomId>> {
+    if atom.args.iter().any(|t| bound(t, binding).is_none()) {
+        return None;
+    }
+    let args = atom.args.iter();
+    let args = args.map(|t| bound(t, binding).expect("checked above"));
+    Some(universe.atoms.lookup_iter(atom.pred, args))
+}
+
 /// Chooses the next unmatched positive atom with the smallest candidate
 /// list under the current binding; returns `(atom index, candidates)`.
 fn pick_next<'a>(
+    universe: &Universe,
     index: &'a AtomIndex,
     query: &Nbcq,
     binding: &[Option<TermId>],
     used: &[bool],
-) -> Option<(usize, &'a [AtomId])> {
-    let mut best: Option<(usize, &[AtomId])> = None;
+) -> Option<(usize, Candidates<'a>)> {
+    let mut best: Option<(usize, Candidates<'a>)> = None;
     for (i, atom) in query.pos.iter().enumerate() {
         if used[i] {
             continue;
         }
-        let known = atom.args.iter().enumerate().filter_map(|(pos, t)| match t {
-            QTerm::Const(c) => Some((pos as u32, *c)),
-            QTerm::Var(v) => binding[v.index()].map(|b| (pos as u32, b)),
-        });
-        let cands = index.candidates(atom.pred, known);
+        let cands = match ground_atom(universe, atom, binding) {
+            Some(ground) => Candidates::Ground(ground),
+            None => {
+                let known = atom.args.iter().enumerate();
+                let known = known.filter_map(|(pos, t)| Some((pos as u32, bound(t, binding)?)));
+                Candidates::Row(index.candidates(universe, atom.pred, known))
+            }
+        };
         match &best {
-            Some((_, b)) if b.len() <= cands.len() => {}
+            Some((_, b)) if b.as_slice().len() <= cands.as_slice().len() => {}
             _ => best = Some((i, cands)),
         }
     }
@@ -252,18 +304,11 @@ fn search<S: TruthSource>(
     out: &mut AnswerSet,
     mode: Mode,
 ) {
-    let Some((qi, cands)) = pick_next(index, query, binding, used) else {
+    let Some((qi, cands)) = pick_next(universe, index, query, binding, used) else {
         // All positive atoms matched; check the negated atoms.
         for n in &query.neg {
-            let args: Vec<TermId> = n
-                .args
-                .iter()
-                .map(|t| match t {
-                    QTerm::Const(c) => *c,
-                    QTerm::Var(v) => binding[v.index()].expect("safe query binds all vars"),
-                })
-                .collect();
-            let value = match universe.atoms.lookup(n.pred, &args) {
+            let ground = ground_atom(universe, n, binding).expect("safe query binds all vars");
+            let value = match ground {
                 Some(a) => model.value(a),
                 None => model.unseen(), // atom never materialized
             };
@@ -287,8 +332,8 @@ fn search<S: TruthSource>(
     };
 
     used[qi] = true;
-    for &ground in cands {
-        // The index may cover more than this mode may match (see
+    for &ground in cands.as_slice() {
+        // The candidates may cover more than this mode may match (see
         // `answers_indexed`): the verdict decides.
         if !mode.admits(model.value(ground)) {
             continue;

@@ -2,7 +2,10 @@
 //! search must agree with a naive brute-force evaluator that enumerates
 //! every assignment over the active domain, and evaluating over the one
 //! index a model keeps (its not-false atoms, candidates filtered by
-//! verdict) must agree with evaluating over one index per mode.
+//! verdict) must agree with evaluating over one index per mode. A fully
+//! bound positive atom never reaches the index — it is looked up in the
+//! universe's atom table — and must read the same verdict brute force
+//! does, whatever the atom is to the model and however complete the model.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -11,26 +14,36 @@
 use proptest::prelude::*;
 use wfdl_core::{AtomId, Interp, TermId, Truth, Universe};
 use wfdl_query::{
-    answers, answers_indexed, holds, possible_witness_indexed, InterpSource, Nbcq, PreparedQuery,
-    QTerm, QVar, QueryAtom, TruthSource,
+    answers, answers_indexed, holds, holds3_indexed, possible_witness_indexed, InterpSource, Nbcq,
+    PreparedQuery, QTerm, QVar, QueryAtom, TruthSource,
 };
 use wfdl_storage::AtomIndex;
 
 /// A random model over p0/1, p1/2, p2/2 and constants k0..k4.
 #[derive(Clone, Debug)]
 struct ModelSpec {
-    /// (pred index, args, verdict) triples; see [`VERDICTS`].
+    /// (pred index, args, verdict) triples; see [`VERDICTS`]. A verdict
+    /// index past the end interns the atom and leaves it outside the
+    /// model.
     atoms: Vec<(usize, Vec<usize>, usize)>,
 }
 
 const VERDICTS: [Truth; 3] = [Truth::True, Truth::False, Truth::Unknown];
 
+/// The verdict index of an atom the universe has and the model has not.
+const OUTSIDE: usize = VERDICTS.len();
+
 fn model_spec() -> impl Strategy<Value = ModelSpec> {
+    model_spec_with(VERDICTS.len())
+}
+
+/// Models whose atoms draw their verdict index from `0..verdicts`.
+fn model_spec_with(verdicts: usize) -> impl Strategy<Value = ModelSpec> {
     proptest::collection::vec(
         (
             0usize..3,
             proptest::collection::vec(0usize..5, 2),
-            0..VERDICTS.len(),
+            0..verdicts,
         ),
         0..25,
     )
@@ -94,7 +107,7 @@ fn build(spec: &ModelSpec, qspec: &QuerySpec) -> Option<Built> {
     for (p, args, truth) in &spec.atoms {
         let terms: Vec<TermId> = args.iter().take(arities[*p]).map(|&i| consts[i]).collect();
         let atom = u.atom(preds[*p], terms).unwrap();
-        if !atoms.contains(&atom) {
+        if *truth != OUTSIDE && !atoms.contains(&atom) {
             atoms.push(atom);
             let _changed = match VERDICTS[*truth] {
                 Truth::True => interp.set_true(atom),
@@ -131,14 +144,19 @@ fn build(spec: &ModelSpec, qspec: &QuerySpec) -> Option<Built> {
 
 /// Naive certain satisfaction: positives true, negatives false.
 fn brute_force_holds(b: &Built) -> bool {
-    brute_force(b, Truth::is_true, Truth::is_false)
+    let src = InterpSource::new(&b.interp, &b.atoms);
+    brute_force(b, &src, Truth::is_true, Truth::is_false)
 }
 
 /// Naive evaluation: enumerate every assignment of the query's variables
 /// over the constant domain, until one maps every positive atom to a
 /// verdict `pos_ok` admits and every negated atom to one `neg_ok` admits.
-fn brute_force(b: &Built, pos_ok: fn(Truth) -> bool, neg_ok: fn(Truth) -> bool) -> bool {
-    let src = InterpSource::new(&b.interp, &b.atoms);
+fn brute_force<S: TruthSource>(
+    b: &Built,
+    src: &S,
+    pos_ok: fn(Truth) -> bool,
+    neg_ok: fn(Truth) -> bool,
+) -> bool {
     let nvars = b.query.num_vars() as usize;
     let domain = &b.consts;
     let mut assignment = vec![0usize; nvars];
@@ -155,7 +173,7 @@ fn brute_force(b: &Built, pos_ok: fn(Truth) -> bool, neg_ok: fn(Truth) -> bool) 
                 .collect();
             match b.universe.atoms.lookup(atom.pred, &args) {
                 Some(a) => src.value(a),
-                None => Truth::False,
+                None => src.unseen(),
             }
         };
         let ok = b.query.pos.iter().all(|a| pos_ok(lookup(a)))
@@ -225,12 +243,159 @@ proptest! {
         prop_assert_eq!(prepared.holds3_with(u, &src, &one), expected, "{:?}", query);
         let brute = if brute_force_holds(&built) {
             Truth::True
-        } else if brute_force(&built, |v| !v.is_false(), |v| !v.is_true()) {
+        } else if brute_force(&built, &src, |v| !v.is_false(), |v| !v.is_true()) {
             Truth::Unknown
         } else {
             Truth::False
         };
         prop_assert_eq!(expected, brute, "{:?}", query);
+    }
+}
+
+/// A model cut off before its fixpoint: what it has not seen — an atom
+/// interned by someone else, or never interned — is undecided.
+struct CutOff<'a> {
+    seen: InterpSource<'a>,
+    atoms: &'a [AtomId],
+}
+
+impl TruthSource for CutOff<'_> {
+    fn value(&self, atom: AtomId) -> Truth {
+        if self.atoms.contains(&atom) {
+            self.seen.value(atom)
+        } else {
+            self.unseen()
+        }
+    }
+
+    fn unseen(&self) -> Truth {
+        Truth::Unknown
+    }
+
+    fn certain_atoms(&self) -> Vec<AtomId> {
+        self.seen.certain_atoms()
+    }
+
+    fn possible_atoms(&self) -> Vec<AtomId> {
+        self.seen.possible_atoms()
+    }
+}
+
+/// What a ground atom can be to a model, and to the universe under it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    InModel(Truth),
+    InternedOutsideTheModel,
+    NeverInterned,
+}
+
+/// Every ground atom over the test schema as a query atom, with its kind.
+fn ground_atoms(b: &Built) -> Vec<(Kind, QueryAtom)> {
+    let src = InterpSource::new(&b.interp, &b.atoms);
+    let mut out = Vec::new();
+    for pred in b.universe.pred_ids() {
+        let arity = b.universe.pred_arity(pred);
+        for digits in 0..b.consts.len().pow(arity as u32) {
+            let args: Vec<TermId> = (0..arity)
+                .map(|pos| b.consts[digits / b.consts.len().pow(pos as u32) % b.consts.len()])
+                .collect();
+            let kind = match b.universe.atoms.lookup(pred, &args) {
+                Some(a) if b.atoms.contains(&a) => Kind::InModel(src.value(a)),
+                Some(_) => Kind::InternedOutsideTheModel,
+                None => Kind::NeverInterned,
+            };
+            let args: Vec<QTerm> = args.into_iter().map(QTerm::Const).collect();
+            out.push((kind, QueryAtom::new(pred, args)));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A fully bound positive atom is answered from the atom table, not
+    /// from the index: alone and in front of the random query, in both
+    /// modes, over a complete model and over a cut-off one, for an atom
+    /// of every kind the case has — and reading it builds no key table.
+    #[test]
+    fn ground_atoms_read_the_verdict_brute_force_reads(
+        spec in model_spec_with(OUTSIDE + 1),
+        qspec in query_spec(),
+        picks in proptest::collection::vec(0usize..1000, 5),
+    ) {
+        let Some(mut built) = build(&spec, &qspec) else { return Ok(()); };
+        let u = built.universe.clone();
+        let complete = InterpSource::new(&built.interp, &built.atoms);
+        let cut_off = CutOff { seen: complete.clone(), atoms: &built.atoms };
+        let index = AtomIndex::build(&u, complete.possible_atoms());
+        let all = ground_atoms(&built);
+        let kinds = [
+            Kind::InModel(Truth::True),
+            Kind::InModel(Truth::Unknown),
+            Kind::InModel(Truth::False),
+            Kind::InternedOutsideTheModel,
+            Kind::NeverInterned,
+        ];
+        let (random_pos, random_neg) = (built.query.pos.clone(), built.query.neg.clone());
+        for (kind, pick) in kinds.into_iter().zip(picks) {
+            let of_kind: Vec<&QueryAtom> =
+                all.iter().filter(|(k, _)| *k == kind).map(|(_, a)| a).collect();
+            if of_kind.is_empty() {
+                continue;
+            }
+            let ground = of_kind[pick % of_kind.len()].clone();
+            let alone = Nbcq::boolean(&u, vec![ground.clone()], vec![]).unwrap();
+            let mut pos = vec![ground];
+            pos.extend(random_pos.iter().cloned());
+            let joined = Nbcq::boolean(&u, pos, random_neg.clone()).unwrap();
+            for query in [alone, joined] {
+                built.query = query.clone();
+
+                // Complete model: certain, then possible, against brute force.
+                let certain = brute_force(&built, &complete, Truth::is_true, Truth::is_false);
+                let possible =
+                    brute_force(&built, &complete, |v| !v.is_false(), |v| !v.is_true());
+                prop_assert_eq!(
+                    !answers_indexed(&u, &complete, &index, &query).is_empty(),
+                    certain,
+                    "{:?} {:?}", kind, query
+                );
+                prop_assert_eq!(
+                    possible_witness_indexed(&u, &complete, &index, &query),
+                    possible,
+                    "{:?} {:?}", kind, query
+                );
+                let expected = match (certain, possible) {
+                    (true, _) => Truth::True,
+                    (false, true) => Truth::Unknown,
+                    (false, false) => Truth::False,
+                };
+                prop_assert_eq!(holds3_indexed(&u, &complete, &index, &query), expected);
+
+                // Cut-off model: certain answers against brute force
+                // (absent atoms undecided, so they satisfy no literal);
+                // the three-valued read never refutes.
+                let certain = brute_force(&built, &cut_off, Truth::is_true, Truth::is_false);
+                prop_assert_eq!(
+                    !answers_indexed(&u, &cut_off, &index, &query).is_empty(),
+                    certain,
+                    "cut off: {:?} {:?}", kind, query
+                );
+                let expected = if certain { Truth::True } else { Truth::Unknown };
+                prop_assert_eq!(holds3_indexed(&u, &cut_off, &index, &query), expected);
+                let prepared = PreparedQuery::from_query(query.clone());
+                prop_assert_eq!(prepared.holds3_with(&u, &cut_off, &index), expected);
+            }
+        }
+        // Every ground atom alone, once more, on a fresh index: none of
+        // them reads (or builds) a key table.
+        let fresh = AtomIndex::build(&u, complete.possible_atoms());
+        for (_, ground) in &all {
+            let alone = Nbcq::boolean(&u, vec![ground.clone()], vec![]).unwrap();
+            let _ = holds3_indexed(&u, &complete, &fresh, &alone);
+        }
+        prop_assert_eq!(fresh.stats().key_tables_built, 0);
     }
 }
 

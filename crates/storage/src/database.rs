@@ -1,15 +1,33 @@
 //! Database instances: finite sets of ground, null-free atoms over `∆`.
 
-use wfdl_core::{AtomId, CoreError, FxHashMap, FxHashSet, PredId, Result, Universe};
+use wfdl_core::{AtomId, BitSet, CoreError, PredId, Result, Universe};
 
 /// A database `D` for a relational schema: ground atoms whose arguments are
 /// data constants (no nulls, no variables), per Section 2.1.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Atom and predicate ids are dense, so membership is a bit per atom id and
+/// the per-predicate listing an array of rows: storing a fact hashes
+/// nothing.
+#[derive(Clone, Debug, Default)]
 pub struct Database {
     facts: Vec<AtomId>,
-    set: FxHashSet<AtomId>,
-    by_pred: FxHashMap<PredId, Vec<AtomId>>,
+    set: BitSet,
+    /// Row `p`: the facts of predicate `p`, in insertion order; predicates
+    /// past the end have none.
+    by_pred: Vec<Vec<AtomId>>,
 }
+
+/// Two databases are equal iff they list the same facts in the same
+/// order: the membership bits and the per-predicate rows are functions of
+/// that list, and how far either has grown (a fact stored and retracted
+/// leaves room behind) is not part of the value.
+impl PartialEq for Database {
+    fn eq(&self, other: &Database) -> bool {
+        self.facts == other.facts
+    }
+}
+
+impl Eq for Database {}
 
 impl Database {
     /// Creates an empty database.
@@ -51,14 +69,15 @@ impl Database {
     /// Inserts a fact without the null-freeness check (used by generators
     /// that construct constants directly).
     pub fn insert_unchecked(&mut self, universe: &Universe, atom: AtomId) -> bool {
-        if !self.set.insert(atom) {
+        if !self.set.insert(atom.index()) {
             return false;
         }
         self.facts.push(atom);
-        self.by_pred
-            .entry(universe.atoms.pred(atom))
-            .or_default()
-            .push(atom);
+        let pred = universe.atoms.pred(atom).index();
+        if pred >= self.by_pred.len() {
+            self.by_pred.resize_with(pred + 1, Vec::new);
+        }
+        self.by_pred[pred].push(atom);
         true
     }
 
@@ -75,7 +94,7 @@ impl Database {
     pub fn retract_batch(&mut self, universe: &Universe, atoms: &[AtomId]) -> usize {
         let mut preds: Vec<PredId> = Vec::new();
         for &a in atoms {
-            if self.set.remove(&a) {
+            if self.set.remove(a.index()) {
                 preds.push(universe.atoms.pred(a));
             }
         }
@@ -83,13 +102,11 @@ impl Database {
         if removed == 0 {
             return 0;
         }
-        self.facts.retain(|f| self.set.contains(f));
+        self.facts.retain(|f| self.set.contains(f.index()));
         preds.sort_unstable();
         preds.dedup();
         for p in preds {
-            if let Some(row) = self.by_pred.get_mut(&p) {
-                row.retain(|f| self.set.contains(f));
-            }
+            self.by_pred[p.index()].retain(|f| self.set.contains(f.index()));
         }
         removed
     }
@@ -97,7 +114,7 @@ impl Database {
     /// True iff the database contains `atom`.
     #[inline]
     pub fn contains(&self, atom: AtomId) -> bool {
-        self.set.contains(&atom)
+        self.set.contains(atom.index())
     }
 
     /// All facts, in insertion order.
@@ -108,7 +125,7 @@ impl Database {
 
     /// Facts with the given predicate.
     pub fn facts_with_pred(&self, pred: PredId) -> &[AtomId] {
-        self.by_pred.get(&pred).map(Vec::as_slice).unwrap_or(&[])
+        self.by_pred.get(pred.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Number of facts.
@@ -191,6 +208,35 @@ mod tests {
         assert!(db.facts_with_pred(q).is_empty());
         assert!(!db.contains(pc));
         assert_eq!(db.retract_batch(&u, &[pc]), 0, "already gone");
+    }
+
+    #[test]
+    fn a_retracted_fact_leaves_no_trace_in_equality() {
+        let mut u = Universe::new();
+        let p = u.pred("p", 1).unwrap();
+        let q = u.pred("q", 1).unwrap();
+        let c = u.constant("c");
+        let pc = u.atom(p, vec![c]).unwrap();
+        // A high atom id under the last predicate: the bits and the rows
+        // of `held` grow past anything `never` allocates.
+        for i in 0..100 {
+            let k = u.constant(&format!("k{i}"));
+            u.atom(p, vec![k]).unwrap();
+        }
+        let qc = u.atom(q, vec![c]).unwrap();
+        let mut held = Database::new();
+        let mut never = Database::new();
+        held.insert(&u, pc).unwrap();
+        never.insert(&u, pc).unwrap();
+        held.insert(&u, qc).unwrap();
+        assert_ne!(held, never);
+        assert_eq!(held.retract_batch(&u, &[qc]), 1);
+        assert_eq!(held, never);
+        assert_eq!(never, held);
+        assert_eq!(Database::new(), {
+            held.retract_batch(&u, &[pc]);
+            held
+        });
     }
 
     #[test]

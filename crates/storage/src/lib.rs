@@ -13,4 +13,4 @@ pub mod index;
 
 pub use database::Database;
 pub use ground::{GroundProgram, GroundProgramBuilder, GroundRule, GroundRuleId};
-pub use index::AtomIndex;
+pub use index::{AtomIndex, IndexStats};

@@ -752,6 +752,16 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
     for (i, q) in model.source_queries().iter().enumerate() {
         answer_query(&model, &format!("query {}", i + 1), q);
     }
+    if opts.stats {
+        // After the queries: it is they that build key tables.
+        let index = model.index_stats();
+        outln!(
+            "% index: bytes={}, preds={}, key_tables_built={}",
+            index.bytes,
+            index.preds,
+            index.key_tables_built
+        );
+    }
 
     // Constraint report.
     let status = model.constraint_status();

@@ -1013,8 +1013,12 @@ impl KnowledgeBase {
 /// `SolvedModel` is `Send + Sync` and every method takes `&self`, so one
 /// model behind an [`Arc`] can serve queries from any number of threads.
 /// Its one atom index — over the not-false atoms, serving certain and
-/// three-valued reads alike — is built (or patched from the previous
-/// model's) at solve time; nothing is left to the first read.
+/// three-valued reads alike — gets its predicate rows at solve time
+/// (built, or patched from the previous model's). The `(position, term)`
+/// key table of a predicate is built by the first read that binds some
+/// but not all arguments of it ([`SolvedModel::index_stats`] counts
+/// them); a ground ask goes through the universe's atom table and a scan
+/// through the predicate row, so most models never build one.
 #[derive(Debug)]
 pub struct SolvedModel {
     universe: UniverseSnapshot,
@@ -1374,11 +1378,18 @@ impl SolvedModel {
     }
 
     /// Heap bytes of the model's atom index (one, over its not-false
-    /// atoms). O(1). A goal-directed view reports the index of the full
-    /// model it shares. The universe's share is [`Universe::heap_bytes`] on
+    /// atoms), the key tables reads have built so far included. A
+    /// goal-directed view reports the index of the full model it shares.
+    /// The universe's share is [`Universe::heap_bytes`] on
     /// [`SolvedModel::universe`].
     pub fn index_bytes(&self) -> usize {
         self.solved.index.heap_bytes()
+    }
+
+    /// How far reads have built the model's atom index: its bytes, its
+    /// predicate rows, and how many of those have a key table.
+    pub fn index_stats(&self) -> wfdl_storage::IndexStats {
+        self.solved.index.stats()
     }
 }
 

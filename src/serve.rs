@@ -63,7 +63,7 @@
 //!
 //! See `crates/serve/src/README.md` for the field-by-field schema of the
 //! `/stats` JSON document (`epoch`, `uptime_ms`, `requests`, `model`,
-//! `solve`, `modular`, `chase`).
+//! `solve`, `modular`, `chase`, `index`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -393,8 +393,13 @@ impl WfdlApp {
         }
         out.push_str(&format!(
             ",\"chase\":{{\"rounds\":{},\"frontier_atoms\":{},\"relaxations\":{},\
-             \"match_ns\":{},\"merge_ns\":{}}}}}",
+             \"match_ns\":{},\"merge_ns\":{}}}",
             cs.rounds, cs.frontier_atoms, cs.relaxations, cs.match_ns, cs.merge_ns,
+        ));
+        let index = model.index_stats();
+        out.push_str(&format!(
+            ",\"index\":{{\"bytes\":{},\"preds\":{},\"key_tables_built\":{}}}}}",
+            index.bytes, index.preds, index.key_tables_built,
         ));
         out
     }

@@ -5,7 +5,8 @@
 //! universe (the façade's copy-on-write before each mutation, and
 //! `solve_for`'s private copy) is a handful of `memcpy`s, re-deriving
 //! something already interned allocates nothing, and an index is a
-//! handful of arrays. The engine evaluates every component in place, in
+//! handful of arrays — its predicate rows; a key table comes with the
+//! first read that binds an argument, and a ground ask reads none. The engine evaluates every component in place, in
 //! buffers sized once per solve. The frontend reads a fact as slices of
 //! the source text and interns them in place. A solve resumed after a small
 //! insert copies the previous model's flat arrays and works on the delta's
@@ -180,10 +181,17 @@ fn building_an_index_is_a_handful_of_allocations() {
     let (index, allocations) = allocations_in(|| AtomIndex::build(&u, atoms.iter().copied()));
     assert_eq!(index.len(), atoms.len());
     assert!(
-        allocations <= 32,
+        allocations <= 8,
         "indexing {} atoms took {allocations} allocations",
         atoms.len()
     );
+    // The arrays of a build are the predicate rows: the same number of
+    // them over a sixteenth of the atoms — and so of the `(position,
+    // term)` keys, which no build looks at.
+    let few = &atoms[..atoms.len() / 16];
+    let (small, of_small) = allocations_in(|| AtomIndex::build(&u, few.iter().copied()));
+    assert_eq!((small.len(), of_small), (few.len(), allocations));
+    assert_eq!(index.stats().key_tables_built, 0);
     // And from an iterator that cannot say how long it is, as the façade's
     // truth-value filters are.
     let (index, allocations) = allocations_in(|| {
@@ -352,6 +360,61 @@ fn a_small_insert_costs_what_it_touches() {
         large, small,
         "a 10-fact insert into {atoms} atoms took {small} allocations, into {twice} atoms {large}"
     );
+}
+
+/// A ground ask is one probe of the universe's atom table and one verdict
+/// read: it touches no index, so it builds none, and what it allocates —
+/// the search's own two small vectors — does not know how large the model
+/// is.
+#[test]
+fn ground_asks_read_no_index() {
+    let asks = |seeds: usize, groups: usize| {
+        let text = chain_and_fanout(seeds, groups);
+        let mut kb = KnowledgeBase::from_source(&text).unwrap().with_depth(8);
+        let model = kb.solve();
+        // True, false, undefined and never-derived atoms, and joins whose
+        // later atoms are ground by the time they are reached.
+        let queries: Vec<_> = (0..1_000)
+            .map(|i| {
+                let g = i % 256;
+                let text = match i % 5 {
+                    0 => format!("?- out(g{g})."),
+                    1 => format!("?- flip(g{g})."),
+                    2 => format!("?- excl(g{g})."),
+                    3 => format!("?- t(c{}).", i % 64),
+                    _ => format!("?- src(g{g}), mid(g{g}), not excl(g{g})."),
+                };
+                model.prepare(&text).unwrap()
+            })
+            .collect();
+        let before = model.index_stats();
+        assert_eq!(before.key_tables_built, 0);
+        let (verdicts, allocations) = allocations_in(|| {
+            let mut verdicts = [0usize; 3];
+            for q in &queries {
+                verdicts[model.ask3_prepared(q) as usize] += 1;
+            }
+            verdicts
+        });
+        assert!(verdicts.iter().all(|&n| n > 0), "{verdicts:?}");
+        assert_eq!(model.index_stats(), before, "a ground ask reads no index");
+        assert_eq!(model.index_bytes(), before.bytes);
+        // One argument bound, one free: that is what an index is for.
+        assert!(!model.answers("?(Y) p(c0, Y).").unwrap().is_empty());
+        let after = model.index_stats();
+        assert_eq!(after.key_tables_built, 1);
+        assert!(after.bytes > before.bytes);
+        (allocations, verdicts, model.model().ground.num_atoms())
+    };
+    let (small, verdicts, atoms) = asks(64, 256);
+    let (large, same_verdicts, many) = asks(1_024, 4_096);
+    assert!(many >= 10 * atoms, "{atoms}, {many} atoms");
+    assert_eq!(verdicts, same_verdicts);
+    assert_eq!(
+        large, small,
+        "1,000 ground asks of {atoms} atoms took {small} allocations, of {many} atoms {large}"
+    );
+    assert!(small <= 4 * 1_000, "{small} allocations in 1,000 asks");
 }
 
 /// `solve_for` on a knowledge base whose full model is current solves

@@ -8,7 +8,7 @@
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use wfdatalog::{AnswerSet, KnowledgeBase, PreparedQuery, SolvedModel, Truth};
 
 /// Compile-time guarantee: the whole serve surface is thread-shareable.
@@ -125,6 +125,62 @@ fn four_threads_agree_with_single_threaded_answers() {
         .collect();
     for t in threads {
         t.join().expect("serving thread panicked");
+    }
+}
+
+/// The reads of [`four_threads_agree_with_single_threaded_answers`] meet a
+/// model its reference pass has already read. Here they meet a cold one:
+/// a model's index builds a predicate's key table on the first lookup
+/// that binds an argument of it, so released together onto a model nobody
+/// has read, the threads race for exactly those first lookups.
+#[test]
+fn first_reads_of_a_cold_model_race_and_agree() {
+    let mut sources = query_sources();
+    // More predicates read by one bound argument, so more tables to race
+    // for, in either position.
+    for i in [0, 5, 11] {
+        sources.push(format!("?(V) audits(u{i}, V)."));
+        sources.push(format!("?(U) requested(U, d{i})."));
+        sources.push(format!("?(D) requested(u{i}, D), not embargoed(D)."));
+    }
+
+    // The reference: an identical model, read by this thread alone.
+    let warm = staffing_kb().solve();
+    let cold_stats = warm.index_stats();
+    assert_eq!(
+        cold_stats.key_tables_built, 0,
+        "a solve builds no key table"
+    );
+    let queries: Vec<PreparedQuery> = sources.iter().map(|q| warm.prepare(q).unwrap()).collect();
+    let reference: Vec<(Truth, AnswerSet)> = queries
+        .iter()
+        .map(|q| (warm.ask3_prepared(q), warm.answers_prepared(q)))
+        .collect();
+    let warm_stats = warm.index_stats();
+    assert!(warm_stats.key_tables_built >= 3, "{warm_stats:?}");
+    assert!(warm_stats.bytes > cold_stats.bytes);
+
+    for _ in 0..8 {
+        let cold = staffing_kb().solve();
+        assert_eq!(cold.index_stats(), cold_stats);
+        let barrier = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (cold, barrier, queries, reference) = (&cold, &barrier, &queries, &reference);
+                s.spawn(move || {
+                    barrier.wait();
+                    // The same order on every thread: each first bound
+                    // lookup is contended.
+                    for (i, q) in queries.iter().enumerate() {
+                        let (want3, want_ans) = &reference[i];
+                        assert_eq!(cold.ask3_prepared(q), *want3, "thread {t} query {i}");
+                        assert_eq!(cold.answers_prepared(q), *want_ans, "thread {t} query {i}");
+                    }
+                });
+            }
+        });
+        // Each table was built once, whoever got there first.
+        assert_eq!(cold.index_stats(), warm_stats);
     }
 }
 

@@ -249,9 +249,19 @@ fn query_errors_report_real_positions() {
         "\"modular\":",
         "\"chase\":",
         "\"relaxations\":",
+        "\"index\":{\"bytes\":",
+        "\"preds\":",
     ] {
         assert!(body.contains(key), "stats body missing {key}: {body}");
     }
+    // Only ground asks so far (`?- win(a).`): no key table of the index
+    // has been built. A query binding one of `edge`'s two arguments
+    // builds that predicate's, and only that one.
+    assert!(body.contains("\"key_tables_built\":0}"), "{body}");
+    let (status, answer) = post(addr, "/query", "?(Y) edge(a, Y).\n");
+    assert_eq!(status, 200, "{answer}");
+    let (_, body) = get(addr, "/stats");
+    assert!(body.contains("\"key_tables_built\":1}"), "{body}");
     // The two-move chain is stratified: no component recursive through
     // negation, so no rules in one and no alternating rounds.
     assert!(body.contains("\"rules_in_recursive\":0,"), "{body}");
