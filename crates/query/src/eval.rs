@@ -8,44 +8,87 @@
 
 use crate::nbcq::{Nbcq, QTerm, QueryAtom};
 use crate::source::TruthSource;
+use std::fmt;
 use wfdl_core::{AtomId, TermId, Truth, Universe};
 use wfdl_storage::AtomIndex;
 
-/// The set of answers to a query: deduplicated, sorted tuples of constants
-/// (one entry, the empty tuple, for a satisfied Boolean query).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The set of answers to a query: deduplicated tuples of constants, sorted
+/// lexicographically by [`TermId`] (one entry, the empty tuple, for a
+/// satisfied Boolean query).
+///
+/// The tuples are the rows of one flat array, `arity` terms each, so a set
+/// of any size is one allocation and a row is read without following a
+/// pointer.
+#[derive(Clone, Default)]
 pub struct AnswerSet {
-    tuples: Vec<Box<[TermId]>>,
+    arity: usize,
+    len: usize,
+    terms: Vec<TermId>,
 }
 
 impl AnswerSet {
-    /// The answer tuples.
-    pub fn tuples(&self) -> &[Box<[TermId]>] {
-        &self.tuples
+    /// The answer tuples, in sorted order.
+    pub fn tuples(&self) -> impl ExactSizeIterator<Item = &[TermId]> + '_ {
+        (0..self.len).map(move |i| self.row(i))
     }
 
     /// Number of answers.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// True iff there are no answers.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
     }
 
     /// Membership test.
     pub fn contains(&self, tuple: &[TermId]) -> bool {
-        self.tuples.iter().any(|t| t.as_ref() == tuple)
+        self.tuples().any(|t| t == tuple)
     }
 
-    fn insert(&mut self, tuple: Box<[TermId]>) {
-        self.tuples.push(tuple);
+    fn row(&self, i: usize) -> &[TermId] {
+        &self.terms[i * self.arity..(i + 1) * self.arity]
     }
 
+    /// Sorts the rows and drops repeats. One column sorts in place; wider
+    /// rows are sorted through a permutation and copied out once.
     fn normalize(&mut self) {
-        self.tuples.sort();
-        self.tuples.dedup();
+        match self.arity {
+            0 => self.len = self.len.min(1),
+            1 => {
+                self.terms.sort_unstable();
+                self.terms.dedup();
+                self.len = self.terms.len();
+            }
+            arity => {
+                let mut order: Vec<usize> = (0..self.len).collect();
+                order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+                order.dedup_by(|a, b| self.row(*a) == self.row(*b));
+                let mut terms = Vec::with_capacity(order.len() * arity);
+                for &i in &order {
+                    terms.extend_from_slice(self.row(i));
+                }
+                self.len = order.len();
+                self.terms = terms;
+            }
+        }
+    }
+}
+
+/// Two sets are equal when their rows are: an empty set equals every other
+/// empty set, whatever the arity it was evaluated at.
+impl PartialEq for AnswerSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.tuples().eq(other.tuples())
+    }
+}
+
+impl Eq for AnswerSet {}
+
+impl fmt::Debug for AnswerSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.tuples()).finish()
     }
 }
 
@@ -75,36 +118,28 @@ pub fn answers_indexed<S: TruthSource>(
     index: &AtomIndex,
     query: &Nbcq,
 ) -> AnswerSet {
-    let mut out = run_search(universe, model, index, query, Mode::Certain);
+    // A Boolean query has one answer at most: its first witness.
+    let first_only = query.is_boolean();
+    let mut out = Search::new(universe, model, index, query, Mode::Certain, first_only).run();
     out.normalize();
-    out
-}
-
-/// Every homomorphism `mode` admits, as (unnormalized) answer tuples.
-fn run_search<S: TruthSource>(
-    universe: &Universe,
-    model: &S,
-    index: &AtomIndex,
-    query: &Nbcq,
-    mode: Mode,
-) -> AnswerSet {
-    let mut out = AnswerSet::default();
-    search(
-        universe,
-        model,
-        index,
-        query,
-        &mut vec![None; query.num_vars() as usize],
-        &mut vec![false; query.pos.len()],
-        &mut out,
-        mode,
-    );
     out
 }
 
 /// Boolean satisfaction: `WFS(D,Σ) |= Q`.
 pub fn holds<S: TruthSource>(universe: &Universe, model: &S, query: &Nbcq) -> bool {
-    !answers(universe, model, query).is_empty()
+    let index = AtomIndex::build(universe, model.certain_atoms());
+    holds_indexed(universe, model, &index, query)
+}
+
+/// [`holds`] over a prebuilt index (see [`answers_indexed`] for the
+/// contract): true iff the query has a certain answer. Stops at the first.
+pub(crate) fn holds_indexed<S: TruthSource>(
+    universe: &Universe,
+    model: &S,
+    index: &AtomIndex,
+    query: &Nbcq,
+) -> bool {
+    Search::new(universe, model, index, query, Mode::Certain, true).witnessed()
 }
 
 /// Three-valued satisfaction: `True` if certainly satisfied, `Unknown` if a
@@ -128,7 +163,7 @@ pub fn holds3_indexed<S: TruthSource>(
     index: &AtomIndex,
     query: &Nbcq,
 ) -> Truth {
-    if !answers_indexed(universe, model, index, query).is_empty() {
+    if holds_indexed(universe, model, index, query) {
         return Truth::True;
     }
     let refutable = model.unseen().is_false();
@@ -142,14 +177,14 @@ pub fn holds3_indexed<S: TruthSource>(
 /// True iff a satisfying homomorphism exists in "possible" mode (positives
 /// not false, negatives not true), over a prebuilt index covering at least
 /// the model's not-certainly-false atoms. The `Unknown` leg of
-/// [`holds3_indexed`].
+/// [`holds3_indexed`]. Stops at the first witness.
 pub fn possible_witness_indexed<S: TruthSource>(
     universe: &Universe,
     model: &S,
     index: &AtomIndex,
     query: &Nbcq,
 ) -> bool {
-    !run_search(universe, model, index, query, Mode::Possible).is_empty()
+    Search::new(universe, model, index, query, Mode::Possible, true).witnessed()
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -255,6 +290,8 @@ fn pick_next<'a>(
     best
 }
 
+/// Extends the binding so that `atom` maps to `ground`, pushing every
+/// variable it binds onto `trail`; false if they cannot agree.
 fn match_query_atom(
     universe: &Universe,
     atom: &QueryAtom,
@@ -289,64 +326,137 @@ fn match_query_atom(
     true
 }
 
-// The two `expect`s below hold by query safety, validated at
-// construction: every variable of a negated atom and every answer
-// variable occurs in some positive atom, and all positive atoms are
-// matched before this leaf runs.
-#[allow(clippy::too_many_arguments, clippy::expect_used)]
-fn search<S: TruthSource>(
-    universe: &Universe,
-    model: &S,
-    index: &AtomIndex,
-    query: &Nbcq,
-    binding: &mut Vec<Option<TermId>>,
-    used: &mut Vec<bool>,
-    out: &mut AnswerSet,
+/// One backtracking homomorphism search. Its scratch — the binding, the
+/// matched atoms and one trail of the variables bound since each open
+/// candidate was taken — is sized once, so the search allocates nothing
+/// per candidate; answers are pushed onto one flat array, so nothing per
+/// answer either.
+struct Search<'a, S> {
+    universe: &'a Universe,
+    model: &'a S,
+    index: &'a AtomIndex,
+    query: &'a Nbcq,
     mode: Mode,
-) {
-    let Some((qi, cands)) = pick_next(universe, index, query, binding, used) else {
-        // All positive atoms matched; check the negated atoms.
-        for n in &query.neg {
-            let ground = ground_atom(universe, n, binding).expect("safe query binds all vars");
-            let value = match ground {
-                Some(a) => model.value(a),
-                None => model.unseen(), // atom never materialized
-            };
-            if !mode.admits_negated(value) {
-                return;
-            }
-        }
-        // Record the answer tuple; answers range over constants only.
-        let tuple: Option<Box<[TermId]>> = query
-            .answer_vars
-            .iter()
-            .map(|v| {
-                let t = binding[v.index()].expect("answer vars bound by positive atoms");
-                universe.terms.is_constant(t).then_some(t)
-            })
-            .collect();
-        if let Some(tuple) = tuple {
-            out.insert(tuple);
-        }
-        return;
-    };
+    /// Stop at the first recorded row: the caller asks only whether one
+    /// exists.
+    first_only: bool,
+    binding: Vec<Option<TermId>>,
+    used: Vec<bool>,
+    trail: Vec<usize>,
+    out: AnswerSet,
+}
 
-    used[qi] = true;
-    for &ground in cands.as_slice() {
-        // The candidates may cover more than this mode may match (see
-        // `answers_indexed`): the verdict decides.
-        if !mode.admits(model.value(ground)) {
-            continue;
-        }
-        let mut trail = Vec::new();
-        if match_query_atom(universe, &query.pos[qi], ground, binding, &mut trail) {
-            search(universe, model, index, query, binding, used, out, mode);
-        }
-        for v in trail {
-            binding[v] = None;
+impl<'a, S: TruthSource> Search<'a, S> {
+    fn new(
+        universe: &'a Universe,
+        model: &'a S,
+        index: &'a AtomIndex,
+        query: &'a Nbcq,
+        mode: Mode,
+        first_only: bool,
+    ) -> Self {
+        let vars = query.num_vars() as usize;
+        Search {
+            universe,
+            model,
+            index,
+            query,
+            mode,
+            first_only,
+            binding: vec![None; vars],
+            used: vec![false; query.pos.len()],
+            trail: Vec::with_capacity(vars),
+            out: AnswerSet {
+                arity: query.answer_vars.len(),
+                ..AnswerSet::default()
+            },
         }
     }
-    used[qi] = false;
+
+    /// Every answer row `mode` admits, unsorted and with repeats.
+    fn run(mut self) -> AnswerSet {
+        self.search();
+        self.out
+    }
+
+    /// Whether `mode` admits an answer row at all.
+    fn witnessed(self) -> bool {
+        !self.run().is_empty()
+    }
+
+    /// Extends the binding over the unmatched positive atoms; true once the
+    /// search is to stop.
+    fn search(&mut self) -> bool {
+        let Some((qi, cands)) = pick_next(
+            self.universe,
+            self.index,
+            self.query,
+            &self.binding,
+            &self.used,
+        ) else {
+            return self.leaf();
+        };
+        self.used[qi] = true;
+        let mut stop = false;
+        for &ground in cands.as_slice() {
+            // The candidates may cover more than this mode may match (see
+            // `answers_indexed`): the verdict decides.
+            if !self.mode.admits(self.model.value(ground)) {
+                continue;
+            }
+            let mark = self.trail.len();
+            let atom = &self.query.pos[qi];
+            if match_query_atom(
+                self.universe,
+                atom,
+                ground,
+                &mut self.binding,
+                &mut self.trail,
+            ) {
+                stop = self.search();
+            }
+            for v in self.trail.drain(mark..) {
+                self.binding[v] = None;
+            }
+            if stop {
+                break;
+            }
+        }
+        self.used[qi] = false;
+        stop
+    }
+
+    /// Every positive atom is matched: checks the negated atoms and records
+    /// the answer row. True once the search is to stop.
+    // The two `expect`s hold by query safety, validated at construction:
+    // every variable of a negated atom and every answer variable occurs in
+    // some positive atom, and all positive atoms are matched before this
+    // leaf runs.
+    #[allow(clippy::expect_used)]
+    fn leaf(&mut self) -> bool {
+        for n in &self.query.neg {
+            let ground = ground_atom(self.universe, n, &self.binding);
+            let value = match ground.expect("safe query binds all vars") {
+                Some(a) => self.model.value(a),
+                None => self.model.unseen(), // atom never materialized
+            };
+            if !self.mode.admits_negated(value) {
+                return false;
+            }
+        }
+        // Answers range over constants only: a row with a null is dropped.
+        let row = self.out.terms.len();
+        for v in &self.query.answer_vars {
+            let t = self.binding[v.index()].expect("answer vars bound by positive atoms");
+            if !self.universe.terms.is_constant(t) {
+                self.out.terms.truncate(row);
+                return false;
+            }
+            self.out.terms.push(t);
+        }
+        self.out.len += 1;
+        self.first_only
+    }
 }
 
 #[cfg(test)]
@@ -354,6 +464,7 @@ mod tests {
     use super::*;
     use crate::nbcq::QVar;
     use crate::source::InterpSource;
+    use std::cell::Cell;
     use wfdl_core::Interp;
 
     fn v(i: u32) -> QTerm {
@@ -505,5 +616,110 @@ mod tests {
         .unwrap();
         assert!(!holds(&u, &src, &q2), "edge(c,a) is only unknown");
         assert_eq!(holds3(&u, &src, &q2), Truth::Unknown);
+    }
+
+    /// A source that counts its verdict reads.
+    struct Counting<'a> {
+        inner: InterpSource<'a>,
+        reads: Cell<usize>,
+    }
+
+    impl TruthSource for Counting<'_> {
+        fn value(&self, atom: AtomId) -> Truth {
+            self.reads.set(self.reads.get() + 1);
+            self.inner.value(atom)
+        }
+        fn certain_atoms(&self) -> Vec<AtomId> {
+            self.inner.certain_atoms()
+        }
+        fn possible_atoms(&self) -> Vec<AtomId> {
+            self.inner.possible_atoms()
+        }
+    }
+
+    #[test]
+    fn existence_reads_stop_at_the_first_witness() {
+        // p(c0..c99) and q(c0..c99), all true: `?- p(X), q(Y).` has 10,000
+        // witnesses, and each existence read needs one.
+        let mut u = Universe::new();
+        let p = u.pred("p", 1).unwrap();
+        let q = u.pred("q", 1).unwrap();
+        let mut i = Interp::new();
+        let mut atoms = Vec::new();
+        for k in 0..100 {
+            let c = u.constant(&format!("c{k}"));
+            for pred in [p, q] {
+                let atom = u.atom(pred, vec![c]).unwrap();
+                i.set_true(atom);
+                atoms.push(atom);
+            }
+        }
+        let src = Counting {
+            inner: InterpSource::new(&i, &atoms),
+            reads: Cell::new(0),
+        };
+        let index = AtomIndex::build(&u, src.possible_atoms());
+        let pos = vec![QueryAtom::new(p, vec![v(0)]), QueryAtom::new(q, vec![v(1)])];
+        let boolean = Nbcq::boolean(&u, pos.clone(), vec![]).unwrap();
+        let reads = |read: &dyn Fn() -> bool| {
+            src.reads.set(0);
+            assert!(read());
+            src.reads.get()
+        };
+        assert!(reads(&|| holds(&u, &src, &boolean)) <= 2);
+        assert!(reads(&|| holds3_indexed(&u, &src, &index, &boolean) == Truth::True) <= 2);
+        assert!(reads(&|| possible_witness_indexed(&u, &src, &index, &boolean)) <= 2);
+        assert!(reads(&|| answers_indexed(&u, &src, &index, &boolean).len() == 1) <= 2);
+        // A read that asks for every answer still reads every candidate.
+        let pairs = Nbcq::new(&u, pos, vec![], vec![QVar::new(0), QVar::new(1)]).unwrap();
+        let every = || answers_indexed(&u, &src, &index, &pairs).len() == 10_000;
+        assert_eq!(reads(&every), 10_100);
+    }
+
+    #[test]
+    fn answer_sets_are_sorted_deduplicated_rows() {
+        let (u, i, atoms) = setup();
+        let src = InterpSource::new(&i, &atoms);
+        let e = u.lookup_pred("edge").unwrap();
+        let m = u.lookup_pred("mark").unwrap();
+        let [a, b, c] = ["a", "b", "c"].map(|n| u.lookup_constant(n).unwrap());
+        let query = |pos, answer_vars| Nbcq::new(&u, pos, vec![], answer_vars).unwrap();
+        // ?(Y, X) edge(X, Y): two rows, sorted by their first column.
+        let swapped = query(
+            vec![QueryAtom::new(e, vec![v(0), v(1)])],
+            vec![QVar::new(1), QVar::new(0)],
+        );
+        let rows = answers(&u, &src, &swapped);
+        let got: Vec<&[TermId]> = rows.tuples().collect();
+        assert_eq!(got, [&[b, a][..], &[c, b][..]]);
+        assert!(rows.contains(&[c, b]) && !rows.contains(&[a, b]) && !rows.contains(&[c]));
+        // ?(X) edge(X, Y), mark(Z): four homomorphisms project onto two
+        // rows, one per certain edge source.
+        let projected = query(
+            vec![
+                QueryAtom::new(e, vec![v(0), v(1)]),
+                QueryAtom::new(m, vec![v(2)]),
+            ],
+            vec![QVar::new(0)],
+        );
+        let rows = answers(&u, &src, &projected);
+        assert_eq!(rows.tuples().collect::<Vec<_>>(), [[a], [b]]);
+        assert_eq!(format!("{rows:?}"), format!("{:?}", [[a], [b]]));
+        // No answers: the same set as the definitely-empty short-circuit's.
+        let none = query(
+            vec![
+                QueryAtom::new(e, vec![v(0), v(1)]),
+                QueryAtom::new(e, vec![v(1), v(0)]),
+            ],
+            vec![QVar::new(0)],
+        );
+        assert_eq!(answers(&u, &src, &none), AnswerSet::default());
+        assert!(!AnswerSet::default().contains(&[]));
+        // A satisfied Boolean query: one empty row, however many witnesses.
+        let boolean = query(vec![QueryAtom::new(e, vec![v(0), v(1)])], vec![]);
+        let rows = answers(&u, &src, &boolean);
+        assert_eq!(rows.len(), 1);
+        assert!(rows.contains(&[]));
+        assert_eq!(rows.tuples().next(), Some(&[][..]));
     }
 }

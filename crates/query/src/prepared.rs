@@ -24,7 +24,7 @@
 //! prebuilt [`AtomIndex`]), so a prepared query can be re-evaluated from
 //! many threads without any synchronization.
 
-use crate::eval::{answers_indexed, holds3_indexed, AnswerSet};
+use crate::eval::{answers_indexed, holds3_indexed, holds_indexed, AnswerSet};
 use crate::nbcq::{Nbcq, QTerm, QueryAtom, QueryError};
 use crate::source::TruthSource;
 use std::sync::Arc;
@@ -300,14 +300,16 @@ impl PreparedQuery {
         }
     }
 
-    /// Boolean satisfaction (certain-answer semantics).
+    /// Boolean satisfaction (certain-answer semantics); stops at the first
+    /// witness.
     pub fn holds_with<S: TruthSource>(
         &self,
         universe: &Universe,
         model: &S,
         index: &AtomIndex,
     ) -> bool {
-        !self.answers_with(universe, model, index).is_empty()
+        self.certain(model)
+            .is_some_and(|q| holds_indexed(universe, model, index, q))
     }
 
     /// Three-valued satisfaction; `index` must cover at least the model's

@@ -6,12 +6,15 @@
 //! bound positive atom never reaches the index — it is looked up in the
 //! universe's atom table — and must read the same verdict brute force
 //! does, whatever the atom is to the model and however complete the model.
+//! An answer set of any arity holds exactly the projections brute force
+//! finds, sorted, once each, without the rows that bind a null.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use wfdl_core::{AtomId, Interp, TermId, Truth, Universe};
 use wfdl_query::{
     answers, answers_indexed, holds, holds3_indexed, possible_witness_indexed, InterpSource, Nbcq,
@@ -19,7 +22,8 @@ use wfdl_query::{
 };
 use wfdl_storage::AtomIndex;
 
-/// A random model over p0/1, p1/2, p2/2 and constants k0..k4.
+/// A random model over p0/1, p1/2, p2/2, constants k0..k4 and — where
+/// [`model_spec_over`] draws them — the nulls f(k0), f(k1).
 #[derive(Clone, Debug)]
 struct ModelSpec {
     /// (pred index, args, verdict) triples; see [`VERDICTS`]. A verdict
@@ -33,19 +37,35 @@ const VERDICTS: [Truth; 3] = [Truth::True, Truth::False, Truth::Unknown];
 /// The verdict index of an atom the universe has and the model has not.
 const OUTSIDE: usize = VERDICTS.len();
 
+/// How many constants a model has (k0..k4), and how many terms with its
+/// two nulls.
+const CONSTANTS: usize = 5;
+const TERMS: usize = CONSTANTS + 2;
+
 fn model_spec() -> impl Strategy<Value = ModelSpec> {
     model_spec_with(VERDICTS.len())
 }
 
-/// Models whose atoms draw their verdict index from `0..verdicts`.
+/// Models over the constants whose atoms draw their verdict index from
+/// `0..verdicts`.
 fn model_spec_with(verdicts: usize) -> impl Strategy<Value = ModelSpec> {
+    model_spec_over(CONSTANTS, verdicts, 0..25)
+}
+
+/// Models of `atoms` atoms, whose arguments are among the first `terms`
+/// terms.
+fn model_spec_over(
+    terms: usize,
+    verdicts: usize,
+    atoms: std::ops::Range<usize>,
+) -> impl Strategy<Value = ModelSpec> {
     proptest::collection::vec(
         (
             0usize..3,
-            proptest::collection::vec(0usize..5, 2),
+            proptest::collection::vec(0..terms, 2),
             0..verdicts,
         ),
-        0..25,
+        atoms,
     )
     .prop_map(|atoms| ModelSpec { atoms })
 }
@@ -91,6 +111,8 @@ struct Built {
     atoms: Vec<AtomId>,
     query: Nbcq,
     consts: Vec<TermId>,
+    /// The constants, then the nulls.
+    terms: Vec<TermId>,
 }
 
 fn build(spec: &ModelSpec, qspec: &QuerySpec) -> Option<Built> {
@@ -101,12 +123,18 @@ fn build(spec: &ModelSpec, qspec: &QuerySpec) -> Option<Built> {
         u.pred("p2", 2).unwrap(),
     ];
     let arities = [1usize, 2, 2];
-    let consts: Vec<TermId> = (0..5).map(|i| u.constant(&format!("k{i}"))).collect();
+    let consts: Vec<TermId> = (0..CONSTANTS)
+        .map(|i| u.constant(&format!("k{i}")))
+        .collect();
+    let f = u.skolem_fn("f", 1).unwrap();
+    let nulls = consts[..TERMS - CONSTANTS].iter();
+    let nulls: Vec<TermId> = nulls.map(|&k| u.skolem_term(f, [k]).unwrap()).collect();
+    let terms = [&consts[..], &nulls[..]].concat();
     let mut interp = Interp::new();
     let mut atoms = Vec::new();
     for (p, args, truth) in &spec.atoms {
-        let terms: Vec<TermId> = args.iter().take(arities[*p]).map(|&i| consts[i]).collect();
-        let atom = u.atom(preds[*p], terms).unwrap();
+        let args: Vec<TermId> = args.iter().take(arities[*p]).map(|&i| terms[i]).collect();
+        let atom = u.atom(preds[*p], args).unwrap();
         if *truth != OUTSIDE && !atoms.contains(&atom) {
             atoms.push(atom);
             let _changed = match VERDICTS[*truth] {
@@ -139,6 +167,7 @@ fn build(spec: &ModelSpec, qspec: &QuerySpec) -> Option<Built> {
         atoms,
         query,
         consts,
+        terms,
     })
 }
 
@@ -157,8 +186,42 @@ fn brute_force<S: TruthSource>(
     pos_ok: fn(Truth) -> bool,
     neg_ok: fn(Truth) -> bool,
 ) -> bool {
+    each_witness(b, src, &b.consts, pos_ok, neg_ok, |_| true)
+}
+
+/// Naive certain answers: the projection onto the answer variables of
+/// every assignment over constants and nulls that satisfies the query,
+/// without the rows holding a null.
+fn brute_force_answers<S: TruthSource>(b: &Built, src: &S) -> BTreeSet<Vec<TermId>> {
+    let mut rows = BTreeSet::new();
+    each_witness(b, src, &b.terms, Truth::is_true, Truth::is_false, |terms| {
+        let row: Vec<TermId> = b
+            .query
+            .answer_vars
+            .iter()
+            .map(|v| terms[v.index()])
+            .collect();
+        if row.iter().all(|t| b.consts.contains(t)) {
+            rows.insert(row);
+        }
+        false
+    });
+    rows
+}
+
+/// Calls `visit` with each assignment of the query's variables over
+/// `domain` — as the terms it assigns — that maps every positive atom to a
+/// verdict `pos_ok` admits and every negated atom to one `neg_ok` admits,
+/// until `visit` returns true; returns whether it did.
+fn each_witness<S: TruthSource>(
+    b: &Built,
+    src: &S,
+    domain: &[TermId],
+    pos_ok: fn(Truth) -> bool,
+    neg_ok: fn(Truth) -> bool,
+    mut visit: impl FnMut(&[TermId]) -> bool,
+) -> bool {
     let nvars = b.query.num_vars() as usize;
-    let domain = &b.consts;
     let mut assignment = vec![0usize; nvars];
     loop {
         // Check this assignment.
@@ -179,7 +242,10 @@ fn brute_force<S: TruthSource>(
         let ok = b.query.pos.iter().all(|a| pos_ok(lookup(a)))
             && b.query.neg.iter().all(|a| neg_ok(lookup(a)));
         if ok {
-            return true;
+            let terms: Vec<TermId> = assignment.iter().map(|&i| domain[i]).collect();
+            if visit(&terms) {
+                return true;
+            }
         }
         // Next assignment.
         let mut i = 0;
@@ -463,6 +529,61 @@ proptest! {
                 "answer {:?} does not re-verify",
                 tuple
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Answer sets of arity 0 to 3 — answer variables drawn, repeats
+    /// allowed, from the query's positive variables — over models whose
+    /// atoms hold nulls: each is the sorted, duplicate-free set of brute
+    /// force's projections without their null rows, through either index,
+    /// and `contains` finds exactly its rows.
+    #[test]
+    fn answer_sets_of_every_arity_match_brute_force(
+        spec in model_spec_over(TERMS, VERDICTS.len(), 20..80),
+        qspec in query_spec(),
+        picks in proptest::collection::vec(0usize..8, 0..4),
+        probes in proptest::collection::vec(proptest::collection::vec(0..TERMS, 3), 6),
+    ) {
+        let Some(mut built) = build(&spec, &qspec) else { return Ok(()); };
+        let u = &built.universe;
+        let mut vars: Vec<QVar> = built.query.pos.iter().flat_map(|a| a.args.iter()).filter_map(|t| match t {
+            QTerm::Var(v) => Some(*v),
+            QTerm::Const(_) => None,
+        }).collect();
+        vars.sort();
+        vars.dedup();
+        let answer_vars: Vec<QVar> = match vars.len() {
+            0 => Vec::new(),
+            n => picks.iter().map(|&p| vars[p % n]).collect(),
+        };
+        let arity = answer_vars.len();
+        let (pos, neg) = (built.query.pos.clone(), built.query.neg.clone());
+        built.query = Nbcq::new(u, pos, neg, answer_vars).unwrap();
+        let query = &built.query;
+        let src = InterpSource::new(&built.interp, &built.atoms);
+
+        let expected = brute_force_answers(&built, &src);
+        let got = answers(u, &src, query);
+        let rows: Vec<Vec<TermId>> = got.tuples().map(<[TermId]>::to_vec).collect();
+        prop_assert_eq!(&rows, &expected.iter().cloned().collect::<Vec<_>>(), "{:?}", query);
+        prop_assert_eq!(got.len(), expected.len());
+        let one = AtomIndex::build(u, src.possible_atoms());
+        prop_assert_eq!(&answers_indexed(u, &src, &one, query), &got);
+        prop_assert_eq!(&PreparedQuery::from_query(query.clone()).answers_with(u, &src, &one), &got);
+
+        for row in &expected {
+            prop_assert!(got.contains(row), "{:?} misses {:?}", got, row);
+        }
+        for probe in &probes {
+            let row: Vec<TermId> = probe[..arity].iter().map(|&i| built.terms[i]).collect();
+            prop_assert_eq!(got.contains(&row), expected.contains(&row), "{:?}", row);
+            let longer = probe.iter().chain(&[0]).take(arity + 1);
+            let longer: Vec<TermId> = longer.map(|&i| built.terms[i]).collect();
+            prop_assert!(!got.contains(&longer), "{:?} holds a row of arity {}", got, arity + 1);
         }
     }
 }

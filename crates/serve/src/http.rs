@@ -63,7 +63,10 @@ pub enum Parsed {
 /// Size limits applied while parsing.
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
-    /// Request line + headers, in bytes.
+    /// The whole request head, in bytes: the request line, every header
+    /// line, each line's terminator (`\r\n` or a bare `\n`) and the empty
+    /// line that ends the head. One budget for all of it — a head of exactly
+    /// this many bytes parses, one byte more answers 431.
     pub max_head_bytes: usize,
     /// Body (`Content-Length`), in bytes.
     pub max_body_bytes: usize,
@@ -82,7 +85,8 @@ impl Default for Limits {
 /// `100 Continue` line when the client asked for it.
 pub fn read_request(reader: &mut impl BufRead, writer: &mut impl Write, limits: Limits) -> Parsed {
     // --- request line -------------------------------------------------
-    let line = match read_head_line(reader, limits.max_head_bytes) {
+    let mut head_budget = limits.max_head_bytes;
+    let line = match read_head_line(reader, &mut head_budget) {
         Ok(Some(line)) => line,
         Ok(None) => return Parsed::Closed,
         Err(e) => return Parsed::Bad(e),
@@ -115,9 +119,8 @@ pub fn read_request(reader: &mut impl BufRead, writer: &mut impl Write, limits: 
     let mut content_length = 0usize;
     let mut close = http10;
     let mut expect_continue = false;
-    let mut head_budget = limits.max_head_bytes;
     loop {
-        let header = match read_head_line(reader, head_budget) {
+        let header = match read_head_line(reader, &mut head_budget) {
             Ok(Some(h)) => h,
             Ok(None) => return Parsed::Closed,
             Err(e) => return Parsed::Bad(e),
@@ -125,7 +128,6 @@ pub fn read_request(reader: &mut impl BufRead, writer: &mut impl Write, limits: 
         if header.is_empty() {
             break;
         }
-        head_budget = head_budget.saturating_sub(header.len());
         let Some((name, value)) = header.split_once(':') else {
             return Parsed::Bad(HttpError::new(400, format!("malformed header `{header}`")));
         };
@@ -181,9 +183,14 @@ pub fn read_request(reader: &mut impl BufRead, writer: &mut impl Write, limits: 
     })
 }
 
-/// Reads one CRLF- (or LF-) terminated head line with a byte budget.
-/// `Ok(None)` means the stream ended cleanly before any byte of the line.
-fn read_head_line(reader: &mut impl BufRead, budget: usize) -> Result<Option<String>, HttpError> {
+/// Reads one CRLF- (or LF-) terminated head line, taking every byte it
+/// reads — the terminator included — out of what is left of the head's
+/// budget. `Ok(None)` means the stream ended cleanly before any byte of the
+/// line.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];
@@ -196,6 +203,10 @@ fn read_head_line(reader: &mut impl BufRead, budget: usize) -> Result<Option<Str
                 };
             }
             Ok(_) => {
+                if *budget == 0 {
+                    return Err(HttpError::new(431, "request head too large"));
+                }
+                *budget -= 1;
                 if byte[0] == b'\n' {
                     if line.last() == Some(&b'\r') {
                         line.pop();
@@ -205,9 +216,6 @@ fn read_head_line(reader: &mut impl BufRead, budget: usize) -> Result<Option<Str
                         .map_err(|_| HttpError::new(400, "non-UTF-8 header"));
                 }
                 line.push(byte[0]);
-                if line.len() > budget {
-                    return Err(HttpError::new(431, "request head too large"));
-                }
             }
             Err(e) => {
                 return if line.is_empty() {
@@ -361,5 +369,155 @@ mod tests {
         };
         assert_eq!(req.body, b"m,a\n");
         assert_eq!(interim, b"HTTP/1.1 100 Continue\r\n\r\n");
+    }
+
+    /// `GET /` with one `X-Pad` header, padded so the whole head is `len`
+    /// bytes.
+    fn head_of(len: usize) -> Vec<u8> {
+        let bare = b"GET / HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+        let pad = "p".repeat(len - bare);
+        format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n").into_bytes()
+    }
+
+    #[test]
+    fn the_head_limit_counts_the_request_line_and_every_terminator() {
+        let limit = Limits::default().max_head_bytes;
+        assert!(matches!(parse(&head_of(limit)), Parsed::Ok(_)));
+        let Parsed::Bad(e) = parse(&head_of(limit + 1)) else {
+            panic!("a head one byte over the limit parsed");
+        };
+        assert_eq!(e.status, 431);
+        // A 12 KiB request line and an 8 KiB header: each under the limit,
+        // together over it.
+        let target = "/".to_owned() + &"t".repeat(12 * 1024);
+        let header = "h".repeat(8 * 1024);
+        let head = format!("GET {target} HTTP/1.1\r\nX-Pad: {header}\r\n\r\n");
+        let Parsed::Bad(e) = parse(head.as_bytes()) else {
+            panic!("a 20 KiB head parsed");
+        };
+        assert_eq!(e.status, 431);
+    }
+
+    /// The limits the properties run under: small enough that the inputs
+    /// they draw cross them.
+    const SMALL: Limits = Limits {
+        max_head_bytes: 64,
+        max_body_bytes: 32,
+    };
+
+    /// How many bytes of `input` its head takes — everything through the
+    /// first empty line after the request line — if an empty line ends it.
+    fn head_len(input: &[u8]) -> Option<usize> {
+        let mut lines = input.split_inclusive(|&b| b == b'\n');
+        let mut len = lines.next()?.len();
+        for line in lines {
+            len += line.len();
+            if line == b"\n" || line == b"\r\n" {
+                return Some(len);
+            }
+        }
+        None
+    }
+
+    /// The `Content-Length` the head declares: its last such header, or
+    /// none.
+    fn declared_length(head: &[u8]) -> usize {
+        let head = std::str::from_utf8(head).expect("a parsed head is UTF-8");
+        let lengths = head.lines().skip(1).filter_map(|line| {
+            let (name, value) = line.split_once(':')?;
+            name.eq_ignore_ascii_case("content-length")
+                .then(|| value.trim())
+        });
+        lengths
+            .last()
+            .map_or(0, |n| n.parse().expect("a parsed length"))
+    }
+
+    /// What every input must satisfy: parsing it does not panic (the
+    /// property runner reports a panic as a failure), and a request it
+    /// yields has a head within the limit and the body its head declares,
+    /// within the limit.
+    fn check(input: &[u8]) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prelude::*;
+        let mut reader = std::io::BufReader::new(input);
+        let Parsed::Ok(req) = read_request(&mut reader, &mut Vec::new(), SMALL) else {
+            return Ok(());
+        };
+        let head = head_len(input);
+        prop_assert!(
+            head.is_some_and(|n| n <= SMALL.max_head_bytes),
+            "head {head:?}"
+        );
+        let head = &input[..head.unwrap_or(0)];
+        prop_assert_eq!(req.body.len(), declared_length(head));
+        prop_assert!(req.body.len() <= SMALL.max_body_bytes);
+        prop_assert_eq!(
+            &req.body[..],
+            &input[head.len()..head.len() + req.body.len()]
+        );
+        Ok(())
+    }
+
+    /// Lines of requests, well-formed and not, each ended by some
+    /// terminator or none, strung together.
+    fn request_soup() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        let piece = |s: &'static str| Just(s.as_bytes().to_vec());
+        let line = prop_oneof![
+            piece(""),
+            piece(""),
+            piece("GET / HTTP/1.1"),
+            piece("POST /query HTTP/1.1"),
+            piece("PUT /x HTTP/1.0"),
+            piece("GET / HTTP/2"),
+            piece("Host: x"),
+            piece("Content-Length: 5"),
+            piece("Content-Length: 32"),
+            piece("Content-Length: 33"),
+            piece("Content-Length: 0"),
+            piece("Content-Length: -1"),
+            piece("Content-Length: 99999999999999999999999"),
+            piece("content-length:7"),
+            piece("Transfer-Encoding: chunked"),
+            piece("Expect: 100-continue"),
+            piece("Connection: close"),
+            piece("hello world"),
+            piece("GET /next HTTP/1.1\r\n\r\n"),
+            piece("POST /q HTTP/1.1\r\nContent-Length: 5"),
+            proptest::collection::vec(0x80u8..=0xff, 1..4),
+            proptest::collection::vec(0u8..=255, 1..40),
+        ];
+        let end = prop_oneof![
+            piece("\r\n"),
+            piece("\r\n"),
+            piece("\r\n"),
+            piece("\n"),
+            piece("\r"),
+            piece(""),
+        ];
+        let lines = proptest::collection::vec((line, end), 0..12);
+        lines.prop_map(|lines| {
+            lines
+                .into_iter()
+                .flat_map(|(l, e)| [l, e])
+                .flatten()
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_bytes_never_break_the_parser(
+            input in proptest::collection::vec(0u8..=255, 0..160),
+        ) {
+            check(&input)?;
+        }
+
+        #[test]
+        fn request_soup_never_breaks_the_parser(input in request_soup()) {
+            check(&input)?;
+        }
     }
 }

@@ -546,7 +546,7 @@ fn push_query_result(out: &mut String, model: &SolvedModel, src: &str, q: &crate
         out.push_str(",\"answers\":[");
         let universe = model.universe();
         let answers = model.answers_prepared(q);
-        for (j, tuple) in answers.tuples().iter().enumerate() {
+        for (j, tuple) in answers.tuples().enumerate() {
             if j > 0 {
                 out.push(',');
             }

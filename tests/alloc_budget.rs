@@ -1,5 +1,5 @@
 //! Allocation budgets for the interning stores, the atom index, the
-//! modular engine, the text frontend and a resumed solve.
+//! modular engine, the text frontend, a resumed solve and a scan.
 //!
 //! The stores keep every key in a few flat pools, so that cloning a
 //! universe (the façade's copy-on-write before each mutation, and
@@ -11,8 +11,10 @@
 //! the source text and interns them in place. A solve resumed after a small
 //! insert copies the previous model's flat arrays and works on the delta's
 //! forward cone only, and a goal-directed read of a model that is already
-//! solved touches none of it. A timing cannot pin that on a shared host; a
-//! count of allocator calls — and of components evaluated — can, exactly.
+//! solved touches none of it. A scan pushes its answers onto one flat array
+//! and renders them into one buffer. A timing cannot pin that on a shared
+//! host; a count of allocator calls — and of components evaluated — can,
+//! exactly.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -364,8 +366,8 @@ fn a_small_insert_costs_what_it_touches() {
 
 /// A ground ask is one probe of the universe's atom table and one verdict
 /// read: it touches no index, so it builds none, and what it allocates —
-/// the search's own two small vectors — does not know how large the model
-/// is.
+/// the search's own small scratch vectors — does not know how large the
+/// model is.
 #[test]
 fn ground_asks_read_no_index() {
     let asks = |seeds: usize, groups: usize| {
@@ -443,4 +445,36 @@ fn solve_for_on_a_solved_kb_costs_the_same_at_any_size() {
         "solve_for over {atoms} solved atoms took {small} allocations, over {twice} atoms {large}"
     );
     assert!(small <= 64, "a view took {small} allocations");
+}
+
+/// A scan costs allocations per read, not per answer: its answers are one
+/// flat array and its response body one buffer, each of which doubles its
+/// way up. Ten times the answers: at most eight allocations more.
+#[test]
+fn a_scan_allocates_per_read_not_per_answer() {
+    let scan = |n: usize| {
+        let text: String = (0..n).map(|i| format!("p(c{i}).\n")).collect();
+        let model = KnowledgeBase::from_source(&text).unwrap().solve();
+        let q = model.prepare("?(X) p(X).").unwrap();
+        let (answers, direct) = allocations_in(|| model.answers_prepared(&q));
+        assert_eq!(answers.len(), n);
+        let (body, served) = allocations_in(|| {
+            wfdatalog::serve::query_response_body(&model, &["?(X) p(X)."]).unwrap()
+        });
+        assert_eq!(body.matches("[\"c").count(), n);
+        (direct, served)
+    };
+    let (small, large) = (scan(1_000), scan(10_000));
+    assert!(
+        large.0 <= small.0 + 8,
+        "1,000 answers took {} allocations, 10,000 took {}",
+        small.0,
+        large.0
+    );
+    assert!(
+        large.1 <= small.1 + 8,
+        "a body of 1,000 answers took {} allocations, of 10,000 {}",
+        small.1,
+        large.1
+    );
 }

@@ -88,7 +88,6 @@ fn observe(model: &SolvedModel) -> (String, String, Vec<String>) {
             let ans = model.answers_prepared(q);
             let mut tuples: Vec<String> = ans
                 .tuples()
-                .iter()
                 .map(|t| {
                     t.iter()
                         .map(|&x| model.universe().display_term(x).to_string())
@@ -330,7 +329,6 @@ fn observe_sliced(model: &SolvedModel) -> (String, String, Vec<String>) {
     let mut answers: Vec<String> = model
         .answers_prepared(&q)
         .tuples()
-        .iter()
         .map(|t| model.universe().display_term(t[0]).to_string())
         .collect();
     answers.sort();

@@ -74,7 +74,6 @@ fn observe(model: &SolvedModel) -> (String, String, Vec<Truth>, Vec<String>) {
                 let ans = model.answers_prepared(&pq);
                 let mut tuples: Vec<String> = ans
                     .tuples()
-                    .iter()
                     .map(|t| {
                         t.iter()
                             .map(|&x| model.universe().display_term(x).to_string())

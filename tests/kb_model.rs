@@ -174,7 +174,6 @@ fn answer_lines(model: &SolvedModel, q: &wfdatalog::PreparedQuery) -> String {
     let mut tuples: Vec<String> = model
         .answers_prepared(q)
         .tuples()
-        .iter()
         .map(|t| {
             t.iter()
                 .map(|&x| model.universe().display_term(x).to_string())

@@ -364,7 +364,7 @@ fn head_queries(kb: &KnowledgeBase) -> Vec<String> {
 /// models over different universes compare.
 fn read(model: &SolvedModel, query: &str) -> (Truth, Vec<String>) {
     let q = model.prepare_sliced(query).unwrap();
-    let mut tuples: Vec<String> = (model.answers_prepared(&q).tuples().iter())
+    let mut tuples: Vec<String> = (model.answers_prepared(&q).tuples())
         .map(|t| {
             let terms = t
                 .iter()
