@@ -115,10 +115,11 @@
 //! positive and negative edges alike) instead of the whole program —
 //! same answers, bit-identical verdicts over in-slice predicates, a
 //! fraction of the work — and solves nothing at all when the whole
-//! program's model is already there to answer from. Either way the
-//! resulting model guards its boundary ([`SolvedModel::prepare_sliced`],
-//! [`Error::OutOfSlice`]). On the CLI: `wfdl query --sliced`; over HTTP:
-//! `POST /query?mode=sliced`.
+//! program's model is already there to answer from (a thread holding only
+//! that model takes the same view with [`SolvedModel::view_for`]). Either
+//! way the resulting model guards its boundary
+//! ([`SolvedModel::prepare_sliced`], [`Error::OutOfSlice`]). On the CLI:
+//! `wfdl query --sliced`; over HTTP: `POST /query?mode=sliced`.
 //!
 //! ## Crate map
 //!
@@ -287,7 +288,10 @@ pub struct KnowledgeBase {
     /// per 200k atoms), not a walk over every atom.
     universe: Arc<Universe>,
     database: Database,
-    sigma: SkolemProgram,
+    /// Shared with every model solved from it, so that a model knows its
+    /// program ([`SolvedModel::view_for`] slices it); adding rules copies
+    /// it on write.
+    sigma: Arc<SkolemProgram>,
     violations: Vec<wfdl_core::PredId>,
     queries: Vec<Nbcq>,
     /// Configured chase budget; `None` = decide from the program at
@@ -376,8 +380,7 @@ impl Cached {
     /// segment, so a slice, having fewer atoms, may get further than a
     /// capped full solve did.
     fn serves_slices(&self, options: WfsOptions, now: Revision) -> bool {
-        let outcome = self.model.outcome().truncation();
-        self.serves(options, now) && matches!(outcome, None | Some(TruncationReason::DepthCap))
+        self.serves(options, now) && self.model.serves_views()
     }
 }
 
@@ -392,7 +395,7 @@ impl KnowledgeBase {
         KnowledgeBase {
             universe: Arc::new(universe),
             database,
-            sigma,
+            sigma: Arc::new(sigma),
             violations,
             queries,
             budget: None,
@@ -451,8 +454,9 @@ impl KnowledgeBase {
             || !lowered.functional.is_empty();
         if has_rules {
             let (sigma, violations) = wfdl_wfs::lower_with_constraints(universe, &lowered.program)?;
-            self.sigma.rules.extend(sigma.rules);
-            self.sigma.rules.extend(lowered.functional.iter().cloned());
+            let rules = &mut Arc::make_mut(&mut self.sigma).rules;
+            rules.extend(sigma.rules);
+            rules.extend(lowered.functional.iter().cloned());
             self.violations.extend(violations);
             self.revision.rebuild += 1;
         }
@@ -688,10 +692,11 @@ impl KnowledgeBase {
             // it and its indexes, and only re-prepare the source queries
             // against the current universe (query text may have interned
             // new names during `add_source`).
-            Some(c) => self.package(
-                Arc::clone(&self.universe),
+            Some(c) => SolvedModel::package(
+                UniverseSnapshot::from_arc(Arc::clone(&self.universe)),
                 Arc::clone(&c.model.solved),
                 None,
+                &self.queries,
             ),
             None => {
                 let model = self.run_solve(options, None)?;
@@ -798,35 +803,10 @@ impl KnowledgeBase {
         }
         let universe = scratch.map_or_else(|| Arc::clone(&self.universe), Arc::new);
         let prev = prev.as_ref().map(|m| &*m.solved);
-        let solved = Solved::new(&universe, output, self.epoch, prev);
-        Ok(self.package(universe, solved, slice))
-    }
-
-    /// The one place a [`SolvedModel`] is put together: a solve's shared
-    /// part, a frozen universe that sees every atom it mentions (freeze
-    /// *after* the chase interned its nulls; sharing the `Arc` is O(1), the
-    /// next mutation will copy-on-write), and — for full models — the
-    /// source queries prepared against that universe. With a `slice` the
-    /// model is goal-directed: `solved` is that slice's solve, or a full
-    /// solve that covers it.
-    fn package(
-        &self,
-        universe: Arc<Universe>,
-        solved: Arc<Solved>,
-        slice: Option<ProgramSlice>,
-    ) -> Arc<SolvedModel> {
-        let source_queries = match slice {
-            Some(_) => Vec::new(),
-            None => (self.queries.iter().cloned())
-                .map(PreparedQuery::from_query)
-                .collect(),
-        };
-        Arc::new(SolvedModel {
-            universe: UniverseSnapshot::from_arc(universe),
-            solved,
-            source_queries,
-            slice,
-        })
+        let program = Arc::clone(&self.sigma);
+        let solved = Solved::new(&universe, output, program, self.epoch, prev);
+        let universe = UniverseSnapshot::from_arc(universe);
+        Ok(SolvedModel::package(universe, solved, slice, &self.queries))
     }
 
     /// Goal-directed solve: computes the query-relevant **program slice**
@@ -849,8 +829,10 @@ impl KnowledgeBase {
     /// ran to its fixpoint or to the depth bound only, `solve_for` returns a
     /// **view** of it: that model behind this query's slice guard, at that
     /// model's [epoch](SolvedModel::epoch), for the cost of computing the
-    /// slice. [`SolveStats::sliced`] is `false` on a view (no sliced solve
-    /// ran), and its [`SolvedModel::constraint_status`] is the full model's.
+    /// slice — the view [`SolvedModel::view_for`] takes of that model, over
+    /// the knowledge base's current universe. [`SolveStats::sliced`] is
+    /// `false` on a view (no sliced solve ran), and its
+    /// [`SolvedModel::constraint_status`] is the full model's.
     ///
     /// **Otherwise the slice is solved** — chase, grounding and engine all
     /// restricted to it, from nothing: no full model yet, facts or rules
@@ -898,15 +880,14 @@ impl KnowledgeBase {
     /// full model and pending delta included) is exactly as it was.
     pub fn solve_for(&mut self, query_src: &str) -> Result<Arc<SolvedModel>, Error> {
         let options = self.effective_options();
+        let full = self.last.as_ref();
+        if let Some(full) = full.filter(|c| c.serves_slices(options, self.revision)) {
+            let universe = UniverseSnapshot::from_arc(Arc::clone(&self.universe));
+            return Ok(slice_view(&full.model.solved, universe, query_src)?.0);
+        }
         // Resolve the query against the current universe (read-only:
         // query preparation looks names up, never interns).
         let goals = wfdl_syntax::prepare_query(&self.universe, query_src)?.goal_preds();
-        let full = self.last.as_ref();
-        if let Some(full) = full.filter(|c| c.serves_slices(options, self.revision)) {
-            let slice = ProgramSlice::compute(self.universe.num_preds(), &self.sigma, &goals);
-            let solved = Arc::clone(&full.model.solved);
-            return Ok(self.package(Arc::clone(&self.universe), solved, Some(slice)));
-        }
         if let Some((cached_goals, c)) = &self.sliced_last {
             if *cached_goals == goals && c.serves(options, self.revision) {
                 return Ok(Arc::clone(&c.model));
@@ -1042,6 +1023,8 @@ struct Solved {
     /// Over the segment's not-false atoms, ascending; the query evaluator
     /// filters candidates by verdict, so it serves every read.
     index: AtomIndex,
+    /// The program solved (the knowledge base's, shared): a view slices it.
+    program: Arc<SkolemProgram>,
     solve_stats: SolveStats,
     epoch: u64,
 }
@@ -1057,6 +1040,7 @@ impl Solved {
     fn new(
         universe: &Universe,
         mut output: wfdl_wfs::SolveOutput,
+        program: Arc<SkolemProgram>,
         epoch: u64,
         prev: Option<&Solved>,
     ) -> Arc<Solved> {
@@ -1088,14 +1072,106 @@ impl Solved {
             index,
             model: output.model,
             constraint_status: output.constraint_status,
+            program,
             solve_stats: output.stats,
             epoch,
         })
     }
 }
 
+/// A goal-directed **view** of a full model, with nothing solved: `solved`
+/// over `universe`, behind the slice of `solved`'s program that the goal
+/// predicates of `query_src` span. Returns the query too, prepared once:
+/// every predicate it reads is a goal, so it passes the view's slice guard
+/// by construction.
+///
+/// The caller vouches that `solved` answers every slice of itself (see
+/// [`SolvedModel::view_for`]) and that `universe` sees every atom of it.
+fn slice_view(
+    solved: &Arc<Solved>,
+    universe: UniverseSnapshot,
+    query_src: &str,
+) -> Result<(Arc<SolvedModel>, PreparedQuery), Error> {
+    let query = wfdl_syntax::prepare_query(&universe, query_src)?;
+    let goals = query.goal_preds();
+    let slice = ProgramSlice::compute(universe.num_preds(), &solved.program, &goals);
+    let view = SolvedModel::package(universe, Arc::clone(solved), Some(slice), &[]);
+    Ok((view, query))
+}
+
 impl SolvedModel {
+    /// The one place a [`SolvedModel`] is put together: a solve's shared
+    /// part, a frozen universe that sees every atom it mentions (freeze
+    /// *after* the chase interned its nulls; sharing the `Arc` is O(1), the
+    /// next mutation will copy-on-write), and — for full models — the
+    /// `queries` of the sources, prepared against that universe. With a
+    /// `slice` the model is goal-directed: `solved` is that slice's solve,
+    /// or a full solve that covers it.
+    fn package(
+        universe: UniverseSnapshot,
+        solved: Arc<Solved>,
+        slice: Option<ProgramSlice>,
+        queries: &[Nbcq],
+    ) -> Arc<SolvedModel> {
+        let source_queries = match slice {
+            Some(_) => Vec::new(),
+            None => (queries.iter().cloned())
+                .map(PreparedQuery::from_query)
+                .collect(),
+        };
+        Arc::new(SolvedModel {
+            universe,
+            solved,
+            source_queries,
+            slice,
+        })
+    }
+
     // ----- query serving ----------------------------------------------
+
+    /// A goal-directed view of this model for `query_src`, with nothing
+    /// solved: this model behind the query's slice guard, exactly what
+    /// [`KnowledgeBase::solve_for`] returns while this model is the knowledge
+    /// base's current full model — but through `&self`, so any thread
+    /// holding the model can take one.
+    ///
+    /// `Ok(None)` when this model cannot answer slices of itself: it is
+    /// already goal-directed, a runtime budget cut it short, or the atom or
+    /// instance cap did (a slice, having fewer atoms, may get further).
+    /// Solving the slice then takes [`KnowledgeBase::solve_for`]. A model
+    /// that ran to its fixpoint or stopped at the depth bound only — a
+    /// per-atom bound a slice's chase meets at exactly the same atoms —
+    /// always serves views.
+    ///
+    /// ```
+    /// # use wfdatalog::{Error, KnowledgeBase};
+    /// let mut kb = KnowledgeBase::from_source(
+    ///     "p(a). p(X) -> q(X). r(X), not q(X) -> s(X).").unwrap();
+    /// let model = kb.solve();
+    /// let view = model.view_for("?- q(a).").unwrap().expect("a complete model");
+    /// assert!(view.is_sliced() && !view.solve_stats().sliced);
+    /// assert!(view.ask("?- q(a).").unwrap());
+    /// assert!(matches!(view.prepare("?- s(a)."), Err(Error::OutOfSlice(_))));
+    /// assert!(view.view_for("?- q(a).").unwrap().is_none(), "already sliced");
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Syntax`] if `query_src` is not a valid query.
+    pub fn view_for(&self, query_src: &str) -> Result<Option<Arc<SolvedModel>>, Error> {
+        if !self.serves_views() {
+            return Ok(None);
+        }
+        let (view, _query) = slice_view(&self.solved, self.universe.clone(), query_src)?;
+        Ok(Some(view))
+    }
+
+    /// True iff this model answers every slice of itself (see
+    /// [`SolvedModel::view_for`]).
+    fn serves_views(&self) -> bool {
+        let outcome = self.outcome().truncation();
+        self.slice.is_none() && matches!(outcome, None | Some(TruncationReason::DepthCap))
+    }
 
     /// Parses and lowers a query against the frozen snapshot, ready for
     /// repeated evaluation. Unknown constants or predicates in the query

@@ -30,7 +30,9 @@
 //! [`SolvedModel::epoch`], and only then acknowledges the request.
 //! `/retract` takes the same path with [`KnowledgeBase::retract`], after
 //! which the solve recomputes in full. Readers never block on the writer;
-//! a solve in progress steals no lock the readers need.
+//! a solve in progress steals no lock the readers need. The writer only
+//! writes: the one read it ever serves is a `mode=sliced` line whose slice
+//! must actually be solved (below).
 //!
 //! Per-re-solve deadlines reuse the solve-budget machinery
 //! ([`SolveBudget`]): a deadline-tripped re-solve still publishes — as a
@@ -40,24 +42,30 @@
 //!
 //! ## `mode=sliced`
 //!
-//! `POST /query?mode=sliced` answers each body line through
-//! [`KnowledgeBase::solve_for`] — the model of the query-relevant program
-//! slice, guarded at the slice's boundary — instead of the published full
-//! model: bit-identical answers. It needs the `KnowledgeBase`, so it runs
-//! on the **writer thread**, serialized behind any queued ingests. The
-//! writer full-solves at start and after every ingest or retraction, so
-//! the model it holds is normally current and complete, and `solve_for`
-//! then **solves nothing**: the line costs a prepare, a slice computation
-//! and an evaluation against that model (`components_reused` =
-//! `slice_components` in the result's `"slice"` object, `sliced_from_model`
-//! in `/stats`). Only when that model was cut short — a re-solve deadline
-//! tripped, the chase hit an atom or instance cap — is the slice solved,
-//! from nothing, under the same fresh deadline window (`components_reused`
-//! = 0, `sliced_solved`; a repeated query with unchanged data is answered
-//! from that solve's cache): a slice can be small enough to finish where
-//! the whole program was not. The response shape is the plain `/query`
-//! response with the `"slice"` object appended per result. Plain `/query`
-//! traffic is unaffected — it never touches the writer.
+//! `POST /query?mode=sliced` answers each body line from the model of the
+//! query-relevant program slice, guarded at the slice's boundary, instead
+//! of the published full model: bit-identical answers. A request pins one
+//! published model for the whole batch, as plain `/query` does. The writer
+//! full-solves at start and after every ingest or retraction, so that model
+//! is normally complete, and then it answers every slice of itself:
+//! each line is a [view](SolvedModel::view_for) of it, built and evaluated
+//! **on the reader thread** — a prepare, a slice computation and an
+//! evaluation (`components_reused` = `slice_components` in the result's
+//! `"slice"` object, `sliced_from_model` in `/stats`). The line answers
+//! against the published snapshot, the one a plain `/query` line reads:
+//! it reflects every ingest acknowledged before it (the writer publishes
+//! before it acknowledges), and it does not wait for ingests still queued.
+//!
+//! Only when the pinned model was cut short — a re-solve deadline tripped,
+//! the chase hit an atom or instance cap — does the batch go to the
+//! **writer thread**, behind any queued ingests, where
+//! [`KnowledgeBase::solve_for`] solves each line's slice from nothing under
+//! the same fresh deadline window (`components_reused` = 0,
+//! `sliced_solved`; a repeated query with unchanged data is answered from
+//! that solve's cache): a slice can be small enough to finish where the
+//! whole program was not. Either way the response shape is the plain
+//! `/query` response with the `"slice"` object appended per result, and
+//! the two counters count the lines of batches that answered 200 only.
 //!
 //! ## `/stats` schema
 //!
@@ -121,8 +129,8 @@ struct Counters {
     healthz: AtomicU64,
     query: AtomicU64,
     query_errors: AtomicU64,
-    /// Query lines of `mode=sliced` batches answered by a solved slice
-    /// (just solved, or that solve's cached model)…
+    /// Query lines of answered (200) `mode=sliced` batches answered by a
+    /// solved slice (just solved, or that solve's cached model)…
     sliced_solved: AtomicU64,
     /// …and by a view of the full model, with nothing solved.
     sliced_from_model: AtomicU64,
@@ -146,8 +154,9 @@ enum FactOp {
 
 /// One unit of work for the writer thread, which owns the
 /// [`KnowledgeBase`]: a fact ingestion or retraction, or a goal-directed
-/// query batch (`POST /query?mode=sliced` — sliced solves need `&mut
-/// KnowledgeBase`, so they serialize with ingests instead of racing them).
+/// query batch whose pinned model cannot serve views (`POST
+/// /query?mode=sliced` — sliced solves need `&mut KnowledgeBase`, so they
+/// serialize with ingests instead of racing them).
 enum WriterJob {
     /// Raw fact-batch body; acknowledged once the new model is published.
     Facts {
@@ -169,8 +178,8 @@ struct WfdlApp {
     /// every model swap (the EDB participates in the data-dependent lints,
     /// so an ingest can change the report). Readers only clone an `Arc`.
     lint: EpochSlot<String>,
-    /// Writer entry (ingests + sliced queries): `None` once shutdown began
-    /// (both answer 503).
+    /// Writer entry (ingests + sliced queries that need a solve): `None`
+    /// once shutdown began (both answer 503).
     writer: Mutex<Option<SyncSender<WriterJob>>>,
     writer_join: Mutex<Option<JoinHandle<()>>>,
     counters: Counters,
@@ -279,6 +288,19 @@ fn parse_query_lines(body: &[u8]) -> Result<Vec<&str>, Response> {
 }
 
 impl WfdlApp {
+    /// The app serving `model` and its `lint` report, with no writer yet
+    /// ([`start`] attaches it).
+    fn new(model: Arc<SolvedModel>, lint: String) -> WfdlApp {
+        WfdlApp {
+            lint: EpochSlot::new(model.epoch(), Arc::new(lint)),
+            slot: EpochSlot::new(model.epoch(), model),
+            writer: Mutex::new(None),
+            writer_join: Mutex::new(None),
+            counters: Counters::default(),
+            started: Instant::now(),
+        }
+    }
+
     /// `POST /query`: evaluate every body line against one pinned model.
     fn query(&self, body: &[u8]) -> Response {
         let queries = match parse_query_lines(body) {
@@ -295,14 +317,23 @@ impl WfdlApp {
         }
     }
 
-    /// `POST /query?mode=sliced`: goal-directed solve per query on the
-    /// writer thread (serialized behind queued ingests — a sliced answer
-    /// always reflects every ingest acknowledged before it).
+    /// `POST /query?mode=sliced`: pins one model for the whole batch. If it
+    /// serves views, every line is answered by a view of it, here on the
+    /// reader thread; otherwise the batch goes to the writer thread, which
+    /// solves each line's slice. Either way a sliced answer reflects every
+    /// ingest acknowledged before it: the writer publishes first.
     fn sliced_query(&self, body: &[u8]) -> Response {
         let queries = match parse_query_lines(body) {
             Ok(q) => q,
             Err(resp) => return resp,
         };
+        let (_epoch, model) = self.slot.load();
+        if model.serves_views() {
+            return match answer_views(&model, &queries, &self.counters) {
+                Ok(body) => Response::json(200, body),
+                Err(body) => Response::json(400, body),
+            };
+        }
         let queries: Vec<String> = queries.into_iter().map(str::to_owned).collect();
         self.dispatch_to_writer(|reply| WriterJob::SlicedQuery { queries, reply })
     }
@@ -445,9 +476,11 @@ pub fn query_response_body(model: &SolvedModel, queries: &[&str]) -> Result<Stri
 /// `slice_components` of the program's `total_components`, and how many of
 /// them were answered without solving (`components_reused`: all of them
 /// when `solve_for` returned a view of the current full model, `0` when it
-/// solved the slice). Runs on the serving tier's writer thread (it needs
-/// `&mut KnowledgeBase`); public for the same bit-for-bit test contract as
-/// [`query_response_body`].
+/// solved the slice). Public for the same bit-for-bit test contract as
+/// [`query_response_body`]: the serving tier renders these bytes — on the
+/// reader thread from a view of the pinned model when that model serves
+/// views, on the writer thread (which owns the `&mut KnowledgeBase` a
+/// solve needs) otherwise.
 ///
 /// `Ok` is the 200 body; `Err` is the status and body of the failure: 400
 /// for the first query that fails to parse or prepare, in
@@ -461,9 +494,9 @@ pub fn sliced_query_response_body(
     answer_sliced(kb, queries, &Counters::default())
 }
 
-/// [`sliced_query_response_body`], counting each query line into
-/// `counters.sliced_solved` / `counters.sliced_from_model` as it is
-/// answered.
+/// [`sliced_query_response_body`] on the writer thread, counting each query
+/// line into `counters.sliced_solved` / `counters.sliced_from_model` once
+/// the whole batch has prepared.
 fn answer_sliced(
     kb: &mut KnowledgeBase,
     queries: &[&str],
@@ -477,20 +510,55 @@ fn answer_sliced(
             Error::EnginePanic(_) => (500, error_body(&e.to_string(), None)),
             e => (400, prepare_error_body(i, src, &e)),
         })?;
-        let answered_by = match model.solve_stats().sliced {
-            true => &counters.sliced_solved,
-            false => &counters.sliced_from_model,
-        };
-        answered_by.fetch_add(1, Ordering::Relaxed);
         let q = model
             .prepare_sliced(src)
             .map_err(|e| (400, prepare_error_body(i, src, &e)))?;
         solved.push((model, q));
     }
-    let epoch = solved.first().map_or(0, |(m, _)| m.epoch());
+    for (model, _) in &solved {
+        let answered_by = match model.solve_stats().sliced {
+            true => &counters.sliced_solved,
+            false => &counters.sliced_from_model,
+        };
+        answered_by.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(render_sliced(queries, &solved))
+}
+
+/// The reader-thread path of `mode=sliced`, for a pinned `model` that
+/// serves views: each line answered by a view of it, rendered exactly as
+/// [`sliced_query_response_body`] renders a knowledge base whose current
+/// full model `model` is. `Err` is the 400 body of the first malformed
+/// line; the lines count into `counters.sliced_from_model` only when none
+/// is.
+fn answer_views(
+    model: &SolvedModel,
+    queries: &[&str],
+    counters: &Counters,
+) -> Result<String, String> {
+    let mut views = Vec::with_capacity(queries.len());
+    for (i, src) in queries.iter().enumerate() {
+        let view = crate::slice_view(&model.solved, model.snapshot().clone(), src)
+            .map_err(|e| prepare_error_body(i, src, &e))?;
+        views.push(view);
+    }
+    let answered = views.len() as u64;
+    counters
+        .sliced_from_model
+        .fetch_add(answered, Ordering::Relaxed);
+    Ok(render_sliced(queries, &views))
+}
+
+/// Renders a `mode=sliced` 200 body: each query's result against the
+/// goal-directed model that answers it, with its `"slice"` object.
+fn render_sliced(
+    queries: &[&str],
+    answered: &[(Arc<SolvedModel>, crate::PreparedQuery)],
+) -> String {
+    let epoch = answered.first().map_or(0, |(m, _)| m.epoch());
     let mut out = String::with_capacity(64 + 64 * queries.len());
     out.push_str(&format!("{{\"epoch\":{epoch},\"results\":["));
-    for (i, (src, (model, q))) in queries.iter().zip(&solved).enumerate() {
+    for (i, (src, (model, q))) in queries.iter().zip(answered).enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -511,7 +579,7 @@ fn answer_sliced(
         out.push('}');
     }
     out.push_str("]}");
-    Ok(out)
+    out
 }
 
 /// The 400 error body for a query that failed to prepare: 1-based index,
@@ -616,8 +684,8 @@ fn error_body(message: &str, line: Option<u32>) -> String {
 }
 
 /// The writer thread: owns the [`KnowledgeBase`], serializes every
-/// mutation (and every sliced query, which needs `&mut` access), and is
-/// the only code that publishes into the slot.
+/// mutation (and every sliced query whose slice must be solved, which
+/// needs `&mut` access), and is the only code that publishes into the slot.
 fn writer_loop(
     mut kb: KnowledgeBase,
     rx: Receiver<WriterJob>,
@@ -760,14 +828,7 @@ pub fn start(mut kb: KnowledgeBase, options: ServeOptions) -> Result<RunningServ
     }
     let model = kb.try_solve()?;
     let lint = kb.analyze().to_json(&options.program_name);
-    let app = Arc::new(WfdlApp {
-        lint: EpochSlot::new(model.epoch(), Arc::new(lint)),
-        slot: EpochSlot::new(model.epoch(), model),
-        writer: Mutex::new(None),
-        writer_join: Mutex::new(None),
-        counters: Counters::default(),
-        started: Instant::now(),
-    });
+    let app = Arc::new(WfdlApp::new(model, lint));
     let (tx, rx) = std::sync::mpsc::sync_channel(options.ingest_queue.max(1));
     // These two mutexes were created a few lines up and have never left
     // this thread: poisoning is impossible, but recover instead of unwrap.
@@ -794,4 +855,60 @@ pub fn start(mut kb: KnowledgeBase, options: ServeOptions) -> Result<RunningServ
         Arc::clone(&app) as Arc<dyn App>,
     )?;
     Ok(RunningServer { server, app })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wfdl_core::budget::{FaultKind, FaultPlan, FaultSite};
+
+    /// Two independent cones: the `win` slice leaves `flip`/`flop` out.
+    const PROGRAM: &str = "
+        edge(a,b). edge(b,c). pick(z).
+        edge(X,Y), not win(Y) -> win(X).
+        pick(X), not flop(X) -> flip(X).
+        pick(X), not flip(X) -> flop(X).
+    ";
+    const LINES: [&str; 2] = ["?- win(b).", "?(X) win(X)."];
+
+    /// The app over `kb`'s first solve, in the state shutdown leaves it
+    /// in: its writer is gone, so anything sent there answers 503.
+    fn app_without_writer(mut kb: KnowledgeBase) -> WfdlApp {
+        WfdlApp::new(kb.solve(), String::new())
+    }
+
+    fn post_sliced(app: &WfdlApp) -> Response {
+        app.handle(&Request {
+            method: Method::Post,
+            path: "/query?mode=sliced".to_owned(),
+            body: LINES.join("\n").into_bytes(),
+            close: true,
+        })
+    }
+
+    #[test]
+    fn a_viewable_sliced_read_never_touches_the_writer() {
+        let app = app_without_writer(KnowledgeBase::from_source(PROGRAM).unwrap());
+        let resp = post_sliced(&app);
+        let body = String::from_utf8(resp.body).unwrap();
+        assert_eq!(resp.status, 200, "{body}");
+        let mut replica = KnowledgeBase::from_source(PROGRAM).unwrap();
+        replica.solve();
+        let expected = sliced_query_response_body(&mut replica, &LINES).unwrap();
+        assert_eq!(body, expected);
+        assert_eq!(app.counters.sliced_from_model.load(Ordering::Relaxed), 2);
+        assert_eq!(app.counters.sliced_solved.load(Ordering::Relaxed), 0);
+
+        // A budget-tripped model serves no views: the batch goes to the
+        // writer, which is gone.
+        let mut kb = KnowledgeBase::from_source(PROGRAM).unwrap();
+        kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+            site: FaultSite::ChaseRound(0),
+            kind: FaultKind::TripDeadline,
+        }));
+        let app = app_without_writer(kb);
+        assert!(app.slot.load().1.outcome().is_budget_trip());
+        assert_eq!(post_sliced(&app).status, 503);
+        assert_eq!(app.counters.sliced_from_model.load(Ordering::Relaxed), 0);
+    }
 }

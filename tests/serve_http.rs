@@ -477,8 +477,9 @@ fn sliced_query_mode_matches_direct_api_and_tracks_ingests() {
     assert_eq!(status, 400, "{err}");
     assert!(err.contains("mode=sliced"), "{err}");
 
-    // Sliced queries observe ingested facts: the writer thread serializes
-    // the sliced solve behind the ingest, so the new edge is visible.
+    // Sliced queries observe ingested facts: the writer publishes the new
+    // model before it acknowledges the ingest, and the sliced line answers
+    // from the published model, so the new edge is visible.
     let (status, resp) = post(addr, "/ingest", "edge,c,d\n");
     assert_eq!(status, 200, "{resp}");
     let (status, body) = post(addr, "/query?mode=sliced", "?- win(c).\n");
@@ -490,6 +491,81 @@ fn sliced_query_mode_matches_direct_api_and_tracks_ingests() {
     // the whole batch with a 400 — same contract as full mode.
     let (status, err) = post(addr, "/query?mode=sliced", "?- win(a).\n?- win(.\n");
     assert_eq!(status, 400, "{err}");
+
+    server.shutdown();
+}
+
+/// The `sliced_solved` / `sliced_from_model` pair of a `/stats` body.
+fn sliced_counters(addr: SocketAddr) -> String {
+    let (status, stats) = get(addr, "/stats");
+    assert_eq!(status, 200, "{stats}");
+    let from = stats.find("\"sliced_solved\":").expect("sliced_solved");
+    let to = stats.find(",\"ingest\":").expect("ingest");
+    stats[from..to].to_owned()
+}
+
+/// The counters count lines *answered*: a batch that answers 400 answered
+/// none, not even the well-formed lines before the malformed one.
+#[test]
+fn a_sliced_batch_that_answers_400_counts_no_line() {
+    let kb = KnowledgeBase::from_source(TWO_CONE_PROGRAM).expect("program");
+    let server = start(kb, ServeOptions::default()).expect("server starts");
+    let addr = server.addr();
+    let before = sliced_counters(addr);
+    assert_eq!(before, "\"sliced_solved\":0,\"sliced_from_model\":0");
+    let (status, err) = post(addr, "/query?mode=sliced", "?- win(a).\n?- win(.\n");
+    assert_eq!(status, 400, "{err}");
+    assert_eq!(sliced_counters(addr), before);
+    server.shutdown();
+}
+
+/// A published model cut short by a budget serves no views: the batch goes
+/// to the writer, which solves the line's slice — small enough to finish
+/// where the whole program did not.
+#[test]
+fn a_tripped_model_sends_sliced_lines_to_the_writer_to_be_solved() {
+    use wfdatalog::core::budget::{FaultKind, FaultPlan, FaultSite};
+    use wfdatalog::SolveBudget;
+
+    // The full program's ground condensation has seven components, the
+    // `win` slice's five: a trip at ordinal 5 stops the full solve only.
+    let tripped = || {
+        let mut kb = KnowledgeBase::from_source(TWO_CONE_PROGRAM).expect("program");
+        kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+            site: FaultSite::WfsComponent(5),
+            kind: FaultKind::TripDeadline,
+        }));
+        kb
+    };
+    let server = start(tripped(), ServeOptions::default()).expect("server starts");
+    let addr = server.addr();
+    assert!(server.pin_model().1.outcome().is_budget_trip());
+
+    // A malformed batch counts no line on this path either.
+    let (status, err) = post(addr, "/query?mode=sliced", "?- win(a).\n?- win(.\n");
+    assert_eq!(status, 400, "{err}");
+    let (status, body) = post(addr, "/query?mode=sliced", "?(X) win(X).\n");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        sliced_counters(addr),
+        "\"sliced_solved\":1,\"sliced_from_model\":0"
+    );
+    assert!(
+        body.contains("\"components_reused\":0}"),
+        "the slice was solved: {body}"
+    );
+
+    let mut replica = tripped();
+    assert!(replica
+        .try_solve()
+        .expect("replica")
+        .outcome()
+        .is_budget_trip());
+    let expected =
+        sliced_query_response_body(&mut replica, &["?(X) win(X)."]).expect("replica render");
+    assert_eq!(body, expected);
+    let slice = replica.solve_for("?(X) win(X).").expect("cached slice");
+    assert!(slice.solve_stats().sliced && slice.outcome().is_complete());
 
     server.shutdown();
 }

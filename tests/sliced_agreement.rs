@@ -9,7 +9,8 @@
 //! out-of-slice-guard behaviour of `KnowledgeBase::solve_for` /
 //! `SolvedModel::prepare_sliced`, and the other direction of the same
 //! splitting argument: a current, complete full model answers every slice
-//! of itself, so `solve_for` then solves nothing.
+//! of itself, so `solve_for` then solves nothing — and a thread holding
+//! only that model takes the same view with `SolvedModel::view_for`.
 
 // Test code: panicking on a broken invariant IS the failure signal.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -428,6 +429,33 @@ fn solve_for_after_a_full_solve_solves_nothing() {
     assert!(proper_slices > 0, "no workload had a cone outside a slice");
 }
 
+/// A thread holding only the model takes the view the knowledge base
+/// hands out: `SolvedModel::view_for` ≡ `KnowledgeBase::solve_for` while
+/// that model is current.
+#[test]
+fn view_for_takes_the_view_solve_for_returns() {
+    for (src, depth) in view_workloads() {
+        let mut kb = knowledge_base(&src, depth);
+        let full = kb.solve();
+        for query in &head_queries(&kb) {
+            let view = full.view_for(query).unwrap().expect("a current model");
+            let from_kb = kb.solve_for(query).unwrap();
+            assert!(view.is_sliced() && !view.solve_stats().sliced, "{query}");
+            assert!(std::ptr::eq(view.model(), from_kb.model()), "{query}");
+            assert!(std::ptr::eq(view.model(), full.model()), "{query}");
+            let (slice, kb_slice) = (view.slice().unwrap(), from_kb.slice().unwrap());
+            assert_eq!(slice.pred_mask, kb_slice.pred_mask, "{query}");
+            assert_eq!(
+                (slice.components_in_slice, slice.components_total),
+                (kb_slice.components_in_slice, kb_slice.components_total),
+                "{query}"
+            );
+            assert_eq!(read(&view, query), read(&from_kb, query), "{query}");
+        }
+        assert!(matches!(full.view_for("?- p(."), Err(Error::Syntax(_))));
+    }
+}
+
 /// Everything that makes the cached full model the wrong thing to answer
 /// from: `solve_for` must then solve the slice, and agree with a full solve
 /// of the knowledge base as it now stands.
@@ -487,9 +515,12 @@ fn solve_for_still_solves_when_no_current_complete_model_covers_the_slice() {
     }));
     let tripped = kb.solve();
     assert!(tripped.outcome().is_budget_trip());
+    assert!(tripped.view_for(QUERY).unwrap().is_none());
     kb.set_solve_budget(SolveBudget::unlimited());
     let sliced = solved(&mut kb, "after a tripped full solve");
     assert_eq!(read(&sliced, QUERY), read(&fresh().1, QUERY));
+    // A solved slice is no full model to take views of.
+    assert!(sliced.view_for(QUERY).unwrap().is_none());
 
     // So is one the atom cap cut short: the cap counts the whole segment,
     // and the flip/flop slice fits under a cap the program does not.
@@ -500,6 +531,7 @@ fn solve_for_still_solves_when_no_current_complete_model_covers_the_slice() {
         .with_options(capped);
     let full = kb.solve();
     assert_eq!(full.outcome().truncation(), Some(TruncationReason::AtomCap));
+    assert!(full.view_for("?- flip(z).").unwrap().is_none());
     let sliced = kb.solve_for("?- flip(z).").unwrap();
     assert!(sliced.solve_stats().sliced && sliced.outcome().is_complete());
     assert_eq!(sliced.ask3("?- flip(z).").unwrap(), Truth::Unknown);
