@@ -771,6 +771,24 @@ impl ChaseSegment {
     }
 }
 
+/// The least room a resume leaves in an inherited array for the delta.
+const RESUME_HEADROOM: usize = 64;
+
+/// The capacity a resume gives an inherited array of `len` entries: an
+/// eighth more, and at least [`RESUME_HEADROOM`] more — enough that a small
+/// delta's appends never move the array.
+fn with_headroom(len: usize) -> usize {
+    len + len / 8 + RESUME_HEADROOM
+}
+
+/// A resumed builder's copy of an inherited array: one allocation with
+/// headroom for the delta, one straight copy.
+fn inherit<T: Copy>(old: &[T]) -> Vec<T> {
+    let mut copy = Vec::with_capacity(with_headroom(old.len()));
+    copy.extend_from_slice(old);
+    copy
+}
+
 /// Removes adjacent duplicates in `v[start..]` (which must be sorted).
 fn dedup_tail(v: &mut Vec<u32>, start: usize) {
     let mut w = start;
@@ -944,7 +962,6 @@ impl<'a> Builder<'a> {
             }
             rules_by_guard_pred[p].push(i as u32);
         }
-        let seg_of = vec![NONE; universe.atoms.len()];
         Builder {
             universe,
             program,
@@ -954,7 +971,7 @@ impl<'a> Builder<'a> {
             restrict: None,
             old: None,
             atoms: Vec::new(),
-            seg_of,
+            seg_of: Vec::new(),
             fact_seg: Vec::new(),
             fact_set: BitSet::new(),
             inst_src_rule: Vec::new(),
@@ -992,7 +1009,8 @@ impl<'a> Builder<'a> {
     }
 
     /// Seeds a builder with the full state of an already-saturated
-    /// segment, so saturation can continue from its frontier.
+    /// segment, so saturation can continue from its frontier. Each array is
+    /// copied once, with room for what the delta adds ([`inherit`]).
     fn from_segment(
         universe: &'a mut Universe,
         program: &'a SkolemProgram,
@@ -1000,26 +1018,26 @@ impl<'a> Builder<'a> {
         solve: SolveBudget,
     ) -> Self {
         let mut b = Builder::new(universe, program, old.budget, solve);
-        b.atoms = old.atoms.clone();
-        b.seg_of = old.seg_of.clone();
-        b.fact_seg = old.fact_seg.clone();
-        b.inst_src_rule = old.inst_src_rule.clone();
-        b.inst_guard = old.inst_guard.clone();
-        b.inst_head = old.inst_head.clone();
-        b.pos_off = old.pos_off.clone();
-        b.pos_seg = old.pos_seg.clone();
-        b.neg_off = old.neg_off.clone();
-        b.neg_atoms = old.neg_atoms.clone();
+        b.atoms = inherit(&old.atoms);
+        b.seg_of = inherit(&old.seg_of);
+        b.fact_seg = inherit(&old.fact_seg);
+        b.inst_src_rule = inherit(&old.inst_src_rule);
+        b.inst_guard = inherit(&old.inst_guard);
+        b.inst_head = inherit(&old.inst_head);
+        b.pos_off = inherit(&old.pos_off);
+        b.pos_seg = inherit(&old.pos_seg);
+        b.neg_off = inherit(&old.neg_off);
+        b.neg_atoms = inherit(&old.neg_atoms);
         let r = &old.resume;
-        b.fact_set = r.fact_set.clone();
-        b.expanded = r.expanded.clone();
-        b.pending = r.pending.clone();
-        b.pend_pos = r.pend_pos.clone();
-        b.pend_neg = r.pend_neg.clone();
-        b.watch_head = r.watch_head.clone();
-        b.watch_tail = r.watch_tail.clone();
-        b.watch_next = r.watch_next.clone();
-        b.watch_pend = r.watch_pend.clone();
+        b.fact_set = (r.fact_set).copy_with_capacity(with_headroom(old.atoms.len()));
+        b.expanded = inherit(&r.expanded);
+        b.pending = inherit(&r.pending);
+        b.pend_pos = inherit(&r.pend_pos);
+        b.pend_neg = inherit(&r.pend_neg);
+        b.watch_head = inherit(&r.watch_head);
+        b.watch_tail = inherit(&r.watch_tail);
+        b.watch_next = inherit(&r.watch_next);
+        b.watch_pend = inherit(&r.watch_pend);
         // Uncollected expansion work from a budget-tripped build: restoring
         // the queue makes the resume continue exactly where the tripped run
         // stopped. A cleanly quiesced build always leaves it empty.
@@ -1060,6 +1078,7 @@ impl<'a> Builder<'a> {
     }
 
     fn run(mut self, db: &Database) -> ChaseSegment {
+        self.seg_of = vec![NONE; self.universe.atoms.len()];
         for &fact in db.facts() {
             if let Some(mask) = self.restrict {
                 let pred = self.universe.atoms.pred(fact);
@@ -1364,20 +1383,25 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Assembles the segment.
+    /// Assembles the segment. A fresh build releases what its doubling
+    /// pools over-allocated; a resume keeps its arrays as they are — they
+    /// were copied with a bounded headroom, and shrinking would copy them
+    /// again.
     fn finish(mut self) -> ChaseSegment {
         let pending_at_end = self.pending.iter().filter(|p| p.missing > 0).count();
         let depth_blocked = self.depth_blocked();
         let complete = self.truncation.is_none() && depth_blocked == 0;
-        self.atoms.shrink_to_fit();
-        self.seg_of.shrink_to_fit();
-        self.inst_src_rule.shrink_to_fit();
-        self.inst_guard.shrink_to_fit();
-        self.inst_head.shrink_to_fit();
-        self.pos_off.shrink_to_fit();
-        self.pos_seg.shrink_to_fit();
-        self.neg_off.shrink_to_fit();
-        self.neg_atoms.shrink_to_fit();
+        if self.old.is_none() {
+            self.atoms.shrink_to_fit();
+            self.seg_of.shrink_to_fit();
+            self.inst_src_rule.shrink_to_fit();
+            self.inst_guard.shrink_to_fit();
+            self.inst_head.shrink_to_fit();
+            self.pos_off.shrink_to_fit();
+            self.pos_seg.shrink_to_fit();
+            self.neg_off.shrink_to_fit();
+            self.neg_atoms.shrink_to_fit();
+        }
 
         ChaseSegment {
             atoms: self.atoms,

@@ -43,6 +43,17 @@ impl BitSet {
         }
     }
 
+    /// A copy of this set with room for bits below `n` without
+    /// reallocation: one allocation, one straight copy.
+    pub fn copy_with_capacity(&self, n: usize) -> Self {
+        let mut words = Vec::with_capacity(n.div_ceil(64).max(self.words.len()));
+        words.extend_from_slice(&self.words);
+        BitSet {
+            words,
+            len: self.len,
+        }
+    }
+
     /// Bytes of heap the backing store holds (its capacity), O(1).
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()

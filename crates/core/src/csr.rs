@@ -7,12 +7,15 @@
 //! guard/head/body rows, but no solve reads those: a segment counts them
 //! when first asked.) A resumed solve changes a few rows of each; [`splice`]
 //! derives the new pair from the old one by copying the untouched runs
-//! between the touched rows (`memcpy` for the items, one constant shift per
-//! run for the offsets) and rewriting only the touched rows. No per-item
-//! scatter, no counting pass, no hashing: the cost is one sequential copy
-//! plus work proportional to the edit.
+//! between the touched rows and rewriting only the touched rows. A run's
+//! items are one `memcpy`; so are its offsets when nothing before it
+//! changed size, and one vectorizable add of a constant shift when
+//! something did. No per-row call, no per-item scatter, no counting pass,
+//! no hashing: the cost is one sequential copy plus work proportional to
+//! the edit.
 
 use crate::dense_u32;
+use std::ops::Range;
 
 /// What changes between an old CSR and the new one. Rows that are neither
 /// dropped nor inserted correspond in order, so the old-row → new-row map
@@ -45,6 +48,15 @@ impl<T> Default for RowEdits<'_, T> {
     }
 }
 
+/// Where the new rows end, as the splice walk finds out.
+enum Ends {
+    /// Untouched old rows: new row ends are the old ends of `rows` (indexes
+    /// into the old offsets) plus `shift`, wrapping.
+    Run { rows: Range<usize>, shift: u32 },
+    /// One rewritten row ends here.
+    Row(u32),
+}
+
 /// Applies `edits` to the CSR `(old_off, old_items)`, returning the new
 /// offsets and items.
 ///
@@ -61,13 +73,17 @@ pub fn splice<T: Copy + Ord>(
     let old_rows = old_off.len().saturating_sub(1);
     let mut off = Vec::with_capacity(old_rows - edits.dropped.len() + edits.inserted.len() + 1);
     off.push(0u32);
-    let items = splice_with(
+    let items = walk(
         old_rows,
         |i| old_off[i],
         old_items,
         edits,
-        |end| {
-            off.push(end);
+        |ends| match ends {
+            Ends::Run { rows, shift: 0 } => off.extend_from_slice(&old_off[rows]),
+            Ends::Run { rows, shift } => {
+                off.extend(old_off[rows].iter().map(|&end| end.wrapping_add(shift)));
+            }
+            Ends::Row(end) => off.push(end),
         },
     );
     (off, items)
@@ -84,6 +100,24 @@ pub fn splice_with<T: Copy + Ord>(
     old_items: &[T],
     edits: &RowEdits<'_, T>,
     mut push_end: impl FnMut(u32),
+) -> Vec<T> {
+    walk(old_rows, &old_off, old_items, edits, |ends| match ends {
+        Ends::Run { rows, shift } => {
+            rows.for_each(|i| push_end(old_off(i).wrapping_add(shift)));
+        }
+        Ends::Row(end) => push_end(end),
+    })
+}
+
+/// The splice itself: copies the items of every untouched run and rewrites
+/// the touched rows, telling `ends` where the new rows end. Returns the new
+/// items.
+fn walk<T: Copy + Ord>(
+    old_rows: usize,
+    old_off: impl Fn(usize) -> u32,
+    old_items: &[T],
+    edits: &RowEdits<'_, T>,
+    mut ends: impl FnMut(Ends),
 ) -> Vec<T> {
     let RowEdits {
         mut dropped,
@@ -114,9 +148,10 @@ pub fn splice_with<T: Copy + Ord>(
             let base = old_off(o);
             let shift = (items.len() as u32).wrapping_sub(base);
             items.extend_from_slice(&old_items[base as usize..old_off(o + run) as usize]);
-            for i in o + 1..=o + run {
-                push_end(old_off(i).wrapping_add(shift));
-            }
+            ends(Ends::Run {
+                rows: o + 1..o + run + 1,
+                shift,
+            });
             o += run;
             r += run;
         }
@@ -155,7 +190,7 @@ pub fn splice_with<T: Copy + Ord>(
             items.extend(add.map(|&(_, x)| x));
             o += 1;
         }
-        push_end(items.len() as u32);
+        ends(Ends::Row(items.len() as u32));
         r += 1;
     }
     debug_assert!(inserted.is_empty() && removed.is_empty() && added.is_empty());
@@ -173,6 +208,7 @@ pub fn take_row<'a, T>(list: &mut &'a [(u32, T)], row: u32) -> &'a [(u32, T)] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn no_edits_is_a_copy() {
@@ -200,5 +236,109 @@ mod tests {
         // new rows: [4,2] [20,30,40] [5] [8] [1]
         assert_eq!(o, vec![0, 2, 5, 6, 7, 8]);
         assert_eq!(i, vec![4, 2, 20, 30, 40, 5, 8, 1]);
+    }
+
+    /// A row of the edited CSR: its final content and what the edit says
+    /// about it.
+    struct Edited {
+        content: Vec<u32>,
+        is_new: bool,
+        gone: Vec<u32>,
+        new: Vec<u32>,
+    }
+
+    impl Edited {
+        fn kept(content: Vec<u32>) -> Edited {
+            let (gone, new) = (Vec::new(), Vec::new());
+            Edited {
+                content,
+                is_new: false,
+                gone,
+                new,
+            }
+        }
+    }
+
+    /// One CSR from explicit rows.
+    fn csr_of(rows: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+        let mut off = vec![0u32];
+        let mut items = Vec::new();
+        for row in rows {
+            items.extend_from_slice(row);
+            off.push(items.len() as u32);
+        }
+        (off, items)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Both offset sinks equal a rebuild from the edited rows. Most old
+        /// rows are untouched, so runs are long and come both unshifted
+        /// (nothing before them changed size) and shifted (a drop, an
+        /// insert, a removal or an addition did).
+        #[test]
+        fn splice_equals_a_naive_rebuild(
+            old in proptest::collection::vec(proptest::collection::vec(0u32..64, 0..5), 0..40),
+            plan in proptest::collection::vec((0u8..8, 0u8..=255, proptest::collection::vec(0u32..64, 0..3)), 40),
+            fresh in proptest::collection::vec((0usize..48, proptest::collection::vec(0u32..64, 0..3)), 0..4),
+        ) {
+            let old: Vec<Vec<u32>> = old
+                .into_iter()
+                .map(|mut row| {
+                    row.sort_unstable();
+                    row.dedup();
+                    row
+                })
+                .collect();
+            let mut dropped = Vec::new();
+            let mut rows: Vec<Edited> = Vec::new();
+            for (i, (row, (kind, mask, extra))) in old.iter().zip(&plan).enumerate() {
+                match kind {
+                    0 => dropped.push(i as u32),
+                    1 => {
+                        let gone: Vec<u32> = (row.iter().enumerate())
+                            .filter(|(k, _)| mask >> (k % 8) & 1 == 1)
+                            .map(|(_, &x)| x)
+                            .collect();
+                        let mut new: Vec<u32> =
+                            extra.iter().copied().filter(|x| !row.contains(x)).collect();
+                        new.sort_unstable();
+                        new.dedup();
+                        let mut content: Vec<u32> =
+                            row.iter().copied().filter(|x| !gone.contains(x)).collect();
+                        content.extend(&new);
+                        content.sort_unstable();
+                        rows.push(Edited { content, is_new: false, gone, new });
+                    }
+                    _ => rows.push(Edited::kept(row.clone())),
+                }
+            }
+            for (at, items) in fresh {
+                let at = at.min(rows.len());
+                let gone = Vec::new();
+                rows.insert(at, Edited { content: items.clone(), is_new: true, gone, new: items });
+            }
+            let (mut inserted, mut removed, mut added) = (Vec::new(), Vec::new(), Vec::new());
+            for (r, row) in rows.iter().enumerate() {
+                if row.is_new {
+                    inserted.push(r as u32);
+                }
+                removed.extend(row.gone.iter().map(|&x| (r as u32, x)));
+                added.extend(row.new.iter().map(|&x| (r as u32, x)));
+            }
+            let edits = RowEdits {
+                dropped: &dropped,
+                inserted: &inserted,
+                removed: &removed,
+                added: &added,
+            };
+            let (old_off, old_items) = csr_of(&old);
+            let want = csr_of(&rows.into_iter().map(|row| row.content).collect::<Vec<_>>());
+            prop_assert_eq!(&splice(&old_off, &old_items, &edits), &want);
+            let mut off = vec![0u32];
+            let items = splice_with(old.len(), |i| old_off[i], &old_items, &edits, |end| off.push(end));
+            prop_assert_eq!(&(off, items), &want);
+        }
     }
 }

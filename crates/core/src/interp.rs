@@ -32,6 +32,14 @@ impl Interp {
         }
     }
 
+    /// A copy of this interpretation with room for atom ids below `n`
+    /// without reallocation: one allocation, one straight copy.
+    pub fn copy_with_capacity(&self, n: usize) -> Self {
+        let mut vals = Vec::with_capacity(n.max(self.vals.len()));
+        vals.extend_from_slice(&self.vals);
+        Interp { vals, ..*self }
+    }
+
     /// Truth value of `atom` (atoms never assigned are `Unknown`).
     #[inline]
     pub fn value(&self, atom: AtomId) -> Truth {

@@ -22,6 +22,22 @@ impl StageMap {
         }
     }
 
+    /// A copy of this map with room for atom ids below `n` without
+    /// reallocation, every recorded stage `s` replaced by `renumber(s)`
+    /// when there is one: one allocation, one pass — a straight copy
+    /// without.
+    pub(crate) fn carried(&self, n: usize, renumber: Option<impl Fn(u32) -> u32>) -> Self {
+        let mut stages = Vec::with_capacity(n.max(self.stages.len()));
+        match renumber {
+            None => stages.extend_from_slice(&self.stages),
+            Some(f) => stages.extend(self.stages.iter().map(|&stage| match stage {
+                Self::UNDECIDED => stage,
+                _ => f(stage),
+            })),
+        }
+        StageMap { stages }
+    }
+
     /// Records the decision stage of an atom.
     pub fn insert(&mut self, atom: AtomId, stage: u32) {
         debug_assert_ne!(stage, Self::UNDECIDED);
@@ -36,15 +52,6 @@ impl StageMap {
     pub(crate) fn clear(&mut self, atom: AtomId) {
         if let Some(stage) = self.stages.get_mut(atom.index()) {
             *stage = Self::UNDECIDED;
-        }
-    }
-
-    /// Replaces every recorded stage `s` by `f(s)`.
-    pub(crate) fn map_stages(&mut self, f: impl Fn(u32) -> u32) {
-        for stage in &mut self.stages {
-            if *stage != Self::UNDECIDED {
-                *stage = f(*stage);
-            }
         }
     }
 

@@ -61,6 +61,15 @@
 //! only if they contain a seed or an external body atom whose verdict
 //! changed in this run; the others keep their carried verdicts.
 //!
+//! What is carried is the previous run's [`ModularMemo`] — verdicts and
+//! facts by local id, the component of every atom, the component rows and
+//! which components were recursive — plus its interpretation and stages.
+//! Each array is copied once and then written at cone positions and new
+//! atoms only: a straight copy when the local ids did not move, one gather
+//! when new atoms sorted in between old ones. When the cone dissolves old
+//! components, the carried ordinals (and stages) are renumbered densely in
+//! that same pass. Nothing is recomputed per atom outside the cone.
+//!
 //! The per-atom decision *stage* reported by this engine is the 1-based
 //! ordinal of the component that decided it, which preserves the invariant
 //! that stages are monotone along derivations but is **not** comparable to
@@ -115,10 +124,12 @@ pub struct ModularStats {
 
 /// What one complete modular solve leaves behind for the **next** solve
 /// over the program extended by a delta
-/// ([`ModularEngine::solve_incremental`]): the condensation it ran over
-/// and how each component was evaluated. Together with the verdicts and
-/// the statistics of the same [`EngineResult`] that is everything the
-/// carry-and-patch path copies.
+/// ([`ModularEngine::solve_incremental`]): the condensation it ran over,
+/// how each component was evaluated, and the two per-atom arrays every
+/// sweep builds — the verdicts and the fact set, by local id. Together with
+/// the interpretation, the stages and the statistics of the same
+/// [`EngineResult`] that is everything the carry-and-patch path copies; it
+/// rebuilds none of it.
 #[derive(Clone, Debug)]
 pub struct ModularMemo {
     /// The condensation the solve ran over.
@@ -126,6 +137,11 @@ pub struct ModularMemo {
     /// Per component, by emission ordinal: was it recursive (internal
     /// negation or an undefined lower input) rather than definite.
     recursive: Vec<bool>,
+    /// The verdict of every atom, by local id: what the result's `interp`
+    /// holds by universe id.
+    truth: Vec<Truth>,
+    /// The program's facts, by local id.
+    is_fact: BitSet,
 }
 
 /// How a rule of the component under evaluation stands against the
@@ -290,7 +306,10 @@ impl<'a> ModularEngine<'a> {
         // `Unknown` doubles as "not yet decided" — sound because components
         // are decided strictly bottom-up.
         let mut truth = vec![Truth::Unknown; n];
-        let is_fact = fact_set(prog);
+        let mut is_fact = BitSet::with_capacity(n);
+        for &f in prog.facts_local() {
+            is_fact.insert(f as usize);
+        }
         let mut recursive = vec![false; num_components];
         let mem_estimate = mem_estimate(&cond);
 
@@ -362,6 +381,8 @@ impl<'a> ModularEngine<'a> {
         let memo = truncation.is_none().then_some(ModularMemo {
             condensation: cond,
             recursive,
+            truth,
+            is_fact,
         });
         EngineResult {
             interp,
@@ -440,13 +461,8 @@ impl<'a> ModularEngine<'a> {
                 })
                 .collect()
         };
-        let renumbered = |c: u32| renumber.get(c as usize).copied().unwrap_or(c);
-        let mut comp_of: Vec<u32> = (0..n as u32)
-            .map(|a| match carry.old_local(a) {
-                Some(l) => renumbered(old.comp_of[l as usize]),
-                None => NONE,
-            })
-            .collect();
+        let renumbered = (!renumber.is_empty()).then_some(|c: u32| renumber[c as usize]);
+        let mut comp_of = carry.carry(&old.comp_of, NONE, renumbered);
         let inserted: Vec<u32> = (first_new..first_new + found.num_components() as u32).collect();
         let mut added: Vec<(u32, u32)> = Vec::with_capacity(cone.len());
         for (c, comp) in found.iter().enumerate() {
@@ -474,21 +490,27 @@ impl<'a> ModularEngine<'a> {
             comp_off,
         };
 
-        // 3. Carried verdicts everywhere but in the cone, which starts out
-        // undecided.
-        let mut truth = vec![Truth::Unknown; n];
-        for (a, &atom) in prog.atoms().iter().enumerate() {
-            if slot[a] == NONE {
-                truth[a] = prev.value(atom);
-            }
+        // 3. Carried verdicts and facts. The cone starts out undecided; a
+        // cone atom's previous verdict stays readable in the memo.
+        let before = |a: u32| carry.old_local(a).map(|l| memo.truth[l as usize]);
+        let mut truth = carry.carry(&memo.truth, Truth::Unknown, None::<fn(Truth) -> Truth>);
+        for &a in &cone {
+            truth[a as usize] = Truth::Unknown;
         }
-        let is_fact = fact_set(prog);
+        let is_fact = carry.carry_set(
+            &memo.is_fact,
+            &prog.facts_local()[prev_prog.facts().len()..],
+        );
         let mut changed = BitSet::with_capacity(n);
         let mut recursive: Vec<bool> = Vec::with_capacity(cond.num_components());
-        let mut gone = dissolved.iter().peekable();
-        for (c, &was) in memo.recursive.iter().enumerate() {
-            if gone.next_if_eq(&&(c as u32)).is_none() {
-                recursive.push(was);
+        if dissolved.is_empty() {
+            recursive.extend_from_slice(&memo.recursive);
+        } else {
+            let mut gone = dissolved.iter().peekable();
+            for (c, &was) in memo.recursive.iter().enumerate() {
+                if gone.next_if_eq(&&(c as u32)).is_none() {
+                    recursive.push(was);
+                }
             }
         }
 
@@ -516,10 +538,7 @@ impl<'a> ModularEngine<'a> {
             }
         }
         for &a in &cone {
-            let before = carry
-                .old_local(a)
-                .map(|_| prev.value(prog.atom_of_local(a)));
-            stats.unknown_atoms -= (before == Some(Truth::Unknown)) as usize;
+            stats.unknown_atoms -= (before(a) == Some(Truth::Unknown)) as usize;
         }
 
         // 4. Visit the cone's components, dependencies first.
@@ -536,7 +555,6 @@ impl<'a> ModularEngine<'a> {
             }
             let comp = cond.component(ord as usize);
             let definite = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
-            let before = |a: u32| prev.value(prog.atom_of_local(a));
             let touched = comp.iter().any(|&a| slot[a as usize] < seeds as u32)
                 || scratch.rules.iter().any(|&r| {
                     let body = prog
@@ -563,13 +581,14 @@ impl<'a> ModularEngine<'a> {
                 );
                 stats.components_evaluated += 1;
                 for &a in comp {
-                    if carry.old_local(a).is_none() || truth[a as usize] != before(a) {
+                    if before(a) != Some(truth[a as usize]) {
                         changed.insert(a as usize);
                     }
                 }
             } else {
+                // No seed inside: every atom of it was an atom before.
                 for &a in comp {
-                    truth[a as usize] = before(a);
+                    truth[a as usize] = before(a).unwrap_or(Truth::Unknown);
                 }
             }
             merge_outcome(&mut stats, &out, comp.len());
@@ -578,12 +597,12 @@ impl<'a> ModularEngine<'a> {
         stats.components_reused = stats.components - stats.components_evaluated;
         stats.largest_component = cond.largest();
 
-        // 5. The previous result, patched over the cone.
-        let mut interp = prev.interp.clone();
-        let mut decided_stage = prev.decided_stage.clone();
-        if !renumber.is_empty() {
-            decided_stage.map_stages(|stage| renumber[stage as usize - 1] + 1);
-        }
+        // 5. The previous result, patched over the cone: one copy each, with
+        // room for every atom id of this program (stages are ordinals + 1).
+        let ids = prog.atoms().last().map_or(0, |a| a.index() + 1);
+        let mut interp = prev.interp.copy_with_capacity(ids);
+        let restaged = (!renumber.is_empty()).then_some(|s: u32| renumber[s as usize - 1] + 1);
+        let mut decided_stage = prev.decided_stage.carried(ids, restaged);
         let mut reevaluated: Vec<AtomId> = Vec::with_capacity(cone.len());
         for &a in &cone {
             let atom = prog.atom_of_local(a);
@@ -599,9 +618,12 @@ impl<'a> ModularEngine<'a> {
             reevaluated.push(atom);
         }
         let stages = cond.num_components() as u32;
+        debug_assert!(truncation.is_some() || memo_agrees(prog, &interp, &truth, &is_fact));
         let memo = truncation.is_none().then_some(ModularMemo {
             condensation: cond,
             recursive,
+            truth,
+            is_fact,
         });
         Some(EngineResult {
             interp,
@@ -626,6 +648,8 @@ const NONE: u32 = u32::MAX;
 struct Carry {
     /// Atoms of the previous program.
     old_n: usize,
+    /// Atoms of the program that extends it.
+    new_n: usize,
     /// `(new_of_old, old_of_new)` when the local ids moved; `NONE` in
     /// `old_of_new` marks a new atom.
     moved: Option<(Vec<u32>, Vec<u32>)>,
@@ -642,9 +666,13 @@ impl Carry {
         {
             return None;
         }
-        let old_n = old.len();
+        let (old_n, new_n) = (old.len(), new.len());
         if new[..old_n] == *old {
-            return Some(Carry { old_n, moved: None });
+            return Some(Carry {
+                old_n,
+                new_n,
+                moved: None,
+            });
         }
         let mut new_of_old = Vec::with_capacity(old_n);
         let mut old_of_new = vec![NONE; new.len()];
@@ -661,8 +689,51 @@ impl Carry {
         }
         Some(Carry {
             old_n,
+            new_n,
             moved: Some((new_of_old, old_of_new)),
         })
+    }
+
+    /// `old`, indexed by previous local ids, carried over to the current
+    /// ones in one pass: a straight copy when no id moved, a gather through
+    /// `old_of_new` when some did. New atoms read `fresh`, and a carried
+    /// value goes through `renumber` on the way when there is one.
+    fn carry<T: Copy>(&self, old: &[T], fresh: T, renumber: Option<impl Fn(T) -> T>) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.new_n);
+        match (&self.moved, &renumber) {
+            (None, None) => out.extend_from_slice(old),
+            (None, Some(f)) => out.extend(old.iter().map(|&v| f(v))),
+            (Some((_, old_of_new)), _) => out.extend(old_of_new.iter().map(|&l| {
+                match l {
+                    NONE => fresh,
+                    l => renumber
+                        .as_ref()
+                        .map_or(old[l as usize], |f| f(old[l as usize])),
+                }
+            })),
+        }
+        out.resize(self.new_n, fresh);
+        out
+    }
+
+    /// The set `old` of previous local ids, carried over to the current
+    /// ones, plus `added`: a straight copy of its words when no id moved,
+    /// its members relocated one by one when some did.
+    fn carry_set(&self, old: &BitSet, added: &[u32]) -> BitSet {
+        let mut set = match &self.moved {
+            None => old.copy_with_capacity(self.new_n),
+            Some((new_of_old, _)) => {
+                let mut set = BitSet::with_capacity(self.new_n);
+                for l in old.iter() {
+                    set.insert(new_of_old[l] as usize);
+                }
+                set
+            }
+        };
+        for &a in added {
+            set.insert(a as usize);
+        }
+        set
     }
 
     /// The previous local id of `prog`'s atom `a`, unless it is new.
@@ -692,13 +763,15 @@ impl Carry {
     }
 }
 
-/// The program's facts as a set of local ids.
-fn fact_set(prog: &GroundProgram) -> BitSet {
-    let mut is_fact = BitSet::with_capacity(prog.num_atoms());
-    for &f in prog.facts_local() {
-        is_fact.insert(f as usize);
-    }
-    is_fact
+/// True iff the carried `truth` reads what `interp` holds over the program's
+/// atoms and `is_fact` holds the program's facts (they are distinct) — what
+/// a memo built from scratch would hold.
+fn memo_agrees(prog: &GroundProgram, interp: &Interp, truth: &[Truth], is_fact: &BitSet) -> bool {
+    let facts = prog.facts_local();
+    truth.len() == prog.num_atoms()
+        && (prog.atoms().iter().zip(truth)).all(|(&atom, &t)| interp.value(atom) == t)
+        && is_fact.len() == facts.len()
+        && facts.iter().all(|&f| is_fact.contains(f as usize))
 }
 
 /// Working-set estimate for the memory budget: one verdict byte per atom

@@ -11,8 +11,8 @@
 //! |-----------------|---------|
 //! | `GET /healthz`  | liveness + the currently published model epoch |
 //! | `POST /query`   | one query per body line → prepared evaluation against **one** pinned snapshot; malformed queries answer 400 with their real source positions. `POST /query?mode=sliced` answers goal-directedly instead (below) |
-//! | `POST /ingest`  | TSV/CSV fact batch (the `--facts` format) → typed insert + incremental re-solve on the writer thread → atomic hot-swap |
-//! | `POST /retract` | the same body format → retraction of the listed facts + re-solve **from scratch** on the writer thread → atomic hot-swap; reply `{"removed", "epoch", "incremental": false, …, "outcome"}` — `/ingest`'s reply with `removed` for `added`; 400 on a malformed body, nothing applied |
+//! | `POST /ingest`  | TSV/CSV fact batch (the `--facts` format) → typed insert + incremental re-solve on the writer thread → atomic hot-swap; 400 on a malformed body, nothing applied — no fact, and no name interned |
+//! | `POST /retract` | the same body format → retraction of the listed facts (names looked up, never interned) + re-solve **from scratch** on the writer thread → atomic hot-swap; reply `{"removed", "epoch", "incremental": false, …, "outcome"}` — `/ingest`'s reply with `removed` for `added`; 400 on a malformed body, nothing applied |
 //! | `GET /lint`     | the static-analysis report for the served program (`wfdatalog::analysis` JSON), recomputed with the model on every ingest — EDB changes flip the data-dependent lints |
 //! | `GET /stats`    | solve/modular/chase statistics, model shape, epoch, request counters |
 //!
@@ -28,7 +28,8 @@
 //! façade resumes the chase, carries the previous model over and evaluates
 //! only the delta's forward cone), publishes the new model with its bumped
 //! [`SolvedModel::epoch`], and only then acknowledges the request.
-//! `/retract` takes the same path with [`KnowledgeBase::retract`], after
+//! `/retract` takes the same path with a retraction that looks the body's
+//! names up and interns none (then [`KnowledgeBase::retract`]), after
 //! which the solve recomputes in full. Readers never block on the writer;
 //! a solve in progress steals no lock the readers need. The writer only
 //! writes: the one read it ever serves is a `mode=sliced` line whose slice
@@ -721,7 +722,9 @@ fn writer_loop(
 
 /// One ingest or retraction: parse → typed insert / retract → re-solve
 /// (resumed after an insert, from scratch after a retraction) → publish.
-/// A body that does not parse changes nothing.
+/// A body that does not parse changes nothing, the universe included: an
+/// ingest interns its names only if every line is good, and a retraction
+/// looks them up.
 fn apply_facts(
     kb: &mut KnowledgeBase,
     app: &WfdlApp,
@@ -730,8 +733,12 @@ fn apply_facts(
     resolve_deadline: Option<Duration>,
     program_name: &str,
 ) -> Response {
-    let batch = match crate::fact_batch_from_reader(kb.universe_mut(), body) {
-        Ok(batch) => batch,
+    let (what, applied) = match op {
+        FactOp::Insert => ("added", kb.insert_from_reader(body)),
+        FactOp::Retract => ("removed", kb.retract_from_reader(body)),
+    };
+    let changed = match applied {
+        Ok(n) => n,
         Err(e) => {
             let line = match &e {
                 Error::Syntax(se) => Some(se.pos.line),
@@ -739,13 +746,6 @@ fn apply_facts(
             };
             return Response::json(400, error_body(&e.to_string(), line));
         }
-    };
-    let (what, changed) = match op {
-        FactOp::Insert => match kb.insert(batch) {
-            Ok(n) => ("added", n),
-            Err(e) => return Response::json(400, error_body(&e.to_string(), None)),
-        },
-        FactOp::Retract => ("removed", kb.retract(batch)),
     };
     // The deadline is an absolute instant: arm it freshly for each
     // re-solve so every ingest gets the full window.

@@ -56,6 +56,16 @@ fn insert_edges(kb: &mut KnowledgeBase, edges: &[(usize, usize)]) -> usize {
     kb.insert(batch).unwrap()
 }
 
+/// Interns the `move` atoms of `edges` without inserting them.
+fn intern_edges(kb: &mut KnowledgeBase, edges: &[(usize, usize)]) -> Vec<AtomId> {
+    let mut batch = FactBatch::new();
+    let mut moves = batch.relation(kb.universe_mut(), "move", 2).unwrap();
+    for &(a, b) in edges {
+        moves.push(&[&format!("n{a}"), &format!("n{b}")]).unwrap();
+    }
+    batch.atoms().to_vec()
+}
+
 /// Everything observable about a solved model, rendered order-independent.
 fn observe(model: &SolvedModel) -> (String, String, Vec<Truth>, Vec<String>) {
     let mut unknown: Vec<String> = model
@@ -150,7 +160,20 @@ fn check_chain(
     rules: &str,
     steps: &[Vec<(usize, usize)>],
 ) -> Result<Vec<(usize, usize)>, TestCaseError> {
+    check_chain_interning_early(rules, &[], steps)
+}
+
+/// [`check_chain`] with the `early` edges interned — not inserted — before
+/// the first solve: a step that inserts one later brings in an atom whose id
+/// is smaller than those of atoms the previous solves derived, so local ids
+/// move under the carried model.
+fn check_chain_interning_early(
+    rules: &str,
+    early: &[(usize, usize)],
+    steps: &[Vec<(usize, usize)>],
+) -> Result<Vec<(usize, usize)>, TestCaseError> {
     let mut chained = KnowledgeBase::from_source(rules).unwrap();
+    intern_edges(&mut chained, early);
     chained.solve();
     let mut union: Vec<(usize, usize)> = Vec::new();
     let mut cones = Vec::new();
@@ -340,6 +363,76 @@ fn chained_deltas_flipping_verdicts_all_the_way_up_a_chain() {
     // constraints ride on it); the side delta a handful of atoms.
     assert!(cones[1].1 > LEN && cones[2].1 > LEN, "{cones:?}");
     assert!(cones[4].0 < 12 && cones[4].1 < 12, "{cones:?}");
+}
+
+/// The memo a resume carries — verdicts and facts by local id, the
+/// components — holds what a recomputed one does, on every way the carry
+/// goes, chained: a disjoint new cone (local ids stay and no component
+/// dissolves: straight copies), a back edge that dissolves components into
+/// a draw (the carried component ordinals are renumbered), and an atom
+/// interned before the first solve and inserted only now (local ids move).
+/// `check_chain` holds each step against a from-scratch knowledge base and a
+/// full solve of the resumed program; a replay of the same chain checks that
+/// each step took the branch it is meant to, and that the carried
+/// condensation still puts every atom in the row its ordinal names.
+#[test]
+fn a_carried_memo_equals_a_recomputed_one() {
+    let early = [(20, 0)];
+    let steps = [
+        vec![(0, 1), (1, 2), (2, 3), (5, 6)],
+        vec![(10, 11), (11, 12)],
+        vec![(3, 0)],
+        vec![(20, 0)],
+        vec![(12, 20), (6, 5)],
+    ];
+    let cones = check_chain_interning_early(RULES, &early, &steps).unwrap();
+    assert_eq!(cones.len(), steps.len());
+
+    let mut kb = KnowledgeBase::from_source(RULES).unwrap();
+    let late = intern_edges(&mut kb, &early)[0];
+    let mut prev = kb.solve();
+    for (k, step) in steps.iter().enumerate() {
+        insert_edges(&mut kb, step);
+        let model = kb.solve();
+        let (before, now) = (prev.model(), model.model());
+        let (was, is) = (
+            before.component_stats().unwrap(),
+            now.component_stats().unwrap(),
+        );
+        let ids_stay = now.ground.atoms()[..before.ground.num_atoms()] == *before.ground.atoms();
+        match k {
+            1 => {
+                assert!(ids_stay, "step {k}");
+                assert_eq!(is.components_reused, was.components, "step {k}: {is:?}");
+            }
+            2 => {
+                assert!(ids_stay, "step {k}");
+                assert!(is.components_reused < was.components, "step {k}: {is:?}");
+                assert!(
+                    is.recursive_components > was.recursive_components,
+                    "step {k}"
+                );
+            }
+            3 => {
+                assert!(!ids_stay, "step {k}");
+                let moved = now.ground.local_id(late).unwrap() as usize;
+                assert!(moved < before.ground.num_atoms(), "step {k}");
+                assert!(is.components_reused < was.components, "step {k}: {is:?}");
+            }
+            _ => {}
+        }
+        // The carried condensation is a condensation of the program: every
+        // atom's component is the row it sits in.
+        let cond = &now.result.memo.as_ref().unwrap().condensation;
+        assert_eq!(cond.num_components(), is.components, "step {k}");
+        for c in 0..cond.num_components() {
+            for &atom in cond.component(c) {
+                assert_eq!(cond.comp_of[atom as usize] as usize, c, "step {k}");
+            }
+        }
+        assert_eq!(cond.comp_of.len(), now.ground.num_atoms(), "step {k}");
+        prev = model;
+    }
 }
 
 /// Example 4's existential chain under a depth budget, one seed at a time:

@@ -392,6 +392,36 @@ fn retract_route_undoes_an_ingest_at_a_later_epoch() {
     server.shutdown();
 }
 
+/// A batch that answers 400 leaves nothing behind, not even the names its
+/// good lines interned: after it and a good batch, a query naming one of
+/// them reads exactly as on a replica that never saw the bad batch —
+/// unknown constant and all.
+#[test]
+fn a_rejected_ingest_leaves_no_name_behind() {
+    let kb = KnowledgeBase::from_source(PROGRAM).expect("program");
+    let server = start(kb, ServeOptions::default()).expect("server starts");
+    let addr = server.addr();
+
+    let (status, body) = post(addr, "/ingest", "edge,zz,a\nedge,,\n");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"line\":2"), "{body}");
+    let (status, body) = post(addr, "/retract", "edge,zz,yy\nedge,a\n");
+    assert_eq!(status, 400, "{body}");
+    let (status, body) = post(addr, "/ingest", "edge,c,d\n");
+    assert_eq!(status, 200, "{body}");
+
+    let mut replica = KnowledgeBase::from_source(PROGRAM).expect("replica program");
+    replica.solve();
+    replica.insert_tsv("edge,c,d\n").expect("replica ingest");
+    let want = query_response_body(&replica.solve(), &["?- win(zz)."]).expect("render");
+    assert!(want.contains("unknown constant `zz`"), "{want}");
+    let (status, got) = post(addr, "/query", "?- win(zz).\n");
+    assert_eq!(status, 200, "{got}");
+    assert_eq!(got, want);
+
+    server.shutdown();
+}
+
 #[test]
 fn short_circuited_queries_carry_warnings_naming_the_unknown_symbol() {
     let kb = KnowledgeBase::from_source(PROGRAM).expect("program");
