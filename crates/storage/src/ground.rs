@@ -17,7 +17,23 @@
 //! `AtomId`-keyed accessors ([`GroundProgram::rules_with_head`] & co.)
 //! remain for callers that work with universe ids; the `*_local` twins are
 //! the hot-path API used by `wfdl-wfs`.
+//!
+//! ## Which rows exist when
+//!
+//! Every constructor builds the rule arrays (heads, positive and negative
+//! bodies, CSR over rules) and the **head rows** (`rules_with_head*`):
+//! condensation and rule classification read those on every solve. The
+//! **body rows** (`rules_with_pos*` / `rules_with_neg*`) are counted by the
+//! first call that reads one, all four arrays at once behind a `OnceLock`.
+//! A cold solve never asks: the modular engine closes each
+//! component over rows of its own. Their readers are
+//! [`GroundProgram::extend_with`] — the first resume after a cold solve
+//! counts the previous program's rows once and hands the extension its
+//! spliced copy already set, so later resumes splice and never count —
+//! the resume's forward cone in `wfdl-wfs`, the positive closure of a
+//! budget-tripped chase, and the reference engines of `wfdl-reference`.
 
+use std::sync::OnceLock;
 use wfdl_core::csr::{self, RowEdits};
 use wfdl_core::{AtomId, BitSet, FxHashMap};
 
@@ -155,12 +171,21 @@ pub struct GroundProgram {
     /// `head_occ(a)` = rules with head `a`, CSR over local atom ids.
     head_occ_off: Vec<u32>,
     head_occ: Vec<GroundRuleId>,
-    /// `pos_occ(a)` = rules with `a` in the positive body.
-    pos_occ_off: Vec<u32>,
-    pos_occ: Vec<GroundRuleId>,
-    /// `neg_occ(a)` = rules with `a` in the negative body.
-    neg_occ_off: Vec<u32>,
-    neg_occ: Vec<GroundRuleId>,
+    /// The body occurrence rows, counted by the first reader.
+    body_rows: OnceLock<BodyRows>,
+}
+
+/// Which rules mention an atom in their body, CSR over local atom ids,
+/// each row in rule order. Counted from the rule arrays on first read (see
+/// the module docs for who reads them).
+#[derive(Clone, Debug)]
+struct BodyRows {
+    /// `pos(a)` = rules with `a` in the positive body.
+    pos_off: Vec<u32>,
+    pos: Vec<GroundRuleId>,
+    /// `neg(a)` = rules with `a` in the negative body.
+    neg_off: Vec<u32>,
+    neg: Vec<GroundRuleId>,
 }
 
 impl GroundProgram {
@@ -377,7 +402,9 @@ impl GroundProgram {
     /// one monotone remap pass otherwise — and the three occurrence CSRs
     /// are [spliced](wfdl_core::csr::splice) from this program's with the
     /// new rules only. Nothing is recounted, sorted or hashed outside the
-    /// delta.
+    /// delta — except this program's body rows, if nothing has read them
+    /// yet (a cold solve does not): they are counted here once, and the
+    /// extension receives its spliced rows already counted.
     pub fn extend_with(
         &self,
         new_atoms: &[AtomId],
@@ -505,12 +532,13 @@ impl GroundProgram {
 
         // Occurrence rows: the old ones with the new atoms' rows slotted in
         // and the kept rules appended (their ids exceed every old one).
+        let body = self.body_rows();
         let olds = [
             (&self.head_occ_off, &self.head_occ),
-            (&self.pos_occ_off, &self.pos_occ),
-            (&self.neg_occ_off, &self.neg_occ),
+            (&body.pos_off, &body.pos),
+            (&body.neg_off, &body.neg),
         ];
-        let [(head_occ_off, head_occ), (pos_occ_off, pos_occ), (neg_occ_off, neg_occ)] =
+        let [(head_occ_off, head_occ), (pos_rows_off, pos_rows), (neg_rows_off, neg_rows)] =
             std::array::from_fn(|k| {
                 occurs[k].sort_unstable();
                 let edits = RowEdits {
@@ -531,16 +559,18 @@ impl GroundProgram {
             neg_local,
             head_occ_off,
             head_occ,
-            pos_occ_off,
-            pos_occ,
-            neg_occ_off,
-            neg_occ,
+            body_rows: OnceLock::from(BodyRows {
+                pos_off: pos_rows_off,
+                pos: pos_rows,
+                neg_off: neg_rows_off,
+                neg: neg_rows,
+            }),
         }
     }
 
     /// Shared tail of all constructors: given ready-made local-id rule
-    /// arrays and their head index ([`head_rows`]), builds the two body
-    /// occurrence CSRs by counting sort.
+    /// arrays and their head index ([`head_rows`]), assembles the program.
+    /// The body rows are left to their first reader.
     #[allow(clippy::too_many_arguments)]
     fn finish_with_locals(
         facts: Vec<AtomId>,
@@ -553,38 +583,6 @@ impl GroundProgram {
         neg_local: Vec<u32>,
         (head_occ_off, head_occ): (Vec<u32>, Vec<GroundRuleId>),
     ) -> Self {
-        let n = atoms.len();
-        let num_rules = head_local.len();
-
-        // Occurrence indexes (CSR over local atom ids): count, prefix-sum,
-        // fill. The fill preserves rule order within each atom's row.
-        let mut pos_counts = vec![0u32; n];
-        let mut neg_counts = vec![0u32; n];
-        for &b in &pos_local {
-            pos_counts[b as usize] += 1;
-        }
-        for &b in &neg_local {
-            neg_counts[b as usize] += 1;
-        }
-        let pos_occ_off = prefix_sum(&pos_counts);
-        let neg_occ_off = prefix_sum(&neg_counts);
-        let zero = GroundRuleId::from_index(0);
-        let mut pos_occ = vec![zero; pos_occ_off[n] as usize];
-        let mut neg_occ = vec![zero; neg_occ_off[n] as usize];
-        let mut pos_fill: Vec<u32> = pos_occ_off[..n].to_vec();
-        let mut neg_fill: Vec<u32> = neg_occ_off[..n].to_vec();
-        for r in 0..num_rules {
-            let id = GroundRuleId::from_index(r);
-            for &b in &pos_local[pos_off[r] as usize..pos_off[r + 1] as usize] {
-                pos_occ[pos_fill[b as usize] as usize] = id;
-                pos_fill[b as usize] += 1;
-            }
-            for &b in &neg_local[neg_off[r] as usize..neg_off[r + 1] as usize] {
-                neg_occ[neg_fill[b as usize] as usize] = id;
-                neg_fill[b as usize] += 1;
-            }
-        }
-
         let mut prog = GroundProgram {
             facts,
             atoms,
@@ -596,13 +594,26 @@ impl GroundProgram {
             neg_local,
             head_occ_off,
             head_occ,
-            pos_occ_off,
-            pos_occ,
-            neg_occ_off,
-            neg_occ,
+            body_rows: OnceLock::new(),
         };
         prog.shrink_to_fit();
         prog
+    }
+
+    /// The body occurrence rows, counted on the first call: count,
+    /// prefix-sum, fill, each row in rule order.
+    fn body_rows(&self) -> &BodyRows {
+        self.body_rows.get_or_init(|| {
+            let n = self.atoms.len();
+            let (pos_off, pos) = body_rows(n, &self.pos_off, &self.pos_local);
+            let (neg_off, neg) = body_rows(n, &self.neg_off, &self.neg_local);
+            BodyRows {
+                pos_off,
+                pos,
+                neg_off,
+                neg,
+            }
+        })
     }
 
     /// Releases over-allocated capacity on every index array.
@@ -617,10 +628,6 @@ impl GroundProgram {
         self.neg_local.shrink_to_fit();
         self.head_occ_off.shrink_to_fit();
         self.head_occ.shrink_to_fit();
-        self.pos_occ_off.shrink_to_fit();
-        self.pos_occ.shrink_to_fit();
-        self.neg_occ_off.shrink_to_fit();
-        self.neg_occ.shrink_to_fit();
     }
 
     /// Iterates the rules as materialized [`GroundRule`]s (allocates two
@@ -734,18 +741,21 @@ impl GroundProgram {
         &self.head_occ[self.head_occ_off[a] as usize..self.head_occ_off[a + 1] as usize]
     }
 
-    /// Rules with local atom `local` in their positive body.
+    /// Rules with local atom `local` in their positive body. The first call
+    /// of this or [`GroundProgram::rules_with_neg_local`] counts the body
+    /// rows.
     #[inline]
     pub fn rules_with_pos_local(&self, local: u32) -> &[GroundRuleId] {
-        let a = local as usize;
-        &self.pos_occ[self.pos_occ_off[a] as usize..self.pos_occ_off[a + 1] as usize]
+        let (rows, a) = (self.body_rows(), local as usize);
+        &rows.pos[rows.pos_off[a] as usize..rows.pos_off[a + 1] as usize]
     }
 
-    /// Rules with local atom `local` in their negative body.
+    /// Rules with local atom `local` in their negative body (counted on
+    /// first read, like the positive rows).
     #[inline]
     pub fn rules_with_neg_local(&self, local: u32) -> &[GroundRuleId] {
-        let a = local as usize;
-        &self.neg_occ[self.neg_occ_off[a] as usize..self.neg_occ_off[a + 1] as usize]
+        let (rows, a) = (self.body_rows(), local as usize);
+        &rows.neg[rows.neg_off[a] as usize..rows.neg_off[a + 1] as usize]
     }
 
     /// Number of rules.
@@ -794,6 +804,28 @@ fn head_rows(n: usize, head_local: &[u32]) -> (Vec<u32>, Vec<GroundRuleId>) {
         fill[h as usize] += 1;
     }
     (off, rules)
+}
+
+/// The body occurrence rows of a body CSR (`off` over rules, `locals` its
+/// local atom ids) over `n` local atoms — `(offsets, rules)`, each atom's
+/// rules in rule order — by counting sort.
+fn body_rows(n: usize, off: &[u32], locals: &[u32]) -> (Vec<u32>, Vec<GroundRuleId>) {
+    let mut counts = vec![0u32; n];
+    for &b in locals {
+        counts[b as usize] += 1;
+    }
+    let row_off = prefix_sum(&counts);
+    let mut rules = vec![GroundRuleId::from_index(0); locals.len()];
+    // `counts` becomes the fill cursor of each row.
+    let mut fill = counts;
+    fill.copy_from_slice(&row_off[..n]);
+    for (r, span) in off.windows(2).enumerate() {
+        for &b in &locals[span[0] as usize..span[1] as usize] {
+            rules[fill[b as usize] as usize] = GroundRuleId::from_index(r);
+            fill[b as usize] += 1;
+        }
+    }
+    (row_off, rules)
 }
 
 #[cfg(test)]
@@ -899,6 +931,29 @@ mod tests {
         assert_eq!(p.rules_with_neg(a(1)), &[r0, r1]);
         assert_eq!(p.rules_with_pos(a(2)), &[r1]);
         assert!(p.rules_with_neg(a(3)).is_empty());
+    }
+
+    #[test]
+    fn body_rows_are_counted_on_first_read_and_spliced_after() {
+        let mut b = GroundProgramBuilder::new();
+        b.add_fact(a(0));
+        let r0 = b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![a(2)]));
+        let p = b.finish();
+        assert!(p.body_rows.get().is_none(), "no constructor counts them");
+        assert_eq!(p.rules_with_head(a(1)), &[r0]);
+        assert!(p.body_rows.get().is_none(), "head rows are not body rows");
+
+        // The first extension counts its base's rows once and hands its
+        // own over already spliced.
+        let rule = GroundRule::new(a(3), vec![a(1)], vec![a(0)]);
+        let q = p.extend_with(&[a(3)], &[], &[rule]);
+        assert!(p.body_rows.get().is_some());
+        assert!(q.body_rows.get().is_some());
+        let r1 = GroundRuleId::from_index(1);
+        assert_eq!(q.rules_with_pos(a(0)), &[r0]);
+        assert_eq!(q.rules_with_pos(a(1)), &[r1]);
+        assert_eq!(q.rules_with_neg(a(0)), &[r1]);
+        assert_eq!(q.rules_with_neg(a(2)), &[r0]);
     }
 
     /// Every array two programs expose, row by row.

@@ -24,12 +24,19 @@
 //!      head possibly-founded but can never fire).
 //!
 //! Both kinds go through **one in-place evaluator** (`eval_component`): it
-//! reads the parent program's CSR arrays restricted to the component's own
-//! rules, keeps every verdict in one per-atom array and every countdown in
-//! scratch buffers sized once per solve, and allocates nothing. A
-//! definite component is round one of the same loop with an early exit. So a
+//! reads the parent program's rule arrays restricted to the component's own
+//! rules, closes over positive occurrence rows of the component's own
+//! (recorded while its rules are classified — the program-wide body rows
+//! are never read), keeps every verdict in one per-atom array and every
+//! countdown in reused scratch buffers, and allocates nothing. A definite
+//! component is round one of the same loop with an early exit. So a
 //! component costs `rounds × its own rules` — never anything proportional
 //! to the program or the atom universe around it.
+//!
+//! A **trivial** component — a singleton that no rule of its own mentions,
+//! which is every component of a positive chain and nearly every one of a
+//! stratified program — skips the evaluator: its verdict is one look at how
+//! its rules were classified.
 //!
 //! On stratified-heavy workloads almost every component is definite, so the
 //! whole model is computed in a single linear sweep.
@@ -163,12 +170,13 @@ enum RuleKind {
 const BLOCKED: u32 = u32::MAX;
 
 /// Scratch buffers, reused across components (most components are
-/// singletons, so per-component allocation would dominate). Everything
-/// here is sized once per solve; evaluating a component allocates nothing.
+/// singletons, so per-component allocation would dominate). Nothing here
+/// is sized by the program's rules; the two atoms-sized arrays are
+/// allocated by the first component that needs them, and evaluating a
+/// component allocates nothing beyond what the largest one before it held.
 struct Scratch {
-    /// rule id → index into `rules` while a component is evaluated;
-    /// `u32::MAX` elsewhere (reset after each component).
-    rule_slot: Vec<u32>,
+    /// Atoms of the program: the length of the atoms-sized arrays.
+    num_atoms: usize,
     /// The rules heading an atom of the component, collected by
     /// `classify_rules`.
     rules: Vec<u32>,
@@ -177,10 +185,14 @@ struct Scratch {
     /// `missing[i]` = Dowling–Gallier countdown of `rules[i]` for the
     /// closure in progress, or [`BLOCKED`].
     missing: Vec<u32>,
+    /// The component's own positive occurrence rows.
+    rows: LocalRows,
     queue: Vec<u32>,
     /// Possibly-founded marks over local atom ids: `founded[a] == epoch`
     /// means "marked in the current unfounded-set pass". Bumping `epoch`
-    /// clears every mark at once, so the array is never reset.
+    /// clears every mark at once, so the array is never reset. Allocated by
+    /// the first unfounded-set pass (a program of definite components never
+    /// runs one).
     founded: Vec<u32>,
     epoch: u32,
 }
@@ -188,14 +200,104 @@ struct Scratch {
 impl Scratch {
     fn new(prog: &GroundProgram) -> Self {
         Scratch {
-            rule_slot: vec![u32::MAX; prog.num_rules()],
+            num_atoms: prog.num_atoms(),
             rules: Vec::new(),
             kind: Vec::new(),
             missing: Vec::new(),
+            rows: LocalRows::default(),
             queue: Vec::new(),
-            founded: vec![0; prog.num_atoms()],
+            founded: Vec::new(),
             epoch: 0,
         }
+    }
+}
+
+/// The positive occurrence rows of the component under evaluation, over
+/// its own rules: `row(a)` lists the positions in `Scratch::rules` of the
+/// rules with the component's atom `a` in their positive body, in rule
+/// order. `classify_rules` records one entry per internal positive literal
+/// as it classifies, and `count` sorts them into rows keyed by the atom's
+/// position in the component — so a closure never looks at a rule of
+/// another component.
+#[derive(Default)]
+struct LocalRows {
+    /// `at[a]`: the position of atom `a` in the component under evaluation,
+    /// written for the atoms of multi-atom components only (a singleton's
+    /// atom is at 0). Atoms-sized, allocated by the first such component.
+    at: Vec<u32>,
+    /// The component under evaluation is a singleton.
+    singleton: bool,
+    /// `(position of the atom, position of the rule)` per internal
+    /// positive literal, in rule order.
+    entries: Vec<(u32, u32)>,
+    /// Row `p` is `rules[off[p]..off[p + 1]]` (one spare entry at the end:
+    /// the counting sort's cursors run one place ahead).
+    off: Vec<u32>,
+    rules: Vec<u32>,
+}
+
+impl LocalRows {
+    /// Starts recording the rows of `comp`, a component of a program with
+    /// `num_atoms` atoms.
+    fn start(&mut self, comp: &[u32], num_atoms: usize) {
+        self.entries.clear();
+        self.singleton = comp.len() == 1;
+        if !self.singleton {
+            if self.at.is_empty() {
+                self.at.resize(num_atoms, 0);
+            }
+            for (p, &a) in comp.iter().enumerate() {
+                self.at[a as usize] = p as u32;
+            }
+        }
+    }
+
+    /// The position of the component's atom `a` in the component.
+    #[inline]
+    fn position(&self, a: u32) -> usize {
+        if self.singleton {
+            0
+        } else {
+            self.at[a as usize] as usize
+        }
+    }
+
+    /// Records that the rule at position `rule` has the component's atom
+    /// `b` in its positive body.
+    #[inline]
+    fn record(&mut self, b: u32, rule: usize) {
+        self.entries.push((self.position(b) as u32, rule as u32));
+    }
+
+    /// Sorts the recorded entries into rows over the component's `len`
+    /// positions (counting sort; each row keeps rule order).
+    fn count(&mut self, len: usize) {
+        // Count row `p` at `off[p + 2]`; after the prefix sum `off[p + 1]`
+        // is where row `p` starts, and filling advances it to where row `p`
+        // ends, which is where row `p + 1` starts.
+        self.off.clear();
+        self.off.resize(len + 2, 0);
+        for &(p, _) in &self.entries {
+            self.off[p as usize + 2] += 1;
+        }
+        for k in 1..self.off.len() {
+            self.off[k] += self.off[k - 1];
+        }
+        self.rules.clear();
+        self.rules.resize(self.entries.len(), 0);
+        for &(p, rule) in &self.entries {
+            let cursor = &mut self.off[p as usize + 1];
+            self.rules[*cursor as usize] = rule;
+            *cursor += 1;
+        }
+    }
+
+    /// The positions of the component's rules with the component's atom
+    /// `a` in their positive body.
+    #[inline]
+    fn row(&self, a: u32) -> &[u32] {
+        let p = self.position(a);
+        &self.rules[self.off[p] as usize..self.off[p + 1] as usize]
     }
 }
 
@@ -336,19 +438,19 @@ impl<'a> ModularEngine<'a> {
                 }
             }
             let comp = cond.component(ord as usize);
-            let definite = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
-            recursive[ord as usize] = !definite;
+            let class = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
+            recursive[ord as usize] = !class.definite;
             let out = CompOutcome {
-                definite,
+                definite: class.definite,
                 rules: scratch.rules.len(),
-                rounds: eval_component(
+                rounds: decide_component(
                     prog,
                     comp,
                     ord,
                     &cond.comp_of,
                     &is_fact,
                     &mut truth,
-                    definite,
+                    class,
                     &mut scratch,
                 ),
             };
@@ -554,7 +656,7 @@ impl<'a> ModularEngine<'a> {
                 }
             }
             let comp = cond.component(ord as usize);
-            let definite = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
+            let class = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
             let touched = comp.iter().any(|&a| slot[a as usize] < seeds as u32)
                 || scratch.rules.iter().any(|&r| {
                     let body = prog
@@ -564,19 +666,19 @@ impl<'a> ModularEngine<'a> {
                     body.into_iter().any(|&b| changed.contains(b as usize))
                 });
             let mut out = CompOutcome {
-                definite,
+                definite: class.definite,
                 rules: scratch.rules.len(),
                 rounds: 0,
             };
             if touched {
-                out.rounds = eval_component(
+                out.rounds = decide_component(
                     prog,
                     comp,
                     ord,
                     &cond.comp_of,
                     &is_fact,
                     &mut truth,
-                    definite,
+                    class,
                     &mut scratch,
                 );
                 stats.components_evaluated += 1;
@@ -592,7 +694,7 @@ impl<'a> ModularEngine<'a> {
                 }
             }
             merge_outcome(&mut stats, &out, comp.len());
-            recursive.push(!definite);
+            recursive.push(!class.definite);
         }
         stats.components_reused = stats.components - stats.components_evaluated;
         stats.largest_component = cond.largest();
@@ -816,13 +918,24 @@ fn merge_outcome(stats: &mut ModularStats, out: &CompOutcome, comp_len: usize) {
     }
 }
 
+/// What `classify_rules` found out about a component.
+#[derive(Clone, Copy)]
+struct Class {
+    /// No internal negation and no undefined lower input anywhere, dead
+    /// rules included.
+    definite: bool,
+    /// No rule of the component mentions an atom of it: a singleton whose
+    /// verdict follows from its rules' kinds alone.
+    trivial: bool,
+}
+
 /// Collects the rules heading an atom of the component into
 /// `scratch.rules` and classifies each **once** against the decided lower
 /// verdicts: `scratch.kind[i]` (fixed for the component's whole
 /// evaluation — external literals are never looked at again) and
-/// `scratch.missing[i]`, the countdown of the first `T_P` closure. Returns
-/// whether the component is **definite**: no internal negation and no
-/// undefined lower input anywhere, dead rules included.
+/// `scratch.missing[i]`, the countdown of the first `T_P` closure. Every
+/// internal positive literal is recorded in `scratch.rows`. Returns whether
+/// the component is definite and whether it is trivial ([`Class`]).
 ///
 /// Tarjan assigned component ordinals in emission order, so
 /// `comp_of[b] == ordinal` tests membership in this component.
@@ -833,16 +946,19 @@ fn classify_rules(
     comp_of: &[u32],
     truth: &[Truth],
     scratch: &mut Scratch,
-) -> bool {
+) -> Class {
     let Scratch {
+        num_atoms,
         rules,
         kind,
         missing,
+        rows,
         ..
     } = scratch;
     rules.clear();
     kind.clear();
     missing.clear();
+    rows.start(comp, *num_atoms);
     let mut internal_negation = false;
     let mut undefined_input = false;
     // What an external literal makes of its rule; `satisfied` is the
@@ -864,6 +980,7 @@ fn classify_rules(
             for &b in prog.pos_local(r) {
                 if comp_of[b as usize] == ordinal {
                     internal_pos += 1;
+                    rows.record(b, rules.len());
                 } else {
                     k = k.min(external(b, Truth::True));
                 }
@@ -888,7 +1005,55 @@ fn classify_rules(
             });
         }
     }
-    !internal_negation && !undefined_input
+    Class {
+        definite: !internal_negation && !undefined_input,
+        trivial: !internal_negation && rows.entries.is_empty(),
+    }
+}
+
+/// Decides one classified component and returns the rounds it took.
+///
+/// A **trivial** component — a singleton `a` none of whose rules mention
+/// `a` — is decided by one look at its rules' kinds: true if `a` is a fact
+/// or some rule is [`RuleKind::Live`] (its countdown is zero), otherwise
+/// unknown if some rule is [`RuleKind::Maybe`] (it keeps `a` founded),
+/// otherwise false. Those are the verdicts `eval_component` reaches, in the
+/// rounds it would report: one, or two when a component that is not
+/// definite ends false (the second round confirms that falsifying `a`
+/// fired nothing). Every other component goes through `eval_component`.
+#[allow(clippy::too_many_arguments)]
+fn decide_component(
+    prog: &GroundProgram,
+    comp: &[u32],
+    ordinal: u32,
+    comp_of: &[u32],
+    is_fact: &BitSet,
+    truth: &mut [Truth],
+    class: Class,
+    scratch: &mut Scratch,
+) -> u32 {
+    if class.trivial {
+        let a = comp[0] as usize;
+        let best = scratch.kind.iter().max();
+        truth[a] = match best {
+            _ if is_fact.contains(a) => Truth::True,
+            Some(RuleKind::Live) => Truth::True,
+            Some(RuleKind::Maybe) => Truth::Unknown,
+            _ => Truth::False,
+        };
+        return 1 + (!class.definite && truth[a] == Truth::False) as u32;
+    }
+    scratch.rows.count(comp.len());
+    eval_component(
+        prog,
+        comp,
+        ordinal,
+        comp_of,
+        is_fact,
+        truth,
+        class.definite,
+        scratch,
+    )
 }
 
 /// Evaluates one component **in place**: the alternating `T_P`-closure /
@@ -931,19 +1096,16 @@ fn eval_component(
     scratch: &mut Scratch,
 ) -> u32 {
     let Scratch {
-        rule_slot,
+        num_atoms,
         rules,
         kind,
         missing,
+        rows,
         queue,
         founded,
         epoch,
-        ..
     } = scratch;
     queue.clear();
-    for (i, &r) in rules.iter().enumerate() {
-        rule_slot[r as usize] = i as u32;
-    }
     debug_assert!(!definite || !kind.contains(&RuleKind::Maybe));
 
     let derive = |truth: &mut [Truth], a: u32, queue: &mut Vec<u32>| {
@@ -992,7 +1154,7 @@ fn eval_component(
     let mut rounds = 0u32;
     loop {
         rounds += 1;
-        close(prog, rules, rule_slot, missing, queue, |a, queue| {
+        close(prog, rules, rows, missing, queue, |a, queue| {
             derive(truth, a, queue)
         });
         if definite {
@@ -1004,6 +1166,9 @@ fn eval_component(
             break;
         }
 
+        if founded.is_empty() {
+            founded.resize(*num_atoms, 0);
+        }
         *epoch = epoch.wrapping_add(1);
         if *epoch == 0 {
             founded.fill(0);
@@ -1016,7 +1181,7 @@ fn eval_component(
                 _ => countdown(truth, r, false),
             };
         }
-        close(prog, rules, rule_slot, missing, queue, |a, queue| {
+        close(prog, rules, rows, missing, queue, |a, queue| {
             if truth[a as usize] != Truth::True && founded[a as usize] != stamp {
                 founded[a as usize] = stamp;
                 queue.push(a);
@@ -1041,21 +1206,19 @@ fn eval_component(
             };
         }
     }
-    for &r in rules.iter() {
-        rule_slot[r as usize] = u32::MAX;
-    }
     rounds
 }
 
 /// One Dowling–Gallier closure over the component's rules: marks the head
 /// of every rule whose countdown is already zero, then propagates — each
-/// atom leaving the queue credits the rules it occurs positively in, and a
-/// countdown reaching zero marks that rule's head. `mark` records an atom
-/// and queues it unless it is marked already.
+/// atom leaving the queue credits the rules it occurs positively in (its
+/// row in the component's own `rows`), and a countdown reaching zero marks
+/// that rule's head. `mark` records an atom and queues it unless it is
+/// marked already.
 fn close(
     prog: &GroundProgram,
     rules: &[u32],
-    rule_slot: &[u32],
+    rows: &LocalRows,
     missing: &mut [u32],
     queue: &mut Vec<u32>,
     mut mark: impl FnMut(u32, &mut Vec<u32>),
@@ -1066,12 +1229,8 @@ fn close(
         }
     }
     while let Some(a) = queue.pop() {
-        for &rid in prog.rules_with_pos_local(a) {
-            let slot = rule_slot[rid.index()];
-            if slot == u32::MAX {
-                continue; // rule belongs to a different component
-            }
-            let m = &mut missing[slot as usize];
+        for &i in rows.row(a) {
+            let m = &mut missing[i as usize];
             // A zero countdown already marked its head, and none of its
             // literals was unmarked when it was taken.
             if *m == BLOCKED || *m == 0 {
@@ -1079,7 +1238,7 @@ fn close(
             }
             *m -= 1;
             if *m == 0 {
-                mark(prog.head_local(rid.index()), queue);
+                mark(prog.head_local(rules[i as usize] as usize), queue);
             }
         }
     }
@@ -1580,6 +1739,86 @@ mod tests {
             assert_eq!(inc2.value(atom), fresh2.value(atom), "on {atom:?}");
         }
         assert_eq!(inc2.value(a(0)), Truth::False);
+    }
+
+    /// Verdicts against the global engines, and the counters a wrong
+    /// "trivial" test would move: `(definite_components,
+    /// recursive_components, recursive_rounds, rules_in_recursive,
+    /// unknown_atoms)`.
+    fn counters(b: &GroundProgramBuilder) -> (usize, usize, usize, usize, usize) {
+        agree_with_global(b);
+        let s = ModularEngine::new(&b.clone().finish())
+            .solve()
+            .stats
+            .unwrap();
+        (
+            s.definite_components,
+            s.recursive_components,
+            s.recursive_rounds,
+            s.rules_in_recursive,
+            s.unknown_atoms,
+        )
+    }
+
+    /// `q ⇄ r`, a draw: both unknown.
+    fn draw(b: &mut GroundProgramBuilder, q: AtomId, r: AtomId) {
+        b.add_rule(GroundRule::new(q, vec![], vec![r]));
+        b.add_rule(GroundRule::new(r, vec![], vec![q]));
+    }
+
+    #[test]
+    fn a_positive_self_loop_is_not_trivial() {
+        // p ← p: definite, and its one atom unfounded.
+        let mut b = GroundProgramBuilder::new();
+        b.add_rule(GroundRule::new(a(0), vec![a(0)], vec![]));
+        assert_eq!(counters(&b), (1, 0, 0, 0, 0));
+    }
+
+    #[test]
+    fn a_negative_self_loop_is_not_trivial() {
+        // p ← not p: undefined.
+        let mut b = GroundProgramBuilder::new();
+        b.add_rule(GroundRule::new(a(0), vec![], vec![a(0)]));
+        assert_eq!(counters(&b), (0, 1, 1, 1, 1));
+        // ... unless p is a fact.
+        b.add_fact(a(0));
+        assert_eq!(counters(&b), (0, 1, 1, 1, 0));
+    }
+
+    #[test]
+    fn a_negative_self_loop_under_an_unknown_input_is_not_trivial() {
+        // p ← q, not p with q in a draw.
+        let (p, q, r) = (a(0), a(1), a(2));
+        let mut b = GroundProgramBuilder::new();
+        draw(&mut b, q, r);
+        b.add_rule(GroundRule::new(p, vec![q], vec![p]));
+        assert_eq!(counters(&b), (0, 2, 2, 3, 3));
+        assert_eq!(
+            ModularEngine::new(&b.finish()).solve().value(p),
+            Truth::Unknown
+        );
+    }
+
+    #[test]
+    fn trivial_singletons_above_a_draw() {
+        // Over the draw q ⇄ r and the fact t, three singletons none of whose
+        // rules mention them, none definite: s ← q, not t is dead but read
+        // an unknown input (false, in two rounds); u ← q can only keep u
+        // founded (unknown); w ← t fires beside w ← q (true).
+        let (q, r, t, s, u, w) = (a(0), a(1), a(2), a(3), a(4), a(5));
+        let mut b = GroundProgramBuilder::new();
+        draw(&mut b, q, r);
+        b.add_fact(t);
+        b.add_rule(GroundRule::new(s, vec![q], vec![t]));
+        b.add_rule(GroundRule::new(u, vec![q], vec![]));
+        b.add_rule(GroundRule::new(w, vec![t], vec![]));
+        b.add_rule(GroundRule::new(w, vec![q], vec![]));
+        assert_eq!(counters(&b), (1, 4, 1 + 2 + 1 + 1, 6, 3));
+        let res = ModularEngine::new(&b.finish()).solve();
+        assert_eq!(
+            [s, u, w].map(|x| res.value(x)),
+            [Truth::False, Truth::Unknown, Truth::True]
+        );
     }
 
     #[test]

@@ -574,11 +574,11 @@ fn positive_closure_result(ground: &GroundProgram) -> EngineResult {
             if missing[r] == u32::MAX {
                 continue;
             }
-            // Duplicate body literals are each their own countdown slot, so
-            // one decrement per (rule, occurrence) pair keeps the count
-            // exact as long as each atom enters the queue once.
-            let dups = ground.pos_local(r).iter().filter(|&&b| b == a).count() as u32;
-            missing[r] = missing[r].saturating_sub(dups);
+            // Bodies are in the `GroundRule` normal form — sorted, each atom
+            // at most once — so `a` is one countdown slot of `r`, and one
+            // decrement keeps the count exact as each atom enters the queue
+            // once.
+            missing[r] -= 1;
             if missing[r] == 0 {
                 missing[r] = u32::MAX; // fired
                 let h = ground.head_local(r);

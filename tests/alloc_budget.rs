@@ -6,8 +6,10 @@
 //! `solve_for`'s private copy) is a handful of `memcpy`s, re-deriving
 //! something already interned allocates nothing, and an index is a
 //! handful of arrays — its predicate rows; a key table comes with the
-//! first read that binds an argument, and a ground ask reads none. The engine evaluates every component in place, in
-//! buffers sized once per solve. The frontend reads a fact as slices of
+//! first read that binds an argument, and a ground ask reads none. The
+//! engine evaluates every component in place, in reused buffers, and a cold
+//! hand-off builds no occurrence row the engine does not read. The frontend
+//! reads a fact as slices of
 //! the source text and interns them in place. A solve resumed after a small
 //! insert copies the previous model's flat arrays and works on the delta's
 //! forward cone only, and a goal-directed read of a model that is already
@@ -22,10 +24,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use wfdatalog::chase::ChaseSegment;
 use wfdatalog::core::AtomId;
 use wfdatalog::core::{HeadTerm, RTerm, RuleAtom, SkolemRule, TermId, Universe, Var};
 use wfdatalog::storage::{AtomIndex, GroundProgram, GroundProgramBuilder, GroundRule};
-use wfdatalog::wfs::ModularEngine;
+use wfdatalog::wfs::{EngineResult, ModularEngine};
 use wfdatalog::KnowledgeBase;
 
 thread_local! {
@@ -408,6 +411,64 @@ fn a_resume_copies_what_it_inherits_once() {
         "a 10-fact resume of {} atoms obtained {obtained} bytes, one clone {copied} ({:.2}×)",
         segment.atoms().len(),
         obtained as f64 / copied as f64
+    );
+}
+
+/// Bytes the cold hand-off and solve of `chain_and_fanout(512, 10_240)`
+/// obtained while every program was built with its body occurrence rows
+/// and the engine kept a rules-sized slot array, measured with this file's
+/// allocator (the same in debug and release builds).
+const COLD_HAND_OFF_BYTES_BEFORE: usize = 7_040_564;
+
+/// A cold solve reads no body occurrence row: the hand-off counts the head
+/// rows only, and the engine closes each component over rows of its own.
+/// The first resume after it counts the previous program's body rows once
+/// and hands the extension its spliced copy, so a second resume counts
+/// nothing.
+#[test]
+fn a_cold_hand_off_counts_no_body_rows() {
+    let text = chain_and_fanout(512, 10_240);
+    let mut kb = KnowledgeBase::from_source(&text).unwrap().with_depth(8);
+    let model = kb.solve();
+    let segment = &model.model().segment;
+    let ((ground, result), obtained) = bytes_in(|| {
+        let ground = segment.to_ground_program();
+        let result = ModularEngine::new(&ground).solve();
+        (ground, result)
+    });
+    assert!(ground.num_atoms() >= 50_000, "{} atoms", ground.num_atoms());
+    assert_eq!(result.stats, model.model().result.stats);
+    assert!(
+        obtained * 10 <= COLD_HAND_OFF_BYTES_BEFORE * 8,
+        "the cold hand-off and solve of {} atoms obtained {obtained} bytes, {COLD_HAND_OFF_BYTES_BEFORE} before ({:.2}×)",
+        ground.num_atoms(),
+        obtained as f64 / COLD_HAND_OFF_BYTES_BEFORE as f64
+    );
+
+    // Two ten-fact resumes of the same shape, chained: chase, ground, engine.
+    let mut universe = kb.universe().clone();
+    let mut resume = |segment: &ChaseSegment, ground: &GroundProgram, result: &EngineResult, k| {
+        let delta = format!(
+            "r\tx{k}\tx{k}\ty{k}\np\tx{k}\tx{k}\nr\tz{k}\tz{k}\tw{k}\np\tz{k}\tz{k}\n\
+             src\th{k}\nsrc\ti{k}\nsrc\tj{k}\nsrc\tk{k}\npick\th{k}\npick\ti{k}\n"
+        );
+        let batch = wfdatalog::fact_batch_from_separated(&mut universe, &delta).unwrap();
+        assert_eq!(batch.len(), 10);
+        bytes_in(|| {
+            let segment = segment
+                .resume_with(&mut universe, kb.sigma(), batch.atoms())
+                .unwrap();
+            let next = segment.to_ground_program_from(ground);
+            let result = ModularEngine::new(&next).solve_incremental(Some((ground, result)));
+            assert!(result.stats.unwrap().cone_atoms * 100 < next.num_atoms());
+            (segment, next, result)
+        })
+    };
+    let ((segment, ground, result), first) = resume(segment, &ground, &result, 0);
+    let (_, second) = resume(&segment, &ground, &result, 1);
+    assert!(
+        second <= first,
+        "the first resume after a cold solve obtained {first} bytes, the second {second}"
     );
 }
 
