@@ -66,7 +66,7 @@ use wfdl_core::{
     match_atom, subst::instantiate_atom_into, AtomId, Binding, BitSet, SkolemProgram, SolveBudget,
     TermId, TruncationReason, Universe,
 };
-use wfdl_storage::{Database, GroundProgram, GroundRule};
+use wfdl_storage::{Database, GroundProgram, Room};
 
 /// Sentinel for "no entry" in the flat index arrays.
 const NONE: u32 = u32::MAX;
@@ -153,6 +153,9 @@ pub struct ChaseSegment {
     /// the ones discovered by the resume, the basis for incremental
     /// grounding ([`ChaseSegment::to_ground_program_from`]).
     inherited_instances: usize,
+    /// Number of atoms inherited likewise: atoms `inherited_atoms..` are
+    /// the ones the resume added.
+    inherited_atoms: usize,
     /// Counters for the saturation run that produced this segment (for a
     /// resumed segment: the resume run only).
     stats: ChaseStats,
@@ -630,144 +633,67 @@ impl ChaseSegment {
     }
 
     /// Extracts the finite ground normal program (facts + instances) that
-    /// the WFS fixpoint engines evaluate.
-    ///
-    /// This is a **straight array translation**: the ground program's local
-    /// atom ids are assigned by scanning a bitmap of mentioned universe ids
-    /// in increasing order (universe ids are dense, so the scan yields the
-    /// sorted atom list directly), every body atom is mapped through flat
-    /// arrays, and [`GroundProgram::from_dense_parts`] drops the instances
-    /// that repeat an earlier ground rule while it indexes the heads — no
-    /// hash probe and no binary search per atom anywhere on this path.
+    /// the WFS fixpoint engines evaluate: the extension of the empty
+    /// program by the whole segment.
     pub fn to_ground_program(&self) -> GroundProgram {
-        let num_inst = self.num_instances();
-
-        // 1. Mentioned universe atoms: facts ∪ instance heads/bodies. An
-        // atom enters the segment as a fact or as the head of a recorded
-        // instance and positive bodies hold segment atoms only, so that is
-        // every segment atom plus the hypotheses.
-        let mut mentioned = BitSet::new();
-        for sa in &self.atoms {
-            mentioned.insert(sa.atom.index());
-        }
-        for a in &self.neg_atoms {
-            mentioned.insert(a.index());
-        }
-
-        // 2. Sorted atom list + flat universe-id → local-id map. Iterating
-        // the bitmap visits universe ids in increasing order, which *is*
-        // AtomId order.
-        let mut atoms: Vec<AtomId> = Vec::with_capacity(mentioned.len());
-        let mut local_of = vec![NONE; mentioned.iter().last().map_or(0, |m| m + 1)];
-        for uid in mentioned.iter() {
-            local_of[uid] = atoms.len() as u32;
-            atoms.push(AtomId::from_index(uid));
-        }
-        let local_of_seg = |s: SegAtomId| local_of[self.atoms[s.index()].atom.index()];
-
-        // 3. Rule arrays in local ids, bodies sorted + deduplicated (the
-        // GroundRule normal form; local-id order equals AtomId order).
-        let mut head_local = Vec::with_capacity(num_inst);
-        let mut pos_off = Vec::with_capacity(num_inst + 1);
-        let mut neg_off = Vec::with_capacity(num_inst + 1);
-        let mut pos_local: Vec<u32> = Vec::with_capacity(self.pos_seg.len());
-        let mut neg_local: Vec<u32> = Vec::with_capacity(self.neg_atoms.len());
-        pos_off.push(0u32);
-        neg_off.push(0u32);
-        for i in 0..num_inst {
-            head_local.push(local_of_seg(self.inst_head[i]));
-            let start = pos_local.len();
-            pos_local.extend(
-                self.pos_seg[self.pos_off[i] as usize..self.pos_off[i + 1] as usize]
-                    .iter()
-                    .map(|&s| local_of_seg(s)),
-            );
-            pos_local[start..].sort_unstable();
-            dedup_tail(&mut pos_local, start);
-            pos_off.push(pos_local.len() as u32);
-            let start = neg_local.len();
-            neg_local.extend(
-                self.neg_atoms[self.neg_off[i] as usize..self.neg_off[i + 1] as usize]
-                    .iter()
-                    .map(|&a| local_of[a.index()]),
-            );
-            neg_local[start..].sort_unstable();
-            dedup_tail(&mut neg_local, start);
-            neg_off.push(neg_local.len() as u32);
-        }
-
-        // 4. Facts (unique by construction) and handoff. Instances that
-        // ground to the same rule — through different guards or source
-        // rules — are dropped there, first occurrence kept.
-        let facts: Vec<AtomId> = self
-            .fact_seg
-            .iter()
-            .map(|&fs| self.atoms[fs.index()].atom)
-            .collect();
-        let facts_local: Vec<u32> = facts.iter().map(|f| local_of[f.index()]).collect();
-        GroundProgram::from_dense_parts(
-            atoms,
-            facts,
-            facts_local,
-            head_local,
-            pos_off,
-            pos_local,
-            neg_off,
-            neg_local,
-        )
+        self.ground_onto(&GroundProgram::default(), 0, 0)
     }
 
     /// Extracts the ground program of a **resumed** segment by extending
     /// `prev` — the program extracted from the segment this one was
     /// resumed from — with only the delta's facts, atoms and instances.
-    ///
-    /// Produces exactly what [`ChaseSegment::to_ground_program`] would
-    /// (same atoms, facts, rules, in the same order), but the translation
-    /// work for the inherited bulk collapses to flat remap passes — no
-    /// per-instance sorting or deduplication outside the delta.
+    /// Its atoms, facts and rules are [`ChaseSegment::to_ground_program`]'s
+    /// in the same order, but `prev`'s atoms keep their local ids.
     pub fn to_ground_program_from(&self, prev: &GroundProgram) -> GroundProgram {
-        let first_new_inst = self.inherited_instances;
-        let first_new_fact = prev.facts().len();
-        debug_assert!(first_new_inst <= self.num_instances());
-        debug_assert!(first_new_fact <= self.fact_seg.len());
+        self.ground_onto(prev, self.inherited_atoms, self.inherited_instances)
+    }
 
-        let new_facts: Vec<AtomId> = self.fact_seg[first_new_fact..]
-            .iter()
-            .map(|&fs| self.atom_of(fs))
-            .collect();
-        let mut new_rules = Vec::with_capacity(self.num_instances() - first_new_inst);
-        for i in first_new_inst..self.num_instances() {
-            let head = self.atoms[self.inst_head[i].index()].atom;
-            let pos: Vec<AtomId> = self.pos_seg
-                [self.pos_off[i] as usize..self.pos_off[i + 1] as usize]
-                .iter()
-                .map(|&s| self.atoms[s.index()].atom)
-                .collect();
-            let neg: Vec<AtomId> =
-                self.neg_atoms[self.neg_off[i] as usize..self.neg_off[i + 1] as usize].to_vec();
-            new_rules.push(GroundRule::new(head, pos, neg));
-        }
+    /// Grounds the atoms `first_atom..`, the instances `first_inst..` and
+    /// the facts after `prev`'s onto `prev` ([`GroundProgram::extension`]).
+    /// This is a **straight array translation**: the new atoms come sorted
+    /// out of one bitmap scan, every instance is fed as a candidate from
+    /// the segment's own arrays, and the extension drops the instances
+    /// that ground to the same rule — no hash probe, no binary search and
+    /// no per-instance allocation anywhere on this path.
+    fn ground_onto(
+        &self,
+        prev: &GroundProgram,
+        first_atom: usize,
+        first_inst: usize,
+    ) -> GroundProgram {
+        let (num_inst, first_fact) = (self.num_instances(), prev.facts().len());
+        debug_assert!(first_inst <= num_inst && first_fact <= self.fact_seg.len());
+        let (facts, instances) = (&self.fact_seg[first_fact..], first_inst..num_inst);
 
-        let mut new_atoms: Vec<AtomId> = Vec::new();
-        {
-            let push = |a: AtomId, out: &mut Vec<AtomId>| {
-                if !prev.mentions(a) {
-                    out.push(a);
-                }
-            };
-            for &f in &new_facts {
-                push(f, &mut new_atoms);
-            }
-            for r in &new_rules {
-                push(r.head, &mut new_atoms);
-                for &b in r.pos.iter().chain(r.neg.iter()) {
-                    push(b, &mut new_atoms);
-                }
-            }
+        // Positive bodies hold segment atoms only: the new segment atoms
+        // and the new instances' hypotheses cover every atom `prev` lacks.
+        let mut fresh = BitSet::with_capacity(self.seg_of.len());
+        for sa in &self.atoms[first_atom..] {
+            fresh.insert(sa.atom.index());
         }
-        new_atoms.sort_unstable();
-        new_atoms.dedup();
-        prev.extend_with(&new_atoms, &new_facts, &new_rules)
+        for &a in &self.neg_atoms[self.neg_off[first_inst] as usize..] {
+            fresh.insert(a.index());
+        }
+        let mut new_atoms = Vec::with_capacity(fresh.len());
+        new_atoms.extend((fresh.iter().map(AtomId::from_index)).filter(|&a| !prev.mentions(a)));
+        debug_assert!((self.atoms.iter())
+            .all(|sa| prev.mentions(sa.atom) || new_atoms.binary_search(&sa.atom).is_ok()));
+
+        let room = Room {
+            facts: facts.len(),
+            rules: instances.len(),
+            pos: (self.pos_off[num_inst] - self.pos_off[first_inst]) as usize,
+            neg: (self.neg_off[num_inst] - self.neg_off[first_inst]) as usize,
+        };
+        let mut ground = prev.extension(new_atoms, room);
+        for &f in facts {
+            ground.push_fact(self.atom_of(f));
+        }
+        for i in instances.map(InstanceId::from_index) {
+            let pos = self.pos_seg(i).iter().map(|&s| self.atom_of(s));
+            ground.push_candidate(self.head_atom(i), pos, self.neg_atoms(i).iter().copied());
+        }
+        ground.finish()
     }
 }
 
@@ -787,18 +713,6 @@ fn inherit<T: Copy>(old: &[T]) -> Vec<T> {
     let mut copy = Vec::with_capacity(with_headroom(old.len()));
     copy.extend_from_slice(old);
     copy
-}
-
-/// Removes adjacent duplicates in `v[start..]` (which must be sorted).
-fn dedup_tail(v: &mut Vec<u32>, start: usize) {
-    let mut w = start;
-    for r in start..v.len() {
-        if r == start || v[r] != v[w - 1] {
-            v[w] = v[r];
-            w += 1;
-        }
-    }
-    v.truncate(w);
 }
 
 /// An instance parked until its side atoms appear, with its body spans in
@@ -1419,6 +1333,7 @@ impl<'a> Builder<'a> {
             pending_at_end,
             budget: self.budget,
             inherited_instances: self.old.map_or(0, |o| o.num_instances()),
+            inherited_atoms: self.old.map_or(0, |o| o.atoms.len()),
             stats: self.stats,
             resume: ResumeState {
                 expanded: self.expanded,
@@ -2230,9 +2145,10 @@ mod tests {
     #[test]
     fn incremental_grounding_equals_from_scratch() {
         // `early`: the delta's facts are interned before the base chase, so
-        // their ids sit below the base's nulls and extending the ground
-        // program has to remap every inherited local id; otherwise they
-        // come last and the inherited arrays are copied as they are.
+        // their ids sit below the base's nulls; otherwise they come last.
+        // Either way the extension appends them: the inherited local ids
+        // stay, and the early leg differs from the from-scratch program in
+        // its local ids only.
         for early in [false, true] {
             let mut u = Universe::new();
             let (db, prog) = example4(&mut u);
@@ -2256,12 +2172,40 @@ mod tests {
                 let facts = interned_early.map_or_else(|| delta(&mut u, seed), |all| all[k]);
                 seg = seg.resume_with(&mut u, &prog, &facts).expect("resumable");
                 let extended = seg.to_ground_program_from(&ground);
-                assert_ground_programs_identical(&seg.to_ground_program(), &extended);
+                let scratch = seg.to_ground_program();
+                if early {
+                    assert_ne!(
+                        scratch.atoms(),
+                        extended.atoms(),
+                        "the case this leg is for"
+                    );
+                    assert_same_ground_program(&scratch, &extended);
+                } else {
+                    assert_ground_programs_identical(&scratch, &extended);
+                }
                 assert!(extended.num_rules() > ground.num_rules());
-                let appended = extended.atoms()[..ground.num_atoms()] == *ground.atoms();
-                assert_eq!(appended, !early, "the case this leg is for");
+                assert_eq!(extended.atoms()[..ground.num_atoms()], *ground.atoms());
                 ground = extended;
             }
+        }
+    }
+
+    /// The same ground program through `AtomId`s, whatever the local ids:
+    /// atoms, facts, rules and occurrence rows.
+    fn assert_same_ground_program(scratch: &GroundProgram, extended: &GroundProgram) {
+        let mut atoms = extended.atoms().to_vec();
+        atoms.sort_unstable();
+        assert_eq!(scratch.atoms(), atoms);
+        assert_eq!(scratch.facts(), extended.facts());
+        assert_eq!(scratch.num_rules(), extended.num_rules());
+        assert!(scratch.rules().eq(extended.rules()));
+        for &atom in scratch.atoms() {
+            assert_eq!(
+                scratch.rules_with_head(atom),
+                extended.rules_with_head(atom)
+            );
+            assert_eq!(scratch.rules_with_pos(atom), extended.rules_with_pos(atom));
+            assert_eq!(scratch.rules_with_neg(atom), extended.rules_with_neg(atom));
         }
     }
 

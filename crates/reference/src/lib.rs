@@ -56,7 +56,7 @@ pub(crate) fn result_from_ground(
     stages: u32,
 ) -> EngineResult {
     let mut interp = Interp::with_capacity(prog.num_atoms());
-    let cap = prog.atoms().last().map_or(0, |a| a.index() + 1);
+    let cap = prog.atom_id_bound();
     let mut decided_stage = StageMap::with_capacity(cap);
     for (i, &atom) in prog.atoms().iter().enumerate() {
         if truth_true.contains(i) {

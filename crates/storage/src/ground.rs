@@ -8,15 +8,24 @@
 //!
 //! ## Dense local ids and CSR indexes
 //!
-//! Atoms mentioned by a program are renumbered into a contiguous
-//! `0..num_atoms()` range of **local ids** (position in the sorted
-//! [`GroundProgram::atoms`] list), and every index the engines touch in
-//! their inner loops is stored in **compressed-sparse-row** form: one flat
+//! Atoms mentioned by a program are numbered with a contiguous
+//! `0..num_atoms()` range of **local ids** (positions in
+//! [`GroundProgram::atoms`]), and every index the engines touch in their
+//! inner loops is stored in **compressed-sparse-row** form: one flat
 //! offsets array (`n + 1` entries) plus one flat data array, so a lookup is
 //! two array reads and a slice — no hashing, no per-atom allocation. The
 //! `AtomId`-keyed accessors ([`GroundProgram::rules_with_head`] & co.)
 //! remain for callers that work with universe ids; the `*_local` twins are
 //! the hot-path API used by `wfdl-wfs`.
+//!
+//! Local ids are **append-only**. A production program is an
+//! [`Extension`] of the program its segment was resumed from — of the empty
+//! program for a cold solve: the previous atoms keep their local ids and
+//! the new ones take the next ids, in `AtomId` order. So a cold program
+//! lists its atoms sorted, and a resumed one lists them sorted within each
+//! extension. The `AtomId → local id` map is kept on the program
+//! ([`GroundProgram::local_id`] is one array read), and an extension
+//! copies it once like every other inherited array.
 //!
 //! ## Which rows exist when
 //!
@@ -27,15 +36,20 @@
 //! first call that reads one, all four arrays at once behind a `OnceLock`.
 //! A cold solve never asks: the modular engine closes each
 //! component over rows of its own. Their readers are
-//! [`GroundProgram::extend_with`] — the first resume after a cold solve
-//! counts the previous program's rows once and hands the extension its
-//! spliced copy already set, so later resumes splice and never count —
-//! the resume's forward cone in `wfdl-wfs`, the positive closure of a
-//! budget-tripped chase, and the reference engines of `wfdl-reference`.
+//! [`Extension::finish`] over a program with rules — the first resume
+//! after a cold solve counts the previous program's rows once and hands the
+//! extension its spliced copy already set, so later resumes splice and
+//! never count — the resume's forward cone in `wfdl-wfs`, the positive
+//! closure of a budget-tripped chase, and the reference engines of
+//! `wfdl-reference`.
 
 use std::sync::OnceLock;
 use wfdl_core::csr::{self, RowEdits};
 use wfdl_core::{AtomId, BitSet, FxHashMap};
+
+/// Sentinel for "not mentioned" in [`GroundProgram`]'s `AtomId → local id`
+/// map.
+const NONE: u32 = u32::MAX;
 
 /// Index of a rule within a [`GroundProgram`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -154,10 +168,13 @@ impl GroundProgramBuilder {
 #[derive(Clone, Debug, Default)]
 pub struct GroundProgram {
     facts: Vec<AtomId>,
-    /// All atoms appearing anywhere (facts, heads, bodies), sorted. The
-    /// **local id** of an atom is its position here; `AtomId`-keyed
-    /// lookups binary-search this list (hot loops use local ids only).
+    /// All atoms appearing anywhere (facts, heads, bodies). The **local
+    /// id** of an atom is its position here (see the module docs for the
+    /// order).
     atoms: Vec<AtomId>,
+    /// `local_of[AtomId::index()]` = the atom's local id, or `NONE`; as
+    /// long as the largest mentioned id + 1.
+    local_of: Vec<u32>,
     /// Facts as local ids.
     facts_local: Vec<u32>,
     /// Rule heads as local ids, one per rule.
@@ -218,11 +235,9 @@ impl GroundProgram {
     /// Indexes a program over an explicitly-given atom universe. `atoms`
     /// must contain every atom mentioned by `rules` and `facts` (it may
     /// contain more — extra atoms simply head no rules, so the engines
-    /// treat them as unsupported). `wfdl-wfs` used to assemble one
-    /// sub-program per recursive component this way (the universe then
-    /// includes atoms whose rules were all eliminated by substitution); it
-    /// evaluates components in place now, and this constructor is kept as
-    /// the reference construction of `tests/component_oracle.rs`.
+    /// treat them as unsupported). This is the reference construction of
+    /// `tests/component_oracle.rs`, which solves each recursive component
+    /// as a sub-program over its own atoms and the atoms its rules read.
     pub fn build_with_atom_universe(
         rules: Vec<GroundRule>,
         facts: Vec<AtomId>,
@@ -231,19 +246,19 @@ impl GroundProgram {
         GroundProgram::from_parts(rules, facts, atoms)
     }
 
-    /// Indexes a program whose atom set is already collected. Cost scales
-    /// with the program itself (`O(size · log n)`), never with the size of
-    /// the surrounding atom universe. (The modular engine no longer builds
-    /// a throw-away sub-program per recursive component; small programs
-    /// indexed in bulk are a test-oracle pattern now.)
+    /// Indexes a program whose atom set is already collected, with local
+    /// ids in `AtomId` order. Cost scales with the program itself, never
+    /// with the size of the surrounding atom universe. This is how the test
+    /// oracles index small programs in bulk; every production program is an
+    /// [`Extension`].
     fn from_parts(rules: Vec<GroundRule>, facts: Vec<AtomId>, mut atoms: Vec<AtomId>) -> Self {
         atoms.sort_unstable();
         atoms.dedup();
-        // Callers pass an atom list collected from these same rules and
-        // facts, so the search cannot miss.
-        #[allow(clippy::expect_used)]
-        let local =
-            |a: AtomId| -> u32 { atoms.binary_search(&a).expect("atom in universe") as u32 };
+        let mut local_of = vec![NONE; atoms.last().map_or(0, |a| a.index() + 1)];
+        for (l, a) in atoms.iter().enumerate() {
+            local_of[a.index()] = l as u32;
+        }
+        let local = |a: AtomId| local_of[a.index()];
 
         let facts_local: Vec<u32> = facts.iter().map(|&f| local(f)).collect();
 
@@ -264,328 +279,11 @@ impl GroundProgram {
             neg_off.push(neg_local.len() as u32);
         }
 
-        let rows = head_rows(atoms.len(), &head_local);
-        GroundProgram::finish_with_locals(
-            facts,
-            atoms,
-            facts_local,
-            head_local,
-            pos_off,
-            pos_local,
-            neg_off,
-            neg_local,
-            rows,
-        )
-    }
-
-    /// Constructs a program **directly from dense local-id arrays**, the
-    /// hash-free handoff used by `wfdl-chase` when translating a saturated
-    /// segment: the caller already knows every atom's local id, so indexing
-    /// is pure counting-sort array work — no hash probe and no binary
-    /// search per atom occurrence anywhere on this path.
-    ///
-    /// The rules are **candidates**: a rule equal to an earlier one is
-    /// dropped, so the program keeps first occurrences in the order given
-    /// (what [`GroundProgramBuilder`] does with a hash set). Two equal
-    /// rules share a head, so the search stays inside the rows of the head
-    /// index this constructor builds anyway; heads with one rule — nearly
-    /// all of them — cost nothing, and the index is built a second time
-    /// only when a duplicate was found.
-    ///
-    /// Contract (checked by `debug_assert`s): `atoms` is sorted and
-    /// deduplicated; every local id is `< atoms.len()`; `pos_off`/`neg_off`
-    /// are CSR offset arrays over `head_local.len()` rules; per-rule body
-    /// slices are sorted and deduplicated (the [`GroundRule`] normal form).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_dense_parts(
-        atoms: Vec<AtomId>,
-        facts: Vec<AtomId>,
-        facts_local: Vec<u32>,
-        mut head_local: Vec<u32>,
-        mut pos_off: Vec<u32>,
-        mut pos_local: Vec<u32>,
-        mut neg_off: Vec<u32>,
-        mut neg_local: Vec<u32>,
-    ) -> Self {
-        debug_assert!(atoms.windows(2).all(|w| w[0] < w[1]), "atoms sorted+dedup");
-        debug_assert_eq!(pos_off.len(), head_local.len() + 1);
-        debug_assert_eq!(neg_off.len(), head_local.len() + 1);
-        #[cfg(debug_assertions)]
-        for r in 0..head_local.len() {
-            debug_assert!((head_local[r] as usize) < atoms.len(), "local id in range");
-            let pos_slice = &pos_local[pos_off[r] as usize..pos_off[r + 1] as usize];
-            let neg_slice = &neg_local[neg_off[r] as usize..neg_off[r + 1] as usize];
-            debug_assert!(pos_slice.iter().all(|&l| (l as usize) < atoms.len()));
-            debug_assert!(neg_slice.iter().all(|&l| (l as usize) < atoms.len()));
-            debug_assert!(pos_slice.windows(2).all(|w| w[0] < w[1]));
-            debug_assert!(neg_slice.windows(2).all(|w| w[0] < w[1]));
-        }
-        let (mut head_occ_off, mut head_occ) = head_rows(atoms.len(), &head_local);
-
-        let body = |r: GroundRuleId| {
-            let r = r.index();
-            (
-                &pos_local[pos_off[r] as usize..pos_off[r + 1] as usize],
-                &neg_local[neg_off[r] as usize..neg_off[r + 1] as usize],
-            )
-        };
-        let mut dropped = BitSet::new();
-        let mut row: Vec<GroundRuleId> = Vec::new();
-        for a in 0..atoms.len() {
-            let (start, end) = (head_occ_off[a] as usize, head_occ_off[a + 1] as usize);
-            if end - start < 2 {
-                continue;
-            }
-            // Order the head's rules by body, ties by index: equal rules
-            // end up adjacent, the first occurrence in front.
-            row.clear();
-            row.extend_from_slice(&head_occ[start..end]);
-            row.sort_unstable_by(|&x, &y| body(x).cmp(&body(y)).then(x.cmp(&y)));
-            for w in row.windows(2) {
-                if body(w[0]) == body(w[1]) {
-                    dropped.insert(w[1].index());
-                }
-            }
-        }
-        if !dropped.is_empty() {
-            let kept = head_local.len() - dropped.len();
-            let mut h = Vec::with_capacity(kept);
-            let mut po = Vec::with_capacity(kept + 1);
-            let mut pl = Vec::new();
-            let mut no = Vec::with_capacity(kept + 1);
-            let mut nl = Vec::new();
-            po.push(0u32);
-            no.push(0u32);
-            for r in (0..head_local.len()).filter(|&r| !dropped.contains(r)) {
-                h.push(head_local[r]);
-                pl.extend_from_slice(&pos_local[pos_off[r] as usize..pos_off[r + 1] as usize]);
-                po.push(pl.len() as u32);
-                nl.extend_from_slice(&neg_local[neg_off[r] as usize..neg_off[r + 1] as usize]);
-                no.push(nl.len() as u32);
-            }
-            (head_local, pos_off, pos_local, neg_off, neg_local) = (h, po, pl, no, nl);
-            (head_occ_off, head_occ) = head_rows(atoms.len(), &head_local);
-        }
-        GroundProgram::finish_with_locals(
-            facts,
-            atoms,
-            facts_local,
-            head_local,
-            pos_off,
-            pos_local,
-            neg_off,
-            neg_local,
-            (head_occ_off, head_occ),
-        )
-    }
-
-    /// Extends this program with newly-discovered atoms, facts and rule
-    /// instances — the **incremental grounding** path used after a resumed
-    /// chase, where re-translating the untouched bulk of the program would
-    /// dominate the whole re-solve.
-    ///
-    /// Contract (the chase upholds it): `new_atoms` is sorted, deduplicated
-    /// and disjoint from [`GroundProgram::atoms`]; `new_facts` are the
-    /// facts appended after this program's facts, in insertion order;
-    /// `new_rules` are the candidate instances discovered after this
-    /// program's rules, in discovery order, mentioning only known atoms.
-    /// Duplicate candidates (of existing rules or of each other) are
-    /// dropped, preserving the first-occurrence semantics of a from-scratch
-    /// build — the result is **identical** to re-grounding the grown
-    /// segment from scratch, with this program's atoms a subset of its
-    /// atoms and this program's rules and facts a prefix of its rules and
-    /// facts.
-    ///
-    /// Cost: **copy + O(delta)**. Every inherited array is copied once —
-    /// a plain `memcpy` when every new atom id exceeds the old maximum (the
-    /// common case: a resumed chase interns its atoms after the old ones),
-    /// one monotone remap pass otherwise — and the three occurrence CSRs
-    /// are [spliced](wfdl_core::csr::splice) from this program's with the
-    /// new rules only. Nothing is recounted, sorted or hashed outside the
-    /// delta — except this program's body rows, if nothing has read them
-    /// yet (a cold solve does not): they are counted here once, and the
-    /// extension receives its spliced rows already counted.
-    pub fn extend_with(
-        &self,
-        new_atoms: &[AtomId],
-        new_facts: &[AtomId],
-        new_rules: &[GroundRule],
-    ) -> GroundProgram {
-        debug_assert!(new_atoms.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(new_atoms.iter().all(|a| !self.mentions(*a)));
-        let old_n = self.atoms.len();
-
-        // Merge the sorted atom lists. `inserted` are the new atoms' local
-        // ids; an old local `l` moves up by the number of new atoms before
-        // it — by nothing at all when the new atoms all come last.
-        let appended = new_atoms.first() > self.atoms.last();
-        let mut atoms = Vec::with_capacity(old_n + new_atoms.len());
-        let mut inserted: Vec<u32> = Vec::with_capacity(new_atoms.len());
-        let mut shift: Vec<u32> = Vec::new();
-        if appended || new_atoms.is_empty() {
-            atoms.extend_from_slice(&self.atoms);
-            atoms.extend_from_slice(new_atoms);
-            inserted.extend(old_n as u32..atoms.len() as u32);
-        } else {
-            shift.reserve(old_n);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < old_n || j < new_atoms.len() {
-                if j >= new_atoms.len() || (i < old_n && self.atoms[i] < new_atoms[j]) {
-                    shift.push(j as u32);
-                    atoms.push(self.atoms[i]);
-                    i += 1;
-                } else {
-                    inserted.push(atoms.len() as u32);
-                    atoms.push(new_atoms[j]);
-                    j += 1;
-                }
-            }
-        }
-        let remap = |l: u32| shift.get(l as usize).map_or(l, |s| l + s);
-        // An inherited local-id array with room for `extra` more entries.
-        let remapped = |locals: &[u32], extra: usize| -> Vec<u32> {
-            let mut out = Vec::with_capacity(locals.len() + extra);
-            if shift.is_empty() {
-                out.extend_from_slice(locals);
-            } else {
-                out.extend(locals.iter().map(|&l| remap(l)));
-            }
-            out
-        };
-        // `atoms` was just rebuilt as the union of old and delta atom
-        // sets, so every mentioned atom is present.
-        #[allow(clippy::expect_used)]
-        let local =
-            |a: AtomId| -> u32 { atoms.binary_search(&a).expect("atom is mentioned") as u32 };
-
-        // Existing rule arrays (offsets and rule order unchanged; bodies
-        // stay sorted because the remap is monotone).
-        let num_old_rules = self.head_local.len();
-        let extra = new_rules.len();
-        let body_lits = |body: fn(&GroundRule) -> &[AtomId]| -> usize {
-            new_rules.iter().map(|r| body(r).len()).sum()
-        };
-        let mut head_local = remapped(&self.head_local, extra);
-        let mut pos_off = Vec::with_capacity(self.pos_off.len() + extra);
-        pos_off.extend_from_slice(&self.pos_off);
-        let mut neg_off = Vec::with_capacity(self.neg_off.len() + extra);
-        neg_off.extend_from_slice(&self.neg_off);
-        let mut pos_local = remapped(&self.pos_local, body_lits(|r| &r.pos));
-        let mut neg_local = remapped(&self.neg_local, body_lits(|r| &r.neg));
-
-        // Append the new rules, dropping duplicates. A candidate can only
-        // duplicate a rule with the same head, so the existing per-head
-        // occurrence row (remapped on the fly) plus a scan of the newly
-        // kept rules with that head bounds the comparison work.
-        let mut scratch_pos: Vec<u32> = Vec::new();
-        let mut scratch_neg: Vec<u32> = Vec::new();
-        // `(local atom, rule)` per occurrence of a kept rule.
-        let mut occurs: [Vec<(u32, GroundRuleId)>; 3] = Default::default();
-        'candidates: for rule in new_rules {
-            let h = local(rule.head);
-            scratch_pos.clear();
-            scratch_pos.extend(rule.pos.iter().map(|&a| local(a)));
-            scratch_neg.clear();
-            scratch_neg.extend(rule.neg.iter().map(|&a| local(a)));
-            // vs. existing rules with this head (old ids still valid —
-            // old heads keep their rule indexes).
-            if let Some(old_h) = self.atoms.binary_search(&rule.head).ok().map(|l| l as u32) {
-                for &rid in self.rules_with_head_local(old_h) {
-                    let r = rid.index();
-                    let (pos, neg) = (self.pos_local(r), self.neg_local(r));
-                    if pos.len() == scratch_pos.len()
-                        && neg.len() == scratch_neg.len()
-                        && pos.iter().zip(&scratch_pos).all(|(&l, &n)| remap(l) == n)
-                        && neg.iter().zip(&scratch_neg).all(|(&l, &n)| remap(l) == n)
-                    {
-                        continue 'candidates;
-                    }
-                }
-            }
-            // vs. rules appended earlier in this call.
-            for r in num_old_rules..head_local.len() {
-                if head_local[r] != h {
-                    continue;
-                }
-                let pos = &pos_local[pos_off[r] as usize..pos_off[r + 1] as usize];
-                let neg = &neg_local[neg_off[r] as usize..neg_off[r + 1] as usize];
-                if pos == scratch_pos.as_slice() && neg == scratch_neg.as_slice() {
-                    continue 'candidates;
-                }
-            }
-            let id = GroundRuleId::from_index(head_local.len());
-            occurs[0].push((h, id));
-            occurs[1].extend(scratch_pos.iter().map(|&b| (b, id)));
-            occurs[2].extend(scratch_neg.iter().map(|&b| (b, id)));
-            head_local.push(h);
-            pos_local.extend_from_slice(&scratch_pos);
-            pos_off.push(pos_local.len() as u32);
-            neg_local.extend_from_slice(&scratch_neg);
-            neg_off.push(neg_local.len() as u32);
-        }
-
-        let mut facts = Vec::with_capacity(self.facts.len() + new_facts.len());
-        facts.extend_from_slice(&self.facts);
-        facts.extend_from_slice(new_facts);
-        let mut facts_local = remapped(&self.facts_local, new_facts.len());
-        facts_local.extend(new_facts.iter().map(|&f| local(f)));
-
-        // Occurrence rows: the old ones with the new atoms' rows slotted in
-        // and the kept rules appended (their ids exceed every old one).
-        let body = self.body_rows();
-        let olds = [
-            (&self.head_occ_off, &self.head_occ),
-            (&body.pos_off, &body.pos),
-            (&body.neg_off, &body.neg),
-        ];
-        let [(head_occ_off, head_occ), (pos_rows_off, pos_rows), (neg_rows_off, neg_rows)] =
-            std::array::from_fn(|k| {
-                occurs[k].sort_unstable();
-                let edits = RowEdits {
-                    inserted: &inserted,
-                    added: &occurs[k],
-                    ..RowEdits::default()
-                };
-                csr::splice(olds[k].0, olds[k].1, &edits)
-            });
-        GroundProgram {
-            facts,
-            atoms,
-            facts_local,
-            head_local,
-            pos_off,
-            pos_local,
-            neg_off,
-            neg_local,
-            head_occ_off,
-            head_occ,
-            body_rows: OnceLock::from(BodyRows {
-                pos_off: pos_rows_off,
-                pos: pos_rows,
-                neg_off: neg_rows_off,
-                neg: neg_rows,
-            }),
-        }
-    }
-
-    /// Shared tail of all constructors: given ready-made local-id rule
-    /// arrays and their head index ([`head_rows`]), assembles the program.
-    /// The body rows are left to their first reader.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_with_locals(
-        facts: Vec<AtomId>,
-        atoms: Vec<AtomId>,
-        facts_local: Vec<u32>,
-        head_local: Vec<u32>,
-        pos_off: Vec<u32>,
-        pos_local: Vec<u32>,
-        neg_off: Vec<u32>,
-        neg_local: Vec<u32>,
-        (head_occ_off, head_occ): (Vec<u32>, Vec<GroundRuleId>),
-    ) -> Self {
+        let (head_occ_off, head_occ) = occurrence_rows(atoms.len(), &head_local, 0..);
         let mut prog = GroundProgram {
             facts,
             atoms,
+            local_of,
             facts_local,
             head_local,
             pos_off,
@@ -600,13 +298,50 @@ impl GroundProgram {
         prog
     }
 
+    /// Starts the **extension** of this program by `new_atoms`, the one
+    /// production construction: the chase grounds a cold segment onto
+    /// `GroundProgram::default()` and a resumed one onto the program of the
+    /// segment it resumed.
+    ///
+    /// The previous atoms keep their local ids and `new_atoms` take the
+    /// next ones; `new_atoms` must be sorted and none of them mentioned
+    /// here, and they become the tail of the extension's atom list. Every
+    /// inherited array — the `AtomId → local id` map included — is copied
+    /// once, with `room` for the delta.
+    pub fn extension(&self, new_atoms: Vec<AtomId>, room: Room) -> Extension<'_> {
+        debug_assert!(new_atoms.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(new_atoms.iter().all(|&a| !self.mentions(a)));
+        let bound = (new_atoms.last().map_or(0, |a| a.index() + 1)).max(self.local_of.len());
+        let mut local_of = copied(&self.local_of, bound - self.local_of.len());
+        local_of.resize(bound, NONE);
+        for (l, a) in (self.atoms.len()..).zip(&new_atoms) {
+            local_of[a.index()] = wfdl_core::dense_u32(l, "local atom id");
+        }
+        let mut atoms = new_atoms;
+        atoms.splice(0..0, self.atoms.iter().copied());
+        let offsets = |off: &[u32]| copied(if off.is_empty() { &[0] } else { off }, room.rules);
+        let next = GroundProgram {
+            facts: copied(&self.facts, room.facts),
+            atoms,
+            local_of,
+            facts_local: copied(&self.facts_local, room.facts),
+            head_local: copied(&self.head_local, room.rules),
+            pos_off: offsets(&self.pos_off),
+            pos_local: copied(&self.pos_local, room.pos),
+            neg_off: offsets(&self.neg_off),
+            neg_local: copied(&self.neg_local, room.neg),
+            ..GroundProgram::default()
+        };
+        Extension { prev: self, next }
+    }
+
     /// The body occurrence rows, counted on the first call: count,
     /// prefix-sum, fill, each row in rule order.
     fn body_rows(&self) -> &BodyRows {
         self.body_rows.get_or_init(|| {
             let n = self.atoms.len();
-            let (pos_off, pos) = body_rows(n, &self.pos_off, &self.pos_local);
-            let (neg_off, neg) = body_rows(n, &self.neg_off, &self.neg_local);
+            let (pos_off, pos) = occurrence_rows(n, &self.pos_local, body_rules(&self.pos_off));
+            let (neg_off, neg) = occurrence_rows(n, &self.neg_local, body_rules(&self.neg_off));
             BodyRows {
                 pos_off,
                 pos,
@@ -630,6 +365,82 @@ impl GroundProgram {
         self.head_occ.shrink_to_fit();
     }
 
+    /// Indexes the heads of an extension of `prev`: counted when `prev` has
+    /// no rules, spliced from `prev`'s rows otherwise.
+    fn index_heads(&mut self, prev: &GroundProgram) {
+        let old = (&prev.head_occ_off[..], &prev.head_occ[..]);
+        (self.head_occ_off, self.head_occ) = match prev.num_rules() {
+            0 => occurrence_rows(self.num_atoms(), &self.head_local, 0..),
+            first => self.spliced(prev, old, &self.head_local[first..], first..),
+        };
+    }
+
+    /// The rows `old` of `prev`, which this program extends, spliced into
+    /// rows over this program's atoms — one more for each new atom — with
+    /// the entries `locals` of the new rules merged in, entry `k` belonging
+    /// to the `k`-th rule `rule_of` yields (as in [`occurrence_rows`]).
+    fn spliced(
+        &self,
+        prev: &GroundProgram,
+        (off, rules): (&[u32], &[GroundRuleId]),
+        locals: &[u32],
+        rule_of: impl Iterator<Item = usize>,
+    ) -> (Vec<u32>, Vec<GroundRuleId>) {
+        let mut added = Vec::with_capacity(locals.len());
+        added.extend(
+            locals
+                .iter()
+                .zip(rule_of)
+                .map(|(&a, r)| (a, GroundRuleId::from_index(r))),
+        );
+        added.sort_unstable();
+        let inserted: Vec<u32> = (prev.num_atoms() as u32..self.num_atoms() as u32).collect();
+        let edits = RowEdits {
+            inserted: &inserted,
+            added: &added,
+            ..RowEdits::default()
+        };
+        csr::splice(off, rules, &edits)
+    }
+
+    /// Marks in `dropped` every rule of `row` — the rules of one head —
+    /// that repeats an earlier one: ordered by body, ties by index, equal
+    /// rules end up adjacent with the first occurrence in front.
+    fn drop_repeats(&self, row: &mut [GroundRuleId], dropped: &mut BitSet) {
+        let body = |r: GroundRuleId| (self.pos_local(r.index()), self.neg_local(r.index()));
+        row.sort_unstable_by(|&x, &y| body(x).cmp(&body(y)).then(x.cmp(&y)));
+        for w in row.windows(2) {
+            if body(w[0]) == body(w[1]) {
+                dropped.insert(w[1].index());
+            }
+        }
+    }
+
+    /// Removes the `dropped` rules, all at or after `first`, closing the
+    /// gaps in place.
+    fn remove_rules(&mut self, first: usize, dropped: &BitSet) {
+        let mut kept = first;
+        let (mut pos_start, mut neg_start) = (self.pos_off[first], self.neg_off[first]);
+        for r in first..self.head_local.len() {
+            let (pos_end, neg_end) = (self.pos_off[r + 1], self.neg_off[r + 1]);
+            if !dropped.contains(r) {
+                let (pos_to, neg_to) = (self.pos_off[kept], self.neg_off[kept]);
+                self.head_local[kept] = self.head_local[r];
+                (self.pos_local).copy_within(pos_start as usize..pos_end as usize, pos_to as usize);
+                (self.neg_local).copy_within(neg_start as usize..neg_end as usize, neg_to as usize);
+                self.pos_off[kept + 1] = pos_to + (pos_end - pos_start);
+                self.neg_off[kept + 1] = neg_to + (neg_end - neg_start);
+                kept += 1;
+            }
+            (pos_start, neg_start) = (pos_end, neg_end);
+        }
+        self.head_local.truncate(kept);
+        self.pos_off.truncate(kept + 1);
+        self.neg_off.truncate(kept + 1);
+        self.pos_local.truncate(self.pos_off[kept] as usize);
+        self.neg_local.truncate(self.neg_off[kept] as usize);
+    }
+
     /// Iterates the rules as materialized [`GroundRule`]s (allocates two
     /// boxes per rule; cold-path convenience — hot loops read the local-id
     /// CSR arrays directly).
@@ -637,21 +448,16 @@ impl GroundProgram {
         (0..self.num_rules()).map(|r| self.rule(GroundRuleId::from_index(r)))
     }
 
-    /// Materializes a rule by id (allocates; cold-path convenience).
+    /// Materializes a rule by id, bodies in the [`GroundRule`] normal
+    /// form (allocates; cold-path convenience).
     pub fn rule(&self, id: GroundRuleId) -> GroundRule {
         let r = id.index();
-        let atom_of = |l: &u32| self.atoms[*l as usize];
-        GroundRule {
-            head: atom_of(&self.head_local[r]),
-            pos: self.pos_local[self.pos_off[r] as usize..self.pos_off[r + 1] as usize]
-                .iter()
-                .map(atom_of)
-                .collect(),
-            neg: self.neg_local[self.neg_off[r] as usize..self.neg_off[r + 1] as usize]
-                .iter()
-                .map(atom_of)
-                .collect(),
-        }
+        let atoms = |locals: &[u32]| locals.iter().map(|&l| self.atom_of_local(l)).collect();
+        GroundRule::new(
+            self.atom_of_local(self.head_local[r]),
+            atoms(self.pos_local(r)),
+            atoms(self.neg_local(r)),
+        )
     }
 
     /// The facts.
@@ -660,24 +466,35 @@ impl GroundProgram {
         &self.facts
     }
 
-    /// Every atom mentioned by the program, sorted by id. An atom's
-    /// **local id** is its position in this slice.
+    /// Every atom mentioned by the program. An atom's **local id** is its
+    /// position in this slice: the atoms of the program this one extends
+    /// come first, then the new ones in id order — so a cold program lists
+    /// its atoms sorted.
     #[inline]
     pub fn atoms(&self) -> &[AtomId] {
         &self.atoms
     }
 
+    /// One more than the largest `AtomId` index the program mentions (`0`
+    /// for an empty program): the room a per-`AtomId` array over it needs.
+    #[inline]
+    pub fn atom_id_bound(&self) -> usize {
+        self.local_of.len()
+    }
+
     /// True iff `atom` is mentioned by the program.
     #[inline]
     pub fn mentions(&self, atom: AtomId) -> bool {
-        self.atoms.binary_search(&atom).is_ok()
+        self.local_id(atom).is_some()
     }
 
-    /// The dense local id of `atom`, if mentioned (binary search; hot
-    /// loops work in local ids and never call this).
+    /// The dense local id of `atom`, if mentioned (one array read).
     #[inline]
     pub fn local_id(&self, atom: AtomId) -> Option<u32> {
-        self.atoms.binary_search(&atom).ok().map(|i| i as u32)
+        self.local_of
+            .get(atom.index())
+            .copied()
+            .filter(|&l| l != NONE)
     }
 
     /// The atom with local id `local`.
@@ -775,57 +592,174 @@ impl GroundProgram {
     }
 }
 
-/// CSR offsets of rows with the given sizes.
-fn prefix_sum(counts: &[u32]) -> Vec<u32> {
-    let mut off = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0u32;
-    off.push(0);
-    for &c in counts {
-        acc += c;
-        off.push(acc);
-    }
-    off
+/// Room an [`Extension`] reserves for what is pushed onto it, so that no
+/// push moves an array it inherited.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Room {
+    /// New facts.
+    pub facts: usize,
+    /// Candidate rules.
+    pub rules: usize,
+    /// Positive body literals over all candidates.
+    pub pos: usize,
+    /// Negative body literals over all candidates.
+    pub neg: usize,
 }
 
-/// The head index of rules with heads `head_local` over `n` local atoms —
-/// `(offsets, rules)`, each atom's rules in rule order — by counting sort.
-fn head_rows(n: usize, head_local: &[u32]) -> (Vec<u32>, Vec<GroundRuleId>) {
-    let mut counts = vec![0u32; n];
-    for &h in head_local {
-        counts[h as usize] += 1;
+/// A program being extended ([`GroundProgram::extension`]): push the new
+/// facts and the candidate rules, then [`Extension::finish`].
+#[derive(Debug)]
+pub struct Extension<'a> {
+    prev: &'a GroundProgram,
+    /// The inherited arrays with the pushed facts and rules appended; its
+    /// occurrence rows are set by `finish`.
+    next: GroundProgram,
+}
+
+impl Extension<'_> {
+    /// Adds a fact. Facts are pushed once each, in insertion order, and
+    /// are not facts of the program being extended.
+    #[inline]
+    pub fn push_fact(&mut self, atom: AtomId) {
+        debug_assert!(self.next.mentions(atom) && !self.prev.facts.contains(&atom));
+        self.next.facts.push(atom);
+        self.next.facts_local.push(self.next.local_of[atom.index()]);
     }
-    let off = prefix_sum(&counts);
-    let mut rules = vec![GroundRuleId::from_index(0); head_local.len()];
-    // `counts` becomes the fill cursor of each row.
-    let mut fill = counts;
-    fill.copy_from_slice(&off[..n]);
-    for (r, &h) in head_local.iter().enumerate() {
-        rules[fill[h as usize] as usize] = GroundRuleId::from_index(r);
-        fill[h as usize] += 1;
+
+    /// Adds a candidate rule, in universe ids; every atom it mentions is
+    /// mentioned by the program or is one of the new atoms. Each body is
+    /// mapped to local ids, then sorted and deduplicated once. A candidate
+    /// that repeats an earlier rule is dropped by [`Extension::finish`].
+    #[inline]
+    pub fn push_candidate(
+        &mut self,
+        head: AtomId,
+        pos: impl IntoIterator<Item = AtomId>,
+        neg: impl IntoIterator<Item = AtomId>,
+    ) {
+        let next = &mut self.next;
+        let local_of = &next.local_of;
+        let local = |a: AtomId| {
+            debug_assert_ne!(local_of[a.index()], NONE, "candidate atom is mentioned");
+            local_of[a.index()]
+        };
+        let (pos, neg) = (pos.into_iter().map(local), neg.into_iter().map(local));
+        next.head_local.push(local(head));
+        push_body(&mut next.pos_local, &mut next.pos_off, pos);
+        push_body(&mut next.neg_local, &mut next.neg_off, neg);
+    }
+
+    /// The extended program. A candidate can only repeat a rule with the
+    /// same head, so the duplicate search sorts the rows of the heads the
+    /// candidates touch — each one's old rules and candidates by body, ties
+    /// by index — and drops the later repeats: the program keeps first
+    /// occurrences in push order, which is what [`GroundProgramBuilder`]
+    /// keeps with a hash set. Heads with one rule cost nothing.
+    ///
+    /// When the program being extended has no rules (a cold hand-off), the
+    /// head rows are counted and the body rows are left to their first
+    /// reader. Otherwise all three kinds of row are
+    /// [spliced](wfdl_core::csr::splice) from the old ones with the new
+    /// atoms and rules; the old body rows are counted here if nothing has
+    /// read them yet, and the extension receives its rows already counted.
+    pub fn finish(self) -> GroundProgram {
+        let Extension { prev, mut next } = self;
+        let first = prev.num_rules();
+        next.index_heads(prev);
+        let mut dropped = BitSet::with_capacity(next.num_rules());
+        let mut row: Vec<GroundRuleId> = Vec::new();
+        for r in first..next.num_rules() {
+            // A touched head's last rule is a candidate: search its row
+            // there, once.
+            let rules = next.rules_with_head_local(next.head_local[r]);
+            if rules.len() > 1 && rules.last() == Some(&GroundRuleId::from_index(r)) {
+                row.clear();
+                row.extend_from_slice(rules);
+                next.drop_repeats(&mut row, &mut dropped);
+            }
+        }
+        if !dropped.is_empty() {
+            next.remove_rules(first, &dropped);
+            next.index_heads(prev);
+        }
+        if first > 0 {
+            let old = prev.body_rows();
+            let splice_body = |rows: (&[u32], &[GroundRuleId]), off: &[u32], locals: &[u32]| {
+                let new_rules = body_rules(&off[first..]).map(|r| first + r);
+                next.spliced(prev, rows, &locals[off[first] as usize..], new_rules)
+            };
+            let (pos_off, pos) =
+                splice_body((&old.pos_off, &old.pos), &next.pos_off, &next.pos_local);
+            let (neg_off, neg) =
+                splice_body((&old.neg_off, &old.neg), &next.neg_off, &next.neg_local);
+            next.body_rows = OnceLock::from(BodyRows {
+                pos_off,
+                pos,
+                neg_off,
+                neg,
+            });
+        }
+        next
+    }
+}
+
+/// The occurrence rows over `n` local atoms of the entries `locals`, entry
+/// `k` belonging to the `k`-th rule `rule_of` yields — `(offsets, rules)`,
+/// each atom's rules in rule order — by counting sort.
+fn occurrence_rows(
+    n: usize,
+    locals: &[u32],
+    rule_of: impl Iterator<Item = usize>,
+) -> (Vec<u32>, Vec<GroundRuleId>) {
+    let mut fill = vec![0u32; n];
+    for &a in locals {
+        fill[a as usize] += 1;
+    }
+    // Prefix sums; `fill` becomes the cursor of each row.
+    let (mut off, mut end) = (Vec::with_capacity(n + 1), 0u32);
+    off.push(0);
+    for cursor in &mut fill {
+        (*cursor, end) = (end, end + *cursor);
+        off.push(end);
+    }
+    let mut rules = vec![GroundRuleId::from_index(0); locals.len()];
+    for (&a, r) in locals.iter().zip(rule_of) {
+        rules[fill[a as usize] as usize] = GroundRuleId::from_index(r);
+        fill[a as usize] += 1;
     }
     (off, rules)
 }
 
-/// The body occurrence rows of a body CSR (`off` over rules, `locals` its
-/// local atom ids) over `n` local atoms — `(offsets, rules)`, each atom's
-/// rules in rule order — by counting sort.
-fn body_rows(n: usize, off: &[u32], locals: &[u32]) -> (Vec<u32>, Vec<GroundRuleId>) {
-    let mut counts = vec![0u32; n];
-    for &b in locals {
-        counts[b as usize] += 1;
-    }
-    let row_off = prefix_sum(&counts);
-    let mut rules = vec![GroundRuleId::from_index(0); locals.len()];
-    // `counts` becomes the fill cursor of each row.
-    let mut fill = counts;
-    fill.copy_from_slice(&row_off[..n]);
-    for (r, span) in off.windows(2).enumerate() {
-        for &b in &locals[span[0] as usize..span[1] as usize] {
-            rules[fill[b as usize] as usize] = GroundRuleId::from_index(r);
-            fill[b as usize] += 1;
+/// The rule of each entry of the body CSR `off`, in entry order.
+fn body_rules(off: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    (off.windows(2).enumerate())
+        .flat_map(|(r, w)| std::iter::repeat(r).take((w[1] - w[0]) as usize))
+}
+
+/// A copy of `old` with room for `extra` more entries: one allocation, one
+/// straight copy.
+fn copied<T: Copy>(old: &[T], extra: usize) -> Vec<T> {
+    let mut copy = Vec::with_capacity(old.len() + extra);
+    copy.extend_from_slice(old);
+    copy
+}
+
+/// Appends one rule body to the CSR `(off, locals)`, sorted and
+/// deduplicated.
+#[inline]
+fn push_body(locals: &mut Vec<u32>, off: &mut Vec<u32>, body: impl Iterator<Item = u32>) {
+    let start = locals.len();
+    locals.extend(body);
+    locals[start..].sort_unstable();
+    let mut kept = start;
+    for r in start..locals.len() {
+        if r == start || locals[r] != locals[kept - 1] {
+            locals[kept] = locals[r];
+            kept += 1;
         }
     }
-    (row_off, rules)
+    locals.truncate(kept);
+    off.push(locals.len() as u32);
 }
 
 #[cfg(test)]
@@ -946,7 +880,7 @@ mod tests {
         // The first extension counts its base's rows once and hands its
         // own over already spliced.
         let rule = GroundRule::new(a(3), vec![a(1)], vec![a(0)]);
-        let q = p.extend_with(&[a(3)], &[], &[rule]);
+        let q = extend(&p, &[a(3)], &[], &[rule]);
         assert!(p.body_rows.get().is_some());
         assert!(q.body_rows.get().is_some());
         let r1 = GroundRuleId::from_index(1);
@@ -954,11 +888,34 @@ mod tests {
         assert_eq!(q.rules_with_pos(a(1)), &[r1]);
         assert_eq!(q.rules_with_neg(a(0)), &[r1]);
         assert_eq!(q.rules_with_neg(a(2)), &[r0]);
+
+        // The extension of the empty program counts its head rows only.
+        let cold = extend(&GroundProgram::default(), &[a(0), a(1)], &[a(0)], &[]);
+        assert!(cold.body_rows.get().is_none());
+    }
+
+    /// `prev` extended by `new_atoms`, the facts `facts` and the candidate
+    /// rules `rules`.
+    fn extend(
+        prev: &GroundProgram,
+        new_atoms: &[AtomId],
+        facts: &[AtomId],
+        rules: &[GroundRule],
+    ) -> GroundProgram {
+        let mut next = prev.extension(new_atoms.to_vec(), Room::default());
+        for &f in facts {
+            next.push_fact(f);
+        }
+        for r in rules {
+            next.push_candidate(r.head, r.pos.iter().copied(), r.neg.iter().copied());
+        }
+        next.finish()
     }
 
     /// Every array two programs expose, row by row.
     fn assert_identical(got: &GroundProgram, want: &GroundProgram) -> Result<(), TestCaseError> {
         prop_assert_eq!(got.atoms(), want.atoms());
+        prop_assert_eq!(got.atom_id_bound(), want.atom_id_bound());
         prop_assert_eq!(got.facts(), want.facts());
         prop_assert_eq!(got.facts_local(), want.facts_local());
         prop_assert_eq!(got.num_rules(), want.num_rules());
@@ -971,6 +928,29 @@ mod tests {
             prop_assert_eq!(got.rules_with_head_local(l), want.rules_with_head_local(l));
             prop_assert_eq!(got.rules_with_pos_local(l), want.rules_with_pos_local(l));
             prop_assert_eq!(got.rules_with_neg_local(l), want.rules_with_neg_local(l));
+        }
+        Ok(())
+    }
+
+    /// The same program through `AtomId`s, whatever the local ids: the atom
+    /// set, the facts, every rule and every occurrence row.
+    fn assert_same_program(got: &GroundProgram, want: &GroundProgram) -> Result<(), TestCaseError> {
+        let mut atoms = got.atoms().to_vec();
+        atoms.sort_unstable();
+        prop_assert_eq!(&atoms[..], want.atoms());
+        prop_assert_eq!(got.atom_id_bound(), want.atom_id_bound());
+        for (l, &atom) in got.atoms().iter().enumerate() {
+            prop_assert_eq!(got.local_id(atom), Some(l as u32));
+        }
+        prop_assert_eq!(got.facts(), want.facts());
+        prop_assert_eq!(got.num_rules(), want.num_rules());
+        for r in (0..want.num_rules()).map(GroundRuleId::from_index) {
+            prop_assert_eq!(got.rule(r), want.rule(r), "rule {:?}", r);
+        }
+        for &atom in want.atoms() {
+            prop_assert_eq!(got.rules_with_head(atom), want.rules_with_head(atom));
+            prop_assert_eq!(got.rules_with_pos(atom), want.rules_with_pos(atom));
+            prop_assert_eq!(got.rules_with_neg(atom), want.rules_with_neg(atom));
         }
         Ok(())
     }
@@ -990,14 +970,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// A chain of `extend_with` calls equals one from-scratch build of
-        /// everything added so far — atoms, rule arrays and every occurrence
-        /// row — after each step. Later steps draw atoms from a wider range
+        /// A chain of extensions equals one from-scratch build of everything
+        /// added so far — atoms, facts, rules and every occurrence row,
+        /// through `AtomId`s — after each step, and every step keeps the
+        /// local ids it extends. Later steps draw atoms from a wider range
         /// and the ids are spread so that new atoms land between, before and
-        /// after the old ones (both the remap and the append-only path);
-        /// candidates repeat old rules and each other.
+        /// after the old ones; candidates repeat old rules and each other.
         #[test]
-        fn extend_with_equals_a_from_scratch_build(
+        fn extensions_equal_a_from_scratch_build(
             base in step(0..12),
             deltas in proptest::collection::vec(step(0..24), 1..4),
             spread in any::<bool>(),
@@ -1037,14 +1017,16 @@ mod tests {
                     .collect();
                 new_atoms.sort_unstable();
                 new_atoms.dedup();
-                extended = extended.extend_with(&new_atoms, &new_facts, &rules);
+                let next = extend(&extended, &new_atoms, &new_facts, &rules);
+                prop_assert_eq!(&next.atoms()[..extended.num_atoms()], extended.atoms());
                 for &f in &new_facts {
                     scratch.add_fact(f);
                 }
                 for r in rules {
                     scratch.add_rule(r);
                 }
-                assert_identical(&extended, &scratch.clone().finish())?;
+                assert_same_program(&next, &scratch.clone().finish())?;
+                extended = next;
             }
         }
     }
@@ -1052,11 +1034,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// `from_dense_parts` over candidate rules that repeat each other —
-        /// few atoms, so heads collect many rules and many repeats — keeps
-        /// what the hash-deduplicating builder keeps, in its order.
+        /// The extension of the empty program over candidate rules that
+        /// repeat each other — few atoms, so heads collect many rules and
+        /// many repeats — keeps what the hash-deduplicating builder keeps,
+        /// in its order, array for array.
         #[test]
-        fn from_dense_parts_drops_repeats_like_the_builder(
+        fn extending_the_empty_program_drops_repeats_like_the_builder(
             candidates in step(0..6),
             copies in 1usize..4,
         ) {
@@ -1077,29 +1060,56 @@ mod tests {
                 builder.add_rule(r.clone());
             }
             let want = builder.finish();
-
-            let atoms = want.atoms().to_vec();
-            let local = |x: &AtomId| atoms.binary_search(x).unwrap() as u32;
-            let (mut pos_off, mut neg_off) = (vec![0u32], vec![0u32]);
-            let (mut pos_local, mut neg_local) = (Vec::new(), Vec::new());
-            for r in &rules {
-                pos_local.extend(r.pos.iter().map(local));
-                pos_off.push(pos_local.len() as u32);
-                neg_local.extend(r.neg.iter().map(local));
-                neg_off.push(neg_local.len() as u32);
-            }
-            let got = GroundProgram::from_dense_parts(
-                atoms.clone(),
-                want.facts().to_vec(),
-                want.facts_local().to_vec(),
-                rules.iter().map(|r| local(&r.head)).collect(),
-                pos_off,
-                pos_local,
-                neg_off,
-                neg_local,
-            );
+            let got = extend(&GroundProgram::default(), want.atoms(), want.facts(), &rules);
             assert_identical(&got, &want)?;
         }
+    }
+
+    /// A resume of 20,000 fresh one-rule heads and 2,000 repeats of them
+    /// onto a 1,000-fact program is deduplicated head by head, not against
+    /// every rule appended before it: best of three, the extension takes
+    /// at most 8× what the hash-deduplicating builder takes for the same
+    /// rules, and grounds what the builder does.
+    #[test]
+    fn a_large_delta_grounds_like_the_builder_in_near_linear_time() {
+        const FACTS: usize = 1_000;
+        const HEADS: usize = 20_000;
+        let mut base = GroundProgramBuilder::new();
+        for i in 0..FACTS {
+            base.add_fact(a(i));
+        }
+        base.add_rule(GroundRule::new(a(0), vec![a(1)], vec![]));
+        let prev = base.clone().finish();
+        let head = |i: usize| a(FACTS + i);
+        let rules: Vec<GroundRule> = (0..HEADS)
+            .chain((0..HEADS).step_by(10))
+            .map(|i| GroundRule::new(head(i), vec![a(i % FACTS)], vec![head((i + 1) % HEADS)]))
+            .collect();
+        let new_atoms: Vec<AtomId> = (0..HEADS).map(head).collect();
+        let best_of_three = |f: &dyn Fn() -> GroundProgram| {
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let program = f();
+                    (start.elapsed(), program)
+                })
+                .min_by_key(|(took, _)| *took)
+                .unwrap()
+        };
+        let (extension, extended) = best_of_three(&|| extend(&prev, &new_atoms, &[], &rules));
+        let (builder, built) = best_of_three(&|| {
+            let mut b = base.clone();
+            for r in &rules {
+                b.add_rule(r.clone());
+            }
+            b.finish()
+        });
+        assert_eq!(extended.num_rules(), 1 + HEADS);
+        assert_same_program(&extended, &built).unwrap();
+        assert!(
+            extension <= builder * 8,
+            "extension {extension:?}, builder {builder:?}"
+        );
     }
 
     #[test]

@@ -12,5 +12,5 @@ pub mod ground;
 pub mod index;
 
 pub use database::Database;
-pub use ground::{GroundProgram, GroundProgramBuilder, GroundRule, GroundRuleId};
+pub use ground::{Extension, GroundProgram, GroundProgramBuilder, GroundRule, GroundRuleId, Room};
 pub use index::{AtomIndex, IndexStats};

@@ -47,9 +47,9 @@
 //!
 //! ## Incremental solves: carry, cone, change-driven evaluation
 //!
-//! A program that **extends** a solved one (old atoms ⊆ atoms, old rules a
-//! prefix — what [`GroundProgram::extend_with`] produces after a resumed
-//! chase) is not solved again: [`ModularEngine::solve_incremental`] carries
+//! A program that **extends** a solved one (old atoms, rules and facts a
+//! prefix of its own — what [`GroundProgram::extension`] produces after a
+//! resumed chase) is not solved again: [`ModularEngine::solve_incremental`] carries
 //! the previous result over and re-does only the delta's **forward cone**
 //! — the seeds (heads of new rules, new facts, new atoms) closed under
 //! "heads a rule whose body mentions". Two facts make that sound:
@@ -71,11 +71,11 @@
 //! What is carried is the previous run's [`ModularMemo`] — verdicts and
 //! facts by local id, the component of every atom, the component rows and
 //! which components were recursive — plus its interpretation and stages.
-//! Each array is copied once and then written at cone positions and new
-//! atoms only: a straight copy when the local ids did not move, one gather
-//! when new atoms sorted in between old ones. When the cone dissolves old
-//! components, the carried ordinals (and stages) are renumbered densely in
-//! that same pass. Nothing is recomputed per atom outside the cone.
+//! Local ids never move in an extension, so each array is one copy plus a
+//! fresh tail for the new atoms, then written at cone positions only. When
+//! the cone dissolves old components, the carried ordinals (and stages) are
+//! renumbered densely in that same copy. Nothing is recomputed per atom
+//! outside the cone.
 //!
 //! The per-atom decision *stage* reported by this engine is the 1-based
 //! ordinal of the component that decided it, which preserves the invariant
@@ -357,9 +357,8 @@ impl<'a> ModularEngine<'a> {
     ///
     /// `prev` is the ground program and engine result of the previous
     /// solve; this engine's program must be that program plus a delta —
-    /// the previous atoms a subset of its atoms, the previous rules and
-    /// facts a prefix of its rules and facts, which is what
-    /// [`GroundProgram::extend_with`] produces. Then:
+    /// the previous atoms, rules and facts a prefix of its atoms, rules and
+    /// facts, which is what [`GroundProgram::extension`] produces. Then:
     ///
     /// 1. the **seeds** are the heads of the new rules, the new facts and
     ///    the new atoms, and the **cone** is their forward closure over
@@ -462,7 +461,7 @@ impl<'a> ModularEngine<'a> {
         // stage of a decided atom is its component's 1-based emission
         // ordinal.
         let mut interp = Interp::with_capacity(n);
-        let cap = prog.atoms().last().map_or(0, |a| a.index() + 1);
+        let cap = prog.atom_id_bound();
         let mut decided_stage = crate::result::StageMap::with_capacity(cap);
         for (a, &value) in truth.iter().enumerate() {
             let atom = prog.atom_of_local(a as u32);
@@ -503,7 +502,7 @@ impl<'a> ModularEngine<'a> {
         let prog = self.prog;
         let (memo, prev_stats) = (prev.memo.as_ref()?, prev.stats?);
         let old = &memo.condensation;
-        let carry = Carry::of(prev_prog, prog)?;
+        let old_n = extended_atoms(prev_prog, prog)?;
         let n = prog.num_atoms();
 
         // 1. Seeds and their forward cone. `slot[a]` is a cone atom's
@@ -522,7 +521,9 @@ impl<'a> ModularEngine<'a> {
         for &f in &prog.facts_local()[prev_prog.facts().len()..] {
             enter(f, &mut cone);
         }
-        carry.for_each_new_atom(prog, |a| enter(a, &mut cone));
+        for a in old_n as u32..n as u32 {
+            enter(a, &mut cone);
+        }
         let seeds = cone.len();
         let mut next = 0;
         while let Some(&a) = cone.get(next) {
@@ -541,8 +542,8 @@ impl<'a> ModularEngine<'a> {
             |a| slot[a as usize],
         );
         let mut dissolved: Vec<u32> = (cone.iter())
-            .filter_map(|&a| carry.old_local(a))
-            .map(|l| old.comp_of[l as usize])
+            .filter(|&&a| (a as usize) < old_n)
+            .map(|&a| old.comp_of[a as usize])
             .collect();
         dissolved.sort_unstable();
         dissolved.dedup();
@@ -564,7 +565,7 @@ impl<'a> ModularEngine<'a> {
                 .collect()
         };
         let renumbered = (!renumber.is_empty()).then_some(|c: u32| renumber[c as usize]);
-        let mut comp_of = carry.carry(&old.comp_of, NONE, renumbered);
+        let mut comp_of = carry(&old.comp_of, n, NONE, renumbered);
         let inserted: Vec<u32> = (first_new..first_new + found.num_components() as u32).collect();
         let mut added: Vec<(u32, u32)> = Vec::with_capacity(cone.len());
         for (c, comp) in found.iter().enumerate() {
@@ -574,7 +575,7 @@ impl<'a> ModularEngine<'a> {
                 added.push((first_new + c as u32, a));
             }
         }
-        let (comp_off, mut comp_atoms) = csr::splice(
+        let (comp_off, comp_atoms) = csr::splice(
             &old.comp_off,
             &old.comp_atoms,
             &RowEdits {
@@ -584,8 +585,6 @@ impl<'a> ModularEngine<'a> {
                 ..RowEdits::default()
             },
         );
-        let kept = comp_atoms.len() - cone.len();
-        carry.relocate(&mut comp_atoms[..kept]);
         let cond = Condensation {
             comp_of,
             comp_atoms,
@@ -594,15 +593,15 @@ impl<'a> ModularEngine<'a> {
 
         // 3. Carried verdicts and facts. The cone starts out undecided; a
         // cone atom's previous verdict stays readable in the memo.
-        let before = |a: u32| carry.old_local(a).map(|l| memo.truth[l as usize]);
-        let mut truth = carry.carry(&memo.truth, Truth::Unknown, None::<fn(Truth) -> Truth>);
+        let before = |a: u32| ((a as usize) < old_n).then(|| memo.truth[a as usize]);
+        let mut truth = carry(&memo.truth, n, Truth::Unknown, None::<fn(Truth) -> Truth>);
         for &a in &cone {
             truth[a as usize] = Truth::Unknown;
         }
-        let is_fact = carry.carry_set(
-            &memo.is_fact,
-            &prog.facts_local()[prev_prog.facts().len()..],
-        );
+        let mut is_fact = memo.is_fact.copy_with_capacity(n);
+        for &f in &prog.facts_local()[prev_prog.facts().len()..] {
+            is_fact.insert(f as usize);
+        }
         let mut changed = BitSet::with_capacity(n);
         let mut recursive: Vec<bool> = Vec::with_capacity(cond.num_components());
         if dissolved.is_empty() {
@@ -701,7 +700,7 @@ impl<'a> ModularEngine<'a> {
 
         // 5. The previous result, patched over the cone: one copy each, with
         // room for every atom id of this program (stages are ordinals + 1).
-        let ids = prog.atoms().last().map_or(0, |a| a.index() + 1);
+        let ids = prog.atom_id_bound();
         let mut interp = prev.interp.copy_with_capacity(ids);
         let restaged = (!renumber.is_empty()).then_some(|s: u32| renumber[s as usize - 1] + 1);
         let mut decided_stage = prev.decided_stage.carried(ids, restaged);
@@ -742,127 +741,29 @@ impl<'a> ModularEngine<'a> {
 /// Sentinel for "no entry" in the flat index arrays.
 const NONE: u32 = u32::MAX;
 
-/// How the atoms of a program sit in the program that extends it: local
-/// ids are positions in the sorted atom lists, so they agree when every
-/// new atom sorts after the old ones (the common case — a resumed chase
-/// interns its atoms last) and shift by the number of new atoms in front
-/// otherwise.
-struct Carry {
-    /// Atoms of the previous program.
-    old_n: usize,
-    /// Atoms of the program that extends it.
-    new_n: usize,
-    /// `(new_of_old, old_of_new)` when the local ids moved; `NONE` in
-    /// `old_of_new` marks a new atom.
-    moved: Option<(Vec<u32>, Vec<u32>)>,
+/// The previous program's atom count, if `prog` extends `prev`: `prev`'s
+/// atoms are a prefix of its atoms (local ids never move) and `prev` has
+/// no more rules and facts than it.
+fn extended_atoms(prev: &GroundProgram, prog: &GroundProgram) -> Option<usize> {
+    let old_n = prev.num_atoms();
+    (old_n <= prog.num_atoms()
+        && prev.num_rules() <= prog.num_rules()
+        && prev.facts().len() <= prog.facts().len()
+        && prog.atoms()[..old_n] == *prev.atoms())
+    .then_some(old_n)
 }
 
-impl Carry {
-    /// `None` unless every atom of `prev` is an atom of `prog` (and `prog`
-    /// has at least `prev`'s rules and facts).
-    fn of(prev: &GroundProgram, prog: &GroundProgram) -> Option<Carry> {
-        let (old, new) = (prev.atoms(), prog.atoms());
-        if old.len() > new.len()
-            || prev.num_rules() > prog.num_rules()
-            || prev.facts().len() > prog.facts().len()
-        {
-            return None;
-        }
-        let (old_n, new_n) = (old.len(), new.len());
-        if new[..old_n] == *old {
-            return Some(Carry {
-                old_n,
-                new_n,
-                moved: None,
-            });
-        }
-        let mut new_of_old = Vec::with_capacity(old_n);
-        let mut old_of_new = vec![NONE; new.len()];
-        let mut l = 0;
-        for &atom in old {
-            while *new.get(l)? < atom {
-                l += 1;
-            }
-            if new[l] != atom {
-                return None;
-            }
-            old_of_new[l] = new_of_old.len() as u32;
-            new_of_old.push(l as u32);
-        }
-        Some(Carry {
-            old_n,
-            new_n,
-            moved: Some((new_of_old, old_of_new)),
-        })
+/// `old`, indexed by the previous local ids, carried over to a program of
+/// `n` atoms: one copy, through `renumber` when there is one, and `fresh`
+/// for every new atom.
+fn carry<T: Copy>(old: &[T], n: usize, fresh: T, renumber: Option<impl Fn(T) -> T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    match renumber {
+        None => out.extend_from_slice(old),
+        Some(f) => out.extend(old.iter().map(|&v| f(v))),
     }
-
-    /// `old`, indexed by previous local ids, carried over to the current
-    /// ones in one pass: a straight copy when no id moved, a gather through
-    /// `old_of_new` when some did. New atoms read `fresh`, and a carried
-    /// value goes through `renumber` on the way when there is one.
-    fn carry<T: Copy>(&self, old: &[T], fresh: T, renumber: Option<impl Fn(T) -> T>) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.new_n);
-        match (&self.moved, &renumber) {
-            (None, None) => out.extend_from_slice(old),
-            (None, Some(f)) => out.extend(old.iter().map(|&v| f(v))),
-            (Some((_, old_of_new)), _) => out.extend(old_of_new.iter().map(|&l| {
-                match l {
-                    NONE => fresh,
-                    l => renumber
-                        .as_ref()
-                        .map_or(old[l as usize], |f| f(old[l as usize])),
-                }
-            })),
-        }
-        out.resize(self.new_n, fresh);
-        out
-    }
-
-    /// The set `old` of previous local ids, carried over to the current
-    /// ones, plus `added`: a straight copy of its words when no id moved,
-    /// its members relocated one by one when some did.
-    fn carry_set(&self, old: &BitSet, added: &[u32]) -> BitSet {
-        let mut set = match &self.moved {
-            None => old.copy_with_capacity(self.new_n),
-            Some((new_of_old, _)) => {
-                let mut set = BitSet::with_capacity(self.new_n);
-                for l in old.iter() {
-                    set.insert(new_of_old[l] as usize);
-                }
-                set
-            }
-        };
-        for &a in added {
-            set.insert(a as usize);
-        }
-        set
-    }
-
-    /// The previous local id of `prog`'s atom `a`, unless it is new.
-    #[inline]
-    fn old_local(&self, a: u32) -> Option<u32> {
-        match &self.moved {
-            None => ((a as usize) < self.old_n).then_some(a),
-            Some((_, old_of_new)) => Some(old_of_new[a as usize]).filter(|&l| l != NONE),
-        }
-    }
-
-    /// Calls `f` with each new atom.
-    fn for_each_new_atom(&self, prog: &GroundProgram, mut f: impl FnMut(u32)) {
-        (0..prog.num_atoms() as u32)
-            .skip(if self.moved.is_none() { self.old_n } else { 0 })
-            .filter(|&a| self.old_local(a).is_none())
-            .for_each(&mut f);
-    }
-
-    /// Rewrites previous local ids as current ones, in place.
-    fn relocate(&self, locals: &mut [u32]) {
-        if let Some((new_of_old, _)) = &self.moved {
-            for l in locals {
-                *l = new_of_old[*l as usize];
-            }
-        }
-    }
+    out.resize(n, fresh);
+    out
 }
 
 /// True iff the carried `truth` reads what `interp` holds over the program's

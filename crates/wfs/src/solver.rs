@@ -188,11 +188,15 @@ impl wfdl_query::TruthSource for WellFoundedModel {
     }
 
     /// In ascending id order, like [`WellFoundedModel::true_atoms`]: the
-    /// ground program's sorted atom list covers the segment.
+    /// ground program's atom list covers the segment, in id order within
+    /// each extension (a resume may mention an atom interned before the
+    /// previous program's last one).
     fn possible_atoms(&self) -> Vec<AtomId> {
-        (self.ground.atoms().iter().copied())
+        let mut atoms: Vec<AtomId> = (self.ground.atoms().iter().copied())
             .filter(|&a| self.segment.contains(a) && !self.result.value(a).is_false())
-            .collect()
+            .collect();
+        atoms.sort_unstable();
+        atoms
     }
 }
 
@@ -589,7 +593,7 @@ fn positive_closure_result(ground: &GroundProgram) -> EngineResult {
         }
     }
     let mut interp = Interp::with_capacity(n);
-    let cap = ground.atoms().last().map_or(0, |a| a.index() + 1);
+    let cap = ground.atom_id_bound();
     let mut decided_stage = crate::result::StageMap::with_capacity(cap);
     for (local, &t) in tru.iter().enumerate() {
         if t {

@@ -472,6 +472,40 @@ fn a_cold_hand_off_counts_no_body_rows() {
     );
 }
 
+/// A resumed hand-off feeds the delta's instances to the ground program
+/// straight from the segment's arrays: no rule is boxed and nothing is
+/// searched per rule, so 16× the delta costs at most a few more allocator
+/// calls (the doubling of a row buffer), not 16× as many.
+#[test]
+fn a_resumed_hand_off_allocates_nothing_per_rule() {
+    let text = chain_and_fanout(512, 10_240);
+    let mut kb = KnowledgeBase::from_source(&text).unwrap().with_depth(8);
+    let model = kb.solve();
+    let (segment, ground) = (&model.model().segment, &model.model().ground);
+    // The first resume counts the previous program's body rows once; that
+    // count is not what is measured here.
+    assert!(ground.rules_with_pos_local(0).len() <= ground.num_rules());
+    let hand_off = |seeds: usize| {
+        let mut universe = kb.universe().clone();
+        let delta: String = (0..seeds)
+            .map(|k| format!("r\tx{k}\tx{k}\ty{k}\np\tx{k}\tx{k}\n"))
+            .collect();
+        let batch = wfdatalog::fact_batch_from_separated(&mut universe, &delta).unwrap();
+        let resumed = segment
+            .resume_with(&mut universe, kb.sigma(), batch.atoms())
+            .unwrap();
+        let (next, calls) = allocations_in(|| resumed.to_ground_program_from(ground));
+        (next.num_rules() - ground.num_rules(), calls)
+    };
+    let (few_rules, few) = hand_off(2);
+    let (many_rules, many) = hand_off(32);
+    assert_eq!(many_rules, 16 * few_rules);
+    assert!(
+        many <= few + 8,
+        "grounding {few_rules} new rules took {few} allocator calls, {many_rules} took {many}"
+    );
+}
+
 /// A ground ask is one probe of the universe's atom table and one verdict
 /// read: it touches no index, so it builds none, and what it allocates —
 /// the search's own small scratch vectors — does not know how large the
