@@ -24,11 +24,14 @@
 //!
 //! Guardedness makes saturation join-free: matching a rule's guard against a
 //! concrete atom binds *all* universal variables, so the remaining positive
-//! body atoms are ground "side conditions". Instances whose side conditions
-//! are not yet present wait in a pending list with Dowling–Gallier-style
-//! watch counters. Atom depths/levels are maintained as minima by a
-//! relaxation worklist, because a later-discovered derivation may be
-//! shallower than the first one.
+//! body atoms are ground "side conditions". Each rule is compiled once per
+//! build into a plan (`plan.rs`) over its guard's argument positions, so a
+//! match is a few array compares and an instance is gathered straight from
+//! the guard's arguments. Instances whose side conditions are not yet
+//! present wait in a pending list with Dowling–Gallier-style watch
+//! counters. Atom depths/levels are maintained as minima by a relaxation
+//! worklist, because a later-discovered derivation may be shallower than
+//! the first one.
 //!
 //! ## Hash-free memory layout
 //!
@@ -57,15 +60,13 @@
 
 use crate::budget::ChaseBudget;
 use crate::instance::{InstanceId, RuleInstance, SegAtomId};
+use crate::plan::Plan;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
 use wfdl_core::budget::FaultSite;
-use wfdl_core::{
-    match_atom, subst::instantiate_atom_into, AtomId, Binding, BitSet, SkolemProgram, SolveBudget,
-    TermId, TruncationReason, Universe,
-};
+use wfdl_core::{AtomId, BitSet, SkolemProgram, SolveBudget, TermId, TruncationReason, Universe};
 use wfdl_storage::{Database, GroundProgram, Room};
 
 /// Sentinel for "no entry" in the flat index arrays.
@@ -74,9 +75,9 @@ const NONE: u32 = u32::MAX;
 /// Per-build counters for the saturation loop, exposed as
 /// [`ChaseSegment::stats`] and printed by `wfdl run --stats`.
 ///
-/// Timings cover the two halves of each round: the read-only match phase
-/// and the interning merge. These counters are diagnostics only — nothing
-/// downstream may depend on them.
+/// The timing covers the apply step of every round, where frontier atoms
+/// are matched and their instances interned and fired. These counters are
+/// diagnostics only — nothing downstream may depend on them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaseStats {
     /// Always `1`. Accepted and ignored for the frozen benchmark; removed
@@ -91,9 +92,12 @@ pub struct ChaseStats {
     /// were first derived and were propagated to their consequences. `0`
     /// means the relaxation index was never built.
     pub relaxations: u64,
-    /// Nanoseconds spent in the match phase (all rounds).
+    /// Always `0`: a round matches and applies in one pass, timed whole
+    /// by [`ChaseStats::merge_ns`]. Kept for the frozen benchmark.
+    #[doc(hidden)]
     pub match_ns: u64,
-    /// Nanoseconds spent in the merge phase (all rounds).
+    /// Nanoseconds spent applying the rounds' frontiers — matching,
+    /// interning and firing (all rounds).
     pub merge_ns: u64,
 }
 
@@ -765,6 +769,8 @@ struct Builder<'a> {
     solve: SolveBudget,
     /// Rule indexes per guard predicate (flat, [`wfdl_core::PredId`]-indexed).
     rules_by_guard_pred: Vec<Vec<u32>>,
+    /// Every rule compiled against its guard, by rule index.
+    plans: Vec<Plan>,
     /// Predicate restriction for goal-directed builds: when set, only
     /// facts whose predicate is in the mask are seeded, and only rules
     /// whose head predicate is in the mask fire (the mask's relevance
@@ -819,11 +825,11 @@ struct Builder<'a> {
     /// Current round's expansion frontier, in expand-queue (= discovery)
     /// order; reused across rounds.
     frontier: Vec<u32>,
-    /// The current round's guard matches, reused across rounds.
-    staged: MatchStaging,
     stats: ChaseStats,
 
     // --- reusable scratch buffers (zero steady-state allocation) ---
+    /// The arguments of the frontier atom being matched.
+    guard_args: Vec<TermId>,
     scratch_args: Vec<TermId>,
     scratch_pos: Vec<AtomId>,
     /// Segment ids of `scratch_pos` (`NONE` = not in the segment yet): what
@@ -834,31 +840,6 @@ struct Builder<'a> {
 
     /// First structural cap or runtime budget trip observed, if any.
     truncation: Option<TruncationReason>,
-}
-
-/// Staging area between the two phases of a round: every guard match
-/// found in the frontier, with the total substitution it bound, in
-/// frontier order. Matching reads the universe and interns nothing; the
-/// merge then applies the staged matches in that order, which is what
-/// makes all interning order-canonical.
-struct MatchStaging {
-    /// `(frontier atom, rule, offset, len)`; the span indexes `totals`.
-    results: Vec<(u32, u32, u32, u32)>,
-    /// Pooled total substitutions of the staged matches.
-    totals: Vec<TermId>,
-    binding: Binding,
-    scratch_total: Vec<TermId>,
-}
-
-impl MatchStaging {
-    fn new() -> Self {
-        MatchStaging {
-            results: Vec::new(),
-            totals: Vec::new(),
-            binding: Binding::new(0),
-            scratch_total: Vec::new(),
-        }
-    }
 }
 
 impl<'a> Builder<'a> {
@@ -876,12 +857,16 @@ impl<'a> Builder<'a> {
             }
             rules_by_guard_pred[p].push(i as u32);
         }
+        let plans = (program.rules.iter())
+            .map(|rule| Plan::compile(universe, rule))
+            .collect();
         Builder {
             universe,
             program,
             budget,
             solve,
             rules_by_guard_pred,
+            plans,
             restrict: None,
             old: None,
             atoms: Vec::new(),
@@ -908,11 +893,11 @@ impl<'a> Builder<'a> {
             relax_queue: VecDeque::new(),
             relaxed: Vec::new(),
             frontier: Vec::new(),
-            staged: MatchStaging::new(),
             stats: ChaseStats {
                 effective_threads: 1,
                 ..ChaseStats::default()
             },
+            guard_args: Vec::new(),
             scratch_args: Vec::new(),
             scratch_pos: Vec::new(),
             scratch_seg: Vec::new(),
@@ -1074,20 +1059,20 @@ impl<'a> Builder<'a> {
     }
 
     /// The saturation work loop: rounds of *relax to fixpoint → collect
-    /// the expansion frontier → match → merge*.
+    /// the expansion frontier → apply it*.
     ///
-    /// The frontier is consumed in expand-queue order and matching is
-    /// read-only, so `SegAtomId` assignment, depth/level minima, instance
-    /// order, cap behavior and universe interning order are a function of
-    /// the input alone.
+    /// The frontier is consumed in expand-queue order and each atom's
+    /// rules in `rules_by_guard_pred` order, so `SegAtomId` assignment,
+    /// depth/level minima, instance order, cap behavior and universe
+    /// interning order are a function of the input alone.
     fn drain(&mut self) {
         let budgeted = !self.solve.is_unlimited();
         loop {
             while let Some(ai) = self.relax_queue.pop_front() {
                 self.relax(ai);
             }
-            // Round boundary: relaxation is at fixpoint and every merge has
-            // been applied, so stopping here leaves the saturation state
+            // Round boundary: relaxation is at fixpoint and every apply
+            // step has finished, so stopping here leaves the saturation state
             // fully coherent (the uncollected expand queue is retained for
             // resume). Only runtime budget trips stop the loop; the
             // structural caps keep their historical peter-out semantics.
@@ -1103,22 +1088,12 @@ impl<'a> Builder<'a> {
             self.stats.rounds += 1;
             self.stats.frontier_atoms += self.frontier.len() as u64;
 
-            let match_start = Instant::now();
-            self.match_frontier();
-            self.stats.match_ns += match_start.elapsed().as_nanos() as u64;
+            let apply_start = Instant::now();
+            self.apply_frontier();
+            self.stats.merge_ns += apply_start.elapsed().as_nanos() as u64;
 
-            let merge_start = Instant::now();
-            let results = std::mem::take(&mut self.staged.results);
-            let totals = std::mem::take(&mut self.staged.totals);
-            for &(ai, ri, off, len) in &results {
-                self.apply_match(ai, ri, &totals[off as usize..(off + len) as usize]);
-            }
-            self.staged.results = results;
-            self.staged.totals = totals;
-            self.stats.merge_ns += merge_start.elapsed().as_nanos() as u64;
-
-            // Merge-phase fault injection (after the round's merge has been
-            // applied, so trip kinds still stop at a coherent boundary).
+            // Apply-step fault injection (after the round's matches have
+            // been applied, so trip kinds still stop at a coherent boundary).
             if budgeted {
                 if let Some(r) = self
                     .solve
@@ -1198,14 +1173,11 @@ impl<'a> Builder<'a> {
             + self.relax_queue.capacity()
             + self.relaxed.capacity()
             + self.frontier.capacity();
-        let staged = self.staged.results.capacity() * size_of::<(u32, u32, u32, u32)>()
-            + self.staged.totals.capacity() * size_of::<TermId>();
         self.atoms.capacity() * size_of::<SegmentAtom>()
             + self.pending.capacity() * size_of::<Pending>()
             + u32s * size_of::<u32>()
             + self.expanded.capacity()
             + self.fact_set.heap_bytes()
-            + staged
     }
 
     /// Drains the expand queue through the expansion gates into
@@ -1238,35 +1210,30 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// The match phase: matches every rule guarded by each frontier atom's
-    /// predicate against the atom, staging the matches in frontier order.
-    /// Reads the universe only — guard matching binds variables against an
-    /// already-interned atom and interns nothing.
-    fn match_frontier(&mut self) {
-        let universe: &Universe = self.universe;
-        let staged = &mut self.staged;
-        staged.results.clear();
-        staged.totals.clear();
-        for &ai in &self.frontier {
-            let atom = self.atoms[ai as usize].atom;
-            let pred = universe.atoms.pred(atom).index();
+    /// The apply step: matches each frontier atom, in frontier order,
+    /// against the plans of its predicate's rules, in `rules_by_guard_pred`
+    /// order, and applies every match on the spot. A match reads only the
+    /// atom's arguments, which nothing changes, so matching as the round
+    /// goes finds what matching the whole frontier first would.
+    fn apply_frontier(&mut self) {
+        // Out of `self` for the round: nothing a match calls reads a plan.
+        let plans = std::mem::take(&mut self.plans);
+        for i in 0..self.frontier.len() {
+            let ai = self.frontier[i];
+            let node = self.universe.atoms.node(self.atoms[ai as usize].atom);
+            let pred = node.pred.index();
+            self.guard_args.clear();
+            self.guard_args.extend_from_slice(node.args);
             // The frontier gate only admits atoms with at least one rule.
-            for &ri in &self.rules_by_guard_pred[pred] {
-                let rule = &self.program.rules[ri as usize];
-                staged.binding.reset(rule.num_vars());
-                if !match_atom(universe, rule.guard_atom(), atom, &mut staged.binding) {
-                    continue;
+            for k in 0..self.rules_by_guard_pred[pred].len() {
+                let ri = self.rules_by_guard_pred[pred][k];
+                let plan = &plans[ri as usize];
+                if plan.matches(&self.guard_args) {
+                    self.apply_match(ai, ri, plan);
                 }
-                let off = staged.totals.len() as u32;
-                staged
-                    .binding
-                    .write_total(rule.num_vars(), &mut staged.scratch_total);
-                staged.totals.extend_from_slice(&staged.scratch_total);
-                staged
-                    .results
-                    .push((ai, ri, off, staged.scratch_total.len() as u32));
             }
         }
+        self.plans = plans;
     }
 
     /// Registers a database fact: a brand-new atom enters at depth and
@@ -1415,45 +1382,39 @@ impl<'a> Builder<'a> {
         self.watch_tail[uid] = e;
     }
 
-    /// Applies one staged guard match: instantiates rule
-    /// `ri`'s body and head under the total substitution, then fires the
-    /// instance or parks it on its missing side atoms. This is the serial
-    /// half of expansion — it interns new atoms and skolem terms, which
-    /// is exactly why it must run in canonical (frontier) order.
+    /// Applies one guard match of the frontier atom `ai` (its arguments
+    /// in `guard_args`) against rule `ri`'s plan: interns the positive
+    /// side atoms in body order, the negated atoms, then the head's Skolem
+    /// terms and the head, and fires the instance or parks it on its
+    /// missing side atoms. Interning allocates ids, which is why matches
+    /// are applied in canonical (frontier) order.
     ///
-    /// The guard is the frontier atom `ai` the match came from, so it is
-    /// neither instantiated nor looked up again; every other positive body
-    /// atom's segment id is resolved here, once, for the missing check and
-    /// for `fire`.
-    fn apply_match(&mut self, ai: u32, ri: u32, total: &[TermId]) {
-        let program = self.program;
-        let rule = &program.rules[ri as usize];
+    /// The guard is the frontier atom itself, so it is neither interned
+    /// nor looked up again; every other positive body atom's segment id is
+    /// resolved here, once, for the missing check and for `fire`.
+    fn apply_match(&mut self, ai: u32, ri: u32, plan: &Plan) {
         let guard_atom = self.atoms[ai as usize].atom;
         self.scratch_pos.clear();
         self.scratch_seg.clear();
         let mut any_missing = false;
-        for (k, a) in rule.body_pos.iter().enumerate() {
-            let (id, seg) = if k == rule.guard() {
-                debug_assert_eq!(
-                    instantiate_atom_into(self.universe, a, total, &mut self.scratch_args),
-                    guard_atom,
-                    "a match instantiates its guard to the matched atom"
-                );
-                (guard_atom, ai)
-            } else {
-                let id = instantiate_atom_into(self.universe, a, total, &mut self.scratch_args);
-                (id, self.lookup_seg(id).unwrap_or(NONE))
+        for side in plan.pos.iter() {
+            let (id, seg) = match side {
+                None => (guard_atom, ai),
+                Some(a) => {
+                    let id = a.intern(self.universe, &self.guard_args, &mut self.scratch_args);
+                    (id, self.lookup_seg(id).unwrap_or(NONE))
+                }
             };
             any_missing |= seg == NONE;
             self.scratch_pos.push(id);
             self.scratch_seg.push(seg);
         }
         self.scratch_neg.clear();
-        for a in &rule.body_neg {
-            let id = instantiate_atom_into(self.universe, a, total, &mut self.scratch_args);
+        for a in plan.neg.iter() {
+            let id = a.intern(self.universe, &self.guard_args, &mut self.scratch_args);
             self.scratch_neg.push(id);
         }
-        let head = rule.instantiate_head_into(self.universe, total, &mut self.scratch_args);
+        let head = (plan.head).intern(self.universe, &self.guard_args, &mut self.scratch_args);
 
         if !any_missing {
             self.fire(ri, ai, head);
@@ -2574,8 +2535,8 @@ mod tests {
     #[test]
     fn mem_bytes_counts_every_growable_pool() {
         use std::mem::size_of;
-        // Parked instances, a relaxation (so the index exists) and staged
-        // matches: every pool below is in use.
+        // Parked instances and a relaxation (so the index exists): every
+        // pool below is in use.
         let mut u = Universe::new();
         let sk = unary_program(&mut u, LATE_FIRE_LOWERS_A_LEVEL);
         let facts: Vec<AtomId> = (0..200)
@@ -2608,11 +2569,8 @@ mod tests {
             + (b.pend_pos.capacity() + b.pend_neg.capacity()) * 4
             + (b.expand_queue.capacity() + b.relax_queue.capacity()) * 4
             + b.relaxed.capacity() * 4
-            + b.frontier.capacity() * 4
-            + b.staged.results.capacity() * 16
-            + b.staged.totals.capacity() * size_of::<TermId>();
+            + b.frontier.capacity() * 4;
         assert_eq!(b.mem_bytes(), by_hand);
-        assert!(b.staged.results.capacity() > 0);
         assert!(by_hand > before + facts.len() * size_of::<SegmentAtom>());
     }
 }

@@ -18,6 +18,7 @@ pub mod condensed;
 pub mod explicit;
 pub mod instance;
 pub mod paper;
+mod plan;
 
 pub use budget::ChaseBudget;
 pub use condensed::{ChaseSegment, ChaseStats, ResumeError, SegmentAtom};

@@ -61,13 +61,14 @@ impl AtomStore {
         Self::default()
     }
 
+    /// The table hash of `pred(args…)` and the test of a stored id against
+    /// it — what every probe of the table needs.
     #[inline]
-    fn find(&self, pred: PredId, args: &[TermId]) -> (u32, Option<AtomId>) {
+    fn key<'k>(&'k self, pred: PredId, args: &'k [TermId]) -> (u32, impl FnMut(u32) -> bool + 'k) {
         let hash = hash_words(pred.raw(), args.iter().map(|t| t.raw()));
-        let hit = self.table.find(hash, |id| {
-            self.preds[id as usize] == pred && self.args.row(id as usize) == args
-        });
-        (hash, hit.map(AtomId))
+        let is_key =
+            move |id: u32| self.preds[id as usize] == pred && self.args.row(id as usize) == args;
+        (hash, is_key)
     }
 
     /// Interns `pred(args…)` from a borrowed argument slice: the hit path —
@@ -78,20 +79,22 @@ impl AtomStore {
     /// Arity agreement with the predicate declaration is the caller's
     /// responsibility; [`crate::universe::Universe::atom`] performs the check.
     pub fn intern_ref(&mut self, pred: PredId, args: &[TermId]) -> AtomId {
-        let (hash, hit) = self.find(pred, args);
-        if let Some(id) = hit {
-            return id;
-        }
+        let (hash, is_key) = self.key(pred, args);
+        let vacant = match self.table.find_or_vacant(hash, is_key) {
+            Ok(id) => return AtomId(id),
+            Err(vacant) => vacant,
+        };
         let id = crate::dense_u32(self.preds.len(), "atom store");
         self.preds.push(pred);
         self.args.push(args);
-        self.table.insert_new(hash, id);
+        self.table.insert_vacant(vacant, hash, id);
         AtomId(id)
     }
 
     /// Looks up an atom without interning it. Allocation-free.
     pub fn lookup(&self, pred: PredId, args: &[TermId]) -> Option<AtomId> {
-        self.find(pred, args).1
+        let (hash, is_key) = self.key(pred, args);
+        self.table.find(hash, is_key).map(AtomId)
     }
 
     /// [`AtomStore::lookup`] of arguments that are computed rather than

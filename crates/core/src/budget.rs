@@ -132,9 +132,9 @@ impl CancelToken {
 pub enum FaultSite {
     /// The chase round boundary after `N` completed rounds.
     ChaseRound(u64),
-    /// The merge phase of chase round `N` (1-based; fires once the
-    /// round's merge has been applied, so segment state stays coherent for
-    /// trip kinds).
+    /// The apply step of chase round `N` (1-based; fires once the round's
+    /// matches have been applied, so segment state stays coherent for trip
+    /// kinds).
     ChaseMerge(u64),
     /// The WFS evaluation of the component with this condensation ordinal.
     WfsComponent(u32),

@@ -58,6 +58,10 @@ pub struct IdTable {
     len: usize,
 }
 
+/// The empty slot that ended a missed [`IdTable::find_or_vacant`] probe.
+#[derive(Clone, Copy, Debug)]
+pub struct Vacant(usize);
+
 #[inline]
 fn tag_of(hash: u32) -> u8 {
     // The top bits: the low ones pick the home slot.
@@ -102,6 +106,56 @@ impl IdTable {
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// [`IdTable::find`] for a caller that inserts on a miss: the id
+    /// stored under `hash` for which `eq` holds, or the empty slot that
+    /// ended the probe — where [`IdTable::insert_new`] would place the key,
+    /// so [`IdTable::insert_vacant`] need not walk the probe again.
+    #[inline]
+    pub fn find_or_vacant(
+        &self,
+        hash: u32,
+        mut eq: impl FnMut(u32) -> bool,
+    ) -> Result<u32, Vacant> {
+        if self.tags.is_empty() {
+            return Err(Vacant(0));
+        }
+        let mask = self.tags.len() - 1;
+        let tag = tag_of(hash);
+        let mut i = hash as usize & mask;
+        // Terminates: the load bound leaves at least one empty slot.
+        loop {
+            let t = self.tags[i];
+            if t == 0 {
+                return Err(Vacant(i));
+            }
+            if t == tag {
+                let (h, id) = self.slots[i];
+                if h == hash && eq(id) {
+                    return Ok(id);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Records `id` under `hash` in the slot a miss of
+    /// [`IdTable::find_or_vacant`] returned; the table must not have
+    /// changed since. An insert that crosses the load bound (or into an
+    /// empty table) grows and places as [`IdTable::insert_new`] does, so
+    /// the layout is the same either way.
+    #[inline]
+    pub fn insert_vacant(&mut self, vacant: Vacant, hash: u32, id: u32) {
+        // An empty table crosses the bound with its first insert.
+        if (self.len + 1) * 8 > self.tags.len() * 7 {
+            self.insert_new(hash, id);
+            return;
+        }
+        debug_assert_eq!(self.tags[vacant.0], 0, "the table changed since the probe");
+        self.tags[vacant.0] = tag_of(hash);
+        self.slots[vacant.0] = (hash, id);
+        self.len += 1;
     }
 
     /// Records `id` under `hash`. The caller has established (with
@@ -180,6 +234,63 @@ mod tests {
         for id in 0..10_000u32 {
             assert_eq!(t.find(hash_words(id, []), |c| c == id), Some(id));
         }
+    }
+
+    /// Interns `keys` (with repeats) into two tables, one through
+    /// `find_or_vacant` + `insert_vacant` and one through `find` +
+    /// `insert_new`, asserting after every step that both hand out the
+    /// same ids and hold the same slots.
+    fn one_walk_matches_two(keys: &[u32]) {
+        let (mut one, mut two) = (IdTable::default(), IdTable::default());
+        let (mut one_keys, mut two_keys) = (Vec::new(), Vec::new());
+        for &k in keys {
+            let hash = hash_words(k, []);
+            let a = match one.find_or_vacant(hash, |id| one_keys[id as usize] == k) {
+                Ok(id) => id,
+                Err(vacant) => {
+                    let id = one_keys.len() as u32;
+                    one_keys.push(k);
+                    one.insert_vacant(vacant, hash, id);
+                    id
+                }
+            };
+            let b = match two.find(hash, |id| two_keys[id as usize] == k) {
+                Some(id) => id,
+                None => {
+                    let id = two_keys.len() as u32;
+                    two_keys.push(k);
+                    two.insert_new(hash, id);
+                    id
+                }
+            };
+            assert_eq!(a, b, "key {k}");
+            assert_eq!((one.len, &one.tags), (two.len, &two.tags), "key {k}");
+            assert_eq!(one.slots, two.slots, "key {k}");
+        }
+        for k in 0..=keys.iter().copied().max().unwrap_or(0) + 1 {
+            let hash = hash_words(k, []);
+            let a = one.find(hash, |id| one_keys[id as usize] == k);
+            assert_eq!(a, two.find(hash, |id| two_keys[id as usize] == k));
+            assert_eq!(
+                a,
+                one.find_or_vacant(hash, |id| one_keys[id as usize] == k)
+                    .ok()
+            );
+        }
+    }
+
+    #[test]
+    fn one_walk_interning_keeps_the_table_layout() {
+        // The first insert meets an empty table; 300 distinct keys cross
+        // the load bound six times; every key comes back once as a hit.
+        let keys: Vec<u32> = (0..300).chain((0..300).rev()).collect();
+        one_walk_matches_two(&keys);
+        // Every hash folded to two bits: long runs of equal stored hashes,
+        // where the keys decide.
+        let few: Vec<u32> = (0..60).chain((0..60).rev()).collect();
+        COLLIDE.with(|c| c.set(true));
+        one_walk_matches_two(&few);
+        COLLIDE.with(|c| c.set(false));
     }
 
     #[test]

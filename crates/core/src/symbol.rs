@@ -115,30 +115,32 @@ impl SymbolTable {
         Self::default()
     }
 
+    /// The table hash of `name` and the test of a stored id against it —
+    /// what every probe of the table needs.
     #[inline]
-    fn find(&self, name: &str) -> (u32, Option<Symbol>) {
-        let hash = hash_str(name);
-        let hit = self.table.find(hash, |id| self.get(id as usize) == name);
-        (hash, hit.map(Symbol))
+    fn key<'k>(&'k self, name: &'k str) -> (u32, impl FnMut(u32) -> bool + 'k) {
+        (hash_str(name), move |id: u32| self.get(id as usize) == name)
     }
 
     /// Interns `name`, returning its symbol (stable across repeated calls).
     pub fn intern(&mut self, name: &str) -> Symbol {
-        let (hash, hit) = self.find(name);
-        if let Some(sym) = hit {
-            return sym;
-        }
+        let (hash, is_key) = self.key(name);
+        let vacant = match self.table.find_or_vacant(hash, is_key) {
+            Ok(id) => return Symbol(id),
+            Err(vacant) => vacant,
+        };
         let id = crate::dense_u32(self.len(), "symbol table");
         self.bytes.push_str(name);
         self.off
             .push(crate::dense_u32(self.bytes.len(), "symbol byte pool"));
-        self.table.insert_new(hash, id);
+        self.table.insert_vacant(vacant, hash, id);
         Symbol(id)
     }
 
     /// Looks up an already-interned name without inserting.
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
-        self.find(name).1
+        let (hash, is_key) = self.key(name);
+        self.table.find(hash, is_key).map(Symbol)
     }
 
     #[inline]

@@ -172,27 +172,34 @@ impl TermStore {
     /// store.
     pub fn skolem_ref(&mut self, f: SkolemId, args: &[TermId]) -> TermId {
         let head = Self::head_word(f.0, SKOLEM_BIT);
-        let (hash, hit) = self.find_skolem(head, args);
-        if let Some(id) = hit {
-            return id;
-        }
+        let (hash, is_key) = self.skolem_key(head, args);
+        let vacant = match self.table.find_or_vacant(hash, is_key) {
+            Ok(id) => return TermId(id),
+            Err(vacant) => vacant,
+        };
         let depth = 1 + args
             .iter()
             .map(|a| self.depth[a.index()])
             .max()
             .unwrap_or(0);
         let id = self.push(head, args, depth);
-        self.table.insert_new(hash, id.0);
+        self.table.insert_vacant(vacant, hash, id.0);
         id
     }
 
+    /// The table hash of the Skolem term with head word `head` and the
+    /// test of a stored id against it — what every probe of the table
+    /// needs.
     #[inline]
-    fn find_skolem(&self, head: u32, args: &[TermId]) -> (u32, Option<TermId>) {
+    fn skolem_key<'k>(
+        &'k self,
+        head: u32,
+        args: &'k [TermId],
+    ) -> (u32, impl FnMut(u32) -> bool + 'k) {
         let hash = hash_words(head, args.iter().map(|t| t.raw()));
-        let hit = self.table.find(hash, |id| {
-            self.heads[id as usize] == head && self.args.row(id as usize) == args
-        });
-        (hash, hit.map(TermId))
+        let is_key =
+            move |id: u32| self.heads[id as usize] == head && self.args.row(id as usize) == args;
+        (hash, is_key)
     }
 
     /// Appends a term the caller has established is new.
@@ -212,7 +219,8 @@ impl TermStore {
 
     /// Looks up a Skolem term without interning it. Allocation-free.
     pub fn lookup_skolem(&self, f: SkolemId, args: &[TermId]) -> Option<TermId> {
-        self.find_skolem(f.0 | SKOLEM_BIT, args).1
+        let (hash, is_key) = self.skolem_key(f.0 | SKOLEM_BIT, args);
+        self.table.find(hash, is_key).map(TermId)
     }
 
     /// The structure of a term.

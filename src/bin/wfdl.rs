@@ -672,12 +672,10 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
         );
         let cs = model.model().segment.stats();
         outln!(
-            "% chase: {} rounds, {} frontier atoms, {} relaxations, \
-             match {:.1}ms, merge {:.1}ms",
+            "% chase: {} rounds, {} frontier atoms, {} relaxations, merge {:.1}ms",
             cs.rounds,
             cs.frontier_atoms,
             cs.relaxations,
-            cs.match_ns as f64 / 1e6,
             cs.merge_ns as f64 / 1e6
         );
         outln!("% truth: {t} true, {f} false, {u} unknown");

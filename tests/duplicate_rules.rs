@@ -2,8 +2,8 @@
 //! (and `to_ground_program_from` after a resume) must keep exactly the rules
 //! the hash-deduplicating `GroundProgramBuilder` keeps, in its order.
 //!
-//! The chase hands every instance to `GroundProgram::from_dense_parts`,
-//! which looks for repeats inside each head's row of the head index. Every
+//! The chase hands every instance to `GroundProgram::extension`, whose
+//! `finish` looks for repeats inside each head's row of the head index. Every
 //! case below asserts `instances > ground rules`, so that search is known to
 //! have found something.
 
