@@ -85,32 +85,12 @@ impl IdTable {
 
     /// The id stored under `hash` for which `eq` holds, if any.
     #[inline]
-    pub fn find(&self, hash: u32, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        if self.tags.is_empty() {
-            return None;
-        }
-        let mask = self.tags.len() - 1;
-        let tag = tag_of(hash);
-        let mut i = hash as usize & mask;
-        // Terminates: the load bound leaves at least one empty slot.
-        loop {
-            let t = self.tags[i];
-            if t == 0 {
-                return None;
-            }
-            if t == tag {
-                let (h, id) = self.slots[i];
-                if h == hash && eq(id) {
-                    return Some(id);
-                }
-            }
-            i = (i + 1) & mask;
-        }
+    pub fn find(&self, hash: u32, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        self.find_or_vacant(hash, eq).ok()
     }
 
-    /// [`IdTable::find`] for a caller that inserts on a miss: the id
-    /// stored under `hash` for which `eq` holds, or the empty slot that
-    /// ended the probe — where [`IdTable::insert_new`] would place the key,
+    /// The id stored under `hash` for which `eq` holds, or the empty slot
+    /// that ended the probe — where [`IdTable::insert_new`] would place the key,
     /// so [`IdTable::insert_vacant`] need not walk the probe again.
     #[inline]
     pub fn find_or_vacant(
