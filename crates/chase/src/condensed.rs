@@ -57,6 +57,10 @@
 //!   that reads one — saturation, grounding and the engine never do — and
 //!   [`ChaseSegment::to_ground_program`] hands the segment off as a
 //!   straight array translation — no per-atom hash lookups.
+//! * every array is a copy-on-write chunked array ([`ChunkVec`],
+//!   [`RowPool`]): a build appends to flat tails at a `Vec`'s speed, and a
+//!   resume starts from clones that share the segment's frozen chunks and
+//!   copies only the chunks it writes.
 
 use crate::budget::ChaseBudget;
 use crate::instance::{InstanceId, RuleInstance, SegAtomId};
@@ -66,7 +70,10 @@ use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
 use wfdl_core::budget::FaultSite;
-use wfdl_core::{AtomId, BitSet, SkolemProgram, SolveBudget, TermId, TruncationReason, Universe};
+use wfdl_core::{
+    AtomId, BitSet, ChunkVec, Footprint, RowPool, SkolemProgram, SolveBudget, TermId,
+    TruncationReason, Universe,
+};
 use wfdl_storage::{Database, GroundProgram, Room};
 
 /// Sentinel for "no entry" in the flat index arrays.
@@ -119,29 +126,30 @@ pub struct SegmentAtom {
 /// [`ChaseSegment::atoms`]); rule instances by dense [`InstanceId`]s. All
 /// per-instance and per-atom indexes are flat CSR arrays — see the module
 /// docs for the layout.
+///
+/// Every array is a copy-on-write [`ChunkVec`] or [`RowPool`], frozen when
+/// the build finishes: a resume starts from clones that share every chunk
+/// with this segment and copies only the chunks it writes.
 #[derive(Clone, Debug)]
 pub struct ChaseSegment {
-    atoms: Vec<SegmentAtom>,
+    atoms: ChunkVec<SegmentAtom>,
     /// `seg_of[AtomId::index()]` = the atom's [`SegAtomId`] (or `NONE`).
-    seg_of: Vec<u32>,
+    seg_of: ChunkVec<u32>,
     /// Fact atoms as segment ids, in database insertion order. Fresh
     /// builds place them first (`0..num_facts()`); resumed builds append
     /// delta facts wherever discovery put them.
-    fact_seg: Vec<SegAtomId>,
+    fact_seg: ChunkVec<SegAtomId>,
     /// Originating rule per instance.
-    inst_src_rule: Vec<u32>,
+    inst_src_rule: ChunkVec<u32>,
     /// Guard atom per instance.
-    inst_guard: Vec<SegAtomId>,
+    inst_guard: ChunkVec<SegAtomId>,
     /// Head atom per instance (always a segment atom).
-    inst_head: Vec<SegAtomId>,
-    /// Positive bodies (guard included, rule order), pooled; CSR over
-    /// instances.
-    pos_off: Vec<u32>,
-    pos_seg: Vec<SegAtomId>,
-    /// Negative bodies (rule order), pooled; CSR over instances. Kept as
+    inst_head: ChunkVec<SegAtomId>,
+    /// Positive bodies (guard included, rule order), one row per instance.
+    pos: RowPool<SegAtomId>,
+    /// Negative bodies (rule order), one row per instance. Kept as
     /// universe ids because hypotheses need not occur in the segment.
-    neg_off: Vec<u32>,
-    neg_atoms: Vec<AtomId>,
+    neg: RowPool<AtomId>,
     /// The occurrence indexes, counted from the instance arrays above by
     /// the first accessor that reads one (no solve does; see
     /// [`Occurrences`]).
@@ -210,20 +218,20 @@ struct Occurrences {
 /// truncation reason.
 #[derive(Clone, Debug)]
 struct ResumeState {
-    expanded: Vec<bool>,
+    expanded: ChunkVec<bool>,
     /// Segment ids of the facts (`fact_seg` as a set).
     fact_set: BitSet,
     /// Atoms the depth budget keeps from expanding (see
     /// `Builder::depth_blocked`): carried so a resume re-counts only the
     /// atoms it added or relaxed.
     depth_blocked: usize,
-    pending: Vec<Pending>,
-    pend_pos: Vec<AtomId>,
-    pend_neg: Vec<AtomId>,
-    watch_head: Vec<u32>,
-    watch_tail: Vec<u32>,
-    watch_next: Vec<u32>,
-    watch_pend: Vec<u32>,
+    pending: ChunkVec<Pending>,
+    pend_pos: RowPool<AtomId>,
+    pend_neg: RowPool<AtomId>,
+    watch_head: ChunkVec<u32>,
+    watch_tail: ChunkVec<u32>,
+    watch_next: ChunkVec<u32>,
+    watch_pend: ChunkVec<u32>,
     expand_queue: Vec<u32>,
     truncation: Option<TruncationReason>,
 }
@@ -303,11 +311,12 @@ impl ChaseSegment {
         b.run(db)
     }
 
-    /// All segment atoms with metadata, in discovery order. Facts are the
-    /// first entries for fresh builds; resumed builds interleave delta
-    /// facts, so iterate [`ChaseSegment::fact_segs`] to find them.
+    /// All segment atoms with metadata, in discovery order (indexed by
+    /// [`SegAtomId`]). Facts are the first entries for fresh builds;
+    /// resumed builds interleave delta facts, so iterate
+    /// [`ChaseSegment::fact_segs`] to find them.
     #[inline]
-    pub fn atoms(&self) -> &[SegmentAtom] {
+    pub fn atoms(&self) -> &ChunkVec<SegmentAtom> {
         &self.atoms
     }
 
@@ -319,7 +328,7 @@ impl ChaseSegment {
 
     /// The database facts as segment ids, in database insertion order.
     #[inline]
-    pub fn fact_segs(&self) -> &[SegAtomId] {
+    pub fn fact_segs(&self) -> &ChunkVec<SegAtomId> {
         &self.fact_seg
     }
 
@@ -361,7 +370,8 @@ impl ChaseSegment {
     /// [`ChaseSegment::build`] over the grown database would — the same
     /// atoms, instances, minimal depths and minimal levels — while doing
     /// saturation work proportional to the *new* derivations only (the
-    /// inherited arrays are copied, nothing is recounted). A fact that
+    /// inherited arrays are shared chunk by chunk and copied only where the
+    /// resume writes, nothing is recounted). A fact that
     /// was previously derived at positive depth is relaxed to depth and
     /// level 0 and the improvement propagated to its consequences — the
     /// one case in which a resume reads this segment's occurrence rows.
@@ -481,8 +491,7 @@ impl ChaseSegment {
     /// is total.
     #[inline]
     pub fn pos_seg(&self, id: InstanceId) -> &[SegAtomId] {
-        let i = id.index();
-        &self.pos_seg[self.pos_off[i] as usize..self.pos_off[i + 1] as usize]
+        self.pos.row(id.index())
     }
 
     /// Number of **distinct** atoms in an instance's positive body.
@@ -495,8 +504,7 @@ impl ChaseSegment {
     /// hypotheses may lie outside the segment.
     #[inline]
     pub fn neg_atoms(&self, id: InstanceId) -> &[AtomId] {
-        let i = id.index();
-        &self.neg_atoms[self.neg_off[i] as usize..self.neg_off[i + 1] as usize]
+        self.neg.row(id.index())
     }
 
     /// Materializes an instance as an owned [`RuleInstance`] (allocates two
@@ -530,6 +538,33 @@ impl ChaseSegment {
         self.occurrences().body.row(id)
     }
 
+    /// The heap bytes of the segment's chunked arrays: all it holds, and
+    /// the part no other segment holds — for a resumed segment, what the
+    /// resume copied or added.
+    pub fn footprint(&self) -> Footprint {
+        let r = &self.resume;
+        [
+            self.atoms.footprint(),
+            self.seg_of.footprint(),
+            self.fact_seg.footprint(),
+            self.inst_src_rule.footprint(),
+            self.inst_guard.footprint(),
+            self.inst_head.footprint(),
+            self.pos.footprint(),
+            self.neg.footprint(),
+            r.expanded.footprint(),
+            r.pending.footprint(),
+            r.pend_pos.footprint(),
+            r.pend_neg.footprint(),
+            r.watch_head.footprint(),
+            r.watch_tail.footprint(),
+            r.watch_next.footprint(),
+            r.watch_pend.footprint(),
+        ]
+        .into_iter()
+        .sum()
+    }
+
     /// The occurrence indexes, counted on the first call.
     fn occurrences(&self) -> &Occurrences {
         self.occurrences.get_or_init(|| self.count_occurrences())
@@ -539,11 +574,9 @@ impl ChaseSegment {
     /// atom of every instance (bodies are short; a linear prior-occurrence
     /// scan beats any set).
     fn for_each_body_atom(&self, mut f: impl FnMut(usize, SegAtomId)) {
-        for i in 0..self.num_instances() {
-            let span = self.pos_off[i] as usize..self.pos_off[i + 1] as usize;
-            for k in span.clone() {
-                let s = self.pos_seg[k];
-                if !self.pos_seg[span.start..k].contains(&s) {
+        for (i, row) in self.pos.rows().enumerate() {
+            for (k, &s) in row.iter().enumerate() {
+                if !row[..k].contains(&s) {
                     f(i, s);
                 }
             }
@@ -668,33 +701,33 @@ impl ChaseSegment {
     ) -> GroundProgram {
         let (num_inst, first_fact) = (self.num_instances(), prev.facts().len());
         debug_assert!(first_inst <= num_inst && first_fact <= self.fact_seg.len());
-        let (facts, instances) = (&self.fact_seg[first_fact..], first_inst..num_inst);
+        let instances = (first_inst..num_inst).map(InstanceId::from_index);
 
         // Positive bodies hold segment atoms only: the new segment atoms
         // and the new instances' hypotheses cover every atom `prev` lacks.
         let mut fresh = BitSet::with_capacity(self.seg_of.len());
-        for sa in &self.atoms[first_atom..] {
+        for sa in self.atoms.iter_from(first_atom) {
             fresh.insert(sa.atom.index());
         }
-        for &a in &self.neg_atoms[self.neg_off[first_inst] as usize..] {
-            fresh.insert(a.index());
+        for i in instances.clone() {
+            for &a in self.neg_atoms(i) {
+                fresh.insert(a.index());
+            }
         }
-        let mut new_atoms = Vec::with_capacity(fresh.len());
-        new_atoms.extend((fresh.iter().map(AtomId::from_index)).filter(|&a| !prev.mentions(a)));
-        debug_assert!((self.atoms.iter())
-            .all(|sa| prev.mentions(sa.atom) || new_atoms.binary_search(&sa.atom).is_ok()));
-
+        let new_atoms = (fresh.iter().map(AtomId::from_index)).filter(|&a| !prev.mentions(a));
         let room = Room {
-            facts: facts.len(),
-            rules: instances.len(),
-            pos: (self.pos_off[num_inst] - self.pos_off[first_inst]) as usize,
-            neg: (self.neg_off[num_inst] - self.neg_off[first_inst]) as usize,
+            atoms: fresh.len(),
+            atom_ids: self.seg_of.len(),
+            facts: self.fact_seg.len() - first_fact,
+            rules: num_inst - first_inst,
+            pos: self.pos.num_elements_from(first_inst),
+            neg: self.neg.num_elements_from(first_inst),
         };
         let mut ground = prev.extension(new_atoms, room);
-        for &f in facts {
+        for &f in self.fact_seg.iter_from(first_fact) {
             ground.push_fact(self.atom_of(f));
         }
-        for i in instances.map(InstanceId::from_index) {
+        for i in instances {
             let pos = self.pos_seg(i).iter().map(|&s| self.atom_of(s));
             ground.push_candidate(self.head_atom(i), pos, self.neg_atoms(i).iter().copied());
         }
@@ -702,35 +735,13 @@ impl ChaseSegment {
     }
 }
 
-/// The least room a resume leaves in an inherited array for the delta.
-const RESUME_HEADROOM: usize = 64;
-
-/// The capacity a resume gives an inherited array of `len` entries: an
-/// eighth more, and at least [`RESUME_HEADROOM`] more — enough that a small
-/// delta's appends never move the array.
-fn with_headroom(len: usize) -> usize {
-    len + len / 8 + RESUME_HEADROOM
-}
-
-/// A resumed builder's copy of an inherited array: one allocation with
-/// headroom for the delta, one straight copy.
-fn inherit<T: Copy>(old: &[T]) -> Vec<T> {
-    let mut copy = Vec::with_capacity(with_headroom(old.len()));
-    copy.extend_from_slice(old);
-    copy
-}
-
-/// An instance parked until its side atoms appear, with its body spans in
-/// the pending arenas.
+/// An instance parked until its side atoms appear; its bodies are the
+/// rows of the same index in the pending row pools.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
     src_rule: u32,
     guard: u32,
     head: AtomId,
-    pos_off: u32,
-    pos_len: u32,
-    neg_off: u32,
-    neg_len: u32,
     missing: u32,
 }
 
@@ -784,37 +795,35 @@ struct Builder<'a> {
     old: Option<&'a ChaseSegment>,
 
     // --- final segment state, built in place ---
-    atoms: Vec<SegmentAtom>,
-    seg_of: Vec<u32>,
-    fact_seg: Vec<SegAtomId>,
+    atoms: ChunkVec<SegmentAtom>,
+    seg_of: ChunkVec<u32>,
+    fact_seg: ChunkVec<SegAtomId>,
     fact_set: BitSet,
-    inst_src_rule: Vec<u32>,
-    inst_guard: Vec<SegAtomId>,
-    inst_head: Vec<SegAtomId>,
-    pos_off: Vec<u32>,
-    pos_seg: Vec<SegAtomId>,
-    neg_off: Vec<u32>,
-    neg_atoms: Vec<AtomId>,
+    inst_src_rule: ChunkVec<u32>,
+    inst_guard: ChunkVec<SegAtomId>,
+    inst_head: ChunkVec<SegAtomId>,
+    pos: RowPool<SegAtomId>,
+    neg: RowPool<AtomId>,
 
     /// One bit per segment atom: its (predicate's) rules were instantiated.
     /// Replaces a hash set of `(rule, atom)` pairs — expansion attempts
     /// every rule of the guard predicate in one sweep, so pair granularity
     /// is never needed.
-    expanded: Vec<bool>,
+    expanded: ChunkVec<bool>,
     /// The relaxation index over this run's instances. `None` until the
     /// first [`Builder::relax`] — most builds never relax — which seeds it
     /// from `pos_seg`; from then on `fire` appends to it.
     body_lists: Option<BodyLists>,
     /// Intrusive watch lists per **universe** atom id (missing side atoms
     /// are not yet segment atoms), same entry-pool shape.
-    watch_head: Vec<u32>,
-    watch_tail: Vec<u32>,
-    watch_next: Vec<u32>,
-    watch_pend: Vec<u32>,
-    /// Parked instances plus the arenas their body spans point into.
-    pending: Vec<Pending>,
-    pend_pos: Vec<AtomId>,
-    pend_neg: Vec<AtomId>,
+    watch_head: ChunkVec<u32>,
+    watch_tail: ChunkVec<u32>,
+    watch_next: ChunkVec<u32>,
+    watch_pend: ChunkVec<u32>,
+    /// Parked instances and their bodies, one row each.
+    pending: ChunkVec<Pending>,
+    pend_pos: RowPool<AtomId>,
+    pend_neg: RowPool<AtomId>,
 
     expand_queue: VecDeque<u32>,
     relax_queue: VecDeque<u32>,
@@ -870,26 +879,24 @@ impl<'a> Builder<'a> {
             plans,
             restrict: None,
             old: None,
-            atoms: Vec::new(),
-            seg_of: Vec::new(),
-            fact_seg: Vec::new(),
+            atoms: ChunkVec::new(),
+            seg_of: ChunkVec::new(),
+            fact_seg: ChunkVec::new(),
             fact_set: BitSet::new(),
-            inst_src_rule: Vec::new(),
-            inst_guard: Vec::new(),
-            inst_head: Vec::new(),
-            pos_off: vec![0],
-            pos_seg: Vec::new(),
-            neg_off: vec![0],
-            neg_atoms: Vec::new(),
-            expanded: Vec::new(),
+            inst_src_rule: ChunkVec::new(),
+            inst_guard: ChunkVec::new(),
+            inst_head: ChunkVec::new(),
+            pos: RowPool::new(),
+            neg: RowPool::new(),
+            expanded: ChunkVec::new(),
             body_lists: None,
-            watch_head: Vec::new(),
-            watch_tail: Vec::new(),
-            watch_next: Vec::new(),
-            watch_pend: Vec::new(),
-            pending: Vec::new(),
-            pend_pos: Vec::new(),
-            pend_neg: Vec::new(),
+            watch_head: ChunkVec::new(),
+            watch_tail: ChunkVec::new(),
+            watch_next: ChunkVec::new(),
+            watch_pend: ChunkVec::new(),
+            pending: ChunkVec::new(),
+            pend_pos: RowPool::new(),
+            pend_neg: RowPool::new(),
             expand_queue: VecDeque::new(),
             relax_queue: VecDeque::new(),
             relaxed: Vec::new(),
@@ -910,7 +917,8 @@ impl<'a> Builder<'a> {
 
     /// Seeds a builder with the full state of an already-saturated
     /// segment, so saturation can continue from its frontier. Each array is
-    /// copied once, with room for what the delta adds ([`inherit`]).
+    /// a clone that shares every chunk with `old`: the resume copies the
+    /// chunks it writes, nothing else.
     fn from_segment(
         universe: &'a mut Universe,
         program: &'a SkolemProgram,
@@ -918,26 +926,24 @@ impl<'a> Builder<'a> {
         solve: SolveBudget,
     ) -> Self {
         let mut b = Builder::new(universe, program, old.budget, solve);
-        b.atoms = inherit(&old.atoms);
-        b.seg_of = inherit(&old.seg_of);
-        b.fact_seg = inherit(&old.fact_seg);
-        b.inst_src_rule = inherit(&old.inst_src_rule);
-        b.inst_guard = inherit(&old.inst_guard);
-        b.inst_head = inherit(&old.inst_head);
-        b.pos_off = inherit(&old.pos_off);
-        b.pos_seg = inherit(&old.pos_seg);
-        b.neg_off = inherit(&old.neg_off);
-        b.neg_atoms = inherit(&old.neg_atoms);
+        b.atoms = old.atoms.clone();
+        b.seg_of = old.seg_of.clone();
+        b.fact_seg = old.fact_seg.clone();
+        b.inst_src_rule = old.inst_src_rule.clone();
+        b.inst_guard = old.inst_guard.clone();
+        b.inst_head = old.inst_head.clone();
+        b.pos = old.pos.clone();
+        b.neg = old.neg.clone();
         let r = &old.resume;
-        b.fact_set = (r.fact_set).copy_with_capacity(with_headroom(old.atoms.len()));
-        b.expanded = inherit(&r.expanded);
-        b.pending = inherit(&r.pending);
-        b.pend_pos = inherit(&r.pend_pos);
-        b.pend_neg = inherit(&r.pend_neg);
-        b.watch_head = inherit(&r.watch_head);
-        b.watch_tail = inherit(&r.watch_tail);
-        b.watch_next = inherit(&r.watch_next);
-        b.watch_pend = inherit(&r.watch_pend);
+        b.fact_set = r.fact_set.clone();
+        b.expanded = r.expanded.clone();
+        b.pending = r.pending.clone();
+        b.pend_pos = r.pend_pos.clone();
+        b.pend_neg = r.pend_neg.clone();
+        b.watch_head = r.watch_head.clone();
+        b.watch_tail = r.watch_tail.clone();
+        b.watch_next = r.watch_next.clone();
+        b.watch_pend = r.watch_pend.clone();
         // Uncollected expansion work from a budget-tripped build: restoring
         // the queue makes the resume continue exactly where the tripped run
         // stopped. A cleanly quiesced build always leaves it empty.
@@ -978,7 +984,7 @@ impl<'a> Builder<'a> {
     }
 
     fn run(mut self, db: &Database) -> ChaseSegment {
-        self.seg_of = vec![NONE; self.universe.atoms.len()];
+        self.seg_of = ChunkVec::from_elem(NONE, self.universe.atoms.len());
         for &fact in db.facts() {
             if let Some(mask) = self.restrict {
                 let pred = self.universe.atoms.pred(fact);
@@ -1148,38 +1154,38 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// The builder's pool footprint in bytes — the capacity of every array
-    /// that grows with the segment, O(1) in the segment's size. This is
-    /// what the memory budget is accounted against.
+    /// The builder's pool footprint in bytes — every chunk and the
+    /// capacity of every array that grows with the segment, shared with
+    /// the segment being resumed or not, O(chunks). This is what the
+    /// memory budget is accounted against: a resume is charged for the
+    /// model it extends.
     fn mem_bytes(&self) -> usize {
         use std::mem::size_of;
         let lists = self.body_lists.as_ref().map_or(0, |l| {
             l.head.capacity() + l.tail.capacity() + l.next.capacity() + l.inst.capacity()
         });
-        let u32s = self.seg_of.capacity()
-            + self.fact_seg.capacity()
-            + self.inst_src_rule.capacity()
-            + self.inst_guard.capacity()
-            + self.inst_head.capacity()
-            + self.pos_off.capacity()
-            + self.pos_seg.capacity()
-            + self.neg_off.capacity()
-            + self.neg_atoms.capacity()
-            + self.pend_pos.capacity()
-            + self.pend_neg.capacity()
-            + self.watch_head.capacity()
-            + self.watch_tail.capacity()
-            + self.watch_next.capacity()
-            + self.watch_pend.capacity()
-            + lists
+        let u32s = lists
             + self.expand_queue.capacity()
             + self.relax_queue.capacity()
             + self.relaxed.capacity()
             + self.frontier.capacity();
-        self.atoms.capacity() * size_of::<SegmentAtom>()
-            + self.pending.capacity() * size_of::<Pending>()
+        self.atoms.heap_bytes()
+            + self.seg_of.heap_bytes()
+            + self.fact_seg.heap_bytes()
+            + self.inst_src_rule.heap_bytes()
+            + self.inst_guard.heap_bytes()
+            + self.inst_head.heap_bytes()
+            + self.pos.heap_bytes()
+            + self.neg.heap_bytes()
+            + self.expanded.heap_bytes()
+            + self.pending.heap_bytes()
+            + self.pend_pos.heap_bytes()
+            + self.pend_neg.heap_bytes()
+            + self.watch_head.heap_bytes()
+            + self.watch_tail.heap_bytes()
+            + self.watch_next.heap_bytes()
+            + self.watch_pend.heap_bytes()
             + u32s * size_of::<u32>()
-            + self.expanded.capacity()
             + self.fact_set.heap_bytes()
     }
 
@@ -1267,26 +1273,11 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Assembles the segment. A fresh build releases what its doubling
-    /// pools over-allocated; a resume keeps its arrays as they are — they
-    /// were copied with a bounded headroom, and shrinking would copy them
-    /// again.
+    /// Assembles the segment.
     fn finish(mut self) -> ChaseSegment {
         let pending_at_end = self.pending.iter().filter(|p| p.missing > 0).count();
         let depth_blocked = self.depth_blocked();
         let complete = self.truncation.is_none() && depth_blocked == 0;
-        if self.old.is_none() {
-            self.atoms.shrink_to_fit();
-            self.seg_of.shrink_to_fit();
-            self.inst_src_rule.shrink_to_fit();
-            self.inst_guard.shrink_to_fit();
-            self.inst_head.shrink_to_fit();
-            self.pos_off.shrink_to_fit();
-            self.pos_seg.shrink_to_fit();
-            self.neg_off.shrink_to_fit();
-            self.neg_atoms.shrink_to_fit();
-        }
-
         ChaseSegment {
             atoms: self.atoms,
             seg_of: self.seg_of,
@@ -1294,10 +1285,8 @@ impl<'a> Builder<'a> {
             inst_src_rule: self.inst_src_rule,
             inst_guard: self.inst_guard,
             inst_head: self.inst_head,
-            pos_off: self.pos_off,
-            pos_seg: self.pos_seg,
-            neg_off: self.neg_off,
-            neg_atoms: self.neg_atoms,
+            pos: self.pos,
+            neg: self.neg,
             occurrences: OnceLock::new(),
             complete,
             pending_at_end,
@@ -1432,19 +1421,14 @@ impl<'a> Builder<'a> {
         self.scratch_missing.sort_unstable();
         self.scratch_missing.dedup();
         let pidx = self.pending.len() as u32;
-        let pend = Pending {
+        self.pending.push(Pending {
             src_rule: ri,
             guard: ai,
             head,
-            pos_off: self.pend_pos.len() as u32,
-            pos_len: self.scratch_pos.len() as u32,
-            neg_off: self.pend_neg.len() as u32,
-            neg_len: self.scratch_neg.len() as u32,
             missing: self.scratch_missing.len() as u32,
-        };
-        self.pend_pos.extend_from_slice(&self.scratch_pos);
-        self.pend_neg.extend_from_slice(&self.scratch_neg);
-        self.pending.push(pend);
+        });
+        self.pend_pos.push(self.scratch_pos.iter().copied());
+        self.pend_neg.push(self.scratch_neg.iter().copied());
         for i in 0..self.scratch_missing.len() {
             let m = self.scratch_missing[i];
             self.watch_push(m.index(), pidx);
@@ -1457,13 +1441,11 @@ impl<'a> Builder<'a> {
     fn fire_pending(&mut self, p: usize) {
         let pd = self.pending[p];
         self.scratch_seg.clear();
-        for &a in &self.pend_pos[pd.pos_off as usize..(pd.pos_off + pd.pos_len) as usize] {
+        for &a in self.pend_pos.row(p) {
             self.scratch_seg.push(self.seg_of[a.index()]);
         }
         self.scratch_neg.clear();
-        self.scratch_neg.extend_from_slice(
-            &self.pend_neg[pd.neg_off as usize..(pd.neg_off + pd.neg_len) as usize],
-        );
+        self.scratch_neg.extend_from_slice(self.pend_neg.row(p));
         self.fire(pd.src_rule, pd.guard, pd.head);
     }
 
@@ -1494,16 +1476,17 @@ impl<'a> Builder<'a> {
         for &s in &self.scratch_seg {
             debug_assert_ne!(s, NONE, "fired instance has a missing body atom");
             child_level = child_level.max(self.atoms[s as usize].level);
-            let s = SegAtomId::from_index(s as usize);
-            self.pos_seg.push(s);
             if let Some(lists) = &mut self.body_lists {
-                lists.link(s, iid);
+                lists.link(SegAtomId::from_index(s as usize), iid);
             }
         }
         let child_level = child_level + 1;
-        self.pos_off.push(self.pos_seg.len() as u32);
-        self.neg_atoms.extend_from_slice(&self.scratch_neg);
-        self.neg_off.push(self.neg_atoms.len() as u32);
+        (self.pos).push(
+            self.scratch_seg
+                .iter()
+                .map(|&s| SegAtomId::from_index(s as usize)),
+        );
+        self.neg.push(self.scratch_neg.iter().copied());
 
         match head_seg {
             None => self.add_atom(head, child_depth, child_level),
@@ -1530,8 +1513,8 @@ impl<'a> Builder<'a> {
             inst: Vec::new(),
         };
         for i in self.old.map_or(0, |o| o.num_instances())..self.inst_src_rule.len() {
-            for k in self.pos_off[i] as usize..self.pos_off[i + 1] as usize {
-                lists.link(self.pos_seg[k], i as u32);
+            for &s in self.pos.row(i) {
+                lists.link(s, i as u32);
             }
         }
         lists
@@ -1580,8 +1563,8 @@ impl<'a> Builder<'a> {
     fn relax_instance(&mut self, iid: usize) {
         let child_depth = self.atoms[self.inst_guard[iid].index()].depth + 1;
         let mut child_level = 0u32;
-        for k in self.pos_off[iid] as usize..self.pos_off[iid + 1] as usize {
-            child_level = child_level.max(self.atoms[self.pos_seg[k].index()].level);
+        for &s in self.pos.row(iid) {
+            child_level = child_level.max(self.atoms[s.index()].level);
         }
         let child_level = child_level + 1;
         let hi = self.inst_head[iid].index();
@@ -2148,7 +2131,10 @@ mod tests {
                     assert_ground_programs_identical(&scratch, &extended);
                 }
                 assert!(extended.num_rules() > ground.num_rules());
-                assert_eq!(extended.atoms()[..ground.num_atoms()], *ground.atoms());
+                assert_eq!(
+                    extended.atoms().to_vec()[..ground.num_atoms()],
+                    ground.atoms().to_vec()
+                );
                 ground = extended;
             }
         }
@@ -2159,7 +2145,7 @@ mod tests {
     fn assert_same_ground_program(scratch: &GroundProgram, extended: &GroundProgram) {
         let mut atoms = extended.atoms().to_vec();
         atoms.sort_unstable();
-        assert_eq!(scratch.atoms(), atoms);
+        assert_eq!(*scratch.atoms(), atoms);
         assert_eq!(scratch.facts(), extended.facts());
         assert_eq!(scratch.num_rules(), extended.num_rules());
         assert!(scratch.rules().eq(extended.rules()));
@@ -2556,20 +2542,25 @@ mod tests {
         assert!(b.stats.relaxations > 0);
         assert!(!b.pending.is_empty());
         let lists = b.body_lists.as_ref().expect("seeded by the relaxation");
-        let by_hand = b.atoms.capacity() * size_of::<SegmentAtom>()
-            + b.seg_of.capacity() * 4
-            + b.fact_seg.capacity() * 4
+        let by_hand = b.atoms.heap_bytes()
+            + b.seg_of.heap_bytes()
+            + b.fact_seg.heap_bytes()
             + b.fact_set.heap_bytes()
-            + (b.inst_src_rule.capacity() + b.inst_guard.capacity() + b.inst_head.capacity()) * 4
-            + (b.pos_off.capacity() + b.pos_seg.capacity()) * 4
-            + (b.neg_off.capacity() + b.neg_atoms.capacity()) * 4
-            + b.expanded.capacity()
+            + b.inst_src_rule.heap_bytes()
+            + b.inst_guard.heap_bytes()
+            + b.inst_head.heap_bytes()
+            + b.pos.heap_bytes()
+            + b.neg.heap_bytes()
+            + b.expanded.heap_bytes()
             + (lists.head.capacity() + lists.tail.capacity()) * 4
             + (lists.next.capacity() + lists.inst.capacity()) * 4
-            + (b.watch_head.capacity() + b.watch_tail.capacity()) * 4
-            + (b.watch_next.capacity() + b.watch_pend.capacity()) * 4
-            + b.pending.capacity() * size_of::<Pending>()
-            + (b.pend_pos.capacity() + b.pend_neg.capacity()) * 4
+            + b.watch_head.heap_bytes()
+            + b.watch_tail.heap_bytes()
+            + b.watch_next.heap_bytes()
+            + b.watch_pend.heap_bytes()
+            + b.pending.heap_bytes()
+            + b.pend_pos.heap_bytes()
+            + b.pend_neg.heap_bytes()
             + (b.expand_queue.capacity() + b.relax_queue.capacity()) * 4
             + b.relaxed.capacity() * 4
             + b.frontier.capacity() * 4;

@@ -4,6 +4,7 @@
 //! identifies a ground atom by its `AtomId`, so set membership, truth values
 //! and indexes are all flat arrays.
 
+use crate::chunked::{ChunkVec, Footprint};
 use crate::idtable::{hash_words, IdTable};
 use crate::schema::PredId;
 use crate::term::{ArgPool, TermId};
@@ -45,12 +46,13 @@ pub struct AtomNode<'a> {
 
 /// Hash-consing store for ground atoms.
 ///
-/// Layout: one predicate and one argument row per atom, in flat pools, and
-/// an id table over them — interning allocates nothing per atom, a clone is
-/// four `memcpy`s.
+/// Layout: one predicate and one argument row per atom, in copy-on-write
+/// chunked pools, and a flat id table over them — interning allocates
+/// nothing per atom, and a clone copies the table and shares the pools'
+/// full chunks.
 #[derive(Clone, Debug, Default)]
 pub struct AtomStore {
-    preds: Vec<PredId>,
+    preds: ChunkVec<PredId>,
     args: ArgPool,
     table: IdTable,
 }
@@ -149,11 +151,14 @@ impl AtomStore {
         (0..self.preds.len() as u32).map(AtomId)
     }
 
-    /// Heap bytes held by the store: O(1), a sum of capacities.
+    /// The heap bytes of the store's chunked pools (its table aside).
+    pub fn footprint(&self) -> Footprint {
+        self.preds.footprint() + self.args.footprint()
+    }
+
+    /// Heap bytes held by the store: O(chunks), a sum of capacities.
     pub fn heap_bytes(&self) -> usize {
-        self.preds.capacity() * std::mem::size_of::<PredId>()
-            + self.args.heap_bytes()
-            + self.table.heap_bytes()
+        self.preds.heap_bytes() + self.args.heap_bytes() + self.table.heap_bytes()
     }
 }
 

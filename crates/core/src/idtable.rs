@@ -1,7 +1,8 @@
 //! The open-addressing id table behind every interning store.
 //!
-//! A store keeps its keys in flat pools of its own (argument pools, a byte
-//! pool) and assigns dense ids in allocation order; this table only maps a
+//! A store keeps its keys in pools of its own (argument pools, a byte pool,
+//! all copy-on-write chunked arrays) and assigns dense ids in allocation
+//! order; this table only maps a
 //! key's *hash* to candidate ids. A slot is a tag byte and `(hash, id)` —
 //! no pointer — so cloning a table is two `memcpy`s, dropping it two
 //! `free`s, and growing it re-places entries from the stored hashes without

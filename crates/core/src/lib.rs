@@ -24,6 +24,7 @@
 pub mod atom;
 pub mod bitset;
 pub mod budget;
+pub mod chunked;
 pub mod csr;
 pub mod error;
 pub mod factbatch;
@@ -48,6 +49,7 @@ pub mod universe;
 pub use atom::{AtomId, AtomNode, AtomStore};
 pub use bitset::BitSet;
 pub use budget::{CancelToken, SolveBudget, SolveOutcome, TruncationReason};
+pub use chunked::{ChunkVec, Footprint, RowPool};
 pub use error::{CoreError, Result};
 pub use factbatch::{FactBatch, RelationWriter};
 pub use fxhash::{FxHashMap, FxHashSet};

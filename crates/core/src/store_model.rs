@@ -5,6 +5,10 @@
 //! layout: one dense, allocation-ordered id per distinct key; lookups that
 //! never intern; and a `clone()` that is a true fork — both sides keep
 //! answering the shared prefix and neither sees the other's additions.
+//! The pools are copy-on-write chunked arrays, so a growth step interns
+//! long fresh names and long argument rows until the name and argument
+//! pools span several chunks before the fork: both sides then write into
+//! chunks they share.
 //!
 //! Everything runs twice: with the real hash, and with every hash folded
 //! to two bits ([`crate::idtable::COLLIDE`]). A slot stores 32 hash bits
@@ -46,6 +50,8 @@ struct Model {
     term_depth: Vec<u32>,
     atom_keys: Vec<AtomKey>,
     atom_ids: HashMap<AtomKey, usize>,
+    /// Fresh names interned by growth steps so far.
+    fresh: usize,
 }
 
 /// One step: an operation selector and three small numbers the step reads
@@ -82,6 +88,7 @@ impl Model {
             term_depth: Vec::new(),
             atom_keys: Vec::new(),
             atom_ids: HashMap::new(),
+            fresh: 0,
         };
         // Declarations intern their names: mirror them, in order. The
         // declared arities are never consulted — the steps drive the stores
@@ -143,7 +150,7 @@ impl Model {
         Ok(expected)
     }
 
-    fn intern_term(&mut self, key: TermKey) -> Result<(), TestCaseError> {
+    fn intern_term(&mut self, key: TermKey) -> Result<usize, TestCaseError> {
         let id = match &key {
             TermKey::Const(s) => self.u.terms.constant(self.syms[*s]),
             TermKey::Skolem(f, args) => self
@@ -168,7 +175,7 @@ impl Model {
         };
         prop_assert_eq!(id.index(), expected, "term {:?}", key);
         prop_assert_eq!(self.u.terms.len(), self.term_keys.len());
-        Ok(())
+        Ok(expected)
     }
 
     fn lookup_term(&self, key: &TermKey) -> Option<usize> {
@@ -208,8 +215,36 @@ impl Model {
             .map(AtomId::index)
     }
 
+    /// Interns four long fresh names, each as a constant and as the last
+    /// argument of an atom over predicate `pred` with a long argument row:
+    /// what carries the name and argument pools across chunk boundaries
+    /// while the tables stay small enough for colliding hashes.
+    fn grow(&mut self, pred: usize) -> Result<(), TestCaseError> {
+        for _ in 0..4 {
+            let name = format!("n{}{}", self.fresh, "x".repeat(self.fresh % 300));
+            self.fresh += 1;
+            let sym = self.intern_symbol(&name)?;
+            let term = self.intern_term(TermKey::Const(sym))?;
+            let args = (term.saturating_sub(63)..=term).collect();
+            self.intern_atom((pred, args))?;
+        }
+        Ok(())
+    }
+
+    /// Bytes in the name pool and entries in the argument pools of the
+    /// reference.
+    fn pool_sizes(&self) -> (usize, usize) {
+        let names = self.sym_names.iter().map(String::len).sum();
+        let term_args = self.term_keys.iter().map(|k| match k {
+            TermKey::Const(_) => 0,
+            TermKey::Skolem(_, args) => args.len(),
+        });
+        let atom_args = self.atom_keys.iter().map(|k| k.1.len());
+        (names, term_args.sum::<usize>() + atom_args.sum::<usize>())
+    }
+
     fn apply(&mut self, (op, a, b, c): Step) -> Result<(), TestCaseError> {
-        match op % 10 {
+        match op % 11 {
             0 | 1 => {
                 self.intern_symbol(&name_of(a, b))?;
             }
@@ -226,7 +261,9 @@ impl Model {
                 let sym = self.intern_symbol(&name_of(a, b))?;
                 self.intern_term(TermKey::Const(sym))?;
             }
-            4 | 5 => self.intern_term(TermKey::Skolem(c % 3, self.args_of(a, b)))?,
+            4 | 5 => {
+                self.intern_term(TermKey::Skolem(c % 3, self.args_of(a, b)))?;
+            }
             6 => {
                 let key = TermKey::Skolem(c % 3, self.args_of(a, b));
                 let before = self.u.terms.len();
@@ -234,6 +271,7 @@ impl Model {
                 prop_assert_eq!(self.u.terms.len(), before, "lookup interned");
             }
             7 | 8 => self.intern_atom((c % 4, self.args_of(a, b)))?,
+            9 => self.grow(c % 4)?,
             _ => {
                 let key = (c % 4, self.args_of(a, b));
                 let before = self.u.atoms.len();
@@ -325,7 +363,7 @@ impl Model {
 }
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
-    proptest::collection::vec((0u8..10, 0usize..64, 0usize..4096, 0usize..64), 1600..2000)
+    proptest::collection::vec((0u8..11, 0usize..64, 0usize..4096, 0usize..64), 1600..2000)
 }
 
 /// The stores agree with the references step by step, through a fork in
@@ -337,6 +375,11 @@ fn run(steps: &[Step]) -> Result<(), TestCaseError> {
         left.apply(step)?;
     }
     let at_fork = (left.u.symbols.len(), left.u.terms.len(), left.u.atoms.len());
+    // Both sides write into pools that span several chunks, shared at the
+    // fork.
+    let (names, args) = left.pool_sizes();
+    prop_assert!(names > 2 * crate::chunked::CHUNK, "{} name bytes", names);
+    prop_assert!(args > 2 * crate::chunked::CHUNK, "{} argument ids", args);
 
     // Fork: the clone takes a different second half.
     let mut right = left.clone();

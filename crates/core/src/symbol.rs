@@ -5,6 +5,7 @@
 //! ids. All hot-path structures (terms, atoms, rules) store symbols, never
 //! strings.
 
+use crate::chunked::{ChunkVec, Footprint, RowPool};
 use crate::fxhash::FxHasher;
 use crate::idtable::{fold, IdTable};
 use std::fmt;
@@ -44,12 +45,12 @@ impl fmt::Debug for Symbol {
 
 /// A `Symbol → dense id` side array: what a name *is* (a constant, a
 /// predicate, a Skolem function) is read at the symbol's index — symbols
-/// are dense ids already, so nothing is hashed a second time. A clone is
-/// one `memcpy`.
+/// are dense ids already, so nothing is hashed a second time. A clone
+/// shares the full chunks.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SymbolMap {
     /// `id + 1` at the symbol's index; `0` (and past the end): no entry.
-    slots: Vec<u32>,
+    slots: ChunkVec<u32>,
 }
 
 impl SymbolMap {
@@ -72,31 +73,24 @@ impl SymbolMap {
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<u32>()
+        self.slots.heap_bytes()
+    }
+
+    pub(crate) fn footprint(&self) -> Footprint {
+        self.slots.footprint()
     }
 }
 
 /// Bidirectional string ↔ [`Symbol`] map.
 ///
-/// Every name lives once, back to back, in one byte pool; symbol `i` is
-/// `bytes[off[i]..off[i + 1]]`, and the id table finds it by hash. No
-/// per-name allocation, and a clone is three `memcpy`s.
-#[derive(Clone, Debug)]
+/// Every name lives once, as one row of a chunked byte pool; symbol `i` is
+/// row `i`, and the id table finds it by hash. No per-name allocation, and
+/// a clone copies the table and shares the pool's full chunks.
+#[derive(Clone, Debug, Default)]
 pub struct SymbolTable {
-    bytes: String,
-    /// `len() + 1` offsets into `bytes`, starting at 0.
-    off: Vec<u32>,
+    /// The names' UTF-8 bytes, one row each.
+    names: RowPool<u8>,
     table: IdTable,
-}
-
-impl Default for SymbolTable {
-    fn default() -> Self {
-        SymbolTable {
-            bytes: String::new(),
-            off: vec![0],
-            table: IdTable::default(),
-        }
-    }
 }
 
 /// Fx over the bytes (eight a word, the tail zero-padded), then the
@@ -119,7 +113,10 @@ impl SymbolTable {
     /// what every probe of the table needs.
     #[inline]
     fn key<'k>(&'k self, name: &'k str) -> (u32, impl FnMut(u32) -> bool + 'k) {
-        (hash_str(name), move |id: u32| self.get(id as usize) == name)
+        let bytes = name.as_bytes();
+        (hash_str(name), move |id: u32| {
+            self.names.row(id as usize) == bytes
+        })
     }
 
     /// Interns `name`, returning its symbol (stable across repeated calls).
@@ -130,9 +127,7 @@ impl SymbolTable {
             Err(vacant) => vacant,
         };
         let id = crate::dense_u32(self.len(), "symbol table");
-        self.bytes.push_str(name);
-        self.off
-            .push(crate::dense_u32(self.bytes.len(), "symbol byte pool"));
+        self.names.push(name.bytes());
         self.table.insert_vacant(vacant, hash, id);
         Symbol(id)
     }
@@ -143,9 +138,13 @@ impl SymbolTable {
         self.table.find(hash, is_key).map(Symbol)
     }
 
+    /// Name `i`: a row of the pool, which only ever receives whole names.
     #[inline]
     fn get(&self, i: usize) -> &str {
-        &self.bytes[self.off[i] as usize..self.off[i + 1] as usize]
+        match std::str::from_utf8(self.names.row(i)) {
+            Ok(name) => name,
+            Err(e) => unreachable!("a name row holds one whole name: {e}"),
+        }
     }
 
     /// Resolves a symbol back to its string.
@@ -156,7 +155,7 @@ impl SymbolTable {
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.off.len() - 1
+        self.names.len()
     }
 
     /// True iff nothing has been interned.
@@ -164,11 +163,14 @@ impl SymbolTable {
         self.len() == 0
     }
 
-    /// Heap bytes held by the table: O(1), a sum of capacities.
+    /// The heap bytes of the name pool (the table aside).
+    pub fn footprint(&self) -> Footprint {
+        self.names.footprint()
+    }
+
+    /// Heap bytes held by the table: O(chunks), a sum of capacities.
     pub fn heap_bytes(&self) -> usize {
-        self.bytes.capacity()
-            + self.off.capacity() * std::mem::size_of::<u32>()
-            + self.table.heap_bytes()
+        self.names.heap_bytes() + self.table.heap_bytes()
     }
 }
 

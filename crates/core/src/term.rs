@@ -8,6 +8,7 @@
 //! therefore hash-cons ground terms: equality of values is equality of
 //! [`TermId`]s.
 
+use crate::chunked::{ChunkVec, Footprint, RowPool};
 use crate::idtable::{hash_words, IdTable};
 use crate::symbol::{Symbol, SymbolMap};
 use std::fmt;
@@ -77,40 +78,30 @@ pub enum TermNode<'a> {
     },
 }
 
-/// Variable-length `TermId` rows stored back to back: row `i` is
-/// `pool[off[i]..off[i + 1]]`. Shared by the term and atom stores.
-#[derive(Clone, Debug)]
+/// Variable-length `TermId` rows in copy-on-write chunks: row `i` is
+/// `row(i)`. Shared by the term and atom stores.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct ArgPool {
-    /// `len() + 1` offsets into `pool`, starting at 0.
-    off: Vec<u32>,
-    pool: Vec<TermId>,
-}
-
-impl Default for ArgPool {
-    fn default() -> Self {
-        ArgPool {
-            off: vec![0],
-            pool: Vec::new(),
-        }
-    }
+    rows: RowPool<TermId>,
 }
 
 impl ArgPool {
     #[inline]
     pub(crate) fn push(&mut self, row: &[TermId]) {
-        self.pool.extend_from_slice(row);
-        self.off
-            .push(crate::dense_u32(self.pool.len(), "argument pool"));
+        self.rows.push(row.iter().copied());
     }
 
     #[inline]
     pub(crate) fn row(&self, i: usize) -> &[TermId] {
-        &self.pool[self.off[i] as usize..self.off[i + 1] as usize]
+        self.rows.row(i)
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.off.capacity() * std::mem::size_of::<u32>()
-            + self.pool.capacity() * std::mem::size_of::<TermId>()
+        self.rows.heap_bytes()
+    }
+
+    pub(crate) fn footprint(&self) -> Footprint {
+        self.rows.footprint()
     }
 }
 
@@ -125,15 +116,16 @@ const SKOLEM_BIT: u32 = 1 << 31;
 /// the terms containing them.
 ///
 /// Layout: one head word, one depth and one (possibly empty) argument row
-/// per term, all in flat pools — interning allocates nothing per term. A
+/// per term, all in copy-on-write chunked pools — interning allocates
+/// nothing per term, and a clone shares every full chunk. A
 /// constant is found through a side array at its [`Symbol`] (a dense id
 /// already: its name was hashed once, by the symbol table); only Skolem
 /// terms are in the hash table.
 #[derive(Clone, Debug, Default)]
 pub struct TermStore {
-    heads: Vec<u32>,
+    heads: ChunkVec<u32>,
     args: ArgPool,
-    depth: Vec<u32>,
+    depth: ChunkVec<u32>,
     /// `Symbol → TermId` of the constants.
     constants: SymbolMap,
     /// The Skolem terms, by head word and argument row.
@@ -270,9 +262,18 @@ impl TermStore {
         (0..self.heads.len() as u32).map(TermId)
     }
 
-    /// Heap bytes held by the store: O(1), a sum of capacities.
+    /// The heap bytes of the store's chunked pools (its table aside).
+    pub fn footprint(&self) -> Footprint {
+        self.heads.footprint()
+            + self.args.footprint()
+            + self.depth.footprint()
+            + self.constants.footprint()
+    }
+
+    /// Heap bytes held by the store: O(chunks), a sum of capacities.
     pub fn heap_bytes(&self) -> usize {
-        (self.heads.capacity() + self.depth.capacity()) * std::mem::size_of::<u32>()
+        self.heads.heap_bytes()
+            + self.depth.heap_bytes()
             + self.args.heap_bytes()
             + self.constants.heap_bytes()
             + self.table.heap_bytes()

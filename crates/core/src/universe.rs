@@ -23,8 +23,10 @@ pub struct SkolemInfo {
 
 /// Interning context: symbols, predicates, Skolem functions, terms, atoms.
 ///
-/// Every field is a flat pool, an id table or a side array over dense
-/// ids, so a clone is a fixed number of `memcpy`s.
+/// The pools and side arrays over dense ids are copy-on-write chunked
+/// arrays ([`crate::chunked`]): a clone copies the three id tables, the
+/// declarations and what was interned since the universe was last cloned,
+/// and shares every other chunk with the original.
 #[derive(Clone, Debug, Default)]
 pub struct Universe {
     /// String interner.
@@ -253,8 +255,18 @@ impl Universe {
 
     // ----- memory ------------------------------------------------------
 
-    /// Heap bytes held by the universe: O(1), a sum of the capacities of
-    /// the stores' flat pools, tables and side arrays.
+    /// The heap bytes of the universe's chunked pools and side arrays —
+    /// everything but its three id tables and its declarations.
+    pub fn footprint(&self) -> crate::chunked::Footprint {
+        self.symbols.footprint()
+            + self.pred_by_name.footprint()
+            + self.skolem_by_name.footprint()
+            + self.terms.footprint()
+            + self.atoms.footprint()
+    }
+
+    /// Heap bytes held by the universe: O(chunks), a sum of the capacities of
+    /// the stores' pools, tables and side arrays.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.symbols.heap_bytes()

@@ -25,7 +25,15 @@
 //! lists its atoms sorted, and a resumed one lists them sorted within each
 //! extension. The `AtomId → local id` map is kept on the program
 //! ([`GroundProgram::local_id`] is one array read), and an extension
-//! copies it once like every other inherited array.
+//! clones it like every other inherited array.
+//!
+//! The arrays an extension inherits — facts, atoms, the `AtomId → local
+//! id` map and the rule arrays — are copy-on-write chunked arrays
+//! (`wfdl_core::chunked`): an extension's clones share the frozen chunks
+//! of the program it extends (the first extension of a program built from
+//! scratch freezes a copy of it), append to flat tails and copy only the
+//! chunks they write — those of the map its new atoms land in. The
+//! occurrence rows are spliced into new arrays.
 //!
 //! ## Which rows exist when
 //!
@@ -45,7 +53,7 @@
 
 use std::sync::OnceLock;
 use wfdl_core::csr::{self, RowEdits};
-use wfdl_core::{AtomId, BitSet, FxHashMap};
+use wfdl_core::{AtomId, BitSet, ChunkVec, Footprint, FxHashMap, RowPool};
 
 /// Sentinel for "not mentioned" in [`GroundProgram`]'s `AtomId → local id`
 /// map.
@@ -167,24 +175,22 @@ impl GroundProgramBuilder {
 /// (stratified baseline, wcheck cones, tests).
 #[derive(Clone, Debug, Default)]
 pub struct GroundProgram {
-    facts: Vec<AtomId>,
+    facts: ChunkVec<AtomId>,
     /// All atoms appearing anywhere (facts, heads, bodies). The **local
     /// id** of an atom is its position here (see the module docs for the
     /// order).
-    atoms: Vec<AtomId>,
+    atoms: ChunkVec<AtomId>,
     /// `local_of[AtomId::index()]` = the atom's local id, or `NONE`; as
     /// long as the largest mentioned id + 1.
-    local_of: Vec<u32>,
+    local_of: ChunkVec<u32>,
     /// Facts as local ids.
-    facts_local: Vec<u32>,
+    facts_local: ChunkVec<u32>,
     /// Rule heads as local ids, one per rule.
-    head_local: Vec<u32>,
-    /// Positive bodies as local ids, CSR over rules.
-    pos_off: Vec<u32>,
-    pos_local: Vec<u32>,
-    /// Negative bodies as local ids, CSR over rules.
-    neg_off: Vec<u32>,
-    neg_local: Vec<u32>,
+    head_local: ChunkVec<u32>,
+    /// Positive bodies as local ids, one row per rule.
+    pos_local: RowPool<u32>,
+    /// Negative bodies as local ids, one row per rule.
+    neg_local: RowPool<u32>,
     /// `head_occ(a)` = rules with head `a`, CSR over local atom ids.
     head_occ_off: Vec<u32>,
     head_occ: Vec<GroundRuleId>,
@@ -254,47 +260,35 @@ impl GroundProgram {
     fn from_parts(rules: Vec<GroundRule>, facts: Vec<AtomId>, mut atoms: Vec<AtomId>) -> Self {
         atoms.sort_unstable();
         atoms.dedup();
-        let mut local_of = vec![NONE; atoms.last().map_or(0, |a| a.index() + 1)];
+        let mut local_of = ChunkVec::from_elem(NONE, atoms.last().map_or(0, |a| a.index() + 1));
         for (l, a) in atoms.iter().enumerate() {
             local_of[a.index()] = l as u32;
         }
-        let local = |a: AtomId| local_of[a.index()];
+        let local = |a: &AtomId| local_of[a.index()];
 
-        let facts_local: Vec<u32> = facts.iter().map(|&f| local(f)).collect();
+        let facts_local = facts.iter().map(local).collect();
 
-        // Rule structure in local ids (CSR over rules).
-        let num_rules = rules.len();
-        let mut head_local = Vec::with_capacity(num_rules);
-        let mut pos_off = Vec::with_capacity(num_rules + 1);
-        let mut neg_off = Vec::with_capacity(num_rules + 1);
-        let mut pos_local = Vec::new();
-        let mut neg_local = Vec::new();
-        pos_off.push(0);
-        neg_off.push(0);
+        // Rule structure in local ids, one row per rule.
+        let mut head_local = ChunkVec::new();
+        let mut pos_local = RowPool::new();
+        let mut neg_local = RowPool::new();
         for rule in &rules {
-            head_local.push(local(rule.head));
-            pos_local.extend(rule.pos.iter().map(|&b| local(b)));
-            neg_local.extend(rule.neg.iter().map(|&b| local(b)));
-            pos_off.push(pos_local.len() as u32);
-            neg_off.push(neg_local.len() as u32);
+            head_local.push(local(&rule.head));
+            pos_local.push(rule.pos.iter().map(local));
+            neg_local.push(rule.neg.iter().map(local));
         }
 
-        let (head_occ_off, head_occ) = occurrence_rows(atoms.len(), &head_local, 0..);
         let mut prog = GroundProgram {
-            facts,
-            atoms,
+            facts: facts.into(),
+            atoms: atoms.into(),
             local_of,
             facts_local,
             head_local,
-            pos_off,
             pos_local,
-            neg_off,
             neg_local,
-            head_occ_off,
-            head_occ,
-            body_rows: OnceLock::new(),
+            ..GroundProgram::default()
         };
-        prog.shrink_to_fit();
+        (prog.head_occ_off, prog.head_occ) = occurrence_rows(prog.num_atoms(), prog.heads());
         prog
     }
 
@@ -306,32 +300,51 @@ impl GroundProgram {
     /// The previous atoms keep their local ids and `new_atoms` take the
     /// next ones; `new_atoms` must be sorted and none of them mentioned
     /// here, and they become the tail of the extension's atom list. Every
-    /// inherited array — the `AtomId → local id` map included — is copied
-    /// once, with `room` for the delta.
-    pub fn extension(&self, new_atoms: Vec<AtomId>, room: Room) -> Extension<'_> {
-        debug_assert!(new_atoms.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(new_atoms.iter().all(|&a| !self.mentions(a)));
-        let bound = (new_atoms.last().map_or(0, |a| a.index() + 1)).max(self.local_of.len());
-        let mut local_of = copied(&self.local_of, bound - self.local_of.len());
-        local_of.resize(bound, NONE);
-        for (l, a) in (self.atoms.len()..).zip(&new_atoms) {
-            local_of[a.index()] = wfdl_core::dense_u32(l, "local atom id");
+    /// inherited array — the `AtomId → local id` map included — is a clone
+    /// that shares this program's frozen chunks: the extension copies only
+    /// the chunks it writes, and appends to tails with `room` for the
+    /// delta.
+    pub fn extension(
+        &self,
+        new_atoms: impl IntoIterator<Item = AtomId>,
+        room: Room,
+    ) -> Extension<'_> {
+        let (mut atoms, mut local_of) = (self.atoms.clone(), self.local_of.clone());
+        atoms.reserve(room.atoms);
+        local_of.reserve(room.atom_ids.saturating_sub(local_of.len()));
+        let mut last = None;
+        for a in new_atoms {
+            debug_assert!(
+                !self.mentions(a) && last < Some(a),
+                "new, in ascending order"
+            );
+            last = Some(a);
+            let local = wfdl_core::dense_u32(atoms.len(), "local atom id");
+            if a.index() > local_of.len() {
+                local_of.resize(a.index(), NONE);
+            }
+            if a.index() == local_of.len() {
+                local_of.push(local);
+            } else {
+                local_of[a.index()] = local;
+            }
+            atoms.push(a);
         }
-        let mut atoms = new_atoms;
-        atoms.splice(0..0, self.atoms.iter().copied());
-        let offsets = |off: &[u32]| copied(if off.is_empty() { &[0] } else { off }, room.rules);
-        let next = GroundProgram {
-            facts: copied(&self.facts, room.facts),
+        let mut next = GroundProgram {
+            facts: self.facts.clone(),
             atoms,
             local_of,
-            facts_local: copied(&self.facts_local, room.facts),
-            head_local: copied(&self.head_local, room.rules),
-            pos_off: offsets(&self.pos_off),
-            pos_local: copied(&self.pos_local, room.pos),
-            neg_off: offsets(&self.neg_off),
-            neg_local: copied(&self.neg_local, room.neg),
+            facts_local: self.facts_local.clone(),
+            head_local: self.head_local.clone(),
+            pos_local: self.pos_local.clone(),
+            neg_local: self.neg_local.clone(),
             ..GroundProgram::default()
         };
+        next.facts.reserve(room.facts);
+        next.facts_local.reserve(room.facts);
+        next.head_local.reserve(room.rules);
+        next.pos_local.reserve(room.rules, room.pos);
+        next.neg_local.reserve(room.rules, room.neg);
         Extension { prev: self, next }
     }
 
@@ -340,8 +353,8 @@ impl GroundProgram {
     fn body_rows(&self) -> &BodyRows {
         self.body_rows.get_or_init(|| {
             let n = self.atoms.len();
-            let (pos_off, pos) = occurrence_rows(n, &self.pos_local, body_rules(&self.pos_off));
-            let (neg_off, neg) = occurrence_rows(n, &self.neg_local, body_rules(&self.neg_off));
+            let (pos_off, pos) = occurrence_rows(n, body_entries(&self.pos_local, 0));
+            let (neg_off, neg) = occurrence_rows(n, body_entries(&self.neg_local, 0));
             BodyRows {
                 pos_off,
                 pos,
@@ -351,18 +364,26 @@ impl GroundProgram {
         })
     }
 
-    /// Releases over-allocated capacity on every index array.
-    fn shrink_to_fit(&mut self) {
-        self.facts.shrink_to_fit();
-        self.atoms.shrink_to_fit();
-        self.facts_local.shrink_to_fit();
-        self.head_local.shrink_to_fit();
-        self.pos_off.shrink_to_fit();
-        self.pos_local.shrink_to_fit();
-        self.neg_off.shrink_to_fit();
-        self.neg_local.shrink_to_fit();
-        self.head_occ_off.shrink_to_fit();
-        self.head_occ.shrink_to_fit();
+    /// The heap bytes of the program's chunked arrays: all it holds, and
+    /// the part no other program holds — for an extension, what it copied
+    /// or added.
+    pub fn footprint(&self) -> Footprint {
+        [
+            self.facts.footprint(),
+            self.atoms.footprint(),
+            self.local_of.footprint(),
+            self.facts_local.footprint(),
+            self.head_local.footprint(),
+            self.pos_local.footprint(),
+            self.neg_local.footprint(),
+        ]
+        .into_iter()
+        .sum()
+    }
+
+    /// Each rule's head as `(local id, rule)`.
+    fn heads(&self) -> impl Iterator<Item = (u32, usize)> + Clone + '_ {
+        (self.head_local.iter().copied()).zip(0..)
     }
 
     /// Indexes the heads of an extension of `prev`: counted when `prev` has
@@ -370,29 +391,23 @@ impl GroundProgram {
     fn index_heads(&mut self, prev: &GroundProgram) {
         let old = (&prev.head_occ_off[..], &prev.head_occ[..]);
         (self.head_occ_off, self.head_occ) = match prev.num_rules() {
-            0 => occurrence_rows(self.num_atoms(), &self.head_local, 0..),
-            first => self.spliced(prev, old, &self.head_local[first..], first..),
+            0 => occurrence_rows(self.num_atoms(), self.heads()),
+            first => self.spliced(prev, old, self.heads().skip(first)),
         };
     }
 
     /// The rows `old` of `prev`, which this program extends, spliced into
     /// rows over this program's atoms — one more for each new atom — with
-    /// the entries `locals` of the new rules merged in, entry `k` belonging
-    /// to the `k`-th rule `rule_of` yields (as in [`occurrence_rows`]).
+    /// the new rules' `(atom, rule)` entries merged in.
     fn spliced(
         &self,
         prev: &GroundProgram,
         (off, rules): (&[u32], &[GroundRuleId]),
-        locals: &[u32],
-        rule_of: impl Iterator<Item = usize>,
+        entries: impl Iterator<Item = (u32, usize)>,
     ) -> (Vec<u32>, Vec<GroundRuleId>) {
-        let mut added = Vec::with_capacity(locals.len());
-        added.extend(
-            locals
-                .iter()
-                .zip(rule_of)
-                .map(|(&a, r)| (a, GroundRuleId::from_index(r))),
-        );
+        let mut added: Vec<(u32, GroundRuleId)> = entries
+            .map(|(a, r)| (a, GroundRuleId::from_index(r)))
+            .collect();
         added.sort_unstable();
         let inserted: Vec<u32> = (prev.num_atoms() as u32..self.num_atoms() as u32).collect();
         let edits = RowEdits {
@@ -416,29 +431,24 @@ impl GroundProgram {
         }
     }
 
-    /// Removes the `dropped` rules, all at or after `first`, closing the
-    /// gaps in place.
+    /// Removes the `dropped` rules, all at or after `first`: the rules
+    /// after `first` are cut off and the kept ones appended again.
     fn remove_rules(&mut self, first: usize, dropped: &BitSet) {
-        let mut kept = first;
-        let (mut pos_start, mut neg_start) = (self.pos_off[first], self.neg_off[first]);
-        for r in first..self.head_local.len() {
-            let (pos_end, neg_end) = (self.pos_off[r + 1], self.neg_off[r + 1]);
-            if !dropped.contains(r) {
-                let (pos_to, neg_to) = (self.pos_off[kept], self.neg_off[kept]);
-                self.head_local[kept] = self.head_local[r];
-                (self.pos_local).copy_within(pos_start as usize..pos_end as usize, pos_to as usize);
-                (self.neg_local).copy_within(neg_start as usize..neg_end as usize, neg_to as usize);
-                self.pos_off[kept + 1] = pos_to + (pos_end - pos_start);
-                self.neg_off[kept + 1] = neg_to + (neg_end - neg_start);
-                kept += 1;
-            }
-            (pos_start, neg_start) = (pos_end, neg_end);
+        let kept: Vec<(u32, Vec<u32>, Vec<u32>)> = (first..self.num_rules())
+            .filter(|&r| !dropped.contains(r))
+            .map(|r| {
+                let (pos, neg) = (self.pos_local(r).to_vec(), self.neg_local(r).to_vec());
+                (self.head_local[r], pos, neg)
+            })
+            .collect();
+        self.head_local.truncate(first);
+        self.pos_local.truncate(first);
+        self.neg_local.truncate(first);
+        for (head, pos, neg) in kept {
+            self.head_local.push(head);
+            self.pos_local.push(pos);
+            self.neg_local.push(neg);
         }
-        self.head_local.truncate(kept);
-        self.pos_off.truncate(kept + 1);
-        self.neg_off.truncate(kept + 1);
-        self.pos_local.truncate(self.pos_off[kept] as usize);
-        self.neg_local.truncate(self.neg_off[kept] as usize);
     }
 
     /// Iterates the rules as materialized [`GroundRule`]s (allocates two
@@ -462,7 +472,7 @@ impl GroundProgram {
 
     /// The facts.
     #[inline]
-    pub fn facts(&self) -> &[AtomId] {
+    pub fn facts(&self) -> &ChunkVec<AtomId> {
         &self.facts
     }
 
@@ -471,7 +481,7 @@ impl GroundProgram {
     /// come first, then the new ones in id order — so a cold program lists
     /// its atoms sorted.
     #[inline]
-    pub fn atoms(&self) -> &[AtomId] {
+    pub fn atoms(&self) -> &ChunkVec<AtomId> {
         &self.atoms
     }
 
@@ -505,7 +515,7 @@ impl GroundProgram {
 
     /// Facts as local ids.
     #[inline]
-    pub fn facts_local(&self) -> &[u32] {
+    pub fn facts_local(&self) -> &ChunkVec<u32> {
         &self.facts_local
     }
 
@@ -518,13 +528,13 @@ impl GroundProgram {
     /// The positive body of rule `r` as local ids.
     #[inline]
     pub fn pos_local(&self, r: usize) -> &[u32] {
-        &self.pos_local[self.pos_off[r] as usize..self.pos_off[r + 1] as usize]
+        self.pos_local.row(r)
     }
 
     /// The negative body of rule `r` as local ids.
     #[inline]
     pub fn neg_local(&self, r: usize) -> &[u32] {
-        &self.neg_local[self.neg_off[r] as usize..self.neg_off[r + 1] as usize]
+        self.neg_local.row(r)
     }
 
     /// Rules whose head is `atom`.
@@ -588,14 +598,18 @@ impl GroundProgram {
     /// Total number of body literals across all rules (a size measure used
     /// in complexity reporting).
     pub fn num_body_literals(&self) -> usize {
-        self.pos_local.len() + self.neg_local.len()
+        self.pos_local.num_elements() + self.neg_local.num_elements()
     }
 }
 
-/// Room an [`Extension`] reserves for what is pushed onto it, so that no
-/// push moves an array it inherited.
+/// Room an [`Extension`] reserves for what is pushed onto it, so that its
+/// appends grow each array once.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Room {
+    /// New atoms, at most.
+    pub atoms: usize,
+    /// One more than the largest id of a new atom, at most.
+    pub atom_ids: usize,
     /// New facts.
     pub facts: usize,
     /// Candidate rules.
@@ -645,8 +659,8 @@ impl Extension<'_> {
         };
         let (pos, neg) = (pos.into_iter().map(local), neg.into_iter().map(local));
         next.head_local.push(local(head));
-        push_body(&mut next.pos_local, &mut next.pos_off, pos);
-        push_body(&mut next.neg_local, &mut next.neg_off, neg);
+        next.pos_local.push_set(pos);
+        next.neg_local.push_set(neg);
     }
 
     /// The extended program. A candidate can only repeat a rule with the
@@ -668,10 +682,10 @@ impl Extension<'_> {
         next.index_heads(prev);
         let mut dropped = BitSet::with_capacity(next.num_rules());
         let mut row: Vec<GroundRuleId> = Vec::new();
-        for r in first..next.num_rules() {
+        for (r, &head) in (first..).zip(next.head_local.iter_from(first)) {
             // A touched head's last rule is a candidate: search its row
             // there, once.
-            let rules = next.rules_with_head_local(next.head_local[r]);
+            let rules = next.rules_with_head_local(head);
             if rules.len() > 1 && rules.last() == Some(&GroundRuleId::from_index(r)) {
                 row.clear();
                 row.extend_from_slice(rules);
@@ -684,14 +698,16 @@ impl Extension<'_> {
         }
         if first > 0 {
             let old = prev.body_rows();
-            let splice_body = |rows: (&[u32], &[GroundRuleId]), off: &[u32], locals: &[u32]| {
-                let new_rules = body_rules(&off[first..]).map(|r| first + r);
-                next.spliced(prev, rows, &locals[off[first] as usize..], new_rules)
-            };
-            let (pos_off, pos) =
-                splice_body((&old.pos_off, &old.pos), &next.pos_off, &next.pos_local);
-            let (neg_off, neg) =
-                splice_body((&old.neg_off, &old.neg), &next.neg_off, &next.neg_local);
+            let (pos_off, pos) = next.spliced(
+                prev,
+                (&old.pos_off, &old.pos),
+                body_entries(&next.pos_local, first),
+            );
+            let (neg_off, neg) = next.spliced(
+                prev,
+                (&old.neg_off, &old.neg),
+                body_entries(&next.neg_local, first),
+            );
             next.body_rows = OnceLock::from(BodyRows {
                 pos_off,
                 pos,
@@ -703,16 +719,15 @@ impl Extension<'_> {
     }
 }
 
-/// The occurrence rows over `n` local atoms of the entries `locals`, entry
-/// `k` belonging to the `k`-th rule `rule_of` yields — `(offsets, rules)`,
-/// each atom's rules in rule order — by counting sort.
+/// The occurrence rows over `n` local atoms of the `(atom, rule)` entries
+/// — `(offsets, rules)`, each atom's rules in entry order — by counting
+/// sort.
 fn occurrence_rows(
     n: usize,
-    locals: &[u32],
-    rule_of: impl Iterator<Item = usize>,
+    entries: impl Iterator<Item = (u32, usize)> + Clone,
 ) -> (Vec<u32>, Vec<GroundRuleId>) {
     let mut fill = vec![0u32; n];
-    for &a in locals {
+    for (a, _) in entries.clone() {
         fill[a as usize] += 1;
     }
     // Prefix sums; `fill` becomes the cursor of each row.
@@ -722,44 +737,21 @@ fn occurrence_rows(
         (*cursor, end) = (end, end + *cursor);
         off.push(end);
     }
-    let mut rules = vec![GroundRuleId::from_index(0); locals.len()];
-    for (&a, r) in locals.iter().zip(rule_of) {
+    let mut rules = vec![GroundRuleId::from_index(0); end as usize];
+    for (a, r) in entries {
         rules[fill[a as usize] as usize] = GroundRuleId::from_index(r);
         fill[a as usize] += 1;
     }
     (off, rules)
 }
 
-/// The rule of each entry of the body CSR `off`, in entry order.
-fn body_rules(off: &[u32]) -> impl Iterator<Item = usize> + '_ {
-    (off.windows(2).enumerate())
-        .flat_map(|(r, w)| std::iter::repeat(r).take((w[1] - w[0]) as usize))
-}
-
-/// A copy of `old` with room for `extra` more entries: one allocation, one
-/// straight copy.
-fn copied<T: Copy>(old: &[T], extra: usize) -> Vec<T> {
-    let mut copy = Vec::with_capacity(old.len() + extra);
-    copy.extend_from_slice(old);
-    copy
-}
-
-/// Appends one rule body to the CSR `(off, locals)`, sorted and
-/// deduplicated.
-#[inline]
-fn push_body(locals: &mut Vec<u32>, off: &mut Vec<u32>, body: impl Iterator<Item = u32>) {
-    let start = locals.len();
-    locals.extend(body);
-    locals[start..].sort_unstable();
-    let mut kept = start;
-    for r in start..locals.len() {
-        if r == start || locals[r] != locals[kept - 1] {
-            locals[kept] = locals[r];
-            kept += 1;
-        }
-    }
-    locals.truncate(kept);
-    off.push(locals.len() as u32);
+/// The `(atom, rule)` entries of the bodies `rows`, from rule `first` on,
+/// in rule order.
+fn body_entries(
+    rows: &RowPool<u32>,
+    first: usize,
+) -> impl Iterator<Item = (u32, usize)> + Clone + '_ {
+    (first..rows.len()).flat_map(move |r| rows.row(r).iter().map(move |&a| (a, r)))
 }
 
 #[cfg(test)]
@@ -937,7 +929,7 @@ mod tests {
     fn assert_same_program(got: &GroundProgram, want: &GroundProgram) -> Result<(), TestCaseError> {
         let mut atoms = got.atoms().to_vec();
         atoms.sort_unstable();
-        prop_assert_eq!(&atoms[..], want.atoms());
+        prop_assert_eq!(want.atoms(), &atoms);
         prop_assert_eq!(got.atom_id_bound(), want.atom_id_bound());
         for (l, &atom) in got.atoms().iter().enumerate() {
             prop_assert_eq!(got.local_id(atom), Some(l as u32));
@@ -1018,7 +1010,7 @@ mod tests {
                 new_atoms.sort_unstable();
                 new_atoms.dedup();
                 let next = extend(&extended, &new_atoms, &new_facts, &rules);
-                prop_assert_eq!(&next.atoms()[..extended.num_atoms()], extended.atoms());
+                prop_assert!(next.atoms().iter().take(extended.num_atoms()).eq(extended.atoms()));
                 for &f in &new_facts {
                     scratch.add_fact(f);
                 }
@@ -1060,7 +1052,12 @@ mod tests {
                 builder.add_rule(r.clone());
             }
             let want = builder.finish();
-            let got = extend(&GroundProgram::default(), want.atoms(), want.facts(), &rules);
+            let got = extend(
+                &GroundProgram::default(),
+                &want.atoms().to_vec(),
+                &want.facts().to_vec(),
+                &rules,
+            );
             assert_identical(&got, &want)?;
         }
     }

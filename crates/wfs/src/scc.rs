@@ -518,7 +518,7 @@ impl<'a> ModularEngine<'a> {
         for r in prev_prog.num_rules()..prog.num_rules() {
             enter(prog.head_local(r), &mut cone);
         }
-        for &f in &prog.facts_local()[prev_prog.facts().len()..] {
+        for &f in prog.facts_local().iter_from(prev_prog.facts().len()) {
             enter(f, &mut cone);
         }
         for a in old_n as u32..n as u32 {
@@ -599,7 +599,7 @@ impl<'a> ModularEngine<'a> {
             truth[a as usize] = Truth::Unknown;
         }
         let mut is_fact = memo.is_fact.copy_with_capacity(n);
-        for &f in &prog.facts_local()[prev_prog.facts().len()..] {
+        for &f in prog.facts_local().iter_from(prev_prog.facts().len()) {
             is_fact.insert(f as usize);
         }
         let mut changed = BitSet::with_capacity(n);
@@ -749,7 +749,7 @@ fn extended_atoms(prev: &GroundProgram, prog: &GroundProgram) -> Option<usize> {
     (old_n <= prog.num_atoms()
         && prev.num_rules() <= prog.num_rules()
         && prev.facts().len() <= prog.facts().len()
-        && prog.atoms()[..old_n] == *prev.atoms())
+        && prog.atoms().starts_with(prev.atoms()))
     .then_some(old_n)
 }
 

@@ -231,6 +231,15 @@ pub struct SolveStats {
     /// True iff the solve was restricted to a query-relevant program
     /// slice ([`SolveInput::Sliced`]).
     pub sliced: bool,
+    /// Heap bytes of the new model's chase segment and ground program
+    /// that it holds alone: what the solve allocated and copied. All of
+    /// them for a solve from scratch. Filled in by the façade.
+    pub owned_bytes: usize,
+    /// Heap bytes of the new model's chase segment and ground program that
+    /// it shares, chunk for chunk, with the model it resumed (`0` for a
+    /// solve from scratch): what a resume did not copy. Filled in by the
+    /// façade.
+    pub shared_bytes: usize,
 }
 
 /// What a solve starts from.

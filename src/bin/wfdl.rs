@@ -687,9 +687,11 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
         );
         let ss = model.solve_stats();
         outln!(
-            "% solve: incremental={}, components_reused={}",
+            "% solve: incremental={}, components_reused={}, owned_bytes={}, shared_bytes={}",
             ss.incremental,
-            ss.components_reused
+            ss.components_reused,
+            ss.owned_bytes,
+            ss.shared_bytes
         );
         let ms = |ns: u64| ns as f64 / 1e6;
         outln!(

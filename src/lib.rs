@@ -282,10 +282,11 @@ pub struct KnowledgeBase {
     /// published snapshot is alive — a served model, a caller's `Arc`, the
     /// `last` cache below — the first mutation after it (`universe_mut`,
     /// `add_source`, an ingest, the chase of the next solve) copies the
-    /// whole universe (`Arc::make_mut`); later mutations before the next
-    /// publication find it unshared and copy nothing. The stores are flat
-    /// pools, so that copy is a handful of `memcpy`s (under a millisecond
-    /// per 200k atoms), not a walk over every atom.
+    /// universe (`Arc::make_mut`); later mutations before the next
+    /// publication find it unshared and copy nothing. The pools are
+    /// copy-on-write chunked arrays, so that copy is the three id tables
+    /// and what was interned since the last copy; every other chunk is
+    /// shared. The first copy after a cold solve copies the pools once.
     universe: Arc<Universe>,
     database: Database,
     /// Shared with every model solved from it, so that a model knows its
@@ -664,9 +665,10 @@ impl KnowledgeBase {
     /// artifact (an `Arc` clone). Solving after an **insert-only** fact
     /// delta resumes the previous chase from its frontier, carries the
     /// previous model over and re-evaluates only the delta's forward cone
-    /// — beyond one sequential copy of each of the previous model's flat
-    /// arrays (segment, ground program, verdicts and the engine's memo,
-    /// index rows: the floor), cost proportional to the delta's
+    /// — beyond sharing the previous model's segment and ground program
+    /// chunk by chunk and one sequential copy of its verdicts, the
+    /// engine's memo and the spliced index rows (the floor), cost
+    /// proportional to the delta's
     /// consequences, not the database ([`SolveStats::cone_atoms`],
     /// [`SolveStats::components_evaluated`]). Ten facts into a solved
     /// 157k-atom knowledge base, measured in process on a 2-vCPU host
@@ -720,12 +722,11 @@ impl KnowledgeBase {
             // it and its indexes, and only re-prepare the source queries
             // against the current universe (query text may have interned
             // new names during `add_source`).
-            Some(c) => SolvedModel::package(
-                UniverseSnapshot::from_arc(Arc::clone(&self.universe)),
-                Arc::clone(&c.model.solved),
-                None,
-                &self.queries,
-            ),
+            Some(c) => {
+                let solved = Arc::clone(&c.model.solved);
+                let universe = UniverseSnapshot::from_arc(Arc::clone(&self.universe));
+                SolvedModel::package(universe, solved, None, &self.queries)
+            }
             None => {
                 let model = self.run_solve(options, None)?;
                 self.delta.clear();
@@ -829,10 +830,16 @@ impl KnowledgeBase {
         if slice.is_none() {
             self.epoch += 1;
         }
-        let universe = scratch.map_or_else(|| Arc::clone(&self.universe), Arc::new);
         let prev = prev.as_ref().map(|m| &*m.solved);
         let program = Arc::clone(&self.sigma);
-        let solved = Solved::new(&universe, output, program, self.epoch, prev);
+        let solved = Solved::new(
+            scratch.as_ref().unwrap_or(&self.universe),
+            output,
+            program,
+            self.epoch,
+            prev,
+        );
+        let universe = scratch.map_or_else(|| Arc::clone(&self.universe), Arc::new);
         let universe = UniverseSnapshot::from_arc(universe);
         Ok(SolvedModel::package(universe, solved, slice, &self.queries))
     }
@@ -1096,6 +1103,9 @@ impl Solved {
             _ => AtomIndex::build(universe, TruthSource::possible_atoms(model)),
         };
         output.stats.index_ns = start.elapsed().as_nanos() as u64;
+        let footprint = output.model.segment.footprint() + output.model.ground.footprint();
+        (output.stats.owned_bytes, output.stats.shared_bytes) =
+            (footprint.owned, footprint.shared());
         Arc::new(Solved {
             index,
             model: output.model,

@@ -655,13 +655,15 @@ fn push_query_result(out: &mut String, model: &SolvedModel, src: &str, q: &crate
 }
 
 /// Renders how a solve went — resumed or not, how much of the previous
-/// model it carried over, and where its time went — as JSON object fields
+/// model it carried over, where its time went and what it copied — as JSON
+/// object fields
 /// (no braces): the part of [`SolveStats`](crate::SolveStats) that `/stats`
 /// and the `/ingest` reply share.
 fn push_solve_stats(out: &mut String, ss: &crate::SolveStats) {
     out.push_str(&format!(
         "\"incremental\":{},\"components_reused\":{},\"components_evaluated\":{},\
-         \"cone_atoms\":{},\"chase_ns\":{},\"ground_ns\":{},\"engine_ns\":{},\"index_ns\":{}",
+         \"cone_atoms\":{},\"chase_ns\":{},\"ground_ns\":{},\"engine_ns\":{},\"index_ns\":{},\
+         \"owned_bytes\":{},\"shared_bytes\":{}",
         ss.incremental,
         ss.components_reused,
         ss.components_evaluated,
@@ -670,6 +672,8 @@ fn push_solve_stats(out: &mut String, ss: &crate::SolveStats) {
         ss.ground_ns,
         ss.engine_ns,
         ss.index_ns,
+        ss.owned_bytes,
+        ss.shared_bytes,
     ));
 }
 

@@ -1,9 +1,9 @@
 //! Allocation budgets for the interning stores, the atom index, the
 //! modular engine, the text frontend, a resumed solve and a scan.
 //!
-//! The stores keep every key in a few flat pools, so that cloning a
-//! universe (the façade's copy-on-write before each mutation, and
-//! `solve_for`'s private copy) is a handful of `memcpy`s, re-deriving
+//! The stores keep every key in a few copy-on-write chunked pools, so that
+//! cloning a universe (the façade's copy-on-write before each mutation,
+//! and `solve_for`'s private copy) is a handful of allocations, re-deriving
 //! something already interned allocates nothing, and an index is a
 //! handful of arrays — its predicate rows; a key table comes with the
 //! first read that binds an argument, and a ground ask reads none. The
@@ -11,8 +11,9 @@
 //! hand-off builds no occurrence row the engine does not read. The frontend
 //! reads a fact as slices of
 //! the source text and interns them in place. A solve resumed after a small
-//! insert copies the previous model's flat arrays and works on the delta's
-//! forward cone only, and a goal-directed read of a model that is already
+//! insert shares the previous model's chunks, copies the ones it writes and
+//! works on the delta's forward cone only, and a goal-directed read of a
+//! model that is already
 //! solved touches none of it. A scan pushes its answers onto one flat array
 //! and renders them into one buffer. A timing cannot pin that on a shared
 //! host; a count of allocator calls — and of components evaluated — can,
@@ -377,41 +378,135 @@ fn a_small_insert_costs_what_it_touches() {
     );
 }
 
-/// A resume copies each array it inherits from the segment once, with
-/// room for the delta — no copy at the array's exact size that the first
-/// append then doubles, and no shrinking copy at the end. Measured in
-/// bytes against one `clone` of the same segment.
-#[test]
-fn a_resume_copies_what_it_inherits_once() {
-    let text = chain_and_fanout(512, 10_240);
-    let mut kb = KnowledgeBase::from_source(&text).unwrap().with_depth(8);
-    let model = kb.solve();
-    let segment = &model.model().segment;
-    assert!(
-        segment.atoms().len() >= 30_000,
-        "{} atoms",
-        segment.atoms().len()
-    );
-    let mut universe = kb.universe().clone();
-    let delta = "r\tx0\tx0\ty0\np\tx0\tx0\nr\tx1\tx1\ty1\np\tx1\tx1\n\
-                 src\th0\nsrc\th1\nsrc\th2\nsrc\th3\npick\th0\npick\th1\n";
-    let batch = wfdatalog::fact_batch_from_separated(&mut universe, delta).unwrap();
-    assert_eq!(batch.len(), 10);
+/// Bytes a 10-fact chase resume obtained, and a resume and ground hand-off
+/// together, on the parent of the copy-on-write arrays (every inherited
+/// array copied once), measured with this file's allocator at
+/// `chain_and_fanout(512, 10_240)` and at `(1_024, 20_480)`, resuming a
+/// model that was itself resumed ([`resumed_twice`]).
+const RESUME_BYTES_BEFORE: [usize; 2] = [4_636_447, 9_255_127];
+const RESUME_AND_HAND_OFF_BYTES_BEFORE: [usize; 2] = [5_431_427, 10_835_835];
 
-    let (copy, copied) = bytes_in(|| segment.clone());
-    drop(copy);
-    let (resumed, obtained) = bytes_in(|| {
-        segment
-            .resume_with(&mut universe, kb.sigma(), batch.atoms())
-            .unwrap()
-    });
-    assert!(resumed.atoms().len() > segment.atoms().len());
+/// The chunked arrays of a chase segment (16) and of a ground program (7).
+const CHUNKED_ARRAYS: usize = 23;
+
+/// Ten facts — two chain seeds, four fanout groups, two of them picked —
+/// named after `k`.
+fn ten_facts(k: usize) -> String {
+    format!(
+        "r\tx{k}\tx{k}\ty{k}\np\tx{k}\tx{k}\nr\tz{k}\tz{k}\tw{k}\np\tz{k}\tz{k}\n\
+         src\th{k}\nsrc\ti{k}\nsrc\tj{k}\nsrc\tk{k}\npick\th{k}\npick\ti{k}\n"
+    )
+}
+
+/// A solved knowledge base of `seeds` + `groups` that took one 10-fact
+/// ingest since its cold solve, and its model: what a served knowledge
+/// base looks like after its first ingest.
+fn resumed_twice(
+    seeds: usize,
+    groups: usize,
+) -> (KnowledgeBase, std::sync::Arc<wfdatalog::SolvedModel>) {
+    let text = chain_and_fanout(seeds, groups);
+    let mut kb = KnowledgeBase::from_source(&text).unwrap().with_depth(8);
+    kb.solve();
+    assert_eq!(kb.insert_tsv(&ten_facts(0)).unwrap(), 10);
+    let model = kb.solve();
+    assert!(model.solve_stats().incremental);
+    (kb, model)
+}
+
+/// A resume shares the chunks of the model it extends and copies only the
+/// chunks it writes (the first resume after a cold solve copies what it
+/// inherits once, as a flat array would; this measures the next one).
+/// Twice the knowledge base, the same delta, the same bytes — up to one
+/// chunk per array, where the delta's writes happen to land — and at most
+/// a fifth of what copying every inherited array obtained. The hand-off's
+/// occurrence rows are still spliced into new arrays, a cost that grows
+/// with the program, so with the hand-off the bound is a third.
+#[test]
+fn a_resume_copies_what_it_touches() {
+    use wfdatalog::core::chunked::CHUNK;
+    let resume = |seeds: usize, groups: usize| {
+        let (kb, model) = resumed_twice(seeds, groups);
+        let (segment, ground) = (&model.model().segment, &model.model().ground);
+        assert!(
+            segment.atoms().len() >= 30_000,
+            "{} atoms",
+            segment.atoms().len()
+        );
+        // The first resume counted the program's body rows; a resume of a
+        // resumed model receives them spliced.
+        assert!(ground.rules_with_pos_local(0).len() <= ground.num_rules());
+        let mut universe = kb.universe().clone();
+        let batch = wfdatalog::fact_batch_from_separated(&mut universe, &ten_facts(1)).unwrap();
+        assert_eq!(batch.len(), 10);
+        let mut universes = [universe.clone(), universe];
+        let mut resume =
+            |k: usize| segment.resume_with(&mut universes[k], kb.sigma(), batch.atoms());
+        let (resumed, chase) = bytes_in(|| resume(0).unwrap());
+        assert!(resumed.atoms().len() > segment.atoms().len());
+        let ((resumed, next), both) = bytes_in(|| {
+            let resumed = resume(1).unwrap();
+            let next = resumed.to_ground_program_from(ground);
+            (resumed, next)
+        });
+        let owned = resumed.footprint().owned + next.footprint().owned;
+        (chase, both, owned)
+    };
+    let runs = [resume(512, 10_240), resume(1_024, 20_480)];
+    for ((chase, both, _), (chase_before, both_before)) in runs.iter().zip(
+        RESUME_BYTES_BEFORE
+            .iter()
+            .zip(RESUME_AND_HAND_OFF_BYTES_BEFORE),
+    ) {
+        assert!(
+            chase * 5 <= *chase_before,
+            "a 10-fact resume obtained {chase} bytes, {chase_before} before"
+        );
+        assert!(
+            both * 3 <= both_before,
+            "a 10-fact resume and hand-off obtained {both} bytes, {both_before} before"
+        );
+    }
+    // A chunk of the widest element any of the arrays holds.
+    let chunk_bytes = CHUNK * 16;
+    let [(small_chase, _, small_owned), (large_chase, _, large_owned)] = runs;
     assert!(
-        obtained * 10 <= copied * 13,
-        "a 10-fact resume of {} atoms obtained {obtained} bytes, one clone {copied} ({:.2}×)",
-        segment.atoms().len(),
-        obtained as f64 / copied as f64
+        large_chase.abs_diff(small_chase) <= CHUNKED_ARRAYS * chunk_bytes,
+        "twice the knowledge base: the resume obtained {small_chase} then {large_chase} bytes"
     );
+    assert!(
+        large_owned.abs_diff(small_owned) <= CHUNKED_ARRAYS * chunk_bytes,
+        "twice the knowledge base: the resume owns {small_owned} then {large_owned} bytes"
+    );
+}
+
+/// The copy-on-write of a universe that was copied before (the façade's,
+/// before each mutation that follows a solve) copies its id tables, its
+/// declarations, its chunk tables and what was interned since: every other
+/// chunk of its pools is shared.
+#[test]
+fn a_universe_copy_on_write_copies_only_its_tables() {
+    for (seeds, groups) in [(512, 10_240), (1_024, 20_480)] {
+        let (_kb, model) = resumed_twice(seeds, groups);
+        let universe = model.universe();
+        let pools = universe.footprint();
+        let tables = universe.heap_bytes() - pools.held;
+        let (copy, bytes) = bytes_in(|| universe.clone());
+        assert!(
+            bytes <= tables + pools.owned,
+            "a clone of {} atoms obtained {bytes} bytes; tables {tables}, pools {} ({} owned)",
+            universe.atoms.len(),
+            pools.held,
+            pools.owned
+        );
+        // Most of the pools is shared, and they are most of the universe.
+        assert!(copy.footprint().shared() * 4 >= pools.held * 3);
+        assert!(
+            pools.held >= tables / 2,
+            "pools {} tables {tables}",
+            pools.held
+        );
+    }
 }
 
 /// Bytes the cold hand-off and solve of `chain_and_fanout(512, 10_240)`

@@ -20,12 +20,17 @@
 //!   the underlying model), `solve_stats().incremental` only when a resume
 //!   was legal, a budget-truncated model is never handed out twice, and
 //!   `solve_for` never disturbs any of it — it solves its slice exactly
-//!   when no current, untruncated full model is there to answer from.
+//!   when no current, untruncated full model is there to answer from;
+//! * published models stay frozen: a resume shares the chunks of the
+//!   model it extends, so the last eight models handed out are kept with
+//!   the rendering they had then — verdicts, answers, the chase segment
+//!   and the ground program — and re-rendered after every later step.
 
 // Test code: panicking on a broken invariant IS the failure signal.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -259,6 +264,31 @@ fn query_is_sound(
     Ok(())
 }
 
+/// Everything a model's readers can see, rendered: its observations, its
+/// chase segment (atoms with depth and level, instances), its ground
+/// program's rules, and where each atom of its universe sits in both.
+fn frozen_view(model: &SolvedModel) -> String {
+    let (m, u) = (model.model(), model.universe());
+    let mut out = format!("{:?}\n", observe(model));
+    for sa in m.segment.atoms() {
+        writeln!(out, "{} {} {}", u.display_atom(sa.atom), sa.depth, sa.level).unwrap();
+    }
+    for i in m.segment.instance_ids() {
+        writeln!(out, "{:?}", m.segment.instance(i)).unwrap();
+    }
+    for rule in m.ground.rules() {
+        writeln!(out, "{rule:?}").unwrap();
+    }
+    for a in (0..u.atoms.len()).map(wfdl_core::AtomId::from_index) {
+        let (seg, local) = (m.segment.seg_id(a), m.ground.local_id(a));
+        writeln!(out, "{} {seg:?} {local:?}", u.display_atom(a)).unwrap();
+    }
+    out
+}
+
+/// How many of the models handed out the harness keeps re-rendering.
+const KEPT: usize = 8;
+
 fn rendered_facts(kb: &KnowledgeBase) -> BTreeSet<String> {
     kb.database()
         .facts()
@@ -287,6 +317,8 @@ struct Harness {
     epoch: u64,
     /// Every budget-truncated model handed out so far.
     truncated: Vec<Arc<SolvedModel>>,
+    /// The last [`KEPT`] models handed out, with their rendering then.
+    handed: VecDeque<(Arc<SolvedModel>, String)>,
 }
 
 impl Harness {
@@ -301,7 +333,17 @@ impl Harness {
             resume_basis: None,
             epoch: 0,
             truncated: Vec::new(),
+            handed: VecDeque::new(),
         }
+    }
+
+    /// Keeps `model` with its rendering, dropping the oldest kept one.
+    fn keep(&mut self, model: &Arc<SolvedModel>) {
+        if self.handed.len() == KEPT {
+            self.handed.pop_front();
+        }
+        self.handed
+            .push_back((Arc::clone(model), frozen_view(model)));
     }
 
     /// A knowledge base that never saw anything but the net program.
@@ -420,6 +462,13 @@ impl Harness {
             }
         }
         // Checked after every step, whatever it was.
+        for (k, (model, then)) in self.handed.iter().enumerate() {
+            prop_assert!(
+                frozen_view(model) == *then,
+                "a model handed out {} models ago changed",
+                self.handed.len() - k
+            );
+        }
         let mut oracle = self.oracle();
         prop_assert_eq!(rendered_facts(&self.kb), rendered_facts(&oracle));
         prop_assert_eq!(
@@ -438,6 +487,7 @@ impl Harness {
         for t in &self.truncated {
             prop_assert!(!Arc::ptr_eq(t, model), "truncated model served again");
         }
+        self.keep(model);
         prop_assert!(!model.is_sliced());
         let reference = self.oracle().solve_with(options);
         let tripped = budget_tripped(model);
@@ -478,6 +528,7 @@ impl Harness {
         for t in &self.truncated {
             prop_assert!(!Arc::ptr_eq(t, model), "truncated model served again");
         }
+        self.keep(model);
         prop_assert!(model.is_sliced());
         // A current full model that ran to its fixpoint (or its depth
         // bound) answers every slice of itself: nothing is solved, the
