@@ -561,6 +561,25 @@ impl<'a, T> Iterator for Iter<'a, T> {
         (n, Some(n))
     }
 
+    /// Skips whole chunks: `n` elements cost a step per chunk, not one per
+    /// element.
+    fn nth(&mut self, mut n: usize) -> Option<&'a T> {
+        while n >= self.cur.len() {
+            n -= self.cur.len();
+            let next = match self.rest.next() {
+                Some(chunk) => chunk.as_slice(),
+                None if !self.tail.is_empty() => std::mem::take(&mut self.tail),
+                None => {
+                    self.cur = [].iter();
+                    return None;
+                }
+            };
+            self.left -= next.len();
+            self.cur = next.iter();
+        }
+        self.cur.nth(n)
+    }
+
     fn fold<B, F: FnMut(B, &'a T) -> B>(self, init: B, mut f: F) -> B {
         let acc = self.cur.fold(init, &mut f);
         let acc = (self.rest).fold(acc, |acc, chunk| chunk.as_slice().iter().fold(acc, &mut f));
@@ -1089,6 +1108,31 @@ mod tests {
         let b = b.clone();
         assert_eq!(shared_with(&a.chunks, &b.chunks), 4);
         assert_eq!(b.iter().copied().last(), Some(1));
+    }
+
+    #[test]
+    fn nth_and_skip_agree_with_a_vec_across_chunks_and_the_tail() {
+        let want: Vec<u32> = (0..3 * CHUNK as u32 + 40).collect();
+        let mut got: ChunkVec<u32> = want[..2 * CHUNK + 7].iter().copied().collect();
+        got = got.clone();
+        got.extend_from_slice(&want[2 * CHUNK + 7..]);
+        let edges = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 7];
+        let past = [2 * CHUNK + 8, want.len() - 1, want.len(), want.len() + 5];
+        for &n in edges.iter().chain(&past) {
+            assert_eq!(got.iter().nth(n), want.get(n), "nth({n})");
+            assert!(got.iter().skip(n).eq(want.iter().skip(n)), "skip({n})");
+            for &from in &edges {
+                let (mut g, mut w) = (got.iter_from(from), want[from..].iter());
+                assert_eq!(g.nth(n), w.nth(n), "iter_from({from}).nth({n})");
+                assert_eq!(g.len(), w.len(), "iter_from({from}).nth({n}) leaves");
+                assert_eq!(g.next(), w.next(), "iter_from({from}).nth({n}) then next");
+            }
+        }
+        let mut g = got.iter();
+        assert_eq!(g.nth(CHUNK - 1), Some(&(CHUNK as u32 - 1)));
+        assert_eq!(g.nth(1), Some(&(CHUNK as u32 + 1)));
+        assert_eq!(g.nth(want.len()), None);
+        assert_eq!(g.next(), None);
     }
 
     #[test]

@@ -392,7 +392,10 @@ impl GroundProgram {
         let old = (&prev.head_occ_off[..], &prev.head_occ[..]);
         (self.head_occ_off, self.head_occ) = match prev.num_rules() {
             0 => occurrence_rows(self.num_atoms(), self.heads()),
-            first => self.spliced(prev, old, self.heads().skip(first)),
+            first => {
+                let new_heads = self.head_local.iter_from(first).copied().zip(first..);
+                self.spliced(prev, old, new_heads)
+            }
         };
     }
 
