@@ -15,10 +15,11 @@
 //! resume of a resumed model shares all of it but the chunks the previous
 //! resume wrote and its delta.
 //!
-//! A [`RowPool`] keeps variable-length rows — CSR data, argument rows,
-//! names — the same way: chunk `k` holds rows `k * CHUNK..(k + 1) * CHUNK`
+//! A [`RowPool`] keeps variable-length rows — CSR data, argument rows —
+//! the same way: chunk `k` holds rows `k * CHUNK..(k + 1) * CHUNK`
 //! back to back with their `u32` offsets, so a row never straddles two
-//! chunks and [`RowPool::row`] is a slice, however long the row.
+//! chunks and [`RowPool::row`] is a slice, however long the row. A
+//! [`StrPool`] keeps names so, as `str`, and only ever appends.
 //!
 //! There is no `unsafe` here, and no atomic operation on a read or a write:
 //! a frozen chunk is an `Arc<[T]>` whose elements sit right behind the
@@ -923,6 +924,110 @@ impl<T: Clone> RowPool<T> {
     }
 }
 
+/// Strings — names — back to back as `str`: full frozen chunks of [`CHUNK`]
+/// rows each, shared by every clone, and a flat tail. Row `i` is
+/// [`StrPool::row`]`(i)`, a `&str` slice of one, so reading a name costs a
+/// char-boundary check, not a UTF-8 validation. Rows are only appended.
+#[derive(Debug, Default)]
+pub struct StrPool {
+    /// Rows `k * CHUNK..(k + 1) * CHUNK`: their offsets from 0 — one more
+    /// than the rows — and their text.
+    chunks: Vec<(Arc<[u32]>, Arc<str>)>,
+    /// The rows `chunks.len() * CHUNK..`: row `j` of the tail is
+    /// `text[off[j]..off[j + 1]]`; `off` is empty while the tail has no row.
+    off: Vec<u32>,
+    text: String,
+}
+
+impl StrPool {
+    /// An empty pool; allocates nothing.
+    pub const fn new() -> Self {
+        StrPool {
+            chunks: Vec::new(),
+            off: Vec::new(),
+            text: String::new(),
+        }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        (self.chunks.len() << SHIFT) + self.off.len().saturating_sub(1)
+    }
+
+    /// True iff the pool holds no row.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `i`.
+    #[inline(always)]
+    pub fn row(&self, i: usize) -> &str {
+        let (off, text, at) = match self.chunks.get(i >> SHIFT) {
+            Some((off, text)) => (&off[..], &text[..], i & MASK),
+            None => (&self.off[..], &self.text[..], i - (self.chunks.len() << SHIFT)),
+        };
+        &text[off[at] as usize..off[at + 1] as usize]
+    }
+
+    /// Appends a row.
+    #[inline]
+    pub fn push(&mut self, row: &str) {
+        if self.off.is_empty() {
+            self.off.push(0);
+        }
+        self.text.push_str(row);
+        self.off.push(crate::dense_u32(self.text.len(), "string pool"));
+    }
+
+    /// Heap bytes held: every chunk, shared or not, the tail and the chunk
+    /// table.
+    pub fn heap_bytes(&self) -> usize {
+        self.footprint().held
+    }
+
+    /// [`StrPool::heap_bytes`] and the part no other clone holds.
+    pub fn footprint(&self) -> Footprint {
+        let own = Footprint::of::<(Arc<[u32]>, Arc<str>)>(self.chunks.capacity(), true)
+            + Footprint::of::<u32>(self.off.capacity(), true)
+            + Footprint::of::<u8>(self.text.capacity(), true);
+        let chunks = self.chunks.iter().map(|(off, text)| {
+            let bytes = std::mem::size_of_val(&off[..]) + text.len();
+            Footprint::of::<u8>(bytes, Arc::strong_count(text) == 1)
+        });
+        chunks.sum::<Footprint>() + own
+    }
+}
+
+impl Clone for StrPool {
+    /// A clone that shares every frozen chunk, freezes a copy of the tail's
+    /// full chunks and copies the rest of the tail — fewer than [`CHUNK`]
+    /// rows.
+    fn clone(&self) -> Self {
+        let mut copy = StrPool {
+            chunks: self.chunks.clone(),
+            ..StrPool::new()
+        };
+        let rows = self.off.len().saturating_sub(1);
+        let full = rows & !MASK;
+        copy.chunks.reserve(full >> SHIFT);
+        for first in (0..full).step_by(CHUNK) {
+            let off = &self.off[first..=first + CHUNK];
+            let start = off[0];
+            let text = &self.text[start as usize..off[CHUNK] as usize];
+            let off: Arc<[u32]> = off.iter().map(|&o| o - start).collect();
+            copy.chunks.push((off, Arc::from(text)));
+        }
+        if full < rows {
+            let start = self.off[full];
+            copy.off = self.off[full..].iter().map(|&o| o - start).collect();
+            copy.text = self.text[start as usize..].to_owned();
+        }
+        copy
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1133,6 +1238,34 @@ mod tests {
         assert_eq!(g.nth(1), Some(&(CHUNK as u32 + 1)));
         assert_eq!(g.nth(want.len()), None);
         assert_eq!(g.next(), None);
+    }
+
+    #[test]
+    fn a_string_pool_keeps_its_rows_through_clones() {
+        let name = |i: usize| "é".repeat(i % 5) + &i.to_string();
+        let mut pool = StrPool::new();
+        let mut kept = Vec::new();
+        for i in 0..3 * CHUNK + 9 {
+            if i % (CHUNK - 1) == 0 {
+                kept.push((pool.clone(), i));
+                pool = pool.clone();
+            }
+            pool.push(&name(i));
+        }
+        kept.push((pool.clone(), pool.len()));
+        kept.push((pool, 3 * CHUNK + 9));
+        for (pool, len) in &kept {
+            assert_eq!(pool.len(), *len);
+            assert!((0..*len).all(|i| pool.row(i) == name(i)), "{len} rows");
+        }
+        // A clone of a clone shares every chunk.
+        let (a, _) = &kept[kept.len() - 2];
+        let b = a.clone();
+        assert_eq!(a.chunks.len(), 3);
+        assert_eq!(b.chunks.len(), 3);
+        assert!((a.chunks.iter().zip(&b.chunks)).all(|(x, y)| Arc::ptr_eq(&x.1, &y.1)));
+        assert!(b.footprint().owned < b.footprint().held);
+        assert_eq!(StrPool::new().len(), 0);
     }
 
     #[test]

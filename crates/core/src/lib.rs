@@ -49,7 +49,7 @@ pub mod universe;
 pub use atom::{AtomId, AtomNode, AtomStore};
 pub use bitset::BitSet;
 pub use budget::{CancelToken, SolveBudget, SolveOutcome, TruncationReason};
-pub use chunked::{ChunkVec, Footprint, RowPool};
+pub use chunked::{ChunkVec, Footprint, RowPool, StrPool};
 pub use error::{CoreError, Result};
 pub use factbatch::{FactBatch, RelationWriter};
 pub use fxhash::{FxHashMap, FxHashSet};

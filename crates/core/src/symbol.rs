@@ -5,7 +5,7 @@
 //! ids. All hot-path structures (terms, atoms, rules) store symbols, never
 //! strings.
 
-use crate::chunked::{ChunkVec, Footprint, RowPool};
+use crate::chunked::{ChunkVec, Footprint, StrPool};
 use crate::fxhash::FxHasher;
 use crate::idtable::{fold, IdTable};
 use std::fmt;
@@ -83,13 +83,14 @@ impl SymbolMap {
 
 /// Bidirectional string ↔ [`Symbol`] map.
 ///
-/// Every name lives once, as one row of a chunked byte pool; symbol `i` is
-/// row `i`, and the id table finds it by hash. No per-name allocation, and
-/// a clone copies the table and shares the pool's full chunks.
+/// Every name lives once, as one row of a chunked string pool; symbol `i`
+/// is row `i`, and the id table finds it by hash. No per-name allocation,
+/// no UTF-8 check on a read, and a clone copies the table and shares the
+/// pool's full chunks.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolTable {
-    /// The names' UTF-8 bytes, one row each.
-    names: RowPool<u8>,
+    /// The names, one row each.
+    names: StrPool,
     table: IdTable,
 }
 
@@ -113,10 +114,7 @@ impl SymbolTable {
     /// what every probe of the table needs.
     #[inline]
     fn key<'k>(&'k self, name: &'k str) -> (u32, impl FnMut(u32) -> bool + 'k) {
-        let bytes = name.as_bytes();
-        (hash_str(name), move |id: u32| {
-            self.names.row(id as usize) == bytes
-        })
+        (hash_str(name), move |id: u32| self.names.row(id as usize) == name)
     }
 
     /// Interns `name`, returning its symbol (stable across repeated calls).
@@ -127,7 +125,7 @@ impl SymbolTable {
             Err(vacant) => vacant,
         };
         let id = crate::dense_u32(self.len(), "symbol table");
-        self.names.push(name.bytes());
+        self.names.push(name);
         self.table.insert_vacant(vacant, hash, id);
         Symbol(id)
     }
@@ -138,19 +136,10 @@ impl SymbolTable {
         self.table.find(hash, is_key).map(Symbol)
     }
 
-    /// Name `i`: a row of the pool, which only ever receives whole names.
-    #[inline]
-    fn get(&self, i: usize) -> &str {
-        match std::str::from_utf8(self.names.row(i)) {
-            Ok(name) => name,
-            Err(e) => unreachable!("a name row holds one whole name: {e}"),
-        }
-    }
-
     /// Resolves a symbol back to its string.
     #[inline]
     pub fn resolve(&self, sym: Symbol) -> &str {
-        self.get(sym.index())
+        self.names.row(sym.index())
     }
 
     /// Number of interned symbols.

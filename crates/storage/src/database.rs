@@ -128,6 +128,14 @@ impl Database {
         self.by_pred.get(pred.index()).map_or(&[], Vec::as_slice)
     }
 
+    /// The predicates that hold facts, ascending: one look per predicate,
+    /// none per fact.
+    pub fn preds(&self) -> impl Iterator<Item = PredId> + '_ {
+        (self.by_pred.iter().enumerate())
+            .filter(|(_, row)| !row.is_empty())
+            .map(|(p, _)| PredId::from_index(p))
+    }
+
     /// Number of facts.
     pub fn len(&self) -> usize {
         self.facts.len()

@@ -324,10 +324,22 @@ pub struct KnowledgeBase {
     /// Artifact of the most recent [`KnowledgeBase::solve_for`] that
     /// solved its slice, and the goal predicates it was sliced for.
     sliced_last: Option<(Vec<wfdl_core::PredId>, Cached)>,
-    /// The static-analysis report (see [`KnowledgeBase::analyze`]) and the
-    /// revision it describes: rules and queries are its program, and the
-    /// fact set feeds the dead-code pass.
-    analysis: Option<(Revision, Arc<AnalysisReport>)>,
+    /// The static-analysis report (see [`KnowledgeBase::analyze`]) and what
+    /// it was computed from.
+    analysis: Option<Analyzed>,
+}
+
+/// A static-analysis report and its inputs: rules and queries are its
+/// program, the universe's predicates name what it reports, and the
+/// predicates that hold facts feed the dead-code pass.
+struct Analyzed {
+    /// The revision it describes.
+    at: Revision,
+    /// The predicates that held facts, ascending.
+    edb_preds: Vec<wfdl_core::PredId>,
+    /// The universe's predicate count.
+    preds: usize,
+    report: Arc<AnalysisReport>,
 }
 
 /// Monotone mutation stamp of a [`KnowledgeBase`]: one counter per kind of
@@ -975,22 +987,27 @@ impl KnowledgeBase {
     /// fragment classification, chase-termination risk, dead-code lints —
     /// see [`wfdl_analyze`]) and caches the report alongside the solve
     /// cache, until [`KnowledgeBase::add_source`], [`KnowledgeBase::insert`]
-    /// or [`KnowledgeBase::retract`] change something: rule and query
-    /// changes alter the analyzed program, and fact churn alters the EDB
-    /// predicate set feeding the dead-code pass.
+    /// or [`KnowledgeBase::retract`] change what it reads: rule and query
+    /// changes alter the analyzed program, and fact churn can alter the EDB
+    /// predicate set feeding the dead-code pass. Facts that arrive for
+    /// predicates holding facts already change nothing it reads, so the
+    /// cached report serves on: the EDB predicates are read off the
+    /// database's per-predicate rows, one look per predicate, and a
+    /// predicate, once interned, never changes.
     pub fn analyze(&mut self) -> Arc<AnalysisReport> {
-        if let Some((at, report)) = &self.analysis {
-            if *at == self.revision {
-                return Arc::clone(report);
+        let now = self.revision;
+        if let Some(cached) = &self.analysis {
+            if cached.at == now {
+                return Arc::clone(&cached.report);
             }
         }
-        let mut edb_seen = vec![false; self.universe.num_preds()];
-        let mut edb_preds = Vec::new();
-        for &f in self.database.facts() {
-            let p = self.universe.atoms.pred(f);
-            if !edb_seen[p.index()] {
-                edb_seen[p.index()] = true;
-                edb_preds.push(p);
+        let edb_preds: Vec<wfdl_core::PredId> = self.database.preds().collect();
+        let preds = self.universe.num_preds();
+        if let Some(cached) = &mut self.analysis {
+            let facts_only = cached.at.rebuild == now.rebuild && cached.at.queries == now.queries;
+            if facts_only && cached.preds == preds && cached.edb_preds == edb_preds {
+                cached.at = now;
+                return Arc::clone(&cached.report);
             }
         }
         let mut queried = Vec::new();
@@ -1014,7 +1031,12 @@ impl KnowledgeBase {
             edb_preds: &edb_preds,
             queried_preds: &queried,
         }));
-        self.analysis = Some((self.revision, Arc::clone(&report)));
+        self.analysis = Some(Analyzed {
+            at: now,
+            edb_preds,
+            preds,
+            report: Arc::clone(&report),
+        });
         report
     }
 }

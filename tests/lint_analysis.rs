@@ -108,6 +108,26 @@ fn facade_caches_and_invalidates_the_report() {
         "mutation invalidates the cache"
     );
     assert!(third.diagnostics.iter().any(|d| d.code == Code::W003));
+    // More facts of predicates that hold facts already change nothing the
+    // report reads: it serves on, and equals a fresh analysis.
+    kb.insert_from_reader("orphan\ty\nedge\tb\tc\n".as_bytes())
+        .expect("insert");
+    let fourth = kb.analyze();
+    assert!(Arc::ptr_eq(&third, &fourth), "facts of populated predicates");
+    let mut fresh = KnowledgeBase::from_source("edge(a,b).\nedge(X,Y) -> path(X,Y).\n").expect("kb");
+    fresh
+        .insert_from_reader("orphan\tz\norphan\ty\nedge\tb\tc\n".as_bytes())
+        .expect("insert");
+    assert_eq!(fourth.to_json("kb"), fresh.analyze().to_json("kb"));
+    // Emptying a predicate recomputes.
+    let mut batch = wfdatalog::FactBatch::new();
+    let mut orphan = batch.relation(kb.universe_mut(), "orphan", 1).expect("relation");
+    orphan.push(&["z"]).expect("z");
+    orphan.push(&["y"]).expect("y");
+    assert_eq!(kb.retract(batch), 2);
+    let fifth = kb.analyze();
+    assert!(!Arc::ptr_eq(&fourth, &fifth), "an emptied predicate");
+    assert!(!fifth.diagnostics.iter().any(|d| d.code == Code::W003));
 }
 
 // ---------------------------------------------------------------------------
