@@ -838,6 +838,81 @@ impl<T: Ord + Clone> RowPool<T> {
     }
 }
 
+impl<T> RowPool<T> {
+    /// The CSR rows `(off, data)` — `off` one more than the rows, from `0`
+    /// to `data.len()` — as a pool's flat tail: no copy.
+    pub fn from_csr(off: Vec<u32>, data: Vec<T>) -> Self {
+        debug_assert!(off.first().map_or(data.is_empty(), |&o| o == 0));
+        debug_assert_eq!(off.last().map_or(0, |&o| o as usize), data.len());
+        RowPool {
+            elements: data.len(),
+            off: if off.len() > 1 { off } else { Vec::new() },
+            data,
+            ..RowPool::new()
+        }
+    }
+}
+
+impl<T: Copy + Ord> RowPool<T> {
+    /// Edits rows where they are: every `(row, item)` of `added` — ascending
+    /// by row, each row's items ascending — is merged into its row by
+    /// `Ord` (an item greater than every item of its row is appended), and
+    /// every row of `emptied` — ascending, none of them in `added` — loses
+    /// its items. Only the chunks those rows live in are rebuilt, each by
+    /// one [`splice`](crate::csr::splice) of its own rows, and the tail if
+    /// a row is there; every other chunk stays shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range.
+    pub fn edit(&mut self, mut added: &[(u32, T)], mut emptied: &[u32]) {
+        let next = |added: &[(u32, T)], emptied: &[u32]| {
+            let row = added.first().map(|&(row, _)| row);
+            row.into_iter().chain(emptied.first().copied()).min()
+        };
+        let (mut local_added, mut local_emptied) = (Vec::new(), Vec::new());
+        while let Some(row) = next(added, emptied) {
+            let row = row as usize;
+            assert!(row < self.len(), "row {row} of {}", self.len());
+            // The rows `start..end` of one chunk, or of the tail.
+            let (start, end) = match row.checked_sub(self.base) {
+                Some(_) => (self.base, self.len()),
+                None => (row & !MASK, ((row & !MASK) + CHUNK).min(self.base)),
+            };
+            let mine = added
+                .iter()
+                .take_while(|&&(r, _)| (r as usize) < end)
+                .count();
+            let gone = emptied.iter().take_while(|&&r| (r as usize) < end).count();
+            let local = |r: u32| r - start as u32;
+            local_added.clear();
+            local_added.extend(added[..mine].iter().map(|&(r, x)| (local(r), x)));
+            local_emptied.clear();
+            local_emptied.extend(emptied[..gone].iter().map(|&r| local(r)));
+            (added, emptied) = (&added[mine..], &emptied[gone..]);
+            let edits = crate::csr::RowEdits {
+                dropped: &local_emptied,
+                inserted: &local_emptied,
+                removed: &[],
+                added: &local_added,
+            };
+            let (off, data) = match row.checked_sub(self.base) {
+                Some(_) => (&self.off[..], &self.data[..]),
+                None => self.chunks[row >> SHIFT].parts(),
+            };
+            let lost: usize = (local_emptied.iter())
+                .map(|&r| (off[r as usize + 1] - off[r as usize]) as usize)
+                .sum();
+            self.elements = self.elements + local_added.len() - lost;
+            let (off, data) = crate::csr::splice(off, data, &edits);
+            match row.checked_sub(self.base) {
+                Some(_) => (self.off, self.data) = (off, data),
+                None => self.chunks[row >> SHIFT] = Rows::Own { off, data },
+            }
+        }
+    }
+}
+
 impl<T: Clone> RowPool<T> {
     /// Appends the CSR rows `(off, data)` as frozen chunks: the rows that
     /// complete the last chunk copied with it, the rest shared by their
@@ -966,7 +1041,11 @@ impl StrPool {
     pub fn row(&self, i: usize) -> &str {
         let (off, text, at) = match self.chunks.get(i >> SHIFT) {
             Some((off, text)) => (&off[..], &text[..], i & MASK),
-            None => (&self.off[..], &self.text[..], i - (self.chunks.len() << SHIFT)),
+            None => (
+                &self.off[..],
+                &self.text[..],
+                i - (self.chunks.len() << SHIFT),
+            ),
         };
         &text[off[at] as usize..off[at + 1] as usize]
     }
@@ -978,7 +1057,8 @@ impl StrPool {
             self.off.push(0);
         }
         self.text.push_str(row);
-        self.off.push(crate::dense_u32(self.text.len(), "string pool"));
+        self.off
+            .push(crate::dense_u32(self.text.len(), "string pool"));
     }
 
     /// Heap bytes held: every chunk, shared or not, the tail and the chunk
@@ -1032,6 +1112,7 @@ impl Clone for StrPool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// The chunks of `a` and `b` that are one frozen chunk held by both.
     fn shared_with<T>(a: &[Chunk<T>], b: &[Chunk<T>]) -> usize {
@@ -1186,6 +1267,73 @@ mod tests {
                     let from: usize = want[i..].iter().map(Vec::len).sum();
                     prop_assert_eq!(pool.num_elements_from(i), from, "rows {}..", i);
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Row edits against a `Vec<Vec<_>>` of sorted rows, on a pool with
+        /// frozen chunks, a partial last chunk and a tail: items merged
+        /// into rows in chunks and in the tail, rows emptied. Only the
+        /// chunks written stop being shared, and a clone taken before the
+        /// edit keeps its rows.
+        #[test]
+        fn row_edits_touch_only_their_chunks(
+            frozen in 0usize..3 * CHUNK,
+            tail in 0usize..300,
+            adds in proptest::collection::vec((0usize..4 * CHUNK, 0u32..64), 0..40),
+            empties in proptest::collection::vec(0usize..4 * CHUNK, 0..6),
+        ) {
+            let row = |i: usize| -> Vec<u32> { (0..(i % 4) as u32).map(|k| k * 16 + 1).collect() };
+            let mut pool = RowPool::new();
+            let mut want: Vec<Vec<u32>> = (0..frozen + tail).map(row).collect();
+            for r in &want[..frozen] {
+                pool.push(r.iter().copied());
+            }
+            let mut pool = pool.clone();
+            for r in &want[frozen..] {
+                pool.push(r.iter().copied());
+            }
+            let before = pool.clone();
+            let rows = want.len();
+            if rows == 0 {
+                return Ok(());
+            }
+            let mut emptied: Vec<u32> = empties.iter().map(|&r| (r % rows) as u32).collect();
+            emptied.sort_unstable();
+            emptied.dedup();
+            let mut added: Vec<(u32, u32)> = (adds.iter())
+                .map(|&(r, x)| ((r % rows) as u32, x))
+                .filter(|(r, _)| emptied.binary_search(r).is_err())
+                .collect();
+            added.sort_unstable();
+            for &r in &emptied {
+                want[r as usize].clear();
+            }
+            for &(r, x) in &added {
+                want[r as usize].push(x);
+                want[r as usize].sort_unstable();
+            }
+            pool.edit(&added, &emptied);
+            prop_assert_eq!(pool.len(), want.len());
+            prop_assert_eq!(pool.num_elements(), want.iter().map(Vec::len).sum::<usize>());
+            for (i, r) in want.iter().enumerate() {
+                prop_assert_eq!(pool.row(i), &r[..], "row {}", i);
+                prop_assert_eq!(before.row(i), &row(i)[..], "row {} before", i);
+            }
+            let touched: BTreeSet<usize> = (added.iter().map(|&(r, _)| r).chain(emptied.iter().copied()))
+                .map(|r| r as usize)
+                .filter(|&r| r < pool.base)
+                .map(|r| r >> SHIFT)
+                .collect();
+            // A clone completes a partial last chunk with the tail, so
+            // `before` holds that one as a chunk of its own.
+            let full = pool.base >> SHIFT;
+            for (k, (a, b)) in pool.chunks.iter().zip(&before.chunks).take(full).enumerate() {
+                let shared = (a.data_buf().zip(b.data_buf())).is_some_and(|(x, y)| Arc::ptr_eq(x, y));
+                prop_assert_eq!(shared, !touched.contains(&k), "chunk {}", k);
             }
         }
     }

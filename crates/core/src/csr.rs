@@ -58,7 +58,9 @@ enum Ends {
 }
 
 /// Applies `edits` to the CSR `(old_off, old_items)`, returning the new
-/// offsets and items.
+/// offsets and items. The old offsets need not start at `0`: rows
+/// `old_off[0]..` of a larger items array are a CSR too, and only the items
+/// they span are read.
 ///
 /// # Panics
 ///
@@ -130,9 +132,10 @@ fn walk<T: Copy + Ord>(
     debug_assert!(removed.windows(2).all(|w| w[0].0 <= w[1].0));
     debug_assert!(added.windows(2).all(|w| w[0].0 <= w[1].0));
     let new_rows = old_rows - dropped.len() + inserted.len();
-    let _ = dense_u32(old_items.len() + added.len(), "csr items");
+    let spanned = (old_off(old_rows) - old_off(0)) as usize;
+    let _ = dense_u32(spanned + added.len(), "csr items");
 
-    let mut items = Vec::with_capacity(old_items.len() + added.len() - removed.len());
+    let mut items = Vec::with_capacity(spanned + added.len() - removed.len());
     // Cursors: the next old row and the next new row.
     let (mut o, mut r) = (0usize, 0usize);
     let head = |list: &[(u32, T)]| list.first().map_or(usize::MAX, |&(row, _)| row as usize);

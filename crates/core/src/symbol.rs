@@ -114,7 +114,9 @@ impl SymbolTable {
     /// what every probe of the table needs.
     #[inline]
     fn key<'k>(&'k self, name: &'k str) -> (u32, impl FnMut(u32) -> bool + 'k) {
-        (hash_str(name), move |id: u32| self.names.row(id as usize) == name)
+        (hash_str(name), move |id: u32| {
+            self.names.row(id as usize) == name
+        })
     }
 
     /// Interns `name`, returning its symbol (stable across repeated calls).

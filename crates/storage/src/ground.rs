@@ -11,9 +11,10 @@
 //! Atoms mentioned by a program are numbered with a contiguous
 //! `0..num_atoms()` range of **local ids** (positions in
 //! [`GroundProgram::atoms`]), and every index the engines touch in their
-//! inner loops is stored in **compressed-sparse-row** form: one flat
-//! offsets array (`n + 1` entries) plus one flat data array, so a lookup is
-//! two array reads and a slice — no hashing, no per-atom allocation. The
+//! inner loops is stored in **compressed-sparse-row** form: offsets (`n + 1`
+//! entries) over the data they point into, a chunk of rows at a time
+//! (`wfdl_core::chunked::RowPool`), so a lookup is two array reads and a
+//! slice — no hashing, no per-atom allocation. The
 //! `AtomId`-keyed accessors ([`GroundProgram::rules_with_head`] & co.)
 //! remain for callers that work with universe ids; the `*_local` twins are
 //! the hot-path API used by `wfdl-wfs`.
@@ -27,13 +28,16 @@
 //! ([`GroundProgram::local_id`] is one array read), and an extension
 //! clones it like every other inherited array.
 //!
-//! The arrays an extension inherits — facts, atoms, the `AtomId → local
-//! id` map and the rule arrays — are copy-on-write chunked arrays
-//! (`wfdl_core::chunked`): an extension's clones share the frozen chunks
-//! of the program it extends (the first extension of a program built from
-//! scratch freezes a copy of it), append to flat tails and copy only the
-//! chunks they write — those of the map its new atoms land in. The
-//! occurrence rows are spliced into new arrays.
+//! Every array an extension inherits — facts, atoms, the `AtomId → local
+//! id` map, the rule arrays and the occurrence rows — is a copy-on-write
+//! chunked array (`wfdl_core::chunked`): an extension's clones share the
+//! frozen chunks of the program it extends (the first extension of a
+//! program built from scratch freezes a copy of it), append to flat tails
+//! and rebuild only the chunks they write: those of the map its new atoms
+//! land in, and those of the occurrence rows of the atoms its new rules
+//! mention ([`RowPool::edit`]). A new rule's id is larger than every old
+//! one, so the new entries go at the end of their rows, which keep rule
+//! order.
 //!
 //! ## Which rows exist when
 //!
@@ -41,18 +45,17 @@
 //! bodies, CSR over rules) and the **head rows** (`rules_with_head*`):
 //! condensation and rule classification read those on every solve. The
 //! **body rows** (`rules_with_pos*` / `rules_with_neg*`) are counted by the
-//! first call that reads one, all four arrays at once behind a `OnceLock`.
+//! first call that reads one, both kinds at once behind a `OnceLock`.
 //! A cold solve never asks: the modular engine closes each
 //! component over rows of its own. Their readers are
 //! [`Extension::finish`] over a program with rules — the first resume
 //! after a cold solve counts the previous program's rows once and hands the
-//! extension its spliced copy already set, so later resumes splice and
-//! never count — the resume's forward cone in `wfdl-wfs`, the positive
-//! closure of a budget-tripped chase, and the reference engines of
+//! extension its edited copy already set, so later resumes edit and never
+//! count — the resume's forward cone in `wfdl-wfs`, the positive closure
+//! of a budget-tripped chase, and the reference engines of
 //! `wfdl-reference`.
 
 use std::sync::OnceLock;
-use wfdl_core::csr::{self, RowEdits};
 use wfdl_core::{AtomId, BitSet, ChunkVec, Footprint, FxHashMap, RowPool};
 
 /// Sentinel for "not mentioned" in [`GroundProgram`]'s `AtomId → local id`
@@ -191,24 +194,22 @@ pub struct GroundProgram {
     pos_local: RowPool<u32>,
     /// Negative bodies as local ids, one row per rule.
     neg_local: RowPool<u32>,
-    /// `head_occ(a)` = rules with head `a`, CSR over local atom ids.
-    head_occ_off: Vec<u32>,
-    head_occ: Vec<GroundRuleId>,
+    /// Row `a`: the rules with head `a`, one row per local atom id, in rule
+    /// order.
+    head_occ: RowPool<GroundRuleId>,
     /// The body occurrence rows, counted by the first reader.
     body_rows: OnceLock<BodyRows>,
 }
 
-/// Which rules mention an atom in their body, CSR over local atom ids,
-/// each row in rule order. Counted from the rule arrays on first read (see
-/// the module docs for who reads them).
+/// Which rules mention an atom in their body, one row per local atom id,
+/// each in rule order. Counted from the rule arrays on first read (see the
+/// module docs for who reads them).
 #[derive(Clone, Debug)]
 struct BodyRows {
-    /// `pos(a)` = rules with `a` in the positive body.
-    pos_off: Vec<u32>,
-    pos: Vec<GroundRuleId>,
-    /// `neg(a)` = rules with `a` in the negative body.
-    neg_off: Vec<u32>,
-    neg: Vec<GroundRuleId>,
+    /// Row `a`: the rules with `a` in the positive body.
+    pos: RowPool<GroundRuleId>,
+    /// Row `a`: the rules with `a` in the negative body.
+    neg: RowPool<GroundRuleId>,
 }
 
 impl GroundProgram {
@@ -288,7 +289,7 @@ impl GroundProgram {
             neg_local,
             ..GroundProgram::default()
         };
-        (prog.head_occ_off, prog.head_occ) = occurrence_rows(prog.num_atoms(), prog.heads());
+        prog.head_occ = occurrence_rows(prog.num_atoms(), prog.heads());
         prog
     }
 
@@ -353,21 +354,18 @@ impl GroundProgram {
     fn body_rows(&self) -> &BodyRows {
         self.body_rows.get_or_init(|| {
             let n = self.atoms.len();
-            let (pos_off, pos) = occurrence_rows(n, body_entries(&self.pos_local, 0));
-            let (neg_off, neg) = occurrence_rows(n, body_entries(&self.neg_local, 0));
             BodyRows {
-                pos_off,
-                pos,
-                neg_off,
-                neg,
+                pos: occurrence_rows(n, body_entries(&self.pos_local, 0)),
+                neg: occurrence_rows(n, body_entries(&self.neg_local, 0)),
             }
         })
     }
 
     /// The heap bytes of the program's chunked arrays: all it holds, and
     /// the part no other program holds — for an extension, what it copied
-    /// or added.
+    /// or added. The body rows count once counted.
     pub fn footprint(&self) -> Footprint {
+        let body = self.body_rows.get();
         [
             self.facts.footprint(),
             self.atoms.footprint(),
@@ -376,8 +374,10 @@ impl GroundProgram {
             self.head_local.footprint(),
             self.pos_local.footprint(),
             self.neg_local.footprint(),
+            self.head_occ.footprint(),
         ]
         .into_iter()
+        .chain(body.map(|rows| rows.pos.footprint() + rows.neg.footprint()))
         .sum()
     }
 
@@ -386,39 +386,34 @@ impl GroundProgram {
         (self.head_local.iter().copied()).zip(0..)
     }
 
-    /// Indexes the heads of an extension of `prev`: counted when `prev` has
-    /// no rules, spliced from `prev`'s rows otherwise.
-    fn index_heads(&mut self, prev: &GroundProgram) {
-        let old = (&prev.head_occ_off[..], &prev.head_occ[..]);
-        (self.head_occ_off, self.head_occ) = match prev.num_rules() {
-            0 => occurrence_rows(self.num_atoms(), self.heads()),
-            first => {
-                let new_heads = self.head_local.iter_from(first).copied().zip(first..);
-                self.spliced(prev, old, new_heads)
-            }
-        };
+    /// The rows `old`, one per atom of the program this one extends, as
+    /// rows over this program's atoms: shared but for an empty row for
+    /// each new atom and the chunks that the new rules' `(atom, rule)`
+    /// entries land in.
+    fn extended_rows(
+        &self,
+        old: &RowPool<GroundRuleId>,
+        mut entries: Vec<(u32, GroundRuleId)>,
+    ) -> RowPool<GroundRuleId> {
+        entries.sort_unstable();
+        let mut rows = old.clone();
+        rows.reserve(self.num_atoms() - old.len(), entries.len());
+        for _ in old.len()..self.num_atoms() {
+            rows.push(std::iter::empty());
+        }
+        rows.edit(&entries, &[]);
+        rows
     }
 
-    /// The rows `old` of `prev`, which this program extends, spliced into
-    /// rows over this program's atoms — one more for each new atom — with
-    /// the new rules' `(atom, rule)` entries merged in.
-    fn spliced(
-        &self,
-        prev: &GroundProgram,
-        (off, rules): (&[u32], &[GroundRuleId]),
-        entries: impl Iterator<Item = (u32, usize)>,
-    ) -> (Vec<u32>, Vec<GroundRuleId>) {
-        let mut added: Vec<(u32, GroundRuleId)> = entries
+    /// The `(head, rule)` entries of the rules from `first` on, by head and
+    /// then rule.
+    fn head_entries(&self, first: usize) -> Vec<(u32, GroundRuleId)> {
+        let heads = self.head_local.iter_from(first).copied();
+        let mut entries: Vec<(u32, GroundRuleId)> = (heads.zip(first..))
             .map(|(a, r)| (a, GroundRuleId::from_index(r)))
             .collect();
-        added.sort_unstable();
-        let inserted: Vec<u32> = (prev.num_atoms() as u32..self.num_atoms() as u32).collect();
-        let edits = RowEdits {
-            inserted: &inserted,
-            added: &added,
-            ..RowEdits::default()
-        };
-        csr::splice(off, rules, &edits)
+        entries.sort_unstable();
+        entries
     }
 
     /// Marks in `dropped` every rule of `row` — the rules of one head —
@@ -567,8 +562,7 @@ impl GroundProgram {
     /// Rules whose head has local id `local`.
     #[inline]
     pub fn rules_with_head_local(&self, local: u32) -> &[GroundRuleId] {
-        let a = local as usize;
-        &self.head_occ[self.head_occ_off[a] as usize..self.head_occ_off[a + 1] as usize]
+        self.head_occ.row(local as usize)
     }
 
     /// Rules with local atom `local` in their positive body. The first call
@@ -576,16 +570,14 @@ impl GroundProgram {
     /// rows.
     #[inline]
     pub fn rules_with_pos_local(&self, local: u32) -> &[GroundRuleId] {
-        let (rows, a) = (self.body_rows(), local as usize);
-        &rows.pos[rows.pos_off[a] as usize..rows.pos_off[a + 1] as usize]
+        self.body_rows().pos.row(local as usize)
     }
 
     /// Rules with local atom `local` in their negative body (counted on
     /// first read, like the positive rows).
     #[inline]
     pub fn rules_with_neg_local(&self, local: u32) -> &[GroundRuleId] {
-        let (rows, a) = (self.body_rows(), local as usize);
-        &rows.neg[rows.neg_off[a] as usize..rows.neg_off[a + 1] as usize]
+        self.body_rows().neg.row(local as usize)
     }
 
     /// Number of rules.
@@ -675,60 +667,72 @@ impl Extension<'_> {
     ///
     /// When the program being extended has no rules (a cold hand-off), the
     /// head rows are counted and the body rows are left to their first
-    /// reader. Otherwise all three kinds of row are
-    /// [spliced](wfdl_core::csr::splice) from the old ones with the new
-    /// atoms and rules; the old body rows are counted here if nothing has
-    /// read them yet, and the extension receives its rows already counted.
+    /// reader. Otherwise the repeats are dropped first, and all three kinds
+    /// of row are the old ones [edited](RowPool::edit) with the new atoms
+    /// and rules: shared but for the chunks the new rules land in. The old
+    /// body rows are counted here if nothing has read them yet, and the
+    /// extension receives its rows already counted.
     pub fn finish(self) -> GroundProgram {
         let Extension { prev, mut next } = self;
         let first = prev.num_rules();
-        next.index_heads(prev);
-        let mut dropped = BitSet::with_capacity(next.num_rules());
+        let mut dropped = BitSet::new();
         let mut row: Vec<GroundRuleId> = Vec::new();
-        for (r, &head) in (first..).zip(next.head_local.iter_from(first)) {
-            // A touched head's last rule is a candidate: search its row
-            // there, once.
-            let rules = next.rules_with_head_local(head);
-            if rules.len() > 1 && rules.last() == Some(&GroundRuleId::from_index(r)) {
-                row.clear();
-                row.extend_from_slice(rules);
+        if first == 0 {
+            next.head_occ = occurrence_rows(next.num_atoms(), next.heads());
+            for (r, &head) in next.head_local.iter().enumerate() {
+                // A head's last rule: search its row there, once.
+                let rules = next.rules_with_head_local(head);
+                if rules.len() > 1 && rules.last() == Some(&GroundRuleId::from_index(r)) {
+                    row.clear();
+                    row.extend_from_slice(rules);
+                    next.drop_repeats(&mut row, &mut dropped);
+                }
+            }
+            if !dropped.is_empty() {
+                next.remove_rules(first, &dropped);
+                next.head_occ = occurrence_rows(next.num_atoms(), next.heads());
+            }
+            return next;
+        }
+        // A touched head's row: its old rules, then its candidates.
+        let mut heads = next.head_entries(first);
+        let mut rest = &heads[..];
+        while let Some(&(head, _)) = rest.first() {
+            let n = rest.iter().take_while(|&&(h, _)| h == head).count();
+            row.clear();
+            if (head as usize) < prev.num_atoms() {
+                row.extend_from_slice(prev.rules_with_head_local(head));
+            }
+            row.extend(rest[..n].iter().map(|&(_, r)| r));
+            if row.len() > 1 {
                 next.drop_repeats(&mut row, &mut dropped);
             }
+            rest = &rest[n..];
         }
         if !dropped.is_empty() {
             next.remove_rules(first, &dropped);
-            next.index_heads(prev);
+            heads = next.head_entries(first);
         }
-        if first > 0 {
-            let old = prev.body_rows();
-            let (pos_off, pos) = next.spliced(
-                prev,
-                (&old.pos_off, &old.pos),
-                body_entries(&next.pos_local, first),
-            );
-            let (neg_off, neg) = next.spliced(
-                prev,
-                (&old.neg_off, &old.neg),
-                body_entries(&next.neg_local, first),
-            );
-            next.body_rows = OnceLock::from(BodyRows {
-                pos_off,
-                pos,
-                neg_off,
-                neg,
-            });
-        }
+        next.head_occ = next.extended_rows(&prev.head_occ, heads);
+        let old = prev.body_rows();
+        let body = |rows: &RowPool<u32>| {
+            let entries = body_entries(rows, first).map(|(a, r)| (a, GroundRuleId::from_index(r)));
+            entries.collect()
+        };
+        next.body_rows = OnceLock::from(BodyRows {
+            pos: next.extended_rows(&old.pos, body(&next.pos_local)),
+            neg: next.extended_rows(&old.neg, body(&next.neg_local)),
+        });
         next
     }
 }
 
-/// The occurrence rows over `n` local atoms of the `(atom, rule)` entries
-/// — `(offsets, rules)`, each atom's rules in entry order — by counting
-/// sort.
+/// The occurrence rows over `n` local atoms of the `(atom, rule)` entries,
+/// each atom's rules in entry order, by counting sort.
 fn occurrence_rows(
     n: usize,
     entries: impl Iterator<Item = (u32, usize)> + Clone,
-) -> (Vec<u32>, Vec<GroundRuleId>) {
+) -> RowPool<GroundRuleId> {
     let mut fill = vec![0u32; n];
     for (a, _) in entries.clone() {
         fill[a as usize] += 1;
@@ -745,7 +749,7 @@ fn occurrence_rows(
         rules[fill[a as usize] as usize] = GroundRuleId::from_index(r);
         fill[a as usize] += 1;
     }
-    (off, rules)
+    RowPool::from_csr(off, rules)
 }
 
 /// The `(atom, rule)` entries of the bodies `rows`, from rule `first` on,
@@ -863,7 +867,7 @@ mod tests {
     }
 
     #[test]
-    fn body_rows_are_counted_on_first_read_and_spliced_after() {
+    fn body_rows_are_counted_on_first_read_and_edited_after() {
         let mut b = GroundProgramBuilder::new();
         b.add_fact(a(0));
         let r0 = b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![a(2)]));
@@ -873,7 +877,7 @@ mod tests {
         assert!(p.body_rows.get().is_none(), "head rows are not body rows");
 
         // The first extension counts its base's rows once and hands its
-        // own over already spliced.
+        // own over already edited.
         let rule = GroundRule::new(a(3), vec![a(1)], vec![a(0)]);
         let q = extend(&p, &[a(3)], &[], &[rule]);
         assert!(p.body_rows.get().is_some());

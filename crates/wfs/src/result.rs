@@ -1,15 +1,18 @@
 //! Common output type of the fixpoint engines.
 
 use crate::scc::{ModularMemo, ModularStats};
-use wfdl_core::{AtomId, Interp, TruncationReason, Truth};
+use wfdl_core::{AtomId, ChunkVec, Interp, TruncationReason, Truth};
 
-/// Per-atom decision stages as a flat array indexed by [`AtomId`]
-/// (universe atom ids are dense, so this beats a hash map by an order of
-/// magnitude on the assemble-result path every solve takes).
+/// Per-atom decision stages as an array indexed by [`AtomId`] (universe
+/// atom ids are dense, so this beats a hash map by an order of magnitude on
+/// the assemble-result path every solve takes). It is a copy-on-write
+/// chunked array: a solve from scratch fills a flat one, and a resumed
+/// solve's clone shares the chunks of the map it extends and copies only
+/// those its cone writes.
 #[derive(Clone, Debug, Default)]
 pub struct StageMap {
     /// `u32::MAX` = undecided.
-    stages: Vec<u32>,
+    stages: ChunkVec<u32>,
 }
 
 impl StageMap {
@@ -18,24 +21,15 @@ impl StageMap {
     /// An empty map pre-sized for atom ids below `n`.
     pub fn with_capacity(n: usize) -> Self {
         StageMap {
-            stages: vec![Self::UNDECIDED; n],
+            stages: ChunkVec::from_elem(Self::UNDECIDED, n),
         }
     }
 
-    /// A copy of this map with room for atom ids below `n` without
-    /// reallocation, every recorded stage `s` replaced by `renumber(s)`
-    /// when there is one: one allocation, one pass — a straight copy
-    /// without.
-    pub(crate) fn carried(&self, n: usize, renumber: Option<impl Fn(u32) -> u32>) -> Self {
-        let mut stages = Vec::with_capacity(n.max(self.stages.len()));
-        match renumber {
-            None => stages.extend_from_slice(&self.stages),
-            Some(f) => stages.extend(self.stages.iter().map(|&stage| match stage {
-                Self::UNDECIDED => stage,
-                _ => f(stage),
-            })),
+    /// Makes room for atom ids below `n`.
+    pub(crate) fn grow(&mut self, n: usize) {
+        if self.stages.len() < n {
+            self.stages.resize(n, Self::UNDECIDED);
         }
-        StageMap { stages }
     }
 
     /// Records the decision stage of an atom.
@@ -48,10 +42,11 @@ impl StageMap {
         self.stages[i] = stage;
     }
 
-    /// Forgets the decision stage of an atom.
+    /// Forgets the decision stage of an atom; writes nothing for one that
+    /// has none.
     pub(crate) fn clear(&mut self, atom: AtomId) {
-        if let Some(stage) = self.stages.get_mut(atom.index()) {
-            *stage = Self::UNDECIDED;
+        if self.get(atom).is_some() {
+            self.stages[atom.index()] = Self::UNDECIDED;
         }
     }
 
@@ -72,6 +67,11 @@ impl StageMap {
             .filter(|(_, &s)| s != Self::UNDECIDED)
             .map(|(i, &s)| (AtomId::from_index(i), s))
     }
+
+    /// The heap bytes the map holds, and the part no other map holds.
+    pub fn footprint(&self) -> wfdl_core::Footprint {
+        self.stages.footprint()
+    }
 }
 
 /// The three-valued model computed by an engine over the atoms of a ground
@@ -82,7 +82,11 @@ pub struct EngineResult {
     pub interp: Interp,
     /// Stage at which each decided atom obtained its value.
     pub decided_stage: StageMap,
-    /// Number of productive stages until the fixpoint.
+    /// Number of productive stages until the fixpoint. For the modular
+    /// engine, one past the largest component ordinal: the number of
+    /// components of a solve from scratch, and for a resumed solve the
+    /// ordinals handed out since that solve, including those of components
+    /// the resumes dissolved — stages never move.
     pub stages: u32,
     /// Per-component statistics (populated by the SCC-modular engine).
     pub stats: Option<ModularStats>,

@@ -71,11 +71,22 @@
 //! What is carried is the previous run's [`ModularMemo`] — verdicts and
 //! facts by local id, the component of every atom, the component rows and
 //! which components were recursive — plus its interpretation and stages.
-//! Local ids never move in an extension, so each array is one copy plus a
-//! fresh tail for the new atoms, then written at cone positions only. When
-//! the cone dissolves old components, the carried ordinals (and stages) are
-//! renumbered densely in that same copy. Nothing is recomputed per atom
-//! outside the cone.
+//! Local ids never move in an extension. The condensation, the recursive
+//! flags and the stage map are copy-on-write chunked arrays
+//! (`wfdl_core::chunked`): a resume's clones share the previous run's
+//! chunks, append the new atoms and components to flat tails, and copy
+//! only the chunks the cone writes. The verdicts and the fact set — a byte
+//! and a bit per atom, read on every rule the sweep classifies — and the
+//! interpretation are copied flat.
+//!
+//! Ordinals never move. A component the cone dissolves keeps its ordinal
+//! as an empty row, and the cone's components take fresh ordinals above
+//! every old one. Emission order stays dependencies-first: the cone is
+//! closed under "depends on", so a carried component depends on carried
+//! ones only, and a cone component on carried ones and on cone components
+//! Tarjan emitted before it. So no carried ordinal or stage is rewritten,
+//! and nothing is walked per atom or per component outside the cone; the
+//! per-atom scratch of a resume is keyed by the cone's atoms.
 //!
 //! The per-atom decision *stage* reported by this engine is the 1-based
 //! ordinal of the component that decided it, which preserves the invariant
@@ -85,16 +96,21 @@
 //! stage-faithful traces.
 
 use crate::result::EngineResult;
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
+use std::ops::Index;
 use wfdl_core::budget::FaultSite;
-use wfdl_core::csr::{self, RowEdits};
-use wfdl_core::{AtomId, BitSet, Interp, SolveBudget, TruncationReason, Truth};
+use wfdl_core::{AtomId, BitSet, ChunkVec, FxHashMap, Interp, RowPool, SolveBudget};
+use wfdl_core::{TruncationReason, Truth};
 use wfdl_storage::GroundProgram;
 
 /// Per-run statistics of the modular evaluation, exposed through
 /// [`EngineResult::stats`] and the `wfdl` CLI's `--stats` flag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ModularStats {
-    /// Number of strongly connected components of the dependency graph.
+    /// Number of strongly connected components of the dependency graph
+    /// (for a resumed solve too: the components its resumes dissolved are
+    /// not counted).
     pub components: usize,
     /// Components evaluated by the flat semi-naive pass.
     pub definite_components: usize,
@@ -135,15 +151,16 @@ pub struct ModularStats {
 /// how each component was evaluated, and the two per-atom arrays every
 /// sweep builds — the verdicts and the fact set, by local id. Together with
 /// the interpretation, the stages and the statistics of the same
-/// [`EngineResult`] that is everything the carry-and-patch path copies; it
-/// rebuilds none of it.
+/// [`EngineResult`] that is everything the carry-and-patch path carries; it
+/// rebuilds none of it, and a clone shares the chunks of its chunked
+/// arrays.
 #[derive(Clone, Debug)]
 pub struct ModularMemo {
     /// The condensation the solve ran over.
     pub condensation: Condensation,
     /// Per component, by emission ordinal: was it recursive (internal
     /// negation or an undefined lower input) rather than definite.
-    recursive: Vec<bool>,
+    recursive: ChunkVec<bool>,
     /// The verdict of every atom, by local id: what the result's `interp`
     /// holds by universe id.
     truth: Vec<Truth>,
@@ -171,12 +188,10 @@ const BLOCKED: u32 = u32::MAX;
 
 /// Scratch buffers, reused across components (most components are
 /// singletons, so per-component allocation would dominate). Nothing here
-/// is sized by the program's rules; the two atoms-sized arrays are
-/// allocated by the first component that needs them, and evaluating a
-/// component allocates nothing beyond what the largest one before it held.
-struct Scratch {
-    /// Atoms of the program: the length of the atoms-sized arrays.
-    num_atoms: usize,
+/// is sized by the program's rules, and nothing but the positions `P` by
+/// its atoms: evaluating a component allocates nothing beyond what the
+/// largest one before it held.
+struct Scratch<P> {
     /// The rules heading an atom of the component, collected by
     /// `classify_rules`.
     rules: Vec<u32>,
@@ -186,29 +201,77 @@ struct Scratch {
     /// closure in progress, or [`BLOCKED`].
     missing: Vec<u32>,
     /// The component's own positive occurrence rows.
-    rows: LocalRows,
+    rows: LocalRows<P>,
     queue: Vec<u32>,
-    /// Possibly-founded marks over local atom ids: `founded[a] == epoch`
-    /// means "marked in the current unfounded-set pass". Bumping `epoch`
-    /// clears every mark at once, so the array is never reset. Allocated by
-    /// the first unfounded-set pass (a program of definite components never
-    /// runs one).
+    /// Possibly-founded marks by position in the component:
+    /// `founded[p] == epoch` means "marked in the current unfounded-set
+    /// pass". Bumping `epoch` clears every mark at once, so the array is
+    /// never reset, only grown to the largest component that runs a pass.
     founded: Vec<u32>,
     epoch: u32,
 }
 
-impl Scratch {
-    fn new(prog: &GroundProgram) -> Self {
+impl<P: Positions> Scratch<P> {
+    fn new(at: P) -> Self {
         Scratch {
-            num_atoms: prog.num_atoms(),
             rules: Vec::new(),
             kind: Vec::new(),
             missing: Vec::new(),
-            rows: LocalRows::default(),
+            rows: LocalRows {
+                at,
+                singleton: false,
+                entries: Vec::new(),
+                off: Vec::new(),
+                rules: Vec::new(),
+            },
             queue: Vec::new(),
             founded: Vec::new(),
             epoch: 0,
         }
+    }
+}
+
+/// Where each atom of a multi-atom component sits in it, by local atom id.
+trait Positions {
+    /// Atom `a` sits at position `p` of the component under evaluation.
+    fn set(&mut self, a: u32, p: u32);
+    /// The position of atom `a`, set since the component started.
+    fn get(&self, a: u32) -> u32;
+}
+
+/// A full solve's positions: an array over the program's atoms, allocated
+/// by the first multi-atom component.
+struct Dense {
+    at: Vec<u32>,
+    atoms: usize,
+}
+
+impl Positions for Dense {
+    #[inline]
+    fn set(&mut self, a: u32, p: u32) {
+        if self.at.is_empty() {
+            self.at.resize(self.atoms, 0);
+        }
+        self.at[a as usize] = p;
+    }
+
+    #[inline]
+    fn get(&self, a: u32) -> u32 {
+        self.at[a as usize]
+    }
+}
+
+/// A resume's positions: a map over the atoms of the cone's multi-atom
+/// components, so that nothing is sized by the program.
+impl Positions for FxHashMap<u32, u32> {
+    #[inline]
+    fn set(&mut self, a: u32, p: u32) {
+        self.insert(a, p);
+    }
+
+    #[inline]
+    fn get(&self, a: u32) -> u32 {
+        self[&a]
     }
 }
 
@@ -219,12 +282,10 @@ impl Scratch {
 /// as it classifies, and `count` sorts them into rows keyed by the atom's
 /// position in the component — so a closure never looks at a rule of
 /// another component.
-#[derive(Default)]
-struct LocalRows {
-    /// `at[a]`: the position of atom `a` in the component under evaluation,
-    /// written for the atoms of multi-atom components only (a singleton's
-    /// atom is at 0). Atoms-sized, allocated by the first such component.
-    at: Vec<u32>,
+struct LocalRows<P> {
+    /// The position of each atom of the component under evaluation,
+    /// written for multi-atom components only (a singleton's atom is at 0).
+    at: P,
     /// The component under evaluation is a singleton.
     singleton: bool,
     /// `(position of the atom, position of the rule)` per internal
@@ -236,18 +297,14 @@ struct LocalRows {
     rules: Vec<u32>,
 }
 
-impl LocalRows {
-    /// Starts recording the rows of `comp`, a component of a program with
-    /// `num_atoms` atoms.
-    fn start(&mut self, comp: &[u32], num_atoms: usize) {
+impl<P: Positions> LocalRows<P> {
+    /// Starts recording the rows of `comp`.
+    fn start(&mut self, comp: &[u32]) {
         self.entries.clear();
         self.singleton = comp.len() == 1;
         if !self.singleton {
-            if self.at.is_empty() {
-                self.at.resize(num_atoms, 0);
-            }
             for (p, &a) in comp.iter().enumerate() {
-                self.at[a as usize] = p as u32;
+                self.at.set(a, p as u32);
             }
         }
     }
@@ -258,7 +315,7 @@ impl LocalRows {
         if self.singleton {
             0
         } else {
-            self.at[a as usize] as usize
+            self.at.get(a) as usize
         }
     }
 
@@ -367,15 +424,16 @@ impl<'a> ModularEngine<'a> {
     ///    rule heading one of its atoms mentions a cone atom — and rule for
     ///    rule the previous program's, so by the modularity (splitting)
     ///    property of the well-founded semantics its verdicts, stages and
-    ///    components are the previous solve's: they are *copied*;
+    ///    components are the previous solve's: they are *shared*;
     /// 2. a dependency cycle that did not exist before runs through a new
     ///    rule, hence through that rule's head — a seed, whose dependants
     ///    are all in the cone. So the cone is a union of previous
     ///    components and new atoms, and Tarjan's algorithm runs on the
     ///    subgraph it induces only; the components found there get fresh
-    ///    ordinals above the carried ones (the carried ones are renumbered
-    ///    densely), which keeps emission order dependencies-first and
-    ///    stages monotone along derivations;
+    ///    ordinals above every old one, the components the cone dissolves
+    ///    keep theirs as empty rows, and no carried ordinal moves — which
+    ///    keeps emission order dependencies-first and stages monotone
+    ///    along derivations;
     /// 3. cone components are visited in that order, and **evaluated only
     ///    where something changed**: a component containing no seed, none
     ///    of whose external body atoms changed verdict in this run, is a
@@ -397,12 +455,13 @@ impl<'a> ModularEngine<'a> {
             .unwrap_or_else(|| self.solve_all())
     }
 
-    /// The full solve: condense the whole program, sweep every component.
+    /// The full solve: condense the whole program, sweep every component
+    /// over Tarjan's flat arrays, and hand them to the memo.
     fn solve_all(&self) -> EngineResult {
         let prog = self.prog;
         let n = prog.num_atoms();
-        let cond = condensation(prog);
-        let num_components = cond.num_components();
+        let flat = tarjan(prog, n, |node| node, |atom| atom);
+        let num_components = flat.num_components();
 
         // `Unknown` doubles as "not yet decided" — sound because components
         // are decided strictly bottom-up.
@@ -412,11 +471,10 @@ impl<'a> ModularEngine<'a> {
             is_fact.insert(f as usize);
         }
         let mut recursive = vec![false; num_components];
-        let mem_estimate = mem_estimate(&cond);
+        let mem_estimate = mem_estimate(n, num_components);
 
         let mut stats = ModularStats {
             components: num_components,
-            largest_component: cond.largest(),
             cone_atoms: n,
             threads: 1,
             ..Default::default()
@@ -427,8 +485,12 @@ impl<'a> ModularEngine<'a> {
         // component; a budgeted one polls the clock every
         // `BUDGET_POLL_STRIDE` components.
         let mut truncation: Option<TruncationReason> = None;
-        let mut scratch = Scratch::new(prog);
+        let mut scratch = Scratch::new(Dense {
+            at: Vec::new(),
+            atoms: n,
+        });
         let budgeted = !self.budget.is_unlimited();
+        let comp_of = &flat.comp_of[..];
         for ord in 0..num_components as u32 {
             if budgeted {
                 if let Some(r) = trip_at_component(&self.budget, mem_estimate, ord) {
@@ -436,8 +498,8 @@ impl<'a> ModularEngine<'a> {
                     break;
                 }
             }
-            let comp = cond.component(ord as usize);
-            let class = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
+            let comp = flat.component(ord as usize);
+            let class = classify_rules(prog, comp, ord, comp_of, &truth, &mut scratch);
             recursive[ord as usize] = !class.definite;
             let out = CompOutcome {
                 definite: class.definite,
@@ -446,7 +508,7 @@ impl<'a> ModularEngine<'a> {
                     prog,
                     comp,
                     ord,
-                    &cond.comp_of,
+                    comp_of,
                     &is_fact,
                     &mut truth,
                     class,
@@ -468,20 +530,22 @@ impl<'a> ModularEngine<'a> {
             match value {
                 Truth::True => {
                     interp.set_true(atom);
-                    decided_stage.insert(atom, cond.comp_of[a] + 1);
+                    decided_stage.insert(atom, comp_of[a] + 1);
                 }
                 Truth::False => {
                     interp.set_false(atom);
-                    decided_stage.insert(atom, cond.comp_of[a] + 1);
+                    decided_stage.insert(atom, comp_of[a] + 1);
                 }
                 Truth::Unknown => stats.unknown_atoms += 1,
             }
         }
+        let condensation = Condensation::from(flat);
+        stats.largest_component = condensation.largest();
         // A truncated run publishes no memo: letting a later incremental
         // solve carry verdicts over from a partial sweep would be unsound.
-        let memo = truncation.is_none().then_some(ModularMemo {
-            condensation: cond,
-            recursive,
+        let memo = truncation.is_none().then(|| ModularMemo {
+            condensation,
+            recursive: recursive.into(),
             truth,
             is_fact,
         });
@@ -508,10 +572,10 @@ impl<'a> ModularEngine<'a> {
         // 1. Seeds and their forward cone. `slot[a]` is a cone atom's
         // position in `cone`.
         let mut cone: Vec<u32> = Vec::new();
-        let mut slot = vec![NONE; n];
+        let mut slot: FxHashMap<u32, u32> = FxHashMap::default();
         let mut enter = |a: u32, cone: &mut Vec<u32>| {
-            if slot[a as usize] == NONE {
-                slot[a as usize] = cone.len() as u32;
+            if let Entry::Vacant(free) = slot.entry(a) {
+                free.insert(cone.len() as u32);
                 cone.push(a);
             }
         };
@@ -524,7 +588,7 @@ impl<'a> ModularEngine<'a> {
         for a in old_n as u32..n as u32 {
             enter(a, &mut cone);
         }
-        let seeds = cone.len();
+        let seeds = cone.len() as u32;
         let mut next = 0;
         while let Some(&a) = cone.get(next) {
             next += 1;
@@ -532,69 +596,32 @@ impl<'a> ModularEngine<'a> {
                 enter(prog.head_local(rid.index()), &mut cone);
             }
         }
+        let slot_of = |a: u32| slot.get(&a).copied().unwrap_or(NONE);
 
         // 2. Components of the cone, the previous components it dissolves,
-        // and the condensation patched with both.
-        let found = tarjan(
-            prog,
-            cone.len(),
-            |node| cone[node as usize],
-            |a| slot[a as usize],
-        );
+        // and the condensation edited with both: the dissolved rows
+        // emptied, the cone's components appended.
+        let found = tarjan(prog, cone.len(), |node| cone[node as usize], slot_of);
         let mut dissolved: Vec<u32> = (cone.iter())
             .filter(|&&a| (a as usize) < old_n)
             .map(|&a| old.comp_of[a as usize])
             .collect();
         dissolved.sort_unstable();
         dissolved.dedup();
-        let carried = old.num_components() - dissolved.len();
-        let first_new = wfdl_core::dense_u32(carried, "component ordinal");
-        let _ = wfdl_core::dense_u32(carried + found.num_components(), "component ordinal");
-        // Old ordinal → new ordinal of a carried component (a dissolved
-        // one's entry is never used).
-        let renumber: Vec<u32> = if dissolved.is_empty() {
-            Vec::new()
-        } else {
-            let mut gone = dissolved.iter().peekable();
-            let mut dropped = 0u32;
-            (0..old.num_components() as u32)
-                .map(|c| {
-                    dropped += gone.next_if_eq(&&c).is_some() as u32;
-                    c.saturating_sub(dropped)
-                })
-                .collect()
-        };
-        let renumbered = (!renumber.is_empty()).then_some(|c: u32| renumber[c as usize]);
-        let mut comp_of = carry(&old.comp_of, n, NONE, renumbered);
-        let inserted: Vec<u32> = (first_new..first_new + found.num_components() as u32).collect();
-        let mut added: Vec<(u32, u32)> = Vec::with_capacity(cone.len());
-        for (c, comp) in found.iter().enumerate() {
-            for &node in comp {
-                let a = cone[node as usize];
-                comp_of[a as usize] = first_new + c as u32;
-                added.push((first_new + c as u32, a));
-            }
+        let mut cond = old.clone();
+        cond.dissolve(&dissolved);
+        cond.comp_of.resize(n, NONE);
+        let first_new = wfdl_core::dense_u32(cond.num_ordinals(), "component ordinal");
+        for comp in found.iter() {
+            cond.push(comp.iter().map(|&node| cone[node as usize]));
         }
-        let (comp_off, comp_atoms) = csr::splice(
-            &old.comp_off,
-            &old.comp_atoms,
-            &RowEdits {
-                dropped: &dissolved,
-                inserted: &inserted,
-                added: &added,
-                ..RowEdits::default()
-            },
-        );
-        let cond = Condensation {
-            comp_of,
-            comp_atoms,
-            comp_off,
-        };
 
         // 3. Carried verdicts and facts. The cone starts out undecided; a
         // cone atom's previous verdict stays readable in the memo.
         let before = |a: u32| ((a as usize) < old_n).then(|| memo.truth[a as usize]);
-        let mut truth = carry(&memo.truth, n, Truth::Unknown, None::<fn(Truth) -> Truth>);
+        let mut truth = Vec::with_capacity(n);
+        truth.extend_from_slice(&memo.truth);
+        truth.resize(n, Truth::Unknown);
         for &a in &cone {
             truth[a as usize] = Truth::Unknown;
         }
@@ -602,18 +629,9 @@ impl<'a> ModularEngine<'a> {
         for &f in prog.facts_local().iter_from(prev_prog.facts().len()) {
             is_fact.insert(f as usize);
         }
-        let mut changed = BitSet::with_capacity(n);
-        let mut recursive: Vec<bool> = Vec::with_capacity(cond.num_components());
-        if dissolved.is_empty() {
-            recursive.extend_from_slice(&memo.recursive);
-        } else {
-            let mut gone = dissolved.iter().peekable();
-            for (c, &was) in memo.recursive.iter().enumerate() {
-                if gone.next_if_eq(&&(c as u32)).is_none() {
-                    recursive.push(was);
-                }
-            }
-        }
+        // By position in the cone.
+        let mut changed = BitSet::with_capacity(cone.len());
+        let mut recursive = memo.recursive.clone();
 
         // Counters: the previous run's, less what the dissolved components
         // contributed; the cone's components are added as they are visited.
@@ -643,9 +661,9 @@ impl<'a> ModularEngine<'a> {
         }
 
         // 4. Visit the cone's components, dependencies first.
-        let mem_estimate = mem_estimate(&cond);
+        let mem_estimate = mem_estimate(n, cond.num_ordinals());
         let budgeted = !self.budget.is_unlimited();
-        let mut scratch = Scratch::new(prog);
+        let mut scratch = Scratch::new(FxHashMap::default());
         let mut truncation = None;
         for ord in first_new..first_new + found.num_components() as u32 {
             if budgeted {
@@ -656,13 +674,14 @@ impl<'a> ModularEngine<'a> {
             }
             let comp = cond.component(ord as usize);
             let class = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
-            let touched = comp.iter().any(|&a| slot[a as usize] < seeds as u32)
+            let touched = comp.iter().any(|&a| slot_of(a) < seeds)
                 || scratch.rules.iter().any(|&r| {
                     let body = prog
                         .pos_local(r as usize)
                         .iter()
                         .chain(prog.neg_local(r as usize));
-                    body.into_iter().any(|&b| changed.contains(b as usize))
+                    body.into_iter()
+                        .any(|&b| changed.contains(slot_of(b) as usize))
                 });
             let mut out = CompOutcome {
                 definite: class.definite,
@@ -683,7 +702,7 @@ impl<'a> ModularEngine<'a> {
                 stats.components_evaluated += 1;
                 for &a in comp {
                     if before(a) != Some(truth[a as usize]) {
-                        changed.insert(a as usize);
+                        changed.insert(slot_of(a) as usize);
                     }
                 }
             } else {
@@ -698,12 +717,14 @@ impl<'a> ModularEngine<'a> {
         stats.components_reused = stats.components - stats.components_evaluated;
         stats.largest_component = cond.largest();
 
-        // 5. The previous result, patched over the cone: one copy each, with
-        // room for every atom id of this program (stages are ordinals + 1).
+        // 5. The previous result, patched over the cone: the interpretation
+        // copied with room for every atom id of this program, the stage
+        // map shared but for the chunks the cone writes (stages are
+        // ordinals + 1).
         let ids = prog.atom_id_bound();
         let mut interp = prev.interp.copy_with_capacity(ids);
-        let restaged = (!renumber.is_empty()).then_some(|s: u32| renumber[s as usize - 1] + 1);
-        let mut decided_stage = prev.decided_stage.carried(ids, restaged);
+        let mut decided_stage = prev.decided_stage.clone();
+        decided_stage.grow(ids);
         let mut reevaluated: Vec<AtomId> = Vec::with_capacity(cone.len());
         for &a in &cone {
             let atom = prog.atom_of_local(a);
@@ -718,7 +739,7 @@ impl<'a> ModularEngine<'a> {
             }
             reevaluated.push(atom);
         }
-        let stages = cond.num_components() as u32;
+        let stages = cond.num_ordinals() as u32;
         debug_assert!(truncation.is_some() || memo_agrees(prog, &interp, &truth, &is_fact));
         let memo = truncation.is_none().then_some(ModularMemo {
             condensation: cond,
@@ -753,19 +774,6 @@ fn extended_atoms(prev: &GroundProgram, prog: &GroundProgram) -> Option<usize> {
     .then_some(old_n)
 }
 
-/// `old`, indexed by the previous local ids, carried over to a program of
-/// `n` atoms: one copy, through `renumber` when there is one, and `fresh`
-/// for every new atom.
-fn carry<T: Copy>(old: &[T], n: usize, fresh: T, renumber: Option<impl Fn(T) -> T>) -> Vec<T> {
-    let mut out = Vec::with_capacity(n);
-    match renumber {
-        None => out.extend_from_slice(old),
-        Some(f) => out.extend(old.iter().map(|&v| f(v))),
-    }
-    out.resize(n, fresh);
-    out
-}
-
 /// True iff the carried `truth` reads what `interp` holds over the program's
 /// atoms and `is_fact` holds the program's facts (they are distinct) — what
 /// a memo built from scratch would hold.
@@ -777,12 +785,12 @@ fn memo_agrees(prog: &GroundProgram, interp: &Interp, truth: &[Truth], is_fact: 
         && facts.iter().all(|&f| is_fact.contains(f as usize))
 }
 
-/// Working-set estimate for the memory budget: one verdict byte per atom
-/// and the condensation's three `u32` arrays. Fixed for the whole run.
-fn mem_estimate(cond: &Condensation) -> usize {
-    cond.comp_of.len()
-        + (cond.comp_of.len() + cond.comp_atoms.len() + cond.comp_off.len())
-            * std::mem::size_of::<u32>()
+/// Working-set estimate for the memory budget over `atoms` atoms and
+/// `ordinals` component ordinals: one verdict byte per atom and the
+/// condensation's `u32`s — a component per atom, the atoms of the rows and
+/// an offset per row. Fixed for the whole run.
+fn mem_estimate(atoms: usize, ordinals: usize) -> usize {
+    atoms + (2 * atoms + ordinals + 1) * std::mem::size_of::<u32>()
 }
 
 /// How often the sweep polls the wall clock and memory budget, in
@@ -839,17 +847,18 @@ struct Class {
 /// the component is definite and whether it is trivial ([`Class`]).
 ///
 /// Tarjan assigned component ordinals in emission order, so
-/// `comp_of[b] == ordinal` tests membership in this component.
-fn classify_rules(
+/// `comp_of[b] == ordinal` tests membership in this component. `comp_of`
+/// is Tarjan's flat array in a full solve and the memo's chunked one in a
+/// resume.
+fn classify_rules<C: Index<usize, Output = u32> + ?Sized, P: Positions>(
     prog: &GroundProgram,
     comp: &[u32],
     ordinal: u32,
-    comp_of: &[u32],
+    comp_of: &C,
     truth: &[Truth],
-    scratch: &mut Scratch,
+    scratch: &mut Scratch<P>,
 ) -> Class {
     let Scratch {
-        num_atoms,
         rules,
         kind,
         missing,
@@ -859,7 +868,7 @@ fn classify_rules(
     rules.clear();
     kind.clear();
     missing.clear();
-    rows.start(comp, *num_atoms);
+    rows.start(comp);
     let mut internal_negation = false;
     let mut undefined_input = false;
     // What an external literal makes of its rule; `satisfied` is the
@@ -923,15 +932,15 @@ fn classify_rules(
 /// definite ends false (the second round confirms that falsifying `a`
 /// fired nothing). Every other component goes through `eval_component`.
 #[allow(clippy::too_many_arguments)]
-fn decide_component(
+fn decide_component<C: Index<usize, Output = u32> + ?Sized, P: Positions>(
     prog: &GroundProgram,
     comp: &[u32],
     ordinal: u32,
-    comp_of: &[u32],
+    comp_of: &C,
     is_fact: &BitSet,
     truth: &mut [Truth],
     class: Class,
-    scratch: &mut Scratch,
+    scratch: &mut Scratch<P>,
 ) -> u32 {
     if class.trivial {
         let a = comp[0] as usize;
@@ -986,18 +995,17 @@ fn decide_component(
 /// at most once per body — so one decrement per newly marked atom keeps a
 /// countdown exact.
 #[allow(clippy::too_many_arguments)]
-fn eval_component(
+fn eval_component<C: Index<usize, Output = u32> + ?Sized, P: Positions>(
     prog: &GroundProgram,
     comp: &[u32],
     ordinal: u32,
-    comp_of: &[u32],
+    comp_of: &C,
     is_fact: &BitSet,
     truth: &mut [Truth],
     definite: bool,
-    scratch: &mut Scratch,
+    scratch: &mut Scratch<P>,
 ) -> u32 {
     let Scratch {
-        num_atoms,
         rules,
         kind,
         missing,
@@ -1006,6 +1014,7 @@ fn eval_component(
         founded,
         epoch,
     } = scratch;
+    let rows = &*rows;
     queue.clear();
     debug_assert!(!definite || !kind.contains(&RuleKind::Maybe));
 
@@ -1067,8 +1076,8 @@ fn eval_component(
             break;
         }
 
-        if founded.is_empty() {
-            founded.resize(*num_atoms, 0);
+        if founded.len() < comp.len() {
+            founded.resize(comp.len(), 0);
         }
         *epoch = epoch.wrapping_add(1);
         if *epoch == 0 {
@@ -1083,14 +1092,15 @@ fn eval_component(
             };
         }
         close(prog, rules, rows, missing, queue, |a, queue| {
-            if truth[a as usize] != Truth::True && founded[a as usize] != stamp {
-                founded[a as usize] = stamp;
+            let p = rows.position(a);
+            if truth[a as usize] != Truth::True && founded[p] != stamp {
+                founded[p] = stamp;
                 queue.push(a);
             }
         });
         let mut falsified = false;
-        for &a in comp {
-            if truth[a as usize] == Truth::Unknown && founded[a as usize] != stamp {
+        for (p, &a) in comp.iter().enumerate() {
+            if truth[a as usize] == Truth::Unknown && founded[p] != stamp {
                 truth[a as usize] = Truth::False;
                 falsified = true;
             }
@@ -1116,10 +1126,10 @@ fn eval_component(
 /// row in the component's own `rows`), and a countdown reaching zero marks
 /// that rule's head. `mark` records an atom and queues it unless it is
 /// marked already.
-fn close(
+fn close<P: Positions>(
     prog: &GroundProgram,
     rules: &[u32],
-    rows: &LocalRows,
+    rows: &LocalRows<P>,
     missing: &mut [u32],
     queue: &mut Vec<u32>,
     mut mark: impl FnMut(u32, &mut Vec<u32>),
@@ -1145,47 +1155,139 @@ fn close(
     }
 }
 
-/// Tarjan's strongly-connected-components algorithm (iterative) over the
-/// atom dependency graph `head → body atom`. Components are stored in
-/// **emission order**, which visits each component after everything it
-/// depends on (reverse topological order of the condensation), in a flat
-/// CSR layout — no per-component allocation even when every component is
-/// a singleton (the common case on stratified workloads).
+/// The strongly connected components of a program's atom dependency graph
+/// (`head → body atom`), by **ordinal**, in emission order: Tarjan's
+/// algorithm emits each component after everything it depends on (reverse
+/// topological order of the condensation).
+///
+/// A solve from scratch hands Tarjan's flat arrays over as the tails of
+/// chunked ones — no per-component allocation even when every component is
+/// a singleton. A resumed solve's clone shares their chunks, empties the
+/// row of every component its cone dissolves — its ordinal is never handed
+/// out again — and appends the cone's components with fresh ordinals (see
+/// the module docs for why that keeps emission order).
 #[derive(Clone, Debug)]
 pub struct Condensation {
-    /// Local atom id → component ordinal (emission order).
-    pub comp_of: Vec<u32>,
-    /// Component atoms, concatenated in emission order.
-    comp_atoms: Vec<u32>,
-    /// CSR offsets into `comp_atoms`, `num_components() + 1` entries.
-    comp_off: Vec<u32>,
+    /// Local atom id → component ordinal.
+    pub comp_of: ChunkVec<u32>,
+    /// Row `c`: the atoms of component `c`, in emission order; empty for a
+    /// component a resume dissolved.
+    comps: RowPool<u32>,
+    /// Live components by size: how many have each size.
+    sizes: BTreeMap<usize, usize>,
+    /// Live components.
+    live: usize,
 }
 
 impl Condensation {
-    /// Number of strongly connected components.
+    /// Number of strongly connected components: the live ones.
     pub fn num_components(&self) -> usize {
-        self.comp_off.len() - 1
+        self.live
     }
 
-    /// The atoms of component `c` (emission order within the component).
+    /// Number of ordinals handed out: the components, and for a resumed
+    /// solve the components its resumes dissolved.
+    pub fn num_ordinals(&self) -> usize {
+        self.comps.len()
+    }
+
+    /// The atoms of component `c` (emission order within the component);
+    /// empty for a dissolved one.
     pub fn component(&self, c: usize) -> &[u32] {
-        &self.comp_atoms[self.comp_off[c] as usize..self.comp_off[c + 1] as usize]
+        self.comps.row(c)
     }
 
-    /// Iterates components in emission (dependencies-first) order.
+    /// Iterates the rows of every ordinal in emission (dependencies-first)
+    /// order: the components, and an empty row for each dissolved one.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.num_components()).map(|c| self.component(c))
+        self.comps.rows()
     }
 
     /// Atoms in the largest component.
     fn largest(&self) -> usize {
-        (self.comp_off.windows(2).map(|w| w[1] - w[0]).max()).unwrap_or(0) as usize
+        self.sizes.keys().next_back().copied().unwrap_or(0)
+    }
+
+    /// Empties the rows of the components `dissolved` (ascending ordinals),
+    /// which stop counting.
+    fn dissolve(&mut self, dissolved: &[u32]) {
+        for &c in dissolved {
+            let size = self.comps.row(c as usize).len();
+            self.live -= 1;
+            if let Some(n) = self.sizes.get_mut(&size) {
+                *n -= 1;
+                if *n == 0 {
+                    self.sizes.remove(&size);
+                }
+            }
+        }
+        self.comps.edit(&[], dissolved);
+    }
+
+    /// Appends a component of the atoms `atoms`, with the next ordinal.
+    fn push(&mut self, atoms: impl ExactSizeIterator<Item = u32> + Clone) {
+        let ordinal = wfdl_core::dense_u32(self.comps.len(), "component ordinal");
+        for a in atoms.clone() {
+            self.comp_of[a as usize] = ordinal;
+        }
+        self.live += 1;
+        *self.sizes.entry(atoms.len()).or_insert(0) += 1;
+        self.comps.push(atoms);
+    }
+}
+
+impl From<Flat> for Condensation {
+    /// Tarjan's arrays, handed over as they are.
+    fn from(flat: Flat) -> Condensation {
+        let mut sizes = BTreeMap::new();
+        let mut singletons = 0;
+        for w in flat.comp_off.windows(2) {
+            match (w[1] - w[0]) as usize {
+                1 => singletons += 1,
+                size => *sizes.entry(size).or_insert(0) += 1,
+            }
+        }
+        if singletons > 0 {
+            sizes.insert(1, singletons);
+        }
+        Condensation {
+            live: flat.num_components(),
+            comp_of: flat.comp_of.into(),
+            comps: RowPool::from_csr(flat.comp_off, flat.comp_atoms),
+            sizes,
+        }
+    }
+}
+
+/// Tarjan's output over node ids, in one flat CSR: what a full solve
+/// sweeps before handing it to its [`Condensation`], and what a resume
+/// appends to the one it carries.
+struct Flat {
+    /// Node → component ordinal (emission order).
+    comp_of: Vec<u32>,
+    /// Component nodes, concatenated in emission order.
+    comp_atoms: Vec<u32>,
+    /// Offsets into `comp_atoms`, `num_components() + 1` entries.
+    comp_off: Vec<u32>,
+}
+
+impl Flat {
+    fn num_components(&self) -> usize {
+        self.comp_off.len() - 1
+    }
+
+    fn component(&self, c: usize) -> &[u32] {
+        &self.comp_atoms[self.comp_off[c] as usize..self.comp_off[c + 1] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.num_components()).map(|c| self.component(c))
     }
 }
 
 /// Computes the [`Condensation`] of a ground program's dependency graph.
 pub fn condensation(prog: &GroundProgram) -> Condensation {
-    tarjan(prog, prog.num_atoms(), |node| node, |atom| atom)
+    tarjan(prog, prog.num_atoms(), |node| node, |atom| atom).into()
 }
 
 /// Tarjan's algorithm over the subgraph of the dependency graph induced by
@@ -1197,7 +1299,7 @@ fn tarjan(
     nodes: usize,
     atom_of: impl Fn(u32) -> u32,
     node_of: impl Fn(u32) -> u32,
-) -> Condensation {
+) -> Flat {
     let n = nodes;
     // Flat adjacency CSR, filled in one pass: the successors of a node are
     // the body atoms, inside the subgraph, of the rules its atom heads. The
@@ -1277,7 +1379,7 @@ fn tarjan(
         }
     }
 
-    Condensation {
+    Flat {
         comp_of,
         comp_atoms,
         comp_off,
@@ -1619,9 +1721,14 @@ mod tests {
         assert_eq!(is.unknown_atoms, fs.unknown_atoms);
         assert_eq!(is.components_reused, 1, "the fact a3");
         // The patched condensation is a condensation of the grown program.
+        // Its ordinals are the old ones — {a0}, {a1} and {a2} dissolved, as
+        // empty rows — and the new ones after them: walk them all.
         let cond = &inc.memo.as_ref().unwrap().condensation;
         assert_eq!(cond.num_components(), fs.components);
-        for c in 0..cond.num_components() {
+        assert_eq!(cond.num_ordinals(), fs.components + 3);
+        assert_eq!(inc.stages, 6);
+        assert_eq!(cond.iter().filter(|c| !c.is_empty()).count(), fs.components);
+        for c in 0..cond.num_ordinals() {
             for &atom in cond.component(c) {
                 assert_eq!(cond.comp_of[atom as usize] as usize, c);
             }

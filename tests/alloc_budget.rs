@@ -419,9 +419,9 @@ fn resumed_twice(
 /// inherits once, as a flat array would; this measures the next one).
 /// Twice the knowledge base, the same delta, the same bytes — up to one
 /// chunk per array, where the delta's writes happen to land — and at most
-/// a fifth of what copying every inherited array obtained. The hand-off's
-/// occurrence rows are still spliced into new arrays, a cost that grows
-/// with the program, so with the hand-off the bound is a third.
+/// a fifth of what copying every inherited array obtained, with the
+/// hand-off too: its occurrence rows are edited where the new rules land,
+/// not spliced into new arrays.
 #[test]
 fn a_resume_copies_what_it_touches() {
     use wfdatalog::core::chunked::CHUNK;
@@ -434,7 +434,7 @@ fn a_resume_copies_what_it_touches() {
             segment.atoms().len()
         );
         // The first resume counted the program's body rows; a resume of a
-        // resumed model receives them spliced.
+        // resumed model receives them edited.
         assert!(ground.rules_with_pos_local(0).len() <= ground.num_rules());
         let mut universe = kb.universe().clone();
         let batch = wfdatalog::fact_batch_from_separated(&mut universe, &ten_facts(1)).unwrap();
@@ -463,7 +463,7 @@ fn a_resume_copies_what_it_touches() {
             "a 10-fact resume obtained {chase} bytes, {chase_before} before"
         );
         assert!(
-            both * 3 <= both_before,
+            both * 5 <= both_before,
             "a 10-fact resume and hand-off obtained {both} bytes, {both_before} before"
         );
     }
@@ -477,6 +477,59 @@ fn a_resume_copies_what_it_touches() {
     assert!(
         large_owned.abs_diff(small_owned) <= CHUNKED_ARRAYS * chunk_bytes,
         "twice the knowledge base: the resume owns {small_owned} then {large_owned} bytes"
+    );
+}
+
+/// The chunked arrays a resumed hand-off and engine write: the ground
+/// program's seven arrays and three kinds of occurrence row, and the
+/// engine's component of every atom, component rows, recursive flags and
+/// stage map.
+const HAND_OFF_AND_ENGINE_ARRAYS: usize = 14;
+
+/// A resumed hand-off and engine share what the model they extend holds —
+/// the ground program's arrays and occurrence rows, the condensation, the
+/// stage map — and copy only the chunks the delta's cone writes. Twice the
+/// knowledge base, the same 10-fact delta: the bytes obtained differ by at
+/// most one chunk per chunked array, plus exactly what the flat one-byte
+/// arrays grow by — the verdicts by local id and the interpretation by atom
+/// id, copied whole — and the fact bits.
+#[test]
+fn a_resumed_engine_copies_what_it_touches() {
+    use wfdatalog::core::chunked::CHUNK;
+    let run = |seeds: usize, groups: usize| {
+        let (kb, model) = resumed_twice(seeds, groups);
+        let m = model.model();
+        let mut universe = kb.universe().clone();
+        let batch = wfdatalog::fact_batch_from_separated(&mut universe, &ten_facts(1)).unwrap();
+        let resumed = m
+            .segment
+            .resume_with(&mut universe, kb.sigma(), batch.atoms())
+            .unwrap();
+        let ((next, result), bytes) = bytes_in(|| {
+            let next = resumed.to_ground_program_from(&m.ground);
+            let result = ModularEngine::new(&next).solve_incremental(Some((&m.ground, &m.result)));
+            (next, result)
+        });
+        let stats = result.stats.unwrap();
+        assert!(stats.cone_atoms * 100 < next.num_atoms(), "{stats:?}");
+        assert!(result.memo.is_some() && stats.components_reused > 0);
+        (bytes, next.num_atoms(), next.atom_id_bound())
+    };
+    let (small, atoms, ids) = run(512, 10_240);
+    let (large, atoms_twice, ids_twice) = run(1_024, 20_480);
+    assert!(
+        atoms_twice > atoms * 3 / 2,
+        "{atoms} then {atoms_twice} atoms"
+    );
+    let truth = std::mem::size_of::<wfdatalog::Truth>();
+    let words = |n: usize| n.div_ceil(64) * std::mem::size_of::<u64>();
+    let flat = (atoms_twice - atoms) * truth + (ids_twice - ids) * truth + words(atoms_twice)
+        - words(atoms);
+    let chunks = HAND_OFF_AND_ENGINE_ARRAYS * CHUNK * 16;
+    assert!(
+        large.abs_diff(small + flat) <= chunks,
+        "a 10-fact hand-off and engine obtained {small} bytes over {atoms} atoms, \
+         {large} over {atoms_twice} (the flat arrays grew by {flat})"
     );
 }
 

@@ -266,7 +266,10 @@ fn a_trip_inside_a_resumed_cone_leaves_unknown_never_a_stale_verdict() {
     assert!(complete.solve_stats().incremental && complete.outcome().is_complete());
     let stats = complete.model().component_stats().unwrap();
     assert_eq!(stats.largest_component, 1, "one component per cone atom");
-    let first_cone_ordinal = stats.components - stats.cone_atoms;
+    // The cone's components take the last ordinals; dissolved ones keep
+    // theirs, so the ordinals are counted by the stages, not the
+    // components.
+    let first_cone_ordinal = complete.model().stages() as usize - stats.cone_atoms;
     // The engine's own verdicts (an atom that is only ever a negative
     // hypothesis sits outside the segment and reads false regardless).
     let verdict = |m: &SolvedModel, a| m.model().result.value(a);

@@ -433,16 +433,91 @@ fn a_carried_memo_equals_a_recomputed_one() {
             _ => {}
         }
         // The carried condensation is a condensation of the program: every
-        // atom's component is the row it sits in.
+        // atom's component is the row it sits in. Dissolved components keep
+        // their ordinals as empty rows, so the rows are walked by ordinal.
         let cond = &now.result.memo.as_ref().unwrap().condensation;
         assert_eq!(cond.num_components(), is.components, "step {k}");
-        for c in 0..cond.num_components() {
+        let live = cond.iter().filter(|c| !c.is_empty()).count();
+        assert_eq!(live, is.components, "step {k}");
+        for c in 0..cond.num_ordinals() {
             for &atom in cond.component(c) {
                 assert_eq!(cond.comp_of[atom as usize] as usize, c, "step {k}");
             }
         }
         assert_eq!(cond.comp_of.len(), now.ground.num_atoms(), "step {k}");
         prev = model;
+    }
+}
+
+/// Everything a published model shows of itself, down to the chunked
+/// arrays a resume shares with it: the observations, every atom's local
+/// id, stage and occurrence rows, and the memo's condensation row by row.
+fn frozen_view(model: &SolvedModel) -> String {
+    use std::fmt::Write;
+    let (wfm, u) = (model.model(), model.universe());
+    let mut out = format!("{:?}\n{}\n", observe(model), wfm.stages());
+    for &atom in wfm.ground.atoms() {
+        let rows = [
+            wfm.ground.rules_with_head(atom),
+            wfm.ground.rules_with_pos(atom),
+            wfm.ground.rules_with_neg(atom),
+        ];
+        let (local, stage) = (wfm.ground.local_id(atom), wfm.result.stage_of(atom));
+        writeln!(out, "{} {local:?} {stage:?} {rows:?}", u.display_atom(atom)).unwrap();
+    }
+    let cond = &wfm.result.memo.as_ref().unwrap().condensation;
+    for (c, comp) in cond.iter().enumerate() {
+        writeln!(out, "{c}: {comp:?}").unwrap();
+    }
+    writeln!(out, "{:?}", cond.comp_of).unwrap();
+    out
+}
+
+/// A chained win–move leg whose moves leave **old** positions: a new move
+/// out of a decided node puts it, and everything that moves to it, in the
+/// cone, so old components dissolve at every step (and draw cycles close
+/// and open). After each resume the verdicts and the counters that describe
+/// the model equal a fresh solve's, and every model handed out before
+/// still renders as it did when it was handed out — a resume that wrote a
+/// chunk it shares with them in place would show here.
+#[test]
+fn chained_moves_out_of_old_positions_leave_earlier_models_as_they_were() {
+    let base: Vec<(usize, usize)> = (0..40).map(|i| (i + 1, i)).chain([(50, 51)]).collect();
+    let steps = [
+        vec![(3, 41)],
+        vec![(10, 3), (41, 10)],
+        vec![(20, 42), (42, 20)],
+        vec![(0, 43), (25, 0)],
+        vec![(41, 44), (30, 50)],
+        vec![(51, 50), (44, 45)],
+    ];
+    let mut kb = KnowledgeBase::from_source(RULES).unwrap();
+    insert_edges(&mut kb, &base);
+    let first = kb.solve();
+    let mut held = vec![(frozen_view(&first), first)];
+    let mut union = base.clone();
+    for (k, step) in steps.iter().enumerate() {
+        insert_edges(&mut kb, step);
+        union.extend_from_slice(step);
+        let model = kb.solve();
+        assert!(model.solve_stats().incremental, "step {k}");
+        let carried = model.model().component_stats().unwrap();
+        assert!(carried.components_reused < carried.components, "step {k}");
+
+        let mut scratch = KnowledgeBase::from_source(RULES).unwrap();
+        insert_edges(&mut scratch, &union);
+        let reference = scratch.solve();
+        assert_eq!(observe(&model), observe(&reference), "step {k}");
+        let fresh = reference.model().component_stats().unwrap();
+        assert_eq!(model_counters(carried), model_counters(fresh), "step {k}");
+        let wfm = model.model();
+        let full = ModularEngine::new(&wfm.ground).solve().stats.unwrap();
+        assert_eq!(model_counters(carried), model_counters(full), "step {k}");
+
+        for (i, (then, old)) in held.iter().enumerate() {
+            assert!(*then == frozen_view(old), "step {k}: model {i} changed");
+        }
+        held.push((frozen_view(&model), model));
     }
 }
 

@@ -266,7 +266,8 @@ fn query_is_sound(
 
 /// Everything a model's readers can see, rendered: its observations, its
 /// chase segment (atoms with depth and level, instances), its ground
-/// program's rules, and where each atom of its universe sits in both.
+/// program's rules, and where each atom of its universe sits in both and
+/// the stage its engine decided it at.
 fn frozen_view(model: &SolvedModel) -> String {
     let (m, u) = (model.model(), model.universe());
     let mut out = format!("{:?}\n", observe(model));
@@ -281,7 +282,8 @@ fn frozen_view(model: &SolvedModel) -> String {
     }
     for a in (0..u.atoms.len()).map(wfdl_core::AtomId::from_index) {
         let (seg, local) = (m.segment.seg_id(a), m.ground.local_id(a));
-        writeln!(out, "{} {seg:?} {local:?}", u.display_atom(a)).unwrap();
+        let stage = m.result.stage_of(a);
+        writeln!(out, "{} {seg:?} {local:?} {stage:?}", u.display_atom(a)).unwrap();
     }
     out
 }

@@ -113,15 +113,21 @@ fn facade_caches_and_invalidates_the_report() {
     kb.insert_from_reader("orphan\ty\nedge\tb\tc\n".as_bytes())
         .expect("insert");
     let fourth = kb.analyze();
-    assert!(Arc::ptr_eq(&third, &fourth), "facts of populated predicates");
-    let mut fresh = KnowledgeBase::from_source("edge(a,b).\nedge(X,Y) -> path(X,Y).\n").expect("kb");
+    assert!(
+        Arc::ptr_eq(&third, &fourth),
+        "facts of populated predicates"
+    );
+    let mut fresh =
+        KnowledgeBase::from_source("edge(a,b).\nedge(X,Y) -> path(X,Y).\n").expect("kb");
     fresh
         .insert_from_reader("orphan\tz\norphan\ty\nedge\tb\tc\n".as_bytes())
         .expect("insert");
     assert_eq!(fourth.to_json("kb"), fresh.analyze().to_json("kb"));
     // Emptying a predicate recomputes.
     let mut batch = wfdatalog::FactBatch::new();
-    let mut orphan = batch.relation(kb.universe_mut(), "orphan", 1).expect("relation");
+    let mut orphan = batch
+        .relation(kb.universe_mut(), "orphan", 1)
+        .expect("relation");
     orphan.push(&["z"]).expect("z");
     orphan.push(&["y"]).expect("y");
     assert_eq!(kb.retract(batch), 2);
