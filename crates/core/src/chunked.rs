@@ -874,10 +874,11 @@ impl<T: Copy + Ord> RowPool<T> {
         while let Some(row) = next(added, emptied) {
             let row = row as usize;
             assert!(row < self.len(), "row {row} of {}", self.len());
-            // The rows `start..end` of one chunk, or of the tail.
-            let (start, end) = match row.checked_sub(self.base) {
-                Some(_) => (self.base, self.len()),
-                None => (row & !MASK, ((row & !MASK) + CHUNK).min(self.base)),
+            // The rows `start..end` of one chunk, or of the tail (`None`).
+            let chunk = (row < self.base).then_some(row >> SHIFT);
+            let (start, end) = match chunk {
+                Some(k) => (k << SHIFT, ((k + 1) << SHIFT).min(self.base)),
+                None => (self.base, self.len()),
             };
             let mine = added
                 .iter()
@@ -896,18 +897,18 @@ impl<T: Copy + Ord> RowPool<T> {
                 removed: &[],
                 added: &local_added,
             };
-            let (off, data) = match row.checked_sub(self.base) {
-                Some(_) => (&self.off[..], &self.data[..]),
-                None => self.chunks[row >> SHIFT].parts(),
+            let (off, data) = match chunk {
+                Some(k) => self.chunks[k].parts(),
+                None => (&self.off[..], &self.data[..]),
             };
             let lost: usize = (local_emptied.iter())
                 .map(|&r| (off[r as usize + 1] - off[r as usize]) as usize)
                 .sum();
             self.elements = self.elements + local_added.len() - lost;
             let (off, data) = crate::csr::splice(off, data, &edits);
-            match row.checked_sub(self.base) {
-                Some(_) => (self.off, self.data) = (off, data),
-                None => self.chunks[row >> SHIFT] = Rows::Own { off, data },
+            match chunk {
+                Some(k) => self.chunks[k] = Rows::Own { off, data },
+                None => (self.off, self.data) = (off, data),
             }
         }
     }

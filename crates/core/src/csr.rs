@@ -1,18 +1,27 @@
 //! Patching compressed-sparse-row arrays instead of recounting them.
 //!
-//! Every occurrence index a solve reads — the ground program's
-//! head/positive/negative rows, the atom index's predicate and key rows,
-//! the condensation's component rows — is one `offsets` array (`rows + 1`
-//! entries) over one flat `items` array. (So are the chase segment's
-//! guard/head/body rows, but no solve reads those: a segment counts them
-//! when first asked.) A resumed solve changes a few rows of each; [`splice`]
-//! derives the new pair from the old one by copying the untouched runs
-//! between the touched rows and rewriting only the touched rows. A run's
-//! items are one `memcpy`; so are its offsets when nothing before it
-//! changed size, and one vectorizable add of a constant shift when
-//! something did. No per-row call, no per-item scatter, no counting pass,
-//! no hashing: the cost is one sequential copy plus work proportional to
-//! the edit.
+//! An occurrence index is one `offsets` array (`rows + 1` entries) over
+//! one `items` array. (So are the chase segment's guard/head/body rows, but
+//! no solve reads those: a segment counts them when first asked.) A resumed
+//! solve changes a few rows of each; [`splice`] derives the new pair from
+//! the old one by copying the untouched runs between the touched rows and
+//! rewriting only the touched rows. A run's items are one `memcpy`; so are
+//! its offsets when nothing before it changed size, and one vectorizable
+//! add of a constant shift when something did. No per-row call, no
+//! per-item scatter, no counting pass, no hashing: the cost is one
+//! sequential copy plus work proportional to the edit.
+//!
+//! Who splices, and over what:
+//!
+//! * [`RowPool::edit`](crate::chunked::RowPool::edit) splices one chunk of
+//!   4,096 rows at a time, and only the chunks an edit lands in. That is
+//!   how a resume edits the ground program's head / positive / negative
+//!   occurrence rows and the condensation's component rows, which are all
+//!   `RowPool`s: its cost follows the chunks the delta touches, not the
+//!   program.
+//! * The atom index (`AtomIndex::patched` in `wfdl-storage`) still splices
+//!   its predicate rows and the key tables the delta touches whole: one
+//!   sequential copy of each, in proportion to the model.
 
 use crate::dense_u32;
 use std::ops::Range;

@@ -100,8 +100,10 @@ use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Index;
 use wfdl_core::budget::FaultSite;
-use wfdl_core::{AtomId, BitSet, ChunkVec, FxHashMap, Interp, RowPool, SolveBudget};
-use wfdl_core::{TruncationReason, Truth};
+use wfdl_core::chunked::CHUNK;
+use wfdl_core::{
+    AtomId, BitSet, ChunkVec, FxHashMap, Interp, RowPool, SolveBudget, TruncationReason, Truth,
+};
 use wfdl_storage::GroundProgram;
 
 /// Per-run statistics of the modular evaluation, exposed through
@@ -449,7 +451,9 @@ impl<'a> ModularEngine<'a> {
     /// dissolved and the new components — equal to a full solve's.
     ///
     /// Without a usable `prev` — none given, a truncated run (no memo), a
-    /// program this one does not extend — the program is solved in full.
+    /// program this one does not extend, a condensation whose dissolved
+    /// ordinals outnumber its components by more than a chunk — the
+    /// program is solved in full.
     pub fn solve_incremental(&self, prev: Option<(&GroundProgram, &EngineResult)>) -> EngineResult {
         prev.and_then(|(prev_prog, prev)| self.solve_cone(prev_prog, prev))
             .unwrap_or_else(|| self.solve_all())
@@ -568,6 +572,13 @@ impl<'a> ModularEngine<'a> {
         let old = &memo.condensation;
         let old_n = extended_atoms(prev_prog, prog)?;
         let n = prog.num_atoms();
+        // Dissolved components leave their ordinals behind as empty rows.
+        // Once those outnumber the live components by more than a chunk,
+        // the program is condensed afresh, with dense ordinals: a chain of
+        // resumes keeps at most twice as many ordinals as components.
+        if old.num_ordinals() > 2 * old.num_components() + CHUNK {
+            return None;
+        }
 
         // 1. Seeds and their forward cone. `slot[a]` is a cone atom's
         // position in `cone`.
@@ -1689,6 +1700,50 @@ mod tests {
         assert_eq!(stats.cone_atoms, 4, "a4 (new), a1, a2, a3: {stats:?}");
         assert_eq!(stats.components_evaluated, 2, "a4 and a1: {stats:?}");
         assert_eq!(stats.components_reused, 3, "{stats:?}");
+    }
+
+    #[test]
+    fn dissolved_ordinals_that_outnumber_the_components_are_condensed_afresh() {
+        // A win–move chain a(i + 1) ← ¬a(i) of `LEN` positions. Each step
+        // gives a(0) a move to a new dead end: the whole chain flips, its
+        // components dissolve and come back with fresh ordinals, until the
+        // dissolved ones outnumber the live ones by more than a chunk and
+        // the resume condenses the whole program afresh.
+        const LEN: usize = 1_000;
+        let mut b = GroundProgramBuilder::new();
+        for i in 0..LEN {
+            b.add_rule(GroundRule::new(a(i + 1), vec![], vec![a(i)]));
+        }
+        let mut prev = b.clone().finish();
+        let mut res = ModularEngine::new(&prev).solve();
+        let mut afresh = None;
+        for k in 0..12 {
+            b.add_rule(GroundRule::new(a(0), vec![], vec![a(LEN + 1 + k)]));
+            let grown = b.clone().finish();
+            let inc = ModularEngine::new(&grown).solve_incremental(Some((&prev, &res)));
+            let fresh = ModularEngine::new(&grown).solve();
+            for &atom in grown.atoms() {
+                assert_eq!(inc.value(atom), fresh.value(atom), "step {k}: {atom:?}");
+            }
+            let (is, fs) = (inc.stats.unwrap(), fresh.stats.unwrap());
+            assert_eq!(is.components, fs.components, "step {k}");
+            let cond = &inc.memo.as_ref().unwrap().condensation;
+            assert!(cond.num_ordinals() <= 2 * cond.num_components() + 2 * CHUNK);
+            if inc.cone.is_none() {
+                // Condensed afresh: dense ordinals again.
+                assert_eq!(cond.num_ordinals(), cond.num_components(), "step {k}");
+                assert_eq!(inc.stages as usize, fs.components, "step {k}");
+                afresh.get_or_insert(k);
+            } else {
+                // Resumed: the chain's old ordinals stay, as empty rows.
+                assert!(
+                    cond.num_ordinals() > cond.num_components() + LEN,
+                    "step {k}"
+                );
+            }
+            (prev, res) = (grown, inc);
+        }
+        assert!(matches!(afresh, Some(k) if k > 2), "{afresh:?}");
     }
 
     #[test]

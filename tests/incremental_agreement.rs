@@ -479,17 +479,23 @@ fn frozen_view(model: &SolvedModel) -> String {
 /// and open). After each resume the verdicts and the counters that describe
 /// the model equal a fresh solve's, and every model handed out before
 /// still renders as it did when it was handed out — a resume that wrote a
-/// chunk it shares with them in place would show here.
+/// chunk it shares with them in place would show here. The chain is long
+/// enough (≈ 8k atoms) that the cones reach into full chunks, which are
+/// the ones a resume shares rather than copies.
 #[test]
 fn chained_moves_out_of_old_positions_leave_earlier_models_as_they_were() {
-    let base: Vec<(usize, usize)> = (0..40).map(|i| (i + 1, i)).chain([(50, 51)]).collect();
+    const LEN: usize = 2_000;
+    let base: Vec<(usize, usize)> = (0..LEN)
+        .map(|i| (i + 1, i))
+        .chain([(LEN + 50, LEN + 51)])
+        .collect();
     let steps = [
-        vec![(3, 41)],
-        vec![(10, 3), (41, 10)],
-        vec![(20, 42), (42, 20)],
-        vec![(0, 43), (25, 0)],
-        vec![(41, 44), (30, 50)],
-        vec![(51, 50), (44, 45)],
+        vec![(LEN - 3, LEN + 1)],
+        vec![(10, LEN - 3), (LEN + 1, 10)],
+        vec![(20, LEN + 2), (LEN + 2, 20)],
+        vec![(0, LEN + 3), (25, 0)],
+        vec![(LEN + 1, LEN + 4), (30, LEN + 50)],
+        vec![(LEN + 51, LEN + 50), (LEN + 4, LEN + 5)],
     ];
     let mut kb = KnowledgeBase::from_source(RULES).unwrap();
     insert_edges(&mut kb, &base);
