@@ -67,11 +67,6 @@ impl StageMap {
             .filter(|(_, &s)| s != Self::UNDECIDED)
             .map(|(i, &s)| (AtomId::from_index(i), s))
     }
-
-    /// The heap bytes the map holds, and the part no other map holds.
-    pub fn footprint(&self) -> wfdl_core::Footprint {
-        self.stages.footprint()
-    }
 }
 
 /// The three-valued model computed by an engine over the atoms of a ground

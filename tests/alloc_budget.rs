@@ -420,8 +420,7 @@ fn resumed_twice(
 /// Twice the knowledge base, the same delta, the same bytes — up to one
 /// chunk per array, where the delta's writes happen to land — and at most
 /// a fifth of what copying every inherited array obtained, with the
-/// hand-off too: its occurrence rows are edited where the new rules land,
-/// not spliced into new arrays.
+/// hand-off too: its occurrence rows are edited where the new rules land.
 #[test]
 fn a_resume_copies_what_it_touches() {
     use wfdatalog::core::chunked::CHUNK;
