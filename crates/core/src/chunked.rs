@@ -854,24 +854,19 @@ impl<T> RowPool<T> {
 }
 
 impl<T: Copy + Ord> RowPool<T> {
-    /// Edits rows where they are: every `(row, item)` of `added` — ascending
-    /// by row, each row's items ascending — is merged into its row by
-    /// `Ord` (an item greater than every item of its row is appended), and
-    /// every row of `emptied` — ascending, none of them in `added` — loses
-    /// its items. Only the chunks those rows live in are rebuilt, each by
+    /// Adds items to rows where they are: every `(row, item)` of `added` —
+    /// ascending by row, each row's items ascending — is merged into its
+    /// row by `Ord` (an item greater than every item of its row is
+    /// appended). Only the chunks those rows live in are rebuilt, each by
     /// one [`splice`](crate::csr::splice) of its own rows, and the tail if
     /// a row is there; every other chunk stays shared.
     ///
     /// # Panics
     ///
     /// Panics if a row is out of range.
-    pub fn edit(&mut self, mut added: &[(u32, T)], mut emptied: &[u32]) {
-        let next = |added: &[(u32, T)], emptied: &[u32]| {
-            let row = added.first().map(|&(row, _)| row);
-            row.into_iter().chain(emptied.first().copied()).min()
-        };
-        let (mut local_added, mut local_emptied) = (Vec::new(), Vec::new());
-        while let Some(row) = next(added, emptied) {
+    pub fn edit(&mut self, mut added: &[(u32, T)]) {
+        let mut local = Vec::new();
+        while let Some(&(row, _)) = added.first() {
             let row = row as usize;
             assert!(row < self.len(), "row {row} of {}", self.len());
             // The rows `start..end` of one chunk, or of the tail (`None`).
@@ -880,32 +875,22 @@ impl<T: Copy + Ord> RowPool<T> {
                 Some(k) => (k << SHIFT, ((k + 1) << SHIFT).min(self.base)),
                 None => (self.base, self.len()),
             };
-            let mine = added
-                .iter()
+            let mine = (added.iter())
                 .take_while(|&&(r, _)| (r as usize) < end)
                 .count();
-            let gone = emptied.iter().take_while(|&&r| (r as usize) < end).count();
-            let local = |r: u32| r - start as u32;
-            local_added.clear();
-            local_added.extend(added[..mine].iter().map(|&(r, x)| (local(r), x)));
-            local_emptied.clear();
-            local_emptied.extend(emptied[..gone].iter().map(|&r| local(r)));
-            (added, emptied) = (&added[mine..], &emptied[gone..]);
+            local.clear();
+            local.extend(added[..mine].iter().map(|&(r, x)| (r - start as u32, x)));
+            added = &added[mine..];
             let edits = crate::csr::RowEdits {
-                dropped: &local_emptied,
-                inserted: &local_emptied,
-                removed: &[],
-                added: &local_added,
+                added: &local,
+                ..Default::default()
             };
             let (off, data) = match chunk {
                 Some(k) => self.chunks[k].parts(),
                 None => (&self.off[..], &self.data[..]),
             };
-            let lost: usize = (local_emptied.iter())
-                .map(|&r| (off[r as usize + 1] - off[r as usize]) as usize)
-                .sum();
-            self.elements = self.elements + local_added.len() - lost;
             let (off, data) = crate::csr::splice(off, data, &edits);
+            self.elements += local.len();
             match chunk {
                 Some(k) => self.chunks[k] = Rows::Own { off, data },
                 None => (self.off, self.data) = (off, data),
@@ -1277,15 +1262,14 @@ mod tests {
 
         /// Row edits against a `Vec<Vec<_>>` of sorted rows, on a pool with
         /// frozen chunks, a partial last chunk and a tail: items merged
-        /// into rows in chunks and in the tail, rows emptied. Only the
-        /// chunks written stop being shared, and a clone taken before the
-        /// edit keeps its rows.
+        /// into rows in chunks and in the tail. Only the chunks written
+        /// stop being shared, and a clone taken before the edit keeps its
+        /// rows.
         #[test]
         fn row_edits_touch_only_their_chunks(
             frozen in 0usize..3 * CHUNK,
             tail in 0usize..300,
             adds in proptest::collection::vec((0usize..4 * CHUNK, 0u32..64), 0..40),
-            empties in proptest::collection::vec(0usize..4 * CHUNK, 0..6),
         ) {
             let row = |i: usize| -> Vec<u32> { (0..(i % 4) as u32).map(|k| k * 16 + 1).collect() };
             let mut pool = RowPool::new();
@@ -1302,30 +1286,22 @@ mod tests {
             if rows == 0 {
                 return Ok(());
             }
-            let mut emptied: Vec<u32> = empties.iter().map(|&r| (r % rows) as u32).collect();
-            emptied.sort_unstable();
-            emptied.dedup();
-            let mut added: Vec<(u32, u32)> = (adds.iter())
-                .map(|&(r, x)| ((r % rows) as u32, x))
-                .filter(|(r, _)| emptied.binary_search(r).is_err())
-                .collect();
+            let mut added: Vec<(u32, u32)> =
+                adds.iter().map(|&(r, x)| ((r % rows) as u32, x)).collect();
             added.sort_unstable();
-            for &r in &emptied {
-                want[r as usize].clear();
-            }
             for &(r, x) in &added {
                 want[r as usize].push(x);
                 want[r as usize].sort_unstable();
             }
-            pool.edit(&added, &emptied);
+            pool.edit(&added);
             prop_assert_eq!(pool.len(), want.len());
             prop_assert_eq!(pool.num_elements(), want.iter().map(Vec::len).sum::<usize>());
             for (i, r) in want.iter().enumerate() {
                 prop_assert_eq!(pool.row(i), &r[..], "row {}", i);
                 prop_assert_eq!(before.row(i), &row(i)[..], "row {} before", i);
             }
-            let touched: BTreeSet<usize> = (added.iter().map(|&(r, _)| r).chain(emptied.iter().copied()))
-                .map(|r| r as usize)
+            let touched: BTreeSet<usize> = (added.iter())
+                .map(|&(r, _)| r as usize)
                 .filter(|&r| r < pool.base)
                 .map(|r| r >> SHIFT)
                 .collect();

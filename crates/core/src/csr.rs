@@ -16,9 +16,8 @@
 //! * [`RowPool::edit`](crate::chunked::RowPool::edit) splices one chunk of
 //!   4,096 rows at a time, and only the chunks an edit lands in. That is
 //!   how a resume edits the ground program's head / positive / negative
-//!   occurrence rows and the condensation's component rows, which are all
-//!   `RowPool`s: its cost follows the chunks the delta touches, not the
-//!   program.
+//!   occurrence rows, which are `RowPool`s: its cost follows the chunks the
+//!   delta touches, not the program.
 //! * The atom index (`AtomIndex::patched` in `wfdl-storage`) still splices
 //!   its predicate rows and the key tables the delta touches whole: one
 //!   sequential copy of each, in proportion to the model.

@@ -401,7 +401,7 @@ impl GroundProgram {
         for _ in old.len()..self.num_atoms() {
             rows.push(std::iter::empty());
         }
-        rows.edit(&entries, &[]);
+        rows.edit(&entries);
         rows
     }
 

@@ -80,7 +80,8 @@
 //! interpretation are copied flat.
 //!
 //! Ordinals never move. A component the cone dissolves keeps its ordinal
-//! as an empty row, and the cone's components take fresh ordinals above
+//! and its row, which read as dissolved from then on (its atoms belong to
+//! cone components), and the cone's components take fresh ordinals above
 //! every old one. Emission order stays dependencies-first: the cone is
 //! closed under "depends on", so a carried component depends on carried
 //! ones only, and a cone component on carried ones and on cone components
@@ -433,7 +434,7 @@ impl<'a> ModularEngine<'a> {
     ///    components and new atoms, and Tarjan's algorithm runs on the
     ///    subgraph it induces only; the components found there get fresh
     ///    ordinals above every old one, the components the cone dissolves
-    ///    keep theirs as empty rows, and no carried ordinal moves — which
+    ///    keep theirs (read as empty), and no carried ordinal moves — which
     ///    keeps emission order dependencies-first and stages monotone
     ///    along derivations;
     /// 3. cone components are visited in that order, and **evaluated only
@@ -572,9 +573,9 @@ impl<'a> ModularEngine<'a> {
         let old = &memo.condensation;
         let old_n = extended_atoms(prev_prog, prog)?;
         let n = prog.num_atoms();
-        // Dissolved components leave their ordinals behind as empty rows.
-        // Once those outnumber the live components by more than a chunk,
-        // the program is condensed afresh, with dense ordinals: a chain of
+        // Dissolved components leave their ordinals and rows behind. Once
+        // those outnumber the live components by more than a chunk, the
+        // program is condensed afresh, with dense ordinals: a chain of
         // resumes keeps at most twice as many ordinals as components.
         if old.num_ordinals() > 2 * old.num_components() + CHUNK {
             return None;
@@ -610,8 +611,10 @@ impl<'a> ModularEngine<'a> {
         let slot_of = |a: u32| slot.get(&a).copied().unwrap_or(NONE);
 
         // 2. Components of the cone, the previous components it dissolves,
-        // and the condensation edited with both: the dissolved rows
-        // emptied, the cone's components appended.
+        // and the condensation with the dissolved ones uncounted and the
+        // cone's components appended. Every atom of a dissolved component
+        // depends on the cone atom in it, so it is a cone atom too: all of
+        // them move to the cone's components.
         let found = tarjan(prog, cone.len(), |node| cone[node as usize], slot_of);
         let mut dissolved: Vec<u32> = (cone.iter())
             .filter(|&&a| (a as usize) < old_n)
@@ -1173,16 +1176,19 @@ fn close<P: Positions>(
 ///
 /// A solve from scratch hands Tarjan's flat arrays over as the tails of
 /// chunked ones — no per-component allocation even when every component is
-/// a singleton. A resumed solve's clone shares their chunks, empties the
-/// row of every component its cone dissolves — its ordinal is never handed
-/// out again — and appends the cone's components with fresh ordinals (see
-/// the module docs for why that keeps emission order).
+/// a singleton. A resumed solve's clone shares their chunks and appends
+/// the cone's components with fresh ordinals (see the module docs for why
+/// that keeps emission order). A component the cone dissolves keeps its
+/// ordinal, which is never handed out again, and its row, which nothing
+/// rewrites: every atom of it is a cone atom and now belongs to a cone
+/// component, so the row reads as dissolved once its first atom's
+/// component is another one.
 #[derive(Clone, Debug)]
 pub struct Condensation {
     /// Local atom id → component ordinal.
     pub comp_of: ChunkVec<u32>,
-    /// Row `c`: the atoms of component `c`, in emission order; empty for a
-    /// component a resume dissolved.
+    /// Row `c`: the atoms of component `c`, in emission order (for a
+    /// dissolved component, the atoms it had).
     comps: RowPool<u32>,
     /// Live components by size: how many have each size.
     sizes: BTreeMap<usize, usize>,
@@ -1205,13 +1211,18 @@ impl Condensation {
     /// The atoms of component `c` (emission order within the component);
     /// empty for a dissolved one.
     pub fn component(&self, c: usize) -> &[u32] {
-        self.comps.row(c)
+        let row = self.comps.row(c);
+        match row.first() {
+            Some(&a) if self.comp_of[a as usize] as usize != c => &[],
+            _ => row,
+        }
     }
 
-    /// Iterates the rows of every ordinal in emission (dependencies-first)
-    /// order: the components, and an empty row for each dissolved one.
+    /// Iterates [`Condensation::component`] of every ordinal in emission
+    /// (dependencies-first) order: the components, and an empty slice for
+    /// each dissolved one.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.comps.rows()
+        (0..self.num_ordinals()).map(|c| self.component(c))
     }
 
     /// Atoms in the largest component.
@@ -1219,8 +1230,8 @@ impl Condensation {
         self.sizes.keys().next_back().copied().unwrap_or(0)
     }
 
-    /// Empties the rows of the components `dissolved` (ascending ordinals),
-    /// which stop counting.
+    /// Stops counting the components `dissolved`, whose atoms are all
+    /// about to join new components.
     fn dissolve(&mut self, dissolved: &[u32]) {
         for &c in dissolved {
             let size = self.comps.row(c as usize).len();
@@ -1232,7 +1243,6 @@ impl Condensation {
                 }
             }
         }
-        self.comps.edit(&[], dissolved);
     }
 
     /// Appends a component of the atoms `atoms`, with the next ordinal.
@@ -1735,7 +1745,7 @@ mod tests {
                 assert_eq!(inc.stages as usize, fs.components, "step {k}");
                 afresh.get_or_insert(k);
             } else {
-                // Resumed: the chain's old ordinals stay, as empty rows.
+                // Resumed: the chain's old ordinals stay, read as empty.
                 assert!(
                     cond.num_ordinals() > cond.num_components() + LEN,
                     "step {k}"
@@ -1776,8 +1786,8 @@ mod tests {
         assert_eq!(is.unknown_atoms, fs.unknown_atoms);
         assert_eq!(is.components_reused, 1, "the fact a3");
         // The patched condensation is a condensation of the grown program.
-        // Its ordinals are the old ones — {a0}, {a1} and {a2} dissolved, as
-        // empty rows — and the new ones after them: walk them all.
+        // Its ordinals are the old ones — {a0}, {a1} and {a2} dissolved, read
+        // as empty — and the new ones after them: walk them all.
         let cond = &inc.memo.as_ref().unwrap().condensation;
         assert_eq!(cond.num_components(), fs.components);
         assert_eq!(cond.num_ordinals(), fs.components + 3);

@@ -434,7 +434,7 @@ fn a_carried_memo_equals_a_recomputed_one() {
         }
         // The carried condensation is a condensation of the program: every
         // atom's component is the row it sits in. Dissolved components keep
-        // their ordinals as empty rows, so the rows are walked by ordinal.
+        // their ordinals, read as empty, so the rows are walked by ordinal.
         let cond = &now.result.memo.as_ref().unwrap().condensation;
         assert_eq!(cond.num_components(), is.components, "step {k}");
         let live = cond.iter().filter(|c| !c.is_empty()).count();
