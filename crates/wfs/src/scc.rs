@@ -581,7 +581,7 @@ impl<'a> ModularEngine<'a> {
             return None;
         }
 
-        // 1. Seeds and their forward cone. `slot[a]` is a cone atom's
+        // 1. Seeds and their forward cone. `slot` maps a cone atom to its
         // position in `cone`.
         let mut cone: Vec<u32> = Vec::new();
         let mut slot: FxHashMap<u32, u32> = FxHashMap::default();
