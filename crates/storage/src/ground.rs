@@ -389,31 +389,25 @@ impl GroundProgram {
     /// The rows `old`, one per atom of the program this one extends, as
     /// rows over this program's atoms: shared but for an empty row for
     /// each new atom and the chunks that the new rules' `(atom, rule)`
-    /// entries land in.
+    /// `entries` (ascending) land in.
     fn extended_rows(
         &self,
         old: &RowPool<GroundRuleId>,
-        mut entries: Vec<(u32, GroundRuleId)>,
+        entries: &[(u32, GroundRuleId)],
     ) -> RowPool<GroundRuleId> {
-        entries.sort_unstable();
         let mut rows = old.clone();
         rows.reserve(self.num_atoms() - old.len(), entries.len());
         for _ in old.len()..self.num_atoms() {
             rows.push(std::iter::empty());
         }
-        rows.edit(&entries);
+        rows.edit(entries);
         rows
     }
 
     /// The `(head, rule)` entries of the rules from `first` on, by head and
     /// then rule.
     fn head_entries(&self, first: usize) -> Vec<(u32, GroundRuleId)> {
-        let heads = self.head_local.iter_from(first).copied();
-        let mut entries: Vec<(u32, GroundRuleId)> = (heads.zip(first..))
-            .map(|(a, r)| (a, GroundRuleId::from_index(r)))
-            .collect();
-        entries.sort_unstable();
-        entries
+        sorted_entries(self.head_local.iter_from(first).copied().zip(first..))
     }
 
     /// Marks in `dropped` every rule of `row` — the rules of one head —
@@ -713,15 +707,13 @@ impl Extension<'_> {
             next.remove_rules(first, &dropped);
             heads = next.head_entries(first);
         }
-        next.head_occ = next.extended_rows(&prev.head_occ, heads);
+        next.head_occ = next.extended_rows(&prev.head_occ, &heads);
         let old = prev.body_rows();
-        let body = |rows: &RowPool<u32>| {
-            let entries = body_entries(rows, first).map(|(a, r)| (a, GroundRuleId::from_index(r)));
-            entries.collect()
-        };
+        let pos = sorted_entries(body_entries(&next.pos_local, first));
+        let neg = sorted_entries(body_entries(&next.neg_local, first));
         next.body_rows = OnceLock::from(BodyRows {
-            pos: next.extended_rows(&old.pos, body(&next.pos_local)),
-            neg: next.extended_rows(&old.neg, body(&next.neg_local)),
+            pos: next.extended_rows(&old.pos, &pos),
+            neg: next.extended_rows(&old.neg, &neg),
         });
         next
     }
@@ -750,6 +742,15 @@ fn occurrence_rows(
         fill[a as usize] += 1;
     }
     RowPool::from_csr(off, rules)
+}
+
+/// `(atom, rule)` entries by atom and then rule.
+fn sorted_entries(entries: impl Iterator<Item = (u32, usize)>) -> Vec<(u32, GroundRuleId)> {
+    let mut sorted: Vec<(u32, GroundRuleId)> = entries
+        .map(|(a, r)| (a, GroundRuleId::from_index(r)))
+        .collect();
+    sorted.sort_unstable();
+    sorted
 }
 
 /// The `(atom, rule)` entries of the bodies `rows`, from rule `first` on,
