@@ -427,7 +427,7 @@ impl<'a> ModularEngine<'a> {
     ///    rule heading one of its atoms mentions a cone atom — and rule for
     ///    rule the previous program's, so by the modularity (splitting)
     ///    property of the well-founded semantics its verdicts, stages and
-    ///    components are the previous solve's: they are *shared*;
+    ///    components are the previous solve's: they are *carried*;
     /// 2. a dependency cycle that did not exist before runs through a new
     ///    rule, hence through that rule's head — a seed, whose dependants
     ///    are all in the cone. So the cone is a union of previous
