@@ -47,9 +47,9 @@ pub struct AtomNode<'a> {
 /// Hash-consing store for ground atoms.
 ///
 /// Layout: one predicate and one argument row per atom, in copy-on-write
-/// chunked pools, and a flat id table over them — interning allocates
-/// nothing per atom, and a clone copies the table and shares the pools'
-/// full chunks.
+/// chunked pools, and an id table over them — interning allocates nothing
+/// per atom, and a clone copies the table's owned level and shares its
+/// frozen base and the pools' full chunks.
 #[derive(Clone, Debug, Default)]
 pub struct AtomStore {
     preds: ChunkVec<PredId>,
@@ -151,9 +151,15 @@ impl AtomStore {
         (0..self.preds.len() as u32).map(AtomId)
     }
 
-    /// The heap bytes of the store's chunked pools (its table aside).
+    /// The heap bytes of the store's chunked pools and id table.
     pub fn footprint(&self) -> Footprint {
-        self.preds.footprint() + self.args.footprint()
+        self.preds.footprint() + self.args.footprint() + self.table.footprint()
+    }
+
+    /// Shares the id table's entries with later clones (see
+    /// [`IdTable::freeze`]).
+    pub fn freeze(&mut self) {
+        self.table.freeze();
     }
 
     /// Heap bytes held by the store: O(chunks), a sum of capacities.

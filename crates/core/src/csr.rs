@@ -7,9 +7,11 @@
 //! the old one by copying the untouched runs between the touched rows and
 //! rewriting only the touched rows. A run's items are one `memcpy`; so are
 //! its offsets when nothing before it changed size, and one vectorizable
-//! add of a constant shift when something did. No per-row call, no
-//! per-item scatter, no counting pass, no hashing: the cost is one
-//! sequential copy plus work proportional to the edit.
+//! add of a constant shift when something did. A touched row is rewritten
+//! the same way: the old items between two of its edits are one `memcpy`,
+//! and a binary search in the ascending row finds where the next edit
+//! lands. No per-row call, no per-item step, no counting pass, no hashing:
+//! the cost is one sequential copy plus `O(log row)` per edited item.
 //!
 //! Who splices, and over what:
 //!
@@ -18,9 +20,10 @@
 //!   how a resume edits the ground program's head / positive / negative
 //!   occurrence rows, which are `RowPool`s: its cost follows the chunks the
 //!   delta touches, not the program.
-//! * The atom index (`AtomIndex::patched` in `wfdl-storage`) still splices
-//!   its predicate rows and the key tables the delta touches whole: one
-//!   sequential copy of each, in proportion to the model.
+//! * The atom index (`AtomIndex::patched` in `wfdl-storage`) splices its
+//!   predicate rows and the key tables the delta touches into fresh flat
+//!   arrays: one `memcpy` per run, so the copy is in proportion to the
+//!   model but no item of it is looked at one by one.
 
 use crate::dense_u32;
 use std::ops::Range;
@@ -187,18 +190,11 @@ fn walk<T: Copy + Ord>(
             items.extend(add.iter().map(|&(_, x)| x));
         } else {
             let old = &old_items[old_off(o) as usize..old_off(o + 1) as usize];
-            let (mut rem, mut add) = (rem.iter().peekable(), add.iter().peekable());
-            for &x in old {
-                if rem.next_if(|&&(_, gone)| gone == x).is_some() {
-                    continue;
-                }
-                while let Some(&(_, new)) = add.next_if(|&&(_, new)| new < x) {
-                    items.push(new);
-                }
-                items.push(x);
-            }
-            debug_assert!(rem.next().is_none(), "row {row} lacks a removed item");
-            items.extend(add.map(|&(_, x)| x));
+            debug_assert!(
+                old.windows(2).all(|w| w[0] <= w[1]),
+                "row {row} is not ascending"
+            );
+            rewrite_row(old, rem, add, &mut items);
             o += 1;
         }
         ends(Ends::Row(items.len() as u32));
@@ -206,6 +202,44 @@ fn walk<T: Copy + Ord>(
     }
     debug_assert!(inserted.is_empty() && removed.is_empty() && added.is_empty());
     items
+}
+
+/// Pushes the ascending row `old` minus `rem` plus `add` onto `items`, run
+/// by run: the old items before the next edit are one copy, and where that
+/// edit lands is a binary search over what is left of the row. An added
+/// item goes after every old item that is `<=` it; a removal takes the
+/// first item equal to it.
+fn rewrite_row<T: Copy + Ord>(
+    mut old: &[T],
+    mut rem: &[(u32, T)],
+    mut add: &[(u32, T)],
+    items: &mut Vec<T>,
+) {
+    loop {
+        let gone_at = rem
+            .first()
+            .map(|&(_, gone)| old.partition_point(|&x| x < gone));
+        let new_at = add
+            .first()
+            .map(|&(_, new)| old.partition_point(|&x| x <= new));
+        match (gone_at, new_at) {
+            (Some(at), new_at) if new_at.map_or(true, |n| at <= n) => {
+                items.extend_from_slice(&old[..at]);
+                let hit = old.get(at) == Some(&rem[0].1);
+                debug_assert!(hit, "a row lacks a removed item");
+                old = &old[at + usize::from(hit)..];
+                rem = &rem[1..];
+            }
+            (_, Some(at)) => {
+                items.extend_from_slice(&old[..at]);
+                items.push(add[0].1);
+                old = &old[at..];
+                add = &add[1..];
+            }
+            _ => break,
+        }
+    }
+    items.extend_from_slice(old);
 }
 
 /// Splits the leading pairs of `row` off `list` (grouped by row).
@@ -268,6 +302,54 @@ mod tests {
                 new,
             }
         }
+    }
+
+    /// The row rewrite [`rewrite_row`] replaced: one step per old item.
+    fn merge_row(old: &[u32], rem: &[(u32, u32)], add: &[(u32, u32)], items: &mut Vec<u32>) {
+        let (mut rem, mut add) = (rem.iter().peekable(), add.iter().peekable());
+        for &x in old {
+            if rem.next_if(|&&(_, gone)| gone == x).is_some() {
+                continue;
+            }
+            while let Some(&(_, new)) = add.next_if(|&&(_, new)| new < x) {
+                items.push(new);
+            }
+            items.push(x);
+        }
+        assert!(rem.next().is_none(), "a row lacks a removed item");
+        items.extend(add.map(|&(_, x)| x));
+    }
+
+    /// [`splice`] as it was before touched rows were copied by runs: every
+    /// row is rewritten with [`merge_row`].
+    fn splice_by_items(
+        old_off: &[u32],
+        old_items: &[u32],
+        edits: &RowEdits<'_, u32>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let RowEdits {
+            dropped,
+            inserted,
+            mut removed,
+            mut added,
+        } = *edits;
+        let old_rows = old_off.len() - 1;
+        let (mut off, mut items, mut o) = (vec![0u32], Vec::new(), 0usize);
+        for r in 0..(old_rows - dropped.len() + inserted.len()) as u32 {
+            let (rem, add) = (take_row(&mut removed, r), take_row(&mut added, r));
+            if inserted.contains(&r) {
+                items.extend(add.iter().map(|&(_, x)| x));
+            } else {
+                while dropped.contains(&(o as u32)) {
+                    o += 1;
+                }
+                let row = &old_items[old_off[o] as usize..old_off[o + 1] as usize];
+                merge_row(row, rem, add, &mut items);
+                o += 1;
+            }
+            off.push(items.len() as u32);
+        }
+        (off, items)
     }
 
     /// One CSR from explicit rows.
@@ -346,6 +428,88 @@ mod tests {
             };
             let (old_off, old_items) = csr_of(&old);
             let want = csr_of(&rows.into_iter().map(|row| row.content).collect::<Vec<_>>());
+            prop_assert_eq!(&splice(&old_off, &old_items, &edits), &want);
+            let mut off = vec![0u32];
+            let items = splice_with(old.len(), |i| old_off[i], &old_items, &edits, |end| off.push(end));
+            prop_assert_eq!(&(off, items), &want);
+        }
+
+        /// Both offset sinks equal the item-by-item merge they replaced, on
+        /// rows with repeated items and additions equal to old items, a
+        /// removal and an addition at one position, edits at a row's first
+        /// and last item, empty, dropped and inserted rows, and offsets
+        /// that start past `0`.
+        #[test]
+        fn splice_equals_the_item_by_item_merge(
+            prefix in proptest::collection::vec(0u32..16, 0..4),
+            old in proptest::collection::vec(proptest::collection::vec(0u32..16, 0..7), 0..16),
+            plan in proptest::collection::vec((0u8..6, 0u8..=255, proptest::collection::vec(0u32..16, 0..4)), 16),
+            fresh in proptest::collection::vec((0usize..20, proptest::collection::vec(0u32..16, 0..3)), 0..3),
+        ) {
+            let old: Vec<Vec<u32>> = old
+                .into_iter()
+                .map(|mut row| {
+                    row.sort_unstable();
+                    row
+                })
+                .collect();
+            // Per new row: whether it is inserted, what leaves it, what enters it.
+            let mut dropped = Vec::new();
+            let mut rows: Vec<(bool, Vec<u32>, Vec<u32>)> = Vec::new();
+            for (i, (row, (kind, mask, extra))) in old.iter().zip(&plan).enumerate() {
+                let (first, last) = (row.first().copied(), row.last().copied());
+                let (gone, mut new) = match (kind, first, last) {
+                    (0, ..) => {
+                        dropped.push(i as u32);
+                        continue;
+                    }
+                    // Removals by mask, additions that may equal old items.
+                    (1, ..) => {
+                        let gone = (row.iter().enumerate())
+                            .filter(|(k, _)| mask >> (k % 8) & 1 == 1)
+                            .map(|(_, &x)| x)
+                            .collect();
+                        (gone, extra.clone())
+                    }
+                    // One item out, another in at its place.
+                    (2, Some(_), _) => {
+                        let k = *mask as usize % row.len();
+                        let (lo, hi) = (row[k], row.get(k + 1).copied().unwrap_or(row[k] + 2));
+                        (vec![row[k]], vec![lo + (hi - lo) / 2])
+                    }
+                    // The first and the last item out, one before and one after.
+                    (3, Some(first), Some(last)) => {
+                        let gone = if row.len() > 1 { vec![first, last] } else { vec![first] };
+                        let before = first.saturating_sub(u32::from(mask & 1));
+                        (gone, vec![before, last + u32::from(mask & 2)])
+                    }
+                    _ => (Vec::new(), Vec::new()),
+                };
+                new.sort_unstable();
+                rows.push((false, gone, new));
+            }
+            for (at, items) in fresh {
+                rows.insert(at.min(rows.len()), (true, Vec::new(), items));
+            }
+            let (mut inserted, mut removed, mut added) = (Vec::new(), Vec::new(), Vec::new());
+            for (r, (is_new, gone, new)) in rows.iter().enumerate() {
+                if *is_new {
+                    inserted.push(r as u32);
+                }
+                removed.extend(gone.iter().map(|&x| (r as u32, x)));
+                added.extend(new.iter().map(|&x| (r as u32, x)));
+            }
+            let edits = RowEdits {
+                dropped: &dropped,
+                inserted: &inserted,
+                removed: &removed,
+                added: &added,
+            };
+            // The rows sit after `prefix` in a larger items array.
+            let (off, items) = csr_of(&old);
+            let old_off: Vec<u32> = off.iter().map(|&end| end + prefix.len() as u32).collect();
+            let old_items: Vec<u32> = prefix.iter().chain(&items).copied().collect();
+            let want = splice_by_items(&old_off, &old_items, &edits);
             prop_assert_eq!(&splice(&old_off, &old_items, &edits), &want);
             let mut off = vec![0u32];
             let items = splice_with(old.len(), |i| old_off[i], &old_items, &edits, |end| off.push(end));

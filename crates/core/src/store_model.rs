@@ -8,7 +8,9 @@
 //! The pools are copy-on-write chunked arrays, so a growth step interns
 //! long fresh names and long argument rows until the name and argument
 //! pools span several chunks before the fork: both sides then write into
-//! chunks they share.
+//! chunks they share. The id tables are frozen right before the fork and
+//! now and then on either side of it, so both sides probe a base they
+//! share and insert into owned levels of their own.
 //!
 //! Everything runs twice: with the real hash, and with every hash folded
 //! to two bits ([`crate::idtable::COLLIDE`]). A slot stores 32 hash bits
@@ -366,14 +368,24 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec((0u8..11, 0usize..64, 0usize..4096, 0usize..64), 1600..2000)
 }
 
+/// Steps between two freezes of the id tables: the first freeze makes a
+/// base, and later ones merge the owned level into it or leave it alone.
+const FREEZE_EVERY: usize = 192;
+
 /// The stores agree with the references step by step, through a fork in
-/// the middle, and on a full read-back at the end.
+/// the middle, and on a full read-back at the end. The id tables are
+/// frozen now and then on both sides and right before the fork, so the
+/// two sides probe a base they share.
 fn run(steps: &[Step]) -> Result<(), TestCaseError> {
     let mut left = Model::new();
     let (shared, rest) = steps.split_at(steps.len() / 2);
-    for &step in shared {
+    for (i, &step) in shared.iter().enumerate() {
+        if i % FREEZE_EVERY == FREEZE_EVERY - 1 {
+            left.u.freeze();
+        }
         left.apply(step)?;
     }
+    left.u.freeze();
     let at_fork = (left.u.symbols.len(), left.u.terms.len(), left.u.atoms.len());
     // Both sides write into pools that span several chunks, shared at the
     // fork.
@@ -383,7 +395,11 @@ fn run(steps: &[Step]) -> Result<(), TestCaseError> {
 
     // Fork: the clone takes a different second half.
     let mut right = left.clone();
-    for &(op, a, b, c) in rest {
+    for (i, &(op, a, b, c)) in rest.iter().enumerate() {
+        if i % FREEZE_EVERY == FREEZE_EVERY - 1 {
+            left.u.freeze();
+            right.u.freeze();
+        }
         left.apply((op, a, b, c))?;
         right.apply((op.wrapping_add(3), a + 1, b / 2, c + 1))?;
     }

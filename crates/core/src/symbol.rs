@@ -85,8 +85,8 @@ impl SymbolMap {
 ///
 /// Every name lives once, as one row of a chunked string pool; symbol `i`
 /// is row `i`, and the id table finds it by hash. No per-name allocation,
-/// no UTF-8 check on a read, and a clone copies the table and shares the
-/// pool's full chunks.
+/// no UTF-8 check on a read, and a clone copies the table's owned level
+/// and shares its frozen base and the pool's full chunks.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolTable {
     /// The names, one row each.
@@ -154,9 +154,15 @@ impl SymbolTable {
         self.len() == 0
     }
 
-    /// The heap bytes of the name pool (the table aside).
+    /// The heap bytes of the name pool and the id table.
     pub fn footprint(&self) -> Footprint {
-        self.names.footprint()
+        self.names.footprint() + self.table.footprint()
+    }
+
+    /// Shares the id table's entries with later clones (see
+    /// [`IdTable::freeze`]).
+    pub fn freeze(&mut self) {
+        self.table.freeze();
     }
 
     /// Heap bytes held by the table: O(chunks), a sum of capacities.

@@ -262,12 +262,19 @@ impl TermStore {
         (0..self.heads.len() as u32).map(TermId)
     }
 
-    /// The heap bytes of the store's chunked pools (its table aside).
+    /// The heap bytes of the store's chunked pools and id table.
     pub fn footprint(&self) -> Footprint {
         self.heads.footprint()
             + self.args.footprint()
             + self.depth.footprint()
             + self.constants.footprint()
+            + self.table.footprint()
+    }
+
+    /// Shares the id table's entries with later clones (see
+    /// [`IdTable::freeze`]).
+    pub fn freeze(&mut self) {
+        self.table.freeze();
     }
 
     /// Heap bytes held by the store: O(chunks), a sum of capacities.

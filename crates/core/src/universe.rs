@@ -24,9 +24,11 @@ pub struct SkolemInfo {
 /// Interning context: symbols, predicates, Skolem functions, terms, atoms.
 ///
 /// The pools and side arrays over dense ids are copy-on-write chunked
-/// arrays ([`crate::chunked`]): a clone copies the three id tables, the
-/// declarations and what was interned since the universe was last cloned,
-/// and shares every other chunk with the original.
+/// arrays ([`crate::chunked`]), and the three id tables keep a frozen base
+/// behind an `Arc` ([`crate::IdTable`]): a clone of a frozen universe
+/// copies the declarations, the chunk tables, what was interned since the
+/// universe was last cloned and the tables' owned levels, and shares every
+/// chunk and table base with the original.
 #[derive(Clone, Debug, Default)]
 pub struct Universe {
     /// String interner.
@@ -255,8 +257,18 @@ impl Universe {
 
     // ----- memory ------------------------------------------------------
 
-    /// The heap bytes of the universe's chunked pools and side arrays —
-    /// everything but its three id tables and its declarations.
+    /// Makes the three id tables' entries a base that later clones share
+    /// instead of copying ([`crate::IdTable::freeze`]). Call it where the
+    /// universe is about to be shared.
+    pub fn freeze(&mut self) {
+        self.symbols.freeze();
+        self.terms.freeze();
+        self.atoms.freeze();
+    }
+
+    /// The heap bytes of the universe's chunked pools, side arrays and id
+    /// tables — everything but its declarations. A table's base counts as
+    /// owned while no clone shares it, as a pool chunk does.
     pub fn footprint(&self) -> crate::chunked::Footprint {
         self.symbols.footprint()
             + self.pred_by_name.footprint()

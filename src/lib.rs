@@ -284,9 +284,11 @@ pub struct KnowledgeBase {
     /// `add_source`, an ingest, the chase of the next solve) copies the
     /// universe (`Arc::make_mut`); later mutations before the next
     /// publication find it unshared and copy nothing. The pools are
-    /// copy-on-write chunked arrays, so that copy is the three id tables
-    /// and what was interned since the last copy; every other chunk is
-    /// shared. The first copy after a cold solve copies the pools once.
+    /// copy-on-write chunked arrays and a full solve freezes the three id
+    /// tables before it publishes (`run_solve`), so that copy is what was
+    /// interned since the last copy and the tables' owned levels; every
+    /// chunk and every table base is shared. The first copy after a cold
+    /// solve copies the pools once.
     universe: Arc<Universe>,
     database: Database,
     /// Shared with every model solved from it, so that a model knows its
@@ -841,6 +843,10 @@ impl KnowledgeBase {
         // data of the epoch it ran in and never advances it.
         if slice.is_none() {
             self.epoch += 1;
+            // The snapshot below shares the universe: the next copy-on-write
+            // shares the id tables' frozen entries instead of copying them.
+            // Unshared here, so `make_mut` copies nothing.
+            Arc::make_mut(&mut self.universe).freeze();
         }
         let prev = prev.as_ref().map(|m| &*m.solved);
         let program = Arc::clone(&self.sigma);

@@ -532,33 +532,51 @@ fn a_resumed_engine_copies_what_it_touches() {
     );
 }
 
-/// The copy-on-write of a universe that was copied before (the façade's,
-/// before each mutation that follows a solve) copies its id tables, its
-/// declarations, its chunk tables and what was interned since: every other
-/// chunk of its pools is shared.
+/// What the copy-on-write of a universe twice as large may obtain beyond
+/// the smaller one's. Its chunk tables hold one entry per chunk, so they
+/// grow with the program, and a pool's tail, copied whole, can end anywhere
+/// in its last chunk; nothing else it copies depends on the program's size.
+/// (A copy of the id tables would grow by more than a megabyte here.)
+const UNIVERSE_COPY_SLACK: usize = 64 * 1024;
+
+/// The copy-on-write of a universe a solve froze (the façade's, before each
+/// mutation that follows a solve) copies its declarations, its chunk
+/// tables, what was interned since it was last copied and its id tables'
+/// owned levels; every pool chunk and every id table's base is shared.
+/// Twice the knowledge base, the same delta: the copy obtains the same
+/// bytes, up to the chunk tables' growth.
 #[test]
-fn a_universe_copy_on_write_copies_only_its_tables() {
-    for (seeds, groups) in [(512, 10_240), (1_024, 20_480)] {
+fn a_frozen_universe_copy_on_write_does_not_grow_with_the_program() {
+    let copy = |seeds: usize, groups: usize| {
         let (_kb, model) = resumed_twice(seeds, groups);
         let universe = model.universe();
-        let pools = universe.footprint();
-        let tables = universe.heap_bytes() - pools.held;
+        let held = universe.footprint();
+        // What is neither chunked nor an id table: the declarations.
+        let flat = universe.heap_bytes() - held.held;
         let (copy, bytes) = bytes_in(|| universe.clone());
         assert!(
-            bytes <= tables + pools.owned,
-            "a clone of {} atoms obtained {bytes} bytes; tables {tables}, pools {} ({} owned)",
+            bytes <= flat + held.owned,
+            "a clone of {} atoms obtained {bytes} bytes; declarations {flat}, \
+             pools and tables {} ({} owned)",
             universe.atoms.len(),
-            pools.held,
-            pools.owned
+            held.held,
+            held.owned
         );
-        // Most of the pools is shared, and they are most of the universe.
-        assert!(copy.footprint().shared() * 4 >= pools.held * 3);
-        assert!(
-            pools.held >= tables / 2,
-            "pools {} tables {tables}",
-            pools.held
-        );
-    }
+        // The copy shares nearly all of the universe.
+        assert!(copy.footprint().shared() * 10 >= held.held * 9);
+        (bytes, universe.atoms.len())
+    };
+    let (small, atoms) = copy(512, 10_240);
+    let (large, atoms_twice) = copy(1_024, 20_480);
+
+    assert!(
+        atoms_twice > atoms * 3 / 2,
+        "{atoms} then {atoms_twice} atoms"
+    );
+    assert!(
+        large <= small + UNIVERSE_COPY_SLACK,
+        "a copy of {atoms} atoms obtained {small} bytes, of {atoms_twice} atoms {large}"
+    );
 }
 
 /// Bytes the cold hand-off and solve of `chain_and_fanout(512, 10_240)`
