@@ -1,0 +1,113 @@
+//! SCC-modular well-founded evaluation.
+//!
+//! The global fixpoint engines (the `W_P` and alternating-fixpoint oracles
+//! of `wfdl-reference`) re-solve the entire ground program every stage,
+//! even when negation is confined to a tiny subcomponent. This module
+//! exploits the classical modularity (splitting) property of the
+//! well-founded semantics instead:
+//!
+//! 1. build the **atom dependency graph** (an edge `head → body atom` for
+//!    every rule, positive and negative alike) over the program's dense
+//!    local atom ids;
+//! 2. run Tarjan's algorithm; its emission order visits every strongly
+//!    connected component **after** all components it depends on;
+//! 3. evaluate components bottom-up, substituting the verdicts of lower
+//!    components into each rule as it is considered:
+//!    * a component with no internal negative edge and no undefined lower
+//!      verdict in reach is **definite**: one flat semi-naive pass derives
+//!      its true atoms and everything else in it is false — no unfounded-set
+//!      computation at all;
+//!    * otherwise the component is **recursive**: the alternating
+//!      `T_P`-closure / greatest-unfounded-set rounds of `W_P` run until
+//!      nothing changes, with undefined lower atoms carried as
+//!      *assumed-unknown* inputs (a rule that mentions one can keep its
+//!      head possibly-founded but can never fire).
+//!
+//! Both kinds go through **one in-place evaluator** (`eval_component`): it
+//! reads the parent program's rule arrays restricted to the component's own
+//! rules, closes over positive occurrence rows of the component's own
+//! (recorded while its rules are classified — the program-wide body rows
+//! are never read), keeps every verdict in one per-atom array and every
+//! countdown in reused scratch buffers, and allocates nothing. A definite
+//! component is round one of the same loop with an early exit. So a
+//! component costs `rounds × its own rules` — never anything proportional
+//! to the program or the atom universe around it.
+//!
+//! A **trivial** component — a singleton that no rule of its own mentions,
+//! which is every component of a positive chain and nearly every one of a
+//! stratified program — skips the evaluator: its verdict is one look at how
+//! its rules were classified.
+//!
+//! On stratified-heavy workloads almost every component is definite, so the
+//! whole model is computed in a single linear sweep.
+//!
+//! The sweep is single-threaded and visits components in emission order, so
+//! a component's verdicts and its decision stage (emission ordinal + 1) are
+//! a function of the ground program alone.
+//!
+//! ## Incremental solves: carry, cone, change-driven evaluation
+//!
+//! A program that **extends** a solved one (old atoms, rules and facts a
+//! prefix of its own — what [`GroundProgram::extension`] produces after a
+//! resumed chase) is not solved again: [`ModularEngine::solve_incremental`] carries
+//! the previous result over and re-does only the delta's **forward cone**
+//! — the seeds (heads of new rules, new facts, new atoms) closed under
+//! "heads a rule whose body mentions". Two facts make that sound:
+//!
+//! * *the complement of the cone is relevance-closed* — a rule heading one
+//!   of its atoms mentions no cone atom (its head would be in the cone) and
+//!   is not new (its head would be a seed), so the complement is, rule for
+//!   rule, a relevance-closed part of the previous program, and splitting
+//!   gives it the previous verdicts, stages and components;
+//! * *a new cycle passes through a seed* — it uses a new rule, whose head
+//!   is a seed and whose dependants are all in the cone, so every component
+//!   that changed lies inside the cone and Tarjan runs on the subgraph the
+//!   cone induces.
+//!
+//! Inside the cone, components are visited dependencies-first and evaluated
+//! only if they contain a seed or an external body atom whose verdict
+//! changed in this run; the others keep their carried verdicts.
+//!
+//! What is carried is the previous run's [`ModularMemo`] — verdicts and
+//! facts by local id, the component of every atom, the component rows and
+//! which components were recursive — plus its interpretation and stages.
+//! Local ids never move in an extension. The condensation, the recursive
+//! flags and the stage map are copy-on-write chunked arrays
+//! (`wfdl_core::chunked`): a resume's clones share the previous run's
+//! chunks, append the new atoms and components to flat tails, and copy
+//! only the chunks the cone writes. The verdicts and the fact set — a byte
+//! and a bit per atom, read on every rule the sweep classifies — and the
+//! interpretation are copied flat.
+//!
+//! Ordinals never move. A component the cone dissolves keeps its ordinal
+//! and its row, which read as dissolved from then on (its atoms belong to
+//! cone components), and the cone's components take fresh ordinals above
+//! every old one. Emission order stays dependencies-first: the cone is
+//! closed under "depends on", so a carried component depends on carried
+//! ones only, and a cone component on carried ones and on cone components
+//! Tarjan emitted before it. So no carried ordinal or stage is rewritten,
+//! and nothing is walked per atom or per component outside the cone; the
+//! per-atom scratch of a resume is keyed by the cone's atoms.
+//!
+//! The per-atom decision *stage* reported by this engine is the 1-based
+//! ordinal of the component that decided it, which preserves the invariant
+//! that stages are monotone along derivations but is **not** comparable to
+//! the `W_P` stage arithmetic of Example 9 — run `wfdl-reference`'s
+//! `WpEngine` with `StepMode::Literal` on the same ground program for
+//! stage-faithful traces.
+
+mod component;
+mod condensation;
+mod cone;
+mod engine;
+#[cfg(test)]
+mod tests;
+
+pub use condensation::{condensation, Condensation};
+pub use engine::{ModularEngine, ModularMemo, ModularStats};
+
+#[cfg(doc)]
+use wfdl_storage::GroundProgram;
+
+/// Sentinel for "no entry" in the flat index arrays.
+const NONE: u32 = u32::MAX;

@@ -539,7 +539,7 @@ fn answer_views(
 ) -> Result<String, String> {
     let mut views = Vec::with_capacity(queries.len());
     for (i, src) in queries.iter().enumerate() {
-        let view = crate::slice_view(&model.solved, model.snapshot().clone(), src)
+        let view = crate::solved_model::slice_view(&model.solved, model.snapshot().clone(), src)
             .map_err(|e| prepare_error_body(i, src, &e))?;
         views.push(view);
     }
