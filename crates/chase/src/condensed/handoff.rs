@@ -1,3 +1,5 @@
+//! The hand-off to the engines: a segment as a ground program.
+
 use super::ChaseSegment;
 use crate::instance::InstanceId;
 use wfdl_core::{AtomId, BitSet};
@@ -34,13 +36,13 @@ impl ChaseSegment {
         first_inst: usize,
     ) -> GroundProgram {
         let (num_inst, first_fact) = (self.num_instances(), prev.facts().len());
-        debug_assert!(first_inst <= num_inst && first_fact <= self.fact_seg.len());
+        debug_assert!(first_inst <= num_inst && first_fact <= self.forest.fact_seg.len());
         let instances = (first_inst..num_inst).map(InstanceId::from_index);
 
         // Positive bodies hold segment atoms only: the new segment atoms
         // and the new instances' hypotheses cover every atom `prev` lacks.
-        let mut fresh = BitSet::with_capacity(self.seg_of.len());
-        for sa in self.atoms.iter_from(first_atom) {
+        let mut fresh = BitSet::with_capacity(self.forest.seg_of.len());
+        for sa in self.forest.atoms.iter_from(first_atom) {
             fresh.insert(sa.atom.index());
         }
         for i in instances.clone() {
@@ -51,14 +53,14 @@ impl ChaseSegment {
         let new_atoms = (fresh.iter().map(AtomId::from_index)).filter(|&a| !prev.mentions(a));
         let room = Room {
             atoms: fresh.len(),
-            atom_ids: self.seg_of.len(),
-            facts: self.fact_seg.len() - first_fact,
+            atom_ids: self.forest.seg_of.len(),
+            facts: self.forest.fact_seg.len() - first_fact,
             rules: num_inst - first_inst,
-            pos: self.pos.num_elements_from(first_inst),
-            neg: self.neg.num_elements_from(first_inst),
+            pos: self.forest.pos.num_elements_from(first_inst),
+            neg: self.forest.neg.num_elements_from(first_inst),
         };
         let mut ground = prev.extension(new_atoms, room);
-        for &f in self.fact_seg.iter_from(first_fact) {
+        for &f in self.forest.fact_seg.iter_from(first_fact) {
             ground.push_fact(self.atom_of(f));
         }
         for i in instances {

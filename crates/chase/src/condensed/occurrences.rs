@@ -1,36 +1,26 @@
+//! The occurrence rows — guard, head and body — counted by the first
+//! reader.
+
 use super::ChaseSegment;
 use crate::instance::{InstanceId, SegAtomId};
-use wfdl_core::AtomId;
-
-/// One occurrence index: the instances of each segment atom's row, ascending;
-/// CSR over [`SegAtomId`].
-#[derive(Clone, Debug)]
-struct OccurrenceRows {
-    off: Vec<u32>,
-    instances: Vec<InstanceId>,
-}
-
-impl OccurrenceRows {
-    #[inline]
-    fn row(&self, id: SegAtomId) -> &[InstanceId] {
-        let a = id.index();
-        &self.instances[self.off[a] as usize..self.off[a + 1] as usize]
-    }
-}
+use wfdl_core::csr::Csr;
+use wfdl_core::{AtomId, ChunkVec};
 
 /// What [`ChaseSegment::instances_with_guard_seg`] & co. read. Saturation,
 /// grounding and the engine never do — the readers are the explicit forest,
 /// the type computation, WCHECK, the reference engines and a resume that
 /// relaxes an inherited atom — so a segment is built without it.
+///
+/// Each is a row per [`SegAtomId`] of instances, ascending.
 #[derive(Clone, Debug)]
 pub(super) struct Occurrences {
     /// Instances guarded by each segment atom.
-    guard: OccurrenceRows,
+    guard: Csr<InstanceId>,
     /// Instances deriving each segment atom.
-    head: OccurrenceRows,
+    head: Csr<InstanceId>,
     /// Instances with each segment atom in their positive body, once per
     /// instance.
-    body: OccurrenceRows,
+    body: Csr<InstanceId>,
     /// Distinct positive-body size per instance (bodies may repeat an atom
     /// after instantiation).
     pub(super) pos_distinct: Vec<u32>,
@@ -40,20 +30,20 @@ impl ChaseSegment {
     /// Instances whose guard matched the segment atom `id`.
     #[inline]
     pub fn instances_with_guard_seg(&self, id: SegAtomId) -> &[InstanceId] {
-        self.occurrences().guard.row(id)
+        self.occurrences().guard.row(id.index())
     }
 
     /// Instances deriving the segment atom `id`.
     #[inline]
     pub fn instances_with_head_seg(&self, id: SegAtomId) -> &[InstanceId] {
-        self.occurrences().head.row(id)
+        self.occurrences().head.row(id.index())
     }
 
     /// Instances with the segment atom `id` in their positive body
     /// (deduplicated per instance).
     #[inline]
     pub fn instances_with_body_seg(&self, id: SegAtomId) -> &[InstanceId] {
-        self.occurrences().body.row(id)
+        self.occurrences().body.row(id.index())
     }
 
     /// The occurrence indexes, counted on the first call.
@@ -61,64 +51,35 @@ impl ChaseSegment {
         self.occurrences.get_or_init(|| self.count_occurrences())
     }
 
-    /// Calls `f(instance, segment atom)` once per distinct positive body
-    /// atom of every instance (bodies are short; a linear prior-occurrence
-    /// scan beats any set).
-    fn for_each_body_atom(&self, mut f: impl FnMut(usize, SegAtomId)) {
-        for (i, row) in self.pos.rows().enumerate() {
-            for (k, &s) in row.iter().enumerate() {
-                if !row[..k].contains(&s) {
-                    f(i, s);
-                }
-            }
-        }
+    /// The distinct atoms of instance `i`'s positive body (bodies are
+    /// short; a linear prior-occurrence scan beats any set).
+    fn distinct_body(&self, i: usize) -> impl Iterator<Item = SegAtomId> + Clone + '_ {
+        let row = self.forest.pos.row(i);
+        (row.iter().enumerate())
+            .filter(move |&(k, s)| !row[..k].contains(s))
+            .map(|(_, &s)| s)
     }
 
-    /// One counting sort over the instance arrays: the guard, head and
-    /// distinct-positive-body rows of every segment atom, and each
-    /// instance's distinct body size.
+    /// The guard, head and distinct-positive-body rows of every segment
+    /// atom, and each instance's distinct body size.
     fn count_occurrences(&self) -> Occurrences {
-        let n = self.atoms.len();
-        let num_inst = self.num_instances();
-        let mut counts = [vec![0u32; n], vec![0u32; n], vec![0u32; n]];
-        let mut pos_distinct = vec![0u32; num_inst];
-        for i in 0..num_inst {
-            counts[0][self.inst_guard[i].index()] += 1;
-            counts[1][self.inst_head[i].index()] += 1;
-        }
-        self.for_each_body_atom(|i, s| {
-            counts[2][s.index()] += 1;
-            pos_distinct[i] += 1;
-        });
-        let zero = InstanceId::from_index(0);
-        let [mut guard, mut head, mut body] = counts.map(|counts| {
-            let mut off = Vec::with_capacity(n + 1);
-            let mut acc = 0u32;
-            off.push(0);
-            for &c in &counts {
-                acc += c;
-                off.push(acc);
-            }
-            // `counts` becomes the fill cursor of each row.
-            let mut fill = counts;
-            fill.copy_from_slice(&off[..n]);
-            let instances = vec![zero; acc as usize];
-            (OccurrenceRows { off, instances }, fill)
-        });
-        let drop_at = |(rows, fill): &mut (OccurrenceRows, Vec<u32>), row: usize, i: usize| {
-            rows.instances[fill[row] as usize] = InstanceId::from_index(i);
-            fill[row] += 1;
+        let (n, num_inst) = (self.forest.atoms.len(), self.num_instances());
+        let rows = |of: &ChunkVec<SegAtomId>| {
+            let entries =
+                (of.iter().enumerate()).map(|(i, s)| (s.index() as u32, InstanceId::from_index(i)));
+            Csr::count(n, entries)
         };
-        for i in 0..num_inst {
-            drop_at(&mut guard, self.inst_guard[i].index(), i);
-            drop_at(&mut head, self.inst_head[i].index(), i);
-        }
-        self.for_each_body_atom(|i, s| drop_at(&mut body, s.index(), i));
+        let body = (0..num_inst).flat_map(|i| {
+            self.distinct_body(i)
+                .map(move |s| (s.index() as u32, InstanceId::from_index(i)))
+        });
         Occurrences {
-            guard: guard.0,
-            head: head.0,
-            body: body.0,
-            pos_distinct,
+            guard: rows(&self.forest.inst_guard),
+            head: rows(&self.forest.inst_head),
+            body: Csr::count(n, body),
+            pos_distinct: (0..num_inst)
+                .map(|i| self.distinct_body(i).count() as u32)
+                .collect(),
         }
     }
 

@@ -1,4 +1,8 @@
+//! Depth/level relaxation: the minima an atom's later, shallower
+//! derivations lower, and the depth gate they reopen.
+
 use super::saturate::Builder;
+use super::segment::SegmentAtom;
 use super::NONE;
 use crate::instance::SegAtomId;
 use wfdl_core::AtomId;
@@ -63,9 +67,16 @@ impl<'a> Builder<'a> {
         if self.budget.max_depth == u32::MAX {
             return 0;
         }
-        let now = |b: &Self, i: usize| b.gated(b.atoms[i].atom, b.atoms[i].depth, b.expanded[i]);
+        let (old_atoms, atoms) = (
+            self.old.map_or(0, |o| o.forest.atoms.len()),
+            self.forest.atoms.len(),
+        );
+        let now = |b: &Self, i: usize| {
+            let SegmentAtom { atom, depth, .. } = b.forest.atoms[i];
+            b.gated(atom, depth, b.resume.expanded[i])
+        };
         let Some(old) = self.old else {
-            return (0..self.atoms.len()).filter(|&i| now(self, i)).count();
+            return (0..atoms).filter(|&i| now(self, i)).count();
         };
         let mut relaxed = std::mem::take(&mut self.relaxed);
         relaxed.sort_unstable();
@@ -73,22 +84,17 @@ impl<'a> Builder<'a> {
         let mut blocked = old.resume.depth_blocked;
         for &ai in &relaxed {
             let i = ai as usize;
-            if i < old.atoms.len() {
-                let before = old.atoms[i];
+            if i < old_atoms {
+                let before = old.forest.atoms[i];
                 blocked -= self.gated(before.atom, before.depth, old.resume.expanded[i]) as usize;
                 blocked += now(self, i) as usize;
             }
         }
-        blocked += (old.atoms.len()..self.atoms.len())
-            .filter(|&i| now(self, i))
-            .count();
+        blocked += (old_atoms..atoms).filter(|&i| now(self, i)).count();
         // `drain` relaxes to fixpoint before it stops, so every inherited
         // atom whose depth moved is in `relaxed`.
         debug_assert!(self.relax_queue.is_empty());
-        debug_assert_eq!(
-            blocked,
-            (0..self.atoms.len()).filter(|&i| now(self, i)).count()
-        );
+        debug_assert_eq!(blocked, (0..atoms).filter(|&i| now(self, i)).count());
         blocked
     }
 
@@ -98,13 +104,13 @@ impl<'a> Builder<'a> {
     /// order either way.
     fn seed_body_lists(&self) -> BodyLists {
         let mut lists = BodyLists {
-            head: vec![NONE; self.atoms.len()],
-            tail: vec![NONE; self.atoms.len()],
+            head: vec![NONE; self.forest.atoms.len()],
+            tail: vec![NONE; self.forest.atoms.len()],
             next: Vec::new(),
             inst: Vec::new(),
         };
-        for i in self.old.map_or(0, |o| o.num_instances())..self.inst_src_rule.len() {
-            for &s in self.pos.row(i) {
+        for i in self.old.map_or(0, |o| o.num_instances())..self.forest.inst_src_rule.len() {
+            for &s in self.forest.pos.row(i) {
                 lists.link(s, i as u32);
             }
         }
@@ -118,17 +124,17 @@ impl<'a> Builder<'a> {
         if self.old.is_some() {
             self.relaxed.push(ai);
         }
-        let depth = self.atoms[ai as usize].depth;
+        let depth = self.forest.atoms[ai as usize].depth;
         // The atom may now be allowed to expand where it previously hit the
         // depth gate.
         if depth < self.budget.max_depth {
-            self.expand_queue.push_back(ai);
+            self.resume.expand_queue.push_back(ai);
         }
         // Instances inherited from a resumed segment: their body
         // occurrences are the old segment's rows (the lists below only
         // cover instances fired this run).
         if let Some(old) = self.old {
-            if (ai as usize) < old.atoms.len() {
+            if (ai as usize) < old.forest.atoms.len() {
                 for &iid in old.instances_with_body_seg(SegAtomId::from_index(ai as usize)) {
                     self.relax_instance(iid.index());
                 }
@@ -152,14 +158,14 @@ impl<'a> Builder<'a> {
     /// Re-derives instance `iid`'s head depth/level from its current body
     /// minima, queueing the head if it improved.
     fn relax_instance(&mut self, iid: usize) {
-        let child_depth = self.atoms[self.inst_guard[iid].index()].depth + 1;
+        let child_depth = self.forest.atoms[self.forest.inst_guard[iid].index()].depth + 1;
         let mut child_level = 0u32;
-        for &s in self.pos.row(iid) {
-            child_level = child_level.max(self.atoms[s.index()].level);
+        for &s in self.forest.pos.row(iid) {
+            child_level = child_level.max(self.forest.atoms[s.index()].level);
         }
         let child_level = child_level + 1;
-        let hi = self.inst_head[iid].index();
-        let meta = &mut self.atoms[hi];
+        let hi = self.forest.inst_head[iid].index();
+        let meta = &mut self.forest.atoms[hi];
         if child_depth < meta.depth || child_level < meta.level {
             meta.depth = meta.depth.min(child_depth);
             meta.level = meta.level.min(child_level);

@@ -1,18 +1,27 @@
+//! Resuming a segment with new facts: the saturation state a build
+//! retains, and the builder seeded from it.
+
 use super::saturate::{Builder, Pending};
-use super::ChaseSegment;
+use super::{ChaseSegment, NONE};
+use std::collections::VecDeque;
 use std::fmt;
 use wfdl_core::budget::FaultSite;
-use wfdl_core::{AtomId, BitSet, ChunkVec, RowPool, SkolemProgram, SolveBudget};
+use wfdl_core::{AtomId, BitSet, ChunkVec, Footprint, RowPool, SkolemProgram, SolveBudget};
 use wfdl_core::{TruncationReason, Universe};
 
-/// Saturation state that `finish` would otherwise discard, retained so
+/// The saturation state besides the [`Forest`](super::segment::Forest): a
+/// build works on it in place, and the segment keeps it so that
 /// [`ChaseSegment::resume_with`] can continue exactly where the build
-/// stopped: parked instances with their watch lists, the per-atom
+/// stopped — parked instances with their watch lists, the per-atom
 /// expansion bits, the uncollected expansion queue (non-empty only when a
 /// runtime budget stopped the build mid-saturation), and the structured
 /// truncation reason.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(super) struct ResumeState {
+    /// One bit per segment atom: its (predicate's) rules were instantiated.
+    /// Replaces a hash set of `(rule, atom)` pairs — expansion attempts
+    /// every rule of the guard predicate in one sweep, so pair granularity
+    /// is never needed.
     pub(super) expanded: ChunkVec<bool>,
     /// Segment ids of the facts (`fact_seg` as a set).
     pub(super) fact_set: BitSet,
@@ -20,15 +29,56 @@ pub(super) struct ResumeState {
     /// `Builder::depth_blocked`): carried so a resume re-counts only the
     /// atoms it added or relaxed.
     pub(super) depth_blocked: usize,
+    /// Parked instances and their bodies, one row each.
     pub(super) pending: ChunkVec<Pending>,
     pub(super) pend_pos: RowPool<AtomId>,
     pub(super) pend_neg: RowPool<AtomId>,
+    /// Intrusive watch lists per **universe** atom id (missing side atoms
+    /// are not yet segment atoms): per-atom head/tail cursors into the
+    /// entry pool `watch_next`/`watch_pend`.
     pub(super) watch_head: ChunkVec<u32>,
     pub(super) watch_tail: ChunkVec<u32>,
     pub(super) watch_next: ChunkVec<u32>,
     pub(super) watch_pend: ChunkVec<u32>,
-    pub(super) expand_queue: Vec<u32>,
+    pub(super) expand_queue: VecDeque<u32>,
+    /// First structural cap or runtime budget trip observed, if any.
     pub(super) truncation: Option<TruncationReason>,
+}
+
+impl ResumeState {
+    /// The heap bytes of the chunked arrays, shared or not.
+    pub(super) fn footprint(&self) -> Footprint {
+        [
+            self.expanded.footprint(),
+            self.pending.footprint(),
+            self.pend_pos.footprint(),
+            self.pend_neg.footprint(),
+            self.watch_head.footprint(),
+            self.watch_tail.footprint(),
+            self.watch_next.footprint(),
+            self.watch_pend.footprint(),
+        ]
+        .into_iter()
+        .sum()
+    }
+
+    /// Appends a watch-list entry for `uid` → pending instance `pend`.
+    pub(super) fn watch(&mut self, uid: usize, pend: u32) {
+        if self.watch_head.len() <= uid {
+            self.watch_head.resize(uid + 1, NONE);
+            self.watch_tail.resize(uid + 1, NONE);
+        }
+        let e = self.watch_next.len() as u32;
+        self.watch_next.push(NONE);
+        self.watch_pend.push(pend);
+        let tail = self.watch_tail[uid];
+        if tail == NONE {
+            self.watch_head[uid] = e;
+        } else {
+            self.watch_next[tail as usize] = e;
+        }
+        self.watch_tail[uid] = e;
+    }
 }
 
 /// Error returned by [`ChaseSegment::resume_with`] when a segment cannot
@@ -135,32 +185,15 @@ impl<'a> Builder<'a> {
         solve: SolveBudget,
     ) -> Self {
         let mut b = Builder::new(universe, program, old.budget, solve);
-        b.atoms = old.atoms.clone();
-        b.seg_of = old.seg_of.clone();
-        b.fact_seg = old.fact_seg.clone();
-        b.inst_src_rule = old.inst_src_rule.clone();
-        b.inst_guard = old.inst_guard.clone();
-        b.inst_head = old.inst_head.clone();
-        b.pos = old.pos.clone();
-        b.neg = old.neg.clone();
-        let r = &old.resume;
-        b.fact_set = r.fact_set.clone();
-        b.expanded = r.expanded.clone();
-        b.pending = r.pending.clone();
-        b.pend_pos = r.pend_pos.clone();
-        b.pend_neg = r.pend_neg.clone();
-        b.watch_head = r.watch_head.clone();
-        b.watch_tail = r.watch_tail.clone();
-        b.watch_next = r.watch_next.clone();
-        b.watch_pend = r.watch_pend.clone();
-        // Uncollected expansion work from a budget-tripped build: restoring
-        // the queue makes the resume continue exactly where the tripped run
-        // stopped. A cleanly quiesced build always leaves it empty.
-        b.expand_queue = r.expand_queue.iter().copied().collect();
+        b.forest = old.forest.clone();
+        // Uncollected expansion work from a budget-tripped build comes
+        // along in the queue, so the resume continues exactly where the
+        // tripped run stopped (a cleanly quiesced build leaves it empty).
+        b.resume = old.resume.clone();
         // A previous run's budget trip belongs to that run — the resume
         // polls its own budget. Cap truncation never reaches this point
         // (`resume_budgeted` refuses those segments).
-        b.truncation = None;
+        b.resume.truncation = None;
         b.old = Some(old);
         b
     }

@@ -1,6 +1,9 @@
+//! Saturation: the builder's rounds of collecting a frontier and applying
+//! its matches (interning, firing, parking on missing side atoms).
+
 use super::relax::BodyLists;
 use super::resume::ResumeState;
-use super::segment::{ChaseSegment, ChaseStats, SegmentAtom};
+use super::segment::{ChaseSegment, ChaseStats, Forest, SegmentAtom};
 use super::NONE;
 use crate::budget::ChaseBudget;
 use crate::instance::SegAtomId;
@@ -9,10 +12,7 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 use std::time::Instant;
 use wfdl_core::budget::FaultSite;
-use wfdl_core::{
-    AtomId, BitSet, ChunkVec, RowPool, SkolemProgram, SolveBudget, TermId, TruncationReason,
-    Universe,
-};
+use wfdl_core::{AtomId, ChunkVec, SkolemProgram, SolveBudget, TermId, TruncationReason, Universe};
 use wfdl_storage::Database;
 
 /// An instance parked until its side atoms appear; its bodies are the
@@ -47,38 +47,14 @@ pub(super) struct Builder<'a> {
     /// the instances fired by this run).
     pub(super) old: Option<&'a ChaseSegment>,
 
-    // --- final segment state, built in place ---
-    pub(super) atoms: ChunkVec<SegmentAtom>,
-    pub(super) seg_of: ChunkVec<u32>,
-    pub(super) fact_seg: ChunkVec<SegAtomId>,
-    pub(super) fact_set: BitSet,
-    pub(super) inst_src_rule: ChunkVec<u32>,
-    pub(super) inst_guard: ChunkVec<SegAtomId>,
-    pub(super) inst_head: ChunkVec<SegAtomId>,
-    pub(super) pos: RowPool<SegAtomId>,
-    pub(super) neg: RowPool<AtomId>,
-
-    /// One bit per segment atom: its (predicate's) rules were instantiated.
-    /// Replaces a hash set of `(rule, atom)` pairs — expansion attempts
-    /// every rule of the guard predicate in one sweep, so pair granularity
-    /// is never needed.
-    pub(super) expanded: ChunkVec<bool>,
+    /// The segment under construction, built in place.
+    pub(super) forest: Forest,
+    /// The rest of the saturation state, which the segment keeps.
+    pub(super) resume: ResumeState,
     /// The relaxation index over this run's instances. `None` until the
     /// first [`Builder::relax`] — most builds never relax — which seeds it
     /// from `pos_seg`; from then on `fire` appends to it.
     pub(super) body_lists: Option<BodyLists>,
-    /// Intrusive watch lists per **universe** atom id (missing side atoms
-    /// are not yet segment atoms), same entry-pool shape.
-    pub(super) watch_head: ChunkVec<u32>,
-    pub(super) watch_tail: ChunkVec<u32>,
-    pub(super) watch_next: ChunkVec<u32>,
-    pub(super) watch_pend: ChunkVec<u32>,
-    /// Parked instances and their bodies, one row each.
-    pub(super) pending: ChunkVec<Pending>,
-    pub(super) pend_pos: RowPool<AtomId>,
-    pub(super) pend_neg: RowPool<AtomId>,
-
-    pub(super) expand_queue: VecDeque<u32>,
     pub(super) relax_queue: VecDeque<u32>,
     /// Inherited atoms whose depth improved during a resume — the only
     /// ones whose depth gate can have changed (with repeats; unused by
@@ -100,9 +76,6 @@ pub(super) struct Builder<'a> {
     pub(super) scratch_seg: Vec<u32>,
     pub(super) scratch_neg: Vec<AtomId>,
     pub(super) scratch_missing: Vec<AtomId>,
-
-    /// First structural cap or runtime budget trip observed, if any.
-    pub(super) truncation: Option<TruncationReason>,
 }
 
 impl<'a> Builder<'a> {
@@ -132,25 +105,9 @@ impl<'a> Builder<'a> {
             plans,
             restrict: None,
             old: None,
-            atoms: ChunkVec::new(),
-            seg_of: ChunkVec::new(),
-            fact_seg: ChunkVec::new(),
-            fact_set: BitSet::new(),
-            inst_src_rule: ChunkVec::new(),
-            inst_guard: ChunkVec::new(),
-            inst_head: ChunkVec::new(),
-            pos: RowPool::new(),
-            neg: RowPool::new(),
-            expanded: ChunkVec::new(),
+            forest: Forest::default(),
+            resume: ResumeState::default(),
             body_lists: None,
-            watch_head: ChunkVec::new(),
-            watch_tail: ChunkVec::new(),
-            watch_next: ChunkVec::new(),
-            watch_pend: ChunkVec::new(),
-            pending: ChunkVec::new(),
-            pend_pos: RowPool::new(),
-            pend_neg: RowPool::new(),
-            expand_queue: VecDeque::new(),
             relax_queue: VecDeque::new(),
             relaxed: Vec::new(),
             frontier: Vec::new(),
@@ -164,7 +121,6 @@ impl<'a> Builder<'a> {
             scratch_seg: Vec::new(),
             scratch_neg: Vec::new(),
             scratch_missing: Vec::new(),
-            truncation: None,
         }
     }
 
@@ -187,7 +143,7 @@ impl<'a> Builder<'a> {
     }
 
     pub(super) fn run(mut self, db: &Database) -> ChaseSegment {
-        self.seg_of = ChunkVec::from_elem(NONE, self.universe.atoms.len());
+        self.forest.seg_of = ChunkVec::from_elem(NONE, self.universe.atoms.len());
         for &fact in db.facts() {
             if let Some(mask) = self.restrict {
                 let pred = self.universe.atoms.pred(fact);
@@ -257,10 +213,7 @@ impl<'a> Builder<'a> {
     /// Polls the fault plan and the runtime budget at a round boundary;
     /// records the first trip and reports whether saturation must stop.
     fn trip_at_round_boundary(&mut self) -> bool {
-        if self
-            .truncation
-            .is_some_and(TruncationReason::is_budget_trip)
-        {
+        if (self.resume.truncation).is_some_and(TruncationReason::is_budget_trip) {
             // Tripped before the loop (resume-boundary fault injection).
             return true;
         }
@@ -285,8 +238,8 @@ impl<'a> Builder<'a> {
 
     /// Records the first truncation reason; later trips never overwrite it.
     pub(super) fn trip(&mut self, reason: TruncationReason) {
-        if self.truncation.is_none() {
-            self.truncation = Some(reason);
+        if self.resume.truncation.is_none() {
+            self.resume.truncation = Some(reason);
         }
     }
 
@@ -301,28 +254,13 @@ impl<'a> Builder<'a> {
             l.head.capacity() + l.tail.capacity() + l.next.capacity() + l.inst.capacity()
         });
         let u32s = lists
-            + self.expand_queue.capacity()
+            + self.resume.expand_queue.capacity()
             + self.relax_queue.capacity()
             + self.relaxed.capacity()
             + self.frontier.capacity();
-        self.atoms.heap_bytes()
-            + self.seg_of.heap_bytes()
-            + self.fact_seg.heap_bytes()
-            + self.inst_src_rule.heap_bytes()
-            + self.inst_guard.heap_bytes()
-            + self.inst_head.heap_bytes()
-            + self.pos.heap_bytes()
-            + self.neg.heap_bytes()
-            + self.expanded.heap_bytes()
-            + self.pending.heap_bytes()
-            + self.pend_pos.heap_bytes()
-            + self.pend_neg.heap_bytes()
-            + self.watch_head.heap_bytes()
-            + self.watch_tail.heap_bytes()
-            + self.watch_next.heap_bytes()
-            + self.watch_pend.heap_bytes()
+        (self.forest.footprint() + self.resume.footprint()).held
+            + self.resume.fact_set.heap_bytes()
             + u32s * size_of::<u32>()
-            + self.fact_set.heap_bytes()
     }
 
     /// Drains the expand queue through the expansion gates into
@@ -332,8 +270,8 @@ impl<'a> Builder<'a> {
     /// resume path still see them.
     fn collect_frontier(&mut self) {
         self.frontier.clear();
-        while let Some(ai) = self.expand_queue.pop_front() {
-            let SegmentAtom { atom, depth, .. } = self.atoms[ai as usize];
+        while let Some(ai) = self.resume.expand_queue.pop_front() {
+            let SegmentAtom { atom, depth, .. } = self.forest.atoms[ai as usize];
             let pred = self.universe.atoms.pred(atom).index();
             match self.rules_by_guard_pred.get(pred) {
                 Some(rules) if !rules.is_empty() => {}
@@ -345,12 +283,12 @@ impl<'a> Builder<'a> {
                 // minima, and a later relaxation re-queues the atom.
                 continue;
             }
-            if self.expanded[ai as usize] {
+            if self.resume.expanded[ai as usize] {
                 // Re-queued by relaxation after its rules already
                 // instantiated — nothing new can fire.
                 continue;
             }
-            self.expanded[ai as usize] = true;
+            self.resume.expanded[ai as usize] = true;
             self.frontier.push(ai);
         }
     }
@@ -365,7 +303,8 @@ impl<'a> Builder<'a> {
         let plans = std::mem::take(&mut self.plans);
         for i in 0..self.frontier.len() {
             let ai = self.frontier[i];
-            let node = self.universe.atoms.node(self.atoms[ai as usize].atom);
+            let atom = self.forest.atoms[ai as usize].atom;
+            let node = self.universe.atoms.node(atom);
             let pred = node.pred.index();
             self.guard_args.clear();
             self.guard_args.extend_from_slice(node.args);
@@ -387,13 +326,13 @@ impl<'a> Builder<'a> {
     pub(super) fn add_fact(&mut self, fact: AtomId) {
         match self.lookup_seg(fact) {
             None => {
-                let idx = self.atoms.len();
+                let idx = self.forest.atoms.len();
                 self.add_atom(fact, 0, 0);
                 self.mark_fact(idx);
             }
             Some(s) => {
                 self.mark_fact(s as usize);
-                let meta = &mut self.atoms[s as usize];
+                let meta = &mut self.forest.atoms[s as usize];
                 if meta.depth > 0 || meta.level > 0 {
                     meta.depth = 0;
                     meta.level = 0;
@@ -404,53 +343,33 @@ impl<'a> Builder<'a> {
     }
 
     fn mark_fact(&mut self, seg: usize) {
-        if self.fact_set.insert(seg) {
-            self.fact_seg.push(SegAtomId::from_index(seg));
+        if self.resume.fact_set.insert(seg) {
+            self.forest.fact_seg.push(SegAtomId::from_index(seg));
         }
     }
 
     /// Assembles the segment.
     pub(super) fn finish(mut self) -> ChaseSegment {
-        let pending_at_end = self.pending.iter().filter(|p| p.missing > 0).count();
-        let depth_blocked = self.depth_blocked();
-        let complete = self.truncation.is_none() && depth_blocked == 0;
+        let pending_at_end = self.resume.pending.iter().filter(|p| p.missing > 0).count();
+        self.resume.depth_blocked = self.depth_blocked();
+        let complete = self.resume.truncation.is_none() && self.resume.depth_blocked == 0;
         ChaseSegment {
-            atoms: self.atoms,
-            seg_of: self.seg_of,
-            fact_seg: self.fact_seg,
-            inst_src_rule: self.inst_src_rule,
-            inst_guard: self.inst_guard,
-            inst_head: self.inst_head,
-            pos: self.pos,
-            neg: self.neg,
             occurrences: OnceLock::new(),
             complete,
             pending_at_end,
             budget: self.budget,
             inherited_instances: self.old.map_or(0, |o| o.num_instances()),
-            inherited_atoms: self.old.map_or(0, |o| o.atoms.len()),
+            inherited_atoms: self.old.map_or(0, |o| o.forest.atoms.len()),
             stats: self.stats,
-            resume: ResumeState {
-                expanded: self.expanded,
-                fact_set: self.fact_set,
-                depth_blocked,
-                pending: self.pending,
-                pend_pos: self.pend_pos,
-                pend_neg: self.pend_neg,
-                watch_head: self.watch_head,
-                watch_tail: self.watch_tail,
-                watch_next: self.watch_next,
-                watch_pend: self.watch_pend,
-                expand_queue: self.expand_queue.into_iter().collect(),
-                truncation: self.truncation,
-            },
+            forest: self.forest,
+            resume: self.resume,
         }
     }
 
     /// Segment id of an interned atom, if materialized.
     #[inline]
     fn lookup_seg(&self, atom: AtomId) -> Option<u32> {
-        match self.seg_of.get(atom.index()) {
+        match self.forest.seg_of.get(atom.index()) {
             Some(&s) if s != NONE => Some(s),
             _ => None,
         }
@@ -460,54 +379,36 @@ impl<'a> Builder<'a> {
     /// instances that were waiting for it. Assumes not present.
     fn add_atom(&mut self, atom: AtomId, depth: u32, level: u32) {
         let uid = atom.index();
-        if self.seg_of.len() <= uid {
-            self.seg_of.resize(uid + 1, NONE);
+        if self.forest.seg_of.len() <= uid {
+            self.forest.seg_of.resize(uid + 1, NONE);
         }
-        debug_assert_eq!(self.seg_of[uid], NONE, "atom already in segment");
-        let idx = self.atoms.len() as u32;
-        self.atoms.push(SegmentAtom { atom, depth, level });
-        self.seg_of[uid] = idx;
-        self.expanded.push(false);
+        debug_assert_eq!(self.forest.seg_of[uid], NONE, "atom already in segment");
+        let idx = self.forest.atoms.len() as u32;
+        self.forest.atoms.push(SegmentAtom { atom, depth, level });
+        self.forest.seg_of[uid] = idx;
+        self.resume.expanded.push(false);
         if let Some(lists) = &mut self.body_lists {
             lists.head.push(NONE);
             lists.tail.push(NONE);
         }
-        self.expand_queue.push_back(idx);
+        self.resume.expand_queue.push_back(idx);
         // Wake pending instances watching this atom. Detach the list first;
         // entries are append-only, so traversal stays valid while nested
         // fires push new entries for *other* atoms.
-        if uid < self.watch_head.len() {
-            let mut e = self.watch_head[uid];
-            self.watch_head[uid] = NONE;
-            self.watch_tail[uid] = NONE;
+        if uid < self.resume.watch_head.len() {
+            let mut e = self.resume.watch_head[uid];
+            self.resume.watch_head[uid] = NONE;
+            self.resume.watch_tail[uid] = NONE;
             while e != NONE {
-                let next = self.watch_next[e as usize];
-                let p = self.watch_pend[e as usize] as usize;
-                self.pending[p].missing -= 1;
-                if self.pending[p].missing == 0 {
+                let next = self.resume.watch_next[e as usize];
+                let p = self.resume.watch_pend[e as usize] as usize;
+                self.resume.pending[p].missing -= 1;
+                if self.resume.pending[p].missing == 0 {
                     self.fire_pending(p);
                 }
                 e = next;
             }
         }
-    }
-
-    /// Appends a watch-list entry for `uid` → pending instance `pend`.
-    fn watch_push(&mut self, uid: usize, pend: u32) {
-        if self.watch_head.len() <= uid {
-            self.watch_head.resize(uid + 1, NONE);
-            self.watch_tail.resize(uid + 1, NONE);
-        }
-        let e = self.watch_next.len() as u32;
-        self.watch_next.push(NONE);
-        self.watch_pend.push(pend);
-        let tail = self.watch_tail[uid];
-        if tail == NONE {
-            self.watch_head[uid] = e;
-        } else {
-            self.watch_next[tail as usize] = e;
-        }
-        self.watch_tail[uid] = e;
     }
 
     /// Applies one guard match of the frontier atom `ai` (its arguments
@@ -521,7 +422,7 @@ impl<'a> Builder<'a> {
     /// nor looked up again; every other positive body atom's segment id is
     /// resolved here, once, for the missing check and for `fire`.
     fn apply_match(&mut self, ai: u32, ri: u32, plan: &Plan) {
-        let guard_atom = self.atoms[ai as usize].atom;
+        let guard_atom = self.forest.atoms[ai as usize].atom;
         self.scratch_pos.clear();
         self.scratch_seg.clear();
         let mut any_missing = false;
@@ -556,18 +457,18 @@ impl<'a> Builder<'a> {
         }
         self.scratch_missing.sort_unstable();
         self.scratch_missing.dedup();
-        let pidx = self.pending.len() as u32;
-        self.pending.push(Pending {
+        let pidx = self.resume.pending.len() as u32;
+        self.resume.pending.push(Pending {
             src_rule: ri,
             guard: ai,
             head,
             missing: self.scratch_missing.len() as u32,
         });
-        self.pend_pos.push(self.scratch_pos.iter().copied());
-        self.pend_neg.push(self.scratch_neg.iter().copied());
+        self.resume.pend_pos.push(self.scratch_pos.iter().copied());
+        self.resume.pend_neg.push(self.scratch_neg.iter().copied());
         for i in 0..self.scratch_missing.len() {
             let m = self.scratch_missing[i];
-            self.watch_push(m.index(), pidx);
+            self.resume.watch(m.index(), pidx);
         }
     }
 
@@ -575,13 +476,14 @@ impl<'a> Builder<'a> {
     /// stages its body (every atom a segment atom by now) back into the
     /// scratch buffers and records it.
     fn fire_pending(&mut self, p: usize) {
-        let pd = self.pending[p];
+        let pd = self.resume.pending[p];
         self.scratch_seg.clear();
-        for &a in self.pend_pos.row(p) {
-            self.scratch_seg.push(self.seg_of[a.index()]);
+        for &a in self.resume.pend_pos.row(p) {
+            self.scratch_seg.push(self.forest.seg_of[a.index()]);
         }
         self.scratch_neg.clear();
-        self.scratch_neg.extend_from_slice(self.pend_neg.row(p));
+        self.scratch_neg
+            .extend_from_slice(self.resume.pend_neg.row(p));
         self.fire(pd.src_rule, pd.guard, pd.head);
     }
 
@@ -590,44 +492,48 @@ impl<'a> Builder<'a> {
     /// The scratch buffers are fully consumed before the head derivation
     /// can recurse into nested fires.
     fn fire(&mut self, src_rule: u32, guard: u32, head: AtomId) {
-        if self.inst_src_rule.len() >= self.budget.max_instances {
+        if self.forest.inst_src_rule.len() >= self.budget.max_instances {
             self.trip(TruncationReason::InstanceCap);
             return;
         }
         let head_seg = self.lookup_seg(head);
-        if head_seg.is_none() && self.atoms.len() >= self.budget.max_atoms {
+        if head_seg.is_none() && self.forest.atoms.len() >= self.budget.max_atoms {
             // The head would exceed the atom cap; drop the instance whole
             // so every recorded instance's head is a segment atom.
             self.trip(TruncationReason::AtomCap);
             return;
         }
 
-        let iid = self.inst_src_rule.len() as u32;
-        self.inst_src_rule.push(src_rule);
-        self.inst_guard.push(SegAtomId::from_index(guard as usize));
-        let hseg = head_seg.unwrap_or(self.atoms.len() as u32);
-        self.inst_head.push(SegAtomId::from_index(hseg as usize));
-        let child_depth = self.atoms[guard as usize].depth + 1;
+        let iid = self.forest.inst_src_rule.len() as u32;
+        self.forest.inst_src_rule.push(src_rule);
+        self.forest
+            .inst_guard
+            .push(SegAtomId::from_index(guard as usize));
+        let hseg = head_seg.unwrap_or(self.forest.atoms.len() as u32);
+        self.forest
+            .inst_head
+            .push(SegAtomId::from_index(hseg as usize));
+        let child_depth = self.forest.atoms[guard as usize].depth + 1;
         let mut child_level = 0u32;
         for &s in &self.scratch_seg {
             debug_assert_ne!(s, NONE, "fired instance has a missing body atom");
-            child_level = child_level.max(self.atoms[s as usize].level);
+            child_level = child_level.max(self.forest.atoms[s as usize].level);
             if let Some(lists) = &mut self.body_lists {
                 lists.link(SegAtomId::from_index(s as usize), iid);
             }
         }
         let child_level = child_level + 1;
-        (self.pos).push(
+        (self.forest.pos).push(
             self.scratch_seg
                 .iter()
                 .map(|&s| SegAtomId::from_index(s as usize)),
         );
-        self.neg.push(self.scratch_neg.iter().copied());
+        self.forest.neg.push(self.scratch_neg.iter().copied());
 
         match head_seg {
             None => self.add_atom(head, child_depth, child_level),
             Some(hi) => {
-                let meta = &mut self.atoms[hi as usize];
+                let meta = &mut self.forest.atoms[hi as usize];
                 if child_depth < meta.depth || child_level < meta.level {
                     meta.depth = meta.depth.min(child_depth);
                     meta.level = meta.level.min(child_level);

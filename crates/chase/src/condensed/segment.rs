@@ -1,3 +1,5 @@
+//! The segment itself: its atom and instance arrays and their accessors.
+
 use super::occurrences::Occurrences;
 use super::resume::ResumeState;
 use super::saturate::Builder;
@@ -63,27 +65,9 @@ pub struct SegmentAtom {
 /// with this segment and copies only the chunks it writes.
 #[derive(Clone, Debug)]
 pub struct ChaseSegment {
-    pub(super) atoms: ChunkVec<SegmentAtom>,
-    /// `seg_of[AtomId::index()]` = the atom's [`SegAtomId`] (or `NONE`).
-    pub(super) seg_of: ChunkVec<u32>,
-    /// Fact atoms as segment ids, in database insertion order. Fresh
-    /// builds place them first (`0..num_facts()`); resumed builds append
-    /// delta facts wherever discovery put them.
-    pub(super) fact_seg: ChunkVec<SegAtomId>,
-    /// Originating rule per instance.
-    pub(super) inst_src_rule: ChunkVec<u32>,
-    /// Guard atom per instance.
-    pub(super) inst_guard: ChunkVec<SegAtomId>,
-    /// Head atom per instance (always a segment atom).
-    pub(super) inst_head: ChunkVec<SegAtomId>,
-    /// Positive bodies (guard included, rule order), one row per instance.
-    pub(super) pos: RowPool<SegAtomId>,
-    /// Negative bodies (rule order), one row per instance. Kept as
-    /// universe ids because hypotheses need not occur in the segment.
-    pub(super) neg: RowPool<AtomId>,
-    /// The occurrence indexes, counted from the instance arrays above by
-    /// the first accessor that reads one (no solve does; see
-    /// [`Occurrences`]).
+    pub(super) forest: Forest,
+    /// The occurrence indexes, counted from the instance arrays by the
+    /// first accessor that reads one (no solve does; see [`Occurrences`]).
     pub(super) occurrences: OnceLock<Occurrences>,
     /// True iff saturation quiesced with no budget limit hit: the segment
     /// *is* the full chase (always the case for non-existential programs).
@@ -105,6 +89,48 @@ pub struct ChaseSegment {
     pub(super) stats: ChaseStats,
     /// Saturation state retained for [`ChaseSegment::resume_with`].
     pub(super) resume: ResumeState,
+}
+
+/// The atoms and rule instances of a segment: what a build appends to, in
+/// place, and the segment it finishes holds.
+#[derive(Clone, Debug, Default)]
+pub(super) struct Forest {
+    pub(super) atoms: ChunkVec<SegmentAtom>,
+    /// `seg_of[AtomId::index()]` = the atom's [`SegAtomId`] (or `NONE`).
+    pub(super) seg_of: ChunkVec<u32>,
+    /// Fact atoms as segment ids, in database insertion order. Fresh
+    /// builds place them first (`0..num_facts()`); resumed builds append
+    /// delta facts wherever discovery put them.
+    pub(super) fact_seg: ChunkVec<SegAtomId>,
+    /// Originating rule per instance.
+    pub(super) inst_src_rule: ChunkVec<u32>,
+    /// Guard atom per instance.
+    pub(super) inst_guard: ChunkVec<SegAtomId>,
+    /// Head atom per instance (always a segment atom).
+    pub(super) inst_head: ChunkVec<SegAtomId>,
+    /// Positive bodies (guard included, rule order), one row per instance.
+    pub(super) pos: RowPool<SegAtomId>,
+    /// Negative bodies (rule order), one row per instance. Kept as
+    /// universe ids because hypotheses need not occur in the segment.
+    pub(super) neg: RowPool<AtomId>,
+}
+
+impl Forest {
+    /// The heap bytes of the arrays, shared or not.
+    pub(super) fn footprint(&self) -> Footprint {
+        [
+            self.atoms.footprint(),
+            self.seg_of.footprint(),
+            self.fact_seg.footprint(),
+            self.inst_src_rule.footprint(),
+            self.inst_guard.footprint(),
+            self.inst_head.footprint(),
+            self.pos.footprint(),
+            self.neg.footprint(),
+        ]
+        .into_iter()
+        .sum()
+    }
 }
 
 impl ChaseSegment {
@@ -166,19 +192,19 @@ impl ChaseSegment {
     /// [`ChaseSegment::fact_segs`] to find them.
     #[inline]
     pub fn atoms(&self) -> &ChunkVec<SegmentAtom> {
-        &self.atoms
+        &self.forest.atoms
     }
 
     /// Number of database facts in the segment.
     #[inline]
     pub fn num_facts(&self) -> usize {
-        self.fact_seg.len()
+        self.forest.fact_seg.len()
     }
 
     /// The database facts as segment ids, in database insertion order.
     #[inline]
     pub fn fact_segs(&self) -> &ChunkVec<SegAtomId> {
-        &self.fact_seg
+        &self.forest.fact_seg
     }
 
     /// Why saturation stopped short, if it did: the recorded budget or cap
@@ -195,19 +221,19 @@ impl ChaseSegment {
     /// Number of discovered rule instances.
     #[inline]
     pub fn num_instances(&self) -> usize {
-        self.inst_src_rule.len()
+        self.forest.inst_src_rule.len()
     }
 
     /// Iterates over all instance ids in discovery order.
     pub fn instance_ids(&self) -> impl Iterator<Item = InstanceId> {
-        (0..self.inst_src_rule.len()).map(InstanceId::from_index)
+        (0..self.forest.inst_src_rule.len()).map(InstanceId::from_index)
     }
 
     /// The dense segment id of `atom`, if it occurs in the segment. One
     /// array read — no hashing.
     #[inline]
     pub fn seg_id(&self, atom: AtomId) -> Option<SegAtomId> {
-        match self.seg_of.get(atom.index()) {
+        match self.forest.seg_of.get(atom.index()) {
             Some(&s) if s != NONE => Some(SegAtomId::from_index(s as usize)),
             _ => None,
         }
@@ -216,18 +242,18 @@ impl ChaseSegment {
     /// The universe atom with segment id `id`.
     #[inline]
     pub fn atom_of(&self, id: SegAtomId) -> AtomId {
-        self.atoms[id.index()].atom
+        self.forest.atoms[id.index()].atom
     }
 
     /// Metadata for a segment id.
     #[inline]
     pub fn meta_of(&self, id: SegAtomId) -> SegmentAtom {
-        self.atoms[id.index()]
+        self.forest.atoms[id.index()]
     }
 
     /// Metadata for `atom`, if it occurs in the segment.
     pub fn meta(&self, atom: AtomId) -> Option<SegmentAtom> {
-        self.seg_id(atom).map(|s| self.atoms[s.index()])
+        self.seg_id(atom).map(|s| self.forest.atoms[s.index()])
     }
 
     /// True iff `atom` occurs in the segment (i.e. in `label(F⁺(P))`, up to
@@ -240,31 +266,31 @@ impl ChaseSegment {
     /// Originating skolemized-program rule of an instance.
     #[inline]
     pub fn src_rule(&self, id: InstanceId) -> u32 {
-        self.inst_src_rule[id.index()]
+        self.forest.inst_src_rule[id.index()]
     }
 
     /// Guard atom of an instance, as a segment id.
     #[inline]
     pub fn guard_seg(&self, id: InstanceId) -> SegAtomId {
-        self.inst_guard[id.index()]
+        self.forest.inst_guard[id.index()]
     }
 
     /// Guard atom of an instance, as a universe id.
     #[inline]
     pub fn guard_atom(&self, id: InstanceId) -> AtomId {
-        self.atom_of(self.inst_guard[id.index()])
+        self.atom_of(self.forest.inst_guard[id.index()])
     }
 
     /// Head atom of an instance, as a segment id.
     #[inline]
     pub fn head_seg(&self, id: InstanceId) -> SegAtomId {
-        self.inst_head[id.index()]
+        self.forest.inst_head[id.index()]
     }
 
     /// Head atom of an instance, as a universe id.
     #[inline]
     pub fn head_atom(&self, id: InstanceId) -> AtomId {
-        self.atom_of(self.inst_head[id.index()])
+        self.atom_of(self.forest.inst_head[id.index()])
     }
 
     /// Positive body of an instance (guard included, rule order) as
@@ -272,7 +298,7 @@ impl ChaseSegment {
     /// is total.
     #[inline]
     pub fn pos_seg(&self, id: InstanceId) -> &[SegAtomId] {
-        self.pos.row(id.index())
+        self.forest.pos.row(id.index())
     }
 
     /// Number of **distinct** atoms in an instance's positive body.
@@ -285,7 +311,7 @@ impl ChaseSegment {
     /// hypotheses may lie outside the segment.
     #[inline]
     pub fn neg_atoms(&self, id: InstanceId) -> &[AtomId] {
-        self.neg.row(id.index())
+        self.forest.neg.row(id.index())
     }
 
     /// Materializes an instance as an owned [`RuleInstance`] (allocates two
@@ -304,27 +330,7 @@ impl ChaseSegment {
     /// the part no other segment holds — for a resumed segment, what the
     /// resume copied or added.
     pub fn footprint(&self) -> Footprint {
-        let r = &self.resume;
-        [
-            self.atoms.footprint(),
-            self.seg_of.footprint(),
-            self.fact_seg.footprint(),
-            self.inst_src_rule.footprint(),
-            self.inst_guard.footprint(),
-            self.inst_head.footprint(),
-            self.pos.footprint(),
-            self.neg.footprint(),
-            r.expanded.footprint(),
-            r.pending.footprint(),
-            r.pend_pos.footprint(),
-            r.pend_neg.footprint(),
-            r.watch_head.footprint(),
-            r.watch_tail.footprint(),
-            r.watch_next.footprint(),
-            r.watch_pend.footprint(),
-        ]
-        .into_iter()
-        .sum()
+        self.forest.footprint() + self.resume.footprint()
     }
 
     /// The budget the segment was built with.
@@ -341,11 +347,11 @@ impl ChaseSegment {
 
     /// Largest atom depth materialized.
     pub fn max_depth_reached(&self) -> u32 {
-        self.atoms.iter().map(|a| a.depth).max().unwrap_or(0)
+        self.forest.atoms.iter().map(|a| a.depth).max().unwrap_or(0)
     }
 
     /// Largest derivation level materialized.
     pub fn max_level_reached(&self) -> u32 {
-        self.atoms.iter().map(|a| a.level).max().unwrap_or(0)
+        self.forest.atoms.iter().map(|a| a.level).max().unwrap_or(0)
     }
 }

@@ -439,28 +439,28 @@ fn mem_bytes_counts_every_growable_pool() {
     }
     b.drain();
     assert!(b.stats.relaxations > 0);
-    assert!(!b.pending.is_empty());
+    assert!(!b.resume.pending.is_empty());
     let lists = b.body_lists.as_ref().expect("seeded by the relaxation");
-    let by_hand = b.atoms.heap_bytes()
-        + b.seg_of.heap_bytes()
-        + b.fact_seg.heap_bytes()
-        + b.fact_set.heap_bytes()
-        + b.inst_src_rule.heap_bytes()
-        + b.inst_guard.heap_bytes()
-        + b.inst_head.heap_bytes()
-        + b.pos.heap_bytes()
-        + b.neg.heap_bytes()
-        + b.expanded.heap_bytes()
+    let by_hand = b.forest.atoms.heap_bytes()
+        + b.forest.seg_of.heap_bytes()
+        + b.forest.fact_seg.heap_bytes()
+        + b.resume.fact_set.heap_bytes()
+        + b.forest.inst_src_rule.heap_bytes()
+        + b.forest.inst_guard.heap_bytes()
+        + b.forest.inst_head.heap_bytes()
+        + b.forest.pos.heap_bytes()
+        + b.forest.neg.heap_bytes()
+        + b.resume.expanded.heap_bytes()
         + (lists.head.capacity() + lists.tail.capacity()) * 4
         + (lists.next.capacity() + lists.inst.capacity()) * 4
-        + b.watch_head.heap_bytes()
-        + b.watch_tail.heap_bytes()
-        + b.watch_next.heap_bytes()
-        + b.watch_pend.heap_bytes()
-        + b.pending.heap_bytes()
-        + b.pend_pos.heap_bytes()
-        + b.pend_neg.heap_bytes()
-        + (b.expand_queue.capacity() + b.relax_queue.capacity()) * 4
+        + b.resume.watch_head.heap_bytes()
+        + b.resume.watch_tail.heap_bytes()
+        + b.resume.watch_next.heap_bytes()
+        + b.resume.watch_pend.heap_bytes()
+        + b.resume.pending.heap_bytes()
+        + b.resume.pend_pos.heap_bytes()
+        + b.resume.pend_neg.heap_bytes()
+        + (b.resume.expand_queue.capacity() + b.relax_queue.capacity()) * 4
         + b.relaxed.capacity() * 4
         + b.frontier.capacity() * 4;
     assert_eq!(b.mem_bytes(), by_hand);

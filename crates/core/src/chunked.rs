@@ -839,9 +839,9 @@ impl<T: Ord + Clone> RowPool<T> {
 }
 
 impl<T> RowPool<T> {
-    /// The CSR rows `(off, data)` — `off` one more than the rows, from `0`
-    /// to `data.len()` — as a pool's flat tail: no copy.
-    pub fn from_csr(off: Vec<u32>, data: Vec<T>) -> Self {
+    /// The rows of a [`Csr`](crate::csr::Csr) as a pool's flat tail: no
+    /// copy.
+    pub fn from_csr(crate::csr::Csr { off, items: data }: crate::csr::Csr<T>) -> Self {
         debug_assert!(off.first().map_or(data.is_empty(), |&o| o == 0));
         debug_assert_eq!(off.last().map_or(0, |&o| o as usize), data.len());
         RowPool {
@@ -889,7 +889,7 @@ impl<T: Copy + Ord> RowPool<T> {
                 Some(k) => self.chunks[k].parts(),
                 None => (&self.off[..], &self.data[..]),
             };
-            let (off, data) = crate::csr::splice(off, data, &edits);
+            let crate::csr::Csr { off, items: data } = crate::csr::splice(off, data, &edits);
             self.elements += local.len();
             match chunk {
                 Some(k) => self.chunks[k] = Rows::Own { off, data },

@@ -1,17 +1,29 @@
-//! Patching compressed-sparse-row arrays instead of recounting them.
+//! Compressed-sparse-row arrays: counting them once, and patching them
+//! instead of recounting.
 //!
 //! An occurrence index is one `offsets` array (`rows + 1` entries) over
-//! one `items` array. (So are the chase segment's guard/head/body rows, but
-//! no solve reads those: a segment counts them when first asked.) A resumed
-//! solve changes a few rows of each; [`splice`] derives the new pair from
-//! the old one by copying the untouched runs between the touched rows and
-//! rewriting only the touched rows. A run's items are one `memcpy`; so are
-//! its offsets when nothing before it changed size, and one vectorizable
-//! add of a constant shift when something did. A touched row is rewritten
-//! the same way: the old items between two of its edits are one `memcpy`,
-//! and a binary search in the ascending row finds where the next edit
-//! lands. No per-row call, no per-item step, no counting pass, no hashing:
-//! the cost is one sequential copy plus `O(log row)` per edited item.
+//! one `items` array, a [`Csr`].
+//!
+//! **Counting.** [`Csr::count`] lays out rows from `(row, item)` entries by
+//! a stable counting sort — count each row, turn the counts into row
+//! starts, drop every item at its row's cursor — so a row keeps its items
+//! in entry order and nothing is hashed or compared. [`Csr::recount`] does
+//! the same into buffers that keep their capacity. Every CSR the solve
+//! counts goes through it: the ground program's head / positive / negative
+//! occurrence rows, the atom index's predicate rows, the engine's rows of a
+//! component's own rules, and the chase segment's guard / head / body rows
+//! (which no solve reads: a segment counts them when first asked).
+//!
+//! **Patching.** A resumed solve changes a few rows of each; [`splice`]
+//! derives the new pair from the old one by copying the untouched runs
+//! between the touched rows and rewriting only the touched rows. A run's
+//! items are one `memcpy`; so are its offsets when nothing before it
+//! changed size, and one vectorizable add of a constant shift when
+//! something did. A touched row is rewritten the same way: the old items
+//! between two of its edits are one `memcpy`, and a binary search in the
+//! ascending row finds where the next edit lands. No per-row call, no
+//! per-item step, no counting pass, no hashing: the cost is one sequential
+//! copy plus `O(log row)` per edited item.
 //!
 //! Who splices, and over what:
 //!
@@ -27,6 +39,80 @@
 
 use crate::dense_u32;
 use std::ops::Range;
+
+/// Rows of items: row `r` is `items[off[r]..off[r + 1]]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Csr<T> {
+    /// Where each row starts, then where the last one ends: one more
+    /// entry than there are rows, from `0` to `items.len()`.
+    pub off: Vec<u32>,
+    /// The rows' items, concatenated in row order.
+    pub items: Vec<T>,
+}
+
+/// No rows (and no allocation).
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr {
+            off: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> Csr<T> {
+    /// Number of rows.
+    pub fn num_rows(&self) -> usize {
+        self.off.len().saturating_sub(1)
+    }
+
+    /// The items of row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[T] {
+        &self.items[self.off[r] as usize..self.off[r + 1] as usize]
+    }
+}
+
+impl<T: Copy> Csr<T> {
+    /// The rows, over `rows` rows, of the `(row, item)` entries: each row
+    /// holds its items in entry order. Every row an entry names must be
+    /// below `rows`; rows no entry names are empty.
+    pub fn count(rows: usize, entries: impl Iterator<Item = (u32, T)> + Clone) -> Self {
+        let mut csr = Csr::default();
+        csr.recount(rows, entries);
+        csr
+    }
+
+    /// [`Csr::count`] into this CSR's buffers: what they held is dropped,
+    /// and they are reallocated only to grow (to exactly the new size).
+    ///
+    /// Two passes over `entries`, a stable counting sort: the first counts
+    /// each row at `off[row + 1]`, a running sum turns the counts into row
+    /// starts, and the second pass drops every item at its row's cursor —
+    /// which leaves each cursor at its row's end.
+    pub fn recount(&mut self, rows: usize, entries: impl Iterator<Item = (u32, T)> + Clone) {
+        self.off.clear();
+        self.off.reserve_exact(rows + 1);
+        self.off.resize(rows + 1, 0);
+        for (row, _) in entries.clone() {
+            self.off[row as usize + 1] += 1;
+        }
+        let mut start = 0u32;
+        for end in &mut self.off[1..] {
+            start += std::mem::replace(end, start);
+        }
+        self.items.clear();
+        if let Some((_, first)) = entries.clone().next() {
+            self.items.reserve_exact(start as usize);
+            self.items.resize(start as usize, first);
+        }
+        for (row, item) in entries {
+            let cursor = &mut self.off[row as usize + 1];
+            self.items[*cursor as usize] = item;
+            *cursor += 1;
+        }
+    }
+}
 
 /// What changes between an old CSR and the new one. Rows that are neither
 /// dropped nor inserted correspond in order, so the old-row → new-row map
@@ -69,7 +155,7 @@ enum Ends {
 }
 
 /// Applies `edits` to the CSR `(old_off, old_items)`, returning the new
-/// offsets and items. The old offsets need not start at `0`: rows
+/// one. The old offsets need not start at `0`: rows
 /// `old_off[0]..` of a larger items array are a CSR too, and only the items
 /// they span are read.
 ///
@@ -78,11 +164,7 @@ enum Ends {
 /// Panics if the new item count leaves the `u32` offset space or the edit
 /// lists name more rows than there are, and (debug builds) if they are not
 /// ascending or name an item a row does not hold.
-pub fn splice<T: Copy + Ord>(
-    old_off: &[u32],
-    old_items: &[T],
-    edits: &RowEdits<'_, T>,
-) -> (Vec<u32>, Vec<T>) {
+pub fn splice<T: Copy + Ord>(old_off: &[u32], old_items: &[T], edits: &RowEdits<'_, T>) -> Csr<T> {
     let old_rows = old_off.len().saturating_sub(1);
     let mut off = Vec::with_capacity(old_rows - edits.dropped.len() + edits.inserted.len() + 1);
     off.push(0u32);
@@ -99,7 +181,7 @@ pub fn splice<T: Copy + Ord>(
             Ends::Row(end) => off.push(end),
         },
     );
-    (off, items)
+    Csr { off, items }
 }
 
 /// [`splice`] for offsets that do not sit in a `u32` array of their own:
@@ -256,13 +338,21 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    fn counting_no_entries_leaves_every_row_empty() {
+        let none = std::iter::empty::<(u32, u32)>;
+        assert_eq!(Csr::count(0, none()), csr_of(&[]));
+        assert_eq!(Csr::count(3, none()), csr_of(&[vec![], vec![], vec![]]));
+        assert_eq!(Csr::<u32>::default().num_rows(), 0);
+    }
+
+    #[test]
     fn no_edits_is_a_copy() {
         let off = [0u32, 2, 2, 5];
         let items = [7u32, 9, 1, 2, 3];
-        let (o, i) = splice(&off, &items, &RowEdits::default());
+        let Csr { off: o, items: i } = splice(&off, &items, &RowEdits::default());
         assert_eq!(o, off);
         assert_eq!(i, items);
-        let (o, i) = splice::<u32>(&[0], &[], &RowEdits::default());
+        let Csr { off: o, items: i } = splice::<u32>(&[0], &[], &RowEdits::default());
         assert_eq!((o, i), (vec![0], vec![]));
     }
 
@@ -277,7 +367,7 @@ mod tests {
             removed: &[(1, 10), (3, 9)],
             added: &[(0, 4), (0, 2), (1, 20), (1, 40), (4, 1)],
         };
-        let (o, i) = splice(&off, &items, &edits);
+        let Csr { off: o, items: i } = splice(&off, &items, &edits);
         // new rows: [4,2] [20,30,40] [5] [8] [1]
         assert_eq!(o, vec![0, 2, 5, 6, 7, 8]);
         assert_eq!(i, vec![4, 2, 20, 30, 40, 5, 8, 1]);
@@ -322,11 +412,7 @@ mod tests {
 
     /// [`splice`] as it was before touched rows were copied by runs: every
     /// row is rewritten with [`merge_row`].
-    fn splice_by_items(
-        old_off: &[u32],
-        old_items: &[u32],
-        edits: &RowEdits<'_, u32>,
-    ) -> (Vec<u32>, Vec<u32>) {
+    fn splice_by_items(old_off: &[u32], old_items: &[u32], edits: &RowEdits<'_, u32>) -> Csr<u32> {
         let RowEdits {
             dropped,
             inserted,
@@ -349,22 +435,51 @@ mod tests {
             }
             off.push(items.len() as u32);
         }
-        (off, items)
+        Csr { off, items }
     }
 
     /// One CSR from explicit rows.
-    fn csr_of(rows: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+    fn csr_of(rows: &[Vec<u32>]) -> Csr<u32> {
         let mut off = vec![0u32];
         let mut items = Vec::new();
         for row in rows {
             items.extend_from_slice(row);
             off.push(items.len() as u32);
         }
-        (off, items)
+        Csr { off, items }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Counting equals pushing every entry onto its row of a
+        /// `Vec<Vec<_>>`: entry order within a row, repeated entries, empty
+        /// rows, rows after the last entry and no rows at all. A fresh CSR
+        /// holds exactly what it needs; a reused one, whose buffers held a
+        /// larger CSR before, holds the same rows.
+        #[test]
+        fn counting_equals_pushing_onto_rows(
+            rows in 0usize..12,
+            entries in proptest::collection::vec((0u32..12, 0u32..6), 0..40),
+            before in proptest::collection::vec((0u32..40, 0u32..6), 40..80),
+        ) {
+            let entries: Vec<(u32, u32)> =
+                entries.into_iter().filter(|&(row, _)| (row as usize) < rows).collect();
+            let mut model = vec![Vec::new(); rows];
+            for &(row, item) in &entries {
+                model[row as usize].push(item);
+            }
+            let want = csr_of(&model);
+            let fresh = Csr::count(rows, entries.iter().copied());
+            prop_assert_eq!(&fresh, &want);
+            prop_assert_eq!((fresh.off.capacity(), fresh.items.capacity()), (rows + 1, entries.len()));
+            let mut reused = Csr::count(40, before.iter().copied());
+            reused.recount(rows, entries.iter().copied());
+            prop_assert_eq!(&reused, &want);
+            for (r, row) in model.iter().enumerate() {
+                prop_assert_eq!(reused.row(r), &row[..]);
+            }
+        }
 
         /// Both offset sinks equal a rebuild from the edited rows. Most old
         /// rows are untouched, so runs are long and come both unshifted
@@ -426,12 +541,12 @@ mod tests {
                 removed: &removed,
                 added: &added,
             };
-            let (old_off, old_items) = csr_of(&old);
+            let Csr { off: old_off, items: old_items } = csr_of(&old);
             let want = csr_of(&rows.into_iter().map(|row| row.content).collect::<Vec<_>>());
             prop_assert_eq!(&splice(&old_off, &old_items, &edits), &want);
             let mut off = vec![0u32];
             let items = splice_with(old.len(), |i| old_off[i], &old_items, &edits, |end| off.push(end));
-            prop_assert_eq!(&(off, items), &want);
+            prop_assert_eq!(&Csr { off, items }, &want);
         }
 
         /// Both offset sinks equal the item-by-item merge they replaced, on
@@ -506,14 +621,14 @@ mod tests {
                 added: &added,
             };
             // The rows sit after `prefix` in a larger items array.
-            let (off, items) = csr_of(&old);
+            let Csr { off, items } = csr_of(&old);
             let old_off: Vec<u32> = off.iter().map(|&end| end + prefix.len() as u32).collect();
             let old_items: Vec<u32> = prefix.iter().chain(&items).copied().collect();
             let want = splice_by_items(&old_off, &old_items, &edits);
             prop_assert_eq!(&splice(&old_off, &old_items, &edits), &want);
             let mut off = vec![0u32];
             let items = splice_with(old.len(), |i| old_off[i], &old_items, &edits, |end| off.push(end));
-            prop_assert_eq!(&(off, items), &want);
+            prop_assert_eq!(&Csr { off, items }, &want);
         }
     }
 }

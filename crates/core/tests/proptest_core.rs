@@ -192,14 +192,14 @@ proptest! {
 }
 
 /// One CSR from explicit rows: the recount `csr::splice` must agree with.
-fn csr_of(rows: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+fn csr_of(rows: &[Vec<u32>]) -> wfdl_core::csr::Csr<u32> {
     let mut off = vec![0u32];
     let mut items = Vec::new();
     for row in rows {
         items.extend_from_slice(row);
         off.push(items.len() as u32);
     }
-    (off, items)
+    wfdl_core::csr::Csr { off, items }
 }
 
 /// A row of the edited CSR: its final content and what the edit says about
@@ -270,7 +270,10 @@ proptest! {
             removed.extend(row.gone.iter().map(|&x| (r as u32, x)));
             added.extend(row.new.iter().map(|&x| (r as u32, x)));
         }
-        let (old_off, old_items) = csr_of(&old);
+        let wfdl_core::csr::Csr {
+            off: old_off,
+            items: old_items,
+        } = csr_of(&old);
         let edits = RowEdits {
             dropped: &dropped,
             inserted: &inserted,

@@ -56,6 +56,7 @@
 //! `wfdl-reference`.
 
 use std::sync::OnceLock;
+use wfdl_core::csr::Csr;
 use wfdl_core::{AtomId, BitSet, ChunkVec, Footprint, FxHashMap, RowPool};
 
 /// Sentinel for "not mentioned" in [`GroundProgram`]'s `AtomId → local id`
@@ -720,28 +721,13 @@ impl Extension<'_> {
 }
 
 /// The occurrence rows over `n` local atoms of the `(atom, rule)` entries,
-/// each atom's rules in entry order, by counting sort.
+/// each atom's rules in entry order.
 fn occurrence_rows(
     n: usize,
     entries: impl Iterator<Item = (u32, usize)> + Clone,
 ) -> RowPool<GroundRuleId> {
-    let mut fill = vec![0u32; n];
-    for (a, _) in entries.clone() {
-        fill[a as usize] += 1;
-    }
-    // Prefix sums; `fill` becomes the cursor of each row.
-    let (mut off, mut end) = (Vec::with_capacity(n + 1), 0u32);
-    off.push(0);
-    for cursor in &mut fill {
-        (*cursor, end) = (end, end + *cursor);
-        off.push(end);
-    }
-    let mut rules = vec![GroundRuleId::from_index(0); end as usize];
-    for (a, r) in entries {
-        rules[fill[a as usize] as usize] = GroundRuleId::from_index(r);
-        fill[a as usize] += 1;
-    }
-    RowPool::from_csr(off, rules)
+    let entries = entries.map(|(a, r)| (a, GroundRuleId::from_index(r)));
+    RowPool::from_csr(Csr::count(n, entries))
 }
 
 /// `(atom, rule)` entries by atom and then rule.

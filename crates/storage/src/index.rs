@@ -2,7 +2,7 @@
 //! homomorphism search.
 
 use std::sync::{Arc, OnceLock};
-use wfdl_core::csr::{self, RowEdits};
+use wfdl_core::csr::{self, Csr, RowEdits};
 use wfdl_core::idtable::hash_words;
 use wfdl_core::{AtomId, AtomStore, IdTable, PredId, TermId, Universe};
 
@@ -19,11 +19,9 @@ use wfdl_core::{AtomId, AtomStore, IdTable, PredId, TermId, Universe};
 /// Every row lists its atoms in the order `build` received them.
 #[derive(Clone, Debug, Default)]
 pub struct AtomIndex {
-    /// Row of predicate `p` is `pred_atoms[pred_end[p]..pred_end[p + 1]]`
-    /// (`pred_end[0] = 0`); predicates past the end — declared after the
-    /// build — have no row.
-    pred_end: Vec<u32>,
-    pred_atoms: Vec<AtomId>,
+    /// Row `p` holds the atoms of predicate `p`; predicates past the end —
+    /// declared after the build — have no row.
+    preds: Csr<AtomId>,
     /// One slot per predicate row, set by the first bound lookup of that
     /// predicate. A table is shared (not copied) with the indexes
     /// [patched](AtomIndex::patched) from this one whose delta does not
@@ -237,42 +235,20 @@ fn by_row(
 }
 
 impl AtomIndex {
-    /// Builds an index over `atoms`: the predicate rows only.
-    ///
-    /// Two passes, a stable counting sort: the first counts each row, a
-    /// running sum turns the counts into row starts, and the second pass
-    /// drops every atom at its row's cursor — which leaves each cursor at
-    /// its row's end, the form lookups read.
+    /// Builds an index over `atoms`: the predicate rows only, one
+    /// [counting sort](Csr::count).
     pub fn build(universe: &Universe, atoms: impl IntoIterator<Item = AtomId>) -> Self {
         let store = &universe.atoms;
         let atoms: Vec<AtomId> = atoms.into_iter().collect();
         // Offsets are `u32`; the total checked here bounds every one.
         let _ = wfdl_core::dense_u32(atoms.len(), "atom index");
-        let mut pred_end = vec![0u32; universe.num_preds() + 1];
-        for &atom in &atoms {
-            let pred = store.pred(atom).index();
-            if pred + 1 >= pred_end.len() {
-                pred_end.resize(pred + 2, 0);
-            }
-            pred_end[pred + 1] += 1;
-        }
-        let mut start = 0u32;
-        for end in &mut pred_end[1..] {
-            start += std::mem::replace(end, start);
-        }
-        let mut pred_atoms = vec![AtomId::from_index(0); atoms.len()];
-        for &atom in &atoms {
-            let cursor = &mut pred_end[store.pred(atom).index() + 1];
-            pred_atoms[*cursor as usize] = atom;
-            *cursor += 1;
-        }
+        let rows = atoms
+            .iter()
+            .map(|&atom| (store.pred(atom).index() as u32, atom));
+        let preds = Csr::count(universe.num_preds(), rows);
         let mut key_tables = Vec::new();
-        key_tables.resize_with(pred_end.len() - 1, OnceLock::new);
-        AtomIndex {
-            pred_end,
-            pred_atoms,
-            key_tables,
-        }
+        key_tables.resize_with(preds.num_rows(), OnceLock::new);
+        AtomIndex { preds, key_tables }
     }
 
     /// The index over the same atoms minus `removed` plus `added`, derived
@@ -306,14 +282,14 @@ impl AtomIndex {
         let gone = by_row(removed.iter().copied(), &mut pred_row);
         let new = by_row(added.iter().copied(), &mut pred_row);
         let inserted: Vec<u32> = (old_preds as u32..num_preds as u32).collect();
-        let old_end: &[u32] = if self.pred_end.is_empty() {
+        let old_end: &[u32] = if self.preds.off.is_empty() {
             &[0]
         } else {
-            &self.pred_end
+            &self.preds.off
         };
-        let (pred_end, pred_atoms) = csr::splice(
+        let preds = csr::splice(
             old_end,
-            &self.pred_atoms,
+            &self.preds.items,
             &RowEdits {
                 inserted: &inserted,
                 removed: &gone,
@@ -339,18 +315,15 @@ impl AtomIndex {
             })
             .collect();
 
-        AtomIndex {
-            pred_end,
-            pred_atoms,
-            key_tables,
-        }
+        AtomIndex { preds, key_tables }
     }
 
     /// Atoms with the given predicate.
     pub fn with_pred(&self, pred: PredId) -> &[AtomId] {
-        match self.pred_end.get(pred.index()..pred.index() + 2) {
-            Some(&[start, end]) => &self.pred_atoms[start as usize..end as usize],
-            _ => &[],
+        if pred.index() < self.preds.num_rows() {
+            self.preds.row(pred.index())
+        } else {
+            &[]
         }
     }
 
@@ -398,12 +371,12 @@ impl AtomIndex {
 
     /// Number of indexed atoms.
     pub fn len(&self) -> usize {
-        self.pred_atoms.len()
+        self.preds.items.len()
     }
 
     /// True iff no atoms are indexed.
     pub fn is_empty(&self) -> bool {
-        self.pred_atoms.is_empty()
+        self.preds.items.is_empty()
     }
 
     /// How far the index has been built by the reads so far.
@@ -426,8 +399,8 @@ impl AtomIndex {
     /// of capacities, O(predicates).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.pred_end.capacity() * size_of::<u32>()
-            + self.pred_atoms.capacity() * size_of::<AtomId>()
+        self.preds.off.capacity() * size_of::<u32>()
+            + self.preds.items.capacity() * size_of::<AtomId>()
             + self.key_tables.capacity() * size_of::<OnceLock<Arc<KeyTable>>>()
             + self.built().map(KeyTable::heap_bytes).sum::<usize>()
     }

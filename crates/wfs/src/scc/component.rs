@@ -1,4 +1,9 @@
+//! Evaluating one component in place: classifying its rules against the
+//! decided lower verdicts, and the alternating closure / unfounded-set
+//! rounds over its own rules.
+
 use std::ops::Index;
+use wfdl_core::csr::Csr;
 use wfdl_core::{BitSet, FxHashMap, Truth};
 use wfdl_storage::GroundProgram;
 
@@ -55,8 +60,7 @@ impl<P: Positions> Scratch<P> {
                 at,
                 singleton: false,
                 entries: Vec::new(),
-                off: Vec::new(),
-                rules: Vec::new(),
+                rows: Csr::default(),
             },
             queue: Vec::new(),
             founded: Vec::new(),
@@ -125,10 +129,8 @@ struct LocalRows<P> {
     /// `(position of the atom, position of the rule)` per internal
     /// positive literal, in rule order.
     entries: Vec<(u32, u32)>,
-    /// Row `p` is `rules[off[p]..off[p + 1]]` (one spare entry at the end:
-    /// the counting sort's cursors run one place ahead).
-    off: Vec<u32>,
-    rules: Vec<u32>,
+    /// Row `p`: the rules of the atom at position `p`.
+    rows: Csr<u32>,
 }
 
 impl<P: Positions> LocalRows<P> {
@@ -161,34 +163,17 @@ impl<P: Positions> LocalRows<P> {
     }
 
     /// Sorts the recorded entries into rows over the component's `len`
-    /// positions (counting sort; each row keeps rule order).
+    /// positions (each row keeps rule order), in the buffers of the last
+    /// component.
     fn count(&mut self, len: usize) {
-        // Count row `p` at `off[p + 2]`; after the prefix sum `off[p + 1]`
-        // is where row `p` starts, and filling advances it to where row `p`
-        // ends, which is where row `p + 1` starts.
-        self.off.clear();
-        self.off.resize(len + 2, 0);
-        for &(p, _) in &self.entries {
-            self.off[p as usize + 2] += 1;
-        }
-        for k in 1..self.off.len() {
-            self.off[k] += self.off[k - 1];
-        }
-        self.rules.clear();
-        self.rules.resize(self.entries.len(), 0);
-        for &(p, rule) in &self.entries {
-            let cursor = &mut self.off[p as usize + 1];
-            self.rules[*cursor as usize] = rule;
-            *cursor += 1;
-        }
+        self.rows.recount(len, self.entries.iter().copied());
     }
 
     /// The positions of the component's rules with the component's atom
     /// `a` in their positive body.
     #[inline]
     fn row(&self, a: u32) -> &[u32] {
-        let p = self.position(a);
-        &self.rules[self.off[p] as usize..self.off[p + 1] as usize]
+        self.rows.row(self.position(a))
     }
 }
 

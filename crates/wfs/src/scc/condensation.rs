@@ -1,5 +1,9 @@
+//! The condensation of the atom dependency graph: Tarjan's algorithm and
+//! the component rows a solve carries.
+
 use super::NONE;
 use std::collections::BTreeMap;
+use wfdl_core::csr::Csr;
 use wfdl_core::{BitSet, ChunkVec, RowPool};
 use wfdl_storage::GroundProgram;
 
@@ -96,7 +100,7 @@ impl From<Flat> for Condensation {
     fn from(flat: Flat) -> Condensation {
         let mut sizes = BTreeMap::new();
         let mut singletons = 0;
-        for w in flat.comp_off.windows(2) {
+        for w in flat.comps.off.windows(2) {
             match (w[1] - w[0]) as usize {
                 1 => singletons += 1,
                 size => *sizes.entry(size).or_insert(0) += 1,
@@ -108,7 +112,7 @@ impl From<Flat> for Condensation {
         Condensation {
             live: flat.num_components(),
             comp_of: flat.comp_of.into(),
-            comps: RowPool::from_csr(flat.comp_off, flat.comp_atoms),
+            comps: RowPool::from_csr(flat.comps),
             sizes,
         }
     }
@@ -120,19 +124,17 @@ impl From<Flat> for Condensation {
 pub(super) struct Flat {
     /// Node → component ordinal (emission order).
     pub(super) comp_of: Vec<u32>,
-    /// Component nodes, concatenated in emission order.
-    pub(super) comp_atoms: Vec<u32>,
-    /// Offsets into `comp_atoms`, `num_components() + 1` entries.
-    pub(super) comp_off: Vec<u32>,
+    /// Row `c`: the nodes of component `c`.
+    comps: Csr<u32>,
 }
 
 impl Flat {
     pub(super) fn num_components(&self) -> usize {
-        self.comp_off.len() - 1
+        self.comps.num_rows()
     }
 
     pub(super) fn component(&self, c: usize) -> &[u32] {
-        &self.comp_atoms[self.comp_off[c] as usize..self.comp_off[c + 1] as usize]
+        self.comps.row(c)
     }
 
     pub(super) fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
@@ -178,8 +180,10 @@ pub(super) fn tarjan(
     let mut on_stack = BitSet::with_capacity(n);
     let mut stack: Vec<u32> = Vec::new();
     let mut comp_of = vec![UNVISITED; n];
-    let mut comp_atoms: Vec<u32> = Vec::with_capacity(n);
-    let mut comp_off: Vec<u32> = vec![0];
+    let mut comps = Csr {
+        off: vec![0],
+        items: Vec::with_capacity(n),
+    };
     let mut next_index = 0u32;
     // Explicit DFS frames: (node, cursor into adj).
     let mut frames: Vec<(u32, u32)> = Vec::new();
@@ -215,7 +219,7 @@ pub(super) fn tarjan(
                     low[parent as usize] = low[parent as usize].min(low[v as usize]);
                 }
                 if low[v as usize] == index[v as usize] {
-                    let ordinal = (comp_off.len() - 1) as u32;
+                    let ordinal = comps.num_rows() as u32;
                     loop {
                         // Tarjan invariant: `v` stays on the stack
                         // until its own SCC is emitted right here.
@@ -223,22 +227,18 @@ pub(super) fn tarjan(
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack.remove(w as usize);
                         comp_of[w as usize] = ordinal;
-                        comp_atoms.push(w);
+                        comps.items.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    comp_off.push(comp_atoms.len() as u32);
+                    comps.off.push(comps.items.len() as u32);
                 }
             }
         }
     }
 
-    Flat {
-        comp_of,
-        comp_atoms,
-        comp_off,
-    }
+    Flat { comp_of, comps }
 }
 
 #[cfg(test)]

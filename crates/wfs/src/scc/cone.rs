@@ -1,3 +1,6 @@
+//! The carry-and-patch solve of a program that extends a solved one:
+//! seeds, their forward cone, and the cone's components.
+
 use super::component::{classify_rules, decide_component, Scratch};
 use super::condensation::tarjan;
 use super::engine::{mem_estimate, merge_outcome, trip_at_component, CompOutcome};

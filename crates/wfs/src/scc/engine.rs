@@ -1,3 +1,6 @@
+//! The engine: the full solve's sweep over the components, and what a
+//! solve leaves behind for the next one.
+
 use super::component::{classify_rules, decide_component, Dense, Scratch};
 use super::condensation::{tarjan, Condensation};
 use crate::result::EngineResult;

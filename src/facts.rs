@@ -1,3 +1,5 @@
+//! Bulk fact loading: the tab/comma-separated fact format.
+
 use crate::*;
 
 // ======================================================================

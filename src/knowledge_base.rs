@@ -1,3 +1,5 @@
+//! The compile stage: the knowledge base, its caches and its solves.
+
 use crate::facts::stored_facts_from_reader;
 use crate::solved_model::{slice_view, Solved};
 use crate::*;
@@ -441,7 +443,7 @@ impl KnowledgeBase {
     ///
     /// # Panics
     ///
-    /// Re-raises a worker panic as a clean panic at this boundary (the
+    /// Re-raises a panic inside the solve as a clean panic at this boundary (the
     /// knowledge base itself is left reusable). Use
     /// [`KnowledgeBase::try_solve_with`] to get it as an
     /// [`Error::EnginePanic`] instead.
@@ -452,24 +454,24 @@ impl KnowledgeBase {
         }
     }
 
-    /// [`KnowledgeBase::solve`] with worker panics caught at the engine
-    /// boundary.
+    /// [`KnowledgeBase::solve`] with a panic inside the solve caught at
+    /// this boundary.
     ///
     /// # Errors
     ///
-    /// [`Error::EnginePanic`] if a solver worker panicked. The knowledge
+    /// [`Error::EnginePanic`] if the solve panicked. The knowledge
     /// base is left coherent and reusable: the partial solve is discarded,
     /// and the next solve recomputes from scratch.
     pub fn try_solve(&mut self) -> Result<Arc<SolvedModel>, Error> {
         self.try_solve_with(self.effective_options())
     }
 
-    /// [`KnowledgeBase::solve_with`] with worker panics caught at the
-    /// engine boundary (see [`KnowledgeBase::try_solve`]).
+    /// [`KnowledgeBase::solve_with`] with a panic inside the solve caught
+    /// at this boundary (see [`KnowledgeBase::try_solve`]).
     ///
     /// # Errors
     ///
-    /// [`Error::EnginePanic`] if a solver worker panicked.
+    /// [`Error::EnginePanic`] if the solve panicked.
     pub fn try_solve_with(&mut self, options: WfsOptions) -> Result<Arc<SolvedModel>, Error> {
         let current = self.last.as_ref();
         let model = match current.filter(|c| c.serves(options, self.revision)) {
@@ -670,7 +672,7 @@ impl KnowledgeBase {
     /// # Errors
     ///
     /// [`Error::Syntax`] if `query_src` is not a valid query;
-    /// [`Error::EnginePanic`] if a solver worker panicked — the sliced
+    /// [`Error::EnginePanic`] if the solve panicked — the sliced
     /// solve ran on a scratch universe, so the knowledge base (its cached
     /// full model and pending delta included) is exactly as it was.
     pub fn solve_for(&mut self, query_src: &str) -> Result<Arc<SolvedModel>, Error> {
@@ -705,8 +707,10 @@ impl KnowledgeBase {
 
     // ----- read-only accessors ----------------------------------------
 
-    /// The interning context (read-only; mutation goes through
-    /// [`KnowledgeBase::add_source`]).
+    /// The interning context, read-only. [`KnowledgeBase::universe_mut`]
+    /// and [`KnowledgeBase::add_source`] intern into it, and the facts over
+    /// it change through [`KnowledgeBase::insert`] and
+    /// [`KnowledgeBase::retract`].
     pub fn universe(&self) -> &Universe {
         &self.universe
     }

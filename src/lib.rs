@@ -65,9 +65,11 @@
 //!
 //! Inserting facts and solving again does **not** recompute from scratch:
 //! the chase resumes from the previous segment's frontier
-//! ([`ChaseSegment::resume_with`]), the previous model — ground program,
-//! verdicts, condensation, atom index — is carried over as flat-array
-//! copies, and the SCC-modular engine condenses and evaluates only the
+//! ([`ChaseSegment::resume_with`]), the previous model — segment, ground
+//! program, verdicts, condensation — is carried over in copy-on-write
+//! chunks that stay shared until a write lands in one, the atom index is
+//! patched where the verdicts moved, and the SCC-modular engine condenses
+//! and evaluates only the
 //! delta's forward cone (the atoms the new facts can reach), and within it
 //! only the components whose inputs actually changed.
 //! [`SolvedModel::solve_stats`] reports what happened and where the time
@@ -211,8 +213,9 @@ pub enum Error {
     /// An I/O failure while streaming facts ([`fact_batch_from_reader`])
     /// or binding the serving tier's listener ([`serve`]).
     Io(std::io::Error),
-    /// A worker panicked inside the solve pipeline. The panic was caught at
-    /// the engine boundary ([`KnowledgeBase::try_solve`],
+    /// A panic inside the solve (chase, grounding or engine), which runs on
+    /// the calling thread. It was caught at the solve boundary
+    /// ([`KnowledgeBase::try_solve`],
     /// [`KnowledgeBase::solve_for`]); the knowledge base remains fully
     /// usable and the next full solve recomputes from scratch — no
     /// poisoned state.

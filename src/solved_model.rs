@@ -1,3 +1,5 @@
+//! The solve and serve stages: the immutable solved model.
+
 use crate::*;
 use std::sync::Arc;
 use wfdl_storage::AtomIndex;
