@@ -19,15 +19,15 @@ use wfdl_storage::Database;
 /// rows of the same index in the pending row pools.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct Pending {
-    pub(super) src_rule: u32,
-    pub(super) guard: u32,
-    pub(super) head: AtomId,
-    pub(super) missing: u32,
+    src_rule: u32,
+    guard: u32,
+    head: AtomId,
+    missing: u32,
 }
 
 pub(super) struct Builder<'a> {
     pub(super) universe: &'a mut Universe,
-    pub(super) program: &'a SkolemProgram,
+    program: &'a SkolemProgram,
     pub(super) budget: ChaseBudget,
     /// Runtime limits (deadline / cancellation / memory), polled at round
     /// boundaries. Unlimited budgets cost one branch per round.
@@ -35,12 +35,12 @@ pub(super) struct Builder<'a> {
     /// Rule indexes per guard predicate (flat, [`wfdl_core::PredId`]-indexed).
     pub(super) rules_by_guard_pred: Vec<Vec<u32>>,
     /// Every rule compiled against its guard, by rule index.
-    pub(super) plans: Vec<Plan>,
+    plans: Vec<Plan>,
     /// Predicate restriction for goal-directed builds: when set, only
     /// facts whose predicate is in the mask are seeded, and only rules
     /// whose head predicate is in the mask fire (the mask's relevance
     /// closure guarantees those rules read in-mask bodies only).
-    pub(super) restrict: Option<&'a [bool]>,
+    restrict: Option<&'a [bool]>,
 
     /// The segment being resumed, if any: depth/level relaxation over its
     /// instances walks its body-occurrence rows (`body_lists` only covers
@@ -68,14 +68,14 @@ pub(super) struct Builder<'a> {
 
     // --- reusable scratch buffers (zero steady-state allocation) ---
     /// The arguments of the frontier atom being matched.
-    pub(super) guard_args: Vec<TermId>,
-    pub(super) scratch_args: Vec<TermId>,
-    pub(super) scratch_pos: Vec<AtomId>,
+    guard_args: Vec<TermId>,
+    scratch_args: Vec<TermId>,
+    scratch_pos: Vec<AtomId>,
     /// Segment ids of `scratch_pos` (`NONE` = not in the segment yet): what
     /// `fire` records.
-    pub(super) scratch_seg: Vec<u32>,
-    pub(super) scratch_neg: Vec<AtomId>,
-    pub(super) scratch_missing: Vec<AtomId>,
+    scratch_seg: Vec<u32>,
+    scratch_neg: Vec<AtomId>,
+    scratch_missing: Vec<AtomId>,
 }
 
 impl<'a> Builder<'a> {

@@ -185,7 +185,7 @@ pub(super) struct Class {
     pub(super) definite: bool,
     /// No rule of the component mentions an atom of it: a singleton whose
     /// verdict follows from its rules' kinds alone.
-    pub(super) trivial: bool,
+    trivial: bool,
 }
 
 /// Collects the rules heading an atom of the component into
