@@ -168,7 +168,7 @@ impl AnalysisReport {
 pub fn analyze(input: &AnalysisInput<'_>) -> AnalysisReport {
     let mut diagnostics = Vec::new();
     let g = graph::PredGraph::build(input.universe.num_preds(), input.program);
-    let comp = g.sccs();
+    let comp = g.graph.sccs();
     let strata = stratify::run(input.universe, input.program, &g, &comp, &mut diagnostics);
     let frag = fragment::run(input.universe, input.program, &mut diagnostics);
     let term = termination::run(input.universe, input.program, &mut diagnostics);

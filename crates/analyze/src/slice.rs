@@ -51,7 +51,7 @@ impl ProgramSlice {
     /// space); goal predicates outside the program simply contribute a
     /// one-predicate slice with no rules.
     pub fn compute(num_preds: usize, program: &SkolemProgram, goals: &[PredId]) -> ProgramSlice {
-        let graph = PredGraph::build(num_preds, program);
+        let deps = PredGraph::build(num_preds, program);
         let mut pred_mask = vec![false; num_preds];
         let mut queue: Vec<PredId> = Vec::new();
         for &g in goals {
@@ -61,8 +61,8 @@ impl ProgramSlice {
             }
         }
         while let Some(p) = queue.pop() {
-            for &e in graph.out_edges(p) {
-                let w = graph.edges[e].to;
+            for &e in deps.graph.out_edges(p.index()) {
+                let w = deps.edges[e as usize].to;
                 if !pred_mask[w.index()] {
                     pred_mask[w.index()] = true;
                     queue.push(w);
@@ -80,7 +80,7 @@ impl ProgramSlice {
         // program (edge endpoints) or named as goals, so every interned-
         // but-unused predicate does not show up as a singleton component.
         let mut mentioned = vec![false; num_preds];
-        for e in &graph.edges {
+        for e in &deps.edges {
             mentioned[e.from.index()] = true;
             mentioned[e.to.index()] = true;
         }
@@ -89,7 +89,7 @@ impl ProgramSlice {
                 mentioned[g.index()] = true;
             }
         }
-        let comp = graph.sccs();
+        let comp = deps.graph.sccs();
         let num_comps = comp.iter().copied().max().map_or(0, |m| m as usize + 1);
         let mut comp_mentioned = vec![false; num_comps];
         let mut comp_in_slice = vec![false; num_comps];

@@ -14,6 +14,7 @@
 //! *can* diverge on some database, but a particular database may still
 //! saturate early.
 
+use crate::graph::Digraph;
 use crate::report::{Code, Diagnostic};
 use wfdl_core::{HeadTerm, PredId, RTerm, SkolemProgram, Universe, Var};
 
@@ -28,16 +29,11 @@ struct PosEdge {
 
 struct PosGraph {
     base: Vec<usize>,
-    total: usize,
     edges: Vec<PosEdge>,
-    adj: Vec<Vec<usize>>,
+    graph: Digraph,
 }
 
 impl PosGraph {
-    fn idx(&self, pred: PredId, arg: usize) -> usize {
-        self.base[pred.index()] + arg
-    }
-
     fn describe(&self, universe: &Universe, i: usize) -> String {
         // Invert the dense index; positions per predicate are contiguous.
         let p = match self.base.binary_search(&i) {
@@ -57,12 +53,8 @@ fn build(universe: &Universe, program: &SkolemProgram) -> PosGraph {
         total += universe.pred_arity(p);
     }
     base.push(total);
-    let mut g = PosGraph {
-        base,
-        total,
-        edges: Vec::new(),
-        adj: vec![Vec::new(); total],
-    };
+    let idx = |pred: PredId, arg: usize| base[pred.index()] + arg;
+    let mut edges = Vec::new();
     for (ri, rule) in program.rules.iter().enumerate() {
         // Body positions of each variable (positive body only, as in the
         // standard weak-acyclicity definition).
@@ -71,13 +63,12 @@ fn build(universe: &Universe, program: &SkolemProgram) -> PosGraph {
         for a in &rule.body_pos {
             for (i, t) in a.args.iter().enumerate() {
                 if let RTerm::Var(v) = t {
-                    var_pos[v.index()].push(g.idx(a.pred, i));
+                    var_pos[v.index()].push(idx(a.pred, i));
                 }
             }
         }
-        let add = |g: &mut PosGraph, from: usize, to: usize, special: bool| {
-            g.adj[from].push(g.edges.len());
-            g.edges.push(PosEdge {
+        let mut add = |from: usize, to: usize, special: bool| {
+            edges.push(PosEdge {
                 from,
                 to,
                 special,
@@ -85,12 +76,12 @@ fn build(universe: &Universe, program: &SkolemProgram) -> PosGraph {
             });
         };
         for (j, t) in rule.head_args.iter().enumerate() {
-            let to = g.idx(rule.head_pred, j);
+            let to = idx(rule.head_pred, j);
             match t {
                 HeadTerm::Const(_) => {}
                 HeadTerm::Var(v) => {
                     for &from in &var_pos[v.index()] {
-                        add(&mut g, from, to, false);
+                        add(from, to, false);
                     }
                 }
                 HeadTerm::Skolem(_, args) => {
@@ -101,107 +92,16 @@ fn build(universe: &Universe, program: &SkolemProgram) -> PosGraph {
                         }
                         seen.push(*v);
                         for &from in &var_pos[v.index()] {
-                            add(&mut g, from, to, true);
+                            add(from, to, true);
                         }
                     }
                 }
             }
         }
     }
-    g
-}
-
-/// SCC ids of the position graph (iterative Tarjan, same shape as
-/// [`crate::graph::PredGraph::sccs`]).
-fn sccs(g: &PosGraph) -> Vec<u32> {
-    let n = g.total;
-    const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp = vec![UNSET; n];
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-    let mut frames: Vec<(u32, usize)> = Vec::new();
-    for start in 0..n {
-        if index[start] != UNSET {
-            continue;
-        }
-        frames.push((start as u32, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start as u32);
-        on_stack[start] = true;
-        while let Some(&(v, ei)) = frames.last() {
-            let v = v as usize;
-            if ei < g.adj[v].len() {
-                if let Some(frame) = frames.last_mut() {
-                    frame.1 += 1;
-                }
-                let w = g.edges[g.adj[v][ei]].to;
-                if index[w] == UNSET {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w as u32);
-                    on_stack[w] = true;
-                    frames.push((w as u32, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(p, _)) = frames.last() {
-                    low[p as usize] = low[p as usize].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    while let Some(w) = stack.pop() {
-                        let w = w as usize;
-                        on_stack[w] = false;
-                        comp[w] = next_comp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    next_comp += 1;
-                }
-            }
-        }
-    }
-    comp
-}
-
-/// Shortest path `from ⇝ to` within one position-graph component,
-/// returning the traversed edge indices.
-fn path_edges(g: &PosGraph, comp: &[u32], cid: u32, from: usize, to: usize) -> Option<Vec<usize>> {
-    let mut prev: Vec<Option<usize>> = vec![None; g.total]; // edge into node
-    let mut seen = vec![false; g.total];
-    let mut queue = std::collections::VecDeque::new();
-    seen[from] = true;
-    queue.push_back(from);
-    while let Some(v) = queue.pop_front() {
-        if v == to {
-            let mut edges = Vec::new();
-            let mut cur = to;
-            while let Some(e) = prev[cur] {
-                edges.push(e);
-                cur = g.edges[e].from;
-            }
-            edges.reverse();
-            return Some(edges);
-        }
-        for &e in &g.adj[v] {
-            let w = g.edges[e].to;
-            if comp[w] == cid && !seen[w] {
-                seen[w] = true;
-                prev[w] = Some(e);
-                queue.push_back(w);
-            }
-        }
-    }
-    None
+    let ends = edges.iter().map(|e| (e.from as u32, e.to as u32));
+    let graph = Digraph::new(total, ends);
+    PosGraph { base, edges, graph }
 }
 
 /// Output of the termination pass.
@@ -219,7 +119,7 @@ pub fn run(
     diags: &mut Vec<Diagnostic>,
 ) -> TerminationReport {
     let g = build(universe, program);
-    let comp = sccs(&g);
+    let comp = g.graph.sccs();
     let mut flagged_rules: Vec<usize> = Vec::new();
     for e in &g.edges {
         if !e.special || comp[e.from] != comp[e.to] {
@@ -233,7 +133,9 @@ pub fn run(
         let back = if e.from == e.to {
             Vec::new()
         } else {
-            path_edges(&g, &comp, comp[e.from], e.to, e.from).unwrap_or_default()
+            g.graph
+                .path_within_component(&comp, comp[e.from], e.to, e.from)
+                .unwrap_or_default()
         };
         let mut cycle = format!(
             "{} ~∃~> {}",
@@ -242,7 +144,7 @@ pub fn run(
         );
         let mut rules: Vec<usize> = vec![e.rule];
         for &be in &back {
-            let b = g.edges[be];
+            let b = g.edges[be as usize];
             cycle.push_str(if b.special { " ~∃~> " } else { " -> " });
             cycle.push_str(&g.describe(universe, b.to));
             if !rules.contains(&b.rule) {

@@ -20,35 +20,11 @@
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_core::{CancelToken, SkolemProgram, SolveBudget, Universe};
 use wfdl_gen::{chain_database, example4_sigma, fanout_database, fanout_sigma, FanoutConfig};
 use wfdl_storage::Database;
 use wfdl_wfs::{solve, solve_request, SolveInput, SolveRequest, WellFoundedModel, WfsOptions};
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
-    }
-}
 
 /// An ample budget: every trip point does its full check, none ever trips.
 fn ample_budget() -> SolveBudget {

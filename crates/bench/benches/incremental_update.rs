@@ -31,6 +31,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use wfdatalog::{FactBatch, KnowledgeBase, Universe, WfsOptions};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_gen::{chain_database, example4_sigma};
 
 const SEEDS: usize = 256;
@@ -65,31 +66,6 @@ const CLAIMS_DELTA_GROUPS: usize = 122;
 
 fn delta_count() -> usize {
     (SEEDS / 100).max(1)
-}
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
-    }
 }
 
 /// Seed facts `{R(cᵢ,cᵢ,dᵢ), P(cᵢ,cᵢ)}` for `range`, via the typed path.

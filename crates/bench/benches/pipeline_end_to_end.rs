@@ -15,8 +15,9 @@
 //!   so future PRs have a perf trajectory to compare against.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wfdl_analyze::{analyze, AnalysisInput};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_chase::{ChaseBudget, ChaseSegment};
 use wfdl_core::Universe;
 use wfdl_gen::{
@@ -46,33 +47,6 @@ struct Outcome {
     atoms: usize,
     instances: usize,
     ground_rules: usize,
-}
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median_ns(samples: &[Sample], extract: impl Fn(&Sample) -> u64) -> u64 {
-    let mut v: Vec<u64> = samples.iter().map(extract).collect();
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    let d = Duration::from_nanos(ns);
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", d.as_secs_f64())
-    }
 }
 
 fn time<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -283,7 +257,7 @@ fn report(outcomes: &[Outcome], samples: usize, lint_json: &str) {
         writeln!(json, "      \"ground_rules\": {},", o.ground_rules).unwrap();
         json.push_str("      \"median_ns\": {");
         for (pi, phase) in PHASES.iter().enumerate() {
-            let m = median_ns(&o.samples, |s| s.phase_ns[pi]);
+            let m = median(o.samples.iter().map(|s| s.phase_ns[pi]).collect());
             println!(
                 "pipeline_end_to_end/{}/{}: median {} ({} samples)",
                 o.name,
@@ -296,7 +270,7 @@ fn report(outcomes: &[Outcome], samples: usize, lint_json: &str) {
             }
             write!(json, "\"{phase}\": {m}").unwrap();
         }
-        let total = median_ns(&o.samples, Sample::total_ns);
+        let total = median(o.samples.iter().map(Sample::total_ns).collect());
         println!(
             "pipeline_end_to_end/{}/total: median {} ({} samples)",
             o.name,

@@ -23,37 +23,13 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use wfdatalog::{KnowledgeBase, PreparedQuery, SolvedModel, WfsOptions};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_gen::{employment_ontology, EmploymentConfig};
 
 const BATCH: usize = 1000;
 const DEPTH: u32 = 5;
 const PERSONS: usize = 192;
 const THREADS: [usize; 3] = [1, 2, 4];
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
-    }
-}
 
 /// The 1k-query batch: per-person ID lookups (Boolean + answer tuples),
 /// validity joins with negation, and a few unknown-constant probes that

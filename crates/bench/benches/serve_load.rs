@@ -27,6 +27,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 use wfdatalog::serve::{start, RunningServer, ServeOptions};
 use wfdatalog::KnowledgeBase;
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 
 /// Length of the `edge` chain in the win/move program.
 const CHAIN: usize = 512;
@@ -36,29 +37,6 @@ const BATCH: usize = 200;
 const CONNS: [usize; 3] = [1, 2, 4];
 /// Ingest batches driven during the churn leg.
 const CHURN_INGESTS: usize = 8;
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
-    }
-}
 
 /// The win/move game on an `edge` chain: alternating verdicts, all three
 /// truth values once the churn triangles (3-cycles → `unknown`) land.

@@ -25,6 +25,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use wfdatalog::{FactBatch, KnowledgeBase, ProgramSlice, SolveBudget, Universe, WfsOptions};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_gen::{fanout_database, fanout_sigma, FanoutConfig};
 
 const GROUPS: usize = 8192;
@@ -48,31 +49,6 @@ fn config() -> FanoutConfig {
         groups: GROUPS,
         recursive_fraction: RECURSIVE_FRACTION,
         seed: 2013,
-    }
-}
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
     }
 }
 

@@ -45,7 +45,7 @@ pub fn e2_transfinite_stages() {
         let (db, sigma) = paper::example4(&mut u);
         let seg = ChaseSegment::build(&mut u, &db, &sigma, ChaseBudget::depth(depth));
         let engine = ForwardEngine::new(&seg);
-        let res = engine.solve();
+        let res = engine.solve_staged();
         let t = u.lookup_pred("T").unwrap();
         let zero = u.lookup_constant("0").unwrap();
         let t0 = u.atoms.lookup(t, &[zero]).unwrap();
@@ -53,7 +53,7 @@ pub fn e2_transfinite_stages() {
             "{:>6} {:>10} {:>12} {:>12} {:>10}",
             depth,
             seg.atoms().len(),
-            res.stages,
+            res.result.stages,
             res.stage_of(t0).unwrap(),
             res.value(t0).to_string()
         );

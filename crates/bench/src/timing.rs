@@ -1,4 +1,5 @@
-//! Small measurement utilities for the experiments binary.
+//! Small measurement utilities for the experiments binary and the
+//! benches.
 
 use std::time::{Duration, Instant};
 
@@ -16,6 +17,35 @@ pub fn median_time<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
         .collect();
     times.sort();
     times[times.len() / 2]
+}
+
+/// Samples per measurement: `WFDL_BENCH_SAMPLES` when it is a positive
+/// integer, 30 otherwise.
+pub fn sample_count() -> usize {
+    std::env::var("WFDL_BENCH_SAMPLES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(30)
+}
+
+/// The median of `v` (the upper one of an even count).
+pub fn median(mut v: Vec<u64>) -> u64 {
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
+/// Nanoseconds in the largest unit below them: ns, µs, ms or s.
+pub fn fmt_ns(ns: u64) -> String {
+    if ns < 1_000 {
+        format!("{ns} ns")
+    } else if ns < 1_000_000 {
+        format!("{:.2} µs", ns as f64 / 1_000.0)
+    } else if ns < 1_000_000_000 {
+        format!("{:.2} ms", ns as f64 / 1_000_000.0)
+    } else {
+        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
+    }
 }
 
 /// A measured series: x-values (workload sizes) and y-values (seconds).

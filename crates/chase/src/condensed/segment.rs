@@ -245,12 +245,6 @@ impl ChaseSegment {
         self.forest.atoms[id.index()].atom
     }
 
-    /// Metadata for a segment id.
-    #[inline]
-    pub fn meta_of(&self, id: SegAtomId) -> SegmentAtom {
-        self.forest.atoms[id.index()]
-    }
-
     /// Metadata for `atom`, if it occurs in the segment.
     pub fn meta(&self, atom: AtomId) -> Option<SegmentAtom> {
         self.seg_id(atom).map(|s| self.forest.atoms[s.index()])
@@ -348,10 +342,5 @@ impl ChaseSegment {
     /// Largest atom depth materialized.
     pub fn max_depth_reached(&self) -> u32 {
         self.forest.atoms.iter().map(|a| a.depth).max().unwrap_or(0)
-    }
-
-    /// Largest derivation level materialized.
-    pub fn max_level_reached(&self) -> u32 {
-        self.forest.atoms.iter().map(|a| a.level).max().unwrap_or(0)
     }
 }

@@ -784,11 +784,6 @@ impl<T> RowPool<T> {
         &data[off[at] as usize..off[at + 1] as usize]
     }
 
-    /// The rows in order.
-    pub fn rows(&self) -> impl Iterator<Item = &[T]> + '_ {
-        (0..self.len()).map(|i| self.row(i))
-    }
-
     /// Heap bytes held: every chunk, shared or not, and the tail.
     pub fn heap_bytes(&self) -> usize {
         self.footprint().held

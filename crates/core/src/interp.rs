@@ -133,7 +133,7 @@ impl Interp {
     }
 
     /// Iterates over the true atoms, ascending.
-    pub fn true_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
+    pub fn true_atoms(&self) -> impl Iterator<Item = AtomId> + Clone + '_ {
         self.vals
             .iter()
             .enumerate()
@@ -142,7 +142,7 @@ impl Interp {
     }
 
     /// Iterates over the false atoms, ascending.
-    pub fn false_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
+    pub fn false_atoms(&self) -> impl Iterator<Item = AtomId> + Clone + '_ {
         self.vals
             .iter()
             .enumerate()

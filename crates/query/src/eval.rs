@@ -98,7 +98,7 @@ impl fmt::Debug for AnswerSet {
 /// call; when the same model answers many queries, build the index once
 /// and use [`answers_indexed`] (this is what prepared queries do).
 pub fn answers<S: TruthSource>(universe: &Universe, model: &S, query: &Nbcq) -> AnswerSet {
-    let index = AtomIndex::build(universe, model.certain_atoms());
+    let index = AtomIndex::build(universe, model.certain_atoms().iter().copied());
     answers_indexed(universe, model, &index, query)
 }
 
@@ -127,7 +127,7 @@ pub fn answers_indexed<S: TruthSource>(
 
 /// Boolean satisfaction: `WFS(D,Σ) |= Q`.
 pub fn holds<S: TruthSource>(universe: &Universe, model: &S, query: &Nbcq) -> bool {
-    let index = AtomIndex::build(universe, model.certain_atoms());
+    let index = AtomIndex::build(universe, model.certain_atoms().iter().copied());
     holds_indexed(universe, model, &index, query)
 }
 
@@ -146,7 +146,7 @@ pub(crate) fn holds_indexed<S: TruthSource>(
 /// homomorphism exists using undefined atoms (positives not false,
 /// negatives not true) but no certain one, `False` otherwise.
 pub fn holds3<S: TruthSource>(universe: &Universe, model: &S, query: &Nbcq) -> Truth {
-    let index = AtomIndex::build(universe, model.possible_atoms());
+    let index = AtomIndex::build(universe, model.possible_atoms().iter().copied());
     holds3_indexed(universe, model, &index, query)
 }
 

@@ -13,6 +13,7 @@
 //! assert that agreement on every program they touch, including thousands of
 //! random ones.
 
+use crate::StagedResult;
 use wfdl_core::BitSet;
 use wfdl_storage::GroundProgram;
 use wfdl_wfs::result::EngineResult;
@@ -30,8 +31,14 @@ impl<'a> AlternatingEngine<'a> {
     }
 
     /// Runs the alternation to its fixpoint.
-    #[allow(clippy::needless_range_loop)] // parallel arrays are indexed together
     pub fn solve(&self) -> EngineResult {
+        self.solve_staged().result
+    }
+
+    /// Runs the alternation to its fixpoint, recording the round at which
+    /// each atom was decided.
+    #[allow(clippy::needless_range_loop)] // parallel arrays are indexed together
+    pub fn solve_staged(&self) -> StagedResult {
         let d = self.prog;
         let n = d.num_atoms();
 
@@ -181,7 +188,7 @@ mod tests {
         b.add_rule(GroundRule::new(a(0), vec![a(1)], vec![]));
         b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![]));
         let p = b.finish();
-        let alt = AlternatingEngine::new(&p).solve();
+        let alt = AlternatingEngine::new(&p).solve_staged();
         assert_eq!(alt.value(a(0)), Truth::False);
         assert_eq!(alt.value(a(1)), Truth::False);
         // Both decided at the very first stage (outside S(∅)'s closure).

@@ -34,6 +34,7 @@
 //! interpretation covers the segment's atoms; the solver layer maps absent
 //! atoms to `False`.
 
+use crate::{StageMap, StagedResult};
 use wfdl_chase::{ChaseSegment, InstanceId, SegAtomId};
 use wfdl_core::{AtomId, BitSet, Interp};
 use wfdl_wfs::result::EngineResult;
@@ -134,10 +135,16 @@ impl<'a> ForwardEngine<'a> {
         out
     }
 
-    /// Iterates `Ŵ_P` from `∅` to its least fixpoint, counting stages.
+    /// Iterates `Ŵ_P` from `∅` to its least fixpoint.
     pub fn solve(&self) -> EngineResult {
+        self.solve_staged().result
+    }
+
+    /// Iterates `Ŵ_P` from `∅` to its least fixpoint, recording the stage
+    /// at which each literal entered it.
+    pub fn solve_staged(&self) -> StagedResult {
         let mut interp = Interp::new();
-        let mut decided_stage = wfdl_wfs::result::StageMap::default();
+        let mut stage_map = StageMap::default();
         let mut stage = 0u32;
         loop {
             stage += 1;
@@ -149,7 +156,7 @@ impl<'a> ForwardEngine<'a> {
                 if old != new {
                     debug_assert!(old.is_unknown(), "Ŵ must be monotone");
                     changed = true;
-                    decided_stage.insert(sa.atom, stage);
+                    stage_map.insert(sa.atom, stage);
                 }
             }
             interp = next;
@@ -158,14 +165,16 @@ impl<'a> ForwardEngine<'a> {
                 break;
             }
         }
-        EngineResult {
-            interp,
-            decided_stage,
-            stages: stage,
-            stats: None,
-            memo: None,
-            truncation: None,
-            cone: None,
+        StagedResult {
+            result: EngineResult {
+                interp,
+                stages: stage,
+                stats: None,
+                memo: None,
+                truncation: None,
+                cone: None,
+            },
+            stage: stage_map,
         }
     }
 
@@ -197,12 +206,12 @@ mod tests {
     use wfdl_chase::{paper::example4, ChaseBudget, ChaseSegment};
     use wfdl_core::{Truth, Universe};
 
-    fn solve_example4(depth: u32) -> (Universe, ChaseSegment, EngineResult) {
+    fn solve_example4(depth: u32) -> (Universe, ChaseSegment, StagedResult) {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
         let seg = ChaseSegment::build(&mut u, &db, &prog, ChaseBudget::depth(depth));
         let eng = ForwardEngine::new(&seg);
-        let res = eng.solve();
+        let res = eng.solve_staged();
         (u, seg, res)
     }
 

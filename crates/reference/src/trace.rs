@@ -5,8 +5,8 @@
 //! The paper's Example 9 is exactly such a trace (`Ŵ_{P,1}`, `Ŵ_{P,2}`, …
 //! up to `Ŵ_{P,ω+2}`); [`StageTrace::render`] prints models in that style.
 
+use crate::StagedResult;
 use wfdl_core::{AtomId, Truth, Universe};
-use wfdl_wfs::result::EngineResult;
 
 /// One literal's entry into the fixpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,11 +28,11 @@ pub struct StageTrace {
 }
 
 impl StageTrace {
-    /// Builds a trace from an engine result, ordered by (stage, polarity
-    /// true-first, atom id).
-    pub fn from_result(result: &EngineResult) -> StageTrace {
+    /// Builds a trace from an oracle's staged result, ordered by (stage,
+    /// polarity true-first, atom id).
+    pub fn from_result(result: &StagedResult) -> StageTrace {
         let mut entries: Vec<TraceEntry> = result
-            .decided_stage
+            .stage
             .iter()
             .map(|(atom, stage)| TraceEntry {
                 stage,
@@ -43,7 +43,7 @@ impl StageTrace {
         entries.sort_by_key(|e| (e.stage, e.value != Truth::True, e.atom));
         StageTrace {
             entries,
-            stages: result.stages,
+            stages: result.result.stages,
         }
     }
 
@@ -124,19 +124,19 @@ mod tests {
 
     /// Traces a stage-faithful oracle engine (the production engine's
     /// stages are component ordinals) on Example 4's depth-5 segment.
-    fn trace_example4(oracle: fn(&WellFoundedModel) -> EngineResult) -> (Universe, StageTrace) {
+    fn trace_example4(oracle: fn(&WellFoundedModel) -> StagedResult) -> (Universe, StageTrace) {
         let mut u = Universe::new();
         let (db, sigma) = example4(&mut u);
         let model = solve(&mut u, &db, &sigma, WfsOptions::depth(5));
         (u, StageTrace::from_result(&oracle(&model)))
     }
 
-    fn forward(model: &WellFoundedModel) -> EngineResult {
-        ForwardEngine::new(&model.segment).solve()
+    fn forward(model: &WellFoundedModel) -> StagedResult {
+        ForwardEngine::new(&model.segment).solve_staged()
     }
 
-    fn wp_literal(model: &WellFoundedModel) -> EngineResult {
-        WpEngine::new(&model.ground).solve(StepMode::Literal)
+    fn wp_literal(model: &WellFoundedModel) -> StagedResult {
+        WpEngine::new(&model.ground).solve_staged(StepMode::Literal)
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! this one to solve. [`WpEngine::with_assumed_unknown`] is kept as the
 //! reference `tests/component_oracle.rs` checks that evaluator against.
 
+use crate::StagedResult;
 use wfdl_core::BitSet;
 use wfdl_storage::GroundProgram;
 use wfdl_wfs::result::EngineResult;
@@ -112,6 +113,11 @@ impl<'a> WpEngine<'a> {
 
     /// Computes `lfp(W_P)`.
     pub fn solve(&self, mode: StepMode) -> EngineResult {
+        self.solve_staged(mode).result
+    }
+
+    /// Computes `lfp(W_P)` and the stage at which each literal entered it.
+    pub fn solve_staged(&self, mode: StepMode) -> StagedResult {
         let n = self.prog.num_atoms();
         let mut truth = State::new(n);
         let mut stage = 0u32;
@@ -342,7 +348,7 @@ impl State {
         fresh
     }
 
-    fn into_result(self, prog: &GroundProgram, stages: u32) -> EngineResult {
+    fn into_result(self, prog: &GroundProgram, stages: u32) -> StagedResult {
         crate::result_from_ground(
             prog,
             &self.truth_true,
@@ -505,7 +511,7 @@ mod tests {
         b.add_fact(a(0));
         b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![]));
         b.add_rule(GroundRule::new(a(2), vec![a(1)], vec![]));
-        let r = solve(b, StepMode::Literal);
+        let r = WpEngine::new(&b.finish()).solve_staged(StepMode::Literal);
         let s0 = r.stage_of(a(0)).unwrap();
         let s1 = r.stage_of(a(1)).unwrap();
         let s2 = r.stage_of(a(2)).unwrap();

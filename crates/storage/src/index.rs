@@ -236,15 +236,20 @@ fn by_row(
 
 impl AtomIndex {
     /// Builds an index over `atoms`: the predicate rows only, one
-    /// [counting sort](Csr::count).
-    pub fn build(universe: &Universe, atoms: impl IntoIterator<Item = AtomId>) -> Self {
+    /// [counting sort](Csr::count), which walks `atoms` more than once and
+    /// copies nothing. So pass a borrowing iterator (a slice's
+    /// `iter().copied()`), not an owning one: cloning a `Vec`'s iterator
+    /// copies the `Vec`.
+    pub fn build<I>(universe: &Universe, atoms: I) -> Self
+    where
+        I: IntoIterator<Item = AtomId>,
+        I::IntoIter: Clone,
+    {
         let store = &universe.atoms;
-        let atoms: Vec<AtomId> = atoms.into_iter().collect();
+        let atoms = atoms.into_iter();
         // Offsets are `u32`; the total checked here bounds every one.
-        let _ = wfdl_core::dense_u32(atoms.len(), "atom index");
-        let rows = atoms
-            .iter()
-            .map(|&atom| (store.pred(atom).index() as u32, atom));
+        let _ = wfdl_core::dense_u32(atoms.clone().count(), "atom index");
+        let rows = atoms.map(|atom| (store.pred(atom).index() as u32, atom));
         let preds = Csr::count(universe.num_preds(), rows);
         let mut key_tables = Vec::new();
         key_tables.resize_with(preds.num_rows(), OnceLock::new);

@@ -183,25 +183,14 @@ impl ModularEngine<'_> {
         stats.largest_component = cond.largest();
 
         // 5. The previous result, patched over the cone: the interpretation
-        // copied with room for every atom id of this program, the stage
-        // map shared but for the chunks the cone writes (stages are
-        // ordinals + 1).
-        let ids = prog.atom_id_bound();
-        let mut interp = prev.interp.copy_with_capacity(ids);
-        let mut decided_stage = prev.decided_stage.clone();
-        decided_stage.grow(ids);
+        // copied with room for every atom id of this program.
+        let mut interp = prev.interp.copy_with_capacity(prog.atom_id_bound());
         let mut reevaluated: Vec<AtomId> = Vec::with_capacity(cone.len());
         for &a in &cone {
             let atom = prog.atom_of_local(a);
             let value = truth[a as usize];
             interp.revise(atom, value);
-            match value {
-                Truth::Unknown => {
-                    decided_stage.clear(atom);
-                    stats.unknown_atoms += 1;
-                }
-                _ => decided_stage.insert(atom, cond.comp_of[a as usize] + 1),
-            }
+            stats.unknown_atoms += (value == Truth::Unknown) as usize;
             reevaluated.push(atom);
         }
         let stages = cond.num_ordinals() as u32;
@@ -214,7 +203,6 @@ impl ModularEngine<'_> {
         });
         Some(EngineResult {
             interp,
-            decided_stage,
             stages,
             stats: Some(stats),
             memo,
@@ -298,7 +286,7 @@ mod tests {
         assert_eq!(is.cone_atoms, 2, "a4 and a5");
         assert_eq!(is.components_evaluated, 2);
         for r in 0..grown.num_rules() {
-            let stage = |l: u32| inc.stage_of(grown.atom_of_local(l));
+            let stage = |l: u32| inc.memo.as_ref().unwrap().stage(l);
             for &b in grown.pos_local(r).iter().chain(grown.neg_local(r)) {
                 if let (Some(head), Some(body)) = (stage(grown.head_local(r)), stage(b)) {
                     assert!(body <= head, "rule {r}");
@@ -417,7 +405,12 @@ mod tests {
             assert_eq!(inc.value(atom), fresh.value(atom), "on {atom:?}");
         }
         assert_eq!(inc.value(a(2)), Truth::Unknown);
-        assert_eq!(inc.stage_of(a(2)), None, "an undecided atom has no stage");
+        let stage = inc
+            .memo
+            .as_ref()
+            .unwrap()
+            .stage(grown.local_id(a(2)).unwrap());
+        assert_eq!(stage, None, "an undecided atom has no stage");
         let (is, fs) = (inc.stats.unwrap(), fresh.stats.unwrap());
         assert_eq!(is.components, fs.components);
         assert_eq!(is.largest_component, 2);

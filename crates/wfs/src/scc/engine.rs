@@ -54,10 +54,10 @@ pub struct ModularStats {
 /// ([`ModularEngine::solve_incremental`]): the condensation it ran over,
 /// how each component was evaluated, and the two per-atom arrays every
 /// sweep builds — the verdicts and the fact set, by local id. Together with
-/// the interpretation, the stages and the statistics of the same
-/// [`EngineResult`] that is everything the carry-and-patch path carries; it
-/// rebuilds none of it, and a clone shares the chunks of its chunked
-/// arrays.
+/// the interpretation and the statistics of the same [`EngineResult`] that
+/// is everything the carry-and-patch path carries; it rebuilds none of it,
+/// and a clone shares the chunks of its chunked arrays. The decision stage
+/// of an atom is read off it ([`ModularMemo::stage`]).
 #[derive(Clone, Debug)]
 pub struct ModularMemo {
     /// The condensation the solve ran over.
@@ -70,6 +70,15 @@ pub struct ModularMemo {
     pub(super) truth: Vec<Truth>,
     /// The program's facts, by local id.
     pub(super) is_fact: BitSet,
+}
+
+impl ModularMemo {
+    /// The decision stage of the atom with local id `local`: its
+    /// component's emission ordinal + 1, or `None` if it is undecided.
+    pub fn stage(&self, local: u32) -> Option<u32> {
+        let l = local as usize;
+        (self.truth[l] != Truth::Unknown).then(|| self.condensation.comp_of[l] + 1)
+    }
 }
 
 /// What one component's evaluation contributed, merged into
@@ -137,7 +146,7 @@ impl<'a> ModularEngine<'a> {
     ///    cone atom). The complement of the cone is relevance-closed — no
     ///    rule heading one of its atoms mentions a cone atom — and rule for
     ///    rule the previous program's, so by the modularity (splitting)
-    ///    property of the well-founded semantics its verdicts, stages and
+    ///    property of the well-founded semantics its verdicts and
     ///    components are the previous solve's: they are *carried*;
     /// 2. a dependency cycle that did not exist before runs through a new
     ///    rule, hence through that rule's head — a seed, whose dependants
@@ -146,7 +155,7 @@ impl<'a> ModularEngine<'a> {
     ///    subgraph it induces only; the components found there get fresh
     ///    ordinals above every old one, the components the cone dissolves
     ///    keep theirs (read as empty), and no carried ordinal moves — which
-    ///    keeps emission order dependencies-first and stages monotone
+    ///    keeps emission order dependencies-first and ordinals monotone
     ///    along derivations;
     /// 3. cone components are visited in that order, and **evaluated only
     ///    where something changed**: a component containing no seed, none
@@ -235,22 +244,16 @@ impl<'a> ModularEngine<'a> {
         }
         stats.components_evaluated = stats.definite_components + stats.recursive_components;
 
-        // Assemble the EngineResult over original atom ids. The decision
-        // stage of a decided atom is its component's 1-based emission
-        // ordinal.
+        // Assemble the EngineResult over original atom ids.
         let mut interp = Interp::with_capacity(n);
-        let cap = prog.atom_id_bound();
-        let mut decided_stage = crate::result::StageMap::with_capacity(cap);
         for (a, &value) in truth.iter().enumerate() {
             let atom = prog.atom_of_local(a as u32);
             match value {
                 Truth::True => {
                     interp.set_true(atom);
-                    decided_stage.insert(atom, comp_of[a] + 1);
                 }
                 Truth::False => {
                     interp.set_false(atom);
-                    decided_stage.insert(atom, comp_of[a] + 1);
                 }
                 Truth::Unknown => stats.unknown_atoms += 1,
             }
@@ -267,7 +270,6 @@ impl<'a> ModularEngine<'a> {
         });
         EngineResult {
             interp,
-            decided_stage,
             stages: num_components as u32,
             stats: Some(stats),
             memo,

@@ -58,7 +58,7 @@
 //!   of its atoms mentions no cone atom (its head would be in the cone) and
 //!   is not new (its head would be a seed), so the complement is, rule for
 //!   rule, a relevance-closed part of the previous program, and splitting
-//!   gives it the previous verdicts, stages and components;
+//!   gives it the previous verdicts and components;
 //! * *a new cycle passes through a seed* — it uses a new rule, whose head
 //!   is a seed and whose dependants are all in the cone, so every component
 //!   that changed lies inside the cone and Tarjan runs on the subgraph the
@@ -70,9 +70,9 @@
 //!
 //! What is carried is the previous run's [`ModularMemo`] — verdicts and
 //! facts by local id, the component of every atom, the component rows and
-//! which components were recursive — plus its interpretation and stages.
-//! Local ids never move in an extension. The condensation, the recursive
-//! flags and the stage map are copy-on-write chunked arrays
+//! which components were recursive — plus its interpretation.
+//! Local ids never move in an extension. The condensation and the recursive
+//! flags are copy-on-write chunked arrays
 //! (`wfdl_core::chunked`): a resume's clones share the previous run's
 //! chunks, append the new atoms and components to flat tails, and copy
 //! only the chunks the cone writes. The verdicts and the fact set — a byte
@@ -85,16 +85,18 @@
 //! every old one. Emission order stays dependencies-first: the cone is
 //! closed under "depends on", so a carried component depends on carried
 //! ones only, and a cone component on carried ones and on cone components
-//! Tarjan emitted before it. So no carried ordinal or stage is rewritten,
+//! Tarjan emitted before it. So no carried ordinal is rewritten,
 //! and nothing is walked per atom or per component outside the cone; the
 //! per-atom scratch of a resume is keyed by the cone's atoms.
 //!
-//! The per-atom decision *stage* reported by this engine is the 1-based
-//! ordinal of the component that decided it, which preserves the invariant
-//! that stages are monotone along derivations but is **not** comparable to
-//! the `W_P` stage arithmetic of Example 9 — run `wfdl-reference`'s
-//! `WpEngine` with `StepMode::Literal` on the same ground program for
-//! stage-faithful traces.
+//! The engine records no per-atom stage. The decision *stage* of an atom
+//! is the 1-based ordinal of the component that decided it, read off the
+//! memo's condensation ([`ModularMemo::stage`],
+//! `WellFoundedModel::stage_of`); it is monotone along derivations but
+//! **not** comparable to the `W_P` stage arithmetic of Example 9 — run
+//! `wfdl-reference`'s `WpEngine` with `StepMode::Literal` on the same
+//! ground program for stage-faithful traces. A run that publishes no memo
+//! (a truncated sweep) reports no stage.
 
 mod component;
 mod condensation;

@@ -125,6 +125,20 @@ impl WellFoundedModel {
         self.result.stages
     }
 
+    /// The stage at which the modular engine decided `atom`: the emission
+    /// ordinal + 1 of its component, read off the engine's memo. `None` for
+    /// an undecided atom, an atom outside the ground program, and every
+    /// atom of a model whose engine did not finish — a chase stopped by a
+    /// budget trip (no engine ran) or a sweep stopped by one (no memo).
+    /// Stages are monotone along derivations but are not the `W_P` stages
+    /// of Example 9; `wfdl-reference`'s oracles count those.
+    pub fn stage_of(&self, atom: AtomId) -> Option<u32> {
+        self.result
+            .memo
+            .as_ref()?
+            .stage(self.ground.local_id(atom)?)
+    }
+
     /// Per-component statistics, when the modular engine produced the
     /// result (`None` for a chase stopped by a budget trip, where no
     /// engine ran).
@@ -602,18 +616,13 @@ fn positive_closure_result(ground: &GroundProgram) -> EngineResult {
         }
     }
     let mut interp = Interp::with_capacity(n);
-    let cap = ground.atom_id_bound();
-    let mut decided_stage = crate::result::StageMap::with_capacity(cap);
     for (local, &t) in tru.iter().enumerate() {
         if t {
-            let atom = ground.atom_of_local(local as u32);
-            interp.set_true(atom);
-            decided_stage.insert(atom, 1);
+            interp.set_true(ground.atom_of_local(local as u32));
         }
     }
     EngineResult {
         interp,
-        decided_stage,
         stages: 1,
         stats: None,
         memo: None,

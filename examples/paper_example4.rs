@@ -32,10 +32,11 @@ fn main() {
     // ---- Example 9: Ŵ_P stages on a depth-8 segment ----------------------
     let seg = ChaseSegment::build(&mut universe, &db, &sigma, ChaseBudget::depth(8));
     let engine = ForwardEngine::new(&seg);
-    let result = engine.solve();
+    let staged = engine.solve_staged();
+    let result = &staged.result;
     println!("\n=== Example 9: Ŵ_P stages (segment depth 8) ===");
     println!("fixpoint after {} stages", result.stages);
-    let trace = StageTrace::from_result(&result);
+    let trace = StageTrace::from_result(&staged);
     print!("{}", trace.render(&universe, 4));
 
     // ---- Verdicts --------------------------------------------------------
@@ -55,7 +56,7 @@ fn main() {
     println!(
         "T(0) entered at stage {} — on the infinite forest this is the\n\
          transfinite stage ω+2 (the entry stage grows with segment depth).",
-        result.stage_of(t0).unwrap()
+        staged.stage_of(t0).unwrap()
     );
 
     // ---- WCHECK-style certificate for T(0) -------------------------------

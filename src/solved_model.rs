@@ -85,7 +85,7 @@ impl Solved {
                     &moved(model, &prev.model),
                 )
             }
-            _ => AtomIndex::build(universe, TruthSource::possible_atoms(model)),
+            _ => AtomIndex::build(universe, TruthSource::possible_atoms(model).iter().copied()),
         };
         output.stats.index_ns = start.elapsed().as_nanos() as u64;
         let footprint = output.model.segment.footprint() + output.model.ground.footprint();

@@ -180,7 +180,8 @@ fn check_against_oracle(prog: &GroundProgram) -> Result<(), TestCaseError> {
                 atom
             );
             let stage = (expected != Truth::Unknown).then_some(ord as u32 + 1);
-            prop_assert_eq!(model.stage_of(atom), stage, "stage of {:?}", atom);
+            let (memo, local) = (model.memo.as_ref().unwrap(), prog.local_id(atom).unwrap());
+            prop_assert_eq!(memo.stage(local), stage, "stage of {:?}", atom);
         }
     }
     // And the whole model is the global engine's.

@@ -462,7 +462,7 @@ fn frozen_view(model: &SolvedModel) -> String {
             wfm.ground.rules_with_pos(atom),
             wfm.ground.rules_with_neg(atom),
         ];
-        let (local, stage) = (wfm.ground.local_id(atom), wfm.result.stage_of(atom));
+        let (local, stage) = (wfm.ground.local_id(atom), wfm.stage_of(atom));
         writeln!(out, "{} {local:?} {stage:?} {rows:?}", u.display_atom(atom)).unwrap();
     }
     let cond = &wfm.result.memo.as_ref().unwrap().condensation;

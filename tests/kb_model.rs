@@ -282,7 +282,7 @@ fn frozen_view(model: &SolvedModel) -> String {
     }
     for a in (0..u.atoms.len()).map(wfdl_core::AtomId::from_index) {
         let (seg, local) = (m.segment.seg_id(a), m.ground.local_id(a));
-        let stage = m.result.stage_of(a);
+        let stage = m.stage_of(a);
         writeln!(out, "{} {seg:?} {local:?} {stage:?}", u.display_atom(a)).unwrap();
     }
     out

@@ -138,7 +138,7 @@ fn example9_stage_growth() {
         let (db, sigma) = paper::example4(&mut u);
         let seg = ChaseSegment::build(&mut u, &db, &sigma, ChaseBudget::depth(depth));
         let engine = ForwardEngine::new(&seg);
-        let res = engine.solve();
+        let res = engine.solve_staged();
         let t = u.lookup_pred("T").unwrap();
         let zero = u.lookup_constant("0").unwrap();
         let t0 = u.atoms.lookup(t, &[zero]).unwrap();
