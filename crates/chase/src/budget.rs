@@ -7,8 +7,9 @@
 /// `n·δ` (`wfdl-reference` computes `δ`); that bound exists to prove
 /// decidability and is astronomically large, so practical use picks a
 /// budget and checks the segment's
-/// [`crate::condensed::ChaseSegment::complete`] flag (or uses the
-/// stabilization strategy in `wfdl-wfs`).
+/// [`crate::condensed::ChaseSegment::complete`] flag. Nothing checks that
+/// a budget which leaves the segment incomplete is deep enough: under
+/// negation, verdicts may change with a deeper chase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaseBudget {
     /// Atoms at this forest depth are materialized but not expanded.

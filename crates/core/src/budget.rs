@@ -58,10 +58,12 @@ impl fmt::Display for TruncationReason {
     }
 }
 
-/// Outcome of a solve: either the full depth-bounded fixpoint was reached,
-/// or the solve was stopped early and the model is a sound
-/// under-approximation (certain answers stay certain; undecided atoms
-/// report `Unknown`).
+/// Outcome of a solve: either the full fixpoint was reached, or the solve
+/// was stopped early. A budget trip ([`SolveOutcome::is_budget_trip`])
+/// leaves a sound under-approximation: certain answers stay certain, and
+/// undecided atoms report `Unknown`. A depth, atom or instance cap does
+/// not: the chase stopped short, an atom it never derived reads false, and
+/// through negation that can turn a verdict either way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolveOutcome {
     /// The solve ran to its natural fixpoint.

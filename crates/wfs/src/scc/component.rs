@@ -77,7 +77,7 @@ pub(super) trait Positions {
     fn get(&self, a: u32) -> u32;
 }
 
-/// A full solve's positions: an array over the program's atoms, allocated
+/// A cold sweep's positions: an array over the program's atoms, allocated
 /// by the first multi-atom component.
 pub(super) struct Dense {
     pub(super) at: Vec<u32>,
@@ -198,8 +198,8 @@ pub(super) struct Class {
 ///
 /// Tarjan assigned component ordinals in emission order, so
 /// `comp_of[b] == ordinal` tests membership in this component. `comp_of`
-/// is Tarjan's flat array in a full solve and the memo's chunked one in a
-/// resume.
+/// is Tarjan's flat array in a sweep against the empty model and the
+/// memo's chunked one in a resume.
 pub(super) fn classify_rules<C: Index<usize, Output = u32> + ?Sized, P: Positions>(
     prog: &GroundProgram,
     comp: &[u32],

@@ -12,7 +12,7 @@ use wfdl_storage::GroundProgram;
 /// algorithm emits each component after everything it depends on (reverse
 /// topological order of the condensation).
 ///
-/// A solve from scratch hands Tarjan's flat arrays over as the tails of
+/// The sweep against the empty model hands Tarjan's flat arrays over as the tails of
 /// chunked ones — no per-component allocation even when every component is
 /// a singleton. A resumed solve's clone shares their chunks and appends
 /// the cone's components with fresh ordinals (see the module docs for why
@@ -21,7 +21,7 @@ use wfdl_storage::GroundProgram;
 /// rewrites: every atom of it is a cone atom and now belongs to a cone
 /// component, so the row reads as dissolved once its first atom's
 /// component is another one.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Condensation {
     /// Local atom id → component ordinal.
     pub comp_of: ChunkVec<u32>,
@@ -118,9 +118,9 @@ impl From<Flat> for Condensation {
     }
 }
 
-/// Tarjan's output over node ids, in one flat CSR: what a full solve
-/// sweeps before handing it to its [`Condensation`], and what a resume
-/// appends to the one it carries.
+/// Tarjan's output over node ids, in one flat CSR: what the sweep against
+/// the empty model reads before handing it to its [`Condensation`], and
+/// what a resume appends to the one it carries.
 pub(super) struct Flat {
     /// Node → component ordinal (emission order).
     pub(super) comp_of: Vec<u32>,

@@ -1,227 +1,342 @@
-//! The carry-and-patch solve of a program that extends a solved one:
-//! seeds, their forward cone, and the cone's components.
+//! The one sweep over a program's components: its delta over a solved base,
+//! evaluated over the delta's forward cone. A cold solve's base is the
+//! empty model, whose cone is the whole program.
 
-use super::component::{classify_rules, decide_component, Scratch};
-use super::condensation::tarjan;
-use super::engine::{mem_estimate, merge_outcome, trip_at_component, CompOutcome};
+use super::component::{classify_rules, decide_component, Dense, Positions, Scratch};
+use super::condensation::{tarjan, Condensation};
 use super::{ModularEngine, ModularMemo, ModularStats, NONE};
 use crate::result::EngineResult;
 use std::collections::hash_map::Entry;
+use std::ops::{Index, Range};
+use wfdl_core::budget::FaultSite;
 use wfdl_core::chunked::CHUNK;
-use wfdl_core::{AtomId, BitSet, FxHashMap, Interp, Truth};
+use wfdl_core::{BitSet, ChunkVec, FxHashMap, Interp, TruncationReason, Truth};
 use wfdl_storage::GroundProgram;
 
 impl ModularEngine<'_> {
-    /// The carry-and-patch solve ([`ModularEngine::solve_incremental`]);
-    /// `None` when `prev` cannot be carried over.
+    /// The sweep ([`ModularEngine::solve_incremental`]) of this engine's
+    /// program, which extends `prev_prog`: `interp`, `memo` and
+    /// `prev_stats` are what the solve of `prev_prog` left behind.
     pub(super) fn solve_cone(
         &self,
         prev_prog: &GroundProgram,
-        prev: &EngineResult,
-    ) -> Option<EngineResult> {
+        interp: &Interp,
+        memo: &ModularMemo,
+        prev_stats: ModularStats,
+    ) -> EngineResult {
         let prog = self.prog;
-        let (memo, prev_stats) = (prev.memo.as_ref()?, prev.stats?);
+        let (n, old_n) = (prog.num_atoms(), prev_prog.num_atoms());
         let old = &memo.condensation;
-        let old_n = extended_atoms(prev_prog, prog)?;
-        let n = prog.num_atoms();
-        // Dissolved components leave their ordinals and rows behind. Once
-        // those outnumber the live components by more than a chunk, the
-        // program is condensed afresh, with dense ordinals: a chain of
-        // resumes keeps at most twice as many ordinals as components.
-        if old.num_ordinals() > 2 * old.num_components() + CHUNK {
-            return None;
-        }
+        let cone = Cone::of(prog, prev_prog);
 
-        // 1. Seeds and their forward cone. `slot` maps a cone atom to its
-        // position in `cone`.
-        let mut cone: Vec<u32> = Vec::new();
-        let mut slot: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut enter = |a: u32, cone: &mut Vec<u32>| {
-            if let Entry::Vacant(free) = slot.entry(a) {
-                free.insert(cone.len() as u32);
-                cone.push(a);
-            }
-        };
-        for r in prev_prog.num_rules()..prog.num_rules() {
-            enter(prog.head_local(r), &mut cone);
-        }
-        for &f in prog.facts_local().iter_from(prev_prog.facts().len()) {
-            enter(f, &mut cone);
-        }
-        for a in old_n as u32..n as u32 {
-            enter(a, &mut cone);
-        }
-        let seeds = cone.len() as u32;
-        let mut next = 0;
-        while let Some(&a) = cone.get(next) {
-            next += 1;
-            for &rid in (prog.rules_with_pos_local(a).iter()).chain(prog.rules_with_neg_local(a)) {
-                enter(prog.head_local(rid.index()), &mut cone);
-            }
-        }
-        let slot_of = |a: u32| slot.get(&a).copied().unwrap_or(NONE);
-
-        // 2. Components of the cone, the previous components it dissolves,
-        // and the condensation with the dissolved ones uncounted and the
-        // cone's components appended. Every atom of a dissolved component
-        // depends on the cone atom in it, so it is a cone atom too: all of
-        // them move to the cone's components.
-        let found = tarjan(prog, cone.len(), |node| cone[node as usize], slot_of);
-        let mut dissolved: Vec<u32> = (cone.iter())
-            .filter(|&&a| (a as usize) < old_n)
-            .map(|&a| old.comp_of[a as usize])
-            .collect();
-        dissolved.sort_unstable();
-        dissolved.dedup();
-        let mut cond = old.clone();
-        cond.dissolve(&dissolved);
-        cond.comp_of.resize(n, NONE);
-        let first_new = wfdl_core::dense_u32(cond.num_ordinals(), "component ordinal");
-        for comp in found.iter() {
-            cond.push(comp.iter().map(|&node| cone[node as usize]));
-        }
-
-        // 3. Carried verdicts and facts. The cone starts out undecided; a
-        // cone atom's previous verdict stays readable in the memo.
-        let before = |a: u32| ((a as usize) < old_n).then(|| memo.truth[a as usize]);
-        let mut truth = Vec::with_capacity(n);
-        truth.extend_from_slice(&memo.truth);
-        truth.resize(n, Truth::Unknown);
-        for &a in &cone {
-            truth[a as usize] = Truth::Unknown;
-        }
-        let mut is_fact = memo.is_fact.copy_with_capacity(n);
-        for &f in prog.facts_local().iter_from(prev_prog.facts().len()) {
-            is_fact.insert(f as usize);
-        }
-        // By position in the cone.
-        let mut changed = BitSet::with_capacity(cone.len());
-        let mut recursive = memo.recursive.clone();
-
-        // Counters: the previous run's, less what the dissolved components
-        // contributed; the cone's components are added as they are visited.
+        // Counters: the previous run's, less what the cone and the dissolved
+        // components contributed; the cone's components are added as they
+        // are visited.
         let mut stats = ModularStats {
-            components: cond.num_components(),
-            cone_atoms: cone.len(),
+            cone_atoms: if cone.whole { n } else { cone.atoms.len() },
             threads: 1,
             recursive_rounds: 0,
             components_reused: 0,
             components_evaluated: 0,
             ..prev_stats
         };
-        for &c in &dissolved {
-            let comp = old.component(c as usize);
-            if memo.recursive[c as usize] {
-                stats.recursive_components -= 1;
-                stats.atoms_in_recursive -= comp.len();
-                stats.rules_in_recursive -= (comp.iter())
-                    .map(|&a| prev_prog.rules_with_head_local(a).len())
-                    .sum::<usize>();
-            } else {
-                stats.definite_components -= 1;
-            }
+        // Carried verdicts and facts. The cone starts out undecided; a cone
+        // atom's previous verdict stays readable in the memo.
+        let mut truth = Vec::with_capacity(n);
+        truth.extend_from_slice(&memo.truth);
+        truth.resize(n, Truth::Unknown);
+        for &a in &cone.atoms {
+            stats.unknown_atoms -= (memo.truth.get(a as usize) == Some(&Truth::Unknown)) as usize;
+            truth[a as usize] = Truth::Unknown;
         }
-        for &a in &cone {
-            stats.unknown_atoms -= (before(a) == Some(Truth::Unknown)) as usize;
+        let mut is_fact = memo.is_fact.copy_with_capacity(n);
+        for &f in prog.facts_local().iter_from(prev_prog.facts().len()) {
+            is_fact.insert(f as usize);
         }
+        let mut s = Sweep {
+            truth,
+            is_fact,
+            before: &memo.truth,
+            changed: BitSet::with_capacity(cone.atoms.len()),
+            recursive: memo.recursive.clone(),
+            stats,
+            cone: &cone,
+        };
 
-        // 4. Visit the cone's components, dependencies first.
-        let mem_estimate = mem_estimate(n, cond.num_ordinals());
-        let budgeted = !self.budget.is_unlimited();
-        let mut scratch = Scratch::new(FxHashMap::default());
-        let mut truncation = None;
-        for ord in first_new..first_new + found.num_components() as u32 {
-            if budgeted {
-                if let Some(r) = trip_at_component(&self.budget, mem_estimate, ord) {
-                    truncation = Some(r);
-                    break;
+        let (cond, truncation) = if cone.whole {
+            // Tarjan's flat arrays, swept, then handed to the memo.
+            let flat = tarjan(prog, n, |node| node, |atom| atom);
+            let (ords, rows) = (0..flat.num_components() as u32, |c| flat.component(c));
+            let dense = Dense {
+                at: Vec::new(),
+                atoms: n,
+            };
+            let trip = self.sweep(&mut s, ords, rows, &flat.comp_of[..], dense);
+            (Condensation::from(flat), trip)
+        } else {
+            // The previous components the cone dissolves go uncounted, and
+            // the cone's components are appended. Every atom of a dissolved
+            // component depends on the cone atom in it, so it is a cone atom
+            // too: all of them move to the cone's components.
+            let (atom_of, node_of) = (|v: u32| cone.atoms[v as usize], |a| cone.slot(a));
+            let found = tarjan(prog, cone.atoms.len(), atom_of, node_of);
+            let mut dissolved: Vec<u32> = (cone.atoms.iter())
+                .filter(|&&a| (a as usize) < old_n)
+                .map(|&a| old.comp_of[a as usize])
+                .collect();
+            dissolved.sort_unstable();
+            dissolved.dedup();
+            for &c in &dissolved {
+                let comp = old.component(c as usize);
+                if memo.recursive[c as usize] {
+                    s.stats.recursive_components -= 1;
+                    s.stats.atoms_in_recursive -= comp.len();
+                    s.stats.rules_in_recursive -= (comp.iter())
+                        .map(|&a| prev_prog.rules_with_head_local(a).len())
+                        .sum::<usize>();
+                } else {
+                    s.stats.definite_components -= 1;
                 }
             }
-            let comp = cond.component(ord as usize);
-            let class = classify_rules(prog, comp, ord, &cond.comp_of, &truth, &mut scratch);
-            let touched = comp.iter().any(|&a| slot_of(a) < seeds)
+            let mut cond = old.clone();
+            cond.dissolve(&dissolved);
+            // What lies outside the cone is carried.
+            s.stats.components_reused = cond.num_components();
+            cond.comp_of.resize(n, NONE);
+            let first_new = wfdl_core::dense_u32(cond.num_ordinals(), "component ordinal");
+            for comp in found.iter() {
+                cond.push(comp.iter().map(|&node| cone.atoms[node as usize]));
+            }
+            let (ords, rows) = (first_new..cond.num_ordinals() as u32, |c| cond.component(c));
+            let trip = self.sweep(&mut s, ords, rows, &cond.comp_of, FxHashMap::default());
+            (cond, trip)
+        };
+        let (truth, mut stats) = (s.truth, s.stats);
+        stats.components = cond.num_components();
+        stats.largest_component = cond.largest();
+
+        // The previous result, patched over the cone: the interpretation
+        // copied with room for every atom id of this program.
+        let mut interp = interp.copy_with_capacity(prog.atom_id_bound());
+        let mut patch = |a: u32| {
+            let atom = prog.atom_of_local(a);
+            interp.revise(atom, truth[a as usize]);
+            stats.unknown_atoms += (truth[a as usize] == Truth::Unknown) as usize;
+            atom
+        };
+        let reevaluated = if cone.whole {
+            // Highest id first (a cold program lists its atoms sorted), so
+            // that the first write sizes `interp`.
+            (0..n as u32).rev().for_each(|a| _ = patch(a));
+            None
+        } else {
+            Some(cone.atoms.iter().map(|&a| patch(a)).collect())
+        };
+        let stages = cond.num_ordinals() as u32;
+        debug_assert!(truncation.is_some() || memo_agrees(prog, &interp, &truth, &s.is_fact));
+        // A truncated run publishes no memo: letting a later solve carry
+        // verdicts over from a partial sweep would be unsound.
+        let memo = truncation.is_none().then_some(ModularMemo {
+            condensation: cond,
+            recursive: s.recursive,
+            truth,
+            is_fact: s.is_fact,
+        });
+        EngineResult {
+            interp,
+            stages,
+            stats: Some(stats),
+            memo,
+            truncation,
+            cone: reevaluated,
+        }
+    }
+
+    /// Visits the components `ords` in emission order, each read off
+    /// `component` and `comp_of`. One that holds a seed, or reads a verdict
+    /// of the base that changed, is evaluated in place; any other is a
+    /// component of the base with its rules and inputs, and keeps its
+    /// verdicts. Returns the budget trip that stopped the sweep.
+    fn sweep<'c, C: Index<usize, Output = u32> + ?Sized, P: Positions>(
+        &self,
+        s: &mut Sweep<'_>,
+        ords: Range<u32>,
+        component: impl Fn(usize) -> &'c [u32],
+        comp_of: &C,
+        positions: P,
+    ) -> Option<TruncationReason> {
+        let (prog, cone, n) = (self.prog, s.cone, s.truth.len());
+        // The working set for the memory budget, fixed for the whole run: a
+        // verdict byte per atom and the condensation's `u32`s — a component
+        // per atom, the atoms of the rows and an offset per row.
+        let mem_estimate = n + (2 * n + ords.end as usize + 1) * std::mem::size_of::<u32>();
+        let budgeted = !self.budget.is_unlimited();
+        let mut scratch = Scratch::new(positions);
+        s.recursive.reserve(ords.len());
+        for ord in ords {
+            // Fault sites fire at every ordinal — injection points must be
+            // exact — and the budget is polled every `BUDGET_POLL_STRIDE`.
+            if budgeted {
+                let fault = self.budget.fire_fault(FaultSite::WfsComponent(ord));
+                let poll =
+                    || (ord % BUDGET_POLL_STRIDE == 0).then(|| self.budget.check(mem_estimate));
+                if let Some(r) = fault.or_else(|| poll().flatten()) {
+                    return Some(r);
+                }
+            }
+            let comp = component(ord as usize);
+            let class = classify_rules(prog, comp, ord, comp_of, &s.truth, &mut scratch);
+            let touched = comp.iter().any(|&a| cone.slot(a) < cone.seeds)
                 || scratch.rules.iter().any(|&r| {
                     let body = prog
                         .pos_local(r as usize)
                         .iter()
                         .chain(prog.neg_local(r as usize));
                     body.into_iter()
-                        .any(|&b| changed.contains(slot_of(b) as usize))
+                        .any(|&b| s.changed.contains(cone.slot(b) as usize))
                 });
-            let mut out = CompOutcome {
-                definite: class.definite,
-                rules: scratch.rules.len(),
-                rounds: 0,
-            };
+            let mut rounds = 0;
             if touched {
-                out.rounds = decide_component(
+                rounds = decide_component(
                     prog,
                     comp,
                     ord,
-                    &cond.comp_of,
-                    &is_fact,
-                    &mut truth,
+                    comp_of,
+                    &s.is_fact,
+                    &mut s.truth,
                     class,
                     &mut scratch,
                 );
-                stats.components_evaluated += 1;
-                for &a in comp {
-                    if before(a) != Some(truth[a as usize]) {
-                        changed.insert(slot_of(a) as usize);
-                    }
+                s.stats.components_evaluated += 1;
+                // Only an old atom's change is read: a rule that mentions a
+                // new atom is new, and its head a seed.
+                let moved = |&a: &u32| {
+                    s.before
+                        .get(a as usize)
+                        .is_some_and(|&t| t != s.truth[a as usize])
+                };
+                for &a in comp.iter().filter(|a| moved(a)) {
+                    s.changed.insert(cone.slot(a) as usize);
                 }
             } else {
                 // No seed inside: every atom of it was an atom before.
                 for &a in comp {
-                    truth[a as usize] = before(a).unwrap_or(Truth::Unknown);
+                    s.truth[a as usize] = s.before[a as usize];
                 }
+                s.stats.components_reused += 1;
             }
-            merge_outcome(&mut stats, &out, comp.len());
-            recursive.push(!class.definite);
+            s.recursive.push(!class.definite);
+            let stats = &mut s.stats;
+            if class.definite {
+                stats.definite_components += 1;
+            } else {
+                stats.recursive_components += 1;
+                stats.atoms_in_recursive += comp.len();
+                stats.rules_in_recursive += scratch.rules.len();
+                stats.recursive_rounds += rounds as usize;
+            }
         }
-        stats.components_reused = stats.components - stats.components_evaluated;
-        stats.largest_component = cond.largest();
-
-        // 5. The previous result, patched over the cone: the interpretation
-        // copied with room for every atom id of this program.
-        let mut interp = prev.interp.copy_with_capacity(prog.atom_id_bound());
-        let mut reevaluated: Vec<AtomId> = Vec::with_capacity(cone.len());
-        for &a in &cone {
-            let atom = prog.atom_of_local(a);
-            let value = truth[a as usize];
-            interp.revise(atom, value);
-            stats.unknown_atoms += (value == Truth::Unknown) as usize;
-            reevaluated.push(atom);
-        }
-        let stages = cond.num_ordinals() as u32;
-        debug_assert!(truncation.is_some() || memo_agrees(prog, &interp, &truth, &is_fact));
-        let memo = truncation.is_none().then_some(ModularMemo {
-            condensation: cond,
-            recursive,
-            truth,
-            is_fact,
-        });
-        Some(EngineResult {
-            interp,
-            stages,
-            stats: Some(stats),
-            memo,
-            truncation,
-            cone: Some(reevaluated),
-        })
+        None
     }
 }
 
-/// The previous program's atom count, if `prog` extends `prev`: `prev`'s
-/// atoms are a prefix of its atoms (local ids never move) and `prev` has
-/// no more rules and facts than it.
-fn extended_atoms(prev: &GroundProgram, prog: &GroundProgram) -> Option<usize> {
-    let old_n = prev.num_atoms();
-    (old_n <= prog.num_atoms()
+/// The atoms a sweep visits, by position: the **seeds** — the heads of the
+/// new rules, the new facts and the new atoms — then their forward closure
+/// over the occurrence rows (every head of a rule whose body mentions a
+/// cone atom). Against the empty model every atom is a seed, so the cone is
+/// `0..n` in order: a position is a local id, and nothing is listed.
+struct Cone {
+    /// The cone is every atom, in local-id order.
+    whole: bool,
+    /// The atoms of a cone that is not whole, and the position of each.
+    atoms: Vec<u32>,
+    slot: FxHashMap<u32, u32>,
+    /// The seeds are the positions below `seeds`.
+    seeds: u32,
+}
+
+impl Cone {
+    /// The cone of `prog`'s delta over `prev`, which it extends.
+    fn of(prog: &GroundProgram, prev: &GroundProgram) -> Cone {
+        let old_n = prev.num_atoms();
+        let mut cone = Cone {
+            whole: old_n == 0,
+            atoms: Vec::new(),
+            slot: FxHashMap::default(),
+            seeds: prog.num_atoms() as u32,
+        };
+        if cone.whole {
+            return cone;
+        }
+        for r in prev.num_rules()..prog.num_rules() {
+            cone.enter(prog.head_local(r));
+        }
+        for &f in prog.facts_local().iter_from(prev.facts().len()) {
+            cone.enter(f);
+        }
+        (old_n as u32..prog.num_atoms() as u32).for_each(|a| cone.enter(a));
+        cone.seeds = cone.atoms.len() as u32;
+        let mut next = 0;
+        while let Some(&a) = cone.atoms.get(next) {
+            next += 1;
+            for &rid in (prog.rules_with_pos_local(a).iter()).chain(prog.rules_with_neg_local(a)) {
+                cone.enter(prog.head_local(rid.index()));
+            }
+        }
+        cone
+    }
+
+    /// Lists `a` at the next position, unless it is listed.
+    fn enter(&mut self, a: u32) {
+        if let Entry::Vacant(free) = self.slot.entry(a) {
+            free.insert(self.atoms.len() as u32);
+            self.atoms.push(a);
+        }
+    }
+
+    /// The position of atom `a`, or [`NONE`] outside the cone.
+    #[inline]
+    fn slot(&self, a: u32) -> u32 {
+        match self.whole {
+            true => a,
+            false => self.slot.get(&a).copied().unwrap_or(NONE),
+        }
+    }
+}
+
+/// What a sweep carries from component to component, by local id.
+struct Sweep<'a> {
+    /// Carried outside the cone; `Unknown` in it until decided.
+    truth: Vec<Truth>,
+    is_fact: BitSet,
+    /// The base's verdicts.
+    before: &'a [Truth],
+    /// By position in the cone: the atoms whose verdict the sweep changed.
+    changed: BitSet,
+    recursive: ChunkVec<bool>,
+    stats: ModularStats,
+    cone: &'a Cone,
+}
+
+/// How often the sweep polls the wall clock and memory budget, in
+/// components. Fault sites still fire on every ordinal — injection points
+/// must be exact — but `Instant::now` per singleton component would cost
+/// more than evaluating the component.
+const BUDGET_POLL_STRIDE: u32 = 64;
+
+/// Whether the solve of `prev` left a memo that the solve of `prog` can
+/// carry: `prev`'s atoms are a prefix of `prog`'s (local ids never move),
+/// it has no more rules and facts, and the ordinals its resumes dissolved
+/// do not outnumber its components by more than a chunk. Past that the
+/// program is condensed afresh, with dense ordinals: a chain of resumes
+/// keeps at most twice as many ordinals as components.
+pub(super) fn carries(prev: &GroundProgram, memo: &ModularMemo, prog: &GroundProgram) -> bool {
+    let old = &memo.condensation;
+    prev.num_atoms() <= prog.num_atoms()
         && prev.num_rules() <= prog.num_rules()
         && prev.facts().len() <= prog.facts().len()
-        && prog.atoms().starts_with(prev.atoms()))
-    .then_some(old_n)
+        && prog.atoms().starts_with(prev.atoms())
+        && old.num_ordinals() <= 2 * old.num_components() + CHUNK
 }
 
 /// True iff the carried `truth` reads what `interp` holds over the program's

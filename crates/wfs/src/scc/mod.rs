@@ -41,18 +41,17 @@
 //! On stratified-heavy workloads almost every component is definite, so the
 //! whole model is computed in a single linear sweep.
 //!
-//! The sweep is single-threaded and visits components in emission order, so
-//! a component's verdicts and its decision stage (emission ordinal + 1) are
-//! a function of the ground program alone.
+//! The sweep is single-threaded and visits components in emission order.
 //!
-//! ## Incremental solves: carry, cone, change-driven evaluation
+//! ## One sweep: carry, cone, change-driven evaluation
 //!
-//! A program that **extends** a solved one (old atoms, rules and facts a
+//! The engine has one sweep, [`ModularEngine::solve_incremental`]: a
+//! program that **extends** a solved one (old atoms, rules and facts a
 //! prefix of its own — what [`GroundProgram::extension`] produces after a
-//! resumed chase) is not solved again: [`ModularEngine::solve_incremental`] carries
-//! the previous result over and re-does only the delta's **forward cone**
-//! — the seeds (heads of new rules, new facts, new atoms) closed under
-//! "heads a rule whose body mentions". Two facts make that sound:
+//! resumed chase) is not solved again. The sweep carries the previous
+//! result over and re-does only the delta's **forward cone** — the seeds
+//! (heads of new rules, new facts, new atoms) closed under "heads a rule
+//! whose body mentions". Two facts make that sound:
 //!
 //! * *the complement of the cone is relevance-closed* — a rule heading one
 //!   of its atoms mentions no cone atom (its head would be in the cone) and
@@ -63,6 +62,18 @@
 //!   is a seed and whose dependants are all in the cone, so every component
 //!   that changed lies inside the cone and Tarjan runs on the subgraph the
 //!   cone induces.
+//!
+//! A **full solve is the same sweep against the empty model** — an empty
+//! ground program, an empty memo, zero counters — which every program
+//! extends, as a cold hand-off is the extension of the empty program.
+//! There every atom is a seed, so the cone is the whole program in
+//! local-id order. The sweep reads that case off the base instead of
+//! listing the cone: a slot is the local id, positions go to a dense
+//! array, the sweep reads Tarjan's flat arrays and hands them to the memo
+//! whole, and the result names no cone. So a cold solve's ordinals are
+//! Tarjan's over the whole program, and the fault sites and stages named
+//! by them are a function of the program alone. The empty model also
+//! stands in for a previous result that cannot be carried.
 //!
 //! Inside the cone, components are visited dependencies-first and evaluated
 //! only if they contain a seed or an external body atom whose verdict

@@ -1,9 +1,10 @@
 // Oracles from the dev-dependency: they link a second, non-test build
 // of this crate, so results are compared through `wfdl-core` types
 // (`Truth`, `AtomId`) only.
+use proptest::prelude::*;
 use wfdl_core::AtomId;
 use wfdl_reference::{AlternatingEngine, StepMode, WpEngine};
-use wfdl_storage::{GroundProgramBuilder, GroundRule};
+use wfdl_storage::{GroundProgram, GroundProgramBuilder, GroundRule};
 
 use super::*;
 use wfdl_core::budget::FaultSite;
@@ -89,4 +90,65 @@ fn empty_program() {
     let res = ModularEngine::new(&p).solve();
     assert_eq!(res.stages, 0);
     assert_eq!(res.stats.unwrap().components, 0);
+}
+
+/// A cold solve is the sweep against the empty model, whose cone is every
+/// atom in local-id order, so its memo carries Tarjan's condensation of the
+/// whole program, ordinal for ordinal: the ordinals that fault sites
+/// (`FaultSite::WfsComponent`) and stages are named by.
+fn assert_cold_ordinals(p: &GroundProgram) {
+    let memo = ModularEngine::new(p).solve().memo.unwrap();
+    let (got, want) = (&memo.condensation, condensation(p));
+    assert_eq!(got.comp_of, want.comp_of);
+    assert_eq!(got.num_ordinals(), want.num_ordinals());
+    assert_eq!(got.num_components(), want.num_components());
+    assert!(got.iter().eq(want.iter()), "component rows differ");
+}
+
+#[test]
+fn a_cold_solve_keeps_tarjans_ordinals_on_the_bundled_programs() {
+    let depth = crate::WfsOptions::depth;
+    for (name, options) in [
+        ("example4.dl", depth(7)),
+        ("employment.dl", depth(6)),
+        ("win_move.dl", crate::WfsOptions::unbounded()),
+    ] {
+        let path = format!("{}/../../programs/{name}", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(path).unwrap();
+        let mut u = wfdl_core::Universe::new();
+        let lowered = wfdl_syntax::load(&mut u, &src).unwrap();
+        let sigma = lowered.skolem_program(&mut u).unwrap();
+        let model = crate::solve(&mut u, &lowered.database, &sigma, options);
+        assert!(model.ground.num_atoms() > 0, "{name}");
+        assert_cold_ordinals(&model.ground);
+    }
+}
+
+/// Rules `(head, positive body, negative body)` and facts over `atoms`.
+type Random = (Vec<(usize, Vec<usize>, Vec<usize>)>, Vec<usize>);
+
+fn random_program(atoms: usize) -> impl Strategy<Value = Random> {
+    let body = || proptest::collection::vec(0..atoms, 0..3);
+    (
+        proptest::collection::vec((0..atoms, body(), body()), 0..48),
+        proptest::collection::vec(0..atoms, 0..6),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn a_cold_solve_keeps_tarjans_ordinals(program in random_program(24)) {
+        let (rules, facts) = program;
+        let mut b = GroundProgramBuilder::new();
+        for &f in &facts {
+            b.add_fact(a(f));
+        }
+        for (head, pos, neg) in &rules {
+            let of = |body: &[usize]| body.iter().map(|&i| a(i)).collect();
+            b.add_rule(GroundRule::new(a(*head), of(pos), of(neg)));
+        }
+        assert_cold_ordinals(&b.finish());
+    }
 }

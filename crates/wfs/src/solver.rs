@@ -53,8 +53,10 @@ impl WfsOptions {
 ///
 /// Atoms outside the segment have no forward proof within the materialized
 /// part of `F⁺(P)` and are reported **false**, which is exact when
-/// [`WellFoundedModel::exact`] holds (the chase quiesced within budget) and
-/// a depth-`n·δ`-justified approximation otherwise (Proposition 12).
+/// [`WellFoundedModel::exact`] holds (the chase quiesced within budget).
+/// Otherwise it is exact only for a segment of depth `n·δ` (Proposition
+/// 12); a shallower cap can report false an atom that a deeper chase
+/// derives, and through negation that can turn other verdicts either way.
 #[derive(Debug)]
 pub struct WellFoundedModel {
     /// The materialized chase segment.

@@ -18,7 +18,9 @@
 //! BYTES` its working memory. A tripped solve stops at a clean round /
 //! component boundary and still answers queries as a sound
 //! under-approximation: certain answers stay certain, everything the
-//! truncated solve could not decide reads `unknown`. The truncation is
+//! truncated solve could not decide reads `unknown`. A depth, atom or
+//! instance cap is no such trip: it stops the chase, and under negation
+//! the answers may change with a deeper or larger one. Either truncation is
 //! reported on stderr and as the `% outcome:` line under `--stats`.
 //!
 //! The program file may contain facts, guarded NTGDs (head-only variables
@@ -67,7 +69,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 use wfdatalog::chase::ExplicitForest;
-use wfdatalog::{KnowledgeBase, SolveBudget, SolvedModel, Truth};
+use wfdatalog::{KnowledgeBase, SolveBudget, SolvedModel, TruncationReason, Truth};
 
 /// Writes to stdout, treating a closed pipe as a normal end of output:
 /// `wfdl run … | head` must exit 0, not panic (the classic Rust `println!`
@@ -463,9 +465,7 @@ fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
     };
     let (epoch, model) = server.pin_model();
     if let Some(reason) = model.outcome().truncation() {
-        eprintln!(
-            "wfdl serve: initial solve truncated ({reason}); serving a sound under-approximation"
-        );
+        eprintln!("wfdl serve: initial {}", truncation_notice(reason));
     }
     outln!(
         "wfdl serve: listening on http://{} ({workers} workers, model epoch {epoch})",
@@ -514,9 +514,20 @@ fn solve(mut kb: KnowledgeBase) -> std::sync::Arc<SolvedModel> {
     if let Some(reason) = model.outcome().truncation() {
         // Degradation notice goes to stderr: plain stdout stays
         // byte-identical across runs.
-        eprintln!("wfdl: solve truncated ({reason}); answers are a sound under-approximation");
+        eprintln!("wfdl: {}", truncation_notice(reason));
     }
     model
+}
+
+/// The stderr notice of a solve truncated for `reason`, with what its
+/// answers are worth: a budget trip keeps every verdict it reached, a cap
+/// stops the chase short.
+fn truncation_notice(reason: TruncationReason) -> String {
+    let caveat = match reason.is_budget_trip() {
+        true => "answers are a sound under-approximation",
+        false => "answers may change with a deeper or larger chase",
+    };
+    format!("solve truncated ({reason}); {caveat}")
 }
 
 /// Renders the verdict of one prepared query.
@@ -607,7 +618,7 @@ fn query_sliced(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
             }
         };
         if let Some(reason) = model.outcome().truncation() {
-            eprintln!("wfdl: solve truncated ({reason}); answers are a sound under-approximation");
+            eprintln!("wfdl: {}", truncation_notice(reason));
         }
         let q = match model.prepare_sliced(src) {
             Ok(q) => q,

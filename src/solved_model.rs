@@ -408,10 +408,13 @@ impl SolvedModel {
         self.solved.model.outcome
     }
 
-    /// True iff query answers from this model are **under-approximate**:
-    /// the solve was truncated, so certain answers remain certain but some
-    /// answers the complete model would return may be missing (they read
-    /// `Unknown` here).
+    /// True iff the solve was truncated, so query answers from this model
+    /// may differ from the complete model's. After a budget trip
+    /// ([`SolveOutcome::is_budget_trip`]) they are a sound
+    /// under-approximation: certain answers remain certain, and what the
+    /// complete model would add reads `Unknown` here. After a depth, atom
+    /// or instance cap they are not: an atom the chase never derived reads
+    /// false, and through negation that can turn an answer either way.
     pub fn under_approximate(&self) -> bool {
         !self.solved.model.outcome.is_complete()
     }

@@ -481,17 +481,16 @@ fn a_resume_copies_what_it_touches() {
 
 /// The chunked arrays a resumed hand-off and engine write: the ground
 /// program's seven arrays and three kinds of occurrence row, and the
-/// engine's component of every atom, component rows, recursive flags and
-/// stage map.
-const HAND_OFF_AND_ENGINE_ARRAYS: usize = 14;
+/// engine's component of every atom, component rows and recursive flags.
+const HAND_OFF_AND_ENGINE_ARRAYS: usize = 13;
 
 /// A resumed hand-off and engine share what the model they extend holds —
-/// the ground program's arrays and occurrence rows, the condensation, the
-/// stage map — and copy only the chunks the delta's cone writes. Twice the
-/// knowledge base, the same 10-fact delta: the bytes obtained differ by at
-/// most one chunk per chunked array, plus exactly what the flat one-byte
-/// arrays grow by — the verdicts by local id and the interpretation by atom
-/// id, copied whole — and the fact bits.
+/// the ground program's arrays and occurrence rows, the condensation and
+/// the recursive flags — and copy only the chunks the delta's cone writes.
+/// Twice the knowledge base, the same 10-fact delta: the bytes obtained
+/// differ by at most one chunk per chunked array, plus exactly what the
+/// flat one-byte arrays grow by — the verdicts by local id and the
+/// interpretation by atom id, copied whole — and the fact bits.
 #[test]
 fn a_resumed_engine_copies_what_it_touches() {
     use wfdatalog::core::chunked::CHUNK;

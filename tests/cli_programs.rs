@@ -52,3 +52,38 @@ fn win_move_program_file() {
     assert_eq!(model.ask3("?- win(a).").unwrap(), Truth::Unknown);
     assert_eq!(model.ask3("?- win(b).").unwrap(), Truth::Unknown);
 }
+
+/// A depth cap is not a budget trip: it stops the chase short, an atom the
+/// chase never derived reads false, and through negation that can turn an
+/// answer the wrong way. Fourteen existential hops need more depth than
+/// the default gives (each hop takes two forest levels), so the default
+/// run answers `ok(a)` true where a complete chase answers false — and its
+/// stderr must not call those answers sound.
+#[test]
+fn a_depth_capped_run_does_not_claim_soundness() {
+    let mut src = String::from("p0(a).\n");
+    for i in 0..14 {
+        src += &format!("p{i}(X) -> e{i}(X, Y).\ne{i}(X, Y) -> p{}(Y).\n", i + 1);
+    }
+    src += "p14(X) -> reached(c).\np0(X), not reached(c) -> ok(X).\n?- reached(c).\n?- ok(a).\n";
+    let path = std::env::temp_dir().join(format!("wfdl-cli-{}-hops.dl", std::process::id()));
+    std::fs::write(&path, src).expect("write temp program");
+    let run = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wfdl"))
+            .arg("run")
+            .arg(&path)
+            .args(extra)
+            .output()
+            .expect("run wfdl");
+        assert!(out.status.success(), "{out:?}");
+        let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8");
+        (text(out.stdout), text(out.stderr))
+    };
+    let (capped, deep) = (run(&[]), run(&["--depth", "40"]));
+    let _ = std::fs::remove_file(&path);
+    assert!(capped.1.contains("(depth cap)"), "{}", capped.1);
+    assert!(!capped.1.contains("sound"), "{}", capped.1);
+    // `reached(c)`, then `ok(a)`: the complete chase's verdicts.
+    assert_eq!(deep.0, "query 1: true\nquery 2: false\n");
+    assert_eq!(deep.1, "");
+}
