@@ -411,6 +411,36 @@ mod tests {
     }
 
     #[test]
+    fn a_trip_inside_the_cone_reuses_only_what_it_carried() {
+        // The base's three components lie outside the cone of the delta
+        // {a4, a5}; a trip at the cone's first ordinal visits none of the
+        // cone's two components, which read `Unknown` and are not reused.
+        let mut b = GroundProgramBuilder::new();
+        b.add_fact(a(0));
+        b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![]));
+        b.add_rule(GroundRule::new(a(2), vec![], vec![a(3)]));
+        b.add_rule(GroundRule::new(a(3), vec![], vec![a(2)]));
+        let base = b.clone().finish();
+        let base_res = ModularEngine::new(&base).solve();
+        b.add_fact(a(4));
+        b.add_rule(GroundRule::new(a(5), vec![a(4)], vec![a(1)]));
+        let grown = b.finish();
+        let plan = wfdl_core::budget::FaultPlan {
+            site: wfdl_core::budget::FaultSite::WfsComponent(3),
+            kind: wfdl_core::budget::FaultKind::TripCancel,
+        };
+        let inc = ModularEngine::new(&grown)
+            .with_budget(wfdl_core::SolveBudget::unlimited().with_fault(plan))
+            .solve_incremental(Some((&base, &base_res)));
+        assert!(inc.truncation.is_some() && inc.memo.is_none());
+        let stats = inc.stats.unwrap();
+        assert_eq!((stats.components, stats.components_evaluated), (5, 0));
+        assert_eq!(stats.components_reused, 3, "{stats:?}");
+        assert_eq!(inc.value(a(1)), Truth::True);
+        assert_eq!(inc.value(a(5)), Truth::Unknown);
+    }
+
+    #[test]
     fn incremental_reuse_rejects_components_with_changed_inputs() {
         // Base (no facts): a(1) ← a(0) ← a(2), everything false. Growing
         // the program with the fact a(0) makes a(0) a seed and changes
