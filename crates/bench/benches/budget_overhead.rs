@@ -24,7 +24,7 @@ use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_core::{CancelToken, SkolemProgram, SolveBudget, Universe};
 use wfdl_gen::{chain_database, example4_sigma, fanout_database, fanout_sigma, FanoutConfig};
 use wfdl_storage::Database;
-use wfdl_wfs::{solve, solve_request, SolveInput, SolveRequest, WellFoundedModel, WfsOptions};
+use wfdl_wfs::{solve, solve_request, SolveRequest, WellFoundedModel, WfsOptions};
 
 /// An ample budget: every trip point does its full check, none ever trips.
 fn ample_budget() -> SolveBudget {
@@ -47,10 +47,12 @@ fn solve_budgeted(
         options,
         violations: &[],
         budget,
-        input: SolveInput::Full { db },
+        base: None,
+        new_facts: db.facts(),
+        slice: None,
     };
     solve_request(universe, request)
-        .expect("a from-scratch solve resumes nothing")
+        .expect("the empty model always resumes")
         .model
 }
 

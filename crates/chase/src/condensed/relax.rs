@@ -49,7 +49,7 @@ impl<'a> Builder<'a> {
     /// depth.
     fn gated(&self, atom: AtomId, depth: u32, expanded: bool) -> bool {
         !expanded
-            && depth >= self.budget.max_depth
+            && depth >= self.base.budget.max_depth
             && self
                 .rules_by_guard_pred
                 .get(self.universe.atoms.pred(atom).index())
@@ -59,38 +59,32 @@ impl<'a> Builder<'a> {
     /// How many atoms the depth budget keeps from expanding; the segment is
     /// a truncation iff there is one. Read off the final depth minima (not
     /// a sticky in-run flag), so a resume that relaxes a previously gated
-    /// atom below the budget reports completeness exactly. A fresh build
-    /// looks at every atom; a resume starts from the inherited count and
-    /// looks only at the atoms it added or relaxed — nothing else can have
-    /// changed depth or expansion state.
+    /// atom below the budget reports completeness exactly. A resume starts
+    /// from the base's count and looks only at the atoms it added or
+    /// relaxed — nothing else can have changed depth or expansion state;
+    /// over the empty base, that is every atom.
     pub(super) fn depth_blocked(&mut self) -> usize {
-        if self.budget.max_depth == u32::MAX {
+        if self.base.budget.max_depth == u32::MAX {
             return 0;
         }
-        let (old_atoms, atoms) = (
-            self.old.map_or(0, |o| o.forest.atoms.len()),
-            self.forest.atoms.len(),
-        );
+        let (base, atoms) = (self.base, self.forest.atoms.len());
         let now = |b: &Self, i: usize| {
             let SegmentAtom { atom, depth, .. } = b.forest.atoms[i];
             b.gated(atom, depth, b.resume.expanded[i])
         };
-        let Some(old) = self.old else {
-            return (0..atoms).filter(|&i| now(self, i)).count();
-        };
         let mut relaxed = std::mem::take(&mut self.relaxed);
         relaxed.sort_unstable();
         relaxed.dedup();
-        let mut blocked = old.resume.depth_blocked;
+        let mut blocked = base.resume.depth_blocked;
         for &ai in &relaxed {
             let i = ai as usize;
-            if i < old_atoms {
-                let before = old.forest.atoms[i];
-                blocked -= self.gated(before.atom, before.depth, old.resume.expanded[i]) as usize;
-                blocked += now(self, i) as usize;
-            }
+            let before = base.forest.atoms[i];
+            blocked -= self.gated(before.atom, before.depth, base.resume.expanded[i]) as usize;
+            blocked += now(self, i) as usize;
         }
-        blocked += (old_atoms..atoms).filter(|&i| now(self, i)).count();
+        blocked += (base.forest.atoms.len()..atoms)
+            .filter(|&i| now(self, i))
+            .count();
         // `drain` relaxes to fixpoint before it stops, so every inherited
         // atom whose depth moved is in `relaxed`.
         debug_assert!(self.relax_queue.is_empty());
@@ -109,7 +103,7 @@ impl<'a> Builder<'a> {
             next: Vec::new(),
             inst: Vec::new(),
         };
-        for i in self.old.map_or(0, |o| o.num_instances())..self.forest.inst_src_rule.len() {
+        for i in self.base.num_instances()..self.forest.inst_src_rule.len() {
             for &s in self.forest.pos.row(i) {
                 lists.link(s, i as u32);
             }
@@ -121,23 +115,20 @@ impl<'a> Builder<'a> {
     /// every instance whose body mentions it, and re-checks the depth gate.
     pub(super) fn relax(&mut self, ai: u32) {
         self.stats.relaxations += 1;
-        if self.old.is_some() {
-            self.relaxed.push(ai);
-        }
         let depth = self.forest.atoms[ai as usize].depth;
         // The atom may now be allowed to expand where it previously hit the
         // depth gate.
-        if depth < self.budget.max_depth {
+        if depth < self.base.budget.max_depth {
             self.resume.expand_queue.push_back(ai);
         }
-        // Instances inherited from a resumed segment: their body
-        // occurrences are the old segment's rows (the lists below only
-        // cover instances fired this run).
-        if let Some(old) = self.old {
-            if (ai as usize) < old.forest.atoms.len() {
-                for &iid in old.instances_with_body_seg(SegAtomId::from_index(ai as usize)) {
-                    self.relax_instance(iid.index());
-                }
+        // An atom of the base: its depth gate may have changed, and the
+        // instances inherited with it have their body occurrences in the
+        // base's rows (the lists below only cover instances fired this run).
+        let base = self.base;
+        if (ai as usize) < base.forest.atoms.len() {
+            self.relaxed.push(ai);
+            for &iid in base.instances_with_body_seg(SegAtomId::from_index(ai as usize)) {
+                self.relax_instance(iid.index());
             }
         }
         // `relax_instance` touches minima and the relax queue only, so the
@@ -221,8 +212,9 @@ mod tests {
                 let f = unary_atom(&mut u, p, "c");
                 db.insert(&u, f).unwrap();
             }
-            let b = Builder::new(&mut u, &sk, budget, SolveBudget::unlimited());
-            let seg = if eager { b.with_body_lists() } else { b }.run(&db);
+            let empty = ChaseSegment::empty(budget);
+            let b = Builder::new(&mut u, &sk, &empty, SolveBudget::unlimited());
+            let seg = if eager { b.with_body_lists() } else { b }.run_delta(db.facts());
             (u, seg)
         };
         let (u, seg) = build(false);
@@ -287,7 +279,7 @@ mod tests {
             let base = ChaseSegment::build(&mut u, &db, &sk, ChaseBudget::unbounded());
             assert_eq!(base.stats().relaxations, 0);
             let delta = [unary_atom(&mut u, "n", "c"), unary_atom(&mut u, "s", "c")];
-            let b = Builder::from_segment(&mut u, &sk, &base, SolveBudget::unlimited());
+            let b = Builder::new(&mut u, &sk, &base, SolveBudget::unlimited());
             let resumed = if eager { b.with_body_lists() } else { b }.run_delta(&delta);
             assert!(base.occurrences.get().is_some());
             for f in delta {

@@ -83,8 +83,8 @@ impl ResumeState {
 
 /// Error returned by [`ChaseSegment::resume_with`] when a segment cannot
 /// be resumed: cap-truncated saturation is discovery-order dependent, so
-/// continuing it could diverge from a fresh build. Callers should re-chase
-/// from scratch.
+/// continuing it could diverge from a build over the grown database.
+/// Callers should re-chase from scratch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResumeError {
     /// Why the original build was truncated.
@@ -127,15 +127,16 @@ impl ChaseSegment {
     /// rules, same order) and `new_facts` must be ground, null-free,
     /// interned in `universe` and not already database facts; the budget
     /// is inherited. As long as [`ChaseSegment::can_resume`] holds, the
-    /// resumed segment contains exactly what a fresh
-    /// [`ChaseSegment::build`] over the grown database would — the same
-    /// atoms, instances, minimal depths and minimal levels — while doing
-    /// saturation work proportional to the *new* derivations only (the
-    /// inherited arrays are shared chunk by chunk and copied only where the
-    /// resume writes, nothing is recounted). A fact that
-    /// was previously derived at positive depth is relaxed to depth and
-    /// level 0 and the improvement propagated to its consequences — the
-    /// one case in which a resume reads this segment's occurrence rows.
+    /// resumed segment contains exactly what a [`ChaseSegment::build`]
+    /// over the grown database — the empty segment resumed with all its
+    /// facts — would: the same atoms, instances, minimal depths and
+    /// minimal levels. It does saturation work proportional to the *new*
+    /// derivations only (the inherited arrays are shared chunk by chunk
+    /// and copied only where the resume writes, nothing is recounted). A
+    /// fact that was previously derived at positive depth is relaxed to
+    /// depth and level 0 and the improvement propagated to its
+    /// consequences — the one case in which a resume reads this segment's
+    /// occurrence rows.
     ///
     /// # Errors
     ///
@@ -169,42 +170,21 @@ impl ChaseSegment {
                 reason: self.resume.truncation.unwrap_or(TruncationReason::AtomCap),
             });
         }
-        Ok(Builder::from_segment(universe, program, self, solve.clone()).run_delta(new_facts))
+        Ok(Builder::new(universe, program, self, solve.clone()).run_delta(new_facts))
     }
 }
 
-impl<'a> Builder<'a> {
-    /// Seeds a builder with the full state of an already-saturated
-    /// segment, so saturation can continue from its frontier. Each array is
-    /// a clone that shares every chunk with `old`: the resume copies the
-    /// chunks it writes, nothing else.
-    pub(super) fn from_segment(
-        universe: &'a mut Universe,
-        program: &'a SkolemProgram,
-        old: &'a ChaseSegment,
-        solve: SolveBudget,
-    ) -> Self {
-        let mut b = Builder::new(universe, program, old.budget, solve);
-        b.forest = old.forest.clone();
-        // Uncollected expansion work from a budget-tripped build comes
-        // along in the queue, so the resume continues exactly where the
-        // tripped run stopped (a cleanly quiesced build leaves it empty).
-        b.resume = old.resume.clone();
-        // A previous run's budget trip belongs to that run — the resume
-        // polls its own budget. Cap truncation never reaches this point
-        // (`resume_budgeted` refuses those segments).
-        b.resume.truncation = None;
-        b.old = Some(old);
-        b
-    }
-
-    /// Continues a resumed build with the delta facts.
+impl Builder<'_> {
+    /// Continues the base's saturation with the delta facts.
     pub(super) fn run_delta(mut self, new_facts: &[AtomId]) -> ChaseSegment {
-        // Resume-boundary fault injection: trip kinds stop the resumed
+        // Resume-boundary fault injection, over a non-empty base only (a
+        // build is no resume to its caller): trip kinds stop the resumed
         // saturation at its first round boundary (delta facts registered
         // and relaxed, expansions deferred to the next resume).
-        if let Some(r) = self.solve.fire_fault(FaultSite::ResumeBoundary) {
-            self.trip(r);
+        if !self.base.is_empty() {
+            if let Some(r) = self.solve.fire_fault(FaultSite::ResumeBoundary) {
+                self.trip(r);
+            }
         }
         for &fact in new_facts {
             self.add_fact(fact);

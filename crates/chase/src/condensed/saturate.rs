@@ -5,7 +5,6 @@ use super::relax::BodyLists;
 use super::resume::ResumeState;
 use super::segment::{ChaseSegment, ChaseStats, Forest, SegmentAtom};
 use super::NONE;
-use crate::budget::ChaseBudget;
 use crate::instance::SegAtomId;
 use crate::plan::Plan;
 use std::collections::VecDeque;
@@ -13,7 +12,6 @@ use std::sync::OnceLock;
 use std::time::Instant;
 use wfdl_core::budget::FaultSite;
 use wfdl_core::{AtomId, ChunkVec, SkolemProgram, SolveBudget, TermId, TruncationReason, Universe};
-use wfdl_storage::Database;
 
 /// An instance parked until its side atoms appear; its bodies are the
 /// rows of the same index in the pending row pools.
@@ -27,8 +25,6 @@ pub(super) struct Pending {
 
 pub(super) struct Builder<'a> {
     pub(super) universe: &'a mut Universe,
-    program: &'a SkolemProgram,
-    pub(super) budget: ChaseBudget,
     /// Runtime limits (deadline / cancellation / memory), polled at round
     /// boundaries. Unlimited budgets cost one branch per round.
     pub(super) solve: SolveBudget,
@@ -36,16 +32,11 @@ pub(super) struct Builder<'a> {
     pub(super) rules_by_guard_pred: Vec<Vec<u32>>,
     /// Every rule compiled against its guard, by rule index.
     plans: Vec<Plan>,
-    /// Predicate restriction for goal-directed builds: when set, only
-    /// facts whose predicate is in the mask are seeded, and only rules
-    /// whose head predicate is in the mask fire (the mask's relevance
-    /// closure guarantees those rules read in-mask bodies only).
-    restrict: Option<&'a [bool]>,
 
-    /// The segment being resumed, if any: depth/level relaxation over its
-    /// instances walks its body-occurrence rows (`body_lists` only covers
-    /// the instances fired by this run).
-    pub(super) old: Option<&'a ChaseSegment>,
+    /// The segment being resumed — [`ChaseSegment::empty`] for a build:
+    /// depth/level relaxation over its instances walks its body-occurrence
+    /// rows (`body_lists` only covers the instances fired by this run).
+    pub(super) base: &'a ChaseSegment,
 
     /// The segment under construction, built in place.
     pub(super) forest: Forest,
@@ -57,8 +48,7 @@ pub(super) struct Builder<'a> {
     pub(super) body_lists: Option<BodyLists>,
     pub(super) relax_queue: VecDeque<u32>,
     /// Inherited atoms whose depth improved during a resume — the only
-    /// ones whose depth gate can have changed (with repeats; unused by
-    /// fresh builds).
+    /// ones whose depth gate can have changed (with repeats).
     pub(super) relaxed: Vec<u32>,
 
     /// Current round's expansion frontier, in expand-queue (= discovery)
@@ -79,10 +69,15 @@ pub(super) struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
+    /// Seeds a builder with the full state of `base`, so saturation can
+    /// continue from its frontier under its budget. Each array is a clone
+    /// that shares every chunk with `base`: the resume copies the chunks it
+    /// writes, nothing else. Over the empty segment the atom map is sized
+    /// to the universe once, as a build has always done.
     pub(super) fn new(
         universe: &'a mut Universe,
         program: &'a SkolemProgram,
-        budget: ChaseBudget,
+        base: &'a ChaseSegment,
         solve: SolveBudget,
     ) -> Self {
         let mut rules_by_guard_pred: Vec<Vec<u32>> = Vec::new();
@@ -96,17 +91,26 @@ impl<'a> Builder<'a> {
         let plans = (program.rules.iter())
             .map(|rule| Plan::compile(universe, rule))
             .collect();
+        let mut forest = base.forest.clone();
+        if base.is_empty() {
+            forest.seg_of = ChunkVec::from_elem(NONE, universe.atoms.len());
+        }
+        // Uncollected expansion work from a budget-tripped build comes
+        // along in the queue, so the resume continues exactly where the
+        // tripped run stopped (a cleanly quiesced build leaves it empty).
+        let mut resume = base.resume.clone();
+        // A previous run's budget trip belongs to that run — the resume
+        // polls its own budget. Cap truncation never reaches this point
+        // (`resume_budgeted` refuses those segments).
+        resume.truncation = None;
         Builder {
             universe,
-            program,
-            budget,
             solve,
             rules_by_guard_pred,
             plans,
-            restrict: None,
-            old: None,
-            forest: Forest::default(),
-            resume: ResumeState::default(),
+            base,
+            forest,
+            resume,
             body_lists: None,
             relax_queue: VecDeque::new(),
             relaxed: Vec::new(),
@@ -122,39 +126,6 @@ impl<'a> Builder<'a> {
             scratch_neg: Vec::new(),
             scratch_missing: Vec::new(),
         }
-    }
-
-    /// Restricts this (fresh) builder to the predicates of `mask`:
-    /// rules with out-of-mask heads never fire, out-of-mask facts are
-    /// never seeded. The caller must pass a relevance-closed mask (every
-    /// body predicate of every in-mask-headed rule is itself in-mask) —
-    /// `wfdl-analyze`'s `ProgramSlice` computes exactly that — so the
-    /// restricted saturation derives the same atoms at the same depths
-    /// as the full chase would over the mask's predicates.
-    pub(super) fn restrict_to(&mut self, mask: &'a [bool]) {
-        let program = self.program;
-        for rules in &mut self.rules_by_guard_pred {
-            rules.retain(|&ri| {
-                let head = program.rules[ri as usize].head_pred.index();
-                mask.get(head).copied().unwrap_or(false)
-            });
-        }
-        self.restrict = Some(mask);
-    }
-
-    pub(super) fn run(mut self, db: &Database) -> ChaseSegment {
-        self.forest.seg_of = ChunkVec::from_elem(NONE, self.universe.atoms.len());
-        for &fact in db.facts() {
-            if let Some(mask) = self.restrict {
-                let pred = self.universe.atoms.pred(fact);
-                if !mask.get(pred.index()).copied().unwrap_or(false) {
-                    continue;
-                }
-            }
-            self.add_fact(fact);
-        }
-        self.drain();
-        self.finish()
     }
 
     /// The saturation work loop: rounds of *relax to fixpoint → collect
@@ -277,7 +248,7 @@ impl<'a> Builder<'a> {
                 Some(rules) if !rules.is_empty() => {}
                 _ => continue,
             }
-            if depth >= self.budget.max_depth {
+            if depth >= self.base.budget.max_depth {
                 // Could have children beyond the budgeted depth;
                 // `blocked_by_depth` reads the truncation off the final
                 // minima, and a later relaxation re-queues the atom.
@@ -357,9 +328,9 @@ impl<'a> Builder<'a> {
             occurrences: OnceLock::new(),
             complete,
             pending_at_end,
-            budget: self.budget,
-            inherited_instances: self.old.map_or(0, |o| o.num_instances()),
-            inherited_atoms: self.old.map_or(0, |o| o.forest.atoms.len()),
+            budget: self.base.budget,
+            inherited_instances: self.base.num_instances(),
+            inherited_atoms: self.base.forest.atoms.len(),
             stats: self.stats,
             forest: self.forest,
             resume: self.resume,
@@ -492,12 +463,12 @@ impl<'a> Builder<'a> {
     /// The scratch buffers are fully consumed before the head derivation
     /// can recurse into nested fires.
     fn fire(&mut self, src_rule: u32, guard: u32, head: AtomId) {
-        if self.forest.inst_src_rule.len() >= self.budget.max_instances {
+        if self.forest.inst_src_rule.len() >= self.base.budget.max_instances {
             self.trip(TruncationReason::InstanceCap);
             return;
         }
         let head_seg = self.lookup_seg(head);
-        if head_seg.is_none() && self.forest.atoms.len() >= self.budget.max_atoms {
+        if head_seg.is_none() && self.forest.atoms.len() >= self.base.budget.max_atoms {
             // The head would exceed the atom cap; drop the instance whole
             // so every recorded instance's head is a segment atom.
             self.trip(TruncationReason::AtomCap);

@@ -2,7 +2,6 @@
 
 use super::occurrences::Occurrences;
 use super::resume::ResumeState;
-use super::saturate::Builder;
 use super::NONE;
 use crate::budget::ChaseBudget;
 use crate::instance::{InstanceId, RuleInstance, SegAtomId};
@@ -77,7 +76,7 @@ pub struct ChaseSegment {
     pub pending_at_end: usize,
     pub(super) budget: ChaseBudget,
     /// Number of instances inherited from the segment this one was resumed
-    /// from (`0` for fresh builds): instances `inherited_instances..` are
+    /// from (`0` for a build): instances `inherited_instances..` are
     /// the ones discovered by the resume, the basis for incremental
     /// grounding ([`ChaseSegment::to_ground_program_from`]).
     pub(super) inherited_instances: usize,
@@ -98,9 +97,9 @@ pub(super) struct Forest {
     pub(super) atoms: ChunkVec<SegmentAtom>,
     /// `seg_of[AtomId::index()]` = the atom's [`SegAtomId`] (or `NONE`).
     pub(super) seg_of: ChunkVec<u32>,
-    /// Fact atoms as segment ids, in database insertion order. Fresh
-    /// builds place them first (`0..num_facts()`); resumed builds append
-    /// delta facts wherever discovery put them.
+    /// Fact atoms as segment ids, in database insertion order. A build
+    /// places them first (`0..num_facts()`); a resume of a non-empty
+    /// segment appends delta facts wherever discovery put them.
     pub(super) fact_seg: ChunkVec<SegAtomId>,
     /// Originating rule per instance.
     pub(super) inst_src_rule: ChunkVec<u32>,
@@ -134,6 +133,29 @@ impl Forest {
 }
 
 impl ChaseSegment {
+    /// The segment of the empty database: no atom, no instance, complete.
+    /// Every chase resumes a segment, and a build resumes this one with
+    /// the database's facts.
+    pub fn empty(budget: ChaseBudget) -> ChaseSegment {
+        ChaseSegment {
+            forest: Forest::default(),
+            occurrences: OnceLock::new(),
+            complete: true,
+            pending_at_end: 0,
+            budget,
+            inherited_instances: 0,
+            inherited_atoms: 0,
+            stats: ChaseStats::default(),
+            resume: ResumeState::default(),
+        }
+    }
+
+    /// True iff the segment holds no atom (and so no instance): the base a
+    /// build resumes.
+    pub(super) fn is_empty(&self) -> bool {
+        self.forest.atoms.is_empty()
+    }
+
     /// Saturates the chase of `D ∪ Σf` within `budget`, with no runtime
     /// resource limits.
     pub fn build(
@@ -146,7 +168,8 @@ impl ChaseSegment {
     }
 
     /// Saturates the chase of `D ∪ Σf` within `budget`, polling `solve`
-    /// (deadline / cancellation / memory budget) at every round boundary.
+    /// (deadline / cancellation / memory budget) at every round boundary:
+    /// [`ChaseSegment::empty`] resumed with `D`'s facts, in database order.
     /// A trip stops saturation at a clean boundary: the produced segment
     /// is truncated ([`ChaseSegment::truncation`] reports why) but fully
     /// coherent and **resumable** — a later
@@ -159,36 +182,15 @@ impl ChaseSegment {
         budget: ChaseBudget,
         solve: &SolveBudget,
     ) -> ChaseSegment {
-        Builder::new(universe, program, budget, solve.clone()).run(db)
-    }
-
-    /// [`ChaseSegment::build_budgeted`] restricted to the predicates of
-    /// `mask` (indexed by [`wfdl_core::PredId`], `true` = in slice):
-    /// only facts over in-mask predicates are seeded and only rules with
-    /// in-mask heads fire. `mask` must be **relevance-closed** — every
-    /// body predicate (positive or negative) of every rule whose head is
-    /// in the mask must itself be in the mask — which is exactly what
-    /// `wfdl-analyze`'s `ProgramSlice` computes. Under that closure the
-    /// restricted saturation derives the same atoms, at the same
-    /// depth/level minima, as the full chase restricted to those
-    /// predicates, so downstream verdicts over in-mask atoms agree
-    /// bit-for-bit with the full solve.
-    pub fn build_restricted_budgeted(
-        universe: &mut Universe,
-        db: &Database,
-        program: &SkolemProgram,
-        budget: ChaseBudget,
-        solve: &SolveBudget,
-        mask: &[bool],
-    ) -> ChaseSegment {
-        let mut b = Builder::new(universe, program, budget, solve.clone());
-        b.restrict_to(mask);
-        b.run(db)
+        match Self::empty(budget).resume_budgeted(universe, program, db.facts(), solve) {
+            Ok(segment) => segment,
+            Err(e) => unreachable!("the empty segment always resumes: {e}"),
+        }
     }
 
     /// All segment atoms with metadata, in discovery order (indexed by
-    /// [`SegAtomId`]). Facts are the first entries for fresh builds;
-    /// resumed builds interleave delta facts, so iterate
+    /// [`SegAtomId`]). Facts are the first entries of a build; a resume of
+    /// a non-empty segment interleaves delta facts, so iterate
     /// [`ChaseSegment::fact_segs`] to find them.
     #[inline]
     pub fn atoms(&self) -> &ChunkVec<SegmentAtom> {
@@ -257,7 +259,10 @@ impl ChaseSegment {
         self.seg_id(atom).is_some()
     }
 
-    /// Originating skolemized-program rule of an instance.
+    /// Originating rule of an instance: its index in the program the
+    /// segment was chased with — for a sliced solve, the sliced program,
+    /// not the knowledge base's. Diagnostics and tests read it; no solve
+    /// does.
     #[inline]
     pub fn src_rule(&self, id: InstanceId) -> u32 {
         self.forest.inst_src_rule[id.index()]

@@ -431,8 +431,8 @@ fn mem_bytes_counts_every_growable_pool() {
         .flat_map(|i| ["a", "g", "s"].map(|p| (p, i)))
         .map(|(p, i)| unary_atom(&mut u, p, &format!("c{i}")))
         .collect();
-    let budget = ChaseBudget::unbounded();
-    let mut b = Builder::new(&mut u, &sk, budget, SolveBudget::unlimited());
+    let empty = ChaseSegment::empty(ChaseBudget::unbounded());
+    let mut b = Builder::new(&mut u, &sk, &empty, SolveBudget::unlimited());
     let before = b.mem_bytes();
     for &f in &facts {
         b.add_fact(f);

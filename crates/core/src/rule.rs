@@ -97,11 +97,6 @@ impl RuleAtom {
             set.insert(v.index());
         }
     }
-
-    /// True iff the atom contains no variables.
-    pub fn is_ground(&self) -> bool {
-        self.args.iter().all(|t| matches!(t, RTerm::Const(_)))
-    }
 }
 
 /// A validated guarded normal TGD.

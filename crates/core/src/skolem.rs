@@ -256,21 +256,6 @@ impl SkolemProgram {
     pub fn is_positive(&self) -> bool {
         self.rules.iter().all(|r| r.is_positive())
     }
-
-    /// The positive part `P⁺`: every rule with its negative body removed.
-    pub fn positive_part(&self) -> SkolemProgram {
-        SkolemProgram {
-            rules: self
-                .rules
-                .iter()
-                .map(|r| {
-                    let mut r = r.clone();
-                    r.body_neg.clear();
-                    r
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Applies the functional transformation to one (single-head) TGD.
@@ -431,25 +416,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::UnsafeRule { .. }));
-    }
-
-    #[test]
-    fn positive_part_drops_negatives() {
-        let mut u = Universe::new();
-        let r = u.pred("R", 3).unwrap();
-        let q = u.pred("Q", 1).unwrap();
-        let rule = SkolemRule::new(
-            &u,
-            vec![RuleAtom::new(r, vec![v(0), v(1), v(2)])],
-            vec![RuleAtom::new(q, vec![v(2)])],
-            q,
-            vec![HeadTerm::Var(Var::new(2))],
-        )
-        .unwrap();
-        let prog = SkolemProgram { rules: vec![rule] };
-        assert!(!prog.is_positive());
-        let pos = prog.positive_part();
-        assert!(pos.is_positive());
-        assert_eq!(pos.rules[0].body_pos, prog.rules[0].body_pos);
     }
 }

@@ -51,13 +51,6 @@ impl Binding {
         self.slots.iter_mut().for_each(|s| *s = None);
     }
 
-    /// Clears and resizes for a rule with `num_vars` variables, so one
-    /// binding buffer can be reused across a matching loop.
-    pub fn reset(&mut self, num_vars: u32) {
-        self.slots.clear();
-        self.slots.resize(num_vars as usize, None);
-    }
-
     /// Extracts a total binding as a dense vector, panicking if any variable
     /// in `0..n` is unbound (callers use this only after a guard match).
     pub fn to_total(&self, n: u32) -> Vec<TermId> {

@@ -47,8 +47,8 @@ pub use result::EngineResult;
 pub use scc::{condensation, Condensation, ModularEngine, ModularMemo, ModularStats};
 pub use solver::{
     constraint_status, lower_with_constraints, solve, solve_request, solve_resumed,
-    solve_sliced_packaged_budgeted, SolveInput, SolveOutput, SolveRequest, SolveStats,
-    WellFoundedModel, WfsOptions,
+    solve_sliced_packaged_budgeted, SolveOutput, SolveRequest, SolveStats, WellFoundedModel,
+    WfsOptions,
 };
 pub use types::{
     atom_type, canonical_type_of, canonicalize, subtree_signature, type_census, AtomType,

@@ -220,8 +220,8 @@ impl wfdl_query::TruthSource for WellFoundedModel {
 /// path of the compile → solve → serve lifecycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// True iff the chase was resumed from a previous model's segment
-    /// instead of rebuilt from scratch ([`SolveInput::Resume`]).
+    /// True iff the solve extended a previous model
+    /// ([`SolveRequest::base`]) instead of the empty one.
     pub incremental: bool,
     /// Dependency components whose verdicts were carried over from the
     /// previous solve instead of evaluated.
@@ -235,7 +235,8 @@ pub struct SolveStats {
     /// by the benchmark issue that drops `cold_solve_auto_s`.
     #[doc(hidden)]
     pub threads: usize,
-    /// Nanoseconds in the chase (from scratch, resumed or restricted).
+    /// Nanoseconds in the chase: the base's segment, or the empty one,
+    /// resumed with the new facts (a slice's cut included).
     pub chase_ns: u64,
     /// Nanoseconds extracting (or extending) the ground program.
     pub ground_ns: u64,
@@ -245,7 +246,7 @@ pub struct SolveStats {
     /// in by the façade, which owns it.
     pub index_ns: u64,
     /// True iff the solve was restricted to a query-relevant program
-    /// slice ([`SolveInput::Sliced`]).
+    /// slice ([`SolveRequest::slice`]).
     pub sliced: bool,
     /// Heap bytes of the new model's chase segment and ground program
     /// that it holds alone: what the solve allocated and copied. All of
@@ -258,65 +259,16 @@ pub struct SolveStats {
     pub shared_bytes: usize,
 }
 
-/// What a solve starts from.
-#[derive(Clone, Copy, Debug)]
-pub enum SolveInput<'a> {
-    /// Chase `db` from scratch.
-    Full {
-        /// The database `D`.
-        db: &'a Database,
-    },
-    /// Computes `WFS(D ∪ Δ, Σf)` by **resuming** `prev`'s chase segment
-    /// with the new facts `Δ` instead of re-chasing from scratch: the
-    /// ground program is extended with the delta's atoms, facts and
-    /// instances, `prev`'s verdicts are carried over, and only the delta's
-    /// forward cone is condensed and evaluated again
-    /// ([`ModularEngine::solve_incremental`]).
-    ///
-    /// Preconditions (the façade's `KnowledgeBase` enforces them): `prev`
-    /// was solved over the same universe with the same program and the
-    /// same options, and the delta is insert-only (`new_facts` are ground,
-    /// null-free and were not database facts before). The only input
-    /// [`solve_request`] can refuse: a cap-truncated segment does not
-    /// resume (continuation would not equal a from-scratch chase), and the
-    /// caller falls back to [`SolveInput::Full`].
-    Resume {
-        /// The model whose segment, ground program and verdicts are
-        /// carried over.
-        prev: &'a WellFoundedModel,
-        /// The insert-only delta `Δ`.
-        new_facts: &'a [AtomId],
-    },
-    /// Goal-directed: chase `db` restricted to a **relevance-closed**
-    /// predicate slice (`pred_mask`, indexed by [`PredId`]), as computed by
-    /// `wfdl-analyze`'s `ProgramSlice` from a query's goal predicates.
-    ///
-    /// The chase seeds only in-slice facts and fires only rules with
-    /// in-slice heads; the engine then runs on the restricted ground
-    /// program. Because the mask is relevance-closed (it follows both
-    /// positive and negative dependency edges), every in-slice atom gets
-    /// the **same verdict the full solve would assign** — with the same
-    /// chase budget, derivation depths coincide, so even depth-truncation
-    /// semantics match bit-for-bit.
-    ///
-    /// Two sliced-model caveats the caller must enforce (the façade's
-    /// `SolvedModel` slice guard does):
-    ///
-    /// * atoms over **out-of-slice** predicates were never chased — the
-    ///   model's `value()` reads them `False`, which is only meaningful
-    ///   for in-slice atoms. Queries must be checked against the mask.
-    /// * constraints are not goal-directed: a violation predicate outside
-    ///   the slice reports [`Truth::Unknown`] (its rules never fired, so
-    ///   neither verdict would be sound).
-    Sliced {
-        /// The database `D`.
-        db: &'a Database,
-        /// The relevance-closed slice.
-        pred_mask: &'a [bool],
-    },
-}
-
 /// One solve, fully described: the argument of [`solve_request`].
+///
+/// Every solve extends a model by facts. A solve from scratch extends the
+/// empty model by every fact of `D`; a resumed one extends a previous
+/// model by an insert-only delta `Δ`, computing `WFS(D ∪ Δ, Σf)` without
+/// re-chasing `D`: the chase continues from the previous segment's
+/// frontier, the ground program is extended with the delta's atoms, facts
+/// and instances, the previous verdicts are carried over, and only the
+/// delta's forward cone is condensed and evaluated again
+/// ([`ModularEngine::solve_incremental`]).
 #[derive(Clone, Copy, Debug)]
 pub struct SolveRequest<'a> {
     /// The skolemized program `Σf` (constraints already lowered).
@@ -332,8 +284,36 @@ pub struct SolveRequest<'a> {
     /// reports a truncated [`WellFoundedModel::outcome`] and degrades
     /// soundly (see [`WellFoundedModel::value`]).
     pub budget: &'a SolveBudget,
-    /// Where the chase starts from.
-    pub input: SolveInput<'a>,
+    /// The model this solve extends; `None` for the empty model.
+    ///
+    /// Preconditions (the façade's `KnowledgeBase` enforces them): the
+    /// base was solved over the same universe with the same program, slice
+    /// and options. A base can refuse: a cap-truncated segment does not
+    /// resume (continuation would not equal a from-scratch chase), and the
+    /// caller asks again without it.
+    pub base: Option<&'a WellFoundedModel>,
+    /// The facts to add: ground, null-free, interned and new — every
+    /// database fact over the empty model, the delta over a base.
+    pub new_facts: &'a [AtomId],
+    /// Goal-directed: a **relevance-closed** predicate slice (indexed by
+    /// [`PredId`]), as `wfdl-analyze`'s `ProgramSlice` computes it from a
+    /// query's goal predicates; `None` solves the whole program.
+    ///
+    /// The solve chases the sliced program — the rules whose head is in
+    /// the slice, in order — over the in-slice facts, in order. Because
+    /// the slice is relevance-closed (it follows both positive and
+    /// negative dependency edges), that is a smaller program with the same
+    /// verdicts: every in-slice atom gets the one the full solve would
+    /// assign, at the same chase depth. Two caveats the caller must enforce
+    /// (the façade's `SolvedModel` slice guard does):
+    ///
+    /// * atoms over **out-of-slice** predicates were never chased — the
+    ///   model's `value()` reads them `False`, which is only meaningful
+    ///   for in-slice atoms. Queries must be checked against the slice.
+    /// * constraints are not goal-directed: a violation predicate outside
+    ///   the slice reports [`Truth::Unknown`] (its rules never fired, so
+    ///   neither verdict would be sound).
+    pub slice: Option<&'a [bool]>,
 }
 
 /// Everything one solve produces, packaged for the serve stage: the model
@@ -347,63 +327,44 @@ pub struct SolveOutput {
     pub model: WellFoundedModel,
     /// Truth of each constraint's violation marker, in `violations` order.
     pub constraint_status: Vec<Truth>,
-    /// How the model was produced. `sliced` is set for
-    /// [`SolveInput::Sliced`]; the slice's component counts are left `0`
+    /// How the model was produced. `sliced` is set for a
+    /// [`SolveRequest::slice`]; the slice's component counts are left `0`
     /// for the slice-computing caller to fill.
     pub stats: SolveStats,
 }
 
-/// The solve stage of the compile → solve → serve lifecycle: chase (from
-/// scratch, resumed, or slice-restricted), ground, run the modular engine,
-/// evaluate the constraints.
+/// The solve stage of the compile → solve → serve lifecycle: chase (the
+/// base's segment, or the empty one, resumed with the new facts), ground,
+/// run the modular engine, evaluate the constraints.
 ///
 /// # Errors
 ///
-/// Returns [`ResumeError`] when [`SolveInput::Resume`]'s segment refuses
-/// to resume. The other inputs cannot fail.
+/// Returns [`ResumeError`] when the base's segment refuses to resume. The
+/// empty model never does.
 pub fn solve_request(
     universe: &mut Universe,
     request: SolveRequest<'_>,
 ) -> Result<SolveOutput, ResumeError> {
-    let (program, budget) = (request.program, request.budget);
-    let chase_budget = request.options.budget;
     let chase_start = Instant::now();
-    let (segment, prev, pred_mask) = match request.input {
-        SolveInput::Full { db } => (
-            ChaseSegment::build_budgeted(universe, db, program, chase_budget, budget),
-            None,
-            None,
-        ),
-        SolveInput::Resume { prev, new_facts } => (
-            prev.segment
-                .resume_budgeted(universe, program, new_facts, budget)?,
-            Some(prev),
-            None,
-        ),
-        SolveInput::Sliced { db, pred_mask } => (
-            ChaseSegment::build_restricted_budgeted(
-                universe,
-                db,
-                program,
-                chase_budget,
-                budget,
-                pred_mask,
-            ),
-            None,
-            Some(pred_mask),
-        ),
+    let sliced = (request.slice).map(|mask| slice_of(universe, &request, mask));
+    let (program, new_facts) = match &sliced {
+        Some((program, facts)) => (program, facts.as_slice()),
+        None => (request.program, request.new_facts),
     };
+    let empty = ChaseSegment::empty(request.options.budget);
+    let base = request.base.map_or(&empty, |base| &base.segment);
+    let segment = base.resume_budgeted(universe, program, new_facts, request.budget)?;
     let chase_ns = chase_start.elapsed().as_nanos() as u64;
-    let (model, ground_ns, engine_ns) = finish_model(segment, prev, budget);
-    let constraint_status = constraint_status(universe, &model, request.violations, pred_mask);
+    let (model, ground_ns, engine_ns) = finish_model(segment, request.base, request.budget);
+    let constraint_status = constraint_status(universe, &model, request.violations, request.slice);
     let modular = model.result.stats.unwrap_or_default();
     let stats = SolveStats {
-        incremental: prev.is_some(),
+        incremental: request.base.is_some(),
         components_reused: modular.components_reused,
         components_evaluated: modular.components_evaluated,
         cone_atoms: modular.cone_atoms,
         threads: 1,
-        sliced: pred_mask.is_some(),
+        sliced: request.slice.is_some(),
         chase_ns,
         ground_ns,
         engine_ns,
@@ -416,7 +377,28 @@ pub fn solve_request(
     })
 }
 
-/// Only [`SolveInput::Resume`] can be refused.
+/// The sliced program of `request` — the rules whose head predicate is in
+/// `mask`, in order — and its in-slice new facts, in order. The chase of
+/// the two is the full chase over the slice's predicates: the same atoms,
+/// ids, minima and instance order, with each instance's source rule
+/// numbered in the sliced program.
+fn slice_of(
+    universe: &Universe,
+    request: &SolveRequest<'_>,
+    mask: &[bool],
+) -> (SkolemProgram, Vec<AtomId>) {
+    let in_slice = |p: PredId| mask.get(p.index()).copied().unwrap_or(false);
+    let rules = (request.program.rules.iter())
+        .filter(|rule| in_slice(rule.head_pred))
+        .cloned()
+        .collect();
+    let facts = (request.new_facts.iter().copied())
+        .filter(|&fact| in_slice(universe.atoms.pred(fact)))
+        .collect();
+    (SkolemProgram { rules }, facts)
+}
+
+/// Only a request with a base can be refused.
 fn not_a_resume(output: Result<SolveOutput, ResumeError>) -> SolveOutput {
     match output {
         Ok(output) => output,
@@ -425,7 +407,7 @@ fn not_a_resume(output: Result<SolveOutput, ResumeError>) -> SolveOutput {
 }
 
 /// Computes `WFS(D, Σf)` on a budgeted chase segment: [`solve_request`]
-/// from scratch, without constraints or runtime limits.
+/// from the empty model, without constraints or runtime limits.
 pub fn solve(
     universe: &mut Universe,
     db: &Database,
@@ -439,14 +421,16 @@ pub fn solve(
             options,
             violations: &[],
             budget: &SolveBudget::unlimited(),
-            input: SolveInput::Full { db },
+            base: None,
+            new_facts: db.facts(),
+            slice: None,
         },
     ))
     .model
 }
 
-/// [`solve_request`] over [`SolveInput::Resume`], without constraints or
-/// runtime limits.
+/// [`solve_request`] extending `prev` by `new_facts`, without constraints
+/// or runtime limits.
 ///
 /// # Errors
 ///
@@ -465,13 +449,15 @@ pub fn solve_resumed(
             options,
             violations: &[],
             budget: &SolveBudget::unlimited(),
-            input: SolveInput::Resume { prev, new_facts },
+            base: Some(prev),
+            new_facts,
+            slice: None,
         },
     )?;
     Ok((output.model, output.stats))
 }
 
-/// [`solve_request`] over [`SolveInput::Sliced`].
+/// [`solve_request`] over the slice `pred_mask`, from the empty model.
 ///
 /// The last argument is accepted and unused: a sliced solve once composed
 /// with a previous model's per-component memo, which lost to solving the
@@ -495,7 +481,9 @@ pub fn solve_sliced_packaged_budgeted(
             options,
             violations,
             budget: solve_budget,
-            input: SolveInput::Sliced { db, pred_mask },
+            base: None,
+            new_facts: db.facts(),
+            slice: Some(pred_mask),
         },
     ))
 }

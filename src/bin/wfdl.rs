@@ -484,7 +484,7 @@ fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
 /// Applies the solve flags to the knowledge base, so every solve it runs
 /// uses them — the initial one, each ingest-triggered re-solve of `serve`,
 /// each per-query solve of `query --sliced`. Without `--depth` the chase
-/// budget stays automatic (unbounded when the program has no existentials,
+/// budget stays automatic (unbounded when the program is weakly acyclic,
 /// else depth 12).
 /// `--deadline-ms` is an absolute instant counted from here (`serve`
 /// re-arms it per solve).

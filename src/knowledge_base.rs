@@ -41,9 +41,11 @@ pub struct KnowledgeBase {
     sigma: Arc<SkolemProgram>,
     violations: Vec<wfdl_core::PredId>,
     queries: Vec<Nbcq>,
-    /// Configured chase budget; `None` = decide from the program at
-    /// solve time (so it tracks later `add_source` calls).
+    /// Configured chase budget; `None` = the automatic one below.
     budget: Option<ChaseBudget>,
+    /// The chase budget the program's rules call for (see
+    /// [`KnowledgeBase::effective_options`]), decided whenever they change.
+    auto_budget: ChaseBudget,
     /// Runtime resource limits for the next solves (deadline, cancel
     /// token, memory budget). Deliberately *not* part of the cached-model
     /// key: a budget bounds how much work a solve may do, it does not
@@ -152,6 +154,7 @@ impl KnowledgeBase {
         queries: Vec<Nbcq>,
     ) -> Self {
         KnowledgeBase {
+            auto_budget: auto_budget(&universe, &sigma),
             universe: Arc::new(universe),
             database,
             sigma: Arc::new(sigma),
@@ -216,6 +219,7 @@ impl KnowledgeBase {
             let rules = &mut Arc::make_mut(&mut self.sigma).rules;
             rules.extend(sigma.rules);
             rules.extend(lowered.functional.iter().cloned());
+            self.auto_budget = auto_budget(universe, &self.sigma);
             self.violations.extend(violations);
             self.revision.rebuild += 1;
         }
@@ -392,27 +396,16 @@ impl KnowledgeBase {
     }
 
     /// The options [`KnowledgeBase::solve`] will use: the configured
-    /// budget, or when none is set one decided **at call time** — the
-    /// automatic budget (unbounded chase for programs without
-    /// existentials, depth 12 otherwise) tracks rules added after the
-    /// builder calls.
+    /// budget, or when none is set the automatic one — an unbounded chase
+    /// when the analyzer proves the program weakly acyclic (its chase
+    /// terminates on every database; `wfdl lint` reports
+    /// `weakly_acyclic=true`), depth 12 otherwise. The automatic budget is
+    /// decided whenever the rules change, so it tracks rules added after
+    /// the builder calls.
     pub fn effective_options(&self) -> WfsOptions {
         WfsOptions {
-            budget: self.budget.unwrap_or_else(|| self.auto_budget()),
+            budget: self.budget.unwrap_or(self.auto_budget),
             ..WfsOptions::default()
-        }
-    }
-
-    fn auto_budget(&self) -> ChaseBudget {
-        let has_existentials = self.sigma.rules.iter().any(|r| {
-            r.head_args
-                .iter()
-                .any(|t| matches!(t, wfdl_core::HeadTerm::Skolem(..)))
-        });
-        if has_existentials {
-            ChaseBudget::depth(12)
-        } else {
-            ChaseBudget::unbounded()
         }
     }
 
@@ -500,14 +493,14 @@ impl KnowledgeBase {
     }
 
     /// The one place a solve runs, full (`slice == None`) or goal-directed:
-    /// picks the input, contains panics, packages the output. Touches no
+    /// makes the request, contains panics, packages the output. Touches no
     /// cache except to drop `last` when a full solve panicked.
     fn run_solve(
         &mut self,
         options: WfsOptions,
         slice: Option<ProgramSlice>,
     ) -> Result<Arc<SolvedModel>, Error> {
-        use wfdl_wfs::{SolveInput, SolveRequest};
+        use wfdl_wfs::SolveRequest;
         // The last full solve, if a full solve under the same options can
         // resume it: only facts were added since.
         let resumable = |c: &&Cached| {
@@ -526,38 +519,34 @@ impl KnowledgeBase {
             Some(scratch) => scratch,
             None => Arc::make_mut(&mut self.universe),
         };
-        let from_scratch = SolveInput::Full { db: &self.database };
-        let input = match (&slice, &prev) {
-            (Some(slice), _) => SolveInput::Sliced {
-                db: &self.database,
-                pred_mask: &slice.pred_mask,
-            },
-            (None, Some(prev)) => SolveInput::Resume {
-                prev: prev.model(),
-                new_facts: &self.delta,
-            },
-            (None, None) => from_scratch,
-        };
-        let request = SolveRequest {
+        // Every solve extends a model: the previous one by the delta, or
+        // the empty one by every fact.
+        let from_scratch = SolveRequest {
             program: &self.sigma,
             options,
             violations: &self.violations,
             budget: &self.solve_budget,
-            input,
+            base: None,
+            new_facts: self.database.facts(),
+            slice: slice.as_ref().map(|s| s.pred_mask.as_slice()),
+        };
+        let request = match &prev {
+            Some(prev) => SolveRequest {
+                base: Some(prev.model()),
+                new_facts: &self.delta,
+                ..from_scratch
+            },
+            None => from_scratch,
         };
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             wfdl_wfs::solve_request(universe, request).unwrap_or_else(|_refused| {
                 // A cap-truncated segment does not resume (such chases are
-                // discovery-order dependent): fall back to a full re-chase
-                // (same options, same budget). The database already holds
-                // the delta facts.
-                let request = SolveRequest {
-                    input: from_scratch,
-                    ..request
-                };
-                match wfdl_wfs::solve_request(universe, request) {
+                // discovery-order dependent): extend the empty model
+                // instead (same options, same budget). The database
+                // already holds the delta facts.
+                match wfdl_wfs::solve_request(universe, from_scratch) {
                     Ok(output) => output,
-                    Err(e) => unreachable!("a from-scratch solve resumes nothing: {e}"),
+                    Err(e) => unreachable!("the empty model always resumes: {e}"),
                 }
             })
         }));
@@ -790,5 +779,16 @@ impl KnowledgeBase {
             report: Arc::clone(&report),
         });
         report
+    }
+}
+
+/// The automatic chase budget of a program: unbounded when the termination
+/// pass proves it weakly acyclic, depth 12 otherwise.
+fn auto_budget(universe: &Universe, sigma: &SkolemProgram) -> ChaseBudget {
+    let proof = wfdl_analyze::termination::run(universe, sigma, &mut Vec::new());
+    if proof.weakly_acyclic {
+        ChaseBudget::unbounded()
+    } else {
+        ChaseBudget::depth(12)
     }
 }

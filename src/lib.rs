@@ -25,7 +25,10 @@
 //! 2. **Solve** — [`KnowledgeBase::solve`] runs chase + engine, on the
 //!    calling thread, and packages everything the serving path needs
 //!    (model, constraint verdicts, a frozen universe snapshot) into an
-//!    immutable [`SolvedModel`]. Solving
+//!    immutable [`SolvedModel`]. The chase depth is the one set with
+//!    [`KnowledgeBase::with_depth`], or else unbounded when the analyzer
+//!    proves the program weakly acyclic and 12 otherwise
+//!    ([`KnowledgeBase::effective_options`]). Solving
 //!    again without mutation returns the cached artifact; solving after an
 //!    **insert-only** delta re-solves *incrementally* (see below).
 //! 3. **Serve** — [`SolvedModel`] is `Send + Sync` and answers every query

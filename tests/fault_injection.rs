@@ -246,6 +246,36 @@ fn resume_boundary_faults_leave_incremental_state_clean() {
 /// any component of the cone must leave the positions above it `Unknown` —
 /// the carried-over verdict of each is exactly the wrong one — and the next
 /// solve must recover the complete model.
+/// A solve from scratch resumes the empty segment, but it is no resume to
+/// its caller: a resume-boundary plan installed before a cold solve trips
+/// nothing, full or sliced. The same plan, left installed, trips the next
+/// solve, which does resume.
+#[test]
+fn a_resume_boundary_fault_trips_no_cold_solve() {
+    let cold_obs = reference(false);
+    for (kind, reason) in TRIP_KINDS {
+        let label = format!("cold/ResumeBoundary/{kind:?}");
+        let mut kb = kb(false);
+        kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+            site: FaultSite::ResumeBoundary,
+            kind,
+        }));
+        let sliced = kb.solve_for(SLICED_QUERY).unwrap();
+        assert!(sliced.outcome().is_complete(), "{label}");
+        assert_eq!(observe_sliced(&sliced), sliced_reference(false), "{label}");
+        let cold = kb
+            .try_solve_with(options())
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(cold.outcome().is_complete(), "{label}");
+        assert!(!cold.solve_stats().incremental, "{label}");
+        assert_eq!(observe(&cold), cold_obs, "{label}");
+        kb.insert_tsv(DELTA).unwrap();
+        let resumed = kb.try_solve_with(options()).unwrap();
+        assert!(resumed.solve_stats().incremental, "{label}");
+        assert_eq!(resumed.outcome().truncation(), Some(reason), "{label}");
+    }
+}
+
 #[test]
 fn a_trip_inside_a_resumed_cone_leaves_unknown_never_a_stale_verdict() {
     const LEN: usize = 24;

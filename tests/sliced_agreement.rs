@@ -31,7 +31,9 @@ use wfdl_gen::{
     FanoutConfig, RandomConfig, RandomDbConfig, WinMoveConfig,
 };
 
-/// Renders every in-slice atom of `model` with its verdict, sorted.
+/// Renders every in-slice atom of `model` with its verdict and its chase
+/// minima (depth, level), sorted: the sliced chase must derive the same
+/// atoms at the same minima as the full one.
 ///
 /// Comparison happens on rendered text, not `AtomId`s: the sliced chase
 /// interns only its own nulls, so null *ids* can differ between the two
@@ -44,9 +46,11 @@ fn verdicts_over(universe: &Universe, model: &WellFoundedModel, mask: &[bool]) -
         .filter(|sa| mask[universe.atoms.pred(sa.atom).index()])
         .map(|sa| {
             format!(
-                "{} = {}",
+                "{} = {} @ depth {}, level {}",
                 universe.display_atom(sa.atom),
-                model.value(sa.atom)
+                model.value(sa.atom),
+                sa.depth,
+                sa.level
             )
         })
         .collect();
