@@ -89,6 +89,27 @@ const CORPUS: &[(char, &str, &str)] = &[
     ('L', "p(a). p(a,b). q(\"x", "1:7: predicate `p` declared with arity 1 but used with arity 2"),
     // Old: "2:1: unexpected character `&`".
     ('L', "p(X,Y), p(Y,Z) -> p(X,Z).\n&", "1:1: rule is not guarded (no positive body atom contains every universal variable): p(X0,X1), p(X1,X2) -> p(X0,X2)"),
+    // The edges of the fact path (a byte scan that reads
+    // `name(name, …, name).` and declines everything else to the parser),
+    // recorded before it existed: a declined fact reports what the parser
+    // reported, and an accepted one moves no later position.
+    ('L', "p(a, b)", "1:8: expected `.` or `->`, found Eof"),
+    ('L', "p().", "1:3: expected a term, found RParen"),
+    ('L', "not(a).", "1:4: expected a predicate name, found LParen"),
+    ('L', "false(a).", "1:1: expected a predicate name, found False"),
+    ('L', "p(A).", "1:1: facts must be ground, found variable `A`"),
+    ('L', "p(_x).", "1:1: facts must be ground, found variable `_x`"),
+    ('L', "p(f(a)).", "1:1: facts must be null-free, found function term `f(…)`"),
+    ('L', "p(a) q(b).", "1:6: expected `.` or `->`, found Name(\"q\")"),
+    ('L', "p(a).\np(a, b).", "2:1: predicate `p` declared with arity 1 but used with arity 2"),
+    ('L', "p(a). p(b). p(c, d).", "1:13: predicate `p` declared with arity 1 but used with arity 2"),
+    ('L', "p(a).p(b).p(\"c\", d).", "1:11: predicate `p` declared with arity 1 but used with arity 2"),
+    ('L', "p(é). q(a). q(X).", "1:13: facts must be ground, found variable `X`"),
+    ('L', "p(a).\tp(b).  p(c) -> .", "1:22: expected a predicate name, found Period"),
+    ('L', "p(a) % c\n.\np(b, c).", "3:1: predicate `p` declared with arity 1 but used with arity 2"),
+    ('L', "p(a).\r\np(b).\r\np(c).\r\n  q(a, X).", "4:3: facts must be ground, found variable `X`"),
+    ('L', "e(a, b).\r\ne(b, c).\r\ne(c, d).\r\ne(d) .\r\n", "4:1: predicate `e` declared with arity 2 but used with arity 1"),
+    ('L', "e(a,b).\r\ne(b,c).\r\n  e(c, ).\r\n", "3:8: expected a term, found RParen"),
     ('Q', "", "1:1: expected a query (`?- ….` or `?(X) …  .`)"),
     ('Q', "% only a comment", "1:1: expected a query (`?- ….` or `?(X) …  .`)"),
     ('Q', "\n\n  edge(a,b).", "3:3: expected a query (`?- ….` or `?(X) …  .`)"),
