@@ -17,6 +17,7 @@
 //! text, and every [`Pos`] counts columns in characters, not bytes.
 
 use crate::error::{Pos, Result, SyntaxError};
+use std::ops::Range;
 
 /// A lexical token; names borrow the source.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,6 +124,74 @@ impl<'src> Lexer<'src> {
         self.at = end;
     }
 
+    /// Moves over the whitespace character or the comment that `c` (`len`
+    /// bytes, at the cursor) starts; false, moving nothing, if `c` starts
+    /// a token or is no character of the language.
+    #[inline]
+    fn skip_trivia(&mut self, c: char, len: usize) -> bool {
+        let bytes = self.src.as_bytes();
+        match c {
+            '\n' => {
+                self.at += 1;
+                self.line += 1;
+                self.col_base = self.at;
+            }
+            c if c.is_whitespace() => self.advance(len),
+            '%' | '/' if c == '%' || bytes.get(self.at + 1) == Some(&b'/') => {
+                // A comment runs to the end of the line.
+                let rest = &bytes[self.at..];
+                let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+                self.skip_to(self.at + len);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The fact path: reads a ground fact `name(name, …, name).` written in
+    /// ASCII, with blanks (` `, `\t`) between its tokens, straight off the
+    /// bytes; returns its predicate name and position and leaves its
+    /// argument names in `args`. It never reports an error: anything else —
+    /// a comment, a newline or a non-ASCII character before the `.`, a
+    /// quoted name, a variable or `_`-leading name, `not`, `false`, a
+    /// function term, no argument, no `.` — is declined with `None` and
+    /// the cursor on the statement's first byte, for
+    /// [`Lexer::next_token`] to read. Either way the whitespace and
+    /// comments before the statement are skipped.
+    pub fn fact(&mut self, args: &mut Vec<&'src str>) -> Option<(&'src str, Pos)> {
+        while let Some((c, len)) = self.peek_char() {
+            if !self.skip_trivia(c, len) {
+                break;
+            }
+        }
+        let bytes = self.src.as_bytes();
+        let pred = ascii_name(bytes, self.at)?;
+        let mut i = skip_blanks(bytes, pred.end);
+        if bytes.get(i) != Some(&b'(') {
+            return None;
+        }
+        args.clear();
+        loop {
+            let arg = ascii_name(bytes, skip_blanks(bytes, i + 1))?;
+            i = skip_blanks(bytes, arg.end);
+            args.push(&self.src[arg]);
+            match bytes.get(i) {
+                Some(b',') => {}
+                Some(b')') => break,
+                _ => return None,
+            }
+        }
+        i = skip_blanks(bytes, i + 1);
+        if bytes.get(i) != Some(&b'.') {
+            return None;
+        }
+        let pos = self.pos();
+        // Every byte read is ASCII and none is a newline, so the line and
+        // the column base stay as they are.
+        self.at = i + 1;
+        Some((&self.src[pred], pos))
+    }
+
     /// The next token; at the end of the input, [`Tok::Eof`] (again and
     /// again). After an error the cursor is not moved on.
     pub fn next_token(&mut self) -> Result<Token<'src>> {
@@ -134,23 +203,6 @@ impl<'src> Lexer<'src> {
             };
             let next = bytes.get(self.at + 1).copied();
             let (tok, len) = match c {
-                '\n' => {
-                    self.at += 1;
-                    self.line += 1;
-                    self.col_base = self.at;
-                    continue;
-                }
-                c if c.is_whitespace() => {
-                    self.advance(len);
-                    continue;
-                }
-                '%' | '/' if c == '%' || next == Some(b'/') => {
-                    // A comment runs to the end of the line.
-                    let rest = &bytes[self.at..];
-                    let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
-                    self.skip_to(self.at + len);
-                    continue;
-                }
                 '(' => (Tok::LParen, 1),
                 ')' => (Tok::RParen, 1),
                 ',' => (Tok::Comma, 1),
@@ -194,6 +246,7 @@ impl<'src> Lexer<'src> {
                     };
                     return Ok(Token { tok, pos });
                 }
+                c if self.skip_trivia(c, len) => continue,
                 other => {
                     return Err(SyntaxError::new(
                         format!("unexpected character `{other}`"),
@@ -205,6 +258,32 @@ impl<'src> Lexer<'src> {
             return Ok(Token { tok, pos });
         }
     }
+}
+
+/// The bytes from `at` on that are blanks: spaces and tabs.
+fn skip_blanks(bytes: &[u8], mut at: usize) -> usize {
+    while let Some(b' ' | b'\t') = bytes.get(at) {
+        at += 1;
+    }
+    at
+}
+
+/// The ASCII `NAME` starting at `at`: a lowercase letter or a digit, then
+/// letters, digits, `_` and `'`; `None` if there is none or it is the
+/// keyword `not` or `false`. (A non-ASCII letter after it would continue
+/// the name; [`Lexer::fact`] declines every byte after a name but a
+/// blank, `(`, `,` and `)`.)
+fn ascii_name(bytes: &[u8], at: usize) -> Option<Range<usize>> {
+    let first = *bytes.get(at)?;
+    if !(first.is_ascii_lowercase() || first.is_ascii_digit()) {
+        return None;
+    }
+    let len = bytes[at..]
+        .iter()
+        .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_' || b == b'\''))
+        .unwrap_or(bytes.len() - at);
+    let name = at..at + len;
+    (!matches!(&bytes[name.clone()], b"not" | b"false")).then_some(name)
 }
 
 #[cfg(test)]
@@ -298,6 +377,43 @@ mod tests {
         let mut lexer = Lexer::new("\"é→\" x");
         lexer.next_token().unwrap();
         assert_eq!(lexer.next_token().unwrap().pos, Pos { line: 1, col: 6 });
+    }
+
+    #[test]
+    fn the_fact_path_reads_ascii_facts_and_declines_the_rest() {
+        let mut lexer = Lexer::new("% facts\np(a,b ,\tc).\n  q( d ) . r(X).");
+        let mut args = Vec::new();
+        assert_eq!(lexer.fact(&mut args), Some(("p", Pos { line: 2, col: 1 })));
+        assert_eq!(args, ["a", "b", "c"]);
+        assert_eq!(lexer.fact(&mut args), Some(("q", Pos { line: 3, col: 3 })));
+        assert_eq!(args, ["d"]);
+        assert_eq!(lexer.fact(&mut args), None);
+        // Declined: the next token is the statement's first.
+        let r = lexer.next_token().unwrap();
+        assert_eq!((r.tok, r.pos), (Tok::Name("r"), Pos { line: 3, col: 12 }));
+        for declined in [
+            "p(a)",
+            "p().",
+            "p(a,).",
+            "p(a b).",
+            "p(\"a\").",
+            "p(é).",
+            "pé(a).",
+            "p(a\n).",
+            "p(a % c\n).",
+            "p(f(a)).",
+            "p(_a).",
+            "P(a).",
+            "not(a).",
+            "p(false).",
+            "p(a) -> q(a).",
+            "p(a), q(a).",
+            "p\u{2028}(a).",
+        ] {
+            let mut lexer = Lexer::new(declined);
+            assert_eq!(lexer.fact(&mut args), None, "{declined:?}");
+            assert_eq!(lexer.at, 0, "{declined:?}");
+        }
     }
 
     #[test]

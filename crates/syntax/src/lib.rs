@@ -8,7 +8,9 @@
 //! The frontend is one streaming pass: [`load`] pulls one statement at a
 //! time from a [`Parser`] whose tokens and AST borrow the source, lowers
 //! it into the universe and drops it — no token vector, no owned AST, no
-//! allocation per fact. Grammar, lifetimes, guarantees and the cost model
+//! allocation per fact. A ground fact written in ASCII takes the fact path
+//! ([`Parser::fact`]): its names go from the bytes to the interner with no
+//! token and no AST. Grammar, lifetimes, guarantees and the cost model
 //! are in this crate's `src/README.md`.
 //!
 //! ```

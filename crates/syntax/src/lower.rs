@@ -29,6 +29,9 @@ pub struct Lowered {
     pub database: Database,
     /// Queries, in source order.
     pub queries: Vec<Nbcq>,
+    /// How many of the database's facts the fact path read ([`load`]);
+    /// the parser read the rest.
+    pub fact_path_facts: usize,
 }
 
 impl Lowered {
@@ -48,6 +51,11 @@ impl Lowered {
 /// errors the first in source order is the one reported. A fact costs no
 /// allocation: its names are slices of `src` until they are interned.
 ///
+/// At each statement boundary the fact path ([`Parser::fact`]) tries to
+/// read a ground fact in ASCII straight off the bytes; it hands the same
+/// names to the same [`FactInterner`] calls, in the same order, as a fact
+/// the parser read, so it changes no id and no error.
+///
 /// On `Err` nothing but interning has happened to `universe` (names,
 /// terms and atoms of the statements before the error), which never
 /// changes a model; the partial [`Lowered`] is dropped.
@@ -55,20 +63,31 @@ pub fn load(universe: &mut Universe, src: &str) -> Result<Lowered> {
     let mut parser = Parser::new(src);
     let mut out = Lowered::default();
     let mut facts = FactInterner::default();
-    while let Some(stmt) = parser.next_statement()? {
+    let mut names = Vec::new();
+    loop {
+        if let Some((pred, pos)) = parser.fact(&mut names) {
+            let at = |e: wfdl_core::CoreError| SyntaxError::new(e.to_string(), pos);
+            let pred = facts.pred(universe, pred, names.len()).map_err(at)?;
+            let fact = facts
+                .atom(universe, pred, names.iter().copied())
+                .map_err(at)?;
+            out.database.insert_unchecked(universe, fact);
+            out.fact_path_facts += 1;
+            continue;
+        }
+        let Some(stmt) = parser.next_statement()? else {
+            return Ok(out);
+        };
         match stmt {
             Statement::Fact(atom) => {
-                let ground = lower_fact(universe, &mut facts, &atom)?;
-                out.database
-                    .insert(universe, ground)
-                    .map_err(|e| SyntaxError::new(e.to_string(), atom.pos))?;
+                let fact = lower_fact(universe, &mut facts, &atom)?;
+                out.database.insert_unchecked(universe, fact);
                 parser.recycle(atom);
             }
             Statement::Rule(rule) => lower_rule(universe, &rule, &mut out)?,
             Statement::Query(q) => out.queries.push(lower_query(universe, &q)?),
         }
     }
-    Ok(out)
 }
 
 /// Interns ground facts given as text — a predicate name and constant
@@ -115,6 +134,8 @@ impl FactInterner {
     }
 }
 
+/// Interns a fact the parser read; a variable or a function term among
+/// its arguments is an error, so the atom is constant-only.
 fn lower_fact(
     universe: &mut Universe,
     facts: &mut FactInterner,

@@ -59,6 +59,12 @@ pub fn parse_single_query(src: &str) -> Result<AstQuery<'_>> {
     })
 }
 
+/// How deep function terms may nest. Only a rule head may hold a function
+/// term, and only over variables, so any nesting is an error at lowering
+/// already; the parser stops at this depth so that no input, however
+/// deep, recurses further (or builds an AST whose drop would).
+const MAX_TERM_DEPTH: usize = 64;
+
 /// A streaming parser: [`Parser::next_statement`] reads just far enough
 /// into the source to return one statement.
 #[derive(Debug)]
@@ -145,6 +151,17 @@ impl<'src> Parser<'src> {
         Ok(Some(stmt))
     }
 
+    /// The fact path at a statement boundary: [`Lexer::fact`], a ground
+    /// fact in ASCII read with no token and no AST. On `None` nothing but
+    /// whitespace and comments was read, and [`Parser::next_statement`]
+    /// reads the statement from its first byte.
+    pub fn fact(&mut self, args: &mut Vec<&'src str>) -> Option<(&'src str, Pos)> {
+        if self.ahead.is_some() {
+            return None;
+        }
+        self.lexer.fact(args)
+    }
+
     /// Takes back a fact the caller is done with, so that the next atom
     /// reuses its argument buffer: a consumer that recycles every fact
     /// makes the parser allocate nothing per fact.
@@ -228,7 +245,7 @@ impl<'src> Parser<'src> {
         let mut args = std::mem::take(&mut self.spare_args);
         args.clear();
         if self.eat(Tok::LParen)? {
-            self.terms_into(&mut args)?;
+            self.terms_into(&mut args, 0)?;
         }
         Ok(AstAtom {
             pred,
@@ -237,10 +254,11 @@ impl<'src> Parser<'src> {
         })
     }
 
-    /// `term (',' term)* ')'`, after the opening parenthesis.
-    fn terms_into(&mut self, args: &mut Vec<AstTerm<'src>>) -> Result<()> {
+    /// `term (',' term)* ')'`, after the opening parenthesis; `depth`
+    /// function terms enclose the list.
+    fn terms_into(&mut self, args: &mut Vec<AstTerm<'src>>, depth: usize) -> Result<()> {
         loop {
-            args.push(self.term()?);
+            args.push(self.term(depth)?);
             if !self.eat(Tok::Comma)? {
                 break;
             }
@@ -248,14 +266,21 @@ impl<'src> Parser<'src> {
         self.expect(Tok::RParen, "`)`")
     }
 
-    fn term(&mut self) -> Result<AstTerm<'src>> {
+    /// A term inside `depth` function terms.
+    fn term(&mut self, depth: usize) -> Result<AstTerm<'src>> {
         let t = self.bump()?;
         match t.tok {
             Tok::Var(v) => Ok(AstTerm::Var(v)),
             Tok::Name(n) => {
                 if self.eat(Tok::LParen)? {
+                    if depth == MAX_TERM_DEPTH {
+                        return Err(SyntaxError::new(
+                            format!("function terms nested more than {MAX_TERM_DEPTH} deep"),
+                            t.pos,
+                        ));
+                    }
                     let mut args = Vec::new();
-                    self.terms_into(&mut args)?;
+                    self.terms_into(&mut args, depth + 1)?;
                     Ok(AstTerm::Fn(n, args))
                 } else {
                     Ok(AstTerm::Const(n))
@@ -335,6 +360,17 @@ mod tests {
         assert_eq!(err.pos.line, 1);
         let err2 = parse("p(a)\nq(b).").unwrap_err();
         assert_eq!(err2.pos.line, 2);
+    }
+
+    #[test]
+    fn nesting_stops_at_the_bound() {
+        let nested =
+            |depth: usize| format!("p(X) -> q({}X{}).", "f(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&nested(MAX_TERM_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_TERM_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested"), "{err}");
+        // At the term that opens one level too many.
+        assert_eq!(err.pos.col as usize, 11 + 2 * MAX_TERM_DEPTH);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Hostile input at the two text entry points beside the `.dl` frontend
 //! (whose own property lives in `crates/syntax/tests/proptest_syntax.rs`):
 //! whatever bytes arrive — over `/ingest`, from a `--facts` file, as an
-//! ontology text — the answer is a value or an error, never a panic.
+//! ontology text — the answer is a value or an error, never a panic. And
+//! at the `.dl` frontend itself, input deep enough to overflow a recursive
+//! descent: nested function terms are an error, not an abort.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -9,7 +11,37 @@
 
 use proptest::prelude::*;
 use wfdatalog::ontology::parse_ontology;
+use wfdatalog::syntax::{load, prepare_query};
 use wfdatalog::{fact_batch_from_reader, Universe};
+
+/// `f(f(…f(inner)…))`, `depth` applications deep.
+fn nested(depth: usize, inner: &str) -> String {
+    format!("{}{inner}{}", "f(".repeat(depth), ")".repeat(depth))
+}
+
+#[test]
+fn deeply_nested_terms_in_a_program_are_an_error() {
+    let src = format!("p(X) -> q(X, {}).", nested(100_000, "X"));
+    let mut u = Universe::new();
+    let err = load(&mut u, &src).unwrap_err();
+    assert!(err.message.contains("nested"), "{err}");
+    // A nested fact is an error too, and so is one in a rule body.
+    for src in [
+        format!("p({}).", nested(100_000, "a")),
+        format!("p({}) -> q(X).", nested(100_000, "X")),
+    ] {
+        assert!(load(&mut Universe::new(), &src).is_err());
+    }
+}
+
+#[test]
+fn deeply_nested_terms_in_a_query_are_an_error() {
+    let mut u = Universe::new();
+    load(&mut u, "p(a).").unwrap();
+    let src = format!("?- p({}).", nested(100_000, "a"));
+    let err = prepare_query(&u, &src).map(|_| ()).unwrap_err();
+    assert!(err.message.contains("nested"), "{err}");
+}
 
 proptest! {
     /// Arbitrary bytes, valid UTF-8 or not, through the bulk fact loader.

@@ -205,6 +205,28 @@ fn concurrent_queries_during_ingest_churn_match_direct_api() {
     );
 }
 
+/// A query nested deep enough to overflow a recursive parser on a worker
+/// thread's stack is a 400, and the server keeps serving.
+#[test]
+fn a_deeply_nested_query_is_a_400_and_the_server_survives() {
+    let kb = KnowledgeBase::from_source(PROGRAM).expect("program");
+    let server = start(kb, ServeOptions::default()).expect("server starts");
+    let addr = server.addr();
+
+    let depth = 30_000;
+    let query = format!("?- win({}a{}).\n", "f(".repeat(depth), ")".repeat(depth));
+    assert!(query.len() > 60_000);
+    let (status, body) = post(addr, "/query", &query);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nested"), "{body}");
+
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    let (status, body) = post(addr, "/query", "?- win(a).\n");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
 #[test]
 fn query_errors_report_real_positions() {
     let kb = KnowledgeBase::from_source(PROGRAM).expect("program");
