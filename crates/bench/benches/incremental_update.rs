@@ -22,8 +22,12 @@
 //! another into the same knowledge base, and reports the resumed solve's
 //! four phases from its own [`wfdatalog::SolveStats`]
 //! — chase, ground, engine, index — so that an O(program) step creeping
-//! back into the resume path moves a gated number. Output mirrors the
-//! other benches:
+//! back into the resume path moves a gated number. A fourth, **win–move**
+//! leg chains 500-move deltas into `wfdl-gen`'s 50,000-position game at
+//! the engine level: half the moves leave old positions, so a delta's
+//! forward cone reaches far up the game while few of its components change
+//! verdict — what a resume pays for the cone it walks and carries rather
+//! than for what it evaluates. Output mirrors the other benches:
 //! human-readable medians on stdout, machine-readable
 //! `BENCH_incremental.json` (override with `WFDL_BENCH_JSON`, sample
 //! count with `WFDL_BENCH_SAMPLES`).
@@ -32,7 +36,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use wfdatalog::{FactBatch, KnowledgeBase, Universe, WfsOptions};
 use wfdl_bench::timing::{fmt_ns, median, sample_count};
-use wfdl_gen::{chain_database, example4_sigma};
+use wfdl_gen::{chain_database, example4_sigma, winmove_database, winmove_sigma, WinMoveConfig};
 
 const SEEDS: usize = 256;
 const DEPTH: u32 = 8;
@@ -313,6 +317,119 @@ fn run_claims_leg(samples: usize) -> ClaimsLeg {
     }
 }
 
+/// Win–move scale: `wfdl-gen`'s random game over 50,000 positions with
+/// every move forward (`forward_bias = 1`). Each round adds 500 moves: half
+/// out of 125 new positions into the game's own positions, half out of the
+/// game's positions to later ones — so no move enters a new position, no
+/// cycle forms and no component grows from round to round. A move out of
+/// an old position puts everything that reaches it in the cone — about four
+/// fifths of the positions — while its verdict flips reach about a
+/// thousand components.
+const WINMOVE_POSITIONS: usize = 50_000;
+const WINMOVE_DELTA_MOVES: usize = 500;
+const WINMOVE_NEW_POSITIONS: usize = 125;
+
+/// Medians of the win–move leg: times over every timed round, counts over
+/// the resumed ones.
+struct WinmoveLeg {
+    atoms: usize,
+    inc_ns: u64,
+    engine_ns: u64,
+    cone_atoms: usize,
+    cone_components: usize,
+    components_evaluated: usize,
+    components: usize,
+    /// Timed rounds whose resume condensed the program afresh (its
+    /// dissolved ordinals had come to outnumber its components).
+    afresh_rounds: usize,
+}
+
+/// The win–move leg: one cold solve, then chained 500-move deltas through
+/// `solve_resumed`, each resuming the model the last one left; the first
+/// [`CLAIMS_WARMUP_ROUNDS`] go untimed. The final model is checked against
+/// a solve from scratch of the union.
+fn run_winmove_leg(samples: usize) -> WinmoveLeg {
+    let options = WfsOptions::unbounded();
+    let mut u = Universe::new();
+    let sigma = winmove_sigma(&mut u);
+    let config = WinMoveConfig {
+        nodes: WINMOVE_POSITIONS,
+        forward_bias: 1.0,
+        ..WinMoveConfig::default()
+    };
+    let mut db = winmove_database(&mut u, &config);
+    let mut model = wfdatalog::wfs::solve(&mut u, &db, &sigma, options);
+    let mv = u.pred("move", 2).expect("arity");
+    // splitmix64: the deltas are the same on every run.
+    let mut state = 0x5EED_u64;
+    let mut below = |n: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    let mut positions = WINMOVE_POSITIONS;
+    let (mut inc_ns, mut engine_ns) = (Vec::new(), Vec::new());
+    let (mut cone_atoms, mut cone_components, mut evaluated) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..CLAIMS_WARMUP_ROUNDS + samples {
+        let old = positions;
+        positions += WINMOVE_NEW_POSITIONS;
+        let mut delta = Vec::with_capacity(WINMOVE_DELTA_MOVES);
+        while delta.len() < WINMOVE_DELTA_MOVES {
+            let (from, to) = match delta.len() % 2 {
+                0 => (old + below(WINMOVE_NEW_POSITIONS), below(old)),
+                _ => {
+                    let from = below(WINMOVE_POSITIONS - 1);
+                    (from, from + 1 + below(WINMOVE_POSITIONS - 1 - from))
+                }
+            };
+            let (from, to) = (
+                u.constant(&format!("n{from}")),
+                u.constant(&format!("n{to}")),
+            );
+            let atom = u.atom(mv, vec![from, to]).expect("arity");
+            if db.insert(&u, atom).expect("ground") {
+                delta.push(atom);
+            }
+        }
+        let start = Instant::now();
+        let (next, stats) = wfdatalog::wfs::solve_resumed(&mut u, &model, &sigma, &delta, options)
+            .expect("resumable");
+        let elapsed = start.elapsed().as_nanos() as u64;
+        assert!(stats.incremental);
+        // A resume appends one ordinal per cone component.
+        let found = next.result.stages.checked_sub(model.result.stages);
+        model = next;
+        if round < CLAIMS_WARMUP_ROUNDS {
+            continue;
+        }
+        inc_ns.push(elapsed);
+        engine_ns.push(stats.engine_ns);
+        if let (Some(_), Some(found)) = (&model.result.cone, found) {
+            cone_atoms.push(stats.cone_atoms as u64);
+            cone_components.push(found as u64);
+            evaluated.push(stats.components_evaluated as u64);
+        }
+    }
+    let fresh = wfdatalog::wfs::solve(&mut u, &db, &sigma, options);
+    assert_eq!(
+        fresh.counts(),
+        model.counts(),
+        "win-move incremental model must agree with scratch"
+    );
+    WinmoveLeg {
+        atoms: model.ground.num_atoms(),
+        afresh_rounds: samples - cone_atoms.len(),
+        inc_ns: median(inc_ns),
+        engine_ns: median(engine_ns),
+        cone_atoms: median(cone_atoms) as usize,
+        cone_components: median(cone_components) as usize,
+        components_evaluated: median(evaluated) as usize,
+        components: model.component_stats().map_or(0, |s| s.components),
+    }
+}
+
 fn main() {
     let samples = sample_count();
     let delta_n = delta_count();
@@ -320,6 +437,7 @@ fn main() {
     let engine = run_engine_leg(samples);
     let (facade_full, facade_inc) = run_facade_leg(samples);
     let claims = run_claims_leg(samples);
+    let winmove = run_winmove_leg(samples);
 
     let full_m = median(engine.full_ns);
     let inc_m = median(engine.inc_ns);
@@ -367,6 +485,19 @@ fn main() {
         claims.components
     );
 
+    println!(
+        "incremental_update/winmove/incremental: median {} — engine {}; cone {} atoms in {} components, \
+         {} evaluated, of {} components ({} atoms); {} of {samples} rounds condensed afresh",
+        fmt_ns(winmove.inc_ns),
+        fmt_ns(winmove.engine_ns),
+        winmove.cone_atoms,
+        winmove.cone_components,
+        winmove.components_evaluated,
+        winmove.components,
+        winmove.atoms,
+        winmove.afresh_rounds
+    );
+
     let mut json = String::from("{\n");
     writeln!(json, "  \"samples\": {samples},").unwrap();
     writeln!(json, "  \"workload\": \"chain{SEEDS}_depth{DEPTH}\",").unwrap();
@@ -408,6 +539,32 @@ fn main() {
     )
     .unwrap();
     writeln!(json, "    \"components_total\": {}", claims.components).unwrap();
+    json.push_str("  },\n");
+    writeln!(json, "  \"winmove\": {{").unwrap();
+    writeln!(
+        json,
+        "    \"workload\": \"winmove{WINMOVE_POSITIONS}_delta{WINMOVE_DELTA_MOVES}\","
+    )
+    .unwrap();
+    writeln!(json, "    \"atoms\": {},", winmove.atoms).unwrap();
+    writeln!(json, "    \"delta_facts\": {WINMOVE_DELTA_MOVES},").unwrap();
+    writeln!(json, "    \"incremental_solve_ns\": {},", winmove.inc_ns).unwrap();
+    writeln!(json, "    \"engine_ns\": {},", winmove.engine_ns).unwrap();
+    writeln!(json, "    \"cone_atoms\": {},", winmove.cone_atoms).unwrap();
+    writeln!(
+        json,
+        "    \"cone_components\": {},",
+        winmove.cone_components
+    )
+    .unwrap();
+    writeln!(
+        json,
+        "    \"components_evaluated\": {},",
+        winmove.components_evaluated
+    )
+    .unwrap();
+    writeln!(json, "    \"components_total\": {},", winmove.components).unwrap();
+    writeln!(json, "    \"afresh_rounds\": {}", winmove.afresh_rounds).unwrap();
     json.push_str("  }\n}\n");
 
     wfdl_bench::write_bench_json("BENCH_incremental.json", &json);

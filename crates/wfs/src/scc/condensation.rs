@@ -1,7 +1,6 @@
 //! The condensation of the atom dependency graph: Tarjan's algorithm and
 //! the component rows a solve carries.
 
-use super::NONE;
 use std::collections::BTreeMap;
 use wfdl_core::csr::Csr;
 use wfdl_core::{BitSet, ChunkVec, RowPool};
@@ -120,7 +119,8 @@ impl From<Flat> for Condensation {
 
 /// Tarjan's output over node ids, in one flat CSR: what the sweep against
 /// the empty model reads before handing it to its [`Condensation`], and
-/// what a resume appends to the one it carries.
+/// what a resume's forward walk appends, last component first, to the one
+/// it carries.
 pub(super) struct Flat {
     /// Node → component ordinal (emission order).
     pub(super) comp_of: Vec<u32>,
@@ -136,45 +136,77 @@ impl Flat {
     pub(super) fn component(&self, c: usize) -> &[u32] {
         self.comps.row(c)
     }
-
-    pub(super) fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.num_components()).map(|c| self.component(c))
-    }
 }
 
 /// Computes the [`Condensation`] of a ground program's dependency graph.
 pub fn condensation(prog: &GroundProgram) -> Condensation {
-    tarjan(prog, prog.num_atoms(), |node| node, |atom| atom).into()
+    condense(prog).into()
 }
 
-/// Tarjan's algorithm over the subgraph of the dependency graph induced by
-/// `nodes` atoms: node `v` is the atom `atom_of(v)`, and `node_of` is the
-/// inverse, [`NONE`] for an atom outside the subgraph. The result is in
-/// node ids.
-pub(super) fn tarjan(
-    prog: &GroundProgram,
-    nodes: usize,
-    atom_of: impl Fn(u32) -> u32,
-    node_of: impl Fn(u32) -> u32,
-) -> Flat {
-    let n = nodes;
-    // Flat adjacency CSR, filled in one pass: the successors of a node are
-    // the body atoms, inside the subgraph, of the rules its atom heads. The
-    // whole program's graph has one edge per body literal.
-    let whole = n == prog.num_atoms();
-    let mut adj_off = Vec::with_capacity(n + 1);
-    let mut adj: Vec<u32> = Vec::with_capacity(if whole { prog.num_body_literals() } else { 0 });
-    adj_off.push(0);
-    for v in 0..n as u32 {
-        for rid in prog.rules_with_head_local(atom_of(v)) {
+/// Tarjan's algorithm over the whole program's dependency graph: its edges
+/// run `head → body atom` (over the atom's rules in rule order, each rule's
+/// positive body, then its negative one), and its roots are every atom in
+/// local-id order. So a node is its atom's local id, and a component is
+/// emitted after everything it depends on. The edges are laid out first in
+/// one flat CSR, filled in local-id order, so that the walk reads one row
+/// per atom rather than the scattered rows of its rules.
+pub(super) fn condense(prog: &GroundProgram) -> Flat {
+    let n = wfdl_core::dense_u32(prog.num_atoms(), "atom");
+    let mut adj = Csr {
+        off: Vec::with_capacity(n as usize + 1),
+        items: Vec::with_capacity(prog.num_body_literals()),
+    };
+    adj.off.push(0);
+    for a in 0..n {
+        for rid in prog.rules_with_head_local(a) {
             let r = rid.index();
-            let body = prog.pos_local(r).iter().chain(prog.neg_local(r));
-            adj.extend(body.map(|&b| node_of(b)).filter(|&w| w != NONE));
+            adj.items.extend_from_slice(prog.pos_local(r));
+            adj.items.extend_from_slice(prog.neg_local(r));
         }
-        adj_off.push(wfdl_core::dense_u32(adj.len(), "dependency edges"));
+        adj.off
+            .push(wfdl_core::dense_u32(adj.items.len(), "dependency edges"));
+    }
+    let adj = &adj;
+    tarjan(n, &mut Atoms, |a| adj.row(a as usize).iter().copied())
+}
+
+/// How Tarjan's walk numbers the atoms it reaches: densely, in the order it
+/// reaches them, after the roots.
+pub(super) trait Nodes {
+    /// The node of atom `a`, numbered next if the walk has not reached it.
+    fn node(&mut self, a: u32) -> u32;
+    /// The atom of node `v`.
+    fn atom(&self, v: u32) -> u32;
+}
+
+/// The whole program's numbering: every atom is a root, and its node is
+/// its local id.
+struct Atoms;
+
+impl Nodes for Atoms {
+    #[inline]
+    fn node(&mut self, a: u32) -> u32 {
+        a
     }
 
+    #[inline]
+    fn atom(&self, v: u32) -> u32 {
+        v
+    }
+}
+
+/// Tarjan's algorithm, iterative, over the atoms reachable from the roots —
+/// the nodes `0..roots`, tried in order. `succ(a)` lists the successors of
+/// atom `a`, and `nodes` numbers the atoms as the walk reaches them. The
+/// result is in nodes, and each component is emitted after every component
+/// it reaches.
+pub(super) fn tarjan<N: Nodes, I: Iterator<Item = u32>>(
+    roots: u32,
+    nodes: &mut N,
+    succ: impl Fn(u32) -> I,
+) -> Flat {
     const UNVISITED: u32 = u32::MAX;
+    let n = roots as usize;
     let mut index = vec![UNVISITED; n];
     let mut low = vec![0u32; n];
     let mut on_stack = BitSet::with_capacity(n);
@@ -185,33 +217,41 @@ pub(super) fn tarjan(
         items: Vec::with_capacity(n),
     };
     let mut next_index = 0u32;
-    // Explicit DFS frames: (node, cursor into adj).
-    let mut frames: Vec<(u32, u32)> = Vec::new();
+    // Explicit DFS frames: (node, its successors still to try).
+    let mut frames: Vec<(u32, I)> = Vec::new();
 
-    for v0 in 0..n as u32 {
+    for v0 in 0..roots {
         if index[v0 as usize] != UNVISITED {
             continue;
         }
-        index[v0 as usize] = next_index;
-        low[v0 as usize] = next_index;
-        next_index += 1;
-        stack.push(v0);
-        on_stack.insert(v0 as usize);
-        frames.push((v0, adj_off[v0 as usize]));
-
-        while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-            if *cursor < adj_off[v as usize + 1] {
-                let w = adj[*cursor as usize];
-                *cursor += 1;
-                if index[w as usize] == UNVISITED {
-                    index[w as usize] = next_index;
-                    low[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack.insert(w as usize);
-                    frames.push((w, adj_off[w as usize]));
-                } else if on_stack.contains(w as usize) {
-                    low[v as usize] = low[v as usize].min(index[w as usize]);
+        let mut enter = Some(v0);
+        loop {
+            if let Some(v) = enter.take() {
+                if v as usize >= index.len() {
+                    index.resize(v as usize + 1, UNVISITED);
+                    low.resize(v as usize + 1, 0);
+                    comp_of.resize(v as usize + 1, UNVISITED);
+                }
+                index[v as usize] = next_index;
+                low[v as usize] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack.insert(v as usize);
+                frames.push((v, succ(nodes.atom(v))));
+            }
+            let Some((v, next)) = frames.last_mut() else {
+                break;
+            };
+            let v = *v;
+            if let Some(b) = next.next() {
+                let w = nodes.node(b);
+                match index.get(w as usize) {
+                    Some(&i) if i != UNVISITED => {
+                        if on_stack.contains(w as usize) {
+                            low[v as usize] = low[v as usize].min(i);
+                        }
+                    }
+                    _ => enter = Some(w),
                 }
             } else {
                 frames.pop();

@@ -3,7 +3,7 @@
 //! empty model, whose cone is the whole program.
 
 use super::component::{classify_rules, decide_component, Dense, Positions, Scratch};
-use super::condensation::{tarjan, Condensation};
+use super::condensation::{condense, tarjan, Condensation, Flat, Nodes};
 use super::{ModularEngine, ModularMemo, ModularStats, NONE};
 use crate::result::EngineResult;
 use std::collections::hash_map::Entry;
@@ -27,13 +27,19 @@ impl ModularEngine<'_> {
         let prog = self.prog;
         let (n, old_n) = (prog.num_atoms(), prev_prog.num_atoms());
         let old = &memo.condensation;
-        let cone = Cone::of(prog, prev_prog);
+        // Against the empty model the cone is every atom, in local-id
+        // order: nothing is listed, and Tarjan runs over the whole program.
+        let whole = old_n == 0;
+        let (cone, found) = match whole {
+            true => (Cone::default(), condense(prog)),
+            false => Cone::walk(prog, prev_prog),
+        };
 
         // Counters: the previous run's, less what the cone and the dissolved
         // components contributed; the cone's components are added as they
         // are visited.
         let mut stats = ModularStats {
-            cone_atoms: if cone.whole { n } else { cone.atoms.len() },
+            cone_atoms: if whole { n } else { cone.atoms.len() },
             threads: 1,
             recursive_rounds: 0,
             components_reused: 0,
@@ -56,30 +62,27 @@ impl ModularEngine<'_> {
         let mut s = Sweep {
             truth,
             is_fact,
-            before: &memo.truth,
-            changed: BitSet::with_capacity(cone.atoms.len()),
+            memo,
+            marked: BitSet::with_capacity(cone.atoms.len()),
             recursive: memo.recursive.clone(),
             stats,
             cone: &cone,
         };
 
-        let (cond, truncation) = if cone.whole {
+        let (cond, truncation) = if whole {
             // Tarjan's flat arrays, swept, then handed to the memo.
-            let flat = tarjan(prog, n, |node| node, |atom| atom);
-            let (ords, rows) = (0..flat.num_components() as u32, |c| flat.component(c));
+            let (ords, rows) = (0..found.num_components() as u32, |c| found.component(c));
             let dense = Dense {
                 at: Vec::new(),
                 atoms: n,
             };
-            let trip = self.sweep(&mut s, ords, rows, &flat.comp_of[..], dense);
-            (Condensation::from(flat), trip)
+            let trip = self.sweep(&mut s, ords, rows, &found.comp_of[..], dense, |_, _| true);
+            (Condensation::from(found), trip)
         } else {
             // The previous components the cone dissolves go uncounted, and
             // the cone's components are appended. Every atom of a dissolved
             // component depends on the cone atom in it, so it is a cone atom
             // too: all of them move to the cone's components.
-            let (atom_of, node_of) = (|v: u32| cone.atoms[v as usize], |a| cone.slot(a));
-            let found = tarjan(prog, cone.atoms.len(), atom_of, node_of);
             let mut dissolved: Vec<u32> = (cone.atoms.iter())
                 .filter(|&&a| (a as usize) < old_n)
                 .map(|&a| old.comp_of[a as usize])
@@ -103,12 +106,28 @@ impl ModularEngine<'_> {
             // What lies outside the cone is carried.
             s.stats.components_reused = cond.num_components();
             cond.comp_of.resize(n, NONE);
+            // The walk emitted dependents first: its last component takes
+            // the first fresh ordinal.
             let first_new = wfdl_core::dense_u32(cond.num_ordinals(), "component ordinal");
-            for comp in found.iter() {
-                cond.push(comp.iter().map(|&node| cone.atoms[node as usize]));
+            let count = found.num_components() as u32;
+            let nodes = |ord: u32| found.component((first_new + count - 1 - ord) as usize);
+            for ord in first_new..first_new + count {
+                cond.push(nodes(ord).iter().map(|&v| cone.atoms[v as usize]));
             }
+            // A component is touched if it holds a seed or an atom marked
+            // because a rule for it reads a verdict that moved.
+            let touched = |ord: u32, marked: &BitSet| {
+                (nodes(ord).iter()).any(|&v| v < cone.seeds || marked.contains(v as usize))
+            };
             let (ords, rows) = (first_new..cond.num_ordinals() as u32, |c| cond.component(c));
-            let trip = self.sweep(&mut s, ords, rows, &cond.comp_of, FxHashMap::default());
+            let trip = self.sweep(
+                &mut s,
+                ords,
+                rows,
+                &cond.comp_of,
+                FxHashMap::default(),
+                touched,
+            );
             (cond, trip)
         };
         let (truth, mut stats) = (s.truth, s.stats);
@@ -124,7 +143,7 @@ impl ModularEngine<'_> {
             stats.unknown_atoms += (truth[a as usize] == Truth::Unknown) as usize;
             atom
         };
-        let reevaluated = if cone.whole {
+        let reevaluated = if whole {
             // Highest id first (a cold program lists its atoms sorted), so
             // that the first write sizes `interp`.
             (0..n as u32).rev().for_each(|a| _ = patch(a));
@@ -153,10 +172,11 @@ impl ModularEngine<'_> {
     }
 
     /// Visits the components `ords` in emission order, each read off
-    /// `component` and `comp_of`. One that holds a seed, or reads a verdict
-    /// of the base that changed, is evaluated in place; any other is a
-    /// component of the base with its rules and inputs, and keeps its
-    /// verdicts. Returns the budget trip that stopped the sweep.
+    /// `component` and `comp_of`. One that is `touched` — holds a seed, or
+    /// an atom `marked` because a rule of it reads a verdict of the base
+    /// that changed — is classified and evaluated in place; any other is a
+    /// component of the base with its rules and inputs, and is carried
+    /// unclassified. Returns the budget trip that stopped the sweep.
     fn sweep<'c, C: Index<usize, Output = u32> + ?Sized, P: Positions>(
         &self,
         s: &mut Sweep<'_>,
@@ -164,8 +184,9 @@ impl ModularEngine<'_> {
         component: impl Fn(usize) -> &'c [u32],
         comp_of: &C,
         positions: P,
+        touched: impl Fn(u32, &BitSet) -> bool,
     ) -> Option<TruncationReason> {
-        let (prog, cone, n) = (self.prog, s.cone, s.truth.len());
+        let (prog, n) = (self.prog, s.truth.len());
         // The working set for the memory budget, fixed for the whole run: a
         // verdict byte per atom and the condensation's `u32`s — a component
         // per atom, the atoms of the rows and an offset per row.
@@ -185,70 +206,55 @@ impl ModularEngine<'_> {
                 }
             }
             let comp = component(ord as usize);
-            let class = classify_rules(prog, comp, ord, comp_of, &s.truth, &mut scratch);
-            let touched = comp.iter().any(|&a| cone.slot(a) < cone.seeds)
-                || scratch.rules.iter().any(|&r| {
-                    let body = prog
-                        .pos_local(r as usize)
-                        .iter()
-                        .chain(prog.neg_local(r as usize));
-                    body.into_iter()
-                        .any(|&b| s.changed.contains(cone.slot(b) as usize))
-                });
-            let mut rounds = 0;
-            if touched {
-                rounds = decide_component(
-                    prog,
-                    comp,
-                    ord,
-                    comp_of,
-                    &s.is_fact,
-                    &mut s.truth,
-                    class,
-                    &mut scratch,
-                );
-                s.stats.components_evaluated += 1;
-                // Only an old atom's change is read: a rule that mentions a
-                // new atom is new, and its head a seed.
-                let moved = |&a: &u32| {
-                    s.before
-                        .get(a as usize)
-                        .is_some_and(|&t| t != s.truth[a as usize])
-                };
-                for &a in comp.iter().filter(|a| moved(a)) {
-                    s.changed.insert(cone.slot(a) as usize);
-                }
-            } else {
-                // No seed inside: every atom of it was an atom before.
-                for &a in comp {
-                    s.truth[a as usize] = s.before[a as usize];
-                }
-                s.stats.components_reused += 1;
+            if !touched(ord, &s.marked) {
+                s.carry(prog, comp, ord, comp_of, &mut scratch);
+                continue;
             }
-            s.recursive.push(!class.definite);
-            let stats = &mut s.stats;
-            if class.definite {
-                stats.definite_components += 1;
-            } else {
-                stats.recursive_components += 1;
-                stats.atoms_in_recursive += comp.len();
-                stats.rules_in_recursive += scratch.rules.len();
-                stats.recursive_rounds += rounds as usize;
+            let class = classify_rules(prog, comp, ord, comp_of, &s.truth, &mut scratch);
+            let rounds = decide_component(
+                prog,
+                comp,
+                ord,
+                comp_of,
+                &s.is_fact,
+                &mut s.truth,
+                class,
+                &mut scratch,
+            );
+            s.stats.components_evaluated += 1;
+            // Only an old atom's change is marked: a rule that mentions a
+            // new atom is new, and its head a seed. The heads it marks are
+            // cone atoms, as the cone is closed under the occurrence rows.
+            for &a in comp {
+                if s.memo
+                    .truth
+                    .get(a as usize)
+                    .is_some_and(|&t| t != s.truth[a as usize])
+                {
+                    let rows = prog.rules_with_pos_local(a).iter();
+                    for &rid in rows.chain(prog.rules_with_neg_local(a)) {
+                        let head = prog.head_local(rid.index());
+                        s.marked.insert(s.cone.slot[&head] as usize);
+                    }
+                }
+            }
+            s.count(!class.definite, comp.len(), scratch.rules.len());
+            if !class.definite {
+                s.stats.recursive_rounds += rounds as usize;
             }
         }
         None
     }
 }
 
-/// The atoms a sweep visits, by position: the **seeds** — the heads of the
-/// new rules, the new facts and the new atoms — then their forward closure
-/// over the occurrence rows (every head of a rule whose body mentions a
-/// cone atom). Against the empty model every atom is a seed, so the cone is
-/// `0..n` in order: a position is a local id, and nothing is listed.
+/// The atoms a resumed sweep visits, by position: the **seeds** — the heads
+/// of the new rules, the new facts and the new atoms — then their forward
+/// closure over the occurrence rows (every head of a rule whose body
+/// mentions a cone atom), each listed when the walk discovers it. Against
+/// the empty model every atom is a seed and nothing is listed.
+#[derive(Default)]
 struct Cone {
-    /// The cone is every atom, in local-id order.
-    whole: bool,
-    /// The atoms of a cone that is not whole, and the position of each.
+    /// The atoms of the cone, and the position of each.
     atoms: Vec<u32>,
     slot: FxHashMap<u32, u32>,
     /// The seeds are the positions below `seeds`.
@@ -256,51 +262,46 @@ struct Cone {
 }
 
 impl Cone {
-    /// The cone of `prog`'s delta over `prev`, which it extends.
-    fn of(prog: &GroundProgram, prev: &GroundProgram) -> Cone {
-        let old_n = prev.num_atoms();
-        let mut cone = Cone {
-            whole: old_n == 0,
-            atoms: Vec::new(),
-            slot: FxHashMap::default(),
-            seeds: prog.num_atoms() as u32,
-        };
-        if cone.whole {
-            return cone;
-        }
+    /// The cone of `prog`'s delta over `prev`, which it extends, and its
+    /// components: one iterative Tarjan over the forward occurrence rows
+    /// (`atom → head of every rule whose body mentions it`), rooted at the
+    /// seeds in order. The components are in positions, dependents first.
+    fn walk(prog: &GroundProgram, prev: &GroundProgram) -> (Cone, Flat) {
+        let mut cone = Cone::default();
         for r in prev.num_rules()..prog.num_rules() {
-            cone.enter(prog.head_local(r));
+            cone.node(prog.head_local(r));
         }
         for &f in prog.facts_local().iter_from(prev.facts().len()) {
-            cone.enter(f);
+            cone.node(f);
         }
-        (old_n as u32..prog.num_atoms() as u32).for_each(|a| cone.enter(a));
+        (prev.num_atoms() as u32..prog.num_atoms() as u32).for_each(|a| _ = cone.node(a));
         cone.seeds = cone.atoms.len() as u32;
-        let mut next = 0;
-        while let Some(&a) = cone.atoms.get(next) {
-            next += 1;
-            for &rid in (prog.rules_with_pos_local(a).iter()).chain(prog.rules_with_neg_local(a)) {
-                cone.enter(prog.head_local(rid.index()));
+        let found = tarjan(cone.seeds, &mut cone, |a| {
+            let rows = prog.rules_with_pos_local(a).iter();
+            let rows = rows.chain(prog.rules_with_neg_local(a));
+            rows.map(|rid| prog.head_local(rid.index()))
+        });
+        (cone, found)
+    }
+}
+
+/// The forward walk numbers the cone's atoms by their positions.
+impl Nodes for Cone {
+    /// The position of `a`, listed at the next one unless it is listed.
+    fn node(&mut self, a: u32) -> u32 {
+        match self.slot.entry(a) {
+            Entry::Occupied(at) => *at.get(),
+            Entry::Vacant(free) => {
+                let at = *free.insert(self.atoms.len() as u32);
+                self.atoms.push(a);
+                at
             }
         }
-        cone
     }
 
-    /// Lists `a` at the next position, unless it is listed.
-    fn enter(&mut self, a: u32) {
-        if let Entry::Vacant(free) = self.slot.entry(a) {
-            free.insert(self.atoms.len() as u32);
-            self.atoms.push(a);
-        }
-    }
-
-    /// The position of atom `a`, or [`NONE`] outside the cone.
     #[inline]
-    fn slot(&self, a: u32) -> u32 {
-        match self.whole {
-            true => a,
-            false => self.slot.get(&a).copied().unwrap_or(NONE),
-        }
+    fn atom(&self, v: u32) -> u32 {
+        self.atoms[v as usize]
     }
 }
 
@@ -309,13 +310,82 @@ struct Sweep<'a> {
     /// Carried outside the cone; `Unknown` in it until decided.
     truth: Vec<Truth>,
     is_fact: BitSet,
-    /// The base's verdicts.
-    before: &'a [Truth],
-    /// By position in the cone: the atoms whose verdict the sweep changed.
-    changed: BitSet,
+    /// What the base's solve left: its verdicts, components and classes.
+    memo: &'a ModularMemo,
+    /// By position in the cone: the heads of the rules that read a verdict
+    /// the sweep changed.
+    marked: BitSet,
     recursive: ChunkVec<bool>,
     stats: ModularStats,
     cone: &'a Cone,
+}
+
+impl Sweep<'_> {
+    /// Carries the untouched cone component `comp`, ordinal `ord`. It holds
+    /// no seed, so it is a component of the base — rules only grow, so
+    /// components only merge, and a merged one runs through a new rule and
+    /// holds its head — with the base's rules, and none of its inputs
+    /// moved: it keeps the base's verdicts, and its class is the one the
+    /// memo recorded at its old ordinal.
+    fn carry<C: Index<usize, Output = u32> + ?Sized, P: Positions>(
+        &mut self,
+        prog: &GroundProgram,
+        comp: &[u32],
+        ord: u32,
+        comp_of: &C,
+        scratch: &mut Scratch<P>,
+    ) {
+        for &a in comp {
+            self.truth[a as usize] = self.memo.truth[a as usize];
+        }
+        let old = self.memo.condensation.comp_of[comp[0] as usize];
+        let recursive = self.memo.recursive[old as usize];
+        if cfg!(debug_assertions) {
+            // What classifying it, and the body walk that carrying
+            // unclassified replaces, would have found.
+            let class = classify_rules(prog, comp, ord, comp_of, &self.truth, scratch);
+            debug_assert_eq!(
+                class.definite, !recursive,
+                "class of carried component {ord}"
+            );
+            let moved = |&b: &u32| {
+                comp_of[b as usize] != ord
+                    && (self.memo.truth.get(b as usize))
+                        .is_some_and(|&t| t != self.truth[b as usize])
+            };
+            let reads_a_move = scratch.rules.iter().any(|&r| {
+                let r = r as usize;
+                prog.pos_local(r).iter().chain(prog.neg_local(r)).any(moved)
+            });
+            debug_assert!(
+                !reads_a_move,
+                "carried component {ord} reads a verdict that moved"
+            );
+        }
+        self.stats.components_reused += 1;
+        let rules = match recursive {
+            true => comp
+                .iter()
+                .map(|&a| prog.rules_with_head_local(a).len())
+                .sum(),
+            false => 0,
+        };
+        self.count(recursive, comp.len(), rules);
+    }
+
+    /// Records the class of the component just visited, of `atoms` atoms
+    /// and `rules` rules, in the flags and the counters.
+    fn count(&mut self, recursive: bool, atoms: usize, rules: usize) {
+        self.recursive.push(recursive);
+        let stats = &mut self.stats;
+        if recursive {
+            stats.recursive_components += 1;
+            stats.atoms_in_recursive += atoms;
+            stats.rules_in_recursive += rules;
+        } else {
+            stats.definite_components += 1;
+        }
+    }
 }
 
 /// How often the sweep polls the wall clock and memory budget, in

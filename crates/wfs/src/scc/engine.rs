@@ -40,8 +40,9 @@ pub struct ModularStats {
     /// Components this run evaluated: `components - components_reused`
     /// unless a budget truncated the run.
     pub components_evaluated: usize,
-    /// Atoms Tarjan's algorithm ran over: every atom for a full solve, the
-    /// delta's forward cone for an incremental one.
+    /// Atoms Tarjan's algorithm ran over: every atom for a full solve, and
+    /// for an incremental one the delta's forward cone, as the forward walk
+    /// listed it.
     pub cone_atoms: usize,
     /// Always `1`. Accepted and ignored for the frozen benchmark; removed
     /// by the benchmark issue that drops `cold_solve_auto_s`.
@@ -129,11 +130,13 @@ impl<'a> ModularEngine<'a> {
     /// solve; this engine's program must be that program plus a delta —
     /// the previous atoms, rules and facts a prefix of its atoms, rules and
     /// facts, which is what [`GroundProgram::extension`] produces. Outside
-    /// the delta's forward cone, verdicts and components are carried. The
-    /// cone is condensed on its own, its components take fresh ordinals
-    /// and no carried ordinal moves, and of its components only those that
-    /// hold a seed or read a verdict that changed are evaluated. The
-    /// counters that describe the model equal a full solve's. A budget trip
+    /// the delta's forward cone, verdicts and components are carried. One
+    /// forward walk from the seeds lists the cone and condenses it, its
+    /// components take fresh ordinals and no carried ordinal moves, and of
+    /// its components only those that hold a seed or read a verdict that
+    /// changed are classified and evaluated; the others are carried
+    /// unclassified. The counters that describe the model equal a full
+    /// solve's. A budget trip
     /// stops the sweep at a component boundary: decided atoms carry their
     /// final values, the rest read `Unknown`, and no memo is published.
     ///

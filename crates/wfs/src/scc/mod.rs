@@ -60,8 +60,17 @@
 //!   gives it the previous verdicts and components;
 //! * *a new cycle passes through a seed* — it uses a new rule, whose head
 //!   is a seed and whose dependants are all in the cone, so every component
-//!   that changed lies inside the cone and Tarjan runs on the subgraph the
-//!   cone induces.
+//!   that changed lies inside the cone, and the cone's components are those
+//!   of the subgraph it induces.
+//!
+//! One **forward walk** finds both: an iterative Tarjan over the forward
+//! occurrence rows (`atom → head of every rule whose body mentions it`),
+//! rooted at the seeds in order. It lists the seeds first and every other
+//! cone atom when it discovers it, so an atom's position in that list is
+//! its node, and the seeds are the positions below their count;
+//! `cone_atoms` counts what the walk listed. Forward edges make Tarjan emit
+//! dependents first; the sweep takes the components in reverse —
+//! dependencies first — and appends them with fresh ordinals in that order.
 //!
 //! A **full solve is the same sweep against the empty model** — an empty
 //! ground program, an empty memo, zero counters — which every program
@@ -75,9 +84,21 @@
 //! by them are a function of the program alone. The empty model also
 //! stands in for a previous result that cannot be carried.
 //!
-//! Inside the cone, components are visited dependencies-first and evaluated
-//! only if they contain a seed or an external body atom whose verdict
-//! changed in this run; the others keep their carried verdicts.
+//! Inside the cone, components are visited dependencies-first, and only
+//! the **touched** ones are classified and evaluated: those that hold a
+//! seed or a **marked** atom. When an evaluated component's old atom
+//! changes verdict, the heads of its forward occurrence rows are marked,
+//! so whether a component is touched is known before anything about it is
+//! read. An untouched one is a component of the previous program — rules
+//! only grow, so components only merge, and a merged one runs through a
+//! new rule and holds its head, a seed — with its previous rules, and none
+//! of its inputs moved. It is **carried unclassified**: it keeps its
+//! previous verdicts, its class is the memo's `recursive` flag at its old
+//! ordinal, and its atoms and head rows are added to the recursive
+//! counters. A flip that dies out two components up stops costing there:
+//! the rest of the cone is walked once and copied, never classified. Debug
+//! builds classify every carried component anyway and assert that its
+//! class is the memo's and that no rule of it reads a verdict that moved.
 //!
 //! What is carried is the previous run's [`ModularMemo`] — verdicts and
 //! facts by local id, the component of every atom, the component rows and
@@ -90,15 +111,18 @@
 //! and a bit per atom, read on every rule the sweep classifies — and the
 //! interpretation are copied flat.
 //!
-//! Ordinals never move. A component the cone dissolves keeps its ordinal
-//! and its row, which read as dissolved from then on (its atoms belong to
-//! cone components), and the cone's components take fresh ordinals above
-//! every old one. Emission order stays dependencies-first: the cone is
-//! closed under "depends on", so a carried component depends on carried
-//! ones only, and a cone component on carried ones and on cone components
-//! Tarjan emitted before it. So no carried ordinal is rewritten,
-//! and nothing is walked per atom or per component outside the cone; the
-//! per-atom scratch of a resume is keyed by the cone's atoms.
+//! Ordinals never move outside the cone. A component the cone dissolves
+//! keeps its ordinal and its row, which read as dissolved from then on (its
+//! atoms belong to cone components), and the cone's components take fresh
+//! ordinals above every old one, in reverse forward-emission order.
+//! Emission order stays dependencies-first: the cone is closed under
+//! "depends on", so a carried component depends on carried ones only, and a
+//! cone component on carried ones and on cone components the walk emitted
+//! after it. So no carried ordinal is rewritten, and nothing is walked per
+//! atom or per component outside the cone; the per-atom scratch of a
+//! resume is keyed by the cone's atoms. Since the walk runs forward, a cone
+//! atom's ordinal — and `stage_of` — can differ from what a walk in another
+//! order would give; it stays monotone along every rule.
 //!
 //! The engine records no per-atom stage. The decision *stage* of an atom
 //! is the 1-based ordinal of the component that decided it, read off the
