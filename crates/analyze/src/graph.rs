@@ -3,16 +3,18 @@
 //! [`Digraph`] is the one graph the analyzer searches — Tarjan's algorithm
 //! and the shortest in-component path behind every witness cycle — for the
 //! predicate graph here and the position graph of the termination pass.
+//! Its Tarjan is `wfdl_core::scc::tarjan`, the one the engine condenses
+//! ground programs with, so the analyzer stays a leaf crate over
+//! `wfdl-core`.
 //!
 //! Nodes of the predicate graph are predicates (dense [`PredId`]s); an edge `h → b` records that a
 //! rule with head `h` reads `b` in its body, with negative polarity when the
 //! body literal is negated. The SCC decomposition drives the stratification
-//! report; it is deliberately independent of the engine's ground-level SCC
-//! machinery in `wfdl-wfs` so the analyzer stays a leaf crate over
-//! `wfdl-core` only.
+//! report.
 
 use std::collections::VecDeque;
 use wfdl_core::csr::Csr;
+use wfdl_core::scc::{tarjan, Identity};
 use wfdl_core::{PredId, SkolemProgram};
 
 /// A directed graph over the dense nodes `0..n`: the one graph type the
@@ -49,71 +51,14 @@ impl Digraph {
         self.out.row(v)
     }
 
-    /// Strongly connected components (iterative Tarjan). Returns the
-    /// component id of each node; ids are dense and deterministic for a
-    /// given edge order.
+    /// Strongly connected components: `wfdl_core`'s Tarjan with every
+    /// node a root, in node order. Returns the component id of each node;
+    /// ids are dense, in emission order, and deterministic for a given
+    /// edge order.
     pub fn sccs(&self) -> Vec<u32> {
-        let n = self.num_nodes();
-        const UNSET: u32 = u32::MAX;
-        let mut index = vec![UNSET; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut comp = vec![UNSET; n];
-        let mut next_index = 0u32;
-        let mut next_comp = 0u32;
-        // Explicit DFS frames: (node, next out-edge offset).
-        let mut frames: Vec<(u32, usize)> = Vec::new();
-
-        for start in 0..n {
-            if index[start] != UNSET {
-                continue;
-            }
-            frames.push((start as u32, 0));
-            index[start] = next_index;
-            low[start] = next_index;
-            next_index += 1;
-            stack.push(start as u32);
-            on_stack[start] = true;
-
-            while let Some(&(v, ei)) = frames.last() {
-                let v = v as usize;
-                if let Some(&e) = self.out_edges(v).get(ei) {
-                    if let Some(frame) = frames.last_mut() {
-                        frame.1 += 1;
-                    }
-                    let w = self.to[e as usize] as usize;
-                    if index[w] == UNSET {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w as u32);
-                        on_stack[w] = true;
-                        frames.push((w as u32, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(p, _)) = frames.last() {
-                        let p = p as usize;
-                        low[p] = low[p].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        while let Some(w) = stack.pop() {
-                            let w = w as usize;
-                            on_stack[w] = false;
-                            comp[w] = next_comp;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        next_comp += 1;
-                    }
-                }
-            }
-        }
-        comp
+        let n = wfdl_core::dense_u32(self.num_nodes(), "graph node");
+        let succ = |v: u32| (self.out_edges(v as usize).iter()).map(|&e| self.to[e as usize]);
+        tarjan(n, &mut Identity, succ).comp_of
     }
 
     /// Shortest path `from ⇝ to` restricted to one component (BFS over

@@ -25,17 +25,16 @@ impl ChaseSegment {
     /// Grounds the atoms `first_atom..`, the instances `first_inst..` and
     /// the facts after `prev`'s onto `prev` ([`GroundProgram::extension`]).
     /// This is a **straight array translation**: the new atoms come sorted
-    /// out of one bitmap scan, every instance is fed as a candidate from
-    /// the segment's own arrays, and the extension drops the instances
-    /// that ground to the same rule — no hash probe, no binary search and
-    /// no per-instance allocation anywhere on this path.
+    /// out of one bitmap scan and every instance is one rule, fed from the
+    /// segment's own arrays in instance order — no hash probe, no binary
+    /// search and no per-instance allocation anywhere on this path.
     fn ground_onto(
         &self,
         prev: &GroundProgram,
         first_atom: usize,
         first_inst: usize,
     ) -> GroundProgram {
-        let (num_inst, first_fact) = (self.num_instances(), prev.facts().len());
+        let (num_inst, first_fact) = (self.num_instances(), prev.facts_local().len());
         debug_assert!(first_inst <= num_inst && first_fact <= self.forest.fact_seg.len());
         let instances = (first_inst..num_inst).map(InstanceId::from_index);
 
@@ -65,7 +64,7 @@ impl ChaseSegment {
         }
         for i in instances {
             let pos = self.pos_seg(i).iter().map(|&s| self.atom_of(s));
-            ground.push_candidate(self.head_atom(i), pos, self.neg_atoms(i).iter().copied());
+            ground.push_rule(self.head_atom(i), pos, self.neg_atoms(i).iter().copied());
         }
         ground.finish()
     }
@@ -136,7 +135,7 @@ mod tests {
         let mut atoms = extended.atoms().to_vec();
         atoms.sort_unstable();
         assert_eq!(*scratch.atoms(), atoms);
-        assert_eq!(scratch.facts(), extended.facts());
+        assert!(scratch.facts().eq(extended.facts()));
         assert_eq!(scratch.num_rules(), extended.num_rules());
         assert!(scratch.rules().eq(extended.rules()));
         for &atom in scratch.atoms() {

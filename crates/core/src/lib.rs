@@ -35,6 +35,7 @@ pub mod json;
 pub mod normalize;
 pub mod program;
 pub mod rule;
+pub mod scc;
 pub mod schema;
 pub mod skolem;
 pub mod snapshot;

@@ -1,11 +1,19 @@
-//! The win–move game: the classic workload with genuinely three-valued
-//! well-founded models.
+//! The win–move game: the classic workload whose well-founded models can be
+//! three-valued.
 //!
 //! `win(X) ← move(X,Y), ¬win(Y)` — a position is won iff some move leads
 //! to a lost position; positions on draw cycles come out **undefined**.
 //! The rule is guarded (`move(X,Y)` contains both variables) and has no
 //! existentials, so the chase terminates and the WFS is exact: ideal for
 //! engine cross-validation and the data-complexity experiment E9.
+//!
+//! Whether [`winmove_database`] makes draws depends on its mean out-degree.
+//! Small games can draw at any setting. At scale, draws need a mean
+//! out-degree above e ≈ 2.72, the threshold known for random games
+//! (Holroyd–Martin, "Galton–Watson games"). At 50,000 positions and
+//! out-degree 2.0 a game has at most a few dozen undefined positions; at
+//! 3.0 with no forward bias, 2,000-position games leave about half of
+//! their positions undefined (`tests/winmove_draws.rs`).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -17,7 +25,8 @@ use wfdl_storage::Database;
 pub struct WinMoveConfig {
     /// Number of positions.
     pub nodes: usize,
-    /// Expected out-degree of each position.
+    /// Expected out-degree of each position (see the module docs for
+    /// what it takes to draw).
     pub out_degree: f64,
     /// Fraction of edges forced forward (`u < v`), keeping alternation
     /// depth bounded; the remainder may create cycles (draws).

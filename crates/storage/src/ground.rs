@@ -1,10 +1,14 @@
 //! Finite ground normal programs — the input to the WFS fixpoint engines.
 //!
-//! A [`GroundProgram`] is a deduplicated set of ground rule instances plus
-//! facts, with occurrence indexes (which rules have a given atom in their
-//! head / positive body / negative body). The chase extracts exactly this
-//! structure from a depth-bounded segment of the guarded chase forest; the
-//! fixpoint engines in `wfdl-wfs` never look at anything else.
+//! A [`GroundProgram`] is a list of ground rule instances plus facts, with
+//! occurrence indexes (which rules have a given atom in their head /
+//! positive body / negative body). The chase extracts exactly this
+//! structure from a depth-bounded segment of the guarded chase forest, one
+//! rule per instance in instance order; the fixpoint engines in `wfdl-wfs`
+//! never look at anything else. No constructor searches for repeated
+//! rules: `W_P` asks of each atom only whether *some* rule for it fires or
+//! stays unblocked, so a rule written twice decides nothing its twin does
+//! not.
 //!
 //! ## Dense local ids and CSR indexes
 //!
@@ -19,14 +23,17 @@
 //! remain for callers that work with universe ids; the `*_local` twins are
 //! the hot-path API used by `wfdl-wfs`.
 //!
-//! Local ids are **append-only**. A production program is an
-//! [`Extension`] of the program its segment was resumed from — of the empty
-//! program for a cold solve: the previous atoms keep their local ids and
-//! the new ones take the next ids, in `AtomId` order. So a cold program
-//! lists its atoms sorted, and a resumed one lists them sorted within each
-//! extension. The `AtomId → local id` map is kept on the program
-//! ([`GroundProgram::local_id`] is one array read), and an extension
-//! clones it like every other inherited array.
+//! Local ids are **append-only**. Every program is an [`Extension`]: of
+//! the program its segment was resumed from, or of the empty program for a
+//! cold solve and for [`GroundProgramBuilder::finish`]. The previous atoms
+//! keep their local ids and the new ones take the next ids, in `AtomId`
+//! order. So a cold program lists its atoms sorted, and a resumed one lists
+//! them sorted within each extension. The `AtomId → local id` map is kept
+//! on the program ([`GroundProgram::local_id`] is one array read), and an
+//! extension clones it like every other inherited array.
+//!
+//! Facts are held once, as local ids; [`GroundProgram::facts`] maps them
+//! back through the atom list.
 //!
 //! Every array an extension inherits — facts, atoms, the `AtomId → local
 //! id` map, the rule arrays and the occurrence rows — is a copy-on-write
@@ -41,7 +48,7 @@
 //!
 //! ## Which rows exist when
 //!
-//! Every constructor builds the rule arrays (heads, positive and negative
+//! Every extension builds the rule arrays (heads, positive and negative
 //! bodies, CSR over rules) and the **head rows** (`rules_with_head*`):
 //! condensation and rule classification read those on every solve. The
 //! **body rows** (`rules_with_pos*` / `rules_with_neg*`) are counted by the
@@ -57,7 +64,7 @@
 
 use std::sync::OnceLock;
 use wfdl_core::csr::Csr;
-use wfdl_core::{AtomId, BitSet, ChunkVec, Footprint, FxHashMap, RowPool};
+use wfdl_core::{AtomId, BitSet, ChunkVec, Footprint, RowPool};
 
 /// Sentinel for "not mentioned" in [`GroundProgram`]'s `AtomId → local id`
 /// map.
@@ -93,7 +100,7 @@ pub struct GroundRule {
 }
 
 impl GroundRule {
-    /// Creates a rule, normalizing the body atom order for deduplication.
+    /// Creates a rule, bodies sorted and deduplicated.
     pub fn new(head: AtomId, mut pos: Vec<AtomId>, mut neg: Vec<AtomId>) -> Self {
         pos.sort_unstable();
         pos.dedup();
@@ -107,12 +114,13 @@ impl GroundRule {
     }
 }
 
-/// Builder that deduplicates rules and facts, accumulating the atom set as
-/// it goes so [`GroundProgramBuilder::finish`] indexes in a single pass.
+/// Builder of a program from rules and facts in universe ids: it collects
+/// the atom set as it goes, and [`GroundProgramBuilder::finish`] hands it
+/// all to the [extension](GroundProgram::extension) of the empty program.
+/// Every rule it is given is a rule of the program, a repeat included.
 #[derive(Clone, Debug, Default)]
 pub struct GroundProgramBuilder {
     rules: Vec<GroundRule>,
-    seen: FxHashMap<GroundRule, GroundRuleId>,
     facts: Vec<AtomId>,
     fact_set: BitSet,
     atoms: Vec<AtomId>,
@@ -125,53 +133,54 @@ impl GroundProgramBuilder {
         Self::default()
     }
 
+    /// Adds an atom to the program's atom set, if it is not there yet. An
+    /// atom that no rule heads is unsupported, so the engines make it false
+    /// unless it is a fact.
     #[inline]
-    fn register_atom(&mut self, atom: AtomId) {
+    pub fn add_atom(&mut self, atom: AtomId) {
         if self.atom_set.insert(atom.index()) {
             self.atoms.push(atom);
         }
     }
 
-    /// Adds a fact (a rule with empty body, kept separately).
+    /// Adds a fact (a rule with empty body, kept separately); a repeated
+    /// fact is ignored.
     pub fn add_fact(&mut self, atom: AtomId) {
         if self.fact_set.insert(atom.index()) {
             self.facts.push(atom);
-            self.register_atom(atom);
+            self.add_atom(atom);
         }
     }
 
-    /// Adds a rule instance; duplicates are ignored. Returns its id.
+    /// Adds a rule. Returns its id.
     pub fn add_rule(&mut self, rule: GroundRule) -> GroundRuleId {
-        if let Some(&id) = self.seen.get(&rule) {
-            return id;
-        }
         let id = GroundRuleId::from_index(self.rules.len());
-        self.register_atom(rule.head);
-        for i in 0..rule.pos.len() {
-            self.register_atom(rule.pos[i]);
+        self.add_atom(rule.head);
+        for &b in rule.pos.iter().chain(rule.neg.iter()) {
+            self.add_atom(b);
         }
-        for i in 0..rule.neg.len() {
-            self.register_atom(rule.neg[i]);
-        }
-        self.seen.insert(rule.clone(), id);
         self.rules.push(rule);
         id
     }
 
-    /// Number of distinct rules so far.
-    pub fn num_rules(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Finalizes into an indexed program. The atom set accumulated during
-    /// building is carried forward, so this is one pass over the rules.
-    pub fn finish(self) -> GroundProgram {
-        GroundProgram::from_parts(self.rules, self.facts, self.atoms)
+    /// The extension of the empty program by the atoms in id order, then
+    /// the facts and then the rules, each in the order they were added.
+    pub fn finish(mut self) -> GroundProgram {
+        self.atoms.sort_unstable();
+        let empty = GroundProgram::default();
+        let mut next = empty.extension(self.atoms, Room::default());
+        for f in self.facts {
+            next.push_fact(f);
+        }
+        for r in self.rules {
+            next.push_rule(r.head, r.pos.iter().copied(), r.neg.iter().copied());
+        }
+        next.finish()
     }
 }
 
-/// An indexed, deduplicated finite ground normal program with dense local
-/// atom ids and CSR occurrence indexes.
+/// An indexed finite ground normal program with dense local atom ids and
+/// CSR occurrence indexes.
 ///
 /// Rule structure lives **only** in the flat local-id arrays the fixpoint
 /// engines read; the boxed [`GroundRule`] view is materialized on demand
@@ -179,7 +188,6 @@ impl GroundProgramBuilder {
 /// (stratified baseline, wcheck cones, tests).
 #[derive(Clone, Debug, Default)]
 pub struct GroundProgram {
-    facts: ChunkVec<AtomId>,
     /// All atoms appearing anywhere (facts, heads, bodies). The **local
     /// id** of an atom is its position here (see the module docs for the
     /// order).
@@ -214,86 +222,6 @@ struct BodyRows {
 }
 
 impl GroundProgram {
-    /// Builds the indexes for a set of rules and facts, collecting the atom
-    /// set first. Prefer [`GroundProgramBuilder`], which accumulates the
-    /// atom set while deduplicating and skips this extra pass.
-    pub fn build(rules: Vec<GroundRule>, facts: Vec<AtomId>) -> Self {
-        let mut atoms = Vec::new();
-        let mut atom_set = BitSet::new();
-        let register = |atom: AtomId, atoms: &mut Vec<AtomId>, set: &mut BitSet| {
-            if set.insert(atom.index()) {
-                atoms.push(atom);
-            }
-        };
-        for &f in &facts {
-            register(f, &mut atoms, &mut atom_set);
-        }
-        for rule in &rules {
-            register(rule.head, &mut atoms, &mut atom_set);
-            for &b in rule.pos.iter() {
-                register(b, &mut atoms, &mut atom_set);
-            }
-            for &b in rule.neg.iter() {
-                register(b, &mut atoms, &mut atom_set);
-            }
-        }
-        GroundProgram::from_parts(rules, facts, atoms)
-    }
-
-    /// Indexes a program over an explicitly-given atom universe. `atoms`
-    /// must contain every atom mentioned by `rules` and `facts` (it may
-    /// contain more — extra atoms simply head no rules, so the engines
-    /// treat them as unsupported). This is the reference construction of
-    /// `tests/component_oracle.rs`, which solves each recursive component
-    /// as a sub-program over its own atoms and the atoms its rules read.
-    pub fn build_with_atom_universe(
-        rules: Vec<GroundRule>,
-        facts: Vec<AtomId>,
-        atoms: Vec<AtomId>,
-    ) -> Self {
-        GroundProgram::from_parts(rules, facts, atoms)
-    }
-
-    /// Indexes a program whose atom set is already collected, with local
-    /// ids in `AtomId` order. Cost scales with the program itself, never
-    /// with the size of the surrounding atom universe. This is how the test
-    /// oracles index small programs in bulk; every production program is an
-    /// [`Extension`].
-    fn from_parts(rules: Vec<GroundRule>, facts: Vec<AtomId>, mut atoms: Vec<AtomId>) -> Self {
-        atoms.sort_unstable();
-        atoms.dedup();
-        let mut local_of = ChunkVec::from_elem(NONE, atoms.last().map_or(0, |a| a.index() + 1));
-        for (l, a) in atoms.iter().enumerate() {
-            local_of[a.index()] = l as u32;
-        }
-        let local = |a: &AtomId| local_of[a.index()];
-
-        let facts_local = facts.iter().map(local).collect();
-
-        // Rule structure in local ids, one row per rule.
-        let mut head_local = ChunkVec::new();
-        let mut pos_local = RowPool::new();
-        let mut neg_local = RowPool::new();
-        for rule in &rules {
-            head_local.push(local(&rule.head));
-            pos_local.push(rule.pos.iter().map(local));
-            neg_local.push(rule.neg.iter().map(local));
-        }
-
-        let mut prog = GroundProgram {
-            facts: facts.into(),
-            atoms: atoms.into(),
-            local_of,
-            facts_local,
-            head_local,
-            pos_local,
-            neg_local,
-            ..GroundProgram::default()
-        };
-        prog.head_occ = occurrence_rows(prog.num_atoms(), prog.heads());
-        prog
-    }
-
     /// Starts the **extension** of this program by `new_atoms`, the one
     /// production construction: the chase grounds a cold segment onto
     /// `GroundProgram::default()` and a resumed one onto the program of the
@@ -333,7 +261,6 @@ impl GroundProgram {
             atoms.push(a);
         }
         let mut next = GroundProgram {
-            facts: self.facts.clone(),
             atoms,
             local_of,
             facts_local: self.facts_local.clone(),
@@ -342,7 +269,6 @@ impl GroundProgram {
             neg_local: self.neg_local.clone(),
             ..GroundProgram::default()
         };
-        next.facts.reserve(room.facts);
         next.facts_local.reserve(room.facts);
         next.head_local.reserve(room.rules);
         next.pos_local.reserve(room.rules, room.pos);
@@ -368,7 +294,6 @@ impl GroundProgram {
     pub fn footprint(&self) -> Footprint {
         let body = self.body_rows.get();
         [
-            self.facts.footprint(),
             self.atoms.footprint(),
             self.local_of.footprint(),
             self.facts_local.footprint(),
@@ -411,39 +336,6 @@ impl GroundProgram {
         sorted_entries(self.head_local.iter_from(first).copied().zip(first..))
     }
 
-    /// Marks in `dropped` every rule of `row` — the rules of one head —
-    /// that repeats an earlier one: ordered by body, ties by index, equal
-    /// rules end up adjacent with the first occurrence in front.
-    fn drop_repeats(&self, row: &mut [GroundRuleId], dropped: &mut BitSet) {
-        let body = |r: GroundRuleId| (self.pos_local(r.index()), self.neg_local(r.index()));
-        row.sort_unstable_by(|&x, &y| body(x).cmp(&body(y)).then(x.cmp(&y)));
-        for w in row.windows(2) {
-            if body(w[0]) == body(w[1]) {
-                dropped.insert(w[1].index());
-            }
-        }
-    }
-
-    /// Removes the `dropped` rules, all at or after `first`: the rules
-    /// after `first` are cut off and the kept ones appended again.
-    fn remove_rules(&mut self, first: usize, dropped: &BitSet) {
-        let kept: Vec<(u32, Vec<u32>, Vec<u32>)> = (first..self.num_rules())
-            .filter(|&r| !dropped.contains(r))
-            .map(|r| {
-                let (pos, neg) = (self.pos_local(r).to_vec(), self.neg_local(r).to_vec());
-                (self.head_local[r], pos, neg)
-            })
-            .collect();
-        self.head_local.truncate(first);
-        self.pos_local.truncate(first);
-        self.neg_local.truncate(first);
-        for (head, pos, neg) in kept {
-            self.head_local.push(head);
-            self.pos_local.push(pos);
-            self.neg_local.push(neg);
-        }
-    }
-
     /// Iterates the rules as materialized [`GroundRule`]s (allocates two
     /// boxes per rule; cold-path convenience — hot loops read the local-id
     /// CSR arrays directly).
@@ -463,10 +355,13 @@ impl GroundProgram {
         )
     }
 
-    /// The facts.
+    /// The facts, in the order they were added.
     #[inline]
-    pub fn facts(&self) -> &ChunkVec<AtomId> {
-        &self.facts
+    pub fn facts(&self) -> Facts<'_> {
+        Facts {
+            locals: self.facts_local.iter(),
+            atoms: &self.atoms,
+        }
     }
 
     /// Every atom mentioned by the program. An atom's **local id** is its
@@ -592,6 +487,36 @@ impl GroundProgram {
     }
 }
 
+/// The facts of a [`GroundProgram`], in the order they were added: its
+/// local-id facts read through its atom list.
+#[derive(Clone, Debug)]
+pub struct Facts<'a> {
+    locals: wfdl_core::chunked::Iter<'a, u32>,
+    atoms: &'a ChunkVec<AtomId>,
+}
+
+impl Facts<'_> {
+    /// True iff `atom` is one of the facts left (a scan).
+    pub fn contains(&self, atom: &AtomId) -> bool {
+        self.clone().any(|a| a == atom)
+    }
+}
+
+impl<'a> Iterator for Facts<'a> {
+    type Item = &'a AtomId;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a AtomId> {
+        self.locals.next().map(|&l| &self.atoms[l as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.locals.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Facts<'_> {}
+
 /// Room an [`Extension`] reserves for what is pushed onto it, so that its
 /// appends grow each array once.
 #[derive(Clone, Copy, Debug, Default)]
@@ -602,16 +527,16 @@ pub struct Room {
     pub atom_ids: usize,
     /// New facts.
     pub facts: usize,
-    /// Candidate rules.
+    /// New rules.
     pub rules: usize,
-    /// Positive body literals over all candidates.
+    /// Positive body literals over all new rules.
     pub pos: usize,
-    /// Negative body literals over all candidates.
+    /// Negative body literals over all new rules.
     pub neg: usize,
 }
 
 /// A program being extended ([`GroundProgram::extension`]): push the new
-/// facts and the candidate rules, then [`Extension::finish`].
+/// facts and rules, then [`Extension::finish`].
 #[derive(Debug)]
 pub struct Extension<'a> {
     prev: &'a GroundProgram,
@@ -625,17 +550,18 @@ impl Extension<'_> {
     /// are not facts of the program being extended.
     #[inline]
     pub fn push_fact(&mut self, atom: AtomId) {
-        debug_assert!(self.next.mentions(atom) && !self.prev.facts.contains(&atom));
-        self.next.facts.push(atom);
-        self.next.facts_local.push(self.next.local_of[atom.index()]);
+        let local = self.next.local_of[atom.index()];
+        debug_assert!(local != NONE && !self.prev.facts_local.contains(&local));
+        self.next.facts_local.push(local);
     }
 
-    /// Adds a candidate rule, in universe ids; every atom it mentions is
-    /// mentioned by the program or is one of the new atoms. Each body is
-    /// mapped to local ids, then sorted and deduplicated once. A candidate
-    /// that repeats an earlier rule is dropped by [`Extension::finish`].
+    /// Adds a rule, in universe ids; every atom it mentions is mentioned
+    /// by the program or is one of the new atoms. Each body is mapped to
+    /// local ids, then sorted and deduplicated once. A rule that repeats
+    /// another is kept: the engines read each head's rules for whether
+    /// *some* rule fires or stays unblocked, which a twin does not change.
     #[inline]
-    pub fn push_candidate(
+    pub fn push_rule(
         &mut self,
         head: AtomId,
         pos: impl IntoIterator<Item = AtomId>,
@@ -644,7 +570,7 @@ impl Extension<'_> {
         let next = &mut self.next;
         let local_of = &next.local_of;
         let local = |a: AtomId| {
-            debug_assert_ne!(local_of[a.index()], NONE, "candidate atom is mentioned");
+            debug_assert_ne!(local_of[a.index()], NONE, "rule atom is mentioned");
             local_of[a.index()]
         };
         let (pos, neg) = (pos.into_iter().map(local), neg.into_iter().map(local));
@@ -653,62 +579,23 @@ impl Extension<'_> {
         next.neg_local.push_set(neg);
     }
 
-    /// The extended program. A candidate can only repeat a rule with the
-    /// same head, so the duplicate search sorts the rows of the heads the
-    /// candidates touch — each one's old rules and candidates by body, ties
-    /// by index — and drops the later repeats: the program keeps first
-    /// occurrences in push order, which is what [`GroundProgramBuilder`]
-    /// keeps with a hash set. Heads with one rule cost nothing.
+    /// The extended program: one rule per pushed rule, in push order.
     ///
     /// When the program being extended has no rules (a cold hand-off), the
     /// head rows are counted and the body rows are left to their first
-    /// reader. Otherwise the repeats are dropped first, and all three kinds
-    /// of row are the old ones [edited](RowPool::edit) with the new atoms
-    /// and rules: shared but for the chunks the new rules land in. The old
-    /// body rows are counted here if nothing has read them yet, and the
-    /// extension receives its rows already counted.
+    /// reader. Otherwise all three kinds of row are the old ones
+    /// [edited](RowPool::edit) with the new atoms and rules: shared but for
+    /// the chunks the new rules land in. The old body rows are counted here
+    /// if nothing has read them yet, and the extension receives its rows
+    /// already counted.
     pub fn finish(self) -> GroundProgram {
         let Extension { prev, mut next } = self;
         let first = prev.num_rules();
-        let mut dropped = BitSet::new();
-        let mut row: Vec<GroundRuleId> = Vec::new();
         if first == 0 {
             next.head_occ = occurrence_rows(next.num_atoms(), next.heads());
-            for (r, &head) in next.head_local.iter().enumerate() {
-                // A head's last rule: search its row there, once.
-                let rules = next.rules_with_head_local(head);
-                if rules.len() > 1 && rules.last() == Some(&GroundRuleId::from_index(r)) {
-                    row.clear();
-                    row.extend_from_slice(rules);
-                    next.drop_repeats(&mut row, &mut dropped);
-                }
-            }
-            if !dropped.is_empty() {
-                next.remove_rules(first, &dropped);
-                next.head_occ = occurrence_rows(next.num_atoms(), next.heads());
-            }
             return next;
         }
-        // A touched head's row: its old rules, then its candidates.
-        let mut heads = next.head_entries(first);
-        let mut rest = &heads[..];
-        while let Some(&(head, _)) = rest.first() {
-            let n = rest.iter().take_while(|&&(h, _)| h == head).count();
-            row.clear();
-            if (head as usize) < prev.num_atoms() {
-                row.extend_from_slice(prev.rules_with_head_local(head));
-            }
-            row.extend(rest[..n].iter().map(|&(_, r)| r));
-            if row.len() > 1 {
-                next.drop_repeats(&mut row, &mut dropped);
-            }
-            rest = &rest[n..];
-        }
-        if !dropped.is_empty() {
-            next.remove_rules(first, &dropped);
-            heads = next.head_entries(first);
-        }
-        next.head_occ = next.extended_rows(&prev.head_occ, &heads);
+        next.head_occ = next.extended_rows(&prev.head_occ, &next.head_entries(first));
         let old = prev.body_rows();
         let pos = sorted_entries(body_entries(&next.pos_local, first));
         let neg = sorted_entries(body_entries(&next.neg_local, first));
@@ -758,17 +645,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_dedups_rules_and_facts() {
+    fn builder_keeps_repeated_rules_and_drops_repeated_facts() {
         let mut b = GroundProgramBuilder::new();
         b.add_fact(a(0));
         b.add_fact(a(0));
         let r1 = b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![a(2)]));
         let r2 = b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![a(2)]));
-        assert_eq!(r1, r2);
-        assert_eq!(b.num_rules(), 1);
+        assert_ne!(r1, r2);
         let p = b.finish();
-        assert_eq!(p.facts(), &[a(0)]);
-        assert_eq!(p.num_rules(), 1);
+        assert!(p.facts().eq(&[a(0)]));
+        assert_eq!(p.num_rules(), 2);
+        assert_eq!(p.rule(r1), p.rule(r2));
+        assert_eq!(p.rules_with_head(a(1)), &[r1, r2]);
+        assert_eq!(p.rules_with_pos(a(0)), &[r1, r2]);
     }
 
     #[test]
@@ -796,29 +685,18 @@ mod tests {
     }
 
     #[test]
-    fn build_and_builder_produce_identical_indexes() {
-        let rules = vec![
-            GroundRule::new(a(5), vec![a(1), a(3)], vec![a(2)]),
-            GroundRule::new(a(3), vec![a(1)], vec![]),
-            GroundRule::new(a(5), vec![a(3)], vec![a(5)]),
-        ];
-        let facts = vec![a(1), a(9)];
-        let direct = GroundProgram::build(rules.clone(), facts.clone());
+    fn an_added_atom_takes_its_sorted_local_id_and_heads_nothing() {
         let mut b = GroundProgramBuilder::new();
-        for &f in &facts {
-            b.add_fact(f);
-        }
-        for r in &rules {
-            b.add_rule(r.clone());
-        }
-        let built = b.finish();
-        assert_eq!(direct.atoms(), built.atoms());
-        for &atom in direct.atoms() {
-            assert_eq!(direct.local_id(atom), built.local_id(atom));
-            assert_eq!(direct.rules_with_head(atom), built.rules_with_head(atom));
-            assert_eq!(direct.rules_with_pos(atom), built.rules_with_pos(atom));
-            assert_eq!(direct.rules_with_neg(atom), built.rules_with_neg(atom));
-        }
+        b.add_atom(a(7));
+        let r0 = b.add_rule(GroundRule::new(a(5), vec![a(3)], vec![a(7)]));
+        b.add_atom(a(1));
+        b.add_atom(a(3));
+        let p = b.finish();
+        assert_eq!(p.atoms(), &[a(1), a(3), a(5), a(7)]);
+        assert!(p.rules_with_head(a(1)).is_empty());
+        assert_eq!(p.rules_with_head(a(5)), &[r0]);
+        assert_eq!(p.rules_with_neg(a(7)), &[r0]);
+        assert_eq!(p.facts().len(), 0);
     }
 
     #[test]
@@ -880,8 +758,8 @@ mod tests {
         assert!(cold.body_rows.get().is_none());
     }
 
-    /// `prev` extended by `new_atoms`, the facts `facts` and the candidate
-    /// rules `rules`.
+    /// `prev` extended by `new_atoms`, the facts `facts` and the rules
+    /// `rules`.
     fn extend(
         prev: &GroundProgram,
         new_atoms: &[AtomId],
@@ -893,29 +771,9 @@ mod tests {
             next.push_fact(f);
         }
         for r in rules {
-            next.push_candidate(r.head, r.pos.iter().copied(), r.neg.iter().copied());
+            next.push_rule(r.head, r.pos.iter().copied(), r.neg.iter().copied());
         }
         next.finish()
-    }
-
-    /// Every array two programs expose, row by row.
-    fn assert_identical(got: &GroundProgram, want: &GroundProgram) -> Result<(), TestCaseError> {
-        prop_assert_eq!(got.atoms(), want.atoms());
-        prop_assert_eq!(got.atom_id_bound(), want.atom_id_bound());
-        prop_assert_eq!(got.facts(), want.facts());
-        prop_assert_eq!(got.facts_local(), want.facts_local());
-        prop_assert_eq!(got.num_rules(), want.num_rules());
-        for r in 0..want.num_rules() {
-            prop_assert_eq!(got.head_local(r), want.head_local(r), "rule {}", r);
-            prop_assert_eq!(got.pos_local(r), want.pos_local(r), "rule {}", r);
-            prop_assert_eq!(got.neg_local(r), want.neg_local(r), "rule {}", r);
-        }
-        for l in 0..want.num_atoms() as u32 {
-            prop_assert_eq!(got.rules_with_head_local(l), want.rules_with_head_local(l));
-            prop_assert_eq!(got.rules_with_pos_local(l), want.rules_with_pos_local(l));
-            prop_assert_eq!(got.rules_with_neg_local(l), want.rules_with_neg_local(l));
-        }
-        Ok(())
     }
 
     /// The same program through `AtomId`s, whatever the local ids: the atom
@@ -928,7 +786,7 @@ mod tests {
         for (l, &atom) in got.atoms().iter().enumerate() {
             prop_assert_eq!(got.local_id(atom), Some(l as u32));
         }
-        prop_assert_eq!(got.facts(), want.facts());
+        prop_assert!(got.facts().eq(want.facts()));
         prop_assert_eq!(got.num_rules(), want.num_rules());
         for r in (0..want.num_rules()).map(GroundRuleId::from_index) {
             prop_assert_eq!(got.rule(r), want.rule(r), "rule {:?}", r);
@@ -941,7 +799,7 @@ mod tests {
         Ok(())
     }
 
-    /// One step of a growing program: candidate rules `(head, pos, neg)` and
+    /// One step of a growing program: rules `(head, pos, neg)` and
     /// facts, as atom indices.
     type Step = (Vec<(usize, Vec<usize>, Vec<usize>)>, Vec<usize>);
 
@@ -961,7 +819,8 @@ mod tests {
         /// through `AtomId`s — after each step, and every step keeps the
         /// local ids it extends. Later steps draw atoms from a wider range
         /// and the ids are spread so that new atoms land between, before and
-        /// after the old ones; candidates repeat old rules and each other.
+        /// after the old ones; rules repeat old rules and each other, and
+        /// every repeat is kept.
         #[test]
         fn extensions_equal_a_from_scratch_build(
             base in step(0..12),
@@ -991,7 +850,7 @@ mod tests {
                 let rules: Vec<GroundRule> = rules.iter().map(rule).collect();
                 let mut new_facts: Vec<AtomId> = Vec::new();
                 for &f in facts {
-                    if !extended.facts().contains(&atom(f)) && !new_facts.contains(&atom(f)) {
+                    if !extended.facts().any(|&x| x == atom(f)) && !new_facts.contains(&atom(f)) {
                         new_facts.push(atom(f));
                     }
                 }
@@ -1017,98 +876,12 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// The extension of the empty program over candidate rules that
-        /// repeat each other — few atoms, so heads collect many rules and
-        /// many repeats — keeps what the hash-deduplicating builder keeps,
-        /// in its order, array for array.
-        #[test]
-        fn extending_the_empty_program_drops_repeats_like_the_builder(
-            candidates in step(0..6),
-            copies in 1usize..4,
-        ) {
-            let (rules, facts) = candidates;
-            let rules: Vec<GroundRule> = std::iter::repeat(&rules)
-                .take(copies)
-                .flatten()
-                .map(|(h, pos, neg)| {
-                    let of = |body: &[usize]| body.iter().map(|&i| a(i)).collect();
-                    GroundRule::new(a(*h), of(pos), of(neg))
-                })
-                .collect();
-            let mut builder = GroundProgramBuilder::new();
-            for &f in &facts {
-                builder.add_fact(a(f));
-            }
-            for r in &rules {
-                builder.add_rule(r.clone());
-            }
-            let want = builder.finish();
-            let got = extend(
-                &GroundProgram::default(),
-                &want.atoms().to_vec(),
-                &want.facts().to_vec(),
-                &rules,
-            );
-            assert_identical(&got, &want)?;
-        }
-    }
-
-    /// A resume of 20,000 fresh one-rule heads and 2,000 repeats of them
-    /// onto a 1,000-fact program is deduplicated head by head, not against
-    /// every rule appended before it: best of three, the extension takes
-    /// at most 8× what the hash-deduplicating builder takes for the same
-    /// rules, and grounds what the builder does.
-    #[test]
-    fn a_large_delta_grounds_like_the_builder_in_near_linear_time() {
-        const FACTS: usize = 1_000;
-        const HEADS: usize = 20_000;
-        let mut base = GroundProgramBuilder::new();
-        for i in 0..FACTS {
-            base.add_fact(a(i));
-        }
-        base.add_rule(GroundRule::new(a(0), vec![a(1)], vec![]));
-        let prev = base.clone().finish();
-        let head = |i: usize| a(FACTS + i);
-        let rules: Vec<GroundRule> = (0..HEADS)
-            .chain((0..HEADS).step_by(10))
-            .map(|i| GroundRule::new(head(i), vec![a(i % FACTS)], vec![head((i + 1) % HEADS)]))
-            .collect();
-        let new_atoms: Vec<AtomId> = (0..HEADS).map(head).collect();
-        let best_of_three = |f: &dyn Fn() -> GroundProgram| {
-            (0..3)
-                .map(|_| {
-                    let start = std::time::Instant::now();
-                    let program = f();
-                    (start.elapsed(), program)
-                })
-                .min_by_key(|(took, _)| *took)
-                .unwrap()
-        };
-        let (extension, extended) = best_of_three(&|| extend(&prev, &new_atoms, &[], &rules));
-        let (builder, built) = best_of_three(&|| {
-            let mut b = base.clone();
-            for r in &rules {
-                b.add_rule(r.clone());
-            }
-            b.finish()
-        });
-        assert_eq!(extended.num_rules(), 1 + HEADS);
-        assert_same_program(&extended, &built).unwrap();
-        assert!(
-            extension <= builder * 8,
-            "extension {extension:?}, builder {builder:?}"
-        );
-    }
-
     #[test]
     fn empty_program_has_empty_indexes() {
         let p = GroundProgramBuilder::new().finish();
         assert_eq!(p.num_atoms(), 0);
         assert_eq!(p.num_rules(), 0);
-        assert!(p.facts().is_empty());
+        assert_eq!(p.facts().len(), 0);
         assert!(p.rules_with_head(a(0)).is_empty());
     }
 }

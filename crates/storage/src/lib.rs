@@ -12,5 +12,7 @@ pub mod ground;
 pub mod index;
 
 pub use database::Database;
-pub use ground::{Extension, GroundProgram, GroundProgramBuilder, GroundRule, GroundRuleId, Room};
+pub use ground::{
+    Extension, Facts, GroundProgram, GroundProgramBuilder, GroundRule, GroundRuleId, Room,
+};
 pub use index::{AtomIndex, IndexStats};

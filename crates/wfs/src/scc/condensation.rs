@@ -1,9 +1,11 @@
-//! The condensation of the atom dependency graph: Tarjan's algorithm and
-//! the component rows a solve carries.
+//! The condensation of the atom dependency graph: Tarjan's algorithm
+//! (`wfdl_core::scc`) over the whole program, and the component rows a
+//! solve carries.
 
 use std::collections::BTreeMap;
 use wfdl_core::csr::Csr;
-use wfdl_core::{BitSet, ChunkVec, RowPool};
+use wfdl_core::scc::{tarjan, Identity, Sccs};
+use wfdl_core::{ChunkVec, RowPool};
 use wfdl_storage::GroundProgram;
 
 /// The strongly connected components of a program's atom dependency graph
@@ -94,12 +96,12 @@ impl Condensation {
     }
 }
 
-impl From<Flat> for Condensation {
+impl From<Sccs> for Condensation {
     /// Tarjan's arrays, handed over as they are.
-    fn from(flat: Flat) -> Condensation {
+    fn from(sccs: Sccs) -> Condensation {
         let mut sizes = BTreeMap::new();
         let mut singletons = 0;
-        for w in flat.comps.off.windows(2) {
+        for w in sccs.comps.off.windows(2) {
             match (w[1] - w[0]) as usize {
                 1 => singletons += 1,
                 size => *sizes.entry(size).or_insert(0) += 1,
@@ -109,32 +111,11 @@ impl From<Flat> for Condensation {
             sizes.insert(1, singletons);
         }
         Condensation {
-            live: flat.num_components(),
-            comp_of: flat.comp_of.into(),
-            comps: RowPool::from_csr(flat.comps),
+            live: sccs.num_components(),
+            comp_of: sccs.comp_of.into(),
+            comps: RowPool::from_csr(sccs.comps),
             sizes,
         }
-    }
-}
-
-/// Tarjan's output over node ids, in one flat CSR: what the sweep against
-/// the empty model reads before handing it to its [`Condensation`], and
-/// what a resume's forward walk appends, last component first, to the one
-/// it carries.
-pub(super) struct Flat {
-    /// Node → component ordinal (emission order).
-    pub(super) comp_of: Vec<u32>,
-    /// Row `c`: the nodes of component `c`.
-    comps: Csr<u32>,
-}
-
-impl Flat {
-    pub(super) fn num_components(&self) -> usize {
-        self.comps.num_rows()
-    }
-
-    pub(super) fn component(&self, c: usize) -> &[u32] {
-        self.comps.row(c)
     }
 }
 
@@ -150,7 +131,7 @@ pub fn condensation(prog: &GroundProgram) -> Condensation {
 /// emitted after everything it depends on. The edges are laid out first in
 /// one flat CSR, filled in local-id order, so that the walk reads one row
 /// per atom rather than the scattered rows of its rules.
-pub(super) fn condense(prog: &GroundProgram) -> Flat {
+pub(super) fn condense(prog: &GroundProgram) -> Sccs {
     let n = wfdl_core::dense_u32(prog.num_atoms(), "atom");
     let mut adj = Csr {
         off: Vec::with_capacity(n as usize + 1),
@@ -167,118 +148,7 @@ pub(super) fn condense(prog: &GroundProgram) -> Flat {
             .push(wfdl_core::dense_u32(adj.items.len(), "dependency edges"));
     }
     let adj = &adj;
-    tarjan(n, &mut Atoms, |a| adj.row(a as usize).iter().copied())
-}
-
-/// How Tarjan's walk numbers the atoms it reaches: densely, in the order it
-/// reaches them, after the roots.
-pub(super) trait Nodes {
-    /// The node of atom `a`, numbered next if the walk has not reached it.
-    fn node(&mut self, a: u32) -> u32;
-    /// The atom of node `v`.
-    fn atom(&self, v: u32) -> u32;
-}
-
-/// The whole program's numbering: every atom is a root, and its node is
-/// its local id.
-struct Atoms;
-
-impl Nodes for Atoms {
-    #[inline]
-    fn node(&mut self, a: u32) -> u32 {
-        a
-    }
-
-    #[inline]
-    fn atom(&self, v: u32) -> u32 {
-        v
-    }
-}
-
-/// Tarjan's algorithm, iterative, over the atoms reachable from the roots —
-/// the nodes `0..roots`, tried in order. `succ(a)` lists the successors of
-/// atom `a`, and `nodes` numbers the atoms as the walk reaches them. The
-/// result is in nodes, and each component is emitted after every component
-/// it reaches.
-pub(super) fn tarjan<N: Nodes, I: Iterator<Item = u32>>(
-    roots: u32,
-    nodes: &mut N,
-    succ: impl Fn(u32) -> I,
-) -> Flat {
-    const UNVISITED: u32 = u32::MAX;
-    let n = roots as usize;
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = BitSet::with_capacity(n);
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp_of = vec![UNVISITED; n];
-    let mut comps = Csr {
-        off: vec![0],
-        items: Vec::with_capacity(n),
-    };
-    let mut next_index = 0u32;
-    // Explicit DFS frames: (node, its successors still to try).
-    let mut frames: Vec<(u32, I)> = Vec::new();
-
-    for v0 in 0..roots {
-        if index[v0 as usize] != UNVISITED {
-            continue;
-        }
-        let mut enter = Some(v0);
-        loop {
-            if let Some(v) = enter.take() {
-                if v as usize >= index.len() {
-                    index.resize(v as usize + 1, UNVISITED);
-                    low.resize(v as usize + 1, 0);
-                    comp_of.resize(v as usize + 1, UNVISITED);
-                }
-                index[v as usize] = next_index;
-                low[v as usize] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack.insert(v as usize);
-                frames.push((v, succ(nodes.atom(v))));
-            }
-            let Some((v, next)) = frames.last_mut() else {
-                break;
-            };
-            let v = *v;
-            if let Some(b) = next.next() {
-                let w = nodes.node(b);
-                match index.get(w as usize) {
-                    Some(&i) if i != UNVISITED => {
-                        if on_stack.contains(w as usize) {
-                            low[v as usize] = low[v as usize].min(i);
-                        }
-                    }
-                    _ => enter = Some(w),
-                }
-            } else {
-                frames.pop();
-                if let Some(&mut (parent, _)) = frames.last_mut() {
-                    low[parent as usize] = low[parent as usize].min(low[v as usize]);
-                }
-                if low[v as usize] == index[v as usize] {
-                    let ordinal = comps.num_rows() as u32;
-                    loop {
-                        // Tarjan invariant: `v` stays on the stack
-                        // until its own SCC is emitted right here.
-                        #[allow(clippy::expect_used)]
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack.remove(w as usize);
-                        comp_of[w as usize] = ordinal;
-                        comps.items.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comps.off.push(comps.items.len() as u32);
-                }
-            }
-        }
-    }
-
-    Flat { comp_of, comps }
+    tarjan(n, &mut Identity, |a| adj.row(a as usize).iter().copied())
 }
 
 #[cfg(test)]

@@ -3,13 +3,14 @@
 //! empty model, whose cone is the whole program.
 
 use super::component::{classify_rules, decide_component, Dense, Positions, Scratch};
-use super::condensation::{condense, tarjan, Condensation, Flat, Nodes};
+use super::condensation::{condense, Condensation};
 use super::{ModularEngine, ModularMemo, ModularStats, NONE};
 use crate::result::EngineResult;
 use std::collections::hash_map::Entry;
 use std::ops::{Index, Range};
 use wfdl_core::budget::FaultSite;
 use wfdl_core::chunked::CHUNK;
+use wfdl_core::scc::{tarjan, Nodes, Sccs};
 use wfdl_core::{BitSet, ChunkVec, FxHashMap, Interp, TruncationReason, Truth};
 use wfdl_storage::GroundProgram;
 
@@ -56,7 +57,7 @@ impl ModularEngine<'_> {
             truth[a as usize] = Truth::Unknown;
         }
         let mut is_fact = memo.is_fact.copy_with_capacity(n);
-        for &f in prog.facts_local().iter_from(prev_prog.facts().len()) {
+        for &f in prog.facts_local().iter_from(prev_prog.facts_local().len()) {
             is_fact.insert(f as usize);
         }
         let mut s = Sweep {
@@ -266,12 +267,12 @@ impl Cone {
     /// components: one iterative Tarjan over the forward occurrence rows
     /// (`atom → head of every rule whose body mentions it`), rooted at the
     /// seeds in order. The components are in positions, dependents first.
-    fn walk(prog: &GroundProgram, prev: &GroundProgram) -> (Cone, Flat) {
+    fn walk(prog: &GroundProgram, prev: &GroundProgram) -> (Cone, Sccs) {
         let mut cone = Cone::default();
         for r in prev.num_rules()..prog.num_rules() {
             cone.node(prog.head_local(r));
         }
-        for &f in prog.facts_local().iter_from(prev.facts().len()) {
+        for &f in prog.facts_local().iter_from(prev.facts_local().len()) {
             cone.node(f);
         }
         (prev.num_atoms() as u32..prog.num_atoms() as u32).for_each(|a| _ = cone.node(a));
@@ -300,7 +301,7 @@ impl Nodes for Cone {
     }
 
     #[inline]
-    fn atom(&self, v: u32) -> u32 {
+    fn item(&self, v: u32) -> u32 {
         self.atoms[v as usize]
     }
 }
@@ -404,7 +405,7 @@ pub(super) fn carries(prev: &GroundProgram, memo: &ModularMemo, prog: &GroundPro
     let old = &memo.condensation;
     prev.num_atoms() <= prog.num_atoms()
         && prev.num_rules() <= prog.num_rules()
-        && prev.facts().len() <= prog.facts().len()
+        && prev.facts_local().len() <= prog.facts_local().len()
         && prog.atoms().starts_with(prev.atoms())
         && old.num_ordinals() <= 2 * old.num_components() + CHUNK
 }

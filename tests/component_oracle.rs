@@ -1,6 +1,6 @@
 //! The modular engine's in-place component evaluator against the oracle it
 //! replaced: a standalone sub-program per component
-//! ([`GroundProgram::build_with_atom_universe`]), solved by the global
+//! ([`GroundProgramBuilder::add_atom`] for its inputs), solved by the global
 //! `W_P` engine with the undefined lower atoms carried as assumed-unknown
 //! inputs ([`WpEngine::with_assumed_unknown`]).
 //!
@@ -154,7 +154,17 @@ fn oracle_component(
         .copied()
         .filter(|f| prog.facts().contains(f))
         .collect();
-    let sub = GroundProgram::build_with_atom_universe(sub_rules, facts, atoms);
+    let mut sub = GroundProgramBuilder::new();
+    for x in atoms {
+        sub.add_atom(x);
+    }
+    for f in facts {
+        sub.add_fact(f);
+    }
+    for r in sub_rules {
+        sub.add_rule(r);
+    }
+    let sub = sub.finish();
     let assumed: Vec<u32> = (0..sub.num_atoms() as u32)
         .filter(|&l| !internal(sub.atom_of_local(l)))
         .collect();
