@@ -47,30 +47,26 @@ pub struct AtomNode<'a> {
 /// Hash-consing store for ground atoms.
 ///
 /// Layout: one predicate and one argument row per atom, in copy-on-write
-/// chunked pools, and an id table over them — interning allocates nothing
-/// per atom, and a clone copies the table's owned level and shares its
-/// frozen base and the pools' full chunks.
+/// chunked pools, and one id table per predicate over them — interning
+/// allocates nothing per atom, and a clone copies each table's owned level
+/// and shares its frozen base and the pools' full chunks.
+///
+/// A probe reads its predicate's table only, so its cost follows the size
+/// of one relation, not of the universe (a `not employed(X)` check of every
+/// person probes the `employed` atoms), and its key test compares the
+/// argument row alone: the table already implies the predicate.
 #[derive(Clone, Debug, Default)]
 pub struct AtomStore {
     preds: ChunkVec<PredId>,
     args: ArgPool,
-    table: IdTable,
+    /// Indexed by `PredId`; grown on a predicate's first intern.
+    tables: Vec<IdTable>,
 }
 
 impl AtomStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The table hash of `pred(args…)` and the test of a stored id against
-    /// it — what every probe of the table needs.
-    #[inline]
-    fn key<'k>(&'k self, pred: PredId, args: &'k [TermId]) -> (u32, impl FnMut(u32) -> bool + 'k) {
-        let hash = hash_words(pred.raw(), args.iter().map(|t| t.raw()));
-        let is_key =
-            move |id: u32| self.preds[id as usize] == pred && self.args.row(id as usize) == args;
-        (hash, is_key)
     }
 
     /// Interns `pred(args…)` from a borrowed argument slice: the hit path —
@@ -81,22 +77,30 @@ impl AtomStore {
     /// Arity agreement with the predicate declaration is the caller's
     /// responsibility; [`crate::universe::Universe::atom`] performs the check.
     pub fn intern_ref(&mut self, pred: PredId, args: &[TermId]) -> AtomId {
-        let (hash, is_key) = self.key(pred, args);
-        let vacant = match self.table.find_or_vacant(hash, is_key) {
+        if pred.index() >= self.tables.len() {
+            self.tables.resize_with(pred.index() + 1, IdTable::default);
+        }
+        let hash = hash_words(pred.raw(), args.iter().map(|t| t.raw()));
+        let stored = &self.args;
+        let is_key = |id: u32| stored.row(id as usize) == args;
+        let vacant = match self.tables[pred.index()].find_or_vacant(hash, is_key) {
             Ok(id) => return AtomId(id),
             Err(vacant) => vacant,
         };
         let id = crate::dense_u32(self.preds.len(), "atom store");
         self.preds.push(pred);
         self.args.push(args);
-        self.table.insert_vacant(vacant, hash, id);
+        self.tables[pred.index()].insert_vacant(vacant, hash, id);
         AtomId(id)
     }
 
     /// Looks up an atom without interning it. Allocation-free.
     pub fn lookup(&self, pred: PredId, args: &[TermId]) -> Option<AtomId> {
-        let (hash, is_key) = self.key(pred, args);
-        self.table.find(hash, is_key).map(AtomId)
+        let table = self.tables.get(pred.index())?;
+        let hash = hash_words(pred.raw(), args.iter().map(|t| t.raw()));
+        table
+            .find(hash, |id| self.args.row(id as usize) == args)
+            .map(AtomId)
     }
 
     /// [`AtomStore::lookup`] of arguments that are computed rather than
@@ -107,10 +111,10 @@ impl AtomStore {
         pred: PredId,
         args: impl Iterator<Item = TermId> + Clone,
     ) -> Option<AtomId> {
+        let table = self.tables.get(pred.index())?;
         let hash = hash_words(pred.raw(), args.clone().map(|t| t.raw()));
-        let hit = self.table.find(hash, |id| {
-            self.preds[id as usize] == pred
-                && self.args.row(id as usize).iter().copied().eq(args.clone())
+        let hit = table.find(hash, |id| {
+            self.args.row(id as usize).iter().copied().eq(args.clone())
         });
         hit.map(AtomId)
     }
@@ -151,20 +155,32 @@ impl AtomStore {
         (0..self.preds.len() as u32).map(AtomId)
     }
 
-    /// The heap bytes of the store's chunked pools and id table.
+    /// The heap bytes of the store's chunked pools and id tables; the array
+    /// of tables is copied by every clone, so it is owned.
     pub fn footprint(&self) -> Footprint {
-        self.preds.footprint() + self.args.footprint() + self.table.footprint()
+        let array = self.tables.capacity() * std::mem::size_of::<IdTable>();
+        let array = Footprint {
+            held: array,
+            owned: array,
+        };
+        let tables = self
+            .tables
+            .iter()
+            .map(IdTable::footprint)
+            .sum::<Footprint>();
+        self.preds.footprint() + self.args.footprint() + tables + array
     }
 
-    /// Shares the id table's entries with later clones (see
+    /// Shares every id table's entries with later clones (see
     /// [`IdTable::freeze`]).
     pub fn freeze(&mut self) {
-        self.table.freeze();
+        self.tables.iter_mut().for_each(IdTable::freeze);
     }
 
-    /// Heap bytes held by the store: O(chunks), a sum of capacities.
+    /// Heap bytes held by the store: O(chunks + predicates), a sum of
+    /// capacities.
     pub fn heap_bytes(&self) -> usize {
-        self.preds.heap_bytes() + self.args.heap_bytes() + self.table.heap_bytes()
+        self.footprint().held
     }
 }
 
@@ -218,6 +234,53 @@ mod tests {
         assert_eq!(store.lookup_iter(p, t[..2].iter().copied()), Some(p01));
         assert_eq!(store.lookup_iter(q, t[..1].iter().copied()), Some(q0));
         assert_eq!(store.lookup_iter(p, [].into_iter()), Some(p_nullary));
+    }
+
+    /// The same argument rows under two predicates, with the real hash and
+    /// with every hash folded to two bits: no key test compares predicates,
+    /// so only the predicate's table keeps the two atoms apart.
+    #[test]
+    fn one_row_under_two_predicates_is_two_atoms() {
+        for collide in [false, true] {
+            crate::idtable::COLLIDE.with(|c| c.set(collide));
+            let mut store = AtomStore::new();
+            let (p, q) = (PredId::from_index(0), PredId::from_index(2));
+            let rows: Vec<Vec<TermId>> = (0..50u32)
+                .map(|i| vec![TermId::from_index(i as usize), TermId::from_index(7)])
+                .collect();
+            let ids: Vec<(AtomId, AtomId)> = rows
+                .iter()
+                .map(|row| (store.intern_ref(p, row), store.intern_ref(q, row)))
+                .collect();
+            assert_eq!(store.len(), 2 * rows.len(), "collide={collide}");
+            for (row, &(at_p, at_q)) in rows.iter().zip(&ids) {
+                assert_ne!(at_p, at_q);
+                assert_eq!((store.pred(at_p), store.pred(at_q)), (p, q));
+                assert_eq!(store.intern_ref(p, row), at_p);
+                assert_eq!(store.lookup(q, row), Some(at_q));
+                assert_eq!(store.lookup_iter(p, row.iter().copied()), Some(at_p));
+                // A declared predicate between the two holds none of them.
+                assert_eq!(store.lookup(PredId::from_index(1), row), None);
+            }
+            crate::idtable::COLLIDE.with(|c| c.set(false));
+        }
+    }
+
+    #[test]
+    fn a_predicate_without_a_table_finds_nothing_and_grows_nothing() {
+        let mut store = AtomStore::new();
+        let t0 = TermId::from_index(0);
+        let far = PredId::from_index(1000);
+        assert_eq!(store.lookup(far, &[t0]), None);
+        assert_eq!(store.lookup_iter(far, [t0].into_iter()), None);
+        assert_eq!(store.tables.capacity(), 0);
+        store.intern_ref(PredId::from_index(1), &[t0]);
+        let grown = (store.tables.len(), store.tables.capacity());
+        assert_eq!(grown.0, 2);
+        assert_eq!(store.lookup(far, &[t0]), None);
+        assert_eq!(store.lookup_iter(far, [t0].into_iter()), None);
+        assert_eq!(store.lookup(PredId::from_index(0), &[t0]), None);
+        assert_eq!((store.tables.len(), store.tables.capacity()), grown);
     }
 
     #[test]

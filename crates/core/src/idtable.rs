@@ -1,4 +1,6 @@
-//! The open-addressing id table behind every interning store.
+//! The open-addressing id table behind every interning store: the symbol
+//! table's, the term store's, one per predicate in the atom store, and
+//! each key table of the query index.
 //!
 //! A store keeps its keys in pools of its own (argument pools, a byte pool,
 //! all copy-on-write chunked arrays) and assigns dense ids in allocation

@@ -24,7 +24,8 @@ pub struct SkolemInfo {
 /// Interning context: symbols, predicates, Skolem functions, terms, atoms.
 ///
 /// The pools and side arrays over dense ids are copy-on-write chunked
-/// arrays ([`crate::chunked`]), and the three id tables keep a frozen base
+/// arrays ([`crate::chunked`]), and the id tables — the symbol and term
+/// stores' and one per predicate in the atom store — keep a frozen base
 /// behind an `Arc` ([`crate::IdTable`]): a clone of a frozen universe
 /// copies the declarations, the chunk tables, what was interned since the
 /// universe was last cloned and the tables' owned levels, and shares every
@@ -257,7 +258,7 @@ impl Universe {
 
     // ----- memory ------------------------------------------------------
 
-    /// Makes the three id tables' entries a base that later clones share
+    /// Makes every id table's entries a base that later clones share
     /// instead of copying ([`crate::IdTable::freeze`]). Call it where the
     /// universe is about to be shared.
     pub fn freeze(&mut self) {

@@ -637,6 +637,72 @@ mod tests {
         }
     }
 
+    /// A source cut off before its fixpoint: an atom it never saw is
+    /// undecided, not false.
+    struct CutOff<'a>(InterpSource<'a>);
+
+    impl TruthSource for CutOff<'_> {
+        fn value(&self, atom: AtomId) -> Truth {
+            self.0.value(atom)
+        }
+        fn unseen(&self) -> Truth {
+            Truth::Unknown
+        }
+        fn certain_atoms(&self) -> Vec<AtomId> {
+            self.0.certain_atoms()
+        }
+        fn possible_atoms(&self) -> Vec<AtomId> {
+            self.0.possible_atoms()
+        }
+    }
+
+    /// `?(X) p(X), not r(X).` where `r` is declared but has no atom: the
+    /// negated leaf finds no atom of `r` to read — `r` has no id table, or
+    /// an empty one — so it reads the source's verdict of an unseen atom.
+    /// A complete model answers every `p` atom; a cut-off one answers none
+    /// certainly and every one possibly.
+    #[test]
+    fn a_negated_predicate_without_atoms_reads_the_unseen_verdict() {
+        let mut u = Universe::new();
+        // `before` precedes `p`, so it has an empty table; `r` follows the
+        // last predicate with an atom, so it has none.
+        let before = u.pred("before", 1).unwrap();
+        let p = u.pred("p", 1).unwrap();
+        let r = u.pred("r", 1).unwrap();
+        let mut i = Interp::new();
+        let mut atoms = Vec::new();
+        let mut names = Vec::new();
+        for k in 0..5 {
+            let c = u.constant(&format!("c{k}"));
+            let atom = u.atom(p, vec![c]).unwrap();
+            i.set_true(atom);
+            atoms.push(atom);
+            names.push([c]);
+        }
+        let complete = InterpSource::new(&i, &atoms);
+        let cut_off = CutOff(complete.clone());
+        let index = AtomIndex::build(&u, atoms.iter().copied());
+        for negated in [r, before] {
+            let q = Nbcq::new(
+                &u,
+                vec![QueryAtom::new(p, vec![v(0)])],
+                vec![QueryAtom::new(negated, vec![v(0)])],
+                vec![QVar::new(0)],
+            )
+            .unwrap();
+            let rows = |set: &AnswerSet| set.tuples().map(<[TermId]>::to_vec).collect::<Vec<_>>();
+            let every: Vec<Vec<TermId>> = names.iter().map(|n| n.to_vec()).collect();
+            assert_eq!(rows(&answers_indexed(&u, &complete, &index, &q)), every);
+            assert!(answers_indexed(&u, &cut_off, &index, &q).is_empty());
+            let mut possible = Search::new(&u, &cut_off, &index, &q, Mode::Possible, false).run();
+            possible.normalize();
+            assert_eq!(rows(&possible), every);
+            assert_eq!(holds3_indexed(&u, &cut_off, &index, &q), Truth::Unknown);
+            assert_eq!(holds3_indexed(&u, &complete, &index, &q), Truth::True);
+        }
+        assert!(u.atoms.lookup(r, &names[0]).is_none());
+    }
+
     #[test]
     fn existence_reads_stop_at_the_first_witness() {
         // p(c0..c99) and q(c0..c99), all true: `?- p(X), q(Y).` has 10,000

@@ -578,6 +578,62 @@ fn a_frozen_universe_copy_on_write_does_not_grow_with_the_program() {
     );
 }
 
+/// The atom store keeps one id table per predicate. A frozen universe
+/// shares every table's base, so its copy-on-write copies the owned levels
+/// of the tables a delta wrote since the freeze (two arrays each), beside
+/// the handful of allocations any universe clone makes — not a table per
+/// predicate.
+#[test]
+fn a_frozen_universe_copy_copies_only_the_tables_a_delta_touched() {
+    const PREDS: usize = 64;
+    const PER_PRED: usize = 1_000;
+    const TOUCHED: usize = 3;
+    let mut published = Universe::new();
+    let names: Vec<TermId> = (0..PER_PRED)
+        .map(|i| published.constant(&format!("c{i}")))
+        .collect();
+    let preds: Vec<_> = (0..PREDS)
+        .map(|p| published.pred(&format!("p{p}"), 2).unwrap())
+        .collect();
+    for &pred in &preds {
+        for (i, &c) in names.iter().enumerate() {
+            published
+                .atom(pred, [c, names[(i + 1) % PER_PRED]])
+                .unwrap();
+        }
+    }
+    // Published, then copied for the next mutation, as the façade does.
+    published.freeze();
+    let mut u = published.clone();
+    // Ten new atoms over each of a few predicates: under an eighth of
+    // their bases, so the freeze keeps them in the tables' owned levels.
+    for &pred in &preds[..TOUCHED] {
+        for (i, &c) in names.iter().enumerate().take(10) {
+            u.atom(pred, [c, names[(i + 2) % PER_PRED]]).unwrap();
+        }
+    }
+    u.freeze();
+    assert_eq!(u.atoms.len(), PREDS * PER_PRED + TOUCHED * 10);
+
+    let held = u.footprint();
+    let flat = u.heap_bytes() - held.held;
+    let ((copy, bytes), allocations) = allocations_in(|| bytes_in(|| u.clone()));
+    assert_eq!(copy.atoms.len(), u.atoms.len());
+    assert!(
+        allocations <= 32 + 2 * TOUCHED,
+        "a clone of {PREDS} predicates' tables, {TOUCHED} of them written since \
+         the freeze, took {allocations} allocations"
+    );
+    assert!(
+        bytes <= flat + held.owned,
+        "a clone obtained {bytes} bytes; declarations {flat}, pools and tables {} ({} owned)",
+        held.held,
+        held.owned
+    );
+    assert!(copy.footprint().shared() * 10 >= held.held * 9);
+    drop(published);
+}
+
 /// Bytes the cold hand-off and solve of `chain_and_fanout(512, 10_240)`
 /// obtained while every program was built with its body occurrence rows
 /// and the engine kept a rules-sized slot array, measured with this file's

@@ -153,6 +153,29 @@ fn a_never_interned_negated_atom_is_not_certainly_false_when_truncated() {
     assert_eq!(verdicts, [Truth::False, Truth::False, Truth::True]);
 }
 
+/// `r` occurs in a rule body only, so no atom of it is ever interned and
+/// `not r(X)` finds no atom to read: a complete model answers every `p`
+/// atom, a truncated one none certainly — and leaves the query undecided.
+#[test]
+fn a_negated_predicate_with_no_atom_is_undecided_when_truncated() {
+    const ROWS: &str = "?(X) p(X), not r(X).";
+    const BOOLEAN: &str = "?- p(X), not r(X).";
+    let mut kb = KnowledgeBase::from_source("p(a). p(b). r(X) -> s(X).").unwrap();
+    kb.set_solve_budget(SolveBudget::unlimited().with_deadline_in(Duration::ZERO));
+    let model = kb.try_solve().unwrap();
+    assert!(model.outcome().is_budget_trip());
+    assert!(
+        model.ask("?- p(a), p(b).").unwrap(),
+        "the facts are certain"
+    );
+    assert!(model.answers(ROWS).unwrap().is_empty());
+    assert_eq!(model.ask3(BOOLEAN).unwrap(), Truth::Unknown);
+    kb.set_solve_budget(SolveBudget::unlimited());
+    let complete = kb.solve();
+    assert_eq!(complete.answers(ROWS).unwrap().len(), 2);
+    assert_eq!(complete.ask3(BOOLEAN).unwrap(), Truth::True);
+}
+
 #[test]
 fn pre_cancelled_token_truncates_cleanly_everywhere() {
     let token = CancelToken::new();
